@@ -12,6 +12,7 @@ import (
 	"skalla/internal/agg"
 	"skalla/internal/bench"
 	"skalla/internal/core"
+	"skalla/internal/egil"
 	"skalla/internal/engine"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
@@ -265,6 +266,51 @@ func BenchmarkSiteEval(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkSiteEvalExample1 measures one site's share of the paper's Example 1
+// over a string group key — the served benchmark's scan_heavy shape, at its
+// partition size: the filtered base scan, MD1 on a pure link, and MD2 on the
+// link plus R.ExtendedPrice >= B.avgp. Three scans of 30k rows for a handful
+// of groups, so nearly all of the time is the per-row work.
+func BenchmarkSiteEvalExample1(b *testing.B) {
+	cfg := tpc.DefaultConfig()
+	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 30_000, 8000, 4000, 1
+	d, err := tpc.Generate(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := egil.Translate("SELECT MktSegment, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR " +
+		"WHERE Discount >= 0.005 GROUP BY MktSegment HAVING EACH ExtendedPrice >= avgp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	s := engine.NewSite(0)
+	if err := s.Load(ctx, tpc.RelationName, d.Parts[0]); err != nil {
+		b.Fatal(err)
+	}
+	s.SetWorkers(1)
+	// MD2's base fragment carries MD1's finalized avgp, as the coordinator
+	// would ship it.
+	x1, err := gmdj.EvalPrefixX(q, s.Source(), 1, true)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(3 * d.Parts[0].Len()))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b0, err := s.EvalBase(ctx, q.Base)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0], Keys: q.Keys()}); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: x1, Op: q.Ops[1], Keys: q.Keys()}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

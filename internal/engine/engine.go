@@ -62,12 +62,14 @@ func (s *Site) SetWorkers(n int) {
 }
 
 // Load installs (or replaces) the local partition of a detail relation as an
-// in-memory source.
+// in-memory source. The relation is snapshotted as it is now — its rows, and
+// a columnar image of them for the compiled scan kernels: rows the caller
+// appends to rel afterwards are not served.
 func (s *Site) Load(_ context.Context, name string, rel *relation.Relation) error {
 	if rel == nil {
 		return fmt.Errorf("engine: nil relation %q", name)
 	}
-	return s.LoadSource(name, gmdj.SourceOf(rel))
+	return s.LoadSource(name, newMemPartition(rel))
 }
 
 // LoadSource installs (or replaces) the local partition of a detail relation
@@ -428,9 +430,6 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 	if err := req.Query.Validate(snap); err != nil {
 		return nil, err
 	}
-	var ds gmdj.DataSource = snap
-	if rec != nil {
-		ds = recordedSnapshot{snapshot: snap, rec: rec}
-	}
+	ds := recordedSnapshot{snapshot: snap, rec: rec}
 	return gmdj.EvalPrefixXWorkers(req.Query, ds, req.UpTo, snap.useHash, snap.workers)
 }

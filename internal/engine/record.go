@@ -21,13 +21,12 @@ type recordedSource interface {
 	Recorded(rec *obs.SiteRecorder) gmdj.RowSource
 }
 
-// instrument wraps src so scanned rows (and, when the source supports it,
-// its internal I/O) are charged to rec. A nil recorder returns src unchanged.
+// instrument wraps src so the passes made over it are accounted for: scanned
+// rows (and, when the source supports it, its internal I/O) are charged to
+// rec, and the path each evaluation took to skalla_engine_scan_path_total.
+// Under a nil recorder only the path is counted.
 func instrument(src gmdj.RowSource, rec *obs.SiteRecorder) gmdj.RowSource {
-	if rec == nil {
-		return src
-	}
-	if rs, ok := src.(recordedSource); ok {
+	if rs, ok := src.(recordedSource); ok && rec != nil {
 		src = rs.Recorded(rec)
 	}
 	return recordedRows{src: src, rec: rec}
@@ -50,13 +49,42 @@ func (r recordedRows) Len() int { return r.src.Len() }
 // Scan implements the RowSource contract: one recorder add per scan, never
 // per row, mirroring the process-wide counter discipline.
 func (r recordedRows) Scan(fn func(relation.Tuple) error) error {
+	if r.rec == nil {
+		return r.src.Scan(fn)
+	}
 	rows := int64(0)
 	err := r.src.Scan(func(t relation.Tuple) error {
 		rows++
 		return fn(t)
 	})
 	r.rec.AddWorkerRows(r.worker, rows)
+	r.rec.NoteScan(false)
 	return err
+}
+
+// ColumnRange implements gmdj.ColumnSource by delegation; a source without a
+// columnar image declines, which keeps the evaluator on Scan.
+func (r recordedRows) ColumnRange() (*relation.Columns, int, int) {
+	cs, ok := r.src.(gmdj.ColumnSource)
+	if !ok {
+		return nil, 0, 0
+	}
+	return cs.ColumnRange()
+}
+
+// ChargeColumnScan is the evaluator's notice of one kernel pass over this
+// source's range: it is charged the rows a Scan of the range would have been.
+func (r recordedRows) ChargeColumnScan() {
+	_, lo, hi := r.ColumnRange()
+	r.rec.AddWorkerRows(r.worker, int64(hi-lo))
+	r.rec.NoteScan(true)
+}
+
+// NoteScanPath is the evaluator's notice of the path one evaluation's detail
+// passes take and why. Counting here, not in the evaluator, keeps the
+// coordinator's and the oracle's evaluations out of the site's counter.
+func (r recordedRows) NoteScanPath(path, reason string, passes int) {
+	obs.EngineScanPath.With(path, reason).Add(int64(passes))
 }
 
 // Split implements gmdj.SplittableSource by delegation: shard i is tagged
@@ -80,8 +108,8 @@ func (r recordedRows) Split(n int) []gmdj.RowSource {
 }
 
 // recordedSnapshot is a catalog snapshot whose detail sources come out
-// instrumented — the DataSource the prefix evaluator sees under a profiled
-// EvalLocal request.
+// instrumented — the DataSource the prefix evaluator sees under an EvalLocal
+// request.
 type recordedSnapshot struct {
 	snapshot
 	rec *obs.SiteRecorder

@@ -211,13 +211,24 @@ func EvalBase(bq BaseQuery, detail RowSource) (*relation.Relation, error) {
 // result is identical to the sequential evaluation including row order:
 // shards are contiguous, each worker records its shard's first occurrences in
 // order, and the merge dedupes in shard order — so global first-occurrence
-// order is preserved exactly.
+// order is preserved exactly. Over a ColumnSource, a base query the kernel
+// compiler covers (kernel.go) runs compiled instead, with identical results.
 func EvalBaseWorkers(bq BaseQuery, detail RowSource, workers int) (*relation.Relation, error) {
 	p, err := compileBase(bq, detail)
 	if err != nil {
 		return nil, err
 	}
-	if shards := splitSource(detail, resolveWorkers(workers, detail.Len())); shards != nil {
+	shards := splitSource(detail, resolveWorkers(workers, detail.Len()))
+	reason := reasonSource
+	if cols, colShards := columnShards(detail, shards); cols != nil {
+		var k *baseKernel
+		if k, reason = compileBaseKernel(p, cols); k != nil {
+			noteScanPath(detail, reasonOK, 1)
+			return k.run(colShards), nil
+		}
+	}
+	noteScanPath(detail, reason, 1)
+	if shards != nil {
 		return evalBaseParallel(p, shards)
 	}
 	out := relation.New(p.schema)
@@ -332,7 +343,9 @@ type OperatorAccum struct {
 // conditions with equality links use a hash-grouping fast path over the base
 // relation, grouping-set conditions use the 2^n-probe cube path, and
 // everything else falls back to the literal nested loop (detail-outer, so
-// disk-backed sources are still scanned sequentially).
+// disk-backed sources are still scanned sequentially). Over a ColumnSource,
+// an operator the kernel compiler covers (kernel.go) runs compiled instead,
+// with identical results.
 func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
 	return AccumulateOperatorWorkers(x, op, detail, useHash, 1)
 }
@@ -346,24 +359,28 @@ func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, use
 // order, so results match the sequential evaluation (byte-identically for
 // integer-valued aggregates; see DESIGN.md §11 for the float caveat).
 func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSource, useHash bool, workers int) (*OperatorAccum, error) {
-	states, err := buildVarStates(x, op, detail.Schema(), useHash)
+	states, err := bindVarStates(x, op, detail.Schema())
 	if err != nil {
 		return nil, err
 	}
-	out := &OperatorAccum{
-		Layouts: make([]*agg.Layout, len(op.Vars)),
-		Accs:    make([][]relation.Tuple, len(op.Vars)),
-		Touched: make([]bool, x.Len()),
-	}
-	for vi, st := range states {
-		out.Layouts[vi] = st.layout
-		accs := make([]relation.Tuple, x.Len())
-		for i := range accs {
-			accs[i] = st.layout.Identity()
+	shards := splitSource(detail, resolveWorkers(workers, detail.Len()))
+	// useHash=false asks for the literal nested loop of Definition 1, which a
+	// kernel — a hash path in all but name — is not.
+	reason := reasonShape
+	if useHash {
+		reason = reasonSource
+		if cols, colShards := columnShards(detail, shards); cols != nil {
+			var k *opKernel
+			if k, reason = compileOperator(x, states, cols); k != nil {
+				noteScanPath(detail, reasonOK, len(states))
+				return k.run(colShards), nil
+			}
 		}
-		out.Accs[vi] = accs
+		indexVarStates(x, states, detail.Schema())
 	}
-	if shards := splitSource(detail, resolveWorkers(workers, detail.Len())); shards != nil {
+	noteScanPath(detail, reason, len(states))
+	out := newOperatorAccum(x.Len(), states)
+	if shards != nil {
 		if err := accumulateParallel(x, states, out, shards); err != nil {
 			return nil, err
 		}
@@ -383,8 +400,8 @@ func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSour
 
 // varState is one grouping variable compiled against the base and detail
 // schemas: the aggregate layout, the bound condition, and (when usable) the
-// hash-grouping index over the base relation. All fields are read-only after
-// buildVarStates — expression evaluation is a stateless tree walk and
+// hash-grouping index over the base relation. All fields are read-only once
+// the scans start — expression evaluation is a stateless tree walk and
 // KeyIndex.Lookup never mutates — so concurrent shard scans share one state.
 type varState struct {
 	layout  *agg.Layout
@@ -398,7 +415,10 @@ type varState struct {
 	rollup bool
 }
 
-func buildVarStates(x *relation.Relation, op Operator, detailSchema relation.Schema, useHash bool) ([]*varState, error) {
+// bindVarStates compiles an operator's layouts and binds its conditions; the
+// hash indexes are added by indexVarStates only when the scalar hash path is
+// the one that runs.
+func bindVarStates(x *relation.Relation, op Operator, detailSchema relation.Schema) ([]*varState, error) {
 	states := make([]*varState, len(op.Vars))
 	for vi, v := range op.Vars {
 		layout, err := agg.NewLayout(v.Aggs, detailSchema)
@@ -409,41 +429,50 @@ func buildVarStates(x *relation.Relation, op Operator, detailSchema relation.Sch
 		if err != nil {
 			return nil, err
 		}
-		st := &varState{layout: layout, cond: cond}
-		if useHash {
-			links := expr.EqualityLinks(cond)
-			rollup := false
-			if len(links) == 0 {
-				// Grouping-set conditions have their equalities under ORs;
-				// recognize the rollup shape and use the 2^n-probe cube path.
-				if rl, ok := expr.RollupLinks(cond); ok && len(rl) <= 16 {
-					links, rollup = rl, true
-				}
-			}
-			if len(links) > 0 {
-				baseCols := make([]string, len(links))
-				st.probe = make([]int, len(links))
-				usable := true
-				for li, l := range links {
-					baseCols[li] = l.Base
-					di := detailSchema.Index(l.Detail)
-					if di < 0 {
-						usable = false
-						break
-					}
-					st.probe[li] = di
-				}
-				if usable {
-					if idx, err := relation.BuildKeyIndex(x, baseCols); err == nil {
-						st.hashIdx = idx
-						st.rollup = rollup
-					}
-				}
-			}
-		}
-		states[vi] = st
+		states[vi] = &varState{layout: layout, cond: cond}
 	}
 	return states, nil
+}
+
+// indexVarStates gives every variable whose condition has equality links (or
+// the rollup shape) a hash index over the base relation. A link whose base and
+// detail columns differ in declared kind gets none: the index matches keys by
+// identity (INT 1 is not FLOAT 1.0) while the condition's equality compares
+// numerics across kinds, so probing would silently drop matches the nested
+// loop finds.
+func indexVarStates(x *relation.Relation, states []*varState, detailSchema relation.Schema) {
+	for _, st := range states {
+		links := expr.EqualityLinks(st.cond)
+		rollup := false
+		if len(links) == 0 {
+			// Grouping-set conditions have their equalities under ORs;
+			// recognize the rollup shape and use the 2^n-probe cube path.
+			if rl, ok := expr.RollupLinks(st.cond); ok && len(rl) <= 16 {
+				links, rollup = rl, true
+			}
+		}
+		if len(links) == 0 {
+			continue
+		}
+		baseCols := make([]string, len(links))
+		probe := make([]int, len(links))
+		usable := true
+		for li, l := range links {
+			baseCols[li] = l.Base
+			bi, di := x.Schema.Index(l.Base), detailSchema.Index(l.Detail)
+			if bi < 0 || di < 0 || x.Schema[bi].Kind != detailSchema[di].Kind {
+				usable = false
+				break
+			}
+			probe[li] = di
+		}
+		if !usable {
+			continue
+		}
+		if idx, err := relation.BuildKeyIndex(x, baseCols); err == nil {
+			st.hashIdx, st.probe, st.rollup = idx, probe, rollup
+		}
+	}
 }
 
 // scan accumulates this grouping variable over one detail shard: accs[i]

@@ -46,9 +46,12 @@ func AccumulateOperatorsFanIn(jobs []OperatorJob, detail RowSource, useHash bool
 	states := make([][]*varState, len(jobs))
 	outs := make([]*OperatorAccum, len(jobs))
 	for j, job := range jobs {
-		st, err := buildVarStates(job.X, job.Op, schema, useHash)
+		st, err := bindVarStates(job.X, job.Op, schema)
 		if err != nil {
 			return nil, err
+		}
+		if useHash {
+			indexVarStates(job.X, st, schema)
 		}
 		states[j] = st
 		outs[j] = newOperatorAccum(job.X.Len(), st)
@@ -101,13 +104,23 @@ func newOperatorAccum(baseRows int, states []*varState) *OperatorAccum {
 	}
 	for vi, st := range states {
 		out.Layouts[vi] = st.layout
-		accs := make([]relation.Tuple, baseRows)
-		for i := range accs {
-			accs[i] = st.layout.Identity()
-		}
-		out.Accs[vi] = accs
+		out.Accs[vi] = identityRows(st.layout, baseRows)
 	}
 	return out
+}
+
+// identityRows returns n identity tuples of the layout carved from one Value
+// slab: one allocation for the values instead of one per base row.
+func identityRows(l *agg.Layout, n int) []relation.Tuple {
+	id := l.Identity()
+	w := len(id)
+	slab := make([]relation.Value, n*w)
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		copy(rows[i], id)
+	}
+	return rows
 }
 
 // fanInParallel is the sharded fan-in: one goroutine per detail shard scans
@@ -126,11 +139,7 @@ func fanInParallel(jobs []OperatorJob, states [][]*varState, outs []*OperatorAcc
 				hits: make([]uint32, job.X.Len()),
 			}
 			for vi, st := range states[j] {
-				accs := make([]relation.Tuple, job.X.Len())
-				for i := range accs {
-					accs[i] = st.layout.Identity()
-				}
-				wa.accs[vi] = accs
+				wa.accs[vi] = identityRows(st.layout, job.X.Len())
 			}
 			was[j][w] = wa
 		}

@@ -103,11 +103,7 @@ func accumulateParallel(x *relation.Relation, states []*varState, out *OperatorA
 			hits: make([]uint32, x.Len()),
 		}
 		for vi, st := range states {
-			accs := make([]relation.Tuple, x.Len())
-			for i := range accs {
-				accs[i] = st.layout.Identity()
-			}
-			wa.accs[vi] = accs
+			wa.accs[vi] = identityRows(st.layout, x.Len())
 		}
 		ws[w] = wa
 		wg.Add(1)

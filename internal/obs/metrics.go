@@ -86,6 +86,9 @@ var (
 		"worker")
 	EngineEvalWorkers = Default.Gauge("skalla_engine_eval_workers",
 		"Effective worker count of the most recent sharded scan (1 = sequential).")
+	EngineScanPath = Default.CounterVec("skalla_engine_scan_path_total",
+		"Detail passes run by this process's sites (one per base query or grouping variable, never per row) by the path that ran them (kernel = compiled over the columnar image, scalar = row at a time) and why (ok = compiled; source = no columnar image; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column or value kind typed code cannot reproduce exactly).",
+		"path", "reason")
 
 	// Coordinator merge parallelism (internal/core).
 	CoordMergeWorkers = Default.Gauge("skalla_coord_merge_workers",

@@ -39,6 +39,10 @@ type SiteBreakdown struct {
 	CodecBytes int64
 	// Blocks counts H blocks emitted by operator evaluation.
 	Blocks int64
+	// Kernel reports that every detail pass of the request ran as a compiled
+	// kernel over the columnar image; false when any pass (or none) ran
+	// scalar. skalla_engine_scan_path_total carries the reasons.
+	Kernel bool
 }
 
 // SiteRecorder accumulates one request's SiteBreakdown. It is carried in the
@@ -48,6 +52,9 @@ type SiteBreakdown struct {
 type SiteRecorder struct {
 	mu sync.Mutex
 	b  SiteBreakdown
+	// scalarScan remembers a detail pass that ran row at a time, which keeps
+	// b.Kernel false whatever the other passes did.
+	scalarScan bool
 }
 
 // NewSiteRecorder creates an empty recorder.
@@ -64,6 +71,17 @@ func (r *SiteRecorder) AddWorkerRows(worker int, n int64) {
 	}
 	r.b.WorkerRows[worker] += n
 	r.b.RowsScanned += n
+	r.mu.Unlock()
+}
+
+// NoteScan records the path one detail pass took.
+func (r *SiteRecorder) NoteScan(kernel bool) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	r.scalarScan = r.scalarScan || !kernel
+	r.b.Kernel = !r.scalarScan
 	r.mu.Unlock()
 }
 

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Lint gate: gofmt, stock go vet, the repo's own skallavet analyzer suite
-# (tools/skallavet) over both modules, the stale-suppression audit, and the
-# tools module's tests so the analyzers themselves stay green. Runnable from
-# any cwd; CI runs this exact script.
+# (tools/skallavet) over both modules, the stale-suppression audit, the tools
+# module's tests so the analyzers themselves stay green, and the benchmark
+# module's vet and tests. Runnable from any cwd; CI runs this exact script.
 set -eu
 
 repo=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
@@ -46,5 +46,9 @@ echo "==> skallavet audit (stale //skallavet:allow directives)"
 
 echo "==> tools module tests"
 (cd tools/skallavet && go test ./...)
+
+echo "==> benchmark module (vet + tests: the served-path harness and its oracle gate)"
+# benchmark/ is a module of its own, so nothing above descends into it.
+(cd benchmark && go vet . && go test .)
 
 echo "lint passed"

@@ -7,6 +7,7 @@ import (
 
 	"skalla/internal/flow"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
 	"skalla/internal/tpc"
 	"skalla/internal/transport"
 
@@ -278,6 +279,64 @@ func TestTPCDatasetThroughFacade(t *testing.T) {
 	if !res.Rel.EqualMultisetApprox(want, 1e-9) {
 		t.Error("TPC facade result mismatch")
 	}
+}
+
+// The served benchmark's Example 1 statements — a filtered base, MD1 on a pure
+// link, MD2 on the link plus a comparison against MD1's average — must run
+// every site pass on the compiled kernel, whether the group key is a string
+// (MktSegment, ShipMode, OrderPriority, Clerk) or an integer (RegionKey), and
+// still equal the centralized evaluation.
+func TestExample1StatementsScanOnKernel(t *testing.T) {
+	d, err := tpc.Generate(tpc.Config{Rows: 3000, Customers: 400, Nations: 25, CitiesPerNation: 4, Clerks: 40, Seed: 6}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := d.Catalog(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := NewLocalCluster(4, WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.LoadPartitions(context.Background(), tpc.RelationName, d.Parts); err != nil {
+		t.Fatal(err)
+	}
+	for _, g := range []string{"MktSegment", "ShipMode", "OrderPriority", "RegionKey", "Clerk"} {
+		q, err := TranslateSQL("SELECT " + g + ", COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR " +
+			"WHERE Discount >= 0.005 GROUP BY " + g + " HAVING EACH ExtendedPrice >= avgp")
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := gmdj.EvalCentral(q, gmdj.Data{tpc.RelationName: d.Global()}, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, scalar := obs.EngineScanPath.With("kernel", "ok").Value(), scalarScans()
+		res, err := cl.ExecuteSelected(context.Background(), q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Rel.EqualMultisetApprox(want, 1e-9) {
+			t.Errorf("GROUP BY %s: result differs from the centralized evaluation", g)
+		}
+		// Three rounds (base, MD1, MD2), one pass each, at four sites.
+		if got := obs.EngineScanPath.With("kernel", "ok").Value() - kernel; got != 12 {
+			t.Errorf("GROUP BY %s: %d kernel passes, want 12", g, got)
+		}
+		if got := scalarScans() - scalar; got != 0 {
+			t.Errorf("GROUP BY %s: %d passes fell back to the scalar path", g, got)
+		}
+	}
+}
+
+func scalarScans() int64 {
+	n := int64(0)
+	for _, reason := range []string{"source", "shape", "kind"} {
+		n += obs.EngineScanPath.With("scalar", reason).Value()
+	}
+	return n
 }
 
 // A tiered facade cluster must agree with a flat one on the same partitions.
