@@ -73,7 +73,6 @@ func run(args []string, out io.Writer) error {
 		memBudget   = fs.Int64("query-mem-budget", 0, "serve mode: per-query coordinator memory budget in bytes (0 = off)")
 		planCache   = fs.Int("plan-cache", 0, "serve mode: prepared-plan cache capacity (0 = default)")
 		resultCache = fs.Int("result-cache", 0, "serve mode: super-aggregate result cache capacity (0 = default, -1 = off)")
-		batchWindow = fs.Duration("batch-window", 0, "serve mode: cross-query site-call batching window (0 = off)")
 		netFlag     = fs.String("net", "none", "network model for response-time reporting: none or lan")
 		maxRows     = fs.Int("max-rows", 20, "result rows to print")
 		statsJSON   = fs.String("stats-json", "", "also write the execution metrics as JSON to this file")
@@ -103,7 +102,6 @@ func run(args []string, out io.Writer) error {
 		{"-max-concurrent", *maxConc < 0, "0 (GOMAXPROCS) or positive"},
 		{"-plan-cache", *planCache < 0, "0 (default) or positive"},
 		{"-result-cache", *resultCache < -1, "0 (default), positive, or -1 (off)"},
-		{"-batch-window", *batchWindow < 0, "0 (off) or positive"},
 		{"-query-mem-budget", *memBudget < 0, "0 (off) or positive"},
 	} {
 		if c.bad {
@@ -230,7 +228,6 @@ func run(args []string, out io.Writer) error {
 			MaxConcurrent:   *maxConc,
 			PlanCacheSize:   *planCache,
 			ResultCacheSize: *resultCache,
-			BatchWindow:     *batchWindow,
 			QueryMemBudget:  *memBudget,
 		}, *siteTimeout)
 	}

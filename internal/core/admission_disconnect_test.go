@@ -45,13 +45,6 @@ func (g *gateSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.R
 	return g.Site.EvalBase(ctx, bq)
 }
 
-func (g *gateSite) EvalOperator(ctx context.Context, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	if err := g.wait(ctx); err != nil {
-		return nil, stats.Call{}, err
-	}
-	return g.Site.EvalOperator(ctx, req)
-}
-
 func (g *gateSite) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	if err := g.wait(ctx); err != nil {
 		return stats.Call{}, err

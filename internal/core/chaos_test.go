@@ -97,25 +97,26 @@ func TestChaosMatrix(t *testing.T) {
 // emitting at least one block. The query must complete, match the fault-free
 // run byte for byte, and the retry must be visible in the metrics registry.
 func TestRetryAfterPartialStream(t *testing.T) {
-	build := func(cfg faultinject.Config) *Coordinator {
+	build := func(cfg faultinject.Config) (*Coordinator, *faultinject.Site) {
 		global := randomGlobal(rand.New(rand.NewSource(99)), 120, 16)
 		sites, cat := buildCluster(t, global, "T", 4, 4, true)
-		sites[2] = faultinject.Wrap(sites[2], cfg)
+		faulty := faultinject.Wrap(sites[2], cfg)
+		sites[2] = faulty
 		coord, err := New(sites, cat, stats.NetModel{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		coord.SetRowBlocking(2) // small blocks: the stream dies mid-flight
-		return coord
+		return coord, faulty
 	}
 
-	clean := build(faultinject.Config{})
+	clean, cleanSite := build(faultinject.Config{})
 	want, err := clean.Execute(context.Background(), chainQuery(), plan.None())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	coord := build(faultinject.Config{FailStreams: 1, StreamFailAfterBlocks: 1})
+	coord, faulty := build(faultinject.Config{FailStreams: 1, StreamFailAfterBlocks: 1})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	retries0 := obs.CoordRetries.With("2").Value()
 	got, err := coord.Execute(context.Background(), chainQuery(), plan.None())
@@ -127,6 +128,11 @@ func TestRetryAfterPartialStream(t *testing.T) {
 	}
 	if obs.CoordRetries.With("2").Value() <= retries0 {
 		t.Error("retries_total did not increase")
+	}
+	// Every attempt, first or retried, is one direct call on the site: the
+	// faulted run makes exactly one call more than the fault-free one.
+	if g, w := faulty.Calls(), cleanSite.Calls()+1; g != w {
+		t.Errorf("faulted site saw %d data calls, want %d (fault-free count plus one retry)", g, w)
 	}
 	var sb strings.Builder
 	if err := obs.Default.WriteText(&sb); err != nil {

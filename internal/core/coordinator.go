@@ -30,7 +30,7 @@ type Coordinator struct {
 	cat          *distrib.Catalog
 	net          stats.NetModel
 	blockRows    int
-	tracer       Tracer
+	observer     obs.Observer // nil = no trace observer
 	retry        RetryPolicy
 	mergeWorkers int
 	slowQuery    time.Duration
@@ -39,7 +39,6 @@ type Coordinator struct {
 	plans        *planCache   // nil = plan caching off
 	results      *resultCache // nil = result caching off
 	flights      *flightGroup // nil = single-flight collapsing off
-	batcher      *siteBatcher // nil = site-call batching off
 }
 
 // New creates a coordinator. cat may be nil (no distribution knowledge); net
@@ -224,8 +223,8 @@ func (c *Coordinator) executeSpanned(ctx context.Context, pl *plan.Plan, src gmd
 	// StartQuery (rather than AddObserver) lets it see EventQueryStart too.
 	pb := obs.NewProfileBuilder()
 	span := obs.StartQuery(qid, pb)
-	if c.tracer != nil {
-		span.AddObserver(tracerObserver{c.tracer})
+	if c.observer != nil {
+		span.AddObserver(c.observer)
 	}
 	res, err := c.executePlan(ctx, pl, src, span)
 	span.End(err)
@@ -478,7 +477,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			}
 			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
 				st := mg.NewStage(k)
-				call, err := c.siteOperatorStream(actx, s, req, func(block *relation.Relation) error {
+				call, err := s.EvalOperatorStream(actx, req, func(block *relation.Relation) error {
 					// End a cancelled query's streams promptly instead of
 					// computing and staging the rest for nothing.
 					if err := ctx.Err(); err != nil {
@@ -492,7 +491,6 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				calls[i] = call
 				if err != nil {
 					st.Discard()
-					//skallavet:allow errclass -- batcher seam: siteOperatorStream only relays errors from transport site calls (the retryable class), ctx sentinels, or this callback's own classified errors; the batch delivers them through a member field the dataflow can't follow
 					return call, err
 				}
 				select {

@@ -12,6 +12,7 @@ import (
 	"skalla/internal/engine"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -554,15 +555,15 @@ func TestHashPartitionedCluster(t *testing.T) {
 	}
 }
 
-// The tracer observes every round and site exchange, without changing
-// results.
-func TestWriterTracer(t *testing.T) {
+// A line observer attached to the coordinator sees every round and site
+// exchange, without changing results.
+func TestLineObserverTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	global := randomGlobal(rng, 60, 12)
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
-	coord.SetTracer(NewWriterTracer(&buf))
+	coord.SetObserver(obs.NewLineObserver(&buf))
 	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
 	if err != nil {
 		t.Fatal(err)
@@ -573,19 +574,20 @@ func TestWriterTracer(t *testing.T) {
 			t.Errorf("trace missing %q:\n%s", frag, out)
 		}
 	}
-	// 3 rounds × (start + 3 site lines + done) = 15 lines.
+	// 3 rounds × (start + 3 site lines + done) = 15 lines; the query
+	// start/end events render no line.
 	if lines := strings.Count(out, "\n"); lines != 15 {
 		t.Errorf("trace lines = %d, want 15:\n%s", lines, out)
 	}
 	// Detaching stops tracing; results unaffected either way.
-	coord.SetTracer(nil)
+	coord.SetObserver(nil)
 	buf.Reset()
 	res2, err := coord.Execute(context.Background(), chainQuery(), plan.None())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Error("detached tracer still wrote")
+		t.Error("detached observer still wrote")
 	}
 	if !res.Rel.EqualMultiset(res2.Rel) {
 		t.Error("tracing changed results")

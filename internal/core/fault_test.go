@@ -7,9 +7,11 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"skalla/internal/engine"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -158,7 +160,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			coord.SetTracer(NewWriterTracer(&buf))
+			coord.SetObserver(obs.NewLineObserver(&buf))
 			if _, err := coord.Execute(context.Background(), chainQuery(), tc.opts); err == nil {
 				t.Fatal("corrupt payload must fail the merge")
 			}
@@ -169,6 +171,28 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A retried attempt is part of the trace: the observer sits on the span
+// itself, so the retry event prints its own line between the round's start
+// and the site line of the attempt that succeeded.
+func TestLineObserverTraceShowsRetries(t *testing.T) {
+	coord := faultCluster(t, faultinject.Config{FailFirst: 1})
+	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond})
+	var buf bytes.Buffer
+	coord.SetObserver(obs.NewLineObserver(&buf))
+	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	const retryLine = "round base: site 1 attempt 1 failed (faultinject: injected failure), retrying\n"
+	if strings.Count(out, retryLine) != 1 {
+		t.Errorf("trace wants exactly one line %q:\n%s", retryLine, out)
+	}
+	// The 15 lines of the fault-free trace plus the retry line.
+	if lines := strings.Count(out, "\n"); lines != 16 {
+		t.Errorf("trace lines = %d, want 16:\n%s", lines, out)
 	}
 }
 

@@ -162,7 +162,7 @@ func (r *Relay) EvalOperatorBlocks(ctx context.Context, req engine.OperatorReque
 		}
 	}
 	parts, err := r.fanOut(ctx, func(ctx context.Context, c transport.Site) (*relation.Relation, error) {
-		rel, _, err := c.EvalOperator(ctx, req)
+		rel, _, err := transport.CollectOperator(ctx, c, req)
 		return rel, err
 	})
 	if err != nil {

@@ -1,33 +1,14 @@
 package core
 
 import (
-	"io"
-
 	"skalla/internal/obs"
 	"skalla/internal/stats"
 )
 
-// Tracer observes a distributed evaluation as it progresses: one RoundStart
-// per synchronization round, one SiteCall per completed site exchange, and a
-// RoundEnd with the round's aggregate statistics. Implementations are called
-// sequentially from the coordinator's control loop (never concurrently).
-//
-// Tracer predates the obs span model; the coordinator now drives obs spans
-// and an attached Tracer sees the same events through a small adapter, so
-// existing implementations keep working unchanged.
-type Tracer interface {
-	// RoundStart announces a round and the number of base-structure rows the
-	// coordinator currently holds.
-	RoundStart(name string, xRows int)
-	// SiteCall reports one completed coordinator↔site exchange.
-	SiteCall(name string, call stats.Call)
-	// RoundEnd reports the completed round.
-	RoundEnd(round stats.RoundStat)
-}
-
-// SetTracer attaches an execution tracer (nil detaches). Tracing is
-// observational only; it never changes plans or results.
-func (c *Coordinator) SetTracer(t Tracer) { c.tracer = t }
+// SetObserver attaches an observer to every query span this coordinator
+// opens (nil detaches): obs.NewLineObserver(w) renders the rounds, site calls
+// and retries as trace lines. Observation never changes plans or results.
+func (c *Coordinator) SetObserver(o obs.Observer) { c.observer = o }
 
 // obsCall converts a stats.Call to the obs span model's call record.
 func obsCall(c stats.Call) obs.SiteCall {
@@ -43,77 +24,4 @@ func obsCall(c stats.Call) obs.SiteCall {
 		Attempt:   c.Attempt,
 		Breakdown: c.Profile,
 	}
-}
-
-// statsCall converts back for Tracer implementations.
-func statsCall(c obs.SiteCall) stats.Call {
-	return stats.Call{
-		Site:      c.Site,
-		BytesDown: c.BytesDown,
-		BytesUp:   c.BytesUp,
-		RowsDown:  c.RowsDown,
-		RowsUp:    c.RowsUp,
-		Compute:   c.Compute,
-		Start:     c.Start,
-		Elapsed:   c.Elapsed,
-		Attempt:   c.Attempt,
-		Profile:   c.Breakdown,
-	}
-}
-
-// tracerObserver adapts a legacy Tracer to the obs span event stream.
-type tracerObserver struct {
-	t Tracer
-}
-
-// ObserveSpan implements obs.Observer.
-func (a tracerObserver) ObserveSpan(e obs.Event) {
-	switch e.Kind {
-	case obs.EventRoundStart:
-		a.t.RoundStart(e.Round, e.XRows)
-	case obs.EventSiteCall:
-		a.t.SiteCall(e.Round, statsCall(e.Call))
-	case obs.EventRoundEnd:
-		calls := make([]stats.Call, len(e.Calls))
-		for i, c := range e.Calls {
-			calls[i] = statsCall(c)
-		}
-		a.t.RoundEnd(stats.RoundStat{Name: e.Round, Calls: calls, CoordTime: e.CoordTime})
-	}
-}
-
-// WriterTracer renders trace events as indented lines on an io.Writer. It is
-// a thin adapter over the obs span model's line renderer: each event formats
-// into one buffer and lands in a single locked Write, so interleaved
-// multi-coordinator output can never split an event line — even when several
-// WriterTracer-equipped coordinators share one writer through the same
-// LineObserver-backed sink.
-type WriterTracer struct {
-	lo *obs.LineObserver
-}
-
-// NewWriterTracer wraps a writer.
-func NewWriterTracer(w io.Writer) *WriterTracer {
-	return &WriterTracer{lo: obs.NewLineObserver(w)}
-}
-
-// RoundStart implements Tracer.
-func (t *WriterTracer) RoundStart(name string, xRows int) {
-	t.lo.ObserveSpan(obs.Event{Kind: obs.EventRoundStart, Round: name, XRows: xRows})
-}
-
-// SiteCall implements Tracer.
-func (t *WriterTracer) SiteCall(name string, call stats.Call) {
-	t.lo.ObserveSpan(obs.Event{Kind: obs.EventSiteCall, Round: name, Call: obsCall(call)})
-}
-
-// RoundEnd implements Tracer.
-func (t *WriterTracer) RoundEnd(round stats.RoundStat) {
-	t.lo.ObserveSpan(obs.Event{
-		Kind:      obs.EventRoundEnd,
-		Round:     round.Name,
-		BytesDown: round.BytesDown(),
-		BytesUp:   round.BytesUp(),
-		CoordTime: round.CoordTime,
-	})
 }

@@ -290,13 +290,9 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if err != nil {
 		return err
 	}
-	return emitHBlocks(ctx, rec, req, acc, emit)
-}
 
-// emitHBlocks streams one accumulated operator evaluation as H_i blocks:
-// guard filtering, key projection and row blocking per the OperatorRequest.
-// At least one (possibly empty) block is always emitted.
-func emitHBlocks(ctx context.Context, rec *obs.SiteRecorder, req OperatorRequest, acc *gmdj.OperatorAccum, emit func(*relation.Relation) error) error {
+	// Stream the accumulated evaluation as H_i blocks: guard filtering, key
+	// projection and row blocking per the request.
 	keyIdx, err := req.Base.Schema.Indexes(req.Keys)
 	if err != nil {
 		return err
@@ -347,55 +343,6 @@ func emitHBlocks(ctx context.Context, rec *obs.SiteRecorder, req OperatorRequest
 		obs.EngineBlocks.Inc()
 		rec.AddBlocks(1)
 		return emit(block)
-	}
-	return nil
-}
-
-// EvalOperatorBatch evaluates several operator requests that aggregate over
-// the SAME detail relation with one scan of the local partition: every
-// request's grouping variables are fed from a single shared pass (see
-// gmdj.AccumulateOperatorsFanIn), then each member's H_i is emitted in member
-// order, blocked per its own request. Each member's blocks are byte-identical
-// to what its solo EvalOperatorBlocks evaluation would emit; the shared scan
-// only changes how many times the detail rows are read. Any member's error
-// aborts the whole batch — callers needing isolation fall back to per-member
-// evaluation. One snapshot covers every member, so all of them observe the
-// same generation of the detail relation.
-func (s *Site) EvalOperatorBatch(ctx context.Context, reqs []OperatorRequest, emit func(member int, block *relation.Relation) error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if len(reqs) == 0 {
-		return nil
-	}
-	obs.EngineEvals.With("batch").Inc()
-	rec := obs.RecorderFrom(ctx)
-	rec.SetWorkers(1)
-	jobs := make([]gmdj.OperatorJob, len(reqs))
-	for i, req := range reqs {
-		if req.Base == nil {
-			return fmt.Errorf("engine: batch member %d without base relation", i)
-		}
-		if req.Op.Detail != reqs[0].Op.Detail {
-			return fmt.Errorf("engine: batch mixes detail relations %q and %q", reqs[0].Op.Detail, req.Op.Detail)
-		}
-		jobs[i] = gmdj.OperatorJob{X: req.Base, Op: req.Op}
-	}
-	snap := s.snapshot()
-	detail, err := snap.DetailSource(reqs[0].Op.Detail)
-	if err != nil {
-		return err
-	}
-	accs, err := gmdj.AccumulateOperatorsFanIn(jobs, instrument(detail, rec), snap.useHash, snap.workers)
-	if err != nil {
-		return err
-	}
-	for m, acc := range accs {
-		if err := emitHBlocks(ctx, rec, reqs[m], acc, func(block *relation.Relation) error {
-			return emit(m, block)
-		}); err != nil {
-			return err
-		}
 	}
 	return nil
 }

@@ -398,6 +398,35 @@ func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSour
 	return out, nil
 }
 
+// newOperatorAccum allocates an accum with identity partials for every
+// (variable, base row) cell.
+func newOperatorAccum(baseRows int, states []*varState) *OperatorAccum {
+	out := &OperatorAccum{
+		Layouts: make([]*agg.Layout, len(states)),
+		Accs:    make([][]relation.Tuple, len(states)),
+		Touched: make([]bool, baseRows),
+	}
+	for vi, st := range states {
+		out.Layouts[vi] = st.layout
+		out.Accs[vi] = identityRows(st.layout, baseRows)
+	}
+	return out
+}
+
+// identityRows returns n identity tuples of the layout carved from one Value
+// slab: one allocation for the values instead of one per base row.
+func identityRows(l *agg.Layout, n int) []relation.Tuple {
+	id := l.Identity()
+	w := len(id)
+	slab := make([]relation.Value, n*w)
+	rows := make([]relation.Tuple, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+		copy(rows[i], id)
+	}
+	return rows
+}
+
 // varState is one grouping variable compiled against the base and detail
 // schemas: the aggregate layout, the bound condition, and (when usable) the
 // hash-grouping index over the base relation. All fields are read-only once
@@ -480,16 +509,6 @@ func indexVarStates(x *relation.Relation, states []*varState, detailSchema relat
 // (feeding both the Prop. 1 Touched flags and the skew-aware merge planner).
 // worker < 0 is the sequential (unlabeled) scan.
 func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation.Tuple, hits []uint32, worker int) error {
-	return scanShardCounted(detail, worker, st.feeder(x, accs, hits))
-}
-
-// feeder returns this grouping variable's per-detail-row accumulation step
-// over accs/hits, decoupled from the scan that drives it: scan drives one
-// feeder per pass, while the fan-in path (AccumulateOperatorsFanIn) drives
-// many registered feeders — across grouping variables and across whole
-// operator jobs — from a single shared detail scan. Each closure carries its
-// own probe scratch, so concurrent shard feeders never share mutable state.
-func (st *varState) feeder(x *relation.Relation, accs []relation.Tuple, hits []uint32) func(relation.Tuple) error {
 	if st.hashIdx != nil && st.rollup {
 		n := len(st.probe)
 		padded := make(relation.Tuple, n)
@@ -497,7 +516,7 @@ func (st *varState) feeder(x *relation.Relation, accs []relation.Tuple, hits []u
 		for i := range paddedCols {
 			paddedCols[i] = i
 		}
-		return func(dr relation.Tuple) error {
+		return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
 			// A NULL detail value pads identically whether its bit is
 			// set or not; restrict masks to non-NULL dimensions so no
 			// probe (and hence no base row) repeats for this detail row.
@@ -532,10 +551,10 @@ func (st *varState) feeder(x *relation.Relation, accs []relation.Tuple, hits []u
 				}
 			}
 			return nil
-		}
+		})
 	}
 	if st.hashIdx != nil {
-		return func(dr relation.Tuple) error {
+		return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
 			for _, bi := range st.hashIdx.Lookup(dr, st.probe) {
 				ok, err := expr.EvalCond(st.cond, x.Tuples[bi], dr)
 				if err != nil {
@@ -549,9 +568,9 @@ func (st *varState) feeder(x *relation.Relation, accs []relation.Tuple, hits []u
 				}
 			}
 			return nil
-		}
+		})
 	}
-	return func(dr relation.Tuple) error {
+	return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
 		for bi, br := range x.Tuples {
 			ok, err := expr.EvalCond(st.cond, br, dr)
 			if err != nil {
@@ -565,7 +584,7 @@ func (st *varState) feeder(x *relation.Relation, accs []relation.Tuple, hits []u
 			}
 		}
 		return nil
-	}
+	})
 }
 
 // ExtendedSchema returns the base schema extended with the operator's

@@ -127,10 +127,6 @@ var (
 		"reason")
 	CoordResultCacheEntries = Default.Gauge("skalla_coord_result_cache_entries",
 		"Super-aggregate results currently cached at the coordinator.")
-	CoordBatchFlushes = Default.Counter("skalla_coord_batch_flushes_total",
-		"Batched site exchanges issued (several queries' operator calls served from one shared detail scan).")
-	CoordBatchMembers = Default.Counter("skalla_coord_batch_members_total",
-		"Operator calls served as members of a batched site exchange.")
 
 	// Planner (internal/plan, recorded by internal/core at compile time).
 	PlanRulesApplied = Default.CounterVec("skalla_plan_rule_applied_total",

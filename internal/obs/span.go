@@ -13,7 +13,7 @@ import (
 // each round collecting the site calls that fed it. Spans do three jobs at
 // once — record registry metrics (rounds, sync-merge durations, query
 // counts), emit structured logs through the package logger, and fan events
-// out to attached Observers (the hook execution tracers adapt to).
+// out to attached Observers (the profile builder, the -trace line renderer).
 
 // SiteCall is one completed coordinator↔site exchange as observed by a span.
 // It mirrors stats.Call field-for-field without importing it, so obs stays
@@ -249,8 +249,7 @@ func (l *LineObserver) ObserveSpan(e Event) {
 }
 
 // RenderEvent formats one event as the canonical single-line trace text
-// ("" for events the line format omits). The format is shared with
-// core.WriterTracer, which predates the span model.
+// ("" for events the line format omits: query start and end).
 func RenderEvent(e Event) string {
 	switch e.Kind {
 	case EventRoundStart:

@@ -25,7 +25,7 @@ import (
 var ErrInjected = errors.New("faultinject: injected failure")
 
 // Config selects the faults to inject. The zero value injects nothing. Call
-// counters cover the data-plane calls (EvalBase, EvalOperator[Stream],
+// counters cover the data-plane calls (EvalBase, EvalOperatorStream,
 // EvalLocal); metadata calls (DetailSchema, Tables) always pass through.
 type Config struct {
 	// FailFirst fails the first N data calls outright, then recovers —
@@ -123,20 +123,6 @@ func (f *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relat
 		return nil, stats.Call{}, err
 	}
 	return f.Site.EvalBase(ctx, bq)
-}
-
-// EvalOperator implements transport.Site by collecting the (fault-injected)
-// stream, so stream faults apply to both entry points.
-func (f *Site) EvalOperator(ctx context.Context, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	var h *relation.Relation
-	call, err := f.EvalOperatorStream(ctx, req, func(b *relation.Relation) error {
-		if h == nil {
-			h = b.Clone()
-			return nil
-		}
-		return h.Union(b)
-	})
-	return h, call, err
 }
 
 // EvalOperatorStream implements transport.Site with stream-level faults:

@@ -95,11 +95,6 @@ func (l *LocalSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.
 	return resp.Rel, call, nil
 }
 
-// EvalOperator implements Site.
-func (l *LocalSite) EvalOperator(ctx context.Context, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	return collectStream(ctx, l, req)
-}
-
 // EvalOperatorStream implements Site: the request crosses the serialization
 // boundary once; each H_i block is pushed through the relation wire codec
 // (schema sent once per stream, decode storage drawn from a pool) and handed
@@ -175,74 +170,6 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	return call, nil
 }
 
-// EvalOperatorBatchStream implements BatchSite: the batch crosses the
-// serialization boundary as one request, the backend feeds every member from
-// one shared detail scan, and each member's blocks come back through the
-// relation wire codec tagged with the member index (the +2 per block mirrors
-// the TCP batch stream's marker and member-tag bytes).
-func (l *LocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engine.OperatorRequest, queryIDs []string, sink func(member int, block *relation.Relation) error) ([]stats.Call, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	wallStart := time.Now()
-	wireReq := &Request{Kind: KindBatch, Batch: reqs, BatchQueryIDs: queryIDs}
-	attempt := stampTraceContext(ctx, wireReq)
-	if err := l.downEnc.Encode(wireReq); err != nil {
-		return nil, fmt.Errorf("transport: encode request: %w", err)
-	}
-	down := l.downBuf.Len()
-	var decReq Request
-	if err := l.downDec.Decode(&decReq); err != nil {
-		return nil, fmt.Errorf("transport: decode request: %w", err)
-	}
-	// The serving end of the emulated connection.
-	obs.ServerRequests.With(kindName(KindBatch)).Inc()
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	enc := relation.NewEncoder(&l.upBuf)
-	dec := relation.NewDecoder(&l.upBuf)
-	dec.SetPool(&l.pool)
-	up := 0
-	rowsUp := make([]int, len(reqs))
-	start := time.Now()
-	evalErr := evalBatchBackend(ctx, l.site, decReq.Batch, func(m int, block *relation.Relation) error {
-		if err := enc.Encode(block); err != nil {
-			return err
-		}
-		// +2 mirrors the TCP batch stream's per-frame marker and member bytes.
-		up += l.upBuf.Len() + 2
-		rec.AddCodecBytes(2)
-		decBlock, err := dec.Decode()
-		if err != nil {
-			return err
-		}
-		rowsUp[m] += decBlock.Len()
-		return sink(m, decBlock)
-	})
-	compute := time.Since(start)
-	rec.AddCodecBytes(enc.Bytes())
-	rec.SetEval(compute)
-	if evalErr != nil {
-		return nil, evalErr
-	}
-	// Terminal frame (+1 for the end marker the TCP stream sends).
-	b := rec.Snapshot()
-	if err := l.upEnc.Encode(&Response{ComputeNS: compute.Nanoseconds(), Profile: &b}); err != nil {
-		return nil, err
-	}
-	up += l.upBuf.Len() + 1
-	var term Response
-	if err := l.upDec.Decode(&term); err != nil {
-		return nil, err
-	}
-	calls := batchCalls(l.site.ID(), len(reqs), down, up, batchRowsDown(reqs), rowsUp,
-		wallStart, time.Since(wallStart), attempt, term.ComputeNS, term.Profile)
-	recordBatchCalls(calls, queryIDs)
-	return calls, nil
-}
-
 // EvalLocal implements Site.
 func (l *LocalSite) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
 	resp, call, err := l.roundTrip(ctx, &Request{Kind: KindLocal, Local: &req})
@@ -304,15 +231,6 @@ func (f *FastLocalSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relat
 	return resp.Rel, call, nil
 }
 
-// EvalOperator implements Site.
-func (f *FastLocalSite) EvalOperator(ctx context.Context, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	resp, call, err := f.call(ctx, &Request{Kind: KindOperator, Operator: &req})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
-}
-
 // EvalOperatorStream implements Site without serialization.
 func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	if err := ctx.Err(); err != nil {
@@ -335,53 +253,11 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	return call, err
 }
 
-// EvalOperatorBatchStream implements BatchSite without serialization: byte
-// counts stay zero (matching the rest of FastLocalSite's accounting) while the
-// backend still feeds every member from one shared scan.
-func (f *FastLocalSite) EvalOperatorBatchStream(ctx context.Context, reqs []engine.OperatorRequest, queryIDs []string, sink func(member int, block *relation.Relation) error) ([]stats.Call, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	rowsUp := make([]int, len(reqs))
-	start := time.Now()
-	err := evalBatchBackend(ctx, f.site, reqs, func(m int, block *relation.Relation) error {
-		rowsUp[m] += block.Len()
-		return sink(m, block)
-	})
-	compute := time.Since(start)
-	rec.SetEval(compute)
-	if err != nil {
-		return nil, err
-	}
-	b := rec.Snapshot()
-	return batchCalls(f.site.ID(), len(reqs), 0, 0, batchRowsDown(reqs), rowsUp,
-		start, compute, obs.AttemptFrom(ctx), compute.Nanoseconds(), &b), nil
-}
-
 func baseRows(req engine.OperatorRequest) int {
 	if req.Base == nil {
 		return 0
 	}
 	return req.Base.Len()
-}
-
-// collectStream adapts a streaming implementation to the one-shot
-// EvalOperator contract.
-func collectStream(ctx context.Context, s Site, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	var h *relation.Relation
-	call, err := s.EvalOperatorStream(ctx, req, func(block *relation.Relation) error {
-		if h == nil {
-			h = block
-			return nil
-		}
-		return h.Union(block)
-	})
-	if err != nil {
-		return nil, call, err
-	}
-	return h, call, nil
 }
 
 // EvalLocal implements Site.

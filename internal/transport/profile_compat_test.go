@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/gob"
+	"fmt"
+	"net"
 	"testing"
 
 	"skalla/internal/engine"
@@ -137,5 +139,95 @@ func TestSiteProfileOverTCP(t *testing.T) {
 	}
 	if scall.Attempt != 2 {
 		t.Errorf("stream call.Attempt = %d, want 2", scall.Attempt)
+	}
+}
+
+// TestRetiredAndUnknownKindsAnswered: a new server answers the retired batch
+// kind (7) and a kind it never knew with an ordinary error response — no
+// stream framing, no dropped connection — and the same connection then
+// serves a metadata request.
+func TestRetiredAndUnknownKindsAnswered(t *testing.T) {
+	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(conn)
+
+	for _, kind := range []ReqKind{7, 200} {
+		if err := enc.Encode(&oldRequest{Kind: kind}); err != nil {
+			t.Fatal(err)
+		}
+		var resp Response
+		if err := dec.Decode(&resp); err != nil {
+			t.Fatalf("kind %d: no response: %v", kind, err)
+		}
+		if want := fmt.Sprintf("transport: unknown request kind %d", kind); resp.Err != want {
+			t.Errorf("kind %d: Response.Err = %q, want %q", kind, resp.Err, want)
+		}
+	}
+
+	if err := enc.Encode(&Request{Kind: KindTables}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := dec.Decode(&resp); err != nil {
+		t.Fatalf("connection dead after rejected kinds: %v", err)
+	}
+	if resp.Err != "" || len(resp.Tables) != 1 || resp.Tables[0].Name != "T" {
+		t.Errorf("KindTables after rejected kinds = %+v", resp)
+	}
+}
+
+// pre27Request is the batched request of a coordinator built before the
+// exchange was removed: kind 7 plus the two trailing fields Request no
+// longer declares.
+type pre27Request struct {
+	Kind          ReqKind
+	QueryID       string
+	Batch         []engine.OperatorRequest
+	BatchQueryIDs []string
+}
+
+// TestPre27BatchPayloadDropsConnection pins what such a coordinator sees
+// when its batch carries real operators: gob cannot skip a retired field
+// whose value nests interface values (the conditions' expr trees), so the
+// server's decode fails and it closes the connection instead of answering.
+// Either way the old client's batched attempt ends in a transport error, it
+// redials, and its retry (attempt > 1) goes unbatched; a fresh connection to
+// the same server works.
+func TestPre27BatchPayloadDropsConnection(t *testing.T) {
+	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	req := pre27Request{Kind: 7, QueryID: "q-old",
+		Batch: []engine.OperatorRequest{opRequest(), opRequest()}, BatchQueryIDs: []string{"a", "b"}}
+	if err := gob.NewEncoder(conn).Encode(&req); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := gob.NewDecoder(conn).Decode(&resp); err == nil {
+		t.Fatalf("server answered a pre-27 batch payload: %+v (gob learned to skip it — update the README upgrade note)", resp)
+	}
+
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("server unusable after dropping the batch connection: %v", err)
+	}
+	defer cli.Close()
+	if _, _, err := CollectOperator(context.Background(), cli, opRequest()); err != nil {
+		t.Fatalf("solo exchange on a fresh connection: %v", err)
 	}
 }

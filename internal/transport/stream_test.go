@@ -52,7 +52,7 @@ func TestEvalOperatorStreamBlocks(t *testing.T) {
 				t.Errorf("call rows = %+v", call)
 			}
 			// Whole-relation equivalence with the non-blocked call.
-			whole, _, err := site.EvalOperator(context.Background(), opRequest())
+			whole, _, err := CollectOperator(context.Background(), site, opRequest())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -117,7 +117,7 @@ func TestEvalOperatorStreamSinkError(t *testing.T) {
 				t.Fatal("sink error must propagate")
 			}
 			// The connection (if any) must stay usable afterwards.
-			if _, _, err := site.EvalOperator(context.Background(), opRequest()); err != nil {
+			if _, _, err := CollectOperator(context.Background(), site, opRequest()); err != nil {
 				t.Errorf("site unusable after sink error: %v", err)
 			}
 		})
@@ -133,7 +133,7 @@ func TestEvalOperatorStreamEvalError(t *testing.T) {
 			if err == nil {
 				t.Fatal("evaluation error must propagate")
 			}
-			if _, _, err := site.EvalOperator(context.Background(), opRequest()); err != nil {
+			if _, _, err := CollectOperator(context.Background(), site, opRequest()); err != nil {
 				t.Errorf("site unusable after eval error: %v", err)
 			}
 		})

@@ -26,10 +26,6 @@ import (
 const (
 	opStreamEnd   = 0x00
 	opStreamBlock = 0x01
-	// opStreamMemberBlock frames one batch member's block: the marker is
-	// followed by a one-byte member index, then the codec frame. Appended
-	// marker — old peers never receive it because they never send KindBatch.
-	opStreamMemberBlock = 0x02
 )
 
 // Server exposes a site engine over TCP. The wire protocol is a stream of
@@ -155,7 +151,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return // connection closed or corrupt stream
 		}
-		if req.Kind == KindOperator || req.Kind == KindBatch {
+		if req.Kind == KindOperator {
 			err := s.streamOperator(ctx, conn, enc, &req)
 			bytesDown.Add(conn.read - r0)
 			bytesUp.Add(conn.written - w0)
@@ -189,28 +185,9 @@ func (s *Server) streamOperator(ctx context.Context, conn net.Conn, enc *gob.Enc
 	start := time.Now()
 	var evalErr error
 	connBroken := false
-	switch {
-	case req.Kind == KindBatch:
-		blockEnc := relation.NewEncoder(conn)
-		hdr := [2]byte{opStreamMemberBlock, 0}
-		evalErr = evalBatchBackend(ctx, s.site, req.Batch, func(m int, block *relation.Relation) error {
-			hdr[1] = byte(m)
-			if _, err := conn.Write(hdr[:]); err != nil {
-				connBroken = true
-				return err
-			}
-			if err := blockEnc.Encode(block); err != nil {
-				connBroken = true
-				return err
-			}
-			// The marker and member-tag bytes travel with every block frame.
-			rec.AddCodecBytes(2)
-			return nil
-		})
-		rec.AddCodecBytes(blockEnc.Bytes())
-	case req.Operator == nil:
+	if req.Operator == nil {
 		evalErr = fmt.Errorf("transport: operator request without payload")
-	default:
+	} else {
 		blockEnc := relation.NewEncoder(conn)
 		marker := [1]byte{opStreamBlock}
 		evalErr = s.site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
@@ -445,11 +422,6 @@ func (c *Client) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Rel
 	return resp.Rel, call, nil
 }
 
-// EvalOperator implements Site.
-func (c *Client) EvalOperator(ctx context.Context, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
-	return collectStream(ctx, c, req)
-}
-
 // EvalOperatorStream implements Site. The connection stays consistent even
 // when sink fails: remaining blocks are drained to the terminal response. A
 // transport failure mid-stream, by contrast, leaves the stream position
@@ -517,85 +489,6 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 		default:
 			c.poisonLocked()
 			return call, fmt.Errorf("transport: unknown stream marker 0x%02x", marker)
-		}
-	}
-}
-
-// EvalOperatorBatchStream implements BatchSite over TCP: one request ships
-// every member, the server feeds them from one shared scan, and member-tagged
-// block frames come back interleaved until the end marker and terminal
-// response. Sink failures drain the remaining frames to keep the connection
-// consistent; transport failures poison it, exactly like the single stream.
-func (c *Client) EvalOperatorBatchStream(ctx context.Context, reqs []engine.OperatorRequest, queryIDs []string, sink func(member int, block *relation.Relation) error) ([]stats.Call, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if err := c.ensureLocked(ctx); err != nil {
-		return nil, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	start := time.Now()
-	r0, w0 := c.conn.read, c.conn.written
-	wireReq := &Request{Kind: KindBatch, Batch: reqs, BatchQueryIDs: queryIDs}
-	attempt := stampTraceContext(ctx, wireReq)
-	if err := c.enc.Encode(wireReq); err != nil {
-		c.poisonLocked()
-		return nil, fmt.Errorf("transport: send: %w", err)
-	}
-	blockDec := relation.NewDecoder(c.br)
-	blockDec.SetPool(&c.pool)
-	rowsUp := make([]int, len(reqs))
-	var sinkErr error
-	for {
-		marker, err := c.br.ReadByte()
-		if err != nil {
-			c.poisonLocked()
-			return nil, fmt.Errorf("transport: receive: %w", err)
-		}
-		switch marker {
-		case opStreamMemberBlock:
-			mb, err := c.br.ReadByte()
-			if err != nil {
-				c.poisonLocked()
-				return nil, fmt.Errorf("transport: receive: %w", err)
-			}
-			block, err := blockDec.Decode()
-			if err != nil {
-				c.poisonLocked()
-				return nil, fmt.Errorf("transport: receive block: %w", err)
-			}
-			m := int(mb)
-			if m >= len(reqs) {
-				c.poisonLocked()
-				return nil, fmt.Errorf("transport: batch member %d out of range (%d members)", m, len(reqs))
-			}
-			rowsUp[m] += block.Len()
-			if sinkErr == nil {
-				sinkErr = sink(m, block)
-			} else {
-				relation.Recycle(block) // draining after a sink failure
-			}
-		case opStreamEnd:
-			var resp Response
-			if err := c.dec.Decode(&resp); err != nil {
-				c.poisonLocked()
-				return nil, fmt.Errorf("transport: receive: %w", err)
-			}
-			if resp.Err != "" {
-				return nil, errors.New(resp.Err)
-			}
-			calls := batchCalls(c.id, len(reqs), int(c.conn.written-w0), int(c.conn.read-r0),
-				batchRowsDown(reqs), rowsUp, start, time.Since(start), attempt, resp.ComputeNS, resp.Profile)
-			recordBatchCalls(calls, queryIDs)
-			return calls, sinkErr
-		default:
-			c.poisonLocked()
-			return nil, fmt.Errorf("transport: unknown stream marker 0x%02x", marker)
 		}
 	}
 }

@@ -73,7 +73,7 @@ func exerciseSite(t *testing.T, site Site, wantID int, wantBytes bool) {
 		t.Errorf("base call bytes = %+v", call)
 	}
 
-	h, call, err := site.EvalOperator(ctx, opRequest())
+	h, call, err := CollectOperator(ctx, site, opRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func exerciseSite(t *testing.T, site Site, wantID int, wantBytes bool) {
 	if err == nil {
 		t.Error("EvalBase on missing relation must error")
 	}
-	_, _, err = site.EvalOperator(ctx, engine.OperatorRequest{})
+	_, _, err = CollectOperator(ctx, site, engine.OperatorRequest{})
 	if err == nil {
 		t.Error("empty operator request must error")
 	}
@@ -204,7 +204,7 @@ func TestTCPConcurrentClients(t *testing.T) {
 			}
 			defer cli.Close()
 			for j := 0; j < 5; j++ {
-				if _, _, err := cli.EvalOperator(context.Background(), opRequest()); err != nil {
+				if _, _, err := CollectOperator(context.Background(), cli, opRequest()); err != nil {
 					done <- err
 					return
 				}
@@ -263,11 +263,11 @@ func TestLocalSiteByteAccountingScales(t *testing.T) {
 	for g := int64(3); g < 1000; g++ {
 		big.Base.MustAppend(relation.Tuple{relation.NewInt(g)})
 	}
-	_, callSmall, err := ls.EvalOperator(context.Background(), small)
+	_, callSmall, err := CollectOperator(context.Background(), ls, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, callBig, err := ls.EvalOperator(context.Background(), big)
+	_, callBig, err := CollectOperator(context.Background(), ls, big)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -31,9 +31,6 @@ const (
 	KindLoad
 	// KindTables lists the site's relation inventory.
 	KindTables
-	// KindBatch evaluates several MD operator requests over one shared scan
-	// of the detail partition (the site-side fan-in of the shared-work layer).
-	KindBatch
 )
 
 // Request is the wire request envelope. QueryID carries the coordinator's
@@ -54,12 +51,6 @@ type Request struct {
 	// tolerates them missing in either direction, so old peers interoperate.
 	Round   string
 	Attempt int
-	// Batch carries a KindBatch request's member operator requests (all over
-	// the same detail relation); BatchQueryIDs carries the per-member query
-	// identifiers so site logs and metrics attribute each member to the query
-	// it serves. Appended fields — see Round.
-	Batch         []engine.OperatorRequest
-	BatchQueryIDs []string
 }
 
 // Response is the wire response envelope. Operator evaluations may stream:
@@ -97,22 +88,6 @@ type Backend interface {
 	Tables(ctx context.Context) []engine.TableInfo
 }
 
-// collectBlocks adapts EvalOperatorBlocks to a single relation.
-func collectBlocks(ctx context.Context, b Backend, req engine.OperatorRequest) (*relation.Relation, error) {
-	var h *relation.Relation
-	err := b.EvalOperatorBlocks(ctx, req, func(block *relation.Relation) error {
-		if h == nil {
-			h = block
-			return nil
-		}
-		return h.Union(block)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return h, nil
-}
-
 // dispatch executes a request against a backend, measuring compute time and
 // collecting the site-side breakdown into the response's Profile.
 func dispatch(ctx context.Context, site Backend, req *Request) *Response {
@@ -130,12 +105,6 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 			err = fmt.Errorf("transport: base request without query")
 		} else {
 			resp.Rel, err = site.EvalBase(ctx, *req.Base)
-		}
-	case KindOperator:
-		if req.Operator == nil {
-			err = fmt.Errorf("transport: operator request without payload")
-		} else {
-			resp.Rel, err = collectBlocks(ctx, site, *req.Operator)
 		}
 	case KindLocal:
 		if req.Local == nil {
@@ -220,8 +189,6 @@ func kindName(k ReqKind) string {
 		return "load"
 	case KindTables:
 		return "tables"
-	case KindBatch:
-		return "batch"
 	}
 	return "unknown"
 }

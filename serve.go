@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"time"
 
 	"skalla/internal/core"
 	"skalla/internal/egil"
@@ -81,11 +80,6 @@ type ServerOptions struct {
 	// one leader runs the distributed rounds while the others await its
 	// committed result.
 	NoSingleFlight bool
-	// BatchWindow enables cross-query site-call batching: concurrent operator
-	// rounds against the same detail relation at the same site that arrive
-	// within this window are shipped as one exchange the site serves from a
-	// single scan of its partition. 0 (the default) disables batching.
-	BatchWindow time.Duration
 	// QueryMemBudget bounds the coordinator-side memory one query may hold,
 	// in bytes; 0 disables the budget. Over-budget queries fail with
 	// ErrQueryMemBudget (wire code "mem_budget").
@@ -97,12 +91,11 @@ type ServerOptions struct {
 // statements — Egil SQL (SELECT ...) or the skalla query text format — and
 // receives result rows plus execution stats; statements plan under the
 // cluster's configured plan mode. Serve installs the admission, plan-cache,
-// shared-work (result cache, single-flight, site-call batching) and
-// memory-budget settings from opts on the cluster's coordinator (overriding
-// any WithPlanCache / WithMaxConcurrent / WithQueryMemBudget /
-// WithResultCache / WithSingleFlight / WithBatchWindow construction options),
-// so they also govern queries executed directly through the Cluster API while
-// the server runs.
+// shared-work (result cache, single-flight) and memory-budget settings from
+// opts on the cluster's coordinator (overriding any WithPlanCache /
+// WithMaxConcurrent / WithQueryMemBudget / WithResultCache /
+// WithSingleFlight construction options), so they also govern queries
+// executed directly through the Cluster API while the server runs.
 //
 // Stop the server with QueryServer.Shutdown (drains in-flight statements) or
 // Close (immediate).
@@ -121,7 +114,6 @@ func Serve(cluster *Cluster, addr string, opts ServerOptions) (*QueryServer, err
 	}
 	cluster.coord.SetResultCache(rcSize)
 	cluster.coord.SetSingleFlight(!opts.NoSingleFlight)
-	cluster.coord.SetBatchWindow(opts.BatchWindow)
 	queue := opts.QueueDepth
 	switch {
 	case queue == 0:

@@ -291,7 +291,6 @@ type clusterConfig struct {
 	memBudget     int64
 	resultCache   int
 	singleFlight  bool
-	batchWindow   time.Duration
 }
 
 // configure applies the per-coordinator settings shared by every cluster
@@ -302,7 +301,7 @@ func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	coord.SetMergeWorkers(cfg.workers)
 	coord.SetSlowQueryThreshold(cfg.slowQuery)
 	if cfg.traceTo != nil {
-		coord.SetTracer(core.NewWriterTracer(cfg.traceTo))
+		coord.SetObserver(obs.NewLineObserver(cfg.traceTo))
 	}
 	if cfg.planCache > 0 {
 		coord.SetPlanCache(cfg.planCache)
@@ -318,9 +317,6 @@ func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	}
 	if cfg.singleFlight {
 		coord.SetSingleFlight(true)
-	}
-	if cfg.batchWindow > 0 {
-		coord.SetBatchWindow(cfg.batchWindow)
 	}
 }
 
@@ -351,7 +347,7 @@ func WithRowBlocking(rows int) ClusterOption {
 }
 
 // WithTrace streams execution progress — round starts, per-site exchanges,
-// round completions — to the writer while queries run.
+// retried attempts, round completions — to the writer while queries run.
 func WithTrace(w io.Writer) ClusterOption {
 	return func(c *clusterConfig) { c.traceTo = w }
 }
@@ -419,16 +415,6 @@ func WithResultCache(capacity int) ClusterOption {
 // budget). Off by default; Serve enables it for server deployments.
 func WithSingleFlight() ClusterOption {
 	return func(c *clusterConfig) { c.singleFlight = true }
-}
-
-// WithBatchWindow enables cross-query site-call batching: concurrent operator
-// rounds that aggregate over the same detail relation at the same site and
-// arrive within d of each other ship as one batched exchange the site serves
-// from a single scan of its partition. Zero or negative disables batching
-// (the default). Where single-flight collapses identical plans, batching
-// collapses the scan cost of merely co-located ones.
-func WithBatchWindow(d time.Duration) ClusterOption {
-	return func(c *clusterConfig) { c.batchWindow = d }
 }
 
 // WithQueryMemBudget bounds the coordinator-side memory one query may hold
