@@ -275,12 +275,7 @@ func BenchmarkSiteEval(b *testing.B) {
 // link plus R.ExtendedPrice >= B.avgp. Three scans of 30k rows for a handful
 // of groups, so nearly all of the time is the per-row work.
 func BenchmarkSiteEvalExample1(b *testing.B) {
-	cfg := tpc.DefaultConfig()
-	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 30_000, 8000, 4000, 1
-	d, err := tpc.Generate(cfg, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
+	d := servedPartition(b)
 	q, err := egil.Translate("SELECT MktSegment, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR " +
 		"WHERE Discount >= 0.005 GROUP BY MktSegment HAVING EACH ExtendedPrice >= avgp")
 	if err != nil {
@@ -311,6 +306,74 @@ func BenchmarkSiteEvalExample1(b *testing.B) {
 		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: x1, Op: q.Ops[1], Keys: q.Keys()}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// servedPartition generates one site's partition at the served benchmark's
+// size.
+func servedPartition(b *testing.B) *tpc.Dataset {
+	cfg := tpc.DefaultConfig()
+	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 30_000, 8000, 4000, 1
+	d, err := tpc.Generate(cfg, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return d
+}
+
+// BenchmarkSiteEvalCube measures one site's share of the served cube_3d
+// statement — the grouping-set base round and MD1 on three rollup links over
+// STRING dimensions, at the served partition size — on a Load-ed partition
+// (the compiled pattern kernels) and on the same rows behind a plain row
+// source (the scalar 2^n-probe scan every source without a columnar image
+// gets).
+func BenchmarkSiteEvalCube(b *testing.B) {
+	benchSiteGroupingSets(b, "SELECT MktSegment, ShipMode, OrderPriority, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR "+
+		"WHERE Discount >= 0.005 CUBE BY MktSegment, ShipMode, OrderPriority")
+}
+
+// BenchmarkSiteEvalRollup is BenchmarkSiteEvalCube for the served rollup_geo
+// statement: the four prefix sets of three INT dimensions.
+func BenchmarkSiteEvalRollup(b *testing.B) {
+	benchSiteGroupingSets(b, "SELECT RegionKey, NationKey, CityKey, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR "+
+		"WHERE Discount >= 0.005 ROLLUP BY RegionKey, NationKey, CityKey")
+}
+
+func benchSiteGroupingSets(b *testing.B, statement string) {
+	d := servedPartition(b)
+	q, err := egil.Translate(statement)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, kernel := range []bool{true, false} {
+		name := "kernel"
+		if !kernel {
+			name = "scalar"
+		}
+		b.Run(name, func(b *testing.B) {
+			s := engine.NewSite(0)
+			if kernel {
+				err = s.Load(ctx, tpc.RelationName, d.Parts[0])
+			} else {
+				err = s.LoadSource(tpc.RelationName, gmdj.SourceOf(d.Parts[0]))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			s.SetWorkers(1)
+			b.SetBytes(int64(2 * d.Parts[0].Len()))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b0, err := s.EvalBase(ctx, q.Base)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0], Keys: q.Keys()}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"skalla/internal/egil"
 	"skalla/internal/gmdj"
 	"skalla/internal/plan"
 	"skalla/internal/stats"
@@ -30,14 +31,26 @@ func subsetSelection(mask int) plan.Selection {
 // TestRuleSubsetsByteIdentical is the planner's core invariant: every rule
 // subset — all 2^5 of them, covering every pairwise combination and the full
 // set — produces a byte-identical merged result, and matches both the legacy
-// Options execution path and the cost-driven auto mode, on each matrix query.
+// Options execution path and the cost-driven auto mode, on each matrix query —
+// and that result is the centralized evaluation's (Thm. 3). The sites hold
+// their partitions Load-ed, so the grouping-set queries run the compiled
+// pattern kernels at the sites against EvalCentral's scalar scan.
 func TestRuleSubsetsByteIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	global := randomGlobal(rng, 400, 8)
+	translate := func(statement string) gmdj.Query {
+		q, err := egil.Translate(statement)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
 	queries := map[string]gmdj.Query{
 		"chain":       chainQuery(),
 		"independent": independentQuery(),
 		"nonaligned":  nonAlignedQuery(),
+		"cube":        translate("SELECT g, h, COUNT(*) AS cnt, SUM(v) AS total, MIN(v) AS lo FROM T WHERE v >= 20 CUBE BY g, h"),
+		"rollup":      translate("SELECT h, g, COUNT(*) AS cnt, AVG(v) AS mean FROM T WHERE v >= 20 ROLLUP BY h, g"),
 	}
 	nRules := len(plan.RuleNames())
 	for qname, q := range queries {
@@ -55,6 +68,13 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 			return sortedText(res.Rel), res.Plan.Fingerprint
 		}
 		want, _ := run(plan.SelectNone())
+		central, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+		if err != nil {
+			t.Fatalf("%s: central: %v", qname, err)
+		}
+		if got := sortedText(central); got != want {
+			t.Errorf("%s: baseline diverges from EvalCentral\ndistributed:\n%s\ncentral:\n%s", qname, want, got)
+		}
 		for mask := 1; mask < 1<<nRules; mask++ {
 			sel := subsetSelection(mask)
 			if got, _ := run(sel); got != want {

@@ -138,14 +138,15 @@ func (m *merger) Extend() error {
 	if err := m.budget.charge(grow); err != nil {
 		return err
 	}
+	// Build the extended rows in a fresh backing array, one slab carved into
+	// rows: in-flight serialization of pre-extension fragments may still be
+	// reading the old arrays while streamed synchronization writes the new
+	// ones.
+	w := len(m.x.Schema) + len(ident)
+	slab := make([]relation.Value, len(m.x.Tuples)*w)
 	for i, row := range m.x.Tuples {
-		// Build each extended row in a fresh backing array: in-flight
-		// serialization of pre-extension fragments may still be reading the
-		// old arrays while streamed synchronization writes the new ones.
-		nrow := make(relation.Tuple, 0, len(row)+len(ident))
-		nrow = append(nrow, row...)
-		nrow = append(nrow, ident.Clone()...)
-		m.x.Tuples[i] = nrow
+		nrow := append(slab[i*w:i*w:(i+1)*w], row...)
+		m.x.Tuples[i] = append(nrow, ident...)
 	}
 	m.x.Schema = m.xschemas[k+1]
 	m.extended++

@@ -331,8 +331,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		for _, k := range keyIdx {
 			row = append(row, br[k])
 		}
-		row = append(row, acc.PhysRow(i)...)
-		block.Tuples = append(block.Tuples, row)
+		block.Tuples = append(block.Tuples, acc.AppendPhysRow(row, i))
 		if req.BlockRows > 0 && block.Len() >= req.BlockRows {
 			if err := flush(); err != nil {
 				return err

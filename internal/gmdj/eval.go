@@ -615,14 +615,13 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 	return row
 }
 
-// PhysRow returns only base row i's physical aggregate values across all
-// variables (the sub-aggregate payload shipped in H_i rows).
-func (a *OperatorAccum) PhysRow(i int) relation.Tuple {
-	var row relation.Tuple
+// AppendPhysRow appends only base row i's physical aggregate values across
+// all variables (the sub-aggregate payload shipped in H_i rows) to dst.
+func (a *OperatorAccum) AppendPhysRow(dst relation.Tuple, i int) relation.Tuple {
 	for vi := range a.Layouts {
-		row = append(row, a.Accs[vi][i]...)
+		dst = append(dst, a.Accs[vi][i]...)
 	}
-	return row
+	return dst
 }
 
 // PhysSchema returns the concatenated physical schema across all variables.

@@ -62,7 +62,7 @@ const (
 
 	reasonOK     = "ok"     // compiled
 	reasonSource = "source" // the source has no columnar image
-	reasonShape  = "shape"  // a condition, filter or grouping shape the compiler does not cover, or useHash=false
+	reasonShape  = "shape"  // a condition or filter shape the compiler does not cover, or useHash=false
 	reasonKind   = "kind"   // a column or value kind the typed code cannot reproduce exactly
 )
 
@@ -410,48 +410,64 @@ func isTrueLit(c expr.Expr) bool {
 	return ok && l.Val.Kind == relation.KindBool && l.Val.Bool()
 }
 
-// linkStage is one equality link "B.b = R.d" resolved for one request: X's
-// values in b and the partition's values in d are both mapped into one small
-// id space, so that equal ids mean equal values.
+// linkStage is one link resolved for one request — the equality "B.b = R.d",
+// or its rollup form "B.b IS NULL || B.b = R.d": X's values in b and the
+// partition's values in d are both mapped into one small id space, so that
+// equal ids mean equal values.
 type linkStage struct {
-	// xids holds each X row's id, noID when the row can match no detail row
-	// (NULL, or a value the partition does not hold).
+	// xids holds each X row's id: noID when the row can match no detail row
+	// (a value the partition does not hold, or NULL under a plain link), anyID
+	// when it matches every detail row (NULL under a rollup link).
 	xids []uint32
-	// rowID maps a detail row to its id, noID when the row can match no X row.
-	rowID func(i int) uint32
+	n    uint32 // the ids in use are 0..n-1
+	// rowID maps a detail row to its id, noID when it holds NULL or a value no
+	// X row holds.
+	rowID  func(i int) uint32
+	rollup bool
 }
+
+// anyID is an X row's id in a rollup link it holds NULL in.
+const anyID = noID - 1
+
+// maxRollupLinks bounds the rollup links of one condition, as the scalar
+// path's 2^n-probe scan does.
+const maxRollupLinks = 16
 
 // compileLink resolves one link. The probe stands in for evaluating the
 // equality, so it must agree with expr's: same declared kinds on both sides
 // and every X value NULL or of that kind (cross-kind numerics compare equal
-// in expr, which a typed lookup would miss), and NULL on either side matches
-// nothing.
-func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector) (linkStage, string) {
+// in expr, which a typed lookup would miss), and a detail NULL matches no
+// value.
+func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool) (linkStage, string) {
 	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind {
 		return linkStage{}, reasonKind
 	}
-	st := linkStage{xids: make([]uint32, len(x.Tuples))}
+	st := linkStage{xids: make([]uint32, len(x.Tuples)), rollup: rollup}
+	null := noID
+	if rollup {
+		null = anyID
+	}
 	switch vec.Kind {
 	case relation.KindString:
 		// code → id+1, 0 for codes no X row holds.
 		byCode := make([]uint32, len(vec.Dict))
-		n := uint32(0)
 		for bi, t := range x.Tuples {
 			v := t[bIdx]
-			st.xids[bi] = noID
 			if v.IsNull() {
+				st.xids[bi] = null
 				continue
 			}
 			if v.Kind != relation.KindString {
 				return linkStage{}, reasonKind
 			}
+			st.xids[bi] = noID
 			code, ok := vec.Code(v.Str)
 			if !ok {
 				continue
 			}
 			if byCode[code] == 0 {
-				n++
-				byCode[code] = n
+				st.n++
+				byCode[code] = st.n
 			}
 			st.xids[bi] = byCode[code] - 1
 		}
@@ -466,8 +482,8 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector) (linkStag
 		tbl := newIntTable(len(x.Tuples))
 		for bi, t := range x.Tuples {
 			v := t[bIdx]
-			st.xids[bi] = noID
 			if v.IsNull() {
+				st.xids[bi] = null
 				continue
 			}
 			if v.Kind != relation.KindInt {
@@ -475,6 +491,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector) (linkStag
 			}
 			st.xids[bi], _ = tbl.insert(v.Int)
 		}
+		st.n = tbl.n
 		ints, nulls := vec.Ints, vec.Nulls
 		st.rowID = func(i int) uint32 {
 			if bitSet(nulls, i) {
@@ -563,14 +580,10 @@ func minMaxStep[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool
 type varKernel struct {
 	layout *agg.Layout
 	args   []*relation.Vector // per physical column; nil for COUNT(*)
-	// group maps a detail row to its link group — the X rows whose link
-	// values equal the row's — or noID.
-	group func(i int) uint32
-	// starts/rows are the groups in CSR form: group g is
-	// rows[starts[g]:starts[g+1]], ascending. X rows that share link values
-	// share a group, so one detail row still reaches all of them.
-	starts, rows []int32
-	preds        []rowPred
+	// patterns are the X rows by the rollup links they hold NULL in; a θ
+	// without rollup links has one, of every X row that can match at all.
+	patterns []linkPattern
+	preds    []rowPred
 }
 
 // opKernel is one MD operator compiled against one columnar partition.
@@ -609,12 +622,18 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 	}
 
 	var stages []linkStage
+	rollups := 0
 	for _, c := range expr.Conjuncts(st.cond) {
 		if isTrueLit(c) {
 			continue
 		}
-		if bIdx, dIdx, ok := boundLink(c); ok {
-			stage, reason := compileLink(x, bIdx, &cols.Vecs[dIdx])
+		if bIdx, dIdx, rollup, ok := boundLink(c); ok {
+			if rollup {
+				if rollups++; rollups > maxRollupLinks {
+					return nil, reasonShape
+				}
+			}
+			stage, reason := compileLink(x, bIdx, &cols.Vecs[dIdx], rollup)
 			if reason != reasonOK {
 				return nil, reason
 			}
@@ -633,37 +652,95 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 		return nil, reasonShape
 	}
 
-	vk.group, vk.starts, vk.rows = linkGroups(stages)
+	vk.patterns = linkPatterns(stages, x.Len())
 	return vk, reasonOK
 }
 
-// linkGroups folds the per-link ids into one group id per X row and per
-// detail row. A second and later link pairs the running group with its own id
-// through a table built from the X rows, so only combinations some X row holds
-// get a group. The groups come back in CSR form.
-func linkGroups(stages []linkStage) (group func(i int) uint32, starts, rows []int32) {
-	groups := stages[0].xids
-	n := uint32(0)
-	for _, g := range groups {
-		if g != noID && g >= n {
-			n = g + 1
-		}
-	}
-	pairs := make([]*intTable, len(stages)-1)
-	for s := 1; s < len(stages); s++ {
-		pairs[s-1] = newIntTable(len(groups))
-		for bi, g := range groups {
-			if id := stages[s].xids[bi]; g == noID || id == noID {
-				groups[bi] = noID
-			} else {
-				groups[bi], _ = pairs[s-1].insert(int64(g)<<32 | int64(id))
+// linkPattern is the X rows that hold NULL in the same rollup links, grouped
+// by their values in the other links: a detail row matches them on those
+// alone.
+type linkPattern struct {
+	// group maps a detail row to its link group — the pattern's X rows whose
+	// link values equal the row's — or noID.
+	group func(i int) uint32
+	// starts/rows are the groups in CSR form: group g is
+	// rows[starts[g]:starts[g+1]], ascending. X rows that share link values
+	// share a group, so one detail row still reaches all of them.
+	starts, rows []int32
+}
+
+// linkPatterns sorts the nx X rows into patterns — only the ones X holds
+// exist — leaving out the rows that can match nothing, and groups each
+// pattern's rows on the links it is matched on.
+func linkPatterns(stages []linkStage, nx int) []linkPattern {
+	// Bit r of a row's mask is its NULL in the r-th rollup link.
+	masks := newIntTable(8)
+	var members [][]int32 // per pattern, its X rows
+	for bi := 0; bi < nx; bi++ {
+		mask, bit, dead := int64(0), uint(0), false
+		for s := range stages {
+			switch stages[s].xids[bi] {
+			case noID:
+				dead = true
+			case anyID:
+				mask |= 1 << bit
+			}
+			if stages[s].rollup {
+				bit++
 			}
 		}
-		n = pairs[s-1].n
+		if dead {
+			continue
+		}
+		pi, fresh := masks.insert(mask)
+		if fresh {
+			members = append(members, nil)
+		}
+		members[pi] = append(members[pi], int32(bi))
 	}
-	group = stages[0].rowID
-	if len(stages) > 1 {
-		group = func(i int) uint32 {
+	patterns := make([]linkPattern, len(members))
+	for pi, xrows := range members {
+		var on []linkStage
+		for _, st := range stages {
+			if st.xids[xrows[0]] != anyID {
+				on = append(on, st)
+			}
+		}
+		patterns[pi] = linkGroups(on, xrows)
+	}
+	return patterns
+}
+
+// linkGroups folds the per-link ids into one group id per X row of xrows and
+// per detail row. A second and later link pairs the running group with its own
+// id through a table built from the X rows, so only combinations one of them
+// holds get a group. Without a link — xrows hold NULL in every rollup link —
+// there is one group, which every detail row is in.
+func linkGroups(stages []linkStage, xrows []int32) linkPattern {
+	groups := make([]uint32, len(xrows))
+	n := uint32(1)
+	if len(stages) > 0 {
+		for m, bi := range xrows {
+			groups[m] = stages[0].xids[bi]
+		}
+		n = stages[0].n
+	}
+	var pairs []*intTable
+	for _, st := range stages[min(1, len(stages)):] {
+		pair := newIntTable(len(xrows))
+		for m, bi := range xrows {
+			groups[m], _ = pair.insert(int64(groups[m])<<32 | int64(st.xids[bi]))
+		}
+		pairs, n = append(pairs, pair), pair.n
+	}
+	var p linkPattern
+	switch len(stages) {
+	case 0:
+		p.group = func(int) uint32 { return 0 }
+	case 1:
+		p.group = stages[0].rowID
+	default:
+		p.group = func(i int) uint32 {
 			g := stages[0].rowID(i)
 			for s := 1; g != noID && s < len(stages); s++ {
 				id := stages[s].rowID(i)
@@ -676,41 +753,52 @@ func linkGroups(stages []linkStage) (group func(i int) uint32, starts, rows []in
 		}
 	}
 
-	starts = make([]int32, n+1)
+	p.starts = make([]int32, n+1)
 	for _, g := range groups {
-		if g != noID {
-			starts[g+1]++
-		}
+		p.starts[g+1]++
 	}
 	for g := uint32(0); g < n; g++ {
-		starts[g+1] += starts[g]
+		p.starts[g+1] += p.starts[g]
 	}
-	rows = make([]int32, starts[n])
-	next := append([]int32(nil), starts[:n]...)
-	for bi, g := range groups {
-		if g != noID {
-			rows[next[g]] = int32(bi)
-			next[g]++
-		}
+	p.rows = make([]int32, len(xrows))
+	next := append([]int32(nil), p.starts[:n]...)
+	for m, g := range groups {
+		p.rows[next[g]] = xrows[m]
+		next[g]++
 	}
-	return group, starts, rows
+	return p
 }
 
-// boundLink recognizes a bound "B.b = R.d" conjunct in either operand order.
-func boundLink(c expr.Expr) (bIdx, dIdx int, ok bool) {
+// boundLink recognizes a bound link conjunct — "B.b = R.d", or the rollup
+// form "B.b IS NULL || B.b = R.d" — in either operand order.
+func boundLink(c expr.Expr) (bIdx, dIdx int, rollup, ok bool) {
 	b, isBin := c.(*expr.Bin)
-	if !isBin || b.Op != expr.OpEq {
-		return 0, 0, false
+	if !isBin {
+		return 0, 0, false, false
+	}
+	if b.Op == expr.OpOr {
+		for _, o := range [][2]expr.Expr{{b.L, b.R}, {b.R, b.L}} {
+			u, isUn := o[0].(*expr.Un)
+			if !isUn || u.Op != expr.OpIsNull {
+				continue
+			}
+			nc, isCol := u.X.(*expr.Col)
+			bIdx, dIdx, nested, ok := boundLink(o[1])
+			if isCol && nc.Side == expr.SideBase && ok && !nested && nc.Idx == bIdx {
+				return bIdx, dIdx, true, true
+			}
+		}
+		return 0, 0, false, false
 	}
 	l, lok := b.L.(*expr.Col)
 	r, rok := b.R.(*expr.Col)
 	switch {
-	case !lok || !rok || l.Side == r.Side:
-		return 0, 0, false
+	case b.Op != expr.OpEq || !lok || !rok || l.Side == r.Side:
+		return 0, 0, false, false
 	case l.Side == expr.SideBase:
-		return l.Idx, r.Idx, true
+		return l.Idx, r.Idx, false, true
 	default:
-		return r.Idx, l.Idx, true
+		return r.Idx, l.Idx, false, true
 	}
 }
 
@@ -758,17 +846,25 @@ func (vk *varKernel) steps(slabs []physSlab) []aggStep {
 	return out
 }
 
-// scan accumulates detail rows [lo, hi) into one worker's slabs.
+// scan accumulates detail rows [lo, hi) into one worker's slabs, pattern by
+// pattern. An X row is in one group of one pattern, so its inputs arrive in
+// one pass, detail rows ascending — the order the scalar path folds them in.
 func (vk *varKernel) scan(lo, hi int, slabs []physSlab, touched []bool) {
 	steps := vk.steps(slabs)
+	for p := range vk.patterns {
+		vk.patterns[p].scan(lo, hi, vk.preds, steps, touched)
+	}
+}
+
+func (pat *linkPattern) scan(lo, hi int, preds []rowPred, steps []aggStep, touched []bool) {
 	for i := lo; i < hi; i++ {
-		g := vk.group(i)
+		g := pat.group(i)
 		if g == noID {
 			continue
 		}
 	candidates:
-		for _, bi := range vk.rows[vk.starts[g]:vk.starts[g+1]] {
-			for _, pred := range vk.preds {
+		for _, bi := range pat.rows[pat.starts[g]:pat.starts[g+1]] {
+			for _, pred := range preds {
 				if !pred(i, bi) {
 					continue candidates
 				}
@@ -907,25 +1003,31 @@ func (vk *varKernel) materialize(slabs []physSlab, nx int) []relation.Tuple {
 // filter as predicates, the projection as typed columns whose cells are
 // deduplicated on ids instead of hashed Values.
 type baseKernel struct {
-	cols   *relation.Columns
-	idx    []int
+	cols *relation.Columns
+	idx  []int
+	// masks holds, per grouping set, the projected columns it keeps; nil for
+	// a set that keeps them all.
+	masks  [][]bool
 	schema relation.Schema
 	where  []rowPred
 }
 
-// compileBaseKernel covers the plain distinct projection (grouping sets pad
-// rows with NULLs per set and stay scalar) over INT and STRING columns,
-// filtered by a conjunction of column-vs-literal comparisons.
+// compileBaseKernel covers the distinct projection, plain or per grouping
+// set, over INT and STRING columns, filtered by a conjunction of
+// column-vs-literal comparisons.
 func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string) {
-	if len(p.masks) != 1 {
+	if len(p.idx) == 0 {
 		return nil, reasonShape
 	}
-	for _, keep := range p.masks[0] {
-		if !keep {
-			return nil, reasonShape
+	k := &baseKernel{cols: cols, idx: p.idx, masks: make([][]bool, len(p.masks)), schema: p.schema}
+	for set, mask := range p.masks {
+		for _, keep := range mask {
+			if !keep {
+				k.masks[set] = mask
+				break
+			}
 		}
 	}
-	k := &baseKernel{cols: cols, idx: p.idx, schema: p.schema}
 	for _, j := range p.idx {
 		if vec := &cols.Vecs[j]; vec.Boxed || (vec.Kind != relation.KindInt && vec.Kind != relation.KindString) {
 			return nil, reasonKind
@@ -946,16 +1048,23 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 	return k, reasonOK
 }
 
+// baseCell names one base row: detail row row projected under grouping set
+// set.
+type baseCell struct{ row, set int32 }
+
 // baseDedup is one worker's distinct-projection state. The first projected
 // column's cells key the first table directly (dictionary code or integer);
 // each further column pairs the running group id with the column's own dense
-// cell id through one more table. A row is a first occurrence exactly when
-// the last table had to add its key.
+// cell id through one more table. A projection is a first occurrence exactly
+// when the last table had to add its key. A column its grouping set leaves
+// out is offered as NULL, the cell a NULL in the data has, so every set goes
+// through the same tables and the two NULLs collapse into one base row, as
+// they do in the scalar path's one KeySet.
 type baseDedup struct {
 	k     *baseKernel
 	cells []*intTable // per INT column after the first: value → dense cell id
 	pairs []*intTable // pairs[0] keys the first column; pairs[c] pairs group and column c
-	fresh []int32     // rows that introduced a new projection, in scan order
+	fresh []baseCell  // the new projections, in scan order
 }
 
 func (k *baseKernel) newDedup() *baseDedup {
@@ -969,13 +1078,14 @@ func (k *baseKernel) newDedup() *baseDedup {
 	return d
 }
 
-// add offers row i, recording it when its projection is new.
-func (d *baseDedup) add(i int) {
+// add offers row i's projection — the columns mask keeps; nil keeps all — and
+// reports whether it is new.
+func (d *baseDedup) add(i int, mask []bool) bool {
 	var g uint32
 	var fresh bool
 	for c, j := range d.k.idx {
 		vec := &d.k.cols.Vecs[j]
-		null := vec.Null(i)
+		null := (mask != nil && !mask[c]) || vec.Null(i)
 		if c == 0 {
 			switch {
 			case null:
@@ -999,21 +1109,35 @@ func (d *baseDedup) add(i int) {
 		}
 		g, fresh = d.pairs[c].insert(int64(g)<<32 | int64(cell))
 	}
-	if fresh {
-		d.fresh = append(d.fresh, int32(i))
-	}
+	return fresh
 }
 
-// scan offers the rows of [lo, hi) that pass the filter.
+// scan offers the rows of [lo, hi) that pass the filter, each under every
+// grouping set in turn — the scalar order — and lists the new projections.
+// Under several sets the rows go through a dedup of their own first: a row
+// that repeats an earlier one repeats its projection under every set, so only
+// new rows are offered set by set.
 func (d *baseDedup) scan(lo, hi int) {
+	where, masks := d.k.where, d.k.masks
+	var whole *baseDedup
+	if len(masks) > 1 {
+		whole = d.k.newDedup()
+	}
 rows:
 	for i := lo; i < hi; i++ {
-		for _, pred := range d.k.where {
+		for _, pred := range where {
 			if !pred(i, 0) {
 				continue rows
 			}
 		}
-		d.add(i)
+		if whole != nil && !whole.add(i, nil) {
+			continue
+		}
+		for set, mask := range masks {
+			if d.add(i, mask) {
+				d.fresh = append(d.fresh, baseCell{int32(i), int32(set)})
+			}
+		}
 	}
 }
 
@@ -1022,7 +1146,7 @@ rows:
 // order keeps exactly the global first occurrences, in scan order — the order
 // the scalar path produces.
 func (k *baseKernel) run(shards []ColumnSource) *relation.Relation {
-	parts := make([][]int32, len(shards))
+	parts := make([][]baseCell, len(shards))
 	eachShard(len(shards), func(w, worker int) {
 		_, lo, hi := shards[w].ColumnRange()
 		d := k.newDedup()
@@ -1034,18 +1158,23 @@ func (k *baseKernel) run(shards []ColumnSource) *relation.Relation {
 	if len(parts) > 1 {
 		d := k.newDedup()
 		for _, part := range parts {
-			for _, i := range part {
-				d.add(int(i))
+			for _, bc := range part {
+				if d.add(int(bc.row), k.masks[bc.set]) {
+					d.fresh = append(d.fresh, bc)
+				}
 			}
 		}
 		fresh = d.fresh
 	}
 	out := relation.New(k.schema)
 	out.Tuples = make([]relation.Tuple, len(fresh))
-	for n, i := range fresh {
+	for n, bc := range fresh {
 		t := make(relation.Tuple, len(k.idx))
+		mask := k.masks[bc.set]
 		for c, j := range k.idx {
-			t[c] = k.cols.Vecs[j].Value(int(i))
+			if mask == nil || mask[c] {
+				t[c] = k.cols.Vecs[j].Value(int(bc.row))
+			}
 		}
 		out.Tuples[n] = t
 	}

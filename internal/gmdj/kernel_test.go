@@ -90,7 +90,7 @@ func sameAccum(scalar, kernel *OperatorAccum) error {
 	return nil
 }
 
-var kernelTestWorkers = []int{1, 2, 7}
+var kernelTestWorkers = []int{1, 2, 4, 7}
 
 // checkScanPath demands that the one evaluation src went through reported
 // passes detail passes under reason — reasonOK means the kernel ran.
@@ -106,7 +106,8 @@ func checkScanPath(t *testing.T, src colSource, reason string, passes int) {
 }
 
 // checkOperator evaluates op over detail on the scalar path (a row source)
-// and through a column source, and demands identical accumulators. reason is
+// and through a column source, and demands identical accumulators — from the
+// literal nested loop too when the kernel ran. reason is
 // the scan-path reason the column source must be counted under: reasonOK
 // means the kernel ran.
 func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *relation.Relation, reason string) {
@@ -126,6 +127,13 @@ func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *rela
 			t.Errorf("workers=%d: %v", workers, err)
 		}
 		if reason == reasonOK {
+			loop, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), false, workers)
+			if err != nil {
+				t.Fatalf("workers=%d nested loop: %v", workers, err)
+			}
+			if err := sameAccum(loop, kernel); err != nil {
+				t.Errorf("workers=%d: nested loop: %v", workers, err)
+			}
 			if got, want := src.acct.charged.Load(), int64(len(op.Vars)*detail.Len()); got != want {
 				t.Errorf("workers=%d: kernel charged %d rows, want %d", workers, got, want)
 			}
@@ -232,6 +240,59 @@ func baseOf(t *testing.T, detail *relation.Relation, cols ...string) *relation.R
 	return x
 }
 
+// setsOf is baseOf under grouping sets: the union of the NULL-padded distinct
+// projections of cols, one per set.
+func setsOf(t *testing.T, detail *relation.Relation, cols []string, sets ...[]string) *relation.Relation {
+	t.Helper()
+	x, err := EvalBase(BaseQuery{Detail: "D", Cols: cols, GroupingSets: sets}, SourceOf(detail))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return x
+}
+
+// cubeSets lists every subset of cols, the full set first.
+func cubeSets(cols ...string) [][]string {
+	var sets [][]string
+	for mask := 1<<len(cols) - 1; mask >= 0; mask-- {
+		set := []string{}
+		for i, c := range cols {
+			if mask&(1<<i) != 0 {
+				set = append(set, c)
+			}
+		}
+		sets = append(sets, set)
+	}
+	return sets
+}
+
+// rollupCond is the grouping-set condition over dims.
+func rollupCond(dims ...string) string {
+	var conjuncts []string
+	for _, d := range dims {
+		conjuncts = append(conjuncts, fmt.Sprintf("(B.%s IS NULL || B.%s = R.%s)", d, d, d))
+	}
+	return strings.Join(conjuncts, " && ")
+}
+
+// keepRows returns x with only the rows keep accepts.
+func keepRows(x *relation.Relation, keep func(relation.Tuple) bool) *relation.Relation {
+	out := relation.New(x.Schema)
+	for _, t := range x.Tuples {
+		if keep(t) {
+			out.Tuples = append(out.Tuples, t)
+		}
+	}
+	return out
+}
+
+// withRows returns x with rows appended.
+func withRows(x *relation.Relation, rows ...relation.Tuple) *relation.Relation {
+	out := relation.New(x.Schema)
+	out.Tuples = append(append(out.Tuples, x.Tuples...), rows...)
+	return out
+}
+
 // withColumn returns x with one more column appended.
 func withColumn(x *relation.Relation, col relation.Column, val func(i int) relation.Value) *relation.Relation {
 	out := relation.New(append(x.Schema.Clone(), col))
@@ -305,10 +366,43 @@ func TestKernelOperatorMatchesScalar(t *testing.T) {
 		{"residual: string column vs base column", baseOf(t, detail, "S", "T"),
 			oneVar("B.S = R.S && R.T != B.T", allAggs...), detail},
 		{"residual rejects every row", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.V > 1000", allAggs...), detail},
+		// Grouping sets. kernelDetail holds NULLs in S, T and I, so a detail row
+		// with NULL in a dimension meets the base rows rolled up over it.
+		{"cube over strings", setsOf(t, detail, []string{"S", "T"}, cubeSets("S", "T")...), oneVar(rollupCond("S", "T"), allAggs...), detail},
+		{"cube over string, int, string", setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...),
+			oneVar(rollupCond("S", "I", "T"), allAggs...), detail},
+		{"rollup over ints, operands mirrored", setsOf(t, detail, []string{"I", "V"}, []string{"I", "V"}, []string{"I"}, []string{}),
+			oneVar("(R.I = B.I || B.I IS NULL) && (B.V IS NULL || R.V = B.V)", allAggs...), detail},
+		{"single rollup link", setsOf(t, detail, []string{"S"}, []string{"S"}, []string{}), oneVar(rollupCond("S"), allAggs...), detail},
+		// X holds four of the eight patterns.
+		{"X holds some patterns", setsOf(t, detail, []string{"S", "I", "T"}, []string{"S", "I", "T"}, []string{"S", "T"}, []string{"I"}, []string{}),
+			oneVar(rollupCond("S", "I", "T"), allAggs...), detail},
+		{"X holds some patterns, grand total filtered out", keepRows(setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...),
+			func(r relation.Tuple) bool { return !r[0].IsNull() || !r[1].IsNull() }),
+			oneVar(rollupCond("S", "I"), allAggs...), detail},
+		// (NULL, i) rows come from no prefix set; θ still gives them every row
+		// with that I.
+		{"X row whose pattern no set produces", withRows(setsOf(t, detail, []string{"S", "I"}, []string{"S", "I"}, []string{"S"}, []string{}),
+			relation.Tuple{relation.Null, relation.NewInt(3)}, relation.Tuple{relation.Null, relation.NewInt(99)}),
+			oneVar(rollupCond("S", "I"), allAggs...), detail},
+		{"duplicate X rows under a cube", withRows(setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...),
+			relation.Tuple{relation.Null, relation.Null}, relation.Tuple{relation.NewString("a"), relation.Null},
+			relation.Tuple{relation.NewString("a"), relation.NewInt(0)}, relation.Tuple{relation.Null, relation.Null}),
+			oneVar(rollupCond("S", "I"), allAggs...), detail},
+		{"rollup keys absent from the partition", strangers, oneVar(rollupCond("S", "I"), allAggs...), detail},
+		{"rollup links beside a plain link", setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...),
+			oneVar("(B.S IS NULL || B.S = R.S) && B.I = R.I && (B.T IS NULL || B.T = R.T)", allAggs...), detail},
+		{"rollup links beside residuals", thresholds(setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...)),
+			oneVar(rollupCond("S", "I")+" && R.V >= B.k && R.F < 120.5", allAggs...), detail},
+		{"rollup over an empty partition", setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...), oneVar(rollupCond("S", "I"), allAggs...), empty},
 		{"several variables", baseOf(t, detail, "S", "I"), Operator{Detail: "D", Vars: []GroupVar{
 			{Aggs: []agg.Spec{{Func: agg.Count, As: "n1"}, {Func: agg.Sum, Arg: "F", As: "s1"}}, Cond: expr.MustParse("B.S = R.S")},
 			{Aggs: []agg.Spec{{Func: agg.Count, As: "n2"}, {Func: agg.Avg, Arg: "V", As: "a2"}}, Cond: expr.MustParse("B.I = R.I && R.V > 0")},
 			{Aggs: []agg.Spec{{Func: agg.Max, Arg: "P", As: "m3"}}, Cond: expr.MustParse("B.S = R.S && B.I = R.I")},
+		}}, detail},
+		{"rollup and plain variables", setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...), Operator{Detail: "D", Vars: []GroupVar{
+			{Aggs: []agg.Spec{{Func: agg.Count, As: "n1"}, {Func: agg.Sum, Arg: "F", As: "s1"}}, Cond: expr.MustParse(rollupCond("S", "I"))},
+			{Aggs: []agg.Spec{{Func: agg.Count, As: "n2"}}, Cond: expr.MustParse("B.S = R.S && B.I = R.I")},
 		}}, detail},
 	}
 	for _, c := range cases {
@@ -330,8 +424,11 @@ func TestKernelFloatSumOrder(t *testing.T) {
 	for i := 0; i < 4000; i++ {
 		r.MustAppend(relation.Tuple{relation.NewInt(int64(i % 3)), relation.NewFloat(math.Exp(rng.Float64()*60 - 30))})
 	}
-	checkOperator(t, baseOf(t, r, "G"), oneVar("B.G = R.G",
-		agg.Spec{Func: agg.Sum, Arg: "F", As: "s"}, agg.Spec{Func: agg.Variance, Arg: "F", As: "v"}), r, reasonOK)
+	aggs := []agg.Spec{{Func: agg.Sum, Arg: "F", As: "s"}, {Func: agg.Variance, Arg: "F", As: "v"}}
+	checkOperator(t, baseOf(t, r, "G"), oneVar("B.G = R.G", aggs...), r, reasonOK)
+	// The grand-total row sums every detail row, the others a third each:
+	// both in row order, whichever pattern reaches them.
+	checkOperator(t, setsOf(t, r, []string{"G"}, []string{"G"}, []string{}), oneVar(rollupCond("G"), aggs...), r, reasonOK)
 }
 
 func TestKernelOperatorFallsBack(t *testing.T) {
@@ -349,6 +446,21 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 	// An INT-declared key column that holds a FLOAT.
 	strayKeys := baseOf(t, detail, "I")
 	strayKeys.Tuples[0][0] = relation.NewFloat(1)
+	// One dimension more than a rollup condition may link.
+	var wideCols []string
+	var wideSchema relation.Schema
+	for c := 0; c <= maxRollupLinks; c++ {
+		wideCols = append(wideCols, fmt.Sprintf("d%d", c))
+		wideSchema = append(wideSchema, relation.Column{Name: wideCols[c], Kind: relation.KindInt})
+	}
+	wide := relation.New(wideSchema)
+	for i := 0; i < 20; i++ {
+		row := make(relation.Tuple, len(wideCols))
+		for c := range row {
+			row[c] = relation.NewInt(int64(i * (c + 1) % 3))
+		}
+		wide.MustAppend(row)
+	}
 
 	cases := []struct {
 		name   string
@@ -361,7 +473,10 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 		{"negation", baseOf(t, detail, "S"), oneVar("B.S = R.S && !(R.V > 3)", count), detail, reasonShape},
 		{"arithmetic", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.V + 1 > 3", count), detail, reasonShape},
 		{"no link", baseOf(t, detail, "I"), oneVar("R.I > B.I", count), detail, reasonShape},
-		{"rollup", baseOf(t, detail, "S"), oneVar("B.S IS NULL || B.S = R.S", count), detail, reasonShape},
+		{"rollup over another column's NULL", baseOf(t, detail, "S", "T"), oneVar("B.T IS NULL || B.S = R.S", count), detail, reasonShape},
+		{"17 rollup links", baseOf(t, wide, wideCols...), oneVar(rollupCond(wideCols...), count), wide, reasonShape},
+		{"float rollup link", setsOf(t, detail, []string{"F"}, []string{"F"}, []string{}), oneVar(rollupCond("F"), count), detail, reasonKind},
+		{"rollup link kinds differ", floatKeys, oneVar(rollupCond("I"), count), detail, reasonKind},
 		{"string ordering", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.T > 'x'", count), detail, reasonShape},
 		{"float link", baseOf(t, detail, "F"), oneVar("B.F = R.F", count), detail, reasonKind},
 		{"link kinds differ", floatKeys, oneVar("B.I = R.I", count), detail, reasonKind},
@@ -404,7 +519,15 @@ func TestKernelBaseMatchesScalar(t *testing.T) {
 		{"filter rejects everything", BaseQuery{Cols: []string{"S"}, Where: where("R.V > 1000")}, detail, reasonOK},
 		{"empty partition", BaseQuery{Cols: []string{"S", "I"}}, empty, reasonOK},
 		{"one full grouping set", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S", "I"}}}, detail, reasonOK},
-		{"grouping sets", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S", "I"}, {"S"}, {}}}, detail, reasonShape},
+		{"rollup sets", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S", "I"}, {"S"}, {}}}, detail, reasonOK},
+		{"rollup sets, int first", BaseQuery{Cols: []string{"I", "V", "S"}, GroupingSets: [][]string{{"I", "V", "S"}, {"I", "V"}, {"I"}, {}}}, detail, reasonOK},
+		{"cube sets", BaseQuery{Cols: []string{"S", "I", "T"}, GroupingSets: cubeSets("S", "I", "T")}, detail, reasonOK},
+		{"sets without the full one, coarse first", BaseQuery{Cols: []string{"S", "I", "T"}, GroupingSets: [][]string{{}, {"T"}, {"I", "S"}}}, detail, reasonOK},
+		{"a set listed twice", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S"}, {"S", "I"}, {"S"}}}, detail, reasonOK},
+		{"one partial set", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"I"}}}, detail, reasonOK},
+		{"filtered cube sets", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: cubeSets("S", "I"), Where: where("R.F >= 0.005 && R.T = 'x'")}, detail, reasonOK},
+		{"cube sets over an empty partition", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: cubeSets("S", "I")}, empty, reasonOK},
+		{"float column under grouping sets", BaseQuery{Cols: []string{"S", "F"}, GroupingSets: [][]string{{"S", "F"}, {"S"}}}, detail, reasonKind},
 		{"float column", BaseQuery{Cols: []string{"F"}}, detail, reasonKind},
 		{"disjunctive filter", BaseQuery{Cols: []string{"S"}, Where: where("R.V > 3 || R.V < 0")}, detail, reasonShape},
 	}
@@ -420,7 +543,8 @@ func TestKernelBaseMatchesScalar(t *testing.T) {
 }
 
 // TestKernelQuick is the property behind the tables: for small random
-// relations, base fragments and conjunctive conditions, a column source and a
+// relations, base fragments (plain or under random grouping sets) and
+// conditions of plain links, rollup links and residuals, a column source and a
 // row source evaluate to the same bytes at any worker count.
 func TestKernelQuick(t *testing.T) {
 	residuals := []string{
@@ -435,6 +559,17 @@ func TestKernelQuick(t *testing.T) {
 		bq := BaseQuery{Detail: "D", Cols: keys}
 		if rng.Intn(2) == 0 {
 			bq.Where = expr.MustParse(fmt.Sprintf("R.V > %d", rng.Intn(30)-10))
+		}
+		if rng.Intn(2) == 0 {
+			for n := 1 + rng.Intn(4); n > 0; n-- {
+				set := []string{}
+				for _, k := range keys {
+					if rng.Intn(2) == 0 {
+						set = append(set, k)
+					}
+				}
+				bq.GroupingSets = append(bq.GroupingSets, set)
+			}
 		}
 		workers := 1 + rng.Intn(5)
 		x, err := EvalBaseWorkers(bq, SourceOf(detail), workers)
@@ -456,15 +591,27 @@ func TestKernelQuick(t *testing.T) {
 		x = withColumn(x, relation.Column{Name: "k", Kind: relation.KindInt}, func(i int) relation.Value {
 			return relation.NewInt(int64(rng.Intn(40)) - 10)
 		})
-		// Link a random non-empty subset of the keys; the rest make X rows
-		// share link values.
+		// Now and then X loses some rows (and with them, maybe, whole NULL
+		// patterns) and holds others twice.
+		if rng.Intn(3) == 0 {
+			x = keepRows(x, func(relation.Tuple) bool { return rng.Intn(4) != 0 })
+			for n := rng.Intn(3); n > 0 && x.Len() > 0; n-- {
+				x = withRows(x, x.Tuples[rng.Intn(x.Len())])
+			}
+		}
+		// Link a random non-empty subset of the keys, each plainly or in the
+		// rollup form; the rest make X rows share link values.
 		cond := ""
 		for i, k := range keys {
 			if i == 0 || rng.Intn(3) != 0 {
 				if cond != "" {
 					cond += " && "
 				}
-				cond += fmt.Sprintf("B.%s = R.%s", k, k)
+				if rng.Intn(2) == 0 {
+					cond += fmt.Sprintf("B.%s = R.%s", k, k)
+				} else {
+					cond += rollupCond(k)
+				}
 			}
 		}
 		for n := rng.Intn(3); n > 0; n-- {
