@@ -257,7 +257,7 @@ func BenchmarkSiteEval(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			req := engine.OperatorRequest{Base: base, Op: op, Keys: []string{"G"}}
+			req := engine.OperatorRequest{Base: base, Op: op}
 			b.SetBytes(rows)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -300,10 +300,10 @@ func BenchmarkSiteEvalExample1(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0], Keys: q.Keys()}); err != nil {
+		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0]}); err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: x1, Op: q.Ops[1], Keys: q.Keys()}); err != nil {
+		if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: x1, Op: q.Ops[1]}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -369,7 +369,7 @@ func benchSiteGroupingSets(b *testing.B, statement string) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0], Keys: q.Keys()}); err != nil {
+				if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0]}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -424,4 +424,66 @@ func BenchmarkDiskVsMemoryScan(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkOperatorRound measures one whole statement of the served
+// group_heavy workload — Example 1 over the unaligned Clerk, at that
+// workload's instance sizes — through a coordinator and four TCP sites on
+// loopback under the server's default rule selection: a base round and two
+// operator rounds in which X goes down to every site and H_i comes back. What
+// an operator round ships and allocates is what this benchmark is made of;
+// wire-B/op is the statement's bytes in both directions, exact.
+func BenchmarkOperatorRound(b *testing.B) {
+	cfg := tpc.DefaultConfig()
+	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 16_000, 16_000, 8000, 1
+	d, err := tpc.Generate(cfg, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	sites := make([]transport.Site, 4)
+	for i := range sites {
+		es := engine.NewSite(i)
+		if err := es.Load(ctx, tpc.RelationName, d.Parts[i]); err != nil {
+			b.Fatal(err)
+		}
+		srv, err := transport.Serve(es, "127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		cli, err := transport.Dial(srv.Addr())
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer cli.Close()
+		sites[i] = cli
+	}
+	cat, err := d.Catalog(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord, err := core.New(sites, cat, stats.NetModel{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	q, err := egil.Translate("SELECT Clerk, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR WHERE Discount >= 0.005 GROUP BY Clerk HAVING EACH ExtendedPrice >= avgp")
+	if err != nil {
+		b.Fatal(err)
+	}
+	// One untimed statement pays the connections' gob type descriptors.
+	if _, err := coord.ExecuteWith(ctx, q, plan.SelectAll()); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var wire int
+	for i := 0; i < b.N; i++ {
+		res, err := coord.ExecuteWith(ctx, q, plan.SelectAll())
+		if err != nil {
+			b.Fatal(err)
+		}
+		wire = res.Metrics.TotalBytes()
+	}
+	b.ReportMetric(float64(wire), "wire-B/op")
 }

@@ -47,7 +47,6 @@ func collectRequest(groups, blockRows int) engine.OperatorRequest {
 			Aggs: []agg.Spec{{Func: agg.Count, As: "c"}, {Func: agg.Sum, Arg: "v", As: "s"}},
 			Cond: expr.MustParse("B.g = R.g"),
 		}}},
-		Keys:      []string{"g"},
 		BlockRows: blockRows,
 	}
 }

@@ -407,36 +407,45 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 }
 
 // operatorRound is one round of Alg. GMDJDistribEval for operator k: the
-// coordinator ships the base-result structure (reduced per Thm. 4 when a
-// reducer is available) to each site, the sites compute sub-aggregates
-// (guard-filtered per Prop. 1 when enabled), and the coordinator
-// synchronizes the H_i into X.
+// coordinator ships the base-result structure — projected onto the key
+// attributes and the columns operator k's conditions read, and reduced per
+// Thm. 4 when a reducer is available — to each site, the sites compute
+// sub-aggregates (guard-filtered per Prop. 1 when enabled), and the
+// coordinator synchronizes the H_i into X.
 //
 // Synchronization is streaming (Sect. 3.2) and fault-tolerant: each site's
 // H_i blocks — as they arrive, while slower sites are still computing — are
 // validated and staged in a per-site buffer, and a completed stream is
-// committed into X with one O(|H_i|) key-indexed merge. Staging is what
-// makes the per-site retry policy sound: a stream that dies after partial
-// blocks is discarded whole and re-run without double-counting into X.
+// committed into X with one O(|H_i|) merge addressed by the rows' ordinals in
+// the shipped fragment. Staging is what makes the per-site retry policy
+// sound: a stream that dies after partial blocks is discarded whole and
+// re-run without double-counting into X.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, k int) error {
 	op := pl.Query.Ops[k]
 	roundName := fmt.Sprintf("MD%d", k+1)
-	rs := span.StartRound(roundName, mg.X().Len())
+	x := mg.X()
+	rs := span.StartRound(roundName, x.Len())
 	ctx = obs.WithRound(ctx, roundName)
-	// A stable snapshot of X: fragments reference it while the live X is
-	// extended and mutated by the streaming merge.
-	snap := mg.Snapshot()
+	cols, err := op.ShippedColumns(x.Schema, pl.Keys())
+	if err != nil {
+		return err
+	}
 
 	var reducers []distrib.ReductionPred
 	if pl.Reducers != nil && k < len(pl.Reducers) {
 		reducers = pl.Reducers[k]
 	}
 
-	// Extend X with the operator's identity columns before any stage lands.
+	// Extend X with the operator's identity columns before any stage lands,
+	// and, when every site gets all of X, build the one fragment they share.
 	var coordTime time.Duration
 	t0 := time.Now()
 	if err := mg.Extend(); err != nil {
 		return err
+	}
+	var whole *relation.Relation
+	if reducers == nil {
+		whole = mg.Fragment(cols, nil)
 	}
 	coordTime += time.Since(t0)
 
@@ -450,33 +459,33 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			defer wg.Done()
 			// Thm. 4 fragment reduction runs here, in each site's own
 			// goroutine, so the O(sites × |X|) predicate evaluation
-			// parallelizes instead of serializing the round's start. It is
-			// deterministic, so retries reuse the same fragment.
-			frag := snap
+			// parallelizes instead of serializing the round's start. It sees
+			// whole X rows — the merges running meanwhile write only operator
+			// k's cells, which no reducer reads — and runs once: every retry
+			// ships the same fragment and maps ordinals through the same kept.
+			frag, kept := whole, []int32(nil)
 			if reducers != nil {
-				pred := reducers[i]
-				f := relation.New(snap.Schema)
-				for _, row := range snap.Tuples {
-					keep, err := pred(row)
+				kept = make([]int32, 0, len(x.Tuples)/len(c.sites)+1)
+				for xi, row := range x.Tuples {
+					keep, err := reducers[i](row)
 					if err != nil {
 						errs[i] = err
 						return
 					}
 					if keep {
-						f.Tuples = append(f.Tuples, row)
+						kept = append(kept, int32(xi))
 					}
 				}
-				frag = f
+				frag = mg.Fragment(cols, kept)
 			}
 			req := engine.OperatorRequest{
 				Base:      frag,
 				Op:        op,
-				Keys:      pl.Keys(),
 				Guard:     pl.Guard,
 				BlockRows: c.blockRows,
 			}
 			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
-				st := mg.NewStage(k)
+				st := mg.NewStage(k, frag.Len(), kept)
 				call, err := s.EvalOperatorStream(actx, req, func(block *relation.Relation) error {
 					// End a cancelled query's streams promptly instead of
 					// computing and staging the rest for nothing.
@@ -559,7 +568,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 
 	t0 = time.Now()
-	err := ctx.Err()
+	err = ctx.Err()
 	if err == nil {
 		for _, e := range errs {
 			if e != nil {

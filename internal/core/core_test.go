@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
@@ -441,15 +442,14 @@ func TestMergerUnit(t *testing.T) {
 	if m.Extended() != 1 || !m.X().Schema.Equal(xs[1]) {
 		t.Fatalf("extend: extended=%d schema=%s", m.Extended(), m.X().Schema)
 	}
-	// Merge one H: keys + phys (cnt1, avg1_sum, avg1_cnt).
+	// Merge one H: the X row's ordinal + phys (cnt1, avg1_sum, avg1_cnt).
 	h := relation.New(relation.MustSchema(
-		relation.Column{Name: "g", Kind: relation.KindInt},
-		relation.Column{Name: "h", Kind: relation.KindInt},
+		relation.Column{Name: engine.OrdinalColumn, Kind: relation.KindInt},
 		relation.Column{Name: "cnt1", Kind: relation.KindInt},
 		relation.Column{Name: "avg1_sum", Kind: relation.KindInt},
 		relation.Column{Name: "avg1_cnt", Kind: relation.KindInt},
 	))
-	h.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0), relation.NewInt(2), relation.NewInt(10), relation.NewInt(2)})
+	h.MustAppend(relation.Tuple{relation.NewInt(0), relation.NewInt(2), relation.NewInt(10), relation.NewInt(2)})
 	if err := m.MergeH(h, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -466,11 +466,11 @@ func TestMergerUnit(t *testing.T) {
 	if row[avgIdx].Float != 5.0 {
 		t.Errorf("derived avg1 = %v", row[avgIdx])
 	}
-	// H with unknown key errors.
+	// H naming a row X does not have errors.
 	h2 := h.Clone()
 	h2.Tuples[0][0] = relation.NewInt(99)
-	if err := m.MergeH(h2, 0); err == nil {
-		t.Error("unknown key must error")
+	if err := m.MergeH(h2, 0); !errors.Is(err, ErrMalformedH) {
+		t.Errorf("out-of-range ordinal = %v, want ErrMalformedH", err)
 	}
 	// Merging the wrong operator errors.
 	if err := m.MergeH(h, 1); err == nil {

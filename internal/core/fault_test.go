@@ -66,7 +66,7 @@ func TestPersistentFailureExhaustsRetries(t *testing.T) {
 	}
 }
 
-// corruptKeyBlock swaps a key value for one no site owns.
+// corruptKeyBlock swaps a row's ordinal for one outside the shipped fragment.
 func corruptKeyBlock(b *relation.Relation) *relation.Relation {
 	if b.Len() == 0 {
 		return b
@@ -83,13 +83,13 @@ func corruptSchemaBlock(*relation.Relation) *relation.Relation {
 	return bad
 }
 
-// Corrupted synchronization input (keys not present in X) must be detected
-// by the merger rather than silently dropped.
+// Corrupted synchronization input (a row X does not have) must be detected by
+// the merger rather than silently dropped.
 func TestCorruptKeyDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptKeyBlock})
 	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
-	if err == nil || !strings.Contains(err.Error(), "not in X") {
-		t.Errorf("corrupt key: err = %v", err)
+	if !errors.Is(err, ErrMalformedH) {
+		t.Errorf("corrupt key: err = %v, want ErrMalformedH", err)
 	}
 }
 

@@ -118,8 +118,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	hSchema := relation.MustSchema(
-		relation.Column{Name: "g", Kind: relation.KindInt},
-		relation.Column{Name: "h", Kind: relation.KindInt},
+		relation.Column{Name: engine.OrdinalColumn, Kind: relation.KindInt},
 		relation.Column{Name: "cnt1", Kind: relation.KindInt},
 		relation.Column{Name: "sum1", Kind: relation.KindInt},
 		relation.Column{Name: "avg1_sum", Kind: relation.KindInt},
@@ -145,7 +144,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 			cnt := int64(rng.Intn(50) + 1)
 			sum := int64(rng.Intn(1000))
 			h.MustAppend(relation.Tuple{
-				relation.NewInt(int64(g)), relation.NewInt(int64(g % 4)),
+				relation.NewInt(int64(g)), // group g is X row g
 				relation.NewInt(cnt), relation.NewInt(sum),
 				relation.NewInt(sum), relation.NewInt(cnt),
 			})
@@ -166,7 +165,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 		}
 		stages := make([]*hStage, nSites)
 		for s := range stages {
-			stages[s] = m.NewStage(0)
+			stages[s] = m.NewStage(0, groups, nil)
 			if err := stages[s].Add(siteH[s].Clone()); err != nil {
 				t.Fatal(err)
 			}
@@ -213,7 +212,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 	if err := m.Extend(); err != nil {
 		t.Fatal(err)
 	}
-	st := m.NewStage(0)
+	st := m.NewStage(0, groups, nil)
 	if err := st.Add(siteH[0].Clone()); err != nil {
 		t.Fatal(err)
 	}

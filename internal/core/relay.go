@@ -146,11 +146,15 @@ func (r *Relay) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Rela
 	return out, nil
 }
 
-// EvalOperatorBlocks implements transport.Backend: the children's H_i are
-// merged by key with the super-aggregates (Theorem 1 applied at the tier),
-// then emitted in blocks. The merged relation is a valid sub-aggregate of
-// the relay's whole subtree.
+// EvalOperatorBlocks implements transport.Backend: the request goes to every
+// child unchanged — so a row ordinal means the same fragment row in all of
+// their H_i — and the H_i are merged by ordinal with the super-aggregates
+// (Theorem 1 applied at the tier), then emitted in blocks. The merged relation
+// is a valid sub-aggregate of the relay's whole subtree.
 func (r *Relay) EvalOperatorBlocks(ctx context.Context, req engine.OperatorRequest, emit func(*relation.Relation) error) error {
+	if req.Base == nil {
+		return fmt.Errorf("core: relay: operator request without base relation")
+	}
 	detail, err := r.DetailSchema(ctx, req.Op.Detail)
 	if err != nil {
 		return err
@@ -168,7 +172,7 @@ func (r *Relay) EvalOperatorBlocks(ctx context.Context, req engine.OperatorReque
 	if err != nil {
 		return err
 	}
-	merged, err := mergeSubAggregates(len(req.Keys), layouts, parts)
+	merged, err := mergeSubAggregates(req.Base.Len(), layouts, parts)
 	if err != nil {
 		return err
 	}
@@ -214,37 +218,37 @@ func (r *Relay) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relati
 	return m.X(), nil
 }
 
-// mergeSubAggregates merges per-child H relations (key columns followed by
-// the operator's physical columns) into one H by key, applying the
-// super-aggregate of each physical column.
-func mergeSubAggregates(numKeys int, layouts []*agg.Layout, parts []*relation.Relation) (*relation.Relation, error) {
-	physWidth := 0
+// mergeSubAggregates merges per-child H relations (the row ordinal in a
+// fragment of fragRows rows, followed by the operator's physical columns) into
+// one H by ordinal, applying the super-aggregate of each physical column. Rows
+// come out in the order their ordinals were first seen.
+func mergeSubAggregates(fragRows int, layouts []*agg.Layout, parts []*relation.Relation) (*relation.Relation, error) {
+	width := 0
 	for _, l := range layouts {
-		physWidth += len(l.Phys)
+		width += len(l.Phys)
 	}
 	out := relation.New(parts[0].Schema)
-	keyCols := make([]int, numKeys)
-	for i := range keyCols {
-		keyCols[i] = i
-	}
-	index := relation.BuildKeyIndexCols(out, keyCols)
+	at := make([]int32, fragRows) // ordinal → its row in out, plus one
 	for _, p := range parts {
 		if !p.Schema.Equal(out.Schema) {
 			return nil, fmt.Errorf("core: relay: child H schema %s, want %s", p.Schema, out.Schema)
 		}
+		if err := validateH(p, width); err != nil {
+			return nil, fmt.Errorf("core: relay: %w", err)
+		}
+		seen := newOrdinalSet(fragRows)
 		for _, row := range p.Tuples {
-			if len(row) != numKeys+physWidth {
-				return nil, fmt.Errorf("core: relay: H row arity %d, want %d", len(row), numKeys+physWidth)
+			ord, err := seen.claim(row)
+			if err != nil {
+				return nil, fmt.Errorf("core: relay: %w", err)
 			}
-			rows := index.Lookup(row, keyCols)
-			if len(rows) == 0 {
-				nrow := row.Clone()
-				out.Tuples = append(out.Tuples, nrow)
-				index.Add(nrow, len(out.Tuples)-1)
+			if at[ord] == 0 {
+				out.Tuples = append(out.Tuples, row.Clone())
+				at[ord] = int32(len(out.Tuples))
 				continue
 			}
-			target := out.Tuples[rows[0]]
-			cursor := numKeys
+			target := out.Tuples[at[ord]-1]
+			cursor := 1
 			for _, l := range layouts {
 				n := len(l.Phys)
 				if err := l.MergePhys(target[cursor:cursor+n], row[cursor:cursor+n]); err != nil {

@@ -146,7 +146,6 @@ func TestSetWorkersEquivalence(t *testing.T) {
 	req := OperatorRequest{
 		Base: baseFragment(0, 1, 2, 3, 4, 5, 6),
 		Op:   countOp("B.SAS = R.SAS"),
-		Keys: []string{"SAS"},
 	}
 	var want string
 	for _, workers := range []int{1, 0, 2, 7} {

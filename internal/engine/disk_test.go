@@ -47,7 +47,6 @@ func TestDiskBackedSiteEquivalence(t *testing.T) {
 	req := OperatorRequest{
 		Base: baseFragment(1, 2, 3, 4),
 		Op:   countOp("B.SAS = R.SAS && R.NB > 4"),
-		Keys: []string{"SAS"},
 	}
 	for _, useHash := range []bool{true, false} {
 		mem.SetUseHash(useHash)

@@ -229,17 +229,15 @@ func (s *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relat
 // partition against the shipped base-result fragment.
 type OperatorRequest struct {
 	// Base is the fragment of the base-result structure X shipped to the
-	// site: the key attributes plus any previously computed aggregate
-	// columns the operator's conditions reference.
+	// site: the key attributes plus exactly the previously computed columns
+	// the operator's conditions reference, for the rows the site can
+	// contribute to (all of X unless a Thm. 4 reducer cut it down). A row's
+	// position in Base is how H_i names it.
 	Base *relation.Relation
 	// Op is the operator (one or more grouping variables).
 	Op gmdj.Operator
-	// Keys names the base key attributes K within Base's schema; the
-	// returned H_i carries them so the coordinator can synchronize in
-	// O(|H|) against its key index.
-	Keys []string
 	// Guard enables distribution-independent group reduction (Prop. 1):
-	// only base rows with |RNG(b, R_i, θ_1 ∨ … ∨ θ_m)| > 0 are returned.
+	// only base rows with |RNG(b, R, θ_1 ∨ … ∨ θ_m)| > 0 are returned.
 	Guard bool
 	// BlockRows enables row blocking (Sect. 3.2 / classical distributed
 	// optimization): H_i is returned in blocks of at most this many rows, so
@@ -248,8 +246,22 @@ type OperatorRequest struct {
 	BlockRows int
 }
 
+// OrdinalColumn is the leading column of every H_i: the INT position, in the
+// request's Base, of the row the sub-aggregates belong to. Whoever shipped
+// the fragment knows which X row each position is, so synchronization is an
+// array index instead of a key lookup and the keys are not shipped back. The
+// name cannot be written as an identifier, so no query column collides with
+// it.
+const OrdinalColumn = "#row"
+
+// HSchema is the schema of an H_i over the given physical sub-aggregate
+// columns.
+func HSchema(phys relation.Schema) (relation.Schema, error) {
+	return relation.Schema{{Name: OrdinalColumn, Kind: relation.KindInt}}.Concat(phys)
+}
+
 // EvalOperator computes the site's sub-aggregate relation H_i for one MD
-// operator: one row per (retained) base tuple, carrying the key attributes
+// operator: one row per (retained) base tuple, carrying the tuple's ordinal
 // followed by the physical sub-aggregate columns of every grouping variable.
 func (s *Site) EvalOperator(ctx context.Context, req OperatorRequest) (*relation.Relation, error) {
 	var h *relation.Relation
@@ -291,23 +303,28 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		return err
 	}
 
-	// Stream the accumulated evaluation as H_i blocks: guard filtering, key
-	// projection and row blocking per the request.
-	keyIdx, err := req.Base.Schema.Indexes(req.Keys)
-	if err != nil {
-		return err
-	}
+	// Stream the accumulated evaluation as H_i blocks: guard filtering and row
+	// blocking per the request. The rows to emit are counted first, so every
+	// block is sized exactly and its rows are carved from one Value slab —
+	// only the rows the guard lets through are ever boxed.
 	physSchema, err := acc.PhysSchema()
 	if err != nil {
 		return err
 	}
-	hSchema, err := req.Base.Schema.Project(keyIdx).Concat(physSchema)
+	hSchema, err := HSchema(physSchema)
 	if err != nil {
 		return err
 	}
-	block := relation.New(hSchema)
-	emitted := false
-	flush := func() error {
+	remaining := len(req.Base.Tuples)
+	if req.Guard {
+		remaining = 0
+		for _, t := range acc.Touched {
+			if t {
+				remaining++
+			}
+		}
+	}
+	flush := func(block *relation.Relation) error {
 		// Block boundaries are the cancellation points of a streamed
 		// evaluation: a canceled coordinator stops the stream here instead of
 		// computing every remaining block.
@@ -316,32 +333,38 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		}
 		obs.EngineBlocks.Inc()
 		rec.AddBlocks(1)
-		if err := emit(block); err != nil {
-			return err
-		}
-		emitted = true
-		block = relation.New(hSchema)
-		return nil
+		return emit(block)
 	}
-	for i, br := range req.Base.Tuples {
+	if remaining == 0 {
+		return flush(relation.New(hSchema))
+	}
+	w := len(hSchema)
+	var block *relation.Relation
+	var slab []relation.Value
+	for i := range req.Base.Tuples {
 		if req.Guard && !acc.Touched[i] {
 			continue
 		}
-		row := make(relation.Tuple, 0, len(hSchema))
-		for _, k := range keyIdx {
-			row = append(row, br[k])
-		}
-		block.Tuples = append(block.Tuples, acc.AppendPhysRow(row, i))
-		if req.BlockRows > 0 && block.Len() >= req.BlockRows {
-			if err := flush(); err != nil {
-				return err
+		if block == nil {
+			rows := remaining
+			if req.BlockRows > 0 && rows > req.BlockRows {
+				rows = req.BlockRows
 			}
+			block = &relation.Relation{Schema: hSchema, Tuples: make([]relation.Tuple, 0, rows)}
+			slab = make([]relation.Value, rows*w)
 		}
-	}
-	if block.Len() > 0 || !emitted {
-		obs.EngineBlocks.Inc()
-		rec.AddBlocks(1)
-		return emit(block)
+		off := len(block.Tuples) * w
+		row := slab[off : off+1 : off+w]
+		row[0] = relation.NewInt(int64(i))
+		block.Tuples = append(block.Tuples, acc.AppendPhysRow(row, i))
+		remaining--
+		if len(block.Tuples) < cap(block.Tuples) {
+			continue
+		}
+		if err := flush(block); err != nil {
+			return err
+		}
+		block = nil
 	}
 	return nil
 }

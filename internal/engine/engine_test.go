@@ -106,10 +106,10 @@ func countOp(cond string) gmdj.Operator {
 
 func TestEvalOperatorSubAggregates(t *testing.T) {
 	s := siteWithFlows(t, [3]int64{1, 1, 5}, [3]int64{1, 2, 7}, [3]int64{2, 1, 11})
+	base := baseFragment(1, 2, 3)
 	h, err := s.EvalOperator(context.Background(), OperatorRequest{
-		Base: baseFragment(1, 2, 3),
+		Base: base,
 		Op:   countOp("B.SAS = R.SAS"),
-		Keys: []string{"SAS"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -117,7 +117,7 @@ func TestEvalOperatorSubAggregates(t *testing.T) {
 	if h.Len() != 3 {
 		t.Fatalf("H rows = %d, want 3 (no guard)\n%s", h.Len(), h)
 	}
-	if got := strings.Join(h.Schema.Names(), ","); got != "SAS,c,s" {
+	if got := strings.Join(h.Schema.Names(), ","); got != OrdinalColumn+",c,s" {
 		t.Fatalf("H schema = %s", got)
 	}
 	byKey := map[int64][2]int64{}
@@ -126,14 +126,15 @@ func TestEvalOperatorSubAggregates(t *testing.T) {
 		if !row[2].IsNull() {
 			sum = row[2].Int
 		}
-		byKey[row[0].Int] = [2]int64{row[1].Int, sum}
+		// A row names its base tuple by position in the shipped fragment.
+		byKey[base.Tuples[row[0].Int][0].Int] = [2]int64{row[1].Int, sum}
 	}
 	if byKey[1] != [2]int64{2, 12} || byKey[2] != [2]int64{1, 11} || byKey[3] != [2]int64{0, 0} {
 		t.Errorf("sub-aggregates = %v", byKey)
 	}
 	// SUM over an empty range must be NULL.
 	for _, row := range h.Tuples {
-		if row[0].Int == 3 && !row[2].IsNull() {
+		if row[0].Int == 2 && !row[2].IsNull() {
 			t.Errorf("empty-range sum = %v, want NULL", row[2])
 		}
 	}
@@ -144,7 +145,6 @@ func TestEvalOperatorGuardReduction(t *testing.T) {
 	h, err := s.EvalOperator(context.Background(), OperatorRequest{
 		Base:  baseFragment(1, 2, 3, 4),
 		Op:    countOp("B.SAS = R.SAS"),
-		Keys:  []string{"SAS"},
 		Guard: true,
 	})
 	if err != nil {
@@ -165,13 +165,12 @@ func TestEvalOperatorGuardUsesOrOfAllVars(t *testing.T) {
 	h, err := s.EvalOperator(context.Background(), OperatorRequest{
 		Base:  baseFragment(1, 2),
 		Op:    op,
-		Keys:  []string{"SAS"},
 		Guard: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Len() != 1 || h.Tuples[0][0].Int != 1 {
+	if h.Len() != 1 || h.Tuples[0][0].Int != 0 {
 		t.Fatalf("guard OR semantics: %s", h)
 	}
 	// c1 = 0 but c2 = 1 for base value 1 (DAS = 1 matches).
@@ -182,21 +181,16 @@ func TestEvalOperatorGuardUsesOrOfAllVars(t *testing.T) {
 
 func TestEvalOperatorErrors(t *testing.T) {
 	s := siteWithFlows(t, [3]int64{1, 1, 5})
-	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Op: countOp("true"), Keys: nil}); err == nil {
+	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Op: countOp("true")}); err == nil {
 		t.Error("nil base must error")
-	}
-	if _, err := s.EvalOperator(context.Background(), OperatorRequest{
-		Base: baseFragment(1), Op: countOp("B.SAS = R.SAS"), Keys: []string{"zz"},
-	}); err == nil {
-		t.Error("unknown key must error")
 	}
 	badOp := countOp("B.SAS = R.SAS")
 	badOp.Detail = "Missing"
-	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Base: baseFragment(1), Op: badOp, Keys: []string{"SAS"}}); err == nil {
+	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Base: baseFragment(1), Op: badOp}); err == nil {
 		t.Error("missing detail must error")
 	}
 	badCond := countOp("B.zz = R.SAS")
-	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Base: baseFragment(1), Op: badCond, Keys: []string{"SAS"}}); err == nil {
+	if _, err := s.EvalOperator(context.Background(), OperatorRequest{Base: baseFragment(1), Op: badCond}); err == nil {
 		t.Error("unbindable condition must error")
 	}
 }
@@ -258,7 +252,6 @@ func TestSetUseHashEquivalence(t *testing.T) {
 	req := OperatorRequest{
 		Base: baseFragment(1, 2, 3, 4),
 		Op:   countOp("B.SAS = R.SAS && R.NB > 6"),
-		Keys: []string{"SAS"},
 	}
 	h1, err := s1.EvalOperator(context.Background(), req)
 	if err != nil {

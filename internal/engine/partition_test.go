@@ -39,7 +39,7 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 	requests := map[string]func(context.Context, *Site) (*relation.Relation, error){
 		"base": func(ctx context.Context, s *Site) (*relation.Relation, error) { return s.EvalBase(ctx, bq) },
 		"operator": func(ctx context.Context, s *Site) (*relation.Relation, error) {
-			return s.EvalOperator(ctx, OperatorRequest{Base: baseFragment(0, 1, 2, 3, 9), Op: op, Keys: []string{"SAS"}})
+			return s.EvalOperator(ctx, OperatorRequest{Base: baseFragment(0, 1, 2, 3, 9), Op: op})
 		},
 		"local": func(ctx context.Context, s *Site) (*relation.Relation, error) {
 			return s.EvalLocal(ctx, LocalRequest{Query: gmdj.Query{Base: bq, Ops: []gmdj.Operator{op}}, UpTo: 1})
@@ -105,7 +105,7 @@ func TestLoadSnapshots(t *testing.T) {
 	for _, useHash := range []bool{true, false} { // kernel, then the scalar nested loop
 		s.SetUseHash(useHash)
 		h, err := s.EvalOperator(context.Background(), OperatorRequest{
-			Base: baseFragment(1, 2, 3), Op: countOp("B.SAS = R.SAS"), Keys: []string{"SAS"},
+			Base: baseFragment(1, 2, 3), Op: countOp("B.SAS = R.SAS"),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -154,12 +154,12 @@ func TestScanPathCountedAtSite(t *testing.T) {
 		{"row source", local(rows), "scalar", "source", 2},
 		{"rollup condition", func() error {
 			_, err := loaded.EvalOperator(context.Background(), OperatorRequest{
-				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS || B.SAS = 1"), Keys: []string{"SAS"}})
+				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS || B.SAS = 1")})
 			return err
 		}, "scalar", "shape", 1},
 		{"nested-loop site", func() error {
 			_, err := nestedLoop.EvalOperator(context.Background(), OperatorRequest{
-				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS"), Keys: []string{"SAS"}})
+				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS")})
 			return err
 		}, "scalar", "shape", 1},
 		{"centralized oracle", func() error {

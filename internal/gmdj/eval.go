@@ -327,14 +327,20 @@ func (p *baseProg) scanShard(src RowSource, worker int, seen *relation.KeySet, o
 }
 
 // OperatorAccum holds the per-base-row physical accumulators of one MD
-// operator evaluation over one detail relation (or one partition of it), one
-// slice per grouping variable, plus the Touched flags: Touched[i] is the
-// |RNG(b_i, R, θ_1 ∨ … ∨ θ_m)| > 0 test of Proposition 1, used for
-// distribution-independent group reduction.
+// operator evaluation over one detail relation (or one partition of it), plus
+// the Touched flags: Touched[i] is the |RNG(b_i, R, θ_1 ∨ … ∨ θ_m)| > 0 test
+// of Proposition 1, used for distribution-independent group reduction. The
+// accumulators are read through AppendPhysRow and ExtendRow, which box a row's
+// values on demand: a caller that emits only the touched rows never pays for
+// the others.
 type OperatorAccum struct {
 	Layouts []*agg.Layout
-	Accs    [][]relation.Tuple // [variable][baseRow]
 	Touched []bool
+	// Exactly one of the two holds the partials, [variable] first: boxed
+	// tuples per base row from the scalar paths, typed slabs per physical
+	// column from a compiled kernel.
+	accs  [][]relation.Tuple
+	slabs [][]physSlab
 }
 
 // AccumulateOperator evaluates one MD operator's grouping variables over the
@@ -388,7 +394,7 @@ func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSour
 	}
 	hits := make([]uint32, x.Len())
 	for vi, st := range states {
-		if err := st.scan(x, detail, out.Accs[vi], hits, -1); err != nil {
+		if err := st.scan(x, detail, out.accs[vi], hits, -1); err != nil {
 			return nil, err
 		}
 	}
@@ -403,12 +409,12 @@ func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSour
 func newOperatorAccum(baseRows int, states []*varState) *OperatorAccum {
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(states)),
-		Accs:    make([][]relation.Tuple, len(states)),
+		accs:    make([][]relation.Tuple, len(states)),
 		Touched: make([]bool, baseRows),
 	}
 	for vi, st := range states {
 		out.Layouts[vi] = st.layout
-		out.Accs[vi] = identityRows(st.layout, baseRows)
+		out.accs[vi] = identityRows(st.layout, baseRows)
 	}
 	return out
 }
@@ -609,8 +615,9 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 	row := make(relation.Tuple, 0, len(baseRow)+a.physWidth())
 	row = append(row, baseRow...)
 	for vi, l := range a.Layouts {
-		row = append(row, a.Accs[vi][i]...)
-		row = append(row, l.ComputeDerived(a.Accs[vi][i])...)
+		phys := len(row)
+		row = a.appendVar(row, vi, i)
+		row = append(row, l.ComputeDerived(row[phys:])...)
 	}
 	return row
 }
@@ -619,7 +626,18 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 // all variables (the sub-aggregate payload shipped in H_i rows) to dst.
 func (a *OperatorAccum) AppendPhysRow(dst relation.Tuple, i int) relation.Tuple {
 	for vi := range a.Layouts {
-		dst = append(dst, a.Accs[vi][i]...)
+		dst = a.appendVar(dst, vi, i)
+	}
+	return dst
+}
+
+// appendVar appends variable vi's physical values for base row i.
+func (a *OperatorAccum) appendVar(dst relation.Tuple, vi, i int) relation.Tuple {
+	if a.slabs == nil {
+		return append(dst, a.accs[vi][i]...)
+	}
+	for p := range a.slabs[vi] {
+		dst = append(dst, a.slabs[vi][p].value(i))
 	}
 	return dst
 }

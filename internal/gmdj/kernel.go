@@ -18,8 +18,8 @@ import (
 // Value accumulators. A kernel decides it once per request: X's link values
 // are translated into the partition's dictionary codes, the residual
 // conjuncts become closures over typed column slices, and accumulators are
-// flat typed slabs. What is left per row is an array index, a few typed
-// compares and a few adds.
+// flat typed slabs, boxed into Values only for the rows a caller asks for.
+// What is left per row is an array index, a few typed compares and a few adds.
 //
 // A kernel exists only for the shapes compileOperator and compileBaseKernel
 // cover; every other request runs the scalar path unchanged. The choice is
@@ -515,6 +515,18 @@ type physSlab struct {
 	seen   []bool
 }
 
+// value boxes base row bi's cell as agg.Layout would hold it.
+func (s *physSlab) value(bi int) relation.Value {
+	switch {
+	case s.seen != nil && !s.seen[bi]:
+		return relation.Null
+	case s.ints != nil:
+		return relation.NewInt(s.ints[bi])
+	default:
+		return relation.NewFloat(s.floats[bi])
+	}
+}
+
 // aggStep folds detail row i into base row bi's cell of one slab.
 type aggStep func(i int, bi int32)
 
@@ -896,7 +908,8 @@ func (k *opKernel) scanShard(src ColumnSource, worker int) *kernelPartial {
 }
 
 // run scans every shard (one goroutine each when there are several), folds
-// the partials in worker order and materializes the OperatorAccum.
+// the partials in worker order and hands the folded slabs to the
+// OperatorAccum as they are.
 func (k *opKernel) run(shards []ColumnSource) *OperatorAccum {
 	parts := make([]*kernelPartial, len(shards))
 	eachShard(len(shards), func(w, worker int) {
@@ -915,12 +928,11 @@ func (k *opKernel) run(shards []ColumnSource) *OperatorAccum {
 	}
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(k.vars)),
-		Accs:    make([][]relation.Tuple, len(k.vars)),
 		Touched: into.touched,
+		slabs:   into.slabs,
 	}
 	for vi, vk := range k.vars {
 		out.Layouts[vi] = vk.layout
-		out.Accs[vi] = vk.materialize(into.slabs[vi], k.nx)
 	}
 	return out
 }
@@ -972,31 +984,6 @@ func mergeMinMax[T int64 | float64](a []T, aseen []bool, b []T, bseen []bool, ma
 			a[bi] = b[bi]
 		}
 	}
-}
-
-// materialize boxes one variable's slabs into per-base-row physical tuples,
-// carved from a single Value slab.
-func (vk *varKernel) materialize(slabs []physSlab, nx int) []relation.Tuple {
-	width := len(slabs)
-	vals := make([]relation.Value, nx*width)
-	for p := range slabs {
-		s := &slabs[p]
-		for bi := 0; bi < nx; bi++ {
-			switch {
-			case s.seen != nil && !s.seen[bi]:
-				// NULL, the zero Value.
-			case s.ints != nil:
-				vals[bi*width+p] = relation.NewInt(s.ints[bi])
-			default:
-				vals[bi*width+p] = relation.NewFloat(s.floats[bi])
-			}
-		}
-	}
-	accs := make([]relation.Tuple, nx)
-	for bi := range accs {
-		accs[bi] = vals[bi*width : (bi+1)*width : (bi+1)*width]
-	}
-	return accs
 }
 
 // baseKernel is a base query compiled against one columnar partition: the

@@ -73,18 +73,29 @@ func sameRows(a, b []relation.Tuple) error {
 	return nil
 }
 
+// sameAccum compares the two accumulators the way their callers read them:
+// every base row's AppendPhysRow (the H_i payload — boxed from the typed slabs
+// on the kernel's side) and ExtendRow (physical and derived cells), cell for
+// cell.
 func sameAccum(scalar, kernel *OperatorAccum) error {
-	if len(scalar.Accs) != len(kernel.Accs) {
-		return fmt.Errorf("%d variables vs %d", len(scalar.Accs), len(kernel.Accs))
+	if len(scalar.Layouts) != len(kernel.Layouts) {
+		return fmt.Errorf("%d variables vs %d", len(scalar.Layouts), len(kernel.Layouts))
 	}
-	for vi := range scalar.Accs {
-		if err := sameRows(scalar.Accs[vi], kernel.Accs[vi]); err != nil {
-			return fmt.Errorf("variable %d: %w", vi, err)
-		}
+	if len(scalar.Touched) != len(kernel.Touched) {
+		return fmt.Errorf("%d base rows vs %d", len(scalar.Touched), len(kernel.Touched))
 	}
+	base := relation.Tuple{relation.NewString("b")}
 	for i := range scalar.Touched {
 		if scalar.Touched[i] != kernel.Touched[i] {
 			return fmt.Errorf("Touched[%d]: %v vs %v", i, scalar.Touched[i], kernel.Touched[i])
+		}
+		s, k := scalar.AppendPhysRow(nil, i), kernel.AppendPhysRow(nil, i)
+		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
+			return fmt.Errorf("AppendPhysRow(%d): %w", i, err)
+		}
+		s, k = scalar.ExtendRow(base, i), kernel.ExtendRow(base, i)
+		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
+			return fmt.Errorf("ExtendRow(%d): %w", i, err)
 		}
 	}
 	return nil
@@ -429,6 +440,53 @@ func TestKernelFloatSumOrder(t *testing.T) {
 	// The grand-total row sums every detail row, the others a third each:
 	// both in row order, whichever pattern reaches them.
 	checkOperator(t, setsOf(t, r, []string{"G"}, []string{"G"}, []string{}), oneVar(rollupCond("G"), aggs...), r, reasonOK)
+}
+
+// TestKernelRowsBoxedFromSlabs pins how a site reads a compiled evaluation: the
+// accumulator keeps the kernel's typed slabs — nothing is boxed until a row is
+// asked for — and AppendPhysRow, writing into a row carved from a caller's
+// slab as engine.Site.EvalOperatorBlocks does, produces the scalar path's
+// cells bit for bit: COUNT 0 and NULL for untouched rows, INT and FLOAT sums,
+// minima and order-dependent FLOAT sums alike, across two variables.
+func TestKernelRowsBoxedFromSlabs(t *testing.T) {
+	detail := kernelDetail(23, 900)
+	x := withRows(baseOf(t, detail, "S"), relation.Tuple{relation.NewString("no such key")})
+	op := Operator{Detail: "D", Vars: []GroupVar{
+		{Cond: expr.MustParse("B.S = R.S"), Aggs: allAggs},
+		{Cond: expr.MustParse("B.S = R.S && R.V >= 5"), Aggs: []agg.Spec{
+			{Func: agg.Sum, Arg: "P", As: "sp2"}, {Func: agg.Avg, Arg: "F", As: "af2"}, {Func: agg.Min, Arg: "P", As: "lo2"},
+		}},
+	}}
+	for _, workers := range kernelTestWorkers {
+		scalar, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), true, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kernel, err := AccumulateOperatorWorkers(x, op, newColSource(detail), true, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if kernel.slabs == nil || kernel.accs != nil || scalar.slabs != nil {
+			t.Fatalf("workers=%d: the kernel's accumulator must hold slabs only, the scalar one tuples only", workers)
+		}
+		phys, err := kernel.PhysSchema()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w := 1 + len(phys)
+		slab := make([]relation.Value, x.Len()*w)
+		for i := range x.Tuples {
+			row := slab[i*w : i*w+1 : (i+1)*w]
+			got := kernel.AppendPhysRow(row, i)
+			if &got[0] != &slab[i*w] {
+				t.Fatalf("workers=%d row %d: AppendPhysRow left the row it was given", workers, i)
+			}
+			want := scalar.AppendPhysRow(make(relation.Tuple, 1, w), i)
+			if err := sameRows([]relation.Tuple{want}, []relation.Tuple{got}); err != nil {
+				t.Errorf("workers=%d row %d: %v", workers, i, err)
+			}
+		}
+	}
 }
 
 func TestKernelOperatorFallsBack(t *testing.T) {

@@ -155,7 +155,7 @@ func mergeWorkerAccums(n int, states []*varState, out *OperatorAccum, ws []*work
 				continue
 			}
 			for vi, st := range states {
-				if err := st.layout.MergePhys(out.Accs[vi][i], wa.accs[vi][i]); err != nil {
+				if err := st.layout.MergePhys(out.accs[vi][i], wa.accs[vi][i]); err != nil {
 					return err
 				}
 			}

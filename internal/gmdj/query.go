@@ -52,6 +52,39 @@ func (op Operator) OutputColumns(detail relation.Schema) ([]string, error) {
 	return out, nil
 }
 
+// ShippedColumns returns the positions, ascending, of the columns of the
+// base-result schema x a site needs to evaluate the operator: the key
+// attributes and every base-side column one of its conditions reads.
+// Aggregate arguments are detail columns, so nothing else of X is ever looked
+// at — this is what an operator round ships, and what the cost model prices.
+func (op Operator) ShippedColumns(x relation.Schema, keys []string) ([]int, error) {
+	need := make([]bool, len(x))
+	idx, err := x.Indexes(keys)
+	if err != nil {
+		return nil, err
+	}
+	for _, i := range idx {
+		need[i] = true
+	}
+	for _, v := range op.Vars {
+		base, _ := expr.Attrs(v.Cond)
+		for name := range base {
+			i := x.Index(name)
+			if i < 0 {
+				return nil, fmt.Errorf("gmdj: condition reads %q, which is not in %s", name, x)
+			}
+			need[i] = true
+		}
+	}
+	var cols []int
+	for i, n := range need {
+		if n {
+			cols = append(cols, i)
+		}
+	}
+	return cols, nil
+}
+
 // BaseQuery defines the base-values relation B_0: a distinct projection of a
 // detail relation, optionally filtered. The projection columns are the key
 // attributes K of the base-values relation.

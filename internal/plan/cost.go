@@ -3,6 +3,7 @@ package plan
 import (
 	"fmt"
 
+	"skalla/internal/agg"
 	"skalla/internal/distrib"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
@@ -111,6 +112,24 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 		}
 		return 16
 	}
+	// An operator round ships what the exchange ships (internal/core
+	// operatorRound): down, X_k projected onto the keys and the columns the
+	// operator's conditions read; up, the row ordinal and the operator's
+	// physical columns.
+	downB := func(k int) int64 {
+		if k < len(xs) {
+			if cols, err := p.Query.Ops[k].ShippedColumns(xs[k], p.Query.Keys()); err == nil {
+				return rowBytes(xs[k].Project(cols))
+			}
+		}
+		return rowB(k)
+	}
+	upB := func(k int) int64 {
+		if k+1 < len(xs) {
+			return 8 + rowBytes(physColumns(p.Query.Ops[k], xs[k], xs[k+1]))
+		}
+		return 16
+	}
 
 	numOps := len(p.Query.Ops)
 	startOp := 0
@@ -134,9 +153,9 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 	for k := startOp; k < numOps; k++ {
 		// Down: the coordinator ships X_k to every site — unless Thm. 4
 		// reducers partition it so each site gets only its own fragment.
-		down := n*overhead + n*groups*rowB(k)
+		down := n*overhead + n*groups*downB(k)
 		if p.Reducers != nil && k < len(p.Reducers) && p.Reducers[k] != nil {
-			down = n*overhead + groups*rowB(k)
+			down = n*overhead + groups*downB(k)
 		}
 		// Up: each site returns aggregates for the groups it saw; the Prop. 1
 		// guard suppresses groups with no matching detail rows.
@@ -144,7 +163,7 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 		if p.Guard {
 			up *= m.GuardSelectivity
 		}
-		add(fmt.Sprintf("MD%d", k+1), down, ceilI(up)*rowB(k+1))
+		add(fmt.Sprintf("MD%d", k+1), down, ceilI(up)*upB(k))
 	}
 	return est
 }
@@ -186,6 +205,28 @@ func (m CostModel) baseGroups(q gmdj.Query, cat *distrib.Catalog) (int64, bool) 
 		}
 	}
 	return groups, aligned
+}
+
+// physColumns returns the columns op appends to X that its H_i carries: the
+// ones after has and not before, less the derived columns, which the
+// coordinator recomputes from them.
+func physColumns(op gmdj.Operator, before, after relation.Schema) relation.Schema {
+	derived := make(map[string]struct{})
+	for _, v := range op.Vars {
+		for _, sp := range v.Aggs {
+			switch sp.Func {
+			case agg.Avg, agg.Variance, agg.StdDev:
+				derived[sp.As] = struct{}{}
+			}
+		}
+	}
+	var out relation.Schema
+	for _, c := range after[len(before):] {
+		if _, ok := derived[c.Name]; !ok {
+			out = append(out, c)
+		}
+	}
+	return out
 }
 
 // rowBytes is the modeled serialized width of one tuple of the schema.

@@ -9,6 +9,7 @@ import (
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
+	"skalla/internal/stats"
 )
 
 var flowSchemas = gmdj.Schemas{
@@ -248,5 +249,45 @@ func TestPlanSimplifiesConditions(t *testing.T) {
 	// The caller's query is untouched.
 	if q.Ops[0].Vars[0].Cond.String() == p.Query.Ops[0].Vars[0].Cond.String() {
 		t.Error("input query was mutated")
+	}
+}
+
+// TestOperatorRoundEstimateIsTheExchange: an operator round is priced at what
+// it ships — down, the keys and the columns its conditions read; up, the row
+// ordinal and the operator's physical columns — not at the widths of X.
+func TestOperatorRoundEstimateIsTheExchange(t *testing.T) {
+	// Example 1's shape: MD1 leaves cnt, avg_sum, avg_cnt, avg in X; MD2's
+	// condition reads the key and avg only.
+	q := gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"DAS"}},
+		Ops: []gmdj.Operator{
+			{Detail: "Flow", Vars: []gmdj.GroupVar{{
+				Aggs: []agg.Spec{{Func: agg.Count, As: "cnt"}, {Func: agg.Avg, Arg: "NB", As: "avg"}},
+				Cond: expr.MustParse("B.DAS = R.DAS"),
+			}}},
+			opWith("above", "B.DAS = R.DAS && R.NB >= B.avg"),
+		},
+	}
+	model := DefaultCostModel(stats.NetModel{})
+	p, err := Compile(q, flowSchemas, nil, 4, SelectNone(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const num, row = 8, 1 // rowBytes: 8 per number, 1 per row
+	groups, sites := model.DefaultGroups, int64(4)
+	want := []RoundEstimate{
+		{Name: "base", BytesDown: sites * model.MsgOverhead, BytesUp: sites * groups * (row + num)},
+		// MD1 ships DAS, gets back ordinal + cnt, avg_sum, avg_cnt.
+		{Name: "MD1", BytesDown: sites * (model.MsgOverhead + groups*(row+num)), BytesUp: sites * groups * (row + 4*num)},
+		// MD2 ships DAS and avg of X's five columns, gets back ordinal + above.
+		{Name: "MD2", BytesDown: sites * (model.MsgOverhead + groups*(row+2*num)), BytesUp: sites * groups * (row + 2*num)},
+	}
+	if len(p.Estimate.PerRound) != len(want) {
+		t.Fatalf("rounds = %+v", p.Estimate.PerRound)
+	}
+	for i, w := range want {
+		if got := p.Estimate.PerRound[i]; got != w {
+			t.Errorf("round %d = %+v, want %+v", i, got, w)
+		}
 	}
 }

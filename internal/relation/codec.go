@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sync"
 
 	"skalla/internal/obs"
@@ -77,10 +78,8 @@ func (e *Encoder) Bytes() int64 { return e.bytes }
 
 // Encode writes one relation frame.
 func (e *Encoder) Encode(r *Relation) error {
-	for i, t := range r.Tuples {
-		if len(t) != len(r.Schema) {
-			return fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
-		}
+	if err := checkArity(r); err != nil {
+		return err
 	}
 	body := e.body[:0]
 	if e.hasSchema && e.schema.Equal(r.Schema) {
@@ -103,6 +102,17 @@ func (e *Encoder) Encode(r *Relation) error {
 	e.bytes += int64(n + len(body))
 	obs.CodecEncodeBytes.Add(int64(n + len(body)))
 	obs.CodecFrames.With("encode").Inc()
+	return nil
+}
+
+// checkArity refuses a relation the column-major encoding would index out of
+// range on.
+func checkArity(r *Relation) error {
+	for i, t := range r.Tuples {
+		if len(t) != len(r.Schema) {
+			return fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
+		}
+	}
 	return nil
 }
 
@@ -288,15 +298,8 @@ func (d *Decoder) Decode() (*Relation, error) {
 	return rel, nil
 }
 
-// uvarintLen is the encoded size of the frame's length prefix.
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
+// uvarintLen is the encoded size of v as a uvarint.
+func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // cursor is a bounds-checked reader over a frame body.
 type cursor struct {
@@ -457,20 +460,36 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 			t[j] = Value{Kind: KindFloat, Float: math.Float64frombits(binary.LittleEndian.Uint64(raw))}
 		}
 	case KindString:
-		for i, t := range rel.Tuples {
+		// One allocation for the column: the first pass bounds-checks every
+		// length prefix and finds where the column ends, the byte range becomes
+		// one string, and the values are substrings of it past their prefixes.
+		// A value therefore keeps its whole column alive, which is what a
+		// decoded relation does with its rows anyway.
+		start := cur.pos
+		for i := range rel.Tuples {
 			if isNullAt(bitmap, i) {
-				t[j] = Null
 				continue
 			}
 			n, err := cur.count(maxFrameBody, "string length")
 			if err != nil {
 				return err
 			}
-			raw, err := cur.bytes(n)
-			if err != nil {
+			if _, err := cur.bytes(n); err != nil {
 				return err
 			}
-			t[j] = Value{Kind: KindString, Str: string(raw)}
+		}
+		raw := cur.b[start:cur.pos]
+		col := string(raw)
+		off := 0
+		for i, t := range rel.Tuples {
+			if isNullAt(bitmap, i) {
+				t[j] = Null
+				continue
+			}
+			n, w := binary.Uvarint(raw[off:])
+			off += w
+			t[j] = Value{Kind: KindString, Str: col[off : off+int(n)]}
+			off += int(n)
 		}
 	case KindBool:
 		nonNull := 0
@@ -540,13 +559,71 @@ func readMixedColumn(cur *cursor, rel *Relation, j int, bitmap []byte) error {
 	return nil
 }
 
-// Marshal encodes a relation as one self-contained frame (schema inline).
+// Marshal encodes a relation as one self-contained frame (schema inline): the
+// bytes a fresh Encoder writes, appended into one slice sized for them
+// beforehand.
 func Marshal(r *Relation) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := NewEncoder(&buf).Encode(r); err != nil {
+	if err := checkArity(r); err != nil {
 		return nil, err
 	}
-	return buf.Bytes(), nil
+	// The length prefix is written last, right-aligned in the room kept for
+	// it in front of the body.
+	const room = binary.MaxVarintLen64
+	buf := make([]byte, room, room+1+schemaSize(r.Schema)+columnsSize(r))
+	buf = append(buf, frameInline)
+	buf = appendSchema(buf, r.Schema)
+	buf = appendColumns(buf, r)
+	body := uint64(len(buf) - room)
+	start := room - uvarintLen(body)
+	binary.PutUvarint(buf[start:], body)
+	obs.CodecEncodeBytes.Add(int64(len(buf) - start))
+	obs.CodecFrames.With("encode").Inc()
+	return buf[start:], nil
+}
+
+// schemaSize is the number of bytes appendSchema appends.
+func schemaSize(s Schema) int {
+	n := uvarintLen(uint64(len(s)))
+	for _, c := range s {
+		n += uvarintLen(uint64(len(c.Name))) + len(c.Name) + 1
+	}
+	return n
+}
+
+// columnsSize is the number of bytes appendColumns appends.
+func columnsSize(r *Relation) int {
+	rows := len(r.Tuples)
+	size := uvarintLen(uint64(rows))
+	for j, col := range r.Schema {
+		size += (rows+7)/8 + 1
+		nonNull, payload, uniform := 0, 0, true
+		for _, t := range r.Tuples {
+			v := &t[j]
+			switch v.Kind {
+			case KindNull:
+				continue
+			case KindInt, KindBool:
+				payload += uvarintLen(uint64(v.Int)<<1 ^ uint64(v.Int>>63))
+			case KindFloat:
+				payload += 8
+			case KindString:
+				payload += uvarintLen(uint64(len(v.Str))) + len(v.Str)
+			}
+			nonNull++
+			if v.Kind != col.Kind {
+				uniform = false
+			}
+		}
+		switch {
+		case !uniform:
+			size += nonNull + payload // a kind byte per value
+		case col.Kind == KindBool:
+			size += (nonNull + 7) / 8
+		default:
+			size += payload
+		}
+	}
+	return size
 }
 
 // Unmarshal decodes a relation from a single self-contained frame.
@@ -565,7 +642,26 @@ func Unmarshal(b []byte) (*Relation, error) {
 // GobEncode makes gob envelopes (transport request/response structs, legacy
 // files) carry relations in the compact wire format rather than gob's
 // reflective struct encoding.
-func (r *Relation) GobEncode() ([]byte, error) { return Marshal(r) }
+func (r *Relation) GobEncode() ([]byte, error) {
+	if f := r.frame; f != nil {
+		f.once.Do(func() { f.b, f.err = Marshal(r) })
+		return f.b, f.err
+	}
+	return Marshal(r)
+}
+
+// sharedFrame is a relation's wire frame, marshalled by whichever envelope
+// needs it first.
+type sharedFrame struct {
+	once sync.Once
+	b    []byte
+	err  error
+}
+
+// ShareFrame declares r finished: from here on every gob envelope carrying it
+// — one per site of a broadcast, one per retry — ships the same frame, encoded
+// once by the first. The caller must not change r's schema or rows afterwards.
+func (r *Relation) ShareFrame() { r.frame = new(sharedFrame) }
 
 // GobDecode is the inverse of GobEncode.
 func (r *Relation) GobDecode(b []byte) error {
@@ -573,7 +669,7 @@ func (r *Relation) GobDecode(b []byte) error {
 	if err != nil {
 		return err
 	}
-	r.Schema, r.Tuples, r.pooled = rel.Schema, rel.Tuples, nil
+	r.Schema, r.Tuples, r.pooled, r.frame = rel.Schema, rel.Tuples, nil, nil
 	return nil
 }
 

@@ -85,6 +85,47 @@ func TestCodecRoundTrip(t *testing.T) {
 		if !relIdentical(r, got) {
 			t.Errorf("%s: round trip changed relation:\n%s\nvs\n%s", name, r, got)
 		}
+		// Marshal is a fresh Encoder's frame, written into a slice sized for
+		// it exactly: no regrowth, no slack beyond the length prefix's room.
+		var buf bytes.Buffer
+		if err := NewEncoder(&buf).Encode(r); err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
+		if !bytes.Equal(data, buf.Bytes()) {
+			t.Errorf("%s: Marshal frame differs from the Encoder's", name)
+		}
+		if cap(data) != len(data) {
+			t.Errorf("%s: Marshal sized its slice %d for a %d-byte frame", name, cap(data), len(data))
+		}
+	}
+}
+
+// TestShareFrame checks that a relation declared finished is encoded once and
+// that every envelope then carries the very same bytes.
+func TestShareFrame(t *testing.T) {
+	r := codecCases()["all-kinds"]
+	want, err := Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.ShareFrame()
+	a, err := r.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := r.GobEncode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, want) {
+		t.Error("shared frame differs from Marshal's")
+	}
+	if &a[0] != &b[0] {
+		t.Error("second envelope re-encoded the relation")
+	}
+	var back Relation
+	if err := back.GobDecode(a); err != nil || !relIdentical(r, &back) {
+		t.Errorf("shared frame does not decode back: %v", err)
 	}
 }
 
@@ -334,4 +375,36 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("random relation changed in round trip:\n%s\nvs\n%s", r, got)
 		}
 	})
+}
+
+// TestDecodeAllocatesPerColumnNotPerRow: a uniform STRING column decodes into
+// one string the values are substrings of, so a frame's allocations do not
+// grow with its rows.
+func TestDecodeAllocatesPerColumnNotPerRow(t *testing.T) {
+	build := func(rows int) []byte {
+		r := New(MustSchema(Column{"k", KindString}, Column{"s", KindString}, Column{"n", KindInt}))
+		for i := 0; i < rows; i++ {
+			s := NewString("value-" + string(rune('a'+i%26)))
+			if i%7 == 0 {
+				s = Null
+			}
+			r.MustAppend(Tuple{NewString("Clerk#000000" + string(rune('0'+i%10))), s, NewInt(int64(i))})
+		}
+		data, err := Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return data
+	}
+	small, large := build(10), build(5000)
+	allocs := func(data []byte) float64 {
+		return testing.AllocsPerRun(20, func() {
+			if _, err := Unmarshal(data); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if a, b := allocs(small), allocs(large); b > a {
+		t.Errorf("decoding 5000 rows took %.0f allocations, 10 rows %.0f", b, a)
+	}
 }

@@ -3,10 +3,12 @@ package relation
 import "fmt"
 
 // KeyIndex is a hash index mapping key-column values to row positions of a
-// relation. The Skalla coordinator maintains one over the base-result
-// structure X, keyed on the base key attributes K, so that synchronization of
-// an incoming sub-aggregate relation H runs in O(|H|) (Theorem 1 discussion
-// in the paper).
+// relation. The Skalla coordinator keeps one over the base-result structure
+// X, keyed on the base key attributes K, while it merges locally evaluated
+// fragments — whose keys it has not seen before — so that synchronization
+// runs in O(|H|) (Theorem 1 discussion in the paper); operator rounds address
+// X by row ordinal instead and need none. The scalar evaluator indexes X on
+// its link columns the same way.
 //
 // Keys are 64-bit hashes of the canonical key encoding with collision
 // buckets: a probe hashes its key columns (no allocation), and candidate rows

@@ -64,6 +64,10 @@ type Relation struct {
 	// pooled links a decoded wire block back to its BlockPool storage so
 	// Recycle can return it; nil for ordinary relations.
 	pooled *blockStorage
+
+	// frame, when set by ShareFrame, holds the relation's wire frame once a
+	// gob envelope has encoded it.
+	frame *sharedFrame
 }
 
 // New returns an empty relation with the given schema.

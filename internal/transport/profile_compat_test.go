@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/gob"
@@ -229,5 +230,74 @@ func TestPre27BatchPayloadDropsConnection(t *testing.T) {
 	defer cli.Close()
 	if _, _, err := CollectOperator(context.Background(), cli, opRequest()); err != nil {
 		t.Fatalf("solo exchange on a fresh connection: %v", err)
+	}
+}
+
+// pre30OperatorRequest is the operator request of a coordinator built before
+// H_i was addressed by ordinal: it still names the key attributes it expects
+// back.
+type pre30OperatorRequest struct {
+	Base      *relation.Relation
+	Op        gmdj.Operator
+	Keys      []string
+	Guard     bool
+	BlockRows int
+}
+
+type pre30Request struct {
+	Kind     ReqKind
+	QueryID  string
+	Operator *pre30OperatorRequest
+}
+
+// TestPre30OperatorRequestAnsweredWithOrdinals pins the site half of the
+// mixed-version story: the retired Keys field is a plain []string, which gob
+// skips, so an upgraded site serves a pre-30 coordinator's request — and
+// answers in the only H shape it has, led by the row ordinal, which that
+// coordinator's key-name check then refuses. Nothing is merged; the
+// connection stays usable.
+func TestPre30OperatorRequestAnsweredWithOrdinals(t *testing.T) {
+	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	br := bufio.NewReader(conn)
+	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(br)
+	cur := opRequest()
+	old := pre30Request{Kind: KindOperator, QueryID: "q-old",
+		Operator: &pre30OperatorRequest{Base: cur.Base, Op: cur.Op, Keys: []string{"g"}}}
+	if err := enc.Encode(&old); err != nil {
+		t.Fatal(err)
+	}
+	marker, err := br.ReadByte()
+	if err != nil || marker != opStreamBlock {
+		t.Fatalf("no H block for a pre-30 request: marker %#x, %v", marker, err)
+	}
+	block, err := relation.NewDecoder(br).Decode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lead := block.Schema[0]; lead.Name != engine.OrdinalColumn || block.Schema.Has("g") {
+		t.Errorf("H schema %s: want the ordinal first and no key column", block.Schema)
+	}
+	if marker, err = br.ReadByte(); err != nil || marker != opStreamEnd {
+		t.Fatalf("stream did not end after one block: marker %#x, %v", marker, err)
+	}
+	var term Response
+	if err := dec.Decode(&term); err != nil || term.Err != "" {
+		t.Fatalf("terminal response: %+v, %v", term, err)
+	}
+	if err := enc.Encode(&Request{Kind: KindTables}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := dec.Decode(&resp); err != nil || len(resp.Tables) != 1 {
+		t.Fatalf("connection unusable after the exchange: %+v, %v", resp, err)
 	}
 }

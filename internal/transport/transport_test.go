@@ -39,7 +39,6 @@ func opRequest() engine.OperatorRequest {
 			Aggs: []agg.Spec{{Func: agg.Count, As: "c"}, {Func: agg.Sum, Arg: "v", As: "s"}},
 			Cond: expr.MustParse("B.g = R.g"),
 		}}},
-		Keys: []string{"g"},
 	}
 }
 
