@@ -41,7 +41,7 @@ func BenchmarkRowBlocking(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Coord.Execute(ctx, q, plan.None()); err != nil {
+				if _, err := c.Coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -84,7 +84,7 @@ func BenchmarkTransportOverhead(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coord.Execute(ctx, q, plan.None()); err != nil {
+				if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -125,7 +125,7 @@ func BenchmarkLocalEvalPath(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coord.Execute(ctx, q, plan.None()); err != nil {
+				if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -150,7 +150,7 @@ func BenchmarkDistributedCube(b *testing.B) {
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Coord.Execute(ctx, cube, plan.Options{GroupReduceSite: true})
+		res, err := c.Coord.ExecuteWith(ctx, cube, plan.SelectRules("group-reduce-site"))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func BenchmarkTieredCoordinator(b *testing.B) {
 			b.ResetTimer()
 			var coordTime int64
 			for i := 0; i < b.N; i++ {
-				res, err := coord.Execute(ctx, q, plan.None())
+				res, err := coord.ExecuteWith(ctx, q, plan.SelectNone())
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -418,7 +418,7 @@ func BenchmarkDiskVsMemoryScan(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := coord.Execute(ctx, q, plan.None()); err != nil {
+				if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 					b.Fatal(err)
 				}
 			}

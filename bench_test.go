@@ -48,7 +48,7 @@ func dataset(b *testing.B) *tpc.Dataset {
 
 // runQuery executes the query once per iteration and reports traffic metrics
 // from the last run.
-func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, opts plan.Options) {
+func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, sel plan.Selection) {
 	b.Helper()
 	c, err := bench.NewTPCCluster(context.Background(), d, n, stats.DefaultLAN())
 	if err != nil {
@@ -58,7 +58,7 @@ func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, opts plan.Optio
 	var last *stats.Metrics
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := c.Coord.Execute(ctx, q, opts)
+		res, err := c.Coord.ExecuteWith(ctx, q, sel)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -80,17 +80,17 @@ func BenchmarkFig2GroupReduction(b *testing.B) {
 	q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
 	variants := []struct {
 		name string
-		opts plan.Options
+		sel  plan.Selection
 	}{
-		{"no-reduction", plan.None()},
-		{"site-reduction", plan.Options{GroupReduceSite: true}},
-		{"coord-reduction", plan.Options{GroupReduceCoord: true}},
-		{"both-reductions", plan.Options{GroupReduceSite: true, GroupReduceCoord: true}},
+		{"no-reduction", plan.SelectNone()},
+		{"site-reduction", plan.SelectRules("group-reduce-site")},
+		{"coord-reduction", plan.SelectRules("group-reduce-coord")},
+		{"both-reductions", plan.SelectRules("group-reduce-coord", "group-reduce-site")},
 	}
 	for _, v := range variants {
 		for _, n := range []int{2, 4, 8} {
 			b.Run(fmt.Sprintf("%s/sites=%d", v.name, n), func(b *testing.B) {
-				runQuery(b, d, n, q, v.opts)
+				runQuery(b, d, n, q, v.sel)
 			})
 		}
 	}
@@ -108,14 +108,14 @@ func BenchmarkFig3Coalescing(b *testing.B) {
 		q := bench.TwoPhaseQuery(card.attr, false)
 		for _, v := range []struct {
 			name string
-			opts plan.Options
+			sel  plan.Selection
 		}{
-			{"non-coalesced", plan.None()},
-			{"coalesced", plan.Options{Coalesce: true}},
+			{"non-coalesced", plan.SelectNone()},
+			{"coalesced", plan.SelectRules("coalesce")},
 		} {
 			for _, n := range []int{2, 4, 8} {
 				b.Run(fmt.Sprintf("%s/%s/sites=%d", card.name, v.name, n), func(b *testing.B) {
-					runQuery(b, d, n, q, v.opts)
+					runQuery(b, d, n, q, v.sel)
 				})
 			}
 		}
@@ -134,14 +134,14 @@ func BenchmarkFig4SyncReduction(b *testing.B) {
 		q := bench.TwoPhaseQuery(card.attr, true)
 		for _, v := range []struct {
 			name string
-			opts plan.Options
+			sel  plan.Selection
 		}{
-			{"no-sync-reduction", plan.None()},
-			{"sync-reduction", plan.Options{SyncReduce: true}},
+			{"no-sync-reduction", plan.SelectNone()},
+			{"sync-reduction", plan.SelectRules("local-prefix", "sync-skip")},
 		} {
 			for _, n := range []int{2, 4, 8} {
 				b.Run(fmt.Sprintf("%s/%s/sites=%d", card.name, v.name, n), func(b *testing.B) {
-					runQuery(b, d, n, q, v.opts)
+					runQuery(b, d, n, q, v.sel)
 				})
 			}
 		}
@@ -166,13 +166,13 @@ func BenchmarkFig5ScaleUp(b *testing.B) {
 		}
 		for _, v := range []struct {
 			name string
-			opts plan.Options
+			sel  plan.Selection
 		}{
-			{"unoptimized", plan.None()},
-			{"optimized", plan.All()},
+			{"unoptimized", plan.SelectNone()},
+			{"optimized", plan.SelectAll()},
 		} {
 			b.Run(fmt.Sprintf("%s/scale=%d", v.name, scale), func(b *testing.B) {
-				runQuery(b, d, 4, q, v.opts)
+				runQuery(b, d, 4, q, v.sel)
 			})
 		}
 	}
@@ -193,7 +193,7 @@ func BenchmarkFig5ConstantGroups(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.Run(fmt.Sprintf("optimized/scale=%d", scale), func(b *testing.B) {
-			runQuery(b, d, 4, q, plan.All())
+			runQuery(b, d, 4, q, plan.SelectAll())
 		})
 	}
 }
@@ -280,7 +280,7 @@ func BenchmarkSyncMerge(b *testing.B) {
 			ctx := context.Background()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := c.Coord.Execute(ctx, q, plan.None()); err != nil {
+				if _, err := c.Coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 					b.Fatal(err)
 				}
 			}

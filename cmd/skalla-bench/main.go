@@ -122,7 +122,7 @@ func run(args []string, out io.Writer) error {
 				if err != nil {
 					return err
 				}
-				rows, err = bench.SpeedUpWith(ctx, d, bench.TwoPhaseQuery(bench.HighCardAttr, true), sel, "mode/"+sel.String(), *sites, net)
+				rows, err = bench.SpeedUp(ctx, d, bench.TwoPhaseQuery(bench.HighCardAttr, true), sel, "mode/"+sel.String(), *sites, net)
 				if err != nil {
 					return err
 				}

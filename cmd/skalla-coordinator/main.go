@@ -7,11 +7,13 @@
 //
 //	skalla-coordinator -sites host1:7070,host2:7070 -data /data/tpcr -query q.skalla
 //	skalla-coordinator -sites :7070 -q 'base Flow key SourceAS
-//	  op B.SourceAS = R.SourceAS :: count(*) as c' -opts all
+//	  op B.SourceAS = R.SourceAS :: count(*) as c' -plan-mode auto
 //
 // -data points at the dataset directory (for the manifest only; the sites
 // hold the data) and enables the distribution-aware optimizations. -explain
-// prints the plan without executing.
+// prints the plan without executing. -plan-mode (auto, none, all, or
+// rules=<name>,...; default all) chooses the planner rules for every mode:
+// single-shot, -explain, -repl and -serve.
 //
 // With -serve the coordinator becomes a long-lived multi-tenant query server:
 //
@@ -64,8 +66,7 @@ func run(args []string, out io.Writer) error {
 		siteRetries = fs.Int("site-retries", 3, "attempts per site call before the query fails (1 = no retry)")
 		siteTimeout = fs.Duration("site-timeout", 30*time.Second, "per-attempt deadline for one site call (0 = none)")
 		workers     = fs.Int("workers", 0, "concurrent per-site merge commits during synchronization: 0 = auto, 1 = serial")
-		optsFlag    = fs.String("opts", "all", "optimizations: all, none, or a comma list of coalesce,group-site,group-coord,sync")
-		planMode    = fs.String("plan-mode", "", "planner rule selection: auto, none, all, or rules=<name>,... (overrides -opts)")
+		planMode    = fs.String("plan-mode", "all", "planner rule selection for every mode: auto, none, all, or rules=<name>,...")
 		explain     = fs.Bool("explain", false, "print the plan without executing")
 		replFlag    = fs.Bool("repl", false, "interactive mode: read statements from stdin")
 		serveAddr   = fs.String("serve", "", "run as a long-lived query server on this address (host:port; :0 for ephemeral)")
@@ -172,14 +173,9 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	opts, err := parseOpts(*optsFlag)
+	sel, err := skalla.ParseSelection(*planMode)
 	if err != nil {
 		return err
-	}
-	if *planMode != "" {
-		if _, err := skalla.ParseSelection(*planMode); err != nil {
-			return err
-		}
 	}
 
 	addrs := strings.Split(*sitesFlag, ",")
@@ -191,12 +187,10 @@ func run(args []string, out io.Writer) error {
 		skalla.WithSiteRetry(retry),
 		skalla.WithWorkers(*workers),
 		skalla.WithSlowQuery(*slowQuery),
+		skalla.WithPlanMode(*planMode),
 	}
 	if *trace {
 		clusterOpts = append(clusterOpts, skalla.WithTrace(out))
-	}
-	if *planMode != "" {
-		clusterOpts = append(clusterOpts, skalla.WithPlanMode(*planMode))
 	}
 	var cat *skalla.Catalog
 	if *data != "" {
@@ -233,29 +227,19 @@ func run(args []string, out io.Writer) error {
 	}
 
 	if *replFlag {
-		return repl(cluster, os.Stdin, out, opts, *maxRows)
+		return repl(cluster, os.Stdin, out, sel, *maxRows)
 	}
 
 	ctx := context.Background()
 	if *explain {
-		var desc string
-		if *planMode != "" {
-			desc, err = cluster.ExplainSelected(ctx, q)
-		} else {
-			desc, err = cluster.Explain(ctx, q, opts)
-		}
+		pl, err := cluster.PlanWith(ctx, q, sel)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, desc)
+		fmt.Fprint(out, pl.Describe())
 		return nil
 	}
-	var res *skalla.Result
-	if *planMode != "" {
-		res, err = cluster.ExecuteSelected(ctx, q)
-	} else {
-		res, err = cluster.Execute(ctx, q, opts)
-	}
+	res, err := cluster.Execute(ctx, q, sel)
 	if err != nil {
 		return err
 	}
@@ -361,29 +345,4 @@ type planStats struct {
 	EstRounds   int              `json:"est_rounds"`
 	EstBytes    int64            `json:"est_bytes"`
 	Rounds      []plan.RoundCost `json:"rounds"`
-}
-
-func parseOpts(s string) (skalla.Options, error) {
-	switch s {
-	case "all":
-		return plan.All(), nil
-	case "none", "":
-		return plan.None(), nil
-	}
-	var o skalla.Options
-	for _, part := range strings.Split(s, ",") {
-		switch strings.TrimSpace(part) {
-		case "coalesce":
-			o.Coalesce = true
-		case "group-site":
-			o.GroupReduceSite = true
-		case "group-coord":
-			o.GroupReduceCoord = true
-		case "sync":
-			o.SyncReduce = true
-		default:
-			return o, fmt.Errorf("unknown optimization %q", part)
-		}
-	}
-	return o, nil
 }

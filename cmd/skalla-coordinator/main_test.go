@@ -8,8 +8,10 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"syscall"
 	"testing"
 
+	"skalla"
 	"skalla/internal/engine"
 	"skalla/internal/flow"
 	"skalla/internal/manifest"
@@ -56,7 +58,7 @@ func TestCoordinatorExecutes(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "all", "-net", "lan",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-net", "lan",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -73,7 +75,7 @@ func TestCoordinatorExplain(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "sync", "-explain",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "rules=local-prefix,sync-skip", "-explain",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func TestCoordinatorQueryFile(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	if err := run([]string{"-sites", sites, "-data", dir, "-query", qf, "-opts", "none"}, &out); err != nil {
+	if err := run([]string{"-sites", sites, "-data", dir, "-query", qf, "-plan-mode", "none"}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "rounds: 3") {
@@ -109,7 +111,7 @@ func TestCoordinatorErrors(t *testing.T) {
 		{},                               // missing sites
 		{"-sites", sites},                // missing query
 		{"-sites", sites, "-q", "bogus"}, // bad query text
-		{"-sites", sites, "-q", testQuery, "-opts", "frob"},                          // bad opts
+		{"-sites", sites, "-q", testQuery, "-plan-mode", "frob"},                     // bad plan mode
 		{"-sites", sites, "-q", testQuery, "-data", "/nope"},                         // bad data dir
 		{"-sites", "127.0.0.1:1", "-q", testQuery},                                   // unreachable site
 		{"-sites", sites, "-query", "/nope/q.skalla"},                                // missing file
@@ -160,25 +162,68 @@ func TestFlagConflictsAndDomains(t *testing.T) {
 	}
 }
 
-func TestParseOpts(t *testing.T) {
-	o, err := parseOpts("coalesce,group-site")
-	if err != nil || !o.Coalesce || !o.GroupReduceSite || o.SyncReduce {
-		t.Errorf("parseOpts = %+v, %v", o, err)
+// -opts is gone: an old script passing it fails loudly instead of planning
+// under a different selection than it asked for.
+func TestOptsFlagRemoved(t *testing.T) {
+	for _, mode := range [][]string{{"-q", testQuery}, {"-repl"}, {"-serve", ":0"}} {
+		args := append([]string{"-sites", "x", "-opts", "none"}, mode...)
+		if err := run(args, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -opts") {
+			t.Errorf("run(%v) = %v, want undefined-flag error", args, err)
+		}
 	}
-	if _, err := parseOpts("nope"); err == nil {
-		t.Error("unknown switch must error")
+}
+
+// -plan-mode governs the REPL: \explain there describes an auto plan.
+func TestReplHonorsPlanMode(t *testing.T) {
+	dir, sites := startCluster(t)
+	in := filepath.Join(t.TempDir(), "stdin")
+	if err := os.WriteFile(in, []byte("\\explain\n"+testQuery+";\n\\q\n"), 0o644); err != nil {
+		t.Fatal(err)
 	}
-	all, _ := parseOpts("all")
-	if !all.Coalesce || !all.SyncReduce || !all.GroupReduceCoord || !all.GroupReduceSite {
-		t.Error("all must enable everything")
+	f, err := os.Open(in)
+	if err != nil {
+		t.Fatal(err)
 	}
-	none, _ := parseOpts("none")
-	if none.Coalesce || none.SyncReduce {
-		t.Error("none must disable everything")
+	defer f.Close()
+	stdin := os.Stdin
+	os.Stdin = f
+	defer func() { os.Stdin = stdin }()
+	var out bytes.Buffer
+	if err := run([]string{"-sites", sites, "-data", dir, "-repl", "-plan-mode", "auto"}, &out); err != nil {
+		t.Fatal(err)
 	}
-	gc, _ := parseOpts("group-coord,sync")
-	if !gc.GroupReduceCoord || !gc.SyncReduce || gc.Coalesce {
-		t.Error("comma list parsing")
+	if !strings.Contains(out.String(), "mode auto") {
+		t.Errorf("REPL explain did not plan under -plan-mode auto:\n%s", out.String())
+	}
+}
+
+// -plan-mode governs -serve: under "none" a served statement applies no rule.
+func TestServeHonorsPlanMode(t *testing.T) {
+	dir, sites := startCluster(t)
+	addr, done := startServe(t, "-sites", sites, "-data", dir, "-plan-mode", "none")
+	c, err := skalla.DialQueryServer(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, info, err := c.Query(context.Background(), "SELECT SourceAS, COUNT(*) AS flows FROM Flow GROUP BY SourceAS")
+	c.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var prof *skalla.QueryProfile
+	for _, p := range skalla.LastProfiles(0) {
+		if p.QueryID == info.QueryID {
+			prof = p
+		}
+	}
+	if prof == nil || prof.Plan.Mode != "none" || len(prof.Plan.Rules) != 0 {
+		t.Errorf("served plan under -plan-mode none: %+v", prof)
+	}
+	if err := syscall.Kill(syscall.Getpid(), syscall.SIGINT); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("serve returned %v", err)
 	}
 }
 
@@ -188,7 +233,6 @@ func TestCoordinatorSQLWithOrderLimit(t *testing.T) {
 	err := run([]string{
 		"-sites", sites, "-data", dir,
 		"-sql", "SELECT SourceAS, COUNT(*) AS flows FROM Flow GROUP BY SourceAS ORDER BY flows DESC LIMIT 3",
-		"-opts", "all",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -216,7 +260,7 @@ func TestCoordinatorStatsJSON(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "stats.json")
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "none", "-stats-json", path,
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "none", "-stats-json", path,
 	}, &out)
 	if err != nil {
 		t.Fatal(err)
@@ -288,7 +332,7 @@ func TestCoordinatorTrace(t *testing.T) {
 	dir, sites := startCluster(t)
 	var out bytes.Buffer
 	err := run([]string{
-		"-sites", sites, "-data", dir, "-q", testQuery, "-opts", "none", "-trace",
+		"-sites", sites, "-data", dir, "-q", testQuery, "-plan-mode", "none", "-trace",
 	}, &out)
 	if err != nil {
 		t.Fatal(err)

@@ -16,12 +16,12 @@ import (
 // SELECT use the Egil SQL dialect (including ORDER BY / LIMIT); anything
 // else is parsed as the skalla query text format. Backslash commands:
 //
-//	\opts <all|none|list>   set optimization switches
-//	\explain                toggle explain-only mode
-//	\rows <n>               result rows to print
-//	\sites                  list each site's relations and row counts
-//	\q                      quit
-func repl(cluster *skalla.Cluster, in io.Reader, out io.Writer, opts skalla.Options, maxRows int) error {
+//	\plan <auto|none|all|rules=...>   set the planner rule selection
+//	\explain                          toggle explain-only mode
+//	\rows <n>                         result rows to print
+//	\sites                            list each site's relations and row counts
+//	\q                                quit
+func repl(cluster *skalla.Cluster, in io.Reader, out io.Writer, sel skalla.Selection, maxRows int) error {
 	ctx := context.Background()
 	scanner := bufio.NewScanner(in)
 	scanner.Buffer(make([]byte, 0, 64*1024), 1<<20)
@@ -38,7 +38,7 @@ func repl(cluster *skalla.Cluster, in io.Reader, out io.Writer, opts skalla.Opti
 			continue // blank line between statements
 		}
 		if buf.Len() == 0 && strings.HasPrefix(trimmed, "\\") {
-			quit, err := replCommand(ctx, cluster, out, trimmed, &opts, &explainOnly, &maxRows)
+			quit, err := replCommand(ctx, cluster, out, trimmed, &sel, &explainOnly, &maxRows)
 			if err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 			}
@@ -56,7 +56,7 @@ func repl(cluster *skalla.Cluster, in io.Reader, out io.Writer, opts skalla.Opti
 		stmt := strings.TrimSpace(strings.TrimSuffix(strings.TrimSpace(buf.String()), ";"))
 		buf.Reset()
 		if stmt != "" {
-			if err := replExecute(ctx, cluster, out, stmt, opts, explainOnly, maxRows); err != nil {
+			if err := replExecute(ctx, cluster, out, stmt, sel, explainOnly, maxRows); err != nil {
 				fmt.Fprintf(out, "error: %v\n", err)
 			}
 		}
@@ -65,7 +65,7 @@ func repl(cluster *skalla.Cluster, in io.Reader, out io.Writer, opts skalla.Opti
 	return scanner.Err()
 }
 
-func replCommand(ctx context.Context, cluster *skalla.Cluster, out io.Writer, cmd string, opts *skalla.Options, explainOnly *bool, maxRows *int) (quit bool, err error) {
+func replCommand(ctx context.Context, cluster *skalla.Cluster, out io.Writer, cmd string, sel *skalla.Selection, explainOnly *bool, maxRows *int) (quit bool, err error) {
 	fields := strings.Fields(cmd)
 	switch fields[0] {
 	case "\\q", "\\quit", "\\exit":
@@ -84,16 +84,16 @@ func replCommand(ctx context.Context, cluster *skalla.Cluster, out io.Writer, cm
 				fmt.Fprintf(out, "  %-20s %8d rows  %d columns\n", ti.Name, ti.Rows, ti.Columns)
 			}
 		}
-	case "\\opts":
+	case "\\plan":
 		if len(fields) != 2 {
-			return false, fmt.Errorf("usage: \\opts <all|none|comma-list>")
+			return false, fmt.Errorf("usage: \\plan <auto|none|all|rules=...>")
 		}
-		o, err := parseOpts(fields[1])
+		s, err := skalla.ParseSelection(fields[1])
 		if err != nil {
 			return false, err
 		}
-		*opts = o
-		fmt.Fprintf(out, "optimizations: [%s]\n", o)
+		*sel = s
+		fmt.Fprintf(out, "plan mode: %s\n", s)
 	case "\\explain":
 		*explainOnly = !*explainOnly
 		fmt.Fprintf(out, "explain-only: %v\n", *explainOnly)
@@ -105,14 +105,14 @@ func replCommand(ctx context.Context, cluster *skalla.Cluster, out io.Writer, cm
 			return false, err
 		}
 	case "\\help":
-		fmt.Fprintln(out, "commands: \\opts <o>, \\explain, \\rows <n>, \\sites, \\q")
+		fmt.Fprintln(out, "commands: \\plan <mode>, \\explain, \\rows <n>, \\sites, \\q")
 	default:
 		return false, fmt.Errorf("unknown command %q (try \\help)", fields[0])
 	}
 	return false, nil
 }
 
-func replExecute(ctx context.Context, cluster *skalla.Cluster, out io.Writer, stmt string, opts skalla.Options, explainOnly bool, maxRows int) error {
+func replExecute(ctx context.Context, cluster *skalla.Cluster, out io.Writer, stmt string, sel skalla.Selection, explainOnly bool, maxRows int) error {
 	var (
 		q    skalla.Query
 		post *egil.Statement
@@ -131,14 +131,14 @@ func replExecute(ctx context.Context, cluster *skalla.Cluster, out io.Writer, st
 		return err
 	}
 	if explainOnly {
-		desc, err := cluster.Explain(ctx, q, opts)
+		pl, err := cluster.PlanWith(ctx, q, sel)
 		if err != nil {
 			return err
 		}
-		fmt.Fprint(out, desc)
+		fmt.Fprint(out, pl.Describe())
 		return nil
 	}
-	res, err := cluster.Execute(ctx, q, opts)
+	res, err := cluster.Execute(ctx, q, sel)
 	if err != nil {
 		return err
 	}

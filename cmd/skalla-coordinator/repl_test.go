@@ -8,7 +8,6 @@ import (
 
 	"skalla"
 	"skalla/internal/flow"
-	"skalla/internal/plan"
 )
 
 func replCluster(t *testing.T) *skalla.Cluster {
@@ -32,7 +31,7 @@ func runRepl(t *testing.T, input string) string {
 	t.Helper()
 	cl := replCluster(t)
 	var out bytes.Buffer
-	if err := repl(cl, strings.NewReader(input), &out, plan.All(), 5); err != nil {
+	if err := repl(cl, strings.NewReader(input), &out, skalla.SelectAll(), 5); err != nil {
 		t.Fatal(err)
 	}
 	return out.String()
@@ -68,13 +67,13 @@ op B.SourceAS = R.SourceAS :: count(*) as c;
 
 func TestReplCommands(t *testing.T) {
 	out := runRepl(t, `
-\opts none
+\plan none
 \explain
 SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
 \help
 \q
 `)
-	for _, frag := range []string{"optimizations: [none]", "explain-only: true", "plan ", "commands:"} {
+	for _, frag := range []string{"plan mode: none", "explain-only: true", "plan ", "commands:"} {
 		if !strings.Contains(out, frag) {
 			t.Errorf("missing %q in:\n%s", frag, out)
 		}
@@ -87,7 +86,7 @@ SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;
 
 func TestReplErrorsKeepSessionAlive(t *testing.T) {
 	out := runRepl(t, `
-\opts bogus
+\plan bogus
 \unknown
 not a valid statement;
 SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS;

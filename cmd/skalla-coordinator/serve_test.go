@@ -35,28 +35,17 @@ func (b *syncBuffer) String() string {
 
 var servingAddr = regexp.MustCompile(`serving on (\S+)`)
 
-// TestCoordinatorServeMode drives the daemon end to end through the CLI
-// entrypoint: start -serve on an ephemeral port, run statements over two
-// concurrent client sessions (the second repeats the first's statement, so it
-// must hit the plan cache), then deliver SIGINT and check the drain exits the
-// run cleanly.
-func TestCoordinatorServeMode(t *testing.T) {
-	dir, sites := startCluster(t)
+// startServe runs the CLI with args in -serve mode on an ephemeral port and
+// returns the serving address plus the channel run's error arrives on.
+func startServe(t *testing.T, args ...string) (string, <-chan error) {
+	t.Helper()
 	var out syncBuffer
 	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-sites", sites, "-data", dir, "-serve", "127.0.0.1:0",
-			"-max-concurrent", "4", "-site-timeout", "10s",
-		}, &out)
-	}()
-
-	var addr string
+	go func() { done <- run(append(args, "-serve", "127.0.0.1:0"), &out) }()
 	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
+	for {
 		if m := servingAddr.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
-			break
+			return m[1], done
 		}
 		select {
 		case err := <-done:
@@ -68,6 +57,16 @@ func TestCoordinatorServeMode(t *testing.T) {
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
+}
+
+// TestCoordinatorServeMode drives the daemon end to end through the CLI
+// entrypoint: start -serve on an ephemeral port, run statements over two
+// concurrent client sessions (the second repeats the first's statement, so it
+// must hit the plan cache), then deliver SIGINT and check the drain exits the
+// run cleanly.
+func TestCoordinatorServeMode(t *testing.T) {
+	dir, sites := startCluster(t)
+	addr, done := startServe(t, "-sites", sites, "-data", dir, "-max-concurrent", "4", "-site-timeout", "10s")
 
 	// Warm the plan cache with one cold execution, then hit it from two
 	// concurrent sessions.
@@ -145,25 +144,7 @@ func TestCoordinatorServeMode(t *testing.T) {
 // code while the daemon itself stays healthy through shutdown.
 func TestCoordinatorServeRejectsOverBudget(t *testing.T) {
 	dir, sites := startCluster(t)
-	var out syncBuffer
-	done := make(chan error, 1)
-	go func() {
-		done <- run([]string{
-			"-sites", sites, "-data", dir, "-serve", "127.0.0.1:0",
-			"-query-mem-budget", "64", "-site-timeout", "5s",
-		}, &out)
-	}()
-	var addr string
-	deadline := time.Now().Add(10 * time.Second)
-	for addr == "" {
-		if m := servingAddr.FindStringSubmatch(out.String()); m != nil {
-			addr = m[1]
-		} else if time.Now().After(deadline) {
-			t.Fatalf("no serving banner:\n%s", out.String())
-		} else {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
+	addr, done := startServe(t, "-sites", sites, "-data", dir, "-query-mem-budget", "64", "-site-timeout", "5s")
 	c, err := skalla.DialQueryServer(addr)
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func ExampleNewQuery() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cluster.Execute(context.Background(), q, skalla.AllOptimizations())
+	res, err := cluster.Execute(context.Background(), q, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func ExampleTranslateSQL() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cluster.Execute(context.Background(), q, skalla.NoOptimizations())
+	res, err := cluster.Execute(context.Background(), q, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func ExampleCubeQuery() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cluster.Execute(context.Background(), q, skalla.NoOptimizations())
+	res, err := cluster.Execute(context.Background(), q, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -120,22 +120,23 @@ func ExampleCubeQuery() {
 	// 2         1       2
 }
 
-// Explain shows the distributed plan without executing: this aligned query
+// PlanWith compiles the distributed plan without executing; Describe is the
+// CLI's EXPLAIN output. This aligned query
 // collapses to a single fully local round under Cor. 1 when the cluster has
 // the distribution catalog; without one, sync reduction still folds the
 // base round into MD1 (Prop. 2).
-func ExampleCluster_Explain() {
+func ExampleCluster_PlanWith() {
 	cluster := tinyFlowCluster()
 	defer cluster.Close()
 
 	q := skalla.NewQuery("Flow", "SourceAS").
 		Op("B.SourceAS = R.SourceAS", skalla.Count("flows")).
 		MustBuild()
-	desc, err := cluster.Explain(context.Background(), q, skalla.AllOptimizations())
+	pl, err := cluster.PlanWith(context.Background(), q, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(desc)
+	fmt.Print(pl.Describe())
 	// Output:
 	// plan 1fc38a6009d5b868: 2 site(s), mode all
 	//   operators: 1 (coalescing merges: 0)

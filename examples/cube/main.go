@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := cluster.Execute(ctx, cube, skalla.AllOptimizations())
+	res, err := cluster.Execute(ctx, cube, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	rres, err := cluster.Execute(ctx, rollup, skalla.AllOptimizations())
+	rres, err := cluster.Execute(ctx, rollup, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func main() {
 			log.Fatal(err)
 		}
 	}
-	mres, err := cluster.Execute(ctx, skalla.MarginalsQuery("UP"), skalla.AllOptimizations())
+	mres, err := cluster.Execute(ctx, skalla.MarginalsQuery("UP"), skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}

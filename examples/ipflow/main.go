@@ -52,7 +52,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	webRes, err := cluster.Execute(ctx, webQ, skalla.AllOptimizations())
+	webRes, err := cluster.Execute(ctx, webQ, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	heavyRes, err := cluster.Execute(ctx, heavyQ, skalla.AllOptimizations())
+	heavyRes, err := cluster.Execute(ctx, heavyQ, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -94,19 +94,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	plan, err := cluster.Explain(ctx, loadQ, skalla.AllOptimizations())
+	loadRes, err := cluster.Execute(ctx, loadQ, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
-	loadRes, err := cluster.Execute(ctx, loadQ, skalla.AllOptimizations())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("per-router load:\n%s\n%s", loadRes.Rel, plan)
+	fmt.Printf("per-router load:\n%s\n%s", loadRes.Rel, loadRes.Plan.Describe())
 
 	// The optimizations matter: compare traffic with and without them on
 	// the heavy-hitter analysis.
-	baseline, err := cluster.Execute(ctx, heavyQ, skalla.NoOptimizations())
+	baseline, err := cluster.Execute(ctx, heavyQ, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}

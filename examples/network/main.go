@@ -65,7 +65,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	res, err := cluster.Execute(context.Background(), query, skalla.AllOptimizations())
+	res, err := cluster.Execute(context.Background(), query, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -101,11 +101,11 @@ func main() {
 		log.Fatal(err)
 	}
 	defer tiered.Close()
-	tres, err := tiered.Execute(context.Background(), query, skalla.NoOptimizations())
+	tres, err := tiered.Execute(context.Background(), query, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}
-	flat, err := cluster.Execute(context.Background(), query, skalla.NoOptimizations())
+	flat, err := cluster.Execute(context.Background(), query, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -47,14 +47,14 @@ func main() {
 
 	ctx := context.Background()
 
-	explain, err := cluster.Explain(ctx, query, skalla.AllOptimizations())
+	pl, err := cluster.PlanWith(ctx, query, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("optimized plan:")
-	fmt.Print(explain)
+	fmt.Print(pl.Describe())
 
-	res, err := cluster.Execute(ctx, query, skalla.AllOptimizations())
+	res, err := cluster.Execute(ctx, query, skalla.SelectAll())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -64,7 +64,7 @@ func main() {
 
 	// The same query without optimizations needs three synchronization
 	// rounds instead of one.
-	baseline, err := cluster.Execute(ctx, query, skalla.NoOptimizations())
+	baseline, err := cluster.Execute(ctx, query, skalla.SelectNone())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"log"
 
 	"skalla"
-	"skalla/internal/plan"
 	"skalla/internal/stats"
 	"skalla/internal/tpc"
 )
@@ -79,17 +78,17 @@ func main() {
 func compare(ctx context.Context, cluster *skalla.Cluster, q skalla.Query) {
 	levels := []struct {
 		name string
-		opts skalla.Options
+		sel  skalla.Selection
 	}{
-		{"none", plan.None()},
-		{"group reductions", skalla.Options{GroupReduceSite: true, GroupReduceCoord: true}},
-		{"sync reduction", skalla.Options{SyncReduce: true}},
-		{"all", plan.All()},
+		{"none", skalla.SelectNone()},
+		{"group reductions", skalla.SelectRules("group-reduce-coord", "group-reduce-site")},
+		{"sync reduction", skalla.SelectRules("local-prefix", "sync-skip")},
+		{"all", skalla.SelectAll()},
 	}
 	fmt.Printf("%-18s %7s %10s %10s %8s %12s\n", "options", "rounds", "bytes", "rows", "groups", "response")
 	var firstRel *skalla.Relation
 	for _, l := range levels {
-		res, err := cluster.Execute(ctx, q, l.opts)
+		res, err := cluster.Execute(ctx, q, l.sel)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -191,19 +191,9 @@ type RoundRow struct {
 	EstBytesUp   int64
 }
 
-// measure runs one query under the given options and folds the metrics into
-// a Row.
-func measure(ctx context.Context, c *Cluster, q gmdj.Query, opts plan.Options, series string, x int) (Row, error) {
-	res, err := c.Coord.Execute(ctx, q, opts)
-	if err != nil {
-		return Row{}, err
-	}
-	return foldRow(res, series, x), nil
-}
-
-// measureWith is measure under a rule selection instead of the legacy
-// switches.
-func measureWith(ctx context.Context, c *Cluster, q gmdj.Query, sel plan.Selection, series string, x int) (Row, error) {
+// measure runs one query under the given rule selection and folds the
+// metrics into a Row.
+func measure(ctx context.Context, c *Cluster, q gmdj.Query, sel plan.Selection, series string, x int) (Row, error) {
 	res, err := c.Coord.ExecuteWith(ctx, q, sel)
 	if err != nil {
 		return Row{}, err
@@ -298,34 +288,16 @@ func foldProfile(p *obs.QueryProfile) RowProfile {
 	return rp
 }
 
-// SpeedUp runs one query/options pair over 1..maxSites participating sites
+// SpeedUp runs one query/selection pair over 1..maxSites participating sites
 // of a fixed dataset (the setup of Sect. 5.2) and returns one Row per point.
-func SpeedUp(ctx context.Context, d *tpc.Dataset, q gmdj.Query, opts plan.Options, series string, maxSites int, net stats.NetModel) ([]Row, error) {
+func SpeedUp(ctx context.Context, d *tpc.Dataset, q gmdj.Query, sel plan.Selection, series string, maxSites int, net stats.NetModel) ([]Row, error) {
 	var rows []Row
 	for n := 1; n <= maxSites; n++ {
 		c, err := NewTPCCluster(ctx, d, n, net)
 		if err != nil {
 			return nil, err
 		}
-		r, err := measure(ctx, c, q, opts, series, n)
-		if err != nil {
-			return nil, fmt.Errorf("bench: %s at %d sites: %w", series, n, err)
-		}
-		rows = append(rows, r)
-	}
-	return rows, nil
-}
-
-// SpeedUpWith is SpeedUp under a rule selection instead of the legacy
-// switches.
-func SpeedUpWith(ctx context.Context, d *tpc.Dataset, q gmdj.Query, sel plan.Selection, series string, maxSites int, net stats.NetModel) ([]Row, error) {
-	var rows []Row
-	for n := 1; n <= maxSites; n++ {
-		c, err := NewTPCCluster(ctx, d, n, net)
-		if err != nil {
-			return nil, err
-		}
-		r, err := measureWith(ctx, c, q, sel, series, n)
+		r, err := measure(ctx, c, q, sel, series, n)
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s at %d sites: %w", series, n, err)
 		}
@@ -351,7 +323,7 @@ func PlanModes(ctx context.Context, d *tpc.Dataset, maxSites int, net stats.NetM
 		{"mode/all", plan.SelectAll()},
 		{"mode/auto", plan.SelectAuto()},
 	} {
-		rows, err := SpeedUpWith(ctx, d, q, v.sel, v.series, maxSites, net)
+		rows, err := SpeedUp(ctx, d, q, v.sel, v.series, maxSites, net)
 		if err != nil {
 			return nil, err
 		}
@@ -370,16 +342,16 @@ func Fig2(ctx context.Context, d *tpc.Dataset, maxSites int, net stats.NetModel)
 	q := TwoPhaseQuery(HighCardAttr, true)
 	variants := []struct {
 		series string
-		opts   plan.Options
+		sel    plan.Selection
 	}{
-		{"no-reduction", plan.None()},
-		{"site-reduction", plan.Options{GroupReduceSite: true}},
-		{"coord-reduction", plan.Options{GroupReduceCoord: true}},
-		{"both-reductions", plan.Options{GroupReduceSite: true, GroupReduceCoord: true}},
+		{"no-reduction", plan.SelectNone()},
+		{"site-reduction", plan.SelectRules("group-reduce-site")},
+		{"coord-reduction", plan.SelectRules("group-reduce-coord")},
+		{"both-reductions", plan.SelectRules("group-reduce-coord", "group-reduce-site")},
 	}
 	var out []Row
 	for _, v := range variants {
-		rows, err := SpeedUp(ctx, d, q, v.opts, v.series, maxSites, net)
+		rows, err := SpeedUp(ctx, d, q, v.sel, v.series, maxSites, net)
 		if err != nil {
 			return nil, err
 		}
@@ -400,12 +372,12 @@ func Fig3(ctx context.Context, d *tpc.Dataset, maxSites int, net stats.NetModel)
 		q := TwoPhaseQuery(card.attr, false)
 		for _, v := range []struct {
 			series string
-			opts   plan.Options
+			sel    plan.Selection
 		}{
-			{card.label + "/non-coalesced", plan.None()},
-			{card.label + "/coalesced", plan.Options{Coalesce: true}},
+			{card.label + "/non-coalesced", plan.SelectNone()},
+			{card.label + "/coalesced", plan.SelectRules("coalesce")},
 		} {
-			rows, err := SpeedUp(ctx, d, q, v.opts, v.series, maxSites, net)
+			rows, err := SpeedUp(ctx, d, q, v.sel, v.series, maxSites, net)
 			if err != nil {
 				return nil, err
 			}
@@ -428,12 +400,12 @@ func Fig4(ctx context.Context, d *tpc.Dataset, maxSites int, net stats.NetModel)
 		q := TwoPhaseQuery(card.attr, true)
 		for _, v := range []struct {
 			series string
-			opts   plan.Options
+			sel    plan.Selection
 		}{
-			{card.label + "/no-sync-reduction", plan.None()},
-			{card.label + "/sync-reduction", plan.Options{SyncReduce: true}},
+			{card.label + "/no-sync-reduction", plan.SelectNone()},
+			{card.label + "/sync-reduction", plan.SelectRules("local-prefix", "sync-skip")},
 		} {
-			rows, err := SpeedUp(ctx, d, q, v.opts, v.series, maxSites, net)
+			rows, err := SpeedUp(ctx, d, q, v.sel, v.series, maxSites, net)
 			if err != nil {
 				return nil, err
 			}
@@ -466,11 +438,11 @@ func Fig5(ctx context.Context, base tpc.Config, numSites, maxScale int, constant
 		if err != nil {
 			return nil, err
 		}
-		unopt, err := measure(ctx, c, q, plan.None(), "unoptimized", s)
+		unopt, err := measure(ctx, c, q, plan.SelectNone(), "unoptimized", s)
 		if err != nil {
 			return nil, err
 		}
-		opt, err := measure(ctx, c, q, plan.All(), "optimized", s)
+		opt, err := measure(ctx, c, q, plan.SelectAll(), "optimized", s)
 		if err != nil {
 			return nil, err
 		}
@@ -512,11 +484,11 @@ func Fig2Formula(ctx context.Context, d *tpc.Dataset, n int, net stats.NetModel)
 	if err != nil {
 		return FormulaCheck{}, err
 	}
-	base, err := measure(ctx, c, q, plan.None(), "none", n)
+	base, err := measure(ctx, c, q, plan.SelectNone(), "none", n)
 	if err != nil {
 		return FormulaCheck{}, err
 	}
-	red, err := measure(ctx, c, q, plan.Options{GroupReduceSite: true}, "site", n)
+	red, err := measure(ctx, c, q, plan.SelectRules("group-reduce-site"), "site", n)
 	if err != nil {
 		return FormulaCheck{}, err
 	}

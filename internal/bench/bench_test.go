@@ -81,7 +81,7 @@ func TestWorkloadsMatchOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := measure(context.Background(), c, q, plan.All(), "x", 0)
+		r, err := measure(context.Background(), c, q, plan.SelectAll(), "x", 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -92,7 +92,7 @@ func TestQueuedQueryReleasedOnSessionDisconnect(t *testing.T) {
 	coord.SetAdmission(1, 4) // one slot; the second query must queue
 
 	srv, err := server.Serve(func(ctx context.Context, stmt string) (*server.Result, error) {
-		res, err := coord.Execute(ctx, chainQuery(), plan.None())
+		res, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 		if err != nil {
 			return nil, err
 		}
@@ -198,7 +198,7 @@ func TestQueuedQueryClientCancel(t *testing.T) {
 
 	hold := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+		_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		hold <- err
 	}()
 	waitFor(t, "holder to reach the sites", func() bool { return siteCalls.Load() > 0 })
@@ -206,7 +206,7 @@ func TestQueuedQueryClientCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	queued := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(ctx, chainQuery(), plan.None())
+		_, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 		queued <- err
 	}()
 	waitFor(t, "second query to queue", func() bool { return obs.ServerQueuedQueries.Value() == 1 })

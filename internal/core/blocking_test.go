@@ -24,13 +24,13 @@ func TestRowBlockingPreservesResults(t *testing.T) {
 		for _, blockRows := range []int{0, 1, 7, 1000} {
 			coord, _ := New(sites, cat, stats.NetModel{})
 			coord.SetRowBlocking(blockRows)
-			for _, opts := range []plan.Options{plan.None(), {GroupReduceSite: true, GroupReduceCoord: true}} {
-				res, err := coord.Execute(context.Background(), q, opts)
+			for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectRules("group-reduce-coord", "group-reduce-site")} {
+				res, err := coord.ExecuteWith(context.Background(), q, sel)
 				if err != nil {
-					t.Fatalf("blockRows=%d [%s]: %v", blockRows, opts, err)
+					t.Fatalf("blockRows=%d [%s]: %v", blockRows, sel, err)
 				}
 				if !res.Rel.EqualMultiset(want) {
-					t.Fatalf("blockRows=%d [%s]: result mismatch", blockRows, opts)
+					t.Fatalf("blockRows=%d [%s]: result mismatch", blockRows, sel)
 				}
 			}
 		}
@@ -49,10 +49,10 @@ func TestRowBlockingTrafficAccounting(t *testing.T) {
 		sites, cat := buildCluster(t, global, "T", 3, 4, false)
 		coord, _ := New(sites, cat, stats.NetModel{})
 		coord.SetRowBlocking(blockRows)
-		if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+		if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 			t.Fatal(err)
 		}
-		res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		if err != nil {
 			t.Fatal(err)
 		}

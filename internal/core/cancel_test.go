@@ -43,7 +43,7 @@ func TestCancelBeforeExecute(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := coord.Execute(ctx, chainQuery(), plan.None()); !errors.Is(err, context.Canceled) {
+	if _, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone()); !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled before execute: err = %v, want context.Canceled", err)
 	}
 }
@@ -52,7 +52,7 @@ func TestCancelBeforeExecute(t *testing.T) {
 // context.Canceled — not hang on the block channel, and not mask the
 // cancellation behind a per-site error.
 func TestCancelMidStream(t *testing.T) {
-	for _, opts := range []plan.Options{plan.None(), {GroupReduceSite: true, GroupReduceCoord: true}} {
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectRules("group-reduce-coord", "group-reduce-site")} {
 		rng := rand.New(rand.NewSource(92))
 		global := randomGlobal(rng, 200, 12)
 		sites, cat := buildCluster(t, global, "T", 3, 4, true)
@@ -68,8 +68,8 @@ func TestCancelMidStream(t *testing.T) {
 			t.Fatal(err)
 		}
 		coord.SetRowBlocking(1)
-		if _, err := coord.Execute(ctx, chainQuery(), opts); !errors.Is(err, context.Canceled) {
-			t.Fatalf("[%s] cancelled mid-stream: err = %v, want context.Canceled", opts, err)
+		if _, err := coord.ExecuteWith(ctx, chainQuery(), sel); !errors.Is(err, context.Canceled) {
+			t.Fatalf("[%s] cancelled mid-stream: err = %v, want context.Canceled", sel, err)
 		}
 	}
 }

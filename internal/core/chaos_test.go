@@ -55,12 +55,12 @@ func TestChaosMatrix(t *testing.T) {
 	}
 	rounds := []struct {
 		name      string
-		opts      plan.Options
+		sel       plan.Selection
 		blockRows int
 	}{
-		{"base+operator", plan.None(), 0},
-		{"local-prefix", plan.Options{SyncReduce: true}, 0},
-		{"operator-blocking", plan.None(), 3},
+		{"base+operator", plan.SelectNone(), 0},
+		{"local-prefix", plan.SelectRules("local-prefix", "sync-skip"), 0},
+		{"operator-blocking", plan.SelectNone(), 3},
 	}
 	for _, mode := range modes {
 		for _, round := range rounds {
@@ -68,7 +68,7 @@ func TestChaosMatrix(t *testing.T) {
 				// Fault-free reference on an identically built cluster.
 				clean := faultCluster(t, faultinject.Config{})
 				clean.SetRowBlocking(round.blockRows)
-				want, err := clean.Execute(context.Background(), chainQuery(), round.opts)
+				want, err := clean.ExecuteWith(context.Background(), chainQuery(), round.sel)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,7 +77,7 @@ func TestChaosMatrix(t *testing.T) {
 				coord.SetRetryPolicy(chaosPolicy())
 				coord.SetRowBlocking(round.blockRows)
 				retries0 := obs.CoordRetries.With("1").Value()
-				got, err := coord.Execute(context.Background(), chainQuery(), round.opts)
+				got, err := coord.ExecuteWith(context.Background(), chainQuery(), round.sel)
 				if err != nil {
 					t.Fatalf("faulted run failed despite retry policy: %v", err)
 				}
@@ -111,7 +111,7 @@ func TestRetryAfterPartialStream(t *testing.T) {
 	}
 
 	clean, cleanSite := build(faultinject.Config{})
-	want, err := clean.Execute(context.Background(), chainQuery(), plan.None())
+	want, err := clean.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +119,7 @@ func TestRetryAfterPartialStream(t *testing.T) {
 	coord, faulty := build(faultinject.Config{FailStreams: 1, StreamFailAfterBlocks: 1})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3, BaseBackoff: time.Millisecond})
 	retries0 := obs.CoordRetries.With("2").Value()
-	got, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	got, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatalf("query did not survive a partial-stream failure: %v", err)
 	}
@@ -151,7 +151,7 @@ func TestRetryBackoffHonorsCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(ctx, chainQuery(), plan.None())
+		_, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 		done <- err
 	}()
 	time.Sleep(20 * time.Millisecond)

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"skalla/internal/gmdj"
-	"skalla/internal/plan"
 	"skalla/internal/stats"
 )
 
@@ -47,13 +46,8 @@ func TestConcurrentCoordinators(t *testing.T) {
 			localRng := rand.New(rand.NewSource(int64(c)))
 			for i := 0; i < iterations; i++ {
 				qi := localRng.Intn(len(queries))
-				opts := plan.Options{
-					Coalesce:         localRng.Intn(2) == 0,
-					GroupReduceSite:  localRng.Intn(2) == 0,
-					GroupReduceCoord: localRng.Intn(2) == 0,
-					SyncReduce:       localRng.Intn(2) == 0,
-				}
-				res, err := coord.Execute(context.Background(), queries[qi], opts)
+				sel := switchSelection(localRng.Intn(2) == 0, localRng.Intn(2) == 0, localRng.Intn(2) == 0, localRng.Intn(2) == 0)
+				res, err := coord.ExecuteWith(context.Background(), queries[qi], sel)
 				if err != nil {
 					errs <- err
 					return

@@ -118,17 +118,6 @@ func (c *Coordinator) SchemaSource(ctx context.Context) gmdj.SchemaSource {
 	return &schemaSource{ctx: ctx, site: c.sites[0], cache: make(map[string]relation.Schema)}
 }
 
-// Plan compiles the distributed plan for a query without executing it, from
-// the legacy optimization switches (a shim over PlanWith).
-func (c *Coordinator) Plan(ctx context.Context, q gmdj.Query, opts plan.Options) (*plan.Plan, error) {
-	pl, err := plan.New(q, c.SchemaSource(ctx), c.cat, len(c.sites), opts)
-	if err != nil {
-		return nil, err
-	}
-	recordPlanObs(pl)
-	return pl, nil
-}
-
 // PlanWith compiles the distributed plan for a query under a rule selection
 // (including plan.SelectAuto, which picks rules per query from the cost
 // model), without executing it.
@@ -149,18 +138,6 @@ func recordPlanObs(pl *plan.Plan) {
 	}
 	obs.PlanCostEstimate.With("down").Set(pl.Estimate.BytesDown)
 	obs.PlanCostEstimate.With("up").Set(pl.Estimate.BytesUp)
-}
-
-// Execute evaluates a complex GMDJ expression and returns the result
-// relation together with the full metrics record.
-func (c *Coordinator) Execute(ctx context.Context, q gmdj.Query, opts plan.Options) (*Result, error) {
-	src := c.SchemaSource(ctx)
-	pl, err := plan.New(q, src, c.cat, len(c.sites), opts)
-	if err != nil {
-		return nil, err
-	}
-	recordPlanObs(pl)
-	return c.ExecutePlan(ctx, pl, src)
 }
 
 // ExecuteWith evaluates a complex GMDJ expression under a rule selection.

@@ -155,15 +155,25 @@ func nonAlignedQuery() gmdj.Query {
 	}
 }
 
-func allOptionCombos() []plan.Options {
-	var out []plan.Options
+// switchSelection maps the paper's four Sect. 5 switches onto rules; sync
+// reduction is local-prefix plus sync-skip.
+func switchSelection(coalesce, siteGuard, coordReduce, syncReduce bool) plan.Selection {
+	on := map[string]bool{"coalesce": coalesce, "local-prefix": syncReduce, "sync-skip": syncReduce,
+		"group-reduce-coord": coordReduce, "group-reduce-site": siteGuard}
+	var names []string
+	for _, n := range plan.RuleNames() {
+		if on[n] {
+			names = append(names, n)
+		}
+	}
+	return plan.SelectRules(names...)
+}
+
+// switchCombos is every combination of the four Sect. 5 switches.
+func switchCombos() []plan.Selection {
+	var out []plan.Selection
 	for i := 0; i < 16; i++ {
-		out = append(out, plan.Options{
-			Coalesce:         i&1 != 0,
-			GroupReduceSite:  i&2 != 0,
-			GroupReduceCoord: i&4 != 0,
-			SyncReduce:       i&8 != 0,
-		})
+		out = append(out, switchSelection(i&1 != 0, i&2 != 0, i&4 != 0, i&8 != 0))
 	}
 	return out
 }
@@ -190,21 +200,21 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range allOptionCombos() {
-				res, err := coord.Execute(context.Background(), q, opts)
+			for _, sel := range switchCombos() {
+				res, err := coord.ExecuteWith(context.Background(), q, sel)
 				if err != nil {
-					t.Fatalf("trial %d %s opts [%s]: %v", trial, qname, opts, err)
+					t.Fatalf("trial %d %s sel [%s]: %v", trial, qname, sel, err)
 				}
 				if !res.Rel.EqualMultiset(want) {
 					got, exp := res.Rel.Clone(), want.Clone()
 					got.Sort()
 					exp.Sort()
-					t.Fatalf("trial %d %s opts [%s]: result mismatch\nplan:\n%s\ngot:\n%s\nwant:\n%s",
-						trial, qname, opts, res.Plan.Describe(), got.Format(20), exp.Format(20))
+					t.Fatalf("trial %d %s sel [%s]: result mismatch\nplan:\n%s\ngot:\n%s\nwant:\n%s",
+						trial, qname, sel, res.Plan.Describe(), got.Format(20), exp.Format(20))
 				}
 				if res.Metrics.NumRounds() != res.Plan.Rounds() {
 					t.Errorf("%s [%s]: %d rounds executed, plan predicted %d",
-						qname, opts, res.Metrics.NumRounds(), res.Plan.Rounds())
+						qname, sel, res.Metrics.NumRounds(), res.Plan.Rounds())
 				}
 			}
 		}
@@ -218,14 +228,14 @@ func TestTheorem2Bound(t *testing.T) {
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	for _, q := range []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()} {
-		for _, opts := range allOptionCombos() {
-			res, err := coord.Execute(context.Background(), q, opts)
+		for _, sel := range switchCombos() {
+			res, err := coord.ExecuteWith(context.Background(), q, sel)
 			if err != nil {
 				t.Fatal(err)
 			}
 			bound := TrafficBound(res.Plan, res.Rel.Len())
 			if got := res.Metrics.TotalRows(); got > bound {
-				t.Errorf("opts [%s]: %d rows transferred exceeds Theorem 2 bound %d", opts, got, bound)
+				t.Errorf("sel [%s]: %d rows transferred exceeds Theorem 2 bound %d", sel, got, bound)
 			}
 		}
 	}
@@ -239,11 +249,11 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 	coord, _ := New(sites, cat, stats.NetModel{})
 	ctx := context.Background()
 
-	baseline, err := coord.Execute(ctx, chainQuery(), plan.None())
+	baseline, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full, err := coord.Execute(ctx, chainQuery(), plan.All())
+	full, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +267,7 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 
 	// Site-side guard alone reduces the up-traffic on the aligned query
 	// (each site only matches ~1/n of the groups).
-	guard, err := coord.Execute(ctx, chainQuery(), plan.Options{GroupReduceSite: true})
+	guard, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectRules("group-reduce-site"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -265,7 +275,7 @@ func TestOptimizationsReduceTraffic(t *testing.T) {
 		t.Errorf("guard up-bytes %d, baseline %d", guard.Metrics.TotalBytesUp(), baseline.Metrics.TotalBytesUp())
 	}
 	// Coordinator-side reduction alone reduces the down-traffic.
-	coordRed, err := coord.Execute(ctx, chainQuery(), plan.Options{GroupReduceCoord: true})
+	coordRed, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +326,13 @@ func TestMultiRelationQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 	coord, _ := New(sites, nil, stats.NetModel{})
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
-			t.Fatalf("[%s]: %v", opts, err)
+			t.Fatalf("[%s]: %v", sel, err)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Errorf("[%s]: multi-relation mismatch", opts)
+			t.Errorf("[%s]: multi-relation mismatch", sel)
 		}
 	}
 }
@@ -338,13 +348,13 @@ func TestBaseFilterPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Errorf("[%s]: filtered base mismatch", opts)
+			t.Errorf("[%s]: filtered base mismatch", sel)
 		}
 	}
 }
@@ -359,7 +369,7 @@ func TestCoordinatorErrors(t *testing.T) {
 	// Invalid query surfaces a planning error.
 	bad := chainQuery()
 	bad.Base.Cols = []string{"zz"}
-	if _, err := coord.Execute(context.Background(), bad, plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), bad, plan.SelectNone()); err == nil {
 		t.Error("invalid query must error")
 	}
 	// Unknown relation.
@@ -367,13 +377,13 @@ func TestCoordinatorErrors(t *testing.T) {
 	bad2.Base.Detail = "Nope"
 	bad2.Ops[0].Detail = "Nope"
 	bad2.Ops[1].Detail = "Nope"
-	if _, err := coord.Execute(context.Background(), bad2, plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), bad2, plan.SelectNone()); err == nil {
 		t.Error("unknown relation must error")
 	}
 	// Cancelled context aborts.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := coord.Execute(ctx, chainQuery(), plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone()); err == nil {
 		t.Error("cancelled context must error")
 	}
 }
@@ -396,7 +406,7 @@ func TestEmptyGroupsKeepIdentity(t *testing.T) {
 			Cond: expr.MustParse("B.g = R.g && B.h = R.h && R.v > 50"),
 		}}}},
 	}
-	res, err := coord.Execute(context.Background(), q, plan.Options{GroupReduceSite: true, GroupReduceCoord: true})
+	res, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-coord", "group-reduce-site"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -487,7 +497,7 @@ func TestMergerUnit(t *testing.T) {
 
 func TestTrafficBoundFormula(t *testing.T) {
 	src := gmdj.Schemas{"T": tSchema}
-	pl, err := plan.New(chainQuery(), src, nil, 4, plan.None())
+	pl, err := plan.Compile(chainQuery(), src, nil, 4, plan.SelectNone(), plan.DefaultCostModel(stats.NetModel{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,23 +539,23 @@ func TestHashPartitionedCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range allOptionCombos() {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, sel := range switchCombos() {
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
-			t.Fatalf("[%s]: %v", opts, err)
+			t.Fatalf("[%s]: %v", sel, err)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Fatalf("[%s]: hash-partitioned mismatch", opts)
+			t.Fatalf("[%s]: hash-partitioned mismatch", sel)
 		}
 	}
 	// The aligned query goes fully local under sync reduction.
-	pl, err := coord.Plan(context.Background(), q, plan.Options{SyncReduce: true})
+	pl, err := coord.PlanWith(context.Background(), q, plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil || !pl.FullLocal {
 		t.Errorf("hash partitioning must enable Cor. 1: %v, %v", pl, err)
 	}
 	// Coordinator-side group reduction works off the hash filters too.
-	base, _ := coord.Execute(context.Background(), q, plan.None())
-	red, err := coord.Execute(context.Background(), q, plan.Options{GroupReduceCoord: true})
+	base, _ := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
+	red, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -564,7 +574,7 @@ func TestLineObserverTrace(t *testing.T) {
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
 	coord.SetObserver(obs.NewLineObserver(&buf))
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -582,7 +592,7 @@ func TestLineObserverTrace(t *testing.T) {
 	// Detaching stops tracing; results unaffected either way.
 	coord.SetObserver(nil)
 	buf.Reset()
-	res2, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res2, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,8 +23,8 @@ func TestProfileMatchesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All()} {
-		res, err := coord.Execute(context.Background(), chainQuery(), opts)
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,7 +100,7 @@ func TestProfileEstimatesJoined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestProfileEstimatesJoined(t *testing.T) {
 func TestProfileRetriedAttempts(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{FailFirst: 2})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +182,14 @@ func TestSlowQueryThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := obs.CoordSlowQueries.Value()
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CoordSlowQueries.Value(); got != before {
 		t.Errorf("slow-query counter moved with no threshold set: %d -> %d", before, got)
 	}
 	coord.SetSlowQueryThreshold(time.Nanosecond)
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.CoordSlowQueries.Value(); got != before+1 {

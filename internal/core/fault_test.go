@@ -41,15 +41,15 @@ func faultCluster(t *testing.T, cfg faultinject.Config) *Coordinator {
 func TestSiteFailureSurfacesError(t *testing.T) {
 	for failFrom := 1; failFrom <= 4; failFrom++ {
 		coord := faultCluster(t, faultinject.Config{FailFrom: failFrom})
-		for _, opts := range allOptionCombos() {
-			_, err := coord.Execute(context.Background(), chainQuery(), opts)
+		for _, sel := range switchCombos() {
+			_, err := coord.ExecuteWith(context.Background(), chainQuery(), sel)
 			// With generous budgets some plans finish (full-local plans make
 			// only one call per site); if an error comes back it must be ours.
 			if err != nil && !errors.Is(err, faultinject.ErrInjected) {
-				t.Fatalf("failFrom=%d [%s]: unexpected error %v", failFrom, opts, err)
+				t.Fatalf("failFrom=%d [%s]: unexpected error %v", failFrom, sel, err)
 			}
 			if failFrom == 1 && err == nil {
-				t.Fatalf("failFrom=1 [%s]: expected failure", opts)
+				t.Fatalf("failFrom=1 [%s]: expected failure", sel)
 			}
 		}
 	}
@@ -60,7 +60,7 @@ func TestSiteFailureSurfacesError(t *testing.T) {
 func TestPersistentFailureExhaustsRetries(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{FailFrom: 1})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 3})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if !errors.Is(err, faultinject.ErrInjected) {
 		t.Fatalf("err = %v, want injected failure after exhausted retries", err)
 	}
@@ -87,7 +87,7 @@ func corruptSchemaBlock(*relation.Relation) *relation.Relation {
 // the merger rather than silently dropped.
 func TestCorruptKeyDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptKeyBlock})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if !errors.Is(err, ErrMalformedH) {
 		t.Errorf("corrupt key: err = %v, want ErrMalformedH", err)
 	}
@@ -99,7 +99,7 @@ func TestCorruptKeyDetected(t *testing.T) {
 func TestCorruptSchemaDetected(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{MutateBlock: corruptSchemaBlock})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 5})
-	_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+	_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err == nil {
 		t.Fatal("corrupt schema: expected error")
 	}
@@ -145,10 +145,10 @@ func (s corruptResultSite) EvalLocal(ctx context.Context, req engine.LocalReques
 func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		opts plan.Options
+		sel  plan.Selection
 	}{
-		{"base-union", plan.None()},
-		{"local-merge", plan.Options{SyncReduce: true}},
+		{"base-union", plan.SelectNone()},
+		{"local-merge", plan.SelectRules("local-prefix", "sync-skip")},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
@@ -161,7 +161,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 			}
 			var buf bytes.Buffer
 			coord.SetObserver(obs.NewLineObserver(&buf))
-			if _, err := coord.Execute(context.Background(), chainQuery(), tc.opts); err == nil {
+			if _, err := coord.ExecuteWith(context.Background(), chainQuery(), tc.sel); err == nil {
 				t.Fatal("corrupt payload must fail the merge")
 			}
 			out := buf.String()
@@ -182,7 +182,7 @@ func TestLineObserverTraceShowsRetries(t *testing.T) {
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	var buf bytes.Buffer
 	coord.SetObserver(obs.NewLineObserver(&buf))
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()
@@ -228,12 +228,12 @@ func TestTCPSiteDeath(t *testing.T) {
 	defer servers[0].Close()
 
 	coord, _ := New(sites, nil, stats.NetModel{})
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatalf("healthy run failed: %v", err)
 	}
 	// Kill site 1's server; the next query must fail cleanly.
 	servers[1].Close()
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.None()); err == nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err == nil {
 		t.Error("query against dead site must fail")
 	}
 }

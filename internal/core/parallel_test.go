@@ -269,13 +269,13 @@ func TestWorkersByteIdenticalMatrix(t *testing.T) {
 	}
 	rounds := []struct {
 		name      string
-		opts      plan.Options
+		sel       plan.Selection
 		blockRows int
 	}{
-		{"plain", plan.None(), 0},
-		{"guard-filtered", plan.Options{GroupReduceSite: true, GroupReduceCoord: true}, 0},
-		{"sync-reduced", plan.Options{SyncReduce: true}, 0},
-		{"blocking", plan.None(), 3},
+		{"plain", plan.SelectNone(), 0},
+		{"guard-filtered", plan.SelectRules("group-reduce-coord", "group-reduce-site"), 0},
+		{"sync-reduced", plan.SelectRules("local-prefix", "sync-skip"), 0},
+		{"blocking", plan.SelectNone(), 3},
 	}
 	workerCounts := []int{1, 2, 7, runtime.GOMAXPROCS(0), 0}
 	for qname, q := range queries {
@@ -292,7 +292,7 @@ func TestWorkersByteIdenticalMatrix(t *testing.T) {
 				}
 				coord.SetMergeWorkers(w)
 				coord.SetRowBlocking(round.blockRows)
-				res, err := coord.Execute(context.Background(), q, round.opts)
+				res, err := coord.ExecuteWith(context.Background(), q, round.sel)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", qname, round.name, w, err)
 				}

@@ -40,7 +40,7 @@ func TestLocalPrefixPlanShape(t *testing.T) {
 	global := randomGlobal(rng, 60, 12)
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
-	pl, err := coord.Plan(context.Background(), prefixQuery(), plan.Options{SyncReduce: true})
+	pl, err := coord.PlanWith(context.Background(), prefixQuery(), plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,16 +63,16 @@ func TestLocalPrefixMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, opts := range allOptionCombos() {
-			res, err := coord.Execute(context.Background(), q, opts)
+		for _, sel := range switchCombos() {
+			res, err := coord.ExecuteWith(context.Background(), q, sel)
 			if err != nil {
-				t.Fatalf("[%s]: %v", opts, err)
+				t.Fatalf("[%s]: %v", sel, err)
 			}
 			if !res.Rel.EqualMultiset(want) {
-				t.Fatalf("trial %d [%s]: prefix query mismatch\nplan:\n%s", trial, opts, res.Plan.Describe())
+				t.Fatalf("trial %d [%s]: prefix query mismatch\nplan:\n%s", trial, sel, res.Plan.Describe())
 			}
 			if res.Metrics.NumRounds() != res.Plan.Rounds() {
-				t.Errorf("[%s]: rounds %d != plan %d", opts, res.Metrics.NumRounds(), res.Plan.Rounds())
+				t.Errorf("[%s]: rounds %d != plan %d", sel, res.Metrics.NumRounds(), res.Plan.Rounds())
 			}
 		}
 	}
@@ -86,11 +86,11 @@ func TestLocalPrefixReducesTraffic(t *testing.T) {
 	sites, cat := buildCluster(t, global, "T", 3, 4, false)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	q := prefixQuery()
-	base, err := coord.Execute(context.Background(), q, plan.None())
+	base, err := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	red, err := coord.Execute(context.Background(), q, plan.Options{SyncReduce: true})
+	red, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ import (
 	"skalla/internal/agg"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
-	"skalla/internal/plan"
 	"skalla/internal/stats"
 )
 
@@ -122,20 +121,15 @@ func TestQuickRandomQueries(t *testing.T) {
 			t.Logf("seed %d: oracle: %v", seed, err)
 			return false
 		}
-		opts := plan.Options{
-			Coalesce:         rng.Intn(2) == 0,
-			GroupReduceSite:  rng.Intn(2) == 0,
-			GroupReduceCoord: rng.Intn(2) == 0,
-			SyncReduce:       rng.Intn(2) == 0,
-		}
+		sel := switchSelection(rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0)
 		coord.SetRowBlocking([]int{0, 0, 3}[rng.Intn(3)])
-		res, err := coord.Execute(context.Background(), q, opts)
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
-			t.Logf("seed %d [%s]: execute: %v\n%s", seed, opts, err, q)
+			t.Logf("seed %d [%s]: execute: %v\n%s", seed, sel, err, q)
 			return false
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Logf("seed %d [%s]: mismatch for query\n%s\nplan:\n%s", seed, opts, q, res.Plan.Describe())
+			t.Logf("seed %d [%s]: mismatch for query\n%s\nplan:\n%s", seed, sel, q, res.Plan.Describe())
 			return false
 		}
 		return true

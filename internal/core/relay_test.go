@@ -63,13 +63,13 @@ func TestTieredMatchesOracle(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range allOptionCombos() {
-				res, err := coord.Execute(context.Background(), q, opts)
+			for _, sel := range switchCombos() {
+				res, err := coord.ExecuteWith(context.Background(), q, sel)
 				if err != nil {
-					t.Fatalf("%s [%s]: %v", qname, opts, err)
+					t.Fatalf("%s [%s]: %v", qname, sel, err)
 				}
 				if !res.Rel.EqualMultiset(want) {
-					t.Fatalf("%s [%s]: tiered result mismatch\nplan:\n%s", qname, opts, res.Plan.Describe())
+					t.Fatalf("%s [%s]: tiered result mismatch\nplan:\n%s", qname, sel, res.Plan.Describe())
 				}
 			}
 		}
@@ -89,11 +89,11 @@ func TestTieredReducesRootFanIn(t *testing.T) {
 	tierCoord, _ := New(tier, tierCat, stats.NetModel{})
 
 	q := nonAlignedQuery() // groups span every site: worst-case fan-in
-	flatRes, err := flatCoord.Execute(context.Background(), q, plan.None())
+	flatRes, err := flatCoord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	tierRes, err := tierCoord.Execute(context.Background(), q, plan.None())
+	tierRes, err := tierCoord.ExecuteWith(context.Background(), q, plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,13 +151,13 @@ func TestRelayOverTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), {GroupReduceSite: true, Coalesce: true}} {
-		res, err := coord.Execute(context.Background(), chainQuery(), opts)
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectRules("coalesce", "group-reduce-site")} {
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), sel)
 		if err != nil {
-			t.Fatalf("[%s]: %v", opts, err)
+			t.Fatalf("[%s]: %v", sel, err)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Errorf("[%s]: TCP relay mismatch", opts)
+			t.Errorf("[%s]: TCP relay mismatch", sel)
 		}
 	}
 }

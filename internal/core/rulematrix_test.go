@@ -30,9 +30,9 @@ func subsetSelection(mask int) plan.Selection {
 
 // TestRuleSubsetsByteIdentical is the planner's core invariant: every rule
 // subset — all 2^5 of them, covering every pairwise combination and the full
-// set — produces a byte-identical merged result, and matches both the legacy
-// Options execution path and the cost-driven auto mode, on each matrix query —
-// and that result is the centralized evaluation's (Thm. 3). The sites hold
+// set — produces a byte-identical merged result, and matches the cost-driven
+// auto mode, on each matrix query — and that result is the centralized
+// evaluation's (Thm. 3). The sites hold
 // their partitions Load-ed, so the grouping-set queries run the compiled
 // pattern kernels at the sites against EvalCentral's scalar scan.
 func TestRuleSubsetsByteIdentical(t *testing.T) {
@@ -54,7 +54,7 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 	}
 	nRules := len(plan.RuleNames())
 	for qname, q := range queries {
-		run := func(sel plan.Selection) (string, string) {
+		run := func(sel plan.Selection) string {
 			t.Helper()
 			sites, cat := buildCluster(t, global, "T", 3, 3, true)
 			coord, err := New(sites, cat, stats.NetModel{})
@@ -65,9 +65,9 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s under %s: %v", qname, sel, err)
 			}
-			return sortedText(res.Rel), res.Plan.Fingerprint
+			return sortedText(res.Rel)
 		}
-		want, _ := run(plan.SelectNone())
+		want := run(plan.SelectNone())
 		central, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
 		if err != nil {
 			t.Fatalf("%s: central: %v", qname, err)
@@ -77,39 +77,20 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 		}
 		for mask := 1; mask < 1<<nRules; mask++ {
 			sel := subsetSelection(mask)
-			if got, _ := run(sel); got != want {
+			if got := run(sel); got != want {
 				t.Errorf("%s: subset %s diverges from baseline", qname, sel)
 			}
 		}
-		if got, _ := run(plan.SelectAuto()); got != want {
+		if got := run(plan.SelectAuto()); got != want {
 			t.Errorf("%s: auto mode diverges from baseline", qname)
-		}
-		// Legacy Options path: same results, and the shim's fingerprint
-		// matches the equivalent rule selection's.
-		sites, cat := buildCluster(t, global, "T", 3, 3, true)
-		coord, err := New(sites, cat, stats.NetModel{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := coord.Execute(context.Background(), q, plan.All())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := sortedText(res.Rel); got != want {
-			t.Errorf("%s: legacy Options(all) diverges from baseline", qname)
-		}
-		_, selFP := run(plan.OptionsSelection(plan.All()))
-		if res.Plan.Fingerprint != selFP {
-			t.Errorf("%s: Options shim fingerprint %s != selection fingerprint %s",
-				qname, res.Plan.Fingerprint, selFP)
 		}
 	}
 }
 
 // TestAutoEstimateNeverWorse is the cost model's property: on randomized
 // queries and partitionings, auto mode's estimated cost is never worse than
-// the best of the 16 legacy boolean combinations, and auto's execution stays
-// byte-identical to the unoptimized baseline.
+// any of the 2^5 rule subsets, and auto's execution stays byte-identical to
+// the unoptimized baseline.
 func TestAutoEstimateNeverWorse(t *testing.T) {
 	prop := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,21 +118,16 @@ func TestAutoEstimateNeverWorse(t *testing.T) {
 			t.Logf("seed %d: auto plan: %v", seed, err)
 			return false
 		}
-		for mask := 0; mask < 16; mask++ {
-			opts := plan.Options{
-				Coalesce:         mask&1 != 0,
-				GroupReduceSite:  mask&2 != 0,
-				GroupReduceCoord: mask&4 != 0,
-				SyncReduce:       mask&8 != 0,
-			}
-			p, err := coord.PlanWith(ctx, q, plan.OptionsSelection(opts))
+		for mask := 0; mask < 1<<len(plan.RuleNames()); mask++ {
+			sel := subsetSelection(mask)
+			p, err := coord.PlanWith(ctx, q, sel)
 			if err != nil {
-				t.Logf("seed %d [%s]: plan: %v", seed, opts, err)
+				t.Logf("seed %d [%s]: plan: %v", seed, sel, err)
 				return false
 			}
 			if auto.Estimate.Compare(p.Estimate) > 0 {
 				t.Logf("seed %d: auto estimate (%s, rules %s) worse than %s (%s)\n%s",
-					seed, auto.Estimate, strings.Join(auto.Rules, ","), opts, p.Estimate, q)
+					seed, auto.Estimate, strings.Join(auto.Rules, ","), sel, p.Estimate, q)
 				return false
 			}
 		}

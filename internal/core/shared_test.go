@@ -30,7 +30,7 @@ func TestSingleFlightStorm(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := plain.Execute(context.Background(), chainQuery(), plan.All())
+	serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestSingleFlightStorm(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], errs[i] = coord.Execute(context.Background(), chainQuery(), plan.All())
+			results[i], errs[i] = coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 		}(i)
 	}
 	// The leader is parked at the gate; wait until the other 31 statements
@@ -85,7 +85,7 @@ func TestSingleFlightStorm(t *testing.T) {
 	// The whole storm must have cost exactly one execution's site calls: a
 	// fresh (non-concurrent) run on the same coordinator re-runs the rounds
 	// and establishes that count.
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.All()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll()); err != nil {
 		t.Fatal(err)
 	}
 	soloCalls := siteCalls.Load() - stormCalls
@@ -122,7 +122,7 @@ func TestSingleFlightResultsArePrivate(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _ = coord.Execute(context.Background(), chainQuery(), plan.None())
+			results[i], _ = coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		}(i)
 	}
 	waitFor(t, "followers to join", func() bool {
@@ -159,7 +159,7 @@ func TestSingleFlightLeaderCancelDoesNotFailFollowers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := plain.Execute(context.Background(), chainQuery(), plan.None())
+	serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,14 +182,14 @@ func TestSingleFlightLeaderCancelDoesNotFailFollowers(t *testing.T) {
 	leaderDone := make(chan struct{})
 	go func() {
 		defer close(leaderDone)
-		coord.Execute(leaderCtx, chainQuery(), plan.None())
+		coord.ExecuteWith(leaderCtx, chainQuery(), plan.SelectNone())
 	}()
 	waitFor(t, "leader to reach the sites", func() bool { return siteCalls.Load() > 0 })
 
 	followerRes := make(chan *Result, 1)
 	followerErr := make(chan error, 1)
 	go func() {
-		res, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		followerRes <- res
 		followerErr <- err
 	}()
@@ -234,7 +234,7 @@ func TestSingleFlightAbandonedCancelsExecution(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(ctx, chainQuery(), plan.None())
+		_, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone())
 		done <- err
 	}()
 	waitFor(t, "leader to reach the sites", func() bool { return siteCalls.Load() > 0 })
@@ -268,7 +268,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 	coord.SetResultCache(8)
 
 	hits0 := obs.CoordResultCacheHits.Value()
-	cold, err := coord.Execute(context.Background(), chainQuery(), plan.All())
+	cold, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +277,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 	}
 	coldCalls := siteCalls.Load()
 
-	hot, err := coord.Execute(context.Background(), chainQuery(), plan.All())
+	hot, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +297,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 	// The hit hands out a private clone: mutating it must not corrupt the
 	// cached entry.
 	hot.Rel.Tuples = hot.Rel.Tuples[:1]
-	again, err := coord.Execute(context.Background(), chainQuery(), plan.All())
+	again, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +330,7 @@ func TestResultCacheGenerationBumpMidExecution(t *testing.T) {
 
 	done := make(chan error, 1)
 	go func() {
-		_, err := coord.Execute(context.Background(), chainQuery(), plan.All())
+		_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 		done <- err
 	}()
 	waitFor(t, "execution to reach the sites", func() bool { return siteCalls.Load() > 0 })
@@ -346,7 +346,7 @@ func TestResultCacheGenerationBumpMidExecution(t *testing.T) {
 	// The next execution recompiles under the new generation, runs real
 	// rounds, and its commit (generation unchanged since compile) sticks.
 	calls0 := siteCalls.Load()
-	if _, err := coord.Execute(context.Background(), chainQuery(), plan.All()); err != nil {
+	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll()); err != nil {
 		t.Fatal(err)
 	}
 	if siteCalls.Load() == calls0 {
@@ -369,7 +369,7 @@ func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := plain.Execute(context.Background(), chainQuery(), plan.None())
+	serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +391,7 @@ func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 	// stale — the lookup must drop it (miss reason "generation") and the
 	// commit-time re-check must refuse to re-commit results of the now-stale
 	// plan, so the cache ends the test empty rather than poisoned.
-	pl, err := coord.Plan(context.Background(), chainQuery(), plan.None())
+	pl, err := coord.PlanWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -446,19 +446,19 @@ func TestSharedResultsChargeMemBudget(t *testing.T) {
 			t.Fatal(err)
 		}
 		coord.SetResultCache(8)
-		cold, err := coord.Execute(context.Background(), chainQuery(), plan.All())
+		cold, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 		if err != nil {
 			t.Fatal(err)
 		}
 		// A budget below the result's own footprint: the cached copy exists,
 		// but serving it must still fail the over-budget query.
 		coord.SetQueryMemBudget(cold.Rel.MemBytes() / 2)
-		if _, err := coord.Execute(context.Background(), chainQuery(), plan.All()); !errors.Is(err, ErrQueryMemBudget) {
+		if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll()); !errors.Is(err, ErrQueryMemBudget) {
 			t.Fatalf("over-budget cache hit returned %v, want ErrQueryMemBudget", err)
 		}
 		// A sufficient budget serves the hit normally.
 		coord.SetQueryMemBudget(cold.Rel.MemBytes() * 4)
-		if _, err := coord.Execute(context.Background(), chainQuery(), plan.All()); err != nil {
+		if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll()); err != nil {
 			t.Fatalf("within-budget cache hit failed: %v", err)
 		}
 	})
@@ -481,7 +481,7 @@ func TestSharedResultsChargeMemBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		serial, err := plain.Execute(context.Background(), chainQuery(), plan.None())
+		serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -490,7 +490,7 @@ func TestSharedResultsChargeMemBudget(t *testing.T) {
 		followers0 := obs.ServerSingleflightFollowers.Value()
 		leaderDone := make(chan error, 1)
 		go func() {
-			_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+			_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 			leaderDone <- err
 		}()
 		waitFor(t, "leader to reach the sites", func() bool { return siteCalls.Load() > 0 })
@@ -499,7 +499,7 @@ func TestSharedResultsChargeMemBudget(t *testing.T) {
 		coord.SetQueryMemBudget(serial.Rel.MemBytes() / 2)
 		followerDone := make(chan error, 1)
 		go func() {
-			_, err := coord.Execute(context.Background(), chainQuery(), plan.None())
+			_, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 			followerDone <- err
 		}()
 		waitFor(t, "follower to join the flight", func() bool {

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"skalla/internal/gmdj"
-	"skalla/internal/plan"
 	"skalla/internal/stats"
 )
 
@@ -34,14 +33,9 @@ func TestSyncReduceFilteredBaseRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		opts := plan.Options{
-			Coalesce:         rng.Intn(2) == 0,
-			GroupReduceSite:  rng.Intn(2) == 0,
-			GroupReduceCoord: rng.Intn(2) == 0,
-			SyncReduce:       rng.Intn(2) == 0,
-		}
+		sel := switchSelection(rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0, rng.Intn(2) == 0)
 		coord.SetRowBlocking([]int{0, 0, 3}[rng.Intn(3)])
-		res, err := coord.Execute(context.Background(), q, opts)
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -49,7 +43,7 @@ func TestSyncReduceFilteredBaseRegression(t *testing.T) {
 			t.Errorf("seed %d: planner folded base sync despite base WHERE", seed)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Errorf("seed %d [%s]: distributed result diverges from centralized oracle", seed, opts)
+			t.Errorf("seed %d [%s]: distributed result diverges from centralized oracle", seed, sel)
 		}
 	}
 }

@@ -142,22 +142,22 @@ func TestCubeDistributed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []plan.Options{plan.None(), plan.All(), {GroupReduceSite: true}} {
-		res, err := coord.Execute(context.Background(), q, opts)
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll(), plan.SelectRules("group-reduce-site")} {
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
 		if err != nil {
-			t.Fatalf("[%s]: %v", opts, err)
+			t.Fatalf("[%s]: %v", sel, err)
 		}
 		if !res.Rel.EqualMultiset(want) {
 			got := res.Rel.Clone()
 			got.Sort()
 			exp := want.Clone()
 			exp.Sort()
-			t.Fatalf("[%s]: distributed cube mismatch\ngot:\n%s\nwant:\n%s", opts, got, exp)
+			t.Fatalf("[%s]: distributed cube mismatch\ngot:\n%s\nwant:\n%s", sel, got, exp)
 		}
 		// A single-operator cube is one GMDJ round plus the base round at
 		// most (grouping sets defeat sync reduction by design).
 		if res.Metrics.NumRounds() > 2 {
-			t.Errorf("[%s]: cube took %d rounds", opts, res.Metrics.NumRounds())
+			t.Errorf("[%s]: cube took %d rounds", sel, res.Metrics.NumRounds())
 		}
 	}
 }

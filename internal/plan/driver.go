@@ -96,45 +96,6 @@ func (s Selection) String() string {
 	return "rules=" + strings.Join(s.Rules, ",")
 }
 
-// OptionsSelection maps the legacy Options booleans onto the equivalent rule
-// selection; plan.New is a shim over it. SyncReduce covers both
-// synchronization reductions (the booleans predate their separation).
-func OptionsSelection(o Options) Selection {
-	var names []string
-	if o.Coalesce {
-		names = append(names, "coalesce")
-	}
-	if o.SyncReduce {
-		names = append(names, "local-prefix", "sync-skip")
-	}
-	if o.GroupReduceCoord {
-		names = append(names, "group-reduce-coord")
-	}
-	if o.GroupReduceSite {
-		names = append(names, "group-reduce-site")
-	}
-	return Selection{Mode: ModeRules, Rules: names}
-}
-
-// optionsFromRules synthesizes the legacy booleans a rule set corresponds to,
-// so Options-reading callers keep working on rule-compiled plans.
-func optionsFromRules(names []string) Options {
-	var o Options
-	for _, n := range names {
-		switch n {
-		case "coalesce":
-			o.Coalesce = true
-		case "local-prefix", "sync-skip":
-			o.SyncReduce = true
-		case "group-reduce-coord":
-			o.GroupReduceCoord = true
-		case "group-reduce-site":
-			o.GroupReduceSite = true
-		}
-	}
-	return o
-}
-
 // resolve maps the selection to registry rules in canonical order,
 // deduplicated; unknown names error.
 func (s Selection) resolve() ([]Rule, error) {
@@ -291,7 +252,6 @@ func compileRules(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, num
 			p.Rules = append(p.Rules, t.Rule)
 		}
 	}
-	p.Opts = optionsFromRules(p.Rules)
 	xs, err := c.XSchemas()
 	if err != nil {
 		return nil, err

@@ -20,10 +20,10 @@
 //   - group-reduce-site: the distribution-independent guard flag (Prop. 1),
 //     applied by the sites at execution time.
 //
-// The legacy Options booleans (the switch set of the paper's Sect. 5
-// experiments) remain as a compatibility shim over rule selection; new
-// callers use Compile with a Selection — including ModeAuto, which picks the
-// rule subset per query by estimated (rounds, bytes down/up).
+// Callers choose rules with a Selection passed to Compile: none, all, an
+// explicit rule list, or ModeAuto, which picks the rule subset per query by
+// estimated (rounds, bytes down/up). The paper's Sect. 5 switches map onto
+// rule lists (sync reduction is local-prefix plus sync-skip).
 package plan
 
 import (
@@ -37,63 +37,10 @@ import (
 	"skalla/internal/stats"
 )
 
-// Options are the optimization switches studied in the paper's Sect. 5
-// experiments. The zero value disables everything (the baseline plans).
-// Options are a compatibility shim: each boolean selects pipeline rules per
-// OptionsSelection.
-type Options struct {
-	// Coalesce merges adjacent independent MD operators (Fig. 3).
-	Coalesce bool
-	// GroupReduceSite is distribution-independent group reduction: sites
-	// return only groups with |RNG| > 0 (Prop. 1; the site-side half of
-	// Fig. 2).
-	GroupReduceSite bool
-	// GroupReduceCoord is distribution-aware group reduction: the
-	// coordinator ships each site only the base tuples it can contribute to
-	// (Thm. 4; the coordinator-side half of Fig. 2).
-	GroupReduceCoord bool
-	// SyncReduce enables the synchronization reductions of Prop. 2 and
-	// Cor. 1 (Fig. 4).
-	SyncReduce bool
-}
-
-// None disables every optimization.
-func None() Options { return Options{} }
-
-// All enables every optimization.
-func All() Options {
-	return Options{Coalesce: true, GroupReduceSite: true, GroupReduceCoord: true, SyncReduce: true}
-}
-
-// String lists the enabled switches.
-func (o Options) String() string {
-	var on []string
-	if o.Coalesce {
-		on = append(on, "coalesce")
-	}
-	if o.GroupReduceSite {
-		on = append(on, "group-reduce-site")
-	}
-	if o.GroupReduceCoord {
-		on = append(on, "group-reduce-coord")
-	}
-	if o.SyncReduce {
-		on = append(on, "sync-reduce")
-	}
-	if len(on) == 0 {
-		return "none"
-	}
-	return strings.Join(on, ",")
-}
-
 // Plan is a compiled distributed evaluation plan.
 type Plan struct {
 	// Query is the (possibly coalesced) query to execute.
 	Query gmdj.Query
-	// Opts are the legacy switches the plan corresponds to: the caller's
-	// booleans when compiled through New, or synthesized from the applied
-	// rules when compiled through Compile.
-	Opts Options
 	// NumSites is the number of participating sites.
 	NumSites int
 	// Merges counts coalescing rewrites applied.
@@ -139,22 +86,6 @@ type Plan struct {
 	CatalogGen uint64
 	// Candidates is the number of plans enumerated (1 except in auto mode).
 	Candidates int
-}
-
-// New compiles a plan from the legacy optimization switches. It is a shim
-// over Compile with OptionsSelection(opts) and the default cost model. The
-// schema source provides detail schemas (typically fetched once from a
-// site); cat may be nil when no distribution knowledge exists, which
-// disables the distribution-aware optimizations.
-func New(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, opts Options) (*Plan, error) {
-	p, err := Compile(q, src, cat, numSites, OptionsSelection(opts), DefaultCostModel(stats.DefaultLAN()))
-	if err != nil {
-		return nil, err
-	}
-	// Preserve the caller's requested switches verbatim (a requested switch
-	// may not have applied; Options-reading callers expect their input back).
-	p.Opts = opts
-	return p, nil
 }
 
 // Rounds predicts the number of synchronization rounds the plan needs: a

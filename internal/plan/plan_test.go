@@ -32,6 +32,10 @@ func flowCatalog(n int) *distrib.Catalog {
 	})
 }
 
+func compileFlow(q gmdj.Query, cat *distrib.Catalog, numSites int, sel Selection) (*Plan, error) {
+	return Compile(q, flowSchemas, cat, numSites, sel, DefaultCostModel(stats.DefaultLAN()))
+}
+
 func opWith(name, cond string) gmdj.Operator {
 	return gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{{
 		Aggs: []agg.Spec{{Func: agg.Count, As: name}},
@@ -62,20 +66,8 @@ func independentQuery() gmdj.Query {
 	}
 }
 
-func TestOptionsString(t *testing.T) {
-	if None().String() != "none" {
-		t.Errorf("None = %q", None().String())
-	}
-	s := All().String()
-	for _, frag := range []string{"coalesce", "group-reduce-site", "group-reduce-coord", "sync-reduce"} {
-		if !strings.Contains(s, frag) {
-			t.Errorf("All() missing %q: %s", frag, s)
-		}
-	}
-}
-
 func TestBaselinePlan(t *testing.T) {
-	p, err := New(chainQuery(), flowSchemas, nil, 4, None())
+	p, err := compileFlow(chainQuery(), nil, 4, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +83,7 @@ func TestBaselinePlan(t *testing.T) {
 }
 
 func TestCoalescePlan(t *testing.T) {
-	p, err := New(independentQuery(), flowSchemas, nil, 4, Options{Coalesce: true})
+	p, err := compileFlow(independentQuery(), nil, 4, SelectRules("coalesce"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +94,7 @@ func TestCoalescePlan(t *testing.T) {
 		t.Errorf("Rounds = %d", p.Rounds())
 	}
 	// Dependent chain must not merge.
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{Coalesce: true})
+	p, err = compileFlow(chainQuery(), nil, 4, SelectRules("coalesce"))
 	if err != nil || p.Merges != 0 {
 		t.Errorf("dependent chain merged: %d, %v", p.Merges, err)
 	}
@@ -110,7 +102,7 @@ func TestCoalescePlan(t *testing.T) {
 
 func TestSyncReducePlan(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err := compileFlow(chainQuery(), cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +111,7 @@ func TestSyncReducePlan(t *testing.T) {
 	}
 	// Without a catalog, Cor. 1 cannot apply, but Prop. 2 still folds the
 	// base sync (its test is distribution-independent).
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{SyncReduce: true})
+	p, err = compileFlow(chainQuery(), nil, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +124,7 @@ func TestSyncReducePlan(t *testing.T) {
 		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"DAS"}},
 		Ops:  []gmdj.Operator{opWith("c1", "B.DAS = R.NB")},
 	}
-	p, err = New(q, flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err = compileFlow(q, cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +135,7 @@ func TestSyncReducePlan(t *testing.T) {
 
 func TestGroupReducePlan(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, Options{GroupReduceCoord: true})
+	p, err := compileFlow(chainQuery(), cat, 4, SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +155,7 @@ func TestGroupReducePlan(t *testing.T) {
 		t.Error("reducer must drop out-of-range group")
 	}
 	// FullLocal plans skip reducer computation.
-	p, err = New(chainQuery(), flowSchemas, cat, 4, All())
+	p, err = compileFlow(chainQuery(), cat, 4, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +163,7 @@ func TestGroupReducePlan(t *testing.T) {
 		t.Errorf("full-local plan should not compute reducers: %+v", p.Reducers)
 	}
 	// Without distribution knowledge, no reducers.
-	p, err = New(chainQuery(), flowSchemas, nil, 4, Options{GroupReduceCoord: true})
+	p, err = compileFlow(chainQuery(), nil, 4, SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,24 +173,24 @@ func TestGroupReducePlan(t *testing.T) {
 }
 
 func TestPlanErrors(t *testing.T) {
-	if _, err := New(chainQuery(), flowSchemas, nil, 0, None()); err == nil {
+	if _, err := compileFlow(chainQuery(), nil, 0, SelectNone()); err == nil {
 		t.Error("zero sites must error")
 	}
 	// Catalog/deployment mismatch.
-	if _, err := New(chainQuery(), flowSchemas, flowCatalog(8), 4, None()); err == nil {
+	if _, err := compileFlow(chainQuery(), flowCatalog(8), 4, SelectNone()); err == nil {
 		t.Error("site-count mismatch must error")
 	}
 	// Invalid query.
 	bad := chainQuery()
 	bad.Base.Cols = []string{"zz"}
-	if _, err := New(bad, flowSchemas, nil, 4, None()); err == nil {
+	if _, err := compileFlow(bad, nil, 4, SelectNone()); err == nil {
 		t.Error("invalid query must error")
 	}
 }
 
 func TestDescribe(t *testing.T) {
 	cat := flowCatalog(4)
-	p, err := New(chainQuery(), flowSchemas, cat, 4, All())
+	p, err := compileFlow(chainQuery(), cat, 4, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +200,7 @@ func TestDescribe(t *testing.T) {
 			t.Errorf("Describe missing %q:\n%s", frag, d)
 		}
 	}
-	p, _ = New(chainQuery(), flowSchemas, nil, 4, Options{SyncReduce: true, GroupReduceSite: true})
+	p, _ = compileFlow(chainQuery(), nil, 4, SelectRules("local-prefix", "sync-skip", "group-reduce-site"))
 	d = p.Describe()
 	if !strings.Contains(d, "Prop. 2") || !strings.Contains(d, "guard: true") {
 		t.Errorf("Describe:\n%s", d)
@@ -216,7 +208,7 @@ func TestDescribe(t *testing.T) {
 }
 
 func TestKeys(t *testing.T) {
-	p, err := New(chainQuery(), flowSchemas, nil, 2, None())
+	p, err := compileFlow(chainQuery(), nil, 2, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +228,7 @@ func TestPlanSimplifiesConditions(t *testing.T) {
 		}}}},
 	}
 	cat := flowCatalog(4)
-	p, err := New(q, flowSchemas, cat, 4, Options{SyncReduce: true})
+	p, err := compileFlow(q, cat, 4, SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
 		t.Fatal(err)
 	}

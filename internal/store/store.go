@@ -5,13 +5,11 @@
 // rows into fixed-size segments on disk (the relation wire codec's
 // column-major format, one frame per segment) and streams them through a
 // small decoded-segment cache, keeping scan memory bounded by (cache size ×
-// segment rows) regardless of table size. Segments written by earlier
-// versions as gob files (.gob extension) remain readable.
+// segment rows) regardless of table size.
 package store
 
 import (
 	"bufio"
-	"encoding/gob"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -371,23 +369,15 @@ func (t *Table) loadSegment(rec *obs.SiteRecorder, ord int, seg segmentMeta) ([]
 		return nil, err
 	}
 	defer f.Close()
-	var rows []relation.Tuple
-	if filepath.Ext(seg.File) == ".gob" {
-		// Legacy segment format: a bare gob-encoded []Tuple.
-		if err := gob.NewDecoder(bufio.NewReader(f)).Decode(&rows); err != nil {
-			return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
-		}
-	} else {
-		rel, err := relation.NewDecoder(bufio.NewReader(f)).Decode()
-		if err != nil {
-			return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
-		}
-		if !rel.Schema.Equal(t.schema) {
-			return nil, fmt.Errorf("store: segment %s schema %s does not match table schema %s",
-				seg.File, rel.Schema, t.schema)
-		}
-		rows = rel.Tuples
+	rel, err := relation.NewDecoder(bufio.NewReader(f)).Decode()
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
 	}
+	if !rel.Schema.Equal(t.schema) {
+		return nil, fmt.Errorf("store: segment %s schema %s does not match table schema %s",
+			seg.File, rel.Schema, t.schema)
+	}
+	rows := rel.Tuples
 	if len(rows) != seg.Rows {
 		return nil, fmt.Errorf("store: segment %s has %d rows, manifest says %d", seg.File, len(rows), seg.Rows)
 	}

@@ -4,6 +4,7 @@ import (
 	"encoding/gob"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -134,9 +135,10 @@ func TestSegmentCacheEviction(t *testing.T) {
 	}
 }
 
-// Tables written by earlier versions used bare gob-encoded []Tuple segments
-// with a .gob extension; they must stay readable alongside codec segments.
-func TestLegacyGobSegmentFallback(t *testing.T) {
+// Segments are codec frames only: a manifest still naming a pre-codec gob
+// segment (bare gob-encoded []Tuple, .gob extension) fails the scan with an
+// error naming the segment, and nothing from it is cached.
+func TestGobSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
 	tbl, err := Create(dir, "T", storeSchema(), 4)
 	if err != nil {
@@ -158,28 +160,15 @@ func TestLegacyGobSegmentFallback(t *testing.T) {
 	if err := tbl.writeManifest(); err != nil {
 		t.Fatal(err)
 	}
-	// New rows seal into codec segments next to the legacy one.
-	for i := int64(0); i < 4; i++ {
-		if err := tbl.Append(row(i, "new")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Flush(); err != nil {
-		t.Fatal(err)
-	}
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := reopened.Materialize()
-	if err != nil {
-		t.Fatal(err)
+	if _, err := reopened.Materialize(); err == nil || !strings.Contains(err.Error(), "seg00000.gob") {
+		t.Fatalf("scan over a gob segment: err = %v, want an error naming seg00000.gob", err)
 	}
-	if got.Len() != 6 {
-		t.Fatalf("materialized %d rows, want 6", got.Len())
-	}
-	if got.Tuples[0][1].Str != "old" || got.Tuples[2][1].Str != "new" {
-		t.Fatalf("segment order or content wrong: %v", got.Tuples)
+	if n := len(reopened.cache.data); n != 0 {
+		t.Errorf("failed segment left %d cache entries", n)
 	}
 }
 

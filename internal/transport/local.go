@@ -194,9 +194,11 @@ func (l *LocalSite) Load(ctx context.Context, name string, rel *relation.Relatio
 	return l.site.Load(ctx, name, rel)
 }
 
-// FastLocalSite is a zero-serialization variant of LocalSite for unit tests
-// and micro-benchmarks where wire fidelity does not matter: byte counts are
-// approximated from row counts, and requests are dispatched directly.
+// FastLocalSite is a zero-serialization variant of LocalSite (and the
+// in-process default of skalla.NewLocalCluster): requests are dispatched
+// directly and relations pass by reference. Row counts are exact, but byte
+// counts are zero — nothing is encoded, so there is nothing to count. Use
+// LocalSite where bytes matter.
 type FastLocalSite struct {
 	site Backend
 }

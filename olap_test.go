@@ -21,7 +21,7 @@ func TestFacadeCube(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,14 +52,14 @@ func TestFacadeRollupAndGroupingSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cl.Execute(context.Background(), rq, NoOptimizations()); err != nil {
+	if _, err := cl.Execute(context.Background(), rq, SelectNone()); err != nil {
 		t.Fatal(err)
 	}
 	gq, err := GroupingSetsQuery("Flow", []string{"SourceAS"}, [][]string{{"SourceAS"}, {}}, Count("n"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), gq, NoOptimizations())
+	res, err := cl.Execute(context.Background(), gq, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,11 +89,11 @@ func TestFacadeTranslateSQL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sqlRes, err := cl.Execute(context.Background(), sqlQ, AllOptimizations())
+	sqlRes, err := cl.Execute(context.Background(), sqlQ, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
-	builderRes, err := cl.Execute(context.Background(), flowQuery(t), AllOptimizations())
+	builderRes, err := cl.Execute(context.Background(), flowQuery(t), SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,11 +130,11 @@ func TestFacadeRowBlocking(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := flowQuery(t)
-	a, err := plain.Execute(context.Background(), q, NoOptimizations())
+	a, err := plain.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := blocked.Execute(context.Background(), q, NoOptimizations())
+	b, err := blocked.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,11 +29,11 @@ func TestParseQueryTextExample1(t *testing.T) {
 	// The parsed query executes and matches the builder-built version.
 	cl, _ := loadedFlowCluster(t)
 	defer cl.Close()
-	want, err := cl.Execute(context.Background(), flowQuery(t), NoOptimizations())
+	want, err := cl.Execute(context.Background(), flowQuery(t), SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := cl.Execute(context.Background(), q, NoOptimizations())
+	got, err := cl.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -71,7 +71,7 @@ echo "==> run query"
 "$workdir/bin/skalla-coordinator" -sites 127.0.0.1:7471 -data "$workdir/tpcr" \
   -q 'base TPCR key NationKey
 op B.NationKey = R.NationKey :: count(*) as items, avg(ExtendedPrice) as avgPrice' \
-  -opts none -stats-json "$workdir/stats.json" || fail "coordinator query failed"
+  -plan-mode none -stats-json "$workdir/stats.json" || fail "coordinator query failed"
 
 grep -q '"summary"' "$workdir/stats.json" \
   || fail "stats JSON missing summary"

@@ -262,10 +262,10 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 
 	// The very first execution pays one-time transport warm-up bytes, so take
 	// the steady-state serial baseline from a second run.
-	if _, err := cl.Execute(context.Background(), q, NoOptimizations()); err != nil {
+	if _, err := cl.Execute(context.Background(), q, SelectNone()); err != nil {
 		t.Fatal(err)
 	}
-	serial, err := cl.Execute(context.Background(), q, NoOptimizations())
+	serial, err := cl.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, prof, err := cl.ExecuteProfiled(context.Background(), q, NoOptimizations())
+			res, err := cl.Execute(context.Background(), q, SelectNone())
 			if err != nil {
 				t.Errorf("goroutine %d: %v", i, err)
 				return
@@ -290,7 +290,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 				t.Errorf("goroutine %d: %d bytes in %d messages, want %d in %d (profile cross-contamination?)",
 					i, got, res.Metrics.TotalMessages(), wantBytes, wantMsgs)
 			}
-			ids[i] = prof.QueryID
+			ids[i] = res.Profile.QueryID
 		}(i)
 	}
 	wg.Wait()

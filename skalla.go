@@ -10,6 +10,8 @@
 // rounds, shipping only partial aggregate results, never detail data, and
 // applies the paper's optimizations: coalescing, distribution-independent
 // and distribution-aware group reduction, and synchronization reduction.
+// Each optimization is a planner rule; a Selection (SelectNone, SelectAll,
+// SelectAuto, SelectRules) says which rules a query is planned with.
 //
 // Quick start (in-process cluster):
 //
@@ -24,7 +26,7 @@
 //	    Op("B.SourceAS = R.SourceAS && B.DestAS = R.DestAS && R.NumBytes >= B.sum1 / B.cnt1",
 //	        skalla.Count("cnt2")).
 //	    Build()
-//	res, _ := cluster.Execute(context.Background(), q, skalla.AllOptimizations())
+//	res, _ := cluster.Execute(context.Background(), q, skalla.SelectAll())
 //	fmt.Println(res.Rel)
 //	fmt.Println(res.Metrics)
 package skalla
@@ -67,9 +69,6 @@ type (
 	Query = gmdj.Query
 	// AggSpec is one aggregate in an operator's list.
 	AggSpec = agg.Spec
-	// Options are the optimization switches of the paper's Sect. 4 (a
-	// compatibility shim over planner rule selection since Egil v2).
-	Options = plan.Options
 	// Selection names a planner rule selection: a mode (none, all, auto) or
 	// an explicit rule list. See WithPlanMode.
 	Selection = plan.Selection
@@ -158,14 +157,6 @@ func Variance(col, as string) AggSpec { return AggSpec{Func: agg.Variance, Arg: 
 
 // StdDev is the population standard deviation of col named as.
 func StdDev(col, as string) AggSpec { return AggSpec{Func: agg.StdDev, Arg: col, As: as} }
-
-// NoOptimizations disables every Sect. 4 optimization (the baseline
-// Alg. GMDJDistribEval).
-func NoOptimizations() Options { return plan.None() }
-
-// AllOptimizations enables coalescing, both group reductions, and
-// synchronization reduction.
-func AllOptimizations() Options { return plan.All() }
 
 // QueryBuilder assembles a complex GMDJ expression. Conditions use the text
 // syntax of the paper's θ conditions: "B.col" references the base-values
@@ -281,7 +272,6 @@ type clusterConfig struct {
 	retry         core.RetryPolicy
 	workers       int
 	sel           plan.Selection
-	selSet        bool
 	selErr        error
 	slowQuery     time.Duration
 	planCache     int
@@ -332,9 +322,10 @@ func WithNetModel(m NetModel) ClusterOption {
 	return func(c *clusterConfig) { c.net = m }
 }
 
-// WithSerializedTransport makes in-process sites push every message through
-// gob serialization, so byte metrics match a networked deployment. Off by
-// default for NewLocalCluster (use it when measuring traffic).
+// WithSerializedTransport makes in-process sites encode and decode every
+// message as a networked deployment does, so byte metrics match one. Without
+// it NewLocalCluster and NewTieredLocalCluster report zero bytes (row counts
+// are exact either way); use it when measuring traffic.
 func WithSerializedTransport() ClusterOption {
 	return func(c *clusterConfig) { c.serialized = true }
 }
@@ -428,8 +419,8 @@ func WithQueryMemBudget(bytes int64) ClusterOption {
 
 // WithPlanMode sets the cluster's default rule selection from the textual
 // plan-mode syntax: "auto" (cost-model-driven per query), "none", "all", or
-// "rules=<name>,..." (see PlannerRules). ExecuteSelected and ExplainSelected
-// plan under it; without this option they behave like "all".
+// "rules=<name>,..." (see PlannerRules). ExecuteSelected plans under it;
+// without this option it behaves like "all".
 func WithPlanMode(mode string) ClusterOption {
 	return func(c *clusterConfig) {
 		sel, err := plan.ParseSelection(mode)
@@ -437,26 +428,14 @@ func WithPlanMode(mode string) ClusterOption {
 			c.selErr = err
 			return
 		}
-		c.sel, c.selSet = sel, true
-	}
-}
-
-// WithRules sets the cluster's default selection to exactly the named
-// planner rules (unknown names fail cluster construction; no names means
-// none).
-func WithRules(names ...string) ClusterOption {
-	return func(c *clusterConfig) {
-		sel, err := plan.ParseSelection(plan.SelectRules(names...).String())
-		if err != nil {
-			c.selErr = err
-			return
-		}
-		c.sel, c.selSet = sel, true
+		c.sel = sel
 	}
 }
 
 // NewLocalCluster creates an in-process cluster of n empty sites. Load data
-// with Load or LoadPartitions.
+// with Load or LoadPartitions. Sites are called directly, without
+// serialization: metrics count rows exactly but report zero bytes unless
+// WithSerializedTransport is given.
 func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("skalla: cluster size %d", n)
@@ -518,12 +497,9 @@ func Connect(addrs []string, opts ...ClusterOption) (*Cluster, error) {
 }
 
 func applyOptions(opts []ClusterOption) *clusterConfig {
-	cfg := &clusterConfig{}
+	cfg := &clusterConfig{sel: plan.SelectAll()}
 	for _, o := range opts {
 		o(cfg)
-	}
-	if !cfg.selSet {
-		cfg.sel = plan.SelectAll()
 	}
 	return cfg
 }
@@ -554,23 +530,6 @@ func (c *Cluster) LoadPartitions(ctx context.Context, name string, parts []*Rela
 	return nil
 }
 
-// Execute evaluates a query under the given optimization switches.
-func (c *Cluster) Execute(ctx context.Context, q Query, opts Options) (*Result, error) {
-	return c.coord.Execute(ctx, q, opts)
-}
-
-// ExecuteProfiled evaluates a query and returns the result together with its
-// stitched execution profile: per round, per site call, the coordinator's
-// envelope and the site's own breakdown. The profile is also retained in the
-// in-process ring served at /debug/queries (see LastProfiles).
-func (c *Cluster) ExecuteProfiled(ctx context.Context, q Query, opts Options) (*Result, *QueryProfile, error) {
-	res, err := c.coord.Execute(ctx, q, opts)
-	if res == nil {
-		return nil, nil, err
-	}
-	return res, res.Profile, err
-}
-
 // LastProfiles returns up to n recently retained query profiles, newest
 // first (all retained profiles when n <= 0). The ring is process-global and
 // holds obs.DefaultProfileCapacity entries.
@@ -583,13 +542,16 @@ func LastProfiles(n int) []*QueryProfile {
 }
 
 // ExecuteSelected evaluates a query under the cluster's configured plan mode
-// (WithPlanMode / WithRules; all rules when unconfigured).
+// (WithPlanMode; all rules when unconfigured).
 func (c *Cluster) ExecuteSelected(ctx context.Context, q Query) (*Result, error) {
 	return c.coord.ExecuteWith(ctx, q, c.sel)
 }
 
-// ExecuteWith evaluates a query under an explicit rule selection.
-func (c *Cluster) ExecuteWith(ctx context.Context, q Query, sel Selection) (*Result, error) {
+// Execute evaluates a query under an explicit rule selection. The result
+// carries the stitched execution profile (Result.Profile), which is also
+// retained in the in-process ring served at /debug/queries (see
+// LastProfiles).
+func (c *Cluster) Execute(ctx context.Context, q Query, sel Selection) (*Result, error) {
 	return c.coord.ExecuteWith(ctx, q, sel)
 }
 
@@ -610,27 +572,9 @@ func (c *Cluster) Tables(ctx context.Context) ([][]TableInfo, error) {
 	return out, nil
 }
 
-// Explain returns the compiled distributed plan description without
-// executing the query.
-func (c *Cluster) Explain(ctx context.Context, q Query, opts Options) (string, error) {
-	pl, err := c.coord.Plan(ctx, q, opts)
-	if err != nil {
-		return "", err
-	}
-	return pl.Describe(), nil
-}
-
-// ExplainSelected is Explain under the cluster's configured plan mode.
-func (c *Cluster) ExplainSelected(ctx context.Context, q Query) (string, error) {
-	pl, err := c.coord.PlanWith(ctx, q, c.sel)
-	if err != nil {
-		return "", err
-	}
-	return pl.Describe(), nil
-}
-
 // PlanWith compiles (without executing) a plan under an explicit rule
-// selection, exposing the rule trace, cost estimate, and fingerprint.
+// selection, exposing the rule trace, cost estimate, and fingerprint;
+// Plan.Describe renders it as the CLI's EXPLAIN output.
 func (c *Cluster) PlanWith(ctx context.Context, q Query, sel Selection) (*Plan, error) {
 	return c.coord.PlanWith(ctx, q, sel)
 }

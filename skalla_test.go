@@ -54,25 +54,25 @@ func TestFacadeEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, opts := range []Options{NoOptimizations(), AllOptimizations()} {
-		res, err := cl.Execute(context.Background(), q, opts)
+	for _, sel := range []Selection{SelectNone(), SelectAll()} {
+		res, err := cl.Execute(context.Background(), q, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.Rel.EqualMultiset(want) {
-			t.Errorf("[%s]: facade result mismatch", opts)
+			t.Errorf("[%s]: facade result mismatch", sel)
 		}
 		if res.Metrics.NumRounds() == 0 {
 			t.Error("metrics missing rounds")
 		}
 	}
 	// The optimized plan for this aligned query is fully local.
-	explain, err := cl.Explain(context.Background(), q, AllOptimizations())
+	pl, err := cl.PlanWith(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(explain, "full local") {
-		t.Errorf("Explain:\n%s", explain)
+	if !strings.Contains(pl.Describe(), "full local") {
+		t.Errorf("Describe:\n%s", pl.Describe())
 	}
 }
 
@@ -121,7 +121,7 @@ func TestQueryBuilderVarAndWhere(t *testing.T) {
 	}
 	cl, _ := loadedFlowCluster(t)
 	defer cl.Close()
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestOpOnDifferentRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, NoOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +212,7 @@ func TestConnectTCP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,22 +224,30 @@ func TestConnectTCP(t *testing.T) {
 	}
 }
 
+// The default in-process transport passes relations by reference, so it
+// counts rows but zero bytes; WithSerializedTransport counts the wire bytes.
 func TestSerializedTransportOption(t *testing.T) {
 	d, _ := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
-	cl, err := NewLocalCluster(2, WithSerializedTransport(), WithCatalog(d.Catalog()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cl.Close()
-	if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
-		t.Fatal(err)
-	}
-	res, err := cl.Execute(context.Background(), flowQuery(t), NoOptimizations())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Metrics.TotalBytes() == 0 {
-		t.Error("serialized transport must count bytes")
+	for _, serialized := range []bool{false, true} {
+		opts := []ClusterOption{WithCatalog(d.Catalog())}
+		if serialized {
+			opts = append(opts, WithSerializedTransport())
+		}
+		cl, err := NewLocalCluster(2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Execute(context.Background(), flowQuery(t), SelectNone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes := res.Metrics.TotalBytes(); (bytes > 0) != serialized || res.Metrics.TotalRows() == 0 {
+			t.Errorf("serialized=%v: %d bytes, %d rows", serialized, bytes, res.Metrics.TotalRows())
+		}
 	}
 }
 
@@ -266,7 +274,7 @@ func TestTPCDatasetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cl.Execute(context.Background(), q, AllOptimizations())
+	res, err := cl.Execute(context.Background(), q, SelectAll())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -396,11 +404,11 @@ func TestTieredLocalCluster(t *testing.T) {
 		}
 	}
 	q := flowQuery(t)
-	a, err := flat.Execute(context.Background(), q, NoOptimizations())
+	a, err := flat.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := tiered.Execute(context.Background(), q, NoOptimizations())
+	b, err := tiered.Execute(context.Background(), q, SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
