@@ -160,61 +160,6 @@ func BenchmarkDistributedCube(b *testing.B) {
 	}
 }
 
-// BenchmarkTieredCoordinator compares a flat 8-site deployment against the
-// same sites behind 2 relays (the multi-tier architecture of the paper's
-// future work): the root's merge work drops with its fan-in.
-func BenchmarkTieredCoordinator(b *testing.B) {
-	d := dataset(b)
-	q := bench.TwoPhaseQuery(bench.LowCardAttr, true) // unaligned: real fan-in
-	build := func(relays int) *core.Coordinator {
-		leaves := make([]transport.Site, 8)
-		for i := 0; i < 8; i++ {
-			es := engine.NewSite(i)
-			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
-				b.Fatal(err)
-			}
-			leaves[i] = transport.NewFastLocalSite(es)
-		}
-		var top []transport.Site
-		if relays == 0 {
-			top = leaves
-		} else {
-			per := 8 / relays
-			for i := 0; i < relays; i++ {
-				relay, err := core.NewRelay(i, leaves[i*per:(i+1)*per])
-				if err != nil {
-					b.Fatal(err)
-				}
-				top = append(top, transport.NewFastLocalSite(relay))
-			}
-		}
-		coord, err := core.New(top, nil, stats.NetModel{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		return coord
-	}
-	for _, cfgCase := range []struct {
-		name   string
-		relays int
-	}{{"flat-8", 0}, {"2-relays", 2}, {"4-relays", 4}} {
-		b.Run(cfgCase.name, func(b *testing.B) {
-			coord := build(cfgCase.relays)
-			ctx := context.Background()
-			b.ResetTimer()
-			var coordTime int64
-			for i := 0; i < b.N; i++ {
-				res, err := coord.ExecuteWith(ctx, q, plan.SelectNone())
-				if err != nil {
-					b.Fatal(err)
-				}
-				coordTime = int64(res.Metrics.CoordTime())
-			}
-			b.ReportMetric(float64(coordTime), "root-merge-ns")
-		})
-	}
-}
-
 // BenchmarkSiteEval measures one site's operator evaluation — the inner loop
 // of every distributed round — at increasing worker counts on a 16k-group
 // workload. workers=1 is the sequential baseline (the parallel machinery is

@@ -2,8 +2,6 @@
 // (the same servers cmd/skalla-site starts across machines), connects a
 // coordinator to them, pushes data over the wire, and executes a distributed
 // query — demonstrating the full multi-process code path inside one program.
-// A second pass re-runs the query through a mid-tier relay served over TCP
-// (the multi-tiered coordinator architecture of the paper's future work).
 package main
 
 import (
@@ -12,7 +10,6 @@ import (
 	"log"
 
 	"skalla"
-	"skalla/internal/core"
 	"skalla/internal/engine"
 	"skalla/internal/flow"
 	"skalla/internal/stats"
@@ -72,43 +69,4 @@ func main() {
 	fmt.Printf("\n%d source-AS groups (first 8):\n%s\n", res.Rel.Len(), res.Rel.Format(8))
 	fmt.Println("measured traffic over real TCP connections:")
 	fmt.Print(res.Metrics)
-
-	// Multi-tier variant: a relay process aggregates the three sites and
-	// serves them to the root as a single endpoint, pre-merging their
-	// sub-aggregates (the paper's future-work architecture).
-	var children []transport.Site
-	for _, addr := range addrs {
-		cli, err := transport.Dial(addr)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer cli.Close()
-		children = append(children, cli)
-	}
-	relay, err := core.NewRelay(0, children)
-	if err != nil {
-		log.Fatal(err)
-	}
-	relaySrv, err := transport.Serve(relay, "127.0.0.1:0")
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer relaySrv.Close()
-	fmt.Printf("\nrelay tier listening on %s\n", relaySrv.Addr())
-
-	tiered, err := skalla.Connect([]string{relaySrv.Addr()}, skalla.WithNetModel(stats.DefaultLAN()))
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tiered.Close()
-	tres, err := tiered.Execute(context.Background(), query, skalla.SelectNone())
-	if err != nil {
-		log.Fatal(err)
-	}
-	flat, err := cluster.Execute(context.Background(), query, skalla.SelectNone())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("through the relay: %d groups, root exchanged %d messages vs %d flat (same plan)\n",
-		tres.Rel.Len(), tres.Metrics.TotalMessages(), flat.Metrics.TotalMessages())
 }

@@ -365,6 +365,21 @@ func (l *Layout) MergePhys(into, from relation.Tuple) error {
 	return nil
 }
 
+// CheckPhys reports a cell of an incoming sub-aggregate slice that MergePhys
+// cannot fold: a COUNT that is not INT, a SUM or SUMSQ neither numeric nor
+// NULL. MIN and MAX fold any kind, and a SUM over an INT column holding a
+// FLOAT cell is FLOAT, so a cell's kind is not held to its column's.
+func (l *Layout) CheckPhys(phys relation.Tuple) error {
+	for i, p := range l.Phys {
+		v := phys[i]
+		sum := p.Op == PhysSum || p.Op == PhysSumSq
+		if p.Op == PhysCount && v.Kind != relation.KindInt || sum && !v.IsNull() && !v.IsNumeric() {
+			return fmt.Errorf("agg: %s is a %s", p.Name, v.Kind)
+		}
+	}
+	return nil
+}
+
 // ComputeDerived returns the derived column values for a physical slice.
 func (l *Layout) ComputeDerived(phys relation.Tuple) relation.Tuple {
 	out := make(relation.Tuple, len(l.Derived))

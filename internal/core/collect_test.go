@@ -16,20 +16,17 @@ import (
 	"skalla/internal/transport/faultinject"
 )
 
-// collectSite loads rows i of T(g, v) with i%stride == offset: stride 1 is
-// the whole relation, stride 2 one half of it for a relay's leaves.
-func collectSite(t *testing.T, id, stride, offset int) *engine.Site {
+// collectSite is site 0 holding the 40 rows of T(g, v): g = i%5, v = i.
+func collectSite(t *testing.T) *engine.Site {
 	t.Helper()
 	r := relation.New(relation.MustSchema(
 		relation.Column{Name: "g", Kind: relation.KindInt},
 		relation.Column{Name: "v", Kind: relation.KindInt},
 	))
 	for i := 0; i < 40; i++ {
-		if i%stride == offset {
-			r.MustAppend(relation.Tuple{relation.NewInt(int64(i % 5)), relation.NewInt(int64(i))})
-		}
+		r.MustAppend(relation.Tuple{relation.NewInt(int64(i % 5)), relation.NewInt(int64(i))})
 	}
-	s := engine.NewSite(id)
+	s := engine.NewSite(0)
 	if err := s.Load(context.Background(), "T", r); err != nil {
 		t.Fatal(err)
 	}
@@ -67,28 +64,20 @@ func dialSite(t *testing.T, b transport.Backend) *transport.Client {
 }
 
 // TestCollectOperator: the one helper over every Site there is — the three
-// transports, a fault-injection wrapper and a relay pre-merging two leaves —
-// must return the H_i that engine.Site.EvalOperator computes over the same
-// rows, whether the stream carries one block, many, or a single empty one.
+// transports and a fault-injection wrapper — must return the H_i that
+// engine.Site.EvalOperator computes over the same rows, whether the stream
+// carries one block, many, or a single empty one.
 func TestCollectOperator(t *testing.T) {
-	relay, err := NewRelay(0, []transport.Site{
-		transport.NewFastLocalSite(collectSite(t, 1, 2, 0)),
-		transport.NewLocalSite(collectSite(t, 2, 2, 1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	sites := []struct {
 		name string
 		site transport.Site
 	}{
-		{"local", transport.NewLocalSite(collectSite(t, 0, 1, 0))},
-		{"fast", transport.NewFastLocalSite(collectSite(t, 0, 1, 0))},
-		{"tcp", dialSite(t, collectSite(t, 0, 1, 0))},
-		{"faultinject", faultinject.Wrap(transport.NewLocalSite(collectSite(t, 0, 1, 0)), faultinject.Config{})},
-		{"relay", transport.NewLocalSite(relay)},
+		{"local", transport.NewLocalSite(collectSite(t))},
+		{"fast", transport.NewFastLocalSite(collectSite(t))},
+		{"tcp", dialSite(t, collectSite(t))},
+		{"faultinject", faultinject.Wrap(transport.NewLocalSite(collectSite(t)), faultinject.Config{})},
 	}
-	oracle := collectSite(t, 0, 1, 0)
+	oracle := collectSite(t)
 	for _, shape := range []struct {
 		name                      string
 		groups, blockRows, blocks int
@@ -134,7 +123,7 @@ func TestCollectOperator(t *testing.T) {
 // client drains the rest, so the same connection serves the next exchange
 // without a redial.
 func TestCollectOperatorSinkFailureKeepsConnection(t *testing.T) {
-	cli := dialSite(t, collectSite(t, 0, 1, 0))
+	cli := dialSite(t, collectSite(t))
 	site := faultinject.Wrap(cli, faultinject.Config{FailStreams: 1, StreamFailAfterBlocks: 1})
 	redials := obs.TransportRedials.With(strconv.Itoa(cli.ID()), "ok")
 	redials0 := redials.Value()

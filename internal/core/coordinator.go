@@ -217,7 +217,10 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if err != nil {
 		return nil, err
 	}
-	mg := newMerger(pl.Keys(), pl.XSchemas, segs, newMemBudget(c.memBudget))
+	mg, err := newMerger(pl.Keys(), pl.XSchemas, segs, newMemBudget(c.memBudget))
+	if err != nil {
+		return nil, err
+	}
 	metrics := stats.NewMetrics(c.net)
 
 	startOp := 0

@@ -423,6 +423,16 @@ func TestEmptyGroupsKeepIdentity(t *testing.T) {
 	}
 }
 
+// mustMerger is newMerger with *testing.T error plumbing.
+func mustMerger(t testing.TB, keys []string, xs []relation.Schema, segs [][]varSegment, budget *memBudget) *merger {
+	t.Helper()
+	m, err := newMerger(keys, xs, segs, budget)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 func TestMergerUnit(t *testing.T) {
 	q := independentQuery()
 	src := gmdj.Schemas{"T": tSchema}
@@ -434,7 +444,7 @@ func TestMergerUnit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := newMerger([]string{"g", "h"}, xs, segs, nil)
+	m := mustMerger(t, []string{"g", "h"}, xs, segs, nil)
 
 	base := relation.New(xs[0])
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)})
@@ -449,10 +459,11 @@ func TestMergerUnit(t *testing.T) {
 	if err := m.Extend(); err != nil {
 		t.Fatal(err)
 	}
-	if m.Extended() != 1 || !m.X().Schema.Equal(xs[1]) {
-		t.Fatalf("extend: extended=%d schema=%s", m.Extended(), m.X().Schema)
+	if m.extended != 1 || !m.X().Schema.Equal(xs[1]) {
+		t.Fatalf("extend: extended=%d schema=%s", m.extended, m.X().Schema)
 	}
-	// Merge one H: the X row's ordinal + phys (cnt1, avg1_sum, avg1_cnt).
+	// Merge one H: the X row's ordinal + phys (cnt1, avg1_sum, avg1_cnt),
+	// staged and committed as a site's stream is.
 	h := relation.New(relation.MustSchema(
 		relation.Column{Name: engine.OrdinalColumn, Kind: relation.KindInt},
 		relation.Column{Name: "cnt1", Kind: relation.KindInt},
@@ -460,10 +471,18 @@ func TestMergerUnit(t *testing.T) {
 		relation.Column{Name: "avg1_cnt", Kind: relation.KindInt},
 	))
 	h.MustAppend(relation.Tuple{relation.NewInt(0), relation.NewInt(2), relation.NewInt(10), relation.NewInt(2)})
-	if err := m.MergeH(h, 0); err != nil {
+	merge := func(h *relation.Relation, staged, committed int) error {
+		st := m.NewStage(staged, m.X().Len(), nil)
+		if err := st.Add(h); err != nil {
+			st.Discard()
+			return err
+		}
+		return m.CommitStage(st, committed)
+	}
+	if err := merge(h, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.MergeH(h, 0); err != nil { // second site's identical H doubles it
+	if err := merge(h, 0, 0); err != nil { // second site's identical H doubles it
 		t.Fatal(err)
 	}
 	m.RecomputeDerived(1)
@@ -479,11 +498,11 @@ func TestMergerUnit(t *testing.T) {
 	// H naming a row X does not have errors.
 	h2 := h.Clone()
 	h2.Tuples[0][0] = relation.NewInt(99)
-	if err := m.MergeH(h2, 0); !errors.Is(err, ErrMalformedH) {
+	if err := merge(h2, 0, 0); !errors.Is(err, ErrMalformedH) {
 		t.Errorf("out-of-range ordinal = %v, want ErrMalformedH", err)
 	}
-	// Merging the wrong operator errors.
-	if err := m.MergeH(h, 1); err == nil {
+	// Committing into the wrong operator errors.
+	if err := merge(h, 0, 1); err == nil {
 		t.Error("wrong operator index must error")
 	}
 	// Extending past the last operator errors.

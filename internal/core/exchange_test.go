@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
 	"strings"
 	"sync"
@@ -210,9 +209,26 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 		return b
 	}
 	keyed := append(relation.Schema{{Name: "h", Kind: relation.KindInt}}, physSchema...)
+	// A site whose partition declares v FLOAT or STRING answers with the
+	// right column names and count, but not the kinds X's INT columns hold.
+	misKinded := relation.New(hSchema.Clone())
+	cntAt, minAt := misKinded.Schema.MustIndex("cnt1"), misKinded.Schema.MustIndex("min1")
+	misKinded.Schema[cntAt].Kind, misKinded.Schema[minAt].Kind = relation.KindFloat, relation.KindString
+	misRow := row(relation.NewInt(0))
+	misRow[cntAt], misRow[minAt] = relation.NewFloat(3.5), relation.NewString("zzz")
+	misKinded.MustAppend(misRow)
+	// The right schema with cells no merge can fold, which the codec's mixed
+	// column encoding carries: a FLOAT count, a STRING sum.
+	countCell := block(hSchema, relation.NewInt(0), relation.NewInt(1))
+	countCell.Tuples[1][cntAt] = relation.NewFloat(2.5)
+	sumCell := block(hSchema, relation.NewInt(2))
+	sumCell.Tuples[0][hSchema.MustIndex("sum1")] = relation.NewString("30")
 	return map[string][]*relation.Relation{
-		"ordinal-out-of-range": {block(hSchema, relation.NewInt(0), relation.NewInt(4))},
-		"ordinal-negative":     {block(hSchema, relation.NewInt(-1))},
+		"phys-column-mis-kinded": {misKinded},
+		"count-cell-not-int":     {countCell},
+		"sum-cell-not-numeric":   {sumCell},
+		"ordinal-out-of-range":   {block(hSchema, relation.NewInt(0), relation.NewInt(4))},
+		"ordinal-negative":       {block(hSchema, relation.NewInt(-1))},
 		"duplicate-across-blocks": {
 			block(hSchema, relation.NewInt(0), relation.NewInt(2)),
 			block(hSchema, relation.NewInt(1), relation.NewInt(2)),
@@ -223,10 +239,10 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 	}
 }
 
-// TestStageRejectsMalformedH: every malformed stream fails with the typed
-// error at staging, and nothing of it — not even its well-formed first block —
-// reaches X.
-func TestStageRejectsMalformedH(t *testing.T) {
+// stageMerger is nonAlignedQuery's merger over a four-row X (h = 0..3) that
+// MD1 has extended: what an operator-0 stage commits into.
+func stageMerger(t testing.TB) *merger {
+	t.Helper()
 	q := nonAlignedQuery()
 	src := gmdj.Schemas{"T": tSchema}
 	xs, err := gmdj.XSchemas(q, src)
@@ -237,19 +253,27 @@ func TestStageRejectsMalformedH(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, blocks := range malformedHCases(segs[0][0].layout.PhysSchema()) {
+	m := mustMerger(t, q.Keys(), xs, segs, nil)
+	base := relation.New(xs[0])
+	for h := int64(0); h < 4; h++ {
+		base.MustAppend(relation.Tuple{relation.NewInt(h)})
+	}
+	if err := m.InitBase(base); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// TestStageRejectsMalformedH: every malformed stream fails with the typed
+// error at staging, and nothing of it — not even its well-formed first block —
+// reaches X.
+func TestStageRejectsMalformedH(t *testing.T) {
+	for name, blocks := range malformedHCases(stageMerger(t).segs[0][0].layout.PhysSchema()) {
 		t.Run(name, func(t *testing.T) {
-			m := newMerger(q.Keys(), xs, segs, nil)
-			base := relation.New(xs[0])
-			for h := int64(0); h < 4; h++ {
-				base.MustAppend(relation.Tuple{relation.NewInt(h)})
-			}
-			if err := m.InitBase(base); err != nil {
-				t.Fatal(err)
-			}
-			if err := m.Extend(); err != nil {
-				t.Fatal(err)
-			}
+			m := stageMerger(t)
 			before := m.X().Format(-1)
 			st := m.NewStage(0, m.X().Len(), nil)
 			var addErr error
@@ -267,6 +291,94 @@ func TestStageRejectsMalformedH(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOffKindCellsMergeAsCentral: an INT column may hold FLOAT cells, and a
+// site's SUM, AVG or MIN over one answers with a FLOAT cell in an INT column of
+// H_i. That H is well formed — the coordinator merges it under every plan and
+// ends up with the centralized evaluation.
+func TestOffKindCellsMergeAsCentral(t *testing.T) {
+	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
+	vi := tSchema.MustIndex("v")
+	for i := 0; i < global.Len(); i += 17 {
+		global.Tuples[i][vi] = relation.NewFloat(float64(i) + 0.5)
+	}
+	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	coord, err := New(sites, cat, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := nonAlignedQuery()
+	want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sel := range switchCombos() {
+		res, err := coord.ExecuteWith(context.Background(), q, sel)
+		if err != nil {
+			t.Fatalf("sel [%s]: %v", sel, err)
+		}
+		if !res.Rel.EqualMultisetApprox(want, 1e-9) {
+			t.Fatalf("sel [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", sel, res.Rel.Format(20), want.Format(20))
+		}
+	}
+}
+
+// FuzzStageAdd decodes arbitrary bytes as one H block and stages it over
+// stageMerger's X, as the coordinator stages a site's stream: nothing may
+// panic, a block the stage refuses is ErrMalformedH and leaves X as it was,
+// and a block it accepts commits and leaves X's aggregates ones the next
+// merge can fold. An accepted cell may still change a cell's kind: a FLOAT sum
+// in an INT column is what a site computes over an INT column holding a FLOAT.
+func FuzzStageAdd(f *testing.F) {
+	phys := stageMerger(f).segs[0][0].layout.PhysSchema()
+	hSchema, err := engine.HSchema(phys)
+	if err != nil {
+		f.Fatal(err)
+	}
+	valid := relation.New(hSchema)
+	for ord := int64(0); ord < 4; ord++ {
+		valid.MustAppend(relation.Tuple{relation.NewInt(ord), relation.NewInt(2), relation.NewInt(ord), relation.NewInt(ord), relation.NewInt(2), relation.NewInt(ord)})
+	}
+	seeds := []*relation.Relation{valid}
+	for _, blocks := range malformedHCases(phys) {
+		seeds = append(seeds, blocks...)
+	}
+	for _, b := range seeds {
+		frame, err := relation.Marshal(b)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(frame)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		h, err := relation.Unmarshal(data)
+		if err != nil {
+			return
+		}
+		m := stageMerger(t)
+		before := m.X().Format(-1)
+		st := m.NewStage(0, m.X().Len(), nil)
+		if err := st.Add(h); err != nil {
+			st.Discard()
+			if !errors.Is(err, ErrMalformedH) {
+				t.Fatalf("staging = %v, want ErrMalformedH", err)
+			}
+			if after := m.X().Format(-1); after != before {
+				t.Fatalf("a rejected block changed X\nbefore:\n%s\nafter:\n%s", before, after)
+			}
+			return
+		}
+		if err := m.CommitStage(st, 0); err != nil {
+			t.Fatalf("an accepted block failed to commit: %v", err)
+		}
+		seg := m.segs[0][0]
+		for _, row := range m.X().Tuples {
+			if err := seg.layout.CheckPhys(row[seg.physStart : seg.physStart+len(seg.layout.Phys)]); err != nil {
+				t.Fatalf("an accepted block left X unmergeable: %v", err)
+			}
+		}
+	})
 }
 
 // TestKeyedHFromOlderPeerFailsClosed: a site that answers with the
@@ -349,13 +461,11 @@ func TestReducedRoundRetriesShipTheSameFragment(t *testing.T) {
 	}
 }
 
-// TestTieredMatchesFlatRowForRow runs BenchmarkTieredCoordinator's query —
-// Example 1 over the unaligned Clerk — over eight leaves flat, behind two
-// relays and behind four: the relays forward a request unchanged and merge
-// their children's H by ordinal, so the root must end up with the same tuples
-// in the same order. Integer cells are compared exactly; FLOAT sums fold in
-// arrival order at every tier, so they are held to the last few bits.
-func TestTieredMatchesFlatRowForRow(t *testing.T) {
+// TestEightSitesBlockedMatchCentral runs Example 1 over the unaligned Clerk on
+// eight sites with 64-row blocks and the site-side guard: every round's H_i
+// arrives in many blocks from every site, and X must end up the centralized
+// evaluation's.
+func TestEightSitesBlockedMatchCentral(t *testing.T) {
 	cfg := tpc.DefaultConfig()
 	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 4000, 400, 120, 3
 	d, err := tpc.Generate(cfg, 8)
@@ -376,63 +486,29 @@ func TestTieredMatchesFlatRowForRow(t *testing.T) {
 			}}},
 		},
 	}
-	run := func(relays int) *relation.Relation {
-		leaves := make([]transport.Site, 8)
-		for i := range leaves {
-			es := engine.NewSite(i)
-			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
-				t.Fatal(err)
-			}
-			leaves[i] = transport.NewLocalSite(es)
-		}
-		top := leaves
-		if relays > 0 {
-			top = nil
-			per := 8 / relays
-			for i := 0; i < relays; i++ {
-				relay, err := NewRelay(i, leaves[i*per:(i+1)*per])
-				if err != nil {
-					t.Fatal(err)
-				}
-				top = append(top, transport.NewLocalSite(relay))
-			}
-		}
-		coord, err := New(top, nil, stats.NetModel{})
-		if err != nil {
+	sites := make([]transport.Site, 8)
+	for i := range sites {
+		es := engine.NewSite(i)
+		if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 			t.Fatal(err)
 		}
-		coord.SetRowBlocking(64)
-		res, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-site"))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.Rel
+		sites[i] = transport.NewLocalSite(es)
 	}
-	flat := run(0)
+	coord, err := New(sites, nil, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.SetRowBlocking(64)
+	res, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("group-reduce-site"))
+	if err != nil {
+		t.Fatal(err)
+	}
 	central, err := gmdj.EvalCentral(q, gmdj.Data{tpc.RelationName: d.Global()}, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !flat.EqualMultisetApprox(central, 1e-9) {
-		t.Fatal("flat result differs from EvalCentral")
-	}
-	for _, relays := range []int{2, 4} {
-		tiered := run(relays)
-		if !tiered.Schema.Equal(flat.Schema) || tiered.Len() != flat.Len() {
-			t.Fatalf("%d relays: %d rows of %s, flat has %d of %s", relays, tiered.Len(), tiered.Schema, flat.Len(), flat.Schema)
-		}
-		for i, frow := range flat.Tuples {
-			for j, fv := range frow {
-				tv := tiered.Tuples[i][j]
-				same := fv.Kind == tv.Kind && fv.Int == tv.Int && fv.Str == tv.Str
-				if fv.Kind == relation.KindFloat && tv.Kind == relation.KindFloat {
-					same = math.Abs(fv.Float-tv.Float) <= 1e-9*math.Max(1, math.Abs(fv.Float))
-				}
-				if !same {
-					t.Fatalf("%d relays: row %d column %s = %v, flat has %v", relays, i, flat.Schema[j].Name, tv, fv)
-				}
-			}
-		}
+	if !res.Rel.EqualMultisetApprox(central, 1e-9) {
+		t.Fatal("result differs from EvalCentral")
 	}
 }
 
@@ -470,7 +546,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 	}
 
 	budget := newMemBudget(1 << 20)
-	m := newMerger(q.Keys(), xs, segs, budget)
+	m := mustMerger(t, q.Keys(), xs, segs, budget)
 	base := relation.New(xs[0])
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)})
 	base.MustAppend(relation.Tuple{relation.NewInt(2), relation.NewInt(1)})
@@ -480,7 +556,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 	extendAll(m, budget, 0)
 
 	budget = newMemBudget(1 << 20)
-	m = newMerger(q.Keys(), xs, segs, budget)
+	m = mustMerger(t, q.Keys(), xs, segs, budget)
 	if err := m.InitLocal(1); err != nil {
 		t.Fatal(err)
 	}

@@ -156,7 +156,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m := newMerger([]string{"g", "h"}, xs, segs, nil)
+		m := mustMerger(t, []string{"g", "h"}, xs, segs, nil)
 		if err := m.InitBase(newBase()); err != nil {
 			t.Fatal(err)
 		}
@@ -205,7 +205,7 @@ func TestCommitStageShardedMatchesSerial(t *testing.T) {
 	}
 	// A stage for the wrong operator must be rejected, not merged.
 	segs, _ := buildSegments(q, src, 2)
-	m := newMerger([]string{"g", "h"}, xs, segs, nil)
+	m := mustMerger(t, []string{"g", "h"}, xs, segs, nil)
 	if err := m.InitBase(newBase()); err != nil {
 		t.Fatal(err)
 	}

@@ -56,6 +56,7 @@ type merger struct {
 	keys     []string
 	xschemas []relation.Schema
 	segs     [][]varSegment
+	hschemas []relation.Schema // per operator, the schema of its H_i
 
 	x        *relation.Relation
 	keyIdx   []int              // key column positions within x (local rounds)
@@ -76,8 +77,20 @@ type merger struct {
 // of two; row positions spread uniformly across stripes).
 const mergeStripes = 64
 
-func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, budget *memBudget) *merger {
-	return &merger{keys: keys, xschemas: xschemas, segs: segs, budget: budget}
+func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, budget *memBudget) (*merger, error) {
+	hschemas := make([]relation.Schema, len(segs))
+	for k, opSegs := range segs {
+		var phys relation.Schema
+		for _, seg := range opSegs {
+			phys = append(phys, seg.layout.PhysSchema()...)
+		}
+		h, err := engine.HSchema(phys)
+		if err != nil {
+			return nil, err
+		}
+		hschemas[k] = h
+	}
+	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, budget: budget}, nil
 }
 
 // finalWidth is the arity X reaches after the plan's last operator. Rows are
@@ -124,9 +137,6 @@ func (m *merger) InitLocal(upTo int) error {
 // X returns the current base-result structure (read-only between rounds;
 // callers must not mutate it while site calls are in flight).
 func (m *merger) X() *relation.Relation { return m.x }
-
-// Extended returns how many operators' columns X currently carries.
-func (m *merger) Extended() int { return m.extended }
 
 // Extend appends operator k's identity aggregate columns (COUNT 0, others
 // NULL, derived NULL) to every row, growing X's schema by one operator.
@@ -197,29 +207,37 @@ func (m *merger) identityFor(k int) relation.Tuple {
 }
 
 // ErrMalformedH marks a sub-aggregate relation that is not the answer to the
-// request this node sent: wrong columns, a row of the wrong arity, an ordinal
-// outside the shipped fragment or reported twice in one stream. It is what a
-// site bug, a corrupted block or a peer speaking the key-addressed H of
-// earlier versions produces; such an H is rejected whole, never merged.
+// request this node sent: wrong columns, a row of the wrong arity, a cell the
+// merge cannot fold, an ordinal outside the shipped fragment or reported twice
+// in one stream. It is what a site bug, a corrupted block or a peer speaking
+// the key-addressed H of earlier versions produces; such an H is rejected
+// whole, never merged.
 var ErrMalformedH = errors.New("core: sync: malformed H")
 
-// validateH checks one incoming H relation against the expected shape: the
-// row ordinal, then physWidth physical columns, every row at full arity with
-// an INT ordinal.
-func validateH(h *relation.Relation, physWidth int) error {
-	want := 1 + physWidth
-	if len(h.Schema) != want {
-		return fmt.Errorf("%w: %d columns, want %d", ErrMalformedH, len(h.Schema), want)
-	}
-	if c := h.Schema[0]; c.Name != engine.OrdinalColumn || c.Kind != relation.KindInt {
-		return fmt.Errorf("%w: leading column is %s %q, want the row ordinal %q", ErrMalformedH, c.Kind, c.Name, engine.OrdinalColumn)
+// validateH checks one incoming H block of an operator against want, the
+// schema of its H_i (the row ordinal, then the physical columns of segs, each
+// by name and kind). Every row must be at full arity, with an INT ordinal and
+// aggregate cells the merge can fold (agg.Layout.CheckPhys): the codec carries
+// cells whose kind differs from their column's, and a block that failed the
+// merge halfway through would leave X half-merged.
+func validateH(h *relation.Relation, want relation.Schema, segs []varSegment) error {
+	if !h.Schema.Equal(want) {
+		return fmt.Errorf("%w: schema %s, want %s", ErrMalformedH, h.Schema, want)
 	}
 	for i, t := range h.Tuples {
-		if len(t) != want {
-			return fmt.Errorf("%w: row %d has arity %d, want %d", ErrMalformedH, i, len(t), want)
+		if len(t) != len(want) {
+			return fmt.Errorf("%w: row %d has arity %d, want %d", ErrMalformedH, i, len(t), len(want))
 		}
 		if t[0].Kind != relation.KindInt {
 			return fmt.Errorf("%w: row %d has a %s ordinal", ErrMalformedH, i, t[0].Kind)
+		}
+		cursor := 1
+		for _, seg := range segs {
+			n := len(seg.layout.Phys)
+			if err := seg.layout.CheckPhys(t[cursor : cursor+n]); err != nil {
+				return fmt.Errorf("%w: row %d: %v", ErrMalformedH, i, err)
+			}
+			cursor += n
 		}
 	}
 	return nil
@@ -251,29 +269,6 @@ func (s *ordinalSet) claim(hrow relation.Tuple) (int, error) {
 	return int(ord), nil
 }
 
-func physWidth(segs []varSegment) int {
-	n := 0
-	for _, seg := range segs {
-		n += len(seg.layout.Phys)
-	}
-	return n
-}
-
-// MergeH synchronizes one whole H_i for operator k, computed against a
-// fragment of all of X, into X. H rows carry the X row's ordinal followed by
-// the operator's physical columns.
-func (m *merger) MergeH(h *relation.Relation, k int) error {
-	if k != m.extended-1 {
-		return fmt.Errorf("core: merging operator %d into X extended to %d", k+1, m.extended)
-	}
-	st := m.NewStage(k, m.x.Len(), nil)
-	if err := st.Add(h); err != nil {
-		st.Discard()
-		return err
-	}
-	return m.CommitStage(st, k)
-}
-
 // hStage buffers one site's streamed H_i blocks for a single operator-round
 // attempt without touching X. This is what makes per-site retry sound: a
 // commit folds aggregates into X in place, so a stream that dies after some
@@ -285,7 +280,8 @@ func (m *merger) MergeH(h *relation.Relation, k int) error {
 // Stages are created and filled in the per-site goroutines (they touch no
 // merger state) and committed on the coordinator's merge loop.
 type hStage struct {
-	phys int // physical columns an H row of this operator carries
+	schema relation.Schema // the operator's H_i schema every block must carry
+	segs   []varSegment    // the operator's variables, whose cells validateH checks
 	// rows maps a fragment ordinal to its X row; nil when the fragment was
 	// all of X in order. seen holds the ordinals this stream has reported.
 	rows   []int32
@@ -300,7 +296,7 @@ type hStage struct {
 // fragment of fragRows rows; rows is the list the fragment was built from
 // (see Fragment), the same on every attempt.
 func (m *merger) NewStage(k, fragRows int, rows []int32) *hStage {
-	return &hStage{phys: physWidth(m.segs[k]), rows: rows, seen: newOrdinalSet(fragRows), budget: m.budget}
+	return &hStage{schema: m.hschemas[k], segs: m.segs[k], rows: rows, seen: newOrdinalSet(fragRows), budget: m.budget}
 }
 
 // Add validates and stages one H block. The block's tuples are referenced,
@@ -309,13 +305,11 @@ func (m *merger) NewStage(k, fragRows int, rows []int32) *hStage {
 // the query's memory budget; an over-budget charge fails the stage (and with
 // it the query — budget errors are permanent, not retried).
 func (st *hStage) Add(h *relation.Relation) error {
-	if err := validateH(h, st.phys); err != nil {
+	if err := validateH(h, st.schema, st.segs); err != nil {
 		return err
 	}
 	if st.rel == nil {
 		st.rel = &relation.Relation{Schema: h.Schema}
-	} else if !h.Schema.Equal(st.rel.Schema) {
-		return fmt.Errorf("%w: block schema %s differs from stream schema %s", ErrMalformedH, h.Schema, st.rel.Schema)
 	}
 	// Account the block (bytes and pool membership) before the checks that can
 	// still reject it: an over-budget charge stays counted until the failed
@@ -333,14 +327,6 @@ func (st *hStage) Add(h *relation.Relation) error {
 	}
 	st.rel.Tuples = append(st.rel.Tuples, h.Tuples...)
 	return nil
-}
-
-// Rows returns the number of staged H rows.
-func (st *hStage) Rows() int {
-	if st.rel == nil {
-		return 0
-	}
-	return st.rel.Len()
 }
 
 // Discard drops the staged rows, releases their budget charge and returns

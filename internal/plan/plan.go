@@ -34,7 +34,6 @@ import (
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
-	"skalla/internal/stats"
 )
 
 // Plan is a compiled distributed evaluation plan.
@@ -137,19 +136,6 @@ func (p *Plan) Describe() string {
 	fmt.Fprintf(&b, "  estimated cost: %s\n", p.Estimate)
 	for _, r := range p.Estimate.PerRound {
 		fmt.Fprintf(&b, "    round %-16s est %d B down, %d B up\n", r.Name, r.BytesDown, r.BytesUp)
-	}
-	return b.String()
-}
-
-// DescribeExecution renders the per-round estimated vs. measured traffic
-// after a run — the calibration view the coordinator CLI appends to explain
-// output when metrics are available.
-func (p *Plan) DescribeExecution(m *stats.Metrics) string {
-	var b strings.Builder
-	b.WriteString("rounds (estimated vs. actual):\n")
-	for _, rc := range p.CompareRounds(m) {
-		fmt.Fprintf(&b, "  %-16s est %d B down / %d B up, actual %d B down / %d B up\n",
-			rc.Name, rc.EstBytesDown, rc.EstBytesUp, rc.ActualBytesDown, rc.ActualBytesUp)
 	}
 	return b.String()
 }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"skalla/internal/obs"
@@ -41,6 +42,15 @@ const (
 	// maxFrameBody bounds a single frame (1 GiB) so a corrupt length prefix
 	// cannot drive an unbounded allocation.
 	maxFrameBody = 1 << 30
+
+	// trustedBody is how much of a frame's declared length the decoder
+	// allocates before the bytes arrive; past it the buffer grows with the
+	// data, so a length prefix alone cannot allocate up to maxFrameBody.
+	trustedBody = 1 << 20
+
+	// maxEmptyRows bounds the row count of a frame without columns, whose
+	// rows occupy no bytes the decoder could check the count against.
+	maxEmptyRows = 1 << 16
 )
 
 const (
@@ -254,14 +264,8 @@ func (d *Decoder) Decode() (*Relation, error) {
 	if ln > maxFrameBody {
 		return nil, fmt.Errorf("relation: codec frame of %d bytes exceeds limit", ln)
 	}
-	if uint64(cap(d.body)) < ln {
-		d.body = make([]byte, ln)
-	}
-	body := d.body[:ln]
-	if _, err := io.ReadFull(d.r, body); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
+	body, err := d.readBody(int(ln))
+	if err != nil {
 		return nil, err
 	}
 	cur := &cursor{b: body}
@@ -296,6 +300,29 @@ func (d *Decoder) Decode() (*Relation, error) {
 	obs.CodecDecodeBytes.Add(int64(uvarintLen(ln)) + int64(ln))
 	obs.CodecFrames.With("decode").Inc()
 	return rel, nil
+}
+
+// readBody reads an n-byte frame body into the decoder's reused buffer,
+// growing it past trustedBody only by bytes that have arrived: a stream that
+// ends early fails with io.ErrUnexpectedEOF having allocated about what it
+// sent.
+func (d *Decoder) readBody(n int) ([]byte, error) {
+	body := d.body[:0]
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n, max(2*len(body), trustedBody))-len(body))
+		}
+		got, err := io.ReadFull(d.r, body[len(body):min(n, cap(body))])
+		body = body[:len(body)+got]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+	}
+	d.body = body
+	return body, nil
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
@@ -390,6 +417,11 @@ func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
 	}
 	schema := d.schema
 	cols := len(schema)
+	// Refuse a row count the frame cannot hold before allocating for it:
+	// every column spends a NULL-bitmap bit per row and an encoding byte.
+	if cols == 0 && nrows > maxEmptyRows || cols > 0 && ((nrows+7)/8+1)*cols > len(cur.b)-cur.pos {
+		return nil, fmt.Errorf("relation: codec frame of %d bytes cannot hold %d rows of %d columns", len(cur.b), nrows, cols)
+	}
 	var rel *Relation
 	if d.pool != nil {
 		rel = d.pool.Get(schema, nrows)

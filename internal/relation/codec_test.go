@@ -2,10 +2,13 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"errors"
 	"io"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -232,6 +235,44 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 		mut := append([]byte{}, data...)
 		mut[i] ^= 0x5a
 		_, _ = Unmarshal(mut)
+	}
+}
+
+// TestCodecRefusesRowsTheFrameCannotHold: a row count is checked against the
+// bytes the frame has left before anything is allocated for it, so a few
+// hostile bytes cannot demand gigabytes.
+func TestCodecRefusesRowsTheFrameCannotHold(t *testing.T) {
+	frame := func(schema Schema, rows uint64) []byte {
+		body := appendSchema([]byte{frameInline}, schema)
+		body = binary.AppendUvarint(body, rows)
+		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	}
+	oneInt := MustSchema(Column{"a", KindInt})
+	if _, err := Unmarshal(frame(oneInt, 1<<29)); err == nil {
+		t.Error("2^29 rows in an empty column body must be rejected")
+	}
+	if _, err := Unmarshal(frame(nil, maxEmptyRows+1)); err == nil {
+		t.Errorf("%d rows without columns must be rejected", maxEmptyRows+1)
+	}
+	if r, err := Unmarshal(frame(nil, maxEmptyRows)); err != nil || r.Len() != maxEmptyRows {
+		t.Errorf("%d rows without columns: %v", maxEmptyRows, err)
+	}
+}
+
+// TestDecodeOfAShortStreamAllocatesWhatArrived: a length prefix claiming
+// almost maxFrameBody, followed by three bytes, is a truncated stream, and
+// decoding it does not allocate what the prefix claims.
+func TestDecodeOfAShortStreamAllocatesWhatArrived(t *testing.T) {
+	data := append(binary.AppendUvarint(nil, maxFrameBody-1), frameInline, 0x00, 0x00)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Unmarshal(data)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
+		t.Errorf("err = %v, want io.ErrUnexpectedEOF", err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 4*trustedBody {
+		t.Errorf("decoding a 3-byte body allocated %d bytes", grew)
 	}
 }
 

@@ -37,7 +37,7 @@ type LocalSite struct {
 	pool           relation.BlockPool
 }
 
-// NewLocalSite wraps a backend (a site engine or a relay).
+// NewLocalSite wraps a backend (a site engine, or a wrapper of one).
 func NewLocalSite(site Backend) *LocalSite {
 	l := &LocalSite{site: site}
 	l.downEnc = gob.NewEncoder(&l.downBuf)

@@ -49,8 +49,8 @@ type Server struct {
 	wg     sync.WaitGroup
 }
 
-// Serve starts serving a backend — a site engine or a relay — on the given
-// address ("host:port"; use ":0" for an ephemeral port) and returns
+// Serve starts serving a backend (a site engine, or a wrapper of one) on the
+// given address ("host:port"; use ":0" for an ephemeral port) and returns
 // immediately. It is the convenience lifecycle root; use ServeContext to tie
 // the server's evaluations to an existing context tree.
 func Serve(site Backend, addr string) (*Server, error) {

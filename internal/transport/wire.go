@@ -70,12 +70,12 @@ type Response struct {
 }
 
 // Backend is what a transport endpoint serves: the evaluation surface of a
-// local warehouse. *engine.Site implements it directly; relay nodes
-// (core.Relay, the multi-tier coordinator architecture) implement it too, so
-// a mid-tier aggregation process is served exactly like a site. Every
-// evaluation method takes the serving context so cancellation (a dropped
-// coordinator connection, a per-attempt fault-tolerance timeout) propagates
-// all the way down the tree instead of stranding work at the leaves.
+// local warehouse. *engine.Site implements it directly; Serve and LocalSite
+// take any Backend, so a wrapper around a site (a tracer) is served exactly
+// like the site. Every evaluation method takes the serving context so
+// cancellation (a dropped coordinator connection, a per-attempt
+// fault-tolerance timeout) reaches the scan instead of stranding work at the
+// site.
 type Backend interface {
 	ID() int
 	EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, error)
@@ -83,8 +83,7 @@ type Backend interface {
 	EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, error)
 	DetailSchema(ctx context.Context, name string) (relation.Schema, error)
 	Load(ctx context.Context, name string, rel *relation.Relation) error
-	// Tables lists the relations the backend serves (aggregated across the
-	// subtree for relays).
+	// Tables lists the relations the backend serves.
 	Tables(ctx context.Context) []engine.TableInfo
 }
 

@@ -324,8 +324,8 @@ func WithNetModel(m NetModel) ClusterOption {
 
 // WithSerializedTransport makes in-process sites encode and decode every
 // message as a networked deployment does, so byte metrics match one. Without
-// it NewLocalCluster and NewTieredLocalCluster report zero bytes (row counts
-// are exact either way); use it when measuring traffic.
+// it NewLocalCluster reports zero bytes (row counts are exact either way);
+// use it when measuring traffic.
 func WithSerializedTransport() ClusterOption {
 	return func(c *clusterConfig) { c.serialized = true }
 }
@@ -590,63 +590,3 @@ func (c *Cluster) Close() error {
 	c.closers = nil
 	return first
 }
-
-// NewTieredLocalCluster creates an in-process two-tier deployment: leaves
-// leaf sites split as evenly as possible behind relays relay nodes — the
-// multi-tiered coordinator architecture the paper lists as future work
-// (Sect. 6). Relays pre-merge their subtree's sub-aggregates (Theorem 1 is
-// associative), cutting the root coordinator's fan-in from leaves to relays.
-// Load and LoadPartitions address the leaf sites; queries run against the
-// relay tier.
-func NewTieredLocalCluster(leaves, relays int, opts ...ClusterOption) (*Cluster, error) {
-	if leaves <= 0 || relays <= 0 || relays > leaves {
-		return nil, fmt.Errorf("skalla: tiered cluster with %d leaves behind %d relays", leaves, relays)
-	}
-	cfg := applyOptions(opts)
-	if cfg.selErr != nil {
-		return nil, cfg.selErr
-	}
-	leafSites := make([]transport.Site, leaves)
-	loaders := make([]transport.Loader, leaves)
-	for i := 0; i < leaves; i++ {
-		es := engine.NewSite(i)
-		es.SetWorkers(cfg.workers)
-		if cfg.serialized {
-			ls := transport.NewLocalSite(es)
-			leafSites[i], loaders[i] = ls, ls
-		} else {
-			fs := transport.NewFastLocalSite(es)
-			leafSites[i], loaders[i] = fs, fs
-		}
-	}
-	tier := make([]transport.Site, relays)
-	per := leaves / relays
-	extra := leaves % relays
-	start := 0
-	for i := 0; i < relays; i++ {
-		n := per
-		if i < extra {
-			n++
-		}
-		relay, err := core.NewRelay(i, leafSites[start:start+n])
-		if err != nil {
-			return nil, err
-		}
-		start += n
-		if cfg.serialized {
-			tier[i] = transport.NewLocalSite(relay)
-		} else {
-			tier[i] = transport.NewFastLocalSite(relay)
-		}
-	}
-	coord, err := core.New(tier, cfg.catalog, cfg.net)
-	if err != nil {
-		return nil, err
-	}
-	cfg.configure(coord)
-	return &Cluster{coord: coord, sites: tier, loaders: loaders, sel: cfg.sel}, nil
-}
-
-// NumLeafSites returns the number of data-holding sites (equal to NumSites
-// except in tiered clusters, where NumSites counts the relay tier).
-func (c *Cluster) NumLeafSites() int { return len(c.loaders) }

@@ -379,51 +379,6 @@ func scalarScans() int64 {
 	return n
 }
 
-// A tiered facade cluster must agree with a flat one on the same partitions.
-func TestTieredLocalCluster(t *testing.T) {
-	d, err := flow.Generate(flow.Config{Rows: 1200, Routers: 4, SourceAS: 20, DestAS: 6, Seed: 12})
-	if err != nil {
-		t.Fatal(err)
-	}
-	flat, err := NewLocalCluster(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer flat.Close()
-	tiered, err := NewTieredLocalCluster(4, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tiered.Close()
-	if tiered.NumSites() != 2 || tiered.NumLeafSites() != 4 {
-		t.Fatalf("tiered shape: %d sites, %d leaves", tiered.NumSites(), tiered.NumLeafSites())
-	}
-	for _, cl := range []*Cluster{flat, tiered} {
-		if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
-			t.Fatal(err)
-		}
-	}
-	q := flowQuery(t)
-	a, err := flat.Execute(context.Background(), q, SelectNone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := tiered.Execute(context.Background(), q, SelectNone())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Rel.EqualMultiset(b.Rel) {
-		t.Error("tiered facade mismatch")
-	}
-	// Invalid shapes.
-	if _, err := NewTieredLocalCluster(2, 4); err == nil {
-		t.Error("more relays than leaves must error")
-	}
-	if _, err := NewTieredLocalCluster(0, 0); err == nil {
-		t.Error("zero sizes must error")
-	}
-}
-
 func TestClusterTables(t *testing.T) {
 	cl, d := loadedFlowCluster(t)
 	defer cl.Close()
