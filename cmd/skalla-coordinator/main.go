@@ -65,7 +65,6 @@ func run(args []string, out io.Writer) error {
 		blockRows   = fs.Int("block-rows", 0, "row blocking: sites return H in blocks of this many rows (0 = off)")
 		siteRetries = fs.Int("site-retries", 3, "attempts per site call before the query fails (1 = no retry)")
 		siteTimeout = fs.Duration("site-timeout", 30*time.Second, "per-attempt deadline for one site call (0 = none)")
-		workers     = fs.Int("workers", 0, "concurrent per-site merge commits during synchronization: 0 = auto, 1 = serial")
 		planMode    = fs.String("plan-mode", "all", "planner rule selection for every mode: auto, none, all, or rules=<name>,...")
 		explain     = fs.Bool("explain", false, "print the plan without executing")
 		replFlag    = fs.Bool("repl", false, "interactive mode: read statements from stdin")
@@ -94,7 +93,6 @@ func run(args []string, out io.Writer) error {
 		bad  bool
 		want string
 	}{
-		{"-workers", *workers < 0, "0 (auto) or positive"},
 		{"-block-rows", *blockRows < 0, "0 (off) or positive"},
 		{"-max-rows", *maxRows < 0, "0 or positive"},
 		{"-site-retries", *siteRetries < 1, "at least 1 (it counts attempts, not retries)"},
@@ -185,7 +183,6 @@ func run(args []string, out io.Writer) error {
 	clusterOpts := []skalla.ClusterOption{
 		skalla.WithRowBlocking(*blockRows),
 		skalla.WithSiteRetry(retry),
-		skalla.WithWorkers(*workers),
 		skalla.WithSlowQuery(*slowQuery),
 		skalla.WithPlanMode(*planMode),
 	}

@@ -141,7 +141,6 @@ func TestFlagConflictsAndDomains(t *testing.T) {
 		{"serve with -q", []string{"-sites", "x", "-serve", ":0", "-q", testQuery}},
 		{"serve with -sql", []string{"-sites", "x", "-serve", ":0", "-sql", "SELECT 1"}},
 		{"serve with -explain", []string{"-sites", "x", "-serve", ":0", "-explain"}},
-		{"negative workers", []string{"-sites", "x", "-q", testQuery, "-workers", "-1"}},
 		{"negative block-rows", []string{"-sites", "x", "-q", testQuery, "-block-rows", "-1"}},
 		{"negative max-rows", []string{"-sites", "x", "-q", testQuery, "-max-rows", "-1"}},
 		{"zero site-retries", []string{"-sites", "x", "-q", testQuery, "-site-retries", "0"}},
@@ -162,13 +161,15 @@ func TestFlagConflictsAndDomains(t *testing.T) {
 	}
 }
 
-// -opts is gone: an old script passing it fails loudly instead of planning
-// under a different selection than it asked for.
-func TestOptsFlagRemoved(t *testing.T) {
-	for _, mode := range [][]string{{"-q", testQuery}, {"-repl"}, {"-serve", ":0"}} {
-		args := append([]string{"-sites", "x", "-opts", "none"}, mode...)
-		if err := run(args, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -opts") {
-			t.Errorf("run(%v) = %v, want undefined-flag error", args, err)
+// -opts and -workers are gone: an old script passing either fails loudly
+// instead of running under settings other than it asked for.
+func TestRemovedFlagsRejected(t *testing.T) {
+	for _, flag := range [][]string{{"-opts", "none"}, {"-workers", "2"}} {
+		for _, mode := range [][]string{{"-q", testQuery}, {"-repl"}, {"-serve", ":0"}} {
+			args := append(append([]string{"-sites", "x"}, flag...), mode...)
+			if err := run(args, &bytes.Buffer{}); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: "+flag[0]) {
+				t.Errorf("run(%v) = %v, want undefined-flag error", args, err)
+			}
 		}
 	}
 }

@@ -95,9 +95,9 @@ func compare(ctx context.Context, cluster *skalla.Cluster, q skalla.Query) {
 		if firstRel == nil {
 			firstRel = res.Rel
 		} else if !res.Rel.EqualMultisetApprox(firstRel, 1e-9) {
-			// Exact float equality is not expected: the streaming merge sums
-			// partial aggregates in arrival order, so float columns may
-			// differ in the last bits between plans — like any parallel sum.
+			// Exact float equality is not expected: plans group the partial
+			// sums differently (per site, per local prefix), so float columns
+			// may differ in the last bits between plans.
 			log.Fatalf("optimization level %q changed the result", l.name)
 		}
 		m := res.Metrics

@@ -25,9 +25,8 @@ import (
 	"skalla/internal/transport"
 )
 
-// EvalWorkers is the evaluation parallelism applied to every cluster the
-// harness builds: per-site scan workers plus the coordinator's concurrent
-// stage commits. 0 (the default) sizes automatically, 1 forces the fully
+// EvalWorkers is the per-site scan parallelism applied to every cluster the
+// harness builds. 0 (the default) sizes automatically, 1 forces the
 // sequential paper-shaped evaluation. A package-level dial keeps the figure
 // runners' signatures matching the paper's experiments; cmd/skalla-bench
 // sets it from -workers and every measured Row records the value in force.
@@ -64,7 +63,6 @@ func NewTPCCluster(ctx context.Context, d *tpc.Dataset, n int, net stats.NetMode
 	if err != nil {
 		return nil, err
 	}
-	coord.SetMergeWorkers(EvalWorkers)
 	return &Cluster{Coord: coord, Sites: sites, Catalog: cat}, nil
 }
 

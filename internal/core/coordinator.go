@@ -9,7 +9,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
 	"time"
 
@@ -26,19 +25,18 @@ import (
 // Coordinator executes complex GMDJ expressions against a set of Skalla
 // sites.
 type Coordinator struct {
-	sites        []transport.Site
-	cat          *distrib.Catalog
-	net          stats.NetModel
-	blockRows    int
-	observer     obs.Observer // nil = no trace observer
-	retry        RetryPolicy
-	mergeWorkers int
-	slowQuery    time.Duration
-	memBudget    int64        // per-query coordinator memory budget (0 = off)
-	admit        *admission   // nil = admission control off
-	plans        *planCache   // nil = plan caching off
-	results      *resultCache // nil = result caching off
-	flights      *flightGroup // nil = single-flight collapsing off
+	sites     []transport.Site
+	cat       *distrib.Catalog
+	net       stats.NetModel
+	blockRows int
+	observer  obs.Observer // nil = no trace observer
+	retry     RetryPolicy
+	slowQuery time.Duration
+	memBudget int64        // per-query coordinator memory budget (0 = off)
+	admit     *admission   // nil = admission control off
+	plans     *planCache   // nil = plan caching off
+	results   *resultCache // nil = result caching off
+	flights   *flightGroup // nil = single-flight collapsing off
 }
 
 // New creates a coordinator. cat may be nil (no distribution knowledge); net
@@ -54,26 +52,6 @@ func New(sites []transport.Site, cat *distrib.Catalog, net stats.NetModel) (*Coo
 // (Sect. 3.2 row blocking); the coordinator synchronizes blocks as they
 // arrive in either mode. Zero (the default) ships each H_i whole.
 func (c *Coordinator) SetRowBlocking(rows int) { c.blockRows = rows }
-
-// SetMergeWorkers sets how many per-site stage commits the streaming
-// synchronization may run concurrently: 0 (the default) picks
-// min(GOMAXPROCS, sites), 1 restores the serial merge loop, n > 1 allows up
-// to n concurrent commits (X rows are guarded by the merger's lock stripes).
-func (c *Coordinator) SetMergeWorkers(n int) { c.mergeWorkers = n }
-
-func (c *Coordinator) resolveMergeWorkers() int {
-	w := c.mergeWorkers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > len(c.sites) {
-		w = len(c.sites)
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
-}
 
 // NumSites returns the number of attached sites.
 func (c *Coordinator) NumSites() int { return len(c.sites) }
@@ -400,6 +378,11 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // the shipped fragment. Staging is what makes the per-site retry policy
 // sound: a stream that dies after partial blocks is discarded whole and
 // re-run without double-counting into X.
+//
+// Stages commit in site order: site i's as soon as sites 0..i-1 have
+// committed, while later sites still stream. Every X row thus folds its
+// sites in index order, so FLOAT super-aggregates come out bit-identical
+// run to run, however the streams' completion order falls.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, k int) error {
 	op := pl.Query.Ops[k]
 	roundName := fmt.Sprintf("MD%d", k+1)
@@ -429,14 +412,15 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	coordTime += time.Since(t0)
 
-	stages := make(chan *hStage, len(c.sites))
+	// ready[i] carries site i's completed stage, or closes empty if the site
+	// failed; errs[i] and calls[i] are written before either.
+	ready := make([]chan *hStage, len(c.sites))
 	calls := make([]stats.Call, len(c.sites))
 	errs := make([]error, len(c.sites))
-	var wg sync.WaitGroup
 	for i, s := range c.sites {
-		wg.Add(1)
+		ready[i] = make(chan *hStage, 1)
 		go func(i int, s transport.Site) {
-			defer wg.Done()
+			defer close(ready[i])
 			// Thm. 4 fragment reduction runs here, in each site's own
 			// goroutine, so the O(sites × |X|) predicate evaluation
 			// parallelizes instead of serializing the round's start. It sees
@@ -464,6 +448,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				Guard:     pl.Guard,
 				BlockRows: c.blockRows,
 			}
+			var done *hStage
 			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
 				st := mg.NewStage(k, frag.Len(), kept)
 				call, err := s.EvalOperatorStream(actx, req, func(block *relation.Relation) error {
@@ -482,27 +467,23 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 					st.Discard()
 					return call, err
 				}
-				select {
-				case stages <- st:
-					return call, nil
-				case <-ctx.Done():
-					st.Discard()
-					return call, ctx.Err()
-				}
+				done = st
+				return call, nil
 			})
+			if errs[i] == nil {
+				ready[i] <- done
+			}
 		}(i, s)
 	}
-	go func() {
-		wg.Wait()
-		close(stages)
-	}()
 
+	// Commit in site order. Every site's channel closes, so the loop ends;
+	// after a failure or cancellation it only drains and discards.
 	var mergeErr error
-	if workers := c.resolveMergeWorkers(); workers <= 1 {
-		for st := range stages {
+	for _, ch := range ready {
+		for st := range ch {
 			if mergeErr != nil || ctx.Err() != nil {
 				st.Discard()
-				continue // drain so senders never block; cancelled streams end fast
+				continue
 			}
 			t0 := time.Now()
 			mergeErr = mg.CommitStage(st, k)
@@ -510,41 +491,6 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			coordTime += d
 			rs.ObserveMerge(d)
 		}
-	} else {
-		// Concurrent commits: sync-merge overlaps across sites instead of
-		// serializing behind one merge loop; the merger's lock stripes keep
-		// same-group merges safe (see CommitStageSharded).
-		var mu sync.Mutex // guards mergeErr and coordTime
-		var mwg sync.WaitGroup
-		sem := make(chan struct{}, workers)
-		for st := range stages {
-			mu.Lock()
-			failed := mergeErr != nil
-			mu.Unlock()
-			if failed || ctx.Err() != nil {
-				st.Discard()
-				continue
-			}
-			sem <- struct{}{}
-			mwg.Add(1)
-			go func(st *hStage) {
-				defer mwg.Done()
-				defer func() { <-sem }()
-				obs.CoordMergeWorkers.Add(1)
-				defer obs.CoordMergeWorkers.Add(-1)
-				t0 := time.Now()
-				err := mg.CommitStageSharded(st, k)
-				d := time.Since(t0)
-				rs.ObserveMerge(d)
-				mu.Lock()
-				coordTime += d
-				if mergeErr == nil {
-					mergeErr = err
-				}
-				mu.Unlock()
-			}(st)
-		}
-		mwg.Wait()
 	}
 
 	t0 = time.Now()

@@ -1,0 +1,115 @@
+package core
+
+import (
+	"context"
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"skalla/internal/agg"
+	"skalla/internal/engine"
+	"skalla/internal/expr"
+	"skalla/internal/gmdj"
+	"skalla/internal/plan"
+	"skalla/internal/relation"
+	"skalla/internal/stats"
+	"skalla/internal/transport"
+	"skalla/internal/transport/faultinject"
+)
+
+// floatCells are the FLOAT measures one group has across the four sites.
+// Their sum depends on the fold order: 1e16 + 1 rounds back to 1e16.
+var floatCells = [4]float64{1e16, -1e16, 1, 1}
+
+// floatEngines loads four sites with F(g INT, v FLOAT): site i holds one row
+// per group g = 0..3, with v = floatCells[(i+g)%4], so every group meets the
+// cells in another site order.
+func floatEngines(t *testing.T) []*engine.Site {
+	t.Helper()
+	schema := relation.MustSchema(
+		relation.Column{Name: "g", Kind: relation.KindInt},
+		relation.Column{Name: "v", Kind: relation.KindFloat},
+	)
+	engines := make([]*engine.Site, len(floatCells))
+	for i := range engines {
+		part := relation.New(schema)
+		for g := range floatCells {
+			part.MustAppend(relation.Tuple{relation.NewInt(int64(g)), relation.NewFloat(floatCells[(i+g)%len(floatCells)])})
+		}
+		engines[i] = engine.NewSite(i)
+		if err := engines[i].Load(context.Background(), "F", part); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return engines
+}
+
+// TestSiteOrderedFoldIsDeterministic: a FLOAT SUM/AVG over groups that span
+// four sites must print the same bytes on every run, however a random
+// per-site delay orders the streams' completion, at one proc and at four, and
+// over every transport — and each group's SUM must be its cells folded in
+// site order.
+func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
+	q := gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "F", Cols: []string{"g"}},
+		Ops: []gmdj.Operator{{Detail: "F", Vars: []gmdj.GroupVar{{
+			Aggs: []agg.Spec{{Func: agg.Sum, Arg: "v", As: "s"}, {Func: agg.Avg, Arg: "v", As: "a"}},
+			Cond: expr.MustParse("B.g = R.g"),
+		}}}},
+	}
+	engines := floatEngines(t)
+	transports := []struct {
+		name string
+		wrap func(*engine.Site) transport.Site
+	}{
+		{"fast-local", func(es *engine.Site) transport.Site { return transport.NewFastLocalSite(es) }},
+		{"local", func(es *engine.Site) transport.Site { return transport.NewLocalSite(es) }},
+		{"tcp", func(es *engine.Site) transport.Site { return dialSite(t, es) }},
+	}
+	rng := rand.New(rand.NewSource(36))
+	var want string
+	var first *relation.Relation
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 4} {
+		runtime.GOMAXPROCS(procs)
+		for _, tr := range transports {
+			inner := make([]transport.Site, len(engines))
+			for i, es := range engines {
+				inner[i] = tr.wrap(es)
+			}
+			for run := 0; run < 50; run++ {
+				sites := make([]transport.Site, len(inner))
+				for i, s := range inner {
+					delay := time.Duration(rng.Int63n(int64(3 * time.Millisecond)))
+					sites[i] = faultinject.Wrap(s, faultinject.Config{Delay: delay})
+				}
+				coord, err := New(sites, nil, stats.NetModel{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
+				if err != nil {
+					t.Fatalf("GOMAXPROCS=%d %s run %d: %v", procs, tr.name, run, err)
+				}
+				got := res.Rel.Format(-1)
+				if first == nil {
+					want, first = got, res.Rel
+				} else if got != want {
+					t.Fatalf("GOMAXPROCS=%d %s run %d differs\ngot:\n%s\nwant:\n%s", procs, tr.name, run, got, want)
+				}
+			}
+		}
+	}
+	gi, si := first.Schema.MustIndex("g"), first.Schema.MustIndex("s")
+	for _, row := range first.Tuples {
+		g := int(row[gi].Int)
+		sum := floatCells[g%len(floatCells)]
+		for i := 1; i < len(floatCells); i++ {
+			sum += floatCells[(i+g)%len(floatCells)]
+		}
+		if row[si].Float != sum {
+			t.Errorf("group %d: SUM = %v, want %v (its cells folded in site order)", g, row[si].Float, sum)
+		}
+	}
+}

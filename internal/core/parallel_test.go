@@ -106,121 +106,6 @@ func TestBackoffConcurrentDraws(t *testing.T) {
 	}
 }
 
-// TestCommitStageShardedMatchesSerial commits the same staged streams through
-// the serial path and the sharded path (concurrently, as the coordinator's
-// merge loop does) and demands identical X contents.
-func TestCommitStageShardedMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	q := chainQuery()
-	src := gmdj.Schemas{"T": tSchema}
-	xs, err := gmdj.XSchemas(q, src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hSchema := relation.MustSchema(
-		relation.Column{Name: engine.OrdinalColumn, Kind: relation.KindInt},
-		relation.Column{Name: "cnt1", Kind: relation.KindInt},
-		relation.Column{Name: "sum1", Kind: relation.KindInt},
-		relation.Column{Name: "avg1_sum", Kind: relation.KindInt},
-		relation.Column{Name: "avg1_cnt", Kind: relation.KindInt},
-	)
-	const groups, nSites = 40, 6
-	newBase := func() *relation.Relation {
-		b := relation.New(xs[0])
-		for g := 0; g < groups; g++ {
-			b.MustAppend(relation.Tuple{relation.NewInt(int64(g)), relation.NewInt(int64(g % 4))})
-		}
-		return b
-	}
-	// Each "site" reports a random subset of the groups — several sites hit
-	// the same group, so stripe contention actually happens.
-	siteH := make([]*relation.Relation, nSites)
-	for s := range siteH {
-		h := relation.New(hSchema)
-		for g := 0; g < groups; g++ {
-			if rng.Intn(3) == 0 {
-				continue
-			}
-			cnt := int64(rng.Intn(50) + 1)
-			sum := int64(rng.Intn(1000))
-			h.MustAppend(relation.Tuple{
-				relation.NewInt(int64(g)), // group g is X row g
-				relation.NewInt(cnt), relation.NewInt(sum),
-				relation.NewInt(sum), relation.NewInt(cnt),
-			})
-		}
-		siteH[s] = h
-	}
-	run := func(sharded bool) *relation.Relation {
-		segs, err := buildSegments(q, src, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		m := mustMerger(t, []string{"g", "h"}, xs, segs, nil)
-		if err := m.InitBase(newBase()); err != nil {
-			t.Fatal(err)
-		}
-		if err := m.Extend(); err != nil {
-			t.Fatal(err)
-		}
-		stages := make([]*hStage, nSites)
-		for s := range stages {
-			stages[s] = m.NewStage(0, groups, nil)
-			if err := stages[s].Add(siteH[s].Clone()); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if sharded {
-			var wg sync.WaitGroup
-			errc := make(chan error, nSites)
-			for _, st := range stages {
-				wg.Add(1)
-				go func(st *hStage) {
-					defer wg.Done()
-					errc <- m.CommitStageSharded(st, 0)
-				}(st)
-			}
-			wg.Wait()
-			close(errc)
-			for err := range errc {
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-		} else {
-			for _, st := range stages {
-				if err := m.CommitStage(st, 0); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		m.RecomputeDerived(1)
-		return m.X()
-	}
-	want := sortedText(run(false))
-	for trial := 0; trial < 10; trial++ {
-		if got := sortedText(run(true)); got != want {
-			t.Fatalf("trial %d: sharded commit diverges from serial\ngot:\n%.2000s\nwant:\n%.2000s", trial, got, want)
-		}
-	}
-	// A stage for the wrong operator must be rejected, not merged.
-	segs, _ := buildSegments(q, src, 2)
-	m := mustMerger(t, []string{"g", "h"}, xs, segs, nil)
-	if err := m.InitBase(newBase()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Extend(); err != nil {
-		t.Fatal(err)
-	}
-	st := m.NewStage(0, groups, nil)
-	if err := st.Add(siteH[0].Clone()); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.CommitStageSharded(st, 1); err == nil {
-		t.Error("sharded commit of the wrong operator must error")
-	}
-}
-
 // workerCluster is buildCluster, but it keeps the engine.Site handles so the
 // test can dial per-site evaluation parallelism.
 func workerCluster(t *testing.T, global *relation.Relation, n int, per int64) ([]transport.Site, []*engine.Site, *distrib.Catalog) {
@@ -256,9 +141,9 @@ func workerCluster(t *testing.T, global *relation.Relation, n int, per int64) ([
 // TestWorkersByteIdenticalMatrix is the pinned-seed property sweep: every
 // chaos-matrix query shape — plain rounds, Prop. 1 guard-filtered rounds,
 // Prop. 2 / Cor. 1 sync-reduced prefix plans, and streamed row blocking — must
-// produce byte-identical results at every tested worker count, with the
-// coordinator's concurrent stage commits enabled alongside the sites'
-// parallel scans.
+// produce byte-identical results, rows in the same order, at every tested
+// scan worker count: X's rows come from the site-ordered base union and the
+// stages commit in site order.
 func TestWorkersByteIdenticalMatrix(t *testing.T) {
 	rng := rand.New(rand.NewSource(1234))
 	global := randomGlobal(rng, 900, 16)
@@ -290,13 +175,12 @@ func TestWorkersByteIdenticalMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord.SetMergeWorkers(w)
 				coord.SetRowBlocking(round.blockRows)
 				res, err := coord.ExecuteWith(context.Background(), q, round.sel)
 				if err != nil {
 					t.Fatalf("%s/%s workers=%d: %v", qname, round.name, w, err)
 				}
-				text := sortedText(res.Rel)
+				text := res.Rel.Format(-1)
 				if w == 1 {
 					want = text
 					continue

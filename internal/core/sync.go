@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"skalla/internal/agg"
 	"skalla/internal/engine"
@@ -63,19 +62,10 @@ type merger struct {
 	index    *relation.KeyIndex // X by key; nil unless InitLocal built it
 	extended int                // number of operators whose columns exist in x
 
-	// stripes shard X's rows for concurrent stage commits: row i is guarded
-	// by stripes[i % mergeStripes], so two sites' stages merging into the
-	// same group serialize on one stripe instead of one global lock.
-	stripes [mergeStripes]sync.Mutex
-
 	// budget is the query's coordinator-side memory budget (nil = unbounded).
 	// X growth is charged here; staged H blocks are charged by their stages.
 	budget *memBudget
 }
-
-// mergeStripes is the lock-stripe count for concurrent stage commits (power
-// of two; row positions spread uniformly across stripes).
-const mergeStripes = 64
 
 func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, budget *memBudget) (*merger, error) {
 	hschemas := make([]relation.Schema, len(segs))
@@ -278,7 +268,7 @@ func (s *ordinalSet) claim(hrow relation.Tuple) (int, error) {
 // any pooled block storage) and retried from scratch.
 //
 // Stages are created and filled in the per-site goroutines (they touch no
-// merger state) and committed on the coordinator's merge loop.
+// merger state) and committed, in site order, on the coordinator's merge loop.
 type hStage struct {
 	schema relation.Schema // the operator's H_i schema every block must carry
 	segs   []varSegment    // the operator's variables, whose cells validateH checks
@@ -344,30 +334,12 @@ func (st *hStage) Discard() {
 }
 
 // CommitStage folds one completed stream's staged H rows into X and releases
-// the stage. Every block was validated as it was staged, so this is the
+// the stage: each row's ordinal is an X row — itself, or through the stage's
+// row list — and its physical columns merge into that row's operator-k
+// segments. Every block was validated as it was staged, so this is the
 // O(|H|) merge of Theorem 1 and nothing else.
 func (m *merger) CommitStage(st *hStage, k int) error {
 	defer st.Discard()
-	return m.merge(st, k, false)
-}
-
-// CommitStageSharded is CommitStage for concurrent use: independent sites'
-// completed stages may commit in parallel during one operator round. Every
-// X row merge is guarded by its lock stripe, so two stages folding into the
-// same group serialize per row rather than per round. Merge order across
-// stages is whatever the commits race to — exactly the completion-order
-// nondeterminism the serial streaming merge already has — and physical
-// super-aggregate merges are order-insensitive (exact for integer inputs).
-func (m *merger) CommitStageSharded(st *hStage, k int) error {
-	defer st.Discard()
-	return m.merge(st, k, true)
-}
-
-// merge folds a stage's rows into X: each row's ordinal is an X row — itself,
-// or through the stage's row list — and its physical columns merge into that
-// row's operator-k segments. Operator rounds never add or move X rows, so the
-// lookup needs no lock; striped guards the cells.
-func (m *merger) merge(st *hStage, k int, striped bool) error {
 	if st.rel == nil {
 		return nil // empty stream: the site had no matching groups
 	}
@@ -379,38 +351,16 @@ func (m *merger) merge(st *hStage, k int, striped bool) error {
 		if st.rows != nil {
 			xi = int(st.rows[xi])
 		}
-		var err error
-		if striped {
-			err = m.mergeRowStriped(xi, hrow, k)
-		} else {
-			err = m.mergeRow(xi, hrow, k)
-		}
-		if err != nil {
-			return err
+		xrow, cursor := m.x.Tuples[xi], 1
+		for _, seg := range m.segs[k] {
+			n := len(seg.layout.Phys)
+			if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], hrow[cursor:cursor+n]); err != nil {
+				return err
+			}
+			cursor += n
 		}
 	}
 	return nil
-}
-
-// mergeRow merges one H row's physical columns into X row xi.
-func (m *merger) mergeRow(xi int, hrow relation.Tuple, k int) error {
-	xrow := m.x.Tuples[xi]
-	cursor := 1
-	for _, seg := range m.segs[k] {
-		n := len(seg.layout.Phys)
-		if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], hrow[cursor:cursor+n]); err != nil {
-			return err
-		}
-		cursor += n
-	}
-	return nil
-}
-
-func (m *merger) mergeRowStriped(xi int, hrow relation.Tuple, k int) error {
-	lk := &m.stripes[xi%mergeStripes]
-	lk.Lock()
-	defer lk.Unlock()
-	return m.mergeRow(xi, hrow, k)
 }
 
 // MergeLocal synchronizes one site's locally evaluated X fragment (schema =

@@ -378,7 +378,7 @@ func splitClauses(input string) (map[string]string, error) {
 		end int
 	}
 	var hits []hit
-	lower := strings.ToLower(norm)
+	lower := asciiLower(norm)
 	depth := 0
 	inStr := false
 	for i := 0; i < len(lower); i++ {
@@ -430,6 +430,19 @@ func splitClauses(input string) (map[string]string, error) {
 		out[h.kw] = strings.TrimSpace(norm[h.end:stop])
 	}
 	return out, nil
+}
+
+// asciiLower lowercases A-Z byte for byte and leaves every other byte alone,
+// so an offset into the result is the same offset into s. strings.ToLower is
+// not: it re-encodes invalid UTF-8 and some runes (İ) to other lengths.
+func asciiLower(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func normalizeSpace(s string) string {

@@ -312,3 +312,37 @@ func TestVarianceThroughSQL(t *testing.T) {
 		}
 	}
 }
+
+// Clause keywords are found in a lowercased copy of the statement and cut
+// out of the original, so the two must share byte offsets: an invalid byte or
+// a rune whose lowercase has another length (İ) must not shift the cut.
+func TestClauseOffsetsSurviveNonASCII(t *testing.T) {
+	if _, err := Translate("SELECT \xda GROUP BY"); err == nil {
+		t.Error("SELECT \\xda GROUP BY: expected an error")
+	}
+	q, err := Translate("SELECT İx, COUNT(*) AS c FROM Tab GROUP BY İx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if q.Base.Detail != "Tab" || len(q.Base.Cols) != 1 || q.Base.Cols[0] != "İx" {
+		t.Errorf("FROM %q, keys %q; want FROM Tab, keys [İx]", q.Base.Detail, q.Base.Cols)
+	}
+}
+
+// FuzzTranslate feeds the statement parser arbitrary text, as a served
+// session does: it may reject the text, but must never panic.
+func FuzzTranslate(f *testing.F) {
+	for _, g := range []string{"MktSegment", "Clerk"} {
+		f.Add("SELECT " + g + ", COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR WHERE Discount >= 0.005 GROUP BY " + g + " HAVING EACH ExtendedPrice >= avgp")
+		f.Add("SELECT " + g + ", COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR WHERE Quantity >= 20 GROUP BY " + g)
+	}
+	f.Add("SELECT Clerk, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR WHERE Discount >= 0.005 GROUP BY Clerk HAVING EACH Discount >= 0.05")
+	f.Add("SELECT MktSegment, ShipMode, OrderPriority, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR WHERE Discount >= 0.005 CUBE BY MktSegment, ShipMode, OrderPriority")
+	f.Add("SELECT RegionKey, NationKey, CityKey, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR WHERE Discount >= 0.005 ROLLUP BY RegionKey, NationKey, CityKey")
+	f.Add("SELECT CustName, COUNT(*) AS cnt FROM TPCR GROUP BY CustName ORDER BY cnt DESC LIMIT 5")
+	f.Add("SELECT \xda GROUP BY")
+	f.Add("SELECT İx, COUNT(*) AS c FROM Tab GROUP BY İx")
+	f.Fuzz(func(t *testing.T, stmt string) {
+		_, _ = Translate(stmt)
+	})
+}

@@ -90,10 +90,6 @@ var (
 		"Detail passes run by this process's sites (one per base query or grouping variable, never per row) by the path that ran them (kernel = compiled over the columnar image, scalar = row at a time) and why (ok = compiled; source = no columnar image; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column or value kind typed code cannot reproduce exactly).",
 		"path", "reason")
 
-	// Coordinator merge parallelism (internal/core).
-	CoordMergeWorkers = Default.Gauge("skalla_coord_merge_workers",
-		"Concurrent per-site stage commits currently running in the coordinator's sync-merge.")
-
 	// Multi-tenant query server (internal/server sessions; admission control
 	// and the prepared-plan cache live in internal/core but serve the same
 	// deployment surface, so the whole family shares the server layer name).

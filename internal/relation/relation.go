@@ -309,10 +309,10 @@ func (r *Relation) Format(maxRows int) string {
 }
 
 // EqualMultisetApprox compares two relations like EqualMultiset but allows a
-// relative tolerance on FLOAT values. Distributed aggregation sums partial
-// results in arrival order, so float aggregates can differ in the last bits
-// between plans or runs — like any parallel floating-point sum; exact
-// comparison is only appropriate for integer aggregates.
+// relative tolerance on FLOAT values. Plans and evaluators group a float sum
+// differently — per site, per worker, centrally — so float aggregates can
+// differ in the last bits between plans, or between distributed and central
+// evaluation; exact comparison is only appropriate for integer aggregates.
 func (r *Relation) EqualMultisetApprox(o *Relation, relTol float64) bool {
 	if !r.Schema.Equal(o.Schema) || len(r.Tuples) != len(o.Tuples) {
 		return false

@@ -288,7 +288,6 @@ type clusterConfig struct {
 func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	coord.SetRowBlocking(cfg.blockRows)
 	coord.SetRetryPolicy(cfg.retry)
-	coord.SetMergeWorkers(cfg.workers)
 	coord.SetSlowQueryThreshold(cfg.slowQuery)
 	if cfg.traceTo != nil {
 		coord.SetObserver(obs.NewLineObserver(cfg.traceTo))
@@ -351,13 +350,11 @@ func WithSiteRetry(p RetryPolicy) ClusterOption {
 	return func(c *clusterConfig) { c.retry = p }
 }
 
-// WithWorkers sets the evaluation parallelism: in-process sites shard their
-// detail scans across up to n workers, and the coordinator commits up to n
-// per-site result streams concurrently during synchronization. 0 (the
-// default) sizes automatically from GOMAXPROCS and the data; 1 forces fully
-// sequential evaluation. For clusters built with Connect the sites run in
-// their own processes — set their parallelism with skalla-site -workers —
-// and this option governs only the coordinator's concurrent merge.
+// WithWorkers sets the in-process sites' scan parallelism: each shards its
+// detail scans across up to n workers. 0 (the default) sizes automatically
+// from GOMAXPROCS and the data; 1 forces sequential scans. For clusters built
+// with Connect the sites run in their own processes — set their parallelism
+// with skalla-site -workers — and this option has no effect.
 func WithWorkers(n int) ClusterOption {
 	return func(c *clusterConfig) { c.workers = n }
 }

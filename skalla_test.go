@@ -282,8 +282,8 @@ func TestTPCDatasetThroughFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// avgPrice is a float: the streaming merge sums partials in arrival
-	// order, so compare with a relative tolerance.
+	// avgPrice is a float: the sites' partial sums group it otherwise than
+	// the centralized scan does, so compare with a relative tolerance.
 	if !res.Rel.EqualMultisetApprox(want, 1e-9) {
 		t.Error("TPC facade result mismatch")
 	}

@@ -7,11 +7,10 @@
 // `for st := range stages` — must reach, on every path from the binding, a
 // resolution of st before st is rebound, the next iteration begins, or the
 // function exits. Resolutions are st.Discard(), passing st to a call
-// (CommitStage, CommitStageSharded, or any transfer), sending st on a
-// channel, returning it, or storing it. Method calls on st (st.Add,
-// st.Rows) and field reads are uses, not resolutions — a stage that is
-// filled and then dropped on an error path leaks its budget charge and its
-// pooled blocks. The check runs on the analysis/flow CFG: range bindings
+// (CommitStage or any transfer), sending st on a channel, returning it, or
+// storing it. Method calls on st (st.Add) and field reads are uses, not
+// resolutions — a stage that is filled and then dropped on an error path
+// leaks its budget charge and its pooled blocks. The check runs on the analysis/flow CFG: range bindings
 // are bounded by the loop back edge, and a path that blocks forever (a
 // committed retry loop) satisfies vacuously.
 //
