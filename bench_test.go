@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"skalla"
 	"skalla/internal/bench"
 	"skalla/internal/gmdj"
 	"skalla/internal/plan"
@@ -286,4 +287,55 @@ func BenchmarkSyncMerge(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkServedCacheHit measures one result-cache hit end to end through
+// the query server: a Serve-d four-site cluster, one DialQueryServer session
+// and one warmed statement of about 4 000 Clerk groups. An op is one
+// statement round trip with zero site rounds (handler, reply frame, the
+// client's decode), so B/op is what serving a cached result costs both ends.
+func BenchmarkServedCacheHit(b *testing.B) {
+	cfg := tpc.DefaultConfig()
+	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 40_000, 8000, 4000, 1
+	d, err := tpc.Generate(cfg, 4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cat, err := d.Catalog(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	cl, err := skalla.NewLocalCluster(4, skalla.WithCatalog(cat))
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.LoadPartitions(ctx, tpc.RelationName, d.Parts); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := skalla.Serve(cl, "127.0.0.1:0", skalla.ServerOptions{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close()
+	sess, err := skalla.DialQueryServer(srv.Addr())
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer sess.Close()
+	const stmt = "SELECT Clerk, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR GROUP BY Clerk"
+	// The untimed first statement runs the rounds and commits the result.
+	warm, _, err := sess.Query(ctx, stmt)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := sess.Query(ctx, stmt); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(warm.Len()), "rows/op")
 }

@@ -58,6 +58,11 @@ func (c *Coordinator) NumSites() int { return len(c.sites) }
 
 // Result is the outcome of one distributed evaluation.
 type Result struct {
+	// Rel holds the result rows. When the shared-work layer is active
+	// (SetResultCache / SetSingleFlight) Rel is this caller's own header over
+	// rows shared with other consumers: re-slicing or reassigning Rel.Tuples
+	// is private, but the rows are read-only — Clone before writing cells or
+	// reordering in place.
 	Rel     *relation.Relation
 	Metrics *stats.Metrics
 	Plan    *plan.Plan
@@ -141,7 +146,9 @@ func (c *Coordinator) ExecuteWith(ctx context.Context, q gmdj.Query, sel plan.Se
 // and the plan carries a fingerprint, the execution may be served from the
 // super-aggregate result cache or collapsed onto a concurrent execution of
 // the same fingerprint (see shared.go); either way the caller receives its
-// own result relation and a profile attributed in QueryProfile.Shared.
+// own result header — over read-only rows it shares with the other
+// consumers, so Clone before editing them — and a profile attributed in
+// QueryProfile.Shared.
 func (c *Coordinator) ExecutePlan(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource) (*Result, error) {
 	if pl.Fingerprint != "" && (c.results != nil || c.flights != nil) {
 		return c.executeShared(ctx, pl, src)

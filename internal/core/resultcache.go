@@ -16,9 +16,10 @@ import (
 // lookup against a moved generation is a miss that drops the stale entry —
 // the same invalidation contract as the prepared-plan cache, applied one
 // layer later so repeat queries skip the site rounds entirely, not just the
-// compile. Cached relations are private clones that are never mutated; every
-// hit hands the caller its own clone, so ORDER BY / LIMIT postprocessing on
-// one session's result cannot corrupt another's.
+// compile. Cached relations are shared results (shareResult) that are never
+// mutated: every hit hands the caller its own header over the same read-only
+// rows, and ORDER BY / LIMIT postprocessing edits only that header, so one
+// session's result cannot corrupt another's.
 type resultCache struct {
 	mu  sync.Mutex
 	cap int
@@ -43,8 +44,8 @@ func newResultCache(capacity int) *resultCache {
 
 // get returns the cached result relation for fp when it was produced under
 // the current catalog generation. The returned relation is the cache's
-// canonical copy — callers must Clone before handing it to anyone who may
-// mutate it. A generation mismatch evicts the entry and reports a miss.
+// canonical copy — callers hand out views of it (relation.View), never the
+// relation itself. A generation mismatch evicts the entry and reports a miss.
 // Nil-safe: a nil cache never hits.
 func (rc *resultCache) get(fp string, gen uint64) (*relation.Relation, bool) {
 	if rc == nil {
@@ -71,7 +72,7 @@ func (rc *resultCache) get(fp string, gen uint64) (*relation.Relation, bool) {
 }
 
 // put stores a finalized result, evicting the least recently used entry
-// beyond capacity. rel must be a clone the cache exclusively owns. The first
+// beyond capacity. rel must be a shared, read-only result. The first
 // writer wins: a concurrent duplicate (two leaders of the same fingerprint
 // racing past each other) keeps the existing entry when its generation still
 // matches, so hits keep serving one stable relation. Nil-safe no-op.

@@ -29,6 +29,12 @@ import (
 // removes the flight from the group before publishing, so late arrivals
 // start a fresh flight (or hit the result cache) instead of reading a closed
 // one.
+//
+// Results: the finished relation is built once and never copied. It becomes
+// the flight's result and the cache entry as it is, its rows read-only and
+// its wire frame cut once (relation.ShareFrame); every consumer — leader,
+// follower, cache hit — gets its own header over those rows
+// (relation.View), which it may re-slice or point at a copy but not write.
 
 // flightGroup tracks in-flight executions by plan fingerprint.
 type flightGroup struct {
@@ -91,7 +97,7 @@ func (c *Coordinator) executeShared(ctx context.Context, pl *plan.Plan, src gmdj
 		// Result cache only: execute normally and commit the result.
 		res, err := c.executeUnshared(ctx, pl, src)
 		if err == nil && res != nil {
-			c.commitResult(pl, res.Rel.Clone())
+			c.commitResult(pl, shareResult(res))
 		}
 		return res, err
 	}
@@ -141,18 +147,13 @@ func (c *Coordinator) leadFlight(ctx, execCtx context.Context, fl *flight, pl *p
 	followers := fl.followers
 	g.mu.Unlock()
 
-	// One read-only clone serves both the followers and the result cache;
-	// each follower clones again, so the leader's caller keeps exclusive
-	// ownership of res.Rel (SQL postprocessing mutates it in place).
 	var shared *relation.Relation
-	if err == nil && res != nil && (followers > 0 || c.results != nil) {
-		shared = res.Rel.Clone()
+	if err == nil && res != nil {
+		shared = shareResult(res)
 	}
 	fl.rel, fl.err = shared, err
 	close(fl.done)
-	if shared != nil {
-		c.commitResult(pl, shared)
-	}
+	c.commitResult(pl, shared)
 
 	if followers > 0 {
 		obs.ServerSingleflightLeaders.Inc()
@@ -185,19 +186,31 @@ func (c *Coordinator) awaitFlight(ctx context.Context, fl *flight, pl *plan.Plan
 	return c.sharedResult(ctx, pl, fl.rel, time.Since(start), "follower")
 }
 
+// shareResult declares a finished result shared: its relation becomes
+// read-only, with one wire frame cut for every consumer, and the caller's
+// Result keeps a header (relation.View) over the same rows. The returned
+// relation is what followers and the result cache hold.
+func shareResult(res *Result) *relation.Relation {
+	shared := res.Rel
+	shared.ShareFrame()
+	res.Rel = shared.View()
+	return shared
+}
+
 // sharedResult serves one query from a shared relation (a leader's committed
-// X or a result-cache entry): the caller gets its own clone, charged against
-// a fresh per-query memory budget — shared results get no free ride past
-// -query-mem-budget, and the leader is not double-charged (its own budget
-// covered its own execution). A synthesized zero-round profile lands in the
-// ring so /debug/queries accounts for every served query.
+// X or a result-cache entry): the caller gets its own header over the shared,
+// read-only rows, and the rows' bytes are charged against a fresh per-query
+// memory budget — shared results get no free ride past -query-mem-budget,
+// and the leader is not double-charged (its own budget covered its own
+// execution). A synthesized zero-round profile lands in the ring so
+// /debug/queries accounts for every served query.
 func (c *Coordinator) sharedResult(ctx context.Context, pl *plan.Plan, shared *relation.Relation, wait time.Duration, how string) (*Result, error) {
 	qid := obs.QueryIDFrom(ctx)
 	if qid == "" {
 		qid = obs.NewQueryID()
 	}
 	start := time.Now()
-	rel := shared.Clone()
+	rel := shared.View()
 	err := newMemBudget(c.memBudget).charge(rel.MemBytes())
 	prof := &obs.QueryProfile{QueryID: qid, Start: start, QueueTime: wait, Shared: how}
 	var res *Result
@@ -221,8 +234,8 @@ func (c *Coordinator) sharedResult(ctx context.Context, pl *plan.Plan, shared *r
 // plan compile and result commit means the result may describe data the
 // catalog no longer does, so it is dropped rather than cached (a stale entry
 // would additionally be caught at lookup, but not committing it at all keeps
-// the window closed for readers racing the bump). rel must be a clone the
-// cache will exclusively own.
+// the window closed for readers racing the bump). rel must be a shared
+// relation (shareResult): hits hand out views of it, never write it.
 func (c *Coordinator) commitResult(pl *plan.Plan, rel *relation.Relation) {
 	if c.results == nil || rel == nil {
 		return

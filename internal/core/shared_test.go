@@ -95,8 +95,8 @@ func TestSingleFlightStorm(t *testing.T) {
 }
 
 // TestSingleFlightResultsArePrivate checks that collapsed executions do not
-// share mutable state: mutating one caller's result (as SQL ORDER BY / LIMIT
-// postprocessing does in place) must not corrupt another's.
+// share mutable state: truncating one caller's result header (as SQL LIMIT
+// postprocessing does) must not corrupt another's.
 func TestSingleFlightResultsArePrivate(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	global := randomGlobal(rng, 120, 12)
@@ -294,7 +294,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 		t.Errorf("cache-hit profile Shared = %+v, want \"cache\"", hot.Profile)
 	}
 
-	// The hit hands out a private clone: mutating it must not corrupt the
+	// The hit hands out a private header: truncating it must not corrupt the
 	// cached entry.
 	hot.Rel.Tuples = hot.Rel.Tuples[:1]
 	again, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
@@ -434,7 +434,7 @@ func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 
 // TestSharedResultsChargeMemBudget: results served from shared work (cache
 // hits and single-flight followers) get no free ride past the per-query
-// memory budget — each served query charges its own clone's bytes.
+// memory budget — each served query charges the bytes of the rows it holds.
 func TestSharedResultsChargeMemBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	global := randomGlobal(rng, 150, 12)

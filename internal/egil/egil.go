@@ -24,6 +24,7 @@ package egil
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -143,17 +144,21 @@ func ParseStatement(input string) (*Statement, error) {
 }
 
 // Postprocess applies the statement's client-side clauses (ORDER BY, LIMIT)
-// to an executed result relation, in place. The coordinator applies it after
+// to an executed result relation. The coordinator applies it after
 // distributed evaluation — ordering and truncation are presentation, not
-// part of the GMDJ algebra.
+// part of the GMDJ algebra. Only rel's own header changes: ORDER BY points
+// rel at a sorted copy of its row slice and LIMIT re-slices it, so rows
+// shared with other consumers (a cached or single-flighted result) are never
+// permuted or written.
 func (st *Statement) Postprocess(rel *relation.Relation) error {
 	if st.OrderBy != "" {
 		idx := rel.Schema.Index(st.OrderBy)
 		if idx < 0 {
 			return fmt.Errorf("egil: ORDER BY column %q not in result %s", st.OrderBy, rel.Schema)
 		}
-		sort.SliceStable(rel.Tuples, func(i, j int) bool {
-			a, b := rel.Tuples[i][idx], rel.Tuples[j][idx]
+		rows := slices.Clone(rel.Tuples)
+		sort.SliceStable(rows, func(i, j int) bool {
+			a, b := rows[i][idx], rows[j][idx]
 			c, ok := a.Compare(b)
 			if !ok {
 				// NULLs (and incomparables) sort first ascending, last descending.
@@ -169,6 +174,7 @@ func (st *Statement) Postprocess(rel *relation.Relation) error {
 			}
 			return c < 0
 		})
+		rel.Tuples = rows
 	}
 	if st.Limit > 0 && rel.Len() > st.Limit {
 		rel.Tuples = rel.Tuples[:st.Limit]

@@ -264,6 +264,25 @@ func TestOrderByAndLimit(t *testing.T) {
 	if res2.Tuples[0][ni].Int != 2 {
 		t.Errorf("ascending top = %v", res2.Tuples[0][ni])
 	}
+
+	// Postprocess edits only the header it is given: views of a shared
+	// result are sorted both ways (so at least one permutes) and truncated
+	// while the shared rows keep their order.
+	shared, _ := gmdj.EvalCentral(q, flowData(), true)
+	before := shared.Format(-1)
+	desc, asc := shared.View(), shared.View()
+	if err := st.Postprocess(desc); err != nil {
+		t.Fatal(err)
+	}
+	if err := st2.Postprocess(asc); err != nil {
+		t.Fatal(err)
+	}
+	if desc.Len() != 2 || desc.Tuples[0][ni].Int != 4 || asc.Tuples[0][ni].Int != 2 {
+		t.Errorf("views not ordered and limited: %v / %v", desc.Tuples, asc.Tuples)
+	}
+	if shared.Format(-1) != before {
+		t.Errorf("postprocessing a view reordered the shared rows:\n%s\nwant:\n%s", shared.Format(-1), before)
+	}
 }
 
 func TestOrderByErrors(t *testing.T) {

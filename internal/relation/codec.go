@@ -674,26 +674,54 @@ func Unmarshal(b []byte) (*Relation, error) {
 // GobEncode makes gob envelopes (transport request/response structs, legacy
 // files) carry relations in the compact wire format rather than gob's
 // reflective struct encoding.
-func (r *Relation) GobEncode() ([]byte, error) {
-	if f := r.frame; f != nil {
+func (r *Relation) GobEncode() ([]byte, error) { return r.Frame() }
+
+// Frame returns r's wire frame: the bytes a fresh Encoder writes for r, that
+// is Marshal(r). A relation declared finished by ShareFrame, and every View of
+// it that still holds exactly its rows, returns one frame marshalled by the
+// first caller; the bytes are shared and must not be modified.
+func (r *Relation) Frame() ([]byte, error) {
+	if f := r.frame; f != nil && f.describes(r) {
 		f.once.Do(func() { f.b, f.err = Marshal(r) })
 		return f.b, f.err
 	}
 	return Marshal(r)
 }
 
-// sharedFrame is a relation's wire frame, marshalled by whichever envelope
-// needs it first.
+// sharedFrame is a finished relation's wire frame, marshalled by whichever
+// consumer needs it first. schema and rows are the slices it is cut from.
 type sharedFrame struct {
-	once sync.Once
-	b    []byte
-	err  error
+	once   sync.Once
+	schema Schema
+	rows   []Tuple
+	b      []byte
+	err    error
 }
 
-// ShareFrame declares r finished: from here on every gob envelope carrying it
-// — one per site of a broadcast, one per retry — ships the same frame, encoded
-// once by the first. The caller must not change r's schema or rows afterwards.
-func (r *Relation) ShareFrame() { r.frame = new(sharedFrame) }
+// describes reports whether r still holds exactly the schema and rows the
+// frame is cut from: the same slices at the same lengths. A header that
+// re-sliced or reassigned either gets a fresh Marshal instead.
+func (f *sharedFrame) describes(r *Relation) bool {
+	return sameSlice(f.schema, r.Schema) && sameSlice(f.rows, r.Tuples)
+}
+
+func sameSlice[T any](a, b []T) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
+}
+
+// ShareFrame declares r finished: from here on every consumer of its frame —
+// one gob envelope per site of a broadcast, one per retry, one reply per
+// session served from a shared result — ships the same bytes, encoded once by
+// the first. Nobody may change r's schema or rows afterwards.
+func (r *Relation) ShareFrame() { r.frame = &sharedFrame{schema: r.Schema, rows: r.Tuples} }
+
+// View returns a new header over r's schema and rows. A consumer may re-slice
+// or reassign the view's Tuples (a LIMIT, a sorted copy) without affecting r
+// or any other view, but the rows themselves are r's and must not be written.
+// The view shares r's frame while it holds exactly r's rows.
+func (r *Relation) View() *Relation {
+	return &Relation{Schema: r.Schema, Tuples: r.Tuples, frame: r.frame}
+}
 
 // GobDecode is the inverse of GobEncode.
 func (r *Relation) GobDecode(b []byte) error {

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -129,6 +130,58 @@ func TestShareFrame(t *testing.T) {
 	var back Relation
 	if err := back.GobDecode(a); err != nil || !relIdentical(r, &back) {
 		t.Errorf("shared frame does not decode back: %v", err)
+	}
+}
+
+// TestViewSharesFrameOnlyOverItsRows checks the per-consumer header contract:
+// a view of a finished relation serves the shared frame while it holds the
+// very rows the frame was cut from, and any view that re-sliced or reassigned
+// its rows or schema gets the frame of what it now holds.
+func TestViewSharesFrameOnlyOverItsRows(t *testing.T) {
+	r := codecCases()["all-kinds"]
+	r.ShareFrame()
+	shared, err := r.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	same, err := r.View().Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &same[0] != &shared[0] {
+		t.Error("an untouched view re-encoded the relation")
+	}
+
+	limited := r.View()
+	limited.Tuples = limited.Tuples[:2]
+	reversed := r.View()
+	reversed.Tuples = slices.Clone(reversed.Tuples)
+	slices.Reverse(reversed.Tuples)
+	renamed := r.View()
+	renamed.Schema = renamed.Schema.Clone()
+	renamed.Schema[0].Name = "renamed"
+	for name, v := range map[string]*Relation{"limited": limited, "reversed": reversed, "renamed": renamed} {
+		got, err := v.Frame()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s view: frame does not describe its own rows", name)
+		}
+	}
+	if again, _ := r.Frame(); !bytes.Equal(again, shared) || !relIdentical(r, codecCases()["all-kinds"]) {
+		t.Error("editing views changed the finished relation or its frame")
+	}
+	// A relation never declared finished marshals on every call.
+	plain := codecCases()["mixed-kinds"]
+	a, _ := plain.View().Frame()
+	b, _ := plain.Frame()
+	if !bytes.Equal(a, b) || &a[0] == &b[0] {
+		t.Error("an unshared relation's frames should be equal but separately encoded")
 	}
 }
 

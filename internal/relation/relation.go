@@ -66,7 +66,7 @@ type Relation struct {
 	pooled *blockStorage
 
 	// frame, when set by ShareFrame, holds the relation's wire frame once a
-	// gob envelope has encoded it.
+	// consumer has encoded it; views share it.
 	frame *sharedFrame
 }
 

@@ -32,6 +32,10 @@ type Client struct {
 	mu   sync.Mutex
 	conn net.Conn
 	br   *bufio.Reader
+	// dec reads every reply's rows, reusing one frame buffer for the
+	// session: each reply is a self-contained frame, and decoded values copy
+	// their bytes out of it.
+	dec *relation.Decoder
 }
 
 // Dial opens a session, bounded by defaultDialTimeout. Use DialContext to
@@ -50,7 +54,8 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Client{conn: conn, br: bufio.NewReader(conn)}, nil
+	br := bufio.NewReader(conn)
+	return &Client{conn: conn, br: br, dec: relation.NewDecoder(br)}, nil
 }
 
 // Close ends the session. It is safe to call while a Query is in flight —
@@ -93,7 +98,7 @@ func (c *Client) Query(ctx context.Context, stmt string) (*relation.Relation, *R
 		if err := json.Unmarshal(payload, &info); err != nil {
 			return nil, nil, fmt.Errorf("server: malformed result frame: %w", err)
 		}
-		rel, err := relation.NewDecoder(c.br).Decode()
+		rel, err := c.dec.Decode()
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: receive rows: %w", err)
 		}

@@ -16,7 +16,9 @@ import (
 
 // Result is what a Handler returns for one successful statement.
 type Result struct {
-	// Rel holds the result rows.
+	// Rel holds the result rows. The reply carries Rel.Frame(), so a
+	// relation declared finished (relation.ShareFrame) and every view of it
+	// are sent as one frame, encoded once for all sessions.
 	Rel *relation.Relation
 	// CacheHit reports whether a prepared plan was reused.
 	CacheHit bool
@@ -265,6 +267,13 @@ func (s *Server) serveQuery(ctx context.Context, conn net.Conn, qid, stmt string
 	ctx = obs.WithQueryID(ctx, qid)
 	start := time.Now()
 	res, err := s.h(ctx, stmt)
+	// The reply frame is cut before anything is written, so a result that
+	// cannot be encoded is an error frame, not a half-sent reply. A shared
+	// result hands back the frame cut for its first consumer.
+	var frame []byte
+	if err == nil {
+		frame, err = res.Rel.Frame()
+	}
 	if err != nil {
 		info := ErrorInfo{Code: "internal", Message: err.Error()}
 		var coded *CodedError
@@ -292,5 +301,6 @@ func (s *Server) serveQuery(ctx context.Context, conn net.Conn, qid, stmt string
 	if err := writeJSONFrame(conn, frameResult, info); err != nil {
 		return err
 	}
-	return relation.NewEncoder(conn).Encode(res.Rel)
+	_, err = conn.Write(frame)
+	return err
 }

@@ -262,3 +262,92 @@ func TestFrameBounds(t *testing.T) {
 		t.Fatal("oversized frame accepted")
 	}
 }
+
+// TestUnencodableReplyIsAnErrorFrame: a handler result the codec refuses (a
+// row whose arity does not match its schema) is answered with an "internal"
+// error frame and counted as an error, and the session answers its next
+// statement. The reply is cut before the result envelope is written, so the
+// client never sees a result frame without rows.
+func TestUnencodableReplyIsAnErrorFrame(t *testing.T) {
+	s := startServer(t, func(ctx context.Context, stmt string) (*Result, error) {
+		if stmt == "bad" {
+			rel := relation.New(testSchema)
+			rel.Tuples = append(rel.Tuples, relation.Tuple{relation.NewInt(1)})
+			return &Result{Rel: rel}, nil
+		}
+		return echoHandler(ctx, stmt)
+	})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ok0, errs0 := obs.ServerQueries.With("ok").Value(), obs.ServerQueries.With("error").Value()
+	_, _, err = c.Query(context.Background(), "bad")
+	var qe *QueryError
+	if !errors.As(err, &qe) || qe.Code != "internal" || !strings.Contains(qe.Message, "arity") {
+		t.Fatalf("unencodable reply = %v, want an internal error naming the arity", err)
+	}
+	if got := obs.ServerQueries.With("ok").Value() - ok0; got != 0 {
+		t.Errorf("unencodable reply counted ok %d times", got)
+	}
+	if got := obs.ServerQueries.With("error").Value() - errs0; got != 1 {
+		t.Errorf("unencodable reply counted as error %d times, want 1", got)
+	}
+	if _, _, err := c.Query(context.Background(), "ok"); err != nil {
+		t.Fatalf("statement after an unencodable reply: %v", err)
+	}
+}
+
+// TestClientDecodesRepliesOfChangingShape: one session's decoder serves every
+// reply, so replies whose schemas and sizes differ — empty, one row, many
+// rows, then small again — must each decode to exactly what their own frame
+// holds, and earlier results must survive the buffer's reuse by later ones.
+func TestClientDecodesRepliesOfChangingShape(t *testing.T) {
+	wide := relation.New(relation.MustSchema(
+		relation.Column{Name: "k", Kind: relation.KindString},
+		relation.Column{Name: "n", Kind: relation.KindInt},
+		relation.Column{Name: "f", Kind: relation.KindFloat},
+	))
+	for i := 0; i < 5000; i++ {
+		wide.MustAppend(relation.Tuple{relation.NewString(fmt.Sprintf("key-%05d", i)), relation.NewInt(int64(i)), relation.NewFloat(float64(i) / 7)})
+	}
+	one := relation.New(testSchema)
+	one.MustAppend(relation.Tuple{relation.NewInt(7), relation.NewString("first")})
+	replies := map[string]*relation.Relation{
+		"empty": relation.New(testSchema),
+		"one":   one,
+		"wide":  wide,
+		"small": relation.New(relation.MustSchema(relation.Column{Name: "s", Kind: relation.KindString})),
+	}
+	replies["small"].MustAppend(relation.Tuple{relation.NewString("zzzzzzzzzzzz")})
+	s := startServer(t, func(ctx context.Context, stmt string) (*Result, error) {
+		return &Result{Rel: replies[stmt]}, nil
+	})
+	c, err := Dial(s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	order := []string{"one", "empty", "wide", "small", "one", "wide"}
+	got := make([]*relation.Relation, len(order))
+	for i, stmt := range order {
+		if got[i], _, err = c.Query(context.Background(), stmt); err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+	}
+	for i, stmt := range order {
+		frame, err := relation.Marshal(replies[stmt])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := relation.Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got[i].Schema.Equal(want.Schema) || got[i].Format(-1) != want.Format(-1) {
+			t.Errorf("reply %d (%s) differs from its frame", i, stmt)
+		}
+	}
+}

@@ -321,3 +321,48 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 	}
 	_ = d
 }
+
+// TestServePostprocessLeavesCachedRows: two statements that differ only in
+// ORDER BY / LIMIT share a plan fingerprint, so the second is answered from
+// the first's cached result. Its ORDER BY … DESC LIMIT 3 must reorder and
+// truncate only its own reply: the plain statement, asked again, is served
+// the cached rows in their original order and number.
+func TestServePostprocessLeavesCachedRows(t *testing.T) {
+	srv, _, _ := startFlowServer(t, 2, ServerOptions{})
+	c, err := DialQueryServer(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ordered := serveStmtLight + " ORDER BY flows DESC LIMIT 3"
+
+	hits0 := obs.CoordResultCacheHits.Value()
+	cold, _, err := c.Query(context.Background(), serveStmtLight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top, _, err := c.Query(context.Background(), ordered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	again, _, err := c.Query(context.Background(), serveStmtLight)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obs.CoordResultCacheHits.Value() - hits0; got != 2 {
+		t.Fatalf("result-cache hits = %d, want 2 (both repeats share the cold statement's fingerprint)", got)
+	}
+	fi := top.Schema.MustIndex("flows")
+	if top.Len() != 3 || top.Tuples[0][fi].Int < top.Tuples[1][fi].Int || top.Tuples[1][fi].Int < top.Tuples[2][fi].Int {
+		t.Fatalf("ordered statement is not the top 3 by flows:\n%s", top)
+	}
+	if cold.Len() <= 3 {
+		t.Fatalf("cold result has %d rows; the test needs more than the LIMIT", cold.Len())
+	}
+	if top.Format(-1) == (&Relation{Schema: cold.Schema, Tuples: cold.Tuples[:3]}).Format(-1) {
+		t.Fatal("the cold rows are already in ORDER BY order: nothing was reordered")
+	}
+	if again.Format(-1) != cold.Format(-1) {
+		t.Errorf("the cached rows changed after an ORDER BY / LIMIT hit:\n%s\nwant:\n%s", again.Format(-1), cold.Format(-1))
+	}
+}

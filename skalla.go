@@ -390,8 +390,11 @@ func WithMaxConcurrent(n int) ClusterOption {
 // when the catalog generation moves — both at lookup and again before a
 // finishing query commits, so a generation bump concurrent with an execution
 // can never publish a stale result. Cache hits charge the per-query memory
-// budget for the bytes they retain, exactly like an executed query. Zero or
-// negative disables the cache (the default).
+// budget for the bytes they retain, exactly like an executed query. A cached
+// result's rows are shared by every hit and read-only: each Result.Rel is the
+// caller's own header, so re-slicing it is private, but Clone before writing
+// cells or reordering in place. Zero or negative disables the cache (the
+// default).
 func WithResultCache(capacity int) ClusterOption {
 	return func(c *clusterConfig) { c.resultCache = capacity }
 }
@@ -399,8 +402,10 @@ func WithResultCache(capacity int) ClusterOption {
 // WithSingleFlight makes concurrent executions of plans with the same
 // fingerprint collapse into one: a leader runs the distributed rounds on a
 // context detached from any single caller's, and the others await its
-// committed result (each receives a private clone and charges its own memory
-// budget). Off by default; Serve enables it for server deployments.
+// committed result (each receives its own header over the shared, read-only
+// rows — Clone before writing cells or reordering in place — and charges its
+// own memory budget). Off by default; Serve enables it for server
+// deployments.
 func WithSingleFlight() ClusterOption {
 	return func(c *clusterConfig) { c.singleFlight = true }
 }
