@@ -161,13 +161,8 @@ func BenchmarkDistributedCube(b *testing.B) {
 }
 
 // BenchmarkSiteEval measures one site's operator evaluation — the inner loop
-// of every distributed round — at increasing worker counts on a 16k-group
-// workload. workers=1 is the sequential baseline (the parallel machinery is
-// bypassed entirely, so this sub-benchmark doubles as the no-regression
-// check); higher counts shard the detail scan into private per-worker
-// accumulators merged by Theorem 1. Speedup tracks available cores: on a
-// single-core runner the series stay within noise of each other, on an
-// 8-core machine workers=8 runs the scan ~6-7x faster.
+// of every distributed round — on a 16k-group workload: one compiled scan of
+// 160k rows.
 func BenchmarkSiteEval(b *testing.B) {
 	const rows, groups = 160_000, 16_384
 	schema := relation.MustSchema(
@@ -176,8 +171,7 @@ func BenchmarkSiteEval(b *testing.B) {
 	)
 	detail := relation.New(schema)
 	for i := 0; i < rows; i++ {
-		// Knuth-hash the row index so group keys are spread, not clustered
-		// by shard — every worker touches the whole group range.
+		// Knuth-hash the row index so consecutive rows hit scattered groups.
 		g := int64(uint32(i) * 2654435761 % groups)
 		detail.MustAppend(relation.Tuple{relation.NewInt(g), relation.NewInt(int64(i % 1000))})
 	}
@@ -191,26 +185,21 @@ func BenchmarkSiteEval(b *testing.B) {
 		Cond: expr.MustParse("B.G = R.G"),
 	}}}
 	ctx := context.Background()
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			s := engine.NewSite(0)
-			if err := s.Load(ctx, "Flow", detail); err != nil {
-				b.Fatal(err)
-			}
-			s.SetWorkers(workers)
-			base, err := s.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"G"}})
-			if err != nil {
-				b.Fatal(err)
-			}
-			req := engine.OperatorRequest{Base: base, Op: op}
-			b.SetBytes(rows)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := s.EvalOperator(ctx, req); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	s := engine.NewSite(0)
+	if err := s.Load(ctx, "Flow", detail); err != nil {
+		b.Fatal(err)
+	}
+	base, err := s.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"G"}})
+	if err != nil {
+		b.Fatal(err)
+	}
+	req := engine.OperatorRequest{Base: base, Op: op}
+	b.SetBytes(rows)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.EvalOperator(ctx, req); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 
@@ -231,7 +220,6 @@ func BenchmarkSiteEvalExample1(b *testing.B) {
 	if err := s.Load(ctx, tpc.RelationName, d.Parts[0]); err != nil {
 		b.Fatal(err)
 	}
-	s.SetWorkers(1)
 	// MD2's base fragment carries MD1's finalized avgp, as the coordinator
 	// would ship it.
 	x1, err := gmdj.EvalPrefixX(q, s.Source(), 1, true)
@@ -306,7 +294,6 @@ func benchSiteGroupingSets(b *testing.B, statement string) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			s.SetWorkers(1)
 			b.SetBytes(int64(2 * d.Parts[0].Len()))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

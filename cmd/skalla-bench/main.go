@@ -47,13 +47,11 @@ func run(args []string, out io.Writer) error {
 		constG    = fs.Bool("constant-groups", false, "Fig. 5: hold the group count constant while data grows")
 		netFlag   = fs.String("net", "lan", "network model: lan or none")
 		jsonPath  = fs.String("json", "", "also write the measured series as JSON to this file")
-		workers   = fs.Int("workers", 1, "scan workers per site (0 = auto, 1 = sequential paper-shaped runs)")
 		planMode  = fs.String("plan-mode", "", "fig plan: run a single selection (auto, none, all, rules=<name>,...) instead of the none/all/auto comparison")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	bench.EvalWorkers = *workers
 	cfg := tpc.Config{
 		Rows: *rows, Customers: *customers, Nations: 25,
 		CitiesPerNation: *cities, Clerks: *clerks, Seed: *seed,

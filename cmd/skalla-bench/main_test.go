@@ -107,6 +107,10 @@ func TestBenchErrors(t *testing.T) {
 	if err := run([]string{"-bogus"}, &out); err == nil {
 		t.Error("flag error must propagate")
 	}
+	// -workers is gone: a script still passing it fails loudly.
+	if err := run(tiny("-fig", "2", "-workers", "2"), &out); err == nil || !strings.Contains(err.Error(), "flag provided but not defined: -workers") {
+		t.Errorf("-workers: %v, want undefined-flag error", err)
+	}
 }
 
 func TestBenchJSONExport(t *testing.T) {

@@ -88,7 +88,6 @@ func start(args []string) (*siteProc, error) {
 		site      = fs.Int("site", 0, "site index within the dataset")
 		data      = fs.String("data", "", "dataset directory written by tpcgen (optional)")
 		disk      = fs.Bool("disk", false, "serve the partition from a disk-backed segment store (bounded memory) instead of loading it into RAM")
-		workers   = fs.Int("workers", 0, "evaluation workers per query: 0 = auto (GOMAXPROCS-sized), 1 = sequential")
 		obsAddr   = fs.String("obs-addr", "", "observability listen address for /metrics, /healthz and /debug/pprof (empty = disabled)")
 		logLevel  = fs.String("log-level", "info", "log level: debug, info, warn or error")
 		logFormat = fs.String("log-format", "text", "log format: text or json")
@@ -125,7 +124,6 @@ func start(args []string) (*siteProc, error) {
 	}
 
 	es := engine.NewSite(*site)
-	es.SetWorkers(*workers)
 	health.SetInfo("tables", func() any { return len(es.Tables(context.Background())) })
 	if *data != "" {
 		m, err := manifest.Load(*data)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"skalla/internal/flow"
@@ -74,18 +75,25 @@ func TestStartEmptySite(t *testing.T) {
 
 func TestStartErrors(t *testing.T) {
 	dir := writeFlowDataset(t, 2)
-	cases := [][]string{
-		{"-data", "/nonexistent/dir", "-addr", "127.0.0.1:0"},
-		{"-data", dir, "-site", "9", "-addr", "127.0.0.1:0"},
-		{"-data", dir, "-site", "-1", "-addr", "127.0.0.1:0"},
-		{"-addr", "256.0.0.1:99999"},
-		{"-bogus"},
+	cases := []struct {
+		args []string
+		want string // in the error; "" takes any
+	}{
+		{[]string{"-data", "/nonexistent/dir", "-addr", "127.0.0.1:0"}, ""},
+		{[]string{"-data", dir, "-site", "9", "-addr", "127.0.0.1:0"}, ""},
+		{[]string{"-data", dir, "-site", "-1", "-addr", "127.0.0.1:0"}, ""},
+		{[]string{"-addr", "256.0.0.1:99999"}, ""},
+		{[]string{"-bogus"}, ""},
+		// -workers is gone: a script still passing it fails loudly.
+		{[]string{"-workers", "2", "-addr", "127.0.0.1:0"}, "flag provided but not defined: -workers"},
 	}
-	for _, args := range cases {
-		srv, err := start(args)
+	for _, c := range cases {
+		srv, err := start(c.args)
 		if err == nil {
 			srv.Close()
-			t.Errorf("start(%v): expected error", args)
+			t.Errorf("start(%v): expected error", c.args)
+		} else if !strings.Contains(err.Error(), c.want) {
+			t.Errorf("start(%v) = %v, want an error containing %q", c.args, err, c.want)
 		}
 	}
 }

@@ -25,13 +25,6 @@ import (
 	"skalla/internal/transport"
 )
 
-// EvalWorkers is the per-site scan parallelism applied to every cluster the
-// harness builds. 0 (the default) sizes automatically, 1 forces the
-// sequential paper-shaped evaluation. A package-level dial keeps the figure
-// runners' signatures matching the paper's experiments; cmd/skalla-bench
-// sets it from -workers and every measured Row records the value in force.
-var EvalWorkers int
-
 // Cluster is a ready-to-query distributed warehouse instance.
 type Cluster struct {
 	Coord   *core.Coordinator
@@ -49,7 +42,6 @@ func NewTPCCluster(ctx context.Context, d *tpc.Dataset, n int, net stats.NetMode
 	sites := make([]transport.Site, n)
 	for i := 0; i < n; i++ {
 		es := engine.NewSite(i)
-		es.SetWorkers(EvalWorkers)
 		if err := es.Load(ctx, tpc.RelationName, d.Parts[i]); err != nil {
 			return nil, err
 		}
@@ -114,21 +106,17 @@ const LowCardAttr = "Clerk"
 
 // Row is one measured point of an experiment series.
 type Row struct {
-	Series    string
-	X         int // participating sites (speed-up) or scale factor (scale-up)
-	Time      time.Duration
-	Bytes     int
-	BytesDown int
-	BytesUp   int
-	Rows      int
-	RowsDown  int
-	RowsUp    int
-	Groups    int
-	Rounds    int
-	// Workers is the evaluation parallelism in force when the point was
-	// measured (EvalWorkers: 0 = auto, 1 = sequential), so series taken at
-	// different parallelism are distinguishable in the JSON export.
-	Workers     int
+	Series      string
+	X           int // participating sites (speed-up) or scale factor (scale-up)
+	Time        time.Duration
+	Bytes       int
+	BytesDown   int
+	BytesUp     int
+	Rows        int
+	RowsDown    int
+	RowsUp      int
+	Groups      int
+	Rounds      int
 	SiteTime    time.Duration
 	CoordTime   time.Duration
 	CommTime    time.Duration
@@ -147,8 +135,7 @@ type Row struct {
 }
 
 // RowProfile is the query-wide aggregate of the per-call SiteBreakdowns on a
-// measured Row: summed site evaluation time and scan/segment/codec counters,
-// plus the widest parallel scan seen at any site.
+// measured Row: summed site evaluation time and scan/segment/codec counters.
 type RowProfile struct {
 	QueryID       string
 	SiteEval      time.Duration
@@ -158,7 +145,6 @@ type RowProfile struct {
 	SegRowsLoaded int64
 	CodecBytes    int64
 	Blocks        int64
-	MaxWorkers    int
 }
 
 // RowPlan is the planner's identity record on a measured Row: which plan ran
@@ -238,7 +224,6 @@ func foldRow(res *core.Result, series string, x int) Row {
 		RowsUp:      rowsUp,
 		Groups:      groups,
 		Rounds:      m.NumRounds(),
-		Workers:     EvalWorkers,
 		SiteTime:    m.SiteTime(),
 		CoordTime:   m.CoordTime(),
 		CommTime:    m.CommTime(),
@@ -278,9 +263,6 @@ func foldProfile(p *obs.QueryProfile) RowProfile {
 			rp.SegRowsLoaded += b.SegRowsLoaded
 			rp.CodecBytes += b.CodecBytes
 			rp.Blocks += b.Blocks
-			if b.Workers > rp.MaxWorkers {
-				rp.MaxWorkers = b.Workers
-			}
 		}
 	}
 	return rp

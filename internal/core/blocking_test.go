@@ -16,7 +16,7 @@ func TestRowBlockingPreservesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	global := randomGlobal(rng, 150, 12)
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
-	for _, q := range []gmdj.Query{chainQuery(), nonAlignedQuery()} {
+	for _, q := range []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()} {
 		want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
 		if err != nil {
 			t.Fatal(err)

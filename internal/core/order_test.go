@@ -22,9 +22,25 @@ import (
 // Their sum depends on the fold order: 1e16 + 1 rounds back to 1e16.
 var floatCells = [4]float64{1e16, -1e16, 1, 1}
 
+// bigGroup's bigGroupRows rows all sit on site 0, after the rows of groups
+// 0..3. Their cells are bigGroupCell(0..bigGroupRows-1): folded in row order
+// they sum to bigGroupRows/2 - 1, but a fold that adds up parts of the scan
+// separately and then combines the parts need not.
+const bigGroup, bigGroupRows = 4, 4096
+
+func bigGroupCell(row int) float64 {
+	switch row {
+	case 0:
+		return 1e16
+	case bigGroupRows / 2:
+		return -1e16
+	}
+	return 1
+}
+
 // floatEngines loads four sites with F(g INT, v FLOAT): site i holds one row
 // per group g = 0..3, with v = floatCells[(i+g)%4], so every group meets the
-// cells in another site order.
+// cells in another site order; site 0 also holds bigGroup.
 func floatEngines(t *testing.T) []*engine.Site {
 	t.Helper()
 	schema := relation.MustSchema(
@@ -37,6 +53,9 @@ func floatEngines(t *testing.T) []*engine.Site {
 		for g := range floatCells {
 			part.MustAppend(relation.Tuple{relation.NewInt(int64(g)), relation.NewFloat(floatCells[(i+g)%len(floatCells)])})
 		}
+		for row := 0; i == 0 && row < bigGroupRows; row++ {
+			part.MustAppend(relation.Tuple{relation.NewInt(bigGroup), relation.NewFloat(bigGroupCell(row))})
+		}
 		engines[i] = engine.NewSite(i)
 		if err := engines[i].Load(context.Background(), "F", part); err != nil {
 			t.Fatal(err)
@@ -46,10 +65,11 @@ func floatEngines(t *testing.T) []*engine.Site {
 }
 
 // TestSiteOrderedFoldIsDeterministic: a FLOAT SUM/AVG over groups that span
-// four sites must print the same bytes on every run, however a random
-// per-site delay orders the streams' completion, at one proc and at four, and
-// over every transport — and each group's SUM must be its cells folded in
-// site order.
+// four sites, and over a group one site holds thousands of rows of, must
+// print the same bytes on every run, however a random per-site delay orders
+// the streams' completion, at one proc and at four, and over every transport
+// — and each group's SUM must be its cells folded in site order, and within a
+// site in row order.
 func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
 	q := gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "F", Cols: []string{"g"}},
@@ -101,12 +121,21 @@ func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
 			}
 		}
 	}
+	if first.Len() != len(floatCells)+1 {
+		t.Fatalf("%d groups, want %d", first.Len(), len(floatCells)+1)
+	}
 	gi, si := first.Schema.MustIndex("g"), first.Schema.MustIndex("s")
 	for _, row := range first.Tuples {
 		g := int(row[gi].Int)
-		sum := floatCells[g%len(floatCells)]
-		for i := 1; i < len(floatCells); i++ {
-			sum += floatCells[(i+g)%len(floatCells)]
+		var sum float64
+		if g == bigGroup {
+			for r := 0; r < bigGroupRows; r++ {
+				sum += bigGroupCell(r)
+			}
+		} else {
+			for i := range floatCells {
+				sum += floatCells[(i+g)%len(floatCells)]
+			}
 		}
 		if row[si].Float != sum {
 			t.Errorf("group %d: SUM = %v, want %v (its cells folded in site order)", g, row[si].Float, sum)

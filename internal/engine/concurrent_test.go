@@ -137,34 +137,3 @@ func TestTablesLenOutsideLock(t *testing.T) {
 		t.Fatalf("inventory = %v", infos)
 	}
 }
-
-// TestSetWorkersEquivalence runs the same operator evaluation at several
-// worker counts and demands byte-identical H output (integer aggregates are
-// exact, and the engine's evaluation order is deterministic per worker count).
-func TestSetWorkersEquivalence(t *testing.T) {
-	ctx := context.Background()
-	req := OperatorRequest{
-		Base: baseFragment(0, 1, 2, 3, 4, 5, 6),
-		Op:   countOp("B.SAS = R.SAS"),
-	}
-	var want string
-	for _, workers := range []int{1, 0, 2, 7} {
-		s := NewSite(0)
-		if err := s.Load(ctx, "Flow", bigFlowRel(12000)); err != nil {
-			t.Fatal(err)
-		}
-		s.SetWorkers(workers)
-		h, err := s.EvalOperator(ctx, req)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		text := h.Format(1 << 20)
-		if workers == 1 {
-			want = text
-			continue
-		}
-		if text != want {
-			t.Fatalf("workers=%d H diverges from sequential\ngot:\n%.2000s\nwant:\n%.2000s", workers, text, want)
-		}
-	}
-}

@@ -31,7 +31,6 @@ type Site struct {
 	//skallavet:allow stringkey -- table catalog keyed by relation name: one lookup per evaluation, not per tuple
 	tables  map[string]gmdj.RowSource
 	useHash bool
-	workers int
 }
 
 // NewSite creates an empty site.
@@ -49,16 +48,6 @@ func (s *Site) SetUseHash(v bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.useHash = v
-}
-
-// SetWorkers sets the evaluation worker count: 0 (the default) picks
-// automatically from GOMAXPROCS and partition size, 1 forces sequential
-// evaluation, n > 1 requests exactly n scan shards (capped by what the
-// sources can split into).
-func (s *Site) SetWorkers(n int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.workers = n
 }
 
 // Load installs (or replaces) the local partition of a detail relation as an
@@ -125,7 +114,7 @@ func (s *Site) Tables(_ context.Context) []TableInfo {
 }
 
 // snapshot is an immutable view of the site taken under one RLock: the
-// catalog (map copied, sources shared) plus the evaluation knobs. Evaluations
+// catalog (map copied, sources shared) plus the hash-path setting. Evaluations
 // resolve every detail relation against the snapshot, so a concurrent
 // LoadSource can neither swap a RowSource out from under an in-flight scan
 // nor let two resolutions of the same name observe different sources
@@ -135,7 +124,6 @@ type snapshot struct {
 	//skallavet:allow stringkey -- catalog snapshot keyed by relation name: one lookup per evaluation, not per tuple
 	tables  map[string]gmdj.RowSource
 	useHash bool
-	workers int
 }
 
 func (s *Site) snapshot() snapshot {
@@ -146,7 +134,7 @@ func (s *Site) snapshot() snapshot {
 	for n, src := range s.tables {
 		tables[n] = src
 	}
-	return snapshot{siteID: s.id, tables: tables, useHash: s.useHash, workers: s.workers}
+	return snapshot{siteID: s.id, tables: tables, useHash: s.useHash}
 }
 
 // DetailSource implements gmdj.DataSource over the snapshot.
@@ -216,13 +204,12 @@ func (s *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relat
 	}
 	obs.EngineEvals.With("base").Inc()
 	rec := obs.RecorderFrom(ctx)
-	rec.SetWorkers(1)
 	snap := s.snapshot()
 	detail, err := snap.DetailSource(bq.Detail)
 	if err != nil {
 		return nil, err
 	}
-	return gmdj.EvalBaseWorkers(bq, instrument(detail, rec), snap.workers)
+	return gmdj.EvalBase(bq, instrument(detail, rec))
 }
 
 // OperatorRequest asks a site to evaluate one MD operator over its local
@@ -288,7 +275,6 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	}
 	obs.EngineEvals.With("operator").Inc()
 	rec := obs.RecorderFrom(ctx)
-	rec.SetWorkers(1)
 	if req.Base == nil {
 		return fmt.Errorf("engine: operator request without base relation")
 	}
@@ -298,7 +284,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		return err
 	}
 
-	acc, err := gmdj.AccumulateOperatorWorkers(req.Base, req.Op, instrument(detail, rec), snap.useHash, snap.workers)
+	acc, err := gmdj.AccumulateOperator(req.Base, req.Op, instrument(detail, rec), snap.useHash)
 	if err != nil {
 		return err
 	}
@@ -391,7 +377,6 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 	}
 	obs.EngineEvals.With("local").Inc()
 	rec := obs.RecorderFrom(ctx)
-	rec.SetWorkers(1)
 	// One snapshot covers validation and every evaluation stage: a concurrent
 	// LoadSource cannot make the base query and a later operator see
 	// different generations of the same detail relation.
@@ -400,5 +385,5 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 		return nil, err
 	}
 	ds := recordedSnapshot{snapshot: snap, rec: rec}
-	return gmdj.EvalPrefixXWorkers(req.Query, ds, req.UpTo, snap.useHash, snap.workers)
+	return gmdj.EvalPrefixX(req.Query, ds, req.UpTo, snap.useHash)
 }

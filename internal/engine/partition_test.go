@@ -2,7 +2,6 @@ package engine
 
 import (
 	"context"
-	"reflect"
 	"testing"
 
 	"skalla/internal/gmdj"
@@ -51,43 +50,32 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 		rows    int64 // process-wide counter delta
 		profile obs.SiteBreakdown
 	}
-	for _, workers := range []int{1, 3} {
-		for name, run := range requests {
-			replies := map[string]reply{}
-			for how, s := range sites {
-				s.SetWorkers(workers)
-				rec := obs.NewSiteRecorder()
-				before := obs.EngineRowsScanned.Value()
-				out, err := run(obs.WithRecorder(context.Background(), rec), s)
-				if err != nil {
-					t.Fatalf("workers=%d %s on %s: %v", workers, name, how, err)
-				}
-				replies[how] = reply{out.Format(-1), obs.EngineRowsScanned.Value() - before, rec.Snapshot()}
+	for name, run := range requests {
+		replies := map[string]reply{}
+		for how, s := range sites {
+			rec := obs.NewSiteRecorder()
+			before := obs.EngineRowsScanned.Value()
+			out, err := run(obs.WithRecorder(context.Background(), rec), s)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", name, how, err)
 			}
-			kernel := replies["load"]
-			if !kernel.profile.Kernel {
-				t.Errorf("workers=%d %s: Load-ed partition did not run the kernel", workers, name)
+			replies[how] = reply{out.Format(-1), obs.EngineRowsScanned.Value() - before, rec.Snapshot()}
+		}
+		kernel := replies["load"]
+		if !kernel.profile.Kernel {
+			t.Errorf("%s: Load-ed partition did not run the kernel", name)
+		}
+		for _, how := range []string{"rows", "disk"} {
+			scalar := replies[how]
+			if scalar.profile.Kernel {
+				t.Errorf("%s on %s: profile claims the kernel", name, how)
 			}
-			for _, how := range []string{"rows", "disk"} {
-				scalar := replies[how]
-				if scalar.profile.Kernel {
-					t.Errorf("workers=%d %s on %s: profile claims the kernel", workers, name, how)
-				}
-				if scalar.text != kernel.text {
-					t.Errorf("workers=%d %s: %s reply differs from the kernel's\n%.1500s\nvs\n%.1500s", workers, name, how, scalar.text, kernel.text)
-				}
-				if scalar.rows != kernel.rows || scalar.profile.RowsScanned != kernel.profile.RowsScanned {
-					t.Errorf("workers=%d %s: %s scanned %d rows (recorder %d), kernel %d (recorder %d)", workers, name, how,
-						scalar.rows, scalar.profile.RowsScanned, kernel.rows, kernel.profile.RowsScanned)
-				}
+			if scalar.text != kernel.text {
+				t.Errorf("%s: %s reply differs from the kernel's\n%.1500s\nvs\n%.1500s", name, how, scalar.text, kernel.text)
 			}
-			// The in-memory row source shards exactly as the Load-ed
-			// partition does, so the per-worker split must agree too.
-			if got, want := kernel.profile.WorkerRows, replies["rows"].profile.WorkerRows; !reflect.DeepEqual(got, want) {
-				t.Errorf("workers=%d %s: kernel worker rows %v, scalar %v", workers, name, got, want)
-			}
-			if kernel.profile.Workers != replies["rows"].profile.Workers {
-				t.Errorf("workers=%d %s: kernel ran %d wide, scalar %d", workers, name, kernel.profile.Workers, replies["rows"].profile.Workers)
+			if scalar.rows != kernel.rows || scalar.profile.RowsScanned != kernel.profile.RowsScanned {
+				t.Errorf("%s: %s scanned %d rows (recorder %d), kernel %d (recorder %d)", name, how,
+					scalar.rows, scalar.profile.RowsScanned, kernel.rows, kernel.profile.RowsScanned)
 			}
 		}
 	}

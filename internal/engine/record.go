@@ -10,10 +10,7 @@ import (
 // (its interfaces are pure catalog/scan surfaces), so per-query attribution
 // happens here: detail sources are wrapped in recording adapters before they
 // reach the evaluator, and the adapters charge the request's SiteRecorder as
-// rows flow through. Sharded evaluation attributes rows per worker because
-// the parallel scheduler always hands shard w to worker w — a recorded
-// wrapper that tags each Split shard with its index therefore observes
-// exactly the per-worker row assignment.
+// rows flow through.
 
 // recordedSource is the optional interface a RowSource implements to bind
 // its own internals (e.g. store.Table segment reads) to a request recorder.
@@ -32,12 +29,10 @@ func instrument(src gmdj.RowSource, rec *obs.SiteRecorder) gmdj.RowSource {
 	return recordedRows{src: src, rec: rec}
 }
 
-// recordedRows charges every scanned row to its worker index (0 for
-// sequential scans; shard index after a Split).
+// recordedRows charges every scanned row to the request.
 type recordedRows struct {
-	src    gmdj.RowSource
-	rec    *obs.SiteRecorder
-	worker int
+	src gmdj.RowSource
+	rec *obs.SiteRecorder
 }
 
 // Schema implements the RowSource contract.
@@ -57,26 +52,25 @@ func (r recordedRows) Scan(fn func(relation.Tuple) error) error {
 		rows++
 		return fn(t)
 	})
-	r.rec.AddWorkerRows(r.worker, rows)
+	r.rec.AddRows(rows)
 	r.rec.NoteScan(false)
 	return err
 }
 
-// ColumnRange implements gmdj.ColumnSource by delegation; a source without a
+// Columns implements gmdj.ColumnSource by delegation; a source without a
 // columnar image declines, which keeps the evaluator on Scan.
-func (r recordedRows) ColumnRange() (*relation.Columns, int, int) {
+func (r recordedRows) Columns() *relation.Columns {
 	cs, ok := r.src.(gmdj.ColumnSource)
 	if !ok {
-		return nil, 0, 0
+		return nil
 	}
-	return cs.ColumnRange()
+	return cs.Columns()
 }
 
 // ChargeColumnScan is the evaluator's notice of one kernel pass over this
-// source's range: it is charged the rows a Scan of the range would have been.
+// source: it is charged the rows a Scan would have been.
 func (r recordedRows) ChargeColumnScan() {
-	_, lo, hi := r.ColumnRange()
-	r.rec.AddWorkerRows(r.worker, int64(hi-lo))
+	r.rec.AddRows(int64(r.Len()))
 	r.rec.NoteScan(true)
 }
 
@@ -85,26 +79,6 @@ func (r recordedRows) ChargeColumnScan() {
 // coordinator's and the oracle's evaluations out of the site's counter.
 func (r recordedRows) NoteScanPath(path, reason string, passes int) {
 	obs.EngineScanPath.With(path, reason).Add(int64(passes))
-}
-
-// Split implements gmdj.SplittableSource by delegation: shard i is tagged
-// with worker index i. A non-splittable underlying source declines, which
-// sends the evaluator down its sequential path.
-func (r recordedRows) Split(n int) []gmdj.RowSource {
-	ss, ok := r.src.(gmdj.SplittableSource)
-	if !ok {
-		return nil
-	}
-	shards := ss.Split(n)
-	if len(shards) <= 1 {
-		return nil
-	}
-	r.rec.SetWorkers(len(shards))
-	out := make([]gmdj.RowSource, len(shards))
-	for i, sh := range shards {
-		out[i] = recordedRows{src: sh, rec: r.rec, worker: i}
-	}
-	return out
 }
 
 // recordedSnapshot is a catalog snapshot whose detail sources come out

@@ -2,7 +2,6 @@ package gmdj
 
 import (
 	"fmt"
-	"strconv"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
@@ -36,29 +35,6 @@ func scanCounted(src RowSource, fn func(relation.Tuple) error) error {
 	return err
 }
 
-// scanCountedWorker is scanCounted for one shard of a parallel evaluation: the
-// visited rows are additionally charged to the per-worker counter, so skewed
-// shard assignments show up in /metrics.
-func scanCountedWorker(src RowSource, worker int, fn func(relation.Tuple) error) error {
-	rows := 0
-	err := src.Scan(func(t relation.Tuple) error {
-		rows++
-		return fn(t)
-	})
-	obs.EngineRowsScanned.Add(int64(rows))
-	obs.EngineWorkerRows.With(strconv.Itoa(worker)).Add(int64(rows))
-	return err
-}
-
-// scanShardCounted dispatches between the sequential (worker < 0) and
-// per-worker-labeled counted scans.
-func scanShardCounted(src RowSource, worker int, fn func(relation.Tuple) error) error {
-	if worker < 0 {
-		return scanCounted(src, fn)
-	}
-	return scanCountedWorker(src, worker, fn)
-}
-
 // SourceOf adapts a materialized relation to a RowSource.
 func SourceOf(r *relation.Relation) RowSource { return relSource{r} }
 
@@ -73,24 +49,6 @@ func (s relSource) Scan(fn func(relation.Tuple) error) error {
 		}
 	}
 	return nil
-}
-
-// Split implements SplittableSource: contiguous row ranges of near-equal
-// size, so the concatenation of the shard scans is exactly the full scan.
-func (s relSource) Split(n int) []RowSource {
-	rows := s.r.Len()
-	if n > rows {
-		n = rows
-	}
-	if n <= 1 {
-		return nil
-	}
-	out := make([]RowSource, n)
-	for w := 0; w < n; w++ {
-		lo, hi := rows*w/n, rows*(w+1)/n
-		out[w] = relSource{&relation.Relation{Schema: s.r.Schema, Tuples: s.r.Tuples[lo:hi]}}
-	}
-	return out
 }
 
 // DataSource resolves detail relation names to scannable sources.
@@ -155,31 +113,21 @@ func EvalCentralX(q Query, src DataSource, useHash bool) (*relation.Relation, er
 	if err := q.Validate(src); err != nil {
 		return nil, err
 	}
-	return evalPrefixX(q, src, len(q.Ops), useHash, 1)
+	return EvalPrefixX(q, src, len(q.Ops), useHash)
 }
 
 // EvalPrefixX evaluates the base query and the first upTo operators,
 // returning the intermediate base-result structure X_upTo. The query must
 // already be validated.
 func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Relation, error) {
-	return EvalPrefixXWorkers(q, src, upTo, useHash, 1)
-}
-
-// EvalPrefixXWorkers is EvalPrefixX with worker-parallel scans (see
-// EvalBaseWorkers / AccumulateOperatorWorkers for the workers contract).
-func EvalPrefixXWorkers(q Query, src DataSource, upTo int, useHash bool, workers int) (*relation.Relation, error) {
 	if upTo < 0 || upTo > len(q.Ops) {
 		return nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
 	}
-	return evalPrefixX(q, src, upTo, useHash, workers)
-}
-
-func evalPrefixX(q Query, src DataSource, upTo int, useHash bool, workers int) (*relation.Relation, error) {
 	baseRel, err := src.DetailSource(q.Base.Detail)
 	if err != nil {
 		return nil, err
 	}
-	x, err := EvalBaseWorkers(q.Base, baseRel, workers)
+	x, err := EvalBase(q.Base, baseRel)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +137,7 @@ func evalPrefixX(q Query, src DataSource, upTo int, useHash bool, workers int) (
 		if err != nil {
 			return nil, err
 		}
-		x, err = ApplyOperatorWorkers(x, op, detail, useHash, workers)
+		x, err = ApplyOperator(x, op, detail, useHash)
 		if err != nil {
 			return nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
 		}
@@ -200,48 +148,30 @@ func evalPrefixX(q Query, src DataSource, upTo int, useHash bool, workers int) (
 // EvalBase computes the base-values relation B_0 from a detail source: an
 // optional filter followed by a distinct projection, generalized to grouping
 // sets when bq.GroupingSets is non-empty (the union over sets of NULL-padded
-// distinct projections; see BaseQuery). The detail rows are streamed once;
-// memory is bounded by the number of distinct base values.
+// distinct projections; see BaseQuery). The detail rows are streamed once, in
+// order, and the result lists each base row at its first occurrence; memory
+// is bounded by the number of distinct base values. Over a ColumnSource, a
+// base query the kernel compiler covers (kernel.go) runs compiled instead,
+// with identical results.
 func EvalBase(bq BaseQuery, detail RowSource) (*relation.Relation, error) {
-	return EvalBaseWorkers(bq, detail, 1)
-}
-
-// EvalBaseWorkers is EvalBase with the detail scan sharded across workers
-// (0 = auto, 1 = sequential; parallelism needs a SplittableSource). The
-// result is identical to the sequential evaluation including row order:
-// shards are contiguous, each worker records its shard's first occurrences in
-// order, and the merge dedupes in shard order — so global first-occurrence
-// order is preserved exactly. Over a ColumnSource, a base query the kernel
-// compiler covers (kernel.go) runs compiled instead, with identical results.
-func EvalBaseWorkers(bq BaseQuery, detail RowSource, workers int) (*relation.Relation, error) {
 	p, err := compileBase(bq, detail)
 	if err != nil {
 		return nil, err
 	}
-	shards := splitSource(detail, resolveWorkers(workers, detail.Len()))
 	reason := reasonSource
-	if cols, colShards := columnShards(detail, shards); cols != nil {
+	if cols := columnImage(detail); cols != nil {
 		var k *baseKernel
 		if k, reason = compileBaseKernel(p, cols); k != nil {
 			noteScanPath(detail, reasonOK, 1)
-			return k.run(colShards), nil
+			return k.run(detail), nil
 		}
 	}
 	noteScanPath(detail, reason, 1)
-	if shards != nil {
-		return evalBaseParallel(p, shards)
-	}
-	out := relation.New(p.schema)
-	seen := relation.NewKeySet(64)
-	if err := p.scanShard(detail, -1, seen, &out.Tuples); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return p.scan(detail)
 }
 
 // baseProg is a compiled base query: the bound filter, projection indexes and
-// grouping-set masks. All fields are read-only after compileBase, so shards
-// can share one program.
+// grouping-set masks.
 type baseProg struct {
 	where   expr.Expr
 	idx     []int
@@ -292,12 +222,13 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 	return p, nil
 }
 
-// scanShard streams one shard of the detail source, interning each surviving
-// projection into seen and appending fresh ones to out in first-occurrence
-// order. worker < 0 is the sequential (unlabeled) scan.
-func (p *baseProg) scanShard(src RowSource, worker int, seen *relation.KeySet, out *[]relation.Tuple) error {
+// scan streams the detail source, interning each surviving projection and
+// keeping fresh ones in first-occurrence order.
+func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
+	out := relation.New(p.schema)
+	seen := relation.NewKeySet(64)
 	scratch := make(relation.Tuple, len(p.idx))
-	return scanShardCounted(src, worker, func(t relation.Tuple) error {
+	err := scanCounted(src, func(t relation.Tuple) error {
 		if p.where != nil {
 			ok, err := expr.EvalCond(p.where, nil, t)
 			if err != nil {
@@ -319,11 +250,15 @@ func (p *baseProg) scanShard(src RowSource, worker int, seen *relation.KeySet, o
 			// one hash probe and no allocation.
 			interned, fresh := seen.Add(scratch, p.allCols)
 			if fresh {
-				*out = append(*out, interned)
+				out.Tuples = append(out.Tuples, interned)
 			}
 		}
 		return nil
 	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // OperatorAccum holds the per-base-row physical accumulators of one MD
@@ -349,57 +284,35 @@ type OperatorAccum struct {
 // conditions with equality links use a hash-grouping fast path over the base
 // relation, grouping-set conditions use the 2^n-probe cube path, and
 // everything else falls back to the literal nested loop (detail-outer, so
-// disk-backed sources are still scanned sequentially). Over a ColumnSource,
-// an operator the kernel compiler covers (kernel.go) runs compiled instead,
-// with identical results.
+// disk-backed sources are still scanned sequentially). Every detail row is
+// folded in scan order, so a FLOAT sum depends only on the rows and their
+// order. Over a ColumnSource, an operator the kernel compiler covers
+// (kernel.go) runs compiled instead, with identical results.
 func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
-	return AccumulateOperatorWorkers(x, op, detail, useHash, 1)
-}
-
-// AccumulateOperatorWorkers is AccumulateOperator with the detail scans
-// sharded across workers (0 = auto, 1 = sequential; parallelism needs a
-// SplittableSource). Each worker accumulates private per-base-row partials
-// over its shard; the partials are merged with the same super-aggregate
-// decomposition that merges per-site sub-aggregates — Theorem 1 applies
-// unchanged, a worker shard is just a finer horizontal partition — in worker
-// order, so results match the sequential evaluation (byte-identically for
-// integer-valued aggregates; see DESIGN.md §11 for the float caveat).
-func AccumulateOperatorWorkers(x *relation.Relation, op Operator, detail RowSource, useHash bool, workers int) (*OperatorAccum, error) {
 	states, err := bindVarStates(x, op, detail.Schema())
 	if err != nil {
 		return nil, err
 	}
-	shards := splitSource(detail, resolveWorkers(workers, detail.Len()))
 	// useHash=false asks for the literal nested loop of Definition 1, which a
 	// kernel — a hash path in all but name — is not.
 	reason := reasonShape
 	if useHash {
 		reason = reasonSource
-		if cols, colShards := columnShards(detail, shards); cols != nil {
+		if cols := columnImage(detail); cols != nil {
 			var k *opKernel
 			if k, reason = compileOperator(x, states, cols); k != nil {
 				noteScanPath(detail, reasonOK, len(states))
-				return k.run(colShards), nil
+				return k.run(detail), nil
 			}
 		}
 		indexVarStates(x, states, detail.Schema())
 	}
 	noteScanPath(detail, reason, len(states))
 	out := newOperatorAccum(x.Len(), states)
-	if shards != nil {
-		if err := accumulateParallel(x, states, out, shards); err != nil {
-			return nil, err
-		}
-		return out, nil
-	}
-	hits := make([]uint32, x.Len())
 	for vi, st := range states {
-		if err := st.scan(x, detail, out.accs[vi], hits, -1); err != nil {
+		if err := st.scan(x, detail, out.accs[vi], out.Touched); err != nil {
 			return nil, err
 		}
-	}
-	for i, h := range hits {
-		out.Touched[i] = h > 0
 	}
 	return out, nil
 }
@@ -435,9 +348,7 @@ func identityRows(l *agg.Layout, n int) []relation.Tuple {
 
 // varState is one grouping variable compiled against the base and detail
 // schemas: the aggregate layout, the bound condition, and (when usable) the
-// hash-grouping index over the base relation. All fields are read-only once
-// the scans start — expression evaluation is a stateless tree walk and
-// KeyIndex.Lookup never mutates — so concurrent shard scans share one state.
+// hash-grouping index over the base relation.
 type varState struct {
 	layout  *agg.Layout
 	cond    expr.Expr
@@ -510,11 +421,10 @@ func indexVarStates(x *relation.Relation, states []*varState, detailSchema relat
 	}
 }
 
-// scan accumulates this grouping variable over one detail shard: accs[i]
-// receives base row i's physical partials, hits[i] counts its accumulations
-// (feeding both the Prop. 1 Touched flags and the skew-aware merge planner).
-// worker < 0 is the sequential (unlabeled) scan.
-func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation.Tuple, hits []uint32, worker int) error {
+// scan accumulates this grouping variable over the detail source: accs[i]
+// receives base row i's physical partials, and touched[i] is set once it
+// receives any (the Prop. 1 Touched flag).
+func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation.Tuple, touched []bool) error {
 	if st.hashIdx != nil && st.rollup {
 		n := len(st.probe)
 		padded := make(relation.Tuple, n)
@@ -522,7 +432,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 		for i := range paddedCols {
 			paddedCols[i] = i
 		}
-		return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
+		return scanCounted(detail, func(dr relation.Tuple) error {
 			// A NULL detail value pads identically whether its bit is
 			// set or not; restrict masks to non-NULL dimensions so no
 			// probe (and hence no base row) repeats for this detail row.
@@ -552,7 +462,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 						if err := st.layout.Accumulate(accs[bi], dr); err != nil {
 							return err
 						}
-						hits[bi]++
+						touched[bi] = true
 					}
 				}
 			}
@@ -560,7 +470,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 		})
 	}
 	if st.hashIdx != nil {
-		return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
+		return scanCounted(detail, func(dr relation.Tuple) error {
 			for _, bi := range st.hashIdx.Lookup(dr, st.probe) {
 				ok, err := expr.EvalCond(st.cond, x.Tuples[bi], dr)
 				if err != nil {
@@ -570,13 +480,13 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 					if err := st.layout.Accumulate(accs[bi], dr); err != nil {
 						return err
 					}
-					hits[bi]++
+					touched[bi] = true
 				}
 			}
 			return nil
 		})
 	}
-	return scanShardCounted(detail, worker, func(dr relation.Tuple) error {
+	return scanCounted(detail, func(dr relation.Tuple) error {
 		for bi, br := range x.Tuples {
 			ok, err := expr.EvalCond(st.cond, br, dr)
 			if err != nil {
@@ -586,7 +496,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 				if err := st.layout.Accumulate(accs[bi], dr); err != nil {
 					return err
 				}
-				hits[bi]++
+				touched[bi] = true
 			}
 		}
 		return nil
@@ -667,13 +577,7 @@ func (a *OperatorAccum) physWidth() int {
 // over the detail rows satisfying the variable's condition, and returns x
 // extended with the new physical and derived columns. x is not modified.
 func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*relation.Relation, error) {
-	return ApplyOperatorWorkers(x, op, detail, useHash, 1)
-}
-
-// ApplyOperatorWorkers is ApplyOperator with worker-parallel detail scans
-// (see AccumulateOperatorWorkers for the workers contract).
-func ApplyOperatorWorkers(x *relation.Relation, op Operator, detail RowSource, useHash bool, workers int) (*relation.Relation, error) {
-	acc, err := AccumulateOperatorWorkers(x, op, detail, useHash, workers)
+	acc, err := AccumulateOperator(x, op, detail, useHash)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -394,6 +395,29 @@ func TestHashVsNestedLoopRandomized(t *testing.T) {
 		}
 		if !a.EqualMultiset(b) {
 			t.Fatalf("trial %d: hash and nested-loop disagree:\n%s\nvs\n%s", trial, a, b)
+		}
+	}
+}
+
+// TestScanErrorAborts checks that an error partway through a detail scan ends
+// the evaluation with that error, on the hash path and the nested loop alike.
+func TestScanErrorAborts(t *testing.T) {
+	detail := relation.New(relation.MustSchema(
+		relation.Column{Name: "SAS", Kind: relation.KindInt},
+		relation.Column{Name: "NB", Kind: relation.KindString},
+	))
+	for i := 0; i < 8000; i++ {
+		detail.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewString(strconv.Itoa(i))})
+	}
+	base := relation.New(relation.MustSchema(relation.Column{Name: "SAS", Kind: relation.KindInt}))
+	base.MustAppend(relation.Tuple{relation.NewInt(1)})
+	op := Operator{Detail: "Flow", Vars: []GroupVar{{
+		Aggs: []agg.Spec{{Func: agg.Sum, Arg: "NB", As: "s"}}, // SUM over a string column fails at accumulate
+		Cond: expr.MustParse("B.SAS = R.SAS"),
+	}}}
+	for _, useHash := range []bool{true, false} {
+		if _, err := AccumulateOperator(base, op, SourceOf(detail), useHash); err == nil {
+			t.Errorf("useHash=%v: expected an accumulate error", useHash)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package gmdj
 
 import (
-	"strconv"
-	"sync"
-
 	"skalla/internal/agg"
 	"skalla/internal/expr"
 	"skalla/internal/obs"
@@ -24,18 +21,17 @@ import (
 // A kernel exists only for the shapes compileOperator and compileBaseKernel
 // cover; every other request runs the scalar path unchanged. The choice is
 // made from the request and the source alone, and both paths return the same
-// bytes: rows are visited in the same per-shard order and every aggregate
-// step mirrors agg.Layout's, so even float sums add in the same order.
+// bytes: rows are visited in the same order and every aggregate step mirrors
+// agg.Layout's, so even float sums add in the same order.
 
 // ColumnSource is an optional RowSource capability: the source's rows are
 // also held as a columnar image, and a compiled kernel may scan that instead
 // of calling Scan.
 type ColumnSource interface {
 	RowSource
-	// ColumnRange returns the image and the half-open row range [lo, hi) of it
-	// that Scan would visit (a Split shard is a sub-range of its parent's
-	// image). A nil image declines.
-	ColumnRange() (cols *relation.Columns, lo, hi int)
+	// Columns returns the image of the rows Scan would visit, in scan order.
+	// A nil image declines.
+	Columns() *relation.Columns
 }
 
 // scanAccountant is the optional capability of a source whose owner keeps
@@ -48,9 +44,9 @@ type scanAccountant interface {
 	// NoteScanPath is called once per evaluation, on the source the
 	// evaluation was handed: its passes detail passes take path, for reason.
 	NoteScanPath(path, reason string, passes int)
-	// ChargeColumnScan is called on a shard once per kernel pass over its
-	// range, where the scalar path would have called Scan once: the rows to
-	// charge are the hi-lo of its ColumnRange.
+	// ChargeColumnScan is called once per kernel pass over the image, where
+	// the scalar path would have called Scan once: the rows to charge are the
+	// source's Len.
 	ChargeColumnScan()
 }
 
@@ -81,57 +77,21 @@ func noteScanPath(detail RowSource, reason string, n int) {
 	acct.NoteScanPath(path, reason, n)
 }
 
-// chargeKernelScan accounts one kernel pass over a shard exactly as
-// scanShardCounted accounts a scalar one.
-func chargeKernelScan(src ColumnSource, worker, rows int) {
+// chargeKernelScan accounts one kernel pass over rows rows exactly as
+// scanCounted accounts a scalar one.
+func chargeKernelScan(src RowSource, rows int) {
 	obs.EngineRowsScanned.Add(int64(rows))
-	if worker >= 0 {
-		obs.EngineWorkerRows.With(strconv.Itoa(worker)).Add(int64(rows))
-	}
 	if acct, ok := src.(scanAccountant); ok {
 		acct.ChargeColumnScan()
 	}
 }
 
-// columnShards resolves the sources one evaluation will scan — the shards, or
-// the unsplit source — to column ranges over one image. It returns a nil
-// image when any of them has none.
-func columnShards(detail RowSource, shards []RowSource) (*relation.Columns, []ColumnSource) {
-	if shards == nil {
-		shards = []RowSource{detail}
+// columnImage returns detail's columnar image, or nil when it has none.
+func columnImage(detail RowSource) *relation.Columns {
+	if cs, ok := detail.(ColumnSource); ok {
+		return cs.Columns()
 	}
-	out := make([]ColumnSource, len(shards))
-	var cols *relation.Columns
-	for w, sh := range shards {
-		cs, ok := sh.(ColumnSource)
-		if !ok {
-			return nil, nil
-		}
-		c, _, _ := cs.ColumnRange()
-		if c == nil || (cols != nil && c != cols) {
-			return nil, nil
-		}
-		cols, out[w] = c, cs
-	}
-	return cols, out
-}
-
-// eachShard runs scan over n shards: inline as the unlabeled worker -1 when
-// there is one, otherwise one goroutine per shard, returning when all have.
-func eachShard(n int, scan func(w, worker int)) {
-	if n == 1 {
-		scan(0, -1)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < n; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			scan(w, w)
-		}(w)
-	}
-	wg.Wait()
+	return nil
 }
 
 // noID marks "no such key" in every id space below.
@@ -139,9 +99,8 @@ const noID = ^uint32(0)
 
 // intTable is an open-addressed int64 → dense id table (ids count up from 0
 // in insertion order), with one optional slot for NULL. The operator kernel
-// fills it from X once per request and only reads it during the scan, so
-// shards share it; the base kernel inserts while scanning, one table per
-// worker.
+// fills it from X once per request and only reads it during the scan; the
+// base kernel inserts while scanning.
 type intTable struct {
 	keys   []int64
 	ids    []uint32 // id+1; 0 marks an empty slot
@@ -587,8 +546,7 @@ func minMaxStep[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool
 	}
 }
 
-// varKernel is one grouping variable compiled for one request. It is
-// read-only during the scan, so shards share it.
+// varKernel is one grouping variable compiled for one request.
 type varKernel struct {
 	layout *agg.Layout
 	args   []*relation.Vector // per physical column; nil for COUNT(*)
@@ -600,15 +558,15 @@ type varKernel struct {
 
 // opKernel is one MD operator compiled against one columnar partition.
 type opKernel struct {
-	nx   int
-	vars []*varKernel
+	nx, rows int // X rows, detail rows
+	vars     []*varKernel
 }
 
 // compileOperator compiles every grouping variable of an operator, or returns
 // the reason the operator stays on the scalar path. states carry the layouts
 // and the bound conditions.
 func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns) (*opKernel, string) {
-	k := &opKernel{nx: x.Len(), vars: make([]*varKernel, len(states))}
+	k := &opKernel{nx: x.Len(), rows: cols.Rows, vars: make([]*varKernel, len(states))}
 	for vi, st := range states {
 		vk, reason := compileVar(x, st, cols)
 		if vk == nil {
@@ -814,7 +772,7 @@ func boundLink(c expr.Expr) (bIdx, dIdx int, rollup, ok bool) {
 	}
 }
 
-// newSlabs allocates one worker's accumulators for a variable.
+// newSlabs allocates a variable's accumulators.
 func (vk *varKernel) newSlabs(nx int) []physSlab {
 	slabs := make([]physSlab, len(vk.layout.Phys))
 	for p, pc := range vk.layout.Phys {
@@ -831,7 +789,7 @@ func (vk *varKernel) newSlabs(nx int) []physSlab {
 	return slabs
 }
 
-// steps binds the variable's aggregate steps to one worker's slabs.
+// steps binds the variable's aggregate steps to its slabs.
 func (vk *varKernel) steps(slabs []physSlab) []aggStep {
 	out := make([]aggStep, len(slabs))
 	for p, pc := range vk.layout.Phys {
@@ -858,18 +816,18 @@ func (vk *varKernel) steps(slabs []physSlab) []aggStep {
 	return out
 }
 
-// scan accumulates detail rows [lo, hi) into one worker's slabs, pattern by
-// pattern. An X row is in one group of one pattern, so its inputs arrive in
-// one pass, detail rows ascending — the order the scalar path folds them in.
-func (vk *varKernel) scan(lo, hi int, slabs []physSlab, touched []bool) {
+// scan accumulates the first rows detail rows into slabs, pattern by pattern.
+// An X row is in one group of one pattern, so its inputs arrive in one pass,
+// detail rows ascending — the order the scalar path folds them in.
+func (vk *varKernel) scan(rows int, slabs []physSlab, touched []bool) {
 	steps := vk.steps(slabs)
 	for p := range vk.patterns {
-		vk.patterns[p].scan(lo, hi, vk.preds, steps, touched)
+		vk.patterns[p].scan(rows, vk.preds, steps, touched)
 	}
 }
 
-func (pat *linkPattern) scan(lo, hi int, preds []rowPred, steps []aggStep, touched []bool) {
-	for i := lo; i < hi; i++ {
+func (pat *linkPattern) scan(rows int, preds []rowPred, steps []aggStep, touched []bool) {
+	for i := 0; i < rows; i++ {
 		g := pat.group(i)
 		if g == noID {
 			continue
@@ -889,101 +847,21 @@ func (pat *linkPattern) scan(lo, hi int, preds []rowPred, steps []aggStep, touch
 	}
 }
 
-// kernelPartial is one worker's private result: per-variable slabs plus the
-// base rows it accumulated into.
-type kernelPartial struct {
-	slabs   [][]physSlab
-	touched []bool
-}
-
-func (k *opKernel) scanShard(src ColumnSource, worker int) *kernelPartial {
-	_, lo, hi := src.ColumnRange()
-	part := &kernelPartial{slabs: make([][]physSlab, len(k.vars)), touched: make([]bool, k.nx)}
-	for vi, vk := range k.vars {
-		part.slabs[vi] = vk.newSlabs(k.nx)
-		vk.scan(lo, hi, part.slabs[vi], part.touched)
-		chargeKernelScan(src, worker, hi-lo)
-	}
-	return part
-}
-
-// run scans every shard (one goroutine each when there are several), folds
-// the partials in worker order and hands the folded slabs to the
+// run scans the image once per variable and hands the slabs to the
 // OperatorAccum as they are.
-func (k *opKernel) run(shards []ColumnSource) *OperatorAccum {
-	parts := make([]*kernelPartial, len(shards))
-	eachShard(len(shards), func(w, worker int) {
-		parts[w] = k.scanShard(shards[w], worker)
-	})
-	into := parts[0]
-	for _, from := range parts[1:] {
-		for vi, vk := range k.vars {
-			vk.merge(into.slabs[vi], from.slabs[vi])
-		}
-		for bi, t := range from.touched {
-			if t {
-				into.touched[bi] = true
-			}
-		}
-	}
+func (k *opKernel) run(src RowSource) *OperatorAccum {
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(k.vars)),
-		Touched: into.touched,
-		slabs:   into.slabs,
+		Touched: make([]bool, k.nx),
+		slabs:   make([][]physSlab, len(k.vars)),
 	}
 	for vi, vk := range k.vars {
 		out.Layouts[vi] = vk.layout
+		out.slabs[vi] = vk.newSlabs(k.nx)
+		vk.scan(k.rows, out.slabs[vi], out.Touched)
+		chargeKernelScan(src, k.rows)
 	}
 	return out
-}
-
-// merge folds a later worker's slabs into an earlier one's with
-// agg.Layout.MergePhys's semantics: unseen cells are the identity, seen ones
-// add (or compare) as the Values would.
-func (vk *varKernel) merge(into, from []physSlab) {
-	for p, pc := range vk.layout.Phys {
-		a, b := &into[p], &from[p]
-		switch {
-		case pc.Op == agg.PhysCount:
-			for bi, v := range b.ints {
-				a.ints[bi] += v
-			}
-		case pc.Op == agg.PhysMin || pc.Op == agg.PhysMax:
-			if a.ints != nil {
-				mergeMinMax(a.ints, a.seen, b.ints, b.seen, pc.Op == agg.PhysMax)
-			} else {
-				mergeMinMax(a.floats, a.seen, b.floats, b.seen, pc.Op == agg.PhysMax)
-			}
-		case a.ints != nil:
-			mergeSum(a.ints, a.seen, b.ints, b.seen)
-		default:
-			mergeSum(a.floats, a.seen, b.floats, b.seen)
-		}
-	}
-}
-
-func mergeSum[T int64 | float64](a []T, aseen []bool, b []T, bseen []bool) {
-	for bi, seen := range bseen {
-		switch {
-		case !seen:
-		case aseen[bi]:
-			a[bi] += b[bi]
-		default:
-			a[bi], aseen[bi] = b[bi], true
-		}
-	}
-}
-
-func mergeMinMax[T int64 | float64](a []T, aseen []bool, b []T, bseen []bool, max bool) {
-	for bi, seen := range bseen {
-		switch {
-		case !seen:
-		case !aseen[bi]:
-			a[bi], aseen[bi] = b[bi], true
-		case max && a[bi] < b[bi], !max && a[bi] > b[bi]:
-			a[bi] = b[bi]
-		}
-	}
 }
 
 // baseKernel is a base query compiled against one columnar partition: the
@@ -1039,7 +917,7 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 // set.
 type baseCell struct{ row, set int32 }
 
-// baseDedup is one worker's distinct-projection state. The first projected
+// baseDedup is one scan's distinct-projection state. The first projected
 // column's cells key the first table directly (dictionary code or integer);
 // each further column pairs the running group id with the column's own dense
 // cell id through one more table. A projection is a first occurrence exactly
@@ -1099,19 +977,19 @@ func (d *baseDedup) add(i int, mask []bool) bool {
 	return fresh
 }
 
-// scan offers the rows of [lo, hi) that pass the filter, each under every
-// grouping set in turn — the scalar order — and lists the new projections.
-// Under several sets the rows go through a dedup of their own first: a row
-// that repeats an earlier one repeats its projection under every set, so only
-// new rows are offered set by set.
-func (d *baseDedup) scan(lo, hi int) {
+// scan offers the rows that pass the filter, each under every grouping set in
+// turn — the scalar order — and lists the new projections. Under several sets
+// the rows go through a dedup of their own first: a row that repeats an
+// earlier one repeats its projection under every set, so only new rows are
+// offered set by set.
+func (d *baseDedup) scan() {
 	where, masks := d.k.where, d.k.masks
 	var whole *baseDedup
 	if len(masks) > 1 {
 		whole = d.k.newDedup()
 	}
 rows:
-	for i := lo; i < hi; i++ {
+	for i := 0; i < d.k.cols.Rows; i++ {
 		for _, pred := range where {
 			if !pred(i, 0) {
 				continue rows
@@ -1128,34 +1006,15 @@ rows:
 	}
 }
 
-// run evaluates the base query over the shards. Each worker lists its shard's
-// first occurrences in order; offering those lists to one more dedup in shard
-// order keeps exactly the global first occurrences, in scan order — the order
-// the scalar path produces.
-func (k *baseKernel) run(shards []ColumnSource) *relation.Relation {
-	parts := make([][]baseCell, len(shards))
-	eachShard(len(shards), func(w, worker int) {
-		_, lo, hi := shards[w].ColumnRange()
-		d := k.newDedup()
-		d.scan(lo, hi)
-		chargeKernelScan(shards[w], worker, hi-lo)
-		parts[w] = d.fresh
-	})
-	fresh := parts[0]
-	if len(parts) > 1 {
-		d := k.newDedup()
-		for _, part := range parts {
-			for _, bc := range part {
-				if d.add(int(bc.row), k.masks[bc.set]) {
-					d.fresh = append(d.fresh, bc)
-				}
-			}
-		}
-		fresh = d.fresh
-	}
+// run evaluates the base query in one pass, keeping the first occurrences in
+// scan order — the order the scalar path produces.
+func (k *baseKernel) run(src RowSource) *relation.Relation {
+	d := k.newDedup()
+	d.scan()
+	chargeKernelScan(src, k.cols.Rows)
 	out := relation.New(k.schema)
-	out.Tuples = make([]relation.Tuple, len(fresh))
-	for n, bc := range fresh {
+	out.Tuples = make([]relation.Tuple, len(d.fresh))
+	for n, bc := range d.fresh {
 		t := make(relation.Tuple, len(k.idx))
 		mask := k.masks[bc.set]
 		for c, j := range k.idx {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -14,37 +13,26 @@ import (
 	"skalla/internal/relation"
 )
 
-// colSource is a ColumnSource over a materialized relation, split exactly as
-// relSource splits, so the scalar and kernel paths shard identically. It
-// keeps the accounts the evaluator reports to a scanAccountant.
+// colSource is a ColumnSource over a materialized relation. It keeps the
+// accounts the evaluator reports to a scanAccountant.
 type colSource struct {
 	RowSource
 	cols *relation.Columns
-	lo   int
-	acct *scanAccounts // shared with the shards
+	acct *scanAccounts
 }
 
 type scanAccounts struct {
-	charged      atomic.Int64 // rows charged by kernel passes
-	path, reason string       // of the last evaluation
-	passes       int          // over all evaluations
+	charged      int64  // rows charged by kernel passes
+	path, reason string // of the last evaluation
+	passes       int    // over all evaluations
 }
 
 func newColSource(rel *relation.Relation) colSource {
 	return colSource{RowSource: SourceOf(rel), cols: relation.BuildColumns(rel), acct: new(scanAccounts)}
 }
 
-func (s colSource) Split(n int) []RowSource {
-	shards := s.RowSource.(SplittableSource).Split(n)
-	lo := s.lo
-	for w, sh := range shards {
-		shards[w] = colSource{RowSource: sh, cols: s.cols, lo: lo, acct: s.acct}
-		lo += sh.Len()
-	}
-	return shards
-}
-func (s colSource) ColumnRange() (*relation.Columns, int, int) { return s.cols, s.lo, s.lo + s.Len() }
-func (s colSource) ChargeColumnScan()                          { s.acct.charged.Add(int64(s.Len())) }
+func (s colSource) Columns() *relation.Columns { return s.cols }
+func (s colSource) ChargeColumnScan()          { s.acct.charged += int64(s.Len()) }
 func (s colSource) NoteScanPath(path, reason string, passes int) {
 	s.acct.path, s.acct.reason = path, reason
 	s.acct.passes += passes
@@ -101,8 +89,6 @@ func sameAccum(scalar, kernel *OperatorAccum) error {
 	return nil
 }
 
-var kernelTestWorkers = []int{1, 2, 4, 7}
-
 // checkScanPath demands that the one evaluation src went through reported
 // passes detail passes under reason — reasonOK means the kernel ran.
 func checkScanPath(t *testing.T, src colSource, reason string, passes int) {
@@ -123,61 +109,55 @@ func checkScanPath(t *testing.T, src colSource, reason string, passes int) {
 // means the kernel ran.
 func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *relation.Relation, reason string) {
 	t.Helper()
-	for _, workers := range kernelTestWorkers {
-		scalar, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), true, workers)
+	scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
+	if err != nil {
+		t.Fatalf("scalar: %v", err)
+	}
+	src := newColSource(detail)
+	kernel, err := AccumulateOperator(x, op, src, true)
+	if err != nil {
+		t.Fatalf("column source: %v", err)
+	}
+	checkScanPath(t, src, reason, len(op.Vars))
+	if err := sameAccum(scalar, kernel); err != nil {
+		t.Error(err)
+	}
+	if reason == reasonOK {
+		loop, err := AccumulateOperator(x, op, SourceOf(detail), false)
 		if err != nil {
-			t.Fatalf("workers=%d scalar: %v", workers, err)
+			t.Fatalf("nested loop: %v", err)
 		}
-		src := newColSource(detail)
-		kernel, err := AccumulateOperatorWorkers(x, op, src, true, workers)
-		if err != nil {
-			t.Fatalf("workers=%d column source: %v", workers, err)
+		if err := sameAccum(loop, kernel); err != nil {
+			t.Errorf("nested loop: %v", err)
 		}
-		checkScanPath(t, src, reason, len(op.Vars))
-		if err := sameAccum(scalar, kernel); err != nil {
-			t.Errorf("workers=%d: %v", workers, err)
-		}
-		if reason == reasonOK {
-			loop, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), false, workers)
-			if err != nil {
-				t.Fatalf("workers=%d nested loop: %v", workers, err)
-			}
-			if err := sameAccum(loop, kernel); err != nil {
-				t.Errorf("workers=%d: nested loop: %v", workers, err)
-			}
-			if got, want := src.acct.charged.Load(), int64(len(op.Vars)*detail.Len()); got != want {
-				t.Errorf("workers=%d: kernel charged %d rows, want %d", workers, got, want)
-			}
+		if got, want := src.acct.charged, int64(len(op.Vars)*detail.Len()); got != want {
+			t.Errorf("kernel charged %d rows, want %d", got, want)
 		}
 	}
 }
 
 func checkBase(t *testing.T, bq BaseQuery, detail *relation.Relation, reason string) *relation.Relation {
 	t.Helper()
-	var out *relation.Relation
-	for _, workers := range kernelTestWorkers {
-		scalar, err := EvalBaseWorkers(bq, SourceOf(detail), workers)
-		if err != nil {
-			t.Fatalf("workers=%d scalar: %v", workers, err)
-		}
-		src := newColSource(detail)
-		kernel, err := EvalBaseWorkers(bq, src, workers)
-		if err != nil {
-			t.Fatalf("workers=%d column source: %v", workers, err)
-		}
-		checkScanPath(t, src, reason, 1)
-		if !scalar.Schema.Equal(kernel.Schema) {
-			t.Errorf("workers=%d: schema %s vs %s", workers, scalar.Schema, kernel.Schema)
-		}
-		if err := sameRows(scalar.Tuples, kernel.Tuples); err != nil {
-			t.Errorf("workers=%d: %v", workers, err)
-		}
-		if reason == reasonOK && src.acct.charged.Load() != int64(detail.Len()) {
-			t.Errorf("workers=%d: kernel charged %d rows, want %d", workers, src.acct.charged.Load(), detail.Len())
-		}
-		out = scalar
+	scalar, err := EvalBase(bq, SourceOf(detail))
+	if err != nil {
+		t.Fatalf("scalar: %v", err)
 	}
-	return out
+	src := newColSource(detail)
+	kernel, err := EvalBase(bq, src)
+	if err != nil {
+		t.Fatalf("column source: %v", err)
+	}
+	checkScanPath(t, src, reason, 1)
+	if !scalar.Schema.Equal(kernel.Schema) {
+		t.Errorf("schema %s vs %s", scalar.Schema, kernel.Schema)
+	}
+	if err := sameRows(scalar.Tuples, kernel.Tuples); err != nil {
+		t.Error(err)
+	}
+	if reason == reasonOK && src.acct.charged != int64(detail.Len()) {
+		t.Errorf("kernel charged %d rows, want %d", src.acct.charged, detail.Len())
+	}
+	return scalar
 }
 
 var kernelSchema = relation.MustSchema(
@@ -457,34 +437,32 @@ func TestKernelRowsBoxedFromSlabs(t *testing.T) {
 			{Func: agg.Sum, Arg: "P", As: "sp2"}, {Func: agg.Avg, Arg: "F", As: "af2"}, {Func: agg.Min, Arg: "P", As: "lo2"},
 		}},
 	}}
-	for _, workers := range kernelTestWorkers {
-		scalar, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), true, workers)
-		if err != nil {
-			t.Fatal(err)
+	scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernel, err := AccumulateOperator(x, op, newColSource(detail), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if kernel.slabs == nil || kernel.accs != nil || scalar.slabs != nil {
+		t.Fatal("the kernel's accumulator must hold slabs only, the scalar one tuples only")
+	}
+	phys, err := kernel.PhysSchema()
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := 1 + len(phys)
+	slab := make([]relation.Value, x.Len()*w)
+	for i := range x.Tuples {
+		row := slab[i*w : i*w+1 : (i+1)*w]
+		got := kernel.AppendPhysRow(row, i)
+		if &got[0] != &slab[i*w] {
+			t.Fatalf("row %d: AppendPhysRow left the row it was given", i)
 		}
-		kernel, err := AccumulateOperatorWorkers(x, op, newColSource(detail), true, workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kernel.slabs == nil || kernel.accs != nil || scalar.slabs != nil {
-			t.Fatalf("workers=%d: the kernel's accumulator must hold slabs only, the scalar one tuples only", workers)
-		}
-		phys, err := kernel.PhysSchema()
-		if err != nil {
-			t.Fatal(err)
-		}
-		w := 1 + len(phys)
-		slab := make([]relation.Value, x.Len()*w)
-		for i := range x.Tuples {
-			row := slab[i*w : i*w+1 : (i+1)*w]
-			got := kernel.AppendPhysRow(row, i)
-			if &got[0] != &slab[i*w] {
-				t.Fatalf("workers=%d row %d: AppendPhysRow left the row it was given", workers, i)
-			}
-			want := scalar.AppendPhysRow(make(relation.Tuple, 1, w), i)
-			if err := sameRows([]relation.Tuple{want}, []relation.Tuple{got}); err != nil {
-				t.Errorf("workers=%d row %d: %v", workers, i, err)
-			}
+		want := scalar.AppendPhysRow(make(relation.Tuple, 1, w), i)
+		if err := sameRows([]relation.Tuple{want}, []relation.Tuple{got}); err != nil {
+			t.Errorf("row %d: %v", i, err)
 		}
 	}
 }
@@ -603,7 +581,7 @@ func TestKernelBaseMatchesScalar(t *testing.T) {
 // TestKernelQuick is the property behind the tables: for small random
 // relations, base fragments (plain or under random grouping sets) and
 // conditions of plain links, rollup links and residuals, a column source and a
-// row source evaluate to the same bytes at any worker count.
+// row source evaluate to the same bytes.
 func TestKernelQuick(t *testing.T) {
 	residuals := []string{
 		"R.V > %d", "R.V <= B.k", "%d >= R.I", "R.F < B.m", "R.F >= %d.5", "B.m <= R.V",
@@ -629,13 +607,12 @@ func TestKernelQuick(t *testing.T) {
 				bq.GroupingSets = append(bq.GroupingSets, set)
 			}
 		}
-		workers := 1 + rng.Intn(5)
-		x, err := EvalBaseWorkers(bq, SourceOf(detail), workers)
+		x, err := EvalBase(bq, SourceOf(detail))
 		if err != nil {
 			t.Log(err)
 			return false
 		}
-		xk, err := EvalBaseWorkers(bq, newColSource(detail), workers)
+		xk, err := EvalBase(bq, newColSource(detail))
 		if err != nil || sameRows(x.Tuples, xk.Tuples) != nil {
 			t.Logf("seed %d: base differs (%v)", seed, err)
 			return false
@@ -689,13 +666,13 @@ func TestKernelQuick(t *testing.T) {
 			aggs = allAggs[:1]
 		}
 		op := oneVar(cond, aggs...)
-		scalar, err := AccumulateOperatorWorkers(x, op, SourceOf(detail), true, workers)
+		scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
 		if err != nil {
 			t.Logf("seed %d: %s: %v", seed, cond, err)
 			return false
 		}
 		src := newColSource(detail)
-		kernel, err := AccumulateOperatorWorkers(x, op, src, true, workers)
+		kernel, err := AccumulateOperator(x, op, src, true)
 		if err != nil {
 			t.Logf("seed %d: %s: %v", seed, cond, err)
 			return false
@@ -704,7 +681,7 @@ func TestKernelQuick(t *testing.T) {
 			compiled++
 		}
 		if err := sameAccum(scalar, kernel); err != nil {
-			t.Logf("seed %d: workers=%d %s: %v", seed, workers, cond, err)
+			t.Logf("seed %d: %s: %v", seed, cond, err)
 			return false
 		}
 		return true

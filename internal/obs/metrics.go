@@ -81,11 +81,6 @@ var (
 		"H blocks emitted by site operator evaluations (row blocking counts each block).")
 	EngineRowsScanned = Default.Counter("skalla_engine_rows_scanned_total",
 		"Detail-relation rows scanned by GMDJ evaluation (base and operator passes).")
-	EngineWorkerRows = Default.CounterVec("skalla_engine_worker_rows_scanned_total",
-		"Detail-relation rows scanned by parallel evaluation workers, by worker index (skewed shard assignments show up as unbalanced series).",
-		"worker")
-	EngineEvalWorkers = Default.Gauge("skalla_engine_eval_workers",
-		"Effective worker count of the most recent sharded scan (1 = sequential).")
 	EngineScanPath = Default.CounterVec("skalla_engine_scan_path_total",
 		"Detail passes run by this process's sites (one per base query or grouping variable, never per row) by the path that ran them (kernel = compiled over the columnar image, scalar = row at a time) and why (ok = compiled; source = no columnar image; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column or value kind typed code cannot reproduce exactly).",
 		"path", "reason")

@@ -22,13 +22,8 @@ type SiteBreakdown struct {
 	// quantity as the response's ComputeNS, duplicated here so a breakdown is
 	// self-contained).
 	EvalNS int64
-	// Workers is the effective parallel scan width (1 = sequential).
-	Workers int
 	// RowsScanned counts detail-relation rows scanned by GMDJ evaluation.
 	RowsScanned int64
-	// WorkerRows is RowsScanned split by worker index; skewed shard
-	// assignments show up as an unbalanced slice.
-	WorkerRows []int64
 	// SegCacheReads / SegDiskReads count store segment loads by source.
 	SegCacheReads int64
 	SegDiskReads  int64
@@ -48,7 +43,7 @@ type SiteBreakdown struct {
 // SiteRecorder accumulates one request's SiteBreakdown. It is carried in the
 // request context on the site side; every method is safe on a nil receiver
 // (recording is a no-op outside a profiled request) and safe for concurrent
-// use by parallel evaluation workers.
+// use.
 type SiteRecorder struct {
 	mu sync.Mutex
 	b  SiteBreakdown
@@ -60,16 +55,12 @@ type SiteRecorder struct {
 // NewSiteRecorder creates an empty recorder.
 func NewSiteRecorder() *SiteRecorder { return &SiteRecorder{} }
 
-// AddWorkerRows charges n scanned rows to a worker index.
-func (r *SiteRecorder) AddWorkerRows(worker int, n int64) {
+// AddRows charges n scanned rows.
+func (r *SiteRecorder) AddRows(n int64) {
 	if r == nil || n == 0 {
 		return
 	}
 	r.mu.Lock()
-	for len(r.b.WorkerRows) <= worker {
-		r.b.WorkerRows = append(r.b.WorkerRows, 0)
-	}
-	r.b.WorkerRows[worker] += n
 	r.b.RowsScanned += n
 	r.mu.Unlock()
 }
@@ -82,19 +73,6 @@ func (r *SiteRecorder) NoteScan(kernel bool) {
 	r.mu.Lock()
 	r.scalarScan = r.scalarScan || !kernel
 	r.b.Kernel = !r.scalarScan
-	r.mu.Unlock()
-}
-
-// SetWorkers records the effective scan width (kept at the maximum seen, so
-// a sequential follow-up pass does not erase a parallel one).
-func (r *SiteRecorder) SetWorkers(n int) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	if n > r.b.Workers {
-		r.b.Workers = n
-	}
 	r.mu.Unlock()
 }
 
@@ -151,7 +129,6 @@ func (r *SiteRecorder) Snapshot() SiteBreakdown {
 	}
 	r.mu.Lock()
 	b := r.b
-	b.WorkerRows = append([]int64(nil), r.b.WorkerRows...)
 	r.mu.Unlock()
 	return b
 }

@@ -106,9 +106,7 @@ func WriteTraceEvents(w io.Writer, p *QueryProfile) error {
 			}
 			if b := c.Breakdown; b != nil {
 				args["site_eval_us"] = b.EvalNS / 1e3
-				args["site_workers"] = b.Workers
 				args["site_rows_scanned"] = b.RowsScanned
-				args["site_worker_rows"] = b.WorkerRows
 				args["site_seg_cache_reads"] = b.SegCacheReads
 				args["site_seg_disk_reads"] = b.SegDiskReads
 				args["site_codec_bytes"] = b.CodecBytes

@@ -32,8 +32,8 @@ func exportProfile(start time.Time) *QueryProfile {
 				Calls: []CallProfile{
 					{Site: 0, Attempt: 1, Start: start.Add(2 * time.Millisecond), Elapsed: 2 * time.Millisecond,
 						BytesDown: 400, BytesUp: 200, Compute: time.Millisecond,
-						Breakdown: &SiteBreakdown{EvalNS: 1e6, Workers: 2, RowsScanned: 1000,
-							WorkerRows: []int64{400, 600}, SegDiskReads: 3, CodecBytes: 200, Blocks: 2}},
+						Breakdown: &SiteBreakdown{EvalNS: 1e6, RowsScanned: 1000,
+							SegDiskReads: 3, CodecBytes: 200, Blocks: 2}},
 				},
 			},
 		},

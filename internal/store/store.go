@@ -242,108 +242,6 @@ func (t *Table) scanWith(rec *obs.SiteRecorder, fn func(relation.Tuple) error) e
 	return nil
 }
 
-// Split implements gmdj.SplittableSource: contiguous segment-aligned spans of
-// near-equal row mass, so no segment is decoded by more than one worker and
-// the concatenation of the shard scans is exactly one full Scan (sealed
-// segments in order, then the buffered tail). Returns nil when the table has
-// too few units to shard.
-func (t *Table) Split(n int) []gmdj.RowSource { return t.splitWith(nil, n) }
-
-func (t *Table) splitWith(rec *obs.SiteRecorder, n int) []gmdj.RowSource {
-	t.mu.Lock()
-	segs := append([]segmentMeta{}, t.segments...)
-	buffered := append([]relation.Tuple{}, t.buf...)
-	t.mu.Unlock()
-
-	units := len(segs)
-	if len(buffered) > 0 {
-		units++
-	}
-	if n > units {
-		n = units
-	}
-	if n <= 1 {
-		return nil
-	}
-
-	total := len(buffered)
-	for _, s := range segs {
-		total += s.Rows
-	}
-
-	out := make([]gmdj.RowSource, 0, n)
-	next := 0 // next unassigned segment ordinal
-	done := 0 // rows assigned so far
-	for w := 0; w < n; w++ {
-		span := tableSpan{t: t, first: next, rec: rec}
-		// Fill to this shard's proportional row boundary, but never take a
-		// unit that a remaining shard needs to stay non-empty.
-		bound := total * (w + 1) / n
-		for next < len(segs) {
-			unitsLeft := len(segs) - next
-			if len(buffered) > 0 {
-				unitsLeft++
-			}
-			if unitsLeft <= n-w-1 {
-				break
-			}
-			if len(span.segs) > 0 && done >= bound {
-				break
-			}
-			span.segs = append(span.segs, segs[next])
-			span.rows += segs[next].Rows
-			done += segs[next].Rows
-			next++
-		}
-		if w == n-1 && len(buffered) > 0 {
-			span.buf = buffered
-			span.rows += len(buffered)
-		}
-		out = append(out, span)
-	}
-	return out
-}
-
-// tableSpan is one shard of a table scan: a contiguous run of sealed
-// segments, optionally followed by the buffered-tail snapshot (last shard
-// only). Spans share the parent's segment cache, which is mutex-protected,
-// so concurrent shard scans are safe.
-type tableSpan struct {
-	t     *Table
-	segs  []segmentMeta
-	first int // ordinal of segs[0] in the parent table
-	buf   []relation.Tuple
-	rows  int
-	rec   *obs.SiteRecorder
-}
-
-// Schema implements the RowSource contract.
-func (s tableSpan) Schema() relation.Schema { return s.t.schema }
-
-// Len implements the RowSource contract.
-func (s tableSpan) Len() int { return s.rows }
-
-// Scan implements the RowSource contract over the span's segments.
-func (s tableSpan) Scan(fn func(relation.Tuple) error) error {
-	for i, seg := range s.segs {
-		rows, err := s.t.loadSegment(s.rec, s.first+i, seg)
-		if err != nil {
-			return err
-		}
-		for _, row := range rows {
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-	}
-	for _, row := range s.buf {
-		if err := fn(row); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // Materialize reads the whole table into memory (tests and small tables).
 func (t *Table) Materialize() (*relation.Relation, error) {
 	out := relation.New(t.schema)
@@ -413,9 +311,6 @@ func (r recordedTable) Len() int { return r.t.Len() }
 // Scan implements the RowSource contract, charging segment reads to the
 // recorder.
 func (r recordedTable) Scan(fn func(relation.Tuple) error) error { return r.t.scanWith(r.rec, fn) }
-
-// Split implements gmdj.SplittableSource; every shard inherits the recorder.
-func (r recordedTable) Split(n int) []gmdj.RowSource { return r.t.splitWith(r.rec, n) }
 
 // segmentCache is a tiny LRU of decoded segments, keyed by segment ordinal:
 // scans hit it once per segment per pass, and integer keys keep those lookups

@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
 
@@ -222,67 +221,11 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-// TestSplitSegmentAligned checks the gmdj.SplittableSource contract: shards
-// are segment-aligned, cover every row exactly once in scan order, and the
-// buffered tail lands on the last shard.
-func TestSplitSegmentAligned(t *testing.T) {
-	var _ gmdj.SplittableSource = (*Table)(nil)
-	dir := t.TempDir()
-	tbl, err := Create(dir, "T", storeSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const rows = 50 // 12 sealed segments of 4 + 2 buffered rows
-	for i := int64(0); i < rows; i++ {
-		if err := tbl.Append(row(i, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, n := range []int{2, 3, 5, 13, 100} {
-		shards := tbl.Split(n)
-		if len(shards) < 2 {
-			t.Fatalf("Split(%d) declined", n)
-		}
-		var got []int64
-		for _, sh := range shards {
-			count := 0
-			if err := sh.Scan(func(r relation.Tuple) error {
-				got = append(got, r[0].Int)
-				count++
-				return nil
-			}); err != nil {
-				t.Fatal(err)
-			}
-			if count != sh.Len() {
-				t.Fatalf("Split(%d): shard Len %d but scanned %d", n, sh.Len(), count)
-			}
-		}
-		if len(got) != rows {
-			t.Fatalf("Split(%d): %d rows, want %d", n, len(got), rows)
-		}
-		for i, k := range got {
-			if k != int64(i) {
-				t.Fatalf("Split(%d): out of order at %d: %v", n, i, k)
-			}
-		}
-	}
-	// Single-segment tables decline.
-	small, err := Create(t.TempDir(), "S", storeSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := small.Append(row(1, "y")); err != nil {
-		t.Fatal(err)
-	}
-	if small.Split(4) != nil {
-		t.Error("Split on a buffer-only table should decline")
-	}
-}
-
-// TestSplitConcurrentScan scans every shard concurrently (as the parallel
-// evaluator does) and checks each shard still sees its exact row range; the
-// shared segment cache must tolerate the concurrency.
-func TestSplitConcurrentScan(t *testing.T) {
+// TestConcurrentScans runs whole-table scans of one Table from several
+// goroutines, as concurrent queries at one site do: each must see every row
+// in order while they share the segment cache, which holds fewer segments
+// than the table has.
+func TestConcurrentScans(t *testing.T) {
 	dir := t.TempDir()
 	tbl, err := Create(dir, "T", storeSchema(), 8)
 	if err != nil {
@@ -297,33 +240,32 @@ func TestSplitConcurrentScan(t *testing.T) {
 	if err := tbl.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	shards := tbl.Split(8)
-	if len(shards) != 8 {
-		t.Fatalf("Split(8) gave %d shards", len(shards))
-	}
-	got := make([][]int64, len(shards))
+	const scans = 8
+	got := make([][]int64, scans)
+	errs := make([]error, scans)
 	var wg sync.WaitGroup
-	for w, sh := range shards {
+	for w := 0; w < scans; w++ {
 		wg.Add(1)
-		go func(w int, sh gmdj.RowSource) {
+		go func(w int) {
 			defer wg.Done()
-			_ = sh.Scan(func(r relation.Tuple) error {
+			errs[w] = tbl.Scan(func(r relation.Tuple) error {
 				got[w] = append(got[w], r[0].Int)
 				return nil
 			})
-		}(w, sh)
+		}(w)
 	}
 	wg.Wait()
-	var all []int64
-	for _, g := range got {
-		all = append(all, g...)
-	}
-	if len(all) != rows {
-		t.Fatalf("concurrent shard scans saw %d rows, want %d", len(all), rows)
-	}
-	for i, k := range all {
-		if k != int64(i) {
-			t.Fatalf("concurrent shard scans out of order at %d: %d", i, k)
+	for w := range got {
+		if errs[w] != nil {
+			t.Fatalf("scan %d: %v", w, errs[w])
+		}
+		if len(got[w]) != rows {
+			t.Fatalf("scan %d saw %d rows, want %d", w, len(got[w]), rows)
+		}
+		for i, k := range got[w] {
+			if k != int64(i) {
+				t.Fatalf("scan %d out of order at %d: %d", w, i, k)
+			}
 		}
 	}
 }

@@ -60,12 +60,35 @@ func TestTraceFieldsOldPeerCompat(t *testing.T) {
 	}
 }
 
+// shardingBreakdown is the site breakdown of a peer built while sites still
+// sharded their scans: it carries the scan width and the rows per worker.
+type shardingBreakdown struct {
+	EvalNS        int64
+	Workers       int
+	RowsScanned   int64
+	WorkerRows    []int64
+	SegCacheReads int64
+	SegDiskReads  int64
+	SegRowsLoaded int64
+	CodecBytes    int64
+	Blocks        int64
+	Kernel        bool
+}
+
+type shardingResponse struct {
+	SiteID    int
+	ComputeNS int64
+	Profile   *shardingBreakdown
+}
+
 // TestProfileFieldOldPeerCompat proves the appended Response.Profile field is
-// wire-compatible with pre-profiler peers in both directions.
+// wire-compatible with pre-profiler peers in both directions, and that the
+// retired Workers / WorkerRows breakdown fields are skipped in both
+// directions too.
 func TestProfileFieldOldPeerCompat(t *testing.T) {
 	// New site → old coordinator: the unknown breakdown is skipped.
 	var buf bytes.Buffer
-	b := obs.SiteBreakdown{EvalNS: 12345, RowsScanned: 42, CodecBytes: 7, Workers: 2, WorkerRows: []int64{20, 22}}
+	b := obs.SiteBreakdown{EvalNS: 12345, RowsScanned: 42, CodecBytes: 7}
 	newResp := Response{SiteID: 5, ComputeNS: 999, Profile: &b}
 	if err := gob.NewEncoder(&buf).Encode(&newResp); err != nil {
 		t.Fatal(err)
@@ -89,6 +112,35 @@ func TestProfileFieldOldPeerCompat(t *testing.T) {
 	}
 	if cur.SiteID != 5 || cur.ComputeNS != 999 || cur.Profile != nil {
 		t.Errorf("new peer decoded %+v", cur)
+	}
+
+	// Sharding site → new coordinator: the per-worker fields are skipped and
+	// the rows they split arrive whole.
+	buf.Reset()
+	shard := shardingResponse{SiteID: 5, ComputeNS: 999, Profile: &shardingBreakdown{
+		EvalNS: 12345, Workers: 2, RowsScanned: 42, WorkerRows: []int64{20, 22}, CodecBytes: 7, Kernel: true}}
+	if err := gob.NewEncoder(&buf).Encode(&shard); err != nil {
+		t.Fatal(err)
+	}
+	cur = Response{}
+	if err := gob.NewDecoder(&buf).Decode(&cur); err != nil {
+		t.Fatalf("new peer cannot decode a sharding peer's breakdown: %v", err)
+	}
+	if want := (obs.SiteBreakdown{EvalNS: 12345, RowsScanned: 42, CodecBytes: 7, Kernel: true}); cur.Profile == nil || *cur.Profile != want {
+		t.Errorf("new peer decoded a sharding peer's breakdown as %+v, want %+v", cur.Profile, want)
+	}
+
+	// New site → sharding coordinator: it reads the rows and no workers.
+	buf.Reset()
+	if err := gob.NewEncoder(&buf).Encode(&newResp); err != nil {
+		t.Fatal(err)
+	}
+	var pre shardingResponse
+	if err := gob.NewDecoder(&buf).Decode(&pre); err != nil {
+		t.Fatalf("sharding peer cannot decode a new breakdown: %v", err)
+	}
+	if p := pre.Profile; p == nil || p.RowsScanned != 42 || p.EvalNS != 12345 || p.CodecBytes != 7 || p.Workers != 0 || p.WorkerRows != nil {
+		t.Errorf("sharding peer decoded %+v", p)
 	}
 }
 

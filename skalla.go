@@ -80,7 +80,7 @@ type (
 	Result = core.Result
 	// QueryProfile is the stitched per-round, per-site-call cost record of
 	// one execution: coordinator envelope plus each site's own breakdown
-	// (eval time, rows per worker, segment reads, codec bytes).
+	// (eval time, rows scanned, segment reads, codec bytes).
 	QueryProfile = obs.QueryProfile
 	// Metrics is the per-round cost breakdown of an execution.
 	Metrics = stats.Metrics
@@ -270,7 +270,6 @@ type clusterConfig struct {
 	blockRows     int
 	traceTo       io.Writer
 	retry         core.RetryPolicy
-	workers       int
 	sel           plan.Selection
 	selErr        error
 	slowQuery     time.Duration
@@ -348,15 +347,6 @@ func WithTrace(w io.Writer) ClusterOption {
 // Without this option site failures fail the query immediately.
 func WithSiteRetry(p RetryPolicy) ClusterOption {
 	return func(c *clusterConfig) { c.retry = p }
-}
-
-// WithWorkers sets the in-process sites' scan parallelism: each shards its
-// detail scans across up to n workers. 0 (the default) sizes automatically
-// from GOMAXPROCS and the data; 1 forces sequential scans. For clusters built
-// with Connect the sites run in their own processes — set their parallelism
-// with skalla-site -workers — and this option has no effect.
-func WithWorkers(n int) ClusterOption {
-	return func(c *clusterConfig) { c.workers = n }
 }
 
 // WithSlowQuery makes the coordinator log the full execution profile of any
@@ -450,7 +440,6 @@ func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	loaders := make([]transport.Loader, n)
 	for i := 0; i < n; i++ {
 		es := engine.NewSite(i)
-		es.SetWorkers(cfg.workers)
 		if cfg.serialized {
 			ls := transport.NewLocalSite(es)
 			sites[i], loaders[i] = ls, ls
