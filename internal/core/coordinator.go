@@ -9,6 +9,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"io"
 	"sync"
 	"time"
 
@@ -29,7 +30,7 @@ type Coordinator struct {
 	cat       *distrib.Catalog
 	net       stats.NetModel
 	blockRows int
-	observer  obs.Observer // nil = no trace observer
+	trace     *obs.TraceWriter // nil = no trace lines
 	retry     RetryPolicy
 	slowQuery time.Duration
 	memBudget int64        // per-query coordinator memory budget (0 = off)
@@ -53,6 +54,16 @@ func New(sites []transport.Site, cat *distrib.Catalog, net stats.NetModel) (*Coo
 // arrive in either mode. Zero (the default) ships each H_i whole.
 func (c *Coordinator) SetRowBlocking(rows int) { c.blockRows = rows }
 
+// SetTrace writes one line to w for every round start, site call, failed
+// attempt and round end of the queries this coordinator runs (nil stops
+// tracing). Tracing never changes plans or results.
+func (c *Coordinator) SetTrace(w io.Writer) {
+	c.trace = nil
+	if w != nil {
+		c.trace = obs.NewTraceWriter(w)
+	}
+}
+
 // NumSites returns the number of attached sites.
 func (c *Coordinator) NumSites() int { return len(c.sites) }
 
@@ -67,7 +78,8 @@ type Result struct {
 	Metrics *stats.Metrics
 	Plan    *plan.Plan
 	// Profile is the stitched per-round, per-site-call cost record of the
-	// evaluation (also retained in obs.Profiles for /debug/queries).
+	// evaluation (also retained in obs.Profiles for /debug/queries); Metrics
+	// is its view under the coordinator's network model.
 	Profile *obs.QueryProfile
 }
 
@@ -161,9 +173,6 @@ func (c *Coordinator) ExecutePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 func (c *Coordinator) executeUnshared(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource) (*Result, error) {
 	res, prof, err := c.executeSpanned(ctx, pl, src)
 	c.finishProfile(prof, pl, res)
-	if res != nil {
-		res.Profile = prof
-	}
 	return res, err
 }
 
@@ -181,19 +190,10 @@ func (c *Coordinator) executeSpanned(ctx context.Context, pl *plan.Plan, src gmd
 		qid = obs.NewQueryID()
 		ctx = obs.WithQueryID(ctx, qid)
 	}
-	// The profile builder rides on the span's event stream; handing it to
-	// StartQuery (rather than AddObserver) lets it see EventQueryStart too.
-	pb := obs.NewProfileBuilder()
-	span := obs.StartQuery(qid, pb)
-	if c.observer != nil {
-		span.AddObserver(c.observer)
-	}
+	span := obs.StartQuery(qid, c.trace)
 	res, err := c.executePlan(ctx, pl, src, span)
-	span.End(err)
-	prof := pb.Profile()
-	if prof != nil {
-		prof.QueueTime = queued
-	}
+	prof := span.End(err)
+	prof.QueueTime = queued
 	return res, prof, err
 }
 
@@ -206,7 +206,6 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if err != nil {
 		return nil, err
 	}
-	metrics := stats.NewMetrics(c.net)
 
 	startOp := 0
 	switch {
@@ -217,23 +216,23 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 		if pl.FullLocal {
 			name = "local-all"
 		}
-		if err := c.localRound(ctx, pl, mg, metrics, span, pl.LocalPrefix, name); err != nil {
+		if err := c.localRound(ctx, pl, mg, span, pl.LocalPrefix, name); err != nil {
 			return nil, err
 		}
 		startOp = pl.LocalPrefix
 	case pl.SkipBaseSync:
 		// Prop. 2: the base sync folds into the first operator's round.
-		if err := c.localRound(ctx, pl, mg, metrics, span, 1, "base+MD1"); err != nil {
+		if err := c.localRound(ctx, pl, mg, span, 1, "base+MD1"); err != nil {
 			return nil, err
 		}
 		startOp = 1
 	default:
-		if err := c.baseRound(ctx, pl, mg, metrics, span); err != nil {
+		if err := c.baseRound(ctx, pl, mg, span); err != nil {
 			return nil, err
 		}
 	}
 	for k := startOp; k < len(pl.Query.Ops); k++ {
-		if err := c.operatorRound(ctx, pl, mg, metrics, span, k); err != nil {
+		if err := c.operatorRound(ctx, pl, mg, span, k); err != nil {
 			return nil, err
 		}
 	}
@@ -242,7 +241,7 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if err != nil {
 		return nil, err
 	}
-	return &Result{Rel: final, Metrics: metrics, Plan: pl}, nil
+	return &Result{Rel: final, Plan: pl}, nil
 }
 
 // siteResult is one site's response within a round.
@@ -253,10 +252,10 @@ type siteResult struct {
 }
 
 // broadcast runs f against every site in parallel — each site call under the
-// coordinator's retry policy — and gathers the results in site order. The
-// per-site results are returned even when the broadcast fails, so callers can
-// record the traffic that did happen. Cancellation wins: a cancelled context
-// is reported as ctx.Err() once all calls have returned, ahead of any
+// coordinator's retry policy — gathers the results in site order and records
+// the successful calls on the round span in that order, even when the
+// broadcast fails: the traffic did happen. Cancellation wins: a cancelled
+// context is reported as ctx.Err() once all calls have returned, ahead of any
 // per-site error.
 func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(ctx context.Context, i int, s transport.Site) (*relation.Relation, stats.Call, error)) ([]siteResult, error) {
 	results := make([]siteResult, len(c.sites))
@@ -268,7 +267,7 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 		wg.Add(1)
 		go func(i int, s transport.Site) {
 			defer wg.Done()
-			err := c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
+			err := c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
 				rel, call, err := f(actx, i, s)
 				results[i] = siteResult{rel: rel, call: call, err: err}
 				return call, err
@@ -277,6 +276,11 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 		}(i, s)
 	}
 	wg.Wait()
+	for _, r := range results {
+		if r.err == nil {
+			rs.Call(r.call)
+		}
+	}
 	if err := ctx.Err(); err != nil {
 		return results, err
 	}
@@ -291,22 +295,13 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 // baseRound is round 0 of the unreduced algorithm: every site computes its
 // base-values fragment B_i; the coordinator unions and de-duplicates them
 // into X_0.
-func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan) error {
+func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan) error {
 	rs := span.StartRound("base", 0)
 	ctx = obs.WithRound(ctx, "base")
-	results, bErr := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
+	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalBase(ctx, pl.Query.Base)
 	})
-	// Record the calls that completed before any merge error can bail: the
-	// traffic happened, and -stats-json must reflect it.
-	round := stats.RoundStat{Name: "base"}
-	for _, r := range results {
-		if r.err == nil {
-			round.Calls = append(round.Calls, r.call)
-		}
-	}
 	coordStart := time.Now()
-	err := bErr
 	if err == nil {
 		union := relation.New(pl.XSchemas[0])
 		for _, r := range results {
@@ -318,35 +313,23 @@ func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, 
 			err = mg.InitBase(union)
 		}
 	}
-	round.CoordTime = time.Since(coordStart)
-	rs.ObserveMerge(round.CoordTime)
-	metrics.AddRound(round)
-	for _, call := range round.Calls {
-		rs.Call(obsCall(call))
-	}
-	rs.End(round.CoordTime)
+	coordTime := time.Since(coordStart)
+	rs.ObserveMerge(coordTime)
+	rs.End(coordTime)
 	return err
 }
 
 // localRound ships the query prefix to every site for local evaluation and
 // merges the returned X fragments (synchronization-reduced rounds of
 // Prop. 2 / Cor. 1).
-func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, upTo int, name string) error {
+func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, upTo int, name string) error {
 	rs := span.StartRound(name, 0)
 	ctx = obs.WithRound(ctx, name)
 	req := engine.LocalRequest{Query: pl.Query, UpTo: upTo}
-	results, bErr := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
+	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalLocal(ctx, req)
 	})
-	// As in baseRound: calls recorded before any merge error can bail.
-	round := stats.RoundStat{Name: name}
-	for _, r := range results {
-		if r.err == nil {
-			round.Calls = append(round.Calls, r.call)
-		}
-	}
 	coordStart := time.Now()
-	err := bErr
 	if err == nil {
 		err = mg.InitLocal(upTo)
 	}
@@ -362,12 +345,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 	if err == nil {
 		mg.RecomputeDerived(upTo)
 	}
-	round.CoordTime = time.Since(coordStart)
-	metrics.AddRound(round)
-	for _, call := range round.Calls {
-		rs.Call(obsCall(call))
-	}
-	rs.End(round.CoordTime)
+	rs.End(time.Since(coordStart))
 	return err
 }
 
@@ -390,7 +368,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // committed, while later sites still stream. Every X row thus folds its
 // sites in index order, so FLOAT super-aggregates come out bit-identical
 // run to run, however the streams' completion order falls.
-func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, metrics *stats.Metrics, span *obs.QuerySpan, k int) error {
+func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, k int) error {
 	op := pl.Query.Ops[k]
 	roundName := fmt.Sprintf("MD%d", k+1)
 	x := mg.X()
@@ -456,7 +434,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				BlockRows: c.blockRows,
 			}
 			var done *hStage
-			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context, _ int) (stats.Call, error) {
+			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
 				st := mg.NewStage(k, frag.Len(), kept)
 				call, err := s.EvalOperatorStream(actx, req, func(block *relation.Relation) error {
 					// End a cancelled query's streams promptly instead of
@@ -517,10 +495,13 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 		mg.RecomputeDerived(k + 1)
 	}
 	coordTime += time.Since(t0)
-	round := stats.RoundStat{Name: roundName, Calls: calls, CoordTime: coordTime}
-	metrics.AddRound(round)
-	for _, call := range calls {
-		rs.Call(obsCall(call))
+	// A site whose errs entry is set made no successful call: its failed
+	// attempts are already on the span (withRetry), or it failed before
+	// calling (a reducer error).
+	for i, call := range calls {
+		if errs[i] == nil {
+			rs.Call(call)
+		}
 	}
 	rs.End(coordTime)
 	return err

@@ -13,7 +13,6 @@ import (
 	"skalla/internal/engine"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
-	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -584,7 +583,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 	}
 }
 
-// A line observer attached to the coordinator sees every round and site
+// A trace writer attached to the coordinator sees every round and site
 // exchange, without changing results.
 func TestLineObserverTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
@@ -592,7 +591,7 @@ func TestLineObserverTrace(t *testing.T) {
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
-	coord.SetObserver(obs.NewLineObserver(&buf))
+	coord.SetTrace(&buf)
 	res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
@@ -603,20 +602,20 @@ func TestLineObserverTrace(t *testing.T) {
 			t.Errorf("trace missing %q:\n%s", frag, out)
 		}
 	}
-	// 3 rounds × (start + 3 site lines + done) = 15 lines; the query
-	// start/end events render no line.
+	// 3 rounds × (start + 3 site lines + done) = 15 lines; the query's own
+	// start and end write no line.
 	if lines := strings.Count(out, "\n"); lines != 15 {
 		t.Errorf("trace lines = %d, want 15:\n%s", lines, out)
 	}
 	// Detaching stops tracing; results unaffected either way.
-	coord.SetObserver(nil)
+	coord.SetTrace(nil)
 	buf.Reset()
 	res2, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if buf.Len() != 0 {
-		t.Error("detached observer still wrote")
+		t.Error("detached trace still wrote")
 	}
 	if !res.Rel.EqualMultiset(res2.Rel) {
 		t.Error("tracing changed results")

@@ -160,7 +160,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 				t.Fatal(err)
 			}
 			var buf bytes.Buffer
-			coord.SetObserver(obs.NewLineObserver(&buf))
+			coord.SetTrace(&buf)
 			if _, err := coord.ExecuteWith(context.Background(), chainQuery(), tc.sel); err == nil {
 				t.Fatal("corrupt payload must fail the merge")
 			}
@@ -174,14 +174,14 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 	}
 }
 
-// A retried attempt is part of the trace: the observer sits on the span
-// itself, so the retry event prints its own line between the round's start
-// and the site line of the attempt that succeeded.
+// A retried attempt is part of the trace: the span writes the failed
+// attempt's own line between the round's start and the site line of the
+// attempt that succeeded.
 func TestLineObserverTraceShowsRetries(t *testing.T) {
 	coord := faultCluster(t, faultinject.Config{FailFirst: 1})
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2, BaseBackoff: time.Millisecond})
 	var buf bytes.Buffer
-	coord.SetObserver(obs.NewLineObserver(&buf))
+	coord.SetTrace(&buf)
 	if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
 		t.Fatal(err)
 	}
@@ -193,6 +193,69 @@ func TestLineObserverTraceShowsRetries(t *testing.T) {
 	// The 15 lines of the fault-free trace plus the retry line.
 	if lines := strings.Count(out, "\n"); lines != 16 {
 		t.Errorf("trace lines = %d, want 16:\n%s", lines, out)
+	}
+}
+
+// A failed query's profile records every attempt of the failing site as a
+// Failed call — the final one included — in whichever kind of round it
+// failed, and only successful calls as calls: no phantom entry for the failed
+// site, and none of its bytes in the round's totals.
+func TestFailedQueryProfileRecordsEveryAttempt(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		failFrom int // site 1's first failing data call
+		round    string
+	}{
+		{"base-round", 1, "base"},
+		{"operator-round", 2, "MD1"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord := faultCluster(t, faultinject.Config{FailFrom: tc.failFrom})
+			coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
+			var trace bytes.Buffer
+			coord.SetTrace(&trace)
+			qid := obs.NewQueryID()
+			ctx := obs.WithQueryID(context.Background(), qid)
+			if _, err := coord.ExecuteWith(ctx, chainQuery(), plan.SelectNone()); !errors.Is(err, faultinject.ErrInjected) {
+				t.Fatalf("err = %v, want the injected failure", err)
+			}
+			p := obs.Profiles.Get(qid)
+			if p == nil {
+				t.Fatal("failed query left no profile")
+			}
+			last := &p.Rounds[len(p.Rounds)-1]
+			if last.Name != tc.round {
+				t.Fatalf("query failed in round %s, want %s", last.Name, tc.round)
+			}
+			var failed []int
+			var ok []int
+			var down, up int
+			for _, c := range last.Calls {
+				if c.Failed {
+					if c.Site != 1 || c.Err == "" {
+						t.Errorf("failed call %+v, want site 1 with an error", c)
+					}
+					failed = append(failed, c.Attempt)
+					continue
+				}
+				ok = append(ok, c.Site)
+				down += c.BytesDown
+				up += c.BytesUp
+			}
+			if len(failed) != 2 || failed[0] != 1 || failed[1] != 2 {
+				t.Errorf("failed attempts %v, want [1 2]", failed)
+			}
+			if len(ok) != 2 || ok[0] != 0 || ok[1] != 2 {
+				t.Errorf("successful calls at sites %v, want [0 2]", ok)
+			}
+			if last.BytesDown != down || last.BytesUp != up {
+				t.Errorf("round totals %d/%d, successful calls sum to %d/%d", last.BytesDown, last.BytesUp, down, up)
+			}
+			final := "round " + tc.round + ": site 1 attempt 2 failed (faultinject: injected failure)\n"
+			if strings.Count(trace.String(), final) != 1 {
+				t.Errorf("trace wants exactly one line %q:\n%s", final, trace.String())
+			}
+		})
 	}
 }
 

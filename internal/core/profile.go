@@ -6,6 +6,7 @@ import (
 
 	"skalla/internal/obs"
 	"skalla/internal/plan"
+	"skalla/internal/stats"
 )
 
 // SetSlowQueryThreshold makes ExecutePlan log the full profile of any query
@@ -15,7 +16,8 @@ import (
 func (c *Coordinator) SetSlowQueryThreshold(d time.Duration) { c.slowQuery = d }
 
 // finishProfile completes a stitched query profile after the span closes:
-// plan identity and cost estimates are attached, per-round estimates are
+// plan identity and cost estimates are attached, a successful result gets
+// the profile and its metrics view (stats.MetricsOf), per-round estimates are
 // joined with the measured rounds (Plan.CompareRounds), the cost-model drift
 // gauges refresh, the profile lands in the global ring for /debug/queries,
 // and the slow-query threshold is applied.
@@ -31,7 +33,8 @@ func (c *Coordinator) finishProfile(p *obs.QueryProfile, pl *plan.Plan, res *Res
 		EstBytesDown: pl.Estimate.BytesDown,
 		EstBytesUp:   pl.Estimate.BytesUp,
 	}
-	if res != nil && res.Metrics != nil {
+	if res != nil {
+		res.Profile, res.Metrics = p, stats.MetricsOf(c.net, p)
 		costs := pl.CompareRounds(res.Metrics)
 		for i := range p.Rounds {
 			if i < len(costs) && costs[i].Name == p.Rounds[i].Name {

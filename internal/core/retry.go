@@ -99,11 +99,12 @@ func retryable(ctx context.Context, err error) bool {
 
 // withRetry runs one site call under the coordinator's retry policy: each
 // attempt gets a per-call deadline (when configured) and an attempt-stamped
-// context (the transport ships the attempt number to the site), failed
-// attempts are recorded — with whatever the transport measured before they
-// died — on the round span and the retries counter, and backoff sleeps
-// respect the parent context.
-func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int, fn func(ctx context.Context, attempt int) (stats.Call, error)) error {
+// context (the transport ships the attempt number to the site), every failed
+// attempt — retried or final — is recorded on the round span with whatever
+// the transport measured before it died, and backoff sleeps respect the
+// parent context. The successful call is left to the round, which records
+// its sites' calls in site order.
+func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int, fn func(ctx context.Context) (stats.Call, error)) error {
 	p := c.retry
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
@@ -114,19 +115,20 @@ func (c *Coordinator) withRetry(ctx context.Context, rs *obs.RoundSpan, site int
 		if p.CallTimeout > 0 {
 			actx, cancel = context.WithTimeout(actx, p.CallTimeout)
 		}
-		call, err := fn(actx, attempt)
+		call, err := fn(actx)
 		cancel()
 		if err == nil {
 			return nil
 		}
+		retry := attempt < p.MaxAttempts && retryable(ctx, err)
 		var perm *permanentError
 		if errors.As(err, &perm) {
-			return perm.err
+			err = perm.err
 		}
-		if attempt >= p.MaxAttempts || !retryable(ctx, err) {
+		rs.Fail(site, attempt, call, err, retry)
+		if !retry {
 			return err
 		}
-		rs.Retry(site, attempt, obsCall(call), err)
 		select {
 		case <-time.After(p.backoff(attempt)):
 		case <-ctx.Done():

@@ -1,8 +1,8 @@
 // Package obs is Skalla's observability layer: a dependency-free metrics
 // registry (atomic counters, gauges, and fixed-bucket histograms with
 // Prometheus text exposition), structured logging built on log/slog, a
-// query/round/site-call span model that the coordinator drives and observers
-// consume, and an opt-in HTTP endpoint surface (/metrics, /healthz, pprof) for
+// query/round/site-call span model that the coordinator drives and that builds
+// each query's profile, and an opt-in HTTP endpoint surface (/metrics, /healthz, pprof) for
 // the long-running daemons.
 //
 // The paper's evaluation (Sect. 5) is a measurement exercise — bytes shipped,

@@ -7,11 +7,11 @@ import (
 )
 
 // The profile model is the stitched, per-query view of one distributed
-// evaluation: the coordinator's rounds and site calls (from the span model)
-// joined with the site-side breakdowns that ship back inside each wire
-// response. Where the span model streams events as they happen, a
-// QueryProfile is the complete record kept after the query ends — the thing
-// /debug/queries serves and EXPLAIN ANALYZE-style tooling reads.
+// evaluation: the coordinator's rounds and site calls, each carrying the
+// site-side breakdown that shipped back inside its wire response. The query
+// span builds the QueryProfile as the query runs; once the span ends it is
+// the complete record — the thing /debug/queries serves, Result.Metrics is a
+// view of, and EXPLAIN ANALYZE-style tooling reads.
 
 // SiteBreakdown is the site-side cost breakdown of one request, accumulated
 // by a SiteRecorder while the site evaluates and returned in the wire
@@ -177,24 +177,13 @@ func AttemptFrom(ctx context.Context) int {
 	return 1
 }
 
-// CallProfile is one coordinator↔site exchange inside a profile: the
-// coordinator-observed envelope (timing, bytes, rows) plus the site's own
-// breakdown. Failed attempts that were retried appear as their own entries
-// with Failed set; their traffic is excluded from round totals, so retries
-// never double-count bytes.
+// CallProfile is one site-call attempt inside a profile. Failed attempts,
+// retried or final, appear as their own entries with Failed set; their
+// traffic is excluded from round totals, so retries never double-count bytes.
 type CallProfile struct {
-	Site      int
-	Attempt   int
-	Failed    bool
-	Err       string `json:",omitempty"`
-	Start     time.Time
-	Elapsed   time.Duration
-	BytesDown int
-	BytesUp   int
-	RowsDown  int
-	RowsUp    int
-	Compute   time.Duration
-	Breakdown *SiteBreakdown `json:",omitempty"`
+	SiteCall
+	Failed bool
+	Err    string `json:",omitempty"`
 }
 
 // RoundProfile is one synchronization round inside a profile. Byte/row
@@ -263,97 +252,4 @@ func (p *QueryProfile) BytesUp() int {
 		n += p.Rounds[i].BytesUp
 	}
 	return n
-}
-
-// ProfileBuilder is an Observer that stitches span events into a
-// QueryProfile. Round lifecycle events arrive in order from the
-// coordinator's control loop; retry events arrive concurrently from per-site
-// goroutines, so the builder locks around every mutation.
-type ProfileBuilder struct {
-	mu sync.Mutex
-	p  QueryProfile
-}
-
-// NewProfileBuilder creates a builder for one query span.
-func NewProfileBuilder() *ProfileBuilder { return &ProfileBuilder{} }
-
-// ObserveSpan implements Observer.
-func (b *ProfileBuilder) ObserveSpan(e Event) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	switch e.Kind {
-	case EventQueryStart:
-		b.p.QueryID = e.QueryID
-		b.p.Start = time.Now()
-	case EventRoundStart:
-		b.p.Rounds = append(b.p.Rounds, RoundProfile{
-			Name: e.Round, Start: time.Now(), XRows: e.XRows,
-		})
-	case EventSiteCall:
-		if r := b.currentRound(e.Round); r != nil {
-			r.Calls = append(r.Calls, callProfile(e.Call, false))
-			r.BytesDown += e.Call.BytesDown
-			r.BytesUp += e.Call.BytesUp
-			r.RowsDown += e.Call.RowsDown
-			r.RowsUp += e.Call.RowsUp
-		}
-	case EventSiteRetry:
-		if r := b.currentRound(e.Round); r != nil {
-			c := callProfile(e.Call, true)
-			c.Err = e.Err
-			// An attempt that failed before the transport stamped a call
-			// still identifies itself through the event envelope.
-			c.Site, c.Attempt = e.Site, e.Attempt
-			r.Calls = append(r.Calls, c)
-		}
-	case EventRoundEnd:
-		if r := b.currentRound(e.Round); r != nil {
-			r.Elapsed = time.Since(r.Start)
-			r.CoordTime = e.CoordTime
-		}
-	case EventQueryEnd:
-		b.p.Elapsed = e.Elapsed
-		b.p.Err = e.Err
-	}
-}
-
-// currentRound returns the newest round matching name (nil when no round is
-// open — a stray event is dropped rather than misfiled).
-func (b *ProfileBuilder) currentRound(name string) *RoundProfile {
-	for i := len(b.p.Rounds) - 1; i >= 0; i-- {
-		if b.p.Rounds[i].Name == name {
-			return &b.p.Rounds[i]
-		}
-	}
-	return nil
-}
-
-func callProfile(c SiteCall, failed bool) CallProfile {
-	return CallProfile{
-		Site:      c.Site,
-		Attempt:   c.Attempt,
-		Failed:    failed,
-		Start:     c.Start,
-		Elapsed:   c.Elapsed,
-		BytesDown: c.BytesDown,
-		BytesUp:   c.BytesUp,
-		RowsDown:  c.RowsDown,
-		RowsUp:    c.RowsUp,
-		Compute:   c.Compute,
-		Breakdown: c.Breakdown,
-	}
-}
-
-// Profile returns the stitched profile. Call after the span ends; the result
-// is a snapshot the caller owns (rounds/calls are copied).
-func (b *ProfileBuilder) Profile() *QueryProfile {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	p := b.p
-	p.Rounds = make([]RoundProfile, len(b.p.Rounds))
-	for i := range b.p.Rounds {
-		p.Rounds[i] = b.p.Rounds[i]
-		p.Rounds[i].Calls = append([]CallProfile(nil), b.p.Rounds[i].Calls...)
-	}
-	return &p
 }

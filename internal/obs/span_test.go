@@ -8,53 +8,54 @@ import (
 	"time"
 )
 
-type collectObserver struct {
-	mu     sync.Mutex
-	events []Event
-}
-
-func (c *collectObserver) ObserveSpan(e Event) {
-	c.mu.Lock()
-	c.events = append(c.events, e)
-	c.mu.Unlock()
-}
-
-func TestSpanEventOrder(t *testing.T) {
-	var obsr collectObserver
-	span := StartQuery("qtest", &obsr)
+// TestSpanBuildsProfile: the span writes rounds and calls into its own
+// profile in the order they happen, keeps failed attempts as Failed calls,
+// and counts only successful calls in the round totals.
+func TestSpanBuildsProfile(t *testing.T) {
+	span := StartQuery("qtest", nil)
 	rs := span.StartRound("base", 0)
-	rs.Call(SiteCall{Site: 0, BytesUp: 10, RowsUp: 2})
-	rs.Call(SiteCall{Site: 1, BytesUp: 20, RowsUp: 4})
+	rs.Fail(1, 1, SiteCall{BytesDown: 99}, errors.New("boom"), true)
+	rs.Call(SiteCall{Site: 0, BytesUp: 10, RowsUp: 2, Attempt: 1})
+	rs.Call(SiteCall{Site: 1, BytesUp: 20, RowsUp: 4, Attempt: 2})
 	rs.ObserveMerge(time.Millisecond)
 	rs.End(time.Millisecond)
-	span.End(nil)
+	rs = span.StartRound("MD1", 6)
+	rs.Fail(2, 1, SiteCall{}, errors.New("gone"), false)
+	rs.End(0)
+	p := span.End(errors.New("gone"))
 
-	kinds := make([]EventKind, len(obsr.events))
-	for i, e := range obsr.events {
-		kinds[i] = e.Kind
-		if e.QueryID != "qtest" {
-			t.Errorf("event %d query ID = %q", i, e.QueryID)
-		}
+	if p.QueryID != "qtest" || p.Start.IsZero() || p.Elapsed <= 0 || p.Err != "gone" {
+		t.Errorf("profile envelope: %+v", p)
 	}
-	want := []EventKind{EventQueryStart, EventRoundStart, EventSiteCall, EventSiteCall, EventRoundEnd, EventQueryEnd}
-	if len(kinds) != len(want) {
-		t.Fatalf("got %d events, want %d", len(kinds), len(want))
+	if len(p.Rounds) != 2 || p.Rounds[0].Name != "base" || p.Rounds[1].Name != "MD1" || p.Rounds[1].XRows != 6 {
+		t.Fatalf("rounds: %+v", p.Rounds)
+	}
+	base := p.Rounds[0]
+	want := []CallProfile{
+		{SiteCall: SiteCall{Site: 1, Attempt: 1, BytesDown: 99}, Failed: true, Err: "boom"},
+		{SiteCall: SiteCall{Site: 0, BytesUp: 10, RowsUp: 2, Attempt: 1}},
+		{SiteCall: SiteCall{Site: 1, BytesUp: 20, RowsUp: 4, Attempt: 2}},
+	}
+	if len(base.Calls) != len(want) {
+		t.Fatalf("base calls: %+v", base.Calls)
 	}
 	for i := range want {
-		if kinds[i] != want[i] {
-			t.Errorf("event %d kind = %d, want %d", i, kinds[i], want[i])
+		if base.Calls[i] != want[i] {
+			t.Errorf("base call %d = %+v, want %+v", i, base.Calls[i], want[i])
 		}
 	}
-	end := obsr.events[4]
-	if end.BytesUp != 30 || len(end.Calls) != 2 {
-		t.Errorf("round end aggregates: bytesUp=%d calls=%d", end.BytesUp, len(end.Calls))
+	if base.BytesDown != 0 || base.BytesUp != 30 || base.RowsUp != 6 || base.CoordTime != time.Millisecond {
+		t.Errorf("base totals: down %d up %d rows up %d coord %s", base.BytesDown, base.BytesUp, base.RowsUp, base.CoordTime)
+	}
+	if md1 := p.Rounds[1]; len(md1.Calls) != 1 || !md1.Calls[0].Failed || md1.Calls[0].Site != 2 {
+		t.Errorf("final failed attempt not kept: %+v", md1.Calls)
 	}
 }
 
 func TestSpanMetrics(t *testing.T) {
 	id := NewQueryID()
 	before := CoordActiveQueries.Value()
-	span := StartQuery(id)
+	span := StartQuery(id, nil)
 	if CoordActiveQueries.Value() != before+1 {
 		t.Error("active gauge did not rise")
 	}
@@ -76,26 +77,29 @@ func TestSpanMetrics(t *testing.T) {
 	}
 }
 
-func TestLineObserverFormat(t *testing.T) {
+func TestTraceWriterFormat(t *testing.T) {
 	var b strings.Builder
-	lo := NewLineObserver(&b)
-	span := StartQuery("qfmt", lo)
+	span := StartQuery("qfmt", NewTraceWriter(&b))
 	rs := span.StartRound("MD1", 7)
+	rs.Fail(2, 1, SiteCall{}, errors.New("reset"), true)
 	rs.Call(SiteCall{Site: 2, BytesDown: 100, RowsDown: 7, BytesUp: 50, RowsUp: 3, Compute: 120 * time.Microsecond})
+	rs.Fail(3, 2, SiteCall{}, errors.New("reset"), false)
 	rs.End(time.Millisecond)
 	span.End(nil)
 	got := b.String()
 	want := "round MD1: start (X holds 7 rows)\n" +
+		"round MD1: site 2 attempt 1 failed (reset), retrying\n" +
 		"round MD1: site 2  down 100B/7 rows  up 50B/3 rows  compute 120µs\n" +
+		"round MD1: site 3 attempt 2 failed (reset)\n" +
 		"round MD1: done  100B down, 50B up, coordinator 1ms\n"
 	if got != want {
 		t.Errorf("line output:\n%q\nwant:\n%q", got, want)
 	}
 }
 
-// TestLineObserverConcurrent verifies the lock granularity fix: events from
-// interleaved spans sharing one writer never split a line.
-func TestLineObserverConcurrent(t *testing.T) {
+// TestTraceWriterConcurrent verifies the lock granularity: lines from
+// interleaved spans sharing one trace writer never split.
+func TestTraceWriterConcurrent(t *testing.T) {
 	var mu sync.Mutex
 	var b strings.Builder
 	w := writerFunc(func(p []byte) (int, error) {
@@ -103,13 +107,13 @@ func TestLineObserverConcurrent(t *testing.T) {
 		defer mu.Unlock()
 		return b.Write(p)
 	})
-	lo := NewLineObserver(w)
+	tw := NewTraceWriter(w)
 	var wg sync.WaitGroup
 	for q := 0; q < 4; q++ {
 		wg.Add(1)
 		go func(q int) {
 			defer wg.Done()
-			span := StartQuery(NewQueryID(), lo)
+			span := StartQuery(NewQueryID(), tw)
 			for i := 0; i < 50; i++ {
 				rs := span.StartRound("R", i)
 				rs.Call(SiteCall{Site: q, BytesDown: 1, BytesUp: 1})

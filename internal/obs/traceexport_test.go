@@ -21,19 +21,19 @@ func exportProfile(start time.Time) *QueryProfile {
 				Name: "base", Start: start, Elapsed: 2 * time.Millisecond,
 				BytesDown: 100, BytesUp: 300,
 				Calls: []CallProfile{
-					{Site: 0, Attempt: 1, Start: start, Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150},
-					{Site: 1, Attempt: 1, Failed: true, Err: "injected", Start: start, Elapsed: time.Microsecond},
-					{Site: 1, Attempt: 2, Start: start.Add(time.Millisecond), Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150},
+					{SiteCall: SiteCall{Site: 0, Attempt: 1, Start: start, Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150}},
+					{SiteCall: SiteCall{Site: 1, Attempt: 1, Start: start, Elapsed: time.Microsecond}, Failed: true, Err: "injected"},
+					{SiteCall: SiteCall{Site: 1, Attempt: 2, Start: start.Add(time.Millisecond), Elapsed: time.Millisecond, BytesDown: 50, BytesUp: 150}},
 				},
 			},
 			{
 				Name: "MD1", Start: start.Add(2 * time.Millisecond), Elapsed: 3 * time.Millisecond,
 				XRows: 10, BytesDown: 400, BytesUp: 200, CoordTime: time.Millisecond,
 				Calls: []CallProfile{
-					{Site: 0, Attempt: 1, Start: start.Add(2 * time.Millisecond), Elapsed: 2 * time.Millisecond,
+					{SiteCall: SiteCall{Site: 0, Attempt: 1, Start: start.Add(2 * time.Millisecond), Elapsed: 2 * time.Millisecond,
 						BytesDown: 400, BytesUp: 200, Compute: time.Millisecond,
 						Breakdown: &SiteBreakdown{EvalNS: 1e6, RowsScanned: 1000,
-							SegDiskReads: 3, CodecBytes: 200, Blocks: 2}},
+							SegDiskReads: 3, CodecBytes: 200, Blocks: 2}}},
 				},
 			},
 		},

@@ -36,26 +36,8 @@ func (m NetModel) Cost(bytes int) time.Duration {
 	return d
 }
 
-// Call records the measured cost of one coordinator→site→coordinator
-// exchange: request and response sizes (bytes and rows) and the site-side
-// computation time.
-type Call struct {
-	Site      int
-	BytesDown int // request payload, coordinator → site
-	BytesUp   int // response payload, site → coordinator
-	RowsDown  int // base-structure rows shipped to the site
-	RowsUp    int // sub-aggregate rows returned
-	Compute   time.Duration
-	// Start and Elapsed are the coordinator-observed wall-clock envelope of
-	// the exchange, stamped by the transport; Attempt is the 1-based retry
-	// attempt number from the call context.
-	Start   time.Time
-	Elapsed time.Duration
-	Attempt int
-	// Profile is the site-side cost breakdown returned in the response's
-	// trailing Profile field (nil from pre-profiler peers).
-	Profile *obs.SiteBreakdown
-}
+// Call is the measured cost of one coordinator→site→coordinator exchange.
+type Call = obs.SiteCall
 
 // RoundStat aggregates one evaluation round (one local-processing-then-
 // synchronization step, Sect. 3.2).
@@ -134,6 +116,24 @@ type Metrics struct {
 
 // NewMetrics creates an empty metrics record under a network model.
 func NewMetrics(net NetModel) *Metrics { return &Metrics{Net: net} }
+
+// MetricsOf is the metrics view of a finished query profile: one round per
+// profiled round, holding that round's successful calls (failed attempts are
+// retried or fail the query, so their traffic is not the plan's).
+func MetricsOf(net NetModel, p *obs.QueryProfile) *Metrics {
+	m := NewMetrics(net)
+	for i := range p.Rounds {
+		pr := &p.Rounds[i]
+		r := RoundStat{Name: pr.Name, CoordTime: pr.CoordTime}
+		for _, c := range pr.Calls {
+			if !c.Failed {
+				r.Calls = append(r.Calls, c.SiteCall)
+			}
+		}
+		m.AddRound(r)
+	}
+	return m
+}
 
 // AddRound appends a completed round.
 func (m *Metrics) AddRound(r RoundStat) { m.Rounds = append(m.Rounds, r) }

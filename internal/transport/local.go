@@ -164,7 +164,7 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	if err := l.upDec.Decode(&term); err != nil {
 		return call, err
 	}
-	call.Profile = term.Profile
+	call.Breakdown = term.Profile
 	call.Elapsed = time.Since(wallStart)
 	recordCall(call, KindOperator, wireReq.QueryID)
 	return call, nil
@@ -251,7 +251,7 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	call.Elapsed = call.Compute
 	rec.SetEval(call.Compute)
 	b := rec.Snapshot()
-	call.Profile = &b
+	call.Breakdown = &b
 	return call, err
 }
 

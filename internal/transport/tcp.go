@@ -480,7 +480,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 			call.BytesDown = int(c.conn.written - w0)
 			call.BytesUp = int(c.conn.read - r0)
 			call.Elapsed = time.Since(start)
-			call.Profile = resp.Profile
+			call.Breakdown = resp.Profile
 			recordCall(call, KindOperator, wireReq.QueryID)
 			if resp.Err != "" {
 				return call, errors.New(resp.Err)

@@ -157,7 +157,7 @@ func callFromSizes(site int, req *Request, resp *Response, down, up int) stats.C
 		RowsDown:  reqRows(req),
 		RowsUp:    respRows(resp),
 		Compute:   time.Duration(resp.ComputeNS),
-		Profile:   resp.Profile,
+		Breakdown: resp.Profile,
 	}
 }
 

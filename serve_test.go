@@ -227,8 +227,8 @@ func untimedBytes(m *Metrics) int {
 	for _, r := range m.Rounds {
 		for _, c := range r.Calls {
 			n -= gobIntLen(c.Compute.Nanoseconds())
-			if c.Profile != nil {
-				n -= gobIntLen(c.Profile.EvalNS)
+			if c.Breakdown != nil {
+				n -= gobIntLen(c.Breakdown.EvalNS)
 			}
 		}
 	}

@@ -288,9 +288,7 @@ func (cfg *clusterConfig) configure(coord *core.Coordinator) {
 	coord.SetRowBlocking(cfg.blockRows)
 	coord.SetRetryPolicy(cfg.retry)
 	coord.SetSlowQueryThreshold(cfg.slowQuery)
-	if cfg.traceTo != nil {
-		coord.SetObserver(obs.NewLineObserver(cfg.traceTo))
-	}
+	coord.SetTrace(cfg.traceTo)
 	if cfg.planCache > 0 {
 		coord.SetPlanCache(cfg.planCache)
 	}
