@@ -203,7 +203,8 @@ func BenchmarkFig5ConstantGroups(b *testing.B) {
 // gob encoding on an H_i-shaped relation (grouping key plus COUNT/AVG physical
 // columns, the dominant payload of every synchronization round). The codec
 // must come in well under gob — the acceptance bar is at least 30% fewer
-// bytes — and bytes/op for both is reported so the margin is visible.
+// bytes — and bytes/op for both is reported so the margin is visible. decode
+// is the receiving side of one frame: Unmarshal, as a site decodes X.
 func BenchmarkWireCodec(b *testing.B) {
 	// gobShadow has the same shape as relation.Relation but no GobEncode hook,
 	// so encoding it measures what gob alone would ship.
@@ -241,6 +242,20 @@ func BenchmarkWireCodec(b *testing.B) {
 			size = len(data)
 		}
 		b.ReportMetric(float64(size), "payload-bytes/op")
+	})
+	b.Run("decode", func(b *testing.B) {
+		data, err := relation.Marshal(h)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := relation.Unmarshal(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h.Len()), "ns/row")
 	})
 	b.Run("gob", func(b *testing.B) {
 		var size int

@@ -380,13 +380,13 @@ func (l *Layout) CheckPhys(phys relation.Tuple) error {
 	return nil
 }
 
-// ComputeDerived returns the derived column values for a physical slice.
-func (l *Layout) ComputeDerived(phys relation.Tuple) relation.Tuple {
-	out := make(relation.Tuple, len(l.Derived))
-	for i, d := range l.Derived {
-		out[i] = d.compute(phys)
+// AppendDerived appends the derived column values for a physical slice to
+// dst, which may share phys's backing array past phys's end.
+func (l *Layout) AppendDerived(dst, phys relation.Tuple) relation.Tuple {
+	for _, d := range l.Derived {
+		dst = append(dst, d.compute(phys))
 	}
-	return out
+	return dst
 }
 
 func (d Derived) compute(phys relation.Tuple) relation.Value {

@@ -245,11 +245,11 @@ func TestMergeIdentityIsNeutral(t *testing.T) {
 func TestComputeDerived(t *testing.T) {
 	l, _ := NewLayout([]Spec{{Func: Avg, Arg: "price", As: "ap"}}, detail)
 	phys := relation.Tuple{relation.NewFloat(30), relation.NewInt(4)}
-	d := l.ComputeDerived(phys)
+	d := l.AppendDerived(nil, phys)
 	if len(d) != 1 || d[0].Float != 7.5 {
 		t.Errorf("derived = %v", d)
 	}
-	empty := l.ComputeDerived(l.Identity())
+	empty := l.AppendDerived(nil, l.Identity())
 	if !empty[0].IsNull() {
 		t.Errorf("derived of empty = %v, want NULL", empty[0])
 	}
@@ -324,7 +324,7 @@ func TestVarianceAndStdDev(t *testing.T) {
 		t.Errorf("stddev = %v, want √2", final[1])
 	}
 	// Derived columns agree with Finalize.
-	der := l.ComputeDerived(acc)
+	der := l.AppendDerived(nil, acc)
 	if !der[0].Equal(final[0]) || !der[1].Equal(final[1]) {
 		t.Errorf("derived %v vs final %v", der, final)
 	}

@@ -293,8 +293,8 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 }
 
 // baseRound is round 0 of the unreduced algorithm: every site computes its
-// base-values fragment B_i; the coordinator unions and de-duplicates them
-// into X_0.
+// base-values fragment B_i; the coordinator de-duplicates their union into
+// X_0.
 func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan) error {
 	rs := span.StartRound("base", 0)
 	ctx = obs.WithRound(ctx, "base")
@@ -303,15 +303,11 @@ func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, 
 	})
 	coordStart := time.Now()
 	if err == nil {
-		union := relation.New(pl.XSchemas[0])
-		for _, r := range results {
-			if err = union.Union(r.rel); err != nil {
-				break
-			}
+		parts := make([]*relation.Relation, len(results))
+		for i, r := range results {
+			parts[i] = r.rel
 		}
-		if err == nil {
-			err = mg.InitBase(union)
-		}
+		err = mg.InitBase(parts...)
 	}
 	coordTime := time.Since(coordStart)
 	rs.ObserveMerge(coordTime)

@@ -31,6 +31,16 @@ var tSchema = relation.MustSchema(
 // of width per, loads them into n engine sites, and returns the transports
 // plus the matching distribution catalog.
 func buildClusterImpl(global *relation.Relation, name string, n int, per int64, fast bool) ([]transport.Site, *distrib.Catalog, error) {
+	return buildClusterWith(global, name, n, per, func(es *engine.Site) (transport.Site, error) {
+		if fast {
+			return transport.NewFastLocalSite(es), nil
+		}
+		return transport.NewLocalSite(es), nil
+	})
+}
+
+// buildClusterWith is buildClusterImpl with the transport left to connect.
+func buildClusterWith(global *relation.Relation, name string, n int, per int64, connect func(*engine.Site) (transport.Site, error)) ([]transport.Site, *distrib.Catalog, error) {
 	gi := global.Schema.MustIndex("g")
 	sites := make([]transport.Site, n)
 	filters := make([]distrib.SiteFilter, n)
@@ -47,10 +57,9 @@ func buildClusterImpl(global *relation.Relation, name string, n int, per int64, 
 		if err := es.Load(context.Background(), name, part); err != nil {
 			return nil, nil, err
 		}
-		if fast {
-			sites[i] = transport.NewFastLocalSite(es)
-		} else {
-			sites[i] = transport.NewLocalSite(es)
+		var err error
+		if sites[i], err = connect(es); err != nil {
+			return nil, nil, err
 		}
 	}
 	cat := distrib.NewCatalog(&distrib.Distribution{

@@ -181,9 +181,14 @@ func TestRoundShipsKeysAndReferencedColumns(t *testing.T) {
 						t.Errorf("%s site %d: got its own fragment or frame, want the round's one", round, c.site)
 					}
 				}
-				plain := &relation.Relation{Schema: calls[0].base.Schema, Tuples: calls[0].base.Tuples}
+				// The fragment ships as vectors; its frame is the bytes its
+				// rows encode to.
+				if calls[0].base.Columns() == nil {
+					t.Errorf("%s: the fragment was not gathered into vectors", round)
+				}
+				plain := calls[0].base.RowBody()
 				if fresh, err := relation.Marshal(plain); err != nil || string(fresh) != string(first) {
-					t.Errorf("%s: the shared frame is not Marshal's frame of the fragment (%v)", round, err)
+					t.Errorf("%s: the shared frame is not Marshal's frame of the fragment's rows (%v)", round, err)
 				}
 			}
 		})
@@ -320,6 +325,121 @@ func TestOffKindCellsMergeAsCentral(t *testing.T) {
 		}
 		if !res.Rel.EqualMultisetApprox(want, 1e-9) {
 			t.Fatalf("sel [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", sel, res.Rel.Format(20), want.Format(20))
+		}
+	}
+}
+
+// bodyLog counts the X fragments the sites of one cluster received, by body
+// and by whether a shipped column held an off-kind cell.
+type bodyLog struct {
+	mu                                                  sync.Mutex
+	columnar, rowsOffKind, columnarOffKind, rowsUniform int
+}
+
+// bodyLoggingSite is a site engine that notes every fragment it is sent.
+type bodyLoggingSite struct {
+	*engine.Site
+	log *bodyLog
+}
+
+func (b bodyLoggingSite) EvalOperatorBlocks(ctx context.Context, req engine.OperatorRequest, emit func(*relation.Relation) error) error {
+	offKind := false
+	for _, row := range req.Base.Rows() {
+		for j, v := range row {
+			offKind = offKind || !v.IsNull() && v.Kind != req.Base.Schema[j].Kind
+		}
+	}
+	columnar := req.Base.Columns() != nil
+	b.log.mu.Lock()
+	switch {
+	case offKind && columnar:
+		b.log.columnarOffKind++
+	case offKind:
+		b.log.rowsOffKind++
+	case columnar:
+		b.log.columnar++
+	default:
+		b.log.rowsUniform++
+	}
+	b.log.mu.Unlock()
+	return b.Site.EvalOperatorBlocks(ctx, req, emit)
+}
+
+// TestOffKindAndNullKeysAcrossTransports runs TestOffKindCellsMergeAsCentral's
+// data, with NULL keys in X besides, under every plan over each transport: by
+// reference in process (FastLocalSite), serialized in process (LocalSite) and
+// over TCP. Every result equals EvalCentral and prints identically on all
+// three. MD2 ships min1, an INT column the off-kind cells turn FLOAT in some
+// rows: such a fragment reaches its site with the row body, every other one as
+// vectors.
+func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
+	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
+	vi, hi := tSchema.MustIndex("v"), tSchema.MustIndex("h")
+	for i := 0; i < global.Len(); i += 17 {
+		global.Tuples[i][vi] = relation.NewFloat(float64(i) + 0.5)
+	}
+	for i := 5; i < global.Len(); i += 13 {
+		global.Tuples[i][hi] = relation.Null
+	}
+	q := nonAlignedQuery()
+	q.Ops[1].Vars[0].Cond = expr.MustParse("B.h = R.h && R.v >= B.min1")
+	want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	connect := map[string]func(*engine.Site, *bodyLog) (transport.Site, error){
+		"fast": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
+			return transport.NewFastLocalSite(bodyLoggingSite{es, log}), nil
+		},
+		"local": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
+			return transport.NewLocalSite(bodyLoggingSite{es, log}), nil
+		},
+		"tcp": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
+			srv, err := transport.Serve(bodyLoggingSite{es, log}, "127.0.0.1:0")
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { srv.Close() })
+			cli, err := transport.Dial(srv.Addr())
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { cli.Close() })
+			return cli, nil
+		},
+	}
+	printed := map[string]string{} // per selection, the first transport's result
+	for _, name := range []string{"fast", "local", "tcp"} {
+		log := &bodyLog{}
+		sites, cat, err := buildClusterWith(global, "T", 3, 4, func(es *engine.Site) (transport.Site, error) {
+			return connect[name](es, log)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := New(sites, cat, stats.NetModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, sel := range switchCombos() {
+			res, err := coord.ExecuteWith(context.Background(), q, sel)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", name, sel, err)
+			}
+			if !res.Rel.EqualMultisetApprox(want, 1e-9) {
+				t.Fatalf("%s [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", name, sel, res.Rel.Format(20), want.Format(20))
+			}
+			got := res.Rel.Format(-1)
+			if first, ok := printed[sel.String()]; ok && got != first {
+				t.Errorf("%s [%s]: result prints differently from the first transport's", name, sel)
+			}
+			printed[sel.String()] = got
+		}
+		if log.rowsOffKind == 0 || log.columnar == 0 {
+			t.Errorf("%s: %d off-kind and %d columnar fragments: the data no longer exercises both bodies", name, log.rowsOffKind, log.columnar)
+		}
+		if log.columnarOffKind != 0 || log.rowsUniform != 0 {
+			t.Errorf("%s: %d off-kind fragments arrived as vectors, %d uniform ones as rows", name, log.columnarOffKind, log.rowsUniform)
 		}
 	}
 }

@@ -88,24 +88,45 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 func (m *merger) finalWidth() int { return len(m.xschemas[len(m.xschemas)-1]) }
 
 // InitBase installs the synchronized base-values relation: the multiset
-// union of the sites' B_i fragments, de-duplicated on the key attributes. The
-// rows are copied into one slab at the plan's final width.
-func (m *merger) InitBase(b *relation.Relation) error {
-	if !b.Schema.Equal(m.xschemas[0]) {
-		return fmt.Errorf("core: base schema %s, want %s", b.Schema, m.xschemas[0])
-	}
-	if err := b.DedupBy(m.keys); err != nil {
+// union of the sites' B_i fragments, de-duplicated on the key attributes —
+// the first occurrence of a key, in site then row order, is kept. The kept
+// rows are boxed straight from each fragment, whatever its body, into one
+// slab at the plan's final width.
+func (m *merger) InitBase(parts ...*relation.Relation) error {
+	schema := m.xschemas[0]
+	keyIdx, err := schema.Indexes(m.keys)
+	if err != nil {
 		return err
 	}
-	if err := m.budget.charge(b.MemBytes()); err != nil {
-		return err
+	total := 0
+	for _, b := range parts {
+		if !b.Schema.Equal(schema) {
+			return fmt.Errorf("core: base schema %s, want %s", b.Schema, schema)
+		}
+		total += b.Len()
+	}
+	type rowAt struct{ part, row int32 }
+	var kept []rowAt
+	seen := relation.NewKeySet(total)
+	var scratch relation.Tuple
+	for p, b := range parts {
+		for i := 0; i < b.Len(); i++ {
+			scratch = b.AppendRow(scratch[:0], i)
+			if _, fresh := seen.Add(scratch, keyIdx); fresh {
+				kept = append(kept, rowAt{int32(p), int32(i)})
+			}
+		}
 	}
 	w := m.finalWidth()
-	slab := make([]relation.Value, len(b.Tuples)*w)
-	for i, row := range b.Tuples {
-		b.Tuples[i] = append(slab[i*w:i*w:(i+1)*w], row...)
+	slab := make([]relation.Value, len(kept)*w)
+	x := &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, len(kept))}
+	for n, at := range kept {
+		x.Tuples[n] = parts[at.part].AppendRow(slab[n*w:n*w:(n+1)*w], int(at.row))
 	}
-	m.x, m.index, m.extended = b, nil, 0
+	if err := m.budget.charge(x.MemBytes()); err != nil {
+		return err
+	}
+	m.x, m.index, m.extended = x, nil, 0
 	return nil
 }
 
@@ -159,18 +180,26 @@ func (m *merger) Extend() error {
 
 // Fragment builds what an operator round ships: the cols cells of X's rows —
 // of the rows listed, in that order, or of every row when rows is nil —
-// copied into one slab. A row's position in the fragment is the ordinal the
-// sites address it by; NewStage takes the same rows to map it back. The
-// fragment is marked finished (relation.ShareFrame), so however many
-// envelopes carry it — one per site, one per retry — it is encoded once.
+// gathered into typed vectors, or copied into one Value slab when some cell
+// only a row body carries (relation.GatherColumns). A row's position in the
+// fragment is the ordinal the sites address it by; NewStage takes the same
+// rows to map it back. The fragment is marked finished (relation.ShareFrame),
+// so however many envelopes carry it — one per site, one per retry — it is
+// encoded once, and the in-process sites that read it directly only read.
 func (m *merger) Fragment(cols []int, rows []int32) *relation.Relation {
+	schema := m.x.Schema.Project(cols)
+	if c := relation.GatherColumns(m.x.Schema, m.x.Tuples, rows, cols); c != nil {
+		f := relation.FromColumns(schema, c)
+		f.ShareFrame()
+		return f
+	}
 	n := len(m.x.Tuples)
 	if rows != nil {
 		n = len(rows)
 	}
 	w := len(cols)
 	slab := make([]relation.Value, n*w)
-	f := &relation.Relation{Schema: m.x.Schema.Project(cols), Tuples: make([]relation.Tuple, n)}
+	f := &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, n)}
 	for i := range f.Tuples {
 		xrow := m.x.Tuples[i]
 		if rows != nil {
@@ -191,7 +220,7 @@ func (m *merger) identityFor(k int) relation.Tuple {
 	var ident relation.Tuple
 	for _, seg := range m.segs[k] {
 		ident = append(ident, seg.layout.Identity()...)
-		ident = append(ident, seg.layout.ComputeDerived(seg.layout.Identity())...)
+		ident = seg.layout.AppendDerived(ident, seg.layout.Identity())
 	}
 	return ident
 }
@@ -295,6 +324,9 @@ func (m *merger) NewStage(k, fragRows int, rows []int32) *hStage {
 // the query's memory budget; an over-budget charge fails the stage (and with
 // it the query — budget errors are permanent, not retried).
 func (st *hStage) Add(h *relation.Relation) error {
+	// An in-process transport hands over the block a kernel emitted as it
+	// is, vectors and all; the stage validates and merges rows.
+	h = h.RowBody()
 	if err := validateH(h, st.schema, st.segs); err != nil {
 		return err
 	}
@@ -364,9 +396,10 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 }
 
 // MergeLocal synchronizes one site's locally evaluated X fragment (schema =
-// current X schema): new keys are appended, existing keys have every
-// operator segment's physical columns merged. Used by the synchronization-
-// reduced plans (Prop. 2 / Cor. 1).
+// current X schema), of either body: new keys are boxed into new X rows at
+// the final width, existing keys have every operator segment's physical
+// columns merged. Used by the synchronization-reduced plans (Prop. 2 /
+// Cor. 1).
 func (m *merger) MergeLocal(xl *relation.Relation) error {
 	if !xl.Schema.Equal(m.x.Schema) {
 		return fmt.Errorf("core: local X schema %s, want %s", xl.Schema, m.x.Schema)
@@ -379,7 +412,9 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 	if m.index == nil {
 		return fmt.Errorf("core: sync: local merge into an X that InitLocal did not prepare")
 	}
-	for _, lrow := range xl.Tuples {
+	var lrow relation.Tuple
+	for i := 0; i < xl.Len(); i++ {
+		lrow = xl.AppendRow(lrow[:0], i)
 		rows := m.index.Lookup(lrow, m.keyIdx)
 		switch len(rows) {
 		case 0:
@@ -415,8 +450,7 @@ func (m *merger) RecomputeDerived(upTo int) {
 		for k := 0; k < upTo; k++ {
 			for _, seg := range m.segs[k] {
 				n := len(seg.layout.Phys)
-				der := seg.layout.ComputeDerived(row[seg.physStart : seg.physStart+n])
-				copy(row[seg.derStart:seg.derStart+len(der)], der)
+				seg.layout.AppendDerived(row[seg.derStart:seg.derStart], row[seg.physStart:seg.physStart+n])
 			}
 		}
 	}

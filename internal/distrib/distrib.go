@@ -265,7 +265,7 @@ func (d *Distribution) CheckData(site int, rel *relation.Relation) error {
 		if idx < 0 {
 			return fmt.Errorf("distrib: relation lacks attribute %q", a.Attr)
 		}
-		for rn, t := range rel.Tuples {
+		for rn, t := range rel.Rows() {
 			if !f.Contains(t[idx]) {
 				return fmt.Errorf("distrib: site %d row %d: %s = %s violates φ = %s",
 					site, rn, a.Attr, t[idx], f)

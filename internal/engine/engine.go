@@ -291,8 +291,8 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 
 	// Stream the accumulated evaluation as H_i blocks: guard filtering and row
 	// blocking per the request. The rows to emit are counted first, so every
-	// block is sized exactly and its rows are carved from one Value slab —
-	// only the rows the guard lets through are ever boxed.
+	// block is sized exactly, and only the rows the guard lets through are
+	// ever imaged.
 	physSchema, err := acc.PhysSchema()
 	if err != nil {
 		return err
@@ -301,7 +301,8 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if err != nil {
 		return err
 	}
-	remaining := len(req.Base.Tuples)
+	n := req.Base.Len()
+	remaining := n
 	if req.Guard {
 		remaining = 0
 		for _, t := range acc.Touched {
@@ -324,35 +325,48 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if remaining == 0 {
 		return flush(relation.New(hSchema))
 	}
-	w := len(hSchema)
-	var block *relation.Relation
-	var slab []relation.Value
-	for i := range req.Base.Tuples {
+	blockRows := remaining
+	if req.BlockRows > 0 && blockRows > req.BlockRows {
+		blockRows = req.BlockRows
+	}
+	sel := make([]int32, 0, blockRows)
+	for i := 0; i < n && remaining > 0; i++ {
 		if req.Guard && !acc.Touched[i] {
 			continue
 		}
-		if block == nil {
-			rows := remaining
-			if req.BlockRows > 0 && rows > req.BlockRows {
-				rows = req.BlockRows
-			}
-			block = &relation.Relation{Schema: hSchema, Tuples: make([]relation.Tuple, 0, rows)}
-			slab = make([]relation.Value, rows*w)
-		}
-		off := len(block.Tuples) * w
-		row := slab[off : off+1 : off+w]
-		row[0] = relation.NewInt(int64(i))
-		block.Tuples = append(block.Tuples, acc.AppendPhysRow(row, i))
+		sel = append(sel, int32(i))
 		remaining--
-		if len(block.Tuples) < cap(block.Tuples) {
+		if len(sel) < blockRows && remaining > 0 {
 			continue
 		}
-		if err := flush(block); err != nil {
+		if err := flush(hBlock(hSchema, acc, sel)); err != nil {
 			return err
 		}
-		block = nil
+		sel = sel[:0]
 	}
 	return nil
+}
+
+// hBlock builds the H_i block of the base rows in sel, each under its ordinal:
+// typed vectors gathered from a compiled kernel's slabs, or rows boxed from
+// the scalar paths' accumulators into one Value slab.
+func hBlock(schema relation.Schema, acc *gmdj.OperatorAccum, sel []int32) *relation.Relation {
+	if vecs, ok := acc.AppendPhysVectors(make([]relation.Vector, 1, len(schema)), sel); ok {
+		vecs[0] = relation.Vector{Kind: relation.KindInt, Ints: make([]int64, len(sel))}
+		for k, i := range sel {
+			vecs[0].Ints[k] = int64(i)
+		}
+		return relation.FromColumns(schema, &relation.Columns{Rows: len(sel), Vecs: vecs})
+	}
+	w := len(schema)
+	slab := make([]relation.Value, len(sel)*w)
+	block := &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, len(sel))}
+	for k, i := range sel {
+		row := slab[k*w : k*w+1 : (k+1)*w]
+		row[0] = relation.NewInt(int64(i))
+		block.Tuples[k] = acc.AppendPhysRow(row, int(i))
+	}
+	return block
 }
 
 // LocalRequest asks a site to evaluate the base query and the first UpTo

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"context"
 	"strings"
 	"testing"
@@ -121,7 +122,7 @@ func TestEvalOperatorSubAggregates(t *testing.T) {
 		t.Fatalf("H schema = %s", got)
 	}
 	byKey := map[int64][2]int64{}
-	for _, row := range h.Tuples {
+	for _, row := range h.Rows() {
 		var sum int64
 		if !row[2].IsNull() {
 			sum = row[2].Int
@@ -133,7 +134,7 @@ func TestEvalOperatorSubAggregates(t *testing.T) {
 		t.Errorf("sub-aggregates = %v", byKey)
 	}
 	// SUM over an empty range must be NULL.
-	for _, row := range h.Tuples {
+	for _, row := range h.Rows() {
 		if row[0].Int == 2 && !row[2].IsNull() {
 			t.Errorf("empty-range sum = %v, want NULL", row[2])
 		}
@@ -170,12 +171,13 @@ func TestEvalOperatorGuardUsesOrOfAllVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if h.Len() != 1 || h.Tuples[0][0].Int != 0 {
+	rows := h.Rows()
+	if len(rows) != 1 || rows[0][0].Int != 0 {
 		t.Fatalf("guard OR semantics: %s", h)
 	}
 	// c1 = 0 but c2 = 1 for base value 1 (DAS = 1 matches).
-	if h.Tuples[0][1].Int != 0 || h.Tuples[0][2].Int != 1 {
-		t.Errorf("row = %v", h.Tuples[0])
+	if rows[0][1].Int != 0 || rows[0][2].Int != 1 {
+		t.Errorf("row = %v", rows[0])
 	}
 }
 
@@ -263,5 +265,51 @@ func TestSetUseHashEquivalence(t *testing.T) {
 	}
 	if !h1.EqualMultiset(h2) {
 		t.Errorf("hash vs nested-loop engine mismatch:\n%s\nvs\n%s", h1, h2)
+	}
+}
+
+// TestHBlocksGatheredFromSlabs: a compiled kernel's H blocks leave the site as
+// vectors gathered from its slabs, the scalar path's as rows, and both encode
+// to the same frames, block for block — whether X arrived as rows or decoded
+// to vectors, guarded or not.
+func TestHBlocksGatheredFromSlabs(t *testing.T) {
+	s := siteWithFlows(t, [3]int64{1, 1, 5}, [3]int64{1, 2, 7}, [3]int64{2, 1, 11}, [3]int64{4, 1, 2}, [3]int64{4, 3, 6})
+	frame, err := relation.Marshal(baseFragment(1, 2, 3, 4, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := relation.Unmarshal(frame)
+	if err != nil || decoded.Columns() == nil {
+		t.Fatalf("X did not decode to vectors (%v)", err)
+	}
+	blocks := func(useHash bool, req OperatorRequest) [][]byte {
+		s.SetUseHash(useHash)
+		var out [][]byte
+		err := s.EvalOperatorBlocks(context.Background(), req, func(b *relation.Relation) error {
+			if columnar := b.Columns() != nil; columnar != useHash {
+				t.Errorf("useHash=%v: a block with columnar body %v", useHash, columnar)
+			}
+			f, err := relation.Marshal(b)
+			out = append(out, f)
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, base := range []*relation.Relation{baseFragment(1, 2, 3, 4, 5), decoded} {
+		for _, guard := range []bool{false, true} {
+			req := OperatorRequest{Base: base, Op: countOp("B.SAS = R.SAS"), Guard: guard, BlockRows: 2}
+			kernel, scalar := blocks(true, req), blocks(false, req)
+			if len(kernel) != len(scalar) {
+				t.Fatalf("guard=%v: %d kernel blocks, %d scalar", guard, len(kernel), len(scalar))
+			}
+			for i := range kernel {
+				if !bytes.Equal(kernel[i], scalar[i]) {
+					t.Errorf("guard=%v block %d: kernel and scalar frames differ", guard, i)
+				}
+			}
+		}
 	}
 }

@@ -14,8 +14,9 @@ type memPartition struct {
 }
 
 func newMemPartition(rel *relation.Relation) memPartition {
-	n := len(rel.Tuples)
-	snap := &relation.Relation{Schema: rel.Schema, Tuples: rel.Tuples[:n:n]}
+	rows := rel.Rows() // a KindLoad partition arrives decoded to columns
+	n := len(rows)
+	snap := &relation.Relation{Schema: rel.Schema, Tuples: rows[:n:n]}
 	return memPartition{RowSource: gmdj.SourceOf(snap), cols: relation.BuildColumns(snap)}
 }
 

@@ -98,7 +98,7 @@ func TestLoadSnapshots(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := h.Tuples[2][1].Int; got != 0 {
+		if got := h.Rows()[2][1].Int; got != 0 {
 			t.Errorf("useHash=%v: the appended row was counted %d times", useHash, got)
 		}
 	}

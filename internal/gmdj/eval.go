@@ -43,7 +43,7 @@ type relSource struct{ r *relation.Relation }
 func (s relSource) Schema() relation.Schema { return s.r.Schema }
 func (s relSource) Len() int                { return s.r.Len() }
 func (s relSource) Scan(fn func(relation.Tuple) error) error {
-	for _, t := range s.r.Tuples {
+	for _, t := range s.r.Rows() {
 		if err := fn(t); err != nil {
 			return err
 		}
@@ -305,6 +305,9 @@ func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, use
 				return k.run(detail), nil
 			}
 		}
+	}
+	x = x.RowBody() // the scalar paths index and read X's rows
+	if useHash {
 		indexVarStates(x, states, detail.Schema())
 	}
 	noteScanPath(detail, reason, len(states))
@@ -527,7 +530,7 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 	for vi, l := range a.Layouts {
 		phys := len(row)
 		row = a.appendVar(row, vi, i)
-		row = append(row, l.ComputeDerived(row[phys:])...)
+		row = l.AppendDerived(row, row[phys:])
 	}
 	return row
 }
@@ -539,6 +542,23 @@ func (a *OperatorAccum) AppendPhysRow(dst relation.Tuple, i int) relation.Tuple 
 		dst = a.appendVar(dst, vi, i)
 	}
 	return dst
+}
+
+// AppendPhysVectors appends to dst the physical aggregate cells of the base
+// rows listed, across all variables in AppendPhysRow's order, as one typed
+// vector per column gathered from a compiled kernel's slabs. It reports false,
+// appending nothing, for the scalar paths' boxed partials, which
+// AppendPhysRow serves.
+func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) ([]relation.Vector, bool) {
+	if a.slabs == nil {
+		return dst, false
+	}
+	for vi := range a.slabs {
+		for p := range a.slabs[vi] {
+			dst = append(dst, a.slabs[vi][p].gather(rows))
+		}
+	}
+	return dst, true
 }
 
 // appendVar appends variable vi's physical values for base row i.
@@ -587,7 +607,7 @@ func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash 
 	}
 	out := relation.New(outSchema)
 	out.Tuples = make([]relation.Tuple, x.Len())
-	for i, br := range x.Tuples {
+	for i, br := range x.Rows() {
 		out.Tuples[i] = acc.ExtendRow(br, i)
 	}
 	return out, nil

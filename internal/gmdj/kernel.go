@@ -223,14 +223,14 @@ func constPred[C, T number](col []C, nulls []uint64, op expr.Op, k T) rowPred {
 	}
 }
 
-// basePred compiles "R.col op B.col" over the base column extracted to b
-// (bnull marks its NULL rows; nil when there are none).
-func basePred[C, T number](col []C, nulls []uint64, op expr.Op, b []T, bnull []bool) rowPred {
+// basePred compiles "R.col op B.col" over X's column b (bnull its NULL
+// bitmap), both operands converted to T.
+func basePred[C, B, T number](col []C, nulls []uint64, op expr.Op, b []B, bnull []uint64) rowPred {
 	return func(i int, bi int32) bool {
-		if bitSet(nulls, i) || (bnull != nil && bnull[bi]) {
+		if bitSet(nulls, i) || bitSet(bnull, int(bi)) {
 			return false
 		}
-		return holds(op, T(col[i]), b[bi])
+		return holds(op, T(col[i]), T(b[bi]))
 	}
 }
 
@@ -249,25 +249,18 @@ func flipOp(op expr.Op) expr.Op {
 	return op
 }
 
-// extractBase pulls column idx of x into a typed slice for basePred: get
-// converts a non-NULL value, or refuses one the comparison cannot reproduce.
-// null marks the NULL rows and is nil when there are none.
-func extractBase[T number](x *relation.Relation, idx int, get func(relation.Value) (T, bool)) (vals []T, null []bool, ok bool) {
-	vals = make([]T, len(x.Tuples))
-	for bi, t := range x.Tuples {
-		v := t[idx]
-		if v.IsNull() {
-			if null == nil {
-				null = make([]bool, len(x.Tuples))
-			}
-			null[bi] = true
-			continue
-		}
-		if vals[bi], ok = get(v); !ok {
-			return nil, nil, false
-		}
+// baseVector returns column idx of X as a typed vector: a columnar X's own,
+// as it is, or one gathered from a row X's cells. It is nil when some cell is
+// neither NULL nor the canonical value of the column's kind, which only the
+// scalar path compares exactly.
+func baseVector(x *relation.Relation, idx int) *relation.Vector {
+	if c := x.Columns(); c != nil {
+		return &c.Vecs[idx]
 	}
-	return vals, null, true
+	if c := relation.GatherColumns(x.Schema, x.Tuples, nil, []int{idx}); c != nil {
+		return &c.Vecs[0]
+	}
+	return nil
 }
 
 // compilePred compiles one residual conjunct — a comparison between a detail
@@ -321,44 +314,36 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) (row
 		}
 		// Every value must be NULL or of the column's declared kind.
 		declared := x.Schema[r.Idx].Kind
+		if numeric != (declared == relation.KindInt || declared == relation.KindFloat) ||
+			!numeric && declared != relation.KindString {
+			return nil, reasonKind
+		}
+		bv := baseVector(x, r.Idx)
 		switch {
-		case numeric != (declared == relation.KindInt || declared == relation.KindFloat),
-			!numeric && declared != relation.KindString:
+		case bv == nil:
 			return nil, reasonKind
 		case !numeric:
 			// Codes in the detail column's dictionary; noID for a string no
 			// detail row holds.
-			codes, null, ok := extractBase(x, r.Idx, func(v relation.Value) (uint32, bool) {
-				code, found := vec.Code(v.Str)
-				if !found {
-					code = noID
+			codes := make([]uint32, x.Len())
+			for bi := range codes {
+				if !bv.Null(bi) {
+					code, found := vec.Code(bv.Dict[bv.Codes[bi]])
+					if !found {
+						code = noID
+					}
+					codes[bi] = code
 				}
-				return code, v.Kind == relation.KindString
-			})
-			if !ok {
-				return nil, reasonKind
 			}
-			return basePred(vec.Codes, vec.Nulls, op, codes, null), reasonOK
+			return basePred[uint32, uint32, uint32](vec.Codes, vec.Nulls, op, codes, bv.Nulls), reasonOK
 		case vec.Kind == relation.KindInt && declared == relation.KindInt:
-			ints, null, ok := extractBase(x, r.Idx, func(v relation.Value) (int64, bool) {
-				return v.Int, v.Kind == relation.KindInt
-			})
-			if !ok {
-				return nil, reasonKind
-			}
-			return basePred(vec.Ints, vec.Nulls, op, ints, null), reasonOK
+			return basePred[int64, int64, int64](vec.Ints, vec.Nulls, op, bv.Ints, bv.Nulls), reasonOK
+		case vec.Kind == relation.KindInt:
+			return basePred[int64, float64, float64](vec.Ints, vec.Nulls, op, bv.Floats, bv.Nulls), reasonOK
+		case declared == relation.KindInt:
+			return basePred[float64, int64, float64](vec.Floats, vec.Nulls, op, bv.Ints, bv.Nulls), reasonOK
 		}
-		floats, null, ok := extractBase(x, r.Idx, func(v relation.Value) (float64, bool) {
-			f, _ := v.AsFloat()
-			return f, v.Kind == declared
-		})
-		if !ok {
-			return nil, reasonKind
-		}
-		if vec.Kind == relation.KindInt {
-			return basePred(vec.Ints, vec.Nulls, op, floats, null), reasonOK
-		}
-		return basePred(vec.Floats, vec.Nulls, op, floats, null), reasonOK
+		return basePred[float64, float64, float64](vec.Floats, vec.Nulls, op, bv.Floats, bv.Nulls), reasonOK
 	}
 	return nil, reasonShape
 }
@@ -398,10 +383,14 @@ const maxRollupLinks = 16
 // in expr, which a typed lookup would miss), and a detail NULL matches no
 // value.
 func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool) (linkStage, string) {
-	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind {
+	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind || vec.Kind != relation.KindString && vec.Kind != relation.KindInt {
 		return linkStage{}, reasonKind
 	}
-	st := linkStage{xids: make([]uint32, len(x.Tuples)), rollup: rollup}
+	bv := baseVector(x, bIdx)
+	if bv == nil {
+		return linkStage{}, reasonKind
+	}
+	st := linkStage{xids: make([]uint32, x.Len()), rollup: rollup}
 	null := noID
 	if rollup {
 		null = anyID
@@ -410,17 +399,13 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	case relation.KindString:
 		// code → id+1, 0 for codes no X row holds.
 		byCode := make([]uint32, len(vec.Dict))
-		for bi, t := range x.Tuples {
-			v := t[bIdx]
-			if v.IsNull() {
+		for bi := range st.xids {
+			if bv.Null(bi) {
 				st.xids[bi] = null
 				continue
 			}
-			if v.Kind != relation.KindString {
-				return linkStage{}, reasonKind
-			}
 			st.xids[bi] = noID
-			code, ok := vec.Code(v.Str)
+			code, ok := vec.Code(bv.Dict[bv.Codes[bi]])
 			if !ok {
 				continue
 			}
@@ -437,18 +422,14 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			}
 			return byCode[codes[i]] - 1 // 0-1 wraps to noID
 		}
-	case relation.KindInt:
-		tbl := newIntTable(len(x.Tuples))
-		for bi, t := range x.Tuples {
-			v := t[bIdx]
-			if v.IsNull() {
+	default:
+		tbl := newIntTable(len(st.xids))
+		for bi, k := range bv.Ints {
+			if bv.Null(bi) {
 				st.xids[bi] = null
 				continue
 			}
-			if v.Kind != relation.KindInt {
-				return linkStage{}, reasonKind
-			}
-			st.xids[bi], _ = tbl.insert(v.Int)
+			st.xids[bi], _ = tbl.insert(k)
 		}
 		st.n = tbl.n
 		ints, nulls := vec.Ints, vec.Nulls
@@ -458,8 +439,6 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			}
 			return tbl.find(ints[i])
 		}
-	default:
-		return linkStage{}, reasonKind
 	}
 	return st, reasonOK
 }
@@ -484,6 +463,32 @@ func (s *physSlab) value(bi int) relation.Value {
 	default:
 		return relation.NewFloat(s.floats[bi])
 	}
+}
+
+// gather images the cells of the base rows listed as a vector: ints or
+// floats as the slab holds them, and the rows never seen as its NULLs.
+func (s *physSlab) gather(rows []int32) relation.Vector {
+	n := len(rows)
+	var v relation.Vector
+	if s.ints != nil {
+		v.Kind, v.Ints = relation.KindInt, make([]int64, n)
+		for i, bi := range rows {
+			v.Ints[i] = s.ints[bi]
+		}
+	} else {
+		v.Kind, v.Floats = relation.KindFloat, make([]float64, n)
+		for i, bi := range rows {
+			v.Floats[i] = s.floats[bi]
+		}
+	}
+	if s.seen != nil {
+		for i, bi := range rows {
+			if !s.seen[bi] {
+				v.SetNull(i, n)
+			}
+		}
+	}
+	return v
 }
 
 // aggStep folds detail row i into base row bi's cell of one slab.
@@ -1007,22 +1012,34 @@ rows:
 }
 
 // run evaluates the base query in one pass, keeping the first occurrences in
-// scan order — the order the scalar path produces.
+// scan order — the order the scalar path produces — as a columnar relation
+// gathered from the partition's vectors.
 func (k *baseKernel) run(src RowSource) *relation.Relation {
 	d := k.newDedup()
 	d.scan()
 	chargeKernelScan(src, k.cols.Rows)
-	out := relation.New(k.schema)
-	out.Tuples = make([]relation.Tuple, len(d.fresh))
-	for n, bc := range d.fresh {
-		t := make(relation.Tuple, len(k.idx))
-		mask := k.masks[bc.set]
-		for c, j := range k.idx {
-			if mask == nil || mask[c] {
-				t[c] = k.cols.Vecs[j].Value(int(bc.row))
+	n := len(d.fresh)
+	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.idx))}
+	for c, j := range k.idx {
+		in, v := &k.cols.Vecs[j], &out.Vecs[c]
+		v.Kind = in.Kind
+		if v.Kind == relation.KindInt {
+			v.Ints = make([]int64, n)
+		} else {
+			v.Codes, v.Dict = make([]uint32, n), make([]string, 0, n)
+		}
+		for i, bc := range d.fresh {
+			row := int(bc.row)
+			switch mask := k.masks[bc.set]; {
+			case mask != nil && !mask[c], in.Null(row):
+				v.SetNull(i, n)
+			case v.Kind == relation.KindInt:
+				v.Ints[i] = in.Ints[row]
+			default:
+				v.Codes[i] = uint32(len(v.Dict))
+				v.Dict = append(v.Dict, in.Dict[in.Codes[row]])
 			}
 		}
-		out.Tuples[n] = t
 	}
-	return out
+	return relation.FromColumns(k.schema, out)
 }

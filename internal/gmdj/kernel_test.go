@@ -151,7 +151,7 @@ func checkBase(t *testing.T, bq BaseQuery, detail *relation.Relation, reason str
 	if !scalar.Schema.Equal(kernel.Schema) {
 		t.Errorf("schema %s vs %s", scalar.Schema, kernel.Schema)
 	}
-	if err := sameRows(scalar.Tuples, kernel.Tuples); err != nil {
+	if err := sameRows(scalar.Rows(), kernel.Rows()); err != nil {
 		t.Error(err)
 	}
 	if reason == reasonOK && src.acct.charged != int64(detail.Len()) {
@@ -269,7 +269,7 @@ func rollupCond(dims ...string) string {
 // keepRows returns x with only the rows keep accepts.
 func keepRows(x *relation.Relation, keep func(relation.Tuple) bool) *relation.Relation {
 	out := relation.New(x.Schema)
-	for _, t := range x.Tuples {
+	for _, t := range x.Rows() {
 		if keep(t) {
 			out.Tuples = append(out.Tuples, t)
 		}
@@ -280,14 +280,14 @@ func keepRows(x *relation.Relation, keep func(relation.Tuple) bool) *relation.Re
 // withRows returns x with rows appended.
 func withRows(x *relation.Relation, rows ...relation.Tuple) *relation.Relation {
 	out := relation.New(x.Schema)
-	out.Tuples = append(append(out.Tuples, x.Tuples...), rows...)
+	out.Tuples = append(append(out.Tuples, x.Rows()...), rows...)
 	return out
 }
 
 // withColumn returns x with one more column appended.
 func withColumn(x *relation.Relation, col relation.Column, val func(i int) relation.Value) *relation.Relation {
 	out := relation.New(append(x.Schema.Clone(), col))
-	for i, t := range x.Tuples {
+	for i, t := range x.Rows() {
 		out.Tuples = append(out.Tuples, append(t.Clone(), val(i)))
 	}
 	return out
@@ -454,7 +454,7 @@ func TestKernelRowsBoxedFromSlabs(t *testing.T) {
 	}
 	w := 1 + len(phys)
 	slab := make([]relation.Value, x.Len()*w)
-	for i := range x.Tuples {
+	for i := 0; i < x.Len(); i++ {
 		row := slab[i*w : i*w+1 : (i+1)*w]
 		got := kernel.AppendPhysRow(row, i)
 		if &got[0] != &slab[i*w] {
@@ -613,7 +613,7 @@ func TestKernelQuick(t *testing.T) {
 			return false
 		}
 		xk, err := EvalBase(bq, newColSource(detail))
-		if err != nil || sameRows(x.Tuples, xk.Tuples) != nil {
+		if err != nil || sameRows(x.Rows(), xk.Rows()) != nil {
 			t.Logf("seed %d: base differs (%v)", seed, err)
 			return false
 		}
@@ -734,7 +734,7 @@ func TestMixedKindLinks(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameRows(loop.Tuples, hash.Tuples); err != nil {
+			if err := sameRows(loop.Rows(), hash.Rows()); err != nil {
 				t.Errorf("useHash on vs off: %v\nnested loop:\n%s\nhash:\n%s", err, loop, hash)
 			}
 			// The cross-kind matches are really there: keys 1, 2 and 3 exist on

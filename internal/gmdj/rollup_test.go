@@ -73,7 +73,7 @@ func TestRollupFastPathMatchesNestedLoop(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sameRows(fast.Tuples, slow.Tuples); err != nil {
+			if err := sameRows(fast.Rows(), slow.Rows()); err != nil {
 				t.Fatalf("trial %d, %T: fast path diverges: %v\nfast:\n%s\nslow:\n%s", trial, src, err, fast, slow)
 			}
 		}
@@ -105,7 +105,7 @@ func TestRollupFastPathWithNullData(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := sameRows(fast.Tuples, slow.Tuples); err != nil {
+		if err := sameRows(fast.Rows(), slow.Rows()); err != nil {
 			t.Fatalf("%T: NULL-data divergence: %v\n%s\nvs\n%s", src, err, fast, slow)
 		}
 		// The NULL group (which is both the rollup row and the data's own NULL

@@ -119,7 +119,7 @@ func Unpivot(r *relation.Relation, keep, cols []string) (*relation.Relation, err
 		return nil, err
 	}
 	out := relation.New(UnpivotSchema(r.Schema.Project(keepIdx)))
-	for _, t := range r.Tuples {
+	for _, t := range r.Rows() {
 		for ci, c := range colIdx {
 			if t[c].IsNull() {
 				continue

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -116,8 +115,19 @@ func (e *Encoder) Encode(r *Relation) error {
 }
 
 // checkArity refuses a relation the column-major encoding would index out of
-// range on.
+// range on, or whose vectors disagree with its schema.
 func checkArity(r *Relation) error {
+	if c := r.cols; c != nil {
+		if len(c.Vecs) != len(r.Schema) {
+			return fmt.Errorf("relation: %d vectors do not match schema %s", len(c.Vecs), r.Schema)
+		}
+		for j, col := range r.Schema {
+			if c.Vecs[j].Kind != col.Kind || c.Vecs[j].Boxed {
+				return fmt.Errorf("relation: vector %d is not a typed %s vector", j, col.Kind)
+			}
+		}
+		return nil
+	}
 	for i, t := range r.Tuples {
 		if len(t) != len(r.Schema) {
 			return fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
@@ -147,6 +157,9 @@ func appendZeros(body []byte, n int) []byte {
 }
 
 func appendColumns(body []byte, r *Relation) []byte {
+	if r.cols != nil {
+		return appendVectors(body, r.cols)
+	}
 	n := len(r.Tuples)
 	body = binary.AppendUvarint(body, uint64(n))
 	nb := (n + 7) / 8
@@ -216,6 +229,49 @@ func appendUniformColumn(body []byte, r *Relation, j int, kind Kind, nonNull int
 	return body
 }
 
+// appendVectors is appendColumns for a columnar body: every vector is typed,
+// so every column is uniform, and the bytes are the ones the row body would
+// encode to.
+func appendVectors(body []byte, c *Columns) []byte {
+	n := c.Rows
+	body = binary.AppendUvarint(body, uint64(n))
+	nb := (n + 7) / 8
+	for j := range c.Vecs {
+		v := &c.Vecs[j]
+		if v.Nulls == nil {
+			body = appendZeros(body, nb)
+		} else {
+			for k := 0; k < nb; k++ {
+				body = append(body, byte(v.Nulls[k>>3]>>(8*(k&7))))
+			}
+		}
+		body = append(body, encUniform)
+		switch v.Kind {
+		case KindInt:
+			for i, x := range v.Ints {
+				if !v.Null(i) {
+					body = binary.AppendVarint(body, x)
+				}
+			}
+		case KindFloat:
+			for i, x := range v.Floats {
+				if !v.Null(i) {
+					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(x))
+				}
+			}
+		case KindString:
+			for i, code := range v.Codes {
+				if !v.Null(i) {
+					s := v.Dict[code]
+					body = binary.AppendUvarint(body, uint64(len(s)))
+					body = append(body, s...)
+				}
+			}
+		}
+	}
+	return body
+}
+
 func appendMixedColumn(body []byte, r *Relation, j int) []byte {
 	for _, t := range r.Tuples {
 		v := t[j]
@@ -268,6 +324,14 @@ func (d *Decoder) Decode() (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	return d.decodeFrame(body, false)
+}
+
+// decodeFrame decodes one frame body. With columnar set, a frame whose every
+// column is uniform and declared INT, FLOAT, STRING or NULL decodes straight
+// into vectors, read in place from body; any other frame, and every frame
+// without columnar, gets a row body.
+func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
 	cur := &cursor{b: body}
 	kind, err := cur.byte()
 	if err != nil {
@@ -290,14 +354,25 @@ func (d *Decoder) Decode() (*Relation, error) {
 	default:
 		return nil, fmt.Errorf("relation: unknown codec frame kind 0x%02x", kind)
 	}
-	rel, err := d.readColumns(cur)
-	if err != nil {
-		return nil, err
+	var rel *Relation
+	if columnar {
+		c, err := readVectors(cur, d.schema)
+		if err != nil {
+			return nil, err
+		}
+		if c != nil {
+			rel = FromColumns(d.schema, c)
+		}
+	}
+	if rel == nil {
+		if rel, err = d.readColumns(cur); err != nil {
+			return nil, err
+		}
 	}
 	if cur.pos != len(cur.b) {
 		return nil, fmt.Errorf("relation: codec frame has %d trailing bytes", len(cur.b)-cur.pos)
 	}
-	obs.CodecDecodeBytes.Add(int64(uvarintLen(ln)) + int64(ln))
+	obs.CodecDecodeBytes.Add(int64(uvarintLen(uint64(len(body)))) + int64(len(body)))
 	obs.CodecFrames.With("decode").Inc()
 	return rel, nil
 }
@@ -384,7 +459,9 @@ func (c *cursor) count(limit int, what string) (int, error) {
 }
 
 func readSchema(cur *cursor) (Schema, error) {
-	ncols, err := cur.count(1<<20, "column")
+	// A column spends at least a name length and a kind byte, so the bytes
+	// left bound the count before the schema is allocated.
+	ncols, err := cur.count(min(1<<20, (len(cur.b)-cur.pos)/2), "column")
 	if err != nil {
 		return nil, err
 	}
@@ -410,17 +487,152 @@ func readSchema(cur *cursor) (Schema, error) {
 	return schema, nil
 }
 
-func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
+// frameRows reads a frame's row count, refusing one the frame cannot hold
+// before anything is allocated for it: every column spends a NULL-bitmap bit
+// per row and an encoding byte.
+func frameRows(cur *cursor, cols int) (int, error) {
 	nrows, err := cur.count(maxFrameBody, "row")
+	if err != nil {
+		return 0, err
+	}
+	if cols == 0 && nrows > maxEmptyRows || cols > 0 && ((nrows+7)/8+1)*cols > len(cur.b)-cur.pos {
+		return 0, fmt.Errorf("relation: codec frame of %d bytes cannot hold %d rows of %d columns", len(cur.b), nrows, cols)
+	}
+	return nrows, nil
+}
+
+// readVectors decodes a frame's rows straight into typed vectors, reading
+// every value in place from the frame; a STRING column's bytes become one
+// string its values are substrings of. It returns nil, with the cursor back
+// where it was, at the first column that is mixed or BOOL: only a row body
+// holds those.
+func readVectors(cur *cursor, schema Schema) (*Columns, error) {
+	start := cur.pos
+	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
 		return nil, err
 	}
+	c := &Columns{Rows: nrows, Vecs: make([]Vector, len(schema))}
+	nb := (nrows + 7) / 8
+	for j, col := range schema {
+		bitmap, err := cur.bytes(nb)
+		if err != nil {
+			return nil, err
+		}
+		enc, err := cur.byte()
+		if err != nil {
+			return nil, err
+		}
+		if enc != encUniform || col.Kind == KindBool {
+			cur.pos = start
+			return nil, nil
+		}
+		v := &c.Vecs[j]
+		v.Kind = col.Kind
+		if err := readVector(cur, v, nrows, bitmap); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// readVector decodes one uniform column of n rows into v, whose Kind is set.
+func readVector(cur *cursor, v *Vector, n int, bitmap []byte) error {
+	if v.Kind == KindNull {
+		// Every row is NULL, whatever the bitmap says, as in the row body.
+		for i := 0; i < n; i++ {
+			v.SetNull(i, n)
+		}
+		return nil
+	}
+	nonNull := n
+	for k, b := range bitmap {
+		if k == len(bitmap)-1 && n%8 != 0 {
+			b &= 1<<(n%8) - 1 // padding past the last row
+		}
+		if b == 0 {
+			continue
+		}
+		if v.Nulls == nil {
+			v.Nulls = make([]uint64, (n+63)/64)
+		}
+		v.Nulls[k>>3] |= uint64(b) << (8 * (k & 7))
+		nonNull -= bits.OnesCount8(b)
+	}
+	switch v.Kind {
+	case KindInt:
+		v.Ints = make([]int64, n)
+		for i := range v.Ints {
+			if v.Null(i) {
+				continue
+			}
+			x, err := cur.varint()
+			if err != nil {
+				return err
+			}
+			v.Ints[i] = x
+		}
+	case KindFloat:
+		raw, err := cur.bytes(8 * nonNull)
+		if err != nil {
+			return err
+		}
+		v.Floats = make([]float64, n)
+		for i := range v.Floats {
+			if !v.Null(i) {
+				v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
+				raw = raw[8:]
+			}
+		}
+	case KindString:
+		next, err := readStrings(cur, nonNull)
+		if err != nil {
+			return err
+		}
+		v.Dict = make([]string, nonNull)
+		v.Codes = make([]uint32, n)
+		k := 0
+		for i := range v.Codes {
+			if !v.Null(i) {
+				v.Dict[k], v.Codes[i] = next(), uint32(k)
+				k++
+			}
+		}
+	}
+	return nil
+}
+
+// readStrings reads n length-prefixed strings with one allocation: every
+// length prefix is bounds-checked first, the byte range becomes one string,
+// and each call of next returns the following value, a substring of it past
+// its prefix. A value therefore keeps its whole column alive, which is what a
+// decoded relation does with its rows anyway.
+func readStrings(cur *cursor, n int) (next func() string, err error) {
+	start := cur.pos
+	for k := 0; k < n; k++ {
+		ln, err := cur.count(maxFrameBody, "string length")
+		if err != nil {
+			return nil, err
+		}
+		if _, err := cur.bytes(ln); err != nil {
+			return nil, err
+		}
+	}
+	raw := cur.b[start:cur.pos]
+	col, off := string(raw), 0
+	return func() string {
+		ln, w := binary.Uvarint(raw[off:])
+		off += w + int(ln)
+		return col[off-int(ln) : off]
+	}, nil
+}
+
+func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
 	schema := d.schema
 	cols := len(schema)
-	// Refuse a row count the frame cannot hold before allocating for it:
-	// every column spends a NULL-bitmap bit per row and an encoding byte.
-	if cols == 0 && nrows > maxEmptyRows || cols > 0 && ((nrows+7)/8+1)*cols > len(cur.b)-cur.pos {
-		return nil, fmt.Errorf("relation: codec frame of %d bytes cannot hold %d rows of %d columns", len(cur.b), nrows, cols)
+	nrows, err := frameRows(cur, cols)
+	if err != nil {
+		return nil, err
 	}
 	var rel *Relation
 	if d.pool != nil {
@@ -492,36 +704,22 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 			t[j] = Value{Kind: KindFloat, Float: math.Float64frombits(binary.LittleEndian.Uint64(raw))}
 		}
 	case KindString:
-		// One allocation for the column: the first pass bounds-checks every
-		// length prefix and finds where the column ends, the byte range becomes
-		// one string, and the values are substrings of it past their prefixes.
-		// A value therefore keeps its whole column alive, which is what a
-		// decoded relation does with its rows anyway.
-		start := cur.pos
+		nonNull := 0
 		for i := range rel.Tuples {
-			if isNullAt(bitmap, i) {
-				continue
-			}
-			n, err := cur.count(maxFrameBody, "string length")
-			if err != nil {
-				return err
-			}
-			if _, err := cur.bytes(n); err != nil {
-				return err
+			if !isNullAt(bitmap, i) {
+				nonNull++
 			}
 		}
-		raw := cur.b[start:cur.pos]
-		col := string(raw)
-		off := 0
+		next, err := readStrings(cur, nonNull)
+		if err != nil {
+			return err
+		}
 		for i, t := range rel.Tuples {
 			if isNullAt(bitmap, i) {
 				t[j] = Null
-				continue
+			} else {
+				t[j] = Value{Kind: KindString, Str: next()}
 			}
-			n, w := binary.Uvarint(raw[off:])
-			off += w
-			t[j] = Value{Kind: KindString, Str: col[off : off+int(n)]}
-			off += int(n)
 		}
 	case KindBool:
 		nonNull := 0
@@ -624,6 +822,9 @@ func schemaSize(s Schema) int {
 
 // columnsSize is the number of bytes appendColumns appends.
 func columnsSize(r *Relation) int {
+	if r.cols != nil {
+		return vectorsSize(r.cols)
+	}
 	rows := len(r.Tuples)
 	size := uvarintLen(uint64(rows))
 	for j, col := range r.Schema {
@@ -658,17 +859,55 @@ func columnsSize(r *Relation) int {
 	return size
 }
 
-// Unmarshal decodes a relation from a single self-contained frame.
+// vectorsSize is the number of bytes appendVectors appends.
+func vectorsSize(c *Columns) int {
+	size := uvarintLen(uint64(c.Rows))
+	for j := range c.Vecs {
+		v := &c.Vecs[j]
+		size += (c.Rows+7)/8 + 1
+		for i := 0; i < c.Rows; i++ {
+			if v.Null(i) {
+				continue
+			}
+			switch v.Kind {
+			case KindInt:
+				x := v.Ints[i]
+				size += uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
+			case KindFloat:
+				size += 8
+			case KindString:
+				n := len(v.Dict[v.Codes[i]])
+				size += uvarintLen(uint64(n)) + n
+			}
+		}
+	}
+	return size
+}
+
+// Unmarshal decodes a relation from a single self-contained frame, reading it
+// in place from b: nothing of b is copied but the bytes of STRING values, and
+// b may be reused once Unmarshal returns. A frame whose every column is
+// uniform and declared INT, FLOAT, STRING or NULL decodes to a columnar body;
+// a mixed or BOOL column keeps the row body. Read the rows through Rows or
+// AppendRow, not Tuples.
 func Unmarshal(b []byte) (*Relation, error) {
-	rd := bytes.NewReader(b)
-	rel, err := NewDecoder(rd).Decode()
-	if err != nil {
-		return nil, err
+	ln, n := binary.Uvarint(b)
+	switch {
+	case n == 0 && len(b) == 0:
+		return nil, io.EOF
+	case n == 0:
+		return nil, io.ErrUnexpectedEOF
+	case n < 0:
+		return nil, fmt.Errorf("relation: codec frame length overflows 64 bits")
+	case ln > maxFrameBody:
+		return nil, fmt.Errorf("relation: codec frame of %d bytes exceeds limit", ln)
+	case uint64(len(b)-n) < ln:
+		return nil, io.ErrUnexpectedEOF
+	case uint64(len(b)-n) > ln:
+		return nil, fmt.Errorf("relation: %d trailing bytes after codec frame", uint64(len(b)-n)-ln)
 	}
-	if rd.Len() != 0 {
-		return nil, fmt.Errorf("relation: %d trailing bytes after codec frame", rd.Len())
-	}
-	return rel, nil
+	var d Decoder
+	return d.decodeFrame(b[n:], true)
 }
 
 // GobEncode makes gob envelopes (transport request/response structs, legacy
@@ -689,20 +928,21 @@ func (r *Relation) Frame() ([]byte, error) {
 }
 
 // sharedFrame is a finished relation's wire frame, marshalled by whichever
-// consumer needs it first. schema and rows are the slices it is cut from.
+// consumer needs it first. schema and rows (or cols) are what it is cut from.
 type sharedFrame struct {
 	once   sync.Once
 	schema Schema
 	rows   []Tuple
+	cols   *Columns
 	b      []byte
 	err    error
 }
 
-// describes reports whether r still holds exactly the schema and rows the
-// frame is cut from: the same slices at the same lengths. A header that
-// re-sliced or reassigned either gets a fresh Marshal instead.
+// describes reports whether r still holds exactly the schema and body the
+// frame is cut from: the same slices at the same lengths, the same vectors. A
+// header that re-sliced or reassigned either gets a fresh Marshal instead.
 func (f *sharedFrame) describes(r *Relation) bool {
-	return sameSlice(f.schema, r.Schema) && sameSlice(f.rows, r.Tuples)
+	return sameSlice(f.schema, r.Schema) && sameSlice(f.rows, r.Tuples) && f.cols == r.cols
 }
 
 func sameSlice[T any](a, b []T) bool {
@@ -713,14 +953,16 @@ func sameSlice[T any](a, b []T) bool {
 // one gob envelope per site of a broadcast, one per retry, one reply per
 // session served from a shared result — ships the same bytes, encoded once by
 // the first. Nobody may change r's schema or rows afterwards.
-func (r *Relation) ShareFrame() { r.frame = &sharedFrame{schema: r.Schema, rows: r.Tuples} }
+func (r *Relation) ShareFrame() {
+	r.frame = &sharedFrame{schema: r.Schema, rows: r.Tuples, cols: r.cols}
+}
 
 // View returns a new header over r's schema and rows. A consumer may re-slice
 // or reassign the view's Tuples (a LIMIT, a sorted copy) without affecting r
 // or any other view, but the rows themselves are r's and must not be written.
 // The view shares r's frame while it holds exactly r's rows.
 func (r *Relation) View() *Relation {
-	return &Relation{Schema: r.Schema, Tuples: r.Tuples, frame: r.frame}
+	return &Relation{Schema: r.Schema, Tuples: r.Tuples, cols: r.cols, frame: r.frame}
 }
 
 // GobDecode is the inverse of GobEncode.
@@ -729,7 +971,7 @@ func (r *Relation) GobDecode(b []byte) error {
 	if err != nil {
 		return err
 	}
-	r.Schema, r.Tuples, r.pooled, r.frame = rel.Schema, rel.Tuples, nil, nil
+	*r = Relation{Schema: rel.Schema, Tuples: rel.Tuples, cols: rel.cols}
 	return nil
 }
 

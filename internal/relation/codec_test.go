@@ -45,30 +45,47 @@ func codecCases() map[string]*Relation {
 		wide.MustAppend(Tuple{NewBool(i%3 == 0), NewBool(i%2 == 0)})
 	}
 
+	// Uniform INT/FLOAT/STRING columns, NULLs included, and a NULL-kind
+	// column: frames that decode to a columnar body.
+	uniform := New(MustSchema(Column{"i", KindInt}, Column{"f", KindFloat}, Column{"s", KindString}, Column{"n", KindNull}))
+	uniform.MustAppend(Tuple{NewInt(-3), NewFloat(math.NaN()), NewString("a"), Null})
+	uniform.MustAppend(Tuple{Null, NewFloat(math.Copysign(0, -1)), NewString("a"), Null})
+	uniform.MustAppend(Tuple{NewInt(math.MinInt64), Null, Null, Null})
+	uniform.MustAppend(Tuple{NewInt(7), NewFloat(2.5), NewString(""), Null})
+
+	allNullString := New(MustSchema(Column{"s", KindString}, Column{"f", KindFloat}))
+	for i := 0; i < 9; i++ {
+		allNullString.MustAppend(Tuple{Null, Null})
+	}
+
 	return map[string]*Relation{
-		"all-kinds":     full,
-		"mixed-kinds":   mixed,
-		"all-null-col":  allNullInt,
-		"bool-packing":  wide,
-		"empty":         New(MustSchema(Column{"a", KindInt}, Column{"b", KindString})),
-		"empty-schema":  New(Schema{}),
-		"no-cols-rows":  {Schema: Schema{}, Tuples: []Tuple{{}, {}, {}}},
-		"single-string": {Schema: MustSchema(Column{"s", KindString}), Tuples: []Tuple{{NewString("only")}}},
+		"uniform":         uniform,
+		"all-null-string": allNullString,
+		"all-kinds":       full,
+		"mixed-kinds":     mixed,
+		"all-null-col":    allNullInt,
+		"bool-packing":    wide,
+		"empty":           New(MustSchema(Column{"a", KindInt}, Column{"b", KindString})),
+		"empty-schema":    New(Schema{}),
+		"no-cols-rows":    {Schema: Schema{}, Tuples: []Tuple{{}, {}, {}}},
+		"single-string":   {Schema: MustSchema(Column{"s", KindString}), Tuples: []Tuple{{NewString("only")}}},
 	}
 }
 
 // relIdentical compares relations by exact value identity (float bits, so NaN
 // and -0.0 round-trips are checked), which is stricter than EqualMultiset.
+// Either relation may have either body.
 func relIdentical(a, b *Relation) bool {
-	if !a.Schema.Equal(b.Schema) || len(a.Tuples) != len(b.Tuples) {
+	if !a.Schema.Equal(b.Schema) || a.Len() != b.Len() {
 		return false
 	}
-	for i := range a.Tuples {
-		if len(a.Tuples[i]) != len(b.Tuples[i]) {
+	ar, br := a.Rows(), b.Rows()
+	for i := range ar {
+		if len(ar[i]) != len(br[i]) {
 			return false
 		}
-		for j := range a.Tuples[i] {
-			if !a.Tuples[i][j].keyEqual(b.Tuples[i][j]) {
+		for j := range ar[i] {
+			if !ar[i][j].keyEqual(br[i][j]) {
 				return false
 			}
 		}
@@ -310,6 +327,15 @@ func TestCodecRefusesRowsTheFrameCannotHold(t *testing.T) {
 	if r, err := Unmarshal(frame(nil, maxEmptyRows)); err != nil || r.Len() != maxEmptyRows {
 		t.Errorf("%d rows without columns: %v", maxEmptyRows, err)
 	}
+	// A column count is checked the same way: every column spends at least
+	// two schema bytes. Three bytes claiming 794 043 columns were allocated
+	// a 19 MB schema before the count was bounded.
+	claim := []byte{0x0f, frameInline, 0xbb, 0xbb, 0x30}
+	claim = append(claim, bytes.Repeat([]byte{'0'}, 11)...)
+	var err error
+	if n := allocatedBy(func() { _, err = Unmarshal(claim) }); err == nil || n > 1<<16 {
+		t.Errorf("a schema claiming more columns than its frame holds: err %v, %d bytes allocated", err, n)
+	}
 }
 
 // TestDecodeOfAShortStreamAllocatesWhatArrived: a length prefix claiming
@@ -422,9 +448,40 @@ func randomRelation(rng *rand.Rand) *Relation {
 	return r
 }
 
-// FuzzCodecRoundTrip fuzzes two properties: arbitrary bytes never panic the
-// decoder, and randomized relations (derived from the fuzz input as a PRNG
-// seed) survive encode/decode unchanged.
+// rowDecode decodes a self-contained frame the way a stream Decoder does,
+// always into a row body, refusing trailing bytes as Unmarshal does.
+func rowDecode(data []byte) (*Relation, error) {
+	rd := bytes.NewReader(data)
+	rel, err := NewDecoder(rd).Decode()
+	if err == nil && rd.Len() != 0 {
+		err = errors.New("trailing bytes")
+	}
+	return rel, err
+}
+
+// allocatedBy is the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// Decoding allocates at most decodeAllocPerByte bytes per input byte plus
+// decodeAllocConst: the bound a site relies on when it decodes what arrived.
+// A row of a zero-column frame occupies no bytes, so the constant covers
+// maxEmptyRows of them.
+const (
+	decodeAllocPerByte = 1024
+	decodeAllocConst   = 2 << 20
+)
+
+// FuzzCodecRoundTrip fuzzes four properties: arbitrary bytes never panic the
+// decoder; whatever decodes, the columnar decode (Unmarshal) and the row
+// decode (a stream Decoder) agree on it; both allocate within a bound linear
+// in the input; and randomized relations (derived from the fuzz input as a
+// PRNG seed) survive encode/decode unchanged.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for name, r := range codecCases() {
 		data, err := Marshal(r)
@@ -437,7 +494,33 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0x02, frameCached, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: hostile bytes error out, never panic or hang.
-		if rel, err := Unmarshal(data); err == nil {
+		var rel, rows *Relation
+		var err, rowErr error
+		limit := decodeAllocPerByte*uint64(len(data)) + decodeAllocConst
+		if n := allocatedBy(func() { rel, err = Unmarshal(data) }); n > limit {
+			t.Fatalf("Unmarshal of %d bytes allocated %d bytes", len(data), n)
+		}
+		if n := allocatedBy(func() { rows, rowErr = rowDecode(data) }); n > limit {
+			t.Fatalf("row decode of %d bytes allocated %d bytes", len(data), n)
+		}
+		if (err == nil) != (rowErr == nil) {
+			t.Fatalf("columnar decode err %v, row decode err %v", err, rowErr)
+		}
+		if err == nil {
+			// Property 2: both bodies hold the same rows and the same frame.
+			if rows.Columns() != nil {
+				t.Fatal("the stream decoder produced a columnar body")
+			}
+			a, errA := Marshal(rel)
+			b, errB := Marshal(rows)
+			if errA != nil || errB != nil || !bytes.Equal(a, b) {
+				t.Fatalf("bodies marshal differently (%v, %v)", errA, errB)
+			}
+			if !relIdentical(rel, rows) {
+				t.Fatal("columnar and row decodes hold different rows")
+			}
+		}
+		if err == nil {
 			// Whatever decoded must re-encode and decode to the same thing.
 			again, err := Marshal(rel)
 			if err != nil {

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"bytes"
 	"math"
 	"reflect"
+	"sync"
 	"testing"
 )
 
@@ -95,4 +97,186 @@ func TestBuildColumnsBoxes(t *testing.T) {
 	if empty := BuildColumns(New(schema)); empty == nil || empty.Rows != 0 {
 		t.Error("an empty relation images to zero rows")
 	}
+}
+
+// TestColumnarBodyReadsLikeRows: a uniform frame decodes to a columnar body,
+// and every method that reads a relation reads it as the rows it encodes.
+func TestColumnarBodyReadsLikeRows(t *testing.T) {
+	rows := codecCases()["uniform"]
+	frame, err := Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	col, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if col.Columns() == nil || col.Tuples != nil {
+		t.Fatal("a uniform frame did not decode to a columnar body")
+	}
+	if col.Len() != rows.Len() || !relIdentical(col, rows) || col.Format(-1) != rows.Format(-1) {
+		t.Fatalf("columnar body reads\n%s\nwant\n%s", col, rows)
+	}
+	if !col.EqualMultiset(rows) || !rows.EqualMultiset(col) {
+		t.Error("comparators disagree across bodies")
+	}
+	if got := col.AppendRow(nil, 2); !reflect.DeepEqual(got, rows.Tuples[2]) {
+		t.Errorf("AppendRow(2) = %v, want %v", got, rows.Tuples[2])
+	}
+	clone := col.Clone()
+	if clone.Columns() == nil || &clone.Columns().Vecs[0].Ints[0] == &col.Columns().Vecs[0].Ints[0] || !relIdentical(clone, rows) {
+		t.Error("Clone of a columnar body must copy its slabs and keep the form")
+	}
+	proj, err := col.Project([]string{"s", "i"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := rows.Project([]string{"s", "i"})
+	if proj.Columns() == nil || !relIdentical(proj, want) {
+		t.Error("Project of a columnar body must share its vectors")
+	}
+	// Exact slab sizes: 4 rows of INT (32), FLOAT (32), STRING codes (16)
+	// with 3 dictionary entries (48) of 2 bytes, a one-word bitmap for each
+	// column (every one holds a NULL), and the schema headers.
+	if got, want := col.MemBytes(), int64(4*TupleMemBytes+32+32+16+48+2+4*8); got != want {
+		t.Errorf("MemBytes = %d, want %d", got, want)
+	}
+	// A finished columnar relation ships one frame, the row body's bytes.
+	col.ShareFrame()
+	a, _ := col.GobEncode()
+	b, _ := col.View().Frame()
+	if !bytes.Equal(a, frame) || &a[0] != &b[0] {
+		t.Error("a shared columnar frame must be the row body's frame, encoded once")
+	}
+	// Changing the rows switches to a row body first.
+	if err := col.Union(rows); err != nil {
+		t.Fatal(err)
+	}
+	if col.Columns() != nil || col.Len() != 2*rows.Len() {
+		t.Errorf("Union left %d rows, columnar %v", col.Len(), col.Columns() != nil)
+	}
+}
+
+// TestMixedAndBoolFramesKeepTheRowBody: a frame with a mixed or BOOL column
+// decodes to rows, as a stream Decoder's frames always do.
+func TestMixedAndBoolFramesKeepTheRowBody(t *testing.T) {
+	for _, name := range []string{"mixed-kinds", "bool-packing", "all-kinds"} {
+		frame, err := Marshal(codecCases()[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		rel, err := Unmarshal(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rel.Columns() != nil || rel.Tuples == nil {
+			t.Errorf("%s decoded to a columnar body", name)
+		}
+	}
+	for _, name := range []string{"uniform", "all-null-col", "all-null-string", "empty", "no-cols-rows", "single-string"} {
+		frame, _ := Marshal(codecCases()[name])
+		if rel, err := Unmarshal(frame); err != nil || rel.Columns() == nil {
+			t.Errorf("%s: columnar %v, err %v", name, rel != nil && rel.Columns() != nil, err)
+		}
+	}
+}
+
+// TestGatherColumns: gathered vectors encode to the rows' frame, and a cell
+// only a row body can carry declines the image.
+func TestGatherColumns(t *testing.T) {
+	rows := codecCases()["uniform"]
+	c := GatherColumns(rows.Schema, rows.Tuples, []int32{3, 0, 0}, []int{2, 0, 3})
+	if c == nil {
+		t.Fatal("uniform rows declined")
+	}
+	schema := rows.Schema.Project([]int{2, 0, 3})
+	want := New(schema)
+	for _, i := range []int{3, 0, 0} {
+		want.MustAppend(Tuple{rows.Tuples[i][2], rows.Tuples[i][0], rows.Tuples[i][3]})
+	}
+	got := FromColumns(schema, c)
+	a, errA := Marshal(got)
+	b, errB := Marshal(want)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) || !relIdentical(got, want) {
+		t.Errorf("gathered image differs from its rows (%v, %v)", errA, errB)
+	}
+	for name, bad := range map[string]Value{
+		"off-kind":      NewFloat(1),
+		"stray payload": {Kind: KindInt, Int: 1, Str: "junk"},
+	} {
+		r := rows.Clone()
+		r.Tuples[1][0] = bad
+		if GatherColumns(r.Schema, r.Tuples, nil, []int{0}) != nil {
+			t.Errorf("%s cell gathered", name)
+		}
+	}
+	b2 := codecCases()["bool-packing"]
+	if GatherColumns(b2.Schema, b2.Tuples, nil, []int{0}) != nil {
+		t.Error("a BOOL column gathered")
+	}
+}
+
+// TestUnmarshalReadsItsArgumentInPlace: Unmarshal of an N-byte frame
+// allocates what it decodes into, and no N-byte copy of the frame besides.
+// The frames are made of 10-byte varints, so a copy would show.
+func TestUnmarshalReadsItsArgumentInPlace(t *testing.T) {
+	const n = 1 << 16
+	columnar := New(MustSchema(Column{"i", KindInt}))
+	mixed := New(MustSchema(Column{"i", KindFloat}))
+	for i := 0; i < n; i++ {
+		columnar.MustAppend(Tuple{NewInt(math.MinInt64 + int64(i))})
+		mixed.MustAppend(Tuple{NewInt(math.MinInt64 + int64(i))})
+	}
+	for _, c := range []struct {
+		name    string
+		rel     *Relation
+		decoded uint64 // the body's own slabs
+	}{
+		{"columnar", columnar, 8 * n},
+		{"rows", mixed, (ValueMemBytes + TupleMemBytes) * n},
+	} {
+		frame, err := Marshal(c.rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got *Relation
+		grew := allocatedBy(func() { got, err = Unmarshal(frame) })
+		if err != nil || got.Len() != n {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if limit := c.decoded + uint64(len(frame))/2; grew > limit {
+			t.Errorf("%s: Unmarshal of a %d-byte frame allocated %d bytes, want ≤ %d", c.name, len(frame), grew, limit)
+		}
+	}
+}
+
+// TestColumnarBodyConcurrentReaders: a finished columnar relation is read by
+// several goroutines at once — the sites of an in-process cluster handed one
+// fragment — and every reader boxes its own rows. Run under -race.
+func TestColumnarBodyConcurrentReaders(t *testing.T) {
+	frame, err := Marshal(codecCases()["uniform"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared.ShareFrame()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rows := shared.Rows()
+			rows[0][0] = NewInt(99) // a reader's own copy
+			if b, err := shared.Frame(); err != nil || !bytes.Equal(b, frame) {
+				t.Errorf("frame changed under concurrent readers (%v)", err)
+			}
+			if got := shared.View().AppendRow(nil, 0); got[0] != NewInt(-3) || shared.Clone().Len() != 4 {
+				t.Errorf("row 0 reads %v", got)
+			}
+		}()
+	}
+	wg.Wait()
 }

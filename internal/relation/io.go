@@ -25,6 +25,8 @@ func ReadGob(rd io.Reader) (*Relation, error) {
 	if err := r.Schema.Validate(); err != nil {
 		return nil, err
 	}
+	// The tools that read partition files edit and scan rows.
+	r.ownRows()
 	for i, t := range r.Tuples {
 		if len(t) != len(r.Schema) {
 			return nil, fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
@@ -73,7 +75,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(r.Schema))
-	for _, t := range r.Tuples {
+	for _, t := range r.Rows() {
 		for i, v := range t {
 			if v.IsNull() {
 				rec[i] = ""

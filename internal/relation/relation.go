@@ -3,6 +3,7 @@ package relation
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -56,10 +57,20 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 	return true
 }
 
-// Relation is an in-memory row-oriented relation (multiset of tuples).
+// Relation is an in-memory relation (multiset of tuples) with one of two
+// bodies. The row body is Tuples. The columnar body — a decoded frame
+// (Unmarshal, GobDecode), an X fragment, an H block a compiled kernel emits —
+// is a read-only Columns image, and Tuples is nil while it is set. Len,
+// Clone, MemBytes, the frame methods, the comparators and Format read either
+// body; Rows and AppendRow box a columnar one on demand; the methods that
+// change the rows (Append, Union, DedupBy, Sort) switch it to a row body
+// first.
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
+
+	// cols is the columnar body; nil for a row body.
+	cols *Columns
 
 	// pooled links a decoded wire block back to its BlockPool storage so
 	// Recycle can return it; nil for ordinary relations.
@@ -75,8 +86,75 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
+// FromColumns returns a relation whose body is c: one typed (never Boxed)
+// vector per schema column, of that column's kind. Neither may be written
+// afterwards.
+func FromColumns(schema Schema, c *Columns) *Relation {
+	return &Relation{Schema: schema, cols: c}
+}
+
+// Columns returns the columnar body, or nil for a row body. The vectors are
+// read-only.
+func (r *Relation) Columns() *Columns { return r.cols }
+
 // Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.Tuples) }
+func (r *Relation) Len() int {
+	if r.cols != nil {
+		return r.cols.Rows
+	}
+	return len(r.Tuples)
+}
+
+// Rows returns the relation's rows: a row body's Tuples as they are, or a
+// columnar body boxed into fresh rows carved from one Value slab. It boxes on
+// every call and caches nothing, so concurrent readers of one columnar
+// relation never race; a caller that needs the rows twice keeps the slice.
+func (r *Relation) Rows() []Tuple {
+	if r.cols == nil {
+		return r.Tuples
+	}
+	n, w := r.cols.Rows, len(r.cols.Vecs)
+	slab := make([]Value, n*w)
+	rows := make([]Tuple, n)
+	for i := range rows {
+		rows[i] = slab[i*w : (i+1)*w : (i+1)*w]
+	}
+	for j := range r.cols.Vecs {
+		v := &r.cols.Vecs[j]
+		for i, row := range rows {
+			row[j] = v.Value(i)
+		}
+	}
+	return rows
+}
+
+// AppendRow appends row i's values to dst, boxing them from a columnar body.
+func (r *Relation) AppendRow(dst Tuple, i int) Tuple {
+	if r.cols == nil {
+		return append(dst, r.Tuples[i]...)
+	}
+	for j := range r.cols.Vecs {
+		dst = append(dst, r.cols.Vecs[j].Value(i))
+	}
+	return dst
+}
+
+// RowBody returns r itself when it has a row body, or a new relation over
+// r's schema and boxed rows: for consumers that index or edit Tuples.
+func (r *Relation) RowBody() *Relation {
+	if r.cols == nil {
+		return r
+	}
+	return &Relation{Schema: r.Schema, Tuples: r.Rows()}
+}
+
+// ownRows switches a columnar body to a row body, for the methods that
+// change the rows.
+func (r *Relation) ownRows() {
+	if r.cols != nil {
+		r.Tuples, r.cols = r.Rows(), nil
+	}
+}
 
 // Approximate in-memory cost of one Value (Kind + Int + Float + string
 // header, padded) and of one Tuple's slice header. Used by MemBytes and by
@@ -89,15 +167,19 @@ const (
 	TupleMemBytes = 24
 )
 
-// MemBytes estimates the relation's in-memory footprint in bytes: slice
-// headers plus per-value storage plus string payloads. It is an O(rows)
+// MemBytes estimates the relation's in-memory footprint in bytes: for a row
+// body, slice headers plus per-value storage plus string payloads, an O(rows)
 // estimate for memory budgeting (admission control charges it at staging and
-// merge boundaries), not an exact allocator measurement.
+// merge boundaries), not an exact allocator measurement; for a columnar body,
+// the exact sizes of its slabs and strings.
 func (r *Relation) MemBytes() int64 {
 	if r == nil {
 		return 0
 	}
 	n := int64(TupleMemBytes) * int64(len(r.Schema))
+	if r.cols != nil {
+		return n + r.cols.memBytes()
+	}
 	for _, t := range r.Tuples {
 		n += t.MemBytes()
 	}
@@ -121,6 +203,7 @@ func (r *Relation) Append(t Tuple) error {
 	if len(t) != len(r.Schema) {
 		return fmt.Errorf("relation: tuple arity %d does not match schema %s", len(t), r.Schema)
 	}
+	r.ownRows()
 	r.Tuples = append(r.Tuples, t)
 	return nil
 }
@@ -132,8 +215,11 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Clone deep-copies the relation.
+// Clone deep-copies the relation, keeping its body's form.
 func (r *Relation) Clone() *Relation {
+	if r.cols != nil {
+		return FromColumns(r.Schema.Clone(), r.cols.clone())
+	}
 	out := &Relation{Schema: r.Schema.Clone(), Tuples: make([]Tuple, len(r.Tuples))}
 	for i, t := range r.Tuples {
 		out.Tuples[i] = t.Clone()
@@ -147,6 +233,14 @@ func (r *Relation) Project(names []string) (*Relation, error) {
 	idx, err := r.Schema.Indexes(names)
 	if err != nil {
 		return nil, err
+	}
+	if r.cols != nil {
+		// The vectors are read-only, so the projection shares them.
+		c := &Columns{Rows: r.cols.Rows, Vecs: make([]Vector, len(idx))}
+		for j, k := range idx {
+			c.Vecs[j] = r.cols.Vecs[k]
+		}
+		return FromColumns(r.Schema.Project(idx), c), nil
 	}
 	out := New(r.Schema.Project(idx))
 	out.Tuples = make([]Tuple, len(r.Tuples))
@@ -167,9 +261,10 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
+	rows := r.Rows()
 	out := New(r.Schema.Project(idx))
-	seen := NewKeySet(len(r.Tuples))
-	for _, t := range r.Tuples {
+	seen := NewKeySet(len(rows))
+	for _, t := range rows {
 		if key, fresh := seen.Add(t, idx); fresh {
 			out.Tuples = append(out.Tuples, key)
 		}
@@ -180,7 +275,7 @@ func (r *Relation) DistinctProject(names []string) (*Relation, error) {
 // Filter returns the rows for which keep returns true.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
 	out := New(r.Schema)
-	for _, t := range r.Tuples {
+	for _, t := range r.Rows() {
 		if keep(t) {
 			out.Tuples = append(out.Tuples, t)
 		}
@@ -193,7 +288,8 @@ func (r *Relation) Union(o *Relation) error {
 	if !r.Schema.Equal(o.Schema) {
 		return fmt.Errorf("relation: union schema mismatch: %s vs %s", r.Schema, o.Schema)
 	}
-	r.Tuples = append(r.Tuples, o.Tuples...)
+	r.ownRows()
+	r.Tuples = append(r.Tuples, o.Rows()...)
 	return nil
 }
 
@@ -204,6 +300,7 @@ func (r *Relation) DedupBy(names []string) error {
 	if err != nil {
 		return err
 	}
+	r.ownRows()
 	seen := NewKeySet(len(r.Tuples))
 	out := r.Tuples[:0]
 	for _, t := range r.Tuples {
@@ -219,8 +316,13 @@ func (r *Relation) DedupBy(names []string) error {
 // sort order on values. It is used for deterministic output and result
 // comparison.
 func (r *Relation) Sort() {
-	sort.SliceStable(r.Tuples, func(i, j int) bool {
-		a, b := r.Tuples[i], r.Tuples[j]
+	r.ownRows()
+	sortRows(r.Tuples)
+}
+
+func sortRows(rows []Tuple) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		a, b := rows[i], rows[j]
 		for k := range a {
 			if a[k].Equal(b[k]) {
 				continue
@@ -231,18 +333,28 @@ func (r *Relation) Sort() {
 	})
 }
 
+// sortedRows returns r's rows sorted, leaving r as it is.
+func (r *Relation) sortedRows() []Tuple {
+	rows := r.Rows()
+	if r.cols == nil {
+		rows = slices.Clone(rows)
+	}
+	sortRows(rows)
+	return rows
+}
+
 // EqualMultiset reports whether two relations hold the same multiset of
 // tuples under the same schema, ignoring row order.
 func (r *Relation) EqualMultiset(o *Relation) bool {
-	if !r.Schema.Equal(o.Schema) || len(r.Tuples) != len(o.Tuples) {
+	if !r.Schema.Equal(o.Schema) || r.Len() != o.Len() {
 		return false
 	}
 	all := identityCols(len(r.Schema))
-	counts := NewKeyCounter(len(r.Tuples))
-	for _, t := range r.Tuples {
+	counts := NewKeyCounter(r.Len())
+	for _, t := range r.Rows() {
 		counts.Inc(t, all)
 	}
-	for _, t := range o.Tuples {
+	for _, t := range o.Rows() {
 		if counts.Dec(t, all) < 0 {
 			return false
 		}
@@ -260,15 +372,17 @@ func (r *Relation) Format(maxRows int) string {
 	for i, c := range r.Schema {
 		widths[i] = len(c.Name)
 	}
-	n := len(r.Tuples)
+	n := r.Len()
 	shown := n
 	if maxRows >= 0 && shown > maxRows {
 		shown = maxRows
 	}
 	cells := make([][]string, shown)
+	var t Tuple
 	for i := 0; i < shown; i++ {
 		row := make([]string, len(r.Schema))
-		for j, v := range r.Tuples[i] {
+		t = r.AppendRow(t[:0], i)
+		for j, v := range t {
 			row[j] = v.String()
 			if len(row[j]) > widths[j] {
 				widths[j] = len(row[j])
@@ -314,15 +428,13 @@ func (r *Relation) Format(maxRows int) string {
 // differ in the last bits between plans, or between distributed and central
 // evaluation; exact comparison is only appropriate for integer aggregates.
 func (r *Relation) EqualMultisetApprox(o *Relation, relTol float64) bool {
-	if !r.Schema.Equal(o.Schema) || len(r.Tuples) != len(o.Tuples) {
+	if !r.Schema.Equal(o.Schema) || r.Len() != o.Len() {
 		return false
 	}
-	a, b := r.Clone(), o.Clone()
-	a.Sort()
-	b.Sort()
-	for i := range a.Tuples {
-		for j := range a.Tuples[i] {
-			if !valueApproxEqual(a.Tuples[i][j], b.Tuples[i][j], relTol) {
+	a, b := r.sortedRows(), o.sortedRows()
+	for i := range a {
+		for j := range a[i] {
+			if !valueApproxEqual(a[i][j], b[i][j], relTol) {
 				return false
 			}
 		}

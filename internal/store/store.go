@@ -113,7 +113,7 @@ func CreateFrom(dir, name string, rel *relation.Relation, segmentRows int) (*Tab
 	if err != nil {
 		return nil, err
 	}
-	for _, row := range rel.Tuples {
+	for _, row := range rel.Rows() {
 		if err := t.Append(row); err != nil {
 			return nil, err
 		}

@@ -50,8 +50,9 @@ type Config struct {
 	FailStreams           int
 	StreamFailAfterBlocks int
 	// MutateBlock, when set, replaces each streamed H block before it
-	// reaches the sink — for corruption tests. The original block stays
-	// untouched (it may be pooled).
+	// reaches the sink — for corruption tests. It is handed a row body
+	// (a columnar block is boxed first); the original block stays untouched
+	// (it may be pooled).
 	MutateBlock func(*relation.Relation) *relation.Relation
 }
 
@@ -141,7 +142,7 @@ func (f *Site) EvalOperatorStream(ctx context.Context, req engine.OperatorReques
 			return ErrInjected
 		}
 		if f.cfg.MutateBlock != nil {
-			b = f.cfg.MutateBlock(b)
+			b = f.cfg.MutateBlock(b.RowBody())
 		}
 		delivered++
 		return sink(b)

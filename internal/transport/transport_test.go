@@ -167,7 +167,7 @@ func TestTCPLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	got, _, err := cli.EvalBase(ctx, gmdj.BaseQuery{Detail: "pushed", Cols: []string{"x"}})
-	if err != nil || got.Len() != 1 || got.Tuples[0][0].Int != 42 {
+	if err != nil || got.Len() != 1 || got.Rows()[0][0].Int != 42 {
 		t.Errorf("pushed data round-trip: %v %v", got, err)
 	}
 	// Invalid load is rejected remotely.

@@ -316,7 +316,9 @@ func servedStatements() []string {
 // links beside comparisons against literals and earlier aggregates, rollup
 // links, string and integer keys — under the rule selection a server session
 // plans with, and still equal the centralized evaluation. A shape that falls
-// back to the scalar scan costs the round its slowest site.
+// back to the scalar scan costs the round its slowest site. It holds both
+// where a site is handed the coordinator's X fragment by reference and where
+// it decodes the fragment from its frame, as a networked site does.
 func TestServedTemplatesStayCompiled(t *testing.T) {
 	d, err := tpc.Generate(tpc.Config{Rows: 3000, Customers: 400, Nations: 25, CitiesPerNation: 4, Clerks: 40, Seed: 6}, 4)
 	if err != nil {
@@ -326,14 +328,28 @@ func TestServedTemplatesStayCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl, err := NewLocalCluster(4, WithCatalog(cat))
-	if err != nil {
-		t.Fatal(err)
+	for _, tr := range []struct {
+		name string
+		opts []ClusterOption
+	}{
+		{"by-reference", []ClusterOption{WithCatalog(cat)}},
+		{"serialized", []ClusterOption{WithCatalog(cat), WithSerializedTransport()}},
+	} {
+		t.Run(tr.name, func(t *testing.T) {
+			cl, err := NewLocalCluster(4, tr.opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cl.Close()
+			if err := cl.LoadPartitions(context.Background(), tpc.RelationName, d.Parts); err != nil {
+				t.Fatal(err)
+			}
+			checkServedTemplatesCompiled(t, cl, d)
+		})
 	}
-	defer cl.Close()
-	if err := cl.LoadPartitions(context.Background(), tpc.RelationName, d.Parts); err != nil {
-		t.Fatal(err)
-	}
+}
+
+func checkServedTemplatesCompiled(t *testing.T, cl *Cluster, d *tpc.Dataset) {
 	for _, stmt := range servedStatements() {
 		parse := ParseQueryText
 		if strings.HasPrefix(stmt, "SELECT") {
