@@ -56,7 +56,7 @@ func main() {
 	mi := res.Rel.Schema.MustIndex("MktSegment")
 	si := res.Rel.Schema.MustIndex("ShipMode")
 	fmt.Println("rollup cells (MktSegment and ShipMode rolled up):")
-	for _, row := range res.Rel.Tuples {
+	for _, row := range res.Rel.Rows() {
 		if row[mi].IsNull() && row[si].IsNull() {
 			fmt.Printf("  region=%-5v orders=%-6v revenue=%.0f\n",
 				row[ri], row[res.Rel.Schema.MustIndex("orders")],

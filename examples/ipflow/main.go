@@ -59,7 +59,7 @@ func main() {
 	fmt.Println("web-traffic fraction per source AS (first 6):")
 	s := webRes.Rel.Schema
 	asI, fI, wI := s.MustIndex("SourceAS"), s.MustIndex("flows"), s.MustIndex("webFlows")
-	for _, row := range webRes.Rel.Tuples[:6] {
+	for _, row := range webRes.Rel.Rows()[:6] {
 		fmt.Printf("  AS%-4d %5d flows, %5d web (%.1f%%)\n",
 			row[asI].Int, row[fI].Int, row[wI].Int,
 			100*float64(row[wI].Int)/float64(row[fI].Int))

@@ -69,11 +69,11 @@ func (c *Coordinator) NumSites() int { return len(c.sites) }
 
 // Result is the outcome of one distributed evaluation.
 type Result struct {
-	// Rel holds the result rows. When the shared-work layer is active
+	// Rel holds the result, usually as a columnar body: read it with Rows,
+	// AppendRow or Value, not Tuples. When the shared-work layer is active
 	// (SetResultCache / SetSingleFlight) Rel is this caller's own header over
-	// rows shared with other consumers: re-slicing or reassigning Rel.Tuples
-	// is private, but the rows are read-only — Clone before writing cells or
-	// reordering in place.
+	// a body shared with other consumers: KeepRows on it is private, but the
+	// rows are read-only — Clone before writing cells or reordering in place.
 	Rel     *relation.Relation
 	Metrics *stats.Metrics
 	Plan    *plan.Plan
@@ -339,7 +339,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 		}
 	}
 	if err == nil {
-		mg.RecomputeDerived(upTo)
+		mg.RecomputeDerived(0, upTo)
 	}
 	rs.End(time.Since(coordStart))
 	return err
@@ -404,14 +404,17 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			defer close(ready[i])
 			// Thm. 4 fragment reduction runs here, in each site's own
 			// goroutine, so the O(sites × |X|) predicate evaluation
-			// parallelizes instead of serializing the round's start. It sees
-			// whole X rows — the merges running meanwhile write only operator
-			// k's cells, which no reducer reads — and runs once: every retry
-			// ships the same fragment and maps ordinals through the same kept.
+			// parallelizes instead of serializing the round's start. It reads
+			// X as it was before Extend, through one scratch row — the merges
+			// running meanwhile write only operator k's cells, which that X
+			// does not hold — and runs once: every retry ships the same
+			// fragment and maps ordinals through the same kept.
 			frag, kept := whole, []int32(nil)
 			if reducers != nil {
-				kept = make([]int32, 0, len(x.Tuples)/len(c.sites)+1)
-				for xi, row := range x.Tuples {
+				kept = make([]int32, 0, x.Len()/len(c.sites)+1)
+				var row relation.Tuple
+				for xi := 0; xi < x.Len(); xi++ {
+					row = x.AppendRow(row[:0], xi)
 					keep, err := reducers[i](row)
 					if err != nil {
 						errs[i] = err
@@ -488,7 +491,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 		err = mergeErr
 	}
 	if err == nil {
-		mg.RecomputeDerived(k + 1)
+		mg.RecomputeDerived(k, k+1)
 	}
 	coordTime += time.Since(t0)
 	// A site whose errs entry is set made no successful call: its failed

@@ -422,7 +422,7 @@ func TestEmptyGroupsKeepIdentity(t *testing.T) {
 		t.Fatalf("groups = %d, want 3\n%s", res.Rel.Len(), res.Rel)
 	}
 	ci, si := res.Rel.Schema.MustIndex("c"), res.Rel.Schema.MustIndex("s")
-	for _, row := range res.Rel.Tuples {
+	for _, row := range res.Rel.Rows() {
 		if row[0].Int == 0 && row[1].Int == 0 {
 			if row[ci].Int != 0 || !row[si].IsNull() {
 				t.Errorf("empty group aggregates = %v / %v, want 0 / NULL", row[ci], row[si])
@@ -493,8 +493,8 @@ func TestMergerUnit(t *testing.T) {
 	if err := merge(h, 0, 0); err != nil { // second site's identical H doubles it
 		t.Fatal(err)
 	}
-	m.RecomputeDerived(1)
-	row := m.X().Tuples[0]
+	m.RecomputeDerived(0, 1)
+	row := m.X().Rows()[0]
 	cntIdx := m.X().Schema.MustIndex("cnt1")
 	avgIdx := m.X().Schema.MustIndex("avg1")
 	if row[cntIdx].Int != 4 {

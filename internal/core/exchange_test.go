@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -444,12 +446,17 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 	}
 }
 
-// FuzzStageAdd decodes arbitrary bytes as one H block and stages it over
-// stageMerger's X, as the coordinator stages a site's stream: nothing may
-// panic, a block the stage refuses is ErrMalformedH and leaves X as it was,
-// and a block it accepts commits and leaves X's aggregates ones the next
-// merge can fold. An accepted cell may still change a cell's kind: a FLOAT sum
-// in an INT column is what a site computes over an INT column holding a FLOAT.
+// FuzzStageAdd decodes arbitrary bytes as one H block twice — through a
+// stream Decoder, as a TCP client reads a site's stream, and through
+// Unmarshal — and stages each over its own stageMerger X, as the coordinator
+// stages a site's stream; a third X, switched to rows, stages the block's
+// rows. Nothing may panic, and the three agree: each refuses the block with
+// ErrMalformedH and leaves X as it was, or each commits it, to X's that print
+// identically and hold aggregates the next merge can fold. Decoding and
+// staging a block allocates at most stageAllocPerByte bytes per input byte
+// plus stageAllocConst. An accepted cell may still change a cell's kind: a
+// FLOAT sum in an INT column is what a site computes over an INT column
+// holding a FLOAT.
 func FuzzStageAdd(f *testing.F) {
 	phys := stageMerger(f).segs[0][0].layout.PhysSchema()
 	hSchema, err := engine.HSchema(phys)
@@ -476,29 +483,73 @@ func FuzzStageAdd(f *testing.F) {
 		if err != nil {
 			return
 		}
-		m := stageMerger(t)
-		before := m.X().Format(-1)
-		st := m.NewStage(0, m.X().Len(), nil)
-		if err := st.Add(h); err != nil {
-			st.Discard()
-			if !errors.Is(err, ErrMalformedH) {
-				t.Fatalf("staging = %v, want ErrMalformedH", err)
+		streamed := stageMerger(t)
+		before := streamed.X().Format(-1)
+		st := streamed.NewStage(0, streamed.X().Len(), nil)
+		var block *relation.Relation
+		var streamErr error
+		limit := stageAllocPerByte*uint64(len(data)) + stageAllocConst
+		if n := allocatedBy(func() {
+			if block, err = relation.NewDecoder(bytes.NewReader(data)).Decode(); err == nil {
+				streamErr = st.Add(block)
 			}
-			if after := m.X().Format(-1); after != before {
-				t.Fatalf("a rejected block changed X\nbefore:\n%s\nafter:\n%s", before, after)
-			}
-			return
+		}); n > limit {
+			t.Fatalf("decoding and staging %d bytes allocated %d bytes", len(data), n)
 		}
-		if err := m.CommitStage(st, 0); err != nil {
-			t.Fatalf("an accepted block failed to commit: %v", err)
+		if err != nil {
+			t.Fatalf("the stream decoder refused a frame Unmarshal decodes: %v", err)
 		}
-		seg := m.segs[0][0]
-		for _, row := range m.X().Tuples {
-			if err := seg.layout.CheckPhys(row[seg.physStart : seg.physStart+len(seg.layout.Phys)]); err != nil {
-				t.Fatalf("an accepted block left X unmergeable: %v", err)
+		unmarshalled, rows := stageMerger(t), stageMerger(t)
+		if err := rows.toRows(); err != nil {
+			t.Fatal(err)
+		}
+		mergers := []*merger{streamed, unmarshalled, rows}
+		stages := []*hStage{st, unmarshalled.NewStage(0, unmarshalled.X().Len(), nil), rows.NewStage(0, rows.X().Len(), nil)}
+		errs := []error{streamErr, stages[1].Add(h), stages[2].Add(h.RowBody())}
+		for i, m := range mergers {
+			if errs[i] != nil {
+				stages[i].Discard()
+				if !errors.Is(errs[i], ErrMalformedH) {
+					t.Fatalf("staging = %v, want ErrMalformedH", errs[i])
+				}
+				if after := m.X().Format(-1); after != before {
+					t.Fatalf("a rejected block changed X\nbefore:\n%s\nafter:\n%s", before, after)
+				}
+				continue
 			}
+			if err := m.CommitStage(stages[i], 0); err != nil {
+				t.Fatalf("an accepted block failed to commit: %v", err)
+			}
+			seg := m.segs[0][0]
+			for _, row := range m.X().Rows() {
+				if err := seg.layout.CheckPhys(row[seg.physStart : seg.physStart+len(seg.layout.Phys)]); err != nil {
+					t.Fatalf("an accepted block left X unmergeable: %v", err)
+				}
+			}
+		}
+		if (errs[0] == nil) != (errs[1] == nil) || (errs[0] == nil) != (errs[2] == nil) {
+			t.Fatalf("stream, Unmarshal and rows staged differently: %v / %v / %v", errs[0], errs[1], errs[2])
+		}
+		if a, b, c := streamed.X().Format(-1), unmarshalled.X().Format(-1), rows.X().Format(-1); a != b || a != c {
+			t.Fatalf("stream, Unmarshal and rows committed different X's\n%s\n%s\n%s", a, b, c)
 		}
 	})
+}
+
+// Decoding and staging one H block allocates at most stageAllocPerByte bytes
+// per input byte plus stageAllocConst, the bound the codec's decode keeps.
+const (
+	stageAllocPerByte = 1024
+	stageAllocConst   = 2 << 20
+)
+
+// allocatedBy is the bytes fn allocates.
+func allocatedBy(fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	fn()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
 }
 
 // TestKeyedHFromOlderPeerFailsClosed: a site that answers with the
@@ -632,9 +683,11 @@ func TestEightSitesBlockedMatchCentral(t *testing.T) {
 	}
 }
 
-// TestExtendWritesInPlace: X's rows are backed once, at the plan's final
-// width — by InitBase for a base round, by MergeLocal for a local one — and
-// every Extend re-slices them where they are, still charging the growth.
+// TestExtendWritesInPlace: Extend widens a columnar X — built by InitBase for
+// a base round, by MergeLocal for a local one — by appending identity vectors:
+// it charges exactly the bytes X grew by, shares every existing vector, and
+// leaves the header taken before it at the old width, which is what a Thm. 4
+// reducer reads while the round's stages commit.
 func TestExtendWritesInPlace(t *testing.T) {
 	q := chainQuery()
 	src := gmdj.Schemas{"T": tSchema}
@@ -648,19 +701,21 @@ func TestExtendWritesInPlace(t *testing.T) {
 	}
 	extendAll := func(m *merger, budget *memBudget, from int) {
 		t.Helper()
-		backing := &m.X().Tuples[0][0]
+		backing := &m.X().Columns().Vecs[0].Ints[0]
 		for k := from; k < len(q.Ops); k++ {
-			before := budget.used.Load()
+			before, old := budget.used.Load(), m.X()
 			if err := m.Extend(); err != nil {
 				t.Fatal(err)
 			}
-			grew := int64(len(xs[k+1]) - len(xs[k]))
-			if got, want := budget.used.Load()-before, int64(m.X().Len())*(grew*relation.ValueMemBytes+relation.TupleMemBytes); got != want {
-				t.Errorf("Extend %d charged %d bytes, want %d", k+1, got, want)
+			x := m.X()
+			if got, want := budget.used.Load()-before, x.MemBytes()-old.MemBytes(); got != want {
+				t.Errorf("Extend %d charged %d bytes, X grew by %d", k+1, got, want)
 			}
-			row := m.X().Tuples[0]
-			if &row[0] != backing || len(row) != len(xs[k+1]) || cap(row) != len(xs[len(xs)-1]) {
-				t.Errorf("Extend %d re-backed a row (len %d, cap %d)", k+1, len(row), cap(row))
+			if x.Columns() == nil || &x.Columns().Vecs[0].Ints[0] != backing || len(x.Columns().Vecs) != len(xs[k+1]) {
+				t.Errorf("Extend %d did not widen X's vectors in place", k+1)
+			}
+			if len(old.Schema) != len(xs[k]) || len(old.Columns().Vecs) != len(xs[k]) {
+				t.Errorf("Extend %d widened the header taken before it", k+1)
 			}
 		}
 	}

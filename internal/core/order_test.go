@@ -125,7 +125,7 @@ func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
 		t.Fatalf("%d groups, want %d", first.Len(), len(floatCells)+1)
 	}
 	gi, si := first.Schema.MustIndex("g"), first.Schema.MustIndex("s")
-	for _, row := range first.Tuples {
+	for _, row := range first.Rows() {
 		g := int(row[gi].Int)
 		var sum float64
 		if g == bigGroup {

@@ -138,7 +138,7 @@ func TestSingleFlightResultsArePrivate(t *testing.T) {
 	}
 	want := sortedText(results[1].Rel)
 	// Truncate one caller's relation in place; the others must be unaffected.
-	results[0].Rel.Tuples = results[0].Rel.Tuples[:1]
+	results[0].Rel.KeepRows([]int32{0})
 	for i := 1; i < n; i++ {
 		if got := sortedText(results[i].Rel); got != want {
 			t.Fatalf("mutating result 0 corrupted result %d", i)
@@ -296,7 +296,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 
 	// The hit hands out a private header: truncating it must not corrupt the
 	// cached entry.
-	hot.Rel.Tuples = hot.Rel.Tuples[:1]
+	hot.Rel.KeepRows([]int32{0})
 	again, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectAll())
 	if err != nil {
 		t.Fatal(err)

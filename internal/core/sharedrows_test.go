@@ -144,7 +144,9 @@ func TestPostprocessLeavesSharedRowsInPlace(t *testing.T) {
 		t.Fatal("the flight's result was not cached")
 	}
 	want := cached.Format(-1)
-	firstThree := (&relation.Relation{Schema: cached.Schema, Tuples: cached.Tuples[:3]}).Format(-1)
+	head := cached.View()
+	head.KeepRows([]int32{0, 1, 2})
+	firstThree := head.Format(-1)
 	if flight[1].Rel.Format(-1) != want {
 		t.Fatal("the follower's result differs from the cached entry")
 	}
@@ -154,7 +156,7 @@ func TestPostprocessLeavesSharedRowsInPlace(t *testing.T) {
 	}
 	ordered := flight[0].Rel
 	si := ordered.Schema.MustIndex("s")
-	if ordered.Len() != 3 || ordered.Tuples[0][si].Int < ordered.Tuples[1][si].Int || ordered.Tuples[1][si].Int < ordered.Tuples[2][si].Int {
+	if rows := ordered.Rows(); ordered.Len() != 3 || rows[0][si].Int < rows[1][si].Int || rows[1][si].Int < rows[2][si].Int {
 		t.Fatalf("postprocessed result is not the top 3 by s:\n%s", ordered)
 	}
 	if ordered.Format(-1) == firstThree {

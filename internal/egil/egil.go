@@ -24,7 +24,6 @@ package egil
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -144,21 +143,28 @@ func ParseStatement(input string) (*Statement, error) {
 }
 
 // Postprocess applies the statement's client-side clauses (ORDER BY, LIMIT)
-// to an executed result relation. The coordinator applies it after
-// distributed evaluation — ordering and truncation are presentation, not
-// part of the GMDJ algebra. Only rel's own header changes: ORDER BY points
-// rel at a sorted copy of its row slice and LIMIT re-slices it, so rows
-// shared with other consumers (a cached or single-flighted result) are never
-// permuted or written.
+// to an executed result relation, of either body. The coordinator applies it
+// after distributed evaluation — ordering and truncation are presentation,
+// not part of the GMDJ algebra. Only rel's own header changes
+// (relation.KeepRows), so a body shared with other consumers (a cached or
+// single-flighted result) is never permuted or written.
 func (st *Statement) Postprocess(rel *relation.Relation) error {
+	n := rel.Len()
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
+	}
 	if st.OrderBy != "" {
 		idx := rel.Schema.Index(st.OrderBy)
 		if idx < 0 {
 			return fmt.Errorf("egil: ORDER BY column %q not in result %s", st.OrderBy, rel.Schema)
 		}
-		rows := slices.Clone(rel.Tuples)
-		sort.SliceStable(rows, func(i, j int) bool {
-			a, b := rows[i][idx], rows[j][idx]
+		keys := make([]relation.Value, n)
+		for i := range keys {
+			keys[i] = rel.Value(i, idx)
+		}
+		sort.SliceStable(order, func(i, j int) bool {
+			a, b := keys[order[i]], keys[order[j]]
 			c, ok := a.Compare(b)
 			if !ok {
 				// NULLs (and incomparables) sort first ascending, last descending.
@@ -174,10 +180,12 @@ func (st *Statement) Postprocess(rel *relation.Relation) error {
 			}
 			return c < 0
 		})
-		rel.Tuples = rows
 	}
-	if st.Limit > 0 && rel.Len() > st.Limit {
-		rel.Tuples = rel.Tuples[:st.Limit]
+	if st.Limit > 0 && n > st.Limit {
+		order = order[:st.Limit]
+	}
+	if st.OrderBy != "" || len(order) < n {
+		rel.KeepRows(order)
 	}
 	return nil
 }

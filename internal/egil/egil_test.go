@@ -285,6 +285,56 @@ func TestOrderByAndLimit(t *testing.T) {
 	}
 }
 
+// TestPostprocessReadsEitherBody: ORDER BY and LIMIT give a columnar result —
+// a decoded reply, a coordinator's result — the rows they give its row twin,
+// NULLs and ties included; the result stays columnar, and the body its views
+// share stays in place.
+func TestPostprocessReadsEitherBody(t *testing.T) {
+	rows := relation.New(relation.MustSchema(
+		relation.Column{Name: "SourceAS", Kind: relation.KindInt},
+		relation.Column{Name: "n", Kind: relation.KindInt},
+		relation.Column{Name: "name", Kind: relation.KindString},
+	))
+	for i := 0; i < 40; i++ {
+		n := relation.NewInt(int64(i % 7))
+		if i%9 == 0 {
+			n = relation.Null
+		}
+		rows.MustAppend(relation.Tuple{relation.NewInt(int64(i)), n, relation.NewString(string(rune('z' - i%11)))})
+	}
+	frame, err := relation.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cols, err := relation.Unmarshal(frame)
+	if err != nil || cols.Columns() == nil {
+		t.Fatalf("decode to vectors: %v", err)
+	}
+	shared := cols.Format(-1)
+	for _, clauses := range []string{"ORDER BY n DESC LIMIT 5", "ORDER BY n", "ORDER BY name DESC", "LIMIT 3", "ORDER BY SourceAS LIMIT 50"} {
+		st, err := ParseStatement("SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS " + clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		twin, view := rows.View(), cols.View()
+		if err := st.Postprocess(twin); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Postprocess(view); err != nil {
+			t.Fatal(err)
+		}
+		if view.Columns() == nil {
+			t.Errorf("%s: the columnar result became rows", clauses)
+		}
+		if got, want := view.Format(-1), twin.Format(-1); got != want {
+			t.Errorf("%s: columnar result\n%s\nrow twin\n%s", clauses, got, want)
+		}
+		if cols.Format(-1) != shared {
+			t.Fatalf("%s: postprocessing a view moved the shared rows", clauses)
+		}
+	}
+}
+
 func TestOrderByErrors(t *testing.T) {
 	bad := []string{
 		"SELECT a, COUNT(*) AS c FROM Flow GROUP BY a ORDER BY",       // empty

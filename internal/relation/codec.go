@@ -293,25 +293,23 @@ func appendMixedColumn(body []byte, r *Relation, j int) []byte {
 }
 
 // Decoder reads relations written by an Encoder, caching the stream schema
-// across frames. With SetPool, decoded blocks borrow tuple storage from a
-// BlockPool so steady-state streaming rounds allocate O(1); the consumer
-// returns a fully merged block with Recycle.
+// across frames and reading every frame body into one reused buffer. Frames
+// decode as Unmarshal decodes them: straight into vectors when every column
+// is uniform and declared INT, FLOAT, STRING or NULL, else into rows. Nothing
+// decoded points into the buffer.
 type Decoder struct {
 	r         ByteScanner
 	schema    Schema
 	hasSchema bool
 	body      []byte
-	pool      *BlockPool
 }
 
 // NewDecoder creates a decoder reading from r.
 func NewDecoder(r ByteScanner) *Decoder { return &Decoder{r: r} }
 
-// SetPool makes the decoder allocate decoded blocks from pool.
-func (d *Decoder) SetPool(pool *BlockPool) { d.pool = pool }
-
 // Decode reads one relation frame. It returns io.EOF (possibly wrapped as
-// io.ErrUnexpectedEOF mid-frame) when the stream ends.
+// io.ErrUnexpectedEOF mid-frame) when the stream ends. Read the rows through
+// Rows or AppendRow, not Tuples.
 func (d *Decoder) Decode() (*Relation, error) {
 	ln, err := binary.ReadUvarint(d.r)
 	if err != nil {
@@ -324,13 +322,14 @@ func (d *Decoder) Decode() (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	return d.decodeFrame(body, false)
+	return d.decodeFrame(body, true)
 }
 
 // decodeFrame decodes one frame body. With columnar set, a frame whose every
 // column is uniform and declared INT, FLOAT, STRING or NULL decodes straight
-// into vectors, read in place from body; any other frame, and every frame
-// without columnar, gets a row body.
+// into vectors, read in place from body; any other frame gets a row body.
+// Without columnar every frame does: the reference decode the vectors are
+// tested against.
 func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
 	cur := &cursor{b: body}
 	kind, err := cur.byte()
@@ -634,17 +633,12 @@ func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	var rel *Relation
-	if d.pool != nil {
-		rel = d.pool.Get(schema, nrows)
-	} else {
-		flat := make([]Value, nrows*cols)
-		tuples := make([]Tuple, nrows)
-		for i := range tuples {
-			tuples[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
-		}
-		rel = &Relation{Schema: schema, Tuples: tuples}
+	flat := make([]Value, nrows*cols)
+	tuples := make([]Tuple, nrows)
+	for i := range tuples {
+		tuples[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
 	}
+	rel := &Relation{Schema: schema, Tuples: tuples}
 	nb := (nrows + 7) / 8
 	for j := 0; j < cols; j++ {
 		bitmap, err := cur.bytes(nb)
@@ -973,56 +967,4 @@ func (r *Relation) GobDecode(b []byte) error {
 	}
 	*r = Relation{Schema: rel.Schema, Tuples: rel.Tuples, cols: rel.cols}
 	return nil
-}
-
-// BlockPool recycles decoded-block storage (the row-pointer slice and the
-// flat value array backing the tuples) across streaming merges. Get hands out
-// a relation whose tuples are carved from pooled storage; Recycle returns the
-// storage once the consumer has merged the block. Safe for concurrent use.
-type BlockPool struct {
-	p sync.Pool
-}
-
-type blockStorage struct {
-	pool   *BlockPool
-	tuples []Tuple
-	flat   []Value
-}
-
-// Get returns a pooled relation with rows tuples of arity len(schema). Every
-// cell must be written by the caller (the decoder does) — recycled storage
-// holds stale values.
-func (bp *BlockPool) Get(schema Schema, rows int) *Relation {
-	bs, _ := bp.p.Get().(*blockStorage)
-	if bs == nil {
-		bs = &blockStorage{pool: bp}
-	}
-	cols := len(schema)
-	need := rows * cols
-	if cap(bs.flat) < need {
-		bs.flat = make([]Value, need)
-	}
-	if cap(bs.tuples) < rows {
-		bs.tuples = make([]Tuple, rows)
-	}
-	bs.flat = bs.flat[:need]
-	bs.tuples = bs.tuples[:rows]
-	for i := range bs.tuples {
-		bs.tuples[i] = bs.flat[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	return &Relation{Schema: schema, Tuples: bs.tuples, pooled: bs}
-}
-
-// Recycle returns a pooled relation's storage for reuse; it is a no-op for
-// relations not obtained from a BlockPool. The caller must not use r (or
-// retain references into its tuples' backing storage) afterwards; values
-// copied out of it — including strings, which are immutable — stay valid.
-func Recycle(r *Relation) {
-	if r == nil || r.pooled == nil {
-		return
-	}
-	bs := r.pooled
-	r.pooled = nil
-	r.Tuples = nil
-	bs.pool.p.Put(bs)
 }

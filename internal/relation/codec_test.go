@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/gob"
 	"errors"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
@@ -85,7 +86,7 @@ func relIdentical(a, b *Relation) bool {
 			return false
 		}
 		for j := range ar[i] {
-			if !ar[i][j].keyEqual(br[i][j]) {
+			if !ar[i][j].Identical(br[i][j]) {
 				return false
 			}
 		}
@@ -248,38 +249,44 @@ func TestCodecStream(t *testing.T) {
 	}
 }
 
-func TestCodecPooledDecode(t *testing.T) {
+// TestCodecStreamDecodesVectors: a stream Decoder reads every frame into one
+// reused buffer and decodes uniform blocks to vectors, mixed or BOOL ones to
+// rows; a block stays intact after later frames overwrote the buffer.
+func TestCodecStreamDecodesVectors(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
 	blocks := make([]*Relation, 5)
 	for b := range blocks {
 		r := New(MustSchema(Column{"g", KindInt}, Column{"name", KindString}))
 		for i := 0; i < 10+b; i++ {
-			r.MustAppend(Tuple{NewInt(int64(b*100 + i)), NewString("row")})
+			name := NewString(fmt.Sprintf("row-%d-%d", b, i))
+			if b == 3 && i == 4 {
+				name = NewInt(7) // an off-kind cell: this block keeps rows
+			}
+			r.MustAppend(Tuple{NewInt(int64(b*100 + i)), name})
 		}
 		blocks[b] = r
 		if err := enc.Encode(r); err != nil {
 			t.Fatal(err)
 		}
 	}
-	var pool BlockPool
 	dec := NewDecoder(&buf)
-	dec.SetPool(&pool)
-	for i, want := range blocks {
-		got, err := dec.Decode()
+	var got []*Relation
+	for range blocks {
+		rel, err := dec.Decode()
 		if err != nil {
-			t.Fatalf("block %d: %v", i, err)
+			t.Fatal(err)
 		}
-		if !relIdentical(want, got) {
-			t.Errorf("pooled block %d changed in round trip", i)
-		}
-		Recycle(got)
-		// Recycle detaches the block from the pool; double-recycle is a no-op.
-		Recycle(got)
+		got = append(got, rel)
 	}
-	// Recycling a non-pooled relation is a no-op too.
-	Recycle(blocks[0])
-	Recycle(nil)
+	for i, want := range blocks {
+		if columnar := got[i].Columns() != nil; columnar != (i != 3) {
+			t.Errorf("block %d: columnar body %v", i, columnar)
+		}
+		if !relIdentical(want, got[i]) {
+			t.Errorf("block %d changed in round trip", i)
+		}
+	}
 }
 
 func TestCodecRejectsCorrupt(t *testing.T) {
@@ -448,15 +455,26 @@ func randomRelation(rng *rand.Rand) *Relation {
 	return r
 }
 
-// rowDecode decodes a self-contained frame the way a stream Decoder does,
-// always into a row body, refusing trailing bytes as Unmarshal does.
-func rowDecode(data []byte) (*Relation, error) {
+// streamDecode decodes a self-contained frame the way a stream Decoder does,
+// refusing trailing bytes as Unmarshal does.
+func streamDecode(data []byte) (*Relation, error) {
 	rd := bytes.NewReader(data)
 	rel, err := NewDecoder(rd).Decode()
 	if err == nil && rd.Len() != 0 {
 		err = errors.New("trailing bytes")
 	}
 	return rel, err
+}
+
+// rowDecode decodes a self-contained frame into a row body whatever its
+// columns: the reference the vectors are held to.
+func rowDecode(data []byte) (*Relation, error) {
+	ln, n := binary.Uvarint(data)
+	if n <= 0 || uint64(len(data)-n) != ln {
+		return nil, errors.New("bad frame length")
+	}
+	var d Decoder
+	return d.decodeFrame(data[n:], false)
 }
 
 // allocatedBy is the bytes fn allocates.
@@ -478,8 +496,8 @@ const (
 )
 
 // FuzzCodecRoundTrip fuzzes four properties: arbitrary bytes never panic the
-// decoder; whatever decodes, the columnar decode (Unmarshal) and the row
-// decode (a stream Decoder) agree on it; both allocate within a bound linear
+// decoder; whatever decodes, Unmarshal, a stream Decoder and the row-only
+// decode agree on it; both allocate within a bound linear
 // in the input; and randomized relations (derived from the fuzz input as a
 // PRNG seed) survive encode/decode unchanged.
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -503,13 +521,22 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		if n := allocatedBy(func() { rows, rowErr = rowDecode(data) }); n > limit {
 			t.Fatalf("row decode of %d bytes allocated %d bytes", len(data), n)
 		}
-		if (err == nil) != (rowErr == nil) {
-			t.Fatalf("columnar decode err %v, row decode err %v", err, rowErr)
+		var streamed *Relation
+		var streamErr error
+		if n := allocatedBy(func() { streamed, streamErr = streamDecode(data) }); n > limit {
+			t.Fatalf("stream decode of %d bytes allocated %d bytes", len(data), n)
+		}
+		if (err == nil) != (rowErr == nil) || (err == nil) != (streamErr == nil) {
+			t.Fatalf("columnar decode err %v, row decode err %v, stream decode err %v", err, rowErr, streamErr)
 		}
 		if err == nil {
-			// Property 2: both bodies hold the same rows and the same frame.
+			// Property 2: every body holds the same rows and the same frame,
+			// and the stream decodes to the body Unmarshal does.
 			if rows.Columns() != nil {
-				t.Fatal("the stream decoder produced a columnar body")
+				t.Fatal("the row decode produced a columnar body")
+			}
+			if (streamed.Columns() != nil) != (rel.Columns() != nil) || !relIdentical(rel, streamed) {
+				t.Fatal("the stream and Unmarshal decode differently")
 			}
 			a, errA := Marshal(rel)
 			b, errB := Marshal(rows)

@@ -31,9 +31,9 @@ type Vector struct {
 	Codes  []uint32
 	// Dict holds the STRING values Codes index. In a BuildColumns image it
 	// lists the distinct values in first-occurrence order, and Code finds
-	// one. Any other vector — decoded, gathered, emitted by a kernel — has a
-	// row-ordered Dict, one entry per non-NULL row, repeats included, and no
-	// Code index: Code is for BuildColumns images only.
+	// one. Any other vector — decoded, gathered, emitted by a kernel, built
+	// with Set and Append — may repeat values and hold entries no row uses,
+	// and has no Code index: Code is for BuildColumns images only.
 	Dict []string
 	// Nulls is the NULL bitmap (bit i = row i), nil when no row is NULL.
 	Nulls []uint64
@@ -102,54 +102,148 @@ func BuildColumns(r *Relation) *Columns {
 	return c
 }
 
-// GatherColumns images the cols cells of rows, whose schema is schema, as
-// typed vectors: row i of the image is rows[sel[i]], or rows[i] when sel is
-// nil. STRING vectors get a row-ordered Dict. It returns nil when a column is
+// GatherColumns images the cols cells (all of them when cols is nil) of
+// rows, whose schema is schema, as typed vectors: row i of the image is
+// rows[sel[i]], or rows[i] when sel is nil. It returns nil when a column is
 // BOOL or a cell is neither NULL nor the canonical Value of its column's
 // kind: only a row body carries those.
 func GatherColumns(schema Schema, rows []Tuple, sel []int32, cols []int) *Columns {
+	if cols == nil {
+		cols = identityCols(len(schema))
+	}
 	n := len(rows)
 	if sel != nil {
 		n = len(sel)
 	}
 	c := &Columns{Rows: n, Vecs: make([]Vector, len(cols))}
 	for j, col := range cols {
-		v := &c.Vecs[j]
-		v.Kind = schema[col].Kind
-		switch v.Kind {
-		case KindInt:
-			v.Ints = make([]int64, n)
-		case KindFloat:
-			v.Floats = make([]float64, n)
-		case KindString:
-			v.Codes = make([]uint32, n)
-			v.Dict = make([]string, 0, n)
-		case KindBool:
+		if schema[col].Kind == KindBool {
 			return nil
+		}
+		v := &c.Vecs[j]
+		*v = NewVector(schema[col].Kind, n)
+		if v.Kind == KindString {
+			v.Dict = make([]string, 0, n)
 		}
 		for i := 0; i < n; i++ {
 			row := i
 			if sel != nil {
 				row = int(sel[i])
 			}
-			val := rows[row][col]
-			switch {
-			case val.IsNull():
-				v.SetNull(i, n)
-			case val.Kind != v.Kind || val.Int != 0 && v.Kind != KindInt ||
-				math.Float64bits(val.Float) != 0 && v.Kind != KindFloat || val.Str != "" && v.Kind != KindString:
+			if !v.Set(i, n, rows[row][col]) {
 				return nil
-			case v.Kind == KindInt:
-				v.Ints[i] = val.Int
-			case v.Kind == KindFloat:
-				v.Floats[i] = val.Float
-			default:
-				v.Codes[i] = uint32(len(v.Dict))
-				v.Dict = append(v.Dict, val.Str)
 			}
 		}
 	}
 	return c
+}
+
+// Select returns the image of rows sel of c, in that order, restricted to
+// the vectors cols (all of them when cols is nil). With sel nil it shares
+// c's vectors; otherwise it gathers new ones, whose STRING codes index the
+// source's Dict.
+func (c *Columns) Select(sel []int32, cols []int) *Columns {
+	if cols == nil {
+		cols = identityCols(len(c.Vecs))
+	}
+	n := c.Rows
+	if sel != nil {
+		n = len(sel)
+	}
+	out := &Columns{Rows: n, Vecs: make([]Vector, len(cols))}
+	for j, col := range cols {
+		src := &c.Vecs[col]
+		if sel == nil {
+			out.Vecs[j] = *src
+			continue
+		}
+		v := &out.Vecs[j]
+		*v = NewVector(src.Kind, n)
+		if v.Kind == KindString {
+			v.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
+		}
+		for i, s := range sel {
+			switch {
+			case src.Null(int(s)):
+				v.SetNull(i, n)
+			case v.Kind == KindInt:
+				v.Ints[i] = src.Ints[s]
+			case v.Kind == KindFloat:
+				v.Floats[i] = src.Floats[s]
+			case v.Kind == KindString:
+				v.Codes[i] = src.Codes[s]
+			}
+		}
+	}
+	return out
+}
+
+// NewVector returns an n-row vector of kind with zeroed typed storage, none
+// for a NULL or BOOL kind: the storage Set writes rows into.
+func NewVector(kind Kind, n int) Vector {
+	v := Vector{Kind: kind}
+	switch kind {
+	case KindInt:
+		v.Ints = make([]int64, n)
+	case KindFloat:
+		v.Floats = make([]float64, n)
+	case KindString:
+		v.Codes = make([]uint32, n)
+	}
+	return v
+}
+
+// canonical reports whether val is the canonical Value of kind, the only
+// non-NULL cell a typed vector of that kind can hold.
+func canonical(val Value, kind Kind) bool {
+	return val.Kind == kind && (val.Int == 0 || kind == KindInt) &&
+		(math.Float64bits(val.Float) == 0 || kind == KindFloat) && (val.Str == "" || kind == KindString)
+}
+
+// Set writes val to row i of the n-row typed vector v and reports whether it
+// could: val must be NULL or the canonical Value of v's kind, and v is
+// unchanged otherwise. A STRING value is appended to Dict, never written over
+// an entry, so the Dict must be v's own.
+func (v *Vector) Set(i, n int, val Value) bool {
+	if val.IsNull() {
+		v.SetNull(i, n)
+		return true
+	}
+	if v.Kind == KindBool || !canonical(val, v.Kind) {
+		return false
+	}
+	switch v.Kind {
+	case KindInt:
+		v.Ints[i] = val.Int
+	case KindFloat:
+		v.Floats[i] = val.Float
+	case KindString:
+		v.Codes[i] = uint32(len(v.Dict))
+		v.Dict = append(v.Dict, val.Str)
+	}
+	if v.Nulls != nil {
+		v.Nulls[i>>6] &^= 1 << (uint(i) & 63)
+	}
+	return true
+}
+
+// Append adds val as row n of the n-row typed vector v, under Set's rules.
+func (v *Vector) Append(n int, val Value) bool {
+	if !val.IsNull() && (v.Kind == KindBool || !canonical(val, v.Kind)) {
+		return false
+	}
+	switch v.Kind {
+	case KindInt:
+		v.Ints = append(v.Ints, 0)
+	case KindFloat:
+		v.Floats = append(v.Floats, 0)
+	case KindString:
+		v.Codes = append(v.Codes, 0)
+	}
+	if v.Nulls != nil && len(v.Nulls) <= n>>6 {
+		v.Nulls = append(v.Nulls, 0)
+	}
+	return v.Set(n, n+1, val)
 }
 
 func (v *Vector) box() {

@@ -216,6 +216,76 @@ func TestGatherColumns(t *testing.T) {
 	}
 }
 
+// TestSelectSetAppend: vectors grown with Append and rewritten with Set hold
+// the rows written, Select gathers rows and columns of them, and KeepRows
+// narrows either body to the same rows — each encoding to the frame of the
+// rows it holds.
+func TestSelectSetAppend(t *testing.T) {
+	rows := codecCases()["uniform"]
+	c := &Columns{Vecs: make([]Vector, len(rows.Schema))}
+	for j, col := range rows.Schema {
+		c.Vecs[j].Kind = col.Kind
+	}
+	for i, row := range rows.Tuples {
+		for j := range c.Vecs {
+			if !c.Vecs[j].Append(i, row[j]) {
+				t.Fatalf("row %d column %d: a canonical cell was refused", i, j)
+			}
+		}
+		c.Rows++
+	}
+	built := FromColumns(rows.Schema, c)
+	if !relIdentical(built, rows) {
+		t.Fatal("appended vectors differ from their rows")
+	}
+	// Rewrite row 1 with row 0's cells and row 0 with NULLs.
+	want := rows.Clone()
+	for j := range c.Vecs {
+		if !c.Vecs[j].Set(1, c.Rows, rows.Tuples[0][j]) || !c.Vecs[j].Set(0, c.Rows, Null) {
+			t.Fatalf("column %d: Set refused a canonical cell", j)
+		}
+		want.Tuples[1][j], want.Tuples[0][j] = rows.Tuples[0][j], Null
+	}
+	if !relIdentical(built, want) {
+		t.Fatalf("Set wrote\n%s\nwant\n%s", built.Format(-1), want.Format(-1))
+	}
+	for name, bad := range map[string]Value{"off-kind": NewFloat(1), "bool": NewBool(false), "stray payload": {Kind: KindInt, Str: "junk"}} {
+		v := c.Vecs[0]
+		if v.Set(2, c.Rows, bad) || v.Append(c.Rows, bad) {
+			t.Errorf("%s cell written to an INT vector", name)
+		}
+	}
+
+	sel, cols := []int32{3, 0, 0}, []int{2, 0, 3}
+	got := FromColumns(rows.Schema.Project(cols), c.Select(sel, cols))
+	wantSel := New(rows.Schema.Project(cols))
+	for _, i := range sel {
+		wantSel.MustAppend(Tuple{want.Tuples[i][2], want.Tuples[i][0], want.Tuples[i][3]})
+	}
+	a, errA := Marshal(got)
+	b, errB := Marshal(wantSel)
+	if errA != nil || errB != nil || !bytes.Equal(a, b) || !relIdentical(got, wantSel) {
+		t.Errorf("selected image differs from its rows (%v, %v)", errA, errB)
+	}
+
+	rowView, colView := want.View(), built.View()
+	rowView.KeepRows(sel)
+	colView.KeepRows(sel)
+	if colView.Columns() == nil || !relIdentical(rowView, colView) || rowView.Len() != len(sel) {
+		t.Error("KeepRows narrowed the bodies differently")
+	}
+	if !relIdentical(built, want) {
+		t.Error("KeepRows on a view moved the rows it shares")
+	}
+	for i := range sel {
+		for j := range want.Schema {
+			if !colView.Value(i, j).Identical(want.Tuples[sel[i]][j]) {
+				t.Errorf("Value(%d, %d) = %v, want %v", i, j, colView.Value(i, j), want.Tuples[sel[i]][j])
+			}
+		}
+	}
+}
+
 // TestUnmarshalReadsItsArgumentInPlace: Unmarshal of an N-byte frame
 // allocates what it decodes into, and no N-byte copy of the frame besides.
 // The frames are made of 10-byte varints, so a copy would show.

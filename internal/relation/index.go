@@ -3,12 +3,8 @@ package relation
 import "fmt"
 
 // KeyIndex is a hash index mapping key-column values to row positions of a
-// relation. The Skalla coordinator keeps one over the base-result structure
-// X, keyed on the base key attributes K, while it merges locally evaluated
-// fragments — whose keys it has not seen before — so that synchronization
-// runs in O(|H|) (Theorem 1 discussion in the paper); operator rounds address
-// X by row ordinal instead and need none. The scalar evaluator indexes X on
-// its link columns the same way.
+// relation. The scalar evaluator indexes X on its link columns with one, so a
+// detail row finds its groups in O(1).
 //
 // Keys are 64-bit hashes of the canonical key encoding with collision
 // buckets: a probe hashes its key columns (no allocation), and candidate rows

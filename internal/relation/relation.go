@@ -50,7 +50,7 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 		return false
 	}
 	for i := range aIdx {
-		if !a[aIdx[i]].keyEqual(b[bIdx[i]]) {
+		if !a[aIdx[i]].Identical(b[bIdx[i]]) {
 			return false
 		}
 	}
@@ -61,20 +61,16 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 // bodies. The row body is Tuples. The columnar body — a decoded frame
 // (Unmarshal, GobDecode), an X fragment, an H block a compiled kernel emits —
 // is a read-only Columns image, and Tuples is nil while it is set. Len,
-// Clone, MemBytes, the frame methods, the comparators and Format read either
-// body; Rows and AppendRow box a columnar one on demand; the methods that
-// change the rows (Append, Union, DedupBy, Sort) switch it to a row body
-// first.
+// Clone, MemBytes, KeepRows, the frame methods, the comparators and Format
+// read either body; Rows, AppendRow and Value box a columnar one on demand;
+// the methods that change the rows (Append, Union, DedupBy, Sort) switch it
+// to a row body first.
 type Relation struct {
 	Schema Schema
 	Tuples []Tuple
 
 	// cols is the columnar body; nil for a row body.
 	cols *Columns
-
-	// pooled links a decoded wire block back to its BlockPool storage so
-	// Recycle can return it; nil for ordinary relations.
-	pooled *blockStorage
 
 	// frame, when set by ShareFrame, holds the relation's wire frame once a
 	// consumer has encoded it; views share it.
@@ -137,6 +133,30 @@ func (r *Relation) AppendRow(dst Tuple, i int) Tuple {
 		dst = append(dst, r.cols.Vecs[j].Value(i))
 	}
 	return dst
+}
+
+// Value returns cell j of row i, boxing it from a columnar body.
+func (r *Relation) Value(i, j int) Value {
+	if r.cols != nil {
+		return r.cols.Vecs[j].Value(i)
+	}
+	return r.Tuples[i][j]
+}
+
+// KeepRows points r at rows sel of its body, in that order: a row body gets a
+// new slice over the same rows, a columnar body vectors gathered from its own.
+// Nothing r shares its body with is written, so a View of a shared result may
+// be ordered or truncated this way.
+func (r *Relation) KeepRows(sel []int32) {
+	if r.cols != nil {
+		r.cols = r.cols.Select(sel, nil)
+		return
+	}
+	rows := make([]Tuple, len(sel))
+	for i, s := range sel {
+		rows[i] = r.Tuples[s]
+	}
+	r.Tuples = rows
 }
 
 // RowBody returns r itself when it has a row body, or a new relation over

@@ -303,11 +303,12 @@ func (v Value) Hash64() uint64 {
 	return v.hashKeyInto(fnvOffset64)
 }
 
-// keyEqual reports whether two values have identical canonical key encodings:
-// same kind, and payload compared by identity (floats by raw bits, so the
-// comparison matches Tuple.Key string equality exactly — NaN groups with NaN,
-// and -0.0 is a different key from +0.0).
-func (v Value) keyEqual(o Value) bool {
+// Identical reports whether two values have identical canonical key
+// encodings: same kind, and payload compared by identity (floats by raw bits,
+// so the comparison matches Tuple.Key string equality exactly — NaN groups
+// with NaN, and -0.0 is a different key from +0.0). It is grouping-key
+// equality.
+func (v Value) Identical(o Value) bool {
 	if v.Kind != o.Kind {
 		return false
 	}

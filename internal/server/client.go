@@ -33,8 +33,8 @@ type Client struct {
 	conn net.Conn
 	br   *bufio.Reader
 	// dec reads every reply's rows, reusing one frame buffer for the
-	// session: each reply is a self-contained frame, and decoded values copy
-	// their bytes out of it.
+	// session: each reply is a self-contained frame, decoded to vectors when
+	// its columns allow, and nothing decoded points into the buffer.
 	dec *relation.Decoder
 }
 
@@ -69,7 +69,8 @@ func (c *Client) Close() error {
 }
 
 // Query submits one statement and returns the result rows and execution
-// stats. A server-reported failure is returned as a *QueryError; transport
+// stats. The rows usually arrive as a columnar body: read them with Rows,
+// AppendRow or Value, not Tuples. A server-reported failure is returned as a *QueryError; transport
 // failures leave the session unusable (the protocol has no resynchronization
 // — open a fresh session).
 func (c *Client) Query(ctx context.Context, stmt string) (*relation.Relation, *ResultInfo, error) {

@@ -49,11 +49,11 @@ func TestQueryRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if rel.Len() != 1 || rel.Tuples[0][0].Int != int64(seq) {
-			t.Fatalf("echo row = %v", rel.Tuples[0])
+		if rel.Len() != 1 || rel.Value(0, 0).Int != int64(seq) {
+			t.Fatalf("echo rows = %v", rel.Rows())
 		}
 		wantID := fmt.Sprintf("s1-%d", seq)
-		if got := rel.Tuples[0][1].Str; got != wantID {
+		if got := rel.Value(0, 1).Str; got != wantID {
 			t.Fatalf("handler saw query ID %q, want %q", got, wantID)
 		}
 		if info.QueryID != wantID || info.Rows != 1 {

@@ -275,7 +275,7 @@ func (t *Table) loadSegment(rec *obs.SiteRecorder, ord int, seg segmentMeta) ([]
 		return nil, fmt.Errorf("store: segment %s schema %s does not match table schema %s",
 			seg.File, rel.Schema, t.schema)
 	}
-	rows := rel.Tuples
+	rows := rel.Rows()
 	if len(rows) != seg.Rows {
 		return nil, fmt.Errorf("store: segment %s has %d rows, manifest says %d", seg.File, len(rows), seg.Rows)
 	}

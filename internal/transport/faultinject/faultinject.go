@@ -51,8 +51,8 @@ type Config struct {
 	StreamFailAfterBlocks int
 	// MutateBlock, when set, replaces each streamed H block before it
 	// reaches the sink — for corruption tests. It is handed a row body
-	// (a columnar block is boxed first); the original block stays untouched
-	// (it may be pooled).
+	// (a columnar block is boxed first); the original block stays
+	// untouched.
 	MutateBlock func(*relation.Relation) *relation.Relation
 }
 

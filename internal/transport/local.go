@@ -22,7 +22,7 @@ import (
 // benchmarks run single-process and deterministic. Like a real connection it
 // keeps persistent gob codecs per direction (type descriptors are charged
 // once, on the first message) and streams operator blocks through the compact
-// relation wire codec with pooled decode storage.
+// relation wire codec, decoded as the TCP client decodes them.
 type LocalSite struct {
 	site Backend
 
@@ -34,7 +34,6 @@ type LocalSite struct {
 	downBuf, upBuf bytes.Buffer
 	downEnc, upEnc *gob.Encoder
 	downDec, upDec *gob.Decoder
-	pool           relation.BlockPool
 }
 
 // NewLocalSite wraps a backend (a site engine, or a wrapper of one).
@@ -97,7 +96,7 @@ func (l *LocalSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.
 
 // EvalOperatorStream implements Site: the request crosses the serialization
 // boundary once; each H_i block is pushed through the relation wire codec
-// (schema sent once per stream, decode storage drawn from a pool) and handed
+// (schema sent once per stream, uniform blocks decoded to vectors) and handed
 // to sink as the engine produces it, exactly like the TCP operator stream.
 func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	if err := ctx.Err(); err != nil {
@@ -131,7 +130,6 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	// block of the stream and cached for the rest.
 	enc := relation.NewEncoder(&l.upBuf)
 	dec := relation.NewDecoder(&l.upBuf)
-	dec.SetPool(&l.pool)
 	start := time.Now()
 	evalErr := l.site.EvalOperatorBlocks(ctx, *decReq.Operator, func(block *relation.Relation) error {
 		if err := enc.Encode(block); err != nil {

@@ -47,8 +47,7 @@ type Site interface {
 // CollectOperator runs one operator exchange and unions the streamed blocks
 // into a single H_i, for tests and tools that compare whole relations; the
 // coordinator stages the blocks instead. The first block is kept as
-// delivered and later blocks' rows are appended to it, so callers own the
-// result and must not recycle the blocks separately.
+// delivered and later blocks' rows are appended to it.
 func CollectOperator(ctx context.Context, s Site, req engine.OperatorRequest) (*relation.Relation, stats.Call, error) {
 	var h *relation.Relation
 	call, err := s.EvalOperatorStream(ctx, req, func(block *relation.Relation) error {

@@ -271,7 +271,6 @@ type Client struct {
 	id     int
 	hasID  bool
 	broken bool
-	pool   relation.BlockPool
 }
 
 // Dial connects to a site server and performs the hello handshake to learn
@@ -449,7 +448,6 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 	}
 	call := stats.Call{Site: c.id, RowsDown: reqRows(wireReq), Start: start, Attempt: attempt}
 	blockDec := relation.NewDecoder(c.br)
-	blockDec.SetPool(&c.pool)
 	var sinkErr error
 	for {
 		marker, err := c.br.ReadByte()
@@ -467,8 +465,6 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 			call.RowsUp += block.Len()
 			if sinkErr == nil {
 				sinkErr = sink(block)
-			} else {
-				relation.Recycle(block) // draining after a sink failure
 			}
 		case opStreamEnd:
 			var resp Response

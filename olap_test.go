@@ -32,7 +32,7 @@ func TestFacadeCube(t *testing.T) {
 	si, di := res.Rel.Schema.MustIndex("SourceAS"), res.Rel.Schema.MustIndex("DestAS")
 	fi := res.Rel.Schema.MustIndex("flows")
 	found := false
-	for _, row := range res.Rel.Tuples {
+	for _, row := range res.Rel.Rows() {
 		if row[si].IsNull() && row[di].IsNull() {
 			found = true
 			if row[fi].Int != int64(d.Global().Len()) {
@@ -66,7 +66,7 @@ func TestFacadeRollupAndGroupingSets(t *testing.T) {
 	// 30 source ASes + grand total.
 	si := res.Rel.Schema.MustIndex("SourceAS")
 	totals := 0
-	for _, row := range res.Rel.Tuples {
+	for _, row := range res.Rel.Rows() {
 		if row[si].IsNull() {
 			totals++
 		}
@@ -105,7 +105,7 @@ func TestFacadeTranslateSQL(t *testing.T) {
 	mi := sqlRes.Rel.Schema.MustIndex("matching")
 	ci := builderRes.Rel.Schema.MustIndex("cnt2")
 	sum := func(rel *Relation, idx int) (s int64) {
-		for _, row := range rel.Tuples {
+		for _, row := range rel.Rows() {
 			s += row[idx].Int
 		}
 		return

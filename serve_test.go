@@ -170,9 +170,10 @@ func TestServeCatalogGenerationInvalidation(t *testing.T) {
 // a statement whose coordinator-side footprint exceeds the budget fails with
 // the typed wire code while concurrent small statements complete normally.
 func TestServeMemBudgetIsolation(t *testing.T) {
-	// 16 KiB sits between the light statement's coordinator footprint (~4 KiB)
-	// and the heavy one's (~40 KiB on this dataset).
-	srv, _, _ := startFlowServer(t, 4, ServerOptions{MaxConcurrent: 4, QueryMemBudget: 16 << 10})
+	// 3 KiB sits between the light statement's coordinator footprint (under
+	// 1 KiB) and the heavy one's (about 5.5 KiB on this dataset, X and H held
+	// as vectors).
+	srv, _, _ := startFlowServer(t, 4, ServerOptions{MaxConcurrent: 4, QueryMemBudget: 3 << 10})
 
 	var wg sync.WaitGroup
 	lightErrs := make([]error, 8)
@@ -353,13 +354,15 @@ func TestServePostprocessLeavesCachedRows(t *testing.T) {
 		t.Fatalf("result-cache hits = %d, want 2 (both repeats share the cold statement's fingerprint)", got)
 	}
 	fi := top.Schema.MustIndex("flows")
-	if top.Len() != 3 || top.Tuples[0][fi].Int < top.Tuples[1][fi].Int || top.Tuples[1][fi].Int < top.Tuples[2][fi].Int {
+	if rows := top.Rows(); top.Len() != 3 || rows[0][fi].Int < rows[1][fi].Int || rows[1][fi].Int < rows[2][fi].Int {
 		t.Fatalf("ordered statement is not the top 3 by flows:\n%s", top)
 	}
 	if cold.Len() <= 3 {
 		t.Fatalf("cold result has %d rows; the test needs more than the LIMIT", cold.Len())
 	}
-	if top.Format(-1) == (&Relation{Schema: cold.Schema, Tuples: cold.Tuples[:3]}).Format(-1) {
+	head := cold.View()
+	head.KeepRows([]int32{0, 1, 2})
+	if top.Format(-1) == head.Format(-1) {
 		t.Fatal("the cold rows are already in ORDER BY order: nothing was reordered")
 	}
 	if again.Format(-1) != cold.Format(-1) {

@@ -151,7 +151,7 @@ func TestOpOnDifferentRelation(t *testing.T) {
 		t.Fatal(err)
 	}
 	c1, c2 := res.Rel.Schema.MustIndex("c1"), res.Rel.Schema.MustIndex("c2")
-	for _, row := range res.Rel.Tuples {
+	for _, row := range res.Rel.Rows() {
 		if !row[c1].Equal(row[c2]) {
 			t.Fatalf("same data under two names must agree: %v", row)
 		}

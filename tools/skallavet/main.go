@@ -9,7 +9,6 @@
 package main
 
 import (
-	"skalla/tools/skallavet/analyzers/blockpool"
 	"skalla/tools/skallavet/analyzers/chargepair"
 	"skalla/tools/skallavet/analyzers/ctxcall"
 	"skalla/tools/skallavet/analyzers/errclass"
@@ -26,7 +25,6 @@ import (
 func main() {
 	vetdriver.Main(
 		stringkey.Analyzer,
-		blockpool.Analyzer,
 		wirecompat.Analyzer,
 		ctxcall.Analyzer,
 		nostdlog.Analyzer,
