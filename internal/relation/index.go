@@ -18,23 +18,17 @@ type KeyIndex struct {
 }
 
 // BuildKeyIndex indexes r on the named key columns. The index holds a
-// reference to r: rows appended to r afterwards are visible once registered
-// with Add.
+// reference to r's rows.
 func BuildKeyIndex(r *Relation, keyNames []string) (*KeyIndex, error) {
-	idx, err := r.Schema.Indexes(keyNames)
+	keyCols, err := r.Schema.Indexes(keyNames)
 	if err != nil {
 		return nil, err
 	}
-	return BuildKeyIndexCols(r, idx), nil
-}
-
-// BuildKeyIndexCols indexes r on the given key column positions.
-func BuildKeyIndexCols(r *Relation, keyCols []int) *KeyIndex {
 	ki := &KeyIndex{rel: r, keyCols: keyCols, buckets: make(map[uint64][]int, len(r.Tuples))}
 	for i, t := range r.Tuples {
 		ki.add(t, i)
 	}
-	return ki
+	return ki, nil
 }
 
 // KeyCols returns the indexed column positions.
@@ -64,10 +58,7 @@ func (ki *KeyIndex) Lookup(probe Tuple, probeCols []int) []int {
 	return bucket
 }
 
-// Add registers a new row position under the key of tuple t (taken from the
-// indexed relation's own key columns).
-func (ki *KeyIndex) Add(t Tuple, row int) { ki.add(t, row) }
-
+// add registers row position row under the key of its tuple t.
 func (ki *KeyIndex) add(t Tuple, row int) {
 	h := t.KeyHash(ki.keyCols)
 	bucket := ki.buckets[h]

@@ -260,13 +260,6 @@ func TestKeyIndex(t *testing.T) {
 	if got := ki.Lookup(probe3, []int{0, 1}); got != nil {
 		t.Errorf("Lookup missing = %v", got)
 	}
-	// Add a row and find it.
-	nt := Tuple{NewInt(9), NewString("w"), NewFloat(0)}
-	r.MustAppend(nt)
-	ki.Add(nt, 4)
-	if rows := ki.Lookup(nt, []int{0, 1}); len(rows) != 1 || rows[0] != 4 {
-		t.Errorf("after Add, Lookup = %v", rows)
-	}
 	if _, err := BuildKeyIndex(r, []string{"missing"}); err == nil {
 		t.Error("BuildKeyIndex unknown column must error")
 	}
