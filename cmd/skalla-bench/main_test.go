@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -132,5 +133,54 @@ func TestBenchJSONExport(t *testing.T) {
 	}
 	if _, ok := m["fig4"][0]["Series"]; !ok {
 		t.Error("row fields missing")
+	}
+}
+
+// TestFigAllBytesRepeat: what a run ships is a pure function of its queries,
+// so two runs of -fig all export the same value in every byte field.
+func TestFigAllBytesRepeat(t *testing.T) {
+	var runs [2]map[string]any
+	for i := range runs {
+		path := t.TempDir() + "/all.json"
+		if err := run(tiny("-fig", "all", "-json", path), io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var doc any
+		if err := json.Unmarshal(data, &doc); err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = map[string]any{}
+		byteFields(doc, "", runs[i])
+	}
+	if len(runs[0]) == 0 {
+		t.Fatal("the export has no byte fields")
+	}
+	for k, v := range runs[0] {
+		if runs[1][k] != v {
+			t.Errorf("%s: %v, then %v", k, v, runs[1][k])
+		}
+	}
+}
+
+// byteFields collects, by path, the leaves of v whose field name mentions
+// bytes.
+func byteFields(v any, path string, out map[string]any) {
+	switch x := v.(type) {
+	case map[string]any:
+		for k, e := range x {
+			byteFields(e, path+"/"+k, out)
+		}
+	case []any:
+		for i, e := range x {
+			byteFields(e, path+"/"+strconv.Itoa(i), out)
+		}
+	default:
+		if strings.Contains(strings.ToLower(path[strings.LastIndex(path, "/")+1:]), "bytes") {
+			out[path] = x
+		}
 	}
 }

@@ -19,13 +19,13 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strings"
 	"syscall"
 
 	"skalla/internal/engine"
 	"skalla/internal/manifest"
 	"skalla/internal/obs"
-	"skalla/internal/relation"
 	"skalla/internal/store"
 	"skalla/internal/transport"
 )
@@ -137,13 +137,13 @@ func start(args []string) (*siteProc, error) {
 		if err != nil {
 			return fail(err)
 		}
-		gobPath := manifest.SitePath(*data, *site, relName)
+		partPath := manifest.SitePath(*data, *site, relName)
 		if *disk {
-			storeDir := strings.TrimSuffix(gobPath, ".gob") + ".store"
+			storeDir := strings.TrimSuffix(partPath, filepath.Ext(partPath)) + ".store"
 			tbl, err := store.Open(storeDir)
 			if err != nil {
-				// First run: convert the gob partition into segments once.
-				part, lerr := relation.LoadGobFile(gobPath)
+				// First run: convert the partition file into segments once.
+				part, lerr := manifest.ReadPartition(partPath)
 				if lerr != nil {
 					return fail(lerr)
 				}
@@ -158,7 +158,7 @@ func start(args []string) (*siteProc, error) {
 			}
 			log.Info("serving partition from disk", "relation", relName, "rows", tbl.Len(), "segments", tbl.NumSegments())
 		} else {
-			part, err := relation.LoadGobFile(gobPath)
+			part, err := manifest.ReadPartition(partPath)
 			if err != nil {
 				return fail(err)
 			}

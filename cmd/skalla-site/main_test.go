@@ -102,7 +102,11 @@ func mkdirAndSave(path string, rel *relation.Relation) error {
 	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return err
 	}
-	return rel.SaveGobFile(path)
+	frame, err := relation.Marshal(rel)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, frame, 0o644)
 }
 
 func TestStartDiskBacked(t *testing.T) {
@@ -124,7 +128,7 @@ func TestStartDiskBacked(t *testing.T) {
 		cli.Close()
 		srv.Close()
 	}
-	// The store directory exists beside the gob partition.
+	// The store directory exists beside the partition file.
 	if _, err := os.Stat(filepath.Join(dir, "site00", "Flow.store", "table.json")); err != nil {
 		t.Errorf("store dir missing: %v", err)
 	}

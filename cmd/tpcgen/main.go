@@ -3,8 +3,8 @@
 // denormalized TPC(R)-style fact relation partitioned on NationKey) or the
 // IP-flow trace of the motivating application (partitioned on RouterId).
 //
-// It writes one directory per site containing the site's partition as a gob
-// file, plus a manifest.json describing the generator configuration so that
+// It writes one directory per site containing the site's partition as one
+// relation codec frame (<relation>.frame), plus a manifest.json describing the generator configuration so that
 // skalla-coordinator can reconstruct the distribution catalog.
 //
 // Usage:
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"skalla/internal/flow"
 	"skalla/internal/manifest"
@@ -93,11 +94,15 @@ func run(args []string) error {
 		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			return err
 		}
-		if err := part.SaveGobFile(path); err != nil {
+		frame, err := relation.Marshal(part)
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(path, frame, 0o644); err != nil {
 			return err
 		}
 		if *csv {
-			f, err := os.Create(path[:len(path)-len(".gob")] + ".csv")
+			f, err := os.Create(strings.TrimSuffix(path, filepath.Ext(path)) + ".csv")
 			if err != nil {
 				return err
 			}

@@ -3,10 +3,10 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"skalla/internal/manifest"
-	"skalla/internal/relation"
 )
 
 func TestGenerateTPCDataset(t *testing.T) {
@@ -28,14 +28,14 @@ func TestGenerateTPCDataset(t *testing.T) {
 	}
 	total := 0
 	for site := 0; site < 3; site++ {
-		rel, err := relation.LoadGobFile(manifest.SitePath(dir, site, "TPCR"))
+		rel, err := manifest.ReadPartition(manifest.SitePath(dir, site, "TPCR"))
 		if err != nil {
 			t.Fatalf("site %d: %v", site, err)
 		}
 		total += rel.Len()
 		// CSV was requested too.
 		csvPath := manifest.SitePath(dir, site, "TPCR")
-		csvPath = csvPath[:len(csvPath)-len(".gob")] + ".csv"
+		csvPath = strings.TrimSuffix(csvPath, ".frame") + ".csv"
 		if _, err := os.Stat(csvPath); err != nil {
 			t.Errorf("missing CSV: %v", err)
 		}
@@ -65,7 +65,7 @@ func TestGenerateFlowDataset(t *testing.T) {
 	if m.Kind != manifest.KindFlow || m.Flow.Routers != 2 {
 		t.Errorf("manifest = %+v", m)
 	}
-	if _, err := relation.LoadGobFile(manifest.SitePath(dir, 1, "Flow")); err != nil {
+	if _, err := manifest.ReadPartition(manifest.SitePath(dir, 1, "Flow")); err != nil {
 		t.Error(err)
 	}
 }

@@ -162,7 +162,7 @@ func TestRoundShipsKeysAndReferencedColumns(t *testing.T) {
 					}
 					rows += c.base.Len()
 				}
-				first, err := calls[0].base.GobEncode()
+				first, err := calls[0].base.Frame()
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -175,7 +175,7 @@ func TestRoundShipsKeysAndReferencedColumns(t *testing.T) {
 					continue
 				}
 				for _, c := range calls[1:] {
-					frame, err := c.base.GobEncode()
+					frame, err := c.base.Frame()
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -13,7 +13,6 @@
 package distrib
 
 import (
-	"encoding/gob"
 	"fmt"
 	"sort"
 	"strings"
@@ -310,12 +309,6 @@ func (c *Catalog) Gen() uint64 {
 		return 0
 	}
 	return c.Generation
-}
-
-func init() {
-	gob.Register(IntRange{})
-	gob.Register(ValueSet{})
-	gob.Register(HashFilter{})
 }
 
 // HashFilter matches values whose kind-aware hash falls in residue class Rem

@@ -8,7 +8,6 @@
 package expr
 
 import (
-	"encoding/gob"
 	"fmt"
 	"strings"
 
@@ -190,13 +189,4 @@ func (u *Un) String() string {
 		return "(" + u.X.String() + " " + u.Op.String() + ")"
 	}
 	return u.Op.String() + "(" + u.X.String() + ")"
-}
-
-func init() {
-	// Expressions travel inside query plans over gob transports; register the
-	// concrete node types so interface-typed fields encode.
-	gob.Register(&Col{})
-	gob.Register(&Lit{})
-	gob.Register(&Bin{})
-	gob.Register(&Un{})
 }

@@ -8,12 +8,16 @@ package manifest
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strings"
 
 	"skalla/internal/distrib"
 	"skalla/internal/flow"
+	"skalla/internal/relation"
 	"skalla/internal/tpc"
 )
 
@@ -131,7 +135,29 @@ func Load(dir string) (*Manifest, error) {
 }
 
 // SitePath returns the partition file path for a site within a dataset
-// directory: <dir>/site<NN>/<relation>.gob.
+// directory: <dir>/site<NN>/<relation>.frame. A partition file is one
+// relation codec frame (relation.Marshal).
 func SitePath(dir string, site int, relName string) string {
-	return filepath.Join(dir, fmt.Sprintf("site%02d", site), relName+".gob")
+	return filepath.Join(dir, fmt.Sprintf("site%02d", site), relName+".frame")
+}
+
+// ReadPartition reads a partition file. A dataset written before partition
+// files were codec frames has <relation>.gob files instead, which are not
+// read: the error names the file and says to regenerate the dataset.
+func ReadPartition(path string) (*relation.Relation, error) {
+	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		legacy := strings.TrimSuffix(path, filepath.Ext(path)) + ".gob"
+		if _, serr := os.Stat(legacy); serr == nil {
+			return nil, fmt.Errorf("manifest: %s is a gob partition file, which is no longer read; rerun tpcgen to regenerate the dataset", legacy)
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	rel, err := relation.Unmarshal(data)
+	if err != nil {
+		return nil, fmt.Errorf("manifest: partition %s: %w (a partition file from an older tpcgen is not a codec frame; rerun tpcgen)", path, err)
+	}
+	return rel, nil
 }

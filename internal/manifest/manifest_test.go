@@ -1,10 +1,13 @@
 package manifest
 
 import (
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"skalla/internal/flow"
+	"skalla/internal/relation"
 	"skalla/internal/tpc"
 )
 
@@ -103,8 +106,58 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestSitePath(t *testing.T) {
 	got := SitePath("/data", 3, "TPCR")
-	want := filepath.Join("/data", "site03", "TPCR.gob")
+	want := filepath.Join("/data", "site03", "TPCR.frame")
 	if got != want {
 		t.Errorf("SitePath = %q, want %q", got, want)
+	}
+}
+
+// TestPartitionFileRoundTrip: a partition file is the relation's codec frame,
+// and ReadPartition reads it back.
+func TestPartitionFileRoundTrip(t *testing.T) {
+	rel := relation.New(relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}, relation.Column{Name: "s", Kind: relation.KindString}))
+	rel.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewString("a")})
+	rel.MustAppend(relation.Tuple{relation.Null, relation.NewString("b")})
+	path := SitePath(t.TempDir(), 0, "R")
+	frame, err := relation.Marshal(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadPartition(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.EqualMultiset(rel) {
+		t.Errorf("partition file round trip changed the relation:\n%s\nvs\n%s", got, rel)
+	}
+	if _, err := ReadPartition(filepath.Join(t.TempDir(), "missing.frame")); err == nil {
+		t.Error("missing file must error")
+	}
+}
+
+// TestLegacyGobPartitionRejected: a dataset from before partition files were
+// codec frames fails with an error naming the gob file and saying to rerun
+// tpcgen, whether the gob file sits under its old name or the new one.
+func TestLegacyGobPartitionRejected(t *testing.T) {
+	dir := t.TempDir()
+	path := SitePath(dir, 0, "R")
+	legacy := strings.TrimSuffix(path, ".frame") + ".gob"
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(legacy, []byte("\x1f\xff\x81gob bytes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct{ read, named string }{{path, legacy}, {legacy, legacy}} {
+		_, err := ReadPartition(tc.read)
+		if err == nil || !strings.Contains(err.Error(), tc.named) || !strings.Contains(err.Error(), "rerun tpcgen") {
+			t.Errorf("ReadPartition(%s) = %v, want an error naming %s and saying to rerun tpcgen", tc.read, err, tc.named)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -13,11 +14,12 @@ import (
 )
 
 // This file implements the Skalla wire format: a hand-rolled, length-prefixed,
-// column-major binary codec for relations. It replaces per-payload gob on
-// every data-plane path (site↔coordinator transport, disk segments): gob is
-// reflection-based and self-describing, re-sending type information with
-// every fresh encoder, while the bytes shipped per group are the primary cost
-// of distributed query processing (Theorem 2).
+// column-major binary codec for relations, used on every data path (site
+// messages, partition files, disk segments), because the bytes shipped per
+// group are the primary cost of distributed query processing (Theorem 2).
+// Its primitives — the FrameReader, the Cursor, strings, values and schemas —
+// are exported for the site protocol's envelope (internal/transport), which
+// frames its messages the same way.
 //
 // Stream layout: a stream is a sequence of frames, each a uvarint body length
 // followed by the body. A body starts with a frame kind byte:
@@ -51,6 +53,10 @@ const (
 	// rows occupy no bytes the decoder could check the count against.
 	maxEmptyRows = 1 << 16
 )
+
+// ErrFrameLength reports a frame length prefix that is past maxFrameBody or
+// not minimally encoded.
+var ErrFrameLength = errors.New("relation: bad codec frame length")
 
 const (
 	encUniform = 0x00
@@ -95,7 +101,7 @@ func (e *Encoder) Encode(r *Relation) error {
 		body = append(body, frameCached)
 	} else {
 		body = append(body, frameInline)
-		body = appendSchema(body, r.Schema)
+		body = AppendSchema(body, r.Schema)
 		e.schema = r.Schema.Clone() // callers may mutate their schema later
 		e.hasSchema = true
 	}
@@ -136,11 +142,11 @@ func checkArity(r *Relation) error {
 	return nil
 }
 
-func appendSchema(body []byte, s Schema) []byte {
+// AppendSchema appends s as a frame carries it inline.
+func AppendSchema(body []byte, s Schema) []byte {
 	body = binary.AppendUvarint(body, uint64(len(s)))
 	for _, c := range s {
-		body = binary.AppendUvarint(body, uint64(len(c.Name)))
-		body = append(body, c.Name...)
+		body = AppendString(body, c.Name)
 		body = append(body, byte(c.Kind))
 	}
 	return body
@@ -274,19 +280,8 @@ func appendVectors(body []byte, c *Columns) []byte {
 
 func appendMixedColumn(body []byte, r *Relation, j int) []byte {
 	for _, t := range r.Tuples {
-		v := t[j]
-		if v.IsNull() {
-			continue
-		}
-		body = append(body, byte(v.Kind))
-		switch v.Kind {
-		case KindInt, KindBool:
-			body = binary.AppendVarint(body, v.Int)
-		case KindFloat:
-			body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float))
-		case KindString:
-			body = binary.AppendUvarint(body, uint64(len(v.Str)))
-			body = append(body, v.Str...)
+		if v := t[j]; !v.IsNull() {
+			body = AppendValue(body, v)
 		}
 	}
 	return body
@@ -298,31 +293,57 @@ func appendMixedColumn(body []byte, r *Relation, j int) []byte {
 // is uniform and declared INT, FLOAT, STRING or NULL, else into rows. Nothing
 // decoded points into the buffer.
 type Decoder struct {
-	r         ByteScanner
+	frames    FrameReader
 	schema    Schema
 	hasSchema bool
-	body      []byte
 }
 
 // NewDecoder creates a decoder reading from r.
-func NewDecoder(r ByteScanner) *Decoder { return &Decoder{r: r} }
+func NewDecoder(r ByteScanner) *Decoder { return &Decoder{frames: FrameReader{r: r}} }
 
 // Decode reads one relation frame. It returns io.EOF (possibly wrapped as
 // io.ErrUnexpectedEOF mid-frame) when the stream ends. Read the rows through
 // Rows or AppendRow, not Tuples.
 func (d *Decoder) Decode() (*Relation, error) {
-	ln, err := binary.ReadUvarint(d.r)
-	if err != nil {
-		return nil, err
-	}
-	if ln > maxFrameBody {
-		return nil, fmt.Errorf("relation: codec frame of %d bytes exceeds limit", ln)
-	}
-	body, err := d.readBody(int(ln))
+	body, err := d.frames.Next()
 	if err != nil {
 		return nil, err
 	}
 	return d.decodeFrame(body, true)
+}
+
+// FrameReader reads length-prefixed frames — a uvarint body length, then the
+// body — into one reused buffer. The relation codec's frames and the site
+// protocol's messages are both read through it, under one bound.
+type FrameReader struct {
+	r    ByteScanner
+	body []byte
+}
+
+// NewFrameReader creates a frame reader over r.
+func NewFrameReader(r ByteScanner) *FrameReader { return &FrameReader{r: r} }
+
+// Next reads one frame and returns its body, valid until the next call. It
+// returns io.EOF when the stream ends between frames.
+func (f *FrameReader) Next() ([]byte, error) {
+	var ln uint64
+	for shift := 0; ; shift += 7 {
+		b, err := f.r.ReadByte()
+		switch {
+		case err == io.EOF && shift > 0:
+			return nil, io.ErrUnexpectedEOF
+		case err != nil:
+			return nil, err
+		case b == 0 && shift > 0:
+			return nil, fmt.Errorf("%w: not minimally encoded", ErrFrameLength)
+		}
+		if ln |= uint64(b&0x7f) << shift; ln > maxFrameBody {
+			return nil, fmt.Errorf("%w: %d bytes or more exceeds the limit", ErrFrameLength, ln)
+		}
+		if b < 0x80 {
+			return f.readBody(int(ln))
+		}
+	}
 }
 
 // decodeFrame decodes one frame body. With columnar set, a frame whose every
@@ -331,14 +352,14 @@ func (d *Decoder) Decode() (*Relation, error) {
 // Without columnar every frame does: the reference decode the vectors are
 // tested against.
 func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
-	cur := &cursor{b: body}
-	kind, err := cur.byte()
+	cur := &Cursor{b: body}
+	kind, err := cur.Byte()
 	if err != nil {
 		return nil, err
 	}
 	switch kind {
 	case frameInline:
-		schema, err := readSchema(cur)
+		schema, err := cur.Schema()
 		if err != nil {
 			return nil, err
 		}
@@ -376,17 +397,17 @@ func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
 	return rel, nil
 }
 
-// readBody reads an n-byte frame body into the decoder's reused buffer,
+// readBody reads an n-byte frame body into the reader's reused buffer,
 // growing it past trustedBody only by bytes that have arrived: a stream that
 // ends early fails with io.ErrUnexpectedEOF having allocated about what it
 // sent.
-func (d *Decoder) readBody(n int) ([]byte, error) {
-	body := d.body[:0]
+func (f *FrameReader) readBody(n int) ([]byte, error) {
+	body := f.body[:0]
 	for len(body) < n {
 		if len(body) == cap(body) {
 			body = slices.Grow(body, min(n, max(2*len(body), trustedBody))-len(body))
 		}
-		got, err := io.ReadFull(d.r, body[len(body):min(n, cap(body))])
+		got, err := io.ReadFull(f.r, body[len(body):min(n, cap(body))])
 		body = body[:len(body)+got]
 		if err != nil {
 			if err == io.EOF {
@@ -395,22 +416,33 @@ func (d *Decoder) readBody(n int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	d.body = body
+	f.body = body
 	return body, nil
 }
 
 // uvarintLen is the encoded size of v as a uvarint.
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
-// cursor is a bounds-checked reader over a frame body.
-type cursor struct {
+// Cursor is a bounds-checked reader over a frame body. It accepts only the
+// minimal encoding of every varint, so a body that decodes re-encodes to the
+// same bytes; its counts are capped before anything is allocated for them.
+type Cursor struct {
 	b   []byte
 	pos int
 }
 
+// NewCursor returns a cursor at the start of b.
+func NewCursor(b []byte) *Cursor { return &Cursor{b: b} }
+
+// Len is the number of bytes left.
+func (c *Cursor) Len() int { return len(c.b) - c.pos }
+
 var errShortFrame = fmt.Errorf("relation: truncated codec frame")
 
-func (c *cursor) byte() (byte, error) {
+var errOverlongVarint = fmt.Errorf("relation: codec varint not minimally encoded")
+
+// Byte reads one byte.
+func (c *Cursor) Byte() (byte, error) {
 	if c.pos >= len(c.b) {
 		return 0, errShortFrame
 	}
@@ -419,25 +451,34 @@ func (c *cursor) byte() (byte, error) {
 	return v, nil
 }
 
-func (c *cursor) uvarint() (uint64, error) {
+// Uvarint reads an unsigned varint.
+func (c *Cursor) Uvarint() (uint64, error) {
 	v, n := binary.Uvarint(c.b[c.pos:])
 	if n <= 0 {
 		return 0, errShortFrame
 	}
-	c.pos += n
-	return v, nil
-}
-
-func (c *cursor) varint() (int64, error) {
-	v, n := binary.Varint(c.b[c.pos:])
-	if n <= 0 {
-		return 0, errShortFrame
+	if n != uvarintLen(v) {
+		return 0, errOverlongVarint
 	}
 	c.pos += n
 	return v, nil
 }
 
-func (c *cursor) bytes(n int) ([]byte, error) {
+// Varint reads a zigzag-encoded signed varint.
+func (c *Cursor) Varint() (int64, error) {
+	v, n := binary.Varint(c.b[c.pos:])
+	if n <= 0 {
+		return 0, errShortFrame
+	}
+	if n != uvarintLen(uint64(v)<<1^uint64(v>>63)) {
+		return 0, errOverlongVarint
+	}
+	c.pos += n
+	return v, nil
+}
+
+// Bytes reads the next n bytes in place.
+func (c *Cursor) Bytes(n int) ([]byte, error) {
 	if n < 0 || c.pos+n > len(c.b) {
 		return nil, errShortFrame
 	}
@@ -446,8 +487,9 @@ func (c *cursor) bytes(n int) ([]byte, error) {
 	return v, nil
 }
 
-func (c *cursor) count(limit int, what string) (int, error) {
-	v, err := c.uvarint()
+// Count reads a uvarint count and refuses one above limit.
+func (c *Cursor) Count(limit int, what string) (int, error) {
+	v, err := c.Uvarint()
 	if err != nil {
 		return 0, err
 	}
@@ -457,31 +499,98 @@ func (c *cursor) count(limit int, what string) (int, error) {
 	return int(v), nil
 }
 
-func readSchema(cur *cursor) (Schema, error) {
+// AppendString appends s length-prefixed, as the codec writes STRING values.
+func AppendString(dst []byte, s string) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// String reads a string written by AppendString.
+func (c *Cursor) Str() (string, error) {
+	n, err := c.Count(c.Len(), "string length")
+	if err != nil {
+		return "", err
+	}
+	raw, err := c.Bytes(n)
+	return string(raw), err
+}
+
+// AppendValue appends v tagged with its kind, as a mixed column writes each
+// value; a NULL is its tag alone.
+func AppendValue(dst []byte, v Value) []byte {
+	dst = append(dst, byte(v.Kind))
+	switch v.Kind {
+	case KindInt, KindBool:
+		dst = binary.AppendVarint(dst, v.Int)
+	case KindFloat:
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.Float))
+	case KindString:
+		dst = AppendString(dst, v.Str)
+	}
+	return dst
+}
+
+// Value reads a value written by AppendValue.
+func (c *Cursor) Value() (Value, error) {
+	kind, err := c.Byte()
+	if err != nil {
+		return Null, err
+	}
+	switch Kind(kind) {
+	case KindNull:
+		return Null, nil
+	case KindInt, KindBool:
+		v, err := c.Varint()
+		return Value{Kind: Kind(kind), Int: v}, err
+	case KindFloat:
+		raw, err := c.Bytes(8)
+		if err != nil {
+			return Null, err
+		}
+		return Value{Kind: KindFloat, Float: math.Float64frombits(binary.LittleEndian.Uint64(raw))}, nil
+	case KindString:
+		s, err := c.Str()
+		return Value{Kind: KindString, Str: s}, err
+	}
+	return Null, fmt.Errorf("relation: codec value with invalid kind %d", kind)
+}
+
+// Relation reads one self-contained relation frame, as Unmarshal does. A
+// zero length, which no frame has, reads as no relation.
+func (c *Cursor) Relation() (*Relation, error) {
+	start := c.pos
+	n, err := c.Count(min(maxFrameBody, c.Len()), "frame length")
+	if err != nil || n == 0 {
+		return nil, err
+	}
+	if _, err := c.Bytes(n); err != nil {
+		return nil, err
+	}
+	return Unmarshal(c.b[start:c.pos])
+}
+
+// Schema reads a schema written by AppendSchema.
+func (c *Cursor) Schema() (Schema, error) {
 	// A column spends at least a name length and a kind byte, so the bytes
 	// left bound the count before the schema is allocated.
-	ncols, err := cur.count(min(1<<20, (len(cur.b)-cur.pos)/2), "column")
+	ncols, err := c.Count(min(1<<20, c.Len()/2), "column")
 	if err != nil {
 		return nil, err
 	}
 	schema := make(Schema, ncols)
 	for i := range schema {
-		nameLen, err := cur.count(1<<20, "name length")
+		name, err := c.Str()
 		if err != nil {
 			return nil, err
 		}
-		name, err := cur.bytes(nameLen)
-		if err != nil {
-			return nil, err
-		}
-		kind, err := cur.byte()
+		kind, err := c.Byte()
 		if err != nil {
 			return nil, err
 		}
 		if Kind(kind) > KindBool {
 			return nil, fmt.Errorf("relation: codec schema column %d has unknown kind %d", i, kind)
 		}
-		schema[i] = Column{Name: string(name), Kind: Kind(kind)}
+		schema[i] = Column{Name: name, Kind: Kind(kind)}
 	}
 	return schema, nil
 }
@@ -489,8 +598,8 @@ func readSchema(cur *cursor) (Schema, error) {
 // frameRows reads a frame's row count, refusing one the frame cannot hold
 // before anything is allocated for it: every column spends a NULL-bitmap bit
 // per row and an encoding byte.
-func frameRows(cur *cursor, cols int) (int, error) {
-	nrows, err := cur.count(maxFrameBody, "row")
+func frameRows(cur *Cursor, cols int) (int, error) {
+	nrows, err := cur.Count(maxFrameBody, "row")
 	if err != nil {
 		return 0, err
 	}
@@ -505,7 +614,7 @@ func frameRows(cur *cursor, cols int) (int, error) {
 // string its values are substrings of. It returns nil, with the cursor back
 // where it was, at the first column that is mixed or BOOL: only a row body
 // holds those.
-func readVectors(cur *cursor, schema Schema) (*Columns, error) {
+func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 	start := cur.pos
 	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
@@ -514,11 +623,11 @@ func readVectors(cur *cursor, schema Schema) (*Columns, error) {
 	c := &Columns{Rows: nrows, Vecs: make([]Vector, len(schema))}
 	nb := (nrows + 7) / 8
 	for j, col := range schema {
-		bitmap, err := cur.bytes(nb)
+		bitmap, err := readBitmap(cur, nrows, nb)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := cur.byte()
+		enc, err := cur.Byte()
 		if err != nil {
 			return nil, err
 		}
@@ -536,19 +645,18 @@ func readVectors(cur *cursor, schema Schema) (*Columns, error) {
 }
 
 // readVector decodes one uniform column of n rows into v, whose Kind is set.
-func readVector(cur *cursor, v *Vector, n int, bitmap []byte) error {
+func readVector(cur *Cursor, v *Vector, n int, bitmap []byte) error {
 	if v.Kind == KindNull {
-		// Every row is NULL, whatever the bitmap says, as in the row body.
 		for i := 0; i < n; i++ {
+			if !isNullAt(bitmap, i) {
+				return errNullColumnValue
+			}
 			v.SetNull(i, n)
 		}
 		return nil
 	}
 	nonNull := n
 	for k, b := range bitmap {
-		if k == len(bitmap)-1 && n%8 != 0 {
-			b &= 1<<(n%8) - 1 // padding past the last row
-		}
 		if b == 0 {
 			continue
 		}
@@ -565,14 +673,14 @@ func readVector(cur *cursor, v *Vector, n int, bitmap []byte) error {
 			if v.Null(i) {
 				continue
 			}
-			x, err := cur.varint()
+			x, err := cur.Varint()
 			if err != nil {
 				return err
 			}
 			v.Ints[i] = x
 		}
 	case KindFloat:
-		raw, err := cur.bytes(8 * nonNull)
+		raw, err := cur.Bytes(8 * nonNull)
 		if err != nil {
 			return err
 		}
@@ -606,14 +714,14 @@ func readVector(cur *cursor, v *Vector, n int, bitmap []byte) error {
 // and each call of next returns the following value, a substring of it past
 // its prefix. A value therefore keeps its whole column alive, which is what a
 // decoded relation does with its rows anyway.
-func readStrings(cur *cursor, n int) (next func() string, err error) {
+func readStrings(cur *Cursor, n int) (next func() string, err error) {
 	start := cur.pos
 	for k := 0; k < n; k++ {
-		ln, err := cur.count(maxFrameBody, "string length")
+		ln, err := cur.Count(maxFrameBody, "string length")
 		if err != nil {
 			return nil, err
 		}
-		if _, err := cur.bytes(ln); err != nil {
+		if _, err := cur.Bytes(ln); err != nil {
 			return nil, err
 		}
 	}
@@ -626,7 +734,7 @@ func readStrings(cur *cursor, n int) (next func() string, err error) {
 	}, nil
 }
 
-func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
+func (d *Decoder) readColumns(cur *Cursor) (*Relation, error) {
 	schema := d.schema
 	cols := len(schema)
 	nrows, err := frameRows(cur, cols)
@@ -641,11 +749,11 @@ func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
 	rel := &Relation{Schema: schema, Tuples: tuples}
 	nb := (nrows + 7) / 8
 	for j := 0; j < cols; j++ {
-		bitmap, err := cur.bytes(nb)
+		bitmap, err := readBitmap(cur, nrows, nb)
 		if err != nil {
 			return nil, err
 		}
-		enc, err := cur.byte()
+		enc, err := cur.Byte()
 		if err != nil {
 			return nil, err
 		}
@@ -667,10 +775,28 @@ func (d *Decoder) readColumns(cur *cursor) (*Relation, error) {
 
 func isNullAt(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
-func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []byte) error {
+var (
+	errPaddingBits     = fmt.Errorf("relation: codec bitmap has bits set past its last row")
+	errNullColumnValue = fmt.Errorf("relation: codec NULL column has a non-NULL row")
+)
+
+// readBitmap reads an n-row bitmap of nb bytes, whose padding bits past the
+// last row Marshal leaves zero.
+func readBitmap(cur *Cursor, n, nb int) ([]byte, error) {
+	bitmap, err := cur.Bytes(nb)
+	if err == nil && n%8 != 0 && bitmap[nb-1]>>(n%8) != 0 {
+		err = errPaddingBits
+	}
+	return bitmap, err
+}
+
+func readUniformColumn(cur *Cursor, rel *Relation, j int, kind Kind, bitmap []byte) error {
 	switch kind {
 	case KindNull:
-		for _, t := range rel.Tuples {
+		for i, t := range rel.Tuples {
+			if !isNullAt(bitmap, i) {
+				return errNullColumnValue
+			}
 			t[j] = Null
 		}
 	case KindInt:
@@ -679,7 +805,7 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 				t[j] = Null
 				continue
 			}
-			v, err := cur.varint()
+			v, err := cur.Varint()
 			if err != nil {
 				return err
 			}
@@ -691,7 +817,7 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 				t[j] = Null
 				continue
 			}
-			raw, err := cur.bytes(8)
+			raw, err := cur.Bytes(8)
 			if err != nil {
 				return err
 			}
@@ -722,7 +848,7 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 				nonNull++
 			}
 		}
-		packed, err := cur.bytes((nonNull + 7) / 8)
+		packed, err := readBitmap(cur, nonNull, (nonNull+7)/8)
 		if err != nil {
 			return err
 		}
@@ -743,42 +869,27 @@ func readUniformColumn(cur *cursor, rel *Relation, j int, kind Kind, bitmap []by
 	return nil
 }
 
-func readMixedColumn(cur *cursor, rel *Relation, j int, bitmap []byte) error {
+// readMixedColumn reads a column Marshal wrote mixed, which it does only for
+// a column holding a value of another kind than its declared one.
+func readMixedColumn(cur *Cursor, rel *Relation, j int, bitmap []byte) error {
+	offKind := false
 	for i, t := range rel.Tuples {
 		if isNullAt(bitmap, i) {
 			t[j] = Null
 			continue
 		}
-		kind, err := cur.byte()
+		v, err := cur.Value()
 		if err != nil {
 			return err
 		}
-		switch Kind(kind) {
-		case KindInt, KindBool:
-			v, err := cur.varint()
-			if err != nil {
-				return err
-			}
-			t[j] = Value{Kind: Kind(kind), Int: v}
-		case KindFloat:
-			raw, err := cur.bytes(8)
-			if err != nil {
-				return err
-			}
-			t[j] = Value{Kind: KindFloat, Float: math.Float64frombits(binary.LittleEndian.Uint64(raw))}
-		case KindString:
-			n, err := cur.count(maxFrameBody, "string length")
-			if err != nil {
-				return err
-			}
-			raw, err := cur.bytes(n)
-			if err != nil {
-				return err
-			}
-			t[j] = Value{Kind: KindString, Str: string(raw)}
-		default:
-			return fmt.Errorf("relation: codec mixed value with invalid kind %d", kind)
+		if v.IsNull() {
+			return fmt.Errorf("relation: codec mixed value with invalid kind %d", KindNull)
 		}
+		t[j] = v
+		offKind = offKind || v.Kind != rel.Schema[j].Kind
+	}
+	if !offKind {
+		return fmt.Errorf("relation: codec mixed column %d holds only %s values", j, rel.Schema[j].Kind)
 	}
 	return nil
 }
@@ -795,7 +906,7 @@ func Marshal(r *Relation) ([]byte, error) {
 	const room = binary.MaxVarintLen64
 	buf := make([]byte, room, room+1+schemaSize(r.Schema)+columnsSize(r))
 	buf = append(buf, frameInline)
-	buf = appendSchema(buf, r.Schema)
+	buf = AppendSchema(buf, r.Schema)
 	buf = appendColumns(buf, r)
 	body := uint64(len(buf) - room)
 	start := room - uvarintLen(body)
@@ -894,7 +1005,7 @@ func Unmarshal(b []byte) (*Relation, error) {
 	case n < 0:
 		return nil, fmt.Errorf("relation: codec frame length overflows 64 bits")
 	case ln > maxFrameBody:
-		return nil, fmt.Errorf("relation: codec frame of %d bytes exceeds limit", ln)
+		return nil, fmt.Errorf("%w: %d bytes exceeds the limit", ErrFrameLength, ln)
 	case uint64(len(b)-n) < ln:
 		return nil, io.ErrUnexpectedEOF
 	case uint64(len(b)-n) > ln:
@@ -903,11 +1014,6 @@ func Unmarshal(b []byte) (*Relation, error) {
 	var d Decoder
 	return d.decodeFrame(b[n:], true)
 }
-
-// GobEncode makes gob envelopes (transport request/response structs, legacy
-// files) carry relations in the compact wire format rather than gob's
-// reflective struct encoding.
-func (r *Relation) GobEncode() ([]byte, error) { return r.Frame() }
 
 // Frame returns r's wire frame: the bytes a fresh Encoder writes for r, that
 // is Marshal(r). A relation declared finished by ShareFrame, and every View of
@@ -944,7 +1050,7 @@ func sameSlice[T any](a, b []T) bool {
 }
 
 // ShareFrame declares r finished: from here on every consumer of its frame —
-// one gob envelope per site of a broadcast, one per retry, one reply per
+// one site request per site of a broadcast, one per retry, one reply per
 // session served from a shared result — ships the same bytes, encoded once by
 // the first. Nobody may change r's schema or rows afterwards.
 func (r *Relation) ShareFrame() {
@@ -957,14 +1063,4 @@ func (r *Relation) ShareFrame() {
 // The view shares r's frame while it holds exactly r's rows.
 func (r *Relation) View() *Relation {
 	return &Relation{Schema: r.Schema, Tuples: r.Tuples, cols: r.cols, frame: r.frame}
-}
-
-// GobDecode is the inverse of GobEncode.
-func (r *Relation) GobDecode(b []byte) error {
-	rel, err := Unmarshal(b)
-	if err != nil {
-		return err
-	}
-	*r = Relation{Schema: rel.Schema, Tuples: rel.Tuples, cols: rel.cols}
-	return nil
 }

@@ -131,11 +131,11 @@ func TestShareFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	r.ShareFrame()
-	a, err := r.GobEncode()
+	a, err := r.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := r.GobEncode()
+	b, err := r.Frame()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,8 +145,7 @@ func TestShareFrame(t *testing.T) {
 	if &a[0] != &b[0] {
 		t.Error("second envelope re-encoded the relation")
 	}
-	var back Relation
-	if err := back.GobDecode(a); err != nil || !relIdentical(r, &back) {
+	if back, err := Unmarshal(a); err != nil || !relIdentical(r, back) {
 		t.Errorf("shared frame does not decode back: %v", err)
 	}
 }
@@ -320,7 +319,7 @@ func TestCodecRejectsCorrupt(t *testing.T) {
 // hostile bytes cannot demand gigabytes.
 func TestCodecRefusesRowsTheFrameCannotHold(t *testing.T) {
 	frame := func(schema Schema, rows uint64) []byte {
-		body := appendSchema([]byte{frameInline}, schema)
+		body := AppendSchema([]byte{frameInline}, schema)
 		body = binary.AppendUvarint(body, rows)
 		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 	}

@@ -143,7 +143,7 @@ func TestColumnarBodyReadsLikeRows(t *testing.T) {
 	}
 	// A finished columnar relation ships one frame, the row body's bytes.
 	col.ShareFrame()
-	a, _ := col.GobEncode()
+	a, _ := col.Frame()
 	b, _ := col.View().Frame()
 	if !bytes.Equal(a, frame) || &a[0] != &b[0] {
 		t.Error("a shared columnar frame must be the row body's frame, encoded once")

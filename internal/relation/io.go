@@ -1,67 +1,11 @@
 package relation
 
 import (
-	"bufio"
 	"encoding/csv"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"strconv"
 )
-
-// WriteGob serializes the relation to w in the binary format used by the
-// data-generation and site tools.
-func (r *Relation) WriteGob(w io.Writer) error {
-	return gob.NewEncoder(w).Encode(r)
-}
-
-// ReadGob deserializes a relation written by WriteGob.
-func ReadGob(rd io.Reader) (*Relation, error) {
-	var r Relation
-	if err := gob.NewDecoder(rd).Decode(&r); err != nil {
-		return nil, err
-	}
-	if err := r.Schema.Validate(); err != nil {
-		return nil, err
-	}
-	// The tools that read partition files edit and scan rows.
-	r.ownRows()
-	for i, t := range r.Tuples {
-		if len(t) != len(r.Schema) {
-			return nil, fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
-		}
-	}
-	return &r, nil
-}
-
-// SaveGobFile writes the relation to a file.
-func (r *Relation) SaveGobFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if err := r.WriteGob(bw); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadGobFile reads a relation from a file written by SaveGobFile.
-func LoadGobFile(path string) (*Relation, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadGob(bufio.NewReader(f))
-}
 
 // WriteCSV writes the relation as CSV with a "name:KIND" header row, for
 // inspection and interchange. NULLs are written as empty cells.

@@ -2,7 +2,8 @@ package relation
 
 import (
 	"bytes"
-	"path/filepath"
+	"encoding/binary"
+	"encoding/gob"
 	"strings"
 	"testing"
 )
@@ -20,50 +21,41 @@ func ioTestRel() *Relation {
 	return r
 }
 
-func TestGobRoundTrip(t *testing.T) {
-	r := ioTestRel()
-	var buf bytes.Buffer
-	if err := r.WriteGob(&buf); err != nil {
+// TestUnmarshalRejectsCorruptPartition: partition files are codec frames, and
+// Unmarshal refuses what the gob reader they replace refused — bytes that are
+// not a frame (a gob partition among them), a schema with an empty or
+// repeated column name — while a ragged relation never becomes a frame.
+func TestUnmarshalRejectsCorruptPartition(t *testing.T) {
+	var gobFile bytes.Buffer
+	if err := gob.NewEncoder(&gobFile).Encode(struct{ Tuples []Tuple }{ioTestRel().Tuples}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadGob(&buf)
-	if err != nil {
-		t.Fatal(err)
+	frame := func(s Schema) []byte {
+		body := AppendSchema([]byte{frameInline}, s)
+		body = append(body, 0) // no rows: each column is its encoding byte
+		for range s {
+			body = append(body, encUniform)
+		}
+		return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 	}
-	if !got.EqualMultiset(r) {
-		t.Errorf("gob round trip changed relation:\n%s\nvs\n%s", got, r)
+	for name, data := range map[string][]byte{
+		"not a frame":    []byte("not a frame"),
+		"gob partition":  gobFile.Bytes(),
+		"empty name":     frame(Schema{{Name: "", Kind: KindInt}}),
+		"duplicate name": frame(Schema{{"a", KindInt}, {"a", KindString}}),
+	} {
+		if _, err := Unmarshal(data); err == nil {
+			t.Errorf("%s: Unmarshal accepted it", name)
+		}
 	}
-}
-
-func TestGobFileRoundTrip(t *testing.T) {
-	r := ioTestRel()
-	path := filepath.Join(t.TempDir(), "rel.gob")
-	if err := r.SaveGobFile(path); err != nil {
-		t.Fatal(err)
+	if _, err := Unmarshal(frame(Schema{{"a", KindInt}})); err != nil {
+		t.Fatalf("the valid control frame: %v", err)
 	}
-	got, err := LoadGobFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.EqualMultiset(r) {
-		t.Error("gob file round trip changed relation")
-	}
-	if _, err := LoadGobFile(filepath.Join(t.TempDir(), "missing.gob")); err == nil {
-		t.Error("missing file must error")
-	}
-}
-
-func TestReadGobRejectsCorrupt(t *testing.T) {
-	if _, err := ReadGob(strings.NewReader("not gob")); err == nil {
-		t.Error("corrupt stream must error")
-	}
-	// The column-major codec rejects ragged relations at encode time.
 	bad := &Relation{
 		Schema: MustSchema(Column{"a", KindInt}),
 		Tuples: []Tuple{{NewInt(1), NewInt(2)}},
 	}
-	var buf bytes.Buffer
-	if err := bad.WriteGob(&buf); err == nil {
+	if _, err := Marshal(bad); err == nil {
 		t.Error("arity mismatch must be rejected at encode time")
 	}
 }

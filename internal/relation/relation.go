@@ -59,7 +59,7 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 
 // Relation is an in-memory relation (multiset of tuples) with one of two
 // bodies. The row body is Tuples. The columnar body — a decoded frame
-// (Unmarshal, GobDecode), an X fragment, an H block a compiled kernel emits —
+// (Unmarshal, the stream Decoder), an X fragment, an H block a compiled kernel emits —
 // is a read-only Columns image, and Tuples is nil while it is set. Len,
 // Clone, MemBytes, KeepRows, the frame methods, the comparators and Format
 // read either body; Rows, AppendRow and Value box a columnar one on demand;

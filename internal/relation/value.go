@@ -49,7 +49,7 @@ func (k Kind) String() string {
 // Value is a dynamically typed scalar. The zero Value is NULL.
 //
 // Value is a flat struct (no pointers besides the string header) so that
-// tuples are cheap to copy and friendly to encoding/gob.
+// tuples are cheap to copy.
 type Value struct {
 	Kind  Kind
 	Int   int64

@@ -3,7 +3,6 @@ package transport
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"sync"
@@ -17,40 +16,63 @@ import (
 )
 
 // LocalSite is the in-process transport: it wraps an engine.Site and pushes
-// every request and response through the same serialization a networked
-// deployment uses, so byte and row accounting stays faithful while tests and
-// benchmarks run single-process and deterministic. Like a real connection it
-// keeps persistent gob codecs per direction (type descriptors are charged
-// once, on the first message) and streams operator blocks through the compact
+// every request and reply through the envelope a networked deployment uses,
+// so byte and row accounting is what TCP counts while tests and benchmarks
+// run single-process and deterministic. Operator blocks stream through the
 // relation wire codec, decoded as the TCP client decodes them.
 type LocalSite struct {
 	site Backend
 
 	mu sync.Mutex
-	// downBuf/upBuf emulate the two directions of one connection; the
-	// persistent gob codecs over them survive across calls, exactly like the
-	// encoder/decoder pair a TCP connection keeps, so type descriptors are
-	// shipped (and charged) once per direction rather than per message.
+	// downBuf and upBuf emulate the two directions of one connection, each
+	// read through a frame reader as the connection's ends read it.
 	downBuf, upBuf bytes.Buffer
-	downEnc, upEnc *gob.Encoder
-	downDec, upDec *gob.Decoder
+	down, up       *relation.FrameReader
 }
 
 // NewLocalSite wraps a backend (a site engine, or a wrapper of one).
 func NewLocalSite(site Backend) *LocalSite {
 	l := &LocalSite{site: site}
-	l.downEnc = gob.NewEncoder(&l.downBuf)
-	l.downDec = gob.NewDecoder(&l.downBuf)
-	l.upEnc = gob.NewEncoder(&l.upBuf)
-	l.upDec = gob.NewDecoder(&l.upBuf)
+	l.down = relation.NewFrameReader(&l.downBuf)
+	l.up = relation.NewFrameReader(&l.upBuf)
 	return l
 }
 
 // ID implements Site.
 func (l *LocalSite) ID() int { return l.site.ID() }
 
+// sendLocked writes req down, counting its bytes, and decodes it as the site
+// would; l.mu held.
+func (l *LocalSite) sendLocked(req *Request) (*Request, int, error) {
+	l.downBuf.Reset()
+	l.upBuf.Reset()
+	if err := writeRequest(&l.downBuf, req); err != nil {
+		return nil, 0, fmt.Errorf("transport: encode request: %w", err)
+	}
+	down := l.downBuf.Len()
+	decReq, err := readRequest(l.down)
+	if err != nil {
+		return nil, down, fmt.Errorf("transport: decode request: %w", err)
+	}
+	return decReq, down, nil
+}
+
+// replyLocked writes resp up, counting its bytes, and decodes it as the
+// coordinator would; l.mu held.
+func (l *LocalSite) replyLocked(kind ReqKind, resp *Response) (*Response, int, error) {
+	if err := writeReply(&l.upBuf, kind, resp); err != nil {
+		return nil, 0, fmt.Errorf("transport: encode reply: %w", err)
+	}
+	up := l.upBuf.Len()
+	decResp, err := readReply(l.up, kind)
+	if err != nil {
+		return nil, up, fmt.Errorf("transport: decode reply: %w", err)
+	}
+	return decResp, up, nil
+}
+
 // roundTrip serializes the request, decodes it into a fresh value (as the
-// remote end would), dispatches it, and serializes the response back.
+// remote end would), dispatches it, and serializes the reply back.
 func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stats.Call{}, err
@@ -59,30 +81,21 @@ func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, sta
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.downEnc.Encode(req); err != nil {
-		return nil, stats.Call{}, fmt.Errorf("transport: encode request: %w", err)
+	decReq, down, err := l.sendLocked(req)
+	if err != nil {
+		return nil, stats.Call{}, err
 	}
-	down := l.downBuf.Len()
-	var decReq Request
-	if err := l.downDec.Decode(&decReq); err != nil {
-		return nil, stats.Call{}, fmt.Errorf("transport: decode request: %w", err)
+	decResp, up, err := l.replyLocked(req.Kind, dispatch(ctx, l.site, decReq))
+	if err != nil {
+		return nil, stats.Call{}, err
 	}
-	resp := dispatch(ctx, l.site, &decReq)
-	if err := l.upEnc.Encode(resp); err != nil {
-		return nil, stats.Call{}, fmt.Errorf("transport: encode response: %w", err)
-	}
-	up := l.upBuf.Len()
-	var decResp Response
-	if err := l.upDec.Decode(&decResp); err != nil {
-		return nil, stats.Call{}, fmt.Errorf("transport: decode response: %w", err)
-	}
-	call := callFromSizes(l.site.ID(), req, &decResp, down, up)
+	call := callFromSizes(l.site.ID(), req, decResp, down, up)
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	recordCall(call, req.Kind, req.QueryID)
 	if decResp.Err != "" {
 		return nil, call, errors.New(decResp.Err)
 	}
-	return &decResp, call, nil
+	return decResp, call, nil
 }
 
 // EvalBase implements Site.
@@ -107,19 +120,16 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	wallStart := time.Now()
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
 	attempt := stampTraceContext(ctx, wireReq)
-	if err := l.downEnc.Encode(wireReq); err != nil {
-		return stats.Call{}, fmt.Errorf("transport: encode request: %w", err)
-	}
+	decReq, down, err := l.sendLocked(wireReq)
 	call := stats.Call{
 		Site:      l.site.ID(),
-		BytesDown: l.downBuf.Len(),
+		BytesDown: down,
 		RowsDown:  reqRows(wireReq),
 		Start:     wallStart,
 		Attempt:   attempt,
 	}
-	var decReq Request
-	if err := l.downDec.Decode(&decReq); err != nil {
-		return call, fmt.Errorf("transport: decode request: %w", err)
+	if err != nil {
+		return call, err
 	}
 	// The serving end of the emulated connection: count the request like the
 	// TCP server's stream path does, recorder included.
@@ -152,17 +162,14 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	if evalErr != nil {
 		return call, evalErr
 	}
-	// Terminal frame, as the network transport would send.
-	b := rec.Snapshot()
-	if err := l.upEnc.Encode(&Response{ComputeNS: call.Compute.Nanoseconds(), Profile: &b}); err != nil {
+	// The end marker and the operator reply, as the network transport sends
+	// them.
+	term, up, err := l.replyLocked(KindOperator, &Response{Profile: rec.Snapshot()})
+	if err != nil {
 		return call, err
 	}
-	call.BytesUp += l.upBuf.Len() + 1
-	var term Response
-	if err := l.upDec.Decode(&term); err != nil {
-		return call, err
-	}
-	call.Breakdown = term.Profile
+	call.BytesUp += up + 1
+	call.Breakdown = &term.Profile
 	call.Elapsed = time.Since(wallStart)
 	recordCall(call, KindOperator, wireReq.QueryID)
 	return call, nil

@@ -1,60 +1,12 @@
 package transport
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
 	"testing"
 
-	"skalla/internal/engine"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
-	"skalla/internal/relation"
 )
-
-// oldRequest is the pre-QueryID wire envelope, as an old peer would encode and
-// decode it. gob matches struct fields by name, so the type name differing
-// from Request does not matter on the wire.
-type oldRequest struct {
-	Kind     ReqKind
-	Base     *gmdj.BaseQuery
-	Operator *engine.OperatorRequest
-	Local    *engine.LocalRequest
-	Schema   string
-	LoadName string
-	LoadRel  *relation.Relation
-}
-
-// TestQueryIDOldPeerCompat proves the QueryID field keeps the protocol
-// compatible with peers built before it existed, in both directions.
-func TestQueryIDOldPeerCompat(t *testing.T) {
-	// New coordinator → old site: the unknown field is skipped.
-	var buf bytes.Buffer
-	newReq := Request{Kind: KindSchema, QueryID: "abc123", Schema: "Flow"}
-	if err := gob.NewEncoder(&buf).Encode(&newReq); err != nil {
-		t.Fatal(err)
-	}
-	var old oldRequest
-	if err := gob.NewDecoder(&buf).Decode(&old); err != nil {
-		t.Fatalf("old peer cannot decode new request: %v", err)
-	}
-	if old.Kind != KindSchema || old.Schema != "Flow" {
-		t.Errorf("old peer decoded %+v", old)
-	}
-
-	// Old coordinator → new site: the missing field stays zero.
-	buf.Reset()
-	if err := gob.NewEncoder(&buf).Encode(&oldRequest{Kind: KindTables}); err != nil {
-		t.Fatal(err)
-	}
-	var cur Request
-	if err := gob.NewDecoder(&buf).Decode(&cur); err != nil {
-		t.Fatalf("new peer cannot decode old request: %v", err)
-	}
-	if cur.Kind != KindTables || cur.QueryID != "" {
-		t.Errorf("new peer decoded %+v", cur)
-	}
-}
 
 // TestQueryIDPropagatesOverTCP runs a real exchange and checks the
 // context-carried query ID lands in the transport metrics on both ends.

@@ -1,8 +1,8 @@
 package transport
 
 import (
+	"bufio"
 	"context"
-	"encoding/gob"
 	"errors"
 	"net"
 	"testing"
@@ -56,13 +56,12 @@ func TestBrokenStreamPoisonsClient(t *testing.T) {
 		if err != nil {
 			return
 		}
-		dec, enc := gob.NewDecoder(conn), gob.NewEncoder(conn)
-		var req Request
-		if err := dec.Decode(&req); err != nil { // hello
+		frames := relation.NewFrameReader(bufio.NewReader(conn))
+		if _, err := readRequest(frames); err != nil { // hello
 			return
 		}
-		enc.Encode(&Response{SiteID: 5})
-		if err := dec.Decode(&req); err != nil { // operator request
+		writeReply(conn, KindHello, &Response{Version: ProtocolVersion, SiteID: 5})
+		if _, err := readRequest(frames); err != nil { // operator request
 			return
 		}
 		conn.Write([]byte{opStreamBlock}) // announce a block...

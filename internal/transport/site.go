@@ -1,8 +1,8 @@
 // Package transport connects the Skalla coordinator to its sites. It defines
-// the Site interface the coordinator programs against, an in-process
-// implementation that still serializes every message through encoding/gob so
-// that byte counts are faithful to what a network deployment would ship, and
-// a TCP implementation for true multi-process operation.
+// the Site interface the coordinator programs against, the site protocol's
+// envelope (envelope.go), an in-process implementation that still encodes
+// every message in it so that byte counts are the ones a network deployment
+// ships, and a TCP implementation for true multi-process operation.
 //
 // Every call returns a stats.Call describing exactly what crossed the wire
 // (bytes and rows in each direction) and how long the site computed; the

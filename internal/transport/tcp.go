@@ -3,7 +3,7 @@ package transport
 import (
 	"bufio"
 	"context"
-	"encoding/gob"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log/slog"
@@ -19,19 +19,22 @@ import (
 	"skalla/internal/stats"
 )
 
-// Operator responses stream out of band from the gob request/response pairs:
-// each H_i block is announced with a one-byte marker followed by a relation
-// wire-codec frame (schema shipped once per stream), and the stream ends with
-// an end marker followed by the usual gob terminal Response.
+// Operator replies stream: each H_i block is announced with a one-byte marker
+// followed by a relation wire-codec frame (schema shipped once per stream),
+// and the stream ends with an end marker followed by the operator's reply.
 const (
 	opStreamEnd   = 0x00
 	opStreamBlock = 0x01
 )
 
-// Server exposes a site engine over TCP. The wire protocol is a stream of
-// gob-encoded Request/Response pairs per connection, processed sequentially;
-// operator evaluations interleave codec-framed H_i blocks (see the stream
-// markers above).
+// maxHelloBody bounds the body of the hello that opens every connection: a
+// kind byte and a version.
+const maxHelloBody = 1 + binary.MaxVarintLen32
+
+// Server exposes a site engine over TCP. The wire protocol is a sequence of
+// envelope requests and replies per connection (envelope.go), processed in
+// order, opened by a hello; operator replies stream codec-framed H_i blocks
+// (see the stream markers above).
 type Server struct {
 	site Backend
 	ln   net.Listener
@@ -143,82 +146,97 @@ func (s *Server) handle(rawConn net.Conn) {
 	conn := &countingConn{Conn: rawConn}
 	bytesDown := obs.ServerBytes.With("down")
 	bytesUp := obs.ServerBytes.With("up")
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	// A peer that does not open with a hello (a gob-era coordinator, say) does
+	// not speak this protocol: close before trusting a length it sent.
+	if p, err := br.Peek(2); err != nil || p[0] > maxHelloBody || p[1] != byte(KindHello) {
+		log.Debug("peer does not open with a hello")
+		return
+	}
+	frames := relation.NewFrameReader(br)
+	reply := func(kind ReqKind, resp *Response) error {
+		if err := writeReply(bw, kind, resp); err != nil {
+			return err
+		}
+		return bw.Flush()
+	}
 	for {
 		r0, w0 := conn.read, conn.written
-		var req Request
-		if err := dec.Decode(&req); err != nil {
-			return // connection closed or corrupt stream
-		}
-		if req.Kind == KindOperator {
-			err := s.streamOperator(ctx, conn, enc, &req)
-			bytesDown.Add(conn.read - r0)
-			bytesUp.Add(conn.written - w0)
-			if err != nil {
-				log.Warn("stream response failed", "query", req.QueryID, "err", err)
-				return
+		req, err := readRequest(frames)
+		switch {
+		case errors.Is(err, errUnknownKind):
+			// The frame was read whole: answer it, and keep serving.
+			err = reply(req.Kind, dispatch(ctx, s.site, req))
+		case err != nil:
+			log.Debug("read request failed", "err", err)
+			return
+		case req.Kind == KindHello:
+			obs.ServerRequests.With(kindName(KindHello)).Inc()
+			err = reply(KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()})
+			if err == nil && req.Version != ProtocolVersion {
+				err = versionError(req.Version)
 			}
-			continue
+		case req.Kind == KindOperator:
+			err = s.streamOperator(ctx, bw, req)
+		default:
+			err = reply(req.Kind, dispatch(ctx, s.site, req))
 		}
-		resp := dispatch(ctx, s.site, &req)
-		err := enc.Encode(resp)
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
 		if err != nil {
-			log.Warn("encode response failed", "kind", kindName(req.Kind), "err", err)
+			log.Warn("request failed", "kind", kindName(req.Kind), "query", req.QueryID, "err", err)
 			return
 		}
 	}
 }
 
 // streamOperator evaluates an operator request with row blocking, sending a
-// marker plus a codec frame per H_i block and a terminal gob response
-// carrying the compute time and any evaluation error. When a block write
-// already failed, the connection is broken — the end marker and terminal
-// response are doomed too, so they are skipped and the handler exits with the
-// original write error instead of failing (and logging) twice.
-func (s *Server) streamOperator(ctx context.Context, conn net.Conn, enc *gob.Encoder, req *Request) error {
+// marker plus a codec frame per H_i block, each flushed as it is made, then
+// the end marker and the operator reply carrying the profile and any
+// evaluation error. When a block write already failed, the connection is
+// broken — the end marker and reply are doomed too, so they are skipped and
+// the handler exits with the original write error instead of failing (and
+// logging) twice.
+func (s *Server) streamOperator(ctx context.Context, w *bufio.Writer, req *Request) error {
 	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	rec := obs.NewSiteRecorder()
 	ctx = obs.WithRecorder(ctx, rec)
 	start := time.Now()
-	var evalErr error
+	blockEnc := relation.NewEncoder(w)
 	connBroken := false
-	if req.Operator == nil {
-		evalErr = fmt.Errorf("transport: operator request without payload")
-	} else {
-		blockEnc := relation.NewEncoder(conn)
-		marker := [1]byte{opStreamBlock}
-		evalErr = s.site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
-			if _, err := conn.Write(marker[:]); err != nil {
-				connBroken = true
-				return err
-			}
-			if err := blockEnc.Encode(block); err != nil {
-				connBroken = true
-				return err
-			}
-			// The marker byte travels with every block frame.
-			rec.AddCodecBytes(1)
-			return nil
-		})
-		rec.AddCodecBytes(blockEnc.Bytes())
-	}
+	evalErr := s.site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
+		err := w.WriteByte(opStreamBlock)
+		if err == nil {
+			err = blockEnc.Encode(block)
+		}
+		if err == nil {
+			err = w.Flush()
+		}
+		if err != nil {
+			connBroken = true
+			return err
+		}
+		// The marker byte travels with every block frame.
+		rec.AddCodecBytes(1)
+		return nil
+	})
+	rec.AddCodecBytes(blockEnc.Bytes())
 	if connBroken {
 		return evalErr
 	}
-	if _, err := conn.Write([]byte{opStreamEnd}); err != nil {
-		return err
-	}
 	rec.SetEval(time.Since(start))
-	b := rec.Snapshot()
-	term := &Response{SiteID: s.site.ID(), ComputeNS: time.Since(start).Nanoseconds(), Profile: &b}
+	term := &Response{Profile: rec.Snapshot()}
 	if evalErr != nil {
 		term.Err = evalErr.Error()
 		s.log.Debug("operator eval failed", "query", req.QueryID, "err", evalErr)
 	}
-	return enc.Encode(term)
+	if err := w.WriteByte(opStreamEnd); err != nil {
+		return err
+	}
+	if err := writeReply(w, KindOperator, term); err != nil {
+		return err
+	}
+	return w.Flush()
 }
 
 // countingConn wraps a net.Conn and counts bytes in each direction.
@@ -239,8 +257,8 @@ func (c *countingConn) Write(p []byte) (int, error) {
 	return n, err
 }
 
-// ErrBrokenConn marks a client whose gob stream desynced (any send or
-// receive error poisons the connection — a partially consumed stream must
+// ErrBrokenConn marks a client whose connection was poisoned (any send or
+// receive error leaves the stream position unknown, so the connection must
 // never be reused) and whose transparent redial failed. Callers can match it
 // with errors.Is and treat the site as down.
 var ErrBrokenConn = errors.New("transport: connection broken")
@@ -252,22 +270,23 @@ const defaultDialTimeout = 10 * time.Second
 // Client is a TCP Site: it connects to a Server and implements the Site
 // interface with per-call byte accounting from the connection itself.
 //
-// The client owns one buffered reader over the connection, shared between the
-// gob decoder and the relation codec decoder. gob never over-reads from an
-// io.ByteReader, so alternating the two on the same stream is safe.
+// The client owns one buffered reader over the connection, shared between
+// the envelope's frame reader, the stream markers and the relation codec
+// decoder, none of which reads past the end of its frame.
 //
-// Any transport error poisons the connection: gob encoders and decoders are
-// stateful, so after a failed exchange the stream position is unknown and
-// reusing it would decode garbage. The next call transparently redials and
-// re-handshakes; if that fails, it returns an error matching ErrBrokenConn.
+// Any transport error poisons the connection: after a failed exchange the
+// position in the stream is unknown — a reply half read, a block half
+// written — and reading on would decode the middle of a frame as its start.
+// The next call transparently redials and re-handshakes; if that fails, it
+// returns an error matching ErrBrokenConn.
 type Client struct {
 	addr string
 
 	mu     sync.Mutex
 	conn   *countingConn
 	br     *bufio.Reader
-	enc    *gob.Encoder
-	dec    *gob.Decoder
+	bw     *bufio.Writer
+	frames *relation.FrameReader
 	id     int
 	hasID  bool
 	broken bool
@@ -297,8 +316,10 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 }
 
 // connectLocked (re)establishes the connection and re-handshakes; c.mu held.
-// On a reconnect, the hello response must report the same site identity —
-// an address now serving a different site would silently corrupt results.
+// The hello exchanges protocol versions, and a site speaking another one
+// fails the dial with ErrProtocol. On a reconnect, the hello must report the
+// same site identity — an address now serving a different site would
+// silently corrupt results.
 func (c *Client) connectLocked(ctx context.Context) error {
 	var d net.Dialer
 	raw, err := d.DialContext(ctx, "tcp", c.addr)
@@ -306,33 +327,32 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		return err
 	}
 	conn := &countingConn{Conn: raw}
-	br := bufio.NewReader(conn)
-	enc, dec := gob.NewEncoder(conn), gob.NewDecoder(br)
+	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
+	frames := relation.NewFrameReader(br)
 	if dl, ok := ctx.Deadline(); ok {
 		_ = conn.SetDeadline(dl)
 	}
-	req := &Request{Kind: KindHello}
-	var resp Response
-	if err := enc.Encode(req); err != nil {
-		raw.Close()
-		return fmt.Errorf("transport: hello: %w", err)
+	req := &Request{Kind: KindHello, Version: ProtocolVersion}
+	err = writeRequest(bw, req)
+	if err == nil {
+		err = bw.Flush()
 	}
-	if err := dec.Decode(&resp); err != nil {
+	var resp *Response
+	if err == nil {
+		resp, err = readReply(frames, KindHello)
+	}
+	if err != nil {
 		raw.Close()
-		return fmt.Errorf("transport: hello: %w", err)
+		return fmt.Errorf("transport: hello %s: %w", c.addr, err)
 	}
 	_ = conn.SetDeadline(time.Time{})
-	if resp.Err != "" {
-		raw.Close()
-		return fmt.Errorf("transport: hello: %s", resp.Err)
-	}
 	if c.hasID && resp.SiteID != c.id {
 		raw.Close()
 		return fmt.Errorf("transport: reconnect %s: site identity changed (%d -> %d)", c.addr, c.id, resp.SiteID)
 	}
 	c.id, c.hasID = resp.SiteID, true
-	recordCall(callFromSizes(c.id, req, &resp, int(conn.written), int(conn.read)), KindHello, "")
-	c.conn, c.br, c.enc, c.dec = conn, br, enc, dec
+	recordCall(callFromSizes(c.id, req, resp, int(conn.written), int(conn.read)), KindHello, "")
+	c.conn, c.br, c.bw, c.frames = conn, br, bw, frames
 	c.broken = false
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(0)
 	return nil
@@ -362,6 +382,14 @@ func (c *Client) poisonLocked() {
 	}
 	c.broken = true
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(1)
+}
+
+// sendLocked writes one request; c.mu held.
+func (c *Client) sendLocked(req *Request) error {
+	if err := writeRequest(c.bw, req); err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 // ID implements Site.
@@ -394,22 +422,22 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.
 	}
 	start := time.Now()
 	r0, w0 := c.conn.read, c.conn.written
-	if err := c.enc.Encode(req); err != nil {
+	if err := c.sendLocked(req); err != nil {
 		c.poisonLocked()
 		return nil, stats.Call{}, fmt.Errorf("transport: send: %w", err)
 	}
-	var resp Response
-	if err := c.dec.Decode(&resp); err != nil {
+	resp, err := readReply(c.frames, req.Kind)
+	if err != nil {
 		c.poisonLocked()
 		return nil, stats.Call{}, fmt.Errorf("transport: receive: %w", err)
 	}
-	call := callFromSizes(c.id, req, &resp, int(c.conn.written-w0), int(c.conn.read-r0))
+	call := callFromSizes(c.id, req, resp, int(c.conn.written-w0), int(c.conn.read-r0))
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
 		return nil, call, errors.New(resp.Err)
 	}
-	return &resp, call, nil
+	return resp, call, nil
 }
 
 // EvalBase implements Site.
@@ -442,7 +470,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 	r0, w0 := c.conn.read, c.conn.written
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
 	attempt := stampTraceContext(ctx, wireReq)
-	if err := c.enc.Encode(wireReq); err != nil {
+	if err := c.sendLocked(wireReq); err != nil {
 		c.poisonLocked()
 		return stats.Call{}, fmt.Errorf("transport: send: %w", err)
 	}
@@ -467,16 +495,16 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 				sinkErr = sink(block)
 			}
 		case opStreamEnd:
-			var resp Response
-			if err := c.dec.Decode(&resp); err != nil {
+			resp, err := readReply(c.frames, KindOperator)
+			if err != nil {
 				c.poisonLocked()
 				return call, fmt.Errorf("transport: receive: %w", err)
 			}
-			call.Compute = time.Duration(resp.ComputeNS)
+			call.Compute = time.Duration(resp.Profile.EvalNS)
 			call.BytesDown = int(c.conn.written - w0)
 			call.BytesUp = int(c.conn.read - r0)
 			call.Elapsed = time.Since(start)
-			call.Breakdown = resp.Profile
+			call.Breakdown = &resp.Profile
 			recordCall(call, KindOperator, wireReq.QueryID)
 			if resp.Err != "" {
 				return call, errors.New(resp.Err)
@@ -500,7 +528,7 @@ func (c *Client) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relat
 
 // DetailSchema implements Site.
 func (c *Client) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
-	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindSchema, Schema: name})
+	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindSchema, Name: name})
 	if err != nil {
 		return nil, err
 	}
@@ -518,6 +546,6 @@ func (c *Client) Tables(ctx context.Context) ([]engine.TableInfo, error) {
 
 // Load implements Loader: it ships a relation partition to the site.
 func (c *Client) Load(ctx context.Context, name string, rel *relation.Relation) error {
-	_, _, err := c.roundTrip(ctx, &Request{Kind: KindLoad, LoadName: name, LoadRel: rel})
+	_, _, err := c.roundTrip(ctx, &Request{Kind: KindLoad, Name: name, LoadRel: rel})
 	return err
 }

@@ -33,40 +33,35 @@ const (
 	KindTables
 )
 
-// Request is the wire request envelope. QueryID carries the coordinator's
-// query identifier to the site so remote logs and metrics correlate with
-// coordinator rounds; gob tolerates it missing (old peers) in either
-// direction, so the protocol stays compatible.
+// Request is one site request (see envelope.go for its layout). QueryID,
+// Round and Attempt carry the coordinator's trace context — the query, the
+// round that issued the call and the 1-based retry attempt — so remote logs
+// and metrics correlate with coordinator rounds.
 type Request struct {
 	Kind     ReqKind
+	Version  int // hello only
 	QueryID  string
+	Round    string
+	Attempt  int
 	Base     *gmdj.BaseQuery
 	Operator *engine.OperatorRequest
 	Local    *engine.LocalRequest
-	Schema   string
-	LoadName string
+	Name     string // the relation a schema or load request names
 	LoadRel  *relation.Relation
-	// Round and Attempt extend the trace context: the coordinator round that
-	// issued the call and the 1-based retry attempt. Appended fields — gob
-	// tolerates them missing in either direction, so old peers interoperate.
-	Round   string
-	Attempt int
 }
 
-// Response is the wire response envelope. Operator evaluations may stream:
-// each H_i block arrives in its own response with More set; the terminal
-// response (More unset) carries the site's total compute time and any error.
+// Response is one site reply. Operator evaluations stream their H_i blocks
+// ahead of it; their reply carries only the error and the profile. Profile is
+// the site-side cost breakdown of the request, its EvalNS the site's compute
+// time.
 type Response struct {
-	Err       string
-	Rel       *relation.Relation
-	Schema    relation.Schema
-	Tables    []engine.TableInfo
-	SiteID    int
-	ComputeNS int64
-	More      bool
-	// Profile is the site-side cost breakdown of this request (nil from
-	// peers built before the profiler). Appended field — see Request.
-	Profile *obs.SiteBreakdown
+	Err     string
+	Rel     *relation.Relation
+	Schema  relation.Schema
+	Tables  []engine.TableInfo
+	SiteID  int // hello only, with Version
+	Version int
+	Profile obs.SiteBreakdown
 }
 
 // Backend is what a transport endpoint serves: the evaluation surface of a
@@ -94,11 +89,9 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 	rec := obs.NewSiteRecorder()
 	ctx = obs.WithRecorder(ctx, rec)
 	start := time.Now()
-	resp := &Response{SiteID: site.ID()}
+	resp := &Response{}
 	var err error
 	switch req.Kind {
-	case KindHello:
-		// Identity only.
 	case KindBase:
 		if req.Base == nil {
 			err = fmt.Errorf("transport: base request without query")
@@ -112,18 +105,16 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 			resp.Rel, err = site.EvalLocal(ctx, *req.Local)
 		}
 	case KindSchema:
-		resp.Schema, err = site.DetailSchema(ctx, req.Schema)
+		resp.Schema, err = site.DetailSchema(ctx, req.Name)
 	case KindLoad:
-		err = site.Load(ctx, req.LoadName, req.LoadRel)
+		err = site.Load(ctx, req.Name, req.LoadRel)
 	case KindTables:
 		resp.Tables = site.Tables(ctx)
 	default:
-		err = fmt.Errorf("transport: unknown request kind %d", req.Kind)
+		err = fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
 	}
-	resp.ComputeNS = time.Since(start).Nanoseconds()
 	rec.SetEval(time.Since(start))
-	b := rec.Snapshot()
-	resp.Profile = &b
+	resp.Profile = rec.Snapshot()
 	if err != nil {
 		resp.Err = err.Error()
 		resp.Rel = nil
@@ -156,8 +147,8 @@ func callFromSizes(site int, req *Request, resp *Response, down, up int) stats.C
 		BytesUp:   up,
 		RowsDown:  reqRows(req),
 		RowsUp:    respRows(resp),
-		Compute:   time.Duration(resp.ComputeNS),
-		Breakdown: resp.Profile,
+		Compute:   time.Duration(resp.Profile.EvalNS),
+		Breakdown: &resp.Profile,
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/bits"
 	"strings"
 	"sync"
 	"testing"
@@ -219,37 +218,6 @@ func TestServeMemBudgetIsolation(t *testing.T) {
 	}
 }
 
-// untimedBytes is a run's communication byte total less the bytes that encode
-// measured time: every response carries the site's compute and eval durations
-// as gob integers, whose length follows the value, so two runs that exchange
-// identical messages can still differ by a byte per duration.
-func untimedBytes(m *Metrics) int {
-	n := m.TotalBytes()
-	for _, r := range m.Rounds {
-		for _, c := range r.Calls {
-			n -= gobIntLen(c.Compute.Nanoseconds())
-			if c.Breakdown != nil {
-				n -= gobIntLen(c.Breakdown.EvalNS)
-			}
-		}
-	}
-	return n
-}
-
-// gobIntLen is the size of a non-negative int64 struct field on a gob stream:
-// nothing when zero, else the field delta plus the value shifted past its sign
-// bit, in one byte below 128 and a length byte plus minimal bytes above.
-func gobIntLen(v int64) int {
-	if v == 0 {
-		return 0
-	}
-	u := uint64(v) << 1
-	if u < 128 {
-		return 2
-	}
-	return 2 + (bits.Len64(u)+7)/8
-}
-
 // TestFacadeConcurrentQueries runs many goroutines through one Cluster (the
 // library API, no server) under the race detector with admission and the plan
 // cache installed. Profiles must not cross-contaminate: every concurrent
@@ -270,7 +238,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantBytes, wantMsgs := untimedBytes(serial.Metrics), serial.Metrics.TotalMessages()
+	wantBytes, wantMsgs := serial.Metrics.TotalBytes(), serial.Metrics.TotalMessages()
 
 	const goroutines = 8
 	var wg sync.WaitGroup
@@ -287,7 +255,7 @@ func TestFacadeConcurrentQueries(t *testing.T) {
 			if !res.Rel.EqualMultiset(serial.Rel) {
 				t.Errorf("goroutine %d: result differs from serial run", i)
 			}
-			if got := untimedBytes(res.Metrics); got != wantBytes || res.Metrics.TotalMessages() != wantMsgs {
+			if got := res.Metrics.TotalBytes(); got != wantBytes || res.Metrics.TotalMessages() != wantMsgs {
 				t.Errorf("goroutine %d: %d bytes in %d messages, want %d in %d (profile cross-contamination?)",
 					i, got, res.Metrics.TotalMessages(), wantBytes, wantMsgs)
 			}

@@ -44,8 +44,8 @@ type Pass struct {
 	// Info is the type information for Files.
 	Info *types.Info
 	// Dir is the directory containing the package's source files; analyzers
-	// that read side files (e.g. the wirecompat golden schema or the
-	// lockorder hierarchy) resolve them against it.
+	// that read side files (e.g. the lockorder hierarchy) resolve them
+	// against it.
 	Dir string
 
 	report      func(Diagnostic)

@@ -18,14 +18,12 @@ import (
 	"skalla/tools/skallavet/analyzers/nostdlog"
 	"skalla/tools/skallavet/analyzers/rulename"
 	"skalla/tools/skallavet/analyzers/stringkey"
-	"skalla/tools/skallavet/analyzers/wirecompat"
 	"skalla/tools/skallavet/internal/vetdriver"
 )
 
 func main() {
 	vetdriver.Main(
 		stringkey.Analyzer,
-		wirecompat.Analyzer,
 		ctxcall.Analyzer,
 		nostdlog.Analyzer,
 		metricname.Analyzer,
