@@ -51,7 +51,7 @@ func BenchmarkRowBlocking(b *testing.B) {
 
 // BenchmarkTransportOverhead compares the serializing in-process transport
 // (wire-faithful byte accounting) against the direct dispatch transport:
-// the difference is the gob encode/decode cost a real network would pay.
+// the difference is the envelope encode/decode cost a real network would pay.
 func BenchmarkTransportOverhead(b *testing.B) {
 	d := dataset(b)
 	q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
@@ -311,7 +311,7 @@ func benchSiteGroupingSets(b *testing.B, statement string) {
 
 // BenchmarkDiskVsMemoryScan measures the disk-backed segment store against
 // in-memory partitions on the same workload (the store's segment cache
-// absorbs re-scans; cold scans pay gob decode).
+// absorbs re-scans; cold scans pay the codec's decode).
 func BenchmarkDiskVsMemoryScan(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Rows = 8000
@@ -403,7 +403,7 @@ func BenchmarkOperatorRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One untimed statement pays the connections' gob type descriptors.
+	// One untimed statement warms the sites' caches and connections.
 	if _, err := coord.ExecuteWith(ctx, q, plan.SelectAll()); err != nil {
 		b.Fatal(err)
 	}

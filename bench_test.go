@@ -206,8 +206,8 @@ func BenchmarkFig5ConstantGroups(b *testing.B) {
 // bytes — and bytes/op for both is reported so the margin is visible. decode
 // is the receiving side of one frame: Unmarshal, as a site decodes X.
 func BenchmarkWireCodec(b *testing.B) {
-	// gobShadow has the same shape as relation.Relation but no GobEncode hook,
-	// so encoding it measures what gob alone would ship.
+	// gobShadow is what gob alone would ship for the relation: its schema and
+	// rows.
 	type gobShadow struct {
 		Schema relation.Schema
 		Tuples []relation.Tuple

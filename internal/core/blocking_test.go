@@ -43,15 +43,11 @@ func TestRowBlockingTrafficAccounting(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	global := randomGlobal(rng, 300, 12)
 	run := func(blockRows int) *stats.Metrics {
-		// Fresh cluster per run, plus one warm-up execution: the transport
-		// charges one-time connection costs (gob type descriptors) on the
-		// first messages, and this test compares steady-state traffic.
+		// Fresh cluster per run. The envelope keeps no state across
+		// messages, so the first execution's traffic is the steady state.
 		sites, cat := buildCluster(t, global, "T", 3, 4, false)
 		coord, _ := New(sites, cat, stats.NetModel{})
 		coord.SetRowBlocking(blockRows)
-		if _, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone()); err != nil {
-			t.Fatal(err)
-		}
 		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
 		if err != nil {
 			t.Fatal(err)

@@ -14,13 +14,12 @@ import (
 // view of, and EXPLAIN ANALYZE-style tooling reads.
 
 // SiteBreakdown is the site-side cost breakdown of one request, accumulated
-// by a SiteRecorder while the site evaluates and returned in the wire
-// response's trailing Profile field. All fields are totals for the one
-// request, not process-lifetime counters.
+// by a SiteRecorder while the site evaluates and returned in the fixed-width
+// trailer of the site's reply. All fields are totals for the one request,
+// not process-lifetime counters.
 type SiteBreakdown struct {
-	// EvalNS is the site-side evaluation wall time in nanoseconds (the same
-	// quantity as the response's ComputeNS, duplicated here so a breakdown is
-	// self-contained).
+	// EvalNS is the site-side evaluation wall time in nanoseconds, the one
+	// compute time a reply carries (the call record's Compute).
 	EvalNS int64
 	// RowsScanned counts detail-relation rows scanned by GMDJ evaluation.
 	RowsScanned int64

@@ -361,8 +361,8 @@ func TestDecodeOfAShortStreamAllocatesWhatArrived(t *testing.T) {
 	}
 }
 
-// gobShadow mirrors Relation without the GobEncode hook, giving the honest
-// gob baseline the wire format is compared against.
+// gobShadow is a relation's schema and rows as gob ships them: the baseline
+// the wire format is compared against.
 type gobShadow struct {
 	Schema Schema
 	Tuples []Tuple

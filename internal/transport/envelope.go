@@ -16,37 +16,34 @@ import (
 )
 
 // This file is the site protocol's envelope: the one layout every message
-// between a coordinator and a site has, written by writeRequest / writeReply
-// and read by readRequest / readReply. Integers are varints, strings are
-// length-prefixed, and relations travel as the codec frames they are
-// (relation.Marshal), written out as Frame returns them:
+// between a coordinator and a site has (DESIGN.md §7), written by
+// writeRequest / writeReply and read by readRequest / readReply. Integers are
+// varints, strings are length-prefixed, and relations travel as the codec
+// frames Frame returns, written out as they are:
 //
 //	message   = uvarint(len(body)) body
 //	request   = kind(hello) uvarint(version)
 //	          | kind str(queryID) str(round) varint(attempt) payload
-//	payload   = base: baseQuery
+//	payload   = base: baseQuery | local: baseQuery uvarint(#ops) operator… varint(upTo)
 //	          | operator: operator bool(guard) varint(blockRows) rel
-//	          | local: baseQuery uvarint(#ops) operator… varint(upTo)
 //	          | schema: str(name) | load: str(name) rel | tables: —
 //	reply     = kind(hello) uvarint(version) varint(siteID)
-//	          | kind str(err) [result, when err is empty] trailer
-//	result    = base, local: rel | schema: schema
+//	          | kind str(err) result trailer
+//	result    = only when err is empty; base, local: rel | schema: schema
 //	          | tables: uvarint(n) (str(name) varint(rows) varint(columns))…
-//	trailer   = 7 × int64 little-endian (SiteBreakdown's counters, EvalNS
-//	            first) and byte(kernel)
-//	baseQuery = str(detail) strs(cols) expr(where) uvarint(#sets) strs…
+//	trailer   = SiteBreakdown: 7 × int64 little-endian, EvalNS first, byte(kernel)
+//	baseQuery = str(detail) strs(cols) expr(where) uvarint(#sets) strs(set)…
 //	operator  = str(detail) uvarint(#vars) (uvarint(#aggs) agg… expr(cond))…
 //	agg       = byte(func) str(arg) str(as)
 //	expr      = 0x00 (none) | 0x01 byte(side) str(name) | 0x02 value
 //	          | 0x03 byte(op) expr expr | 0x04 byte(op) expr
 //	rel       = frame | 0x00 (none: no frame has length 0)
 //
-// A reply's kind is its request's. A hello's layout is the one no version
+// A reply's kind is its request's. The hello layout is the one no version
 // may change: it is how two versions find out they differ. The trailer is
 // fixed-width, so the bytes a call ships do not depend on how long it took.
-// Operator replies stream: marker-framed H blocks, then the end marker and
-// an operator reply with no result (see tcp.go). Decoding accepts exactly
-// what encoding writes, so a message that decodes re-encodes to its bytes.
+// Decoding accepts exactly what encoding writes, so a message that decodes
+// re-encodes to its own bytes.
 
 // ProtocolVersion is the envelope's layout version. Hello carries it both
 // ways, and a mismatch fails Dial naming both. The gob envelope before it had
@@ -77,81 +74,90 @@ const maxExprDepth = 1 << 12
 // trailerSize is the width of a reply's telemetry trailer.
 const trailerSize = 7*8 + 1
 
+// envelopeError carries a failure out of the nested encode and decode
+// helpers to the function that recovers it, as encoding/gob does.
+type envelopeError struct{ error }
+
+func check(err error) {
+	if err != nil {
+		panic(envelopeError{err})
+	}
+}
+
+func must[T any](v T, err error) T {
+	check(err)
+	return v
+}
+
+// recoverError turns a panicked envelopeError into *err, wrapping decode
+// failures (wrap set) as ErrProtocol.
+func recoverError(err *error, wrap bool) {
+	switch r := recover().(type) {
+	case nil:
+	case envelopeError:
+		if *err = r.error; wrap {
+			*err = fmt.Errorf("%w: %v", ErrProtocol, r.error)
+		}
+	default:
+		panic(r)
+	}
+}
+
 // writeRequest writes req as one message.
-func writeRequest(w io.Writer, req *Request) error {
+func writeRequest(w io.Writer, req *Request) (err error) {
+	defer recoverError(&err, false)
 	b := []byte{byte(req.Kind)}
 	if req.Kind == KindHello {
-		return writeMessage(w, binary.AppendUvarint(b, uint64(req.Version)), nil)
+		return writeMessage(w, binary.AppendUvarint(b, uint64(req.Version)))
 	}
 	b = relation.AppendString(b, req.QueryID)
 	b = relation.AppendString(b, req.Round)
 	b = binary.AppendVarint(b, int64(req.Attempt))
-	var rel *relation.Relation
-	var err error
 	switch req.Kind {
 	case KindBase:
-		b, err = appendBaseQuery(b, req.Base)
+		b = appendBaseQuery(b, req.Base)
 	case KindOperator:
-		op := req.Operator
-		if b, err = appendOperator(b, &op.Op); err == nil {
-			b = appendBool(b, op.Guard)
-			b = binary.AppendVarint(b, int64(op.BlockRows))
-			rel = op.Base
-		}
+		b = appendOperator(b, &req.Operator.Op)
+		b = append(b, boolByte(req.Operator.Guard))
+		b = binary.AppendVarint(b, int64(req.Operator.BlockRows))
+		return writeMessage(w, b, relFrame(req.Operator.Base))
 	case KindLocal:
-		if b, err = appendBaseQuery(b, &req.Local.Query.Base); err == nil {
-			b = binary.AppendUvarint(b, uint64(len(req.Local.Query.Ops)))
-			for i := range req.Local.Query.Ops {
-				if b, err = appendOperator(b, &req.Local.Query.Ops[i]); err != nil {
-					break
-				}
-			}
-			b = binary.AppendVarint(b, int64(req.Local.UpTo))
+		b = appendBaseQuery(b, &req.Local.Query.Base)
+		b = binary.AppendUvarint(b, uint64(len(req.Local.Query.Ops)))
+		for i := range req.Local.Query.Ops {
+			b = appendOperator(b, &req.Local.Query.Ops[i])
 		}
+		b = binary.AppendVarint(b, int64(req.Local.UpTo))
 	case KindSchema:
 		b = relation.AppendString(b, req.Name)
 	case KindLoad:
-		b = relation.AppendString(b, req.Name)
-		rel = req.LoadRel
+		return writeMessage(w, relation.AppendString(b, req.Name), relFrame(req.LoadRel))
 	}
-	if err != nil {
-		return err
-	}
-	var frame []byte
-	if req.Kind == KindOperator || req.Kind == KindLoad {
-		if frame, err = relFrame(rel); err != nil {
-			return err
-		}
-	}
-	return writeMessage(w, b, frame)
+	return writeMessage(w, b)
 }
 
 // writeReply writes resp as the reply to a request of kind.
-func writeReply(w io.Writer, kind ReqKind, resp *Response) error {
+func writeReply(w io.Writer, kind ReqKind, resp *Response) (err error) {
+	defer recoverError(&err, false)
 	b := []byte{byte(kind)}
 	if kind == KindHello {
 		b = binary.AppendUvarint(b, uint64(resp.Version))
-		return writeMessage(w, binary.AppendVarint(b, int64(resp.SiteID)), nil)
+		return writeMessage(w, binary.AppendVarint(b, int64(resp.SiteID)))
 	}
 	b = relation.AppendString(b, resp.Err)
 	var frame []byte
-	if resp.Err == "" {
-		var err error
-		switch kind {
-		case KindBase, KindLocal:
-			frame, err = relFrame(resp.Rel)
-		case KindSchema:
-			b = relation.AppendSchema(b, resp.Schema)
-		case KindTables:
-			b = binary.AppendUvarint(b, uint64(len(resp.Tables)))
-			for _, t := range resp.Tables {
-				b = relation.AppendString(b, t.Name)
-				b = binary.AppendVarint(b, int64(t.Rows))
-				b = binary.AppendVarint(b, int64(t.Columns))
-			}
-		}
-		if err != nil {
-			return err
+	switch {
+	case resp.Err != "":
+	case kind == KindBase || kind == KindLocal:
+		frame = relFrame(resp.Rel)
+	case kind == KindSchema:
+		b = relation.AppendSchema(b, resp.Schema)
+	case kind == KindTables:
+		b = binary.AppendUvarint(b, uint64(len(resp.Tables)))
+		for _, t := range resp.Tables {
+			b = relation.AppendString(b, t.Name)
+			b = binary.AppendVarint(b, int64(t.Rows))
+			b = binary.AppendVarint(b, int64(t.Columns))
 		}
 	}
 	p := &resp.Profile
@@ -159,9 +165,7 @@ func writeReply(w io.Writer, kind ReqKind, resp *Response) error {
 	for i, v := range [...]int64{p.EvalNS, p.RowsScanned, p.SegCacheReads, p.SegDiskReads, p.SegRowsLoaded, p.CodecBytes, p.Blocks} {
 		binary.LittleEndian.PutUint64(tail[8*i:], uint64(v))
 	}
-	if p.Kernel {
-		tail[trailerSize-1] = 1
-	}
+	tail[trailerSize-1] = boolByte(p.Kernel)
 	return writeMessage(w, b, frame, tail[:])
 }
 
@@ -172,8 +176,7 @@ func writeMessage(w io.Writer, parts ...[]byte) error {
 	for _, p := range parts {
 		n += len(p)
 	}
-	var prefix [binary.MaxVarintLen64]byte
-	if _, err := w.Write(prefix[:binary.PutUvarint(prefix[:], uint64(n))]); err != nil {
+	if _, err := w.Write(binary.AppendUvarint(nil, uint64(n))); err != nil {
 		return err
 	}
 	for _, p := range parts {
@@ -184,20 +187,20 @@ func writeMessage(w io.Writer, parts ...[]byte) error {
 	return nil
 }
 
-// relFrame is what a message carries for rel: its frame, the bytes Frame
-// returns, or a zero length, which no frame has, for none.
-func relFrame(rel *relation.Relation) ([]byte, error) {
+// relFrame is what a message carries for rel: its frame, or a zero length,
+// which no frame has, for none.
+func relFrame(rel *relation.Relation) []byte {
 	if rel == nil {
-		return []byte{0}, nil
+		return []byte{0}
 	}
-	return rel.Frame()
+	return must(rel.Frame())
 }
 
-func appendBool(b []byte, v bool) []byte {
+func boolByte(v bool) byte {
 	if v {
-		return append(b, 1)
+		return 1
 	}
-	return append(b, 0)
+	return 0
 }
 
 func appendStrs(b []byte, ss []string) []byte {
@@ -208,136 +211,121 @@ func appendStrs(b []byte, ss []string) []byte {
 	return b
 }
 
-func appendBaseQuery(b []byte, bq *gmdj.BaseQuery) ([]byte, error) {
-	b = relation.AppendString(b, bq.Detail)
-	b = appendStrs(b, bq.Cols)
-	b, err := appendExpr(b, bq.Where)
+func appendBaseQuery(b []byte, bq *gmdj.BaseQuery) []byte {
+	b = appendExpr(appendStrs(relation.AppendString(b, bq.Detail), bq.Cols), bq.Where)
 	b = binary.AppendUvarint(b, uint64(len(bq.GroupingSets)))
 	for _, set := range bq.GroupingSets {
 		b = appendStrs(b, set)
 	}
-	return b, err
+	return b
 }
 
-func appendOperator(b []byte, op *gmdj.Operator) ([]byte, error) {
-	b = relation.AppendString(b, op.Detail)
-	b = binary.AppendUvarint(b, uint64(len(op.Vars)))
+func appendOperator(b []byte, op *gmdj.Operator) []byte {
+	b = binary.AppendUvarint(relation.AppendString(b, op.Detail), uint64(len(op.Vars)))
 	for _, v := range op.Vars {
 		b = binary.AppendUvarint(b, uint64(len(v.Aggs)))
 		for _, a := range v.Aggs {
-			b = append(b, byte(a.Func))
-			b = relation.AppendString(b, a.Arg)
-			b = relation.AppendString(b, a.As)
+			b = relation.AppendString(relation.AppendString(append(b, byte(a.Func)), a.Arg), a.As)
 		}
-		var err error
-		if b, err = appendExpr(b, v.Cond); err != nil {
-			return nil, err
-		}
+		b = appendExpr(b, v.Cond)
 	}
-	return b, nil
+	return b
 }
 
 // appendExpr lays out e in prefix order, one tag byte per node.
-func appendExpr(b []byte, e expr.Expr) ([]byte, error) {
-	var err error
+func appendExpr(b []byte, e expr.Expr) []byte {
 	switch n := e.(type) {
 	case nil:
-		return append(b, tagNone), nil
+		return append(b, tagNone)
 	case *expr.Col:
-		return relation.AppendString(append(b, tagCol, byte(n.Side)), n.Name), nil
+		return relation.AppendString(append(b, tagCol, byte(n.Side)), n.Name)
 	case *expr.Lit:
-		return relation.AppendValue(append(b, tagLit), n.Val), nil
+		return relation.AppendValue(append(b, tagLit), n.Val)
 	case *expr.Bin:
-		if b, err = appendExpr(append(b, tagBin, byte(n.Op)), n.L); err != nil {
-			return nil, err
-		}
-		return appendExpr(b, n.R)
+		return appendExpr(appendExpr(append(b, tagBin, byte(n.Op)), n.L), n.R)
 	case *expr.Un:
 		return appendExpr(append(b, tagUn, byte(n.Op)), n.X)
 	}
-	return nil, fmt.Errorf("transport: cannot encode expression node %T", e)
+	panic(envelopeError{fmt.Errorf("transport: cannot encode expression node %T", e)})
 }
 
 // readRequest reads one request. A request of a kind this version does not
 // serve returns its kind and an error matching errUnknownKind.
-func readRequest(f *relation.FrameReader) (*Request, error) {
+func readRequest(f *relation.FrameReader) (req *Request, err error) {
 	body, err := f.Next()
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{c: relation.NewCursor(body)}
-	req := &Request{Kind: ReqKind(d.byte())}
-	if d.err == nil && req.Kind == KindHello {
-		req.Version = d.uint()
-		return req, d.done()
+	defer recoverError(&err, true)
+	c := relation.NewCursor(body)
+	req = &Request{Kind: ReqKind(must(c.Byte()))}
+	if req.Kind == KindHello {
+		req.Version = readVersion(c)
+		return req, done(c)
 	}
-	req.QueryID, req.Round, req.Attempt = d.str(), d.str(), d.int()
+	req.QueryID, req.Round, req.Attempt = must(c.Str()), must(c.Str()), readInt(c)
 	switch req.Kind {
 	case KindBase:
-		req.Base = d.baseQuery()
+		req.Base = readBaseQuery(c)
 	case KindOperator:
-		req.Operator = &engine.OperatorRequest{Op: d.operator(), Guard: d.bool(), BlockRows: d.int()}
-		req.Operator.Base = d.rel()
+		req.Operator = &engine.OperatorRequest{Op: readOperator(c), Guard: readBool(c), BlockRows: readInt(c)}
+		req.Operator.Base = must(c.Relation())
 	case KindLocal:
-		req.Local = &engine.LocalRequest{Query: gmdj.Query{Base: *d.baseQuery()}}
-		for i, n := 0, d.count(); i < n; i++ {
-			req.Local.Query.Ops = append(req.Local.Query.Ops, d.operator())
+		req.Local = &engine.LocalRequest{Query: gmdj.Query{Base: *readBaseQuery(c)}}
+		for n := readCount(c); len(req.Local.Query.Ops) < n; {
+			req.Local.Query.Ops = append(req.Local.Query.Ops, readOperator(c))
 		}
-		req.Local.UpTo = d.int()
+		req.Local.UpTo = readInt(c)
 	case KindSchema:
-		req.Name = d.str()
+		req.Name = must(c.Str())
 	case KindLoad:
-		req.Name, req.LoadRel = d.str(), d.rel()
+		req.Name, req.LoadRel = must(c.Str()), must(c.Relation())
 	case KindTables:
 	default:
-		if d.err == nil {
-			return req, fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
-		}
+		return req, fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
 	}
-	return req, d.done()
+	return req, done(c)
 }
 
 // readReply reads the reply to a request of kind.
-func readReply(f *relation.FrameReader, kind ReqKind) (*Response, error) {
+func readReply(f *relation.FrameReader, kind ReqKind) (resp *Response, err error) {
 	body, err := f.Next()
 	if err != nil {
 		return nil, err
 	}
-	d := &decoder{c: relation.NewCursor(body)}
-	if got := ReqKind(d.byte()); d.err == nil && got != kind {
-		return nil, fmt.Errorf("%w: %s reply to a %s request", ErrProtocol, kindName(got), kindName(kind))
+	defer recoverError(&err, true)
+	c := relation.NewCursor(body)
+	if got := ReqKind(must(c.Byte())); got != kind {
+		check(fmt.Errorf("%s reply to a %s request", kindName(got), kindName(kind)))
 	}
-	resp := &Response{}
+	resp = &Response{}
 	if kind == KindHello {
-		resp.Version = d.uint()
-		if d.err == nil && resp.Version != ProtocolVersion {
+		if resp.Version = readVersion(c); resp.Version != ProtocolVersion {
 			return resp, versionError(resp.Version)
 		}
-		resp.SiteID = d.int()
-		return resp, d.done()
+		resp.SiteID = readInt(c)
+		return resp, done(c)
 	}
-	if resp.Err = d.str(); resp.Err == "" {
+	if resp.Err = must(c.Str()); resp.Err == "" {
 		switch kind {
 		case KindBase, KindLocal:
-			resp.Rel = d.rel()
+			resp.Rel = must(c.Relation())
 		case KindSchema:
-			resp.Schema = d.schema()
+			resp.Schema = must(c.Schema())
 		case KindTables:
-			for i, n := 0, d.count(); i < n; i++ {
-				resp.Tables = append(resp.Tables, engine.TableInfo{Name: d.str(), Rows: d.int(), Columns: d.int()})
+			for n := readCount(c); len(resp.Tables) < n; {
+				resp.Tables = append(resp.Tables, engine.TableInfo{Name: must(c.Str()), Rows: readInt(c), Columns: readInt(c)})
 			}
 		}
 	}
-	tail := d.bytes(trailerSize)
-	if d.err == nil {
-		var v [7]int64
-		for i := range v {
-			v[i] = int64(binary.LittleEndian.Uint64(tail[8*i:]))
-		}
-		resp.Profile = obs.SiteBreakdown{EvalNS: v[0], RowsScanned: v[1], SegCacheReads: v[2], SegDiskReads: v[3],
-			SegRowsLoaded: v[4], CodecBytes: v[5], Blocks: v[6], Kernel: d.flag(tail[trailerSize-1])}
+	tail := must(c.Bytes(trailerSize))
+	var v [7]int64
+	for i := range v {
+		v[i] = int64(binary.LittleEndian.Uint64(tail[8*i:]))
 	}
-	return resp, d.done()
+	resp.Profile = obs.SiteBreakdown{EvalNS: v[0], RowsScanned: v[1], SegCacheReads: v[2], SegDiskReads: v[3],
+		SegRowsLoaded: v[4], CodecBytes: v[5], Blocks: v[6], Kernel: byteBool(tail[trailerSize-1])}
+	return resp, done(c)
 }
 
 // versionError reports a peer speaking protocol version v.
@@ -345,180 +333,93 @@ func versionError(v int) error {
 	return fmt.Errorf("%w: peer speaks protocol version %d, this build speaks version %d", ErrProtocol, v, ProtocolVersion)
 }
 
-// decoder reads envelope fields off a message body, keeping the first error:
-// after one, every read returns a zero value.
-type decoder struct {
-	c     *relation.Cursor
-	err   error
-	depth int
-}
-
-func (d *decoder) fail(err error) {
-	if d.err == nil && err != nil {
-		d.err = fmt.Errorf("%w: %v", ErrProtocol, err)
-	}
-}
-
 // done checks that the body was read to its end.
-func (d *decoder) done() error {
-	if d.err == nil && d.c.Len() != 0 {
-		d.fail(fmt.Errorf("%d trailing bytes", d.c.Len()))
+func done(c *relation.Cursor) error {
+	if c.Len() != 0 {
+		check(fmt.Errorf("%d trailing bytes", c.Len()))
 	}
-	return d.err
+	return nil
 }
 
-func (d *decoder) byte() byte {
-	b := d.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
+func readInt(c *relation.Cursor) int { return int(must(c.Varint())) }
 
-func (d *decoder) bytes(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	b, err := d.c.Bytes(n)
-	d.fail(err)
-	return b
-}
+func readVersion(c *relation.Cursor) int { return must(c.Count(math.MaxInt32, "version")) }
 
-func (d *decoder) int() int {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.c.Varint()
-	d.fail(err)
-	return int(v)
-}
+// readCount reads a list length: every element spends at least one byte, so
+// the bytes left bound it before anything is allocated for it.
+func readCount(c *relation.Cursor) int { return must(c.Count(c.Len(), "list")) }
 
-func (d *decoder) uint() int {
-	if d.err != nil {
-		return 0
-	}
-	v, err := d.c.Count(math.MaxInt32, "version")
-	d.fail(err)
-	return v
-}
+func readBool(c *relation.Cursor) bool { return byteBool(must(c.Byte())) }
 
-// count reads a list length: every element spends at least one byte, so the
-// bytes left bound it before anything is allocated for it.
-func (d *decoder) count() int {
-	if d.err != nil {
-		return 0
-	}
-	n, err := d.c.Count(d.c.Len(), "list")
-	d.fail(err)
-	return n
-}
-
-func (d *decoder) str() string {
-	if d.err != nil {
-		return ""
-	}
-	s, err := d.c.Str()
-	d.fail(err)
-	return s
-}
-
-func (d *decoder) strs() []string {
-	n := d.count()
-	if n == 0 {
-		return nil
-	}
-	ss := make([]string, n)
-	for i := range ss {
-		ss[i] = d.str()
-	}
-	return ss
-}
-
-func (d *decoder) bool() bool { return d.flag(d.byte()) }
-
-// flag reads a bool byte, which is 0 or 1.
-func (d *decoder) flag(b byte) bool {
+// byteBool reads a bool byte, which is 0 or 1.
+func byteBool(b byte) bool {
 	if b > 1 {
-		d.fail(fmt.Errorf("bool byte %d", b))
+		check(fmt.Errorf("bool byte %d", b))
 	}
 	return b == 1
 }
 
-func (d *decoder) schema() relation.Schema {
-	if d.err != nil {
-		return nil
+func readStrs(c *relation.Cursor) []string {
+	var ss []string
+	for n := readCount(c); len(ss) < n; {
+		ss = append(ss, must(c.Str()))
 	}
-	s, err := d.c.Schema()
-	d.fail(err)
-	return s
+	return ss
 }
 
-func (d *decoder) rel() *relation.Relation {
-	if d.err != nil {
-		return nil
-	}
-	rel, err := d.c.Relation()
-	d.fail(err)
-	return rel
-}
-
-func (d *decoder) baseQuery() *gmdj.BaseQuery {
-	bq := &gmdj.BaseQuery{Detail: d.str(), Cols: d.strs(), Where: d.expr()}
-	for i, n := 0, d.count(); i < n; i++ {
-		bq.GroupingSets = append(bq.GroupingSets, d.strs())
+func readBaseQuery(c *relation.Cursor) *gmdj.BaseQuery {
+	bq := &gmdj.BaseQuery{Detail: must(c.Str()), Cols: readStrs(c), Where: readExpr(c, 0)}
+	for n := readCount(c); len(bq.GroupingSets) < n; {
+		bq.GroupingSets = append(bq.GroupingSets, readStrs(c))
 	}
 	return bq
 }
 
-func (d *decoder) operator() gmdj.Operator {
-	op := gmdj.Operator{Detail: d.str()}
-	for i, n := 0, d.count(); i < n; i++ {
+func readOperator(c *relation.Cursor) gmdj.Operator {
+	op := gmdj.Operator{Detail: must(c.Str())}
+	for n := readCount(c); len(op.Vars) < n; {
 		var v gmdj.GroupVar
-		for j, m := 0, d.count(); j < m; j++ {
-			a := agg.Spec{Func: agg.Func(d.byte()), Arg: d.str(), As: d.str()}
+		for m := readCount(c); len(v.Aggs) < m; {
+			a := agg.Spec{Func: agg.Func(must(c.Byte())), Arg: must(c.Str()), As: must(c.Str())}
 			if a.Func > agg.StdDev {
-				d.fail(fmt.Errorf("aggregate function %d", a.Func))
+				check(fmt.Errorf("aggregate function %d", a.Func))
 			}
 			v.Aggs = append(v.Aggs, a)
 		}
-		v.Cond = d.expr()
+		v.Cond = readExpr(c, 0)
 		op.Vars = append(op.Vars, v)
 	}
 	return op
 }
 
-func (d *decoder) expr() expr.Expr {
-	if d.depth++; d.depth > maxExprDepth {
-		d.fail(fmt.Errorf("expression nests deeper than %d", maxExprDepth))
+func readExpr(c *relation.Cursor, depth int) expr.Expr {
+	if depth == maxExprDepth {
+		check(fmt.Errorf("expression nests deeper than %d", maxExprDepth))
 	}
-	defer func() { d.depth-- }()
-	switch tag := d.byte(); {
-	case d.err != nil || tag == tagNone:
+	switch tag := must(c.Byte()); tag {
+	case tagNone:
 		return nil
-	case tag == tagCol:
-		c := &expr.Col{Side: expr.Side(d.byte()), Name: d.str(), Idx: -1}
-		if c.Side > expr.SideDetail {
-			d.fail(fmt.Errorf("column side %d", c.Side))
+	case tagCol:
+		col := &expr.Col{Side: expr.Side(must(c.Byte())), Name: must(c.Str()), Idx: -1}
+		if col.Side > expr.SideDetail {
+			check(fmt.Errorf("column side %d", col.Side))
 		}
-		return c
-	case tag == tagLit:
-		v, err := d.c.Value()
-		d.fail(err)
-		return &expr.Lit{Val: v}
-	case tag == tagBin:
-		b := &expr.Bin{Op: expr.Op(d.byte()), L: d.expr(), R: d.expr()}
+		return col
+	case tagLit:
+		return &expr.Lit{Val: must(c.Value())}
+	case tagBin:
+		b := &expr.Bin{Op: expr.Op(must(c.Byte())), L: readExpr(c, depth+1), R: readExpr(c, depth+1)}
 		if b.Op < expr.OpAdd || b.Op > expr.OpOr || b.L == nil || b.R == nil {
-			d.fail(fmt.Errorf("malformed binary node %s", b.Op))
+			check(fmt.Errorf("malformed binary node %s", b.Op))
 		}
 		return b
-	case tag == tagUn:
-		u := &expr.Un{Op: expr.Op(d.byte()), X: d.expr()}
+	case tagUn:
+		u := &expr.Un{Op: expr.Op(must(c.Byte())), X: readExpr(c, depth+1)}
 		if u.Op < expr.OpNot || u.Op > expr.OpIsNotNull || u.X == nil {
-			d.fail(fmt.Errorf("malformed unary node %s", u.Op))
+			check(fmt.Errorf("malformed unary node %s", u.Op))
 		}
 		return u
 	default:
-		d.fail(fmt.Errorf("expression tag %d", tag))
-		return nil
+		panic(envelopeError{fmt.Errorf("expression tag %d", tag)})
 	}
 }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
@@ -9,7 +10,6 @@ import (
 	"time"
 
 	"skalla/internal/engine"
-	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -21,6 +21,7 @@ import (
 // run single-process and deterministic. Operator blocks stream through the
 // relation wire codec, decoded as the TCP client decodes them.
 type LocalSite struct {
+	exchange
 	site Backend
 
 	mu sync.Mutex
@@ -28,51 +29,41 @@ type LocalSite struct {
 	// read through a frame reader as the connection's ends read it.
 	downBuf, upBuf bytes.Buffer
 	down, up       *relation.FrameReader
+	w              *bufio.Writer // the site's end of upBuf
 }
 
 // NewLocalSite wraps a backend (a site engine, or a wrapper of one).
 func NewLocalSite(site Backend) *LocalSite {
 	l := &LocalSite{site: site}
+	l.exchange = l.roundTrip
 	l.down = relation.NewFrameReader(&l.downBuf)
 	l.up = relation.NewFrameReader(&l.upBuf)
+	l.w = bufio.NewWriter(&l.upBuf)
 	return l
 }
 
 // ID implements Site.
 func (l *LocalSite) ID() int { return l.site.ID() }
 
-// sendLocked writes req down, counting its bytes, and decodes it as the site
-// would; l.mu held.
-func (l *LocalSite) sendLocked(req *Request) (*Request, int, error) {
+// sendLocked writes req down, decodes it as the site would and serves it
+// into upBuf, handing each operator block to sent; l.mu held. It returns the
+// request's size.
+func (l *LocalSite) sendLocked(ctx context.Context, req *Request, sent func() error) (int, error) {
 	l.downBuf.Reset()
 	l.upBuf.Reset()
 	if err := writeRequest(&l.downBuf, req); err != nil {
-		return nil, 0, fmt.Errorf("transport: encode request: %w", err)
+		return 0, fmt.Errorf("transport: encode request: %w", err)
 	}
 	down := l.downBuf.Len()
 	decReq, err := readRequest(l.down)
 	if err != nil {
-		return nil, down, fmt.Errorf("transport: decode request: %w", err)
+		return down, fmt.Errorf("transport: decode request: %w", err)
 	}
-	return decReq, down, nil
-}
-
-// replyLocked writes resp up, counting its bytes, and decodes it as the
-// coordinator would; l.mu held.
-func (l *LocalSite) replyLocked(kind ReqKind, resp *Response) (*Response, int, error) {
-	if err := writeReply(&l.upBuf, kind, resp); err != nil {
-		return nil, 0, fmt.Errorf("transport: encode reply: %w", err)
-	}
-	up := l.upBuf.Len()
-	decResp, err := readReply(l.up, kind)
-	if err != nil {
-		return nil, up, fmt.Errorf("transport: decode reply: %w", err)
-	}
-	return decResp, up, nil
+	return down, serve(ctx, l.site, l.w, decReq, sent)
 }
 
 // roundTrip serializes the request, decodes it into a fresh value (as the
-// remote end would), dispatches it, and serializes the reply back.
+// remote end would), serves it, and decodes the reply as the client would.
 func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, stats.Call{}, err
@@ -81,117 +72,67 @@ func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, sta
 	start := time.Now()
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	decReq, down, err := l.sendLocked(req)
+	down, err := l.sendLocked(ctx, req, nil)
 	if err != nil {
 		return nil, stats.Call{}, err
 	}
-	decResp, up, err := l.replyLocked(req.Kind, dispatch(ctx, l.site, decReq))
+	up := l.upBuf.Len()
+	resp, err := readReply(l.up, req.Kind)
 	if err != nil {
-		return nil, stats.Call{}, err
+		return nil, stats.Call{}, fmt.Errorf("transport: decode reply: %w", err)
 	}
-	call := callFromSizes(l.site.ID(), req, decResp, down, up)
+	call := callFromSizes(l.site.ID(), resp, down, up)
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	recordCall(call, req.Kind, req.QueryID)
-	if decResp.Err != "" {
-		return nil, call, errors.New(decResp.Err)
+	if resp.Err != "" {
+		return nil, call, errors.New(resp.Err)
 	}
-	return decResp, call, nil
-}
-
-// EvalBase implements Site.
-func (l *LocalSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
-	resp, call, err := l.roundTrip(ctx, &Request{Kind: KindBase, Base: &bq})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
+	return resp, call, nil
 }
 
 // EvalOperatorStream implements Site: the request crosses the serialization
-// boundary once; each H_i block is pushed through the relation wire codec
-// (schema sent once per stream, uniform blocks decoded to vectors) and handed
-// to sink as the engine produces it, exactly like the TCP operator stream.
+// boundary once, and the site's reply stream is the one a TCP server writes.
+// Each H_i block is decoded off the buffer (schema sent once per stream,
+// uniform blocks decoded to vectors) and handed to sink as the engine
+// produces it, exactly like the TCP operator stream.
 func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	if err := ctx.Err(); err != nil {
 		return stats.Call{}, err
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	wallStart := time.Now()
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
-	attempt := stampTraceContext(ctx, wireReq)
-	decReq, down, err := l.sendLocked(wireReq)
-	call := stats.Call{
-		Site:      l.site.ID(),
-		BytesDown: down,
-		RowsDown:  reqRows(wireReq),
-		Start:     wallStart,
-		Attempt:   attempt,
-	}
-	if err != nil {
-		return call, err
-	}
-	// The serving end of the emulated connection: count the request like the
-	// TCP server's stream path does, recorder included.
-	obs.ServerRequests.With("operator").Inc()
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	// Fresh stream codecs per request: the schema is shipped on the first
-	// block of the stream and cached for the rest.
-	enc := relation.NewEncoder(&l.upBuf)
+	call := stats.Call{Site: l.site.ID(), RowsDown: baseRows(&req), Start: time.Now(), Attempt: stampTraceContext(ctx, wireReq)}
 	dec := relation.NewDecoder(&l.upBuf)
-	start := time.Now()
-	evalErr := l.site.EvalOperatorBlocks(ctx, *decReq.Operator, func(block *relation.Relation) error {
-		if err := enc.Encode(block); err != nil {
-			return err
-		}
-		// +1 mirrors the TCP stream's per-frame block marker byte.
-		call.BytesUp += l.upBuf.Len() + 1
-		rec.AddCodecBytes(1)
-		decBlock, err := dec.Decode()
+	down, err := l.sendLocked(ctx, wireReq, func() error {
+		// upBuf holds the block's marker and frame.
+		call.BytesUp += l.upBuf.Len()
+		_, _ = l.upBuf.ReadByte()
+		block, err := dec.Decode()
 		if err != nil {
 			return err
 		}
-		call.RowsUp += decBlock.Len()
-		return sink(decBlock)
+		call.RowsUp += block.Len()
+		return sink(block)
 	})
-	call.Compute = time.Since(start)
-	rec.AddCodecBytes(enc.Bytes())
-	rec.SetEval(call.Compute)
-	call.Elapsed = time.Since(wallStart)
-	if evalErr != nil {
-		return call, evalErr
-	}
-	// The end marker and the operator reply, as the network transport sends
-	// them.
-	term, up, err := l.replyLocked(KindOperator, &Response{Profile: rec.Snapshot()})
+	call.BytesDown = down
+	call.Elapsed = time.Since(call.Start)
 	if err != nil {
 		return call, err
 	}
-	call.BytesUp += up + 1
-	call.Breakdown = &term.Profile
-	call.Elapsed = time.Since(wallStart)
-	recordCall(call, KindOperator, wireReq.QueryID)
-	return call, nil
-}
-
-// EvalLocal implements Site.
-func (l *LocalSite) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
-	resp, call, err := l.roundTrip(ctx, &Request{Kind: KindLocal, Local: &req})
+	// upBuf holds the end marker and the operator reply.
+	call.BytesUp += l.upBuf.Len()
+	_, _ = l.upBuf.ReadByte()
+	term, err := readReply(l.up, KindOperator)
 	if err != nil {
-		return nil, call, err
+		return call, fmt.Errorf("transport: decode reply: %w", err)
 	}
-	return resp.Rel, call, nil
-}
-
-// DetailSchema implements Site. Metadata calls bypass traffic accounting.
-func (l *LocalSite) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
-	return l.site.DetailSchema(ctx, name)
-}
-
-// Tables implements Site.
-func (l *LocalSite) Tables(ctx context.Context) ([]engine.TableInfo, error) {
-	return l.site.Tables(ctx), nil
+	call.Compute, call.Breakdown = time.Duration(term.Profile.EvalNS), &term.Profile
+	recordCall(call, KindOperator, wireReq.QueryID)
+	if term.Err != "" {
+		return call, errors.New(term.Err)
+	}
+	return call, nil
 }
 
 // Load implements Loader, installing a partition directly.
@@ -205,11 +146,16 @@ func (l *LocalSite) Load(ctx context.Context, name string, rel *relation.Relatio
 // counts are zero — nothing is encoded, so there is nothing to count. Use
 // LocalSite where bytes matter.
 type FastLocalSite struct {
+	exchange
 	site Backend
 }
 
 // NewFastLocalSite wraps a backend without serialization.
-func NewFastLocalSite(site Backend) *FastLocalSite { return &FastLocalSite{site: site} }
+func NewFastLocalSite(site Backend) *FastLocalSite {
+	f := &FastLocalSite{site: site}
+	f.exchange = f.call
+	return f
+}
 
 // ID implements Site.
 func (f *FastLocalSite) ID() int { return f.site.ID() }
@@ -221,21 +167,12 @@ func (f *FastLocalSite) call(ctx context.Context, req *Request) (*Response, stat
 	attempt := stampTraceContext(ctx, req)
 	start := time.Now()
 	resp := dispatch(ctx, f.site, req)
-	call := callFromSizes(f.site.ID(), req, resp, 0, 0)
+	call := callFromSizes(f.site.ID(), resp, 0, 0)
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	if resp.Err != "" {
 		return nil, call, errors.New(resp.Err)
 	}
 	return resp, call, nil
-}
-
-// EvalBase implements Site.
-func (f *FastLocalSite) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
-	resp, call, err := f.call(ctx, &Request{Kind: KindBase, Base: &bq})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
 }
 
 // EvalOperatorStream implements Site without serialization.
@@ -245,7 +182,7 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	}
 	rec := obs.NewSiteRecorder()
 	ctx = obs.WithRecorder(ctx, rec)
-	call := stats.Call{Site: f.site.ID(), RowsDown: baseRows(req), Attempt: obs.AttemptFrom(ctx)}
+	call := stats.Call{Site: f.site.ID(), RowsDown: baseRows(&req), Attempt: obs.AttemptFrom(ctx)}
 	start := time.Now()
 	call.Start = start
 	err := f.site.EvalOperatorBlocks(ctx, req, func(block *relation.Relation) error {
@@ -258,32 +195,6 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	b := rec.Snapshot()
 	call.Breakdown = &b
 	return call, err
-}
-
-func baseRows(req engine.OperatorRequest) int {
-	if req.Base == nil {
-		return 0
-	}
-	return req.Base.Len()
-}
-
-// EvalLocal implements Site.
-func (f *FastLocalSite) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
-	resp, call, err := f.call(ctx, &Request{Kind: KindLocal, Local: &req})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
-}
-
-// DetailSchema implements Site.
-func (f *FastLocalSite) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
-	return f.site.DetailSchema(ctx, name)
-}
-
-// Tables implements Site.
-func (f *FastLocalSite) Tables(ctx context.Context) ([]engine.TableInfo, error) {
-	return f.site.Tables(ctx), nil
 }
 
 // Load implements Loader.

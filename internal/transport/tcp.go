@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"skalla/internal/engine"
-	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -154,32 +153,25 @@ func (s *Server) handle(rawConn net.Conn) {
 		return
 	}
 	frames := relation.NewFrameReader(br)
-	reply := func(kind ReqKind, resp *Response) error {
-		if err := writeReply(bw, kind, resp); err != nil {
-			return err
-		}
-		return bw.Flush()
-	}
 	for {
 		r0, w0 := conn.read, conn.written
 		req, err := readRequest(frames)
 		switch {
-		case errors.Is(err, errUnknownKind):
-			// The frame was read whole: answer it, and keep serving.
-			err = reply(req.Kind, dispatch(ctx, s.site, req))
-		case err != nil:
+		case err != nil && !errors.Is(err, errUnknownKind):
 			log.Debug("read request failed", "err", err)
 			return
 		case req.Kind == KindHello:
+			// Answer with this site's version, then hang up on another one.
 			obs.ServerRequests.With(kindName(KindHello)).Inc()
-			err = reply(KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()})
+			if err = writeReply(bw, KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()}); err == nil {
+				err = bw.Flush()
+			}
 			if err == nil && req.Version != ProtocolVersion {
 				err = versionError(req.Version)
 			}
-		case req.Kind == KindOperator:
-			err = s.streamOperator(ctx, bw, req)
 		default:
-			err = reply(req.Kind, dispatch(ctx, s.site, req))
+			// An unknown kind's frame was read whole: it gets an error reply.
+			err = serve(ctx, s.site, bw, req, nil)
 		}
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
@@ -190,45 +182,50 @@ func (s *Server) handle(rawConn net.Conn) {
 	}
 }
 
-// streamOperator evaluates an operator request with row blocking, sending a
-// marker plus a codec frame per H_i block, each flushed as it is made, then
-// the end marker and the operator reply carrying the profile and any
-// evaluation error. When a block write already failed, the connection is
-// broken — the end marker and reply are doomed too, so they are skipped and
-// the handler exits with the original write error instead of failing (and
-// logging) twice.
-func (s *Server) streamOperator(ctx context.Context, w *bufio.Writer, req *Request) error {
+// serve answers one request on w: a reply, or for an operator request a
+// marker plus a codec frame per H_i block, then the end marker and the
+// operator reply carrying the profile and any evaluation error. Each block is
+// flushed as it is made, then handed to sent (nil on a connection: LocalSite
+// reads each block off its buffer there). A failed block write or sent ends
+// the stream where it is: the end marker and reply are skipped, and serve
+// returns that error instead of failing (and logging) twice.
+func serve(ctx context.Context, site Backend, w *bufio.Writer, req *Request, sent func() error) error {
+	if req.Kind != KindOperator {
+		if err := writeReply(w, req.Kind, dispatch(ctx, site, req)); err != nil {
+			return err
+		}
+		return w.Flush()
+	}
 	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	rec := obs.NewSiteRecorder()
 	ctx = obs.WithRecorder(ctx, rec)
 	start := time.Now()
 	blockEnc := relation.NewEncoder(w)
-	connBroken := false
-	evalErr := s.site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
-		err := w.WriteByte(opStreamBlock)
-		if err == nil {
-			err = blockEnc.Encode(block)
+	var streamErr error
+	evalErr := site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
+		streamErr = w.WriteByte(opStreamBlock)
+		if streamErr == nil {
+			streamErr = blockEnc.Encode(block)
 		}
-		if err == nil {
-			err = w.Flush()
-		}
-		if err != nil {
-			connBroken = true
-			return err
+		if streamErr == nil {
+			streamErr = w.Flush()
 		}
 		// The marker byte travels with every block frame.
 		rec.AddCodecBytes(1)
-		return nil
+		if streamErr == nil && sent != nil {
+			streamErr = sent()
+		}
+		return streamErr
 	})
 	rec.AddCodecBytes(blockEnc.Bytes())
-	if connBroken {
-		return evalErr
+	if streamErr != nil {
+		return streamErr
 	}
 	rec.SetEval(time.Since(start))
 	term := &Response{Profile: rec.Snapshot()}
 	if evalErr != nil {
 		term.Err = evalErr.Error()
-		s.log.Debug("operator eval failed", "query", req.QueryID, "err", evalErr)
+		obs.Logger().Debug("operator eval failed", "site", site.ID(), "query", req.QueryID, "err", evalErr)
 	}
 	if err := w.WriteByte(opStreamEnd); err != nil {
 		return err
@@ -280,6 +277,7 @@ const defaultDialTimeout = 10 * time.Second
 // The next call transparently redials and re-handshakes; if that fails, it
 // returns an error matching ErrBrokenConn.
 type Client struct {
+	exchange
 	addr string
 
 	mu     sync.Mutex
@@ -307,6 +305,7 @@ func Dial(addr string) (*Client, error) {
 // that accepts but never responds cannot hang the coordinator.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
 	c := &Client{addr: addr}
+	c.exchange = c.roundTrip
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.connectLocked(ctx); err != nil {
@@ -351,7 +350,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		return fmt.Errorf("transport: reconnect %s: site identity changed (%d -> %d)", c.addr, c.id, resp.SiteID)
 	}
 	c.id, c.hasID = resp.SiteID, true
-	recordCall(callFromSizes(c.id, req, resp, int(conn.written), int(conn.read)), KindHello, "")
+	recordCall(callFromSizes(c.id, resp, int(conn.written), int(conn.read)), KindHello, "")
 	c.conn, c.br, c.bw, c.frames = conn, br, bw, frames
 	c.broken = false
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(0)
@@ -407,6 +406,12 @@ func (c *Client) Close() error {
 }
 
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
+	return c.call(ctx, req, func(*stats.Call) (*Response, error) { return readReply(c.frames, req.Kind) })
+}
+
+// call sends req, reads what answers it with recv, and records the call.
+// Any transport failure poisons the connection: the next call redials.
+func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) (*Response, error)) (*Response, stats.Call, error) {
 	attempt := stampTraceContext(ctx, req)
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -420,19 +425,23 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.
 		_ = c.conn.SetDeadline(dl)
 		defer c.conn.SetDeadline(time.Time{})
 	}
-	start := time.Now()
+	call := stats.Call{Site: c.id, Start: time.Now(), Attempt: attempt}
 	r0, w0 := c.conn.read, c.conn.written
 	if err := c.sendLocked(req); err != nil {
 		c.poisonLocked()
-		return nil, stats.Call{}, fmt.Errorf("transport: send: %w", err)
+		return nil, call, fmt.Errorf("transport: send: %w", err)
 	}
-	resp, err := readReply(c.frames, req.Kind)
+	resp, err := recv(&call)
+	call.Elapsed = time.Since(call.Start)
 	if err != nil {
 		c.poisonLocked()
-		return nil, stats.Call{}, fmt.Errorf("transport: receive: %w", err)
+		return nil, call, fmt.Errorf("transport: receive: %w", err)
 	}
-	call := callFromSizes(c.id, req, resp, int(c.conn.written-w0), int(c.conn.read-r0))
-	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
+	call.BytesDown, call.BytesUp = int(c.conn.written-w0), int(c.conn.read-r0)
+	call.Compute, call.Breakdown = time.Duration(resp.Profile.EvalNS), &resp.Profile
+	if resp.Rel != nil {
+		call.RowsUp = resp.Rel.Len()
+	}
 	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
 		return nil, call, errors.New(resp.Err)
@@ -440,112 +449,39 @@ func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.
 	return resp, call, nil
 }
 
-// EvalBase implements Site.
-func (c *Client) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
-	resp, call, err := c.roundTrip(ctx, &Request{Kind: KindBase, Base: &bq})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
-}
-
 // EvalOperatorStream implements Site. The connection stays consistent even
-// when sink fails: remaining blocks are drained to the terminal response. A
+// when sink fails: remaining blocks are drained to the operator reply. A
 // transport failure mid-stream, by contrast, leaves the stream position
 // unknown, so it poisons the connection — the next call redials.
 func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := ctx.Err(); err != nil {
-		return stats.Call{}, err
-	}
-	if err := c.ensureLocked(ctx); err != nil {
-		return stats.Call{}, err
-	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-		defer c.conn.SetDeadline(time.Time{})
-	}
-	start := time.Now()
-	r0, w0 := c.conn.read, c.conn.written
-	wireReq := &Request{Kind: KindOperator, Operator: &req}
-	attempt := stampTraceContext(ctx, wireReq)
-	if err := c.sendLocked(wireReq); err != nil {
-		c.poisonLocked()
-		return stats.Call{}, fmt.Errorf("transport: send: %w", err)
-	}
-	call := stats.Call{Site: c.id, RowsDown: reqRows(wireReq), Start: start, Attempt: attempt}
-	blockDec := relation.NewDecoder(c.br)
 	var sinkErr error
-	for {
-		marker, err := c.br.ReadByte()
-		if err != nil {
-			c.poisonLocked()
-			return call, fmt.Errorf("transport: receive: %w", err)
-		}
-		switch marker {
-		case opStreamBlock:
-			block, err := blockDec.Decode()
+	_, call, err := c.call(ctx, &Request{Kind: KindOperator, Operator: &req}, func(call *stats.Call) (*Response, error) {
+		call.RowsDown = baseRows(&req)
+		blockDec := relation.NewDecoder(c.br)
+		for {
+			marker, err := c.br.ReadByte()
 			if err != nil {
-				c.poisonLocked()
-				return call, fmt.Errorf("transport: receive block: %w", err)
+				return nil, err
 			}
-			call.RowsUp += block.Len()
-			if sinkErr == nil {
-				sinkErr = sink(block)
+			switch marker {
+			case opStreamBlock:
+				block, err := blockDec.Decode()
+				if err != nil {
+					return nil, fmt.Errorf("block: %w", err)
+				}
+				call.RowsUp += block.Len()
+				if sinkErr == nil {
+					sinkErr = sink(block)
+				}
+			case opStreamEnd:
+				return readReply(c.frames, KindOperator)
+			default:
+				return nil, fmt.Errorf("unknown stream marker 0x%02x", marker)
 			}
-		case opStreamEnd:
-			resp, err := readReply(c.frames, KindOperator)
-			if err != nil {
-				c.poisonLocked()
-				return call, fmt.Errorf("transport: receive: %w", err)
-			}
-			call.Compute = time.Duration(resp.Profile.EvalNS)
-			call.BytesDown = int(c.conn.written - w0)
-			call.BytesUp = int(c.conn.read - r0)
-			call.Elapsed = time.Since(start)
-			call.Breakdown = &resp.Profile
-			recordCall(call, KindOperator, wireReq.QueryID)
-			if resp.Err != "" {
-				return call, errors.New(resp.Err)
-			}
-			return call, sinkErr
-		default:
-			c.poisonLocked()
-			return call, fmt.Errorf("transport: unknown stream marker 0x%02x", marker)
 		}
-	}
-}
-
-// EvalLocal implements Site.
-func (c *Client) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
-	resp, call, err := c.roundTrip(ctx, &Request{Kind: KindLocal, Local: &req})
+	})
 	if err != nil {
-		return nil, call, err
+		return call, err
 	}
-	return resp.Rel, call, nil
-}
-
-// DetailSchema implements Site.
-func (c *Client) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
-	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindSchema, Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Schema, nil
-}
-
-// Tables implements Site.
-func (c *Client) Tables(ctx context.Context) ([]engine.TableInfo, error) {
-	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindTables})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tables, nil
-}
-
-// Load implements Loader: it ships a relation partition to the site.
-func (c *Client) Load(ctx context.Context, name string, rel *relation.Relation) error {
-	_, _, err := c.roundTrip(ctx, &Request{Kind: KindLoad, Name: name, LoadRel: rel})
-	return err
+	return call, sinkErr
 }

@@ -93,17 +93,9 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 	var err error
 	switch req.Kind {
 	case KindBase:
-		if req.Base == nil {
-			err = fmt.Errorf("transport: base request without query")
-		} else {
-			resp.Rel, err = site.EvalBase(ctx, *req.Base)
-		}
+		resp.Rel, err = site.EvalBase(ctx, *req.Base)
 	case KindLocal:
-		if req.Local == nil {
-			err = fmt.Errorf("transport: local request without payload")
-		} else {
-			resp.Rel, err = site.EvalLocal(ctx, *req.Local)
-		}
+		resp.Rel, err = site.EvalLocal(ctx, *req.Local)
 	case KindSchema:
 		resp.Schema, err = site.DetailSchema(ctx, req.Name)
 	case KindLoad:
@@ -117,39 +109,74 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 	resp.Profile = rec.Snapshot()
 	if err != nil {
 		resp.Err = err.Error()
-		resp.Rel = nil
 	}
 	return resp
 }
 
-// reqRows counts the base-structure rows a request ships to the site.
-func reqRows(req *Request) int {
-	if req.Kind == KindOperator && req.Operator != nil && req.Operator.Base != nil {
-		return req.Operator.Base.Len()
+// baseRows counts the base-structure rows an operator request ships to the
+// site; no other request ships any.
+func baseRows(req *engine.OperatorRequest) int {
+	if req.Base == nil {
+		return 0
 	}
-	return 0
+	return req.Base.Len()
 }
 
-// respRows counts the rows a response ships back.
-func respRows(resp *Response) int {
+// callFromSizes assembles a stats.Call for a request that is not an operator
+// from measured message sizes, carrying over the site-side breakdown from
+// the response.
+func callFromSizes(site int, resp *Response, down, up int) stats.Call {
+	call := stats.Call{Site: site, BytesDown: down, BytesUp: up, Compute: time.Duration(resp.Profile.EvalNS), Breakdown: &resp.Profile}
 	if resp.Rel != nil {
-		return resp.Rel.Len()
+		call.RowsUp = resp.Rel.Len()
 	}
-	return 0
+	return call
 }
 
-// callFromSizes assembles a stats.Call from measured message sizes, carrying
-// over the site-side breakdown from the response.
-func callFromSizes(site int, req *Request, resp *Response, down, up int) stats.Call {
-	return stats.Call{
-		Site:      site,
-		BytesDown: down,
-		BytesUp:   up,
-		RowsDown:  reqRows(req),
-		RowsUp:    respRows(resp),
-		Compute:   time.Duration(resp.Profile.EvalNS),
-		Breakdown: &resp.Profile,
+// exchange is a transport's one-request, one-reply call. Embedded in each
+// Site, it implements the calls that are exactly that.
+type exchange func(ctx context.Context, req *Request) (*Response, stats.Call, error)
+
+// EvalBase implements Site.
+func (x exchange) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
+	resp, call, err := x(ctx, &Request{Kind: KindBase, Base: &bq})
+	if err != nil {
+		return nil, call, err
 	}
+	return resp.Rel, call, nil
+}
+
+// EvalLocal implements Site.
+func (x exchange) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
+	resp, call, err := x(ctx, &Request{Kind: KindLocal, Local: &req})
+	if err != nil {
+		return nil, call, err
+	}
+	return resp.Rel, call, nil
+}
+
+// DetailSchema implements Site.
+func (x exchange) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
+	resp, _, err := x(ctx, &Request{Kind: KindSchema, Name: name})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Schema, nil
+}
+
+// Tables implements Site.
+func (x exchange) Tables(ctx context.Context) ([]engine.TableInfo, error) {
+	resp, _, err := x(ctx, &Request{Kind: KindTables})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Tables, nil
+}
+
+// Load implements Loader: it ships a relation partition to the site.
+func (x exchange) Load(ctx context.Context, name string, rel *relation.Relation) error {
+	_, _, err := x(ctx, &Request{Kind: KindLoad, Name: name, LoadRel: rel})
+	return err
 }
 
 // stampTraceContext copies the context's trace fields (query ID, round,
@@ -162,23 +189,13 @@ func stampTraceContext(ctx context.Context, req *Request) int {
 	return req.Attempt
 }
 
+var kindNames = [...]string{KindHello: "hello", KindBase: "base", KindOperator: "operator",
+	KindLocal: "local", KindSchema: "schema", KindLoad: "load", KindTables: "tables"}
+
 // kindName names a request kind for metric labels and logs.
 func kindName(k ReqKind) string {
-	switch k {
-	case KindHello:
-		return "hello"
-	case KindBase:
-		return "base"
-	case KindOperator:
-		return "operator"
-	case KindLocal:
-		return "local"
-	case KindSchema:
-		return "schema"
-	case KindLoad:
-		return "load"
-	case KindTables:
-		return "tables"
+	if int(k) < len(kindNames) {
+		return kindNames[k]
 	}
 	return "unknown"
 }
