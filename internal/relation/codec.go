@@ -424,8 +424,9 @@ func (f *FrameReader) readBody(n int) ([]byte, error) {
 func uvarintLen(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
 
 // Cursor is a bounds-checked reader over a frame body. It accepts only the
-// minimal encoding of every varint, so a body that decodes re-encodes to the
-// same bytes; its counts are capped before anything is allocated for them.
+// minimal encoding of every varint (one whose last byte is not a zero
+// continuation), so a body that decodes re-encodes to the same bytes; its
+// counts are capped before anything is allocated for them.
 type Cursor struct {
 	b   []byte
 	pos int
@@ -457,7 +458,7 @@ func (c *Cursor) Uvarint() (uint64, error) {
 	if n <= 0 {
 		return 0, errShortFrame
 	}
-	if n != uvarintLen(v) {
+	if n > 1 && c.b[c.pos+n-1] == 0 {
 		return 0, errOverlongVarint
 	}
 	c.pos += n
@@ -470,7 +471,7 @@ func (c *Cursor) Varint() (int64, error) {
 	if n <= 0 {
 		return 0, errShortFrame
 	}
-	if n != uvarintLen(uint64(v)<<1^uint64(v>>63)) {
+	if n > 1 && c.b[c.pos+n-1] == 0 {
 		return 0, errOverlongVarint
 	}
 	c.pos += n
