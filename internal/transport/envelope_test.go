@@ -50,22 +50,19 @@ func (m goldenMessage) encode() ([]byte, error) {
 	return buf.Bytes(), err
 }
 
-// decodeAndReencode reads one message of m's direction off data and encodes
-// what it read again.
-func (m goldenMessage) decodeAndReencode(data []byte) ([]byte, error) {
-	frames := relation.NewFrameReader(bytes.NewReader(data))
+// decode reads one message of m's direction off data. It returns the message
+// and the bytes it was read from.
+func (m goldenMessage) decode(data []byte) (goldenMessage, []byte, error) {
+	rd := bytes.NewReader(data)
+	frames := relation.NewFrameReader(rd)
+	got := goldenMessage{kind: m.kind}
+	var err error
 	if m.req != nil {
-		req, err := readRequest(frames)
-		if err != nil {
-			return nil, err
-		}
-		return goldenMessage{req: req}.encode()
+		got.req, err = readRequest(frames)
+	} else {
+		got.resp, err = readReply(frames, m.kind)
 	}
-	resp, err := readReply(frames, m.kind)
-	if err != nil {
-		return nil, err
-	}
-	return goldenMessage{kind: m.kind, resp: resp}.encode()
+	return got, data[:len(data)-rd.Len()], err
 }
 
 // goldenMessages covers every request and reply kind, every expression node,
@@ -159,11 +156,11 @@ func TestEnvelopeGolden(t *testing.T) {
 		if err != nil || name != msgs[i].name {
 			t.Fatalf("golden line %q: %v", line, err)
 		}
-		again, err := msgs[i].decodeAndReencode(data)
+		got, _, err := msgs[i].decode(data)
 		if err != nil {
 			t.Fatalf("%s: decode: %v", name, err)
 		}
-		if !bytes.Equal(again, data) {
+		if again, err := got.encode(); err != nil || !bytes.Equal(again, data) {
 			t.Errorf("%s: re-encoded to\n%x\nwant\n%x", name, again, data)
 		}
 	}
@@ -208,18 +205,10 @@ func FuzzEnvelope(f *testing.F) {
 			kind = ReqKind(data[n])
 		}
 		for _, m := range []goldenMessage{{name: "request", req: &Request{}}, {name: "reply", kind: kind}} {
-			rd := bytes.NewReader(data)
-			frames := relation.NewFrameReader(rd)
 			var msg goldenMessage
+			var read []byte
 			var err error
-			if n := allocatedBy(func() {
-				if m.req != nil {
-					msg.req, err = readRequest(frames)
-				} else {
-					msg.kind = m.kind
-					msg.resp, err = readReply(frames, m.kind)
-				}
-			}); n > limit {
+			if n := allocatedBy(func() { msg, read, err = m.decode(data) }); n > limit {
 				t.Fatalf("%s: decoding %d bytes allocated %d", m.name, len(data), n)
 			}
 			if err != nil {
@@ -229,12 +218,8 @@ func FuzzEnvelope(f *testing.F) {
 				}
 				continue
 			}
-			again, err := msg.encode()
-			if err != nil {
-				t.Fatalf("%s: re-encode: %v", m.name, err)
-			}
-			if read := data[:len(data)-rd.Len()]; !bytes.Equal(again, read) {
-				t.Fatalf("%s: %x re-encoded to %x", m.name, read, again)
+			if again, err := msg.encode(); err != nil || !bytes.Equal(again, read) {
+				t.Fatalf("%s: %x re-encoded to %x (%v)", m.name, read, again, err)
 			}
 		}
 	})
