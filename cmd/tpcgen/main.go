@@ -4,8 +4,9 @@
 // IP-flow trace of the motivating application (partitioned on RouterId).
 //
 // It writes one directory per site containing the site's partition as one
-// relation codec frame (<relation>.frame), plus a manifest.json describing the generator configuration so that
-// skalla-coordinator can reconstruct the distribution catalog.
+// relation codec frame (<relation>.frame), plus a manifest.json describing
+// the generator configuration so that skalla-coordinator can reconstruct the
+// distribution catalog.
 //
 // Usage:
 //
