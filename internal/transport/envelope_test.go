@@ -117,28 +117,28 @@ func goldenMessages() []goldenMessage {
 	}
 }
 
-// TestEnvelopeGolden pins the envelope's bytes for fixed requests and replies
-// — a layout change is a protocol version change — and checks that each
-// golden message decodes and re-encodes to exactly its bytes.
-func TestEnvelopeGolden(t *testing.T) {
-	var got bytes.Buffer
-	got.WriteString("# Site protocol envelope bytes, one message per line: name, then hex.\n")
-	got.WriteString("# Regenerate with: go test ./internal/transport -run TestEnvelopeGolden -update\n")
-	fmt.Fprintf(&got, "# Protocol version %d. A changed line changes the protocol: bump ProtocolVersion.\n", ProtocolVersion)
-	msgs := goldenMessages()
-	for _, m := range msgs {
+// goldenText renders the golden messages as the golden file's lines.
+func goldenText(t *testing.T) []byte {
+	var text bytes.Buffer
+	text.WriteString("# Site protocol envelope bytes, one message per line: name, then hex.\n")
+	text.WriteString("# Regenerate with: go test ./internal/transport -run TestWireSchemaGolden -update\n")
+	fmt.Fprintf(&text, "# Protocol version %d. A changed line changes the protocol: bump ProtocolVersion.\n", ProtocolVersion)
+	for _, m := range goldenMessages() {
 		b, err := m.encode()
 		if err != nil {
 			t.Fatalf("%s: %v", m.name, err)
 		}
-		again, err := m.encode()
-		if err != nil || !bytes.Equal(b, again) {
-			t.Fatalf("%s: encoding twice gave different bytes (%v)", m.name, err)
-		}
-		fmt.Fprintf(&got, "%s %x\n", m.name, b)
+		fmt.Fprintf(&text, "%s %x\n", m.name, b)
 	}
+	return text.Bytes()
+}
+
+// TestWireSchemaGolden pins the envelope's bytes for fixed requests and
+// replies: a layout change is a protocol version change.
+func TestWireSchemaGolden(t *testing.T) {
+	got := goldenText(t)
 	if *updateGolden {
-		if err := os.WriteFile(envelopeGolden, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(envelopeGolden, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
@@ -147,10 +147,32 @@ func TestEnvelopeGolden(t *testing.T) {
 	if err != nil {
 		t.Fatalf("read golden: %v (run with -update to create it)", err)
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("envelope bytes changed:\n-- committed --\n%s\n-- current --\n%s", want, got.Bytes())
+	if !bytes.Equal(got, want) {
+		t.Fatalf("envelope bytes changed:\n-- committed --\n%s\n-- current --\n%s", want, got)
 	}
-	for i, line := range strings.Split(strings.TrimSpace(string(want)), "\n")[3:] {
+}
+
+// TestWireFingerprintByteStable: encoding is a pure function of the message,
+// so the golden regenerates byte for byte.
+func TestWireFingerprintByteStable(t *testing.T) {
+	if a, b := goldenText(t), goldenText(t); !bytes.Equal(a, b) {
+		t.Fatalf("encoding the golden messages twice gave different bytes:\n-- first --\n%s\n-- second --\n%s", a, b)
+	}
+}
+
+// TestEnvelopeGolden checks that each committed golden message decodes and
+// re-encodes to exactly its bytes.
+func TestEnvelopeGolden(t *testing.T) {
+	want, err := os.ReadFile(envelopeGolden)
+	if err != nil {
+		t.Fatalf("read golden: %v (run TestWireSchemaGolden with -update to create it)", err)
+	}
+	msgs := goldenMessages()
+	lines := strings.Split(strings.TrimSpace(string(want)), "\n")[3:]
+	if len(lines) != len(msgs) {
+		t.Fatalf("golden has %d messages, want %d", len(lines), len(msgs))
+	}
+	for i, line := range lines {
 		name, hexBytes, _ := strings.Cut(line, " ")
 		data, err := hex.DecodeString(hexBytes)
 		if err != nil || name != msgs[i].name {
@@ -231,122 +253,262 @@ type gobRequest struct {
 	QueryID string
 }
 
-// TestMixedVersionsFailClosed: a gob-era peer and a peer of another protocol
+// versionDeadline bounds every mixed-version exchange: each must fail well
+// before it.
+const versionDeadline = 2 * time.Second
+
+// dialRaw opens a bare connection to addr, for a test to speak as another
+// version's coordinator would.
+func dialRaw(t *testing.T, addr string) net.Conn {
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetDeadline(time.Now().Add(versionDeadline))
+	t.Cleanup(func() { conn.Close() })
+	return conn
+}
+
+// fakeSite serves one connection with fn, which speaks as another version's
+// site would. done closes when fn has returned.
+func fakeSite(t *testing.T, fn func(net.Conn)) (addr string, done <-chan struct{}) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	served := make(chan struct{})
+	go func() {
+		defer close(served)
+		conn, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(versionDeadline))
+		fn(conn)
+	}()
+	t.Cleanup(func() { ln.Close(); <-served })
+	return ln.Addr().String(), served
+}
+
+// dialFails dials addr and returns the error it must fail with, well before
+// the deadline.
+func dialFails(t *testing.T, addr string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), versionDeadline)
+	defer cancel()
+	start := time.Now()
+	cli, err := DialContext(ctx, addr)
+	if err == nil {
+		cli.Close()
+		t.Fatal("Dial succeeded")
+	}
+	if elapsed := time.Since(start); elapsed >= versionDeadline {
+		t.Errorf("Dial failed only at its deadline (%v): %v", elapsed, err)
+	}
+	return err
+}
+
+// isClosed reports an error that means the peer hung up.
+func isClosed(err error) bool {
+	return errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || isReset(err)
+}
+
+// helloThenRefused sends the site at addr a hello of version followed by a
+// query's request, as a coordinator of that version would, and checks the
+// site answers the hello with its own version and serves nothing after it.
+func helloThenRefused(t *testing.T, addr string, version int) {
+	conn := dialRaw(t, addr)
+	if err := writeRequest(conn, &Request{Kind: KindHello, Version: version}); err != nil {
+		t.Fatal(err)
+	}
+	frames := relation.NewFrameReader(bufio.NewReader(conn))
+	resp, err := readReply(frames, KindHello)
+	if err != nil || resp.Version != ProtocolVersion {
+		t.Fatalf("hello reply %+v, %v: want this site's version, for the peer to refuse", resp, err)
+	}
+	// The site serves nothing on the connection: it closed it.
+	if err := writeRequest(conn, &Request{Kind: KindTables, QueryID: "q-other-version"}); err == nil {
+		if resp, err := readReply(frames, KindTables); !isClosed(err) {
+			t.Fatalf("a request after a mismatched hello got %+v, %v, want the connection closed", resp, err)
+		}
+	}
+}
+
+// dialSiteOfVersion dials a site that answers hello with version and checks
+// Dial fails with ErrProtocol naming both versions. It returns the requests
+// the site read.
+func dialSiteOfVersion(t *testing.T, version int) []ReqKind {
+	var seen []ReqKind
+	addr, done := fakeSite(t, func(conn net.Conn) {
+		frames := relation.NewFrameReader(bufio.NewReader(conn))
+		for {
+			req, err := readRequest(frames)
+			if err != nil {
+				return
+			}
+			seen = append(seen, req.Kind)
+			if req.Kind == KindHello {
+				_ = writeReply(conn, KindHello, &Response{Version: version, SiteID: 9})
+			}
+		}
+	})
+	err := dialFails(t, addr)
+	want := fmt.Sprintf("peer speaks protocol version %d, this build speaks version %d", version, ProtocolVersion)
+	if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Dial = %v, want ErrProtocol naming both versions (%q)", err, want)
+	}
+	<-done
+	return seen
+}
+
+// TestMixedVersionsFailClosed: a gob-era peer and a peer of a newer protocol
 // version meet this one in both directions, and every case ends promptly in
 // a typed error with nothing served and nothing left running.
 func TestMixedVersionsFailClosed(t *testing.T) {
-	const deadline = 2 * time.Second
 	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	dialServer := func(t *testing.T) net.Conn {
-		conn, err := net.Dial("tcp", srv.Addr())
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = conn.SetDeadline(time.Now().Add(deadline))
-		return conn
-	}
-	// fakeSite serves one connection with fn, which speaks as an older or
-	// newer site would.
-	fakeSite := func(t *testing.T, fn func(net.Conn)) string {
-		ln, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		done := make(chan struct{})
-		go func() {
-			defer close(done)
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			defer conn.Close()
-			_ = conn.SetDeadline(time.Now().Add(deadline))
-			fn(conn)
-		}()
-		t.Cleanup(func() { ln.Close(); <-done })
-		return ln.Addr().String()
-	}
-	dial := func(t *testing.T, addr string) error {
-		ctx, cancel := context.WithTimeout(context.Background(), deadline)
-		defer cancel()
-		start := time.Now()
-		cli, err := DialContext(ctx, addr)
-		if err == nil {
-			cli.Close()
-			t.Fatal("Dial succeeded")
-		}
-		if elapsed := time.Since(start); elapsed >= deadline {
-			t.Errorf("Dial failed only at its deadline (%v): %v", elapsed, err)
-		}
-		return err
-	}
 
 	t.Run("gob coordinator to this site", func(t *testing.T) {
-		conn := dialServer(t)
-		defer conn.Close()
+		conn := dialRaw(t, srv.Addr())
 		start := time.Now()
 		if err := gob.NewEncoder(conn).Encode(&gobRequest{Kind: KindHello}); err != nil {
 			t.Fatal(err)
 		}
 		var resp struct{ SiteID int }
-		err := gob.NewDecoder(conn).Decode(&resp)
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !isReset(err) {
+		if err := gob.NewDecoder(conn).Decode(&resp); !isClosed(err) {
 			t.Fatalf("gob hello answered with %+v, %v; want the connection closed", resp, err)
 		}
-		if elapsed := time.Since(start); elapsed >= deadline {
+		if elapsed := time.Since(start); elapsed >= versionDeadline {
 			t.Errorf("the site closed the connection only at the deadline (%v)", elapsed)
 		}
 	})
 
 	t.Run("this coordinator to a gob site", func(t *testing.T) {
-		addr := fakeSite(t, func(conn net.Conn) {
+		addr, _ := fakeSite(t, func(conn net.Conn) {
 			var req gobRequest
 			if err := gob.NewDecoder(conn).Decode(&req); err != nil {
 				return // the gob site drops what it cannot decode
 			}
 			_ = gob.NewEncoder(conn).Encode(&struct{ SiteID int }{9})
 		})
-		if err := dial(t, addr); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, ErrProtocol) && !isReset(err) {
+		if err := dialFails(t, addr); !isClosed(err) && !errors.Is(err, ErrProtocol) {
 			t.Fatalf("Dial = %v, want the hello to fail on a closed or foreign stream", err)
 		}
 	})
 
 	t.Run("newer coordinator to this site", func(t *testing.T) {
-		conn := dialServer(t)
-		defer conn.Close()
-		if err := writeRequest(conn, &Request{Kind: KindHello, Version: ProtocolVersion + 1}); err != nil {
-			t.Fatal(err)
-		}
-		frames := relation.NewFrameReader(bufio.NewReader(conn))
-		resp, err := readReply(frames, KindHello)
-		if err != nil || resp.Version != ProtocolVersion {
-			t.Fatalf("hello reply %+v, %v: want this site's version, for the peer to refuse", resp, err)
-		}
-		// The site serves nothing on the connection: it closed it.
-		if err := writeRequest(conn, &Request{Kind: KindTables}); err == nil {
-			if _, err := readReply(frames, KindTables); !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) && !isReset(err) {
-				t.Fatalf("a request after a mismatched hello got %v, want the connection closed", err)
-			}
-		}
+		helloThenRefused(t, srv.Addr(), ProtocolVersion+1)
 	})
 
 	t.Run("this coordinator to a newer site", func(t *testing.T) {
-		addr := fakeSite(t, func(conn net.Conn) {
-			if _, err := readRequest(relation.NewFrameReader(bufio.NewReader(conn))); err != nil {
-				return
-			}
-			_ = writeReply(conn, KindHello, &Response{Version: ProtocolVersion + 1, SiteID: 9})
-		})
-		err := dial(t, addr)
-		want := fmt.Sprintf("peer speaks protocol version %d, this build speaks version %d", ProtocolVersion+1, ProtocolVersion)
-		if !errors.Is(err, ErrProtocol) || !strings.Contains(err.Error(), want) {
-			t.Fatalf("Dial = %v, want ErrProtocol naming both versions (%q)", err, want)
-		}
+		dialSiteOfVersion(t, ProtocolVersion+1)
 	})
+}
+
+// TestQueryIDOldPeerCompat: a coordinator of an older envelope version gets
+// its hello answered with this site's version, and the query-tagged request
+// it sends next is never served: the site has hung up.
+func TestQueryIDOldPeerCompat(t *testing.T) {
+	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	helloThenRefused(t, srv.Addr(), ProtocolVersion-1)
+}
+
+// TestTraceFieldsOldPeerCompat: this coordinator meeting a site of an older
+// envelope version fails Dial naming both versions, and the site reads the
+// hello and nothing else, so no request with trace fields it may lay out
+// differently ever reaches it.
+func TestTraceFieldsOldPeerCompat(t *testing.T) {
+	if seen := dialSiteOfVersion(t, ProtocolVersion-1); len(seen) != 1 || seen[0] != KindHello {
+		t.Errorf("the older site read requests %v, want the hello alone", seen)
+	}
+}
+
+// TestProfileFieldOldPeerCompat: the telemetry trailer is fixed-width, so a
+// reply whose breakdown has another width — none, as before the profiler, or
+// with the retired per-worker fields of a sharding site — is a protocol
+// error, not a breakdown read from the wrong bytes.
+func TestProfileFieldOldPeerCompat(t *testing.T) {
+	profile := obs.SiteBreakdown{EvalNS: 12345, RowsScanned: 42, CodecBytes: 7, Kernel: true}
+	var buf bytes.Buffer
+	if err := writeReply(&buf, KindOperator, &Response{Profile: profile}); err != nil {
+		t.Fatal(err)
+	}
+	length, n := binary.Uvarint(buf.Bytes())
+	body := buf.Bytes()[n:]
+	if int(length) != len(body) {
+		t.Fatalf("reply length prefix %d, body %d bytes", length, len(body))
+	}
+	reframe := func(body []byte) *relation.FrameReader {
+		return relation.NewFrameReader(bytes.NewReader(append(binary.AppendUvarint(nil, uint64(len(body))), body...)))
+	}
+	resp, err := readReply(reframe(body), KindOperator)
+	if err != nil || resp.Profile != profile {
+		t.Fatalf("the fixed-width trailer read as %+v, %v; want %+v", resp, err, profile)
+	}
+	for name, other := range map[string][]byte{
+		"no trailer":         body[:len(body)-trailerSize],
+		"per-worker trailer": append(append([]byte(nil), body...), make([]byte, 16)...),
+		"one byte short":     body[:len(body)-1],
+	} {
+		if resp, err := readReply(reframe(other), KindOperator); !errors.Is(err, ErrProtocol) {
+			t.Errorf("%s: read as %+v, %v; want ErrProtocol", name, resp, err)
+		}
+	}
+}
+
+// pre27Request is the batched request of a coordinator built before the
+// exchange was removed: kind 7 plus the two trailing fields Request no
+// longer declares.
+type pre27Request struct {
+	Kind          ReqKind
+	QueryID       string
+	Batch         []pre27Operator
+	BatchQueryIDs []string
+}
+
+// pre27Operator stands in for the operator requests such a batch carried.
+type pre27Operator struct {
+	Guard     bool
+	BlockRows int
+}
+
+// TestPre27BatchPayloadDropsConnection pins what such a coordinator sees: its
+// gob batch does not open with a hello, so the site closes the connection
+// without answering — its write or its read fails — and its retry on a fresh
+// connection of this protocol is served.
+func TestPre27BatchPayloadDropsConnection(t *testing.T) {
+	srv, err := Serve(testSite(t, 4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	conn := dialRaw(t, srv.Addr())
+	req := pre27Request{Kind: 7, QueryID: "q-old",
+		Batch: []pre27Operator{{true, 100}, {false, -1}}, BatchQueryIDs: []string{"a", "b"}}
+	n := 0
+	err = gob.NewEncoder(conn).Encode(&req)
+	if err == nil {
+		n, err = conn.Read(make([]byte, 1))
+	}
+	if !isClosed(err) && !errors.Is(err, syscall.EPIPE) {
+		t.Fatalf("the site answered a pre-27 batch payload (%d bytes, %v); want the connection closed", n, err)
+	}
+
+	cli, err := Dial(srv.Addr())
+	if err != nil {
+		t.Fatalf("server unusable after dropping the batch connection: %v", err)
+	}
+	defer cli.Close()
+	if _, _, err := CollectOperator(context.Background(), cli, opRequest()); err != nil {
+		t.Fatalf("solo exchange on a fresh connection: %v", err)
+	}
 }
 
 // isReset reports a connection the peer reset, which is how its close
