@@ -208,10 +208,16 @@ func BenchmarkSiteEval(b *testing.B) {
 // partition size: the filtered base scan, MD1 on a pure link, and MD2 on the
 // link plus R.ExtendedPrice >= B.avgp. Three scans of 30k rows for a handful
 // of groups, so nearly all of the time is the per-row work.
-func BenchmarkSiteEvalExample1(b *testing.B) {
+func BenchmarkSiteEvalExample1(b *testing.B) { benchSiteExample1(b, "MktSegment") }
+
+// BenchmarkSiteEvalExample1Int is BenchmarkSiteEvalExample1 over the INT
+// RegionKey, the group key of scan_heavy's fourth template.
+func BenchmarkSiteEvalExample1Int(b *testing.B) { benchSiteExample1(b, "RegionKey") }
+
+func benchSiteExample1(b *testing.B, key string) {
 	d := servedPartition(b)
-	q, err := egil.Translate("SELECT MktSegment, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR " +
-		"WHERE Discount >= 0.005 GROUP BY MktSegment HAVING EACH ExtendedPrice >= avgp")
+	q, err := egil.Translate("SELECT " + key + ", COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR " +
+		"WHERE Discount >= 0.005 GROUP BY " + key + " HAVING EACH ExtendedPrice >= avgp")
 	if err != nil {
 		b.Fatal(err)
 	}

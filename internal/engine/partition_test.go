@@ -2,8 +2,13 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"sync"
 	"testing"
 
+	"skalla/internal/agg"
+	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
@@ -174,4 +179,139 @@ func TestScanPathCountedAtSite(t *testing.T) {
 			}
 		}
 	}
+}
+
+// kernelRel is rows rows over a STRING key, an INT key and two FLOATs. Every
+// key value occurs within the first 100 rows, so any two sizes from 100 up
+// hold the same keys.
+func kernelRel(rows int) *relation.Relation {
+	r := relation.New(relation.MustSchema(
+		relation.Column{Name: "S", Kind: relation.KindString},
+		relation.Column{Name: "K", Kind: relation.KindInt},
+		relation.Column{Name: "P", Kind: relation.KindFloat},
+		relation.Column{Name: "D", Kind: relation.KindFloat},
+	))
+	for i := 0; i < rows; i++ {
+		r.MustAppend(relation.Tuple{
+			relation.NewString(fmt.Sprintf("s%d", i%7)),
+			relation.NewInt(int64(i%5) * 10),
+			relation.NewFloat(float64(i*7919%1000) / 10),
+			relation.NewFloat(float64(i%11) / 100),
+		})
+	}
+	return r
+}
+
+// example1 is the paper's Example 1 over kernelRel grouped on key: the
+// filtered base, MD1's count and average, and MD2's rows at or above average.
+func example1(key string) gmdj.Query {
+	link := "B." + key + " = R." + key
+	return gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{key}, Where: expr.MustParse("R.D >= 0.03")},
+		Ops: []gmdj.Operator{
+			{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse(link), Aggs: []agg.Spec{
+				{Func: agg.Count, As: "cnt"}, {Func: agg.Avg, Arg: "P", As: "avgp"},
+			}}}},
+			{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse(link + " && R.P >= B.avgp"), Aggs: []agg.Spec{
+				{Func: agg.Count, As: "above"},
+			}}}},
+		},
+	}
+}
+
+// TestKernelScratchIsFlat: a compiled evaluation allocates by the size of
+// the request — X, the dictionary, the groups — and never by the size of the
+// partition, because its block buffers come from a pool. The same statements
+// over ten times the rows (holding the same keys) allocate the same. A pass
+// that allocated per block of 1 024 rows would allocate 26 more over the
+// larger partition; the counts are allowed to differ by less than that,
+// because under the race detector sync.Pool drops a random share of what is
+// put back, and there they wobble by a few.
+func TestKernelScratchIsFlat(t *testing.T) {
+	ctx := context.Background()
+	allocs := func(rows int) float64 {
+		s := NewSite(0)
+		if err := s.Load(ctx, "Flow", kernelRel(rows)); err != nil {
+			t.Fatal(err)
+		}
+		var xs [2]*relation.Relation
+		for i, key := range []string{"S", "K"} {
+			var err error
+			if xs[i], err = gmdj.EvalPrefixX(example1(key), s.Source(), 1, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			for i, key := range []string{"S", "K"} {
+				q := example1(key)
+				b0, err := s.EvalBase(ctx, q.Base)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.EvalOperator(ctx, OperatorRequest{Base: b0, Op: q.Ops[0]}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := s.EvalOperator(ctx, OperatorRequest{Base: xs[i], Op: q.Ops[1]}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		})
+	}
+	small, large := allocs(3000), allocs(30000)
+	if math.Abs(large-small) >= (30000-3000)/1024 {
+		t.Errorf("allocations per evaluation: %v over 3000 rows, %v over 30000", small, large)
+	}
+}
+
+// TestKernelConcurrentEval evaluates eight different X's over one shared
+// partition from eight goroutines at once, several times each, and demands
+// every reply equal that X's serial one: under -race this proves no two
+// evaluations share pooled scratch.
+func TestKernelConcurrentEval(t *testing.T) {
+	ctx := context.Background()
+	s := NewSite(0)
+	if err := s.Load(ctx, "Flow", kernelRel(5000)); err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]OperatorRequest, 8)
+	want := make([]string, len(reqs))
+	for i := range reqs {
+		q := example1([]string{"S", "K"}[i%2])
+		x, err := gmdj.EvalPrefixX(q, s.Source(), 1, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Each goroutine's X keeps a different subset of the groups.
+		keep := relation.New(x.Schema)
+		for j, row := range x.Rows() {
+			if (j+i)%3 != 0 {
+				keep.Tuples = append(keep.Tuples, row)
+			}
+		}
+		reqs[i] = OperatorRequest{Base: keep, Op: q.Ops[1]}
+		h, err := s.EvalOperator(ctx, reqs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = h.Format(-1)
+	}
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for n := 0; n < 5; n++ {
+				h, err := s.EvalOperator(ctx, reqs[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got := h.Format(-1); got != want[i] {
+					t.Errorf("X %d, run %d: concurrent reply differs from the serial one\n%s\nvs\n%s", i, n, got, want[i])
+					return
+				}
+			}
+		}(i)
+	}
+	wg.Wait()
 }

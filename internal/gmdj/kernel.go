@@ -1,6 +1,9 @@
 package gmdj
 
 import (
+	"math/bits"
+	"sync"
+
 	"skalla/internal/agg"
 	"skalla/internal/expr"
 	"skalla/internal/obs"
@@ -14,15 +17,22 @@ import (
 // condition tree boxing every operand into a Value, and folds Values into
 // Value accumulators. A kernel decides it once per request: X's link values
 // are translated into the partition's dictionary codes, the residual
-// conjuncts become closures over typed column slices, and accumulators are
+// conjuncts become filters over typed column slices, and accumulators are
 // flat typed slabs, boxed into Values only for the rows a caller asks for.
-// What is left per row is an array index, a few typed compares and a few adds.
+//
+// The scan itself runs a block of detail rows at a time, each step one typed
+// loop over the whole block: the block's link ids, then per pattern its
+// candidate (detail row, X row) pairs, each residual compacting that pair
+// list, and each aggregate folding what is left into its slab. Nothing is
+// called per row, and what the loops branch on is either fixed for the
+// request or almost always the same way.
 //
 // A kernel exists only for the shapes compileOperator and compileBaseKernel
 // cover; every other request runs the scalar path unchanged. The choice is
 // made from the request and the source alone, and both paths return the same
-// bytes: rows are visited in the same order and every aggregate step mirrors
-// agg.Layout's, so even float sums add in the same order.
+// bytes: every cell receives its inputs in ascending detail-row order, as the
+// scalar path folds them, and every aggregate step mirrors agg.Layout's, so
+// even float sums add in the same order.
 
 // ColumnSource is an optional RowSource capability: the source's rows are
 // also held as a columnar image, and a compiled kernel may scan that instead
@@ -93,6 +103,62 @@ func columnImage(detail RowSource) *relation.Columns {
 	}
 	return nil
 }
+
+// blockRows is how many detail rows a kernel works on at a time: enough that
+// the per-block set-up vanishes, few enough that a block's buffers stay in
+// the L1/L2 cache.
+const blockRows = 1024
+
+// scratch is the block buffers of one kernel evaluation. They are reused
+// across the evaluation's patterns and variables and pooled across
+// evaluations, so a scan allocates nothing per block or per row.
+type scratch struct {
+	ids       [][]uint32 // per link stage, the block's ids
+	group     []uint32   // a pattern's group ids, when it folds several links
+	rows, bis []int32    // candidate (detail row, X row) pairs
+
+	// The base dedup's: its dense tables, the cells and groups of the
+	// projections a block offers, the positions of the new ones, and the
+	// (row, grouping set) elements under several sets.
+	tables        [][]uint32
+	cells, groups []uint32
+	pos           []int32
+	setRows, sets []int32
+}
+
+var scratchPool = sync.Pool{New: func() any {
+	return &scratch{
+		group: make([]uint32, blockRows),
+		rows:  make([]int32, blockRows),
+		bis:   make([]int32, blockRows),
+	}
+}}
+
+// stageIDs returns n block-sized id buffers.
+func (sc *scratch) stageIDs(n int) [][]uint32 {
+	for len(sc.ids) < n {
+		sc.ids = append(sc.ids, make([]uint32, blockRows))
+	}
+	return sc.ids[:n]
+}
+
+// table returns the t-th dense table, n zeroed entries long.
+func (sc *scratch) table(t, n int) []uint32 {
+	for len(sc.tables) <= t {
+		sc.tables = append(sc.tables, nil)
+	}
+	if cap(sc.tables[t]) < n {
+		sc.tables[t] = make([]uint32, n)
+	}
+	tbl := sc.tables[t][:n]
+	clear(tbl)
+	return tbl
+}
+
+// denseLimit bounds the entries of a table indexed by value instead of hashed,
+// for a table that will hold at most n keys: a small fixed allowance beside a
+// few entries per key keeps it no larger than the hash table it replaces.
+func denseLimit(n int) uint64 { return 4*uint64(n) + 1024 }
 
 // noID marks "no such key" in every id space below.
 const noID = ^uint32(0)
@@ -184,54 +250,95 @@ func (t *intTable) grow() {
 	}
 }
 
-// rowPred is one compiled residual conjunct over detail row i and base row bi.
-type rowPred func(i int, bi int32) bool
+// keepFn is one compiled residual step over a list of candidate pairs —
+// detail row rows[m] against X row bis[m]. It moves the pairs it keeps to the
+// front, in order, and returns how many it kept.
+type keepFn func(rows, bis []int32) int
 
 // number is what a kernel compares and accumulates natively; uint32 carries
 // dictionary codes, which only ever meet = and <>.
 type number interface{ int64 | float64 | uint32 }
 
-// holds is expr's comparison on two non-NULL operands of one native type.
-// The ordering operators mirror Value.Compare, under which a NaN orders as
-// equal to everything; = and <> mirror Value.Equal.
-func holds[T number](op expr.Op, a, b T) bool {
+// cmpKeep compiles "col op b[bi&mask]" on two non-NULL operands converted to
+// T: mask -1 reads X row bi's value of X's column b, mask 0 reads a literal
+// held as b[0]. The operator is chosen here, once, as one of three loops and
+// a negation: a == b, a < b or b < a, each possibly negated. So <= is
+// !(a > b) and >= is !(a < b), and the ordering operators mirror
+// Value.Compare, under which a NaN orders as equal to everything; = and <>
+// mirror Value.Equal. Every loop writes each pair and advances past it only
+// when it passes, so it compacts without a branch.
+func cmpKeep[C, B, T number](op expr.Op, col []C, b []B, mask int32) keepFn {
+	neg := op == expr.OpNe || op == expr.OpLe || op == expr.OpGe
 	switch op {
-	case expr.OpEq:
-		return a == b
-	case expr.OpNe:
-		return a != b
-	case expr.OpLt:
-		return a < b
-	case expr.OpLe:
-		return !(a > b)
-	case expr.OpGt:
-		return a > b
-	default: // OpGe
-		return !(a < b)
-	}
-}
-
-func bitSet(bits []uint64, i int) bool {
-	return bits != nil && bits[i>>6]>>(uint(i)&63)&1 != 0
-}
-
-// constPred compiles "R.col op k". The column converts to the constant's
-// type, which is how Value.Compare treats an INT beside a FLOAT.
-func constPred[C, T number](col []C, nulls []uint64, op expr.Op, k T) rowPred {
-	return func(i int, _ int32) bool {
-		return !bitSet(nulls, i) && holds(op, T(col[i]), k)
-	}
-}
-
-// basePred compiles "R.col op B.col" over X's column b (bnull its NULL
-// bitmap), both operands converted to T.
-func basePred[C, B, T number](col []C, nulls []uint64, op expr.Op, b []B, bnull []uint64) rowPred {
-	return func(i int, bi int32) bool {
-		if bitSet(nulls, i) || bitSet(bnull, int(bi)) {
-			return false
+	case expr.OpEq, expr.OpNe:
+		return func(rows, bis []int32) int {
+			n := 0
+			for m, i := range rows {
+				bi := bis[m]
+				rows[n], bis[n] = i, bi
+				if (T(col[i]) == T(b[bi&mask])) != neg {
+					n++
+				}
+			}
+			return n
 		}
-		return holds(op, T(col[i]), T(b[bi]))
+	case expr.OpLt, expr.OpGe:
+		return func(rows, bis []int32) int {
+			n := 0
+			for m, i := range rows {
+				bi := bis[m]
+				rows[n], bis[n] = i, bi
+				if (T(col[i]) < T(b[bi&mask])) != neg {
+					n++
+				}
+			}
+			return n
+		}
+	default: // OpGt, OpLe
+		return func(rows, bis []int32) int {
+			n := 0
+			for m, i := range rows {
+				bi := bis[m]
+				rows[n], bis[n] = i, bi
+				if (T(b[bi&mask]) < T(col[i])) != neg {
+					n++
+				}
+			}
+			return n
+		}
 	}
+}
+
+// nullKeep drops the pairs whose detail row (onBase false) or X row (onBase
+// true) is NULL under the bitmap nulls, which a comparison never holds on.
+func nullKeep(nulls []uint64, onBase bool) keepFn {
+	return func(rows, bis []int32) int {
+		idx := rows
+		if onBase {
+			idx = bis
+		}
+		n := 0
+		for m, i := range rows {
+			bi, j := bis[m], idx[m]
+			rows[n], bis[n] = i, bi
+			n += int(nulls[j>>6]>>(uint(j)&63)&1 ^ 1)
+		}
+		return n
+	}
+}
+
+// cmpKeeps compiles "R.col op b" — the detail column col with NULL bitmap
+// nulls against X's column b (bnull its bitmap) or a literal (mask 0, bnull
+// nil) — into the NULL passes the bitmaps need and the comparison.
+func cmpKeeps[C, B, T number](op expr.Op, col []C, nulls []uint64, b []B, bnull []uint64, mask int32) []keepFn {
+	var keeps []keepFn
+	if nulls != nil {
+		keeps = append(keeps, nullKeep(nulls, false))
+	}
+	if bnull != nil {
+		keeps = append(keeps, nullKeep(bnull, true))
+	}
+	return append(keeps, cmpKeep[C, B, T](op, col, b, mask))
 }
 
 // flipOp mirrors a comparison so its detail operand comes first.
@@ -264,9 +371,10 @@ func baseVector(x *relation.Relation, idx int) *relation.Vector {
 }
 
 // compilePred compiles one residual conjunct — a comparison between a detail
-// column and a literal or base column, in either operand order — or reports
-// why it cannot. x is nil for a base filter, where only literals may appear.
-func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) (rowPred, string) {
+// column and a literal or base column, in either operand order — into its
+// filters, or reports why it cannot. x is nil for a base filter, where only
+// literals may appear.
+func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]keepFn, string) {
 	b, ok := c.(*expr.Bin)
 	if !ok || !b.Op.IsComparison() {
 		return nil, reasonShape
@@ -299,14 +407,14 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) (row
 			if !ok {
 				code = noID
 			}
-			return constPred(vec.Codes, vec.Nulls, op, code), reasonOK
+			return cmpKeeps[uint32, uint32, uint32](op, vec.Codes, vec.Nulls, []uint32{code}, nil, 0), reasonOK
 		case vec.Kind == relation.KindInt && k.Kind == relation.KindInt:
-			return constPred(vec.Ints, vec.Nulls, op, k.Int), reasonOK
+			return cmpKeeps[int64, int64, int64](op, vec.Ints, vec.Nulls, []int64{k.Int}, nil, 0), reasonOK
 		case vec.Kind == relation.KindInt:
-			return constPred(vec.Ints, vec.Nulls, op, k.Float), reasonOK
+			return cmpKeeps[int64, float64, float64](op, vec.Ints, vec.Nulls, []float64{k.Float}, nil, 0), reasonOK
 		default:
 			f, _ := k.AsFloat()
-			return constPred(vec.Floats, vec.Nulls, op, f), reasonOK
+			return cmpKeeps[float64, float64, float64](op, vec.Floats, vec.Nulls, []float64{f}, nil, 0), reasonOK
 		}
 	case *expr.Col:
 		if r.Side != expr.SideBase || x == nil {
@@ -335,15 +443,15 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) (row
 					codes[bi] = code
 				}
 			}
-			return basePred[uint32, uint32, uint32](vec.Codes, vec.Nulls, op, codes, bv.Nulls), reasonOK
+			return cmpKeeps[uint32, uint32, uint32](op, vec.Codes, vec.Nulls, codes, bv.Nulls, -1), reasonOK
 		case vec.Kind == relation.KindInt && declared == relation.KindInt:
-			return basePred[int64, int64, int64](vec.Ints, vec.Nulls, op, bv.Ints, bv.Nulls), reasonOK
+			return cmpKeeps[int64, int64, int64](op, vec.Ints, vec.Nulls, bv.Ints, bv.Nulls, -1), reasonOK
 		case vec.Kind == relation.KindInt:
-			return basePred[int64, float64, float64](vec.Ints, vec.Nulls, op, bv.Floats, bv.Nulls), reasonOK
+			return cmpKeeps[int64, float64, float64](op, vec.Ints, vec.Nulls, bv.Floats, bv.Nulls, -1), reasonOK
 		case declared == relation.KindInt:
-			return basePred[float64, int64, float64](vec.Floats, vec.Nulls, op, bv.Ints, bv.Nulls), reasonOK
+			return cmpKeeps[float64, int64, float64](op, vec.Floats, vec.Nulls, bv.Ints, bv.Nulls, -1), reasonOK
 		}
-		return basePred[float64, float64, float64](vec.Floats, vec.Nulls, op, bv.Floats, bv.Nulls), reasonOK
+		return cmpKeeps[float64, float64, float64](op, vec.Floats, vec.Nulls, bv.Floats, bv.Nulls, -1), reasonOK
 	}
 	return nil, reasonShape
 }
@@ -362,12 +470,20 @@ type linkStage struct {
 	// xids holds each X row's id: noID when the row can match no detail row
 	// (a value the partition does not hold, or NULL under a plain link), anyID
 	// when it matches every detail row (NULL under a rollup link).
-	xids []uint32
-	n    uint32 // the ids in use are 0..n-1
-	// rowID maps a detail row to its id, noID when it holds NULL or a value no
-	// X row holds.
-	rowID  func(i int) uint32
+	xids   []uint32
+	n      uint32 // the ids in use are 0..n-1
 	rollup bool
+
+	// The detail column, read by resolve: a STRING column's codes map to
+	// id+1 through byCode; an INT column's keys through dense, indexed by
+	// key-lo, when X's keys span few values, and through tbl otherwise.
+	codes  []uint32
+	byCode []uint32
+	ints   []int64
+	lo     int64
+	dense  []uint32 // its last entry is 0, where every key beyond X's span lands
+	tbl    *intTable
+	nulls  []uint64
 }
 
 // anyID is an X row's id in a rollup link it holds NULL in.
@@ -390,15 +506,16 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	if bv == nil {
 		return linkStage{}, reasonKind
 	}
-	st := linkStage{xids: make([]uint32, x.Len()), rollup: rollup}
+	st := linkStage{xids: make([]uint32, x.Len()), rollup: rollup, nulls: vec.Nulls}
 	null := noID
 	if rollup {
 		null = anyID
 	}
 	switch vec.Kind {
 	case relation.KindString:
-		// code → id+1, 0 for codes no X row holds.
-		byCode := make([]uint32, len(vec.Dict))
+		// code → id+1, 0 for codes no X row holds. One entry more than the
+		// dictionary, for the code 0 a NULL holds when the dictionary is empty.
+		st.codes, st.byCode = vec.Codes, make([]uint32, len(vec.Dict)+1)
 		for bi := range st.xids {
 			if bv.Null(bi) {
 				st.xids[bi] = null
@@ -409,38 +526,84 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			if !ok {
 				continue
 			}
-			if byCode[code] == 0 {
+			if st.byCode[code] == 0 {
 				st.n++
-				byCode[code] = st.n
+				st.byCode[code] = st.n
 			}
-			st.xids[bi] = byCode[code] - 1
-		}
-		codes, nulls := vec.Codes, vec.Nulls
-		st.rowID = func(i int) uint32 {
-			if bitSet(nulls, i) {
-				return noID
-			}
-			return byCode[codes[i]] - 1 // 0-1 wraps to noID
+			st.xids[bi] = st.byCode[code] - 1
 		}
 	default:
-		tbl := newIntTable(len(st.xids))
+		st.ints = vec.Ints
+		lo, hi, found := int64(0), int64(0), false
+		for bi, k := range bv.Ints {
+			if !bv.Null(bi) {
+				if !found {
+					lo, hi, found = k, k, true
+				}
+				lo, hi = min(lo, k), max(hi, k)
+			}
+		}
+		// The span hi-lo+1 as a uint64 is exact even where int64 overflows.
+		if span := uint64(hi-lo) + 1; found && span < denseLimit(len(st.xids)) {
+			st.lo, st.dense = lo, make([]uint32, span+1)
+			for bi, k := range bv.Ints {
+				if bv.Null(bi) {
+					st.xids[bi] = null
+					continue
+				}
+				d := &st.dense[k-lo]
+				if *d == 0 {
+					st.n++
+					*d = st.n
+				}
+				st.xids[bi] = *d - 1
+			}
+			break
+		}
+		st.tbl = newIntTable(len(st.xids))
 		for bi, k := range bv.Ints {
 			if bv.Null(bi) {
 				st.xids[bi] = null
 				continue
 			}
-			st.xids[bi], _ = tbl.insert(k)
+			st.xids[bi], _ = st.tbl.insert(k)
 		}
-		st.n = tbl.n
-		ints, nulls := vec.Ints, vec.Nulls
-		st.rowID = func(i int) uint32 {
-			if bitSet(nulls, i) {
-				return noID
-			}
-			return tbl.find(ints[i])
-		}
+		st.n = st.tbl.n
 	}
 	return st, reasonOK
+}
+
+// resolve writes the ids of detail rows lo, lo+1, … into ids: noID for a
+// NULL or a value no X row holds.
+func (st *linkStage) resolve(ids []uint32, lo int) {
+	hi := lo + len(ids)
+	switch {
+	case st.byCode != nil:
+		for m, c := range st.codes[lo:hi] {
+			ids[m] = st.byCode[c] - 1 // 0-1 wraps to noID
+		}
+	case st.dense != nil:
+		out := uint64(len(st.dense) - 1)
+		for m, k := range st.ints[lo:hi] {
+			ids[m] = st.dense[min(uint64(k-st.lo), out)] - 1
+		}
+	default:
+		for m, k := range st.ints[lo:hi] {
+			ids[m] = st.tbl.find(k)
+		}
+	}
+	if st.nulls == nil {
+		return
+	}
+	// Visit only the NULL rows: lo is a multiple of blockRows, so the block
+	// covers whole bitmap words but perhaps the last.
+	for w := lo >> 6; w<<6 < hi; w++ {
+		for word := st.nulls[w]; word != 0; word &= word - 1 {
+			if i := w<<6 + bits.TrailingZeros64(word); i < hi {
+				ids[i-lo] = noID
+			}
+		}
+	}
 }
 
 // physSlab is one physical aggregate column's accumulators, one cell per base
@@ -491,62 +654,75 @@ func (s *physSlab) gather(rows []int32) relation.Vector {
 	return v
 }
 
-// aggStep folds detail row i into base row bi's cell of one slab.
-type aggStep func(i int, bi int32)
+// foldFn folds a list of surviving pairs — detail row rows[m] into X row
+// bis[m]'s cell — into one slab. The pairs of one X row come in ascending
+// detail-row order.
+type foldFn func(rows, bis []int32)
 
-func countStep(nulls []uint64, acc []int64) aggStep {
+func countFold(nulls []uint64, acc []int64) foldFn {
 	if nulls == nil {
-		return func(_ int, bi int32) { acc[bi]++ }
-	}
-	return func(i int, bi int32) {
-		if !bitSet(nulls, i) {
-			acc[bi]++
+		return func(_, bis []int32) {
+			for _, bi := range bis {
+				acc[bi]++
+			}
 		}
 	}
-}
-
-// sumStep is addValues over one native type: the first input is taken as is
-// (so -0.0 survives), later ones are added.
-func sumStep[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool) aggStep {
-	return func(i int, bi int32) {
-		if bitSet(nulls, i) {
-			return
-		}
-		if seen[bi] {
-			acc[bi] += col[i]
-		} else {
-			acc[bi], seen[bi] = col[i], true
+	return func(rows, bis []int32) {
+		for m, i := range rows {
+			acc[bis[m]] += int64(nulls[i>>6]>>(uint(i)&63)&1 ^ 1)
 		}
 	}
 }
 
-func sumSqStep[T int64 | float64](col []T, nulls []uint64, acc []float64, seen []bool) aggStep {
-	return func(i int, bi int32) {
-		if bitSet(nulls, i) {
-			return
-		}
-		f := float64(col[i])
-		if seen[bi] {
-			acc[bi] += f * f
-		} else {
-			acc[bi], seen[bi] = f*f, true
+// sumFold is addValues over one native type: the first input is taken as is
+// (so -0.0 survives), later ones are added. Only a cell's first input takes
+// the other branch.
+func sumFold[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool) foldFn {
+	return func(rows, bis []int32) {
+		for m, i := range rows {
+			if nulls != nil && nulls[i>>6]>>(uint(i)&63)&1 != 0 {
+				continue
+			}
+			if bi := bis[m]; seen[bi] {
+				acc[bi] += col[i]
+			} else {
+				acc[bi], seen[bi] = col[i], true
+			}
 		}
 	}
 }
 
-// minMaxStep mirrors minValue/maxValue: the cell changes only when the input
+func sumSqFold[T int64 | float64](col []T, nulls []uint64, acc []float64, seen []bool) foldFn {
+	return func(rows, bis []int32) {
+		for m, i := range rows {
+			if nulls != nil && nulls[i>>6]>>(uint(i)&63)&1 != 0 {
+				continue
+			}
+			f := float64(col[i])
+			if bi := bis[m]; seen[bi] {
+				acc[bi] += f * f
+			} else {
+				acc[bi], seen[bi] = f*f, true
+			}
+		}
+	}
+}
+
+// minMaxFold mirrors minValue/maxValue: the cell changes only when the input
 // is strictly beyond it.
-func minMaxStep[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool, max bool) aggStep {
-	return func(i int, bi int32) {
-		if bitSet(nulls, i) {
-			return
-		}
-		v := col[i]
-		switch {
-		case !seen[bi]:
-			acc[bi], seen[bi] = v, true
-		case max && acc[bi] < v, !max && acc[bi] > v:
-			acc[bi] = v
+func minMaxFold[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool, max bool) foldFn {
+	return func(rows, bis []int32) {
+		for m, i := range rows {
+			if nulls != nil && nulls[i>>6]>>(uint(i)&63)&1 != 0 {
+				continue
+			}
+			bi, v := bis[m], col[i]
+			switch {
+			case !seen[bi]:
+				acc[bi], seen[bi] = v, true
+			case max && acc[bi] < v, !max && acc[bi] > v:
+				acc[bi] = v
+			}
 		}
 	}
 }
@@ -555,10 +731,11 @@ func minMaxStep[T int64 | float64](col []T, nulls []uint64, acc []T, seen []bool
 type varKernel struct {
 	layout *agg.Layout
 	args   []*relation.Vector // per physical column; nil for COUNT(*)
+	stages []linkStage
 	// patterns are the X rows by the rollup links they hold NULL in; a θ
 	// without rollup links has one, of every X row that can match at all.
 	patterns []linkPattern
-	preds    []rowPred
+	keeps    []keepFn
 }
 
 // opKernel is one MD operator compiled against one columnar partition.
@@ -596,7 +773,6 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 		vk.args[p] = vec
 	}
 
-	var stages []linkStage
 	rollups := 0
 	for _, c := range expr.Conjuncts(st.cond) {
 		if isTrueLit(c) {
@@ -612,22 +788,22 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 			if reason != reasonOK {
 				return nil, reason
 			}
-			stages = append(stages, stage)
+			vk.stages = append(vk.stages, stage)
 			continue
 		}
-		pred, reason := compilePred(c, x, cols)
+		keeps, reason := compilePred(c, x, cols)
 		if reason != reasonOK {
 			return nil, reason
 		}
-		vk.preds = append(vk.preds, pred)
+		vk.keeps = append(vk.keeps, keeps...)
 	}
-	if len(stages) == 0 {
+	if len(vk.stages) == 0 {
 		// No link: every base row is a candidate for every detail row, which
 		// is the nested loop's job.
 		return nil, reasonShape
 	}
 
-	vk.patterns = linkPatterns(stages, x.Len())
+	vk.patterns = linkPatterns(vk.stages, x.Len())
 	return vk, reasonOK
 }
 
@@ -635,13 +811,47 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 // by their values in the other links: a detail row matches them on those
 // alone.
 type linkPattern struct {
-	// group maps a detail row to its link group — the pattern's X rows whose
-	// link values equal the row's — or noID.
-	group func(i int) uint32
-	// starts/rows are the groups in CSR form: group g is
-	// rows[starts[g]:starts[g+1]], ascending. X rows that share link values
-	// share a group, so one detail row still reaches all of them.
+	// on lists the stages the pattern is matched on; pairs[s-1] folds the id
+	// of stage on[s] into the group the stages before it give.
+	on    []int
+	pairs []pairTable
+	// The groups' X rows: when every group holds one, only[g+1] is group g's
+	// and only[0] is -1, where noID+1 wraps to; otherwise starts/rows are the
+	// groups in CSR form, group g being rows[starts[g]:starts[g+1]],
+	// ascending. X rows that share link values share a group, so one detail
+	// row still reaches all of them.
+	only         []int32
 	starts, rows []int32
+}
+
+// pairTable maps a (group, id) pair some X row holds to a group of the next
+// link. When the pairs are few it is a flat array of group+1 indexed
+// (g+1)·width + id+1, whose row and column 0 — where noID+1 wraps to — are
+// empty, so a fold is one load per detail row; a hash table otherwise.
+type pairTable struct {
+	dense []uint32
+	width uint64
+	tbl   *intTable
+}
+
+// fold replaces each group g[m] by the group of the pair (g[m], ids[m]),
+// noID when no X row holds it.
+func (t *pairTable) fold(g, ids []uint32) {
+	if t.dense != nil {
+		for m, id := range ids {
+			g[m] = t.dense[uint64(g[m]+1)*t.width+uint64(id+1)] - 1
+		}
+		return
+	}
+	for m, id := range ids {
+		if g[m] != noID {
+			if id == noID {
+				g[m] = noID
+			} else {
+				g[m] = t.tbl.find(int64(g[m])<<32 | int64(id))
+			}
+		}
+	}
 }
 
 // linkPatterns sorts the nx X rows into patterns — only the ones X holds
@@ -675,63 +885,73 @@ func linkPatterns(stages []linkStage, nx int) []linkPattern {
 	}
 	patterns := make([]linkPattern, len(members))
 	for pi, xrows := range members {
-		var on []linkStage
-		for _, st := range stages {
-			if st.xids[xrows[0]] != anyID {
-				on = append(on, st)
+		var on []int
+		for s := range stages {
+			if stages[s].xids[xrows[0]] != anyID {
+				on = append(on, s)
 			}
 		}
-		patterns[pi] = linkGroups(on, xrows)
+		patterns[pi] = linkGroups(stages, on, xrows)
 	}
 	return patterns
 }
 
-// linkGroups folds the per-link ids into one group id per X row of xrows and
-// per detail row. A second and later link pairs the running group with its own
-// id through a table built from the X rows, so only combinations one of them
+// linkGroups folds the ids of the stages on into one group id per X row of
+// xrows. A second and later link pairs the running group with its own id
+// through a table built from the X rows, so only combinations one of them
 // holds get a group. Without a link — xrows hold NULL in every rollup link —
 // there is one group, which every detail row is in.
-func linkGroups(stages []linkStage, xrows []int32) linkPattern {
+func linkGroups(stages []linkStage, on []int, xrows []int32) linkPattern {
+	p := linkPattern{on: on}
 	groups := make([]uint32, len(xrows))
 	n := uint32(1)
-	if len(stages) > 0 {
+	if len(on) > 0 {
 		for m, bi := range xrows {
-			groups[m] = stages[0].xids[bi]
+			groups[m] = stages[on[0]].xids[bi]
 		}
-		n = stages[0].n
+		n = stages[on[0]].n
 	}
-	var pairs []*intTable
-	for _, st := range stages[min(1, len(stages)):] {
-		pair := newIntTable(len(xrows))
-		for m, bi := range xrows {
-			groups[m], _ = pair.insert(int64(groups[m])<<32 | int64(st.xids[bi]))
-		}
-		pairs, n = append(pairs, pair), pair.n
-	}
-	var p linkPattern
-	switch len(stages) {
-	case 0:
-		p.group = func(int) uint32 { return 0 }
-	case 1:
-		p.group = stages[0].rowID
-	default:
-		p.group = func(i int) uint32 {
-			g := stages[0].rowID(i)
-			for s := 1; g != noID && s < len(stages); s++ {
-				id := stages[s].rowID(i)
-				if id == noID {
-					return noID
+	for _, s := range on[min(1, len(on)):] {
+		st := &stages[s]
+		var t pairTable
+		next := uint32(0)
+		if width := uint64(st.n) + 1; (uint64(n)+1)*width <= denseLimit(len(xrows)) {
+			t.dense, t.width = make([]uint32, (uint64(n)+1)*width), width
+			for m, bi := range xrows {
+				d := &t.dense[uint64(groups[m]+1)*width+uint64(st.xids[bi]+1)]
+				if *d == 0 {
+					next++
+					*d = next
 				}
-				g = pairs[s-1].find(int64(g)<<32 | int64(id))
+				groups[m] = *d - 1
 			}
-			return g
+		} else {
+			t.tbl = newIntTable(len(xrows))
+			for m, bi := range xrows {
+				groups[m], _ = t.tbl.insert(int64(groups[m])<<32 | int64(st.xids[bi]))
+			}
+			next = t.tbl.n
 		}
+		p.pairs, n = append(p.pairs, t), next
 	}
 
-	p.starts = make([]int32, n+1)
+	count := make([]int32, n+1)
+	shared := false
 	for _, g := range groups {
-		p.starts[g+1]++
+		count[g+1]++
+		shared = shared || count[g+1] > 1
 	}
+	if !shared {
+		p.only = count // reused: every entry is 0 or 1 now
+		for g := range p.only {
+			p.only[g] = -1
+		}
+		for m, g := range groups {
+			p.only[g+1] = xrows[m]
+		}
+		return p
+	}
+	p.starts = count
 	for g := uint32(0); g < n; g++ {
 		p.starts[g+1] += p.starts[g]
 	}
@@ -794,61 +1014,117 @@ func (vk *varKernel) newSlabs(nx int) []physSlab {
 	return slabs
 }
 
-// steps binds the variable's aggregate steps to its slabs.
-func (vk *varKernel) steps(slabs []physSlab) []aggStep {
-	out := make([]aggStep, len(slabs))
+// folds binds the variable's aggregate steps to its slabs.
+func (vk *varKernel) folds(slabs []physSlab) []foldFn {
+	out := make([]foldFn, len(slabs))
 	for p, pc := range vk.layout.Phys {
 		s, vec := &slabs[p], vk.args[p]
 		switch {
 		case pc.Op == agg.PhysCount && vec == nil:
-			out[p] = countStep(nil, s.ints)
+			out[p] = countFold(nil, s.ints)
 		case pc.Op == agg.PhysCount:
-			out[p] = countStep(vec.Nulls, s.ints)
+			out[p] = countFold(vec.Nulls, s.ints)
 		case pc.Op == agg.PhysSumSq && vec.Kind == relation.KindInt:
-			out[p] = sumSqStep(vec.Ints, vec.Nulls, s.floats, s.seen)
+			out[p] = sumSqFold(vec.Ints, vec.Nulls, s.floats, s.seen)
 		case pc.Op == agg.PhysSumSq:
-			out[p] = sumSqStep(vec.Floats, vec.Nulls, s.floats, s.seen)
+			out[p] = sumSqFold(vec.Floats, vec.Nulls, s.floats, s.seen)
 		case pc.Op == agg.PhysSum && vec.Kind == relation.KindInt:
-			out[p] = sumStep(vec.Ints, vec.Nulls, s.ints, s.seen)
+			out[p] = sumFold(vec.Ints, vec.Nulls, s.ints, s.seen)
 		case pc.Op == agg.PhysSum:
-			out[p] = sumStep(vec.Floats, vec.Nulls, s.floats, s.seen)
+			out[p] = sumFold(vec.Floats, vec.Nulls, s.floats, s.seen)
 		case vec.Kind == relation.KindInt:
-			out[p] = minMaxStep(vec.Ints, vec.Nulls, s.ints, s.seen, pc.Op == agg.PhysMax)
+			out[p] = minMaxFold(vec.Ints, vec.Nulls, s.ints, s.seen, pc.Op == agg.PhysMax)
 		default:
-			out[p] = minMaxStep(vec.Floats, vec.Nulls, s.floats, s.seen, pc.Op == agg.PhysMax)
+			out[p] = minMaxFold(vec.Floats, vec.Nulls, s.floats, s.seen, pc.Op == agg.PhysMax)
 		}
 	}
 	return out
 }
 
-// scan accumulates the first rows detail rows into slabs, pattern by pattern.
-// An X row is in one group of one pattern, so its inputs arrive in one pass,
-// detail rows ascending — the order the scalar path folds them in.
-func (vk *varKernel) scan(rows int, slabs []physSlab, touched []bool) {
-	steps := vk.steps(slabs)
-	for p := range vk.patterns {
-		vk.patterns[p].scan(rows, vk.preds, steps, touched)
+// scan accumulates the first rows detail rows into the slabs folds writes,
+// block by block and, within a block, pattern by pattern. An X row is in one
+// group of one pattern, and a block's pairs are listed detail rows
+// ascending, so every cell gets its inputs in detail-row order — the order
+// the scalar path folds them in.
+func (vk *varKernel) scan(rows int, folds []foldFn, touched []bool, sc *scratch) {
+	if len(vk.patterns) == 0 {
+		return
+	}
+	ids := sc.stageIDs(len(vk.stages))
+	for lo := 0; lo < rows; lo += blockRows {
+		n := min(blockRows, rows-lo)
+		for s := range vk.stages {
+			vk.stages[s].resolve(ids[s][:n], lo)
+		}
+		for p := range vk.patterns {
+			vk.pairs(&vk.patterns[p], ids, lo, n, folds, touched, sc)
+		}
 	}
 }
 
-func (pat *linkPattern) scan(rows int, preds []rowPred, steps []aggStep, touched []bool) {
-	for i := 0; i < rows; i++ {
-		g := pat.group(i)
+// pairs lists one pattern's candidate pairs for the block of n detail rows
+// from lo and hands them to consume: straight from the only map, or through
+// the CSR groups, flushing whenever the pair buffer fills.
+func (vk *varKernel) pairs(p *linkPattern, ids [][]uint32, lo, n int, folds []foldFn, touched []bool, sc *scratch) {
+	var groups []uint32
+	switch len(p.on) {
+	case 0:
+		groups = sc.group[:n]
+		clear(groups)
+	case 1:
+		groups = ids[p.on[0]][:n]
+	default:
+		groups = sc.group[:n]
+		copy(groups, ids[p.on[0]])
+		for s, t := range p.pairs {
+			t.fold(groups, ids[p.on[s+1]][:n])
+		}
+	}
+	rows, bis := sc.rows, sc.bis
+	k := 0
+	if p.only != nil {
+		for m, g := range groups {
+			bi := p.only[g+1]
+			rows[k], bis[k] = int32(lo+m), bi
+			if bi >= 0 {
+				k++
+			}
+		}
+		vk.consume(rows[:k], bis[:k], folds, touched)
+		return
+	}
+	for m, g := range groups {
 		if g == noID {
 			continue
 		}
-	candidates:
-		for _, bi := range pat.rows[pat.starts[g]:pat.starts[g+1]] {
-			for _, pred := range preds {
-				if !pred(i, bi) {
-					continue candidates
-				}
+		for _, bi := range p.rows[p.starts[g]:p.starts[g+1]] {
+			if k == len(rows) {
+				vk.consume(rows, bis, folds, touched)
+				k = 0
 			}
-			for _, step := range steps {
-				step(i, bi)
-			}
-			touched[bi] = true
+			rows[k], bis[k] = int32(lo+m), bi
+			k++
 		}
+	}
+	vk.consume(rows[:k], bis[:k], folds, touched)
+}
+
+// consume runs a pair list through the residuals, folds the survivors into
+// the slabs and marks their X rows touched.
+func (vk *varKernel) consume(rows, bis []int32, folds []foldFn, touched []bool) {
+	n := len(rows)
+	for _, keep := range vk.keeps {
+		if n == 0 {
+			return
+		}
+		n = keep(rows[:n], bis[:n])
+	}
+	rows, bis = rows[:n], bis[:n]
+	for _, fold := range folds {
+		fold(rows, bis)
+	}
+	for _, bi := range bis {
+		touched[bi] = true
 	}
 }
 
@@ -860,17 +1136,19 @@ func (k *opKernel) run(src RowSource) *OperatorAccum {
 		Touched: make([]bool, k.nx),
 		slabs:   make([][]physSlab, len(k.vars)),
 	}
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	for vi, vk := range k.vars {
 		out.Layouts[vi] = vk.layout
 		out.slabs[vi] = vk.newSlabs(k.nx)
-		vk.scan(k.rows, out.slabs[vi], out.Touched)
+		vk.scan(k.rows, vk.folds(out.slabs[vi]), out.Touched, sc)
 		chargeKernelScan(src, k.rows)
 	}
 	return out
 }
 
 // baseKernel is a base query compiled against one columnar partition: the
-// filter as predicates, the projection as typed columns whose cells are
+// filter as block filters, the projection as typed columns whose cells are
 // deduplicated on ids instead of hashed Values.
 type baseKernel struct {
 	cols *relation.Columns
@@ -879,7 +1157,13 @@ type baseKernel struct {
 	// a set that keeps them all.
 	masks  [][]bool
 	schema relation.Schema
-	where  []rowPred
+	where  []keepFn
+	// firstWidth is the entries of the dense table the first projected
+	// column's cells key — its dictionary or its value span, one more for
+	// NULL — or 0 when the span is too wide and a hash table keys them;
+	// firstLo is the least value of an INT column.
+	firstWidth int
+	firstLo    int64
 }
 
 // compileBaseKernel covers the distinct projection, plain or per grouping
@@ -908,11 +1192,23 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 			if isTrueLit(c) {
 				continue
 			}
-			pred, reason := compilePred(c, nil, cols)
+			keeps, reason := compilePred(c, nil, cols)
 			if reason != reasonOK {
 				return nil, reason
 			}
-			k.where = append(k.where, pred)
+			k.where = append(k.where, keeps...)
+		}
+	}
+	first := &cols.Vecs[p.idx[0]]
+	if first.Kind == relation.KindString {
+		k.firstWidth = len(first.Dict) + 1
+	} else if len(first.Ints) > 0 {
+		lo, hi := first.Ints[0], first.Ints[0]
+		for _, v := range first.Ints {
+			lo, hi = min(lo, v), max(hi, v)
+		}
+		if span := uint64(hi-lo) + 1; span < denseLimit(cols.Rows) {
+			k.firstWidth, k.firstLo = int(span)+1, lo
 		}
 	}
 	return k, reasonOK
@@ -922,91 +1218,195 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 // set.
 type baseCell struct{ row, set int32 }
 
-// baseDedup is one scan's distinct-projection state. The first projected
-// column's cells key the first table directly (dictionary code or integer);
-// each further column pairs the running group id with the column's own dense
-// cell id through one more table. A projection is a first occurrence exactly
-// when the last table had to add its key. A column its grouping set leaves
-// out is offered as NULL, the cell a NULL in the data has, so every set goes
-// through the same tables and the two NULLs collapse into one base row, as
-// they do in the scalar path's one KeySet.
+// baseDedup is one scan's distinct-projection state. Each projected column's
+// cells are ids: a STRING column's dictionary code, an INT column's value
+// within its span (first column) or its id in a table of values (the
+// others), each plus one, and 0 for NULL. The first column's cells key the
+// first table directly — a dense array, or a hash table of values when the
+// values span too wide — and each further column pairs the running group id
+// with its own cell through one more table. A projection is a first
+// occurrence exactly when the last table had to add its key. A column its
+// grouping set leaves out is offered as NULL, the cell a NULL in the data
+// has, so every set goes through the same tables and the two NULLs collapse
+// into one base row, as they do in the scalar path's one KeySet.
 type baseDedup struct {
-	k     *baseKernel
-	cells []*intTable // per INT column after the first: value → dense cell id
-	pairs []*intTable // pairs[0] keys the first column; pairs[c] pairs group and column c
-	fresh []baseCell  // the new projections, in scan order
+	k      *baseKernel
+	first  []uint32    // dense first table: cell → id+1
+	nFirst uint32      // ids the dense first table has given
+	cells  []*intTable // per INT column after the first: value → cell-1
+	pairs  []*intTable // pairs[0] keys the first column unless first does; pairs[c] pairs group and column c
+	fresh  []baseCell  // the new projections, in scan order
 }
 
-func (k *baseKernel) newDedup() *baseDedup {
+// newDedup starts a dedup whose dense first table, if any, is scratch table t.
+func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
 	d := &baseDedup{k: k, cells: make([]*intTable, len(k.idx)), pairs: make([]*intTable, len(k.idx))}
-	for c, j := range k.idx {
-		d.pairs[c] = newIntTable(64)
-		if c > 0 && k.cols.Vecs[j].Kind == relation.KindInt {
-			d.cells[c] = newIntTable(64)
+	if k.firstWidth > 0 {
+		d.first = sc.table(t, k.firstWidth)
+	} else {
+		d.pairs[0] = newIntTable(64)
+	}
+	for c, j := range k.idx[1:] {
+		d.pairs[c+1] = newIntTable(64)
+		if k.cols.Vecs[j].Kind == relation.KindInt {
+			d.cells[c+1] = newIntTable(64)
 		}
 	}
 	return d
 }
 
-// add offers row i's projection — the columns mask keeps; nil keeps all — and
-// reports whether it is new.
-func (d *baseDedup) add(i int, mask []bool) bool {
-	var g uint32
-	var fresh bool
+// offer offers the projections of detail rows rows[m] under grouping sets
+// sets[m] (all columns kept when sets is nil), in order, a column at a time,
+// and appends to fresh the positions m of the ones that are new.
+func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int32 {
+	n := len(rows)
+	g, cell := grow(&sc.groups, n), grow(&sc.cells, n)
+	last := len(d.k.idx) - 1
 	for c, j := range d.k.idx {
 		vec := &d.k.cols.Vecs[j]
-		null := (mask != nil && !mask[c]) || vec.Null(i)
-		if c == 0 {
-			switch {
-			case null:
-				g, fresh = d.pairs[0].insertNull()
-			case vec.Kind == relation.KindInt:
-				g, fresh = d.pairs[0].insert(vec.Ints[i])
-			default:
-				g, fresh = d.pairs[0].insert(int64(vec.Codes[i]))
+		if c == 0 && d.first == nil {
+			// An INT column over a wide span: its values key pairs[0].
+			for m, i := range rows {
+				var isNew bool
+				if vec.Null(int(i)) || d.dropped(0, sets, m) {
+					g[m], isNew = d.pairs[0].insertNull()
+				} else {
+					g[m], isNew = d.pairs[0].insert(vec.Ints[i])
+				}
+				if isNew && last == 0 {
+					fresh = append(fresh, int32(m))
+				}
 			}
 			continue
 		}
-		var cell uint32
-		switch {
-		case null:
-			// 0; real cells start at 1.
-		case vec.Kind == relation.KindInt:
-			cell, _ = d.cells[c].insert(vec.Ints[i])
-			cell++
-		default:
-			cell = vec.Codes[i] + 1
+		d.cellsOf(c, vec, rows, sets, cell)
+		if c == 0 {
+			for m, x := range cell {
+				id := d.first[x]
+				if id == 0 {
+					d.nFirst++
+					id = d.nFirst
+					d.first[x] = id
+					if last == 0 {
+						fresh = append(fresh, int32(m))
+					}
+				}
+				g[m] = id - 1
+			}
+			continue
 		}
-		g, fresh = d.pairs[c].insert(int64(g)<<32 | int64(cell))
+		for m, x := range cell {
+			var isNew bool
+			g[m], isNew = d.pairs[c].insert(int64(g[m])<<32 | int64(x))
+			if isNew && c == last {
+				fresh = append(fresh, int32(m))
+			}
+		}
 	}
 	return fresh
 }
 
-// scan offers the rows that pass the filter, each under every grouping set in
-// turn — the scalar order — and lists the new projections. Under several sets
-// the rows go through a dedup of their own first: a row that repeats an
-// earlier one repeats its projection under every set, so only new rows are
-// offered set by set.
-func (d *baseDedup) scan() {
-	where, masks := d.k.where, d.k.masks
+// cellsOf writes column c's cells of rows into cell: typed loops, then a
+// pass zeroing the NULLs if the column has any, then one zeroing the cells
+// the grouping sets leave out.
+func (d *baseDedup) cellsOf(c int, vec *relation.Vector, rows, sets []int32, cell []uint32) {
+	switch {
+	case vec.Kind == relation.KindString:
+		for m, i := range rows {
+			cell[m] = vec.Codes[i] + 1
+		}
+	case c == 0:
+		for m, i := range rows {
+			cell[m] = uint32(vec.Ints[i]-d.k.firstLo) + 1
+		}
+	default:
+		for m, i := range rows {
+			id, _ := d.cells[c].insert(vec.Ints[i])
+			cell[m] = id + 1
+		}
+	}
+	if nulls := vec.Nulls; nulls != nil {
+		for m, i := range rows {
+			cell[m] &= uint32(nulls[i>>6]>>(uint(i)&63)&1) - 1
+		}
+	}
+	if sets != nil {
+		for m := range cell {
+			if d.dropped(c, sets, m) {
+				cell[m] = 0
+			}
+		}
+	}
+}
+
+// dropped reports whether element m's grouping set leaves column c out.
+func (d *baseDedup) dropped(c int, sets []int32, m int) bool {
+	if sets == nil {
+		return false
+	}
+	mask := d.k.masks[sets[m]]
+	return mask != nil && !mask[c]
+}
+
+// grow returns (*buf)[:n], reallocating it when it is too short.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	return (*buf)[:n]
+}
+
+// scan filters the rows a block at a time and offers the survivors, each
+// under every grouping set in turn — the scalar order — listing the new
+// projections. Under several sets the rows go through a dedup of their own
+// first: a row that repeats an earlier one repeats its projection under every
+// set, so only new rows are offered set by set.
+func (d *baseDedup) scan(sc *scratch) {
+	masks := d.k.masks
 	var whole *baseDedup
 	if len(masks) > 1 {
-		whole = d.k.newDedup()
+		whole = d.k.newDedup(sc, 1)
 	}
-rows:
-	for i := 0; i < d.k.cols.Rows; i++ {
-		for _, pred := range where {
-			if !pred(i, 0) {
-				continue rows
-			}
+	total := d.k.cols.Rows
+	for lo := 0; lo < total; lo += blockRows {
+		// The filters hold literals only, which never read the X rows.
+		rows, unused := sc.rows[:min(blockRows, total-lo)], sc.bis
+		for m := range rows {
+			rows[m] = int32(lo + m)
 		}
-		if whole != nil && !whole.add(i, nil) {
-			continue
-		}
-		for set, mask := range masks {
-			if d.add(i, mask) {
-				d.fresh = append(d.fresh, baseCell{int32(i), int32(set)})
+		n := len(rows)
+		for _, keep := range d.k.where {
+			if n == 0 {
+				break
 			}
+			n = keep(rows[:n], unused[:n])
+		}
+		rows = rows[:n]
+		if whole != nil {
+			sc.pos = whole.offer(rows, nil, sc, sc.pos[:0])
+			for k, m := range sc.pos {
+				rows[k] = rows[m]
+			}
+			rows = rows[:len(sc.pos)]
+		}
+		var sets []int32
+		if len(masks) > 1 || masks[0] != nil {
+			rs, ss := sc.setRows[:0], sc.sets[:0]
+			for _, i := range rows {
+				for set := range masks {
+					rs, ss = append(rs, i), append(ss, int32(set))
+				}
+			}
+			sc.setRows, sc.sets = rs, ss
+			rows, sets = rs, ss
+		}
+		sc.pos = d.offer(rows, sets, sc, sc.pos[:0])
+		for _, m := range sc.pos {
+			cell := baseCell{row: rows[m]}
+			if sets != nil {
+				cell.set = sets[m]
+			}
+			d.fresh = append(d.fresh, cell)
 		}
 	}
 }
@@ -1015,8 +1415,10 @@ rows:
 // scan order — the order the scalar path produces — as a columnar relation
 // gathered from the partition's vectors.
 func (k *baseKernel) run(src RowSource) *relation.Relation {
-	d := k.newDedup()
-	d.scan()
+	sc := scratchPool.Get().(*scratch)
+	d := k.newDedup(sc, 0)
+	d.scan(sc)
+	scratchPool.Put(sc)
 	chargeKernelScan(src, k.cols.Rows)
 	n := len(d.fresh)
 	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.idx))}

@@ -757,3 +757,124 @@ func TestMixedKindLinks(t *testing.T) {
 		})
 	}
 }
+
+// TestKernelBlockBoundaries runs the kernels over partitions on either side
+// of the block size, where the last block is empty, one row, short, exact or
+// one row long, and over an X whose one link group holds more X rows than a
+// block, so that the pair buffer fills and flushes in the middle of a block.
+// Plain, rollup and cube θ's, and their base rows, must match the scalar path.
+func TestKernelBlockBoundaries(t *testing.T) {
+	const b = blockRows
+	for _, rows := range []int{0, 1, b - 1, b, b + 1, 3*b + 7} {
+		t.Run(fmt.Sprint(rows), func(t *testing.T) {
+			detail := kernelDetail(int64(rows), rows)
+			for _, bq := range []BaseQuery{
+				{Cols: []string{"S"}, Where: expr.MustParse("R.F >= 0.5")},
+				{Cols: []string{"I", "T"}, Where: expr.MustParse("R.V < 20")},
+				{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S", "I"}, {"S"}, {}}},
+				{Cols: []string{"S", "I", "T"}, GroupingSets: cubeSets("S", "I", "T")},
+			} {
+				bq.Detail = "D"
+				checkBase(t, bq, detail, reasonOK)
+			}
+			checkOperator(t, baseOf(t, detail, "S"), oneVar("B.S = R.S && R.V > 3", allAggs...), detail, reasonOK)
+			checkOperator(t, baseOf(t, detail, "I", "S"), oneVar("B.I = R.I && B.S = R.S && R.F < 100", allAggs...), detail, reasonOK)
+			checkOperator(t, setsOf(t, detail, []string{"S", "I"}, []string{"S", "I"}, []string{"S"}, []string{}),
+				oneVar(rollupCond("S", "I"), allAggs...), detail, reasonOK)
+			checkOperator(t, setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...),
+				oneVar(rollupCond("S", "I", "T")+" && R.V >= 0", allAggs...), detail, reasonOK)
+
+			// b+5 X rows share the link value "a", each with its own
+			// threshold: one detail row in that group yields more pairs than
+			// the buffer holds. The nested loop would take too long here, so
+			// only the scalar hash path is the reference.
+			wide := relation.New(relation.MustSchema(relation.Column{Name: "S", Kind: relation.KindString}))
+			for i := 0; i < b+5; i++ {
+				wide.MustAppend(relation.Tuple{relation.NewString("a")})
+			}
+			wide = withRows(wide, relation.Tuple{relation.NewString("b")}, relation.Tuple{relation.Null})
+			wide = withColumn(wide, relation.Column{Name: "k", Kind: relation.KindInt}, func(i int) relation.Value {
+				return relation.NewInt(int64(i%37) - 10)
+			})
+			for _, cond := range []string{"B.S = R.S", "B.S = R.S && R.V <= B.k"} {
+				op := oneVar(cond, allAggs...)
+				scalar, err := AccumulateOperator(wide, op, SourceOf(detail), true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				src := newColSource(detail)
+				kernel, err := AccumulateOperator(wide, op, src, true)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkScanPath(t, src, reasonOK, 1)
+				if err := sameAccum(scalar, kernel); err != nil {
+					t.Errorf("%s over a group wider than a block: %v", cond, err)
+				}
+			}
+		})
+	}
+}
+
+// TestKernelSpecialFloatsUnderEveryOperator pins each operator's compiled
+// filter to the scalar comparison where floats are special: X's threshold column holds NaN,
+// ±Inf, −0 and +0 beside ordinary values and NULLs, and the detail floats
+// hold ±Inf and −0. Under Value.Compare a NaN orders as equal to everything,
+// so <=, >= and <> hold on it and <, > and = do not. Every operator, with the
+// detail operand on either side and against literals too, must match the
+// scalar path, for an X that arrives as rows and one that arrives as columns.
+func TestKernelSpecialFloatsUnderEveryOperator(t *testing.T) {
+	detail := kernelDetail(31, 700)
+	for i, row := range detail.Tuples {
+		switch i % 9 {
+		case 0:
+			row[4] = relation.NewFloat(math.Inf(1))
+		case 1:
+			row[4] = relation.NewFloat(math.Inf(-1))
+		case 2:
+			row[5] = relation.NewFloat(math.Inf(1 - 2*(i%2)))
+		}
+	}
+	special := []relation.Value{
+		relation.NewFloat(math.NaN()), relation.NewFloat(math.Inf(1)), relation.NewFloat(math.Inf(-1)),
+		relation.NewFloat(math.Copysign(0, -1)), relation.NewFloat(0), relation.Null,
+	}
+	rows := withColumn(baseOf(t, detail, "S"), relation.Column{Name: "m", Kind: relation.KindFloat}, func(i int) relation.Value {
+		if i < len(special) {
+			return special[i]
+		}
+		return relation.NewFloat(float64(i*53%300) - 120.5)
+	})
+	// Every special value against every key, so each meets every detail row.
+	for _, key := range []string{"a", "b", "c", "d"} {
+		for _, v := range special {
+			rows = withRows(rows, relation.Tuple{relation.NewString(key), v})
+		}
+	}
+	columnar := relation.FromColumns(rows.Schema, relation.GatherColumns(rows.Schema, rows.Tuples, nil, nil))
+	if columnar.Columns() == nil {
+		t.Fatal("X did not image as columns")
+	}
+	aggs := []agg.Spec{{Func: agg.Count, As: "n"}, {Func: agg.Sum, Arg: "F", As: "sf"}, {Func: agg.Min, Arg: "P", As: "lo"}}
+	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+		for _, cond := range []string{
+			"B.S = R.S && R.F " + op + " B.m",
+			"B.S = R.S && B.m " + op + " R.P",
+			"B.S = R.S && B.m " + op + " R.V",
+			"B.S = R.S && R.F " + op + " 0",
+			"B.S = R.S && R.P " + op + " 1e308",
+		} {
+			// "R.col = B.col" is not a residual but a link, and a FLOAT link
+			// runs on the scalar path.
+			reason := reasonOK
+			if op == "=" && strings.Contains(cond, "B.m") {
+				reason = reasonKind
+			}
+			for name, x := range map[string]*relation.Relation{"row X": rows, "columnar X": columnar} {
+				t.Run(name+": "+cond, func(t *testing.T) {
+					checkOperator(t, x, oneVar(cond, aggs...), detail, reason)
+				})
+			}
+		}
+	}
+}
