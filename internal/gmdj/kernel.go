@@ -1220,36 +1220,35 @@ type baseCell struct{ row, set int32 }
 
 // baseDedup is one scan's distinct-projection state. Each projected column's
 // cells are ids: a STRING column's dictionary code, an INT column's value
-// within its span (first column) or its id in a table of values (the
-// others), each plus one, and 0 for NULL. The first column's cells key the
-// first table directly — a dense array, or a hash table of values when the
-// values span too wide — and each further column pairs the running group id
-// with its own cell through one more table. A projection is a first
-// occurrence exactly when the last table had to add its key. A column its
-// grouping set leaves out is offered as NULL, the cell a NULL in the data
-// has, so every set goes through the same tables and the two NULLs collapse
-// into one base row, as they do in the scalar path's one KeySet.
+// minus its least (first column, when the values span narrowly) or its id in
+// a table of values (otherwise), each plus one, and 0 for NULL. A narrow
+// first column's cells index a dense first table; otherwise, and for every
+// further column, a table pairs the running group id with the column's cell.
+// A projection is a first occurrence exactly when the last table had to add
+// its key. A column its grouping set leaves out is offered as NULL, the cell
+// a NULL in the data has, so every set goes through the same tables and the
+// two NULLs collapse into one base row, as they do in the scalar path's one
+// KeySet.
 type baseDedup struct {
 	k      *baseKernel
-	first  []uint32    // dense first table: cell → id+1
+	first  []uint32    // dense first table: cell → id+1; nil when pairs[0] keys the first column
 	nFirst uint32      // ids the dense first table has given
-	cells  []*intTable // per INT column after the first: value → cell-1
-	pairs  []*intTable // pairs[0] keys the first column unless first does; pairs[c] pairs group and column c
+	cells  []*intTable // per INT column that has no dense span: value → cell-1
+	pairs  []*intTable // pairs[c] pairs group and column c's cell
 	fresh  []baseCell  // the new projections, in scan order
 }
 
 // newDedup starts a dedup whose dense first table, if any, is scratch table t.
 func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
 	d := &baseDedup{k: k, cells: make([]*intTable, len(k.idx)), pairs: make([]*intTable, len(k.idx))}
-	if k.firstWidth > 0 {
-		d.first = sc.table(t, k.firstWidth)
-	} else {
-		d.pairs[0] = newIntTable(64)
-	}
-	for c, j := range k.idx[1:] {
-		d.pairs[c+1] = newIntTable(64)
+	for c, j := range k.idx {
+		if c == 0 && k.firstWidth > 0 {
+			d.first = sc.table(t, k.firstWidth)
+			continue
+		}
+		d.pairs[c] = newIntTable(64)
 		if k.cols.Vecs[j].Kind == relation.KindInt {
-			d.cells[c+1] = newIntTable(64)
+			d.cells[c] = newIntTable(64)
 		}
 	}
 	return d
@@ -1261,26 +1260,11 @@ func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
 func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int32 {
 	n := len(rows)
 	g, cell := grow(&sc.groups, n), grow(&sc.cells, n)
+	clear(g)
 	last := len(d.k.idx) - 1
 	for c, j := range d.k.idx {
-		vec := &d.k.cols.Vecs[j]
-		if c == 0 && d.first == nil {
-			// An INT column over a wide span: its values key pairs[0].
-			for m, i := range rows {
-				var isNew bool
-				if vec.Null(int(i)) || d.dropped(0, sets, m) {
-					g[m], isNew = d.pairs[0].insertNull()
-				} else {
-					g[m], isNew = d.pairs[0].insert(vec.Ints[i])
-				}
-				if isNew && last == 0 {
-					fresh = append(fresh, int32(m))
-				}
-			}
-			continue
-		}
-		d.cellsOf(c, vec, rows, sets, cell)
-		if c == 0 {
+		d.cellsOf(c, &d.k.cols.Vecs[j], rows, sets, cell)
+		if c == 0 && d.first != nil {
 			for m, x := range cell {
 				id := d.first[x]
 				if id == 0 {
@@ -1315,7 +1299,7 @@ func (d *baseDedup) cellsOf(c int, vec *relation.Vector, rows, sets []int32, cel
 		for m, i := range rows {
 			cell[m] = vec.Codes[i] + 1
 		}
-	case c == 0:
+	case d.cells[c] == nil:
 		for m, i := range rows {
 			cell[m] = uint32(vec.Ints[i]-d.k.firstLo) + 1
 		}
@@ -1331,21 +1315,12 @@ func (d *baseDedup) cellsOf(c int, vec *relation.Vector, rows, sets []int32, cel
 		}
 	}
 	if sets != nil {
-		for m := range cell {
-			if d.dropped(c, sets, m) {
+		for m, set := range sets {
+			if mask := d.k.masks[set]; mask != nil && !mask[c] {
 				cell[m] = 0
 			}
 		}
 	}
-}
-
-// dropped reports whether element m's grouping set leaves column c out.
-func (d *baseDedup) dropped(c int, sets []int32, m int) bool {
-	if sets == nil {
-		return false
-	}
-	mask := d.k.masks[sets[m]]
-	return mask != nil && !mask[c]
 }
 
 // grow returns (*buf)[:n], reallocating it when it is too short.

@@ -540,6 +540,14 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 func TestKernelBaseMatchesScalar(t *testing.T) {
 	detail := kernelDetail(4, 600)
 	empty := relation.New(kernelSchema)
+	// W spans far more values than a dense table may hold, so it is keyed
+	// through a hash table, first column or not.
+	wide := withColumn(detail, relation.Column{Name: "W", Kind: relation.KindInt}, func(i int) relation.Value {
+		if i%17 == 0 {
+			return relation.Null
+		}
+		return relation.NewInt(int64(i%13-6) * 1_000_003)
+	})
 	where := func(s string) expr.Expr { return expr.MustParse(s) }
 	cases := []struct {
 		name   string
@@ -563,6 +571,8 @@ func TestKernelBaseMatchesScalar(t *testing.T) {
 		{"one partial set", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"I"}}}, detail, reasonOK},
 		{"filtered cube sets", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: cubeSets("S", "I"), Where: where("R.F >= 0.005 && R.T = 'x'")}, detail, reasonOK},
 		{"cube sets over an empty partition", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: cubeSets("S", "I")}, empty, reasonOK},
+		{"wide int column", BaseQuery{Cols: []string{"W", "S"}}, wide, reasonOK},
+		{"wide int column under grouping sets", BaseQuery{Cols: []string{"W", "I"}, GroupingSets: cubeSets("W", "I")}, wide, reasonOK},
 		{"float column under grouping sets", BaseQuery{Cols: []string{"S", "F"}, GroupingSets: [][]string{{"S", "F"}, {"S"}}}, detail, reasonKind},
 		{"float column", BaseQuery{Cols: []string{"F"}}, detail, reasonKind},
 		{"disjunctive filter", BaseQuery{Cols: []string{"S"}, Where: where("R.V > 3 || R.V < 0")}, detail, reasonShape},
