@@ -114,24 +114,20 @@ const blockRows = 1024
 // evaluations, so a scan allocates nothing per block or per row.
 type scratch struct {
 	ids       [][]uint32 // per link stage, the block's ids
-	group     []uint32   // a pattern's group ids, when it folds several links
 	rows, bis []int32    // candidate (detail row, X row) pairs
+	groups    []uint32   // group ids: a pattern's on several links, or the base dedup's
 
-	// The base dedup's: its dense tables, the cells and groups of the
-	// projections a block offers, the positions of the new ones, and the
-	// (row, grouping set) elements under several sets.
+	// The base dedup's: its dense tables, the cells of the projections a
+	// block offers, the positions of the new ones, and the (row, grouping
+	// set) elements under several sets.
 	tables        [][]uint32
-	cells, groups []uint32
+	cells         []uint32
 	pos           []int32
 	setRows, sets []int32
 }
 
 var scratchPool = sync.Pool{New: func() any {
-	return &scratch{
-		group: make([]uint32, blockRows),
-		rows:  make([]int32, blockRows),
-		bis:   make([]int32, blockRows),
-	}
+	return &scratch{rows: make([]int32, blockRows), bis: make([]int32, blockRows)}
 }}
 
 // stageIDs returns n block-sized id buffers.
@@ -1069,12 +1065,12 @@ func (vk *varKernel) pairs(p *linkPattern, ids [][]uint32, lo, n int, folds []fo
 	var groups []uint32
 	switch len(p.on) {
 	case 0:
-		groups = sc.group[:n]
+		groups = grow(&sc.groups, n)
 		clear(groups)
 	case 1:
 		groups = ids[p.on[0]][:n]
 	default:
-		groups = sc.group[:n]
+		groups = grow(&sc.groups, n)
 		copy(groups, ids[p.on[0]])
 		for s, t := range p.pairs {
 			t.fold(groups, ids[p.on[s+1]][:n])
