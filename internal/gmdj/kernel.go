@@ -539,9 +539,10 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 				lo, hi = min(lo, k), max(hi, k)
 			}
 		}
-		// The span hi-lo+1 as a uint64 is exact even where int64 overflows.
-		if span := uint64(hi-lo) + 1; found && span < denseLimit(len(st.xids)) {
-			st.lo, st.dense = lo, make([]uint32, span+1)
+		// hi-lo as a uint64 is exact even where int64 overflows; adding one
+		// is not, when the keys run from MinInt64 to MaxInt64.
+		if found && uint64(hi-lo) < denseLimit(len(st.xids))-1 {
+			st.lo, st.dense = lo, make([]uint32, uint64(hi-lo)+2)
 			for bi, k := range bv.Ints {
 				if bv.Null(bi) {
 					st.xids[bi] = null
@@ -831,7 +832,9 @@ type pairTable struct {
 }
 
 // fold replaces each group g[m] by the group of the pair (g[m], ids[m]),
-// noID when no X row holds it.
+// noID when no X row holds it — as for every pair with a noID in it: the flat
+// array leaves their entries empty, and the hash table holds only pairs of
+// groups and ids below noID.
 func (t *pairTable) fold(g, ids []uint32) {
 	if t.dense != nil {
 		for m, id := range ids {
@@ -840,13 +843,7 @@ func (t *pairTable) fold(g, ids []uint32) {
 		return
 	}
 	for m, id := range ids {
-		if g[m] != noID {
-			if id == noID {
-				g[m] = noID
-			} else {
-				g[m] = t.tbl.find(int64(g[m])<<32 | int64(id))
-			}
-		}
+		g[m] = t.tbl.find(int64(g[m])<<32 | int64(id))
 	}
 }
 
@@ -1203,8 +1200,9 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 		for _, v := range first.Ints {
 			lo, hi = min(lo, v), max(hi, v)
 		}
-		if span := uint64(hi-lo) + 1; span < denseLimit(cols.Rows) {
-			k.firstWidth, k.firstLo = int(span)+1, lo
+		// As in compileLink: hi-lo is exact, hi-lo+1 may wrap.
+		if span := uint64(hi - lo); span < denseLimit(cols.Rows)-1 {
+			k.firstWidth, k.firstLo = int(span)+2, lo
 		}
 	}
 	return k, reasonOK

@@ -293,8 +293,32 @@ func withColumn(x *relation.Relation, col relation.Column, val func(i int) relat
 	return out
 }
 
+// withWideInts returns detail with two more INT columns, both holding NULLs:
+// W, whose values lie 1 000 003 apart, so no dense table may key them, and E,
+// which holds MinInt64 and MaxInt64 beside small values, so that the span of
+// its values overflows int64.
+func withWideInts(detail *relation.Relation) *relation.Relation {
+	detail = withColumn(detail, relation.Column{Name: "W", Kind: relation.KindInt}, func(i int) relation.Value {
+		if i%17 == 0 {
+			return relation.Null
+		}
+		return relation.NewInt(int64(i%13-6) * 1_000_003)
+	})
+	extremes := []int64{math.MinInt64, math.MaxInt64, 0, -1, 7}
+	return withColumn(detail, relation.Column{Name: "E", Kind: relation.KindInt}, func(i int) relation.Value {
+		if i%11 == 5 {
+			return relation.Null
+		}
+		return relation.NewInt(extremes[i%len(extremes)])
+	})
+}
+
 func TestKernelOperatorMatchesScalar(t *testing.T) {
 	detail := kernelDetail(1, 500)
+	wide := withWideInts(detail)
+	extreme := func(k int64) *relation.Relation {
+		return keepRows(baseOf(t, wide, "E"), func(r relation.Tuple) bool { return !r[0].IsNull() && r[0].Int == k })
+	}
 	empty := relation.New(kernelSchema)
 
 	// m: a FLOAT threshold per base row, NULL for some; k: an INT one.
@@ -385,6 +409,15 @@ func TestKernelOperatorMatchesScalar(t *testing.T) {
 			oneVar("(B.S IS NULL || B.S = R.S) && B.I = R.I && (B.T IS NULL || B.T = R.T)", allAggs...), detail},
 		{"rollup links beside residuals", thresholds(setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...)),
 			oneVar(rollupCond("S", "I")+" && R.V >= B.k && R.F < 120.5", allAggs...), detail},
+		// X's INT keys span too many values for a dense array, so they hash.
+		{"string link beside a widely spread int link, X keys absent", withRows(baseOf(t, wide, "W", "S"),
+			relation.Tuple{relation.NewInt(5), relation.NewString("a")}, relation.Tuple{relation.NewInt(-1_000_003), relation.NewString("zz")}),
+			oneVar("B.W = R.W && B.S = R.S", allAggs...), wide},
+		{"int link over MinInt64 and MaxInt64", baseOf(t, wide, "E"), oneVar("B.E = R.E", allAggs...), wide},
+		{"rollup over MinInt64 and MaxInt64", setsOf(t, wide, []string{"E", "S"}, cubeSets("E", "S")...), oneVar(rollupCond("E", "S"), allAggs...), wide},
+		// One key, so a dense table whose every other key lands out of range.
+		{"int link dense at MaxInt64", extreme(math.MaxInt64), oneVar("B.E = R.E", allAggs...), wide},
+		{"int link dense at MinInt64", extreme(math.MinInt64), oneVar("B.E = R.E", allAggs...), wide},
 		{"rollup over an empty partition", setsOf(t, detail, []string{"S", "I"}, cubeSets("S", "I")...), oneVar(rollupCond("S", "I"), allAggs...), empty},
 		{"several variables", baseOf(t, detail, "S", "I"), Operator{Detail: "D", Vars: []GroupVar{
 			{Aggs: []agg.Spec{{Func: agg.Count, As: "n1"}, {Func: agg.Sum, Arg: "F", As: "s1"}}, Cond: expr.MustParse("B.S = R.S")},
@@ -399,6 +432,80 @@ func TestKernelOperatorMatchesScalar(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			checkOperator(t, c.x, c.op, c.detail, reasonOK)
+		})
+	}
+}
+
+// withSpreadKeys returns detail with two more columns, both holding NULLs,
+// that hold 100 values each: STRING U and INT N. In the first half of every
+// 200 rows they go in step and in the second N is one value ahead, so the
+// rows combine 200 of the 10 000 (U, N) pairs: many groups per link, few of
+// their combinations.
+func withSpreadKeys(detail *relation.Relation) *relation.Relation {
+	detail = withColumn(detail, relation.Column{Name: "U", Kind: relation.KindString}, func(i int) relation.Value {
+		if i%29 == 3 {
+			return relation.Null
+		}
+		return relation.NewString(fmt.Sprintf("u%d", i%100))
+	})
+	return withColumn(detail, relation.Column{Name: "N", Kind: relation.KindInt}, func(i int) relation.Value {
+		if i%31 == 4 {
+			return relation.Null
+		}
+		return relation.NewInt(int64((i + i/100%2) % 100))
+	})
+}
+
+// TestKernelTablesTakeBothSides pins that the kernel tests reach both sides
+// of the tables a link goes through, each matching the scalar path: an INT
+// link resolves through the dense array when X's keys span few values and
+// through the hash table otherwise, and a pattern on two links folds through
+// the flat pair array when the links' groups combine into few pairs and
+// through the hash table otherwise.
+func TestKernelTablesTakeBothSides(t *testing.T) {
+	detail := withSpreadKeys(withWideInts(kernelDetail(9, 1000)))
+	src := newColSource(detail)
+	cases := []struct {
+		name       string
+		x          *relation.Relation
+		cond       string
+		denseInt   bool // every INT link resolves through the dense array
+		densePairs bool // every pair table is the flat array
+	}{
+		{"narrow int link", baseOf(t, detail, "I"), "B.I = R.I && R.V > 3", true, false},
+		{"wide int link", baseOf(t, detail, "W"), "B.W = R.W && R.V > 3", false, false},
+		{"few pairs", baseOf(t, detail, "S", "I"), "B.S = R.S && B.I = R.I && R.V > 3", true, true},
+		{"few pairs, wide int link", baseOf(t, detail, "S", "W"), "B.S = R.S && B.W = R.W && R.V > 3", false, true},
+		{"many pairs", baseOf(t, detail, "U", "N"), "B.U = R.U && B.N = R.N && R.V > 3", true, false},
+		{"many pairs, int link first", withRows(baseOf(t, detail, "U", "N"),
+			relation.Tuple{relation.NewString("u7"), relation.NewInt(50)}, relation.Tuple{relation.NewString("zz"), relation.NewInt(7)}),
+			"B.N = R.N && B.U = R.U", true, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			op := oneVar(c.cond, allAggs...)
+			states, err := bindVarStates(c.x, op, detail.Schema)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, reason := compileOperator(c.x, states, src.cols)
+			if k == nil {
+				t.Fatalf("did not compile: %s", reason)
+			}
+			vk := k.vars[0]
+			for s, st := range vk.stages {
+				if st.ints != nil && (st.dense != nil) != c.denseInt {
+					t.Errorf("link %d: dense array %v, want %v", s, st.dense != nil, c.denseInt)
+				}
+			}
+			for _, p := range vk.patterns {
+				for s, pt := range p.pairs {
+					if (pt.dense != nil) != c.densePairs {
+						t.Errorf("pair table %d: flat array %v, want %v", s, pt.dense != nil, c.densePairs)
+					}
+				}
+			}
+			checkOperator(t, c.x, op, detail, reasonOK)
 		})
 	}
 }
@@ -540,14 +647,9 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 func TestKernelBaseMatchesScalar(t *testing.T) {
 	detail := kernelDetail(4, 600)
 	empty := relation.New(kernelSchema)
-	// W spans far more values than a dense table may hold, so it is keyed
-	// through a hash table, first column or not.
-	wide := withColumn(detail, relation.Column{Name: "W", Kind: relation.KindInt}, func(i int) relation.Value {
-		if i%17 == 0 {
-			return relation.Null
-		}
-		return relation.NewInt(int64(i%13-6) * 1_000_003)
-	})
+	// W and E span far more values than a dense table may hold, so they are
+	// keyed through a hash table, first column or not; E's span overflows.
+	wide := withWideInts(detail)
 	where := func(s string) expr.Expr { return expr.MustParse(s) }
 	cases := []struct {
 		name   string
@@ -573,6 +675,9 @@ func TestKernelBaseMatchesScalar(t *testing.T) {
 		{"cube sets over an empty partition", BaseQuery{Cols: []string{"S", "I"}, GroupingSets: cubeSets("S", "I")}, empty, reasonOK},
 		{"wide int column", BaseQuery{Cols: []string{"W", "S"}}, wide, reasonOK},
 		{"wide int column under grouping sets", BaseQuery{Cols: []string{"W", "I"}, GroupingSets: cubeSets("W", "I")}, wide, reasonOK},
+		{"int column holding MinInt64 and MaxInt64", BaseQuery{Cols: []string{"E"}}, wide, reasonOK},
+		{"int column holding MinInt64 and MaxInt64, then a string", BaseQuery{Cols: []string{"E", "S"}}, wide, reasonOK},
+		{"int column holding MinInt64 and MaxInt64 under grouping sets", BaseQuery{Cols: []string{"E", "W"}, GroupingSets: cubeSets("E", "W")}, wide, reasonOK},
 		{"float column under grouping sets", BaseQuery{Cols: []string{"S", "F"}, GroupingSets: [][]string{{"S", "F"}, {"S"}}}, detail, reasonKind},
 		{"float column", BaseQuery{Cols: []string{"F"}}, detail, reasonKind},
 		{"disjunctive filter", BaseQuery{Cols: []string{"S"}, Where: where("R.V > 3 || R.V < 0")}, detail, reasonShape},
@@ -777,10 +882,11 @@ func TestKernelBlockBoundaries(t *testing.T) {
 	const b = blockRows
 	for _, rows := range []int{0, 1, b - 1, b, b + 1, 3*b + 7} {
 		t.Run(fmt.Sprint(rows), func(t *testing.T) {
-			detail := kernelDetail(int64(rows), rows)
+			detail := withSpreadKeys(withWideInts(kernelDetail(int64(rows), rows)))
 			for _, bq := range []BaseQuery{
 				{Cols: []string{"S"}, Where: expr.MustParse("R.F >= 0.5")},
 				{Cols: []string{"I", "T"}, Where: expr.MustParse("R.V < 20")},
+				{Cols: []string{"E", "W"}, Where: expr.MustParse("R.V < 20")},
 				{Cols: []string{"S", "I"}, GroupingSets: [][]string{{"S", "I"}, {"S"}, {}}},
 				{Cols: []string{"S", "I", "T"}, GroupingSets: cubeSets("S", "I", "T")},
 			} {
@@ -789,6 +895,9 @@ func TestKernelBlockBoundaries(t *testing.T) {
 			}
 			checkOperator(t, baseOf(t, detail, "S"), oneVar("B.S = R.S && R.V > 3", allAggs...), detail, reasonOK)
 			checkOperator(t, baseOf(t, detail, "I", "S"), oneVar("B.I = R.I && B.S = R.S && R.F < 100", allAggs...), detail, reasonOK)
+			checkOperator(t, baseOf(t, detail, "S", "W"), oneVar("B.S = R.S && B.W = R.W && R.V > 3", allAggs...), detail, reasonOK)
+			checkOperator(t, baseOf(t, detail, "E"), oneVar("B.E = R.E && R.F < 100", allAggs...), detail, reasonOK)
+			checkOperator(t, baseOf(t, detail, "U", "N"), oneVar("B.U = R.U && B.N = R.N && R.V > 3", allAggs...), detail, reasonOK)
 			checkOperator(t, setsOf(t, detail, []string{"S", "I"}, []string{"S", "I"}, []string{"S"}, []string{}),
 				oneVar(rollupCond("S", "I"), allAggs...), detail, reasonOK)
 			checkOperator(t, setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...),
