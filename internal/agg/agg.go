@@ -344,38 +344,52 @@ func (l *Layout) Accumulate(acc relation.Tuple, detailRow relation.Tuple) error 
 }
 
 // MergePhys merges one incoming sub-aggregate slice into the running
-// super-aggregate slice (synchronization at the coordinator, Theorem 1): the
-// super-aggregate of COUNT is SUM; SUM merges by addition; MIN/MAX by
-// comparison.
+// super-aggregate slice (synchronization at the coordinator, Theorem 1), one
+// MergeCell per physical column.
 func (l *Layout) MergePhys(into, from relation.Tuple) error {
 	for i, p := range l.Phys {
-		switch p.Op {
-		case PhysCount, PhysSum, PhysSumSq:
-			nv, err := addValues(into[i], from[i])
-			if err != nil {
-				return fmt.Errorf("agg: merge %s: %w", p.Name, err)
-			}
-			into[i] = nv
-		case PhysMin:
-			into[i] = minValue(into[i], from[i])
-		case PhysMax:
-			into[i] = maxValue(into[i], from[i])
+		nv, err := MergeCell(p.Op, into[i], from[i])
+		if err != nil {
+			return fmt.Errorf("agg: merge %s: %w", p.Name, err)
+		}
+		into[i] = nv
+	}
+	return nil
+}
+
+// MergeCell folds the sub-aggregate cell from into the super-aggregate cell
+// into under op and returns the result: the super-aggregate of COUNT is SUM;
+// COUNT, SUM and SUMSQ merge by NULL-aware addition, MIN and MAX by
+// comparison.
+func MergeCell(op PhysOp, into, from relation.Value) (relation.Value, error) {
+	switch op {
+	case PhysMin:
+		return minValue(into, from), nil
+	case PhysMax:
+		return maxValue(into, from), nil
+	}
+	return addValues(into, from)
+}
+
+// CheckPhys reports a cell of an incoming sub-aggregate slice that MergePhys
+// cannot fold (CheckCell).
+func (l *Layout) CheckPhys(phys relation.Tuple) error {
+	for i, p := range l.Phys {
+		if err := p.CheckCell(phys[i]); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// CheckPhys reports a cell of an incoming sub-aggregate slice that MergePhys
-// cannot fold: a COUNT that is not INT, a SUM or SUMSQ neither numeric nor
-// NULL. MIN and MAX fold any kind, and a SUM over an INT column holding a
-// FLOAT cell is FLOAT, so a cell's kind is not held to its column's.
-func (l *Layout) CheckPhys(phys relation.Tuple) error {
-	for i, p := range l.Phys {
-		v := phys[i]
-		sum := p.Op == PhysSum || p.Op == PhysSumSq
-		if p.Op == PhysCount && v.Kind != relation.KindInt || sum && !v.IsNull() && !v.IsNumeric() {
-			return fmt.Errorf("agg: %s is a %s", p.Name, v.Kind)
-		}
+// CheckCell reports an incoming cell of p that MergeCell cannot fold: a COUNT
+// that is not INT, a SUM or SUMSQ neither numeric nor NULL. MIN and MAX fold
+// any kind, and a SUM over an INT column holding a FLOAT cell is FLOAT, so a
+// cell's kind is not held to its column's.
+func (p PhysCol) CheckCell(v relation.Value) error {
+	sum := p.Op == PhysSum || p.Op == PhysSumSq
+	if p.Op == PhysCount && v.Kind != relation.KindInt || sum && !v.IsNull() && !v.IsNumeric() {
+		return fmt.Errorf("agg: %s is a %s", p.Name, v.Kind)
 	}
 	return nil
 }

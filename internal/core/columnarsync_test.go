@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"skalla/internal/agg"
@@ -15,32 +16,37 @@ import (
 	"skalla/internal/stats"
 )
 
-// foldSchema is a detail relation with a column of every kind a typed vector
-// holds, so one operator's H carries INT, FLOAT and STRING aggregates.
+// foldSchema is a detail relation with a column of every kind, so one
+// operator's H carries INT, FLOAT and STRING aggregates, and BOOL ones.
 var foldSchema = relation.MustSchema(
 	relation.Column{Name: "k", Kind: relation.KindInt},
 	relation.Column{Name: "f", Kind: relation.KindFloat},
 	relation.Column{Name: "s", Kind: relation.KindString},
 	relation.Column{Name: "i", Kind: relation.KindInt},
+	relation.Column{Name: "b", Kind: relation.KindBool},
 )
 
-// foldQuery has three operators, each with every physical op over every kind
-// and two derived columns.
+// foldQuery has three operators, each with every physical op over every
+// typed kind, an INT SUM foldCellValue gives off-kind cells, and two derived
+// columns; the last also has a BOOL MIN, so its H frames never decode to
+// vectors.
 func foldQuery() gmdj.Query {
 	op := func(n string) gmdj.Operator {
-		return gmdj.Operator{Detail: "F", Vars: []gmdj.GroupVar{{
-			Aggs: []agg.Spec{
-				{Func: agg.Count, As: "cnt" + n},
-				{Func: agg.Sum, Arg: "f", As: "sumf" + n},
-				{Func: agg.Avg, Arg: "i", As: "avgi" + n},
-				{Func: agg.StdDev, Arg: "f", As: "sdf" + n},
-				{Func: agg.Min, Arg: "s", As: "mins" + n},
-				{Func: agg.Max, Arg: "s", As: "maxs" + n},
-				{Func: agg.Min, Arg: "f", As: "minf" + n},
-				{Func: agg.Max, Arg: "i", As: "maxi" + n},
-			},
-			Cond: expr.MustParse("B.k = R.k"),
-		}}}
+		aggs := []agg.Spec{
+			{Func: agg.Count, As: "cnt" + n},
+			{Func: agg.Sum, Arg: "f", As: "sumf" + n},
+			{Func: agg.Sum, Arg: "i", As: "sumi" + n},
+			{Func: agg.Avg, Arg: "i", As: "avgi" + n},
+			{Func: agg.StdDev, Arg: "f", As: "sdf" + n},
+			{Func: agg.Min, Arg: "s", As: "mins" + n},
+			{Func: agg.Max, Arg: "s", As: "maxs" + n},
+			{Func: agg.Min, Arg: "f", As: "minf" + n},
+			{Func: agg.Max, Arg: "i", As: "maxi" + n},
+		}
+		if n == "3" {
+			aggs = append(aggs, agg.Spec{Func: agg.Min, Arg: "b", As: "minb" + n})
+		}
+		return gmdj.Operator{Detail: "F", Vars: []gmdj.GroupVar{{Aggs: aggs, Cond: expr.MustParse("B.k = R.k")}}}
 	}
 	return gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "F", Cols: []string{"k"}},
@@ -49,13 +55,17 @@ func foldQuery() gmdj.Query {
 }
 
 // foldCellValue draws one H cell of a physical column: NULLs, NaN, −0 and
-// repeated strings included, COUNT never NULL.
-func foldCellValue(rng *rand.Rand, p agg.PhysCol) relation.Value {
+// repeated strings included, COUNT never NULL, and with offKind a FLOAT in
+// the sumi columns, as a site computes over an INT column holding FLOATs.
+func foldCellValue(rng *rand.Rand, p agg.PhysCol, offKind bool) relation.Value {
 	if p.Op == agg.PhysCount {
 		return relation.NewInt(rng.Int63n(5))
 	}
 	if rng.Intn(5) == 0 {
 		return relation.Null
+	}
+	if offKind && strings.HasPrefix(p.Name, "sumi") && rng.Intn(3) == 0 {
+		return relation.NewFloat(float64(rng.Intn(100)) + 0.5)
 	}
 	switch p.Kind {
 	case relation.KindInt:
@@ -68,16 +78,21 @@ func foldCellValue(rng *rand.Rand, p agg.PhysCol) relation.Value {
 			return relation.NewFloat(math.Copysign(0, -1))
 		}
 		return relation.NewFloat(rng.NormFloat64() * 100)
+	case relation.KindBool:
+		return relation.NewBool(rng.Intn(2) == 0)
 	default:
 		return relation.NewString(string(rune('a' + rng.Intn(6))))
 	}
 }
 
-// foldScenario drives two mergers for foldQuery through a base round over
-// three sites and three operator rounds of random H streams: one keeps X
-// columnar, the other is switched to rows right after InitBase and fed row
-// blocks. after runs once per round, after both have committed every stream.
-func foldScenario(t *testing.T, after func(k int, col, rows *merger)) {
+// foldScenario drives a merger for foldQuery through a base round over three
+// sites and three operator rounds of random H streams, each staged as its
+// frame decodes: vectors, or rows where the off-kind cells of site 1's
+// streams or a BOOL column make the frame mixed. Beside it, want is the
+// reference: X's rows boxed after InitBase, every H row folded into its X row
+// by agg.Layout.MergePhys, and AppendDerived. after runs once per round, after
+// every stream has committed.
+func foldScenario(t *testing.T, after func(k int, m *merger, want []relation.Tuple)) {
 	t.Helper()
 	q := foldQuery()
 	src := gmdj.Schemas{"F": foldSchema}
@@ -100,88 +115,108 @@ func foldScenario(t *testing.T, after func(k int, col, rows *merger)) {
 			}
 			b.MustAppend(relation.Tuple{key})
 		}
-		parts = append(parts, columnar(t, b))
+		parts = append(parts, decoded(t, b))
 	}
-	col := mustMerger(t, q.Keys(), xs, segs, nil)
-	rows := mustMerger(t, q.Keys(), xs, segs, nil)
-	if err := col.InitBase(parts...); err != nil {
+	m := mustMerger(t, q.Keys(), xs, segs, nil)
+	if err := m.InitBase(parts...); err != nil {
 		t.Fatal(err)
 	}
-	if err := rows.InitBase(parts...); err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.toRows(); err != nil {
-		t.Fatal(err)
-	}
-	n := col.X().Len()
+	want := m.X().Rows()
+	n := len(want)
 	for k := range q.Ops {
-		if err := col.Extend(); err != nil {
+		if err := m.Extend(); err != nil {
 			t.Fatal(err)
 		}
-		if err := rows.Extend(); err != nil {
-			t.Fatal(err)
+		ident := m.identityFor(k)
+		for i := range want {
+			want[i] = append(want[i], ident...)
 		}
 		var phys []agg.PhysCol
 		for _, seg := range segs[k] {
 			phys = append(phys, seg.layout.Phys...)
 		}
 		for site := 0; site < 3; site++ {
-			h := relation.New(col.hschemas[k])
+			h := relation.New(m.hschemas[k])
 			for _, ord := range rng.Perm(n)[:rng.Intn(n)] {
 				row := relation.Tuple{relation.NewInt(int64(ord))}
 				for _, p := range phys {
-					row = append(row, foldCellValue(rng, p))
+					row = append(row, foldCellValue(rng, p, site == 1))
 				}
 				h.MustAppend(row)
 			}
-			for _, side := range []struct {
-				m     *merger
-				block *relation.Relation
-			}{{col, columnar(t, h)}, {rows, h}} {
-				st := side.m.NewStage(k, n, nil)
-				if err := st.Add(side.block); err != nil {
-					t.Fatal(err)
-				}
-				if err := side.m.CommitStage(st, k); err != nil {
-					t.Fatal(err)
+			st := m.NewStage(k, n, nil)
+			if err := st.Add(decoded(t, h)); err != nil {
+				t.Fatal(err)
+			}
+			if err := m.CommitStage(st, k); err != nil {
+				t.Fatal(err)
+			}
+			for _, hrow := range h.Tuples {
+				xrow, cursor := want[hrow[0].Int], 1
+				for _, seg := range segs[k] {
+					np := len(seg.layout.Phys)
+					if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+np], hrow[cursor:cursor+np]); err != nil {
+						t.Fatal(err)
+					}
+					cursor += np
 				}
 			}
 		}
-		col.RecomputeDerived(k, k+1)
-		rows.RecomputeDerived(k, k+1)
-		after(k, col, rows)
+		m.RecomputeDerived(k, k+1)
+		for _, row := range want {
+			for _, seg := range segs[k] {
+				seg.layout.AppendDerived(row[seg.derStart:seg.derStart], row[seg.physStart:seg.physStart+len(seg.layout.Phys)])
+			}
+		}
+		after(k, m, want)
 	}
 }
 
-// columnar is r decoded from its frame, as a site's reply arrives.
-func columnar(t *testing.T, r *relation.Relation) *relation.Relation {
+// decoded is r decoded from its frame, as a site's reply arrives.
+func decoded(t *testing.T, r *relation.Relation) *relation.Relation {
 	t.Helper()
 	frame, err := relation.Marshal(r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, err := relation.Unmarshal(frame)
-	if err != nil || c.Columns() == nil {
-		t.Fatalf("decode to vectors: %v", err)
+	d, err := relation.Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
+}
+
+// columnar is r decoded from its frame, which must decode to vectors.
+func columnar(t *testing.T, r *relation.Relation) *relation.Relation {
+	t.Helper()
+	c := decoded(t, r)
+	if c.Columns() == nil {
+		t.Fatal("a frame did not decode to vectors")
 	}
 	return c
 }
 
-// TestColumnarFoldMatchesRowFold: folding typed H vectors into a columnar X
-// gives, cell for cell, what the row merge gives — COUNT, SUM and SUMSQ under
-// NULLs, MIN and MAX over INT, FLOAT (NaN and −0 included) and STRING, the
-// derived columns — and X stays columnar throughout.
+// TestColumnarFoldMatchesRowFold: folding H into the columnar X gives, cell
+// for cell, what agg.Layout.MergePhys gives over boxed rows — COUNT, SUM and
+// SUMSQ under NULLs, MIN and MAX over INT, FLOAT (NaN and −0 included),
+// STRING and BOOL, a SUM turned FLOAT by off-kind cells, the derived columns.
+// Every round folds both typed and boxed H into X, and X boxes the columns
+// that need it: the off-kind SUM, the BOOL MIN, and nothing else.
 func TestColumnarFoldMatchesRowFold(t *testing.T) {
-	foldScenario(t, func(k int, col, rows *merger) {
-		if col.X().Columns() == nil || rows.X().Columns() != nil {
-			t.Fatalf("MD%d: X bodies changed (columnar %v, rows %v)", k+1, col.X().Columns() != nil, rows.X().Columns() == nil)
-		}
-		got, want := col.X().Rows(), rows.X().Tuples
+	foldScenario(t, func(k int, m *merger, want []relation.Tuple) {
+		c := m.X().Columns()
+		got := m.X().Rows()
 		for i := range want {
 			for j := range want[i] {
 				if !got[i][j].Identical(want[i][j]) {
-					t.Fatalf("MD%d: X row %d column %s: columnar fold %v, row fold %v", k+1, i, col.X().Schema[j].Name, got[i][j], want[i][j])
+					t.Fatalf("MD%d: X row %d column %s: columnar fold %v, row fold %v", k+1, i, m.X().Schema[j].Name, got[i][j], want[i][j])
 				}
+			}
+		}
+		for j, col := range m.X().Schema {
+			boxed := strings.HasPrefix(col.Name, "sumi") || col.Kind == relation.KindBool
+			if c.Vecs[j].Boxed != boxed {
+				t.Errorf("MD%d: column %s boxed = %v", k+1, col.Name, c.Vecs[j].Boxed)
 			}
 		}
 	})
@@ -191,20 +226,18 @@ func TestColumnarFoldMatchesRowFold(t *testing.T) {
 // derived cells are recomputed, and X prints exactly as it does after
 // recomputing every operator's.
 func TestDerivedRecomputedPerRound(t *testing.T) {
-	foldScenario(t, func(k int, col, rows *merger) {
-		for _, m := range []*merger{col, rows} {
-			before := m.X().Format(-1)
-			m.RecomputeDerived(0, k+1)
-			if after := m.X().Format(-1); after != before {
-				t.Fatalf("MD%d: recomputing every operator's derived cells changed X\nbefore:\n%s\nafter:\n%s", k+1, before, after)
-			}
+	foldScenario(t, func(k int, m *merger, _ []relation.Tuple) {
+		before := m.X().Format(-1)
+		m.RecomputeDerived(0, k+1)
+		if after := m.X().Format(-1); after != before {
+			t.Fatalf("MD%d: recomputing every operator's derived cells changed X\nbefore:\n%s\nafter:\n%s", k+1, before, after)
 		}
 	})
 }
 
 // TestInitBaseChargesBeforeAllocating: InitBase charges X's exact bytes — its
-// MemBytes — before it allocates X, for a columnar X and for one that an
-// off-kind key keeps in rows. One byte under that budget fails the query with
+// MemBytes — before it allocates X, for typed vectors and for a column an
+// off-kind key boxes. One byte under that budget fails the query with
 // ErrQueryMemBudget and leaves X uninstalled.
 func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(43)), 200, 40)
@@ -232,16 +265,16 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 	offKind.Tuples[0][1] = relation.NewFloat(0.5)
 
 	for name, parts := range map[string][]*relation.Relation{
-		"columnar": parts,
-		"rows":     append([]*relation.Relation{offKind}, parts[1:]...),
+		"typed": parts,
+		"boxed": append([]*relation.Relation{offKind}, parts[1:]...),
 	} {
 		free := mustMerger(t, q.Keys(), xs, segs, nil)
 		if err := free.InitBase(parts...); err != nil {
 			t.Fatal(err)
 		}
 		want := free.X().MemBytes()
-		if (free.X().Columns() != nil) != (name == "columnar") {
-			t.Fatalf("%s: X has the wrong body", name)
+		if c := free.X().Columns(); c.Vecs[0].Boxed || c.Vecs[1].Boxed != (name == "boxed") {
+			t.Fatalf("%s: X boxed the wrong columns", name)
 		}
 
 		exact := newMemBudget(want)

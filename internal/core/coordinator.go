@@ -327,9 +327,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 	})
 	coordStart := time.Now()
 	if err == nil {
-		err = mg.InitLocal(upTo)
-	}
-	if err == nil {
+		mg.InitLocal(upTo)
 		for _, r := range results {
 			t0 := time.Now()
 			if err = mg.MergeLocal(r.rel); err != nil {

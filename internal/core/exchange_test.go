@@ -446,11 +446,115 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 	}
 }
 
+// boolSchema is tSchema with a BOOL column: ok is grouped on and aggregated.
+var boolSchema = relation.MustSchema(
+	relation.Column{Name: "g", Kind: relation.KindInt},
+	relation.Column{Name: "h", Kind: relation.KindInt},
+	relation.Column{Name: "ok", Kind: relation.KindBool},
+	relation.Column{Name: "v", Kind: relation.KindInt},
+)
+
+// boolQuery groups on g and the BOOL ok and takes MIN and MAX of ok in both
+// operators: MD1 is partition-aligned, so the rules may fold it into a local
+// round, and MD2, which reads MD1's count, is not, so it ships ok in an
+// operator round.
+func boolQuery() gmdj.Query {
+	return gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g", "ok"}},
+		Ops: []gmdj.Operator{
+			{Detail: "T", Vars: []gmdj.GroupVar{{
+				Aggs: []agg.Spec{
+					{Func: agg.Count, As: "cnt1"},
+					{Func: agg.Min, Arg: "ok", As: "minok1"},
+					{Func: agg.Max, Arg: "ok", As: "maxok1"},
+				},
+				Cond: expr.MustParse("B.g = R.g && B.ok = R.ok && R.h < 8"),
+			}}},
+			{Detail: "T", Vars: []gmdj.GroupVar{{
+				Aggs: []agg.Spec{
+					{Func: agg.Count, As: "cnt2"},
+					{Func: agg.Sum, Arg: "v", As: "sum2"},
+					{Func: agg.Max, Arg: "ok", As: "maxok2"},
+				},
+				Cond: expr.MustParse("B.ok = R.ok && R.v > 10 * B.cnt1"),
+			}}},
+		},
+	}
+}
+
+// TestBoolColumnsThroughTheMerger runs boolQuery — a BOOL key, BOOL MIN and
+// MAX, BOOL cells in X, in H and in a shipped fragment — under the rule sets
+// none and all, so that the base, a local and the operator rounds all merge
+// BOOL vectors, over each transport: by reference in process
+// (FastLocalSite), serialized in process (LocalSite) and over TCP. Every
+// result equals EvalCentral.
+func TestBoolColumnsThroughTheMerger(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	global := relation.New(boolSchema)
+	for i := 0; i < 160; i++ {
+		ok := relation.NewBool(rng.Intn(2) == 0)
+		if rng.Intn(9) == 0 {
+			ok = relation.Null
+		}
+		global.MustAppend(relation.Tuple{relation.NewInt(rng.Int63n(12)), relation.NewInt(rng.Int63n(10)), ok, relation.NewInt(rng.Int63n(100))})
+	}
+	q := boolQuery()
+	want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	connect := map[string]func(*engine.Site) (transport.Site, error){
+		"fast":  func(es *engine.Site) (transport.Site, error) { return transport.NewFastLocalSite(es), nil },
+		"local": func(es *engine.Site) (transport.Site, error) { return transport.NewLocalSite(es), nil },
+		"tcp": func(es *engine.Site) (transport.Site, error) {
+			srv, err := transport.Serve(es, "127.0.0.1:0")
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { srv.Close() })
+			cli, err := transport.Dial(srv.Addr())
+			if err != nil {
+				return nil, err
+			}
+			t.Cleanup(func() { cli.Close() })
+			return cli, nil
+		},
+	}
+	for _, name := range []string{"fast", "local", "tcp"} {
+		sites, cat, err := buildClusterWith(global, "T", 3, 4, connect[name])
+		if err != nil {
+			t.Fatal(err)
+		}
+		coord, err := New(sites, cat, stats.NetModel{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rounds := map[string]bool{}
+		for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+			res, err := coord.ExecuteWith(context.Background(), q, sel)
+			if err != nil {
+				t.Fatalf("%s [%s]: %v", name, sel, err)
+			}
+			if !res.Rel.EqualMultiset(want) {
+				t.Fatalf("%s [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", name, sel, res.Rel.Format(20), want.Format(20))
+			}
+			for _, r := range res.Metrics.Rounds {
+				rounds[strings.TrimRightFunc(r.Name, func(c rune) bool { return c >= '0' && c <= '9' })] = true
+			}
+		}
+		for _, kind := range []string{"base", "MD", "local-MD1..MD"} {
+			if !rounds[kind] {
+				t.Errorf("%s: no %s round ran (rounds %v)", name, kind, rounds)
+			}
+		}
+	}
+}
+
 // FuzzStageAdd decodes arbitrary bytes as one H block twice — through a
 // stream Decoder, as a TCP client reads a site's stream, and through
 // Unmarshal — and stages each over its own stageMerger X, as the coordinator
-// stages a site's stream; a third X, switched to rows, stages the block's
-// rows. Nothing may panic, and the three agree: each refuses the block with
+// stages a site's stream; a third X stages the block's rows, as an in-process
+// site hands them over. Nothing may panic, and the three agree: each refuses the block with
 // ErrMalformedH and leaves X as it was, or each commits it, to X's that print
 // identically and hold aggregates the next merge can fold. Decoding and
 // staging a block allocates at most stageAllocPerByte bytes per input byte
@@ -500,9 +604,6 @@ func FuzzStageAdd(f *testing.F) {
 			t.Fatalf("the stream decoder refused a frame Unmarshal decodes: %v", err)
 		}
 		unmarshalled, rows := stageMerger(t), stageMerger(t)
-		if err := rows.toRows(); err != nil {
-			t.Fatal(err)
-		}
 		mergers := []*merger{streamed, unmarshalled, rows}
 		stages := []*hStage{st, unmarshalled.NewStage(0, unmarshalled.X().Len(), nil), rows.NewStage(0, rows.X().Len(), nil)}
 		errs := []error{streamErr, stages[1].Add(h), stages[2].Add(h.RowBody())}
@@ -732,9 +833,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 
 	budget = newMemBudget(1 << 20)
 	m = mustMerger(t, q.Keys(), xs, segs, budget)
-	if err := m.InitLocal(1); err != nil {
-		t.Fatal(err)
-	}
+	m.InitLocal(1)
 	local := relation.New(xs[1])
 	lrow := relation.Tuple{relation.NewInt(1), relation.NewInt(0)}
 	lrow = append(lrow, m.identityFor(0)...)

@@ -54,9 +54,9 @@ func buildSegments(q gmdj.Query, src gmdj.SchemaSource, numBaseCols int) ([][]va
 // find X's rows by key in a keyTable.
 //
 // X is columnar: the merger writes its vectors in place, and each operator
-// round widens it by appending vectors. A cell only a row body can carry — a
-// BOOL column, an off-kind cell such as a FLOAT sum in an INT column — switches
-// X to rows for the rest of the query (toRows), and the row merge finishes it.
+// round widens it by appending vectors. A cell no typed vector holds — a
+// BOOL, an off-kind cell such as a FLOAT sum in an INT column — boxes its
+// vector (relation.Vector.Set), and that column folds cell by cell (fold).
 type merger struct {
 	keys     []string
 	xschemas []relation.Schema
@@ -99,10 +99,6 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx, keyPos: keyPos, budget: budget}, nil
 }
 
-// finalWidth is the arity X reaches after the plan's last operator. Row bodies
-// are allocated with that capacity once, so Extend never re-backs them.
-func (m *merger) finalWidth() int { return len(m.xschemas[len(m.xschemas)-1]) }
-
 // keyOf boxes row i's key cells of r, whose schema starts like X's, into m.key
 // and returns their hash.
 func (m *merger) keyOf(r *relation.Relation, i int) uint64 {
@@ -127,21 +123,21 @@ func (m *merger) sameKey(r *relation.Relation, i int) bool {
 // InitBase installs the synchronized base-values relation: the multiset
 // union of the sites' B_i fragments, de-duplicated on the key attributes —
 // the first occurrence of a key, in site then row order, is kept. The kept
-// rows are gathered straight into X's vectors, or, when some fragment holds a
-// cell only rows carry, boxed into one row slab at the plan's final width.
-// X's bytes are charged before any of it is allocated; a charge over budget
-// leaves X uninstalled.
+// rows are gathered straight into X's vectors. X's bytes are charged before
+// any of it is allocated; a charge over budget leaves X uninstalled.
 func (m *merger) InitBase(parts ...*relation.Relation) error {
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment.
-	largest, columnar := 0, true
+	largest := 0
 	parts = slices.Clone(parts)
 	for p, b := range parts {
 		if !b.Schema.Equal(schema) {
 			return fmt.Errorf("core: base schema %s, want %s", b.Schema, schema)
 		}
-		parts[p] = asColumns(b)
-		columnar = columnar && parts[p].Columns() != nil
+		var err error
+		if parts[p], err = b.Columnar(); err != nil {
+			return fmt.Errorf("core: base fragment: %w", err)
+		}
 		largest = max(largest, b.Len())
 	}
 	type rowAt struct{ part, row int32 }
@@ -160,72 +156,46 @@ func (m *merger) InitBase(parts ...*relation.Relation) error {
 	n, w := len(kept), len(schema)
 	bytes := int64(relation.TupleMemBytes * w)
 	nonNull := make([]int, w)
-	for j := range schema {
+	for j, col := range schema {
+		boxed := col.Kind == relation.KindBool
 		for _, at := range kept {
 			if v := parts[at.part].Value(int(at.row), j); !v.IsNull() {
 				nonNull[j]++
 				bytes += int64(len(v.Str))
+				boxed = boxed || !relation.Typed(v, col.Kind)
 			}
 		}
-	}
-	if columnar {
-		for j, col := range schema {
-			bytes += vectorBytes(col.Kind, n, nonNull[j])
-		}
-	} else {
-		bytes += int64(n) * (relation.TupleMemBytes + relation.ValueMemBytes*int64(w))
+		bytes += vectorBytes(col.Kind, n, nonNull[j], boxed)
 	}
 	if err := m.budget.charge(bytes); err != nil {
 		return err
 	}
 
-	var x *relation.Relation
-	if columnar {
-		c := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
-		for j, col := range schema {
-			v := relation.NewVector(col.Kind, n)
-			if col.Kind == relation.KindString {
-				v.Dict = make([]string, 0, nonNull[j])
-			}
-			for r, at := range kept {
-				v.Set(r, n, parts[at.part].Value(int(at.row), j))
-			}
-			c.Vecs[j] = v
+	c := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
+	for j, col := range schema {
+		v := relation.NewVector(col.Kind, n)
+		if col.Kind == relation.KindString {
+			v.Dict = make([]string, 0, nonNull[j])
 		}
-		x = relation.FromColumns(schema, c)
-	} else {
-		fw := m.finalWidth()
-		slab := make([]relation.Value, n*fw)
-		x = &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, n)}
 		for r, at := range kept {
-			x.Tuples[r] = parts[at.part].AppendRow(slab[r*fw:r*fw:(r+1)*fw], int(at.row))
+			v.Set(r, n, parts[at.part].Value(int(at.row), j))
 		}
+		c.Vecs[j] = v
 	}
-	m.x, m.table, m.extended = x, nil, 0
+	m.x, m.table, m.extended = relation.FromColumns(schema, c), nil, 0
 	return nil
 }
 
-// asColumns returns r with a columnar body when its cells allow one: r itself
-// when it has one, else its gathered image, or r when some cell only rows
-// carry (relation.GatherColumns).
-func asColumns(r *relation.Relation) *relation.Relation {
-	if r.Columns() != nil {
-		return r
-	}
-	if c := relation.GatherColumns(r.Schema, r.Tuples, nil, nil); c != nil {
-		return relation.FromColumns(r.Schema, c)
-	}
-	return r
-}
-
 // vectorBytes is the MemBytes share of an n-row vector of kind with nonNull
-// non-NULL rows, their STRING bytes aside.
-func vectorBytes(kind relation.Kind, n, nonNull int) int64 {
+// non-NULL rows, typed or boxed, their STRING bytes aside.
+func vectorBytes(kind relation.Kind, n, nonNull int, boxed bool) int64 {
 	var b int64
-	switch kind {
-	case relation.KindInt, relation.KindFloat:
+	switch {
+	case boxed:
+		b = relation.ValueMemBytes * int64(n)
+	case kind == relation.KindInt, kind == relation.KindFloat:
 		b = 8 * int64(n)
-	case relation.KindString:
+	case kind == relation.KindString:
 		b = 4*int64(n) + 16*int64(nonNull)
 	}
 	if nonNull < n {
@@ -234,42 +204,16 @@ func vectorBytes(kind relation.Kind, n, nonNull int) int64 {
 	return b
 }
 
-// toRows switches X to a row body, at the plan's final width, for the rest of
-// the query: a cell arrived that only rows can carry.
-func (m *merger) toRows() error {
-	if m.x.Columns() == nil {
-		return nil
-	}
-	n, w := m.x.Len(), m.finalWidth()
-	slab := make([]relation.Value, n*w)
-	x := &relation.Relation{Schema: m.x.Schema, Tuples: make([]relation.Tuple, n)}
-	for i := range x.Tuples {
-		x.Tuples[i] = m.x.AppendRow(slab[i*w:i*w:(i+1)*w], i)
-	}
-	if err := m.budget.charge(x.MemBytes() - m.x.MemBytes()); err != nil {
-		return err
-	}
-	m.x = x
-	return nil
-}
-
 // InitLocal prepares an empty X at the schema reached after upTo operators,
 // with an empty key table; local evaluation results are then merged with
 // MergeLocal.
-func (m *merger) InitLocal(upTo int) error {
+func (m *merger) InitLocal(upTo int) {
 	schema := m.xschemas[upTo]
 	c := &relation.Columns{Vecs: make([]relation.Vector, len(schema))}
-	m.x = relation.FromColumns(schema, c)
 	for j, col := range schema {
-		if col.Kind == relation.KindBool {
-			m.x = relation.New(schema)
-			break
-		}
-		c.Vecs[j].Kind = col.Kind
+		c.Vecs[j] = relation.NewVector(col.Kind, 0)
 	}
-	m.extended = upTo
-	m.table = newKeyTable(0)
-	return nil
+	m.x, m.extended, m.table = relation.FromColumns(schema, c), upTo, newKeyTable(0)
 }
 
 // X returns the current base-result structure (read-only between rounds;
@@ -292,89 +236,49 @@ func (m *merger) Extend() error {
 	ident := m.identityFor(k)
 	schema := m.xschemas[k+1]
 	w, n := len(m.x.Schema), m.x.Len()
-	for _, col := range schema[w:] {
-		if col.Kind == relation.KindBool {
-			if err := m.toRows(); err != nil {
-				return err
-			}
-		}
-	}
 	// Charge the growth before claiming it, so an over-budget query fails with
 	// a typed error here, at the merge boundary, instead of OOMing the daemon.
 	grow := int64(relation.TupleMemBytes * len(ident))
-	c := m.x.Columns()
 	for j, val := range ident {
-		switch {
-		case c == nil:
-			grow += int64(n) * relation.ValueMemBytes
-		case val.IsNull():
-			grow += vectorBytes(schema[w+j].Kind, n, 0)
-		default:
-			grow += vectorBytes(schema[w+j].Kind, n, n)
+		kind, nonNull := schema[w+j].Kind, 0
+		if !val.IsNull() {
+			nonNull = n
 		}
+		grow += vectorBytes(kind, n, nonNull, kind == relation.KindBool)
 	}
 	if err := m.budget.charge(grow); err != nil {
 		return err
 	}
-	if c == nil {
-		// The rows were allocated at the final width (InitBase, MergeLocal,
-		// toRows), so this re-slices each one and writes the identity cells
-		// in place, past the old header's length.
-		rows := make([]relation.Tuple, n)
-		for i, row := range m.x.Tuples {
-			rows[i] = append(row, ident...)
+	c := m.x.Columns()
+	vecs := append(c.Vecs[:w:w], make([]relation.Vector, len(ident))...)
+	for j, val := range ident {
+		v := relation.NewVector(schema[w+j].Kind, n)
+		for i := 0; i < n; i++ {
+			v.Set(i, n, val)
 		}
-		m.x = &relation.Relation{Schema: schema, Tuples: rows}
-	} else {
-		vecs := append(c.Vecs[:w:w], make([]relation.Vector, len(ident))...)
-		for j, val := range ident {
-			v := relation.NewVector(schema[w+j].Kind, n)
-			for i := 0; i < n; i++ {
-				v.Set(i, n, val)
-			}
-			vecs[w+j] = v
-		}
-		m.x = relation.FromColumns(schema, &relation.Columns{Rows: n, Vecs: vecs})
+		vecs[w+j] = v
 	}
+	m.x = relation.FromColumns(schema, &relation.Columns{Rows: n, Vecs: vecs})
 	m.extended++
 	return nil
 }
 
 // Fragment builds what an operator round ships: the cols cells of X's rows —
 // of the rows listed, in that order, or of every row when rows is nil. A
-// columnar X shares its vectors with a whole-X fragment and gathers a reduced
-// one's; a row X's cells are gathered into vectors, or copied into one Value
-// slab when some cell only a row body carries (relation.GatherColumns). A
-// row's position in the fragment is the ordinal the sites address it by;
-// NewStage takes the same rows to map it back. The fragment is marked
-// finished (relation.ShareFrame), so however many envelopes carry it — one
-// per site, one per retry — it is encoded once, and the in-process sites that
-// read it directly only read.
+// whole-X fragment shares X's vectors and a reduced one gathers its own; one
+// with a boxed column is boxed into rows, the body a serialized transport
+// decodes its mixed or BOOL frame to, so that every transport hands a site
+// the same body. A row's position in the fragment is the ordinal the sites
+// address it by; NewStage takes the same rows to map it back. The fragment is
+// marked finished (relation.ShareFrame), so however many envelopes carry it —
+// one per site, one per retry — it is encoded once, and the in-process sites
+// that read it directly only read.
 func (m *merger) Fragment(cols []int, rows []int32) *relation.Relation {
-	schema := m.x.Schema.Project(cols)
-	var f *relation.Relation
-	if c := m.x.Columns(); c != nil {
-		f = relation.FromColumns(schema, c.Select(rows, cols))
-	} else if c := relation.GatherColumns(m.x.Schema, m.x.Tuples, rows, cols); c != nil {
-		f = relation.FromColumns(schema, c)
-	} else {
-		n := len(m.x.Tuples)
-		if rows != nil {
-			n = len(rows)
-		}
-		w := len(cols)
-		slab := make([]relation.Value, n*w)
-		f = &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, n)}
-		for i := range f.Tuples {
-			xrow := m.x.Tuples[i]
-			if rows != nil {
-				xrow = m.x.Tuples[rows[i]]
-			}
-			frow := slab[i*w : (i+1)*w : (i+1)*w]
-			for j, c := range cols {
-				frow[j] = xrow[c]
-			}
-			f.Tuples[i] = frow
+	f := relation.FromColumns(m.x.Schema.Project(cols), m.x.Columns().Select(rows, cols))
+	for j := range f.Columns().Vecs {
+		if f.Columns().Vecs[j].Boxed {
+			f = f.RowBody()
+			break
 		}
 	}
 	f.ShareFrame()
@@ -399,57 +303,44 @@ func (m *merger) identityFor(k int) relation.Tuple {
 // whole, never merged.
 var ErrMalformedH = errors.New("core: sync: malformed H")
 
-// validateH checks one incoming H block of an operator against want, the
-// schema of its H_i (the row ordinal, then the physical columns of segs, each
-// by name and kind). A columnar block must hold one typed vector of its
-// column's kind per column, and no NULL ordinal or COUNT: a typed vector holds
-// nothing else the merge cannot fold. A row block must have every row at full
-// arity, with an INT ordinal and aggregate cells the merge can fold
-// (agg.Layout.CheckPhys): the codec carries cells whose kind differs from
-// their column's, and a block that failed the merge halfway through would
-// leave X half-merged.
+// validateH checks one incoming columnar H block of an operator against want,
+// the schema of its H_i (the row ordinal, then the physical columns of segs,
+// each by name and kind): one vector of its column's kind per column, a typed
+// ordinal with no NULL, and aggregate cells the merge can fold. A typed
+// vector holds nothing the merge cannot fold but a NULL COUNT; a boxed one —
+// the codec carries cells whose kind differs from their column's — has every
+// cell checked (agg.PhysCol.CheckCell), since a block that failed the merge
+// halfway through would leave X half-merged.
 func validateH(h *relation.Relation, want relation.Schema, segs []varSegment) error {
 	if !h.Schema.Equal(want) {
 		return fmt.Errorf("%w: schema %s, want %s", ErrMalformedH, h.Schema, want)
 	}
-	if c := h.Columns(); c != nil {
-		if len(c.Vecs) != len(want) {
-			return fmt.Errorf("%w: %d vectors, want %d", ErrMalformedH, len(c.Vecs), len(want))
+	c := h.Columns()
+	if len(c.Vecs) != len(want) {
+		return fmt.Errorf("%w: %d vectors, want %d", ErrMalformedH, len(c.Vecs), len(want))
+	}
+	for j := range c.Vecs {
+		if c.Vecs[j].Kind != want[j].Kind {
+			return fmt.Errorf("%w: column %s is not a %s vector", ErrMalformedH, want[j].Name, want[j].Kind)
 		}
-		for j := range c.Vecs {
-			if v := &c.Vecs[j]; v.Kind != want[j].Kind || v.Boxed {
-				return fmt.Errorf("%w: column %s is not a typed %s vector", ErrMalformedH, want[j].Name, want[j].Kind)
+	}
+	if v := &c.Vecs[0]; v.Boxed || hasNull(v) {
+		return fmt.Errorf("%w: an ordinal that is not an INT", ErrMalformedH)
+	}
+	cursor := 1
+	for _, seg := range segs {
+		for p, pc := range seg.layout.Phys {
+			v := &c.Vecs[cursor+p]
+			if !v.Boxed && pc.Op == agg.PhysCount && hasNull(v) {
+				return fmt.Errorf("%w: %s is NULL", ErrMalformedH, pc.Name)
 			}
-		}
-		if hasNull(&c.Vecs[0]) {
-			return fmt.Errorf("%w: a NULL ordinal", ErrMalformedH)
-		}
-		cursor := 1
-		for _, seg := range segs {
-			for p, pc := range seg.layout.Phys {
-				if pc.Op == agg.PhysCount && hasNull(&c.Vecs[cursor+p]) {
-					return fmt.Errorf("%w: %s is NULL", ErrMalformedH, pc.Name)
+			for i := 0; v.Boxed && i < c.Rows; i++ {
+				if err := pc.CheckCell(v.Value(i)); err != nil {
+					return fmt.Errorf("%w: row %d: %v", ErrMalformedH, i, err)
 				}
 			}
-			cursor += len(seg.layout.Phys)
 		}
-		return nil
-	}
-	for i, t := range h.Tuples {
-		if len(t) != len(want) {
-			return fmt.Errorf("%w: row %d has arity %d, want %d", ErrMalformedH, i, len(t), len(want))
-		}
-		if t[0].Kind != relation.KindInt {
-			return fmt.Errorf("%w: row %d has a %s ordinal", ErrMalformedH, i, t[0].Kind)
-		}
-		cursor := 1
-		for _, seg := range segs {
-			n := len(seg.layout.Phys)
-			if err := seg.layout.CheckPhys(t[cursor : cursor+n]); err != nil {
-				return fmt.Errorf("%w: row %d: %v", ErrMalformedH, i, err)
-			}
-			cursor += n
-		}
+		cursor += len(seg.layout.Phys)
 	}
 	return nil
 }
@@ -504,13 +395,11 @@ type hStage struct {
 	segs   []varSegment    // the operator's variables, whose cells validateH checks
 	// rows maps a fragment ordinal to its X row; nil when the fragment was
 	// all of X in order. seen holds the ordinals this stream has reported.
-	rows []int32
-	seen ordinalSet
-	// blocks are the staged blocks as they arrived: vectors, or rows where a
-	// cell only rows carry.
-	blocks []*relation.Relation
-	budget *memBudget // query memory budget the staged bytes are charged to
-	bytes  int64      // bytes currently charged to budget for this stage
+	rows   []int32
+	seen   ordinalSet
+	blocks []*relation.Relation // the staged blocks as they arrived, columnar
+	budget *memBudget           // query memory budget the staged bytes are charged to
+	bytes  int64                // bytes currently charged to budget for this stage
 }
 
 // NewStage opens a staging buffer for one site's operator-k stream over a
@@ -521,16 +410,18 @@ func (m *merger) NewStage(k, fragRows int, rows []int32) *hStage {
 }
 
 // Add validates and stages one H block, referenced, not copied: it must stay
-// untouched until Commit or Discard. A row block whose cells vectors can hold
-// (one an in-process scalar evaluation emits) is staged as vectors. The
-// block's bytes are charged to the query's memory budget; an over-budget
-// charge fails the stage (and with it the query — budget errors are
-// permanent, not retried).
+// untouched until Commit or Discard. A row block (a decoded mixed or BOOL
+// frame) is staged as its gathered vectors. The block's bytes are charged to
+// the query's memory budget; an over-budget charge fails the stage (and with
+// it the query — budget errors are permanent, not retried).
 func (st *hStage) Add(h *relation.Relation) error {
+	h, err := h.Columnar()
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrMalformedH, err)
+	}
 	if err := validateH(h, st.schema, st.segs); err != nil {
 		return err
 	}
-	h = asColumns(h)
 	// Account the block's bytes before the checks that can still reject it:
 	// an over-budget charge stays counted until the failed query's Discard
 	// releases it.
@@ -539,17 +430,9 @@ func (st *hStage) Add(h *relation.Relation) error {
 	if err := st.budget.charge(n); err != nil {
 		return err
 	}
-	if c := h.Columns(); c != nil {
-		for _, ord := range c.Vecs[0].Ints {
-			if err := st.seen.claim(ord); err != nil {
-				return err
-			}
-		}
-	} else {
-		for _, t := range h.Tuples {
-			if err := st.seen.claim(t[0].Int); err != nil {
-				return err
-			}
+	for _, ord := range h.Columns().Vecs[0].Ints {
+		if err := st.seen.claim(ord); err != nil {
+			return err
 		}
 	}
 	st.blocks = append(st.blocks, h)
@@ -569,9 +452,8 @@ func (st *hStage) Discard() {
 // CommitStage folds one completed stream's staged H blocks into X and
 // releases the stage: each row's ordinal is an X row — itself, or through the
 // stage's row list — and its physical columns merge into that row's
-// operator-k segments, vector by vector (foldCell). A staged row block
-// switches X to rows first. Every block was validated as it was staged, so
-// this is the O(|H|) merge of Theorem 1 and nothing else.
+// operator-k segments, vector by vector (fold). Every block was validated as
+// it was staged, so this is the O(|H|) merge of Theorem 1 and nothing else.
 func (m *merger) CommitStage(st *hStage, k int) error {
 	defer st.Discard()
 	if len(st.blocks) == 0 {
@@ -580,144 +462,121 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 	if k != m.extended-1 {
 		return fmt.Errorf("core: merging operator %d into X extended to %d", k+1, m.extended)
 	}
+	xc := m.x.Columns()
+	var mapped []int64
 	for _, b := range st.blocks {
-		if b.Columns() == nil {
-			if err := m.toRows(); err != nil {
-				return err
+		hc := b.Columns()
+		to := hc.Vecs[0].Ints
+		if st.rows != nil {
+			mapped = mapped[:0]
+			for _, ord := range to {
+				mapped = append(mapped, int64(st.rows[ord]))
 			}
+			to = mapped
 		}
-	}
-	var hrow relation.Tuple
-	for _, b := range st.blocks {
-		if xc := m.x.Columns(); xc != nil {
-			hc := b.Columns()
-			cursor := 1
-			for _, seg := range m.segs[k] {
-				for p, pc := range seg.layout.Phys {
-					into, from := &xc.Vecs[seg.physStart+p], &hc.Vecs[cursor+p]
-					for i, ord := range hc.Vecs[0].Ints {
-						xi := int(ord)
-						if st.rows != nil {
-							xi = int(st.rows[xi])
-						}
-						foldCell(pc.Op, into, xi, xc.Rows, from, i)
-					}
-				}
-				cursor += len(seg.layout.Phys)
-			}
-			continue
-		}
-		for i := 0; i < b.Len(); i++ {
-			hrow = b.AppendRow(hrow[:0], i)
-			xi := int(hrow[0].Int)
-			if st.rows != nil {
-				xi = int(st.rows[xi])
-			}
-			xrow, cursor := m.x.Tuples[xi], 1
-			for _, seg := range m.segs[k] {
-				n := len(seg.layout.Phys)
-				if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], hrow[cursor:cursor+n]); err != nil {
+		cursor := 1
+		for _, seg := range m.segs[k] {
+			for p, pc := range seg.layout.Phys {
+				if err := m.fold(pc.Op, &xc.Vecs[seg.physStart+p], &hc.Vecs[cursor+p], to); err != nil {
 					return err
 				}
-				cursor += n
 			}
+			cursor += len(seg.layout.Phys)
 		}
 	}
 	return nil
 }
 
-// foldCell folds row fi of from into row xi of the n-row vector into, both of
-// one kind, as agg.Layout.MergePhys folds the cells they hold: COUNT, SUM and
-// SUMSQ add under the NULL bitmaps, MIN and MAX keep the smaller or larger.
-func foldCell(op agg.PhysOp, into *relation.Vector, xi, n int, from *relation.Vector, fi int) {
-	if from.Null(fi) {
-		return
-	}
-	if into.Null(xi) {
-		into.Set(xi, n, from.Value(fi))
-		return
-	}
-	switch op {
-	case agg.PhysCount, agg.PhysSum, agg.PhysSumSq:
-		switch into.Kind {
-		case relation.KindInt:
-			into.Ints[xi] += from.Ints[fi]
-		case relation.KindFloat:
-			into.Floats[xi] += from.Floats[fi]
+// fold folds row i of from into row to[i] of X's vector into, for every row
+// i with to[i] ≥ 0; both vectors are of one kind. COUNT, SUM and SUMSQ between
+// typed vectors add on the slabs under the NULL bitmaps; anything else — MIN
+// and MAX, a boxed vector on either side — folds cell by cell through
+// agg.MergeCell, as agg.Layout.MergePhys does, and a result no typed vector
+// holds boxes into, whose Values are charged to the budget.
+func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) error {
+	n := m.x.Len()
+	add := op == agg.PhysCount || op == agg.PhysSum || op == agg.PhysSumSq
+	if add && !into.Boxed && !from.Boxed && (into.Kind == relation.KindInt || into.Kind == relation.KindFloat) {
+		for i, xi := range to {
+			switch {
+			case xi < 0 || from.Null(i):
+			case into.Null(int(xi)):
+				into.Set(int(xi), n, from.Value(i))
+			case into.Kind == relation.KindInt:
+				into.Ints[xi] += from.Ints[i]
+			default:
+				into.Floats[xi] += from.Floats[i]
+			}
 		}
-	case agg.PhysMin, agg.PhysMax:
-		c, _ := into.Value(xi).Compare(from.Value(fi))
-		if op == agg.PhysMin && c > 0 || op == agg.PhysMax && c < 0 {
-			into.Set(xi, n, from.Value(fi))
+		return nil
+	}
+	boxed := into.Boxed
+	for i, xi := range to {
+		if xi < 0 || from.Null(i) {
+			continue
+		}
+		cur := into.Value(int(xi))
+		v, err := agg.MergeCell(op, cur, from.Value(i))
+		if err != nil {
+			return fmt.Errorf("core: sync: %w", err)
+		}
+		if v != cur {
+			into.Set(int(xi), n, v)
 		}
 	}
+	if into.Boxed && !boxed {
+		return m.budget.charge(relation.ValueMemBytes * int64(n))
+	}
+	return nil
 }
 
 // MergeLocal synchronizes one site's locally evaluated X fragment (schema =
 // current X schema), of either body: new keys are appended to X, existing
-// keys have every operator segment's physical columns merged. A fragment
-// holding a cell only rows carry switches X to rows first. Used by the
+// keys have every operator segment's physical columns merged. Used by the
 // synchronization-reduced plans (Prop. 2 / Cor. 1).
 func (m *merger) MergeLocal(xl *relation.Relation) error {
 	if !xl.Schema.Equal(m.x.Schema) {
 		return fmt.Errorf("core: local X schema %s, want %s", xl.Schema, m.x.Schema)
 	}
-	for i, t := range xl.Tuples {
-		if len(t) != len(xl.Schema) {
-			return fmt.Errorf("core: sync: local X row %d has arity %d, want %d", i, len(t), len(xl.Schema))
-		}
-	}
 	if m.table == nil {
 		return fmt.Errorf("core: sync: local merge into an X that InitLocal did not prepare")
 	}
-	if xl = asColumns(xl); xl.Columns() == nil {
-		if err := m.toRows(); err != nil {
-			return err
-		}
+	xl, err := xl.Columnar()
+	if err != nil {
+		return fmt.Errorf("core: sync: local X: %w", err)
 	}
 	before := m.x.MemBytes()
+	xc, lc := m.x.Columns(), xl.Columns()
 	same := func(row int) bool { return m.sameKey(m.x, row) }
-	var lrow relation.Tuple
-	for i := 0; i < xl.Len(); i++ {
+	// to[i] is the X row local row i folds into: -1 for a new key, whose row
+	// is appended as it is.
+	to := make([]int64, xl.Len())
+	for i := range to {
 		h := m.keyOf(xl, i)
 		row := m.table.find(h, same)
-		if xc, lc := m.x.Columns(), xl.Columns(); xc != nil {
-			if row < 0 {
-				for j := range xc.Vecs {
-					xc.Vecs[j].Append(xc.Rows, lc.Vecs[j].Value(i))
-				}
-				m.table.insert(h, xc.Rows)
-				xc.Rows++
-				continue
-			}
-			for k := 0; k < m.extended; k++ {
-				for _, seg := range m.segs[k] {
-					for p, pc := range seg.layout.Phys {
-						j := seg.physStart + p
-						foldCell(pc.Op, &xc.Vecs[j], row, xc.Rows, &lc.Vecs[j], i)
-					}
-				}
-			}
-			continue
-		}
-		lrow = xl.AppendRow(lrow[:0], i)
 		if row < 0 {
-			// Room for every later operator's columns, as in InitBase.
-			m.x.Tuples = append(m.x.Tuples, append(make(relation.Tuple, 0, m.finalWidth()), lrow...))
-			m.table.insert(h, len(m.x.Tuples)-1)
-			continue
+			for j := range xc.Vecs {
+				xc.Vecs[j].Append(xc.Rows, lc.Vecs[j].Value(i))
+			}
+			m.table.insert(h, xc.Rows)
+			xc.Rows++
 		}
-		xrow := m.x.Tuples[row]
-		for k := 0; k < m.extended; k++ {
-			for _, seg := range m.segs[k] {
-				n := len(seg.layout.Phys)
-				if err := seg.layout.MergePhys(xrow[seg.physStart:seg.physStart+n], lrow[seg.physStart:seg.physStart+n]); err != nil {
+		to[i] = int64(row)
+	}
+	if err := m.budget.charge(m.x.MemBytes() - before); err != nil {
+		return err
+	}
+	for k := 0; k < m.extended; k++ {
+		for _, seg := range m.segs[k] {
+			for p, pc := range seg.layout.Phys {
+				j := seg.physStart + p
+				if err := m.fold(pc.Op, &xc.Vecs[j], &lc.Vecs[j], to); err != nil {
 					return err
 				}
 			}
 		}
 	}
-	return m.budget.charge(m.x.MemBytes() - before)
+	return nil
 }
 
 // RecomputeDerived refreshes the derived (AVG, VARIANCE, STDEV) columns of
@@ -729,19 +588,12 @@ func (m *merger) RecomputeDerived(from, upTo int) {
 	var phys, der relation.Tuple
 	for k := from; k < upTo; k++ {
 		for _, seg := range m.segs[k] {
-			n := len(seg.layout.Phys)
 			if len(seg.layout.Derived) == 0 {
-				continue
-			}
-			if c == nil {
-				for _, row := range m.x.Tuples {
-					seg.layout.AppendDerived(row[seg.derStart:seg.derStart], row[seg.physStart:seg.physStart+n])
-				}
 				continue
 			}
 			for i := 0; i < c.Rows; i++ {
 				phys = phys[:0]
-				for p := 0; p < n; p++ {
+				for p := range seg.layout.Phys {
 					phys = append(phys, c.Vecs[seg.physStart+p].Value(i))
 				}
 				der = seg.layout.AppendDerived(der[:0], phys)

@@ -51,14 +51,18 @@ func (s *Site) SetUseHash(v bool) {
 }
 
 // Load installs (or replaces) the local partition of a detail relation as an
-// in-memory source. The relation is snapshotted as it is now — its rows, and
-// a columnar image of them for the compiled scan kernels: rows the caller
-// appends to rel afterwards are not served.
+// in-memory source: one columnar image of its rows as they are now
+// (relation.BuildColumns), so rows the caller changes or appends afterwards
+// are not served. A row whose arity does not match the schema is refused.
 func (s *Site) Load(_ context.Context, name string, rel *relation.Relation) error {
 	if rel == nil {
 		return fmt.Errorf("engine: nil relation %q", name)
 	}
-	return s.LoadSource(name, newMemPartition(rel))
+	p, err := newMemPartition(rel)
+	if err != nil {
+		return fmt.Errorf("engine: load %q: %w", name, err)
+	}
+	return s.LoadSource(name, p)
 }
 
 // LoadSource installs (or replaces) the local partition of a detail relation
@@ -347,26 +351,15 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	return nil
 }
 
-// hBlock builds the H_i block of the base rows in sel, each under its ordinal:
-// typed vectors gathered from a compiled kernel's slabs, or rows boxed from
-// the scalar paths' accumulators into one Value slab.
+// hBlock builds the H_i block of the base rows in sel, each under its
+// ordinal: the aggregate vectors gathered from the accumulators.
 func hBlock(schema relation.Schema, acc *gmdj.OperatorAccum, sel []int32) *relation.Relation {
-	if vecs, ok := acc.AppendPhysVectors(make([]relation.Vector, 1, len(schema)), sel); ok {
-		vecs[0] = relation.Vector{Kind: relation.KindInt, Ints: make([]int64, len(sel))}
-		for k, i := range sel {
-			vecs[0].Ints[k] = int64(i)
-		}
-		return relation.FromColumns(schema, &relation.Columns{Rows: len(sel), Vecs: vecs})
-	}
-	w := len(schema)
-	slab := make([]relation.Value, len(sel)*w)
-	block := &relation.Relation{Schema: schema, Tuples: make([]relation.Tuple, len(sel))}
+	vecs := acc.AppendPhysVectors(make([]relation.Vector, 1, len(schema)), sel)
+	vecs[0] = relation.Vector{Kind: relation.KindInt, Ints: make([]int64, len(sel))}
 	for k, i := range sel {
-		row := slab[k*w : k*w+1 : (k+1)*w]
-		row[0] = relation.NewInt(int64(i))
-		block.Tuples[k] = acc.AppendPhysRow(row, int(i))
+		vecs[0].Ints[k] = int64(i)
 	}
-	return block
+	return relation.FromColumns(schema, &relation.Columns{Rows: len(sel), Vecs: vecs})
 }
 
 // LocalRequest asks a site to evaluate the base query and the first UpTo

@@ -269,9 +269,9 @@ func TestSetUseHashEquivalence(t *testing.T) {
 }
 
 // TestHBlocksGatheredFromSlabs: a compiled kernel's H blocks leave the site as
-// vectors gathered from its slabs, the scalar path's as rows, and both encode
-// to the same frames, block for block — whether X arrived as rows or decoded
-// to vectors, guarded or not.
+// vectors gathered from its slabs, the scalar path's as vectors set from its
+// partials, and both encode to the same frames, block for block — whether X
+// arrived as rows or decoded to vectors, guarded or not.
 func TestHBlocksGatheredFromSlabs(t *testing.T) {
 	s := siteWithFlows(t, [3]int64{1, 1, 5}, [3]int64{1, 2, 7}, [3]int64{2, 1, 11}, [3]int64{4, 1, 2}, [3]int64{4, 3, 6})
 	frame, err := relation.Marshal(baseFragment(1, 2, 3, 4, 5))
@@ -286,8 +286,8 @@ func TestHBlocksGatheredFromSlabs(t *testing.T) {
 		s.SetUseHash(useHash)
 		var out [][]byte
 		err := s.EvalOperatorBlocks(context.Background(), req, func(b *relation.Relation) error {
-			if columnar := b.Columns() != nil; columnar != useHash {
-				t.Errorf("useHash=%v: a block with columnar body %v", useHash, columnar)
+			if b.Columns() == nil {
+				t.Errorf("useHash=%v: a block with a row body", useHash)
 			}
 			f, err := relation.Marshal(b)
 			out = append(out, f)

@@ -1,24 +1,39 @@
 package engine
 
 import (
-	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
 
-// memPartition is an in-memory partition as Load snapshotted it, held twice:
-// the rows, which the scalar evaluator scans through the embedded row source,
-// and their columnar image, which the compiled kernels scan.
+// memPartition is an in-memory partition as Load imaged it: one columnar
+// image, which the compiled kernels scan and the scalar evaluator reads as
+// rows boxed from it on demand.
 type memPartition struct {
-	gmdj.RowSource                   // gmdj.SourceOf the snapshot
-	cols           *relation.Columns // image of the snapshot; nil when it could not be imaged
+	rel *relation.Relation // FromColumns over the image
 }
 
-func newMemPartition(rel *relation.Relation) memPartition {
-	rows := rel.Rows() // a KindLoad partition arrives decoded to columns
-	n := len(rows)
-	snap := &relation.Relation{Schema: rel.Schema, Tuples: rows[:n:n]}
-	return memPartition{RowSource: gmdj.SourceOf(snap), cols: relation.BuildColumns(snap)}
+func newMemPartition(rel *relation.Relation) (memPartition, error) {
+	cols, err := relation.BuildColumns(rel)
+	if err != nil {
+		return memPartition{}, err
+	}
+	return memPartition{rel: relation.FromColumns(rel.Schema, cols)}, nil
+}
+
+// Schema implements gmdj.RowSource.
+func (p memPartition) Schema() relation.Schema { return p.rel.Schema }
+
+// Len implements gmdj.RowSource.
+func (p memPartition) Len() int { return p.rel.Len() }
+
+// Scan implements gmdj.RowSource: the image boxed into rows for this scan.
+func (p memPartition) Scan(fn func(relation.Tuple) error) error {
+	for _, t := range p.rel.Rows() {
+		if err := fn(t); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Columns implements gmdj.ColumnSource.
-func (p memPartition) Columns() *relation.Columns { return p.cols }
+func (p memPartition) Columns() *relation.Columns { return p.rel.Columns() }

@@ -15,8 +15,8 @@ import (
 	"skalla/internal/store"
 )
 
-// TestKernelAndScalarSitesAgree serves one partition three ways — Load (rows
-// plus columnar image: the kernel runs), LoadSource of the plain row source
+// TestKernelAndScalarSitesAgree serves one partition three ways — Load (the
+// columnar image: the kernel runs), LoadSource of the plain row source
 // and LoadSource of a disk-backed store.Table (both scalar) — and demands the
 // same replies from all three, the same rows charged to the request recorder
 // and to skalla_engine_rows_scanned_total on both paths, and a profile that
@@ -87,7 +87,8 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 }
 
 // TestLoadSnapshots: rows appended to the relation after Load are served by
-// neither image.
+// neither the kernel nor the scalar path, both of which read Load's one
+// image, and a relation with a row of the wrong arity is refused.
 func TestLoadSnapshots(t *testing.T) {
 	rel := flowRel([3]int64{1, 1, 5}, [3]int64{2, 1, 7})
 	s := NewSite(0)
@@ -109,6 +110,15 @@ func TestLoadSnapshots(t *testing.T) {
 	}
 	if src, _ := s.DetailSource("Flow"); src.Len() != 2 {
 		t.Errorf("Len = %d, want 2", src.Len())
+	}
+
+	short := flowRel([3]int64{1, 1, 5})
+	short.Tuples = append(short.Tuples, relation.Tuple{relation.NewInt(2)})
+	if err := s.Load(context.Background(), "Short", short); err == nil {
+		t.Error("a row of the wrong arity was loaded")
+	}
+	if _, err := s.DetailSource("Short"); err == nil {
+		t.Error("a refused relation is served")
 	}
 }
 

@@ -385,10 +385,11 @@ func bindVarStates(x *relation.Relation, op Operator, detailSchema relation.Sche
 
 // indexVarStates gives every variable whose condition has equality links (or
 // the rollup shape) a hash index over the base relation. A link whose base and
-// detail columns differ in declared kind gets none: the index matches keys by
-// identity (INT 1 is not FLOAT 1.0) while the condition's equality compares
-// numerics across kinds, so probing would silently drop matches the nested
-// loop finds.
+// detail columns differ in declared kind gets none, and neither does a FLOAT
+// link: the index matches keys by identity (INT 1 is not FLOAT 1.0, −0.0 is
+// not +0.0, NaN is NaN) while the condition's equality compares numerics
+// across kinds and floats by value, so probing would drop matches the nested
+// loop finds, or find ones it does not.
 func indexVarStates(x *relation.Relation, states []*varState, detailSchema relation.Schema) {
 	for _, st := range states {
 		links := expr.EqualityLinks(st.cond)
@@ -409,7 +410,7 @@ func indexVarStates(x *relation.Relation, states []*varState, detailSchema relat
 		for li, l := range links {
 			baseCols[li] = l.Base
 			bi, di := x.Schema.Index(l.Base), detailSchema.Index(l.Detail)
-			if bi < 0 || di < 0 || x.Schema[bi].Kind != detailSchema[di].Kind {
+			if bi < 0 || di < 0 || x.Schema[bi].Kind != detailSchema[di].Kind || x.Schema[bi].Kind == relation.KindFloat {
 				usable = false
 				break
 			}
@@ -545,20 +546,24 @@ func (a *OperatorAccum) AppendPhysRow(dst relation.Tuple, i int) relation.Tuple 
 }
 
 // AppendPhysVectors appends to dst the physical aggregate cells of the base
-// rows listed, across all variables in AppendPhysRow's order, as one typed
-// vector per column gathered from a compiled kernel's slabs. It reports false,
-// appending nothing, for the scalar paths' boxed partials, which
-// AppendPhysRow serves.
-func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) ([]relation.Vector, bool) {
-	if a.slabs == nil {
-		return dst, false
-	}
-	for vi := range a.slabs {
-		for p := range a.slabs[vi] {
-			dst = append(dst, a.slabs[vi][p].gather(rows))
+// rows listed, across all variables in AppendPhysRow's order, one vector per
+// column: gathered from a compiled kernel's slabs, or set from the scalar
+// paths' partials, boxed where a cell needs it.
+func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) []relation.Vector {
+	for vi, l := range a.Layouts {
+		for p, pc := range l.Phys {
+			if a.slabs != nil {
+				dst = append(dst, a.slabs[vi][p].gather(rows))
+				continue
+			}
+			v := relation.NewVector(pc.Kind, len(rows))
+			for k, i := range rows {
+				v.Set(k, len(rows), a.accs[vi][i][p])
+			}
+			dst = append(dst, v)
 		}
 	}
-	return dst, true
+	return dst
 }
 
 // appendVar appends variable vi's physical values for base row i.

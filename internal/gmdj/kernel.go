@@ -352,18 +352,15 @@ func flipOp(op expr.Op) expr.Op {
 	return op
 }
 
-// baseVector returns column idx of X as a typed vector: a columnar X's own,
-// as it is, or one gathered from a row X's cells. It is nil when some cell is
+// baseVector returns column idx of X as a vector: a columnar X's own, as it
+// is, or one gathered from a row X's cells. It is boxed when some cell is
 // neither NULL nor the canonical value of the column's kind, which only the
 // scalar path compares exactly.
 func baseVector(x *relation.Relation, idx int) *relation.Vector {
 	if c := x.Columns(); c != nil {
 		return &c.Vecs[idx]
 	}
-	if c := relation.GatherColumns(x.Schema, x.Tuples, nil, []int{idx}); c != nil {
-		return &c.Vecs[0]
-	}
-	return nil
+	return &relation.GatherColumns(x.Schema, x.Tuples, []int{idx}).Vecs[0]
 }
 
 // compilePred compiles one residual conjunct — a comparison between a detail
@@ -424,7 +421,7 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 		}
 		bv := baseVector(x, r.Idx)
 		switch {
-		case bv == nil:
+		case bv.Boxed:
 			return nil, reasonKind
 		case !numeric:
 			// Codes in the detail column's dictionary; noID for a string no
@@ -499,7 +496,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 		return linkStage{}, reasonKind
 	}
 	bv := baseVector(x, bIdx)
-	if bv == nil {
+	if bv.Boxed {
 		return linkStage{}, reasonKind
 	}
 	st := linkStage{xids: make([]uint32, x.Len()), rollup: rollup, nulls: vec.Nulls}

@@ -28,7 +28,11 @@ type scanAccounts struct {
 }
 
 func newColSource(rel *relation.Relation) colSource {
-	return colSource{RowSource: SourceOf(rel), cols: relation.BuildColumns(rel), acct: new(scanAccounts)}
+	cols, err := relation.BuildColumns(rel)
+	if err != nil {
+		panic(err)
+	}
+	return colSource{RowSource: SourceOf(rel), cols: cols, acct: new(scanAccounts)}
 }
 
 func (s colSource) Columns() *relation.Columns { return s.cols }
@@ -811,8 +815,9 @@ func TestKernelQuick(t *testing.T) {
 }
 
 // TestMixedKindLinks pins the hash path to the condition's equality: an INT 1
-// equals a FLOAT 1.0 in θ, so a link between columns of different declared
-// kinds must not be answered from an index that matches keys by identity.
+// equals a FLOAT 1.0 in θ, −0.0 equals +0.0 and NaN equals nothing, so a link
+// between columns of different declared kinds, or between FLOAT columns, must
+// not be answered from an index that matches keys by identity.
 func TestMixedKindLinks(t *testing.T) {
 	ints := relation.New(relation.MustSchema(
 		relation.Column{Name: "K", Kind: relation.KindInt},
@@ -830,9 +835,14 @@ func TestMixedKindLinks(t *testing.T) {
 		floats.MustAppend(relation.Tuple{relation.NewFloat(k), relation.NewInt(int64(20 + i))})
 	}
 	floats.MustAppend(relation.Tuple{relation.Null, relation.NewInt(98)})
-	data := Data{"Ints": ints, "Floats": floats}
+	zeros := relation.New(floats.Schema)
+	for i, k := range []float64{0, math.Copysign(0, -1), math.NaN(), 2.5, 0, math.NaN()} {
+		zeros.MustAppend(relation.Tuple{relation.NewFloat(k), relation.NewInt(int64(30 + i))})
+	}
+	zeros.MustAppend(relation.Tuple{relation.Null, relation.NewInt(97)})
+	data := Data{"Ints": ints, "Floats": floats, "Zeros": zeros}
 
-	for _, c := range []struct{ base, detail string }{{"Floats", "Ints"}, {"Ints", "Floats"}} {
+	for _, c := range []struct{ base, detail string }{{"Floats", "Ints"}, {"Ints", "Floats"}, {"Zeros", "Zeros"}} {
 		t.Run(c.base+" keys over "+c.detail, func(t *testing.T) {
 			q := Query{
 				Base: BaseQuery{Detail: c.base, Cols: []string{"K"}},
@@ -861,6 +871,10 @@ func TestMixedKindLinks(t *testing.T) {
 				}
 				if row[0].IsNull() && row[1].Int != 0 {
 					t.Errorf("NULL key matched %d rows", row[1].Int)
+				}
+				// Over FLOAT keys −0.0 and +0.0 match each other, NaN nothing.
+				if k := row[0]; c.detail == "Zeros" && k.Kind == relation.KindFloat && (k.Float == 0 && row[1].Int != 3 || k.Float != k.Float && row[1].Int != 0) {
+					t.Errorf("key %v matched %d rows", k, row[1].Int)
 				}
 			}
 			if matched != 3 {
@@ -970,7 +984,7 @@ func TestKernelSpecialFloatsUnderEveryOperator(t *testing.T) {
 			rows = withRows(rows, relation.Tuple{relation.NewString(key), v})
 		}
 	}
-	columnar := relation.FromColumns(rows.Schema, relation.GatherColumns(rows.Schema, rows.Tuples, nil, nil))
+	columnar := relation.FromColumns(rows.Schema, relation.GatherColumns(rows.Schema, rows.Tuples, nil))
 	if columnar.Columns() == nil {
 		t.Fatal("X did not image as columns")
 	}

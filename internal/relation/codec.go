@@ -128,8 +128,8 @@ func checkArity(r *Relation) error {
 			return fmt.Errorf("relation: %d vectors do not match schema %s", len(c.Vecs), r.Schema)
 		}
 		for j, col := range r.Schema {
-			if c.Vecs[j].Kind != col.Kind || c.Vecs[j].Boxed {
-				return fmt.Errorf("relation: vector %d is not a typed %s vector", j, col.Kind)
+			if c.Vecs[j].Kind != col.Kind {
+				return fmt.Errorf("relation: vector %d is not a %s vector", j, col.Kind)
 			}
 		}
 		return nil
@@ -166,54 +166,58 @@ func appendColumns(body []byte, r *Relation) []byte {
 	if r.cols != nil {
 		return appendVectors(body, r.cols)
 	}
-	n := len(r.Tuples)
-	body = binary.AppendUvarint(body, uint64(n))
-	nb := (n + 7) / 8
+	body = binary.AppendUvarint(body, uint64(len(r.Tuples)))
 	for j, col := range r.Schema {
-		bitmap := len(body)
-		body = appendZeros(body, nb)
-		nonNull := 0
-		uniform := true
-		for i, t := range r.Tuples {
-			v := t[j]
-			if v.IsNull() {
-				body[bitmap+i/8] |= 1 << (i % 8)
-			} else {
-				nonNull++
-				if v.Kind != col.Kind {
-					uniform = false
-				}
-			}
-		}
-		if uniform {
-			body = append(body, encUniform)
-			body = appendUniformColumn(body, r, j, col.Kind, nonNull)
-		} else {
-			body = append(body, encMixed)
-			body = appendMixedColumn(body, r, j)
-		}
+		body = appendRowColumn(body, r.Tuples, j, col.Kind)
 	}
 	return body
 }
 
-func appendUniformColumn(body []byte, r *Relation, j int, kind Kind, nonNull int) []byte {
+// appendRowColumn appends column j of rows, declared kind: its NULL bitmap,
+// then its values uniform when every one is of that kind, else mixed.
+func appendRowColumn(body []byte, rows []Tuple, j int, kind Kind) []byte {
+	bitmap := len(body)
+	body = appendZeros(body, (len(rows)+7)/8)
+	nonNull := 0
+	uniform := true
+	for i, t := range rows {
+		v := t[j]
+		if v.IsNull() {
+			body[bitmap+i/8] |= 1 << (i % 8)
+		} else {
+			nonNull++
+			if v.Kind != kind {
+				uniform = false
+			}
+		}
+	}
+	if !uniform {
+		body = append(body, encMixed)
+		for _, t := range rows {
+			if v := t[j]; !v.IsNull() {
+				body = AppendValue(body, v)
+			}
+		}
+		return body
+	}
+	body = append(body, encUniform)
 	switch kind {
 	case KindNull:
 		// All values are NULL (a non-NULL value always has a non-NULL kind).
 	case KindInt:
-		for _, t := range r.Tuples {
+		for _, t := range rows {
 			if v := t[j]; !v.IsNull() {
 				body = binary.AppendVarint(body, v.Int)
 			}
 		}
 	case KindFloat:
-		for _, t := range r.Tuples {
+		for _, t := range rows {
 			if v := t[j]; !v.IsNull() {
 				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float))
 			}
 		}
 	case KindString:
-		for _, t := range r.Tuples {
+		for _, t := range rows {
 			if v := t[j]; !v.IsNull() {
 				body = binary.AppendUvarint(body, uint64(len(v.Str)))
 				body = append(body, v.Str...)
@@ -223,7 +227,7 @@ func appendUniformColumn(body []byte, r *Relation, j int, kind Kind, nonNull int
 		packed := len(body)
 		body = appendZeros(body, (nonNull+7)/8)
 		k := 0
-		for _, t := range r.Tuples {
+		for _, t := range rows {
 			if v := t[j]; !v.IsNull() {
 				if v.Int != 0 {
 					body[packed+k/8] |= 1 << (k % 8)
@@ -235,15 +239,19 @@ func appendUniformColumn(body []byte, r *Relation, j int, kind Kind, nonNull int
 	return body
 }
 
-// appendVectors is appendColumns for a columnar body: every vector is typed,
-// so every column is uniform, and the bytes are the ones the row body would
-// encode to.
+// appendVectors is appendColumns for a columnar body: a typed vector is a
+// uniform column, and a boxed one is written as its cells would be by the row
+// body, so the bytes are the ones the row body would encode to.
 func appendVectors(body []byte, c *Columns) []byte {
 	n := c.Rows
 	body = binary.AppendUvarint(body, uint64(n))
 	nb := (n + 7) / 8
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
+		if v.Boxed {
+			body = appendRowColumn(body, cellRows(v.Vals), 0, v.Kind)
+			continue
+		}
 		if v.Nulls == nil {
 			body = appendZeros(body, nb)
 		} else {
@@ -278,13 +286,14 @@ func appendVectors(body []byte, c *Columns) []byte {
 	return body
 }
 
-func appendMixedColumn(body []byte, r *Relation, j int) []byte {
-	for _, t := range r.Tuples {
-		if v := t[j]; !v.IsNull() {
-			body = AppendValue(body, v)
-		}
+// cellRows views a boxed vector's cells as one-column rows, the shape the
+// row body's column writers read.
+func cellRows(vals []Value) []Tuple {
+	rows := make([]Tuple, len(vals))
+	for i := range rows {
+		rows[i] = vals[i : i+1 : i+1]
 	}
-	return body
+	return rows
 }
 
 // Decoder reads relations written by an Encoder, caching the stream schema
@@ -931,38 +940,41 @@ func columnsSize(r *Relation) int {
 	if r.cols != nil {
 		return vectorsSize(r.cols)
 	}
-	rows := len(r.Tuples)
-	size := uvarintLen(uint64(rows))
+	size := uvarintLen(uint64(len(r.Tuples)))
 	for j, col := range r.Schema {
-		size += (rows+7)/8 + 1
-		nonNull, payload, uniform := 0, 0, true
-		for _, t := range r.Tuples {
-			v := &t[j]
-			switch v.Kind {
-			case KindNull:
-				continue
-			case KindInt, KindBool:
-				payload += uvarintLen(uint64(v.Int)<<1 ^ uint64(v.Int>>63))
-			case KindFloat:
-				payload += 8
-			case KindString:
-				payload += uvarintLen(uint64(len(v.Str))) + len(v.Str)
-			}
-			nonNull++
-			if v.Kind != col.Kind {
-				uniform = false
-			}
-		}
-		switch {
-		case !uniform:
-			size += nonNull + payload // a kind byte per value
-		case col.Kind == KindBool:
-			size += (nonNull + 7) / 8
-		default:
-			size += payload
-		}
+		size += rowColumnSize(r.Tuples, j, col.Kind)
 	}
 	return size
+}
+
+// rowColumnSize is the number of bytes appendRowColumn appends.
+func rowColumnSize(rows []Tuple, j int, kind Kind) int {
+	size := (len(rows)+7)/8 + 1
+	nonNull, payload, uniform := 0, 0, true
+	for _, t := range rows {
+		v := &t[j]
+		switch v.Kind {
+		case KindNull:
+			continue
+		case KindInt, KindBool:
+			payload += uvarintLen(uint64(v.Int)<<1 ^ uint64(v.Int>>63))
+		case KindFloat:
+			payload += 8
+		case KindString:
+			payload += uvarintLen(uint64(len(v.Str))) + len(v.Str)
+		}
+		nonNull++
+		if v.Kind != kind {
+			uniform = false
+		}
+	}
+	switch {
+	case !uniform:
+		return size + nonNull + payload // a kind byte per value
+	case kind == KindBool:
+		return size + (nonNull+7)/8
+	}
+	return size + payload
 }
 
 // vectorsSize is the number of bytes appendVectors appends.
@@ -970,6 +982,10 @@ func vectorsSize(c *Columns) int {
 	size := uvarintLen(uint64(c.Rows))
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
+		if v.Boxed {
+			size += rowColumnSize(cellRows(v.Vals), 0, v.Kind)
+			continue
+		}
 		size += (c.Rows+7)/8 + 1
 		for i := 0; i < c.Rows; i++ {
 			if v.Null(i) {

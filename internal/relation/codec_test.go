@@ -494,11 +494,12 @@ const (
 	decodeAllocConst   = 2 << 20
 )
 
-// FuzzCodecRoundTrip fuzzes four properties: arbitrary bytes never panic the
+// FuzzCodecRoundTrip fuzzes five properties: arbitrary bytes never panic the
 // decoder; whatever decodes, Unmarshal, a stream Decoder and the row-only
-// decode agree on it; both allocate within a bound linear
-// in the input; and randomized relations (derived from the fuzz input as a
-// PRNG seed) survive encode/decode unchanged.
+// decode agree on it; the rows' gathered image, boxed columns and all,
+// marshals to the row body's bytes; every decode allocates within a bound
+// linear in the input; and randomized relations (derived from the fuzz input
+// as a PRNG seed) survive encode/decode unchanged.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for name, r := range codecCases() {
 		data, err := Marshal(r)
@@ -544,6 +545,11 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			}
 			if !relIdentical(rel, rows) {
 				t.Fatal("columnar and row decodes hold different rows")
+			}
+			// The rows' image, mixed and BOOL columns boxed, is the same frame.
+			gathered := FromColumns(rows.Schema, GatherColumns(rows.Schema, rows.Tuples, nil))
+			if g, err := Marshal(gathered); err != nil || !bytes.Equal(g, b) || !relIdentical(gathered, rows) {
+				t.Fatalf("the rows' gathered image marshals differently (%v)", err)
 			}
 		}
 		if err == nil {

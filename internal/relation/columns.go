@@ -2,12 +2,13 @@ package relation
 
 import "math"
 
-// Columns is a read-only columnar image of rows: one Vector per column, row i
-// at position i of every vector. A site builds one (BuildColumns) of every
-// partition it loads, so the compiled scan kernels of internal/gmdj read
+// Columns is a columnar image of rows: one Vector per column, row i at
+// position i of every vector. It is the body of a columnar Relation
+// (FromColumns) — a decoded frame, an X fragment, an H block, the
+// coordinator's X — and the one image a site holds of every partition it
+// loads (BuildColumns), so the compiled scan kernels of internal/gmdj read
 // typed slices instead of 40-byte Values and the garbage collector has no
-// per-row pointers to mark. It is also the body of a columnar Relation
-// (FromColumns): a decoded frame, an X fragment, an H block a kernel emits.
+// per-row pointers to mark.
 type Columns struct {
 	Rows int
 	Vecs []Vector
@@ -17,15 +18,17 @@ type Columns struct {
 // kind's payload in exactly one of Ints (INT), Floats (FLOAT) or Codes
 // (STRING, indexes into Dict); NULL rows hold the zero payload and have their
 // bit set in Nulls. A NULL-kind vector has every row's bit set and no payload.
+// A boxed vector holds every row's exact cell in Vals instead.
 type Vector struct {
 	// Kind is the column's declared kind.
 	Kind Kind
-	// Boxed marks a column without typed storage: it is declared BOOL, or
-	// some value is neither NULL nor the canonical Value of the declared
-	// kind. Its values live only in the row image, and anything that touches
-	// it must evaluate over rows. Only BuildColumns images have boxed
-	// vectors; a columnar Relation never does.
+	// Boxed marks a vector whose cells live in Vals: it is declared BOOL, or
+	// some cell is neither NULL nor the canonical Value of the declared kind
+	// (in a BuildColumns image, also a NaN or a NULL with a payload). Nulls
+	// still marks its NULL rows. The typed code — the scan kernels, the
+	// merge's additions — declines a boxed vector and reads cells instead.
 	Boxed  bool
+	Vals   []Value
 	Ints   []int64
 	Floats []float64
 	Codes  []uint32
@@ -42,49 +45,54 @@ type Vector struct {
 	codeOf map[string]uint32
 }
 
-// BuildColumns images r. It returns nil when some tuple's arity does not
-// match the schema: such a relation is served by the row path alone, which
-// reports the malformed row when it meets it.
-func BuildColumns(r *Relation) *Columns {
-	rows := r.Rows()
-	n := len(rows)
+// BuildColumns images r for the scan kernels. A STRING vector's dictionary
+// lists each value once, and a column of another kind than INT, FLOAT or
+// STRING, or holding a cell a typed vector cannot reproduce exactly — NaN
+// included, which equals nothing — is boxed. It refuses a row body with a
+// tuple of the wrong arity.
+func BuildColumns(r *Relation) (*Columns, error) {
+	if err := checkArity(r); err != nil {
+		return nil, err
+	}
+	n := r.Len()
 	c := &Columns{Rows: n, Vecs: make([]Vector, len(r.Schema))}
 	for j, col := range r.Schema {
 		v := &c.Vecs[j]
-		v.Kind = col.Kind
 		switch col.Kind {
-		case KindInt:
-			v.Ints = make([]int64, n)
-		case KindFloat:
-			v.Floats = make([]float64, n)
-		case KindString:
-			v.Codes = make([]uint32, n)
+		case KindInt, KindFloat, KindString:
+			*v = NewVector(col.Kind, n)
+		default:
+			*v = Vector{Kind: col.Kind, Boxed: true}
+		}
+		if col.Kind == KindString {
 			//skallavet:allow stringkey -- dictionary lookup: filled once per Load, probed once per base row per request, never per detail row
 			v.codeOf = make(map[string]uint32)
-		default:
-			v.Boxed = true
 		}
 	}
-	for i, t := range rows {
-		if len(t) != len(c.Vecs) {
-			return nil
+	// Row-major, as a row body is laid out; a column that must box is
+	// skipped here and boxed below.
+	var t Tuple
+	for i := 0; i < n; i++ {
+		if r.cols == nil {
+			t = r.Tuples[i]
+		} else {
+			t = r.AppendRow(t[:0], i)
 		}
 		for j := range c.Vecs {
 			v := &c.Vecs[j]
 			if v.Boxed {
 				continue
 			}
-			val := t[j]
-			switch {
-			case val == Null:
+			switch val := &t[j]; {
+			case *val == Null:
 				v.SetNull(i, n)
 			case val.Kind != v.Kind:
-				v.box()
-			case v.Kind == KindInt && val == NewInt(val.Int):
+				v.Boxed = true
+			case v.Kind == KindInt && *val == NewInt(val.Int):
 				v.Ints[i] = val.Int
-			case v.Kind == KindFloat && val == NewFloat(val.Float):
+			case v.Kind == KindFloat && *val == NewFloat(val.Float):
 				v.Floats[i] = val.Float
-			case v.Kind == KindString && val == NewString(val.Str):
+			case v.Kind == KindString && *val == NewString(val.Str):
 				code, ok := v.codeOf[val.Str]
 				if !ok {
 					code = uint32(len(v.Dict))
@@ -95,44 +103,40 @@ func BuildColumns(r *Relation) *Columns {
 			default:
 				// Right kind, stray payload (or NaN, which equals nothing,
 				// itself included): not reproducible from typed storage.
-				v.box()
+				v.Boxed = true
 			}
 		}
 	}
-	return c
+	for j := range c.Vecs {
+		if v := &c.Vecs[j]; v.Boxed {
+			*v = Vector{Kind: v.Kind, Boxed: true, Vals: make([]Value, n)}
+			for i := range v.Vals {
+				if v.Vals[i] = r.Value(i, j); v.Vals[i].IsNull() {
+					v.SetNull(i, n)
+				}
+			}
+		}
+	}
+	return c, nil
 }
 
 // GatherColumns images the cols cells (all of them when cols is nil) of
-// rows, whose schema is schema, as typed vectors: row i of the image is
-// rows[sel[i]], or rows[i] when sel is nil. It returns nil when a column is
-// BOOL or a cell is neither NULL nor the canonical Value of its column's
-// kind: only a row body carries those.
-func GatherColumns(schema Schema, rows []Tuple, sel []int32, cols []int) *Columns {
+// rows, whose schema is schema, as vectors. A column with a cell no typed
+// vector holds is boxed (Set), so the image holds every cell as it is.
+func GatherColumns(schema Schema, rows []Tuple, cols []int) *Columns {
 	if cols == nil {
 		cols = identityCols(len(schema))
 	}
 	n := len(rows)
-	if sel != nil {
-		n = len(sel)
-	}
 	c := &Columns{Rows: n, Vecs: make([]Vector, len(cols))}
 	for j, col := range cols {
-		if schema[col].Kind == KindBool {
-			return nil
-		}
 		v := &c.Vecs[j]
 		*v = NewVector(schema[col].Kind, n)
 		if v.Kind == KindString {
 			v.Dict = make([]string, 0, n)
 		}
-		for i := 0; i < n; i++ {
-			row := i
-			if sel != nil {
-				row = int(sel[i])
-			}
-			if !v.Set(i, n, rows[row][col]) {
-				return nil
-			}
+		for i, row := range rows {
+			v.Set(i, n, row[col])
 		}
 	}
 	return c
@@ -158,14 +162,19 @@ func (c *Columns) Select(sel []int32, cols []int) *Columns {
 			continue
 		}
 		v := &out.Vecs[j]
-		*v = NewVector(src.Kind, n)
-		if v.Kind == KindString {
+		if src.Boxed {
+			*v = Vector{Kind: src.Kind, Boxed: true, Vals: make([]Value, n)}
+		} else if *v = NewVector(src.Kind, n); v.Kind == KindString {
 			v.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
 		}
 		for i, s := range sel {
-			switch {
-			case src.Null(int(s)):
+			if src.Null(int(s)) {
 				v.SetNull(i, n)
+			}
+			switch {
+			case v.Boxed:
+				v.Vals[i] = src.Value(int(s))
+			case src.Null(int(s)):
 			case v.Kind == KindInt:
 				v.Ints[i] = src.Ints[s]
 			case v.Kind == KindFloat:
@@ -178,8 +187,9 @@ func (c *Columns) Select(sel []int32, cols []int) *Columns {
 	return out
 }
 
-// NewVector returns an n-row vector of kind with zeroed typed storage, none
-// for a NULL or BOOL kind: the storage Set writes rows into.
+// NewVector returns an n-row vector of kind with zeroed storage, the storage
+// Set writes rows into: typed for INT, FLOAT and STRING, boxed for BOOL, none
+// for NULL.
 func NewVector(kind Kind, n int) Vector {
 	v := Vector{Kind: kind}
 	switch kind {
@@ -189,65 +199,76 @@ func NewVector(kind Kind, n int) Vector {
 		v.Floats = make([]float64, n)
 	case KindString:
 		v.Codes = make([]uint32, n)
+	case KindBool:
+		v.Boxed, v.Vals = true, make([]Value, n)
 	}
 	return v
 }
 
-// canonical reports whether val is the canonical Value of kind, the only
-// non-NULL cell a typed vector of that kind can hold.
-func canonical(val Value, kind Kind) bool {
-	return val.Kind == kind && (val.Int == 0 || kind == KindInt) &&
-		(math.Float64bits(val.Float) == 0 || kind == KindFloat) && (val.Str == "" || kind == KindString)
+// Typed reports whether a typed vector of kind holds val, so that Set writes
+// it without boxing: val is NULL, or the canonical Value of kind — INT, FLOAT
+// or STRING, with nothing in the other fields.
+func Typed(val Value, kind Kind) bool {
+	return val.IsNull() || val.Kind == kind && (kind == KindInt || kind == KindFloat || kind == KindString) &&
+		(val.Int == 0 || kind == KindInt) && (math.Float64bits(val.Float) == 0 || kind == KindFloat) && (val.Str == "" || kind == KindString)
 }
 
-// Set writes val to row i of the n-row typed vector v and reports whether it
-// could: val must be NULL or the canonical Value of v's kind, and v is
-// unchanged otherwise. A STRING value is appended to Dict, never written over
-// an entry, so the Dict must be v's own.
-func (v *Vector) Set(i, n int, val Value) bool {
-	if val.IsNull() {
+// Set writes val to row i of the n-row vector v. A typed vector that cannot
+// hold val — a BOOL, an off-kind cell, a stray payload — is boxed first, its
+// n rows and all. A STRING value is appended to Dict, never written over an
+// entry, so the Dict must be v's own.
+func (v *Vector) Set(i, n int, val Value) {
+	if !v.Boxed && !Typed(val, v.Kind) {
+		v.box(n)
+	}
+	null := val.IsNull()
+	if null {
 		v.SetNull(i, n)
-		return true
+	} else if v.Nulls != nil {
+		v.Nulls[i>>6] &^= 1 << (uint(i) & 63)
 	}
-	if v.Kind == KindBool || !canonical(val, v.Kind) {
-		return false
-	}
-	switch v.Kind {
-	case KindInt:
+	switch {
+	case v.Boxed:
+		v.Vals[i] = val
+	case null:
+	case v.Kind == KindInt:
 		v.Ints[i] = val.Int
-	case KindFloat:
+	case v.Kind == KindFloat:
 		v.Floats[i] = val.Float
-	case KindString:
+	case v.Kind == KindString:
 		v.Codes[i] = uint32(len(v.Dict))
 		v.Dict = append(v.Dict, val.Str)
 	}
-	if v.Nulls != nil {
-		v.Nulls[i>>6] &^= 1 << (uint(i) & 63)
-	}
-	return true
 }
 
-// Append adds val as row n of the n-row typed vector v, under Set's rules.
-func (v *Vector) Append(n int, val Value) bool {
-	if !val.IsNull() && (v.Kind == KindBool || !canonical(val, v.Kind)) {
-		return false
-	}
-	switch v.Kind {
-	case KindInt:
+// Append adds val as row n of the n-row vector v, under Set's rules.
+func (v *Vector) Append(n int, val Value) {
+	switch {
+	case v.Boxed:
+		v.Vals = append(v.Vals, Null)
+	case v.Kind == KindInt:
 		v.Ints = append(v.Ints, 0)
-	case KindFloat:
+	case v.Kind == KindFloat:
 		v.Floats = append(v.Floats, 0)
-	case KindString:
+	case v.Kind == KindString:
 		v.Codes = append(v.Codes, 0)
 	}
 	if v.Nulls != nil && len(v.Nulls) <= n>>6 {
 		v.Nulls = append(v.Nulls, 0)
 	}
-	return v.Set(n, n+1, val)
+	v.Set(n, n+1, val)
 }
 
-func (v *Vector) box() {
-	*v = Vector{Kind: v.Kind, Boxed: true}
+// box moves the n rows of a typed vector into Vals. A row Set has not
+// written yet boxes as its zero payload, or NULL, until Set writes it.
+func (v *Vector) box(n int) {
+	vals := make([]Value, n)
+	for i := range vals {
+		if v.Kind != KindString || int(v.Codes[i]) < len(v.Dict) {
+			vals[i] = v.Value(i)
+		}
+	}
+	*v = Vector{Kind: v.Kind, Boxed: true, Vals: vals, Nulls: v.Nulls}
 }
 
 // SetNull marks row i of an n-row vector NULL, allocating the bitmap on first
@@ -271,31 +292,36 @@ func (v *Vector) Code(s string) (uint32, bool) {
 	return code, ok
 }
 
-// Value rebuilds row i of a typed vector as a Value, identical to the one the
-// row image holds.
+// Value returns row i's cell: a boxed vector's as it was written, a typed
+// vector's rebuilt from its payload.
 func (v *Vector) Value(i int) Value {
-	if v.Null(i) {
+	switch {
+	case v.Boxed:
+		return v.Vals[i]
+	case v.Null(i):
 		return Null
-	}
-	switch v.Kind {
-	case KindInt:
+	case v.Kind == KindInt:
 		return NewInt(v.Ints[i])
-	case KindFloat:
+	case v.Kind == KindFloat:
 		return NewFloat(v.Floats[i])
-	default:
+	case v.Kind == KindString:
 		return NewString(v.Dict[v.Codes[i]])
 	}
+	return Null
 }
 
 // memBytes is the image's exact payload size: every slab at its length, and
-// the bytes of the strings its dictionaries hold.
+// the bytes of the strings its dictionaries and boxed cells hold.
 func (c *Columns) memBytes() int64 {
 	var n int64
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
-		n += 8*int64(len(v.Ints)+len(v.Floats)+len(v.Nulls)) + 4*int64(len(v.Codes)) + 16*int64(len(v.Dict))
+		n += 8*int64(len(v.Ints)+len(v.Floats)+len(v.Nulls)) + 4*int64(len(v.Codes)) + 16*int64(len(v.Dict)) + ValueMemBytes*int64(len(v.Vals))
 		for _, s := range v.Dict {
 			n += int64(len(s))
+		}
+		for i := range v.Vals {
+			n += int64(len(v.Vals[i].Str))
 		}
 	}
 	return n
@@ -306,6 +332,7 @@ func (c *Columns) memBytes() int64 {
 func (c *Columns) clone() *Columns {
 	out := &Columns{Rows: c.Rows, Vecs: make([]Vector, len(c.Vecs))}
 	for j, v := range c.Vecs {
+		v.Vals = cloneSlice(v.Vals)
 		v.Ints = cloneSlice(v.Ints)
 		v.Floats = cloneSlice(v.Floats)
 		v.Codes = cloneSlice(v.Codes)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -25,7 +26,10 @@ func TestBuildColumns(t *testing.T) {
 	for _, row := range rows {
 		r.MustAppend(row)
 	}
-	c := BuildColumns(r)
+	c, err := BuildColumns(r)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if c.Rows != len(rows) || len(c.Vecs) != 5 {
 		t.Fatalf("image is %d rows × %d columns", c.Rows, len(c.Vecs))
 	}
@@ -59,9 +63,13 @@ func TestBuildColumns(t *testing.T) {
 	}
 }
 
+// TestBuildColumnsBoxes: a column holding a cell a typed vector cannot
+// reproduce exactly — an off-kind cell, NaN, a stray payload, a NULL with a
+// payload — is boxed, as a BOOL column always is, and a boxed column returns
+// every cell as it was loaded.
 func TestBuildColumnsBoxes(t *testing.T) {
-	schema := MustSchema(Column{Name: "I", Kind: KindInt}, Column{Name: "F", Kind: KindFloat}, Column{Name: "S", Kind: KindString})
-	clean := Tuple{NewInt(1), NewFloat(2), NewString("x")}
+	schema := MustSchema(Column{Name: "I", Kind: KindInt}, Column{Name: "F", Kind: KindFloat}, Column{Name: "S", Kind: KindString}, Column{Name: "B", Kind: KindBool})
+	clean := Tuple{NewInt(1), NewFloat(2), NewString("x"), NewBool(true)}
 	cases := []struct {
 		name string
 		col  int
@@ -73,6 +81,7 @@ func TestBuildColumnsBoxes(t *testing.T) {
 		{"NaN", 1, NewFloat(math.NaN())},
 		{"stray payload", 0, Value{Kind: KindInt, Int: 1, Str: "junk"}},
 		{"NULL with a payload", 2, Value{Kind: KindNull, Int: 9}},
+		{"int in a BOOL column", 3, NewInt(1)},
 	}
 	for _, c := range cases {
 		r := New(schema)
@@ -80,23 +89,49 @@ func TestBuildColumnsBoxes(t *testing.T) {
 		bad := clean.Clone()
 		bad[c.col] = c.val
 		r.MustAppend(bad)
+		r.MustAppend(Tuple{Null, Null, Null, Null})
 		r.MustAppend(clean.Clone())
-		cols := BuildColumns(r)
+		cols, err := BuildColumns(r)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		for j := range cols.Vecs {
-			if got := cols.Vecs[j].Boxed; got != (j == c.col) {
+			v := &cols.Vecs[j]
+			if got := v.Boxed; got != (j == c.col || j == 3) {
 				t.Errorf("%s: column %d boxed = %v", c.name, j, got)
 			}
+			for i, row := range r.Tuples {
+				got := v.Value(i)
+				if !got.Identical(row[j]) || v.Boxed && got != row[j] && !(got.Float != got.Float && row[j].Float != row[j].Float) {
+					t.Errorf("%s: column %d row %d reads %#v, want %#v", c.name, j, i, got, row[j])
+				}
+				if v.Null(i) != row[j].IsNull() {
+					t.Errorf("%s: column %d row %d: Null = %v", c.name, j, i, v.Null(i))
+				}
+			}
+		}
+		if got := FromColumns(schema, cols); !bytes.Equal(mustMarshal(t, got), mustMarshal(t, r)) {
+			t.Errorf("%s: the image encodes to other bytes than its rows", c.name)
 		}
 	}
 
 	short := New(schema)
 	short.Tuples = append(short.Tuples, clean.Clone(), Tuple{NewInt(1)})
-	if BuildColumns(short) != nil {
-		t.Error("a tuple of the wrong arity must decline the image")
+	if _, err := BuildColumns(short); err == nil {
+		t.Error("a tuple of the wrong arity must refuse the image")
 	}
-	if empty := BuildColumns(New(schema)); empty == nil || empty.Rows != 0 {
+	if empty, err := BuildColumns(New(schema)); err != nil || empty.Rows != 0 {
 		t.Error("an empty relation images to zero rows")
 	}
+}
+
+func mustMarshal(t *testing.T, r *Relation) []byte {
+	t.Helper()
+	b, err := Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }
 
 // TestColumnarBodyReadsLikeRows: a uniform frame decodes to a columnar body,
@@ -181,24 +216,20 @@ func TestMixedAndBoolFramesKeepTheRowBody(t *testing.T) {
 	}
 }
 
-// TestGatherColumns: gathered vectors encode to the rows' frame, and a cell
-// only a row body can carry declines the image.
+// TestGatherColumns: gathered vectors encode to the rows' frame, and a column
+// with a cell no typed vector holds — off-kind, a stray payload, a BOOL — is
+// gathered boxed, every cell as it is.
 func TestGatherColumns(t *testing.T) {
 	rows := codecCases()["uniform"]
-	c := GatherColumns(rows.Schema, rows.Tuples, []int32{3, 0, 0}, []int{2, 0, 3})
-	if c == nil {
-		t.Fatal("uniform rows declined")
-	}
+	c := GatherColumns(rows.Schema, []Tuple{rows.Tuples[3], rows.Tuples[0], rows.Tuples[0]}, []int{2, 0, 3})
 	schema := rows.Schema.Project([]int{2, 0, 3})
 	want := New(schema)
 	for _, i := range []int{3, 0, 0} {
 		want.MustAppend(Tuple{rows.Tuples[i][2], rows.Tuples[i][0], rows.Tuples[i][3]})
 	}
 	got := FromColumns(schema, c)
-	a, errA := Marshal(got)
-	b, errB := Marshal(want)
-	if errA != nil || errB != nil || !bytes.Equal(a, b) || !relIdentical(got, want) {
-		t.Errorf("gathered image differs from its rows (%v, %v)", errA, errB)
+	if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) || !relIdentical(got, want) {
+		t.Error("gathered image differs from its rows")
 	}
 	for name, bad := range map[string]Value{
 		"off-kind":      NewFloat(1),
@@ -206,13 +237,19 @@ func TestGatherColumns(t *testing.T) {
 	} {
 		r := rows.Clone()
 		r.Tuples[1][0] = bad
-		if GatherColumns(r.Schema, r.Tuples, nil, []int{0}) != nil {
-			t.Errorf("%s cell gathered", name)
+		c := GatherColumns(r.Schema, r.Tuples, nil)
+		if !c.Vecs[0].Boxed || c.Vecs[1].Boxed || c.Vecs[0].Value(1) != bad {
+			t.Errorf("%s: column 0 boxed %v, column 1 boxed %v, cell %#v", name, c.Vecs[0].Boxed, c.Vecs[1].Boxed, c.Vecs[0].Value(1))
+		}
+		if g := FromColumns(r.Schema, c); !bytes.Equal(mustMarshal(t, g), mustMarshal(t, r)) || !relIdentical(g, r) {
+			t.Errorf("%s: boxed image differs from its rows", name)
 		}
 	}
-	b2 := codecCases()["bool-packing"]
-	if GatherColumns(b2.Schema, b2.Tuples, nil, []int{0}) != nil {
-		t.Error("a BOOL column gathered")
+	for _, name := range []string{"bool-packing", "mixed-kinds", "all-kinds"} {
+		r := codecCases()[name]
+		if g := FromColumns(r.Schema, GatherColumns(r.Schema, r.Tuples, nil)); !bytes.Equal(mustMarshal(t, g), mustMarshal(t, r)) || !relIdentical(g, r) {
+			t.Errorf("%s: boxed image differs from its rows", name)
+		}
 	}
 }
 
@@ -228,8 +265,9 @@ func TestSelectSetAppend(t *testing.T) {
 	}
 	for i, row := range rows.Tuples {
 		for j := range c.Vecs {
-			if !c.Vecs[j].Append(i, row[j]) {
-				t.Fatalf("row %d column %d: a canonical cell was refused", i, j)
+			c.Vecs[j].Append(i, row[j])
+			if c.Vecs[j].Boxed {
+				t.Fatalf("row %d column %d: a canonical cell boxed the vector", i, j)
 			}
 		}
 		c.Rows++
@@ -241,18 +279,27 @@ func TestSelectSetAppend(t *testing.T) {
 	// Rewrite row 1 with row 0's cells and row 0 with NULLs.
 	want := rows.Clone()
 	for j := range c.Vecs {
-		if !c.Vecs[j].Set(1, c.Rows, rows.Tuples[0][j]) || !c.Vecs[j].Set(0, c.Rows, Null) {
-			t.Fatalf("column %d: Set refused a canonical cell", j)
-		}
+		c.Vecs[j].Set(1, c.Rows, rows.Tuples[0][j])
+		c.Vecs[j].Set(0, c.Rows, Null)
 		want.Tuples[1][j], want.Tuples[0][j] = rows.Tuples[0][j], Null
 	}
 	if !relIdentical(built, want) {
 		t.Fatalf("Set wrote\n%s\nwant\n%s", built.Format(-1), want.Format(-1))
 	}
+	// A cell an INT vector cannot hold boxes a copy of it in place: the rows
+	// it held read as before, the new cells exactly as written.
 	for name, bad := range map[string]Value{"off-kind": NewFloat(1), "bool": NewBool(false), "stray payload": {Kind: KindInt, Str: "junk"}} {
 		v := c.Vecs[0]
-		if v.Set(2, c.Rows, bad) || v.Append(c.Rows, bad) {
-			t.Errorf("%s cell written to an INT vector", name)
+		v.Nulls = slices.Clone(v.Nulls)
+		v.Set(2, c.Rows, bad)
+		v.Append(c.Rows, bad)
+		if !v.Boxed || v.Value(2) != bad || v.Value(c.Rows) != bad || v.Null(2) || v.Null(c.Rows) {
+			t.Errorf("%s: boxed %v, rows 2 and %d read %#v and %#v", name, v.Boxed, c.Rows, v.Value(2), v.Value(c.Rows))
+		}
+		for _, i := range []int{0, 1, 3} {
+			if !v.Value(i).Identical(want.Tuples[i][0]) || v.Null(i) != want.Tuples[i][0].IsNull() {
+				t.Errorf("%s: boxing moved row %d to %v", name, i, v.Value(i))
+			}
 		}
 	}
 

@@ -59,8 +59,8 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 
 // Relation is an in-memory relation (multiset of tuples) with one of two
 // bodies. The row body is Tuples. The columnar body — a decoded frame
-// (Unmarshal, the stream Decoder), an X fragment, an H block a compiled kernel emits —
-// is a read-only Columns image, and Tuples is nil while it is set. Len,
+// (Unmarshal, the stream Decoder), an X fragment, an H block, the
+// coordinator's X — is a Columns image, and Tuples is nil while it is set. Len,
 // Clone, MemBytes, KeepRows, the frame methods, the comparators and Format
 // read either body; Rows, AppendRow and Value box a columnar one on demand;
 // the methods that change the rows (Append, Union, DedupBy, Sort) switch it
@@ -82,11 +82,24 @@ func New(schema Schema) *Relation {
 	return &Relation{Schema: schema}
 }
 
-// FromColumns returns a relation whose body is c: one typed (never Boxed)
-// vector per schema column, of that column's kind. Neither may be written
-// afterwards.
+// FromColumns returns a relation whose body is c: one vector per schema
+// column, of that column's kind. The relation's readers do not write c; its
+// owner may, as the coordinator's merge writes X.
 func FromColumns(schema Schema, c *Columns) *Relation {
 	return &Relation{Schema: schema, cols: c}
+}
+
+// Columnar returns r with a columnar body: r itself when it has one, else a
+// relation over the gathered image of its rows (GatherColumns). It refuses a
+// row of the wrong arity.
+func (r *Relation) Columnar() (*Relation, error) {
+	if r.cols != nil {
+		return r, nil
+	}
+	if err := checkArity(r); err != nil {
+		return nil, err
+	}
+	return FromColumns(r.Schema, GatherColumns(r.Schema, r.Tuples, nil)), nil
 }
 
 // Columns returns the columnar body, or nil for a row body. The vectors are

@@ -20,6 +20,30 @@ if [ "$count" -ne 0 ]; then
   exit 1
 fi
 
+echo "==> CI -run regexes name existing tests"
+# go test -run passes silently on a regex that matches no test, so a renamed
+# or deleted test would drop out of a CI step unnoticed: every alternative of
+# every -run regex in the workflow must match the name of a func in a test
+# file of the main module ('^$', which runs none on purpose, aside).
+missing=0
+for re in $(sed -n "s/.*-run '\([^']*\)'.*/\1/p" .github/workflows/ci.yml); do
+  [ "$re" = '^$' ] && continue
+  for alt in $(printf '%s' "$re" | tr '|' ' '); do
+    name=$(printf '%s' "$alt" | sed 's/^\^//; s/\$$//')
+    case "$alt" in
+      *'$') pattern="^func $name\(" ;;
+      *) pattern="^func $name" ;;
+    esac
+    if ! grep -rqE --include='*_test.go' --exclude-dir=tools --exclude-dir=benchmark "$pattern" .; then
+      echo "ci.yml: -run alternative $alt matches no test"
+      missing=1
+    fi
+  done
+done
+if [ "$missing" -ne 0 ]; then
+  exit 1
+fi
+
 echo "==> go vet (stock analyzers)"
 go vet ./...
 
