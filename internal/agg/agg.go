@@ -371,17 +371,6 @@ func MergeCell(op PhysOp, into, from relation.Value) (relation.Value, error) {
 	return addValues(into, from)
 }
 
-// CheckPhys reports a cell of an incoming sub-aggregate slice that MergePhys
-// cannot fold (CheckCell).
-func (l *Layout) CheckPhys(phys relation.Tuple) error {
-	for i, p := range l.Phys {
-		if err := p.CheckCell(phys[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // CheckCell reports an incoming cell of p that MergeCell cannot fold: a COUNT
 // that is not INT, a SUM or SUMSQ neither numeric nor NULL. MIN and MAX fold
 // any kind, and a SUM over an INT column holding a FLOAT cell is FLOAT, so a

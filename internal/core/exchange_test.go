@@ -456,8 +456,8 @@ var boolSchema = relation.MustSchema(
 
 // boolQuery groups on g and the BOOL ok and takes MIN and MAX of ok in both
 // operators: MD1 is partition-aligned, so the rules may fold it into a local
-// round, and MD2, which reads MD1's count, is not, so it ships ok in an
-// operator round.
+// round, and MD2, which reads MD1's count, is not, so it ships the BOOL key
+// in an operator round and folds every site's BOOL MIN and MAX into X.
 func boolQuery() gmdj.Query {
 	return gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g", "ok"}},
@@ -474,9 +474,10 @@ func boolQuery() gmdj.Query {
 				Aggs: []agg.Spec{
 					{Func: agg.Count, As: "cnt2"},
 					{Func: agg.Sum, Arg: "v", As: "sum2"},
+					{Func: agg.Min, Arg: "ok", As: "minok2"},
 					{Func: agg.Max, Arg: "ok", As: "maxok2"},
 				},
-				Cond: expr.MustParse("B.ok = R.ok && R.v > 10 * B.cnt1"),
+				Cond: expr.MustParse("R.h = B.cnt1 && R.v > 40"),
 			}}},
 		},
 	}
@@ -623,8 +624,10 @@ func FuzzStageAdd(f *testing.F) {
 			}
 			seg := m.segs[0][0]
 			for _, row := range m.X().Rows() {
-				if err := seg.layout.CheckPhys(row[seg.physStart : seg.physStart+len(seg.layout.Phys)]); err != nil {
-					t.Fatalf("an accepted block left X unmergeable: %v", err)
+				for p, pc := range seg.layout.Phys {
+					if err := pc.CheckCell(row[seg.physStart+p]); err != nil {
+						t.Fatalf("an accepted block left X unmergeable: %v", err)
+					}
 				}
 			}
 		}

@@ -265,9 +265,9 @@ func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
 // operator evaluation over one detail relation (or one partition of it), plus
 // the Touched flags: Touched[i] is the |RNG(b_i, R, θ_1 ∨ … ∨ θ_m)| > 0 test
 // of Proposition 1, used for distribution-independent group reduction. The
-// accumulators are read through AppendPhysRow and ExtendRow, which box a row's
-// values on demand: a caller that emits only the touched rows never pays for
-// the others.
+// accumulators are read through AppendPhysVectors and ExtendRow, for the rows
+// asked for: a caller that emits only the touched rows never pays for the
+// others.
 type OperatorAccum struct {
 	Layouts []*agg.Layout
 	Touched []bool
@@ -536,18 +536,8 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 	return row
 }
 
-// AppendPhysRow appends only base row i's physical aggregate values across
-// all variables (the sub-aggregate payload shipped in H_i rows) to dst.
-func (a *OperatorAccum) AppendPhysRow(dst relation.Tuple, i int) relation.Tuple {
-	for vi := range a.Layouts {
-		dst = a.appendVar(dst, vi, i)
-	}
-	return dst
-}
-
 // AppendPhysVectors appends to dst the physical aggregate cells of the base
-// rows listed, across all variables in AppendPhysRow's order, one vector per
-// column: gathered from a compiled kernel's slabs, or set from the scalar
+// rows listed, variable by variable in layout order, one vector per column: gathered from a compiled kernel's slabs, or set from the scalar
 // paths' partials, boxed where a cell needs it.
 func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) []relation.Vector {
 	for vi, l := range a.Layouts {

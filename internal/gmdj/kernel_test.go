@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
@@ -66,9 +67,9 @@ func sameRows(a, b []relation.Tuple) error {
 }
 
 // sameAccum compares the two accumulators the way their callers read them:
-// every base row's AppendPhysRow (the H_i payload — boxed from the typed slabs
-// on the kernel's side) and ExtendRow (physical and derived cells), cell for
-// cell.
+// every base row's AppendPhysVectors cells (the H_i payload — gathered from
+// the typed slabs on the kernel's side) and ExtendRow (physical and derived
+// cells), cell for cell.
 func sameAccum(scalar, kernel *OperatorAccum) error {
 	if len(scalar.Layouts) != len(kernel.Layouts) {
 		return fmt.Errorf("%d variables vs %d", len(scalar.Layouts), len(kernel.Layouts))
@@ -76,14 +77,22 @@ func sameAccum(scalar, kernel *OperatorAccum) error {
 	if len(scalar.Touched) != len(kernel.Touched) {
 		return fmt.Errorf("%d base rows vs %d", len(scalar.Touched), len(kernel.Touched))
 	}
+	all := make([]int32, len(scalar.Touched))
+	for i := range all {
+		all[i] = int32(i)
+	}
+	sv, kv := scalar.AppendPhysVectors(nil, all), kernel.AppendPhysVectors(nil, all)
 	base := relation.Tuple{relation.NewString("b")}
 	for i := range scalar.Touched {
 		if scalar.Touched[i] != kernel.Touched[i] {
 			return fmt.Errorf("Touched[%d]: %v vs %v", i, scalar.Touched[i], kernel.Touched[i])
 		}
-		s, k := scalar.AppendPhysRow(nil, i), kernel.AppendPhysRow(nil, i)
+		var s, k relation.Tuple
+		for p := range sv {
+			s, k = append(s, sv[p].Value(i)), append(k, kv[p].Value(i))
+		}
 		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
-			return fmt.Errorf("AppendPhysRow(%d): %w", i, err)
+			return fmt.Errorf("AppendPhysVectors row %d: %w", i, err)
 		}
 		s, k = scalar.ExtendRow(base, i), kernel.ExtendRow(base, i)
 		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
@@ -533,13 +542,14 @@ func TestKernelFloatSumOrder(t *testing.T) {
 	checkOperator(t, setsOf(t, r, []string{"G"}, []string{"G"}, []string{}), oneVar(rollupCond("G"), aggs...), r, reasonOK)
 }
 
-// TestKernelRowsBoxedFromSlabs pins how a site reads a compiled evaluation: the
-// accumulator keeps the kernel's typed slabs — nothing is boxed until a row is
-// asked for — and AppendPhysRow, writing into a row carved from a caller's
-// slab as engine.Site.EvalOperatorBlocks does, produces the scalar path's
-// cells bit for bit: COUNT 0 and NULL for untouched rows, INT and FLOAT sums,
-// minima and order-dependent FLOAT sums alike, across two variables.
-func TestKernelRowsBoxedFromSlabs(t *testing.T) {
+// TestKernelVectorsGatheredFromSlabs pins how a site reads a compiled
+// evaluation: the accumulator keeps the kernel's typed slabs — nothing is
+// boxed — and AppendPhysVectors over any rows, as engine.Site's H blocks take
+// them, holds the scalar path's cells bit for bit in typed vectors and
+// encodes to the scalar path's bytes: COUNT 0 and NULL for untouched rows,
+// INT and FLOAT sums, minima and order-dependent FLOAT sums alike, across two
+// variables.
+func TestKernelVectorsGatheredFromSlabs(t *testing.T) {
 	detail := kernelDetail(23, 900)
 	x := withRows(baseOf(t, detail, "S"), relation.Tuple{relation.NewString("no such key")})
 	op := Operator{Detail: "D", Vars: []GroupVar{
@@ -563,18 +573,24 @@ func TestKernelRowsBoxedFromSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := 1 + len(phys)
-	slab := make([]relation.Value, x.Len()*w)
-	for i := 0; i < x.Len(); i++ {
-		row := slab[i*w : i*w+1 : (i+1)*w]
-		got := kernel.AppendPhysRow(row, i)
-		if &got[0] != &slab[i*w] {
-			t.Fatalf("row %d: AppendPhysRow left the row it was given", i)
+	sel := []int32{int32(x.Len() - 1), 0, 2, 1}
+	var frames [2][]byte
+	for side, acc := range []*OperatorAccum{scalar, kernel} {
+		vecs := acc.AppendPhysVectors(nil, sel)
+		for p := range vecs {
+			if vecs[p].Boxed {
+				t.Errorf("side %d column %s: boxed", side, phys[p].Name)
+			}
 		}
-		want := scalar.AppendPhysRow(make(relation.Tuple, 1, w), i)
-		if err := sameRows([]relation.Tuple{want}, []relation.Tuple{got}); err != nil {
-			t.Errorf("row %d: %v", i, err)
+		if frames[side], err = relation.Marshal(relation.FromColumns(phys, &relation.Columns{Rows: len(sel), Vecs: vecs})); err != nil {
+			t.Fatal(err)
 		}
+	}
+	if !bytes.Equal(frames[0], frames[1]) {
+		t.Error("the kernel's vectors encode to other bytes than the scalar path's")
+	}
+	if err := sameAccum(scalar, kernel); err != nil {
+		t.Error(err)
 	}
 }
 
