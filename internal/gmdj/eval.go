@@ -537,8 +537,9 @@ func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple 
 }
 
 // AppendPhysVectors appends to dst the physical aggregate cells of the base
-// rows listed, variable by variable in layout order, one vector per column: gathered from a compiled kernel's slabs, or set from the scalar
-// paths' partials, boxed where a cell needs it.
+// rows listed, variable by variable in layout order, one vector per column:
+// gathered from a compiled kernel's slabs, or set from the scalar paths'
+// partials, boxed where a cell needs it.
 func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) []relation.Vector {
 	for vi, l := range a.Layouts {
 		for p, pc := range l.Phys {
