@@ -304,6 +304,35 @@ func BenchmarkSyncMerge(b *testing.B) {
 	}
 }
 
+// BenchmarkPlanCompile measures the planner alone: plan.Compile of the
+// dependent two-operator chain on the non-aligned Clerk attribute against the
+// four-site catalog, under no rules, every rule (sync-skip and both group
+// reductions apply), and auto (all 2^5 rule subsets compiled and priced).
+func BenchmarkPlanCompile(b *testing.B) {
+	cat, err := dataset(b).Catalog(4)
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := gmdj.Schemas{tpc.RelationName: tpc.Schema()}
+	q := bench.TwoPhaseQuery(bench.LowCardAttr, true)
+	model := plan.DefaultCostModel(stats.DefaultLAN())
+	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll(), plan.SelectAuto()} {
+		b.Run(sel.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				p, err := plan.Compile(q, src, cat, 4, sel, model)
+				if err != nil {
+					b.Fatal(err)
+				}
+				compiledPlan = p
+			}
+		})
+	}
+}
+
+// compiledPlan keeps BenchmarkPlanCompile's result live.
+var compiledPlan *plan.Plan
+
 // BenchmarkServedCacheHit measures one result-cache hit end to end through
 // the query server: a Serve-d four-site cluster, one DialQueryServer session
 // and one warmed statement of about 4 000 Clerk groups. An op is one

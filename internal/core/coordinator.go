@@ -207,32 +207,16 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 		return nil, err
 	}
 
-	startOp := 0
-	switch {
-	case pl.LocalPrefix > 0:
-		// Thm. 5 / Cor. 1 family: the leading LocalPrefix operators run
-		// entirely at the sites, synchronized once.
-		name := fmt.Sprintf("local-MD1..MD%d", pl.LocalPrefix)
-		if pl.FullLocal {
-			name = "local-all"
+	for _, r := range pl.Steps {
+		switch r.Kind {
+		case plan.RoundBase:
+			err = c.baseRound(ctx, pl, mg, span, r)
+		case plan.RoundOperator:
+			err = c.operatorRound(ctx, pl, mg, span, r)
+		default:
+			err = c.localRound(ctx, pl, mg, span, r)
 		}
-		if err := c.localRound(ctx, pl, mg, span, pl.LocalPrefix, name); err != nil {
-			return nil, err
-		}
-		startOp = pl.LocalPrefix
-	case pl.SkipBaseSync:
-		// Prop. 2: the base sync folds into the first operator's round.
-		if err := c.localRound(ctx, pl, mg, span, 1, "base+MD1"); err != nil {
-			return nil, err
-		}
-		startOp = 1
-	default:
-		if err := c.baseRound(ctx, pl, mg, span); err != nil {
-			return nil, err
-		}
-	}
-	for k := startOp; k < len(pl.Query.Ops); k++ {
-		if err := c.operatorRound(ctx, pl, mg, span, k); err != nil {
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -295,9 +279,9 @@ func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(c
 // baseRound is round 0 of the unreduced algorithm: every site computes its
 // base-values fragment B_i; the coordinator de-duplicates their union into
 // X_0.
-func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan) error {
-	rs := span.StartRound("base", 0)
-	ctx = obs.WithRound(ctx, "base")
+func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
+	rs := span.StartRound(r.Name, 0)
+	ctx = obs.WithRound(ctx, r.Name)
 	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalBase(ctx, pl.Query.Base)
 	})
@@ -315,29 +299,29 @@ func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, 
 	return err
 }
 
-// localRound ships the query prefix to every site for local evaluation and
-// merges the returned X fragments (synchronization-reduced rounds of
-// Prop. 2 / Cor. 1).
-func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, upTo int, name string) error {
-	rs := span.StartRound(name, 0)
-	ctx = obs.WithRound(ctx, name)
-	req := engine.LocalRequest{Query: pl.Query, UpTo: upTo}
+// localRound ships the query prefix MD1..MD(r.UpTo) to every site for local
+// evaluation and merges the returned X fragments (synchronization-reduced
+// rounds of Prop. 2 / Thm. 5 / Cor. 1).
+func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
+	rs := span.StartRound(r.Name, 0)
+	ctx = obs.WithRound(ctx, r.Name)
+	req := engine.LocalRequest{Query: pl.Query, UpTo: r.UpTo}
 	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalLocal(ctx, req)
 	})
 	coordStart := time.Now()
 	if err == nil {
-		mg.InitLocal(upTo)
-		for _, r := range results {
+		mg.InitLocal(r.UpTo)
+		for _, res := range results {
 			t0 := time.Now()
-			if err = mg.MergeLocal(r.rel); err != nil {
+			if err = mg.MergeLocal(res.rel); err != nil {
 				break
 			}
 			rs.ObserveMerge(time.Since(t0))
 		}
 	}
 	if err == nil {
-		mg.RecomputeDerived(0, upTo)
+		mg.RecomputeDerived(0, r.UpTo)
 	}
 	rs.End(time.Since(coordStart))
 	return err
@@ -362,20 +346,15 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // committed, while later sites still stream. Every X row thus folds its
 // sites in index order, so FLOAT super-aggregates come out bit-identical
 // run to run, however the streams' completion order falls.
-func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, k int) error {
+func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
+	k, reducers := r.UpTo-1, r.Reducers
 	op := pl.Query.Ops[k]
-	roundName := fmt.Sprintf("MD%d", k+1)
 	x := mg.X()
-	rs := span.StartRound(roundName, x.Len())
-	ctx = obs.WithRound(ctx, roundName)
+	rs := span.StartRound(r.Name, x.Len())
+	ctx = obs.WithRound(ctx, r.Name)
 	cols, err := op.ShippedColumns(x.Schema, pl.Keys())
 	if err != nil {
 		return err
-	}
-
-	var reducers []distrib.ReductionPred
-	if pl.Reducers != nil && k < len(pl.Reducers) {
-		reducers = pl.Reducers[k]
 	}
 
 	// Extend X with the operator's identity columns before any stage lands,
@@ -427,7 +406,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			req := engine.OperatorRequest{
 				Base:      frag,
 				Op:        op,
-				Guard:     pl.Guard,
+				Guard:     r.Guard,
 				BlockRows: c.blockRows,
 			}
 			var done *hStage
@@ -502,13 +481,4 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	rs.End(coordTime)
 	return err
-}
-
-// TrafficBound computes the Theorem 2 bound on the number of base-structure
-// rows transferred by Alg. GMDJDistribEval: Σ_{i=1..m} (2·s_i·|Q|) + s_0·|Q|,
-// with s_i the number of sites participating in round i and |Q| the number
-// of groups in the result.
-func TrafficBound(pl *plan.Plan, resultGroups int) int {
-	m := len(pl.Query.Ops)
-	return (2*m + 1) * pl.NumSites * resultGroups
 }

@@ -241,7 +241,7 @@ func TestTheorem2Bound(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			bound := TrafficBound(res.Plan, res.Rel.Len())
+			bound := res.Plan.TrafficBound(res.Rel.Len())
 			if got := res.Metrics.TotalRows(); got > bound {
 				t.Errorf("sel [%s]: %d rows transferred exceeds Theorem 2 bound %d", sel, got, bound)
 			}
@@ -522,15 +522,42 @@ func TestMergerUnit(t *testing.T) {
 	}
 }
 
+// TestTrafficBoundFormula: the Thm. 2 bound sums n·|Q| for each base or
+// local round and 2·n·|Q| for each operator round the plan runs.
 func TestTrafficBoundFormula(t *testing.T) {
 	src := gmdj.Schemas{"T": tSchema}
-	pl, err := plan.Compile(chainQuery(), src, nil, 4, plan.SelectNone(), plan.DefaultCostModel(stats.NetModel{}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// m=2 operators, n=4 sites, |Q|=10: (2*2+1)*4*10 = 200.
-	if got := TrafficBound(pl, 10); got != 200 {
-		t.Errorf("TrafficBound = %d, want 200", got)
+	cat := distrib.NewCatalog(&distrib.Distribution{
+		Relation: "T", NumSites: 4,
+		Attrs: []distrib.AttrInfo{{Attr: "g", Filters: distrib.HashPartition(4), Disjoint: true}},
+	})
+	for _, tc := range []struct {
+		name  string
+		cat   *distrib.Catalog
+		sel   plan.Selection
+		steps string
+		want  int
+	}{
+		// m=2 operators, n=4 sites, |Q|=10: (2*2+1)*4*10 = 200.
+		{"baseline", nil, plan.SelectNone(), "base,MD1,MD2", 200},
+		// One fully local round: n·|Q| = 40.
+		{"full local", cat, plan.SelectAll(), "local-all", 40},
+		// base+MD1, then MD2: (1 + 2(m-1))·n·|Q| = 3*4*10 = 120.
+		{"base+MD1", nil, plan.SelectRules("sync-skip"), "base+MD1,MD2", 120},
+	} {
+		pl, err := plan.Compile(chainQuery(), src, tc.cat, 4, tc.sel, plan.DefaultCostModel(stats.NetModel{}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var names []string
+		for _, r := range pl.Steps {
+			names = append(names, r.Name)
+		}
+		if got := strings.Join(names, ","); got != tc.steps {
+			t.Errorf("%s: rounds %s, want %s", tc.name, got, tc.steps)
+		}
+		if got := pl.TrafficBound(10); got != tc.want {
+			t.Errorf("%s: TrafficBound = %d, want %d", tc.name, got, tc.want)
+		}
 	}
 }
 
@@ -577,7 +604,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 	}
 	// The aligned query goes fully local under sync reduction.
 	pl, err := coord.PlanWith(context.Background(), q, plan.SelectRules("local-prefix", "sync-skip"))
-	if err != nil || !pl.FullLocal {
+	if err != nil || pl.Steps[0].Name != "local-all" {
 		t.Errorf("hash partitioning must enable Cor. 1: %v, %v", pl, err)
 	}
 	// Coordinator-side group reduction works off the hash filters too.

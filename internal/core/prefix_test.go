@@ -44,8 +44,8 @@ func TestLocalPrefixPlanShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pl.LocalPrefix != 2 || pl.FullLocal {
-		t.Errorf("LocalPrefix = %d, FullLocal = %v; want prefix 2, not full", pl.LocalPrefix, pl.FullLocal)
+	if first := pl.Steps[0]; first.Kind != plan.RoundLocalPrefix || first.UpTo != 2 || first.Name != "local-MD1..MD2" {
+		t.Errorf("first round = %+v; want the local prefix MD1..MD2", first)
 	}
 	if pl.Rounds() != 2 { // one local prefix round + MD3
 		t.Errorf("Rounds = %d, want 2", pl.Rounds())

@@ -17,10 +17,11 @@ func (c *Coordinator) SetSlowQueryThreshold(d time.Duration) { c.slowQuery = d }
 
 // finishProfile completes a stitched query profile after the span closes:
 // plan identity and cost estimates are attached, a successful result gets
-// the profile and its metrics view (stats.MetricsOf), per-round estimates are
-// joined with the measured rounds (Plan.CompareRounds), the cost-model drift
-// gauges refresh, the profile lands in the global ring for /debug/queries,
-// and the slow-query threshold is applied.
+// the profile and its metrics view (stats.MetricsOf), each measured round
+// gets the estimate of the plan round it ran (the executed rounds are the
+// plan's Steps), the cost-model drift gauges refresh, the profile lands in
+// the global ring for /debug/queries, and the slow-query threshold is
+// applied.
 func (c *Coordinator) finishProfile(p *obs.QueryProfile, pl *plan.Plan, res *Result) {
 	if p == nil {
 		return
@@ -35,11 +36,9 @@ func (c *Coordinator) finishProfile(p *obs.QueryProfile, pl *plan.Plan, res *Res
 	}
 	if res != nil {
 		res.Profile, res.Metrics = p, stats.MetricsOf(c.net, p)
-		costs := pl.CompareRounds(res.Metrics)
-		for i := range p.Rounds {
-			if i < len(costs) && costs[i].Name == p.Rounds[i].Name {
-				p.Rounds[i].EstBytesDown = costs[i].EstBytesDown
-				p.Rounds[i].EstBytesUp = costs[i].EstBytesUp
+		for i, est := range pl.Estimate.PerRound {
+			if i < len(p.Rounds) {
+				p.Rounds[i].EstBytesDown, p.Rounds[i].EstBytesUp = est.BytesDown, est.BytesUp
 			}
 		}
 		// Drift gauges: measured over estimated traffic per direction. A ratio

@@ -65,6 +65,22 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s under %s: %v", qname, sel, err)
 			}
+			// The executed rounds are the plan's Steps, priced one by one,
+			// and move no more rows than Thm. 2 allows for them.
+			pl, ran := res.Plan, res.Metrics.Rounds
+			if len(ran) != len(pl.Steps) || len(pl.Estimate.PerRound) != len(pl.Steps) {
+				t.Fatalf("%s under %s: %d rounds ran, %d planned, %d estimated",
+					qname, sel, len(ran), len(pl.Steps), len(pl.Estimate.PerRound))
+			}
+			for i, r := range pl.Steps {
+				if ran[i].Name != r.Name || pl.Estimate.PerRound[i].Name != r.Name {
+					t.Errorf("%s under %s: round %d ran as %q, planned %q, estimated %q",
+						qname, sel, i, ran[i].Name, r.Name, pl.Estimate.PerRound[i].Name)
+				}
+			}
+			if got, bound := res.Metrics.TotalRows(), pl.TrafficBound(res.Rel.Len()); got > bound {
+				t.Errorf("%s under %s: %d rows transferred exceeds the Thm. 2 bound %d", qname, sel, got, bound)
+			}
 			return sortedText(res.Rel)
 		}
 		want := run(plan.SelectNone())

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"skalla/internal/gmdj"
+	"skalla/internal/plan"
 	"skalla/internal/stats"
 )
 
@@ -39,7 +40,7 @@ func TestSyncReduceFilteredBaseRegression(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Plan.SkipBaseSync {
+		if res.Plan.Steps[0].Kind == plan.RoundBaseMD1 {
 			t.Errorf("seed %d: planner folded base sync despite base WHERE", seed)
 		}
 		if !res.Rel.EqualMultiset(want) {

@@ -84,12 +84,9 @@ func (e CostEstimate) String() string {
 	return fmt.Sprintf("%d round(s), %d B down, %d B up", e.Rounds, e.BytesDown, e.BytesUp)
 }
 
-// estimate prices a draft plan. It mirrors the coordinator's round structure
-// (internal/core executePlan): a base round (plain, folded into MD1, or a
-// local prefix), then one coordinator-driven round per remaining operator.
+// estimate prices a draft plan one round of Steps at a time.
 func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog) CostEstimate {
 	n := int64(p.NumSites)
-	overhead := m.MsgOverhead
 	groups, aligned := m.baseGroups(p.Query, cat)
 	// Per-site share of the groups a site returns: partition-aligned keys
 	// mean each group lives at one site (1/n of them per site); otherwise
@@ -99,73 +96,50 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 		perSite /= float64(n)
 	}
 
-	var est CostEstimate
-	add := func(name string, down, up int64) {
-		est.PerRound = append(est.PerRound, RoundEstimate{Name: name, BytesDown: down, BytesUp: up})
+	est := CostEstimate{Rounds: len(p.Steps)}
+	for _, r := range p.Steps {
+		// Every round sends each site one request.
+		down, up := n*m.MsgOverhead, int64(0)
+		switch r.Kind {
+		case RoundBase, RoundBaseMD1:
+			up = n * ceilI(perSite) * rowBytes(xs[r.UpTo])
+		case RoundLocalPrefix:
+			// Each site returns its locally finished share of X; alignment
+			// is what made the prefix legal, so the shares partition the
+			// groups.
+			up = groups * rowBytes(xs[r.UpTo])
+		case RoundOperator:
+			down, up = m.operatorRound(p, r, xs, n, groups, perSite)
+		}
+		est.PerRound = append(est.PerRound, RoundEstimate{Name: r.Name, BytesDown: down, BytesUp: up})
 		est.BytesDown += down
 		est.BytesUp += up
-		est.Rounds++
-	}
-	rowB := func(k int) int64 {
-		if k < len(xs) {
-			return rowBytes(xs[k])
-		}
-		return 16
-	}
-	// An operator round ships what the exchange ships (internal/core
-	// operatorRound): down, X_k projected onto the keys and the columns the
-	// operator's conditions read; up, the row ordinal and the operator's
-	// physical columns.
-	downB := func(k int) int64 {
-		if k < len(xs) {
-			if cols, err := p.Query.Ops[k].ShippedColumns(xs[k], p.Query.Keys()); err == nil {
-				return rowBytes(xs[k].Project(cols))
-			}
-		}
-		return rowB(k)
-	}
-	upB := func(k int) int64 {
-		if k+1 < len(xs) {
-			return 8 + rowBytes(physColumns(p.Query.Ops[k], xs[k], xs[k+1]))
-		}
-		return 16
-	}
-
-	numOps := len(p.Query.Ops)
-	startOp := 0
-	switch {
-	case p.LocalPrefix > 0:
-		name := fmt.Sprintf("local-MD1..MD%d", p.LocalPrefix)
-		if p.FullLocal {
-			name = "local-all"
-		}
-		// One request down, each site returns its locally finished share of
-		// X_prefix; alignment is what made the prefix legal, so the shares
-		// partition the groups.
-		add(name, n*overhead, groups*rowB(p.LocalPrefix))
-		startOp = p.LocalPrefix
-	case p.SkipBaseSync:
-		add("base+MD1", n*overhead, n*ceilI(perSite)*rowB(1))
-		startOp = 1
-	default:
-		add("base", n*overhead, n*ceilI(perSite)*rowB(0))
-	}
-	for k := startOp; k < numOps; k++ {
-		// Down: the coordinator ships X_k to every site — unless Thm. 4
-		// reducers partition it so each site gets only its own fragment.
-		down := n*overhead + n*groups*downB(k)
-		if p.Reducers != nil && k < len(p.Reducers) && p.Reducers[k] != nil {
-			down = n*overhead + groups*downB(k)
-		}
-		// Up: each site returns aggregates for the groups it saw; the Prop. 1
-		// guard suppresses groups with no matching detail rows.
-		up := float64(n) * perSite
-		if p.Guard {
-			up *= m.GuardSelectivity
-		}
-		add(fmt.Sprintf("MD%d", k+1), down, ceilI(up)*upB(k))
 	}
 	return est
+}
+
+// operatorRound prices what the exchange ships (internal/core operatorRound):
+// down, X_k projected onto the keys and the columns the operator's conditions
+// read, to every site — or, under Thm. 4 reducers, to each site only its own
+// fragment; up, the row ordinal and the operator's physical columns for the
+// groups each site saw, fewer under the Prop. 1 guard.
+func (m CostModel) operatorRound(p *Plan, r Round, xs []relation.Schema, n, groups int64, perSite float64) (down, up int64) {
+	k := r.UpTo - 1
+	op := p.Query.Ops[k]
+	downB := rowBytes(xs[k])
+	if cols, err := op.ShippedColumns(xs[k], p.Query.Keys()); err == nil {
+		downB = rowBytes(xs[k].Project(cols))
+	}
+	upB := 8 + rowBytes(physColumns(op, xs[k], xs[k+1]))
+	shipped := n * groups
+	if r.Reducers != nil {
+		shipped = groups
+	}
+	rows := float64(n) * perSite
+	if r.Guard {
+		rows *= m.GuardSelectivity
+	}
+	return n*m.MsgOverhead + shipped*downB, ceilI(rows) * upB
 }
 
 // baseGroups estimates |Q|, the base-values cardinality, from catalog
@@ -267,27 +241,17 @@ type RoundCost struct {
 }
 
 // CompareRounds joins the plan's per-round estimates with the measured
-// metrics, by position (names coincide when the plan executed normally; a
-// retried or degraded run may report fewer rounds).
+// metrics by position: the executed rounds are the plan's Steps, so the names
+// coincide (a run served without rounds reports none).
 func (p *Plan) CompareRounds(m *stats.Metrics) []RoundCost {
 	var out []RoundCost
 	for i, re := range p.Estimate.PerRound {
 		rc := RoundCost{Name: re.Name, EstBytesDown: re.BytesDown, EstBytesUp: re.BytesUp}
 		if m != nil && i < len(m.Rounds) {
-			rs := &m.Rounds[i]
-			rc.ActualBytesDown = int64(rs.BytesDown())
-			rc.ActualBytesUp = int64(rs.BytesUp())
-			if rs.Name != "" {
-				rc.Name = rs.Name
-			}
+			rc.ActualBytesDown = int64(m.Rounds[i].BytesDown())
+			rc.ActualBytesUp = int64(m.Rounds[i].BytesUp())
 		}
 		out = append(out, rc)
-	}
-	if m != nil {
-		for i := len(p.Estimate.PerRound); i < len(m.Rounds); i++ {
-			rs := &m.Rounds[i]
-			out = append(out, RoundCost{Name: rs.Name, ActualBytesDown: int64(rs.BytesDown()), ActualBytesUp: int64(rs.BytesUp())})
-		}
 	}
 	return out
 }

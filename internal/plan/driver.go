@@ -103,7 +103,7 @@ func (s Selection) resolve() ([]Rule, error) {
 	case ModeNone:
 		return nil, nil
 	case ModeAll, ModeAuto:
-		return Rules(), nil
+		return registry, nil
 	}
 	idx := make([]int, 0, len(s.Rules))
 	seen := make(map[int]bool, len(s.Rules))
@@ -199,7 +199,7 @@ func Compile(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites
 // against the rewritten draft; a pass that applies nothing ends the loop, so
 // the driver reaches a fixpoint in at most len(rules) passes.
 func compileRules(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, rules []Rule, model CostModel, mode string) (*Plan, error) {
-	p := &Plan{Query: q, NumSites: numSites, Mode: mode}
+	p := &Plan{Query: q, NumSites: numSites, Steps: baselineSteps(len(q.Ops)), Mode: mode}
 	c := &Context{Src: src, Catalog: cat, NumSites: numSites, Model: model, plan: p}
 
 	traces := make([]RuleTrace, len(rules))

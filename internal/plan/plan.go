@@ -44,25 +44,12 @@ type Plan struct {
 	NumSites int
 	// Merges counts coalescing rewrites applied.
 	Merges int
-	// SkipBaseSync is Prop. 2: the base round is folded into the first
-	// operator round (sites evaluate base+MD1 locally).
-	SkipBaseSync bool
-	// LocalPrefix is the number of leading operators evaluated entirely at
-	// the sites with one synchronization at the end of the prefix (Thm. 5 /
-	// Cor. 1 family; see distrib.LocalPrefixLen). Zero means no local
-	// prefix.
-	LocalPrefix int
-	// FullLocal is Cor. 1: LocalPrefix covers the entire chain, so the
-	// query runs in a single fully local round.
-	FullLocal bool
-	// Guard is Prop. 1: sites return only groups with |RNG| > 0 in
-	// coordinator-driven operator rounds.
-	Guard bool
+	// Steps are the synchronization rounds the coordinator runs, in order:
+	// the baseline (base, then one round per operator) as the round rules
+	// rewrote it. Executor, cost model, Describe and TrafficBound read them.
+	Steps []Round
 	// XSchemas[k] is the base-result structure schema after k operators.
 	XSchemas []relation.Schema
-	// Reducers[k][site] is the Thm. 4 base-fragment predicate for operator k
-	// at the given site; Reducers[k] == nil means no reduction derivable.
-	Reducers [][]distrib.ReductionPred
 
 	// Mode is the canonical selection the plan was compiled under
 	// ("none", "all", "auto", or "rules=...").
@@ -87,18 +74,80 @@ type Plan struct {
 	Candidates int
 }
 
-// Rounds predicts the number of synchronization rounds the plan needs: a
-// local prefix of k operators costs one round plus one per remaining
-// operator; Prop. 2 saves the base round; otherwise an m-operator query uses
-// m+1 rounds (Sect. 3.2).
-func (p *Plan) Rounds() int {
-	if p.LocalPrefix > 0 {
-		return 1 + len(p.Query.Ops) - p.LocalPrefix
+// RoundKind says how a round evaluates and what it ships.
+type RoundKind uint8
+
+const (
+	// RoundBase is round 0 of Alg. GMDJDistribEval: each site returns its
+	// base-values fragment B_i.
+	RoundBase RoundKind = iota
+	// RoundBaseMD1 is Prop. 2: the base sync folded into MD1, which the
+	// sites evaluate locally with one synchronization.
+	RoundBaseMD1
+	// RoundLocalPrefix is Thm. 5: the sites evaluate the base and MD1..MDk
+	// locally with one synchronization (Cor. 1 when it covers the chain).
+	RoundLocalPrefix
+	// RoundOperator is one coordinator-driven round of one operator.
+	RoundOperator
+)
+
+// Round is one synchronization round of a plan.
+type Round struct {
+	Kind RoundKind
+	// Name is the executed round's name (stats.RoundStat.Name).
+	Name string
+	// UpTo is the number of operators X holds once the round completes: 0
+	// for the base round, k for a local round over MD1..MDk, k+1 for the
+	// round of operator k (0-based).
+	UpTo int
+	// Guard is Prop. 1: sites return only groups with |RNG| > 0.
+	Guard bool
+	// Reducers[site] is the Thm. 4 base-fragment predicate for the round's
+	// operator at that site; nil means no reduction (operator rounds).
+	Reducers []distrib.ReductionPred
+}
+
+// baselineSteps is the unreduced algorithm: a base round, then one round per
+// operator.
+func baselineSteps(numOps int) []Round {
+	steps := append(make([]Round, 0, numOps+1), Round{Kind: RoundBase, Name: "base"})
+	for k := 0; k < numOps; k++ {
+		steps = append(steps, Round{Kind: RoundOperator, Name: fmt.Sprintf("MD%d", k+1), UpTo: k + 1})
 	}
-	if p.SkipBaseSync {
-		return len(p.Query.Ops)
+	return steps
+}
+
+// foldPrefix replaces the leading rounds that evaluate no operator past upTo
+// (the base round at least) with one local round of the given kind and name.
+func (p *Plan) foldPrefix(kind RoundKind, upTo int, name string) {
+	i := 0
+	for i+1 < len(p.Steps) && p.Steps[i+1].UpTo <= upTo {
+		i++
 	}
-	return len(p.Query.Ops) + 1
+	p.Steps = p.Steps[i:]
+	p.Steps[0] = Round{Kind: kind, Name: name, UpTo: upTo}
+}
+
+// fullLocal reports Cor. 1: one local round covers the whole chain.
+func (p *Plan) fullLocal() bool {
+	return p.Steps[0].Kind == RoundLocalPrefix && p.Steps[0].UpTo == len(p.Query.Ops)
+}
+
+// Rounds is the number of synchronization rounds the plan runs.
+func (p *Plan) Rounds() int { return len(p.Steps) }
+
+// TrafficBound is the Theorem 2 bound on the base-structure rows the plan
+// transfers, for a result of groups groups: every site ships at most |Q| rows
+// in a base or local round, and at most |Q| each way in an operator round.
+func (p *Plan) TrafficBound(groups int) int {
+	bound := 0
+	for _, r := range p.Steps {
+		bound += p.NumSites * groups
+		if r.Kind == RoundOperator {
+			bound += p.NumSites * groups // X_k down as well
+		}
+	}
+	return bound
 }
 
 // Keys returns the base key attributes K.
@@ -112,18 +161,22 @@ func (p *Plan) Describe() string {
 	fmt.Fprintf(&b, "plan %s: %d site(s), mode %s\n", p.Fingerprint, p.NumSites, p.Mode)
 	fmt.Fprintf(&b, "  operators: %d (coalescing merges: %d)\n", len(p.Query.Ops), p.Merges)
 	fmt.Fprintf(&b, "  synchronization rounds: %d\n", p.Rounds())
-	switch {
-	case p.FullLocal:
+	switch first := p.Steps[0]; {
+	case p.fullLocal():
 		b.WriteString("  sync reduction: full local evaluation (Cor. 1)\n")
-	case p.LocalPrefix > 0:
-		fmt.Fprintf(&b, "  sync reduction: MD1..MD%d evaluated locally (Thm. 5 prefix)\n", p.LocalPrefix)
-	case p.SkipBaseSync:
+	case first.Kind == RoundLocalPrefix:
+		fmt.Fprintf(&b, "  sync reduction: MD1..MD%d evaluated locally (Thm. 5 prefix)\n", first.UpTo)
+	case first.Kind == RoundBaseMD1:
 		b.WriteString("  sync reduction: base sync folded into MD1 (Prop. 2)\n")
 	}
-	for k := range p.Query.Ops {
-		reduced := p.Reducers != nil && k < len(p.Reducers) && p.Reducers[k] != nil
-		fmt.Fprintf(&b, "  MD%d: coordinator-side group reduction: %v, site-side guard: %v\n",
-			k+1, reduced, p.Guard)
+	// Each operator is shown as the round that evaluates it treats it: only
+	// an operator round reduces or guards.
+	done := 0
+	for _, r := range p.Steps {
+		for ; done < r.UpTo; done++ {
+			fmt.Fprintf(&b, "  MD%d: coordinator-side group reduction: %v, site-side guard: %v\n",
+				done+1, r.Reducers != nil, r.Guard)
+		}
 	}
 	for _, t := range p.Trace {
 		if t.Applied {

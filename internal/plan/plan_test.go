@@ -66,6 +66,15 @@ func independentQuery() gmdj.Query {
 	}
 }
 
+// stepNames lists the plan's rounds by name.
+func stepNames(p *Plan) string {
+	names := make([]string, len(p.Steps))
+	for i, r := range p.Steps {
+		names[i] = r.Name
+	}
+	return strings.Join(names, ",")
+}
+
 func TestBaselinePlan(t *testing.T) {
 	p, err := compileFlow(chainQuery(), nil, 4, SelectNone())
 	if err != nil {
@@ -74,7 +83,7 @@ func TestBaselinePlan(t *testing.T) {
 	if p.Rounds() != 3 { // base + 2 operators
 		t.Errorf("Rounds = %d, want 3", p.Rounds())
 	}
-	if p.FullLocal || p.SkipBaseSync || p.Merges != 0 || p.Reducers != nil {
+	if stepNames(p) != "base,MD1,MD2" || p.Merges != 0 || p.Steps[1].Reducers != nil || p.Steps[2].Guard {
 		t.Errorf("baseline plan has optimizations: %+v", p)
 	}
 	if len(p.XSchemas) != 3 {
@@ -106,8 +115,8 @@ func TestSyncReducePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.FullLocal || p.Rounds() != 1 {
-		t.Errorf("FullLocal=%v Rounds=%d, want full-local single round", p.FullLocal, p.Rounds())
+	if stepNames(p) != "local-all" || p.Rounds() != 1 {
+		t.Errorf("rounds %s, want the full-local single round", stepNames(p))
 	}
 	// Without a catalog, Cor. 1 cannot apply, but Prop. 2 still folds the
 	// base sync (its test is distribution-independent).
@@ -115,9 +124,8 @@ func TestSyncReducePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FullLocal || !p.SkipBaseSync || p.Rounds() != 2 {
-		t.Errorf("no-catalog sync reduce: FullLocal=%v Skip=%v Rounds=%d",
-			p.FullLocal, p.SkipBaseSync, p.Rounds())
+	if stepNames(p) != "base+MD1,MD2" || p.Steps[0].Kind != RoundBaseMD1 || p.Rounds() != 2 {
+		t.Errorf("no-catalog sync reduce: rounds %s", stepNames(p))
 	}
 	// A query not keyed on partition-linked columns gets no reduction.
 	q := gmdj.Query{
@@ -128,8 +136,8 @@ func TestSyncReducePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FullLocal || p.SkipBaseSync {
-		t.Error("unaligned query must not sync-reduce")
+	if stepNames(p) != "base,MD1" {
+		t.Errorf("unaligned query must not sync-reduce: rounds %s", stepNames(p))
 	}
 }
 
@@ -139,18 +147,19 @@ func TestGroupReducePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Reducers == nil || p.Reducers[0] == nil || p.Reducers[1] == nil {
-		t.Fatalf("reducers missing: %v", p.Reducers)
+	md1, md2 := p.Steps[1], p.Steps[2]
+	if md1.Reducers == nil || md2.Reducers == nil {
+		t.Fatalf("reducers missing: %+v", p.Steps)
 	}
-	if len(p.Reducers[0]) != 4 {
-		t.Errorf("reducers per site = %d", len(p.Reducers[0]))
+	if len(md1.Reducers) != 4 {
+		t.Errorf("reducers per site = %d", len(md1.Reducers))
 	}
 	// Site 0 holds SAS in [0,99]: keeps 50, drops 150.
-	keep, err := p.Reducers[0][0](relation.Tuple{relation.NewInt(50), relation.NewInt(0)})
+	keep, err := md1.Reducers[0](relation.Tuple{relation.NewInt(50), relation.NewInt(0)})
 	if err != nil || !keep {
 		t.Errorf("reducer keep: %v %v", keep, err)
 	}
-	keep, _ = p.Reducers[0][0](relation.Tuple{relation.NewInt(150), relation.NewInt(0)})
+	keep, _ = md1.Reducers[0](relation.Tuple{relation.NewInt(150), relation.NewInt(0)})
 	if keep {
 		t.Error("reducer must drop out-of-range group")
 	}
@@ -159,15 +168,15 @@ func TestGroupReducePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.FullLocal || p.Reducers != nil {
-		t.Errorf("full-local plan should not compute reducers: %+v", p.Reducers)
+	if stepNames(p) != "local-all" || p.Steps[0].Reducers != nil {
+		t.Errorf("full-local plan should not compute reducers: %+v", p.Steps)
 	}
 	// Without distribution knowledge, no reducers.
 	p, err = compileFlow(chainQuery(), nil, 4, SelectRules("group-reduce-coord"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Reducers[0] != nil {
+	if p.Steps[1].Reducers != nil {
 		t.Error("no catalog must mean no reducers")
 	}
 }
@@ -205,6 +214,34 @@ func TestDescribe(t *testing.T) {
 	if !strings.Contains(d, "Prop. 2") || !strings.Contains(d, "guard: true") {
 		t.Errorf("Describe:\n%s", d)
 	}
+	// An operator evaluated in the base+MD1 local round is neither reduced
+	// nor guarded, whatever the rules did for the operator rounds.
+	for _, tc := range []struct {
+		cat   *distrib.Catalog
+		rules []string
+		want  []string
+	}{
+		{nil, []string{"sync-skip", "group-reduce-site"}, []string{
+			"MD1: coordinator-side group reduction: false, site-side guard: false",
+			"MD2: coordinator-side group reduction: false, site-side guard: true",
+		}},
+		{cat, []string{"sync-skip", "group-reduce-coord"}, []string{
+			"MD1: coordinator-side group reduction: false, site-side guard: false",
+			"MD2: coordinator-side group reduction: true, site-side guard: false",
+			"reduction predicates for 1 of 2 operator round(s)",
+		}},
+	} {
+		p, err := compileFlow(chainQuery(), tc.cat, 4, SelectRules(tc.rules...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := p.Describe()
+		for _, frag := range tc.want {
+			if !strings.Contains(d, frag) {
+				t.Errorf("%v: Describe missing %q:\n%s", tc.rules, frag, d)
+			}
+		}
+	}
 }
 
 func TestKeys(t *testing.T) {
@@ -232,7 +269,7 @@ func TestPlanSimplifiesConditions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.FullLocal {
+	if stepNames(p) != "local-all" {
 		t.Errorf("simplification must expose the key links; plan:\n%s", p.Describe())
 	}
 	if got := p.Query.Ops[0].Vars[0].Cond.String(); got != "((B.SAS = R.SAS) && (B.DAS = R.DAS))" {

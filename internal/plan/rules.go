@@ -38,16 +38,17 @@ type Context struct {
 	xschemas []relation.Schema
 }
 
-// Plan returns the draft under construction.
-func (c *Context) Plan() *Plan { return c.plan }
-
 // Query returns the draft's current (possibly rewritten) query.
 func (c *Context) Query() gmdj.Query { return c.plan.Query }
 
 // SetQuery replaces the draft's query, invalidating the cached structure
-// schemas. Rules that rewrite the query (coalesce) must go through here.
+// schemas, and resets the draft's rounds to the new query's baseline. Rules
+// that rewrite the query (coalesce) must go through here. The reset discards
+// no round rewrite only because the registry orders coalesce first, before
+// every rule that rewrites Steps.
 func (c *Context) SetQuery(q gmdj.Query) {
 	c.plan.Query = q
+	c.plan.Steps = baselineSteps(len(q.Ops))
 	c.xschemas = nil
 }
 
@@ -84,9 +85,6 @@ var registry = []Rule{
 	groupReduceCoordRule{},
 	groupReduceSiteRule{},
 }
-
-// Rules returns the registered rules in canonical order (a copy).
-func Rules() []Rule { return append([]Rule(nil), registry...) }
 
 // RuleNames returns the registered rule names in canonical order.
 func RuleNames() []string {
@@ -149,12 +147,13 @@ func (localPrefixRule) Applies(c *Context) (bool, string, error) {
 
 func (localPrefixRule) Apply(c *Context) (string, error) {
 	p := c.plan
-	p.LocalPrefix = distrib.LocalPrefixLen(p.Query, c.Catalog)
-	p.FullLocal = len(p.Query.Ops) > 0 && p.LocalPrefix == len(p.Query.Ops)
-	if p.FullLocal {
+	k := distrib.LocalPrefixLen(p.Query, c.Catalog)
+	if k == len(p.Query.Ops) {
+		p.foldPrefix(RoundLocalPrefix, k, "local-all")
 		return "full local evaluation (Cor. 1), single round", nil
 	}
-	return fmt.Sprintf("MD1..MD%d evaluated locally (Thm. 5 prefix)", p.LocalPrefix), nil
+	p.foldPrefix(RoundLocalPrefix, k, fmt.Sprintf("local-MD1..MD%d", k))
+	return fmt.Sprintf("MD1..MD%d evaluated locally (Thm. 5 prefix)", k), nil
 }
 
 // syncSkipRule folds the base-values synchronization into the first operator
@@ -167,7 +166,7 @@ func (syncSkipRule) Name() string { return "sync-skip" }
 
 func (syncSkipRule) Applies(c *Context) (bool, string, error) {
 	q := c.Query()
-	if c.plan.LocalPrefix > 0 {
+	if c.plan.Steps[0].Kind == RoundLocalPrefix {
 		return false, "local prefix already folds the base sync", nil
 	}
 	if distrib.CanSkipBaseSync(q) {
@@ -184,7 +183,7 @@ func (syncSkipRule) Applies(c *Context) (bool, string, error) {
 }
 
 func (syncSkipRule) Apply(c *Context) (string, error) {
-	c.plan.SkipBaseSync = true
+	c.plan.foldPrefix(RoundBaseMD1, 1, "base+MD1")
 	return "base sync folded into MD1 (Prop. 2)", nil
 }
 
@@ -196,7 +195,7 @@ type groupReduceCoordRule struct{}
 func (groupReduceCoordRule) Name() string { return "group-reduce-coord" }
 
 func (groupReduceCoordRule) Applies(c *Context) (bool, string, error) {
-	if c.plan.FullLocal {
+	if c.plan.fullLocal() {
 		return false, "fully local plan ships no base fragments", nil
 	}
 	if len(c.Query().Ops) == 0 {
@@ -212,12 +211,13 @@ func (groupReduceCoordRule) Apply(c *Context) (string, error) {
 		return "", err
 	}
 	dist := c.Catalog.Distribution(p.Query.Base.Detail)
-	p.Reducers = make([][]distrib.ReductionPred, len(p.Query.Ops))
 	derived := 0
-	for k, op := range p.Query.Ops {
-		if k < p.LocalPrefix {
+	for i := range p.Steps {
+		r := &p.Steps[i]
+		if r.Kind != RoundOperator {
 			continue // evaluated locally; nothing is shipped
 		}
+		op := p.Query.Ops[r.UpTo-1]
 		opDist := dist
 		if op.Detail != p.Query.Base.Detail {
 			opDist = c.Catalog.Distribution(op.Detail)
@@ -226,12 +226,12 @@ func (groupReduceCoordRule) Apply(c *Context) (string, error) {
 					opDist.NumSites, op.Detail, c.NumSites)
 			}
 		}
-		preds, ok, err := distrib.GroupReducers(op, xs[k], opDist)
+		preds, ok, err := distrib.GroupReducers(op, xs[r.UpTo-1], opDist)
 		if err != nil {
 			return "", err
 		}
 		if ok {
-			p.Reducers[k] = preds
+			r.Reducers = preds
 			derived++
 		}
 	}
@@ -245,17 +245,17 @@ type groupReduceSiteRule struct{}
 func (groupReduceSiteRule) Name() string { return "group-reduce-site" }
 
 func (groupReduceSiteRule) Applies(c *Context) (bool, string, error) {
-	start := c.plan.LocalPrefix
-	if start == 0 && c.plan.SkipBaseSync {
-		start = 1
+	for _, r := range c.plan.Steps {
+		if r.Kind == RoundOperator {
+			return true, "", nil
+		}
 	}
-	if len(c.Query().Ops) <= start {
-		return false, "no coordinator-driven operator rounds to guard", nil
-	}
-	return true, "", nil
+	return false, "no coordinator-driven operator rounds to guard", nil
 }
 
 func (groupReduceSiteRule) Apply(c *Context) (string, error) {
-	c.plan.Guard = true
+	for i := range c.plan.Steps {
+		c.plan.Steps[i].Guard = c.plan.Steps[i].Kind == RoundOperator
+	}
 	return "sites return only groups with |RNG| > 0 (Prop. 1)", nil
 }
