@@ -205,12 +205,14 @@ func BenchmarkFig5ConstantGroups(b *testing.B) {
 // must come in well under gob — the acceptance bar is at least 30% fewer
 // bytes — and bytes/op for both is reported so the margin is visible. decode
 // is the receiving side of one frame: Unmarshal, as a site decodes X.
+// decode-boxed decodes the same shape plus a BOOL column and a mixed one (an
+// INT column holding some FLOAT cells), which decode to boxed vectors.
 func BenchmarkWireCodec(b *testing.B) {
 	// gobShadow is what gob alone would ship for the relation: its schema and
 	// rows.
 	type gobShadow struct {
 		Schema relation.Schema
-		Tuples []relation.Tuple
+		Rows   []relation.Tuple
 	}
 	h := relation.New(relation.MustSchema(
 		relation.Column{Name: "CustName", Kind: relation.KindString},
@@ -243,26 +245,43 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		b.ReportMetric(float64(size), "payload-bytes/op")
 	})
-	b.Run("decode", func(b *testing.B) {
-		data, err := relation.Marshal(h)
-		if err != nil {
-			b.Fatal(err)
+	boxed := relation.New(append(h.Schema.Clone(),
+		relation.Column{Name: "ok", Kind: relation.KindBool},
+		relation.Column{Name: "mix", Kind: relation.KindInt}))
+	for i, row := range h.Rows() {
+		mix := relation.NewInt(int64(i))
+		if i%5 == 0 {
+			mix = relation.NewFloat(float64(i) + 0.5)
 		}
+		boxed.MustAppend(append(row, relation.NewBool(i%3 == 0), mix))
+	}
+	for _, c := range []struct {
+		name string
+		rel  *relation.Relation
+	}{{"decode", h}, {"decode-boxed", boxed}} {
+		b.Run(c.name, func(b *testing.B) {
+			data, err := relation.Marshal(c.rel)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := relation.Unmarshal(data); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*c.rel.Len()), "ns/row")
+		})
+	}
+	b.Run("gob", func(b *testing.B) {
+		var size int
+		shadow := &gobShadow{Schema: h.Schema, Rows: h.Rows()}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := relation.Unmarshal(data); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h.Len()), "ns/row")
-	})
-	b.Run("gob", func(b *testing.B) {
-		var size int
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
 			var buf bytes.Buffer
-			if err := gob.NewEncoder(&buf).Encode(&gobShadow{Schema: h.Schema, Tuples: h.Tuples}); err != nil {
+			if err := gob.NewEncoder(&buf).Encode(shadow); err != nil {
 				b.Fatal(err)
 			}
 			size = buf.Len()

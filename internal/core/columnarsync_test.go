@@ -151,7 +151,7 @@ func foldScenario(t *testing.T, after func(k int, m *merger, want []relation.Tup
 			if err := m.CommitStage(st, k); err != nil {
 				t.Fatal(err)
 			}
-			for _, hrow := range h.Tuples {
+			for _, hrow := range h.Rows() {
 				xrow, cursor := want[hrow[0].Int], 1
 				for _, seg := range segs[k] {
 					np := len(seg.layout.Phys)
@@ -184,16 +184,6 @@ func decoded(t *testing.T, r *relation.Relation) *relation.Relation {
 		t.Fatal(err)
 	}
 	return d
-}
-
-// columnar is r decoded from its frame, which must decode to vectors.
-func columnar(t *testing.T, r *relation.Relation) *relation.Relation {
-	t.Helper()
-	c := decoded(t, r)
-	if c.Columns() == nil {
-		t.Fatal("a frame did not decode to vectors")
-	}
-	return c
 }
 
 // TestColumnarFoldMatchesRowFold: folding H into the columnar X gives, cell
@@ -259,10 +249,10 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		parts = append(parts, columnar(t, b))
+		parts = append(parts, decoded(t, b))
 	}
-	offKind := parts[0].RowBody().Clone()
-	offKind.Tuples[0][1] = relation.NewFloat(0.5)
+	offKind := parts[0].Clone()
+	offKind.Columns().Vecs[1].Set(0, offKind.Len(), relation.NewFloat(0.5))
 
 	for name, parts := range map[string][]*relation.Relation{
 		"typed": parts,

@@ -69,11 +69,11 @@ func (c *Coordinator) NumSites() int { return len(c.sites) }
 
 // Result is the outcome of one distributed evaluation.
 type Result struct {
-	// Rel holds the result, usually as a columnar body: read it with Rows,
-	// AppendRow or Value, not Tuples. When the shared-work layer is active
-	// (SetResultCache / SetSingleFlight) Rel is this caller's own header over
-	// a body shared with other consumers: KeepRows on it is private, but the
-	// rows are read-only — Clone before writing cells or reordering in place.
+	// Rel holds the result: read it with Rows, AppendRow or Value. When the
+	// shared-work layer is active (SetResultCache / SetSingleFlight) Rel is
+	// this caller's own header over a body shared with other consumers:
+	// KeepRows on it is private, but the vectors are read-only — Clone before
+	// writing cells or appending rows.
 	Rel     *relation.Relation
 	Metrics *stats.Metrics
 	Plan    *plan.Plan

@@ -505,7 +505,7 @@ func TestMergerUnit(t *testing.T) {
 	}
 	// H naming a row X does not have errors.
 	h2 := h.Clone()
-	h2.Tuples[0][0] = relation.NewInt(99)
+	h2.Columns().Vecs[0].Set(0, h2.Len(), relation.NewInt(99))
 	if err := merge(h2, 0, 0); !errors.Is(err, ErrMalformedH) {
 		t.Errorf("out-of-range ordinal = %v, want ErrMalformedH", err)
 	}

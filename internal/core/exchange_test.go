@@ -183,12 +183,8 @@ func TestRoundShipsKeysAndReferencedColumns(t *testing.T) {
 						t.Errorf("%s site %d: got its own fragment or frame, want the round's one", round, c.site)
 					}
 				}
-				// The fragment ships as vectors; its frame is the bytes its
-				// rows encode to.
-				if calls[0].base.Columns() == nil {
-					t.Errorf("%s: the fragment was not gathered into vectors", round)
-				}
-				plain := calls[0].base.RowBody()
+				// The fragment's frame is the bytes its rows encode to.
+				plain := fromRows(calls[0].base.Schema, calls[0].base.Rows())
 				if fresh, err := relation.Marshal(plain); err != nil || string(fresh) != string(first) {
 					t.Errorf("%s: the shared frame is not Marshal's frame of the fragment's rows (%v)", round, err)
 				}
@@ -218,18 +214,19 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 	keyed := append(relation.Schema{{Name: "h", Kind: relation.KindInt}}, physSchema...)
 	// A site whose partition declares v FLOAT or STRING answers with the
 	// right column names and count, but not the kinds X's INT columns hold.
-	misKinded := relation.New(hSchema.Clone())
-	cntAt, minAt := misKinded.Schema.MustIndex("cnt1"), misKinded.Schema.MustIndex("min1")
-	misKinded.Schema[cntAt].Kind, misKinded.Schema[minAt].Kind = relation.KindFloat, relation.KindString
+	misSchema := hSchema.Clone()
+	cntAt, minAt := misSchema.MustIndex("cnt1"), misSchema.MustIndex("min1")
+	misSchema[cntAt].Kind, misSchema[minAt].Kind = relation.KindFloat, relation.KindString
+	misKinded := relation.New(misSchema)
 	misRow := row(relation.NewInt(0))
 	misRow[cntAt], misRow[minAt] = relation.NewFloat(3.5), relation.NewString("zzz")
 	misKinded.MustAppend(misRow)
 	// The right schema with cells no merge can fold, which the codec's mixed
 	// column encoding carries: a FLOAT count, a STRING sum.
 	countCell := block(hSchema, relation.NewInt(0), relation.NewInt(1))
-	countCell.Tuples[1][cntAt] = relation.NewFloat(2.5)
+	countCell.Columns().Vecs[cntAt].Set(1, countCell.Len(), relation.NewFloat(2.5))
 	sumCell := block(hSchema, relation.NewInt(2))
-	sumCell.Tuples[0][hSchema.MustIndex("sum1")] = relation.NewString("30")
+	sumCell.Columns().Vecs[hSchema.MustIndex("sum1")].Set(0, sumCell.Len(), relation.NewString("30"))
 	return map[string][]*relation.Relation{
 		"phys-column-mis-kinded": {misKinded},
 		"count-cell-not-int":     {countCell},
@@ -308,7 +305,7 @@ func TestOffKindCellsMergeAsCentral(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
 	vi := tSchema.MustIndex("v")
 	for i := 0; i < global.Len(); i += 17 {
-		global.Tuples[i][vi] = relation.NewFloat(float64(i) + 0.5)
+		global.Columns().Vecs[vi].Set(i, global.Len(), relation.NewFloat(float64(i)+0.5))
 	}
 	sites, cat := buildCluster(t, global, "T", 3, 4, true)
 	coord, err := New(sites, cat, stats.NetModel{})
@@ -334,8 +331,8 @@ func TestOffKindCellsMergeAsCentral(t *testing.T) {
 // bodyLog counts the X fragments the sites of one cluster received, by body
 // and by whether a shipped column held an off-kind cell.
 type bodyLog struct {
-	mu                                                  sync.Mutex
-	columnar, rowsOffKind, columnarOffKind, rowsUniform int
+	mu                                              sync.Mutex
+	typed, boxedOffKind, typedOffKind, boxedUniform int
 }
 
 // bodyLoggingSite is a site engine that notes every fragment it is sent.
@@ -351,17 +348,20 @@ func (b bodyLoggingSite) EvalOperatorBlocks(ctx context.Context, req engine.Oper
 			offKind = offKind || !v.IsNull() && v.Kind != req.Base.Schema[j].Kind
 		}
 	}
-	columnar := req.Base.Columns() != nil
+	boxed := false
+	for _, v := range req.Base.Columns().Vecs {
+		boxed = boxed || v.Boxed
+	}
 	b.log.mu.Lock()
 	switch {
-	case offKind && columnar:
-		b.log.columnarOffKind++
+	case offKind && boxed:
+		b.log.boxedOffKind++
 	case offKind:
-		b.log.rowsOffKind++
-	case columnar:
-		b.log.columnar++
+		b.log.typedOffKind++
+	case boxed:
+		b.log.boxedUniform++
 	default:
-		b.log.rowsUniform++
+		b.log.typed++
 	}
 	b.log.mu.Unlock()
 	return b.Site.EvalOperatorBlocks(ctx, req, emit)
@@ -372,16 +372,16 @@ func (b bodyLoggingSite) EvalOperatorBlocks(ctx context.Context, req engine.Oper
 // reference in process (FastLocalSite), serialized in process (LocalSite) and
 // over TCP. Every result equals EvalCentral and prints identically on all
 // three. MD2 ships min1, an INT column the off-kind cells turn FLOAT in some
-// rows: such a fragment reaches its site with the row body, every other one as
-// vectors.
+// rows: such a fragment reaches its site with that column boxed, every other
+// one as typed vectors.
 func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
 	vi, hi := tSchema.MustIndex("v"), tSchema.MustIndex("h")
 	for i := 0; i < global.Len(); i += 17 {
-		global.Tuples[i][vi] = relation.NewFloat(float64(i) + 0.5)
+		global.Columns().Vecs[vi].Set(i, global.Len(), relation.NewFloat(float64(i)+0.5))
 	}
 	for i := 5; i < global.Len(); i += 13 {
-		global.Tuples[i][hi] = relation.Null
+		global.Columns().Vecs[hi].Set(i, global.Len(), relation.Null)
 	}
 	q := nonAlignedQuery()
 	q.Ops[1].Vars[0].Cond = expr.MustParse("B.h = R.h && R.v >= B.min1")
@@ -437,11 +437,11 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 			}
 			printed[sel.String()] = got
 		}
-		if log.rowsOffKind == 0 || log.columnar == 0 {
-			t.Errorf("%s: %d off-kind and %d columnar fragments: the data no longer exercises both bodies", name, log.rowsOffKind, log.columnar)
+		if log.boxedOffKind == 0 || log.typed == 0 {
+			t.Errorf("%s: %d off-kind and %d typed fragments: the data no longer exercises both", name, log.boxedOffKind, log.typed)
 		}
-		if log.columnarOffKind != 0 || log.rowsUniform != 0 {
-			t.Errorf("%s: %d off-kind fragments arrived as vectors, %d uniform ones as rows", name, log.columnarOffKind, log.rowsUniform)
+		if log.typedOffKind != 0 || log.boxedUniform != 0 {
+			t.Errorf("%s: %d off-kind fragments arrived typed, %d uniform ones boxed", name, log.typedOffKind, log.boxedUniform)
 		}
 	}
 }
@@ -607,7 +607,7 @@ func FuzzStageAdd(f *testing.F) {
 		unmarshalled, rows := stageMerger(t), stageMerger(t)
 		mergers := []*merger{streamed, unmarshalled, rows}
 		stages := []*hStage{st, unmarshalled.NewStage(0, unmarshalled.X().Len(), nil), rows.NewStage(0, rows.X().Len(), nil)}
-		errs := []error{streamErr, stages[1].Add(h), stages[2].Add(h.RowBody())}
+		errs := []error{streamErr, stages[1].Add(h), stages[2].Add(fromRows(h.Schema, h.Rows()))}
 		for i, m := range mergers {
 			if errs[i] != nil {
 				stages[i].Discard()
@@ -646,6 +646,15 @@ const (
 	stageAllocPerByte = 1024
 	stageAllocConst   = 2 << 20
 )
+
+// fromRows is a relation over schema holding rows, built through Append.
+func fromRows(schema relation.Schema, rows []relation.Tuple) *relation.Relation {
+	r := relation.New(schema)
+	for _, row := range rows {
+		r.MustAppend(row)
+	}
+	return r
+}
 
 // allocatedBy is the bytes fn allocates.
 func allocatedBy(fn func()) uint64 {
@@ -815,7 +824,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 			if got, want := budget.used.Load()-before, x.MemBytes()-old.MemBytes(); got != want {
 				t.Errorf("Extend %d charged %d bytes, X grew by %d", k+1, got, want)
 			}
-			if x.Columns() == nil || &x.Columns().Vecs[0].Ints[0] != backing || len(x.Columns().Vecs) != len(xs[k+1]) {
+			if &x.Columns().Vecs[0].Ints[0] != backing || len(x.Columns().Vecs) != len(xs[k+1]) {
 				t.Errorf("Extend %d did not widen X's vectors in place", k+1)
 			}
 			if len(old.Schema) != len(xs[k]) || len(old.Columns().Vecs) != len(xs[k]) {

@@ -72,7 +72,7 @@ func corruptKeyBlock(b *relation.Relation) *relation.Relation {
 		return b
 	}
 	bad := b.Clone()
-	bad.Tuples[0][0] = relation.NewInt(999999)
+	bad.Columns().Vecs[0].Set(0, bad.Len(), relation.NewInt(999999))
 	return bad
 }
 

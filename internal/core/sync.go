@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"slices"
 
 	"skalla/internal/agg"
 	"skalla/internal/engine"
@@ -51,7 +50,7 @@ func buildSegments(q gmdj.Query, src gmdj.SchemaSource, numBaseCols int) ([][]va
 // operator round's H rows name their X row by ordinal in the fragment that
 // was shipped (see Fragment), so that merge is an array index; the base and
 // local rounds, whose fragments carry keys the coordinator has not seen yet,
-// find X's rows by key in a keyTable.
+// find X's rows by key in a relation.KeyTable.
 //
 // X is columnar: the merger writes its vectors in place, and each operator
 // round widens it by appending vectors. A cell no typed vector holds — a
@@ -64,11 +63,11 @@ type merger struct {
 	hschemas []relation.Schema // per operator, the schema of its H_i
 
 	x        *relation.Relation
-	keyIdx   []int          // key column positions within x
-	keyPos   []int          // 0..len(keys)-1: key's positions within itself
-	key      relation.Tuple // scratch: the key cells keyOf boxed last
-	table    *keyTable      // X's rows by key; nil unless InitLocal built it
-	extended int            // number of operators whose columns exist in x
+	keyIdx   []int              // key column positions within x
+	keyPos   []int              // 0..len(keys)-1: key's positions within itself
+	key      relation.Tuple     // scratch: the key cells keyOf boxed last
+	table    *relation.KeyTable // X's rows by key; nil unless InitLocal built it
+	extended int                // number of operators whose columns exist in x
 
 	// budget is the query's coordinator-side memory budget (nil = unbounded).
 	// X growth is charged here; staged H blocks are charged by their stages.
@@ -129,25 +128,20 @@ func (m *merger) InitBase(parts ...*relation.Relation) error {
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment.
 	largest := 0
-	parts = slices.Clone(parts)
-	for p, b := range parts {
+	for _, b := range parts {
 		if !b.Schema.Equal(schema) {
 			return fmt.Errorf("core: base schema %s, want %s", b.Schema, schema)
-		}
-		var err error
-		if parts[p], err = b.Columnar(); err != nil {
-			return fmt.Errorf("core: base fragment: %w", err)
 		}
 		largest = max(largest, b.Len())
 	}
 	type rowAt struct{ part, row int32 }
 	kept := make([]rowAt, 0, largest)
-	table := newKeyTable(largest)
+	table := relation.NewKeyTable(largest)
 	same := func(n int) bool { return m.sameKey(parts[kept[n].part], int(kept[n].row)) }
 	for p, b := range parts {
 		for i := 0; i < b.Len(); i++ {
-			if h := m.keyOf(b, i); table.find(h, same) < 0 {
-				table.insert(h, len(kept))
+			if h := m.keyOf(b, i); table.Find(h, same) < 0 {
+				table.Insert(h, len(kept))
 				kept = append(kept, rowAt{int32(p), int32(i)})
 			}
 		}
@@ -208,12 +202,7 @@ func vectorBytes(kind relation.Kind, n, nonNull int, boxed bool) int64 {
 // with an empty key table; local evaluation results are then merged with
 // MergeLocal.
 func (m *merger) InitLocal(upTo int) {
-	schema := m.xschemas[upTo]
-	c := &relation.Columns{Vecs: make([]relation.Vector, len(schema))}
-	for j, col := range schema {
-		c.Vecs[j] = relation.NewVector(col.Kind, 0)
-	}
-	m.x, m.extended, m.table = relation.FromColumns(schema, c), upTo, newKeyTable(0)
+	m.x, m.extended, m.table = relation.New(m.xschemas[upTo]), upTo, relation.NewKeyTable(0)
 }
 
 // X returns the current base-result structure (read-only between rounds;
@@ -265,22 +254,15 @@ func (m *merger) Extend() error {
 
 // Fragment builds what an operator round ships: the cols cells of X's rows —
 // of the rows listed, in that order, or of every row when rows is nil. A
-// whole-X fragment shares X's vectors and a reduced one gathers its own; one
-// with a boxed column is boxed into rows, the body a serialized transport
-// decodes its mixed or BOOL frame to, so that every transport hands a site
-// the same body. A row's position in the fragment is the ordinal the sites
+// whole-X fragment shares X's vectors and a reduced one gathers its own,
+// boxed columns included, as a serialized transport decodes them. A row's
+// position in the fragment is the ordinal the sites
 // address it by; NewStage takes the same rows to map it back. The fragment is
 // marked finished (relation.ShareFrame), so however many envelopes carry it —
 // one per site, one per retry — it is encoded once, and the in-process sites
 // that read it directly only read.
 func (m *merger) Fragment(cols []int, rows []int32) *relation.Relation {
 	f := relation.FromColumns(m.x.Schema.Project(cols), m.x.Columns().Select(rows, cols))
-	for j := range f.Columns().Vecs {
-		if f.Columns().Vecs[j].Boxed {
-			f = f.RowBody()
-			break
-		}
-	}
 	f.ShareFrame()
 	return f
 }
@@ -410,15 +392,10 @@ func (m *merger) NewStage(k, fragRows int, rows []int32) *hStage {
 }
 
 // Add validates and stages one H block, referenced, not copied: it must stay
-// untouched until Commit or Discard. A row block (a decoded mixed or BOOL
-// frame) is staged as its gathered vectors. The block's bytes are charged to
+// untouched until Commit or Discard. The block's bytes are charged to
 // the query's memory budget; an over-budget charge fails the stage (and with
 // it the query — budget errors are permanent, not retried).
 func (st *hStage) Add(h *relation.Relation) error {
-	h, err := h.Columnar()
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrMalformedH, err)
-	}
 	if err := validateH(h, st.schema, st.segs); err != nil {
 		return err
 	}
@@ -531,7 +508,7 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) er
 }
 
 // MergeLocal synchronizes one site's locally evaluated X fragment (schema =
-// current X schema), of either body: new keys are appended to X, existing
+// current X schema): new keys are appended to X, existing
 // keys have every operator segment's physical columns merged. Used by the
 // synchronization-reduced plans (Prop. 2 / Cor. 1).
 func (m *merger) MergeLocal(xl *relation.Relation) error {
@@ -541,10 +518,6 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 	if m.table == nil {
 		return fmt.Errorf("core: sync: local merge into an X that InitLocal did not prepare")
 	}
-	xl, err := xl.Columnar()
-	if err != nil {
-		return fmt.Errorf("core: sync: local X: %w", err)
-	}
 	before := m.x.MemBytes()
 	xc, lc := m.x.Columns(), xl.Columns()
 	same := func(row int) bool { return m.sameKey(m.x, row) }
@@ -553,12 +526,12 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 	to := make([]int64, xl.Len())
 	for i := range to {
 		h := m.keyOf(xl, i)
-		row := m.table.find(h, same)
+		row := m.table.Find(h, same)
 		if row < 0 {
 			for j := range xc.Vecs {
 				xc.Vecs[j].Append(xc.Rows, lc.Vecs[j].Value(i))
 			}
-			m.table.insert(h, xc.Rows)
+			m.table.Insert(h, xc.Rows)
 			xc.Rows++
 		}
 		to[i] = int64(row)
@@ -609,64 +582,4 @@ func (m *merger) RecomputeDerived(from, upTo int) {
 // X's vectors.
 func (m *merger) Finalize(cols []string) (*relation.Relation, error) {
 	return m.x.Project(cols)
-}
-
-// keyTable is an open-addressed hash table of row ids, linear probing, at
-// most half full. Callers hash a row's key cells (merger.keyOf) and say how to
-// compare a candidate's, so the table holds neither keys nor rows: a slot is
-// 32 bits of the hash, which also place it, and the row.
-type keyTable struct {
-	slots []keySlot
-	n     int
-}
-
-type keySlot struct {
-	tag uint32 // the hash's low 32 bits
-	row int32  // row id + 1; 0 marks an empty slot
-}
-
-func newKeyTable(hint int) *keyTable {
-	size := 16
-	for size < 2*hint {
-		size <<= 1
-	}
-	return &keyTable{slots: make([]keySlot, size)}
-}
-
-// find returns the row under hash that same accepts, or -1.
-func (t *keyTable) find(hash uint64, same func(row int) bool) int {
-	tag, mask := uint32(hash), uint32(len(t.slots)-1)
-	for i := tag & mask; ; i = (i + 1) & mask {
-		s := t.slots[i]
-		if s.row == 0 {
-			return -1
-		}
-		if s.tag == tag && same(int(s.row-1)) {
-			return int(s.row - 1)
-		}
-	}
-}
-
-// insert adds row under hash; find has found no row with its key.
-func (t *keyTable) insert(hash uint64, row int) {
-	if 2*(t.n+1) > len(t.slots) {
-		old := t.slots
-		t.slots = make([]keySlot, 2*len(old))
-		for _, s := range old {
-			if s.row != 0 {
-				t.place(s)
-			}
-		}
-	}
-	t.place(keySlot{tag: uint32(hash), row: int32(row + 1)})
-	t.n++
-}
-
-func (t *keyTable) place(s keySlot) {
-	mask := uint32(len(t.slots) - 1)
-	i := s.tag & mask
-	for t.slots[i].row != 0 {
-		i = (i + 1) & mask
-	}
-	t.slots[i] = s
 }

@@ -143,7 +143,7 @@ func ParseStatement(input string) (*Statement, error) {
 }
 
 // Postprocess applies the statement's client-side clauses (ORDER BY, LIMIT)
-// to an executed result relation, of either body. The coordinator applies it
+// to an executed result relation. The coordinator applies it
 // after distributed evaluation — ordering and truncation are presentation,
 // not part of the GMDJ algebra. Only rel's own header changes
 // (relation.KeepRows), so a body shared with other consumers (a cached or

@@ -47,7 +47,7 @@ func TestTranslateGroupBy(t *testing.T) {
 	ti := res.Schema.MustIndex("total")
 	si := res.Schema.MustIndex("SourceAS")
 	di := res.Schema.MustIndex("DestAS")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		if row[si].Int == 1 && row[di].Int == 1 && row[ti].Int != 60 {
 			t.Errorf("total(1,1) = %v", row[ti])
 		}
@@ -95,7 +95,7 @@ func TestTranslateHavingEach(t *testing.T) {
 	mi := res.Schema.MustIndex("matching")
 	si, di := res.Schema.MustIndex("SourceAS"), res.Schema.MustIndex("DestAS")
 	want := map[[2]int64]int64{{1, 1}: 2, {1, 2}: 1, {2, 1}: 1}
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		key := [2]int64{row[si].Int, row[di].Int}
 		if row[mi].Int != want[key] {
 			t.Errorf("matching%v = %v, want %d", key, row[mi], want[key])
@@ -248,12 +248,12 @@ func TestOrderByAndLimit(t *testing.T) {
 		t.Fatalf("limit: %d rows", res.Len())
 	}
 	ni := res.Schema.MustIndex("n")
-	if res.Tuples[0][ni].Int < res.Tuples[1][ni].Int {
-		t.Errorf("not descending: %v", res.Tuples)
+	if res.Value(0, ni).Int < res.Value(1, ni).Int {
+		t.Errorf("not descending: %v", res.Rows())
 	}
 	// AS 1 has 4 flows, AS 2 has 2: top row must be AS 1 with n=4.
-	if res.Tuples[0][ni].Int != 4 {
-		t.Errorf("top n = %v, want 4", res.Tuples[0][ni])
+	if res.Value(0, ni).Int != 4 {
+		t.Errorf("top n = %v, want 4", res.Value(0, ni))
 	}
 	// Ascending default.
 	st2, _ := ParseStatement(`SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS ORDER BY n`)
@@ -261,8 +261,8 @@ func TestOrderByAndLimit(t *testing.T) {
 	if err := st2.Postprocess(res2); err != nil {
 		t.Fatal(err)
 	}
-	if res2.Tuples[0][ni].Int != 2 {
-		t.Errorf("ascending top = %v", res2.Tuples[0][ni])
+	if res2.Value(0, ni).Int != 2 {
+		t.Errorf("ascending top = %v", res2.Value(0, ni))
 	}
 
 	// Postprocess edits only the header it is given: views of a shared
@@ -277,19 +277,19 @@ func TestOrderByAndLimit(t *testing.T) {
 	if err := st2.Postprocess(asc); err != nil {
 		t.Fatal(err)
 	}
-	if desc.Len() != 2 || desc.Tuples[0][ni].Int != 4 || asc.Tuples[0][ni].Int != 2 {
-		t.Errorf("views not ordered and limited: %v / %v", desc.Tuples, asc.Tuples)
+	if desc.Len() != 2 || desc.Value(0, ni).Int != 4 || asc.Value(0, ni).Int != 2 {
+		t.Errorf("views not ordered and limited: %v / %v", desc.Rows(), asc.Rows())
 	}
 	if shared.Format(-1) != before {
 		t.Errorf("postprocessing a view reordered the shared rows:\n%s\nwant:\n%s", shared.Format(-1), before)
 	}
 }
 
-// TestPostprocessReadsEitherBody: ORDER BY and LIMIT give a columnar result —
-// a decoded reply, a coordinator's result — the rows they give its row twin,
-// NULLs and ties included; the result stays columnar, and the body its views
-// share stays in place.
-func TestPostprocessReadsEitherBody(t *testing.T) {
+// TestPostprocessDecodedMatchesAppended: ORDER BY and LIMIT give a decoded
+// result — a reply, a coordinator's result — the rows they give its twin
+// built through Append, NULLs and ties included, and the vectors its views
+// share stay in place.
+func TestPostprocessDecodedMatchesAppended(t *testing.T) {
 	rows := relation.New(relation.MustSchema(
 		relation.Column{Name: "SourceAS", Kind: relation.KindInt},
 		relation.Column{Name: "n", Kind: relation.KindInt},
@@ -307,8 +307,8 @@ func TestPostprocessReadsEitherBody(t *testing.T) {
 		t.Fatal(err)
 	}
 	cols, err := relation.Unmarshal(frame)
-	if err != nil || cols.Columns() == nil {
-		t.Fatalf("decode to vectors: %v", err)
+	if err != nil {
+		t.Fatal(err)
 	}
 	shared := cols.Format(-1)
 	for _, clauses := range []string{"ORDER BY n DESC LIMIT 5", "ORDER BY n", "ORDER BY name DESC", "LIMIT 3", "ORDER BY SourceAS LIMIT 50"} {
@@ -323,11 +323,8 @@ func TestPostprocessReadsEitherBody(t *testing.T) {
 		if err := st.Postprocess(view); err != nil {
 			t.Fatal(err)
 		}
-		if view.Columns() == nil {
-			t.Errorf("%s: the columnar result became rows", clauses)
-		}
 		if got, want := view.Format(-1), twin.Format(-1); got != want {
-			t.Errorf("%s: columnar result\n%s\nrow twin\n%s", clauses, got, want)
+			t.Errorf("%s: decoded result\n%s\nappended twin\n%s", clauses, got, want)
 		}
 		if cols.Format(-1) != shared {
 			t.Fatalf("%s: postprocessing a view moved the shared rows", clauses)
@@ -372,7 +369,7 @@ func TestVarianceThroughSQL(t *testing.T) {
 	si := res.Schema.MustIndex("SourceAS")
 	sp := res.Schema.MustIndex("spread")
 	vr := res.Schema.MustIndex("vr")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		if row[si].Int == 2 {
 			// NB 7, 9: mean 8, variance 1, stddev 1.
 			if row[vr].Float != 1 || row[sp].Float != 1 {

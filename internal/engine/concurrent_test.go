@@ -71,7 +71,7 @@ func TestLoadSourceDuringEval(t *testing.T) {
 		// the snapshot caught; a torn read between generations breaks this.
 		ci := x.Schema.MustIndex("c")
 		var total int64
-		for _, row := range x.Tuples {
+		for _, row := range x.Rows() {
 			total += row[ci].Int
 		}
 		ok := false

@@ -1,12 +1,13 @@
 package engine
 
 import (
+	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
 
 // memPartition is an in-memory partition as Load imaged it: one columnar
 // image, which the compiled kernels scan and the scalar evaluator reads as
-// rows boxed from it on demand.
+// rows boxed from it a block at a time.
 type memPartition struct {
 	rel *relation.Relation // FromColumns over the image
 }
@@ -25,14 +26,10 @@ func (p memPartition) Schema() relation.Schema { return p.rel.Schema }
 // Len implements gmdj.RowSource.
 func (p memPartition) Len() int { return p.rel.Len() }
 
-// Scan implements gmdj.RowSource: the image boxed into rows for this scan.
+// Scan implements gmdj.RowSource with the scan of gmdj.SourceOf: the image
+// boxed a block of rows at a time.
 func (p memPartition) Scan(fn func(relation.Tuple) error) error {
-	for _, t := range p.rel.Rows() {
-		if err := fn(t); err != nil {
-			return err
-		}
-	}
-	return nil
+	return gmdj.SourceOf(p.rel).Scan(fn)
 }
 
 // Columns implements gmdj.ColumnSource.

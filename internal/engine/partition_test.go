@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -112,8 +113,8 @@ func TestLoadSnapshots(t *testing.T) {
 		t.Errorf("Len = %d, want 2", src.Len())
 	}
 
-	short := flowRel([3]int64{1, 1, 5})
-	short.Tuples = append(short.Tuples, relation.Tuple{relation.NewInt(2)})
+	flow := flowRel([3]int64{1, 1, 5})
+	short := relation.FromColumns(flow.Schema, &relation.Columns{Rows: 1, Vecs: flow.Columns().Vecs[:1]})
 	if err := s.Load(context.Background(), "Short", short); err == nil {
 		t.Error("a row of the wrong arity was loaded")
 	}
@@ -277,6 +278,47 @@ func TestKernelScratchIsFlat(t *testing.T) {
 	}
 }
 
+// TestSourceOfScanIsFlat: a SourceOf scan — the scalar evaluator's over a
+// materialized relation, and a Load-ed partition's — boxes a block of rows
+// at a time into one reused slab, so a scan of ten times the rows allocates
+// no more, in count or in bytes.
+func TestSourceOfScanIsFlat(t *testing.T) {
+	// allocs is what one scan of each source over rows allocates: the count
+	// and the bytes.
+	allocs := func(rows int) (counts, bytes [2]float64) {
+		rel := kernelRel(rows)
+		part, err := newMemPartition(rel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, src := range []gmdj.RowSource{gmdj.SourceOf(rel), part} {
+			scan := func() {
+				n := 0
+				if err := src.Scan(func(relation.Tuple) error { n++; return nil }); err != nil || n != rows {
+					t.Fatalf("scanned %d of %d rows: %v", n, rows, err)
+				}
+			}
+			counts[i] = testing.AllocsPerRun(20, scan)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for k := 0; k < 20; k++ {
+				scan()
+			}
+			runtime.ReadMemStats(&after)
+			bytes[i] = float64(after.TotalAlloc-before.TotalAlloc) / 20
+		}
+		return counts, bytes
+	}
+	smallCounts, smallBytes := allocs(3000)
+	largeCounts, largeBytes := allocs(30000)
+	for i, name := range []string{"SourceOf", "partition"} {
+		if largeCounts[i] > smallCounts[i] || largeBytes[i] > smallBytes[i]+1024 {
+			t.Errorf("%s: a scan of 3000 rows allocates %v times, %v bytes; of 30000 rows %v times, %v bytes",
+				name, smallCounts[i], smallBytes[i], largeCounts[i], largeBytes[i])
+		}
+	}
+}
+
 // TestKernelConcurrentEval evaluates eight different X's over one shared
 // partition from eight goroutines at once, several times each, and demands
 // every reply equal that X's serial one: under -race this proves no two
@@ -299,7 +341,7 @@ func TestKernelConcurrentEval(t *testing.T) {
 		keep := relation.New(x.Schema)
 		for j, row := range x.Rows() {
 			if (j+i)%3 != 0 {
-				keep.Tuples = append(keep.Tuples, row)
+				keep.MustAppend(row)
 			}
 		}
 		reqs[i] = OperatorRequest{Base: keep, Op: q.Ops[1]}

@@ -86,6 +86,7 @@ func Generate(c Config) (*Dataset, error) {
 	for i := range d.Parts {
 		d.Parts[i] = relation.New(Schema())
 	}
+	var row relation.Tuple // appended by value, so one buffer serves every row
 	for i := 0; i < c.Rows; i++ {
 		sas := 1 + rng.Int63n(int64(c.SourceAS))
 		das := 1 + rng.Int63n(int64(c.DestAS))
@@ -98,10 +99,10 @@ func Generate(c Config) (*Dataset, error) {
 		if rng.Intn(3) != 0 {
 			destPort = 1024 + rng.Int63n(64000)
 		}
-		row := relation.Tuple{
+		row = append(row[:0],
 			relation.NewInt(router),
 			relation.NewString(randIP(rng)),
-			relation.NewInt(1024 + rng.Int63n(64000)),
+			relation.NewInt(1024+rng.Int63n(64000)),
 			relation.NewInt(24),
 			relation.NewInt(sas),
 			relation.NewString(randIP(rng)),
@@ -109,11 +110,11 @@ func Generate(c Config) (*Dataset, error) {
 			relation.NewInt(24),
 			relation.NewInt(das),
 			relation.NewInt(start),
-			relation.NewInt(start + dur),
+			relation.NewInt(start+dur),
 			relation.NewInt(packets),
-			relation.NewInt(packets * (40 + rng.Int63n(1460))),
-		}
-		d.Parts[router].Tuples = append(d.Parts[router].Tuples, row)
+			relation.NewInt(packets*(40+rng.Int63n(1460))),
+		)
+		d.Parts[router].MustAppend(row)
 	}
 	return d, nil
 }
@@ -126,7 +127,9 @@ func randIP(rng *rand.Rand) string {
 func (d *Dataset) Global() *relation.Relation {
 	g := relation.New(Schema())
 	for _, p := range d.Parts {
-		g.Tuples = append(g.Tuples, p.Tuples...)
+		if err := g.Union(p); err != nil {
+			panic(err) // every router's part has Schema()
+		}
 	}
 	return g
 }

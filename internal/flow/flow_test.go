@@ -92,7 +92,7 @@ func TestFlowValueRanges(t *testing.T) {
 	st, et := s.MustIndex("StartTime"), s.MustIndex("EndTime")
 	np, nb := s.MustIndex("NumPackets"), s.MustIndex("NumBytes")
 	ip := s.MustIndex("SourceIP")
-	for _, row := range g.Tuples[:200] {
+	for _, row := range g.Rows()[:200] {
 		if row[et].Int < row[st].Int {
 			t.Fatal("EndTime before StartTime")
 		}

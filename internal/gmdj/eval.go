@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"fmt"
+	"slices"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
@@ -16,7 +17,8 @@ import (
 type RowSource interface {
 	// Schema describes the rows.
 	Schema() relation.Schema
-	// Scan streams every row through fn; an fn error aborts the scan.
+	// Scan streams every row through fn; an fn error aborts the scan. A row
+	// is valid only during fn: a source may reuse its storage.
 	Scan(fn func(relation.Tuple) error) error
 	// Len returns the row count.
 	Len() int
@@ -35,17 +37,35 @@ func scanCounted(src RowSource, fn func(relation.Tuple) error) error {
 	return err
 }
 
-// SourceOf adapts a materialized relation to a RowSource.
+// SourceOf adapts a materialized relation to a RowSource. It exposes no
+// columnar image, so an evaluation over it always takes the scalar path.
 func SourceOf(r *relation.Relation) RowSource { return relSource{r} }
 
 type relSource struct{ r *relation.Relation }
 
 func (s relSource) Schema() relation.Schema { return s.r.Schema }
 func (s relSource) Len() int                { return s.r.Len() }
+
+// scanBlock is how many rows a relSource scan boxes at a time.
+const scanBlock = 1024
+
+// Scan boxes a block of rows at a time into one reused slab, so a scan
+// allocates the same whatever the relation's size.
 func (s relSource) Scan(fn func(relation.Tuple) error) error {
-	for _, t := range s.r.Rows() {
-		if err := fn(t); err != nil {
-			return err
+	n, w := s.r.Len(), len(s.r.Schema)
+	vecs := s.r.Columns().Vecs
+	slab := make([]relation.Value, min(n, scanBlock)*w)
+	for lo := 0; lo < n; lo += scanBlock {
+		hi := min(n, lo+scanBlock)
+		for j := range vecs {
+			for i := lo; i < hi; i++ {
+				slab[(i-lo)*w+j] = vecs[j].Value(i)
+			}
+		}
+		for k := 0; k < hi-lo; k++ {
+			if err := fn(slab[k*w : (k+1)*w : (k+1)*w]); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
@@ -222,12 +242,20 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 	return p, nil
 }
 
-// scan streams the detail source, interning each surviving projection and
-// keeping fresh ones in first-occurrence order.
+// scan streams the detail source, keeping each surviving projection at its
+// first occurrence.
 func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
 	out := relation.New(p.schema)
-	seen := relation.NewKeySet(64)
+	seen := relation.NewKeyTable(64)
 	scratch := make(relation.Tuple, len(p.idx))
+	same := func(row int) bool {
+		for i, v := range scratch {
+			if !out.Value(row, i).Identical(v) {
+				return false
+			}
+		}
+		return true
+	}
 	err := scanCounted(src, func(t relation.Tuple) error {
 		if p.where != nil {
 			ok, err := expr.EvalCond(p.where, nil, t)
@@ -246,11 +274,10 @@ func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
 					scratch[i] = relation.Null
 				}
 			}
-			// Add interns the projection only for fresh keys; duplicates cost
-			// one hash probe and no allocation.
-			interned, fresh := seen.Add(scratch, p.allCols)
-			if fresh {
-				out.Tuples = append(out.Tuples, interned)
+			// A duplicate costs one hash probe and no allocation.
+			if h := scratch.KeyHash(p.allCols); seen.Find(h, same) < 0 {
+				seen.Insert(h, out.Len())
+				out.MustAppend(scratch)
 			}
 		}
 		return nil
@@ -265,9 +292,9 @@ func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
 // operator evaluation over one detail relation (or one partition of it), plus
 // the Touched flags: Touched[i] is the |RNG(b_i, R, θ_1 ∨ … ∨ θ_m)| > 0 test
 // of Proposition 1, used for distribution-independent group reduction. The
-// accumulators are read through AppendPhysVectors and ExtendRow, for the rows
-// asked for: a caller that emits only the touched rows never pays for the
-// others.
+// accumulators are read through AppendPhysVectors and AppendExtendedVectors,
+// for the rows asked for: a caller that emits only the touched rows never
+// pays for the others.
 type OperatorAccum struct {
 	Layouts []*agg.Layout
 	Touched []bool
@@ -306,14 +333,14 @@ func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, use
 			}
 		}
 	}
-	x = x.RowBody() // the scalar paths index and read X's rows
+	xrows := x.Rows() // the scalar paths index and read X's boxed rows
 	if useHash {
-		indexVarStates(x, states, detail.Schema())
+		indexVarStates(x.Schema, xrows, states, detail.Schema())
 	}
 	noteScanPath(detail, reason, len(states))
 	out := newOperatorAccum(x.Len(), states)
 	for vi, st := range states {
-		if err := st.scan(x, detail, out.accs[vi], out.Touched); err != nil {
+		if err := st.scan(xrows, detail, out.accs[vi], out.Touched); err != nil {
 			return nil, err
 		}
 	}
@@ -390,7 +417,7 @@ func bindVarStates(x *relation.Relation, op Operator, detailSchema relation.Sche
 // not +0.0, NaN is NaN) while the condition's equality compares numerics
 // across kinds and floats by value, so probing would drop matches the nested
 // loop finds, or find ones it does not.
-func indexVarStates(x *relation.Relation, states []*varState, detailSchema relation.Schema) {
+func indexVarStates(xschema relation.Schema, xrows []relation.Tuple, states []*varState, detailSchema relation.Schema) {
 	for _, st := range states {
 		links := expr.EqualityLinks(st.cond)
 		rollup := false
@@ -404,23 +431,19 @@ func indexVarStates(x *relation.Relation, states []*varState, detailSchema relat
 		if len(links) == 0 {
 			continue
 		}
-		baseCols := make([]string, len(links))
+		baseCols := make([]int, len(links))
 		probe := make([]int, len(links))
 		usable := true
 		for li, l := range links {
-			baseCols[li] = l.Base
-			bi, di := x.Schema.Index(l.Base), detailSchema.Index(l.Detail)
-			if bi < 0 || di < 0 || x.Schema[bi].Kind != detailSchema[di].Kind || x.Schema[bi].Kind == relation.KindFloat {
+			bi, di := xschema.Index(l.Base), detailSchema.Index(l.Detail)
+			if bi < 0 || di < 0 || xschema[bi].Kind != detailSchema[di].Kind || xschema[bi].Kind == relation.KindFloat {
 				usable = false
 				break
 			}
-			probe[li] = di
+			baseCols[li], probe[li] = bi, di
 		}
-		if !usable {
-			continue
-		}
-		if idx, err := relation.BuildKeyIndex(x, baseCols); err == nil {
-			st.hashIdx, st.probe, st.rollup = idx, probe, rollup
+		if usable {
+			st.hashIdx, st.probe, st.rollup = relation.BuildKeyIndex(xrows, baseCols), probe, rollup
 		}
 	}
 }
@@ -428,7 +451,7 @@ func indexVarStates(x *relation.Relation, states []*varState, detailSchema relat
 // scan accumulates this grouping variable over the detail source: accs[i]
 // receives base row i's physical partials, and touched[i] is set once it
 // receives any (the Prop. 1 Touched flag).
-func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation.Tuple, touched []bool) error {
+func (st *varState) scan(xrows []relation.Tuple, detail RowSource, accs []relation.Tuple, touched []bool) error {
 	if st.hashIdx != nil && st.rollup {
 		n := len(st.probe)
 		padded := make(relation.Tuple, n)
@@ -458,7 +481,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 					}
 				}
 				for _, bi := range st.hashIdx.Lookup(padded, paddedCols) {
-					ok, err := expr.EvalCond(st.cond, x.Tuples[bi], dr)
+					ok, err := expr.EvalCond(st.cond, xrows[bi], dr)
 					if err != nil {
 						return err
 					}
@@ -476,7 +499,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 	if st.hashIdx != nil {
 		return scanCounted(detail, func(dr relation.Tuple) error {
 			for _, bi := range st.hashIdx.Lookup(dr, st.probe) {
-				ok, err := expr.EvalCond(st.cond, x.Tuples[bi], dr)
+				ok, err := expr.EvalCond(st.cond, xrows[bi], dr)
 				if err != nil {
 					return err
 				}
@@ -491,7 +514,7 @@ func (st *varState) scan(x *relation.Relation, detail RowSource, accs []relation
 		})
 	}
 	return scanCounted(detail, func(dr relation.Tuple) error {
-		for bi, br := range x.Tuples {
+		for bi, br := range xrows {
 			ok, err := expr.EvalCond(st.cond, br, dr)
 			if err != nil {
 				return err
@@ -523,47 +546,56 @@ func (a *OperatorAccum) ExtendedSchema(base relation.Schema) (relation.Schema, e
 	return out, nil
 }
 
-// ExtendRow returns base row i's values followed by its physical and derived
-// aggregate values.
-func (a *OperatorAccum) ExtendRow(baseRow relation.Tuple, i int) relation.Tuple {
-	row := make(relation.Tuple, 0, len(baseRow)+a.physWidth())
-	row = append(row, baseRow...)
-	for vi, l := range a.Layouts {
-		phys := len(row)
-		row = a.appendVar(row, vi, i)
-		row = l.AppendDerived(row, row[phys:])
-	}
-	return row
-}
-
 // AppendPhysVectors appends to dst the physical aggregate cells of the base
 // rows listed, variable by variable in layout order, one vector per column:
-// gathered from a compiled kernel's slabs, or set from the scalar paths'
-// partials, boxed where a cell needs it.
+// the H_i payload.
 func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) []relation.Vector {
+	for vi := range a.Layouts {
+		dst = a.appendVarPhys(dst, vi, rows)
+	}
+	return dst
+}
+
+// AppendExtendedVectors appends to dst the aggregate cells ApplyOperator
+// adds to X for the base rows listed, in ExtendedSchema order: per variable,
+// its physical vectors, then its derived ones, computed row by row.
+func (a *OperatorAccum) AppendExtendedVectors(dst []relation.Vector, rows []int32) []relation.Vector {
+	n := len(rows)
+	var phys, der relation.Tuple
 	for vi, l := range a.Layouts {
-		for p, pc := range l.Phys {
-			if a.slabs != nil {
-				dst = append(dst, a.slabs[vi][p].gather(rows))
-				continue
+		start := len(dst)
+		dst = a.appendVarPhys(dst, vi, rows)
+		for _, col := range l.DerivedSchema() {
+			dst = append(dst, relation.NewVector(col.Kind, n))
+		}
+		for k := 0; k < n; k++ {
+			phys = phys[:0]
+			for p := range l.Phys {
+				phys = append(phys, dst[start+p].Value(k))
 			}
-			v := relation.NewVector(pc.Kind, len(rows))
-			for k, i := range rows {
-				v.Set(k, len(rows), a.accs[vi][i][p])
+			der = l.AppendDerived(der[:0], phys)
+			for d, val := range der {
+				dst[start+len(l.Phys)+d].Set(k, n, val)
 			}
-			dst = append(dst, v)
 		}
 	}
 	return dst
 }
 
-// appendVar appends variable vi's physical values for base row i.
-func (a *OperatorAccum) appendVar(dst relation.Tuple, vi, i int) relation.Tuple {
-	if a.slabs == nil {
-		return append(dst, a.accs[vi][i]...)
-	}
-	for p := range a.slabs[vi] {
-		dst = append(dst, a.slabs[vi][p].value(i))
+// appendVarPhys appends variable vi's physical vectors for the base rows
+// listed: gathered from a compiled kernel's slabs, or set from the scalar
+// paths' partials, boxed where a cell needs it.
+func (a *OperatorAccum) appendVarPhys(dst []relation.Vector, vi int, rows []int32) []relation.Vector {
+	for p, pc := range a.Layouts[vi].Phys {
+		if a.slabs != nil {
+			dst = append(dst, a.slabs[vi][p].gather(rows))
+			continue
+		}
+		v := relation.NewVector(pc.Kind, len(rows))
+		for k, i := range rows {
+			v.Set(k, len(rows), a.accs[vi][i][p])
+		}
+		dst = append(dst, v)
 	}
 	return dst
 }
@@ -580,18 +612,11 @@ func (a *OperatorAccum) PhysSchema() (relation.Schema, error) {
 	return out, nil
 }
 
-func (a *OperatorAccum) physWidth() int {
-	n := 0
-	for _, l := range a.Layouts {
-		n += len(l.Phys) + len(l.Derived)
-	}
-	return n
-}
-
 // ApplyOperator evaluates one MD operator: for every tuple of the incoming
 // base-values relation x it computes, per grouping variable, the aggregates
 // over the detail rows satisfying the variable's condition, and returns x
-// extended with the new physical and derived columns. x is not modified.
+// extended with the new physical and derived columns. x is not modified; the
+// result shares x's vectors.
 func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*relation.Relation, error) {
 	acc, err := AccumulateOperator(x, op, detail, useHash)
 	if err != nil {
@@ -601,10 +626,10 @@ func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash 
 	if err != nil {
 		return nil, err
 	}
-	out := relation.New(outSchema)
-	out.Tuples = make([]relation.Tuple, x.Len())
-	for i, br := range x.Rows() {
-		out.Tuples[i] = acc.ExtendRow(br, i)
+	all := make([]int32, x.Len())
+	for i := range all {
+		all[i] = int32(i)
 	}
-	return out, nil
+	vecs := acc.AppendExtendedVectors(slices.Clone(x.Columns().Vecs), all)
+	return relation.FromColumns(outSchema, &relation.Columns{Rows: x.Len(), Vecs: vecs}), nil
 }

@@ -52,7 +52,7 @@ func example1() Query {
 func findRow(t *testing.T, r *relation.Relation, sas, das int64) relation.Tuple {
 	t.Helper()
 	si, di := r.Schema.MustIndex("SAS"), r.Schema.MustIndex("DAS")
-	for _, tp := range r.Tuples {
+	for _, tp := range r.Rows() {
 		if tp[si].Int == sas && tp[di].Int == das {
 			return tp
 		}
@@ -157,7 +157,7 @@ func TestOverlappingRanges(t *testing.T) {
 	}
 	ci := res.Schema.MustIndex("c")
 	si := res.Schema.MustIndex("SAS")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		switch row[si].Int {
 		case 1:
 			if row[ci].Int != 3 { // NB in {10,20,30}

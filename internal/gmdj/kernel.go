@@ -352,17 +352,6 @@ func flipOp(op expr.Op) expr.Op {
 	return op
 }
 
-// baseVector returns column idx of X as a vector: a columnar X's own, as it
-// is, or one gathered from a row X's cells. It is boxed when some cell is
-// neither NULL nor the canonical value of the column's kind, which only the
-// scalar path compares exactly.
-func baseVector(x *relation.Relation, idx int) *relation.Vector {
-	if c := x.Columns(); c != nil {
-		return &c.Vecs[idx]
-	}
-	return &relation.GatherColumns(x.Schema, x.Tuples, []int{idx}).Vecs[0]
-}
-
 // compilePred compiles one residual conjunct — a comparison between a detail
 // column and a literal or base column, in either operand order — into its
 // filters, or reports why it cannot. x is nil for a base filter, where only
@@ -419,7 +408,7 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 			!numeric && declared != relation.KindString {
 			return nil, reasonKind
 		}
-		bv := baseVector(x, r.Idx)
+		bv := &x.Columns().Vecs[r.Idx]
 		switch {
 		case bv.Boxed:
 			return nil, reasonKind
@@ -495,7 +484,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind || vec.Kind != relation.KindString && vec.Kind != relation.KindInt {
 		return linkStage{}, reasonKind
 	}
-	bv := baseVector(x, bIdx)
+	bv := &x.Columns().Vecs[bIdx]
 	if bv.Boxed {
 		return linkStage{}, reasonKind
 	}
@@ -1219,7 +1208,7 @@ type baseCell struct{ row, set int32 }
 // its key. A column its grouping set leaves out is offered as NULL, the cell
 // a NULL in the data has, so every set goes through the same tables and the
 // two NULLs collapse into one base row, as they do in the scalar path's one
-// KeySet.
+// relation.KeyTable.
 type baseDedup struct {
 	k      *baseKernel
 	first  []uint32    // dense first table: cell → id+1; nil when pairs[0] keys the first column

@@ -68,8 +68,8 @@ func sameRows(a, b []relation.Tuple) error {
 
 // sameAccum compares the two accumulators the way their callers read them:
 // every base row's AppendPhysVectors cells (the H_i payload — gathered from
-// the typed slabs on the kernel's side) and ExtendRow (physical and derived
-// cells), cell for cell.
+// the typed slabs on the kernel's side) and AppendExtendedVectors cells
+// (physical and derived), cell for cell.
 func sameAccum(scalar, kernel *OperatorAccum) error {
 	if len(scalar.Layouts) != len(kernel.Layouts) {
 		return fmt.Errorf("%d variables vs %d", len(scalar.Layouts), len(kernel.Layouts))
@@ -82,21 +82,19 @@ func sameAccum(scalar, kernel *OperatorAccum) error {
 		all[i] = int32(i)
 	}
 	sv, kv := scalar.AppendPhysVectors(nil, all), kernel.AppendPhysVectors(nil, all)
-	base := relation.Tuple{relation.NewString("b")}
+	se, ke := scalar.AppendExtendedVectors(nil, all), kernel.AppendExtendedVectors(nil, all)
 	for i := range scalar.Touched {
 		if scalar.Touched[i] != kernel.Touched[i] {
 			return fmt.Errorf("Touched[%d]: %v vs %v", i, scalar.Touched[i], kernel.Touched[i])
 		}
-		var s, k relation.Tuple
-		for p := range sv {
-			s, k = append(s, sv[p].Value(i)), append(k, kv[p].Value(i))
-		}
-		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
-			return fmt.Errorf("AppendPhysVectors row %d: %w", i, err)
-		}
-		s, k = scalar.ExtendRow(base, i), kernel.ExtendRow(base, i)
-		if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
-			return fmt.Errorf("ExtendRow(%d): %w", i, err)
+		for name, vecs := range map[string][2][]relation.Vector{"AppendPhysVectors": {sv, kv}, "AppendExtendedVectors": {se, ke}} {
+			var s, k relation.Tuple
+			for p := range vecs[0] {
+				s, k = append(s, vecs[0][p].Value(i)), append(k, vecs[1][p].Value(i))
+			}
+			if err := sameRows([]relation.Tuple{s}, []relation.Tuple{k}); err != nil {
+				return fmt.Errorf("%s row %d: %w", name, i, err)
+			}
 		}
 	}
 	return nil
@@ -281,19 +279,15 @@ func rollupCond(dims ...string) string {
 
 // keepRows returns x with only the rows keep accepts.
 func keepRows(x *relation.Relation, keep func(relation.Tuple) bool) *relation.Relation {
-	out := relation.New(x.Schema)
-	for _, t := range x.Rows() {
-		if keep(t) {
-			out.Tuples = append(out.Tuples, t)
-		}
-	}
-	return out
+	return x.Filter(keep)
 }
 
 // withRows returns x with rows appended.
 func withRows(x *relation.Relation, rows ...relation.Tuple) *relation.Relation {
-	out := relation.New(x.Schema)
-	out.Tuples = append(append(out.Tuples, x.Rows()...), rows...)
+	out := x.Clone()
+	for _, t := range rows {
+		out.MustAppend(t)
+	}
 	return out
 }
 
@@ -301,7 +295,7 @@ func withRows(x *relation.Relation, rows ...relation.Tuple) *relation.Relation {
 func withColumn(x *relation.Relation, col relation.Column, val func(i int) relation.Value) *relation.Relation {
 	out := relation.New(append(x.Schema.Clone(), col))
 	for i, t := range x.Rows() {
-		out.Tuples = append(out.Tuples, append(t.Clone(), val(i)))
+		out.MustAppend(append(t, val(i)))
 	}
 	return out
 }
@@ -600,7 +594,7 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 
 	// A column holding a value of the wrong kind stays boxed.
 	boxed := kernelDetail(2, 200)
-	boxed.Tuples[17][3] = relation.NewFloat(2.5)
+	boxed.Columns().Vecs[3].Set(17, boxed.Len(), relation.NewFloat(2.5))
 	// A FLOAT-declared key against the INT detail column.
 	floatKeys := relation.New(relation.MustSchema(relation.Column{Name: "I", Kind: relation.KindFloat}))
 	for _, f := range []float64{0, 1, 2.5} {
@@ -608,7 +602,7 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 	}
 	// An INT-declared key column that holds a FLOAT.
 	strayKeys := baseOf(t, detail, "I")
-	strayKeys.Tuples[0][0] = relation.NewFloat(1)
+	strayKeys.Columns().Vecs[0].Set(0, strayKeys.Len(), relation.NewFloat(1))
 	// One dimension more than a rollup condition may link.
 	var wideCols []string
 	var wideSchema relation.Schema
@@ -766,7 +760,7 @@ func TestKernelQuick(t *testing.T) {
 		if rng.Intn(3) == 0 {
 			x = keepRows(x, func(relation.Tuple) bool { return rng.Intn(4) != 0 })
 			for n := rng.Intn(3); n > 0 && x.Len() > 0; n-- {
-				x = withRows(x, x.Tuples[rng.Intn(x.Len())])
+				x = withRows(x, x.Rows()[rng.Intn(x.Len())])
 			}
 		}
 		// Link a random non-empty subset of the keys, each plainly or in the
@@ -881,7 +875,7 @@ func TestMixedKindLinks(t *testing.T) {
 			// The cross-kind matches are really there: keys 1, 2 and 3 exist on
 			// both sides, the NULL keys match nothing.
 			matched := 0
-			for _, row := range loop.Tuples {
+			for _, row := range loop.Rows() {
 				if row[1].Int > 0 {
 					matched++
 				}
@@ -971,17 +965,19 @@ func TestKernelBlockBoundaries(t *testing.T) {
 // hold ±Inf and −0. Under Value.Compare a NaN orders as equal to everything,
 // so <=, >= and <> hold on it and <, > and = do not. Every operator, with the
 // detail operand on either side and against literals too, must match the
-// scalar path, for an X that arrives as rows and one that arrives as columns.
+// scalar path, for an X built by appending rows and for the same X decoded
+// from its frame, as a site receives it.
 func TestKernelSpecialFloatsUnderEveryOperator(t *testing.T) {
 	detail := kernelDetail(31, 700)
-	for i, row := range detail.Tuples {
+	vecs, n := detail.Columns().Vecs, detail.Len()
+	for i := 0; i < n; i++ {
 		switch i % 9 {
 		case 0:
-			row[4] = relation.NewFloat(math.Inf(1))
+			vecs[4].Set(i, n, relation.NewFloat(math.Inf(1)))
 		case 1:
-			row[4] = relation.NewFloat(math.Inf(-1))
+			vecs[4].Set(i, n, relation.NewFloat(math.Inf(-1)))
 		case 2:
-			row[5] = relation.NewFloat(math.Inf(1 - 2*(i%2)))
+			vecs[5].Set(i, n, relation.NewFloat(math.Inf(1-2*(i%2))))
 		}
 	}
 	special := []relation.Value{
@@ -1000,9 +996,24 @@ func TestKernelSpecialFloatsUnderEveryOperator(t *testing.T) {
 			rows = withRows(rows, relation.Tuple{relation.NewString(key), v})
 		}
 	}
-	columnar := relation.FromColumns(rows.Schema, relation.GatherColumns(rows.Schema, rows.Tuples, nil))
-	if columnar.Columns() == nil {
-		t.Fatal("X did not image as columns")
+	frame, err := relation.Marshal(rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	decoded, err := relation.Unmarshal(frame)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, got := rows.Rows(), decoded.Rows()
+	if len(got) != len(want) {
+		t.Fatalf("decoded X has %d rows, want %d", len(got), len(want))
+	}
+	for i := range want {
+		for j := range want[i] {
+			if !got[i][j].Identical(want[i][j]) {
+				t.Fatalf("decoded X row %d col %d: %v, want %v", i, j, got[i][j], want[i][j])
+			}
+		}
 	}
 	aggs := []agg.Spec{{Func: agg.Count, As: "n"}, {Func: agg.Sum, Arg: "F", As: "sf"}, {Func: agg.Min, Arg: "P", As: "lo"}}
 	for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
@@ -1019,7 +1030,7 @@ func TestKernelSpecialFloatsUnderEveryOperator(t *testing.T) {
 			if op == "=" && strings.Contains(cond, "B.m") {
 				reason = reasonKind
 			}
-			for name, x := range map[string]*relation.Relation{"row X": rows, "columnar X": columnar} {
+			for name, x := range map[string]*relation.Relation{"columnar X": rows, "decoded X": decoded} {
 				t.Run(name+": "+cond, func(t *testing.T) {
 					checkOperator(t, x, oneVar(cond, aggs...), detail, reason)
 				})

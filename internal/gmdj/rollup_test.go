@@ -114,7 +114,7 @@ func TestRollupFastPathWithNullData(t *testing.T) {
 			t.Errorf("%T: %d groups, want 2\n%s", src, fast.Len(), fast)
 		}
 		ai, ni := fast.Schema.MustIndex("a"), fast.Schema.MustIndex("n")
-		for _, row := range fast.Tuples {
+		for _, row := range fast.Rows() {
 			if row[ai].IsNull() && row[ni].Int != 2 {
 				t.Errorf("%T: NULL group count = %v, want 2", src, row[ni])
 			}

@@ -119,17 +119,18 @@ func Unpivot(r *relation.Relation, keep, cols []string) (*relation.Relation, err
 		return nil, err
 	}
 	out := relation.New(UnpivotSchema(r.Schema.Project(keepIdx)))
+	row := make(relation.Tuple, 0, len(keepIdx)+2)
 	for _, t := range r.Rows() {
 		for ci, c := range colIdx {
 			if t[c].IsNull() {
 				continue
 			}
-			row := make(relation.Tuple, 0, len(keepIdx)+2)
+			row = row[:0]
 			for _, k := range keepIdx {
 				row = append(row, t[k])
 			}
 			row = append(row, relation.NewString(cols[ci]), relation.NewString(t[c].String()))
-			out.Tuples = append(out.Tuples, row)
+			out.MustAppend(row)
 		}
 	}
 	return out, nil

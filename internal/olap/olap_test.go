@@ -50,7 +50,7 @@ func cubeAggs() []agg.Spec {
 func lookup(t *testing.T, res *relation.Relation, region, product relation.Value) relation.Tuple {
 	t.Helper()
 	ri, pi := res.Schema.MustIndex("region"), res.Schema.MustIndex("product")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		if row[ri].Equal(region) && row[pi].Equal(product) {
 			return row
 		}
@@ -107,7 +107,7 @@ func TestRollupCentralized(t *testing.T) {
 	}
 	pi := res.Schema.MustIndex("product")
 	ri := res.Schema.MustIndex("region")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		if row[ri].IsNull() && !row[pi].IsNull() {
 			t.Errorf("rollup must not contain product-only set: %v", row)
 		}
@@ -215,7 +215,7 @@ func TestUnpivotAndMarginals(t *testing.T) {
 	}
 	// NULL values are skipped.
 	withNull := sales()
-	withNull.Tuples[0][1] = relation.Null
+	withNull.Columns().Vecs[1].Set(0, withNull.Len(), relation.Null)
 	up2, _ := Unpivot(withNull, nil, []string{"product"})
 	if up2.Len() != 5 {
 		t.Errorf("unpivot with NULL = %d rows, want 5", up2.Len())
@@ -241,7 +241,7 @@ func TestUnpivotAndMarginals(t *testing.T) {
 	}
 	fi := res.Schema.MustIndex("freq")
 	vi := res.Schema.MustIndex("Val")
-	for _, row := range res.Tuples {
+	for _, row := range res.Rows() {
 		if row[vi].Str == "pen" && row[fi].Int != 3 {
 			t.Errorf("pen freq = %v", row[fi])
 		}

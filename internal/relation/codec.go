@@ -105,7 +105,7 @@ func (e *Encoder) Encode(r *Relation) error {
 		e.schema = r.Schema.Clone() // callers may mutate their schema later
 		e.hasSchema = true
 	}
-	body = appendColumns(body, r)
+	body = appendVectors(body, r.cols)
 	e.body = body[:0] // retain capacity
 	n := binary.PutUvarint(e.lenBuf[:], uint64(len(body)))
 	if _, err := e.w.Write(e.lenBuf[:n]); err != nil {
@@ -120,23 +120,16 @@ func (e *Encoder) Encode(r *Relation) error {
 	return nil
 }
 
-// checkArity refuses a relation the column-major encoding would index out of
-// range on, or whose vectors disagree with its schema.
+// checkArity refuses a relation whose vectors disagree with its schema, which
+// the column-major encoding would index out of range on.
 func checkArity(r *Relation) error {
-	if c := r.cols; c != nil {
-		if len(c.Vecs) != len(r.Schema) {
-			return fmt.Errorf("relation: %d vectors do not match schema %s", len(c.Vecs), r.Schema)
-		}
-		for j, col := range r.Schema {
-			if c.Vecs[j].Kind != col.Kind {
-				return fmt.Errorf("relation: vector %d is not a %s vector", j, col.Kind)
-			}
-		}
-		return nil
+	c := r.cols
+	if len(c.Vecs) != len(r.Schema) {
+		return fmt.Errorf("relation: vector arity %d does not match schema %s", len(c.Vecs), r.Schema)
 	}
-	for i, t := range r.Tuples {
-		if len(t) != len(r.Schema) {
-			return fmt.Errorf("relation: row %d arity %d does not match schema %s", i, len(t), r.Schema)
+	for j, col := range r.Schema {
+		if c.Vecs[j].Kind != col.Kind {
+			return fmt.Errorf("relation: vector %d is not a %s vector", j, col.Kind)
 		}
 	}
 	return nil
@@ -162,26 +155,15 @@ func appendZeros(body []byte, n int) []byte {
 	return append(body, zeroBytes[:n]...)
 }
 
-func appendColumns(body []byte, r *Relation) []byte {
-	if r.cols != nil {
-		return appendVectors(body, r.cols)
-	}
-	body = binary.AppendUvarint(body, uint64(len(r.Tuples)))
-	for j, col := range r.Schema {
-		body = appendRowColumn(body, r.Tuples, j, col.Kind)
-	}
-	return body
-}
-
-// appendRowColumn appends column j of rows, declared kind: its NULL bitmap,
-// then its values uniform when every one is of that kind, else mixed.
-func appendRowColumn(body []byte, rows []Tuple, j int, kind Kind) []byte {
+// appendBoxed appends a boxed column of cells, declared kind: its NULL
+// bitmap, then its values uniform when every one is of that kind (packed bits
+// for BOOL), else mixed, each tagged with its kind.
+func appendBoxed(body []byte, vals []Value, kind Kind) []byte {
 	bitmap := len(body)
-	body = appendZeros(body, (len(rows)+7)/8)
+	body = appendZeros(body, (len(vals)+7)/8)
 	nonNull := 0
 	uniform := true
-	for i, t := range rows {
-		v := t[j]
+	for i, v := range vals {
 		if v.IsNull() {
 			body[bitmap+i/8] |= 1 << (i % 8)
 		} else {
@@ -193,8 +175,8 @@ func appendRowColumn(body []byte, rows []Tuple, j int, kind Kind) []byte {
 	}
 	if !uniform {
 		body = append(body, encMixed)
-		for _, t := range rows {
-			if v := t[j]; !v.IsNull() {
+		for _, v := range vals {
+			if !v.IsNull() {
 				body = AppendValue(body, v)
 			}
 		}
@@ -205,30 +187,29 @@ func appendRowColumn(body []byte, rows []Tuple, j int, kind Kind) []byte {
 	case KindNull:
 		// All values are NULL (a non-NULL value always has a non-NULL kind).
 	case KindInt:
-		for _, t := range rows {
-			if v := t[j]; !v.IsNull() {
+		for _, v := range vals {
+			if !v.IsNull() {
 				body = binary.AppendVarint(body, v.Int)
 			}
 		}
 	case KindFloat:
-		for _, t := range rows {
-			if v := t[j]; !v.IsNull() {
+		for _, v := range vals {
+			if !v.IsNull() {
 				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float))
 			}
 		}
 	case KindString:
-		for _, t := range rows {
-			if v := t[j]; !v.IsNull() {
-				body = binary.AppendUvarint(body, uint64(len(v.Str)))
-				body = append(body, v.Str...)
+		for _, v := range vals {
+			if !v.IsNull() {
+				body = AppendString(body, v.Str)
 			}
 		}
 	case KindBool:
 		packed := len(body)
 		body = appendZeros(body, (nonNull+7)/8)
 		k := 0
-		for _, t := range rows {
-			if v := t[j]; !v.IsNull() {
+		for _, v := range vals {
+			if !v.IsNull() {
 				if v.Int != 0 {
 					body[packed+k/8] |= 1 << (k % 8)
 				}
@@ -239,9 +220,8 @@ func appendRowColumn(body []byte, rows []Tuple, j int, kind Kind) []byte {
 	return body
 }
 
-// appendVectors is appendColumns for a columnar body: a typed vector is a
-// uniform column, and a boxed one is written as its cells would be by the row
-// body, so the bytes are the ones the row body would encode to.
+// appendVectors appends a frame's rows, column-major: a typed vector is a
+// uniform column, and a boxed one is written cell by cell (appendBoxed).
 func appendVectors(body []byte, c *Columns) []byte {
 	n := c.Rows
 	body = binary.AppendUvarint(body, uint64(n))
@@ -249,7 +229,7 @@ func appendVectors(body []byte, c *Columns) []byte {
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
 		if v.Boxed {
-			body = appendRowColumn(body, cellRows(v.Vals), 0, v.Kind)
+			body = appendBoxed(body, v.Vals, v.Kind)
 			continue
 		}
 		if v.Nulls == nil {
@@ -286,21 +266,10 @@ func appendVectors(body []byte, c *Columns) []byte {
 	return body
 }
 
-// cellRows views a boxed vector's cells as one-column rows, the shape the
-// row body's column writers read.
-func cellRows(vals []Value) []Tuple {
-	rows := make([]Tuple, len(vals))
-	for i := range rows {
-		rows[i] = vals[i : i+1 : i+1]
-	}
-	return rows
-}
-
 // Decoder reads relations written by an Encoder, caching the stream schema
 // across frames and reading every frame body into one reused buffer. Frames
-// decode as Unmarshal decodes them: straight into vectors when every column
-// is uniform and declared INT, FLOAT, STRING or NULL, else into rows. Nothing
-// decoded points into the buffer.
+// decode as Unmarshal decodes them, into vectors. Nothing decoded points into
+// the buffer.
 type Decoder struct {
 	frames    FrameReader
 	schema    Schema
@@ -311,14 +280,13 @@ type Decoder struct {
 func NewDecoder(r ByteScanner) *Decoder { return &Decoder{frames: FrameReader{r: r}} }
 
 // Decode reads one relation frame. It returns io.EOF (possibly wrapped as
-// io.ErrUnexpectedEOF mid-frame) when the stream ends. Read the rows through
-// Rows or AppendRow, not Tuples.
+// io.ErrUnexpectedEOF mid-frame) when the stream ends.
 func (d *Decoder) Decode() (*Relation, error) {
 	body, err := d.frames.Next()
 	if err != nil {
 		return nil, err
 	}
-	return d.decodeFrame(body, true)
+	return d.decodeFrame(body)
 }
 
 // FrameReader reads length-prefixed frames — a uvarint body length, then the
@@ -355,12 +323,8 @@ func (f *FrameReader) Next() ([]byte, error) {
 	}
 }
 
-// decodeFrame decodes one frame body. With columnar set, a frame whose every
-// column is uniform and declared INT, FLOAT, STRING or NULL decodes straight
-// into vectors, read in place from body; any other frame gets a row body.
-// Without columnar every frame does: the reference decode the vectors are
-// tested against.
-func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
+// decodeFrame decodes one frame body into vectors, read in place from body.
+func (d *Decoder) decodeFrame(body []byte) (*Relation, error) {
 	cur := &Cursor{b: body}
 	kind, err := cur.Byte()
 	if err != nil {
@@ -383,27 +347,16 @@ func (d *Decoder) decodeFrame(body []byte, columnar bool) (*Relation, error) {
 	default:
 		return nil, fmt.Errorf("relation: unknown codec frame kind 0x%02x", kind)
 	}
-	var rel *Relation
-	if columnar {
-		c, err := readVectors(cur, d.schema)
-		if err != nil {
-			return nil, err
-		}
-		if c != nil {
-			rel = FromColumns(d.schema, c)
-		}
-	}
-	if rel == nil {
-		if rel, err = d.readColumns(cur); err != nil {
-			return nil, err
-		}
+	c, err := readVectors(cur, d.schema)
+	if err != nil {
+		return nil, err
 	}
 	if cur.pos != len(cur.b) {
 		return nil, fmt.Errorf("relation: codec frame has %d trailing bytes", len(cur.b)-cur.pos)
 	}
 	obs.CodecDecodeBytes.Add(int64(uvarintLen(uint64(len(body)))) + int64(len(body)))
 	obs.CodecFrames.With("decode").Inc()
-	return rel, nil
+	return FromColumns(d.schema, c), nil
 }
 
 // readBody reads an n-byte frame body into the reader's reused buffer,
@@ -619,13 +572,11 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 	return nrows, nil
 }
 
-// readVectors decodes a frame's rows straight into typed vectors, reading
-// every value in place from the frame; a STRING column's bytes become one
-// string its values are substrings of. It returns nil, with the cursor back
-// where it was, at the first column that is mixed or BOOL: only a row body
-// holds those.
+// readVectors decodes a frame's rows into vectors, reading every value in
+// place from the frame: a uniform INT, FLOAT, STRING or NULL column into a
+// typed vector, whose STRING bytes become one string its values are
+// substrings of, and a BOOL or mixed column into a boxed one.
 func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
-	start := cur.pos
 	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
 		return nil, err
@@ -641,30 +592,20 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 		if err != nil {
 			return nil, err
 		}
-		if enc != encUniform || col.Kind == KindBool {
-			cur.pos = start
-			return nil, nil
+		if enc != encUniform && enc != encMixed {
+			return nil, fmt.Errorf("relation: unknown codec column encoding 0x%02x", enc)
 		}
 		v := &c.Vecs[j]
 		v.Kind = col.Kind
-		if err := readVector(cur, v, nrows, bitmap); err != nil {
+		if err := readVector(cur, v, nrows, bitmap, enc == encMixed); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// readVector decodes one uniform column of n rows into v, whose Kind is set.
-func readVector(cur *Cursor, v *Vector, n int, bitmap []byte) error {
-	if v.Kind == KindNull {
-		for i := 0; i < n; i++ {
-			if !isNullAt(bitmap, i) {
-				return errNullColumnValue
-			}
-			v.SetNull(i, n)
-		}
-		return nil
-	}
+// readVector decodes one column of n rows into v, whose Kind is set.
+func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, mixed bool) error {
 	nonNull := n
 	for k, b := range bitmap {
 		if b == 0 {
@@ -676,7 +617,14 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte) error {
 		v.Nulls[k>>3] |= uint64(b) << (8 * (k & 7))
 		nonNull -= bits.OnesCount8(b)
 	}
+	if mixed || v.Kind == KindBool {
+		return readBoxed(cur, v, n, nonNull, mixed)
+	}
 	switch v.Kind {
+	case KindNull:
+		if nonNull != 0 {
+			return errNullColumnValue
+		}
 	case KindInt:
 		v.Ints = make([]int64, n)
 		for i := range v.Ints {
@@ -719,6 +667,45 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte) error {
 	return nil
 }
 
+// readBoxed decodes the nonNull values of a packed BOOL or a mixed column
+// into v's cells. Marshal writes a column mixed only when it holds a value of
+// another kind than its declared one, so a mixed column that does not is
+// refused, as is a NULL tag among its values.
+func readBoxed(cur *Cursor, v *Vector, n, nonNull int, mixed bool) error {
+	var packed []byte
+	if !mixed {
+		var err error
+		if packed, err = readBitmap(cur, nonNull, (nonNull+7)/8); err != nil {
+			return err
+		}
+	}
+	v.Boxed, v.Vals = true, make([]Value, n)
+	offKind, k := false, 0
+	for i := range v.Vals {
+		switch {
+		case v.Null(i):
+			continue
+		case !mixed:
+			v.Vals[i] = NewBool(packed[k/8]&(1<<(k%8)) != 0)
+			k++
+			continue
+		}
+		val, err := cur.Value()
+		if err != nil {
+			return err
+		}
+		if val.IsNull() {
+			return fmt.Errorf("relation: codec mixed value with invalid kind %d", KindNull)
+		}
+		v.Vals[i] = val
+		offKind = offKind || val.Kind != v.Kind
+	}
+	if mixed && !offKind {
+		return fmt.Errorf("relation: codec mixed column holds only %s values", v.Kind)
+	}
+	return nil
+}
+
 // readStrings reads n length-prefixed strings with one allocation: every
 // length prefix is bounds-checked first, the byte range becomes one string,
 // and each call of next returns the following value, a substring of it past
@@ -744,47 +731,6 @@ func readStrings(cur *Cursor, n int) (next func() string, err error) {
 	}, nil
 }
 
-func (d *Decoder) readColumns(cur *Cursor) (*Relation, error) {
-	schema := d.schema
-	cols := len(schema)
-	nrows, err := frameRows(cur, cols)
-	if err != nil {
-		return nil, err
-	}
-	flat := make([]Value, nrows*cols)
-	tuples := make([]Tuple, nrows)
-	for i := range tuples {
-		tuples[i] = flat[i*cols : (i+1)*cols : (i+1)*cols]
-	}
-	rel := &Relation{Schema: schema, Tuples: tuples}
-	nb := (nrows + 7) / 8
-	for j := 0; j < cols; j++ {
-		bitmap, err := readBitmap(cur, nrows, nb)
-		if err != nil {
-			return nil, err
-		}
-		enc, err := cur.Byte()
-		if err != nil {
-			return nil, err
-		}
-		switch enc {
-		case encUniform:
-			if err := readUniformColumn(cur, rel, j, schema[j].Kind, bitmap); err != nil {
-				return nil, err
-			}
-		case encMixed:
-			if err := readMixedColumn(cur, rel, j, bitmap); err != nil {
-				return nil, err
-			}
-		default:
-			return nil, fmt.Errorf("relation: unknown codec column encoding 0x%02x", enc)
-		}
-	}
-	return rel, nil
-}
-
-func isNullAt(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
-
 var (
 	errPaddingBits     = fmt.Errorf("relation: codec bitmap has bits set past its last row")
 	errNullColumnValue = fmt.Errorf("relation: codec NULL column has a non-NULL row")
@@ -800,110 +746,6 @@ func readBitmap(cur *Cursor, n, nb int) ([]byte, error) {
 	return bitmap, err
 }
 
-func readUniformColumn(cur *Cursor, rel *Relation, j int, kind Kind, bitmap []byte) error {
-	switch kind {
-	case KindNull:
-		for i, t := range rel.Tuples {
-			if !isNullAt(bitmap, i) {
-				return errNullColumnValue
-			}
-			t[j] = Null
-		}
-	case KindInt:
-		for i, t := range rel.Tuples {
-			if isNullAt(bitmap, i) {
-				t[j] = Null
-				continue
-			}
-			v, err := cur.Varint()
-			if err != nil {
-				return err
-			}
-			t[j] = Value{Kind: KindInt, Int: v}
-		}
-	case KindFloat:
-		for i, t := range rel.Tuples {
-			if isNullAt(bitmap, i) {
-				t[j] = Null
-				continue
-			}
-			raw, err := cur.Bytes(8)
-			if err != nil {
-				return err
-			}
-			t[j] = Value{Kind: KindFloat, Float: math.Float64frombits(binary.LittleEndian.Uint64(raw))}
-		}
-	case KindString:
-		nonNull := 0
-		for i := range rel.Tuples {
-			if !isNullAt(bitmap, i) {
-				nonNull++
-			}
-		}
-		next, err := readStrings(cur, nonNull)
-		if err != nil {
-			return err
-		}
-		for i, t := range rel.Tuples {
-			if isNullAt(bitmap, i) {
-				t[j] = Null
-			} else {
-				t[j] = Value{Kind: KindString, Str: next()}
-			}
-		}
-	case KindBool:
-		nonNull := 0
-		for i := 0; i < len(rel.Tuples); i++ {
-			if !isNullAt(bitmap, i) {
-				nonNull++
-			}
-		}
-		packed, err := readBitmap(cur, nonNull, (nonNull+7)/8)
-		if err != nil {
-			return err
-		}
-		k := 0
-		for i, t := range rel.Tuples {
-			if isNullAt(bitmap, i) {
-				t[j] = Null
-				continue
-			}
-			v := Value{Kind: KindBool}
-			if packed[k/8]&(1<<(k%8)) != 0 {
-				v.Int = 1
-			}
-			t[j] = v
-			k++
-		}
-	}
-	return nil
-}
-
-// readMixedColumn reads a column Marshal wrote mixed, which it does only for
-// a column holding a value of another kind than its declared one.
-func readMixedColumn(cur *Cursor, rel *Relation, j int, bitmap []byte) error {
-	offKind := false
-	for i, t := range rel.Tuples {
-		if isNullAt(bitmap, i) {
-			t[j] = Null
-			continue
-		}
-		v, err := cur.Value()
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return fmt.Errorf("relation: codec mixed value with invalid kind %d", KindNull)
-		}
-		t[j] = v
-		offKind = offKind || v.Kind != rel.Schema[j].Kind
-	}
-	if !offKind {
-		return fmt.Errorf("relation: codec mixed column %d holds only %s values", j, rel.Schema[j].Kind)
-	}
-	return nil
-}
-
 // Marshal encodes a relation as one self-contained frame (schema inline): the
 // bytes a fresh Encoder writes, appended into one slice sized for them
 // beforehand.
@@ -914,10 +756,10 @@ func Marshal(r *Relation) ([]byte, error) {
 	// The length prefix is written last, right-aligned in the room kept for
 	// it in front of the body.
 	const room = binary.MaxVarintLen64
-	buf := make([]byte, room, room+1+schemaSize(r.Schema)+columnsSize(r))
+	buf := make([]byte, room, room+1+schemaSize(r.Schema)+vectorsSize(r.cols))
 	buf = append(buf, frameInline)
 	buf = AppendSchema(buf, r.Schema)
-	buf = appendColumns(buf, r)
+	buf = appendVectors(buf, r.cols)
 	body := uint64(len(buf) - room)
 	start := room - uvarintLen(body)
 	binary.PutUvarint(buf[start:], body)
@@ -935,24 +777,12 @@ func schemaSize(s Schema) int {
 	return n
 }
 
-// columnsSize is the number of bytes appendColumns appends.
-func columnsSize(r *Relation) int {
-	if r.cols != nil {
-		return vectorsSize(r.cols)
-	}
-	size := uvarintLen(uint64(len(r.Tuples)))
-	for j, col := range r.Schema {
-		size += rowColumnSize(r.Tuples, j, col.Kind)
-	}
-	return size
-}
-
-// rowColumnSize is the number of bytes appendRowColumn appends.
-func rowColumnSize(rows []Tuple, j int, kind Kind) int {
-	size := (len(rows)+7)/8 + 1
+// boxedSize is the number of bytes appendBoxed appends.
+func boxedSize(vals []Value, kind Kind) int {
+	size := (len(vals)+7)/8 + 1
 	nonNull, payload, uniform := 0, 0, true
-	for _, t := range rows {
-		v := &t[j]
+	for i := range vals {
+		v := &vals[i]
 		switch v.Kind {
 		case KindNull:
 			continue
@@ -983,7 +813,7 @@ func vectorsSize(c *Columns) int {
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
 		if v.Boxed {
-			size += rowColumnSize(cellRows(v.Vals), 0, v.Kind)
+			size += boxedSize(v.Vals, v.Kind)
 			continue
 		}
 		size += (c.Rows+7)/8 + 1
@@ -1008,10 +838,8 @@ func vectorsSize(c *Columns) int {
 
 // Unmarshal decodes a relation from a single self-contained frame, reading it
 // in place from b: nothing of b is copied but the bytes of STRING values, and
-// b may be reused once Unmarshal returns. A frame whose every column is
-// uniform and declared INT, FLOAT, STRING or NULL decodes to a columnar body;
-// a mixed or BOOL column keeps the row body. Read the rows through Rows or
-// AppendRow, not Tuples.
+// b may be reused once Unmarshal returns. A uniform INT, FLOAT, STRING or
+// NULL column decodes to a typed vector, a mixed or BOOL one to a boxed one.
 func Unmarshal(b []byte) (*Relation, error) {
 	ln, n := binary.Uvarint(b)
 	switch {
@@ -1029,7 +857,7 @@ func Unmarshal(b []byte) (*Relation, error) {
 		return nil, fmt.Errorf("relation: %d trailing bytes after codec frame", uint64(len(b)-n)-ln)
 	}
 	var d Decoder
-	return d.decodeFrame(b[n:], true)
+	return d.decodeFrame(b[n:])
 }
 
 // Frame returns r's wire frame: the bytes a fresh Encoder writes for r, that
@@ -1045,21 +873,22 @@ func (r *Relation) Frame() ([]byte, error) {
 }
 
 // sharedFrame is a finished relation's wire frame, marshalled by whichever
-// consumer needs it first. schema and rows (or cols) are what it is cut from.
+// consumer needs it first. schema, cols and rows are what it is cut from.
 type sharedFrame struct {
 	once   sync.Once
 	schema Schema
-	rows   []Tuple
 	cols   *Columns
+	rows   int
 	b      []byte
 	err    error
 }
 
 // describes reports whether r still holds exactly the schema and body the
-// frame is cut from: the same slices at the same lengths, the same vectors. A
-// header that re-sliced or reassigned either gets a fresh Marshal instead.
+// frame is cut from: the same schema slice at the same length, the same
+// vectors at the same length. A header that re-sliced or reassigned either
+// (KeepRows, Sort) gets a fresh Marshal instead.
 func (f *sharedFrame) describes(r *Relation) bool {
-	return sameSlice(f.schema, r.Schema) && sameSlice(f.rows, r.Tuples) && f.cols == r.cols
+	return sameSlice(f.schema, r.Schema) && f.cols == r.cols && f.rows == r.cols.Rows
 }
 
 func sameSlice[T any](a, b []T) bool {
@@ -1071,13 +900,13 @@ func sameSlice[T any](a, b []T) bool {
 // session served from a shared result — ships the same bytes, encoded once by
 // the first. Nobody may change r's schema or rows afterwards.
 func (r *Relation) ShareFrame() {
-	r.frame = &sharedFrame{schema: r.Schema, rows: r.Tuples, cols: r.cols}
+	r.frame = &sharedFrame{schema: r.Schema, cols: r.cols, rows: r.cols.Rows}
 }
 
-// View returns a new header over r's schema and rows. A consumer may re-slice
-// or reassign the view's Tuples (a LIMIT, a sorted copy) without affecting r
-// or any other view, but the rows themselves are r's and must not be written.
-// The view shares r's frame while it holds exactly r's rows.
+// View returns a new header over r's schema and vectors. A consumer may
+// reorder or cut the view's rows (KeepRows, Sort) without affecting r or any
+// other view, but the vectors themselves are r's and must not be written
+// (Append, Union). The view shares r's frame while it holds exactly r's rows.
 func (r *Relation) View() *Relation {
-	return &Relation{Schema: r.Schema, Tuples: r.Tuples, cols: r.cols, frame: r.frame}
+	return &Relation{Schema: r.Schema, cols: r.cols, frame: r.frame}
 }

@@ -10,7 +10,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 )
 
@@ -47,7 +46,7 @@ func codecCases() map[string]*Relation {
 	}
 
 	// Uniform INT/FLOAT/STRING columns, NULLs included, and a NULL-kind
-	// column: frames that decode to a columnar body.
+	// column: frames that decode to typed vectors only.
 	uniform := New(MustSchema(Column{"i", KindInt}, Column{"f", KindFloat}, Column{"s", KindString}, Column{"n", KindNull}))
 	uniform.MustAppend(Tuple{NewInt(-3), NewFloat(math.NaN()), NewString("a"), Null})
 	uniform.MustAppend(Tuple{Null, NewFloat(math.Copysign(0, -1)), NewString("a"), Null})
@@ -59,6 +58,13 @@ func codecCases() map[string]*Relation {
 		allNullString.MustAppend(Tuple{Null, Null})
 	}
 
+	noColsRows := New(Schema{})
+	for i := 0; i < 3; i++ {
+		noColsRows.MustAppend(Tuple{})
+	}
+	singleString := New(MustSchema(Column{"s", KindString}))
+	singleString.MustAppend(Tuple{NewString("only")})
+
 	return map[string]*Relation{
 		"uniform":         uniform,
 		"all-null-string": allNullString,
@@ -68,19 +74,22 @@ func codecCases() map[string]*Relation {
 		"bool-packing":    wide,
 		"empty":           New(MustSchema(Column{"a", KindInt}, Column{"b", KindString})),
 		"empty-schema":    New(Schema{}),
-		"no-cols-rows":    {Schema: Schema{}, Tuples: []Tuple{{}, {}, {}}},
-		"single-string":   {Schema: MustSchema(Column{"s", KindString}), Tuples: []Tuple{{NewString("only")}}},
+		"no-cols-rows":    noColsRows,
+		"single-string":   singleString,
 	}
 }
 
 // relIdentical compares relations by exact value identity (float bits, so NaN
 // and -0.0 round-trips are checked), which is stricter than EqualMultiset.
-// Either relation may have either body.
 func relIdentical(a, b *Relation) bool {
-	if !a.Schema.Equal(b.Schema) || a.Len() != b.Len() {
+	return a.Schema.Equal(b.Schema) && rowsIdentical(a.Rows(), b.Rows())
+}
+
+// rowsIdentical compares rows by exact value identity.
+func rowsIdentical(ar, br []Tuple) bool {
+	if len(ar) != len(br) {
 		return false
 	}
-	ar, br := a.Rows(), b.Rows()
 	for i := range ar {
 		if len(ar[i]) != len(br[i]) {
 			return false
@@ -170,10 +179,9 @@ func TestViewSharesFrameOnlyOverItsRows(t *testing.T) {
 	}
 
 	limited := r.View()
-	limited.Tuples = limited.Tuples[:2]
+	limited.KeepRows([]int32{0, 1})
 	reversed := r.View()
-	reversed.Tuples = slices.Clone(reversed.Tuples)
-	slices.Reverse(reversed.Tuples)
+	reversed.KeepRows([]int32{4, 3, 2, 1, 0})
 	renamed := r.View()
 	renamed.Schema = renamed.Schema.Clone()
 	renamed.Schema[0].Name = "renamed"
@@ -249,8 +257,9 @@ func TestCodecStream(t *testing.T) {
 }
 
 // TestCodecStreamDecodesVectors: a stream Decoder reads every frame into one
-// reused buffer and decodes uniform blocks to vectors, mixed or BOOL ones to
-// rows; a block stays intact after later frames overwrote the buffer.
+// reused buffer and decodes a uniform column to a typed vector, a mixed one
+// to a boxed vector; a block stays intact after later frames overwrote the
+// buffer.
 func TestCodecStreamDecodesVectors(t *testing.T) {
 	var buf bytes.Buffer
 	enc := NewEncoder(&buf)
@@ -260,7 +269,7 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 		for i := 0; i < 10+b; i++ {
 			name := NewString(fmt.Sprintf("row-%d-%d", b, i))
 			if b == 3 && i == 4 {
-				name = NewInt(7) // an off-kind cell: this block keeps rows
+				name = NewInt(7) // an off-kind cell: this block's names box
 			}
 			r.MustAppend(Tuple{NewInt(int64(b*100 + i)), name})
 		}
@@ -279,8 +288,8 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 		got = append(got, rel)
 	}
 	for i, want := range blocks {
-		if columnar := got[i].Columns() != nil; columnar != (i != 3) {
-			t.Errorf("block %d: columnar body %v", i, columnar)
+		if boxed := got[i].Columns().Vecs[1].Boxed; boxed != (i == 3) || got[i].Columns().Vecs[0].Boxed {
+			t.Errorf("block %d: names boxed %v", i, boxed)
 		}
 		if !relIdentical(want, got[i]) {
 			t.Errorf("block %d changed in round trip", i)
@@ -365,7 +374,7 @@ func TestDecodeOfAShortStreamAllocatesWhatArrived(t *testing.T) {
 // the wire format is compared against.
 type gobShadow struct {
 	Schema Schema
-	Tuples []Tuple
+	Rows   []Tuple
 }
 
 // TestCodecSmallerThanGob locks in the headline acceptance criterion: an
@@ -392,7 +401,7 @@ func TestCodecSmallerThanGob(t *testing.T) {
 		t.Fatal(err)
 	}
 	var gobBuf bytes.Buffer
-	if err := gob.NewEncoder(&gobBuf).Encode(&gobShadow{Schema: r.Schema, Tuples: r.Tuples}); err != nil {
+	if err := gob.NewEncoder(&gobBuf).Encode(&gobShadow{Schema: r.Schema, Rows: r.Rows()}); err != nil {
 		t.Fatal(err)
 	}
 	if len(codecBytes) > gobBuf.Len()*7/10 {
@@ -449,7 +458,7 @@ func randomRelation(rng *rand.Rand) *Relation {
 				t[j] = NewBool(rng.Intn(2) == 0)
 			}
 		}
-		r.Tuples = append(r.Tuples, t)
+		r.MustAppend(t)
 	}
 	return r
 }
@@ -465,15 +474,142 @@ func streamDecode(data []byte) (*Relation, error) {
 	return rel, err
 }
 
-// rowDecode decodes a self-contained frame into a row body whatever its
-// columns: the reference the vectors are held to.
-func rowDecode(data []byte) (*Relation, error) {
+// rowDecode is the reference decode the vectors are held to: a
+// self-contained frame read cell by cell into rows, whatever its columns,
+// under every refusal the vectors' reader makes.
+func rowDecode(data []byte) (Schema, []Tuple, error) {
 	ln, n := binary.Uvarint(data)
 	if n <= 0 || uint64(len(data)-n) != ln {
-		return nil, errors.New("bad frame length")
+		return nil, nil, errors.New("bad frame length")
 	}
-	var d Decoder
-	return d.decodeFrame(data[n:], false)
+	cur := NewCursor(data[n:])
+	if kind, err := cur.Byte(); err != nil || kind != frameInline {
+		return nil, nil, fmt.Errorf("not a self-contained frame (%v)", err)
+	}
+	schema, err := cur.Schema()
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := schema.Validate(); err != nil {
+		return nil, nil, err
+	}
+	nrows, err := frameRows(cur, len(schema))
+	if err != nil {
+		return nil, nil, err
+	}
+	w := len(schema)
+	flat := make([]Value, nrows*w)
+	rows := make([]Tuple, nrows)
+	for i := range rows {
+		rows[i] = flat[i*w : (i+1)*w : (i+1)*w]
+	}
+	for j, col := range schema {
+		bitmap, err := readBitmap(cur, nrows, (nrows+7)/8)
+		if err != nil {
+			return nil, nil, err
+		}
+		enc, err := cur.Byte()
+		switch {
+		case err != nil:
+		case enc == encUniform:
+			err = readUniformRows(cur, rows, j, col.Kind, bitmap)
+		case enc == encMixed:
+			err = readMixedRows(cur, rows, j, col.Kind, bitmap)
+		default:
+			err = fmt.Errorf("unknown column encoding 0x%02x", enc)
+		}
+		if err != nil {
+			return nil, nil, err
+		}
+	}
+	if cur.Len() != 0 {
+		return nil, nil, errors.New("trailing bytes")
+	}
+	return schema, rows, nil
+}
+
+func isNullAt(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
+
+// readUniformRows reads column j of rows, written uniform of kind.
+func readUniformRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
+	nonNull := 0
+	for i := range rows {
+		if !isNullAt(bitmap, i) {
+			nonNull++
+		}
+	}
+	var next func() string
+	var packed []byte
+	var err error
+	switch kind {
+	case KindString:
+		next, err = readStrings(cur, nonNull)
+	case KindBool:
+		packed, err = readBitmap(cur, nonNull, (nonNull+7)/8)
+	}
+	if err != nil {
+		return err
+	}
+	k := 0
+	for i, t := range rows {
+		if isNullAt(bitmap, i) {
+			t[j] = Null
+			continue
+		}
+		switch kind {
+		case KindNull:
+			return errNullColumnValue
+		case KindInt:
+			v, err := cur.Varint()
+			if err != nil {
+				return err
+			}
+			t[j] = NewInt(v)
+		case KindFloat:
+			raw, err := cur.Bytes(8)
+			if err != nil {
+				return err
+			}
+			t[j] = NewFloat(math.Float64frombits(binary.LittleEndian.Uint64(raw)))
+		case KindString:
+			t[j] = NewString(next())
+		case KindBool:
+			t[j] = NewBool(packed[k/8]&(1<<(k%8)) != 0)
+			k++
+		}
+	}
+	return nil
+}
+
+// readMixedRows reads column j of rows, written mixed, which Marshal does
+// only for a column holding a value of another kind than its declared one.
+func readMixedRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
+	offKind := false
+	for i, t := range rows {
+		if isNullAt(bitmap, i) {
+			t[j] = Null
+			continue
+		}
+		v, err := cur.Value()
+		if err != nil {
+			return err
+		}
+		if v.IsNull() {
+			return errors.New("a NULL tag among mixed values")
+		}
+		t[j] = v
+		offKind = offKind || v.Kind != kind
+	}
+	if !offKind {
+		return fmt.Errorf("mixed column %d holds only %s values", j, kind)
+	}
+	return nil
+}
+
+// frameBody is a frame without its length prefix.
+func frameBody(frame []byte) []byte {
+	_, n := binary.Uvarint(frame)
+	return frame[n:]
 }
 
 // allocatedBy is the bytes fn allocates.
@@ -495,11 +631,12 @@ const (
 )
 
 // FuzzCodecRoundTrip fuzzes five properties: arbitrary bytes never panic the
-// decoder; whatever decodes, Unmarshal, a stream Decoder and the row-only
-// decode agree on it; the rows' gathered image, boxed columns and all,
-// marshals to the row body's bytes; every decode allocates within a bound
-// linear in the input; and randomized relations (derived from the fuzz input
-// as a PRNG seed) survive encode/decode unchanged.
+// decoder; whatever decodes, Unmarshal, a stream Decoder and the reference
+// row decode agree on it, and it re-encodes to its own bytes, as does the
+// image of its rows built through Append, boxed columns and all; every
+// decode allocates within a bound linear in the input; and randomized
+// relations (derived from the fuzz input as a PRNG seed) survive
+// encode/decode unchanged.
 func FuzzCodecRoundTrip(f *testing.F) {
 	for name, r := range codecCases() {
 		data, err := Marshal(r)
@@ -512,13 +649,15 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{0x02, frameCached, 0x00})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: hostile bytes error out, never panic or hang.
-		var rel, rows *Relation
+		var rel *Relation
+		var schema Schema
+		var rows []Tuple
 		var err, rowErr error
 		limit := decodeAllocPerByte*uint64(len(data)) + decodeAllocConst
 		if n := allocatedBy(func() { rel, err = Unmarshal(data) }); n > limit {
 			t.Fatalf("Unmarshal of %d bytes allocated %d bytes", len(data), n)
 		}
-		if n := allocatedBy(func() { rows, rowErr = rowDecode(data) }); n > limit {
+		if n := allocatedBy(func() { schema, rows, rowErr = rowDecode(data) }); n > limit {
 			t.Fatalf("row decode of %d bytes allocated %d bytes", len(data), n)
 		}
 		var streamed *Relation
@@ -527,29 +666,30 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("stream decode of %d bytes allocated %d bytes", len(data), n)
 		}
 		if (err == nil) != (rowErr == nil) || (err == nil) != (streamErr == nil) {
-			t.Fatalf("columnar decode err %v, row decode err %v, stream decode err %v", err, rowErr, streamErr)
+			t.Fatalf("Unmarshal err %v, row decode err %v, stream decode err %v", err, rowErr, streamErr)
 		}
 		if err == nil {
-			// Property 2: every body holds the same rows and the same frame,
-			// and the stream decodes to the body Unmarshal does.
-			if rows.Columns() != nil {
-				t.Fatal("the row decode produced a columnar body")
+			// Property 2: every decode holds the same rows, in the same
+			// vectors, and they are the frame's own bytes.
+			if !relIdentical(rel, streamed) || !rel.Schema.Equal(schema) || !rowsIdentical(rel.Rows(), rows) {
+				t.Fatal("Unmarshal, the stream and the row decode hold different rows")
 			}
-			if (streamed.Columns() != nil) != (rel.Columns() != nil) || !relIdentical(rel, streamed) {
-				t.Fatal("the stream and Unmarshal decode differently")
+			for j, v := range rel.Columns().Vecs {
+				if v.Boxed != streamed.Columns().Vecs[j].Boxed {
+					t.Fatalf("column %d: Unmarshal boxed %v, the stream not", j, v.Boxed)
+				}
 			}
 			a, errA := Marshal(rel)
-			b, errB := Marshal(rows)
-			if errA != nil || errB != nil || !bytes.Equal(a, b) {
-				t.Fatalf("bodies marshal differently (%v, %v)", errA, errB)
+			if errA != nil || !bytes.Equal(frameBody(a), frameBody(data)) {
+				t.Fatalf("the decoded relation does not re-encode to its frame (%v)", errA)
 			}
-			if !relIdentical(rel, rows) {
-				t.Fatal("columnar and row decodes hold different rows")
+			// The rows' image built through Append is the same frame.
+			appended := New(schema)
+			for _, row := range rows {
+				appended.MustAppend(row)
 			}
-			// The rows' image, mixed and BOOL columns boxed, is the same frame.
-			gathered := FromColumns(rows.Schema, GatherColumns(rows.Schema, rows.Tuples, nil))
-			if g, err := Marshal(gathered); err != nil || !bytes.Equal(g, b) || !relIdentical(gathered, rows) {
-				t.Fatalf("the rows' gathered image marshals differently (%v)", err)
+			if g, err := Marshal(appended); err != nil || !bytes.Equal(g, a) || !relIdentical(appended, rel) {
+				t.Fatalf("the rows' appended image marshals differently (%v)", err)
 			}
 		}
 		if err == nil {

@@ -3,12 +3,11 @@ package relation
 import "math"
 
 // Columns is a columnar image of rows: one Vector per column, row i at
-// position i of every vector. It is the body of a columnar Relation
-// (FromColumns) — a decoded frame, an X fragment, an H block, the
-// coordinator's X — and the one image a site holds of every partition it
-// loads (BuildColumns), so the compiled scan kernels of internal/gmdj read
-// typed slices instead of 40-byte Values and the garbage collector has no
-// per-row pointers to mark.
+// position i of every vector. It is the body of every Relation — a decoded
+// frame, an X fragment, an H block, the coordinator's X — and the one image
+// a site holds of every partition it loads (BuildColumns), so the compiled
+// scan kernels of internal/gmdj read typed slices instead of 40-byte Values
+// and the garbage collector has no per-row pointers to mark.
 type Columns struct {
 	Rows int
 	Vecs []Vector
@@ -45,101 +44,88 @@ type Vector struct {
 	codeOf map[string]uint32
 }
 
-// BuildColumns images r for the scan kernels. A STRING vector's dictionary
-// lists each value once, and a column of another kind than INT, FLOAT or
-// STRING, or holding a cell a typed vector cannot reproduce exactly — NaN
-// included, which equals nothing — is boxed. It refuses a row body with a
-// tuple of the wrong arity.
+// BuildColumns images r for the scan kernels, column by column: a typed
+// slab is copied, and a STRING vector's dictionary lists each value once. A
+// column of another kind than INT, FLOAT or STRING, or holding a cell a typed
+// vector cannot reproduce exactly — NaN included, which equals nothing — is
+// boxed. It refuses vectors that disagree with r's schema.
 func BuildColumns(r *Relation) (*Columns, error) {
 	if err := checkArity(r); err != nil {
 		return nil, err
 	}
-	n := r.Len()
-	c := &Columns{Rows: n, Vecs: make([]Vector, len(r.Schema))}
-	for j, col := range r.Schema {
-		v := &c.Vecs[j]
-		switch col.Kind {
-		case KindInt, KindFloat, KindString:
-			*v = NewVector(col.Kind, n)
-		default:
-			*v = Vector{Kind: col.Kind, Boxed: true}
-		}
-		if col.Kind == KindString {
-			//skallavet:allow stringkey -- dictionary lookup: filled once per Load, probed once per base row per request, never per detail row
-			v.codeOf = make(map[string]uint32)
-		}
-	}
-	// Row-major, as a row body is laid out; a column that must box is
-	// skipped here and boxed below.
-	var t Tuple
-	for i := 0; i < n; i++ {
-		if r.cols == nil {
-			t = r.Tuples[i]
-		} else {
-			t = r.AppendRow(t[:0], i)
-		}
-		for j := range c.Vecs {
-			v := &c.Vecs[j]
-			if v.Boxed {
-				continue
-			}
-			switch val := &t[j]; {
-			case *val == Null:
-				v.SetNull(i, n)
-			case val.Kind != v.Kind:
-				v.Boxed = true
-			case v.Kind == KindInt && *val == NewInt(val.Int):
-				v.Ints[i] = val.Int
-			case v.Kind == KindFloat && *val == NewFloat(val.Float):
-				v.Floats[i] = val.Float
-			case v.Kind == KindString && *val == NewString(val.Str):
-				code, ok := v.codeOf[val.Str]
-				if !ok {
-					code = uint32(len(v.Dict))
-					v.Dict = append(v.Dict, val.Str)
-					v.codeOf[val.Str] = code
-				}
-				v.Codes[i] = code
-			default:
-				// Right kind, stray payload (or NaN, which equals nothing,
-				// itself included): not reproducible from typed storage.
-				v.Boxed = true
-			}
-		}
-	}
+	c := &Columns{Rows: r.Len(), Vecs: make([]Vector, len(r.Schema))}
 	for j := range c.Vecs {
-		if v := &c.Vecs[j]; v.Boxed {
-			*v = Vector{Kind: v.Kind, Boxed: true, Vals: make([]Value, n)}
-			for i := range v.Vals {
-				if v.Vals[i] = r.Value(i, j); v.Vals[i].IsNull() {
-					v.SetNull(i, n)
-				}
-			}
-		}
+		c.Vecs[j] = imageOf(&r.cols.Vecs[j], c.Rows)
 	}
 	return c, nil
 }
 
-// GatherColumns images the cols cells (all of them when cols is nil) of
-// rows, whose schema is schema, as vectors. A column with a cell no typed
-// vector holds is boxed (Set), so the image holds every cell as it is.
-func GatherColumns(schema Schema, rows []Tuple, cols []int) *Columns {
-	if cols == nil {
-		cols = identityCols(len(schema))
+// imageOf is BuildColumns' image of the n-row vector src.
+func imageOf(src *Vector, n int) Vector {
+	kind := src.Kind
+	if kind != KindInt && kind != KindFloat && kind != KindString {
+		return boxedCopy(src, n)
 	}
-	n := len(rows)
-	c := &Columns{Rows: n, Vecs: make([]Vector, len(cols))}
-	for j, col := range cols {
-		v := &c.Vecs[j]
-		*v = NewVector(schema[col].Kind, n)
-		if v.Kind == KindString {
-			v.Dict = make([]string, 0, n)
+	if src.Boxed {
+		// A boxed vector whose cells all fit a typed one images typed.
+		typed := NewVector(kind, n)
+		for i, val := range src.Vals[:n] {
+			if !Typed(val, kind) {
+				return boxedCopy(src, n)
+			}
+			typed.Set(i, n, val)
 		}
-		for i, row := range rows {
-			v.Set(i, n, row[col])
+		src = &typed
+	}
+	v := Vector{Kind: kind, Nulls: cloneSlice(src.Nulls)}
+	switch kind {
+	case KindInt:
+		v.Ints = append(make([]int64, 0, n), src.Ints[:n]...)
+	case KindFloat:
+		v.Floats = append(make([]float64, 0, n), src.Floats[:n]...)
+	case KindString:
+		v.Codes = make([]uint32, n)
+		//skallavet:allow stringkey -- dictionary lookup: filled once per Load, probed once per base row per request, never per detail row
+		v.codeOf = make(map[string]uint32)
+		for i, code := range src.Codes[:n] {
+			if src.Null(i) {
+				continue
+			}
+			s := src.Dict[code]
+			code, ok := v.codeOf[s]
+			if !ok {
+				code = uint32(len(v.Dict))
+				v.Dict = append(v.Dict, s)
+				v.codeOf[s] = code
+			}
+			v.Codes[i] = code
 		}
 	}
-	return c
+	// A NULL row holds the zero payload.
+	for i := 0; v.Nulls != nil && i < n; i++ {
+		switch {
+		case !v.Null(i):
+		case kind == KindInt:
+			v.Ints[i] = 0
+		case kind == KindFloat:
+			v.Floats[i] = 0
+		}
+	}
+	for _, f := range v.Floats {
+		if math.IsNaN(f) {
+			return boxedCopy(src, n)
+		}
+	}
+	return v
+}
+
+// boxedCopy returns a boxed copy of the n-row vector src's cells.
+func boxedCopy(src *Vector, n int) Vector {
+	v := Vector{Kind: src.Kind, Boxed: true, Vals: make([]Value, n), Nulls: cloneSlice(src.Nulls)}
+	for i := range v.Vals {
+		v.Vals[i] = src.Value(i)
+	}
+	return v
 }
 
 // Select returns the image of rows sel of c, in that order, restricted to
@@ -206,10 +192,10 @@ func NewVector(kind Kind, n int) Vector {
 }
 
 // Typed reports whether a typed vector of kind holds val, so that Set writes
-// it without boxing: val is NULL, or the canonical Value of kind — INT, FLOAT
-// or STRING, with nothing in the other fields.
+// it without boxing: val is the canonical NULL, or the canonical Value of
+// kind — INT, FLOAT or STRING, with nothing in the other fields.
 func Typed(val Value, kind Kind) bool {
-	return val.IsNull() || val.Kind == kind && (kind == KindInt || kind == KindFloat || kind == KindString) &&
+	return val == Null || val.Kind == kind && (kind == KindInt || kind == KindFloat || kind == KindString) &&
 		(val.Int == 0 || kind == KindInt) && (math.Float64bits(val.Float) == 0 || kind == KindFloat) && (val.Str == "" || kind == KindString)
 }
 

@@ -100,7 +100,7 @@ func TestBuildColumnsBoxes(t *testing.T) {
 			if got := v.Boxed; got != (j == c.col || j == 3) {
 				t.Errorf("%s: column %d boxed = %v", c.name, j, got)
 			}
-			for i, row := range r.Tuples {
+			for i, row := range r.Rows() {
 				got := v.Value(i)
 				if !got.Identical(row[j]) || v.Boxed && got != row[j] && !(got.Float != got.Float && row[j].Float != row[j].Float) {
 					t.Errorf("%s: column %d row %d reads %#v, want %#v", c.name, j, i, got, row[j])
@@ -115,10 +115,9 @@ func TestBuildColumnsBoxes(t *testing.T) {
 		}
 	}
 
-	short := New(schema)
-	short.Tuples = append(short.Tuples, clean.Clone(), Tuple{NewInt(1)})
+	short := FromColumns(schema, &Columns{Rows: 0, Vecs: New(schema).Columns().Vecs[:1]})
 	if _, err := BuildColumns(short); err == nil {
-		t.Error("a tuple of the wrong arity must refuse the image")
+		t.Error("vectors that disagree with the schema must refuse the image")
 	}
 	if empty, err := BuildColumns(New(schema)); err != nil || empty.Rows != 0 {
 		t.Error("an empty relation images to zero rows")
@@ -134,9 +133,9 @@ func mustMarshal(t *testing.T, r *Relation) []byte {
 	return b
 }
 
-// TestColumnarBodyReadsLikeRows: a uniform frame decodes to a columnar body,
+// TestDecodedBodyReadsLikeRows: a uniform frame decodes to typed vectors,
 // and every method that reads a relation reads it as the rows it encodes.
-func TestColumnarBodyReadsLikeRows(t *testing.T) {
+func TestDecodedBodyReadsLikeRows(t *testing.T) {
 	rows := codecCases()["uniform"]
 	frame, err := Marshal(rows)
 	if err != nil {
@@ -146,29 +145,31 @@ func TestColumnarBodyReadsLikeRows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if col.Columns() == nil || col.Tuples != nil {
-		t.Fatal("a uniform frame did not decode to a columnar body")
+	for j, v := range col.Columns().Vecs {
+		if v.Boxed {
+			t.Fatalf("uniform column %d decoded boxed", j)
+		}
 	}
 	if col.Len() != rows.Len() || !relIdentical(col, rows) || col.Format(-1) != rows.Format(-1) {
-		t.Fatalf("columnar body reads\n%s\nwant\n%s", col, rows)
+		t.Fatalf("decoded body reads\n%s\nwant\n%s", col, rows)
 	}
 	if !col.EqualMultiset(rows) || !rows.EqualMultiset(col) {
-		t.Error("comparators disagree across bodies")
+		t.Error("comparators disagree across decoded and appended vectors")
 	}
-	if got := col.AppendRow(nil, 2); !reflect.DeepEqual(got, rows.Tuples[2]) {
-		t.Errorf("AppendRow(2) = %v, want %v", got, rows.Tuples[2])
+	if got, want := col.AppendRow(nil, 2), rows.Rows()[2]; !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendRow(2) = %v, want %v", got, want)
 	}
 	clone := col.Clone()
-	if clone.Columns() == nil || &clone.Columns().Vecs[0].Ints[0] == &col.Columns().Vecs[0].Ints[0] || !relIdentical(clone, rows) {
-		t.Error("Clone of a columnar body must copy its slabs and keep the form")
+	if &clone.Columns().Vecs[0].Ints[0] == &col.Columns().Vecs[0].Ints[0] || !relIdentical(clone, rows) {
+		t.Error("Clone must copy the slabs")
 	}
 	proj, err := col.Project([]string{"s", "i"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want, _ := rows.Project([]string{"s", "i"})
-	if proj.Columns() == nil || !relIdentical(proj, want) {
-		t.Error("Project of a columnar body must share its vectors")
+	if &proj.Columns().Vecs[1].Ints[0] != &col.Columns().Vecs[0].Ints[0] || !relIdentical(proj, want) {
+		t.Error("Project must share the vectors")
 	}
 	// Exact slab sizes: 4 rows of INT (32), FLOAT (32), STRING codes (16)
 	// with 3 dictionary entries (48) of 2 bytes, a one-word bitmap for each
@@ -176,94 +177,96 @@ func TestColumnarBodyReadsLikeRows(t *testing.T) {
 	if got, want := col.MemBytes(), int64(4*TupleMemBytes+32+32+16+48+2+4*8); got != want {
 		t.Errorf("MemBytes = %d, want %d", got, want)
 	}
-	// A finished columnar relation ships one frame, the row body's bytes.
+	// A finished relation ships one frame, the rows' bytes.
 	col.ShareFrame()
 	a, _ := col.Frame()
 	b, _ := col.View().Frame()
 	if !bytes.Equal(a, frame) || &a[0] != &b[0] {
-		t.Error("a shared columnar frame must be the row body's frame, encoded once")
+		t.Error("a shared frame must be the rows' frame, encoded once")
 	}
-	// Changing the rows switches to a row body first.
-	if err := col.Union(rows); err != nil {
+	// Union appends to the vectors.
+	u := col.Clone()
+	if err := u.Union(rows); err != nil {
 		t.Fatal(err)
 	}
-	if col.Columns() != nil || col.Len() != 2*rows.Len() {
-		t.Errorf("Union left %d rows, columnar %v", col.Len(), col.Columns() != nil)
+	if u.Len() != 2*rows.Len() || !rowsIdentical(u.Rows(), append(rows.Rows(), rows.Rows()...)) {
+		t.Errorf("Union left\n%s", u)
 	}
 }
 
-// TestMixedAndBoolFramesKeepTheRowBody: a frame with a mixed or BOOL column
-// decodes to rows, as a stream Decoder's frames always do.
-func TestMixedAndBoolFramesKeepTheRowBody(t *testing.T) {
-	for _, name := range []string{"mixed-kinds", "bool-packing", "all-kinds"} {
-		frame, err := Marshal(codecCases()[name])
+// TestMixedAndBoolFramesDecodeToBoxedVectors: a frame's mixed or BOOL column
+// decodes, through Unmarshal and the stream Decoder alike, to a boxed vector
+// holding every cell as it was encoded, a uniform INT, FLOAT, STRING or NULL
+// column to a typed one; either re-encodes to the frame byte for byte.
+func TestMixedAndBoolFramesDecodeToBoxedVectors(t *testing.T) {
+	for name, r := range codecCases() {
+		frame := mustMarshal(t, r)
+		streamed, err := NewDecoder(bytes.NewReader(frame)).Decode()
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		rel, err := Unmarshal(frame)
+		unmarshalled, err := Unmarshal(frame)
 		if err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s: %v", name, err)
 		}
-		if rel.Columns() != nil || rel.Tuples == nil {
-			t.Errorf("%s decoded to a columnar body", name)
-		}
-	}
-	for _, name := range []string{"uniform", "all-null-col", "all-null-string", "empty", "no-cols-rows", "single-string"} {
-		frame, _ := Marshal(codecCases()[name])
-		if rel, err := Unmarshal(frame); err != nil || rel.Columns() == nil {
-			t.Errorf("%s: columnar %v, err %v", name, rel != nil && rel.Columns() != nil, err)
+		rows := r.Rows()
+		for _, rel := range []*Relation{unmarshalled, streamed} {
+			for j, col := range r.Schema {
+				offKind := false
+				for _, row := range rows {
+					offKind = offKind || !row[j].IsNull() && row[j].Kind != col.Kind
+				}
+				if boxed := rel.Columns().Vecs[j].Boxed; boxed != (offKind || col.Kind == KindBool) {
+					t.Errorf("%s: column %s (off-kind %v) decoded boxed %v", name, col.Name, offKind, boxed)
+				}
+			}
+			if !relIdentical(rel, r) || !bytes.Equal(mustMarshal(t, rel), frame) {
+				t.Errorf("%s: the decoded relation does not hold and re-encode its frame", name)
+			}
 		}
 	}
 }
 
-// TestGatherColumns: gathered vectors encode to the rows' frame, and a column
-// with a cell no typed vector holds — off-kind, a stray payload, a BOOL — is
-// gathered boxed, every cell as it is.
-func TestGatherColumns(t *testing.T) {
+// TestAppendBoxesOnlyTheColumnThatNeedsIt: rows appended encode to the frame
+// of the rows, and a cell no typed vector holds — off-kind, a stray payload,
+// a BOOL — boxes its own column only, every cell kept as it is.
+func TestAppendBoxesOnlyTheColumnThatNeedsIt(t *testing.T) {
 	rows := codecCases()["uniform"]
-	c := GatherColumns(rows.Schema, []Tuple{rows.Tuples[3], rows.Tuples[0], rows.Tuples[0]}, []int{2, 0, 3})
-	schema := rows.Schema.Project([]int{2, 0, 3})
-	want := New(schema)
-	for _, i := range []int{3, 0, 0} {
-		want.MustAppend(Tuple{rows.Tuples[i][2], rows.Tuples[i][0], rows.Tuples[i][3]})
-	}
-	got := FromColumns(schema, c)
-	if !bytes.Equal(mustMarshal(t, got), mustMarshal(t, want)) || !relIdentical(got, want) {
-		t.Error("gathered image differs from its rows")
-	}
 	for name, bad := range map[string]Value{
 		"off-kind":      NewFloat(1),
 		"stray payload": {Kind: KindInt, Int: 1, Str: "junk"},
+		"bool":          NewBool(true),
 	} {
-		r := rows.Clone()
-		r.Tuples[1][0] = bad
-		c := GatherColumns(r.Schema, r.Tuples, nil)
-		if !c.Vecs[0].Boxed || c.Vecs[1].Boxed || c.Vecs[0].Value(1) != bad {
+		want := rows.Rows()
+		want[1][0] = bad
+		r := New(rows.Schema)
+		for _, row := range want {
+			r.MustAppend(row)
+		}
+		c := r.Columns()
+		if !c.Vecs[0].Boxed || c.Vecs[1].Boxed || c.Vecs[2].Boxed || c.Vecs[0].Value(1) != bad {
 			t.Errorf("%s: column 0 boxed %v, column 1 boxed %v, cell %#v", name, c.Vecs[0].Boxed, c.Vecs[1].Boxed, c.Vecs[0].Value(1))
 		}
-		if g := FromColumns(r.Schema, c); !bytes.Equal(mustMarshal(t, g), mustMarshal(t, r)) || !relIdentical(g, r) {
-			t.Errorf("%s: boxed image differs from its rows", name)
+		if !rowsIdentical(r.Rows(), want) {
+			t.Errorf("%s: the appended rows read differently", name)
 		}
-	}
-	for _, name := range []string{"bool-packing", "mixed-kinds", "all-kinds"} {
-		r := codecCases()[name]
-		if g := FromColumns(r.Schema, GatherColumns(r.Schema, r.Tuples, nil)); !bytes.Equal(mustMarshal(t, g), mustMarshal(t, r)) || !relIdentical(g, r) {
-			t.Errorf("%s: boxed image differs from its rows", name)
+		if back, err := Unmarshal(mustMarshal(t, r)); err != nil || !rowsIdentical(back.Rows(), want) {
+			t.Errorf("%s: the boxed column does not round-trip (%v)", name, err)
 		}
 	}
 }
 
 // TestSelectSetAppend: vectors grown with Append and rewritten with Set hold
 // the rows written, Select gathers rows and columns of them, and KeepRows
-// narrows either body to the same rows — each encoding to the frame of the
-// rows it holds.
+// narrows a view to the same rows — each encoding to the frame of the rows
+// it holds.
 func TestSelectSetAppend(t *testing.T) {
 	rows := codecCases()["uniform"]
 	c := &Columns{Vecs: make([]Vector, len(rows.Schema))}
 	for j, col := range rows.Schema {
 		c.Vecs[j].Kind = col.Kind
 	}
-	for i, row := range rows.Tuples {
+	for i, row := range rows.Rows() {
 		for j := range c.Vecs {
 			c.Vecs[j].Append(i, row[j])
 			if c.Vecs[j].Boxed {
@@ -279,9 +282,10 @@ func TestSelectSetAppend(t *testing.T) {
 	// Rewrite row 1 with row 0's cells and row 0 with NULLs.
 	want := rows.Clone()
 	for j := range c.Vecs {
-		c.Vecs[j].Set(1, c.Rows, rows.Tuples[0][j])
+		c.Vecs[j].Set(1, c.Rows, rows.Value(0, j))
 		c.Vecs[j].Set(0, c.Rows, Null)
-		want.Tuples[1][j], want.Tuples[0][j] = rows.Tuples[0][j], Null
+		want.Columns().Vecs[j].Set(1, want.Len(), rows.Value(0, j))
+		want.Columns().Vecs[j].Set(0, want.Len(), Null)
 	}
 	if !relIdentical(built, want) {
 		t.Fatalf("Set wrote\n%s\nwant\n%s", built.Format(-1), want.Format(-1))
@@ -297,7 +301,7 @@ func TestSelectSetAppend(t *testing.T) {
 			t.Errorf("%s: boxed %v, rows 2 and %d read %#v and %#v", name, v.Boxed, c.Rows, v.Value(2), v.Value(c.Rows))
 		}
 		for _, i := range []int{0, 1, 3} {
-			if !v.Value(i).Identical(want.Tuples[i][0]) || v.Null(i) != want.Tuples[i][0].IsNull() {
+			if !v.Value(i).Identical(want.Value(i, 0)) || v.Null(i) != want.Value(i, 0).IsNull() {
 				t.Errorf("%s: boxing moved row %d to %v", name, i, v.Value(i))
 			}
 		}
@@ -307,7 +311,7 @@ func TestSelectSetAppend(t *testing.T) {
 	got := FromColumns(rows.Schema.Project(cols), c.Select(sel, cols))
 	wantSel := New(rows.Schema.Project(cols))
 	for _, i := range sel {
-		wantSel.MustAppend(Tuple{want.Tuples[i][2], want.Tuples[i][0], want.Tuples[i][3]})
+		wantSel.MustAppend(Tuple{want.Value(int(i), 2), want.Value(int(i), 0), want.Value(int(i), 3)})
 	}
 	a, errA := Marshal(got)
 	b, errB := Marshal(wantSel)
@@ -315,19 +319,19 @@ func TestSelectSetAppend(t *testing.T) {
 		t.Errorf("selected image differs from its rows (%v, %v)", errA, errB)
 	}
 
-	rowView, colView := want.View(), built.View()
-	rowView.KeepRows(sel)
-	colView.KeepRows(sel)
-	if colView.Columns() == nil || !relIdentical(rowView, colView) || rowView.Len() != len(sel) {
-		t.Error("KeepRows narrowed the bodies differently")
+	wantView, builtView := want.View(), built.View()
+	wantView.KeepRows(sel)
+	builtView.KeepRows(sel)
+	if !relIdentical(wantView, builtView) || wantView.Len() != len(sel) {
+		t.Error("KeepRows narrowed equal relations differently")
 	}
 	if !relIdentical(built, want) {
 		t.Error("KeepRows on a view moved the rows it shares")
 	}
 	for i := range sel {
 		for j := range want.Schema {
-			if !colView.Value(i, j).Identical(want.Tuples[sel[i]][j]) {
-				t.Errorf("Value(%d, %d) = %v, want %v", i, j, colView.Value(i, j), want.Tuples[sel[i]][j])
+			if !builtView.Value(i, j).Identical(want.Value(int(sel[i]), j)) {
+				t.Errorf("Value(%d, %d) = %v, want %v", i, j, builtView.Value(i, j), want.Value(int(sel[i]), j))
 			}
 		}
 	}
@@ -350,7 +354,7 @@ func TestUnmarshalReadsItsArgumentInPlace(t *testing.T) {
 		decoded uint64 // the body's own slabs
 	}{
 		{"columnar", columnar, 8 * n},
-		{"rows", mixed, (ValueMemBytes + TupleMemBytes) * n},
+		{"boxed", mixed, ValueMemBytes * n},
 	} {
 		frame, err := Marshal(c.rel)
 		if err != nil {

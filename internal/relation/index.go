@@ -1,38 +1,29 @@
 package relation
 
-import "fmt"
-
 // KeyIndex is a hash index mapping key-column values to row positions of a
-// relation. The scalar evaluator indexes X on its link columns with one, so a
-// detail row finds its groups in O(1).
+// relation's boxed rows. The scalar evaluator indexes X on its link columns
+// with one, so a detail row finds its groups in O(1).
 //
 // Keys are 64-bit hashes of the canonical key encoding with collision
 // buckets: a probe hashes its key columns (no allocation), and candidate rows
-// in the bucket are verified against the indexed relation's own key columns,
-// so hash collisions cannot produce wrong matches.
+// in the bucket are verified against the indexed rows' own key columns, so
+// hash collisions cannot produce wrong matches.
 type KeyIndex struct {
-	rel     *Relation
+	rows    []Tuple
 	keyCols []int
 	buckets map[uint64][]int // key hash → candidate row positions, insert order
-	keys    int              // number of distinct keys
 }
 
-// BuildKeyIndex indexes r on the named key columns. The index holds a
-// reference to r's rows.
-func BuildKeyIndex(r *Relation, keyNames []string) (*KeyIndex, error) {
-	keyCols, err := r.Schema.Indexes(keyNames)
-	if err != nil {
-		return nil, err
+// BuildKeyIndex indexes rows on the key columns keyCols. The index holds a
+// reference to rows.
+func BuildKeyIndex(rows []Tuple, keyCols []int) *KeyIndex {
+	ki := &KeyIndex{rows: rows, keyCols: keyCols, buckets: make(map[uint64][]int, len(rows))}
+	for i, t := range rows {
+		h := t.KeyHash(keyCols)
+		ki.buckets[h] = append(ki.buckets[h], i)
 	}
-	ki := &KeyIndex{rel: r, keyCols: keyCols, buckets: make(map[uint64][]int, len(r.Tuples))}
-	for i, t := range r.Tuples {
-		ki.add(t, i)
-	}
-	return ki, nil
+	return ki
 }
-
-// KeyCols returns the indexed column positions.
-func (ki *KeyIndex) KeyCols() []int { return ki.keyCols }
 
 // Lookup returns the row positions whose key columns equal those of probe,
 // where probeCols gives the positions of the key attributes within probe.
@@ -40,12 +31,12 @@ func (ki *KeyIndex) KeyCols() []int { return ki.keyCols }
 func (ki *KeyIndex) Lookup(probe Tuple, probeCols []int) []int {
 	bucket := ki.buckets[probe.KeyHash(probeCols)]
 	for n, row := range bucket {
-		if !keyColsEqual(ki.rel.Tuples[row], ki.keyCols, probe, probeCols) {
+		if !keyColsEqual(ki.rows[row], ki.keyCols, probe, probeCols) {
 			// Rare: a hash collision mixed a foreign key into the bucket.
 			// Fall back to filtering into a fresh slice.
 			out := append([]int{}, bucket[:n]...)
 			for _, r := range bucket[n+1:] {
-				if keyColsEqual(ki.rel.Tuples[r], ki.keyCols, probe, probeCols) {
+				if keyColsEqual(ki.rows[r], ki.keyCols, probe, probeCols) {
 					out = append(out, r)
 				}
 			}
@@ -58,131 +49,67 @@ func (ki *KeyIndex) Lookup(probe Tuple, probeCols []int) []int {
 	return bucket
 }
 
-// add registers row position row under the key of its tuple t.
-func (ki *KeyIndex) add(t Tuple, row int) {
-	h := t.KeyHash(ki.keyCols)
-	bucket := ki.buckets[h]
-	fresh := true
-	for _, r := range bucket {
-		if keyColsEqual(ki.rel.Tuples[r], ki.keyCols, t, ki.keyCols) {
-			fresh = false
-			break
+// KeyTable is an open-addressed hash table of row ids, linear probing, at
+// most half full. Callers hash a row's key cells and say how to compare a
+// candidate's, so the table holds neither keys nor rows: a slot is 32 bits of
+// the hash, which also place it, and the row. It finds the one row a key
+// names — the coordinator's merger, the scalar base scan and EqualMultiset
+// keep each key once.
+type KeyTable struct {
+	slots []keySlot
+	n     int
+}
+
+type keySlot struct {
+	tag uint32 // the hash's low 32 bits
+	row int32  // row id + 1; 0 marks an empty slot
+}
+
+// NewKeyTable returns a table sized for about hint rows.
+func NewKeyTable(hint int) *KeyTable {
+	size := 16
+	for size < 2*hint {
+		size <<= 1
+	}
+	return &KeyTable{slots: make([]keySlot, size)}
+}
+
+// Find returns the row under hash that same accepts, or -1.
+func (t *KeyTable) Find(hash uint64, same func(row int) bool) int {
+	tag, mask := uint32(hash), uint32(len(t.slots)-1)
+	for i := tag & mask; ; i = (i + 1) & mask {
+		s := t.slots[i]
+		if s.row == 0 {
+			return -1
+		}
+		if s.tag == tag && same(int(s.row-1)) {
+			return int(s.row - 1)
 		}
 	}
-	if fresh {
-		ki.keys++
-	}
-	ki.buckets[h] = append(bucket, row)
 }
 
-// Unique returns the single row for the key of probe. It returns an error if
-// zero or multiple rows match; used where keys are known to be unique.
-func (ki *KeyIndex) Unique(probe Tuple, probeCols []int) (int, error) {
-	rows := ki.Lookup(probe, probeCols)
-	switch len(rows) {
-	case 1:
-		return rows[0], nil
-	case 0:
-		return -1, fmt.Errorf("keyindex: no row for key")
-	default:
-		return -1, fmt.Errorf("keyindex: %d rows for key, want 1", len(rows))
-	}
-}
-
-// Len returns the number of distinct keys.
-func (ki *KeyIndex) Len() int { return ki.keys }
-
-// KeySet is a hash set of grouping keys with collision buckets. Each distinct
-// key is interned once as its projected tuple; probing allocates nothing.
-type KeySet struct {
-	buckets map[uint64][]Tuple
-	keys    int
-}
-
-// NewKeySet creates a key set sized for about hint keys.
-func NewKeySet(hint int) *KeySet {
-	return &KeySet{buckets: make(map[uint64][]Tuple, hint)}
-}
-
-// Add inserts the key of t over the idx columns. It returns the interned key
-// projection and whether the key was newly added; for an existing key the
-// previously interned tuple is returned. Callers may append the interned
-// tuple to an output relation but must not mutate it.
-func (s *KeySet) Add(t Tuple, idx []int) (Tuple, bool) {
-	h := t.KeyHash(idx)
-	bucket := s.buckets[h]
-	for _, k := range bucket {
-		if keyColsEqual(k, identityCols(len(k)), t, idx) {
-			return k, false
+// Insert adds row under hash; Find has found no row with its key.
+func (t *KeyTable) Insert(hash uint64, row int) {
+	if 2*(t.n+1) > len(t.slots) {
+		old := t.slots
+		t.slots = make([]keySlot, 2*len(old))
+		for _, s := range old {
+			if s.row != 0 {
+				t.place(s)
+			}
 		}
 	}
-	key := make(Tuple, len(idx))
-	for i, j := range idx {
-		key[i] = t[j]
+	t.place(keySlot{tag: uint32(hash), row: int32(row + 1)})
+	t.n++
+}
+
+func (t *KeyTable) place(s keySlot) {
+	mask := uint32(len(t.slots) - 1)
+	i := s.tag & mask
+	for t.slots[i].row != 0 {
+		i = (i + 1) & mask
 	}
-	s.buckets[h] = append(bucket, key)
-	s.keys++
-	return key, true
-}
-
-// Contains reports whether the key of t over the idx columns is in the set.
-func (s *KeySet) Contains(t Tuple, idx []int) bool {
-	for _, k := range s.buckets[t.KeyHash(idx)] {
-		if keyColsEqual(k, identityCols(len(k)), t, idx) {
-			return true
-		}
-	}
-	return false
-}
-
-// Len returns the number of distinct keys.
-func (s *KeySet) Len() int { return s.keys }
-
-// KeyCounter is a hash multiset counter over grouping keys, used for
-// order-independent multiset comparison.
-type KeyCounter struct {
-	buckets map[uint64][]keyCount
-}
-
-type keyCount struct {
-	key Tuple
-	n   int
-}
-
-// NewKeyCounter creates a counter sized for about hint keys.
-func NewKeyCounter(hint int) *KeyCounter {
-	return &KeyCounter{buckets: make(map[uint64][]keyCount, hint)}
-}
-
-// Inc increments the count of t's key over idx and returns the new count.
-func (c *KeyCounter) Inc(t Tuple, idx []int) int {
-	h := t.KeyHash(idx)
-	bucket := c.buckets[h]
-	for i := range bucket {
-		if keyColsEqual(bucket[i].key, identityCols(len(bucket[i].key)), t, idx) {
-			bucket[i].n++
-			return bucket[i].n
-		}
-	}
-	key := make(Tuple, len(idx))
-	for i, j := range idx {
-		key[i] = t[j]
-	}
-	c.buckets[h] = append(bucket, keyCount{key: key, n: 1})
-	return 1
-}
-
-// Dec decrements the count of t's key over idx and returns the new count;
-// a key never incremented yields -1.
-func (c *KeyCounter) Dec(t Tuple, idx []int) int {
-	bucket := c.buckets[t.KeyHash(idx)]
-	for i := range bucket {
-		if keyColsEqual(bucket[i].key, identityCols(len(bucket[i].key)), t, idx) {
-			bucket[i].n--
-			return bucket[i].n
-		}
-	}
-	return -1
+	t.slots[i] = s
 }
 
 // identityCols returns [0, 1, ..., n-1] from a small static table, avoiding

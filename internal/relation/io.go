@@ -55,6 +55,7 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		return nil, err
 	}
 	out := New(schema)
+	t := make(Tuple, len(schema))
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -63,7 +64,6 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("relation: csv line %d: %w", line, err)
 		}
-		t := make(Tuple, len(schema))
 		for i, cell := range rec {
 			v, err := parseCell(cell, schema[i].Kind)
 			if err != nil {
@@ -71,7 +71,7 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 			}
 			t[i] = v
 		}
-		out.Tuples = append(out.Tuples, t)
+		out.MustAppend(t)
 	}
 	return out, nil
 }

@@ -24,10 +24,11 @@ func ioTestRel() *Relation {
 // TestUnmarshalRejectsCorruptPartition: partition files are codec frames, and
 // Unmarshal refuses what the gob reader they replace refused — bytes that are
 // not a frame (a gob partition among them), a schema with an empty or
-// repeated column name — while a ragged relation never becomes a frame.
+// repeated column name — while vectors that disagree with their schema never
+// become a frame.
 func TestUnmarshalRejectsCorruptPartition(t *testing.T) {
 	var gobFile bytes.Buffer
-	if err := gob.NewEncoder(&gobFile).Encode(struct{ Tuples []Tuple }{ioTestRel().Tuples}); err != nil {
+	if err := gob.NewEncoder(&gobFile).Encode(struct{ Rows []Tuple }{ioTestRel().Rows()}); err != nil {
 		t.Fatal(err)
 	}
 	frame := func(s Schema) []byte {
@@ -51,10 +52,7 @@ func TestUnmarshalRejectsCorruptPartition(t *testing.T) {
 	if _, err := Unmarshal(frame(Schema{{"a", KindInt}})); err != nil {
 		t.Fatalf("the valid control frame: %v", err)
 	}
-	bad := &Relation{
-		Schema: MustSchema(Column{"a", KindInt}),
-		Tuples: []Tuple{{NewInt(1), NewInt(2)}},
-	}
+	bad := FromColumns(MustSchema(Column{"a", KindInt}), &Columns{Rows: 1, Vecs: New(MustSchema(Column{"a", KindInt}, Column{"b", KindInt})).Columns().Vecs})
 	if _, err := Marshal(bad); err == nil {
 		t.Error("arity mismatch must be rejected at encode time")
 	}
@@ -79,14 +77,14 @@ func TestCSVRoundTrip(t *testing.T) {
 	if got.Len() != r.Len() {
 		t.Fatalf("rows: %d vs %d", got.Len(), r.Len())
 	}
-	for i := range r.Tuples {
-		for j := range r.Tuples[i] {
-			want := r.Tuples[i][j]
+	for i := 0; i < r.Len(); i++ {
+		for j := range r.Schema {
+			want := r.Value(i, j)
 			if want.Kind == KindString && want.Str == "" {
 				want = Null // empty string reads back as NULL
 			}
-			if !got.Tuples[i][j].Equal(want) {
-				t.Errorf("cell [%d][%d]: %v vs %v", i, j, got.Tuples[i][j], want)
+			if !got.Value(i, j).Equal(want) {
+				t.Errorf("cell [%d][%d]: %v vs %v", i, j, got.Value(i, j), want)
 			}
 		}
 	}
@@ -113,7 +111,7 @@ func TestReadCSVErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 2 || !got.Tuples[1][0].IsNull() {
+	if got.Len() != 2 || !got.Value(1, 0).IsNull() {
 		t.Errorf("parsed: %s", got)
 	}
 }

@@ -17,17 +17,22 @@ func TestMemBytes(t *testing.T) {
 		t.Fatalf("empty relation MemBytes = %d, want %d (schema headers)", got, want)
 	}
 
+	// A row costs an INT (8), a code (4), a dictionary entry (16) and its
+	// string's bytes.
 	r.MustAppend(Tuple{NewInt(1), NewString("abcd")})
-	perRow := int64(TupleMemBytes + 2*ValueMemBytes + 4) // header + 2 values + "abcd"
-	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+perRow; got != want {
+	perRow := int64(8 + 4 + 16)
+	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+perRow+4; got != want {
 		t.Fatalf("1-row MemBytes = %d, want %d", got, want)
-	}
-	if got := r.Tuples[0].MemBytes(); got != perRow {
-		t.Fatalf("Tuple.MemBytes = %d, want %d", got, perRow)
 	}
 
 	r.MustAppend(Tuple{NewInt(2), NewString("")})
-	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+perRow+int64(TupleMemBytes+2*ValueMemBytes); got != want {
+	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+2*perRow+4; got != want {
 		t.Fatalf("2-row MemBytes = %d, want %d", got, want)
+	}
+
+	// A boxed cell costs a Value, and a NULL a bitmap word.
+	r.MustAppend(Tuple{NewBool(true), Null})
+	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+3*ValueMemBytes+3*4+2*16+4+8; got != want {
+		t.Fatalf("3-row MemBytes = %d, want %d", got, want)
 	}
 }

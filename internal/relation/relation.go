@@ -3,7 +3,6 @@ package relation
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -20,7 +19,7 @@ func (t Tuple) Clone() Tuple {
 }
 
 // Key returns the canonical grouping key of the tuple restricted to the
-// given column positions. The hashed key layer (KeyHash/KeyIndex/KeySet) is
+// given column positions. The hashed key layer (KeyHash/KeyIndex/KeyTable) is
 // the allocation-free replacement on hot paths; Key remains for debugging and
 // as the reference encoding the hashed layer must agree with.
 func (t Tuple) Key(idx []int) string {
@@ -57,19 +56,16 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 	return true
 }
 
-// Relation is an in-memory relation (multiset of tuples) with one of two
-// bodies. The row body is Tuples. The columnar body — a decoded frame
-// (Unmarshal, the stream Decoder), an X fragment, an H block, the
-// coordinator's X — is a Columns image, and Tuples is nil while it is set. Len,
-// Clone, MemBytes, KeepRows, the frame methods, the comparators and Format
-// read either body; Rows, AppendRow and Value box a columnar one on demand;
-// the methods that change the rows (Append, Union, DedupBy, Sort) switch it
-// to a row body first.
+// Relation is an in-memory relation (multiset of tuples): its schema and one
+// vector per column (Columns), row i at position i of every vector. A decoded
+// frame, an X fragment, an H block, the coordinator's X and every relation
+// built with Append are the same body. Rows, AppendRow and Value are its boxed
+// view; the methods that add rows (Append, Union) write its vectors, boxing a
+// column only when a cell needs it (Vector.Set).
 type Relation struct {
 	Schema Schema
-	Tuples []Tuple
 
-	// cols is the columnar body; nil for a row body.
+	// cols is the body; never nil.
 	cols *Columns
 
 	// frame, when set by ShareFrame, holds the relation's wire frame once a
@@ -79,7 +75,11 @@ type Relation struct {
 
 // New returns an empty relation with the given schema.
 func New(schema Schema) *Relation {
-	return &Relation{Schema: schema}
+	c := &Columns{Vecs: make([]Vector, len(schema))}
+	for j, col := range schema {
+		c.Vecs[j] = NewVector(col.Kind, 0)
+	}
+	return FromColumns(schema, c)
 }
 
 // FromColumns returns a relation whose body is c: one vector per schema
@@ -89,39 +89,17 @@ func FromColumns(schema Schema, c *Columns) *Relation {
 	return &Relation{Schema: schema, cols: c}
 }
 
-// Columnar returns r with a columnar body: r itself when it has one, else a
-// relation over the gathered image of its rows (GatherColumns). It refuses a
-// row of the wrong arity.
-func (r *Relation) Columnar() (*Relation, error) {
-	if r.cols != nil {
-		return r, nil
-	}
-	if err := checkArity(r); err != nil {
-		return nil, err
-	}
-	return FromColumns(r.Schema, GatherColumns(r.Schema, r.Tuples, nil)), nil
-}
-
-// Columns returns the columnar body, or nil for a row body. The vectors are
-// read-only.
+// Columns returns the relation's vectors. Only the relation's owner writes
+// them.
 func (r *Relation) Columns() *Columns { return r.cols }
 
 // Len returns the number of tuples.
-func (r *Relation) Len() int {
-	if r.cols != nil {
-		return r.cols.Rows
-	}
-	return len(r.Tuples)
-}
+func (r *Relation) Len() int { return r.cols.Rows }
 
-// Rows returns the relation's rows: a row body's Tuples as they are, or a
-// columnar body boxed into fresh rows carved from one Value slab. It boxes on
-// every call and caches nothing, so concurrent readers of one columnar
-// relation never race; a caller that needs the rows twice keeps the slice.
+// Rows returns the relation's rows boxed into fresh rows carved from one
+// Value slab. It boxes on every call and caches nothing, so concurrent
+// readers never race; a caller that needs the rows twice keeps the slice.
 func (r *Relation) Rows() []Tuple {
-	if r.cols == nil {
-		return r.Tuples
-	}
 	n, w := r.cols.Rows, len(r.cols.Vecs)
 	slab := make([]Value, n*w)
 	rows := make([]Tuple, n)
@@ -137,107 +115,57 @@ func (r *Relation) Rows() []Tuple {
 	return rows
 }
 
-// AppendRow appends row i's values to dst, boxing them from a columnar body.
+// AppendRow appends row i's values to dst.
 func (r *Relation) AppendRow(dst Tuple, i int) Tuple {
-	if r.cols == nil {
-		return append(dst, r.Tuples[i]...)
-	}
 	for j := range r.cols.Vecs {
 		dst = append(dst, r.cols.Vecs[j].Value(i))
 	}
 	return dst
 }
 
-// Value returns cell j of row i, boxing it from a columnar body.
-func (r *Relation) Value(i, j int) Value {
-	if r.cols != nil {
-		return r.cols.Vecs[j].Value(i)
-	}
-	return r.Tuples[i][j]
-}
+// Value returns cell j of row i.
+func (r *Relation) Value(i, j int) Value { return r.cols.Vecs[j].Value(i) }
 
-// KeepRows points r at rows sel of its body, in that order: a row body gets a
-// new slice over the same rows, a columnar body vectors gathered from its own.
-// Nothing r shares its body with is written, so a View of a shared result may
-// be ordered or truncated this way.
+// KeepRows points r at rows sel of its body, in that order, gathered into new
+// vectors. Nothing r shares its body with is written, so a View of a shared
+// result may be ordered or truncated this way.
 func (r *Relation) KeepRows(sel []int32) {
-	if r.cols != nil {
-		r.cols = r.cols.Select(sel, nil)
-		return
-	}
-	rows := make([]Tuple, len(sel))
-	for i, s := range sel {
-		rows[i] = r.Tuples[s]
-	}
-	r.Tuples = rows
+	r.cols = r.cols.Select(sel, nil)
 }
 
-// RowBody returns r itself when it has a row body, or a new relation over
-// r's schema and boxed rows: for consumers that index or edit Tuples.
-func (r *Relation) RowBody() *Relation {
-	if r.cols == nil {
-		return r
-	}
-	return &Relation{Schema: r.Schema, Tuples: r.Rows()}
-}
-
-// ownRows switches a columnar body to a row body, for the methods that
-// change the rows.
-func (r *Relation) ownRows() {
-	if r.cols != nil {
-		r.Tuples, r.cols = r.Rows(), nil
-	}
-}
-
-// Approximate in-memory cost of one Value (Kind + Int + Float + string
-// header, padded) and of one Tuple's slice header. Used by MemBytes and by
-// the coordinator's memory budgeting; the numbers track the 64-bit layout of
-// the structs, not exact allocator accounting.
+// Approximate in-memory cost of one boxed Value (Kind + Int + Float + string
+// header, padded) and of one slice header. Used by MemBytes and by the
+// coordinator's memory budgeting; the numbers track the 64-bit layout of the
+// structs, not exact allocator accounting.
 const (
-	// ValueMemBytes estimates one Value's in-memory size.
+	// ValueMemBytes estimates one boxed Value's in-memory size.
 	ValueMemBytes = 48
-	// TupleMemBytes estimates one Tuple's slice-header overhead.
+	// TupleMemBytes estimates one slice header: MemBytes charges one per
+	// column.
 	TupleMemBytes = 24
 )
 
-// MemBytes estimates the relation's in-memory footprint in bytes: for a row
-// body, slice headers plus per-value storage plus string payloads, an O(rows)
-// estimate for memory budgeting (admission control charges it at staging and
-// merge boundaries), not an exact allocator measurement; for a columnar body,
-// the exact sizes of its slabs and strings.
+// MemBytes estimates the relation's in-memory footprint in bytes: a slice
+// header per column plus the exact sizes of its slabs and strings.
+// Admission control charges it at staging and merge boundaries.
 func (r *Relation) MemBytes() int64 {
 	if r == nil {
 		return 0
 	}
-	n := int64(TupleMemBytes) * int64(len(r.Schema))
-	if r.cols != nil {
-		return n + r.cols.memBytes()
-	}
-	for _, t := range r.Tuples {
-		n += t.MemBytes()
-	}
-	return n
+	return int64(TupleMemBytes)*int64(len(r.Schema)) + r.cols.memBytes()
 }
 
-// MemBytes estimates one tuple's in-memory footprint (slice header, values,
-// string payloads), matching Relation.MemBytes per-row accounting.
-func (t Tuple) MemBytes() int64 {
-	n := int64(TupleMemBytes) + ValueMemBytes*int64(len(t))
-	for i := range t {
-		if t[i].Kind == KindString {
-			n += int64(len(t[i].Str))
-		}
-	}
-	return n
-}
-
-// Append adds a tuple after checking arity.
+// Append adds a tuple after checking arity. It writes r's vectors, so r must
+// not share them (View, Project).
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != len(r.Schema) {
 		return fmt.Errorf("relation: tuple arity %d does not match schema %s", len(t), r.Schema)
 	}
-	r.ownRows()
-	r.Tuples = append(r.Tuples, t)
+	c := r.cols
+	for j := range c.Vecs {
+		c.Vecs[j].Append(c.Rows, t[j])
+	}
+	c.Rows++
 	return nil
 }
 
@@ -248,100 +176,47 @@ func (r *Relation) MustAppend(t Tuple) {
 	}
 }
 
-// Clone deep-copies the relation, keeping its body's form.
+// Clone deep-copies the relation.
 func (r *Relation) Clone() *Relation {
-	if r.cols != nil {
-		return FromColumns(r.Schema.Clone(), r.cols.clone())
-	}
-	out := &Relation{Schema: r.Schema.Clone(), Tuples: make([]Tuple, len(r.Tuples))}
-	for i, t := range r.Tuples {
-		out.Tuples[i] = t.Clone()
-	}
-	return out
+	return FromColumns(r.Schema.Clone(), r.cols.clone())
 }
 
 // Project returns a new relation restricted to the named columns, preserving
-// duplicates and order.
+// duplicates and order. The projection shares r's vectors.
 func (r *Relation) Project(names []string) (*Relation, error) {
 	idx, err := r.Schema.Indexes(names)
 	if err != nil {
 		return nil, err
 	}
-	if r.cols != nil {
-		// The vectors are read-only, so the projection shares them.
-		c := &Columns{Rows: r.cols.Rows, Vecs: make([]Vector, len(idx))}
-		for j, k := range idx {
-			c.Vecs[j] = r.cols.Vecs[k]
-		}
-		return FromColumns(r.Schema.Project(idx), c), nil
-	}
-	out := New(r.Schema.Project(idx))
-	out.Tuples = make([]Tuple, len(r.Tuples))
-	for i, t := range r.Tuples {
-		nt := make(Tuple, len(idx))
-		for j, k := range idx {
-			nt[j] = t[k]
-		}
-		out.Tuples[i] = nt
-	}
-	return out, nil
+	return FromColumns(r.Schema.Project(idx), r.cols.Select(nil, idx)), nil
 }
 
-// DistinctProject returns the set of distinct rows over the named columns,
-// in first-seen order.
-func (r *Relation) DistinctProject(names []string) (*Relation, error) {
-	idx, err := r.Schema.Indexes(names)
-	if err != nil {
-		return nil, err
-	}
-	rows := r.Rows()
-	out := New(r.Schema.Project(idx))
-	seen := NewKeySet(len(rows))
-	for _, t := range rows {
-		if key, fresh := seen.Add(t, idx); fresh {
-			out.Tuples = append(out.Tuples, key)
-		}
-	}
-	return out, nil
-}
-
-// Filter returns the rows for which keep returns true.
+// Filter returns the rows for which keep returns true. The row keep is given
+// is valid only during the call.
 func (r *Relation) Filter(keep func(Tuple) bool) *Relation {
-	out := New(r.Schema)
-	for _, t := range r.Rows() {
-		if keep(t) {
-			out.Tuples = append(out.Tuples, t)
+	sel := []int32{} // not nil, which would Select every row
+	var t Tuple
+	for i := 0; i < r.Len(); i++ {
+		if t = r.AppendRow(t[:0], i); keep(t) {
+			sel = append(sel, int32(i))
 		}
 	}
-	return out
+	return FromColumns(r.Schema, r.cols.Select(sel, nil))
 }
 
-// Union appends all tuples of o (multiset union). Schemas must match.
+// Union appends all tuples of o (multiset union). Schemas must match. Like
+// Append, it writes r's vectors.
 func (r *Relation) Union(o *Relation) error {
 	if !r.Schema.Equal(o.Schema) {
 		return fmt.Errorf("relation: union schema mismatch: %s vs %s", r.Schema, o.Schema)
 	}
-	r.ownRows()
-	r.Tuples = append(r.Tuples, o.Rows()...)
-	return nil
-}
-
-// DedupBy removes duplicate rows with equal keys over the given columns,
-// keeping the first occurrence.
-func (r *Relation) DedupBy(names []string) error {
-	idx, err := r.Schema.Indexes(names)
-	if err != nil {
-		return err
-	}
-	r.ownRows()
-	seen := NewKeySet(len(r.Tuples))
-	out := r.Tuples[:0]
-	for _, t := range r.Tuples {
-		if _, fresh := seen.Add(t, idx); fresh {
-			out = append(out, t)
+	c, m := r.cols, o.Len()
+	for j := range c.Vecs {
+		for i := 0; i < m; i++ {
+			c.Vecs[j].Append(c.Rows+i, o.cols.Vecs[j].Value(i))
 		}
 	}
-	r.Tuples = out
+	c.Rows += m
 	return nil
 }
 
@@ -349,48 +224,60 @@ func (r *Relation) DedupBy(names []string) error {
 // sort order on values. It is used for deterministic output and result
 // comparison.
 func (r *Relation) Sort() {
-	r.ownRows()
-	sortRows(r.Tuples)
-}
-
-func sortRows(rows []Tuple) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		a, b := rows[i], rows[j]
-		for k := range a {
-			if a[k].Equal(b[k]) {
-				continue
-			}
-			return a[k].sortLess(b[k])
-		}
-		return false
-	})
-}
-
-// sortedRows returns r's rows sorted, leaving r as it is.
-func (r *Relation) sortedRows() []Tuple {
 	rows := r.Rows()
-	if r.cols == nil {
-		rows = slices.Clone(rows)
+	sel := make([]int32, len(rows))
+	for i := range sel {
+		sel[i] = int32(i)
 	}
-	sortRows(rows)
-	return rows
+	sort.SliceStable(sel, func(a, b int) bool { return rowLess(rows[sel[a]], rows[sel[b]]) })
+	r.KeepRows(sel)
+}
+
+// rowLess orders rows lexicographically under the total sort order on values.
+func rowLess(a, b Tuple) bool {
+	for k := range a {
+		if a[k].sortLess(b[k]) {
+			return true
+		}
+		if b[k].sortLess(a[k]) {
+			return false
+		}
+	}
+	return false
 }
 
 // EqualMultiset reports whether two relations hold the same multiset of
-// tuples under the same schema, ignoring row order.
+// tuples under the same schema, ignoring row order. Cells compare by
+// identity (Value.Identical).
 func (r *Relation) EqualMultiset(o *Relation) bool {
 	if !r.Schema.Equal(o.Schema) || r.Len() != o.Len() {
 		return false
 	}
 	all := identityCols(len(r.Schema))
-	counts := NewKeyCounter(r.Len())
-	for _, t := range r.Rows() {
-		counts.Inc(t, all)
+	a, b := r.Rows(), o.Rows()
+	// counts[i], for the first row i of a holding its key, is how many rows of
+	// a hold that key, less the rows of b matched to it so far.
+	counts := make([]int, len(a))
+	table := NewKeyTable(len(a))
+	var probe Tuple
+	same := func(i int) bool { return keyColsEqual(a[i], all, probe, all) }
+	for i, t := range a {
+		probe = t
+		h := t.KeyHash(all)
+		if first := table.Find(h, same); first >= 0 {
+			counts[first]++
+		} else {
+			table.Insert(h, i)
+			counts[i] = 1
+		}
 	}
-	for _, t := range o.Rows() {
-		if counts.Dec(t, all) < 0 {
+	for _, t := range b {
+		probe = t
+		first := table.Find(t.KeyHash(all), same)
+		if first < 0 || counts[first] == 0 {
 			return false
 		}
+		counts[first]--
 	}
 	return true
 }
@@ -464,7 +351,10 @@ func (r *Relation) EqualMultisetApprox(o *Relation, relTol float64) bool {
 	if !r.Schema.Equal(o.Schema) || r.Len() != o.Len() {
 		return false
 	}
-	a, b := r.sortedRows(), o.sortedRows()
+	a, b := r.Rows(), o.Rows()
+	for _, rows := range [][]Tuple{a, b} {
+		sort.SliceStable(rows, func(i, j int) bool { return rowLess(rows[i], rows[j]) })
+	}
 	for i := range a {
 		for j := range a[i] {
 			if !valueApproxEqual(a[i][j], b[i][j], relTol) {
@@ -476,7 +366,7 @@ func (r *Relation) EqualMultisetApprox(o *Relation, relTol float64) bool {
 }
 
 func valueApproxEqual(x, y Value, relTol float64) bool {
-	if x.Equal(y) {
+	if x.Equal(y) || x.Kind == KindFloat && y.Kind == KindFloat && math.IsNaN(x.Float) && math.IsNaN(y.Float) {
 		return true
 	}
 	// Only FLOAT values earn tolerance: integer aggregates (COUNT, integer

@@ -1,6 +1,9 @@
 package relation
 
 import (
+	"bytes"
+	"math"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -110,30 +113,15 @@ func TestProject(t *testing.T) {
 	if !p.Schema.Equal(MustSchema(Column{"b", KindString}, Column{"a", KindInt})) {
 		t.Errorf("Project schema = %s", p.Schema)
 	}
-	if !p.Tuples[0][0].Equal(NewString("x")) || !p.Tuples[0][1].Equal(NewInt(1)) {
-		t.Errorf("Project row = %v", p.Tuples[0])
+	if row := p.AppendRow(nil, 0); !row[0].Equal(NewString("x")) || !row[1].Equal(NewInt(1)) {
+		t.Errorf("Project row = %v", row)
 	}
 	if _, err := r.Project([]string{"nope"}); err == nil {
 		t.Error("Project with unknown column must error")
 	}
 }
 
-func TestDistinctProject(t *testing.T) {
-	r := testRel(t)
-	d, err := r.DistinctProject([]string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Len() != 3 {
-		t.Fatalf("DistinctProject len = %d, want 3", d.Len())
-	}
-	// First-seen order.
-	if !d.Tuples[0][0].Equal(NewInt(1)) || !d.Tuples[1][0].Equal(NewInt(2)) || !d.Tuples[2][0].Equal(NewInt(3)) {
-		t.Errorf("DistinctProject order: %v", d.Tuples)
-	}
-}
-
-func TestFilterUnionDedup(t *testing.T) {
+func TestFilterUnion(t *testing.T) {
 	r := testRel(t)
 	f := r.Filter(func(tp Tuple) bool { return tp[0].Int >= 2 })
 	if f.Len() != 2 {
@@ -147,20 +135,14 @@ func TestFilterUnionDedup(t *testing.T) {
 	if err := u.Union(other); err == nil {
 		t.Error("Union with mismatched schema must error")
 	}
-	if err := u.DedupBy([]string{"a", "b"}); err != nil || u.Len() != 3 {
-		t.Fatalf("DedupBy: len=%d err=%v", u.Len(), err)
-	}
-	if err := u.DedupBy([]string{"nope"}); err == nil {
-		t.Error("DedupBy unknown column must error")
-	}
 }
 
 func TestCloneIndependence(t *testing.T) {
 	r := testRel(t)
 	c := r.Clone()
-	c.Tuples[0][0] = NewInt(99)
-	if r.Tuples[0][0].Int == 99 {
-		t.Error("Clone aliases tuples")
+	c.Columns().Vecs[0].Set(0, c.Len(), NewInt(99))
+	if r.Value(0, 0).Int == 99 {
+		t.Error("Clone aliases vectors")
 	}
 }
 
@@ -170,7 +152,7 @@ func TestSortDeterministic(t *testing.T) {
 		r.MustAppend(Tuple{NewInt(v)})
 	}
 	r.Sort()
-	got := []int64{r.Tuples[0][0].Int, r.Tuples[1][0].Int, r.Tuples[2][0].Int, r.Tuples[3][0].Int}
+	got := []int64{r.Value(0, 0).Int, r.Value(1, 0).Int, r.Value(2, 0).Int, r.Value(3, 0).Int}
 	want := []int64{1, 1, 2, 3}
 	for i := range want {
 		if got[i] != want[i] {
@@ -181,10 +163,12 @@ func TestSortDeterministic(t *testing.T) {
 
 func TestSortMixedKinds(t *testing.T) {
 	r := New(MustSchema(Column{"a", KindString}))
-	r.Tuples = []Tuple{{NewString("b")}, {Null}, {NewString("a")}}
+	for _, v := range []Value{NewString("b"), Null, NewString("a")} {
+		r.MustAppend(Tuple{v})
+	}
 	r.Sort()
-	if !r.Tuples[0][0].IsNull() || r.Tuples[1][0].Str != "a" {
-		t.Errorf("Sort with NULLs: %v", r.Tuples)
+	if !r.Value(0, 0).IsNull() || r.Value(1, 0).Str != "a" {
+		t.Errorf("Sort with NULLs: %v", r)
 	}
 }
 
@@ -192,16 +176,16 @@ func TestEqualMultiset(t *testing.T) {
 	a := testRel(t)
 	b := testRel(t)
 	// Shuffle b.
-	b.Tuples[0], b.Tuples[3] = b.Tuples[3], b.Tuples[0]
+	b.KeepRows([]int32{3, 1, 2, 0})
 	if !a.EqualMultiset(b) {
 		t.Error("order must not matter")
 	}
-	b.Tuples[0][0] = NewInt(77)
+	b.Columns().Vecs[0].Set(0, b.Len(), NewInt(77))
 	if a.EqualMultiset(b) {
 		t.Error("changed value must break equality")
 	}
 	c := testRel(t)
-	c.Tuples = c.Tuples[:3]
+	c.KeepRows([]int32{0, 1, 2})
 	if a.EqualMultiset(c) {
 		t.Error("length mismatch must break equality")
 	}
@@ -233,35 +217,17 @@ func TestFormat(t *testing.T) {
 
 func TestKeyIndex(t *testing.T) {
 	r := testRel(t)
-	ki, err := BuildKeyIndex(r, []string{"a", "b"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ki.Len() != 3 {
-		t.Errorf("distinct keys = %d, want 3", ki.Len())
-	}
+	ki := BuildKeyIndex(r.Rows(), []int{0, 1})
 	probe := Tuple{NewString("pad"), NewInt(1), NewString("x")}
 	rows := ki.Lookup(probe, []int{1, 2})
 	if len(rows) != 2 || rows[0] != 0 || rows[1] != 2 {
 		t.Errorf("Lookup = %v", rows)
 	}
-	if _, err := ki.Unique(probe, []int{1, 2}); err == nil {
-		t.Error("Unique with 2 matches must error")
+	if got := ki.Lookup(Tuple{NewInt(3), NewString("z")}, []int{0, 1}); len(got) != 1 || got[0] != 3 {
+		t.Errorf("Lookup unique = %v", got)
 	}
-	probe2 := Tuple{NewInt(3), NewString("z")}
-	row, err := ki.Unique(probe2, []int{0, 1})
-	if err != nil || row != 3 {
-		t.Errorf("Unique = %d, %v", row, err)
-	}
-	probe3 := Tuple{NewInt(42), NewString("none")}
-	if _, err := ki.Unique(probe3, []int{0, 1}); err == nil {
-		t.Error("Unique with 0 matches must error")
-	}
-	if got := ki.Lookup(probe3, []int{0, 1}); got != nil {
+	if got := ki.Lookup(Tuple{NewInt(42), NewString("none")}, []int{0, 1}); got != nil {
 		t.Errorf("Lookup missing = %v", got)
-	}
-	if _, err := BuildKeyIndex(r, []string{"missing"}); err == nil {
-		t.Error("BuildKeyIndex unknown column must error")
 	}
 }
 
@@ -284,7 +250,7 @@ func TestEqualMultisetApprox(t *testing.T) {
 	}
 	// Shape mismatches fail.
 	c := mk(1.0)
-	c.Tuples = c.Tuples[:1]
+	c.KeepRows([]int32{0})
 	if a.EqualMultisetApprox(c, 1e-9) {
 		t.Error("row-count mismatch must fail")
 	}
@@ -294,8 +260,134 @@ func TestEqualMultisetApprox(t *testing.T) {
 	}
 	// Non-float differences are never tolerated.
 	e := mk(1.0)
-	e.Tuples[0][0] = NewInt(9)
+	e.Columns().Vecs[0].Set(0, e.Len(), NewInt(9))
 	if a.EqualMultisetApprox(e, 1e9) {
 		t.Error("int differences must fail regardless of tolerance")
+	}
+	// NaN (SUM(+Inf, −Inf)) matches NaN, whatever the row order; it still
+	// differs from a number.
+	nan := New(MustSchema(Column{"k", KindInt}, Column{"f", KindFloat}))
+	nan.MustAppend(Tuple{NewInt(1), NewFloat(math.NaN())})
+	nan.MustAppend(Tuple{NewInt(2), NewFloat(1)})
+	nan.MustAppend(Tuple{NewInt(1), NewFloat(0.5)})
+	if !nan.EqualMultisetApprox(nan.Clone(), 1e-9) {
+		t.Error("a relation holding NaN must equal its clone")
+	}
+	perm := nan.Clone()
+	perm.KeepRows([]int32{2, 0, 1})
+	if !nan.EqualMultisetApprox(perm, 1e-9) || !perm.EqualMultisetApprox(nan, 1e-9) {
+		t.Error("a relation holding NaN must equal its permutation")
+	}
+	one := nan.Clone()
+	one.Columns().Vecs[1].Set(0, one.Len(), NewFloat(1))
+	if nan.EqualMultisetApprox(one, 1e9) || one.EqualMultisetApprox(nan, 1e9) {
+		t.Error("NaN must not match 1.0 under any tolerance")
+	}
+	// −0 and +0 are equal, as they always were.
+	if !mk(0).EqualMultisetApprox(mk(math.Copysign(0, -1)), 0) {
+		t.Error("−0 must match +0")
+	}
+}
+
+// TestMethodsMatchRowReference: every method that builds, reorders or copies
+// a relation holds, cell for cell, what a plain row reference holds, and
+// encodes to the frame of those rows. The columns cover BOOL, an INT column
+// with an off-kind cell, FLOAT with NaN and −0, STRING, and NULL, with NULLs
+// in every column.
+func TestMethodsMatchRowReference(t *testing.T) {
+	schema := MustSchema(Column{"b", KindBool}, Column{"i", KindInt}, Column{"f", KindFloat}, Column{"s", KindString}, Column{"n", KindNull})
+	rows := []Tuple{
+		{NewBool(true), NewInt(3), NewFloat(math.NaN()), NewString("b"), Null},
+		{Null, NewFloat(2.5), NewFloat(math.Copysign(0, -1)), NewString("a"), Null},
+		{NewBool(false), NewInt(-1), NewFloat(0), Null, Null},
+		{NewBool(true), Null, Null, NewString("b"), Null},
+		{NewBool(true), NewInt(3), NewFloat(math.NaN()), NewString("b"), Null},
+		{NewBool(false), NewInt(7), NewFloat(1), NewString(""), Null},
+	}
+	build := func(schema Schema, rows []Tuple) *Relation {
+		r := New(schema)
+		for _, row := range rows {
+			r.MustAppend(row)
+		}
+		return r
+	}
+	// The row reference of each method.
+	keep := func(t Tuple) bool { return t[0].Bool() || t[3].IsNull() }
+	var filtered, selected, projected []Tuple
+	for _, row := range rows {
+		if keep(row) {
+			filtered = append(filtered, row)
+		}
+		projected = append(projected, Tuple{row[3], row[0], row[2]})
+	}
+	sel := []int32{5, 0, 0, 3}
+	for _, i := range sel {
+		selected = append(selected, rows[i])
+	}
+	sorted := append([]Tuple(nil), rows...)
+	sort.SliceStable(sorted, func(i, j int) bool { return rowLess(sorted[i], sorted[j]) })
+
+	cases := []struct {
+		name string
+		got  func() *Relation
+		want []Tuple
+	}{
+		{"Append", func() *Relation { return build(schema, rows) }, rows},
+		{"Union", func() *Relation {
+			r := build(schema, rows[:2])
+			if err := r.Union(build(schema, rows[2:])); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}, rows},
+		{"Union with itself", func() *Relation {
+			r := build(schema, rows[:3])
+			if err := r.Union(r); err != nil {
+				t.Fatal(err)
+			}
+			return r
+		}, append(append([]Tuple(nil), rows[:3]...), rows[:3]...)},
+		{"Sort", func() *Relation {
+			r := build(schema, rows)
+			r.Sort()
+			return r
+		}, sorted},
+		{"Filter", func() *Relation { return build(schema, rows).Filter(keep) }, filtered},
+		{"Filter keeping nothing", func() *Relation { return build(schema, rows).Filter(func(Tuple) bool { return false }) }, nil},
+		{"KeepRows", func() *Relation {
+			r := build(schema, rows)
+			r.KeepRows(sel)
+			return r
+		}, selected},
+		{"Project", func() *Relation {
+			p, err := build(schema, rows).Project([]string{"s", "b", "f"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}, projected},
+		{"Clone", func() *Relation { return build(schema, rows).Clone() }, rows},
+	}
+	for _, c := range cases {
+		got := c.got()
+		if !rowsIdentical(got.Rows(), c.want) {
+			t.Errorf("%s holds\n%s", c.name, got)
+		}
+		if a, b := mustMarshal(t, got), mustMarshal(t, build(got.Schema, c.want)); !bytes.Equal(a, b) {
+			t.Errorf("%s: the frame differs from its rows'", c.name)
+		}
+	}
+	// A clone shares nothing it could write.
+	r := build(schema, rows)
+	c := r.Clone()
+	for j := range c.Columns().Vecs {
+		c.Columns().Vecs[j].Set(0, c.Len(), Null)
+	}
+	c.MustAppend(rows[0])
+	if !rowsIdentical(r.Rows(), rows) {
+		t.Error("writing a clone changed the original")
+	}
+	if !rowLess(Tuple{NewFloat(math.Inf(1))}, Tuple{NewFloat(math.NaN())}) || rowLess(Tuple{NewFloat(math.NaN())}, Tuple{NewFloat(math.Inf(1))}) {
+		t.Error("NaN must sort after every number")
 	}
 }

@@ -202,7 +202,9 @@ func (v Value) Compare(o Value) (int, bool) {
 }
 
 // sortLess is a total order over all values used for deterministic sorting:
-// NULL < BOOL < INT/FLOAT (numeric) < STRING.
+// NULL < BOOL < INT/FLOAT (numeric) < NaN < STRING. NaN, which compares
+// equal to no number, has a place of its own, so the order stays a strict
+// weak order.
 func (v Value) sortLess(o Value) bool {
 	vr, or := v.sortRank(), o.sortRank()
 	if vr != or {
@@ -220,12 +222,17 @@ func (v Value) sortRank() int {
 		return 0
 	case KindBool:
 		return 1
-	case KindInt, KindFloat:
+	case KindInt:
+		return 2
+	case KindFloat:
+		if math.IsNaN(v.Float) {
+			return 3
+		}
 		return 2
 	case KindString:
-		return 3
-	default:
 		return 4
+	default:
+		return 5
 	}
 }
 
@@ -298,7 +305,7 @@ func (v Value) hashKeyInto(h uint64) uint64 {
 
 // Hash64 returns a 64-bit FNV-1a hash of the value's canonical key encoding
 // (kind-aware, so INT 1 and STRING "1" hash differently). It is the basis of
-// hash partitioning and of the hashed key layer (KeyIndex, KeySet).
+// hash partitioning and of the hashed key layer (KeyIndex, KeyTable).
 func (v Value) Hash64() uint64 {
 	return v.hashKeyInto(fnvOffset64)
 }

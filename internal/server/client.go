@@ -69,10 +69,9 @@ func (c *Client) Close() error {
 }
 
 // Query submits one statement and returns the result rows and execution
-// stats. The rows usually arrive as a columnar body: read them with Rows,
-// AppendRow or Value, not Tuples. A server-reported failure is returned as a
-// *QueryError; transport failures leave the session unusable (the protocol
-// has no resynchronization — open a fresh session).
+// stats; read the rows with Rows, AppendRow or Value. A server-reported
+// failure is returned as a *QueryError; transport failures leave the session
+// unusable (the protocol has no resynchronization — open a fresh session).
 func (c *Client) Query(ctx context.Context, stmt string) (*relation.Relation, *ResultInfo, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()

@@ -271,8 +271,8 @@ func TestFrameBounds(t *testing.T) {
 func TestUnencodableReplyIsAnErrorFrame(t *testing.T) {
 	s := startServer(t, func(ctx context.Context, stmt string) (*Result, error) {
 		if stmt == "bad" {
-			rel := relation.New(testSchema)
-			rel.Tuples = append(rel.Tuples, relation.Tuple{relation.NewInt(1)})
+			// Vectors that disagree with the schema: Marshal refuses them.
+			rel := relation.FromColumns(testSchema, &relation.Columns{Rows: 1, Vecs: []relation.Vector{{Kind: relation.KindInt, Ints: []int64{1}}}})
 			return &Result{Rel: rel}, nil
 		}
 		return echoHandler(ctx, stmt)

@@ -180,7 +180,10 @@ func (t *Table) sealLocked() error {
 		return err
 	}
 	bw := bufio.NewWriter(f)
-	seg := &relation.Relation{Schema: t.schema, Tuples: t.buf}
+	seg := relation.New(t.schema)
+	for _, row := range t.buf {
+		seg.MustAppend(row)
+	}
 	if err := relation.NewEncoder(bw).Encode(seg); err != nil {
 		f.Close()
 		return err
@@ -246,7 +249,7 @@ func (t *Table) scanWith(rec *obs.SiteRecorder, fn func(relation.Tuple) error) e
 func (t *Table) Materialize() (*relation.Relation, error) {
 	out := relation.New(t.schema)
 	err := t.Scan(func(row relation.Tuple) error {
-		out.Tuples = append(out.Tuples, row)
+		out.MustAppend(row)
 		return nil
 	})
 	if err != nil {

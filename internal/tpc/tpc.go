@@ -138,6 +138,7 @@ func Generate(c Config, numSites int) (*Dataset, error) {
 	for i := range d.Parts {
 		d.Parts[i] = relation.New(Schema())
 	}
+	var row relation.Tuple // appended by value, so one buffer serves every row
 	for i := 0; i < c.Rows; i++ {
 		custKey := rng.Int63n(int64(c.Customers))
 		nation := custKey % int64(c.Nations)
@@ -148,9 +149,9 @@ func Generate(c Config, numSites int) (*Dataset, error) {
 		clerk := fmt.Sprintf("Clerk#%06d", rng.Int63n(int64(c.Clerks)))
 		qty := 1 + rng.Int63n(50)
 		price := float64(qty) * (900 + 100*rng.Float64())
-		row := relation.Tuple{
-			relation.NewInt(int64(i/4 + 1)), // OrderKey: ~4 lines per order
-			relation.NewInt(int64(i%4 + 1)), // LineNumber
+		row = append(row[:0],
+			relation.NewInt(int64(i/4+1)), // OrderKey: ~4 lines per order
+			relation.NewInt(int64(i%4+1)), // LineNumber
 			relation.NewInt(custKey),
 			relation.NewString(CustNameOf(custKey)),
 			relation.NewInt(nation),
@@ -160,13 +161,13 @@ func Generate(c Config, numSites int) (*Dataset, error) {
 			relation.NewString(mktSegments[rng.Intn(len(mktSegments))]),
 			relation.NewInt(qty),
 			relation.NewFloat(price),
-			relation.NewFloat(float64(rng.Intn(11)) / 100), // 0.00-0.10
-			relation.NewFloat(float64(rng.Intn(9)) / 100),  // 0.00-0.08
+			relation.NewFloat(float64(rng.Intn(11))/100), // 0.00-0.10
+			relation.NewFloat(float64(rng.Intn(9))/100),  // 0.00-0.08
 			relation.NewString(shipModes[rng.Intn(len(shipModes))]),
 			relation.NewString(priorities[rng.Intn(len(priorities))]),
-		}
+		)
 		site := int(nation) % numSites
-		d.Parts[site].Tuples = append(d.Parts[site].Tuples, row)
+		d.Parts[site].MustAppend(row)
 	}
 	return d, nil
 }
@@ -174,11 +175,7 @@ func Generate(c Config, numSites int) (*Dataset, error) {
 // Global returns the union of all partitions (the conceptual fact relation;
 // used as the centralized oracle input).
 func (d *Dataset) Global() *relation.Relation {
-	g := relation.New(Schema())
-	for _, p := range d.Parts {
-		g.Tuples = append(g.Tuples, p.Tuples...)
-	}
-	return g
+	return union(d.Parts)
 }
 
 // Distribution returns the distribution knowledge for the first n sites of
@@ -249,9 +246,16 @@ func (d *Dataset) Catalog(n int) (*distrib.Catalog, error) {
 // relation when only n sites participate (the speed-up experiments vary the
 // participating sites over fixed per-site data).
 func (d *Dataset) SubGlobal(n int) *relation.Relation {
+	return union(d.Parts[:n])
+}
+
+// union is the multiset union of parts, a new relation.
+func union(parts []*relation.Relation) *relation.Relation {
 	g := relation.New(Schema())
-	for _, p := range d.Parts[:n] {
-		g.Tuples = append(g.Tuples, p.Tuples...)
+	for _, p := range parts {
+		if err := g.Union(p); err != nil {
+			panic(err) // every partition has Schema()
+		}
 	}
 	return g
 }

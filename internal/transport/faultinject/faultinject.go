@@ -50,9 +50,8 @@ type Config struct {
 	FailStreams           int
 	StreamFailAfterBlocks int
 	// MutateBlock, when set, replaces each streamed H block before it
-	// reaches the sink — for corruption tests. It is handed a row body
-	// (a columnar block is boxed first); the original block stays
-	// untouched.
+	// reaches the sink — for corruption tests. It must not write the block
+	// it is handed; it returns a changed copy (Clone) or another block.
 	MutateBlock func(*relation.Relation) *relation.Relation
 }
 
@@ -142,7 +141,7 @@ func (f *Site) EvalOperatorStream(ctx context.Context, req engine.OperatorReques
 			return ErrInjected
 		}
 		if f.cfg.MutateBlock != nil {
-			b = f.cfg.MutateBlock(b.RowBody())
+			b = f.cfg.MutateBlock(b)
 		}
 		delivered++
 		return sink(b)

@@ -1,7 +1,8 @@
 // Package stringkey enforces the PR-1 data-plane invariant: hot-path
 // packages group and index tuples through hashed 64-bit keys
-// (relation.KeyIndex / KeySet / KeyCounter), never through string-keyed maps
-// or string-concatenated composite keys. The hashed-key refactor cut
+// (relation.KeyIndex, the scalar link index, and relation.KeyTable, the
+// open-addressed table that keeps each key once), never through string-keyed
+// maps or string-concatenated composite keys. The hashed-key refactor cut
 // sync-merge allocations ~70%; a single `map[string]` reintroduced on a
 // per-tuple path silently gives that back.
 //
@@ -55,7 +56,7 @@ func run(pass *analysis.Pass) error {
 			case *ast.MapType:
 				if isString(pass.Info.TypeOf(n.Key)) {
 					pass.Reportf(n.Pos(),
-						"string-keyed map in hot-path package %s: group and index tuples with hashed keys (relation.KeyIndex/KeySet), or annotate a cold-path use with //skallavet:allow stringkey -- <reason>",
+						"string-keyed map in hot-path package %s: group and index tuples with hashed keys (relation.KeyIndex/KeyTable), or annotate a cold-path use with //skallavet:allow stringkey -- <reason>",
 						pass.Pkg.Path())
 				}
 			case *ast.IndexExpr:
@@ -69,7 +70,7 @@ func run(pass *analysis.Pass) error {
 				}
 				if synthesizedKey(pass, n.Index) {
 					pass.Reportf(n.Index.Pos(),
-						"string-concatenated map key in hot-path package %s: this is a composite group key — use hashed keys (relation.KeyIndex) instead of string synthesis",
+						"string-concatenated map key in hot-path package %s: this is a composite group key — use hashed keys (relation.KeyIndex/KeyTable) instead of string synthesis",
 						pass.Pkg.Path())
 				}
 			}
