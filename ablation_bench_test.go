@@ -228,7 +228,7 @@ func benchSiteExample1(b *testing.B, key string) {
 	}
 	// MD2's base fragment carries MD1's finalized avgp, as the coordinator
 	// would ship it.
-	x1, err := gmdj.EvalPrefixX(q, s.Source(), 1, true)
+	x1, err := s.EvalLocal(ctx, engine.LocalRequest{Query: q, UpTo: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -263,9 +263,9 @@ func servedPartition(b *testing.B) *tpc.Dataset {
 // BenchmarkSiteEvalCube measures one site's share of the served cube_3d
 // statement — the grouping-set base round and MD1 on three rollup links over
 // STRING dimensions, at the served partition size — on a Load-ed partition
-// (the compiled pattern kernels) and on the same rows behind a plain row
-// source (the scalar 2^n-probe scan every source without a columnar image
-// gets).
+// (the compiled pattern kernels) and, as the scalar baseline, through the
+// evaluator over the same rows as a SourceOf relation, which has no image
+// (the scalar 2^n-probe scan).
 func BenchmarkSiteEvalCube(b *testing.B) {
 	benchSiteGroupingSets(b, "SELECT MktSegment, ShipMode, OrderPriority, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR "+
 		"WHERE Discount >= 0.005 CUBE BY MktSegment, ShipMode, OrderPriority")
@@ -285,34 +285,37 @@ func benchSiteGroupingSets(b *testing.B, statement string) {
 		b.Fatal(err)
 	}
 	ctx := context.Background()
-	for _, kernel := range []bool{true, false} {
-		name := "kernel"
-		if !kernel {
-			name = "scalar"
+	b.Run("kernel", func(b *testing.B) {
+		s := engine.NewSite(0)
+		if err := s.Load(ctx, tpc.RelationName, d.Parts[0]); err != nil {
+			b.Fatal(err)
 		}
-		b.Run(name, func(b *testing.B) {
-			s := engine.NewSite(0)
-			if kernel {
-				err = s.Load(ctx, tpc.RelationName, d.Parts[0])
-			} else {
-				err = s.LoadSource(tpc.RelationName, gmdj.SourceOf(d.Parts[0]))
-			}
+		b.SetBytes(int64(2 * d.Parts[0].Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b0, err := s.EvalBase(ctx, q.Base)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(2 * d.Parts[0].Len()))
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				b0, err := s.EvalBase(ctx, q.Base)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0]}); err != nil {
-					b.Fatal(err)
-				}
+			if _, err := s.EvalOperator(ctx, engine.OperatorRequest{Base: b0, Op: q.Ops[0]}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
+	b.Run("scalar", func(b *testing.B) {
+		src := gmdj.SourceOf(d.Parts[0])
+		b.SetBytes(int64(2 * d.Parts[0].Len()))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b0, err := gmdj.EvalBase(q.Base, src)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := gmdj.AccumulateOperator(b0, q.Ops[0], src, true); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkDiskVsMemoryScan measures the disk-backed segment store against

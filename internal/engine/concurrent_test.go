@@ -88,16 +88,16 @@ func TestLoadSourceDuringEval(t *testing.T) {
 	wg.Wait()
 }
 
-// slowLenSource wraps a RowSource with a Len that blocks until released —
+// slowLenSource wraps a partition with a Len that blocks until released —
 // standing in for a disk-backed source whose row count does I/O.
 type slowLenSource struct {
-	gmdj.RowSource
+	gmdj.ColumnSource
 	gate chan struct{}
 }
 
 func (s slowLenSource) Len() int {
 	<-s.gate
-	return s.RowSource.Len()
+	return s.ColumnSource.Len()
 }
 
 // TestTablesLenOutsideLock pins the inventory bugfix: a slow Len (disk I/O)
@@ -110,7 +110,11 @@ func TestTablesLenOutsideLock(t *testing.T) {
 		t.Fatal(err)
 	}
 	gate := make(chan struct{})
-	slow := slowLenSource{RowSource: gmdj.SourceOf(bigFlowRel(10)), gate: gate}
+	part, err := newMemPartition(bigFlowRel(10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	slow := slowLenSource{ColumnSource: part, gate: gate}
 	if err := s.LoadSource("Slow", slow); err != nil {
 		t.Fatal(err)
 	}

@@ -2,93 +2,218 @@ package engine
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 
+	"skalla/internal/agg"
+	"skalla/internal/expr"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
+	"skalla/internal/relation"
 	"skalla/internal/store"
 )
 
-// A site serving its partition from a disk-backed store must answer every
-// request identically to one serving the same rows from memory.
-func TestDiskBackedSiteEquivalence(t *testing.T) {
-	rows := [][3]int64{
-		{1, 1, 10}, {1, 1, 20}, {1, 2, 5}, {2, 1, 7}, {2, 1, 9}, {3, 2, 4},
+// diskRel is kernelRel's schema over n rows whose keys are NULL now and then
+// — S every 17th row, K every 13th — so some segments carry NULL bitmaps and
+// others do not, and whose P values span sixty binary orders of magnitude,
+// so a FLOAT sum comes out bit-identical only when its inputs are added in
+// the same order.
+func diskRel(n int) *relation.Relation {
+	r := relation.New(kernelRel(0).Schema)
+	for i := 0; i < n; i++ {
+		s, k := relation.NewString(fmt.Sprintf("s%d", i*7%11)), relation.NewInt(int64(i*3%8)*10)
+		if i%17 == 5 {
+			s = relation.Null
+		}
+		if i%13 == 4 {
+			k = relation.Null
+		}
+		r.MustAppend(relation.Tuple{s, k,
+			relation.NewFloat(math.Exp(float64(i*37%60) - 30)),
+			relation.NewFloat(float64(i%11) / 100),
+		})
 	}
-	rel := flowRel(rows...)
+	return r
+}
 
-	mem := NewSite(0)
-	if err := mem.Load(context.Background(), "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
-	disk := NewSite(0)
-	tbl, err := store.CreateFrom(t.TempDir(), "Flow", rel, 2) // multiple segments
+// diskSite serves rel from a store.Table of segmentRows-row segments.
+func diskSite(t *testing.T, rel *relation.Relation, segmentRows int) *Site {
+	t.Helper()
+	tbl, err := store.CreateFrom(t.TempDir(), "Flow", rel, segmentRows)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := disk.LoadSource("Flow", tbl); err != nil {
+	s := NewSite(1)
+	if err := s.LoadSource("Flow", tbl); err != nil {
 		t.Fatal(err)
 	}
+	return s
+}
 
-	// Base query.
-	bq := gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS", "DAS"}}
-	memB, err := mem.EvalBase(context.Background(), bq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diskB, err := disk.EvalBase(context.Background(), bq)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !memB.EqualMultiset(diskB) {
-		t.Errorf("base mismatch:\n%s\nvs\n%s", memB, diskB)
-	}
+// siteEval is one request to a site, and the detail passes it makes.
+type siteEval struct {
+	name   string
+	run    func(context.Context, *Site) (*relation.Relation, error)
+	passes int64
+}
 
-	// Operator evaluation, both evaluation paths, with and without guard.
-	req := OperatorRequest{
-		Base: baseFragment(1, 2, 3, 4),
-		Op:   countOp("B.SAS = R.SAS && R.NB > 4"),
+// scanPaths reads skalla_engine_scan_path_total under every label.
+func scanPaths() map[[2]string]int64 {
+	out := map[[2]string]int64{}
+	for _, l := range [][2]string{{"kernel", "ok"}, {"scalar", "shape"}, {"scalar", "kind"}} {
+		out[l] = obs.EngineScanPath.With(l[0], l[1]).Value()
 	}
-	for _, useHash := range []bool{true, false} {
-		mem.SetUseHash(useHash)
-		disk.SetUseHash(useHash)
-		for _, guard := range []bool{false, true} {
-			r := req
-			r.Guard = guard
-			memH, err := mem.EvalOperator(context.Background(), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			diskH, err := disk.EvalOperator(context.Background(), r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !memH.EqualMultiset(diskH) {
-				t.Errorf("hash=%v guard=%v: H mismatch:\n%s\nvs\n%s", useHash, guard, memH, diskH)
-			}
+	return out
+}
+
+// checkDiskEval runs e on the Load-ed site mem and on disk and demands
+// byte-identical replies, and that disk counted exactly e.passes detail passes,
+// all under path/reason.
+func checkDiskEval(t *testing.T, mem, disk *Site, e siteEval, path, reason string) {
+	t.Helper()
+	ctx := context.Background()
+	want, err := e.run(ctx, mem)
+	if err != nil {
+		t.Fatalf("%s on the Load-ed site: %v", e.name, err)
+	}
+	before := scanPaths()
+	got, err := e.run(ctx, disk)
+	if err != nil {
+		t.Fatalf("%s on the disk site: %v", e.name, err)
+	}
+	for l, n := range scanPaths() {
+		wantPasses := int64(0)
+		if l == [2]string{path, reason} {
+			wantPasses = e.passes
+		}
+		if n-before[l] != wantPasses {
+			t.Errorf("%s: %s/%s counted %d passes, want %d", e.name, l[0], l[1], n-before[l], wantPasses)
 		}
 	}
-	mem.SetUseHash(true)
-	disk.SetUseHash(true)
+	if got.Format(-1) != want.Format(-1) {
+		t.Errorf("%s: the disk site's reply differs from the Load-ed site's\n%.2000s\nvs\n%.2000s", e.name, got.Format(-1), want.Format(-1))
+	}
+}
 
-	// Local prefix evaluation.
-	q := gmdj.Query{
-		Base: bq,
-		Ops: []gmdj.Operator{{Detail: "Flow", Vars: []gmdj.GroupVar{{
-			Aggs: countOp("true").Vars[0].Aggs,
-			Cond: countOp("B.SAS = R.SAS && B.DAS = R.DAS").Vars[0].Cond,
-		}}}},
+// TestDiskBackedSiteEquivalence: a site serving its partition from a
+// disk-backed store answers every base, operator and local request exactly as
+// a site serving the same rows from memory — byte for byte, whether each
+// segment holds one row, a few or all of them — and every one of its detail
+// passes runs the compiled kernel, unless the site is set to the nested loop.
+func TestDiskBackedSiteEquivalence(t *testing.T) {
+	ctx := context.Background()
+	rel := diskRel(300)
+	mem := NewSite(0)
+	if err := mem.Load(ctx, "Flow", rel); err != nil {
+		t.Fatal(err)
 	}
-	memX, err := mem.EvalLocal(context.Background(), LocalRequest{Query: q, UpTo: 1})
+	cube := gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S", "K"},
+		GroupingSets: [][]string{{"S", "K"}, {"S"}, {"K"}, {}}}
+	bases := []gmdj.BaseQuery{
+		{Detail: "Flow", Cols: []string{"S", "K"}},
+		{Detail: "Flow", Cols: []string{"K"}},
+		{Detail: "Flow", Cols: []string{"S"}, Where: expr.MustParse("R.D >= 0.03 && R.K < 50")},
+		cube,
+		{Detail: "Flow", Cols: []string{"K", "S"}, GroupingSets: [][]string{{"K", "S"}, {"K"}, {}}},
+	}
+	var evals []siteEval
+	for i, bq := range bases {
+		evals = append(evals, siteEval{fmt.Sprintf("base %d", i), func(ctx context.Context, s *Site) (*relation.Relation, error) {
+			return s.EvalBase(ctx, bq)
+		}, 1})
+	}
+
+	// Each operator's X is the Load-ed site's base plus a row no detail row
+	// matches, which only an unguarded reply carries.
+	x := func(bq gmdj.BaseQuery, extra relation.Tuple) *relation.Relation {
+		b, err := mem.EvalBase(ctx, bq)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b = b.Clone()
+		b.MustAppend(extra)
+		return b
+	}
+	aggs := []agg.Spec{{Func: agg.Count, As: "cnt"}, {Func: agg.Sum, Arg: "P", As: "sp"}, {Func: agg.Avg, Arg: "P", As: "ap"}}
+	one := func(cond string) gmdj.Operator {
+		return gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse(cond), Aggs: aggs}}}
+	}
+	ops := []struct {
+		name string
+		x    *relation.Relation
+		op   gmdj.Operator
+	}{
+		{"STRING link", x(bases[2], relation.Tuple{relation.NewString("none")}), one("B.S = R.S")},
+		{"INT link and a residual", x(bases[1], relation.Tuple{relation.NewInt(-1)}), one("B.K = R.K && R.P >= 0.001")},
+		{"two links, two variables", x(bases[0], relation.Tuple{relation.NewString("s1"), relation.NewInt(-1)}), gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{
+			{Cond: expr.MustParse("B.S = R.S && B.K = R.K"), Aggs: aggs},
+			{Cond: expr.MustParse("B.S = R.S && R.D < 0.05"), Aggs: []agg.Spec{{Func: agg.Min, Arg: "P", As: "lo"}, {Func: agg.Max, Arg: "D", As: "hi"}}},
+		}}},
+		{"rollup links", x(cube, relation.Tuple{relation.NewString("none"), relation.Null}), one("(B.S IS NULL || B.S = R.S) && (B.K IS NULL || B.K = R.K)")},
+	}
+	var opEvals []siteEval
+	for _, o := range ops {
+		for _, guard := range []bool{false, true} {
+			req := OperatorRequest{Base: o.x, Op: o.op, Guard: guard, BlockRows: 5}
+			opEvals = append(opEvals, siteEval{fmt.Sprintf("%s, guard %v", o.name, guard), func(ctx context.Context, s *Site) (*relation.Relation, error) {
+				return s.EvalOperator(ctx, req)
+			}, int64(len(o.op.Vars))})
+		}
+	}
+	evals = append(evals, opEvals...)
+	for _, key := range []string{"S", "K"} {
+		for upTo := 0; upTo <= 2; upTo++ {
+			req := LocalRequest{Query: example1(key), UpTo: upTo}
+			evals = append(evals, siteEval{fmt.Sprintf("local example 1 on %s, up to MD%d", key, upTo), func(ctx context.Context, s *Site) (*relation.Relation, error) {
+				return s.EvalLocal(ctx, req)
+			}, int64(1 + upTo)})
+		}
+	}
+
+	for _, size := range []int{1, 3, 4096} {
+		t.Run(fmt.Sprintf("segments of %d rows", size), func(t *testing.T) {
+			disk := diskSite(t, rel, size)
+			for _, e := range evals {
+				checkDiskEval(t, mem, disk, e, "kernel", "ok")
+			}
+			// Set to the nested loop, the site reads the same segments as rows.
+			disk.SetUseHash(false)
+			for _, e := range opEvals {
+				checkDiskEval(t, mem, disk, e, "scalar", "shape")
+			}
+		})
+	}
+}
+
+// TestDiskOffKindSegmentRunsScalar: when one segment of a disk table holds a
+// cell off its column's declared kind, an evaluation that reads the column
+// cannot compile that segment, so the whole evaluation runs on the scalar
+// path under kind — after the segments before it compiled — and still
+// answers as the Load-ed site does.
+func TestDiskOffKindSegmentRunsScalar(t *testing.T) {
+	ctx := context.Background()
+	rel := diskRel(300)
+	rel.Columns().Vecs[rel.Schema.MustIndex("P")].Set(151, rel.Len(), relation.NewInt(7))
+	mem := NewSite(0)
+	if err := mem.Load(ctx, "Flow", rel); err != nil {
+		t.Fatal(err)
+	}
+	disk := diskSite(t, rel, 3)
+	x, err := mem.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	diskX, err := disk.EvalLocal(context.Background(), LocalRequest{Query: q, UpTo: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !memX.EqualMultiset(diskX) {
-		t.Errorf("local eval mismatch:\n%s\nvs\n%s", memX, diskX)
-	}
+	op := gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse("B.S = R.S"), Aggs: []agg.Spec{
+		{Func: agg.Count, As: "cnt"}, {Func: agg.Sum, Arg: "P", As: "sp"},
+	}}}}
+	checkDiskEval(t, mem, disk, siteEval{"SUM over the off-kind column", func(ctx context.Context, s *Site) (*relation.Relation, error) {
+		return s.EvalOperator(ctx, OperatorRequest{Base: x, Op: op})
+	}, 1}, "scalar", "kind")
+	// A pass that never reads the column still compiles every segment.
+	checkDiskEval(t, mem, disk, siteEval{"base", func(ctx context.Context, s *Site) (*relation.Relation, error) {
+		return s.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S", "K"}})
+	}, 1}, "kernel", "ok")
 }
 
 func TestLoadSourceValidation(t *testing.T) {
@@ -96,7 +221,11 @@ func TestLoadSourceValidation(t *testing.T) {
 	if err := s.LoadSource("T", nil); err == nil {
 		t.Error("nil source must error")
 	}
-	if err := s.LoadSource("", gmdj.SourceOf(flowRel())); err == nil {
+	part, err := newMemPartition(flowRel())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadSource("", part); err == nil {
 		t.Error("empty name must error")
 	}
 }

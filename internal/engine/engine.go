@@ -22,21 +22,22 @@ import (
 )
 
 // Site is one local data warehouse. Partitions are served through the
-// gmdj.RowSource interface, so a site can hold them in memory (Load) or on
-// disk (LoadSource with a store.Table) interchangeably.
+// gmdj.ColumnSource interface, so a site can hold them in memory (Load) or on
+// disk (LoadSource with a store.Table) interchangeably, and scans either
+// through the same compiled kernels.
 type Site struct {
 	id int
 
 	mu sync.RWMutex
 	//skallavet:allow stringkey -- table catalog keyed by relation name: one lookup per evaluation, not per tuple
-	tables  map[string]gmdj.RowSource
+	tables  map[string]gmdj.ColumnSource
 	useHash bool
 }
 
 // NewSite creates an empty site.
 func NewSite(id int) *Site {
 	//skallavet:allow stringkey -- table catalog keyed by relation name: one lookup per evaluation, not per tuple
-	return &Site{id: id, tables: make(map[string]gmdj.RowSource), useHash: true}
+	return &Site{id: id, tables: make(map[string]gmdj.ColumnSource), useHash: true}
 }
 
 // ID returns the site identifier.
@@ -66,9 +67,9 @@ func (s *Site) Load(_ context.Context, name string, rel *relation.Relation) erro
 }
 
 // LoadSource installs (or replaces) the local partition of a detail relation
-// behind any scannable source — e.g. a disk-backed store.Table, which keeps
-// the site's memory bounded regardless of partition size.
-func (s *Site) LoadSource(name string, src gmdj.RowSource) error {
+// behind any source of column images — e.g. a disk-backed store.Table, which
+// keeps the site's memory bounded regardless of partition size.
+func (s *Site) LoadSource(name string, src gmdj.ColumnSource) error {
 	if name == "" {
 		return fmt.Errorf("engine: empty relation name")
 	}
@@ -120,13 +121,13 @@ func (s *Site) Tables(_ context.Context) []TableInfo {
 // snapshot is an immutable view of the site taken under one RLock: the
 // catalog (map copied, sources shared) plus the hash-path setting. Evaluations
 // resolve every detail relation against the snapshot, so a concurrent
-// LoadSource can neither swap a RowSource out from under an in-flight scan
+// LoadSource can neither swap a source out from under an in-flight scan
 // nor let two resolutions of the same name observe different sources
 // mid-query.
 type snapshot struct {
 	siteID int
 	//skallavet:allow stringkey -- catalog snapshot keyed by relation name: one lookup per evaluation, not per tuple
-	tables  map[string]gmdj.RowSource
+	tables  map[string]gmdj.ColumnSource
 	useHash bool
 }
 
@@ -134,15 +135,15 @@ func (s *Site) snapshot() snapshot {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	//skallavet:allow stringkey -- catalog snapshot keyed by relation name: one lookup per evaluation, not per tuple
-	tables := make(map[string]gmdj.RowSource, len(s.tables))
+	tables := make(map[string]gmdj.ColumnSource, len(s.tables))
 	for n, src := range s.tables {
 		tables[n] = src
 	}
 	return snapshot{siteID: s.id, tables: tables, useHash: s.useHash}
 }
 
-// DetailSource implements gmdj.DataSource over the snapshot.
-func (sn snapshot) DetailSource(name string) (gmdj.RowSource, error) {
+// source returns the named partition.
+func (sn snapshot) source(name string) (gmdj.ColumnSource, error) {
 	src, ok := sn.tables[name]
 	if !ok {
 		return nil, fmt.Errorf("engine: site %d has no relation %q", sn.siteID, name)
@@ -150,56 +151,23 @@ func (sn snapshot) DetailSource(name string) (gmdj.RowSource, error) {
 	return src, nil
 }
 
+// DetailSource implements gmdj.DataSource over the snapshot.
+func (sn snapshot) DetailSource(name string) (gmdj.RowSource, error) { return sn.source(name) }
+
 // DetailSchema implements gmdj.SchemaSource over the snapshot.
 func (sn snapshot) DetailSchema(name string) (relation.Schema, error) {
-	src, err := sn.DetailSource(name)
+	src, err := sn.source(name)
 	if err != nil {
 		return nil, err
 	}
 	return src.Schema(), nil
-}
-
-// DetailSource returns the local partition of a detail relation.
-func (s *Site) DetailSource(name string) (gmdj.RowSource, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	src, ok := s.tables[name]
-	if !ok {
-		return nil, fmt.Errorf("engine: site %d has no relation %q", s.id, name)
-	}
-	return src, nil
 }
 
 // DetailSchema implements transport.Backend. Catalog lookups are local map
 // reads; the context is accepted for interface symmetry.
 func (s *Site) DetailSchema(_ context.Context, name string) (relation.Schema, error) {
-	src, err := s.DetailSource(name)
-	if err != nil {
-		return nil, err
-	}
-	return src.Schema(), nil
+	return s.snapshot().DetailSchema(name)
 }
-
-// source adapts the site to gmdj.DataSource: the gmdj evaluator's interfaces
-// stay context-free (they are pure catalog/scan surfaces), so conformance
-// goes through this adapter rather than the Backend-facing methods.
-type source struct{ site *Site }
-
-func (ss source) DetailSchema(name string) (relation.Schema, error) {
-	src, err := ss.site.DetailSource(name)
-	if err != nil {
-		return nil, err
-	}
-	return src.Schema(), nil
-}
-
-func (ss source) DetailSource(name string) (gmdj.RowSource, error) {
-	return ss.site.DetailSource(name)
-}
-
-// Source exposes the site's partitions as a gmdj.DataSource (planning and
-// validation helpers program against that interface).
-func (s *Site) Source() gmdj.DataSource { return source{site: s} }
 
 // EvalBase computes the site's fragment B_i of the base-values relation.
 func (s *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, error) {
@@ -209,7 +177,7 @@ func (s *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relat
 	obs.EngineEvals.With("base").Inc()
 	rec := obs.RecorderFrom(ctx)
 	snap := s.snapshot()
-	detail, err := snap.DetailSource(bq.Detail)
+	detail, err := snap.source(bq.Detail)
 	if err != nil {
 		return nil, err
 	}
@@ -283,7 +251,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		return fmt.Errorf("engine: operator request without base relation")
 	}
 	snap := s.snapshot()
-	detail, err := snap.DetailSource(req.Op.Detail)
+	detail, err := snap.source(req.Op.Detail)
 	if err != nil {
 		return err
 	}

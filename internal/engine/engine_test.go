@@ -58,10 +58,10 @@ func TestLoadAndLookup(t *testing.T) {
 	if len(names) != 2 || names[0] != "Flow" || names[1] != "Other" {
 		t.Errorf("TableNames = %v", names)
 	}
-	if _, err := s.DetailSource("Missing"); err == nil {
+	if _, err := s.snapshot().DetailSource("Missing"); err == nil {
 		t.Error("missing relation must error")
 	}
-	if src, err := s.DetailSource("Flow"); err != nil || src.Len() != 1 {
+	if src, err := s.snapshot().DetailSource("Flow"); err != nil || src.Len() != 1 {
 		t.Errorf("DetailSource: %v %v", src, err)
 	}
 	if sch, err := s.DetailSchema(context.Background(), "Flow"); err != nil || !sch.Has("NB") {
@@ -225,7 +225,7 @@ func TestEvalLocalPrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, err := gmdj.EvalCentralX(q, s.Source(), true)
+	want, err := gmdj.EvalCentralX(q, s.snapshot(), true)
 	if err != nil {
 		t.Fatal(err)
 	}

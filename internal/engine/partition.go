@@ -26,11 +26,8 @@ func (p memPartition) Schema() relation.Schema { return p.rel.Schema }
 // Len implements gmdj.RowSource.
 func (p memPartition) Len() int { return p.rel.Len() }
 
-// Scan implements gmdj.RowSource with the scan of gmdj.SourceOf: the image
-// boxed a block of rows at a time.
-func (p memPartition) Scan(fn func(relation.Tuple) error) error {
-	return gmdj.SourceOf(p.rel).Scan(fn)
-}
+// Scan implements gmdj.RowSource: the image, boxed.
+func (p memPartition) Scan(fn func(relation.Tuple) error) error { return gmdj.ScanImages(p, fn) }
 
-// Columns implements gmdj.ColumnSource.
-func (p memPartition) Columns() *relation.Columns { return p.rel.Columns() }
+// Images implements gmdj.ColumnSource: the one image.
+func (p memPartition) Images(fn func(*relation.Columns) error) error { return fn(p.rel.Columns()) }

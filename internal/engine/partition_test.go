@@ -17,27 +17,29 @@ import (
 )
 
 // TestKernelAndScalarSitesAgree serves one partition three ways — Load (the
-// columnar image: the kernel runs), LoadSource of the plain row source
-// and LoadSource of a disk-backed store.Table (both scalar) — and demands the
-// same replies from all three, the same rows charged to the request recorder
-// and to skalla_engine_rows_scanned_total on both paths, and a profile that
-// says which path ran.
+// columnar image), a disk-backed store.Table (one image per segment; both run
+// the kernel) and Load on a site set to the nested loop (the scalar path for
+// every operator pass) — and demands the same replies from all three, the
+// same rows charged to the request recorder and to
+// skalla_engine_rows_scanned_total on both paths, and a profile that says
+// which path ran.
 func TestKernelAndScalarSitesAgree(t *testing.T) {
 	rel := bigFlowRel(5000)
 	tbl, err := store.CreateFrom(t.TempDir(), "Flow", rel, 512)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := map[string]*Site{"load": NewSite(0), "rows": NewSite(1), "disk": NewSite(2)}
+	sites := map[string]*Site{"load": NewSite(0), "disk": NewSite(1), "nested loop": NewSite(2)}
 	if err := sites["load"].Load(context.Background(), "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
-	if err := sites["rows"].LoadSource("Flow", gmdj.SourceOf(rel)); err != nil {
 		t.Fatal(err)
 	}
 	if err := sites["disk"].LoadSource("Flow", tbl); err != nil {
 		t.Fatal(err)
 	}
+	if err := sites["nested loop"].Load(context.Background(), "Flow", rel); err != nil {
+		t.Fatal(err)
+	}
+	sites["nested loop"].SetUseHash(false)
 
 	bq := gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS", "DAS"}}
 	op := countOp("B.SAS = R.SAS && R.NB >= 100")
@@ -71,17 +73,18 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 		if !kernel.profile.Kernel {
 			t.Errorf("%s: Load-ed partition did not run the kernel", name)
 		}
-		for _, how := range []string{"rows", "disk"} {
-			scalar := replies[how]
-			if scalar.profile.Kernel {
-				t.Errorf("%s on %s: profile claims the kernel", name, how)
+		for _, how := range []string{"disk", "nested loop"} {
+			other := replies[how]
+			// A base query has no nested loop: it compiles on every site.
+			if want := how == "disk" || name == "base"; other.profile.Kernel != want {
+				t.Errorf("%s on %s: profile says kernel %v, want %v", name, how, other.profile.Kernel, want)
 			}
-			if scalar.text != kernel.text {
-				t.Errorf("%s: %s reply differs from the kernel's\n%.1500s\nvs\n%.1500s", name, how, scalar.text, kernel.text)
+			if other.text != kernel.text {
+				t.Errorf("%s: %s reply differs from the Load-ed site's\n%.1500s\nvs\n%.1500s", name, how, other.text, kernel.text)
 			}
-			if scalar.rows != kernel.rows || scalar.profile.RowsScanned != kernel.profile.RowsScanned {
-				t.Errorf("%s: %s scanned %d rows (recorder %d), kernel %d (recorder %d)", name, how,
-					scalar.rows, scalar.profile.RowsScanned, kernel.rows, kernel.profile.RowsScanned)
+			if other.rows != kernel.rows || other.profile.RowsScanned != kernel.profile.RowsScanned {
+				t.Errorf("%s: %s scanned %d rows (recorder %d), the Load-ed site %d (recorder %d)", name, how,
+					other.rows, other.profile.RowsScanned, kernel.rows, kernel.profile.RowsScanned)
 			}
 		}
 	}
@@ -109,7 +112,7 @@ func TestLoadSnapshots(t *testing.T) {
 			t.Errorf("useHash=%v: the appended row was counted %d times", useHash, got)
 		}
 	}
-	if src, _ := s.DetailSource("Flow"); src.Len() != 2 {
+	if src, _ := s.snapshot().DetailSource("Flow"); src.Len() != 2 {
 		t.Errorf("Len = %d, want 2", src.Len())
 	}
 
@@ -118,7 +121,7 @@ func TestLoadSnapshots(t *testing.T) {
 	if err := s.Load(context.Background(), "Short", short); err == nil {
 		t.Error("a row of the wrong arity was loaded")
 	}
-	if _, err := s.DetailSource("Short"); err == nil {
+	if _, err := s.snapshot().DetailSource("Short"); err == nil {
 		t.Error("a refused relation is served")
 	}
 }
@@ -129,11 +132,8 @@ func TestLoadSnapshots(t *testing.T) {
 // centralized oracle's over the same relation.
 func TestScanPathCountedAtSite(t *testing.T) {
 	rel := bigFlowRel(500)
-	loaded, rows := NewSite(0), NewSite(1)
+	loaded := NewSite(0)
 	if err := loaded.Load(context.Background(), "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
-	if err := rows.LoadSource("Flow", gmdj.SourceOf(rel)); err != nil {
 		t.Fatal(err)
 	}
 	q := gmdj.Query{Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS"}}, Ops: []gmdj.Operator{countOp("B.SAS = R.SAS")}}
@@ -155,7 +155,6 @@ func TestScanPathCountedAtSite(t *testing.T) {
 		passes       int64
 	}{
 		{"loaded partition", local(loaded), "kernel", "ok", 2},
-		{"row source", local(rows), "scalar", "source", 2},
 		{"rollup condition", func() error {
 			_, err := loaded.EvalOperator(context.Background(), OperatorRequest{
 				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS || B.SAS = 1")})
@@ -171,7 +170,7 @@ func TestScanPathCountedAtSite(t *testing.T) {
 			return err
 		}, "", "", 0},
 	}
-	labels := [][2]string{{"kernel", "ok"}, {"scalar", "source"}, {"scalar", "shape"}, {"scalar", "kind"}}
+	labels := [][2]string{{"kernel", "ok"}, {"scalar", "shape"}, {"scalar", "kind"}}
 	for _, c := range cases {
 		before := map[[2]string]int64{}
 		for _, l := range labels {
@@ -248,7 +247,7 @@ func TestKernelScratchIsFlat(t *testing.T) {
 		var xs [2]*relation.Relation
 		for i, key := range []string{"S", "K"} {
 			var err error
-			if xs[i], err = gmdj.EvalPrefixX(example1(key), s.Source(), 1, true); err != nil {
+			if xs[i], err = gmdj.EvalPrefixX(example1(key), s.snapshot(), 1, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -322,18 +321,27 @@ func TestSourceOfScanIsFlat(t *testing.T) {
 // TestKernelConcurrentEval evaluates eight different X's over one shared
 // partition from eight goroutines at once, several times each, and demands
 // every reply equal that X's serial one: under -race this proves no two
-// evaluations share pooled scratch.
+// evaluations share pooled scratch, and that evaluations over a disk table
+// share its cached segment images only to read them.
 func TestKernelConcurrentEval(t *testing.T) {
 	ctx := context.Background()
-	s := NewSite(0)
-	if err := s.Load(ctx, "Flow", kernelRel(5000)); err != nil {
+	rel := kernelRel(5000)
+	loaded := NewSite(0)
+	if err := loaded.Load(ctx, "Flow", rel); err != nil {
 		t.Fatal(err)
 	}
+	for name, s := range map[string]*Site{"loaded": loaded, "disk": diskSite(t, rel, 512)} {
+		t.Run(name, func(t *testing.T) { concurrentEvals(t, s) })
+	}
+}
+
+func concurrentEvals(t *testing.T, s *Site) {
+	ctx := context.Background()
 	reqs := make([]OperatorRequest, 8)
 	want := make([]string, len(reqs))
 	for i := range reqs {
 		q := example1([]string{"S", "K"}[i%2])
-		x, err := gmdj.EvalPrefixX(q, s.Source(), 1, true)
+		x, err := gmdj.EvalPrefixX(q, s.snapshot(), 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,17 +12,17 @@ import (
 // reach the evaluator, and the adapters charge the request's SiteRecorder as
 // rows flow through.
 
-// recordedSource is the optional interface a RowSource implements to bind
-// its own internals (e.g. store.Table segment reads) to a request recorder.
+// recordedSource is the optional interface a source implements to bind its
+// own internals (e.g. store.Table segment reads) to a request recorder.
 type recordedSource interface {
-	Recorded(rec *obs.SiteRecorder) gmdj.RowSource
+	Recorded(rec *obs.SiteRecorder) gmdj.ColumnSource
 }
 
 // instrument wraps src so the passes made over it are accounted for: scanned
 // rows (and, when the source supports it, its internal I/O) are charged to
 // rec, and the path each evaluation took to skalla_engine_scan_path_total.
 // Under a nil recorder only the path is counted.
-func instrument(src gmdj.RowSource, rec *obs.SiteRecorder) gmdj.RowSource {
+func instrument(src gmdj.ColumnSource, rec *obs.SiteRecorder) gmdj.ColumnSource {
 	if rs, ok := src.(recordedSource); ok && rec != nil {
 		src = rs.Recorded(rec)
 	}
@@ -31,7 +31,7 @@ func instrument(src gmdj.RowSource, rec *obs.SiteRecorder) gmdj.RowSource {
 
 // recordedRows charges every scanned row to the request.
 type recordedRows struct {
-	src gmdj.RowSource
+	src gmdj.ColumnSource
 	rec *obs.SiteRecorder
 }
 
@@ -57,15 +57,8 @@ func (r recordedRows) Scan(fn func(relation.Tuple) error) error {
 	return err
 }
 
-// Columns implements gmdj.ColumnSource by delegation; a source without a
-// columnar image declines, which keeps the evaluator on Scan.
-func (r recordedRows) Columns() *relation.Columns {
-	cs, ok := r.src.(gmdj.ColumnSource)
-	if !ok {
-		return nil
-	}
-	return cs.Columns()
-}
+// Images implements gmdj.ColumnSource by delegation.
+func (r recordedRows) Images(fn func(*relation.Columns) error) error { return r.src.Images(fn) }
 
 // ChargeColumnScan is the evaluator's notice of one kernel pass over this
 // source: it is charged the rows a Scan would have been.
@@ -91,7 +84,7 @@ type recordedSnapshot struct {
 
 // DetailSource implements gmdj.DataSource.
 func (rs recordedSnapshot) DetailSource(name string) (gmdj.RowSource, error) {
-	src, err := rs.snapshot.DetailSource(name)
+	src, err := rs.snapshot.source(name)
 	if err != nil {
 		return nil, err
 	}

@@ -11,9 +11,9 @@ import (
 )
 
 // RowSource is a scannable detail relation: evaluation never needs random
-// access to detail rows, only sequential scans, so sites can serve
-// partitions from memory (relation.Relation via SourceOf) or from disk
-// (internal/store.Table) behind the same interface with bounded memory.
+// access to detail rows, only sequential scans, so a partition can live in
+// memory or on disk (internal/store.Table) behind the same interface with
+// bounded memory. Every site partition is also a ColumnSource (kernel.go).
 type RowSource interface {
 	// Schema describes the rows.
 	Schema() relation.Schema
@@ -46,29 +46,44 @@ type relSource struct{ r *relation.Relation }
 func (s relSource) Schema() relation.Schema { return s.r.Schema }
 func (s relSource) Len() int                { return s.r.Len() }
 
-// scanBlock is how many rows a relSource scan boxes at a time.
+func (s relSource) Scan(fn func(relation.Tuple) error) error {
+	return boxRows(func(image func(*relation.Columns) error) error { return image(s.r.Columns()) }, fn)
+}
+
+// ScanImages is the Scan of a ColumnSource: the rows of its images, boxed as
+// every RowSource built on images boxes them.
+func ScanImages(src ColumnSource, fn func(relation.Tuple) error) error {
+	return boxRows(src.Images, fn)
+}
+
+// scanBlock is how many rows boxRows boxes at a time.
 const scanBlock = 1024
 
-// Scan boxes a block of rows at a time into one reused slab, so a scan
-// allocates the same whatever the relation's size.
-func (s relSource) Scan(fn func(relation.Tuple) error) error {
-	n, w := s.r.Len(), len(s.r.Schema)
-	vecs := s.r.Columns().Vecs
-	slab := make([]relation.Value, min(n, scanBlock)*w)
-	for lo := 0; lo < n; lo += scanBlock {
-		hi := min(n, lo+scanBlock)
-		for j := range vecs {
-			for i := lo; i < hi; i++ {
-				slab[(i-lo)*w+j] = vecs[j].Value(i)
+// boxRows streams the rows of the images that images yields through fn,
+// boxing a block of rows at a time into one reused slab, so a scan allocates
+// the same whatever the partition's size.
+func boxRows(images func(func(*relation.Columns) error) error, fn func(relation.Tuple) error) error {
+	var slab []relation.Value
+	return images(func(c *relation.Columns) error {
+		n, w := c.Rows, len(c.Vecs)
+		if k := min(n, scanBlock) * w; cap(slab) < k {
+			slab = make([]relation.Value, k)
+		}
+		for lo := 0; lo < n; lo += scanBlock {
+			hi := min(n, lo+scanBlock)
+			for j := range c.Vecs {
+				for i := lo; i < hi; i++ {
+					slab[(i-lo)*w+j] = c.Vecs[j].Value(i)
+				}
+			}
+			for k := 0; k < hi-lo; k++ {
+				if err := fn(slab[k*w : (k+1)*w : (k+1)*w]); err != nil {
+					return err
+				}
 			}
 		}
-		for k := 0; k < hi-lo; k++ {
-			if err := fn(slab[k*w : (k+1)*w : (k+1)*w]); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
+		return nil
+	})
 }
 
 // DataSource resolves detail relation names to scannable sources.
@@ -178,26 +193,26 @@ func EvalBase(bq BaseQuery, detail RowSource) (*relation.Relation, error) {
 	if err != nil {
 		return nil, err
 	}
-	reason := reasonSource
-	if cols := columnImage(detail); cols != nil {
-		var k *baseKernel
-		if k, reason = compileBaseKernel(p, cols); k != nil {
-			noteScanPath(detail, reasonOK, 1)
-			return k.run(detail), nil
+	if cs, ok := detail.(ColumnSource); ok {
+		out, reason, err := p.runKernel(cs)
+		if err != nil {
+			return nil, err
+		}
+		noteScanPath(cs, reason, 1)
+		if out != nil {
+			return out, nil
 		}
 	}
-	noteScanPath(detail, reason, 1)
 	return p.scan(detail)
 }
 
 // baseProg is a compiled base query: the bound filter, projection indexes and
 // grouping-set masks.
 type baseProg struct {
-	where   expr.Expr
-	idx     []int
-	allCols []int
-	masks   [][]bool
-	schema  relation.Schema
+	where  expr.Expr
+	idx    []int
+	masks  [][]bool
+	schema relation.Schema
 }
 
 func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
@@ -216,10 +231,6 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 	}
 	p.idx = idx
 	p.schema = schema.Project(idx)
-	p.allCols = make([]int, len(bq.Cols))
-	for i := range p.allCols {
-		p.allCols[i] = i
-	}
 
 	// Precompute the grouping-set masks; the plain distinct projection is
 	// the single full set.
@@ -245,17 +256,7 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 // scan streams the detail source, keeping each surviving projection at its
 // first occurrence.
 func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
-	out := relation.New(p.schema)
-	seen := relation.NewKeyTable(64)
-	scratch := make(relation.Tuple, len(p.idx))
-	same := func(row int) bool {
-		for i, v := range scratch {
-			if !out.Value(row, i).Identical(v) {
-				return false
-			}
-		}
-		return true
-	}
+	d := newDistinctRows(p.schema)
 	err := scanCounted(src, func(t relation.Tuple) error {
 		if p.where != nil {
 			ok, err := expr.EvalCond(p.where, nil, t)
@@ -269,23 +270,62 @@ func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
 		for _, mask := range p.masks {
 			for i, j := range p.idx {
 				if mask[i] {
-					scratch[i] = t[j]
+					d.row[i] = t[j]
 				} else {
-					scratch[i] = relation.Null
+					d.row[i] = relation.Null
 				}
 			}
-			// A duplicate costs one hash probe and no allocation.
-			if h := scratch.KeyHash(p.allCols); seen.Find(h, same) < 0 {
-				seen.Insert(h, out.Len())
-				out.MustAppend(scratch)
-			}
+			d.add()
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return d.out, nil
+}
+
+// distinctRows collects rows in the order they are first offered, each once.
+type distinctRows struct {
+	out  *relation.Relation
+	seen *relation.KeyTable
+	row  relation.Tuple // the row add offers
+	all  []int
+}
+
+func newDistinctRows(schema relation.Schema) *distinctRows {
+	d := &distinctRows{out: relation.New(schema), seen: relation.NewKeyTable(64), row: make(relation.Tuple, len(schema)), all: make([]int, len(schema))}
+	for i := range d.all {
+		d.all[i] = i
+	}
+	return d
+}
+
+// same reports whether out's row i holds row's cells.
+func (d *distinctRows) same(i int) bool {
+	for j, v := range d.row {
+		if !d.out.Value(i, j).Identical(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// add appends row to out unless out holds it already. A duplicate costs one
+// hash probe and no allocation.
+func (d *distinctRows) add() {
+	if h := d.row.KeyHash(d.all); d.seen.Find(h, d.same) < 0 {
+		d.seen.Insert(h, d.out.Len())
+		d.out.MustAppend(d.row)
+	}
+}
+
+// addAll offers every row of r in order.
+func (d *distinctRows) addAll(r *relation.Relation) {
+	for i := 0; i < r.Len(); i++ {
+		d.row = r.AppendRow(d.row[:0], i)
+		d.add()
+	}
 }
 
 // OperatorAccum holds the per-base-row physical accumulators of one MD
@@ -320,24 +360,25 @@ func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, use
 	if err != nil {
 		return nil, err
 	}
-	// useHash=false asks for the literal nested loop of Definition 1, which a
-	// kernel — a hash path in all but name — is not.
-	reason := reasonShape
-	if useHash {
-		reason = reasonSource
-		if cols := columnImage(detail); cols != nil {
-			var k *opKernel
-			if k, reason = compileOperator(x, states, cols); k != nil {
-				noteScanPath(detail, reasonOK, len(states))
-				return k.run(detail), nil
+	if cs, ok := detail.(ColumnSource); ok {
+		// useHash=false asks for the literal nested loop of Definition 1,
+		// which a kernel — a hash path in all but name — is not.
+		reason := reasonShape
+		var acc *OperatorAccum
+		if useHash {
+			if acc, reason, err = runOperatorKernel(x, states, cs); err != nil {
+				return nil, err
 			}
+		}
+		noteScanPath(cs, reason, len(states))
+		if acc != nil {
+			return acc, nil
 		}
 	}
 	xrows := x.Rows() // the scalar paths index and read X's boxed rows
 	if useHash {
 		indexVarStates(x.Schema, xrows, states, detail.Schema())
 	}
-	noteScanPath(detail, reason, len(states))
 	out := newOperatorAccum(x.Len(), states)
 	for vi, st := range states {
 		if err := st.scan(xrows, detail, out.accs[vi], out.Touched); err != nil {

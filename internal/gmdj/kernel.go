@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"errors"
 	"math/bits"
 	"sync"
 
@@ -27,21 +28,29 @@ import (
 // called per row, and what the loops branch on is either fixed for the
 // request or almost always the same way.
 //
+// A partition is a sequence of images — an in-memory one, or a disk table's
+// segments, each with dictionaries of its own — and a kernel scans them in
+// order. What reads an image (the link translation into its dictionaries,
+// the filters, the argument columns) is compiled per image; the accumulators
+// are X's and span them all.
+//
 // A kernel exists only for the shapes compileOperator and compileBaseKernel
-// cover; every other request runs the scalar path unchanged. The choice is
-// made from the request and the source alone, and both paths return the same
-// bytes: every cell receives its inputs in ascending detail-row order, as the
-// scalar path folds them, and every aggregate step mirrors agg.Layout's, so
-// even float sums add in the same order.
+// cover; every other request runs the scalar path unchanged, and so does the
+// whole evaluation when any one image declines. The choice is made from the
+// request and the source alone, and both paths return the same bytes: every
+// cell receives its inputs in ascending detail-row order, as the scalar path
+// folds them, and every aggregate step mirrors agg.Layout's, so even float
+// sums add in the same order.
 
-// ColumnSource is an optional RowSource capability: the source's rows are
-// also held as a columnar image, and a compiled kernel may scan that instead
-// of calling Scan.
+// ColumnSource is a RowSource whose rows are held as columnar images, which a
+// compiled kernel scans instead of calling Scan. A site holds every partition
+// this way; a SourceOf relation is the one RowSource that is not one.
 type ColumnSource interface {
 	RowSource
-	// Columns returns the image of the rows Scan would visit, in scan order.
-	// A nil image declines.
-	Columns() *relation.Columns
+	// Images hands fn the images of the rows Scan visits, in scan order, one
+	// at a time. An fn error aborts and is returned, as is an error reading
+	// an image.
+	Images(fn func(*relation.Columns) error) error
 }
 
 // scanAccountant is the optional capability of a source whose owner keeps
@@ -54,7 +63,7 @@ type scanAccountant interface {
 	// NoteScanPath is called once per evaluation, on the source the
 	// evaluation was handed: its passes detail passes take path, for reason.
 	NoteScanPath(path, reason string, passes int)
-	// ChargeColumnScan is called once per kernel pass over the image, where
+	// ChargeColumnScan is called once per kernel pass over the images, where
 	// the scalar path would have called Scan once: the rows to charge are the
 	// source's Len.
 	ChargeColumnScan()
@@ -66,16 +75,15 @@ const (
 	pathKernel = "kernel"
 	pathScalar = "scalar"
 
-	reasonOK     = "ok"     // compiled
-	reasonSource = "source" // the source has no columnar image
-	reasonShape  = "shape"  // a condition or filter shape the compiler does not cover, or useHash=false
-	reasonKind   = "kind"   // a column or value kind the typed code cannot reproduce exactly
+	reasonOK    = "ok"    // compiled
+	reasonShape = "shape" // a condition or filter shape the compiler does not cover, or useHash=false
+	reasonKind  = "kind"  // a column or value kind the typed code cannot reproduce exactly
 )
 
 // noteScanPath reports to detail's accountant, if it has one, that n detail
 // passes run under reason; reasonOK is the kernel's, every other reason the
 // scalar path's.
-func noteScanPath(detail RowSource, reason string, n int) {
+func noteScanPath(detail ColumnSource, reason string, n int) {
 	acct, ok := detail.(scanAccountant)
 	if !ok {
 		return
@@ -89,20 +97,16 @@ func noteScanPath(detail RowSource, reason string, n int) {
 
 // chargeKernelScan accounts one kernel pass over rows rows exactly as
 // scanCounted accounts a scalar one.
-func chargeKernelScan(src RowSource, rows int) {
+func chargeKernelScan(src ColumnSource, rows int) {
 	obs.EngineRowsScanned.Add(int64(rows))
 	if acct, ok := src.(scanAccountant); ok {
 		acct.ChargeColumnScan()
 	}
 }
 
-// columnImage returns detail's columnar image, or nil when it has none.
-func columnImage(detail RowSource) *relation.Columns {
-	if cs, ok := detail.(ColumnSource); ok {
-		return cs.Columns()
-	}
-	return nil
-}
+// errDeclined stops a kernel's walk over the images at the first one that
+// does not compile.
+var errDeclined = errors.New("gmdj: image declined")
 
 // blockRows is how many detail rows a kernel works on at a time: enough that
 // the per-block set-up vanishes, few enough that a block's buffers stay in
@@ -721,25 +725,19 @@ type varKernel struct {
 	keeps    []keepFn
 }
 
-// opKernel is one MD operator compiled against one columnar partition.
-type opKernel struct {
-	nx, rows int // X rows, detail rows
-	vars     []*varKernel
-}
-
-// compileOperator compiles every grouping variable of an operator, or returns
-// the reason the operator stays on the scalar path. states carry the layouts
-// and the bound conditions.
-func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns) (*opKernel, string) {
-	k := &opKernel{nx: x.Len(), rows: cols.Rows, vars: make([]*varKernel, len(states))}
+// compileOperator compiles every grouping variable of an operator against
+// one image, or returns the reason the operator stays on the scalar path.
+// states carry the layouts and the bound conditions.
+func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns) ([]*varKernel, string) {
+	vars := make([]*varKernel, len(states))
 	for vi, st := range states {
 		vk, reason := compileVar(x, st, cols)
 		if vk == nil {
 			return nil, reason
 		}
-		k.vars[vi] = vk
+		vars[vi] = vk
 	}
-	return k, reasonOK
+	return vars, reasonOK
 }
 
 func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*varKernel, string) {
@@ -976,10 +974,10 @@ func boundLink(c expr.Expr) (bIdx, dIdx int, rollup, ok bool) {
 	}
 }
 
-// newSlabs allocates a variable's accumulators.
-func (vk *varKernel) newSlabs(nx int) []physSlab {
-	slabs := make([]physSlab, len(vk.layout.Phys))
-	for p, pc := range vk.layout.Phys {
+// newSlabs allocates the accumulators of a variable of layout l.
+func newSlabs(l *agg.Layout, nx int) []physSlab {
+	slabs := make([]physSlab, len(l.Phys))
+	for p, pc := range l.Phys {
 		s := &slabs[p]
 		if pc.Kind == relation.KindFloat {
 			s.floats = make([]float64, nx)
@@ -1107,26 +1105,65 @@ func (vk *varKernel) consume(rows, bis []int32, folds []foldFn, touched []bool) 
 	}
 }
 
-// run scans the image once per variable and hands the slabs to the
-// OperatorAccum as they are.
-func (k *opKernel) run(src RowSource) *OperatorAccum {
+// eachImage hands run every image of src in turn, stopping at the first it
+// reports does not compile, and returns why (reasonOK when none) — a decline
+// returns no error. When every image ran, passes kernel passes over their
+// rows are charged.
+func eachImage(src ColumnSource, passes int, run func(*relation.Columns) string) (string, error) {
+	reason, rows := reasonOK, 0
+	err := src.Images(func(cols *relation.Columns) error {
+		if reason = run(cols); reason != reasonOK {
+			return errDeclined
+		}
+		rows += cols.Rows
+		return nil
+	})
+	switch {
+	case reason != reasonOK:
+		return reason, nil
+	case err != nil:
+		return "", err
+	}
+	for range passes {
+		chargeKernelScan(src, rows)
+	}
+	return reasonOK, nil
+}
+
+// runOperatorKernel compiles the operator against each image of src in turn
+// and folds the image into one set of slabs, a variable at a time, handing
+// them to the OperatorAccum as they are. Images in scan order, and rows in
+// order within each, keep every cell's inputs in detail-row order. An image
+// that does not compile stops the walk: the accumulator is nil and the
+// reason says why.
+func runOperatorKernel(x *relation.Relation, states []*varState, src ColumnSource) (*OperatorAccum, string, error) {
 	out := &OperatorAccum{
-		Layouts: make([]*agg.Layout, len(k.vars)),
-		Touched: make([]bool, k.nx),
-		slabs:   make([][]physSlab, len(k.vars)),
+		Layouts: make([]*agg.Layout, len(states)),
+		Touched: make([]bool, x.Len()),
+		slabs:   make([][]physSlab, len(states)),
+	}
+	for vi, st := range states {
+		out.Layouts[vi], out.slabs[vi] = st.layout, newSlabs(st.layout, x.Len())
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	for vi, vk := range k.vars {
-		out.Layouts[vi] = vk.layout
-		out.slabs[vi] = vk.newSlabs(k.nx)
-		vk.scan(k.rows, vk.folds(out.slabs[vi]), out.Touched, sc)
-		chargeKernelScan(src, k.rows)
+	reason, err := eachImage(src, len(states), func(cols *relation.Columns) string {
+		vars, why := compileOperator(x, states, cols)
+		if vars == nil {
+			return why
+		}
+		for vi, vk := range vars {
+			vk.scan(cols.Rows, vk.folds(out.slabs[vi]), out.Touched, sc)
+		}
+		return reasonOK
+	})
+	if reason != reasonOK || err != nil {
+		return nil, reason, err
 	}
-	return out
+	return out, reasonOK, nil
 }
 
-// baseKernel is a base query compiled against one columnar partition: the
+// baseKernel is a base query compiled against one image: the
 // filter as block filters, the projection as typed columns whose cells are
 // deduplicated on ids instead of hashed Values.
 type baseKernel struct {
@@ -1366,15 +1403,48 @@ func (d *baseDedup) scan(sc *scratch) {
 	}
 }
 
-// run evaluates the base query in one pass, keeping the first occurrences in
-// scan order — the order the scalar path produces — as a columnar relation
-// gathered from the partition's vectors.
-func (k *baseKernel) run(src RowSource) *relation.Relation {
+// runKernel evaluates the base query over each image of src in turn, or
+// reports why it stays on the scalar path as runOperatorKernel does. Under
+// several images their results are merged keeping each base row's first
+// occurrence, so the rows come in the scalar path's order.
+func (p *baseProg) runKernel(src ColumnSource) (*relation.Relation, string, error) {
+	var out *relation.Relation
+	var merged *distinctRows // once a second image needs merging
+	reason, err := eachImage(src, 1, func(cols *relation.Columns) string {
+		k, why := compileBaseKernel(p, cols)
+		if k == nil {
+			return why
+		}
+		part := k.run()
+		switch {
+		case out == nil:
+			out = part
+			return reasonOK
+		case merged == nil:
+			merged = newDistinctRows(p.schema)
+			merged.addAll(out)
+		}
+		merged.addAll(part)
+		out = merged.out
+		return reasonOK
+	})
+	switch {
+	case reason != reasonOK || err != nil:
+		return nil, reason, err
+	case out == nil: // no image at all
+		out = relation.New(p.schema)
+	}
+	return out, reasonOK, nil
+}
+
+// run evaluates the base query over the image in one pass, keeping the first
+// occurrences in scan order — the order the scalar path produces — as a
+// columnar relation gathered from the image's vectors.
+func (k *baseKernel) run() *relation.Relation {
 	sc := scratchPool.Get().(*scratch)
 	d := k.newDedup(sc, 0)
 	d.scan(sc)
 	scratchPool.Put(sc)
-	chargeKernelScan(src, k.cols.Rows)
 	n := len(d.fresh)
 	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.idx))}
 	for c, j := range k.idx {

@@ -18,8 +18,9 @@ import (
 // accounts the evaluator reports to a scanAccountant.
 type colSource struct {
 	RowSource
-	cols *relation.Columns
-	acct *scanAccounts
+	cols   *relation.Columns   // the whole relation's image
+	images []*relation.Columns // what Images yields: cols, or one image per segment
+	acct   *scanAccounts
 }
 
 type scanAccounts struct {
@@ -33,11 +34,39 @@ func newColSource(rel *relation.Relation) colSource {
 	if err != nil {
 		panic(err)
 	}
-	return colSource{RowSource: SourceOf(rel), cols: cols, acct: new(scanAccounts)}
+	return colSource{RowSource: SourceOf(rel), cols: cols, images: []*relation.Columns{cols}, acct: new(scanAccounts)}
 }
 
-func (s colSource) Columns() *relation.Columns { return s.cols }
-func (s colSource) ChargeColumnScan()          { s.acct.charged += int64(s.Len()) }
+// segmentedSource is newColSource yielding one image, with dictionaries of
+// its own, per segment of rel's rows — segmentRows rows each, the last
+// perhaps fewer — as a disk table does.
+func segmentedSource(rel *relation.Relation, segmentRows int) colSource {
+	src := newColSource(rel)
+	src.images = nil
+	for lo := 0; lo < rel.Len(); lo += segmentRows {
+		sel := make([]int32, min(segmentRows, rel.Len()-lo))
+		for i := range sel {
+			sel[i] = int32(lo + i)
+		}
+		img, err := relation.BuildColumns(relation.FromColumns(rel.Schema, rel.Columns().Select(sel, nil)))
+		if err != nil {
+			panic(err)
+		}
+		src.images = append(src.images, img)
+	}
+	return src
+}
+
+func (s colSource) Images(fn func(*relation.Columns) error) error {
+	for _, img := range s.images {
+		if err := fn(img); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func (s colSource) ChargeColumnScan() { s.acct.charged += int64(s.Len()) }
 func (s colSource) NoteScanPath(path, reason string, passes int) {
 	s.acct.path, s.acct.reason = path, reason
 	s.acct.passes += passes
@@ -113,11 +142,36 @@ func checkScanPath(t *testing.T, src colSource, reason string, passes int) {
 	}
 }
 
+// segmentSizes are the segment sizes checkOperator and checkBase split a
+// detail relation into: every row its own image, and a few rows each.
+var segmentSizes = []int{1, 7}
+
+// checkSegmented evaluates over detail split into segments of each size and
+// demands what eval returns equal want. When the whole image compiled, so
+// must every split; when it did not, no split may claim the kernel.
+func checkSegmented[T any](t *testing.T, detail *relation.Relation, reason string, passes int, want T,
+	eval func(RowSource) (T, error), same func(want, got T) error) {
+	t.Helper()
+	for _, size := range segmentSizes {
+		src := segmentedSource(detail, size)
+		got, err := eval(src)
+		if err != nil {
+			t.Fatalf("segments of %d: %v", size, err)
+		}
+		if a := src.acct; (a.path == pathKernel) != (reason == reasonOK) || a.passes != passes {
+			t.Errorf("segments of %d: reported %d passes as %s/%s, want %d under %s", size, a.passes, a.path, a.reason, passes, reason)
+		}
+		if err := same(want, got); err != nil {
+			t.Errorf("segments of %d: %v", size, err)
+		}
+	}
+}
+
 // checkOperator evaluates op over detail on the scalar path (a row source)
-// and through a column source, and demands identical accumulators — from the
-// literal nested loop too when the kernel ran. reason is
-// the scan-path reason the column source must be counted under: reasonOK
-// means the kernel ran.
+// and through column sources — one image, and one per segment — and demands
+// identical accumulators, from the literal nested loop too when the kernel
+// ran. reason is the scan-path reason the one-image source must be counted
+// under: reasonOK means the kernel ran.
 func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *relation.Relation, reason string) {
 	t.Helper()
 	scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
@@ -133,6 +187,8 @@ func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *rela
 	if err := sameAccum(scalar, kernel); err != nil {
 		t.Error(err)
 	}
+	checkSegmented(t, detail, reason, len(op.Vars), scalar,
+		func(src RowSource) (*OperatorAccum, error) { return AccumulateOperator(x, op, src, true) }, sameAccum)
 	if reason == reasonOK {
 		loop, err := AccumulateOperator(x, op, SourceOf(detail), false)
 		if err != nil {
@@ -165,6 +221,9 @@ func checkBase(t *testing.T, bq BaseQuery, detail *relation.Relation, reason str
 	if err := sameRows(scalar.Rows(), kernel.Rows()); err != nil {
 		t.Error(err)
 	}
+	checkSegmented(t, detail, reason, 1, scalar,
+		func(src RowSource) (*relation.Relation, error) { return EvalBase(bq, src) },
+		func(want, got *relation.Relation) error { return sameRows(want.Rows(), got.Rows()) })
 	if reason == reasonOK && src.acct.charged != int64(detail.Len()) {
 		t.Errorf("kernel charged %d rows, want %d", src.acct.charged, detail.Len())
 	}
@@ -495,11 +554,11 @@ func TestKernelTablesTakeBothSides(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			k, reason := compileOperator(c.x, states, src.cols)
-			if k == nil {
+			vars, reason := compileOperator(c.x, states, src.cols)
+			if vars == nil {
 				t.Fatalf("did not compile: %s", reason)
 			}
-			vk := k.vars[0]
+			vk := vars[0]
 			for s, st := range vk.stages {
 				if st.ints != nil && (st.dense != nil) != c.denseInt {
 					t.Errorf("link %d: dense array %v, want %v", s, st.dense != nil, c.denseInt)
@@ -741,10 +800,12 @@ func TestKernelQuick(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		xk, err := EvalBase(bq, newColSource(detail))
-		if err != nil || sameRows(x.Rows(), xk.Rows()) != nil {
-			t.Logf("seed %d: base differs (%v)", seed, err)
-			return false
+		for _, src := range []colSource{newColSource(detail), segmentedSource(detail, 1+rng.Intn(10))} {
+			xk, err := EvalBase(bq, src)
+			if err != nil || sameRows(x.Rows(), xk.Rows()) != nil {
+				t.Logf("seed %d: base over %d images differs (%v)", seed, len(src.images), err)
+				return false
+			}
 		}
 		x = withColumn(x, relation.Column{Name: "m", Kind: relation.KindFloat}, func(i int) relation.Value {
 			if rng.Intn(5) == 0 {
@@ -800,18 +861,19 @@ func TestKernelQuick(t *testing.T) {
 			t.Logf("seed %d: %s: %v", seed, cond, err)
 			return false
 		}
-		src := newColSource(detail)
-		kernel, err := AccumulateOperator(x, op, src, true)
-		if err != nil {
-			t.Logf("seed %d: %s: %v", seed, cond, err)
-			return false
-		}
-		if src.acct.path == pathKernel {
-			compiled++
-		}
-		if err := sameAccum(scalar, kernel); err != nil {
-			t.Logf("seed %d: %s: %v", seed, cond, err)
-			return false
+		for _, src := range []colSource{newColSource(detail), segmentedSource(detail, 1+rng.Intn(10))} {
+			kernel, err := AccumulateOperator(x, op, src, true)
+			if err != nil {
+				t.Logf("seed %d: %s: %v", seed, cond, err)
+				return false
+			}
+			if src.acct.path == pathKernel {
+				compiled++
+			}
+			if err := sameAccum(scalar, kernel); err != nil {
+				t.Logf("seed %d: %s over %d images: %v", seed, cond, len(src.images), err)
+				return false
+			}
 		}
 		return true
 	}
@@ -819,8 +881,8 @@ func TestKernelQuick(t *testing.T) {
 	if err := quick.Check(property, &quick.Config{MaxCount: runs}); err != nil {
 		t.Error(err)
 	}
-	if compiled != runs {
-		t.Errorf("%d of %d generated operators compiled; the property only means something when they do", compiled, runs)
+	if compiled != 2*runs {
+		t.Errorf("%d of %d generated evaluations compiled; the property only means something when they do", compiled, 2*runs)
 	}
 }
 

@@ -1,11 +1,11 @@
 // Package store implements a disk-backed, segmented table for Skalla sites.
 // The paper's local warehouses hold gigabytes of flow records — far more
-// than fits in memory — so the site engine scans detail relations through
-// the RowSource interface rather than materializing them: a Table splits its
-// rows into fixed-size segments on disk (the relation wire codec's
-// column-major format, one frame per segment) and streams them through a
-// small decoded-segment cache, keeping scan memory bounded by (cache size ×
-// segment rows) regardless of table size.
+// than fits in memory — so a site may serve a partition from disk rather
+// than materializing it: a Table splits its rows into fixed-size segments on
+// disk (the relation wire codec's column-major format, one frame per
+// segment) and hands the scan kernels one segment's columnar image at a time
+// through a small cache of images, keeping scan memory bounded by (cache
+// size × segment rows) regardless of table size.
 package store
 
 import (
@@ -40,26 +40,35 @@ type segmentMeta struct {
 	Rows int    `json:"rows"`
 }
 
-// Table is a disk-backed relation. It implements the engine's RowSource
-// contract: Schema/Scan/Len. Tables are append-only; Append buffers rows and
-// Flush (or Close) seals the current segment.
-type Table struct {
-	mu          sync.Mutex
-	dir         string
-	name        string
-	schema      relation.Schema
-	segmentRows int
-	segments    []segmentMeta
-	buf         []relation.Tuple
-	total       int
-
-	cache *segmentCache
+// ManifestError reports a table manifest that Open refuses: one naming a
+// segment file outside the table directory, or a negative row count.
+type ManifestError struct {
+	Dir, Table string
+	Reason     string
 }
 
-// Create initializes a new table directory (which must not already contain a
-// table).
-func Create(dir, name string, schema relation.Schema, segmentRows int) (*Table, error) {
-	if err := schema.Validate(); err != nil {
+func (e *ManifestError) Error() string {
+	return fmt.Sprintf("store: table %q in %s: %s", e.Table, e.Dir, e.Reason)
+}
+
+// Table is a disk-backed relation, immutable once written: a
+// gmdj.ColumnSource whose images are its segments, in order.
+type Table struct {
+	dir      string
+	name     string
+	schema   relation.Schema
+	segments []segmentMeta
+	total    int
+
+	cache *segmentCache
+	rec   *obs.SiteRecorder // charged segment reads besides the process-wide counters; see Recorded
+}
+
+// CreateFrom writes rel as a new table in dir (which must not already
+// contain one), segmentRows rows to a segment (DefaultSegmentRows when not
+// positive): the conversion path for tpcgen output.
+func CreateFrom(dir, name string, rel *relation.Relation, segmentRows int) (*Table, error) {
+	if err := rel.Schema.Validate(); err != nil {
 		return nil, err
 	}
 	if segmentRows <= 0 {
@@ -71,18 +80,54 @@ func Create(dir, name string, schema relation.Schema, segmentRows int) (*Table, 
 	if _, err := os.Stat(filepath.Join(dir, manifestName)); err == nil {
 		return nil, fmt.Errorf("store: %s already contains a table", dir)
 	}
-	t := &Table{
-		dir: dir, name: name, schema: schema.Clone(),
-		segmentRows: segmentRows,
-		cache:       newSegmentCache(4),
+	t := &Table{dir: dir, name: name, schema: rel.Schema.Clone(), cache: newSegmentCache(4)}
+	for lo := 0; lo < rel.Len(); lo += segmentRows {
+		sel := make([]int32, min(segmentRows, rel.Len()-lo))
+		for i := range sel {
+			sel[i] = int32(lo + i)
+		}
+		if err := t.writeSegment(relation.FromColumns(t.schema, rel.Columns().Select(sel, nil))); err != nil {
+			return nil, err
+		}
 	}
-	if err := t.writeManifest(); err != nil {
+	m := tableManifest{Name: t.name, Schema: t.schema, SegmentRows: segmentRows, Segments: t.segments}
+	data, err := json.MarshalIndent(&m, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), append(data, '\n'), 0o644); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// Open loads an existing table directory.
+// writeSegment writes seg as the table's next segment file.
+func (t *Table) writeSegment(seg *relation.Relation) error {
+	file := fmt.Sprintf("seg%05d.seg", len(t.segments))
+	f, err := os.Create(filepath.Join(t.dir, file))
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err := relation.NewEncoder(bw).Encode(seg); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	t.segments = append(t.segments, segmentMeta{File: file, Rows: seg.Len()})
+	t.total += seg.Len()
+	return nil
+}
+
+// Open loads an existing table directory. It refuses a manifest naming a
+// segment file that is not a plain name inside the directory, or a negative
+// row count, with a *ManifestError.
 func Open(dir string) (*Table, error) {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if err != nil {
@@ -95,174 +140,54 @@ func Open(dir string) (*Table, error) {
 	if err := m.Schema.Validate(); err != nil {
 		return nil, err
 	}
-	t := &Table{
-		dir: dir, name: m.Name, schema: m.Schema,
-		segmentRows: m.SegmentRows, segments: m.Segments,
-		cache: newSegmentCache(4),
-	}
-	for _, seg := range m.Segments {
+	t := &Table{dir: dir, name: m.Name, schema: m.Schema, segments: m.Segments, cache: newSegmentCache(4)}
+	for i, seg := range m.Segments {
+		if f := seg.File; filepath.Base(f) != f || f == "." || f == ".." {
+			return nil, &ManifestError{Dir: dir, Table: m.Name, Reason: fmt.Sprintf("segment %d file %q is not a file name in the table directory", i, f)}
+		}
+		if seg.Rows < 0 {
+			return nil, &ManifestError{Dir: dir, Table: m.Name, Reason: fmt.Sprintf("segment %d has %d rows", i, seg.Rows)}
+		}
 		t.total += seg.Rows
 	}
 	return t, nil
 }
 
-// CreateFrom builds a table from a materialized relation (the conversion
-// path for tpcgen output).
-func CreateFrom(dir, name string, rel *relation.Relation, segmentRows int) (*Table, error) {
-	t, err := Create(dir, name, rel.Schema, segmentRows)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range rel.Rows() {
-		if err := t.Append(row); err != nil {
-			return nil, err
-		}
-	}
-	if err := t.Flush(); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// Name returns the table name.
-func (t *Table) Name() string { return t.name }
-
-// Dir returns the table directory.
-func (t *Table) Dir() string { return t.dir }
-
-// Schema implements the RowSource contract.
+// Schema implements gmdj.RowSource.
 func (t *Table) Schema() relation.Schema { return t.schema }
 
-// Len implements the RowSource contract (buffered rows included).
-func (t *Table) Len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total + len(t.buf)
-}
+// Len implements gmdj.RowSource.
+func (t *Table) Len() int { return t.total }
 
-// NumSegments returns the sealed segment count.
-func (t *Table) NumSegments() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.segments)
-}
+// NumSegments returns the segment count.
+func (t *Table) NumSegments() int { return len(t.segments) }
 
-// Append adds one row, sealing a segment when the buffer fills.
-func (t *Table) Append(row relation.Tuple) error {
-	if len(row) != len(t.schema) {
-		return fmt.Errorf("store: row arity %d does not match schema %s", len(row), t.schema)
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.buf = append(t.buf, row)
-	if len(t.buf) >= t.segmentRows {
-		return t.sealLocked()
-	}
-	return nil
-}
+// Scan implements gmdj.RowSource: the segments' images, boxed.
+func (t *Table) Scan(fn func(relation.Tuple) error) error { return gmdj.ScanImages(t, fn) }
 
-// Flush seals any buffered rows into a segment and persists the manifest.
-func (t *Table) Flush() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if len(t.buf) > 0 {
-		if err := t.sealLocked(); err != nil {
-			return err
-		}
-	}
-	return t.writeManifestLocked()
-}
-
-func (t *Table) sealLocked() error {
-	file := fmt.Sprintf("seg%05d.seg", len(t.segments))
-	f, err := os.Create(filepath.Join(t.dir, file))
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	seg := relation.New(t.schema)
-	for _, row := range t.buf {
-		seg.MustAppend(row)
-	}
-	if err := relation.NewEncoder(bw).Encode(seg); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	t.segments = append(t.segments, segmentMeta{File: file, Rows: len(t.buf)})
-	t.total += len(t.buf)
-	t.buf = nil
-	return t.writeManifestLocked()
-}
-
-func (t *Table) writeManifest() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.writeManifestLocked()
-}
-
-func (t *Table) writeManifestLocked() error {
-	m := tableManifest{Name: t.name, Schema: t.schema, SegmentRows: t.segmentRows, Segments: t.segments}
-	data, err := json.MarshalIndent(&m, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(t.dir, manifestName), append(data, '\n'), 0o644)
-}
-
-// Scan implements the RowSource contract: it streams every row through fn in
-// segment order, decoding one segment at a time (with a small LRU of decoded
-// segments for re-scans). fn errors abort the scan.
-func (t *Table) Scan(fn func(relation.Tuple) error) error { return t.scanWith(nil, fn) }
-
-func (t *Table) scanWith(rec *obs.SiteRecorder, fn func(relation.Tuple) error) error {
-	t.mu.Lock()
-	segs := append([]segmentMeta{}, t.segments...)
-	buffered := append([]relation.Tuple{}, t.buf...)
-	t.mu.Unlock()
-	for i, seg := range segs {
-		rows, err := t.loadSegment(rec, i, seg)
+// Images implements gmdj.ColumnSource: each segment's image in order,
+// decoded on a cache miss. fn errors abort the scan.
+func (t *Table) Images(fn func(*relation.Columns) error) error {
+	for i, seg := range t.segments {
+		cols, err := t.loadSegment(i, seg)
 		if err != nil {
 			return err
 		}
-		for _, row := range rows {
-			if err := fn(row); err != nil {
-				return err
-			}
-		}
-	}
-	for _, row := range buffered {
-		if err := fn(row); err != nil {
+		if err := fn(cols); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// Materialize reads the whole table into memory (tests and small tables).
-func (t *Table) Materialize() (*relation.Relation, error) {
-	out := relation.New(t.schema)
-	err := t.Scan(func(row relation.Tuple) error {
-		out.MustAppend(row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-func (t *Table) loadSegment(rec *obs.SiteRecorder, ord int, seg segmentMeta) ([]relation.Tuple, error) {
-	if rows, ok := t.cache.get(ord); ok {
+// loadSegment returns segment ord's image: from the cache, or decoded from
+// its file, checked against the table's schema and the manifest's row count,
+// and imaged through relation.BuildColumns.
+func (t *Table) loadSegment(ord int, seg segmentMeta) (*relation.Columns, error) {
+	if cols, ok := t.cache.get(ord); ok {
 		obs.StoreSegmentReads.With("cache").Inc()
-		rec.AddSegRead(false, 0)
-		return rows, nil
+		t.rec.AddSegRead(false, 0)
+		return cols, nil
 	}
 	obs.StoreSegmentReads.With("disk").Inc()
 	f, err := os.Open(filepath.Join(t.dir, seg.File))
@@ -278,68 +203,54 @@ func (t *Table) loadSegment(rec *obs.SiteRecorder, ord int, seg segmentMeta) ([]
 		return nil, fmt.Errorf("store: segment %s schema %s does not match table schema %s",
 			seg.File, rel.Schema, t.schema)
 	}
-	rows := rel.Rows()
-	if len(rows) != seg.Rows {
-		return nil, fmt.Errorf("store: segment %s has %d rows, manifest says %d", seg.File, len(rows), seg.Rows)
+	if rel.Len() != seg.Rows {
+		return nil, fmt.Errorf("store: segment %s has %d rows, manifest says %d", seg.File, rel.Len(), seg.Rows)
 	}
-	obs.StoreSegmentRows.Add(int64(len(rows)))
-	rec.AddSegRead(true, int64(len(rows)))
-	t.cache.put(ord, rows)
-	return rows, nil
+	cols, err := relation.BuildColumns(rel)
+	if err != nil {
+		return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
+	}
+	obs.StoreSegmentRows.Add(int64(cols.Rows))
+	t.rec.AddSegRead(true, int64(cols.Rows))
+	t.cache.put(ord, cols)
+	return cols, nil
 }
 
 // Recorded returns a view of the table that charges segment reads to rec in
 // addition to the process-wide counters. The engine wraps detail sources this
 // way per request, so /debug/queries profiles carry per-query segment I/O;
-// the underlying table (and its segment cache) is shared as usual.
-func (t *Table) Recorded(rec *obs.SiteRecorder) gmdj.RowSource {
-	if rec == nil {
-		return t
-	}
-	return recordedTable{t: t, rec: rec}
+// the view shares the table's segments and cache.
+func (t *Table) Recorded(rec *obs.SiteRecorder) gmdj.ColumnSource {
+	view := *t
+	view.rec = rec
+	return &view
 }
 
-// recordedTable binds a Table to one request's recorder.
-type recordedTable struct {
-	t   *Table
-	rec *obs.SiteRecorder
-}
-
-// Schema implements the RowSource contract.
-func (r recordedTable) Schema() relation.Schema { return r.t.schema }
-
-// Len implements the RowSource contract.
-func (r recordedTable) Len() int { return r.t.Len() }
-
-// Scan implements the RowSource contract, charging segment reads to the
-// recorder.
-func (r recordedTable) Scan(fn func(relation.Tuple) error) error { return r.t.scanWith(r.rec, fn) }
-
-// segmentCache is a tiny LRU of decoded segments, keyed by segment ordinal:
+// segmentCache is a tiny LRU of segment images, keyed by segment ordinal:
 // scans hit it once per segment per pass, and integer keys keep those lookups
 // off the string-hashing path (and satisfy the stringkey lint).
 type segmentCache struct {
 	mu    sync.Mutex
 	cap   int
 	order []int
-	data  map[int][]relation.Tuple
+	data  map[int]*relation.Columns
 }
 
 func newSegmentCache(capacity int) *segmentCache {
-	return &segmentCache{cap: capacity, data: make(map[int][]relation.Tuple)}
+	return &segmentCache{cap: capacity, data: make(map[int]*relation.Columns)}
 }
 
-func (c *segmentCache) get(key int) ([]relation.Tuple, bool) {
+func (c *segmentCache) get(key int) (*relation.Columns, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	rows, ok := c.data[key]
+	cols, ok := c.data[key]
 	if ok {
 		c.touch(key)
 	}
-	return rows, ok
+	return cols, ok
 }
 
-func (c *segmentCache) put(key int, rows []relation.Tuple) {
+func (c *segmentCache) put(key int, cols *relation.Columns) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, exists := c.data[key]; !exists && len(c.data) >= c.cap {
@@ -347,7 +258,7 @@ func (c *segmentCache) put(key int, rows []relation.Tuple) {
 		c.order = c.order[1:]
 		delete(c.data, oldest)
 	}
-	c.data[key] = rows
+	c.data[key] = cols
 	c.touch(key)
 }
 

@@ -2,8 +2,11 @@ package store
 
 import (
 	"encoding/gob"
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -22,22 +25,37 @@ func row(k int64, v string) relation.Tuple {
 	return relation.Tuple{relation.NewInt(k), relation.NewString(v)}
 }
 
-func TestCreateAppendScan(t *testing.T) {
-	dir := t.TempDir()
-	tbl, err := Create(dir, "T", storeSchema(), 3)
+// rowsRel is n rows (i, v) for i from 0.
+func rowsRel(n int, v string) *relation.Relation {
+	rel := relation.New(storeSchema())
+	for i := int64(0); i < int64(n); i++ {
+		rel.MustAppend(row(i, v))
+	}
+	return rel
+}
+
+// materialize reads the whole table through Scan.
+func materialize(tbl *Table) (*relation.Relation, error) {
+	out := relation.New(tbl.Schema())
+	err := tbl.Scan(func(r relation.Tuple) error { return out.Append(r) })
+	return out, err
+}
+
+// TestCreateFromSegments: a table is its rows in segments of the given size,
+// the last one short, and Scan and Images both visit them in order, Images
+// as one image per segment with dictionaries of its own.
+func TestCreateFromSegments(t *testing.T) {
+	src := relation.New(storeSchema())
+	for i := int64(0); i < 10; i++ {
+		src.MustAppend(row(i, []string{"a", "b", "c", "d"}[i/3]))
+	}
+	tbl, err := CreateFrom(t.TempDir(), "T", src, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := int64(0); i < 10; i++ {
-		if err := tbl.Append(row(i, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// 10 rows at 3/segment: 3 sealed segments + 1 buffered row.
-	if tbl.NumSegments() != 3 || tbl.Len() != 10 {
+	if tbl.NumSegments() != 4 || tbl.Len() != 10 {
 		t.Fatalf("segments=%d len=%d", tbl.NumSegments(), tbl.Len())
 	}
-	// Scan sees sealed + buffered rows in order.
 	var got []int64
 	if err := tbl.Scan(func(r relation.Tuple) error {
 		got = append(got, r[0].Int)
@@ -46,24 +64,32 @@ func TestCreateAppendScan(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, k := range got {
-		if k != int64(i) {
+		if k != int64(i) || len(got) != 10 {
 			t.Fatalf("scan order: %v", got)
 		}
 	}
-	if err := tbl.Flush(); err != nil {
+	var sizes []int
+	var dicts [][]string
+	if err := tbl.Images(func(c *relation.Columns) error {
+		sizes, dicts = append(sizes, c.Rows), append(dicts, c.Vecs[1].Dict)
+		if c.Vecs[0].Boxed || c.Vecs[1].Boxed {
+			t.Errorf("segment %d image is boxed", len(sizes)-1)
+		}
+		return nil
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if tbl.NumSegments() != 4 {
-		t.Errorf("after flush: %d segments", tbl.NumSegments())
+	if want := []int{3, 3, 3, 1}; !reflect.DeepEqual(sizes, want) {
+		t.Errorf("image sizes %v, want %v", sizes, want)
+	}
+	if want := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}; !reflect.DeepEqual(dicts, want) {
+		t.Errorf("image dictionaries %v, want %v", dicts, want)
 	}
 }
 
 func TestOpenRoundTrip(t *testing.T) {
 	dir := t.TempDir()
-	src := relation.New(storeSchema())
-	for i := int64(0); i < 25; i++ {
-		src.MustAppend(row(i, "v"))
-	}
+	src := rowsRel(25, "v")
 	if _, err := CreateFrom(dir, "T", src, 8); err != nil {
 		t.Fatal(err)
 	}
@@ -71,13 +97,13 @@ func TestOpenRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tbl.Name() != "T" || tbl.Len() != 25 || tbl.Dir() != dir {
-		t.Errorf("reopened: name=%q len=%d", tbl.Name(), tbl.Len())
+	if tbl.name != "T" || tbl.Len() != 25 || tbl.dir != dir {
+		t.Errorf("reopened: name=%q len=%d", tbl.name, tbl.Len())
 	}
 	if !tbl.Schema().Equal(storeSchema()) {
 		t.Errorf("schema = %s", tbl.Schema())
 	}
-	got, err := tbl.Materialize()
+	got, err := materialize(tbl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +114,7 @@ func TestOpenRoundTrip(t *testing.T) {
 
 func TestScanAbortsOnError(t *testing.T) {
 	dir := t.TempDir()
-	src := relation.New(storeSchema())
-	for i := int64(0); i < 10; i++ {
-		src.MustAppend(row(i, "v"))
-	}
+	src := rowsRel(10, "v")
 	tbl, err := CreateFrom(dir, "T", src, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +134,7 @@ func TestScanAbortsOnError(t *testing.T) {
 
 func TestSegmentCacheEviction(t *testing.T) {
 	dir := t.TempDir()
-	src := relation.New(storeSchema())
-	for i := int64(0); i < 100; i++ {
-		src.MustAppend(row(i, "v"))
-	}
+	src := rowsRel(100, "v")
 	tbl, err := CreateFrom(dir, "T", src, 10) // 10 segments > cache cap 4
 	if err != nil {
 		t.Fatal(err)
@@ -134,15 +154,23 @@ func TestSegmentCacheEviction(t *testing.T) {
 	}
 }
 
+// writeManifest writes m as dir's table manifest.
+func writeManifest(t *testing.T, dir string, m tableManifest) {
+	t.Helper()
+	data, err := json.Marshal(&m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // Segments are codec frames only: a manifest still naming a pre-codec gob
 // segment (bare gob-encoded []Tuple, .gob extension) fails the scan with an
 // error naming the segment, and nothing from it is cached.
 func TestGobSegmentRejected(t *testing.T) {
 	dir := t.TempDir()
-	tbl, err := Create(dir, "T", storeSchema(), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
 	legacy := []relation.Tuple{row(100, "old"), row(101, "old")}
 	f, err := os.Create(filepath.Join(dir, "seg00000.gob"))
 	if err != nil {
@@ -154,16 +182,13 @@ func TestGobSegmentRejected(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	tbl.segments = append(tbl.segments, segmentMeta{File: "seg00000.gob", Rows: len(legacy)})
-	tbl.total += len(legacy)
-	if err := tbl.writeManifest(); err != nil {
-		t.Fatal(err)
-	}
+	writeManifest(t, dir, tableManifest{Name: "T", Schema: storeSchema(), SegmentRows: 4,
+		Segments: []segmentMeta{{File: "seg00000.gob", Rows: len(legacy)}}})
 	reopened, err := Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := reopened.Materialize(); err == nil || !strings.Contains(err.Error(), "seg00000.gob") {
+	if _, err := materialize(reopened); err == nil || !strings.Contains(err.Error(), "seg00000.gob") {
 		t.Fatalf("scan over a gob segment: err = %v, want an error naming seg00000.gob", err)
 	}
 	if n := len(reopened.cache.data); n != 0 {
@@ -171,20 +196,69 @@ func TestGobSegmentRejected(t *testing.T) {
 	}
 }
 
-func TestErrors(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := Create(dir, "T", relation.Schema{{Name: "", Kind: relation.KindInt}}, 4); err == nil {
-		t.Error("invalid schema must error")
-	}
-	if _, err := Create(dir, "T", storeSchema(), 4); err != nil {
+// TestOpenRefusesSegmentOutsideTable: a manifest may name segments only by a
+// plain file name in the table directory. Open refuses a path that leaves it,
+// before any scan could read the file.
+func TestOpenRefusesSegmentOutsideTable(t *testing.T) {
+	root := t.TempDir()
+	dir := filepath.Join(root, "T.store")
+	if _, err := CreateFrom(dir, "T", rowsRel(6, "v"), 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Create(dir, "T2", storeSchema(), 4); err == nil {
-		t.Error("double create must error")
+	outside, err := CreateFrom(filepath.Join(root, "other"), "O", rowsRel(4, "outside"), 4)
+	if err != nil {
+		t.Fatal(err)
 	}
-	tbl, _ := Open(dir)
-	if err := tbl.Append(relation.Tuple{relation.NewInt(1)}); err == nil {
-		t.Error("arity mismatch must error")
+	if err := os.Rename(filepath.Join(outside.dir, "seg00000.seg"), filepath.Join(root, "outside.seg")); err != nil {
+		t.Fatal(err)
+	}
+	for _, file := range []string{"../outside.seg", filepath.Join(root, "outside.seg"), "sub/seg00000.seg", ".", "..", ""} {
+		writeManifest(t, dir, tableManifest{Name: "T", Schema: storeSchema(), SegmentRows: 2, Segments: []segmentMeta{
+			{File: file, Rows: 4}, {File: "seg00001.seg", Rows: 2},
+		}})
+		tbl, err := Open(dir)
+		var merr *ManifestError
+		if !errors.As(err, &merr) || merr.Table != "T" || !strings.Contains(err.Error(), `"T"`) {
+			n := -1
+			if tbl != nil {
+				n = tbl.Len()
+			}
+			t.Errorf("segment file %q: Open returned err = %v (Len %d), want a *ManifestError naming table T", file, err, n)
+		}
+	}
+}
+
+// TestOpenRefusesNegativeRows: a manifest row count below zero is refused at
+// Open, so Len can never go negative.
+func TestOpenRefusesNegativeRows(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := CreateFrom(dir, "T", rowsRel(6, "v"), 2); err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, dir, tableManifest{Name: "T", Schema: storeSchema(), SegmentRows: 2, Segments: []segmentMeta{
+		{File: "seg00000.seg", Rows: 2}, {File: "seg00001.seg", Rows: -100}, {File: "seg00002.seg", Rows: 2},
+	}})
+	tbl, err := Open(dir)
+	var merr *ManifestError
+	if !errors.As(err, &merr) || merr.Table != "T" {
+		n := -1
+		if tbl != nil {
+			n = tbl.Len()
+		}
+		t.Errorf("Open returned err = %v (Len %d), want a *ManifestError naming table T", err, n)
+	}
+}
+
+func TestErrors(t *testing.T) {
+	dir := t.TempDir()
+	if _, err := CreateFrom(dir, "T", relation.New(relation.Schema{{Name: "", Kind: relation.KindInt}}), 4); err == nil {
+		t.Error("invalid schema must error")
+	}
+	if _, err := CreateFrom(dir, "T", rowsRel(3, "v"), 4); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := CreateFrom(dir, "T2", rowsRel(3, "v"), 4); err == nil {
+		t.Error("double create must error")
 	}
 	if _, err := Open(t.TempDir()); err == nil {
 		t.Error("open without manifest must error")
@@ -199,9 +273,7 @@ func TestErrors(t *testing.T) {
 	}
 	// Corrupt segment.
 	cdir := t.TempDir()
-	src := relation.New(storeSchema())
-	src.MustAppend(row(1, "a"))
-	if _, err := CreateFrom(cdir, "T", src, 1); err != nil {
+	if _, err := CreateFrom(cdir, "T", rowsRel(1, "a"), 1); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.WriteFile(filepath.Join(cdir, "seg00000.seg"), []byte("junk"), 0o644); err != nil {
@@ -214,10 +286,33 @@ func TestErrors(t *testing.T) {
 	if err := ct.Scan(func(relation.Tuple) error { return nil }); err == nil {
 		t.Error("corrupt segment must error on scan")
 	}
+	// A segment holding other than the manifest's row count.
+	rdir := t.TempDir()
+	if _, err := CreateFrom(rdir, "T", rowsRel(4, "a"), 2); err != nil {
+		t.Fatal(err)
+	}
+	writeManifest(t, rdir, tableManifest{Name: "T", Schema: storeSchema(), SegmentRows: 2, Segments: []segmentMeta{
+		{File: "seg00000.seg", Rows: 2}, {File: "seg00001.seg", Rows: 3},
+	}})
+	rt, err := Open(rdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Images(func(*relation.Columns) error { return nil }); err == nil || !strings.Contains(err.Error(), "manifest says 3") {
+		t.Errorf("a segment of 2 rows listed as 3: err = %v", err)
+	}
 	// Default segment size applies.
-	dt, err := Create(t.TempDir(), "T", storeSchema(), 0)
-	if err != nil || dt.segmentRows != DefaultSegmentRows {
-		t.Errorf("default segment rows: %d, %v", dt.segmentRows, err)
+	ddir := t.TempDir()
+	if _, err := CreateFrom(ddir, "T", rowsRel(1, "a"), 0); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(ddir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m tableManifest
+	if err := json.Unmarshal(data, &m); err != nil || m.SegmentRows != DefaultSegmentRows {
+		t.Errorf("default segment rows: %d, %v", m.SegmentRows, err)
 	}
 }
 
@@ -226,18 +321,9 @@ func TestErrors(t *testing.T) {
 // in order while they share the segment cache, which holds fewer segments
 // than the table has.
 func TestConcurrentScans(t *testing.T) {
-	dir := t.TempDir()
-	tbl, err := Create(dir, "T", storeSchema(), 8)
-	if err != nil {
-		t.Fatal(err)
-	}
 	const rows = 400
-	for i := int64(0); i < rows; i++ {
-		if err := tbl.Append(row(i, "x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := tbl.Flush(); err != nil {
+	tbl, err := CreateFrom(t.TempDir(), "T", rowsRel(rows, "x"), 8)
+	if err != nil {
 		t.Fatal(err)
 	}
 	const scans = 8

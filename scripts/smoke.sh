@@ -1,7 +1,10 @@
 #!/usr/bin/env sh
 # End-to-end smoke test: build the binaries, generate a tiny dataset, start a
 # site with observability endpoints, run one distributed query through the
-# coordinator, and assert /healthz and /metrics look right. A second
+# coordinator, and assert /healthz and /metrics look right. A second site
+# serves the same partition from disk segments (-disk): the same query must
+# print the same groups, and every detail pass there must have run the
+# compiled kernel. A second
 # coordinator run in REPL mode then exercises the query profiler: after a
 # query, /debug/queries must list a well-formed profile with a non-empty
 # plan fingerprint, and its /trace export must be trace-event JSON. A third
@@ -20,9 +23,10 @@ set -eu
 workdir=$(mktemp -d)
 site_pid=""
 site_log=""
+disk_pid=""
 coord_pid=""
 serve_pid=""
-trap 'kill $site_pid $coord_pid $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
+trap 'kill $site_pid $disk_pid $coord_pid $serve_pid 2>/dev/null || true; rm -rf "$workdir"' EXIT
 
 fail() {
   echo "SMOKE FAILURE: $1" >&2
@@ -68,10 +72,12 @@ curl -s http://127.0.0.1:9471/healthz | grep -q '"status":"ok"' \
   || fail "healthz not ok"
 
 echo "==> run query"
+query='base TPCR key NationKey
+op B.NationKey = R.NationKey :: count(*) as items, avg(ExtendedPrice) as avgPrice'
 "$workdir/bin/skalla-coordinator" -sites 127.0.0.1:7471 -data "$workdir/tpcr" \
-  -q 'base TPCR key NationKey
-op B.NationKey = R.NationKey :: count(*) as items, avg(ExtendedPrice) as avgPrice' \
-  -plan-mode none -stats-json "$workdir/stats.json" || fail "coordinator query failed"
+  -q "$query" -plan-mode none -stats-json "$workdir/stats.json" >"$workdir/mem.out" \
+  || { cat "$workdir/mem.out"; fail "coordinator query failed"; }
+cat "$workdir/mem.out"
 
 grep -q '"summary"' "$workdir/stats.json" \
   || fail "stats JSON missing summary"
@@ -90,6 +96,41 @@ done
 # The served base request must be counted.
 echo "$metrics" | grep 'skalla_server_requests_total{kind="base"}' \
   | grep -qv ' 0$' || fail "base request not counted"
+
+echo "==> disk-backed site: same groups, every pass compiled"
+disk_log="$workdir/disk.log"
+"$workdir/bin/skalla-site" -disk -addr 127.0.0.1:7474 -site 0 -data "$workdir/tpcr" \
+  -obs-addr 127.0.0.1:9474 -log-level info >"$disk_log" 2>&1 &
+disk_pid=$!
+disk_ready=""
+for _ in $(seq 1 50); do
+  kill -0 "$disk_pid" 2>/dev/null || { cat "$disk_log" >&2; fail "disk site died during startup"; }
+  if curl -sf http://127.0.0.1:9474/healthz >/dev/null 2>&1; then
+    disk_ready=yes
+    break
+  fi
+  sleep 0.2
+done
+[ -n "$disk_ready" ] || { cat "$disk_log" >&2; fail "disk site never became ready"; }
+"$workdir/bin/skalla-coordinator" -sites 127.0.0.1:7474 -data "$workdir/tpcr" \
+  -q "$query" -plan-mode none >"$workdir/disk.out" \
+  || { cat "$workdir/disk.out" "$disk_log" >&2; fail "coordinator query against the disk site failed"; }
+# The groups only: the round table after them carries timings.
+sed -n '/group(s):$/,/^$/p' "$workdir/mem.out" >"$workdir/mem.groups"
+sed -n '/group(s):$/,/^$/p' "$workdir/disk.out" >"$workdir/disk.groups"
+[ -s "$workdir/mem.groups" ] || fail "no groups printed by the in-memory run"
+cmp -s "$workdir/mem.groups" "$workdir/disk.groups" \
+  || { diff "$workdir/mem.groups" "$workdir/disk.groups" >&2 || true; \
+       fail "the disk site printed other groups than the in-memory site"; }
+disk_metrics=$(curl -s http://127.0.0.1:9474/metrics) || fail "disk site metrics scrape failed"
+echo "$disk_metrics" | grep '^skalla_engine_scan_path_total{path="kernel",reason="ok"}' \
+  | grep -qv ' 0$' || fail "disk site counted no kernel pass: $(echo "$disk_metrics" | grep scan_path)"
+if echo "$disk_metrics" | grep -q '^skalla_engine_scan_path_total{path="scalar"'; then
+  fail "disk site ran scalar passes: $(echo "$disk_metrics" | grep scan_path)"
+fi
+kill "$disk_pid"
+wait "$disk_pid" 2>/dev/null || true
+disk_pid=""
 
 echo "==> start coordinator (repl, profiler endpoints)"
 coord_log="$workdir/coord.log"

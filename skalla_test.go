@@ -389,7 +389,7 @@ func checkServedTemplatesCompiled(t *testing.T, cl *Cluster, d *tpc.Dataset) {
 
 func scalarScans() int64 {
 	n := int64(0)
-	for _, reason := range []string{"source", "shape", "kind"} {
+	for _, reason := range []string{"shape", "kind"} {
 		n += obs.EngineScanPath.With("scalar", reason).Value()
 	}
 	return n
