@@ -307,11 +307,11 @@ func benchSiteGroupingSets(b *testing.B, statement string) {
 		b.SetBytes(int64(2 * d.Parts[0].Len()))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			b0, err := gmdj.EvalBase(q.Base, src)
+			b0, err := gmdj.EvalBase(ctx, q.Base, src)
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := gmdj.AccumulateOperator(b0, q.Ops[0], src, true); err != nil {
+			if _, err := gmdj.AccumulateOperator(ctx, b0, q.Ops[0], src, true); err != nil {
 				b.Fatal(err)
 			}
 		}

@@ -21,15 +21,20 @@ import (
 // gateSite parks every site entry point until the gate channel closes,
 // counting entries — it lets a test pin a query inside execution (holding
 // its admission slot) and observe whether a second query's site work ever
-// starts.
+// starts. A deaf gate ignores cancellation, as a site busy scanning does.
 type gateSite struct {
 	transport.Site
 	gate  <-chan struct{}
 	calls *atomic.Int64
+	deaf  bool
 }
 
 func (g *gateSite) wait(ctx context.Context) error {
 	g.calls.Add(1)
+	if g.deaf {
+		<-g.gate
+		return nil
+	}
 	select {
 	case <-g.gate:
 		return nil

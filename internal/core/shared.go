@@ -24,10 +24,13 @@ import (
 // session disconnects mid-round must not fail its followers — and the
 // detached context is refcounted: each waiter (leader included) holds one
 // reference while it waits, and only when the last waiter leaves is the
-// execution cancelled (nobody is left to consume the result). Completion
-// removes the flight from the group before publishing, so late arrivals
-// start a fresh flight (or hit the result cache) instead of reading a closed
-// one.
+// execution cancelled (nobody is left to consume the result). A cancelled
+// flight stays registered until its rounds return, but it is abandoned: an
+// arrival that finds no waiter on it starts a fresh flight in its place
+// instead of joining an execution that can only fail. Completion removes the
+// flight from the group — unless a fresh one has replaced it — before
+// publishing, so late arrivals start a fresh flight (or hit the result cache)
+// instead of reading a closed one.
 //
 // Results: the finished relation is built once and never copied. It becomes
 // the flight's result and the cache entry as it is, its rows read-only and
@@ -101,7 +104,7 @@ func (c *Coordinator) executeShared(ctx context.Context, pl *plan.Plan, src gmdj
 		return res, err
 	}
 	g.mu.Lock()
-	if fl, ok := g.inflight[pl.Fingerprint]; ok {
+	if fl, ok := g.inflight[pl.Fingerprint]; ok && fl.refs > 0 {
 		fl.refs++
 		fl.followers++
 		g.mu.Unlock()
@@ -140,9 +143,13 @@ func (c *Coordinator) leadFlight(ctx, execCtx context.Context, fl *flight, pl *p
 
 	// Unregister before publishing: a statement arriving after this point
 	// must not join a flight whose done channel is about to close under it.
+	// An abandoned flight may have been replaced already; the entry is then
+	// the fresh flight's to remove.
 	g := fl.group
 	g.mu.Lock()
-	delete(g.inflight, fl.fp)
+	if g.inflight[fl.fp] == fl {
+		delete(g.inflight, fl.fp)
+	}
 	followers := fl.followers
 	g.mu.Unlock()
 

@@ -246,6 +246,87 @@ func TestSingleFlightAbandonedCancelsExecution(t *testing.T) {
 	}
 }
 
+// TestSingleFlightJoinAfterAbandonStartsFresh: once every waiter has left a
+// flight, its execution is canceled but stays registered until its site calls
+// return. A statement arriving in that window must not join the doomed
+// flight: it leads a fresh one and gets the correct result.
+func TestSingleFlightJoinAfterAbandonStartsFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(113))
+	global := randomGlobal(rng, 120, 12)
+	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+
+	plain, err := New(sites, cat, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, err := plain.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := sortedText(serial.Rel)
+
+	gate := make(chan struct{})
+	var siteCalls atomic.Int64
+	gated := make([]transport.Site, len(sites))
+	for i := range sites {
+		gated[i] = &gateSite{Site: sites[i], gate: gate, calls: &siteCalls, deaf: true}
+	}
+	coord, err := New(gated, cat, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.SetSingleFlight(true)
+	// waiters reports the flights registered and the waiters they hold.
+	waiters := func() (flights, refs int) {
+		g := coord.flights
+		g.mu.Lock()
+		defer g.mu.Unlock()
+		for _, fl := range g.inflight {
+			flights, refs = flights+1, refs+fl.refs
+		}
+		return flights, refs
+	}
+
+	leaderCtx, cancelLeader := context.WithCancel(context.Background())
+	leaderDone := make(chan struct{})
+	go func() {
+		defer close(leaderDone)
+		coord.ExecuteWith(leaderCtx, chainQuery(), plan.SelectNone())
+	}()
+	waitFor(t, "leader to reach the sites", func() bool { return siteCalls.Load() > 0 })
+	cancelLeader()
+	waitFor(t, "the leader to abandon its flight", func() bool {
+		flights, refs := waiters()
+		return flights == 1 && refs == 0
+	})
+
+	type outcome struct {
+		res *Result
+		err error
+	}
+	second := make(chan outcome, 1)
+	go func() {
+		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())
+		second <- outcome{res, err}
+	}()
+	waitFor(t, "the second statement to wait on a flight", func() bool {
+		_, refs := waiters()
+		return refs == 1
+	})
+	close(gate)
+	<-leaderDone
+	got := <-second
+	if got.err != nil {
+		t.Fatalf("statement arriving after the abandon failed: %v", got.err)
+	}
+	if text := sortedText(got.res.Rel); text != want {
+		t.Fatalf("statement arriving after the abandon diverges\ngot:\n%.2000s\nwant:\n%.2000s", text, want)
+	}
+	if flights, _ := waiters(); flights != 0 {
+		t.Errorf("%d flights still registered after both statements returned", flights)
+	}
+}
+
 // TestResultCacheServesWithZeroSiteRounds: a repeat of a cached query is
 // answered entirely at the coordinator — no site exchange of any kind — with
 // a result identical to the executed one.

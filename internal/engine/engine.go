@@ -169,19 +169,37 @@ func (s *Site) DetailSchema(_ context.Context, name string) (relation.Schema, er
 	return s.snapshot().DetailSchema(name)
 }
 
+// begin opens one evaluation of the given kind under ctx: it refuses a
+// canceled ctx, counts the evaluation, and makes sure ctx carries a request
+// recorder, which the evaluation's scans and segment reads charge. The caller
+// publishes the recorder to the process-wide families when it returns,
+// whether it succeeded or not, so they move exactly as the request's
+// breakdown does.
+func begin(ctx context.Context, kind string) (context.Context, *obs.SiteRecorder, error) {
+	if err := ctx.Err(); err != nil {
+		return ctx, nil, err
+	}
+	obs.EngineEvals.With(kind).Inc()
+	rec := obs.RecorderFrom(ctx)
+	if rec == nil {
+		rec = obs.NewSiteRecorder()
+		ctx = obs.WithRecorder(ctx, rec)
+	}
+	return ctx, rec, nil
+}
+
 // EvalBase computes the site's fragment B_i of the base-values relation.
 func (s *Site) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	obs.EngineEvals.With("base").Inc()
-	rec := obs.RecorderFrom(ctx)
-	snap := s.snapshot()
-	detail, err := snap.source(bq.Detail)
+	ctx, rec, err := begin(ctx, "base")
 	if err != nil {
 		return nil, err
 	}
-	return gmdj.EvalBase(bq, instrument(detail, rec))
+	defer rec.Publish()
+	detail, err := s.snapshot().source(bq.Detail)
+	if err != nil {
+		return nil, err
+	}
+	return gmdj.EvalBase(ctx, bq, detail)
 }
 
 // OperatorRequest asks a site to evaluate one MD operator over its local
@@ -242,11 +260,11 @@ func (s *Site) EvalOperator(ctx context.Context, req OperatorRequest) (*relation
 // Emit errors abort the evaluation. At least one (possibly empty) block is
 // always emitted.
 func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit func(*relation.Relation) error) error {
-	if err := ctx.Err(); err != nil {
+	ctx, rec, err := begin(ctx, "operator")
+	if err != nil {
 		return err
 	}
-	obs.EngineEvals.With("operator").Inc()
-	rec := obs.RecorderFrom(ctx)
+	defer rec.Publish()
 	if req.Base == nil {
 		return fmt.Errorf("engine: operator request without base relation")
 	}
@@ -256,7 +274,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		return err
 	}
 
-	acc, err := gmdj.AccumulateOperator(req.Base, req.Op, instrument(detail, rec), snap.useHash)
+	acc, err := gmdj.AccumulateOperator(ctx, req.Base, req.Op, detail, snap.useHash)
 	if err != nil {
 		return err
 	}
@@ -290,7 +308,6 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		obs.EngineBlocks.Inc()
 		rec.AddBlocks(1)
 		return emit(block)
 	}
@@ -347,11 +364,11 @@ type LocalRequest struct {
 // are the sole carriers of group membership, so dropping untouched groups
 // would lose them.
 func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relation, error) {
-	if err := ctx.Err(); err != nil {
+	ctx, rec, err := begin(ctx, "local")
+	if err != nil {
 		return nil, err
 	}
-	obs.EngineEvals.With("local").Inc()
-	rec := obs.RecorderFrom(ctx)
+	defer rec.Publish()
 	// One snapshot covers validation and every evaluation stage: a concurrent
 	// LoadSource cannot make the base query and a later operator see
 	// different generations of the same detail relation.
@@ -359,6 +376,5 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 	if err := req.Query.Validate(snap); err != nil {
 		return nil, err
 	}
-	ds := recordedSnapshot{snapshot: snap, rec: rec}
-	return gmdj.EvalPrefixX(req.Query, ds, req.UpTo, snap.useHash)
+	return gmdj.EvalPrefixX(ctx, req.Query, snap, req.UpTo, snap.useHash)
 }

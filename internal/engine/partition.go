@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"context"
+
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
@@ -27,7 +29,14 @@ func (p memPartition) Schema() relation.Schema { return p.rel.Schema }
 func (p memPartition) Len() int { return p.rel.Len() }
 
 // Scan implements gmdj.RowSource: the image, boxed.
-func (p memPartition) Scan(fn func(relation.Tuple) error) error { return gmdj.ScanImages(p, fn) }
+func (p memPartition) Scan(ctx context.Context, fn func(relation.Tuple) error) error {
+	return gmdj.ScanImages(ctx, p, fn)
+}
 
 // Images implements gmdj.ColumnSource: the one image.
-func (p memPartition) Images(fn func(*relation.Columns) error) error { return fn(p.rel.Columns()) }
+func (p memPartition) Images(ctx context.Context, fn func(*relation.Columns) error) error {
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	return fn(p.rel.Columns())
+}

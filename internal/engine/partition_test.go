@@ -247,7 +247,7 @@ func TestKernelScratchIsFlat(t *testing.T) {
 		var xs [2]*relation.Relation
 		for i, key := range []string{"S", "K"} {
 			var err error
-			if xs[i], err = gmdj.EvalPrefixX(example1(key), s.snapshot(), 1, true); err != nil {
+			if xs[i], err = gmdj.EvalPrefixX(ctx, example1(key), s.snapshot(), 1, true); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -293,7 +293,7 @@ func TestSourceOfScanIsFlat(t *testing.T) {
 		for i, src := range []gmdj.RowSource{gmdj.SourceOf(rel), part} {
 			scan := func() {
 				n := 0
-				if err := src.Scan(func(relation.Tuple) error { n++; return nil }); err != nil || n != rows {
+				if err := src.Scan(context.Background(), func(relation.Tuple) error { n++; return nil }); err != nil || n != rows {
 					t.Fatalf("scanned %d of %d rows: %v", n, rows, err)
 				}
 			}
@@ -341,7 +341,7 @@ func concurrentEvals(t *testing.T, s *Site) {
 	want := make([]string, len(reqs))
 	for i := range reqs {
 		q := example1([]string{"S", "K"}[i%2])
-		x, err := gmdj.EvalPrefixX(q, s.snapshot(), 1, true)
+		x, err := gmdj.EvalPrefixX(ctx, q, s.snapshot(), 1, true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,12 +1,12 @@
 package gmdj
 
 import (
+	"context"
 	"fmt"
 	"slices"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
-	"skalla/internal/obs"
 	"skalla/internal/relation"
 )
 
@@ -17,24 +17,11 @@ import (
 type RowSource interface {
 	// Schema describes the rows.
 	Schema() relation.Schema
-	// Scan streams every row through fn; an fn error aborts the scan. A row
-	// is valid only during fn: a source may reuse its storage.
-	Scan(fn func(relation.Tuple) error) error
+	// Scan streams every row through fn under ctx; an fn error aborts the
+	// scan. A row is valid only during fn: a source may reuse its storage.
+	Scan(ctx context.Context, fn func(relation.Tuple) error) error
 	// Len returns the row count.
 	Len() int
-}
-
-// scanCounted streams src through fn like src.Scan, charging the rows visited
-// to the engine rows-scanned counter — one counter add per scan, never per
-// row, so the accounting stays off the hot path.
-func scanCounted(src RowSource, fn func(relation.Tuple) error) error {
-	rows := 0
-	err := src.Scan(func(t relation.Tuple) error {
-		rows++
-		return fn(t)
-	})
-	obs.EngineRowsScanned.Add(int64(rows))
-	return err
 }
 
 // SourceOf adapts a materialized relation to a RowSource. It exposes no
@@ -46,25 +33,27 @@ type relSource struct{ r *relation.Relation }
 func (s relSource) Schema() relation.Schema { return s.r.Schema }
 func (s relSource) Len() int                { return s.r.Len() }
 
-func (s relSource) Scan(fn func(relation.Tuple) error) error {
-	return boxRows(func(image func(*relation.Columns) error) error { return image(s.r.Columns()) }, fn)
+func (s relSource) Scan(ctx context.Context, fn func(relation.Tuple) error) error {
+	one := func(_ context.Context, image func(*relation.Columns) error) error { return image(s.r.Columns()) }
+	return boxRows(ctx, one, fn)
 }
 
-// ScanImages is the Scan of a ColumnSource: the rows of its images, boxed as
-// every RowSource built on images boxes them.
-func ScanImages(src ColumnSource, fn func(relation.Tuple) error) error {
-	return boxRows(src.Images, fn)
+// ScanImages is the Scan of a ColumnSource: the rows of its images under
+// ctx, boxed as every RowSource built on images boxes them.
+func ScanImages(ctx context.Context, src ColumnSource, fn func(relation.Tuple) error) error {
+	return boxRows(ctx, src.Images, fn)
 }
 
 // scanBlock is how many rows boxRows boxes at a time.
 const scanBlock = 1024
 
-// boxRows streams the rows of the images that images yields through fn,
-// boxing a block of rows at a time into one reused slab, so a scan allocates
-// the same whatever the partition's size.
-func boxRows(images func(func(*relation.Columns) error) error, fn func(relation.Tuple) error) error {
+// boxRows streams the rows of the images that images yields under ctx
+// through fn, boxing a block of rows at a time into one reused slab, so a
+// scan allocates the same whatever the partition's size. A canceled ctx stops
+// the walk before the next image.
+func boxRows(ctx context.Context, images func(context.Context, func(*relation.Columns) error) error, fn func(relation.Tuple) error) error {
 	var slab []relation.Value
-	return images(func(c *relation.Columns) error {
+	return images(ctx, func(c *relation.Columns) error {
 		n, w := c.Rows, len(c.Vecs)
 		if k := min(n, scanBlock) * w; cap(slab) < k {
 			slab = make([]relation.Value, k)
@@ -82,7 +71,7 @@ func boxRows(images func(func(*relation.Columns) error) error, fn func(relation.
 				}
 			}
 		}
-		return nil
+		return ctx.Err()
 	})
 }
 
@@ -128,9 +117,10 @@ func (d Data) DetailSource(name string) (RowSource, error) {
 // data, exactly per Definition 1: each base tuple's aggregates are computed
 // over RNG(b, R, θ). It is the centralized reference implementation — the
 // role Daytona plays in the paper — and the correctness oracle for the
-// distributed evaluator. Equality-linked conditions are evaluated with a
-// hash-grouping fast path; set useHash=false to force the literal
-// nested-loop semantics (used to cross-check the fast path).
+// distributed evaluator. It runs outside any site request, so it is charged
+// to no recorder and counts in no site metric. Equality-linked conditions
+// are evaluated with a hash-grouping fast path; set useHash=false to force
+// the literal nested-loop semantics (used to cross-check the fast path).
 func EvalCentral(q Query, src DataSource, useHash bool) (*relation.Relation, error) {
 	x, err := EvalCentralX(q, src, useHash)
 	if err != nil {
@@ -148,13 +138,14 @@ func EvalCentralX(q Query, src DataSource, useHash bool) (*relation.Relation, er
 	if err := q.Validate(src); err != nil {
 		return nil, err
 	}
-	return EvalPrefixX(q, src, len(q.Ops), useHash)
+	//skallavet:allow ctxcall -- lifecycle root: the oracle is no site request, so it runs uncancelable and charges no recorder
+	return EvalPrefixX(context.Background(), q, src, len(q.Ops), useHash)
 }
 
-// EvalPrefixX evaluates the base query and the first upTo operators,
-// returning the intermediate base-result structure X_upTo. The query must
-// already be validated.
-func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Relation, error) {
+// EvalPrefixX evaluates the base query and the first upTo operators under
+// ctx, returning the intermediate base-result structure X_upTo. The query
+// must already be validated.
+func EvalPrefixX(ctx context.Context, q Query, src DataSource, upTo int, useHash bool) (*relation.Relation, error) {
 	if upTo < 0 || upTo > len(q.Ops) {
 		return nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
 	}
@@ -162,7 +153,7 @@ func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Rel
 	if err != nil {
 		return nil, err
 	}
-	x, err := EvalBase(q.Base, baseRel)
+	x, err := EvalBase(ctx, q.Base, baseRel)
 	if err != nil {
 		return nil, err
 	}
@@ -172,7 +163,7 @@ func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Rel
 		if err != nil {
 			return nil, err
 		}
-		x, err = ApplyOperator(x, op, detail, useHash)
+		x, err = ApplyOperator(ctx, x, op, detail, useHash)
 		if err != nil {
 			return nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
 		}
@@ -187,23 +178,25 @@ func EvalPrefixX(q Query, src DataSource, upTo int, useHash bool) (*relation.Rel
 // order, and the result lists each base row at its first occurrence; memory
 // is bounded by the number of distinct base values. Over a ColumnSource, a
 // base query the kernel compiler covers (kernel.go) runs compiled instead,
-// with identical results.
-func EvalBase(bq BaseQuery, detail RowSource) (*relation.Relation, error) {
+// with identical results, and the pass is charged to ctx's recorder.
+func EvalBase(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
 	p, err := compileBase(bq, detail)
 	if err != nil {
 		return nil, err
 	}
-	if cs, ok := detail.(ColumnSource); ok {
-		out, reason, err := p.runKernel(cs)
-		if err != nil {
-			return nil, err
-		}
-		noteScanPath(cs, reason, 1)
-		if out != nil {
-			return out, nil
-		}
+	cs, ok := detail.(ColumnSource)
+	if !ok {
+		return p.scan(ctx, detail)
 	}
-	return p.scan(detail)
+	out, reason, err := p.runKernel(ctx, cs)
+	if err == nil && out == nil {
+		out, err = p.scan(ctx, detail)
+	}
+	if err != nil {
+		return nil, err
+	}
+	chargeScan(ctx, cs, reason, 1)
+	return out, nil
 }
 
 // baseProg is a compiled base query: the bound filter, projection indexes and
@@ -255,9 +248,9 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 
 // scan streams the detail source, keeping each surviving projection at its
 // first occurrence.
-func (p *baseProg) scan(src RowSource) (*relation.Relation, error) {
+func (p *baseProg) scan(ctx context.Context, src RowSource) (*relation.Relation, error) {
 	d := newDistinctRows(p.schema)
-	err := scanCounted(src, func(t relation.Tuple) error {
+	err := src.Scan(ctx, func(t relation.Tuple) error {
 		if p.where != nil {
 			ok, err := expr.EvalCond(p.where, nil, t)
 			if err != nil {
@@ -354,34 +347,44 @@ type OperatorAccum struct {
 // disk-backed sources are still scanned sequentially). Every detail row is
 // folded in scan order, so a FLOAT sum depends only on the rows and their
 // order. Over a ColumnSource, an operator the kernel compiler covers
-// (kernel.go) runs compiled instead, with identical results.
-func AccumulateOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
+// (kernel.go) runs compiled instead, with identical results, and the passes
+// are charged to ctx's recorder.
+func AccumulateOperator(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
 	states, err := bindVarStates(x, op, detail.Schema())
 	if err != nil {
 		return nil, err
 	}
-	if cs, ok := detail.(ColumnSource); ok {
-		// useHash=false asks for the literal nested loop of Definition 1,
-		// which a kernel — a hash path in all but name — is not.
-		reason := reasonShape
-		var acc *OperatorAccum
-		if useHash {
-			if acc, reason, err = runOperatorKernel(x, states, cs); err != nil {
-				return nil, err
-			}
-		}
-		noteScanPath(cs, reason, len(states))
-		if acc != nil {
-			return acc, nil
-		}
+	cs, ok := detail.(ColumnSource)
+	if !ok {
+		return accumulateScalar(ctx, x, states, detail, useHash)
 	}
+	// useHash=false asks for the literal nested loop of Definition 1, which a
+	// kernel — a hash path in all but name — is not.
+	reason := reasonShape
+	var acc *OperatorAccum
+	if useHash {
+		acc, reason, err = runOperatorKernel(ctx, x, states, cs)
+	}
+	if err == nil && acc == nil {
+		acc, err = accumulateScalar(ctx, x, states, detail, useHash)
+	}
+	if err != nil {
+		return nil, err
+	}
+	chargeScan(ctx, cs, reason, len(states))
+	return acc, nil
+}
+
+// accumulateScalar runs the operator's variables on the scalar paths, one
+// pass over detail each.
+func accumulateScalar(ctx context.Context, x *relation.Relation, states []*varState, detail RowSource, useHash bool) (*OperatorAccum, error) {
 	xrows := x.Rows() // the scalar paths index and read X's boxed rows
 	if useHash {
 		indexVarStates(x.Schema, xrows, states, detail.Schema())
 	}
 	out := newOperatorAccum(x.Len(), states)
 	for vi, st := range states {
-		if err := st.scan(xrows, detail, out.accs[vi], out.Touched); err != nil {
+		if err := st.scan(ctx, xrows, detail, out.accs[vi], out.Touched); err != nil {
 			return nil, err
 		}
 	}
@@ -492,7 +495,7 @@ func indexVarStates(xschema relation.Schema, xrows []relation.Tuple, states []*v
 // scan accumulates this grouping variable over the detail source: accs[i]
 // receives base row i's physical partials, and touched[i] is set once it
 // receives any (the Prop. 1 Touched flag).
-func (st *varState) scan(xrows []relation.Tuple, detail RowSource, accs []relation.Tuple, touched []bool) error {
+func (st *varState) scan(ctx context.Context, xrows []relation.Tuple, detail RowSource, accs []relation.Tuple, touched []bool) error {
 	if st.hashIdx != nil && st.rollup {
 		n := len(st.probe)
 		padded := make(relation.Tuple, n)
@@ -500,7 +503,7 @@ func (st *varState) scan(xrows []relation.Tuple, detail RowSource, accs []relati
 		for i := range paddedCols {
 			paddedCols[i] = i
 		}
-		return scanCounted(detail, func(dr relation.Tuple) error {
+		return detail.Scan(ctx, func(dr relation.Tuple) error {
 			// A NULL detail value pads identically whether its bit is
 			// set or not; restrict masks to non-NULL dimensions so no
 			// probe (and hence no base row) repeats for this detail row.
@@ -538,7 +541,7 @@ func (st *varState) scan(xrows []relation.Tuple, detail RowSource, accs []relati
 		})
 	}
 	if st.hashIdx != nil {
-		return scanCounted(detail, func(dr relation.Tuple) error {
+		return detail.Scan(ctx, func(dr relation.Tuple) error {
 			for _, bi := range st.hashIdx.Lookup(dr, st.probe) {
 				ok, err := expr.EvalCond(st.cond, xrows[bi], dr)
 				if err != nil {
@@ -554,7 +557,7 @@ func (st *varState) scan(xrows []relation.Tuple, detail RowSource, accs []relati
 			return nil
 		})
 	}
-	return scanCounted(detail, func(dr relation.Tuple) error {
+	return detail.Scan(ctx, func(dr relation.Tuple) error {
 		for bi, br := range xrows {
 			ok, err := expr.EvalCond(st.cond, br, dr)
 			if err != nil {
@@ -658,8 +661,8 @@ func (a *OperatorAccum) PhysSchema() (relation.Schema, error) {
 // over the detail rows satisfying the variable's condition, and returns x
 // extended with the new physical and derived columns. x is not modified; the
 // result shares x's vectors.
-func ApplyOperator(x *relation.Relation, op Operator, detail RowSource, useHash bool) (*relation.Relation, error) {
-	acc, err := AccumulateOperator(x, op, detail, useHash)
+func ApplyOperator(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool) (*relation.Relation, error) {
+	acc, err := AccumulateOperator(ctx, x, op, detail, useHash)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"context"
 	"math/rand"
 	"strconv"
 	"strings"
@@ -121,7 +122,7 @@ func TestExample1WithAvgColumnReference(t *testing.T) {
 
 func TestEvalBaseWithWhere(t *testing.T) {
 	bq := BaseQuery{Detail: "Flow", Cols: []string{"SAS"}, Where: expr.MustParse("R.NB > 6")}
-	b, err := EvalBase(bq, SourceOf(flowRelation()))
+	b, err := EvalBase(context.Background(), bq, SourceOf(flowRelation()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +130,12 @@ func TestEvalBaseWithWhere(t *testing.T) {
 		t.Fatalf("base rows = %d\n%s", b.Len(), b)
 	}
 	bq2 := BaseQuery{Detail: "Flow", Cols: []string{"SAS"}, Where: expr.MustParse("R.NB > 1000")}
-	b2, _ := EvalBase(bq2, SourceOf(flowRelation()))
+	b2, _ := EvalBase(context.Background(), bq2, SourceOf(flowRelation()))
 	if b2.Len() != 0 {
 		t.Errorf("empty filter should give 0 base rows, got %d", b2.Len())
 	}
 	bq3 := BaseQuery{Detail: "Flow", Cols: []string{"SAS"}, Where: expr.MustParse("R.NB + 1")}
-	if _, err := EvalBase(bq3, SourceOf(flowRelation())); err == nil {
+	if _, err := EvalBase(context.Background(), bq3, SourceOf(flowRelation())); err == nil {
 		t.Error("non-boolean filter must error")
 	}
 }
@@ -416,7 +417,7 @@ func TestScanErrorAborts(t *testing.T) {
 		Cond: expr.MustParse("B.SAS = R.SAS"),
 	}}}
 	for _, useHash := range []bool{true, false} {
-		if _, err := AccumulateOperator(base, op, SourceOf(detail), useHash); err == nil {
+		if _, err := AccumulateOperator(context.Background(), base, op, SourceOf(detail), useHash); err == nil {
 			t.Errorf("useHash=%v: expected an accumulate error", useHash)
 		}
 	}

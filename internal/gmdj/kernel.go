@@ -1,6 +1,7 @@
 package gmdj
 
 import (
+	"context"
 	"errors"
 	"math/bits"
 	"sync"
@@ -48,60 +49,25 @@ import (
 type ColumnSource interface {
 	RowSource
 	// Images hands fn the images of the rows Scan visits, in scan order, one
-	// at a time. An fn error aborts and is returned, as is an error reading
-	// an image.
-	Images(fn func(*relation.Columns) error) error
+	// at a time, under ctx. An fn error aborts and is returned, as is an
+	// error reading an image.
+	Images(ctx context.Context, fn func(*relation.Columns) error) error
 }
 
-// scanAccountant is the optional capability of a source whose owner keeps
-// accounts of the passes made over it — engine.Site wraps a partition in one
-// per request — and is told what it cannot see through Scan. A source without
-// it (a SourceOf relation under EvalCentral or a coordinator's local round)
-// is evaluated unaccounted, so skalla_engine_scan_path_total counts site
-// passes only.
-type scanAccountant interface {
-	// NoteScanPath is called once per evaluation, on the source the
-	// evaluation was handed: its passes detail passes take path, for reason.
-	NoteScanPath(path, reason string, passes int)
-	// ChargeColumnScan is called once per kernel pass over the images, where
-	// the scalar path would have called Scan once: the rows to charge are the
-	// source's Len.
-	ChargeColumnScan()
-}
-
-// Why a scan ran where it ran: the label values of
-// skalla_engine_scan_path_total.
+// Why a scan ran where it ran: the reason label of
+// skalla_engine_scan_path_total. The kernel runs under reasonOK alone.
 const (
-	pathKernel = "kernel"
-	pathScalar = "scalar"
-
 	reasonOK    = "ok"    // compiled
 	reasonShape = "shape" // a condition or filter shape the compiler does not cover, or useHash=false
 	reasonKind  = "kind"  // a column or value kind the typed code cannot reproduce exactly
 )
 
-// noteScanPath reports to detail's accountant, if it has one, that n detail
-// passes run under reason; reasonOK is the kernel's, every other reason the
-// scalar path's.
-func noteScanPath(detail ColumnSource, reason string, n int) {
-	acct, ok := detail.(scanAccountant)
-	if !ok {
-		return
-	}
-	path := pathScalar
-	if reason == reasonOK {
-		path = pathKernel
-	}
-	acct.NoteScanPath(path, reason, n)
-}
-
-// chargeKernelScan accounts one kernel pass over rows rows exactly as
-// scanCounted accounts a scalar one.
-func chargeKernelScan(src ColumnSource, rows int) {
-	obs.EngineRowsScanned.Add(int64(rows))
-	if acct, ok := src.(scanAccountant); ok {
-		acct.ChargeColumnScan()
-	}
+// chargeScan charges the recorder ctx carries with one evaluation's passes
+// detail passes over src, all run where reason says, each reading every row.
+// Only a site request carries a recorder, so the oracle's evaluations and any
+// over a SourceOf relation count nowhere.
+func chargeScan(ctx context.Context, src ColumnSource, reason string, passes int) {
+	obs.RecorderFrom(ctx).ChargeScan(reason == reasonOK, reason, passes, int64(passes)*int64(src.Len()))
 }
 
 // errDeclined stops a kernel's walk over the images at the first one that
@@ -1105,27 +1071,23 @@ func (vk *varKernel) consume(rows, bis []int32, folds []foldFn, touched []bool) 
 	}
 }
 
-// eachImage hands run every image of src in turn, stopping at the first it
-// reports does not compile, and returns why (reasonOK when none) — a decline
-// returns no error. When every image ran, passes kernel passes over their
-// rows are charged.
-func eachImage(src ColumnSource, passes int, run func(*relation.Columns) string) (string, error) {
-	reason, rows := reasonOK, 0
-	err := src.Images(func(cols *relation.Columns) error {
+// eachImage hands run every image of src under ctx in turn, stopping at the
+// first it reports does not compile, and returns why (reasonOK when none) — a
+// decline returns no error. A canceled ctx stops the walk before the next
+// image.
+func eachImage(ctx context.Context, src ColumnSource, run func(*relation.Columns) string) (string, error) {
+	reason := reasonOK
+	err := src.Images(ctx, func(cols *relation.Columns) error {
 		if reason = run(cols); reason != reasonOK {
 			return errDeclined
 		}
-		rows += cols.Rows
-		return nil
+		return ctx.Err()
 	})
 	switch {
 	case reason != reasonOK:
 		return reason, nil
 	case err != nil:
 		return "", err
-	}
-	for range passes {
-		chargeKernelScan(src, rows)
 	}
 	return reasonOK, nil
 }
@@ -1136,7 +1098,7 @@ func eachImage(src ColumnSource, passes int, run func(*relation.Columns) string)
 // order within each, keep every cell's inputs in detail-row order. An image
 // that does not compile stops the walk: the accumulator is nil and the
 // reason says why.
-func runOperatorKernel(x *relation.Relation, states []*varState, src ColumnSource) (*OperatorAccum, string, error) {
+func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varState, src ColumnSource) (*OperatorAccum, string, error) {
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(states)),
 		Touched: make([]bool, x.Len()),
@@ -1147,7 +1109,7 @@ func runOperatorKernel(x *relation.Relation, states []*varState, src ColumnSourc
 	}
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	reason, err := eachImage(src, len(states), func(cols *relation.Columns) string {
+	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
 		vars, why := compileOperator(x, states, cols)
 		if vars == nil {
 			return why
@@ -1407,10 +1369,10 @@ func (d *baseDedup) scan(sc *scratch) {
 // reports why it stays on the scalar path as runOperatorKernel does. Under
 // several images their results are merged keeping each base row's first
 // occurrence, so the rows come in the scalar path's order.
-func (p *baseProg) runKernel(src ColumnSource) (*relation.Relation, string, error) {
+func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.Relation, string, error) {
 	var out *relation.Relation
 	var merged *distinctRows // once a second image needs merging
-	reason, err := eachImage(src, 1, func(cols *relation.Columns) string {
+	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
 		k, why := compileBaseKernel(p, cols)
 		if k == nil {
 			return why

@@ -2,6 +2,8 @@ package gmdj
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -11,22 +13,17 @@ import (
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
+	"skalla/internal/obs"
 	"skalla/internal/relation"
 )
 
-// colSource is a ColumnSource over a materialized relation. It keeps the
-// accounts the evaluator reports to a scanAccountant.
+// colSource is a ColumnSource over a materialized relation, with a request
+// recorder of its own that evaluations under its ctx charge.
 type colSource struct {
 	RowSource
 	cols   *relation.Columns   // the whole relation's image
 	images []*relation.Columns // what Images yields: cols, or one image per segment
-	acct   *scanAccounts
-}
-
-type scanAccounts struct {
-	charged      int64  // rows charged by kernel passes
-	path, reason string // of the last evaluation
-	passes       int    // over all evaluations
+	rec    *obs.SiteRecorder
 }
 
 func newColSource(rel *relation.Relation) colSource {
@@ -34,8 +31,11 @@ func newColSource(rel *relation.Relation) colSource {
 	if err != nil {
 		panic(err)
 	}
-	return colSource{RowSource: SourceOf(rel), cols: cols, images: []*relation.Columns{cols}, acct: new(scanAccounts)}
+	return colSource{RowSource: SourceOf(rel), cols: cols, images: []*relation.Columns{cols}, rec: obs.NewSiteRecorder()}
 }
+
+// ctx is a request context carrying the source's recorder.
+func (s colSource) ctx() context.Context { return obs.WithRecorder(context.Background(), s.rec) }
 
 // segmentedSource is newColSource yielding one image, with dictionaries of
 // its own, per segment of rel's rows — segmentRows rows each, the last
@@ -57,19 +57,13 @@ func segmentedSource(rel *relation.Relation, segmentRows int) colSource {
 	return src
 }
 
-func (s colSource) Images(fn func(*relation.Columns) error) error {
+func (s colSource) Images(_ context.Context, fn func(*relation.Columns) error) error {
 	for _, img := range s.images {
 		if err := fn(img); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-func (s colSource) ChargeColumnScan() { s.acct.charged += int64(s.Len()) }
-func (s colSource) NoteScanPath(path, reason string, passes int) {
-	s.acct.path, s.acct.reason = path, reason
-	s.acct.passes += passes
 }
 
 // sameValue is byte identity: DeepEqual would call -0.0 and +0.0 equal.
@@ -129,16 +123,31 @@ func sameAccum(scalar, kernel *OperatorAccum) error {
 	return nil
 }
 
-// checkScanPath demands that the one evaluation src went through reported
-// passes detail passes under reason — reasonOK means the kernel ran.
+// checkScanPath demands that the one evaluation over src charged its
+// recorder passes detail passes under reason — reasonOK means the kernel ran
+// — each reading every row. The reason is read back from
+// skalla_engine_scan_path_total, to which the recorder is published.
 func checkScanPath(t *testing.T, src colSource, reason string, passes int) {
 	t.Helper()
-	path := pathScalar
+	path := "scalar"
 	if reason == reasonOK {
-		path = pathKernel
+		path = "kernel"
 	}
-	if a := src.acct; a.path != path || a.reason != reason || a.passes != passes {
-		t.Errorf("reported %d passes as %s/%s, want %d as %s/%s", a.passes, a.path, a.reason, passes, path, reason)
+	before := obs.EngineScanPath.With(path, reason).Value()
+	src.rec.Publish()
+	if got := obs.EngineScanPath.With(path, reason).Value() - before; got != int64(passes) {
+		t.Errorf("charged %d passes as %s/%s, want %d", got, path, reason, passes)
+	}
+	checkCharged(t, src, reason, passes)
+}
+
+// checkCharged demands that src's recorder says whether the kernel ran as
+// reason does, and holds passes passes' worth of rows.
+func checkCharged(t *testing.T, src colSource, reason string, passes int) {
+	t.Helper()
+	b := src.rec.Snapshot()
+	if b.Kernel != (reason == reasonOK) || b.RowsScanned != int64(passes*src.Len()) {
+		t.Errorf("charged %d rows, kernel %v; want %d rows, kernel %v", b.RowsScanned, b.Kernel, passes*src.Len(), reason == reasonOK)
 	}
 }
 
@@ -150,17 +159,15 @@ var segmentSizes = []int{1, 7}
 // demands what eval returns equal want. When the whole image compiled, so
 // must every split; when it did not, no split may claim the kernel.
 func checkSegmented[T any](t *testing.T, detail *relation.Relation, reason string, passes int, want T,
-	eval func(RowSource) (T, error), same func(want, got T) error) {
+	eval func(context.Context, RowSource) (T, error), same func(want, got T) error) {
 	t.Helper()
 	for _, size := range segmentSizes {
 		src := segmentedSource(detail, size)
-		got, err := eval(src)
+		got, err := eval(src.ctx(), src)
 		if err != nil {
 			t.Fatalf("segments of %d: %v", size, err)
 		}
-		if a := src.acct; (a.path == pathKernel) != (reason == reasonOK) || a.passes != passes {
-			t.Errorf("segments of %d: reported %d passes as %s/%s, want %d under %s", size, a.passes, a.path, a.reason, passes, reason)
-		}
+		checkCharged(t, src, reason, passes)
 		if err := same(want, got); err != nil {
 			t.Errorf("segments of %d: %v", size, err)
 		}
@@ -174,12 +181,13 @@ func checkSegmented[T any](t *testing.T, detail *relation.Relation, reason strin
 // under: reasonOK means the kernel ran.
 func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *relation.Relation, reason string) {
 	t.Helper()
-	scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
+	ctx := context.Background()
+	scalar, err := AccumulateOperator(ctx, x, op, SourceOf(detail), true)
 	if err != nil {
 		t.Fatalf("scalar: %v", err)
 	}
 	src := newColSource(detail)
-	kernel, err := AccumulateOperator(x, op, src, true)
+	kernel, err := AccumulateOperator(src.ctx(), x, op, src, true)
 	if err != nil {
 		t.Fatalf("column source: %v", err)
 	}
@@ -188,29 +196,28 @@ func checkOperator(t *testing.T, x *relation.Relation, op Operator, detail *rela
 		t.Error(err)
 	}
 	checkSegmented(t, detail, reason, len(op.Vars), scalar,
-		func(src RowSource) (*OperatorAccum, error) { return AccumulateOperator(x, op, src, true) }, sameAccum)
+		func(ctx context.Context, src RowSource) (*OperatorAccum, error) {
+			return AccumulateOperator(ctx, x, op, src, true)
+		}, sameAccum)
 	if reason == reasonOK {
-		loop, err := AccumulateOperator(x, op, SourceOf(detail), false)
+		loop, err := AccumulateOperator(ctx, x, op, SourceOf(detail), false)
 		if err != nil {
 			t.Fatalf("nested loop: %v", err)
 		}
 		if err := sameAccum(loop, kernel); err != nil {
 			t.Errorf("nested loop: %v", err)
 		}
-		if got, want := src.acct.charged, int64(len(op.Vars)*detail.Len()); got != want {
-			t.Errorf("kernel charged %d rows, want %d", got, want)
-		}
 	}
 }
 
 func checkBase(t *testing.T, bq BaseQuery, detail *relation.Relation, reason string) *relation.Relation {
 	t.Helper()
-	scalar, err := EvalBase(bq, SourceOf(detail))
+	scalar, err := EvalBase(context.Background(), bq, SourceOf(detail))
 	if err != nil {
 		t.Fatalf("scalar: %v", err)
 	}
 	src := newColSource(detail)
-	kernel, err := EvalBase(bq, src)
+	kernel, err := EvalBase(src.ctx(), bq, src)
 	if err != nil {
 		t.Fatalf("column source: %v", err)
 	}
@@ -222,11 +229,8 @@ func checkBase(t *testing.T, bq BaseQuery, detail *relation.Relation, reason str
 		t.Error(err)
 	}
 	checkSegmented(t, detail, reason, 1, scalar,
-		func(src RowSource) (*relation.Relation, error) { return EvalBase(bq, src) },
+		func(ctx context.Context, src RowSource) (*relation.Relation, error) { return EvalBase(ctx, bq, src) },
 		func(want, got *relation.Relation) error { return sameRows(want.Rows(), got.Rows()) })
-	if reason == reasonOK && src.acct.charged != int64(detail.Len()) {
-		t.Errorf("kernel charged %d rows, want %d", src.acct.charged, detail.Len())
-	}
 	return scalar
 }
 
@@ -294,7 +298,7 @@ func oneVar(cond string, aggs ...agg.Spec) Operator {
 // baseOf evaluates the distinct projection of cols over detail (scalar).
 func baseOf(t *testing.T, detail *relation.Relation, cols ...string) *relation.Relation {
 	t.Helper()
-	x, err := EvalBase(BaseQuery{Detail: "D", Cols: cols}, SourceOf(detail))
+	x, err := EvalBase(context.Background(), BaseQuery{Detail: "D", Cols: cols}, SourceOf(detail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +309,7 @@ func baseOf(t *testing.T, detail *relation.Relation, cols ...string) *relation.R
 // projections of cols, one per set.
 func setsOf(t *testing.T, detail *relation.Relation, cols []string, sets ...[]string) *relation.Relation {
 	t.Helper()
-	x, err := EvalBase(BaseQuery{Detail: "D", Cols: cols, GroupingSets: sets}, SourceOf(detail))
+	x, err := EvalBase(context.Background(), BaseQuery{Detail: "D", Cols: cols, GroupingSets: sets}, SourceOf(detail))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -611,11 +615,12 @@ func TestKernelVectorsGatheredFromSlabs(t *testing.T) {
 			{Func: agg.Sum, Arg: "P", As: "sp2"}, {Func: agg.Avg, Arg: "F", As: "af2"}, {Func: agg.Min, Arg: "P", As: "lo2"},
 		}},
 	}}
-	scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
+	scalar, err := AccumulateOperator(context.Background(), x, op, SourceOf(detail), true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	kernel, err := AccumulateOperator(x, op, newColSource(detail), true)
+	src := newColSource(detail)
+	kernel, err := AccumulateOperator(src.ctx(), x, op, src, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -710,11 +715,62 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 
 	t.Run("useHash off", func(t *testing.T) {
 		src := newColSource(detail)
-		if _, err := AccumulateOperator(baseOf(t, detail, "S"), oneVar("B.S = R.S", count), src, false); err != nil {
+		if _, err := AccumulateOperator(src.ctx(), baseOf(t, detail, "S"), oneVar("B.S = R.S", count), src, false); err != nil {
 			t.Fatal(err)
 		}
 		checkScanPath(t, src, reasonShape, 1)
 	})
+}
+
+// cancelingSource is a segmented source that cancels its request once it
+// has handed out its first image, and counts the images it hands out. It does
+// not check the context itself, so only the walk can stop it.
+type cancelingSource struct {
+	colSource
+	cancel func()
+	handed *int
+}
+
+func (s cancelingSource) Images(ctx context.Context, fn func(*relation.Columns) error) error {
+	return s.colSource.Images(ctx, func(cols *relation.Columns) error {
+		if *s.handed++; *s.handed == 1 {
+			s.cancel()
+		}
+		return fn(cols)
+	})
+}
+
+// TestImageWalksStopWhenCanceled: the kernel walk and the boxing walk return
+// context.Canceled before they take the image after the one during which the
+// request was canceled, and a canceled evaluation charges no pass.
+func TestImageWalksStopWhenCanceled(t *testing.T) {
+	detail := kernelDetail(31, 40)
+	walks := map[string]func(context.Context, cancelingSource) error{
+		"kernel operator": func(ctx context.Context, src cancelingSource) error {
+			_, err := AccumulateOperator(ctx, baseOf(t, detail, "S"), oneVar("B.S = R.S", allAggs...), src, true)
+			return err
+		},
+		"kernel base": func(ctx context.Context, src cancelingSource) error {
+			_, err := EvalBase(ctx, BaseQuery{Detail: "D", Cols: []string{"S", "I"}}, src)
+			return err
+		},
+		"boxed rows": func(ctx context.Context, src cancelingSource) error {
+			return ScanImages(ctx, src, func(relation.Tuple) error { return nil })
+		},
+	}
+	for name, walk := range walks {
+		src := segmentedSource(detail, 7)
+		ctx, cancel := context.WithCancel(src.ctx())
+		handed := 0
+		err := walk(ctx, cancelingSource{colSource: src, cancel: cancel, handed: &handed})
+		cancel()
+		if !errors.Is(err, context.Canceled) || handed != 1 {
+			t.Errorf("%s: returned %v after %d images, want context.Canceled after 1", name, err, handed)
+		}
+		if b := src.rec.Snapshot(); b.RowsScanned != 0 || b.Kernel {
+			t.Errorf("%s: a canceled evaluation charged %d rows (kernel %v)", name, b.RowsScanned, b.Kernel)
+		}
+	}
 }
 
 func TestKernelBaseMatchesScalar(t *testing.T) {
@@ -795,13 +851,13 @@ func TestKernelQuick(t *testing.T) {
 				bq.GroupingSets = append(bq.GroupingSets, set)
 			}
 		}
-		x, err := EvalBase(bq, SourceOf(detail))
+		x, err := EvalBase(context.Background(), bq, SourceOf(detail))
 		if err != nil {
 			t.Log(err)
 			return false
 		}
 		for _, src := range []colSource{newColSource(detail), segmentedSource(detail, 1+rng.Intn(10))} {
-			xk, err := EvalBase(bq, src)
+			xk, err := EvalBase(src.ctx(), bq, src)
 			if err != nil || sameRows(x.Rows(), xk.Rows()) != nil {
 				t.Logf("seed %d: base over %d images differs (%v)", seed, len(src.images), err)
 				return false
@@ -856,18 +912,18 @@ func TestKernelQuick(t *testing.T) {
 			aggs = allAggs[:1]
 		}
 		op := oneVar(cond, aggs...)
-		scalar, err := AccumulateOperator(x, op, SourceOf(detail), true)
+		scalar, err := AccumulateOperator(context.Background(), x, op, SourceOf(detail), true)
 		if err != nil {
 			t.Logf("seed %d: %s: %v", seed, cond, err)
 			return false
 		}
 		for _, src := range []colSource{newColSource(detail), segmentedSource(detail, 1+rng.Intn(10))} {
-			kernel, err := AccumulateOperator(x, op, src, true)
+			kernel, err := AccumulateOperator(src.ctx(), x, op, src, true)
 			if err != nil {
 				t.Logf("seed %d: %s: %v", seed, cond, err)
 				return false
 			}
-			if src.acct.path == pathKernel {
+			if src.rec.Snapshot().Kernel {
 				compiled++
 			}
 			if err := sameAccum(scalar, kernel); err != nil {
@@ -1003,12 +1059,12 @@ func TestKernelBlockBoundaries(t *testing.T) {
 			})
 			for _, cond := range []string{"B.S = R.S", "B.S = R.S && R.V <= B.k"} {
 				op := oneVar(cond, allAggs...)
-				scalar, err := AccumulateOperator(wide, op, SourceOf(detail), true)
+				scalar, err := AccumulateOperator(context.Background(), wide, op, SourceOf(detail), true)
 				if err != nil {
 					t.Fatal(err)
 				}
 				src := newColSource(detail)
-				kernel, err := AccumulateOperator(wide, op, src, true)
+				kernel, err := AccumulateOperator(src.ctx(), wide, op, src, true)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -66,21 +66,23 @@ var (
 		"Relation wire codec frames processed, by operation (encode, decode).",
 		"op")
 
-	// Segment store (internal/store).
+	// Segment store (internal/store). Folded from each site request's
+	// SiteRecorder when the request returns (SiteRecorder.Publish).
 	StoreSegmentReads = Default.CounterVec("skalla_store_segment_reads_total",
 		"Table segment reads, by source (disk = decoded from file, cache = LRU hit).",
 		"source")
 	StoreSegmentRows = Default.Counter("skalla_store_segment_rows_total",
 		"Rows decoded from disk segments (cache hits excluded).")
 
-	// Site evaluation engine (internal/engine + internal/gmdj).
+	// Site evaluation engine (internal/engine + internal/gmdj). Every family
+	// but evals is folded from each request's SiteRecorder, like the store's.
 	EngineEvals = Default.CounterVec("skalla_engine_evals_total",
 		"Site-side evaluations, by kind (base, operator, local).",
 		"kind")
 	EngineBlocks = Default.Counter("skalla_engine_blocks_emitted_total",
 		"H blocks emitted by site operator evaluations (row blocking counts each block).")
 	EngineRowsScanned = Default.Counter("skalla_engine_rows_scanned_total",
-		"Detail-relation rows scanned by GMDJ evaluation (base and operator passes).")
+		"Detail-relation rows scanned by this process's sites (base and operator passes; the centralized oracle and the coordinator count nowhere).")
 	EngineScanPath = Default.CounterVec("skalla_engine_scan_path_total",
 		"Detail passes run by this process's sites (one per base query or grouping variable, never per row) by the path that ran them (kernel = compiled over the partition's columnar images, scalar = row at a time) and why (ok = compiled; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column or value kind typed code cannot reproduce exactly).",
 		"path", "reason")

@@ -40,39 +40,45 @@ type SiteBreakdown struct {
 }
 
 // SiteRecorder accumulates one request's SiteBreakdown. It is carried in the
-// request context on the site side; every method is safe on a nil receiver
-// (recording is a no-op outside a profiled request) and safe for concurrent
-// use.
+// request context on the site side and is the one account a site evaluation
+// keeps: the process-wide engine and store families are folded from it once
+// per request (Publish). Every method is safe on a nil receiver (recording is
+// a no-op outside a site request) and safe for concurrent use.
 type SiteRecorder struct {
-	mu sync.Mutex
-	b  SiteBreakdown
-	// scalarScan remembers a detail pass that ran row at a time, which keeps
-	// b.Kernel false whatever the other passes did.
-	scalarScan bool
+	mu    sync.Mutex
+	b     SiteBreakdown
+	scans []scanPasses // the request's detail passes, by path and reason
+}
+
+// scanPasses counts the detail passes one path took for one reason.
+type scanPasses struct {
+	kernel bool
+	reason string
+	n      int64
 }
 
 // NewSiteRecorder creates an empty recorder.
 func NewSiteRecorder() *SiteRecorder { return &SiteRecorder{} }
 
-// AddRows charges n scanned rows.
-func (r *SiteRecorder) AddRows(n int64) {
-	if r == nil || n == 0 {
+// ChargeScan charges one evaluation's detail passes: passes passes ran as a
+// compiled kernel (kernel) or row at a time, for reason, and read rows rows
+// between them. The breakdown's Kernel holds while every pass charged so far
+// ran as a kernel.
+func (r *SiteRecorder) ChargeScan(kernel bool, reason string, passes int, rows int64) {
+	if r == nil || passes == 0 {
 		return
 	}
 	r.mu.Lock()
-	r.b.RowsScanned += n
-	r.mu.Unlock()
-}
-
-// NoteScan records the path one detail pass took.
-func (r *SiteRecorder) NoteScan(kernel bool) {
-	if r == nil {
-		return
+	defer r.mu.Unlock()
+	r.b.RowsScanned += rows
+	r.b.Kernel = kernel && (r.b.Kernel || len(r.scans) == 0)
+	for i := range r.scans {
+		if s := &r.scans[i]; s.kernel == kernel && s.reason == reason {
+			s.n += int64(passes)
+			return
+		}
 	}
-	r.mu.Lock()
-	r.scalarScan = r.scalarScan || !kernel
-	r.b.Kernel = !r.scalarScan
-	r.mu.Unlock()
+	r.scans = append(r.scans, scanPasses{kernel: kernel, reason: reason, n: int64(passes)})
 }
 
 // AddSegRead charges one segment load; disk loads also charge decoded rows.
@@ -130,6 +136,38 @@ func (r *SiteRecorder) Snapshot() SiteBreakdown {
 	b := r.b
 	r.mu.Unlock()
 	return b
+}
+
+// Publish folds the request's engine and store accounts into the
+// process-wide families — rows scanned, scan paths, blocks emitted, segment
+// reads and rows — so /metrics is the sum of the breakdowns the site's
+// requests carried. A site evaluation publishes its request's recorder once,
+// when it returns, so a recorder serves one evaluation: published twice, its
+// accounts count twice. The accounts are copied under the recorder's lock and
+// added after it is released, so no registry lock is taken under it.
+func (r *SiteRecorder) Publish() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	b, scans := r.b, append(make([]scanPasses, 0, 4), r.scans...) // on the stack for up to 4 paths
+	r.mu.Unlock()
+	EngineRowsScanned.Add(b.RowsScanned)
+	for _, s := range scans {
+		path := "scalar"
+		if s.kernel {
+			path = "kernel"
+		}
+		EngineScanPath.With(path, s.reason).Add(s.n)
+	}
+	EngineBlocks.Add(b.Blocks)
+	if b.SegCacheReads > 0 {
+		StoreSegmentReads.With("cache").Add(b.SegCacheReads)
+	}
+	if b.SegDiskReads > 0 {
+		StoreSegmentReads.With("disk").Add(b.SegDiskReads)
+	}
+	StoreSegmentRows.Add(b.SegRowsLoaded)
 }
 
 type recorderKey struct{}

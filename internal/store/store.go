@@ -10,6 +10,7 @@ package store
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -61,7 +62,6 @@ type Table struct {
 	total    int
 
 	cache *segmentCache
-	rec   *obs.SiteRecorder // charged segment reads besides the process-wide counters; see Recorded
 }
 
 // CreateFrom writes rel as a new table in dir (which must not already
@@ -163,13 +163,19 @@ func (t *Table) Len() int { return t.total }
 func (t *Table) NumSegments() int { return len(t.segments) }
 
 // Scan implements gmdj.RowSource: the segments' images, boxed.
-func (t *Table) Scan(fn func(relation.Tuple) error) error { return gmdj.ScanImages(t, fn) }
+func (t *Table) Scan(ctx context.Context, fn func(relation.Tuple) error) error {
+	return gmdj.ScanImages(ctx, t, fn)
+}
 
 // Images implements gmdj.ColumnSource: each segment's image in order,
-// decoded on a cache miss. fn errors abort the scan.
-func (t *Table) Images(fn func(*relation.Columns) error) error {
+// decoded on a cache miss. fn errors abort the scan, and a canceled ctx stops
+// it before the next segment is read.
+func (t *Table) Images(ctx context.Context, fn func(*relation.Columns) error) error {
 	for i, seg := range t.segments {
-		cols, err := t.loadSegment(i, seg)
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		cols, err := t.loadSegment(ctx, i, seg)
 		if err != nil {
 			return err
 		}
@@ -182,14 +188,14 @@ func (t *Table) Images(fn func(*relation.Columns) error) error {
 
 // loadSegment returns segment ord's image: from the cache, or decoded from
 // its file, checked against the table's schema and the manifest's row count,
-// and imaged through relation.BuildColumns.
-func (t *Table) loadSegment(ord int, seg segmentMeta) (*relation.Columns, error) {
+// and imaged through relation.BuildColumns. The read is charged to the
+// request recorder ctx carries.
+func (t *Table) loadSegment(ctx context.Context, ord int, seg segmentMeta) (*relation.Columns, error) {
+	rec := obs.RecorderFrom(ctx)
 	if cols, ok := t.cache.get(ord); ok {
-		obs.StoreSegmentReads.With("cache").Inc()
-		t.rec.AddSegRead(false, 0)
+		rec.AddSegRead(false, 0)
 		return cols, nil
 	}
-	obs.StoreSegmentReads.With("disk").Inc()
 	f, err := os.Open(filepath.Join(t.dir, seg.File))
 	if err != nil {
 		return nil, err
@@ -210,20 +216,9 @@ func (t *Table) loadSegment(ord int, seg segmentMeta) (*relation.Columns, error)
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
 	}
-	obs.StoreSegmentRows.Add(int64(cols.Rows))
-	t.rec.AddSegRead(true, int64(cols.Rows))
+	rec.AddSegRead(true, int64(cols.Rows))
 	t.cache.put(ord, cols)
 	return cols, nil
-}
-
-// Recorded returns a view of the table that charges segment reads to rec in
-// addition to the process-wide counters. The engine wraps detail sources this
-// way per request, so /debug/queries profiles carry per-query segment I/O;
-// the view shares the table's segments and cache.
-func (t *Table) Recorded(rec *obs.SiteRecorder) gmdj.ColumnSource {
-	view := *t
-	view.rec = rec
-	return &view
 }
 
 // segmentCache is a tiny LRU of segment images, keyed by segment ordinal:

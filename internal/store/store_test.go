@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -11,6 +12,7 @@ import (
 	"sync"
 	"testing"
 
+	"skalla/internal/obs"
 	"skalla/internal/relation"
 )
 
@@ -37,7 +39,7 @@ func rowsRel(n int, v string) *relation.Relation {
 // materialize reads the whole table through Scan.
 func materialize(tbl *Table) (*relation.Relation, error) {
 	out := relation.New(tbl.Schema())
-	err := tbl.Scan(func(r relation.Tuple) error { return out.Append(r) })
+	err := tbl.Scan(context.Background(), func(r relation.Tuple) error { return out.Append(r) })
 	return out, err
 }
 
@@ -57,7 +59,7 @@ func TestCreateFromSegments(t *testing.T) {
 		t.Fatalf("segments=%d len=%d", tbl.NumSegments(), tbl.Len())
 	}
 	var got []int64
-	if err := tbl.Scan(func(r relation.Tuple) error {
+	if err := tbl.Scan(context.Background(), func(r relation.Tuple) error {
 		got = append(got, r[0].Int)
 		return nil
 	}); err != nil {
@@ -70,7 +72,7 @@ func TestCreateFromSegments(t *testing.T) {
 	}
 	var sizes []int
 	var dicts [][]string
-	if err := tbl.Images(func(c *relation.Columns) error {
+	if err := tbl.Images(context.Background(), func(c *relation.Columns) error {
 		sizes, dicts = append(sizes, c.Rows), append(dicts, c.Vecs[1].Dict)
 		if c.Vecs[0].Boxed || c.Vecs[1].Boxed {
 			t.Errorf("segment %d image is boxed", len(sizes)-1)
@@ -84,6 +86,39 @@ func TestCreateFromSegments(t *testing.T) {
 	}
 	if want := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}; !reflect.DeepEqual(dicts, want) {
 		t.Errorf("image dictionaries %v, want %v", dicts, want)
+	}
+}
+
+// TestImagesStopWhenCanceled: a scan whose context is canceled while it
+// reads the first of several segments stops with context.Canceled before it
+// reads the next, whether it walks the images or the boxed rows, and the
+// request recorder the context carries is charged the one segment read.
+func TestImagesStopWhenCanceled(t *testing.T) {
+	tbl, err := CreateFrom(t.TempDir(), "T", rowsRel(10, "v"), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	walks := map[string]func(context.Context, func()) error{
+		"images": func(ctx context.Context, cancel func()) error {
+			return tbl.Images(ctx, func(*relation.Columns) error { cancel(); return nil })
+		},
+		"rows": func(ctx context.Context, cancel func()) error {
+			return tbl.Scan(ctx, func(relation.Tuple) error { cancel(); return nil })
+		},
+	}
+	for name, walk := range walks {
+		tbl.cache = newSegmentCache(4) // every walk starts cold
+		rec := obs.NewSiteRecorder()
+		ctx, cancel := context.WithCancel(obs.WithRecorder(context.Background(), rec))
+		err := walk(ctx, cancel)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: canceled walk returned %v, want context.Canceled", name, err)
+		}
+		if b := rec.Snapshot(); b.SegDiskReads != 1 || b.SegCacheReads != 0 || b.SegRowsLoaded != 3 {
+			t.Errorf("%s: charged %d disk reads (%d rows) and %d cache reads, want the first segment's one disk read",
+				name, b.SegDiskReads, b.SegRowsLoaded, b.SegCacheReads)
+		}
 	}
 }
 
@@ -120,7 +155,7 @@ func TestScanAbortsOnError(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	err = tbl.Scan(func(relation.Tuple) error {
+	err = tbl.Scan(context.Background(), func(relation.Tuple) error {
 		n++
 		if n == 3 {
 			return os.ErrClosed
@@ -142,7 +177,7 @@ func TestSegmentCacheEviction(t *testing.T) {
 	// Repeated full scans exercise eviction; results stay correct.
 	for pass := 0; pass < 3; pass++ {
 		count := 0
-		if err := tbl.Scan(func(relation.Tuple) error { count++; return nil }); err != nil {
+		if err := tbl.Scan(context.Background(), func(relation.Tuple) error { count++; return nil }); err != nil {
 			t.Fatal(err)
 		}
 		if count != 100 {
@@ -283,7 +318,7 @@ func TestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := ct.Scan(func(relation.Tuple) error { return nil }); err == nil {
+	if err := ct.Scan(context.Background(), func(relation.Tuple) error { return nil }); err == nil {
 		t.Error("corrupt segment must error on scan")
 	}
 	// A segment holding other than the manifest's row count.
@@ -298,7 +333,7 @@ func TestErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := rt.Images(func(*relation.Columns) error { return nil }); err == nil || !strings.Contains(err.Error(), "manifest says 3") {
+	if err := rt.Images(context.Background(), func(*relation.Columns) error { return nil }); err == nil || !strings.Contains(err.Error(), "manifest says 3") {
 		t.Errorf("a segment of 2 rows listed as 3: err = %v", err)
 	}
 	// Default segment size applies.
@@ -334,7 +369,7 @@ func TestConcurrentScans(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			errs[w] = tbl.Scan(func(r relation.Tuple) error {
+			errs[w] = tbl.Scan(context.Background(), func(r relation.Tuple) error {
 				got[w] = append(got[w], r[0].Int)
 				return nil
 			})

@@ -169,6 +169,7 @@ func (f *FastLocalSite) call(ctx context.Context, req *Request) (*Response, stat
 	resp := dispatch(ctx, f.site, req)
 	call := callFromSizes(f.site.ID(), resp, 0, 0)
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
+	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
 		return nil, call, errors.New(resp.Err)
 	}
@@ -180,20 +181,16 @@ func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.Opera
 	if err := ctx.Err(); err != nil {
 		return stats.Call{}, err
 	}
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	call := stats.Call{Site: f.site.ID(), RowsDown: baseRows(&req), Attempt: obs.AttemptFrom(ctx)}
-	start := time.Now()
-	call.Start = start
-	err := f.site.EvalOperatorBlocks(ctx, req, func(block *relation.Relation) error {
-		call.RowsUp += block.Len()
-		return sink(block)
+	call := stats.Call{Site: f.site.ID(), RowsDown: baseRows(&req), Start: time.Now(), Attempt: obs.AttemptFrom(ctx)}
+	profile, err := measure(ctx, func(ctx context.Context) error {
+		return f.site.EvalOperatorBlocks(ctx, req, func(block *relation.Relation) error {
+			call.RowsUp += block.Len()
+			return sink(block)
+		})
 	})
-	call.Compute = time.Since(start)
-	call.Elapsed = call.Compute
-	rec.SetEval(call.Compute)
-	b := rec.Snapshot()
-	call.Breakdown = &b
+	call.Elapsed = time.Since(call.Start)
+	call.Compute, call.Breakdown = time.Duration(profile.EvalNS), &profile
+	recordCall(call, KindOperator, obs.QueryIDFrom(ctx))
 	return call, err
 }
 

@@ -197,32 +197,31 @@ func serve(ctx context.Context, site Backend, w *bufio.Writer, req *Request, sen
 		return w.Flush()
 	}
 	obs.ServerRequests.With(kindName(req.Kind)).Inc()
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	start := time.Now()
-	blockEnc := relation.NewEncoder(w)
 	var streamErr error
-	evalErr := site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
-		streamErr = w.WriteByte(opStreamBlock)
-		if streamErr == nil {
-			streamErr = blockEnc.Encode(block)
-		}
-		if streamErr == nil {
-			streamErr = w.Flush()
-		}
-		// The marker byte travels with every block frame.
-		rec.AddCodecBytes(1)
-		if streamErr == nil && sent != nil {
-			streamErr = sent()
-		}
-		return streamErr
+	profile, evalErr := measure(ctx, func(ctx context.Context) error {
+		rec, blockEnc := obs.RecorderFrom(ctx), relation.NewEncoder(w)
+		err := site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
+			streamErr = w.WriteByte(opStreamBlock)
+			if streamErr == nil {
+				streamErr = blockEnc.Encode(block)
+			}
+			if streamErr == nil {
+				streamErr = w.Flush()
+			}
+			// The marker byte travels with every block frame.
+			rec.AddCodecBytes(1)
+			if streamErr == nil && sent != nil {
+				streamErr = sent()
+			}
+			return streamErr
+		})
+		rec.AddCodecBytes(blockEnc.Bytes())
+		return err
 	})
-	rec.AddCodecBytes(blockEnc.Bytes())
 	if streamErr != nil {
 		return streamErr
 	}
-	rec.SetEval(time.Since(start))
-	term := &Response{Profile: rec.Snapshot()}
+	term := &Response{Profile: profile}
 	if evalErr != nil {
 		term.Err = evalErr.Error()
 		obs.Logger().Debug("operator eval failed", "site", site.ID(), "query", req.QueryID, "err", evalErr)

@@ -82,31 +82,40 @@ type Backend interface {
 	Tables(ctx context.Context) []engine.TableInfo
 }
 
+// measure runs one site request's evaluation under a context carrying a
+// fresh request recorder and returns the breakdown it recorded, with the
+// evaluation's wall time: the one place a site reply's profile is made.
+func measure(ctx context.Context, eval func(context.Context) error) (obs.SiteBreakdown, error) {
+	rec := obs.NewSiteRecorder()
+	start := time.Now()
+	err := eval(obs.WithRecorder(ctx, rec))
+	rec.SetEval(time.Since(start))
+	return rec.Snapshot(), err
+}
+
 // dispatch executes a request against a backend, measuring compute time and
 // collecting the site-side breakdown into the response's Profile.
 func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 	obs.ServerRequests.With(kindName(req.Kind)).Inc()
-	rec := obs.NewSiteRecorder()
-	ctx = obs.WithRecorder(ctx, rec)
-	start := time.Now()
 	resp := &Response{}
-	var err error
-	switch req.Kind {
-	case KindBase:
-		resp.Rel, err = site.EvalBase(ctx, *req.Base)
-	case KindLocal:
-		resp.Rel, err = site.EvalLocal(ctx, *req.Local)
-	case KindSchema:
-		resp.Schema, err = site.DetailSchema(ctx, req.Name)
-	case KindLoad:
-		err = site.Load(ctx, req.Name, req.LoadRel)
-	case KindTables:
-		resp.Tables = site.Tables(ctx)
-	default:
-		err = fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
-	}
-	rec.SetEval(time.Since(start))
-	resp.Profile = rec.Snapshot()
+	profile, err := measure(ctx, func(ctx context.Context) (err error) {
+		switch req.Kind {
+		case KindBase:
+			resp.Rel, err = site.EvalBase(ctx, *req.Base)
+		case KindLocal:
+			resp.Rel, err = site.EvalLocal(ctx, *req.Local)
+		case KindSchema:
+			resp.Schema, err = site.DetailSchema(ctx, req.Name)
+		case KindLoad:
+			err = site.Load(ctx, req.Name, req.LoadRel)
+		case KindTables:
+			resp.Tables = site.Tables(ctx)
+		default:
+			err = fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
+		}
+		return err
+	})
+	resp.Profile = profile
 	if err != nil {
 		resp.Err = err.Error()
 	}

@@ -2,6 +2,7 @@ package skalla
 
 import (
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -247,6 +248,74 @@ func TestSerializedTransportOption(t *testing.T) {
 		}
 		if bytes := res.Metrics.TotalBytes(); (bytes > 0) != serialized || res.Metrics.TotalRows() == 0 {
 			t.Errorf("serialized=%v: %d bytes, %d rows", serialized, bytes, res.Metrics.TotalRows())
+		}
+	}
+}
+
+// TestLocalClusterCallsReachTransportMetrics: every site call of a
+// NewLocalCluster query reaches the transport families, by reference as
+// serialized: one call and its rows for each call the profile lists, bytes
+// only when serialized, and a compute time for every call, the catalog's
+// schema lookups too.
+func TestLocalClusterCallsReachTransportMetrics(t *testing.T) {
+	d, err := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, serialized := range []bool{false, true} {
+		opts := []ClusterOption{WithCatalog(d.Catalog())}
+		if serialized {
+			opts = append(opts, WithSerializedTransport())
+		}
+		cl, err := NewLocalCluster(2, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cl.Close()
+		if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
+			t.Fatal(err)
+		}
+		// The query runs under a fixed ID and every family is read as a
+		// delta: past a family's series cap, the ID's series is the shared
+		// overflow one.
+		q := fmt.Sprintf("local-cluster-serialized-%v", serialized)
+		type reading struct{ calls, schemaCalls, computes, rowsUp, bytesUp int64 }
+		read := func(site string) reading {
+			r := reading{schemaCalls: obs.TransportCalls.With(site, "schema").Value(),
+				computes: obs.SiteCompute.With(site).Count(),
+				rowsUp:   obs.TransportRows.With(site, "up", q).Value(), bytesUp: obs.TransportBytes.With(site, "up", q).Value()}
+			for _, kind := range []string{"base", "operator", "local"} {
+				r.calls += obs.TransportCalls.With(site, kind).Value()
+			}
+			return r
+		}
+		sites := []string{"0", "1"}
+		before := []reading{read(sites[0]), read(sites[1])}
+		res, err := cl.Execute(obs.WithQueryID(context.Background(), q), flowQuery(t), SelectNone())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]reading, len(sites))
+		for _, round := range res.Profile.Rounds {
+			for _, call := range round.Calls {
+				want[call.Site].calls++
+				want[call.Site].rowsUp += int64(call.RowsUp)
+			}
+		}
+		for i, site := range sites {
+			after := read(site)
+			calls, rowsUp := after.calls-before[i].calls, after.rowsUp-before[i].rowsUp
+			if calls != want[i].calls || rowsUp != want[i].rowsUp || calls == 0 {
+				t.Errorf("serialized=%v, site %s: %d calls and %d rows up counted, the profile lists %d and %d",
+					serialized, site, calls, rowsUp, want[i].calls, want[i].rowsUp)
+			}
+			if bytesUp := after.bytesUp - before[i].bytesUp; (bytesUp > 0) != serialized {
+				t.Errorf("serialized=%v, site %s: %d bytes up counted", serialized, site, bytesUp)
+			}
+			all := calls + after.schemaCalls - before[i].schemaCalls
+			if n := after.computes - before[i].computes; n != all {
+				t.Errorf("serialized=%v, site %s: %d compute observations for %d calls", serialized, site, n, all)
+			}
 		}
 	}
 }
