@@ -326,7 +326,7 @@ func BenchmarkSyncMerge(b *testing.B) {
 // BenchmarkPlanCompile measures the planner alone: plan.Compile of the
 // dependent two-operator chain on the non-aligned Clerk attribute against the
 // four-site catalog, under no rules, every rule (sync-skip and both group
-// reductions apply), and auto (all 2^5 rule subsets compiled and priced).
+// reductions apply), and auto (48 of the 2^6 rule subsets compiled and priced).
 func BenchmarkPlanCompile(b *testing.B) {
 	cat, err := dataset(b).Catalog(4)
 	if err != nil {

@@ -89,6 +89,47 @@ func TestCoordinatorExplain(t *testing.T) {
 	}
 }
 
+// A single-operator query on a key no site partitions on plans as one
+// base+MD1 round: no X fragment is shipped, so neither group reduction
+// applies, and the plan's rule list is sync-skip alone.
+func TestCoordinatorExplainBaseMD1Only(t *testing.T) {
+	dir, sites := startCluster(t)
+	const q = "base Flow key DestAS\nop B.DestAS = R.DestAS :: count(*) as flows\n"
+	var out bytes.Buffer
+	if err := run([]string{"-sites", sites, "-data", dir, "-q", q, "-explain"}, &out); err != nil {
+		t.Fatal(err)
+	}
+	for _, frag := range []string{
+		"sync reduction: base sync folded into MD1 (Prop. 2)",
+		"rule group-reduce-coord skipped: no coordinator-driven operator rounds to reduce",
+		"rule group-reduce-site  skipped: no coordinator-driven operator rounds to guard",
+		"rule group-reduce-observed skipped: no coordinator-driven operator rounds to reduce",
+	} {
+		if !strings.Contains(out.String(), frag) {
+			t.Errorf("explain output missing %q:\n%s", frag, out.String())
+		}
+	}
+	path := filepath.Join(t.TempDir(), "stats.json")
+	if err := run([]string{"-sites", sites, "-data", dir, "-q", q, "-stats-json", path}, &out); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var export struct {
+		Plan struct {
+			Rules []string `json:"rules"`
+		} `json:"plan"`
+	}
+	if err := json.Unmarshal(data, &export); err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(export.Plan.Rules, ","); got != "sync-skip" {
+		t.Errorf("plan rules = %q, want sync-skip", got)
+	}
+}
+
 func TestCoordinatorQueryFile(t *testing.T) {
 	dir, sites := startCluster(t)
 	qf := filepath.Join(t.TempDir(), "q.skalla")

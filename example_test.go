@@ -138,16 +138,17 @@ func ExampleCluster_PlanWith() {
 	}
 	fmt.Print(pl.Describe())
 	// Output:
-	// plan 1fc38a6009d5b868: 2 site(s), mode all
+	// plan 2bdcac3b1486b961: 2 site(s), mode all
 	//   operators: 1 (coalescing merges: 0)
 	//   synchronization rounds: 1
 	//   sync reduction: base sync folded into MD1 (Prop. 2)
-	//   MD1: coordinator-side group reduction: false, site-side guard: false
+	//   MD1: coordinator-side group reduction: false, site-side guard: false, observed reduction: none
 	//   rule coalesce           skipped: no adjacent independent operators
 	//   rule local-prefix       skipped: no partition-aligned operator prefix
 	//   rule sync-skip          applied: base sync folded into MD1 (Prop. 2) (est -1 round(s), -37056 B)
-	//   rule group-reduce-coord applied: reduction predicates for 0 of 1 operator round(s) (est +0 round(s), +0 B)
+	//   rule group-reduce-coord skipped: no coordinator-driven operator rounds to reduce
 	//   rule group-reduce-site  skipped: no coordinator-driven operator rounds to guard
+	//   rule group-reduce-observed skipped: no coordinator-driven operator rounds to reduce
 	//   estimated cost: 1 round(s), 192 B down, 34816 B up
 	//     round base+MD1         est 192 B down, 34816 B up
 }

@@ -206,6 +206,11 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 	if err != nil {
 		return nil, err
 	}
+	for _, r := range pl.Steps {
+		if r.Observed > 0 {
+			mg.KeepTouched(r.Observed-1, len(c.sites))
+		}
+	}
 
 	for _, r := range pl.Steps {
 		switch r.Kind {
@@ -330,7 +335,8 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // operatorRound is one round of Alg. GMDJDistribEval for operator k: the
 // coordinator ships the base-result structure — projected onto the key
 // attributes and the columns operator k's conditions read, and reduced per
-// Thm. 4 when a reducer is available — to each site, the sites compute
+// Thm. 4 when a reducer is available, and to the rows the site reported in
+// the round r.Observed names — to each site, the sites compute
 // sub-aggregates (guard-filtered per Prop. 1 when enabled), and the
 // coordinator synchronizes the H_i into X.
 //
@@ -348,6 +354,10 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // run to run, however the streams' completion order falls.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
 	k, reducers := r.UpTo-1, r.Reducers
+	var observed [][]int32
+	if r.Observed > 0 {
+		observed = mg.Touched(r.Observed - 1)
+	}
 	op := pl.Query.Ops[k]
 	x := mg.X()
 	rs := span.StartRound(r.Name, x.Len())
@@ -385,22 +395,22 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			// X as it was before Extend, through one scratch row — the merges
 			// running meanwhile write only operator k's cells, which that X
 			// does not hold — and runs once: every retry ships the same
-			// fragment and maps ordinals through the same kept.
+			// fragment and maps ordinals through the same kept. An observed
+			// reduction narrows the rows it tests to those the site reported;
+			// a site that reported every row gets the shared fragment.
 			frag, kept := whole, []int32(nil)
-			if reducers != nil {
-				kept = make([]int32, 0, x.Len()/len(c.sites)+1)
-				var row relation.Tuple
-				for xi := 0; xi < x.Len(); xi++ {
-					row = x.AppendRow(row[:0], xi)
-					keep, err := reducers[i](row)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					if keep {
-						kept = append(kept, int32(xi))
-					}
+			switch {
+			case reducers != nil:
+				var from []int32
+				if observed != nil {
+					from = observed[i]
 				}
+				if kept, errs[i] = reduceRows(x, reducers[i], from); errs[i] != nil {
+					return
+				}
+				frag = mg.Fragment(cols, kept)
+			case observed != nil && len(observed[i]) < x.Len():
+				kept = observed[i]
 				frag = mg.Fragment(cols, kept)
 			}
 			req := engine.OperatorRequest{
@@ -440,14 +450,16 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	// Commit in site order. Every site's channel closes, so the loop ends;
 	// after a failure or cancellation it only drains and discards.
 	var mergeErr error
-	for _, ch := range ready {
+	for i, ch := range ready {
 		for st := range ch {
 			if mergeErr != nil || ctx.Err() != nil {
 				st.Discard()
 				continue
 			}
 			t0 := time.Now()
-			mergeErr = mg.CommitStage(st, k)
+			if mergeErr = mg.CommitStage(st, k); mergeErr == nil {
+				mergeErr = mg.RecordTouched(k, i, st)
+			}
 			d := time.Since(t0)
 			coordTime += d
 			rs.ObserveMerge(d)
@@ -481,4 +493,30 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	rs.End(coordTime)
 	return err
+}
+
+// reduceRows returns the X rows keep admits, among those listed (ascending),
+// or among all of X when rows is nil.
+func reduceRows(x *relation.Relation, keep distrib.ReductionPred, rows []int32) ([]int32, error) {
+	n := x.Len()
+	if rows != nil {
+		n = len(rows)
+	}
+	kept := make([]int32, 0, n/2+1)
+	var row relation.Tuple
+	for j := 0; j < n; j++ {
+		xi := int32(j)
+		if rows != nil {
+			xi = rows[j]
+		}
+		row = x.AppendRow(row[:0], int(xi))
+		ok, err := keep(row)
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			kept = append(kept, xi)
+		}
+	}
+	return kept, nil
 }

@@ -10,7 +10,7 @@ import (
 
 // planCache is the coordinator's prepared-plan cache. Lookup is keyed by the
 // statement source text plus the rule selection (so a cache hit skips parse
-// and optimize entirely — in auto mode that is the whole 2^5 candidate
+// and optimize entirely — in auto mode that is the whole candidate
 // enumeration); validity is keyed by (Plan.Fingerprint, catalog generation)
 // as genLRU describes (the fingerprint itself hashes the generation, so the
 // recompiled plan also gets a new identity). Compiled plans are immutable

@@ -29,7 +29,7 @@ func subsetSelection(mask int) plan.Selection {
 }
 
 // TestRuleSubsetsByteIdentical is the planner's core invariant: every rule
-// subset — all 2^5 of them, covering every pairwise combination and the full
+// subset — all 2^6 of them, covering every pairwise combination and the full
 // set — produces a byte-identical merged result, and matches the cost-driven
 // auto mode, on each matrix query — and that result is the centralized
 // evaluation's (Thm. 3). The sites hold
@@ -105,7 +105,7 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 
 // TestAutoEstimateNeverWorse is the cost model's property: on randomized
 // queries and partitionings, auto mode's estimated cost is never worse than
-// any of the 2^5 rule subsets, and auto's execution stays byte-identical to
+// any of the 2^6 rule subsets, and auto's execution stays byte-identical to
 // the unoptimized baseline.
 func TestAutoEstimateNeverWorse(t *testing.T) {
 	prop := func(seed int64) bool {

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"skalla/internal/agg"
 	"skalla/internal/engine"
@@ -69,6 +70,11 @@ type merger struct {
 	table    *relation.KeyTable // X's rows by key; nil unless InitLocal built it
 	extended int                // number of operators whose columns exist in x
 
+	// touched[k][i] lists, ascending, the X rows site i's committed
+	// operator-k stage reported. Only the operators a later round's observed
+	// reduction reads (plan.Round.Observed) keep theirs; see KeepTouched.
+	touched [][][]int32
+
 	// budget is the query's coordinator-side memory budget (nil = unbounded).
 	// X growth is charged here; staged H blocks are charged by their stages.
 	budget *memBudget
@@ -95,8 +101,37 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 	for i := range keyPos {
 		keyPos[i] = i
 	}
-	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx, keyPos: keyPos, budget: budget}, nil
+	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx, keyPos: keyPos,
+		touched: make([][][]int32, len(segs)), budget: budget}, nil
 }
+
+// KeepTouched makes the commits of operator k's stages record, per site, the
+// X rows the site reported (RecordTouched), for a later round to read
+// (Touched).
+func (m *merger) KeepTouched(k, sites int) {
+	if m.touched[k] == nil {
+		m.touched[k] = make([][]int32, sites)
+	}
+}
+
+// RecordTouched records the X rows site's committed operator-k stage
+// reported, when KeepTouched asked for them. Only a committed stage may be
+// recorded: a discarded attempt's ordinals say nothing about the site.
+func (m *merger) RecordTouched(k, site int, st *hStage) error {
+	if m.touched[k] == nil {
+		return nil
+	}
+	rows := st.xRows()
+	if err := m.budget.charge(4 * int64(len(rows))); err != nil {
+		return err
+	}
+	m.touched[k][site] = rows
+	return nil
+}
+
+// Touched returns, per site, the X rows its committed operator-k stage
+// reported (nil unless KeepTouched asked for them). Read-only.
+func (m *merger) Touched(k int) [][]int32 { return m.touched[k] }
 
 // keyOf boxes row i's key cells of r, whose schema starts like X's, into m.key
 // and returns their hash.
@@ -382,6 +417,26 @@ type hStage struct {
 	blocks []*relation.Relation // the staged blocks as they arrived, columnar
 	budget *memBudget           // query memory budget the staged bytes are charged to
 	bytes  int64                // bytes currently charged to budget for this stage
+}
+
+// xRows lists, ascending, the X rows of the ordinals the stream reported.
+// The fragment's row list is ascending, so mapping keeps the order.
+func (st *hStage) xRows() []int32 {
+	n := 0
+	for _, word := range st.seen.bits {
+		n += bits.OnesCount64(word)
+	}
+	rows := make([]int32, 0, n)
+	for w, word := range st.seen.bits {
+		for ; word != 0; word &= word - 1 {
+			ord := int32(w*64 + bits.TrailingZeros64(word))
+			if st.rows != nil {
+				ord = st.rows[ord]
+			}
+			rows = append(rows, ord)
+		}
+	}
+	return rows
 }
 
 // NewStage opens a staging buffer for one site's operator-k stream over a

@@ -136,7 +136,7 @@ func TestRelaxComparison(t *testing.T) {
 	if !ok {
 		t.Fatal("RelaxComparison failed")
 	}
-	if got := relaxed.String(); got != "((B.DestAS + B.SourceAS) < 50)" {
+	if got := relaxed.String(); got != "((B.DestAS + B.SourceAS) < 50.0)" {
 		t.Errorf("relaxed = %s", got)
 	}
 	// Eq becomes a range check.
@@ -153,7 +153,7 @@ func TestRelaxComparison(t *testing.T) {
 	}
 	// Ge uses the minimum.
 	relaxed, _ = RelaxComparison(OpGe, baseE, Affine{Col: "x", C: 1}, 5, 9)
-	if got := relaxed.String(); got != "((B.DestAS + B.SourceAS) >= 5)" {
+	if got := relaxed.String(); got != "((B.DestAS + B.SourceAS) >= 5.0)" {
 		t.Errorf("Ge relaxation = %s", got)
 	}
 }

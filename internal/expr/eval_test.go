@@ -209,6 +209,31 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// A literal's text keeps its kind: an integral FLOAT re-parses as a FLOAT,
+// so R.x * 2 and R.x * 2.0 (which differ once the INT product wraps) never
+// share a text, and with it a plan fingerprint.
+func TestLiteralTextKeepsKind(t *testing.T) {
+	for _, lit := range []*Lit{Int(2), Float(2), Float(-3), Float(0.5), Float(1e21), Float(-0.0), Int(-7)} {
+		e, err := Parse(lit.String())
+		if err != nil {
+			t.Fatalf("re-parse %q: %v", lit, err)
+		}
+		var got relation.Value
+		switch n := Simplify(e).(type) {
+		case *Lit:
+			got = n.Val
+		default:
+			t.Fatalf("%q re-parsed to %T", lit, n)
+		}
+		if got.Kind != lit.Val.Kind || !got.Equal(lit.Val) {
+			t.Errorf("%s %q re-parsed as %s %v", lit.Val.Kind, lit, got.Kind, got)
+		}
+	}
+	if a, b := MustParse("R.di * 2 > 0").String(), MustParse("R.di * 2.0 > 0").String(); a == b {
+		t.Errorf("INT and FLOAT literals share the text %q", a)
+	}
+}
+
 func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"",

@@ -9,6 +9,7 @@ package expr
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"skalla/internal/relation"
@@ -175,9 +176,20 @@ func IsNotNull(x Expr) *Un { return &Un{Op: OpIsNotNull, X: x} }
 
 func (c *Col) String() string { return c.Side.String() + "." + c.Name }
 func (l *Lit) String() string {
-	if l.Val.Kind == relation.KindString {
+	switch l.Val.Kind {
+	case relation.KindString:
 		// Double embedded quotes so the output re-parses.
 		return "'" + strings.ReplaceAll(l.Val.Str, "'", "''") + "'"
+	case relation.KindFloat:
+		// An integral FLOAT prints like an INT ("2"); mark it so the text
+		// re-parses as a FLOAT. The text is the query's canonical form
+		// (plan fingerprints, conjunct comparison), and R.x * 2 wraps where
+		// R.x * 2.0 does not.
+		s := l.Val.String()
+		if f := l.Val.Float; !math.IsInf(f, 0) && !math.IsNaN(f) && !strings.ContainsAny(s, ".e") {
+			s += ".0"
+		}
+		return s
 	}
 	return l.Val.String()
 }

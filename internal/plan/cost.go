@@ -120,9 +120,10 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 
 // operatorRound prices what the exchange ships (internal/core operatorRound):
 // down, X_k projected onto the keys and the columns the operator's conditions
-// read, to every site — or, under Thm. 4 reducers, to each site only its own
-// fragment; up, the row ordinal and the operator's physical columns for the
-// groups each site saw, fewer under the Prop. 1 guard.
+// read, to every site — or, under an observed reduction, the share of those
+// rows the guard let through, and under Thm. 4 reducers each site only its
+// own fragment; up, the row ordinal and the operator's physical columns for
+// the groups each site saw, fewer under the Prop. 1 guard.
 func (m CostModel) operatorRound(p *Plan, r Round, xs []relation.Schema, n, groups int64, perSite float64) (down, up int64) {
 	k := r.UpTo - 1
 	op := p.Query.Ops[k]
@@ -132,8 +133,11 @@ func (m CostModel) operatorRound(p *Plan, r Round, xs []relation.Schema, n, grou
 	}
 	upB := 8 + rowBytes(physColumns(op, xs[k], xs[k+1]))
 	shipped := n * groups
+	if r.Observed > 0 {
+		shipped = ceilI(m.GuardSelectivity * float64(shipped))
+	}
 	if r.Reducers != nil {
-		shipped = groups
+		shipped = min(shipped, groups)
 	}
 	rows := float64(n) * perSite
 	if r.Guard {

@@ -263,15 +263,24 @@ func compileRules(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, num
 	return p, nil
 }
 
-// compileAuto enumerates every subset of the registry (2^5 = 32 candidates),
-// compiles each, and keeps the cheapest under the cost model. Enumeration
-// order is deterministic (bitmask over canonical rule order) and ties break
-// toward fewer rules, then the lexicographically smaller rule list — so the
-// winner, and therefore its fingerprint, is stable across runs.
+// compileAuto enumerates the subsets of the registry, compiles each, and
+// keeps the cheapest under the cost model. A subset with
+// group-reduce-observed but not group-reduce-site is skipped: the rule reads
+// the guard group-reduce-site sets, so the plan is the one the subset
+// without it compiles (2^6 − 2^4 = 48 candidates). Enumeration order is
+// deterministic (bitmask over canonical rule order) and ties break toward
+// fewer rules, then the lexicographically smaller rule list — so the winner,
+// and therefore its fingerprint, is stable across runs.
 func compileAuto(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, model CostModel) (*Plan, error) {
 	n := len(registry)
+	guard, observed := 1<<ruleIndex("group-reduce-site"), 1<<ruleIndex("group-reduce-observed")
 	var best *Plan
+	candidates := 0
 	for mask := 0; mask < 1<<n; mask++ {
+		if mask&observed != 0 && mask&guard == 0 {
+			continue
+		}
+		candidates++
 		subset := make([]Rule, 0, n)
 		for i, r := range registry {
 			if mask&(1<<i) != 0 {
@@ -286,7 +295,7 @@ func compileAuto(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numS
 			best = cand
 		}
 	}
-	best.Candidates = 1 << n
+	best.Candidates = candidates
 	return best, nil
 }
 

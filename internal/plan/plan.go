@@ -18,7 +18,10 @@
 //     per-site coordinator-side predicates selecting the base fragment each
 //     site needs (Thm. 4);
 //   - group-reduce-site: the distribution-independent guard flag (Prop. 1),
-//     applied by the sites at execution time.
+//     applied by the sites at execution time;
+//   - group-reduce-observed: an operator round whose conditions contain an
+//     earlier guarded round's ships each site only the X rows that site
+//     reported in that round (Thm. 4 with the guard's answers as φ_i).
 //
 // Callers choose rules with a Selection passed to Compile: none, all, an
 // explicit rule list, or ModeAuto, which picks the rule subset per query by
@@ -105,6 +108,10 @@ type Round struct {
 	// Reducers[site] is the Thm. 4 base-fragment predicate for the round's
 	// operator at that site; nil means no reduction (operator rounds).
 	Reducers []distrib.ReductionPred
+	// Observed names an earlier guarded operator round by its UpTo (MD
+	// number) when this round ships each site only the X rows that site
+	// reported there; 0 means none.
+	Observed int
 }
 
 // baselineSteps is the unreduced algorithm: a base round, then one round per
@@ -126,6 +133,17 @@ func (p *Plan) foldPrefix(kind RoundKind, upTo int, name string) {
 	}
 	p.Steps = p.Steps[i:]
 	p.Steps[0] = Round{Kind: kind, Name: name, UpTo: upTo}
+}
+
+// operatorRounds reports whether some round is coordinator-driven, the only
+// kind that ships X down and can be reduced or guarded.
+func (p *Plan) operatorRounds() bool {
+	for _, r := range p.Steps {
+		if r.Kind == RoundOperator {
+			return true
+		}
+	}
+	return false
 }
 
 // fullLocal reports Cor. 1: one local round covers the whole chain.
@@ -173,9 +191,13 @@ func (p *Plan) Describe() string {
 	// an operator round reduces or guards.
 	done := 0
 	for _, r := range p.Steps {
+		observed := "none"
+		if r.Observed > 0 {
+			observed = fmt.Sprintf("from MD%d", r.Observed)
+		}
 		for ; done < r.UpTo; done++ {
-			fmt.Fprintf(&b, "  MD%d: coordinator-side group reduction: %v, site-side guard: %v\n",
-				done+1, r.Reducers != nil, r.Guard)
+			fmt.Fprintf(&b, "  MD%d: coordinator-side group reduction: %v, site-side guard: %v, observed reduction: %s\n",
+				done+1, r.Reducers != nil, r.Guard, observed)
 		}
 	}
 	for _, t := range p.Trace {

@@ -2,8 +2,10 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
 	"skalla/internal/distrib"
+	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
@@ -84,6 +86,7 @@ var registry = []Rule{
 	syncSkipRule{},
 	groupReduceCoordRule{},
 	groupReduceSiteRule{},
+	groupReduceObservedRule{},
 }
 
 // RuleNames returns the registered rule names in canonical order.
@@ -201,6 +204,9 @@ func (groupReduceCoordRule) Applies(c *Context) (bool, string, error) {
 	if len(c.Query().Ops) == 0 {
 		return false, "no operators", nil
 	}
+	if !c.plan.operatorRounds() {
+		return false, "no coordinator-driven operator rounds to reduce", nil
+	}
 	return true, "", nil
 }
 
@@ -245,12 +251,10 @@ type groupReduceSiteRule struct{}
 func (groupReduceSiteRule) Name() string { return "group-reduce-site" }
 
 func (groupReduceSiteRule) Applies(c *Context) (bool, string, error) {
-	for _, r := range c.plan.Steps {
-		if r.Kind == RoundOperator {
-			return true, "", nil
-		}
+	if !c.plan.operatorRounds() {
+		return false, "no coordinator-driven operator rounds to guard", nil
 	}
-	return false, "no coordinator-driven operator rounds to guard", nil
+	return true, "", nil
 }
 
 func (groupReduceSiteRule) Apply(c *Context) (string, error) {
@@ -258,4 +262,101 @@ func (groupReduceSiteRule) Apply(c *Context) (string, error) {
 		c.plan.Steps[i].Guard = c.plan.Steps[i].Kind == RoundOperator
 	}
 	return "sites return only groups with |RNG| > 0 (Prop. 1)", nil
+}
+
+// groupReduceObservedRule bounds an operator round's fragments by an earlier
+// guarded round's answers. Under the Prop. 1 guard, site i reports exactly
+// the X rows some θ of operator k matched there. If every grouping variable
+// of a later operator k′ over the same detail relation has all the conjuncts
+// of some θ of operator k among its own top-level conjuncts, a row site i
+// did not report in round k matches nothing there in round k′ either: the
+// conjuncts read only detail rows and X columns that existed at round k,
+// which X never rewrites. So round k′ ships site i only the rows it reported
+// (Thm. 4 with the observed answers as φ_i).
+type groupReduceObservedRule struct{}
+
+func (groupReduceObservedRule) Name() string { return "group-reduce-observed" }
+
+func (groupReduceObservedRule) Applies(c *Context) (bool, string, error) {
+	if !c.plan.operatorRounds() {
+		return false, "no coordinator-driven operator rounds to reduce", nil
+	}
+	if observedSources(c.plan) != nil {
+		return true, "", nil
+	}
+	for _, r := range c.plan.Steps {
+		if r.Guard {
+			return false, "no operator round's conditions contain an earlier guarded round's", nil
+		}
+	}
+	return false, "no guarded operator round to observe", nil
+}
+
+func (groupReduceObservedRule) Apply(c *Context) (string, error) {
+	p := c.plan
+	src := observedSources(p)
+	derived := 0
+	for i, k := range src {
+		if k > 0 {
+			p.Steps[i].Observed = k
+			derived++
+		}
+	}
+	return fmt.Sprintf("observed reduction for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
+}
+
+// observedSources returns, per round of p, the UpTo of the latest earlier
+// guarded operator round whose answers bound it (0 for none), or nil when no
+// round has one. The latest source is the tightest: its own fragments were
+// already bounded by any earlier source that contains it.
+func observedSources(p *Plan) []int {
+	var src []int
+	for i, r := range p.Steps {
+		if r.Kind != RoundOperator {
+			continue
+		}
+		op := p.Query.Ops[r.UpTo-1]
+		for j := i - 1; j >= 0; j-- {
+			e := p.Steps[j]
+			if e.Kind != RoundOperator || !e.Guard || !containsConditions(op, p.Query.Ops[e.UpTo-1]) {
+				continue
+			}
+			if src == nil {
+				src = make([]int, len(p.Steps))
+			}
+			src[i] = e.UpTo
+			break
+		}
+	}
+	return src
+}
+
+// containsConditions reports whether a row matching some grouping variable
+// of later also matches some grouping variable of earlier, read off the
+// conditions' text: both read the same detail relation, and every variable
+// of later has, among its top-level conjuncts, all those of one variable of
+// earlier. Conjuncts compare by their canonical text, which keeps literal
+// kinds apart (2 is not 2.0).
+func containsConditions(later, earlier gmdj.Operator) bool {
+	if later.Detail != earlier.Detail {
+		return false
+	}
+	for _, lv := range later.Vars {
+		have := make(map[string]bool)
+		for _, e := range expr.Conjuncts(lv.Cond) {
+			have[e.String()] = true
+		}
+		holds := func(ev gmdj.GroupVar) bool {
+			for _, e := range expr.Conjuncts(ev.Cond) {
+				if !have[e.String()] {
+					return false
+				}
+			}
+			return true
+		}
+		if !slices.ContainsFunc(earlier.Vars, holds) {
+			return false
+		}
+	}
+	return true
 }

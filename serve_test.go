@@ -10,6 +10,7 @@ import (
 
 	"skalla/internal/flow"
 	"skalla/internal/obs"
+	"skalla/internal/relation"
 )
 
 const (
@@ -335,5 +336,50 @@ func TestServePostprocessLeavesCachedRows(t *testing.T) {
 	}
 	if again.Format(-1) != cold.Format(-1) {
 		t.Errorf("the cached rows changed after an ORDER BY / LIMIT hit:\n%s\nwant:\n%s", again.Format(-1), cold.Format(-1))
+	}
+}
+
+// An INT and a FLOAT literal of one value are different statements: R.x * 2
+// wraps where R.x * 2.0 does not. Served one after the other, each gets its
+// own result, not the other's from the result cache.
+func TestServedIntAndFloatLiteralsKeepTheirResults(t *testing.T) {
+	cl, err := NewLocalCluster(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+	schema := relation.MustSchema(
+		relation.Column{Name: "k", Kind: relation.KindInt},
+		relation.Column{Name: "x", Kind: relation.KindInt},
+	)
+	parts := []*Relation{relation.New(schema), relation.New(schema)}
+	parts[0].MustAppend(Tuple{NewInt(1), NewInt(1)})
+	parts[1].MustAppend(Tuple{NewInt(1), NewInt(1<<62 + 5)}) // x * 2 wraps negative
+	if err := cl.LoadPartitions(context.Background(), "T", parts); err != nil {
+		t.Fatal(err)
+	}
+	srv, err := Serve(cl, "127.0.0.1:0", ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	c, err := DialQueryServer(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for _, tc := range []struct {
+		lit  string
+		want int64
+	}{{"2.0", 2}, {"2", 1}, {"2.0", 2}} {
+		stmt := "SELECT k, COUNT(*) AS cnt FROM T GROUP BY k HAVING EACH x * " + tc.lit + " > 0"
+		rel, _, err := c.Query(context.Background(), stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		j := rel.Schema.MustIndex("matching")
+		if rel.Len() != 1 || rel.Value(0, j).Int != tc.want {
+			t.Errorf("%s: %s, want matching = %d", stmt, rel.Format(5), tc.want)
+		}
 	}
 }
