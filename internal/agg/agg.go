@@ -393,35 +393,43 @@ func (l *Layout) AppendDerived(dst, phys relation.Tuple) relation.Tuple {
 }
 
 func (d Derived) compute(phys relation.Tuple) relation.Value {
-	switch d.Kind {
-	case DerivedAvg:
-		return avgOf(phys[d.SumIdx], phys[d.CntIdx])
-	case DerivedVariance, DerivedStdDev:
-		v := varianceOf(phys[d.SumIdx], phys[d.SumSqIdx], phys[d.CntIdx])
-		if d.Kind == DerivedStdDev && !v.IsNull() {
-			return relation.NewFloat(math.Sqrt(v.Float))
-		}
-		return v
-	default:
-		return relation.Null
+	sumsq := relation.Null
+	if d.SumSqIdx >= 0 {
+		sumsq = phys[d.SumSqIdx]
 	}
+	return d.Of(phys[d.SumIdx], sumsq, phys[d.CntIdx])
 }
 
-// varianceOf computes the population variance sumsq/n - (sum/n)^2, clamped
-// at zero against floating-point cancellation.
-func varianceOf(sum, sumsq, cnt relation.Value) relation.Value {
-	if sum.IsNull() || sumsq.IsNull() || cnt.IsNull() || cnt.Int == 0 {
+// Of finalizes d over its operand cells — the sum, the sum of squares (read
+// by VARIANCE and STDEV only) and the count: NULL over an empty range (an
+// operand NULL or a zero count), else Finish over their numeric values.
+func (d Derived) Of(sum, sumsq, cnt relation.Value) relation.Value {
+	if sum.IsNull() || cnt.IsNull() || cnt.Int == 0 || d.Kind != DerivedAvg && sumsq.IsNull() {
 		return relation.Null
 	}
 	sf, _ := sum.AsFloat()
 	qf, _ := sumsq.AsFloat()
-	n := float64(cnt.Int)
-	mean := sf / n
-	v := qf/n - mean*mean
+	return relation.NewFloat(d.Finish(sf, qf, cnt.Int))
+}
+
+// Finish finalizes d over a non-empty range: the mean sum/cnt, or the
+// population variance sumsq/cnt − mean², clamped at zero against
+// floating-point cancellation, or its square root. It is the one place these
+// are computed, so every caller gets the same bits.
+func (d Derived) Finish(sum, sumsq float64, cnt int64) float64 {
+	n := float64(cnt)
+	mean := sum / n
+	if d.Kind == DerivedAvg {
+		return mean
+	}
+	v := sumsq/n - mean*mean
 	if v < 0 {
 		v = 0
 	}
-	return relation.NewFloat(v)
+	if d.Kind == DerivedStdDev {
+		return math.Sqrt(v)
+	}
+	return v
 }
 
 // FinalSchema returns the logical output schema: one column per spec, in
@@ -446,13 +454,11 @@ func (l *Layout) Finalize(phys relation.Tuple) relation.Tuple {
 		loc := l.specPhys[i]
 		switch sp.Func {
 		case Avg:
-			out[i] = avgOf(phys[loc[0]], phys[loc[1]])
-		case Variance, StdDev:
-			v := varianceOf(phys[loc[0]], phys[loc[2]], phys[loc[1]])
-			if sp.Func == StdDev && !v.IsNull() {
-				v = relation.NewFloat(math.Sqrt(v.Float))
-			}
-			out[i] = v
+			out[i] = Derived{Kind: DerivedAvg}.Of(phys[loc[0]], relation.Null, phys[loc[1]])
+		case Variance:
+			out[i] = Derived{Kind: DerivedVariance}.Of(phys[loc[0]], phys[loc[2]], phys[loc[1]])
+		case StdDev:
+			out[i] = Derived{Kind: DerivedStdDev}.Of(phys[loc[0]], phys[loc[2]], phys[loc[1]])
 		default:
 			out[i] = phys[loc[0]]
 		}
@@ -504,12 +510,4 @@ func maxValue(a, b relation.Value) relation.Value {
 		return a
 	}
 	return b
-}
-
-func avgOf(sum, cnt relation.Value) relation.Value {
-	if sum.IsNull() || cnt.IsNull() || cnt.Int == 0 {
-		return relation.Null
-	}
-	sf, _ := sum.AsFloat()
-	return relation.NewFloat(sf / float64(cnt.Int))
 }

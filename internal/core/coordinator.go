@@ -338,7 +338,8 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // Thm. 4 when a reducer is available, and to the rows the site reported in
 // the round r.Observed names — to each site, the sites compute
 // sub-aggregates (guard-filtered per Prop. 1 when enabled), and the
-// coordinator synchronizes the H_i into X.
+// coordinator synchronizes the H_i into X. A site whose fragment holds no row
+// gets no call: its H_i is empty, and its empty stage commits as any other.
 //
 // Synchronization is streaming (Sect. 3.2) and fault-tolerant: each site's
 // H_i blocks — as they arrive, while slower sites are still computing — are
@@ -385,6 +386,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	ready := make([]chan *hStage, len(c.sites))
 	calls := make([]stats.Call, len(c.sites))
 	errs := make([]error, len(c.sites))
+	skipped := make([]bool, len(c.sites))
 	for i, s := range c.sites {
 		ready[i] = make(chan *hStage, 1)
 		go func(i int, s transport.Site) {
@@ -412,6 +414,14 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			case observed != nil && len(observed[i]) < x.Len():
 				kept = observed[i]
 				frag = mg.Fragment(cols, kept)
+			}
+			if frag.Len() == 0 {
+				// No X row for the site to match: its H_i is empty without
+				// asking, and its empty stage commits as any other, so a later
+				// observed reduction ships it nothing either.
+				skipped[i] = true
+				ready[i] <- mg.NewStage(k, 0, kept)
+				return
 			}
 			req := engine.OperatorRequest{
 				Base:      frag,
@@ -485,9 +495,9 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	coordTime += time.Since(t0)
 	// A site whose errs entry is set made no successful call: its failed
 	// attempts are already on the span (withRetry), or it failed before
-	// calling (a reducer error).
+	// calling (a reducer error). A skipped site made none at all.
 	for i, call := range calls {
-		if errs[i] == nil {
+		if errs[i] == nil && !skipped[i] {
 			rs.Call(call)
 		}
 	}

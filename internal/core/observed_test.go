@@ -97,6 +97,7 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 		keys []string
 		rows [][3]int64
 		sel  plan.Selection
+		idle int // sites MD2 ships no row
 	}{
 		{
 			name: "single-row match",
@@ -115,7 +116,8 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 				{0, 1, 10}, {1, 2, 20}, {4, 1, 30}, {5, 3, 40},
 				{8, 9, 1}, {9, 9, 2}, {10, 8, 3},
 			},
-			sel: plan.SelectRules("group-reduce-site", "group-reduce-observed"),
+			sel:  plan.SelectRules("group-reduce-site", "group-reduce-observed"),
+			idle: 1,
 		},
 		{
 			name: "with Thm. 4 reducers",
@@ -150,10 +152,15 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 				t.Fatalf("MD2 does not observe MD1:\n%s", res.Plan.Describe())
 			}
 			wantRows := touchedPerSite(global, tc.keys, 3, 4)
-			for _, call := range res.Metrics.Rounds[len(res.Metrics.Rounds)-1].Calls {
+			calls := res.Metrics.Rounds[len(res.Metrics.Rounds)-1].Calls
+			for _, call := range calls {
 				if call.RowsDown != wantRows[call.Site] {
 					t.Errorf("MD2 shipped site %d %d row(s), want %d", call.Site, call.RowsDown, wantRows[call.Site])
 				}
+			}
+			// A site with no row to match gets no call at all.
+			if len(calls) != len(wantRows)-tc.idle {
+				t.Errorf("MD2 made %d call(s), want one per site but the %d with no row", len(calls), tc.idle)
 			}
 		})
 	}

@@ -3,7 +3,10 @@ package core
 import (
 	"errors"
 	"fmt"
+	"hash/maphash"
+	"math"
 	"math/bits"
+	"slices"
 
 	"skalla/internal/agg"
 	"skalla/internal/engine"
@@ -65,8 +68,6 @@ type merger struct {
 
 	x        *relation.Relation
 	keyIdx   []int              // key column positions within x
-	keyPos   []int              // 0..len(keys)-1: key's positions within itself
-	key      relation.Tuple     // scratch: the key cells keyOf boxed last
 	table    *relation.KeyTable // X's rows by key; nil unless InitLocal built it
 	extended int                // number of operators whose columns exist in x
 
@@ -97,11 +98,7 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 	if err != nil {
 		return nil, err
 	}
-	keyPos := make([]int, len(keys))
-	for i := range keyPos {
-		keyPos[i] = i
-	}
-	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx, keyPos: keyPos,
+	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx,
 		touched: make([][][]int32, len(segs)), budget: budget}, nil
 }
 
@@ -133,22 +130,89 @@ func (m *merger) RecordTouched(k, site int, st *hStage) error {
 // reported (nil unless KeepTouched asked for them). Read-only.
 func (m *merger) Touched(k int) [][]int32 { return m.touched[k] }
 
-// keyOf boxes row i's key cells of r, whose schema starts like X's, into m.key
-// and returns their hash.
-func (m *merger) keyOf(r *relation.Relation, i int) uint64 {
-	m.key = m.key[:0]
-	for _, j := range m.keyIdx {
-		m.key = append(m.key, r.Value(i, j))
-	}
-	return m.key.KeyHash(m.keyPos)
+// keySeed seeds the hash of STRING key cells.
+var keySeed = maphash.MakeSeed()
+
+// hashCell mixes one key cell's hash c into a row's running hash h.
+func hashCell(h, c uint64) uint64 {
+	h = (h ^ c) * 0x9E3779B97F4A7C15
+	return h ^ h>>29
 }
 
-// sameKey reports whether row i of r holds the key keyOf boxed last. Cells
-// compare by identity, so NULL, −0 and NaN keys group as Tuple.Key groups them.
-func (m *merger) sameKey(r *relation.Relation, i int) bool {
-	for c, j := range m.keyIdx {
-		if !r.Value(i, j).Identical(m.key[c]) {
-			return false
+// cellHash is the hash of a key cell. Identical cells hash alike however
+// their vectors hold them: keyHashes' typed loops give a canonical cell the
+// hash this gives it boxed.
+func cellHash(v relation.Value) uint64 {
+	switch v.Kind {
+	case relation.KindNull:
+		return 0
+	case relation.KindFloat:
+		return intHash(relation.KindFloat, int64(math.Float64bits(v.Float)))
+	case relation.KindString:
+		return maphash.String(keySeed, v.Str)
+	}
+	return intHash(v.Kind, v.Int)
+}
+
+func intHash(kind relation.Kind, x int64) uint64 {
+	return uint64(x)*0xBF58476D1CE4E5B9 + uint64(kind)
+}
+
+// keyHashes returns, in h (grown as needed), the hash of each row's key cells
+// of c, whose schema starts like X's: a column at a time, each in a loop over
+// its slab, or over its cells when it is boxed.
+func (m *merger) keyHashes(c *relation.Columns, h []uint64) []uint64 {
+	h = slices.Grow(h[:0], c.Rows)[:c.Rows]
+	clear(h)
+	for _, j := range m.keyIdx {
+		v := &c.Vecs[j]
+		for i := range h {
+			var cell uint64
+			switch {
+			case v.Boxed:
+				cell = cellHash(v.Vals[i])
+			case v.Null(i):
+			case v.Kind == relation.KindInt:
+				cell = intHash(relation.KindInt, v.Ints[i])
+			case v.Kind == relation.KindFloat:
+				cell = intHash(relation.KindFloat, int64(math.Float64bits(v.Floats[i])))
+			case v.Kind == relation.KindString:
+				cell = maphash.String(keySeed, v.Dict[v.Codes[i]])
+			}
+			h[i] = hashCell(h[i], cell)
+		}
+	}
+	return h
+}
+
+// sameKey reports whether row i of a and row j of b, both of X's key
+// columns, hold identical key cells: compared on the slabs where both vectors
+// are typed, and cell by cell (relation.Value.Identical) where either is
+// boxed, so NULL, −0 and NaN keys group as Identical groups them.
+func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int) bool {
+	for _, k := range m.keyIdx {
+		u, v := &a.Vecs[k], &b.Vecs[k]
+		switch {
+		case u.Boxed || v.Boxed:
+			if !u.Value(i).Identical(v.Value(j)) {
+				return false
+			}
+		case u.Null(i) || v.Null(j):
+			if u.Null(i) != v.Null(j) {
+				return false
+			}
+		case u.Kind == relation.KindInt:
+			if u.Ints[i] != v.Ints[j] {
+				return false
+			}
+		case u.Kind == relation.KindFloat:
+			if math.Float64bits(u.Floats[i]) != math.Float64bits(v.Floats[j]) {
+				return false
+			}
+		case u.Kind == relation.KindString:
+			if u.Dict[u.Codes[i]] != v.Dict[v.Codes[j]] {
+				return false
+			}
 		}
 	}
 	return true
@@ -156,62 +220,103 @@ func (m *merger) sameKey(r *relation.Relation, i int) bool {
 
 // InitBase installs the synchronized base-values relation: the multiset
 // union of the sites' B_i fragments, de-duplicated on the key attributes —
-// the first occurrence of a key, in site then row order, is kept. The kept
-// rows are gathered straight into X's vectors. X's bytes are charged before
-// any of it is allocated; a charge over budget leaves X uninstalled.
+// the first occurrence of a key, in site then row order, is kept. Keys are
+// hashed and compared on the fragments' vectors (keyHashes, sameKey), and the
+// kept rows are gathered column by column straight into X's vectors. X's
+// bytes are charged before any of it is allocated; a charge over budget
+// leaves X uninstalled.
 func (m *merger) InitBase(parts ...*relation.Relation) error {
 	schema := m.xschemas[0]
-	// X holds at least as many keys as the largest fragment.
-	largest := 0
-	for _, b := range parts {
+	// X holds at least as many keys as the largest fragment, and at most as
+	// many as all of them.
+	largest, total := 0, 0
+	cols := make([]*relation.Columns, len(parts))
+	for p, b := range parts {
 		if !b.Schema.Equal(schema) {
 			return fmt.Errorf("core: base schema %s, want %s", b.Schema, schema)
 		}
-		largest = max(largest, b.Len())
+		largest, total = max(largest, b.Len()), total+b.Len()
+		cols[p] = b.Columns()
 	}
 	type rowAt struct{ part, row int32 }
-	kept := make([]rowAt, 0, largest)
+	kept := make([]rowAt, 0, total)
 	table := relation.NewKeyTable(largest)
-	same := func(n int) bool { return m.sameKey(parts[kept[n].part], int(kept[n].row)) }
-	for p, b := range parts {
-		for i := 0; i < b.Len(); i++ {
-			if h := m.keyOf(b, i); table.Find(h, same) < 0 {
-				table.Insert(h, len(kept))
+	hashes := make([]uint64, 0, largest)
+	var (
+		c *relation.Columns
+		i int
+	)
+	same := func(n int) bool { return m.sameKey(cols[kept[n].part], int(kept[n].row), c, i) }
+	for p := range parts {
+		c = cols[p]
+		hashes = m.keyHashes(c, hashes)
+		for i = 0; i < c.Rows; i++ {
+			if table.Find(hashes[i], same) < 0 {
+				table.Insert(hashes[i], len(kept))
 				kept = append(kept, rowAt{int32(p), int32(i)})
 			}
 		}
 	}
 
+	// A column boxes when Set would box it: it is a BOOL, or a kept cell is
+	// not the canonical Value of its kind.
 	n, w := len(kept), len(schema)
 	bytes := int64(relation.TupleMemBytes * w)
 	nonNull := make([]int, w)
+	boxed := make([]bool, w)
 	for j, col := range schema {
-		boxed := col.Kind == relation.KindBool
+		boxed[j] = col.Kind == relation.KindBool
 		for _, at := range kept {
-			if v := parts[at.part].Value(int(at.row), j); !v.IsNull() {
+			src, row := &cols[at.part].Vecs[j], int(at.row)
+			switch {
+			case src.Boxed:
+				cell := src.Vals[row]
+				if !cell.IsNull() {
+					nonNull[j]++
+				}
+				bytes += int64(len(cell.Str))
+				boxed[j] = boxed[j] || !relation.Typed(cell, col.Kind)
+			case src.Null(row):
+			case col.Kind == relation.KindString:
 				nonNull[j]++
-				bytes += int64(len(v.Str))
-				boxed = boxed || !relation.Typed(v, col.Kind)
+				bytes += int64(len(src.Dict[src.Codes[row]]))
+			default:
+				nonNull[j]++
 			}
 		}
-		bytes += vectorBytes(col.Kind, n, nonNull[j], boxed)
+		bytes += vectorBytes(col.Kind, n, nonNull[j], boxed[j])
 	}
 	if err := m.budget.charge(bytes); err != nil {
 		return err
 	}
 
-	c := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
+	x := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
 	for j, col := range schema {
-		v := relation.NewVector(col.Kind, n)
-		if col.Kind == relation.KindString {
+		v := &x.Vecs[j]
+		switch *v = relation.NewVector(col.Kind, n); {
+		case boxed[j] && !v.Boxed:
+			*v = relation.Vector{Kind: col.Kind, Boxed: true, Vals: make([]relation.Value, n)}
+		case col.Kind == relation.KindString:
 			v.Dict = make([]string, 0, nonNull[j])
 		}
 		for r, at := range kept {
-			v.Set(r, n, parts[at.part].Value(int(at.row), j))
+			src, row := &cols[at.part].Vecs[j], int(at.row)
+			switch {
+			case v.Boxed || src.Boxed:
+				v.Set(r, n, src.Value(row))
+			case src.Null(row):
+				v.SetNull(r, n)
+			case col.Kind == relation.KindInt:
+				v.Ints[r] = src.Ints[row]
+			case col.Kind == relation.KindFloat:
+				v.Floats[r] = src.Floats[row]
+			case col.Kind == relation.KindString:
+				v.Codes[r] = uint32(len(v.Dict))
+				v.Dict = append(v.Dict, src.Dict[src.Codes[row]])
+			}
 		}
-		c.Vecs[j] = v
 	}
-	m.x, m.table, m.extended = relation.FromColumns(schema, c), nil, 0
+	m.x, m.table, m.extended = relation.FromColumns(schema, x), nil, 0
 	return nil
 }
 
@@ -276,9 +381,17 @@ func (m *merger) Extend() error {
 	c := m.x.Columns()
 	vecs := append(c.Vecs[:w:w], make([]relation.Vector, len(ident))...)
 	for j, val := range ident {
+		// An identity cell is NULL or COUNT's 0, which the zeroed INT slab
+		// already holds; a NULL one sets every bit of the bitmap.
 		v := relation.NewVector(schema[w+j].Kind, n)
-		for i := 0; i < n; i++ {
-			v.Set(i, n, val)
+		if val.IsNull() && n > 0 {
+			v.Nulls = make([]uint64, (n+63)/64)
+			for i := range v.Nulls {
+				v.Nulls[i] = ^uint64(0)
+			}
+			if n%64 != 0 {
+				v.Nulls[len(v.Nulls)-1] = 1<<(n%64) - 1
+			}
 		}
 		vecs[w+j] = v
 	}
@@ -500,7 +613,7 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 		hc := b.Columns()
 		to := hc.Vecs[0].Ints
 		if st.rows != nil {
-			mapped = mapped[:0]
+			mapped = slices.Grow(mapped[:0], len(to))
 			for _, ord := range to {
 				mapped = append(mapped, int64(st.rows[ord]))
 			}
@@ -575,18 +688,19 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 	}
 	before := m.x.MemBytes()
 	xc, lc := m.x.Columns(), xl.Columns()
-	same := func(row int) bool { return m.sameKey(m.x, row) }
+	hashes := m.keyHashes(lc, nil)
+	var i int
+	same := func(row int) bool { return m.sameKey(xc, row, lc, i) }
 	// to[i] is the X row local row i folds into: -1 for a new key, whose row
 	// is appended as it is.
 	to := make([]int64, xl.Len())
-	for i := range to {
-		h := m.keyOf(xl, i)
-		row := m.table.Find(h, same)
+	for i = range to {
+		row := m.table.Find(hashes[i], same)
 		if row < 0 {
 			for j := range xc.Vecs {
 				xc.Vecs[j].Append(xc.Rows, lc.Vecs[j].Value(i))
 			}
-			m.table.Insert(h, xc.Rows)
+			m.table.Insert(hashes[i], xc.Rows)
 			xc.Rows++
 		}
 		to[i] = int64(row)
@@ -610,27 +724,45 @@ func (m *merger) MergeLocal(xl *relation.Relation) error {
 // RecomputeDerived refreshes the derived (AVG, VARIANCE, STDEV) columns of
 // operators [from, upTo) for every row; called after each synchronization,
 // for the operators whose physical cells it changed, so subsequent conditions
-// and the final output see correct averages.
+// and the final output see correct averages. A derived column is computed
+// from its operands' slabs through agg.Derived.Finish, and cell by cell
+// (agg.Derived.Of) where a vector it reads or writes is boxed.
 func (m *merger) RecomputeDerived(from, upTo int) {
 	c := m.x.Columns()
-	var phys, der relation.Tuple
+	n := c.Rows
 	for k := from; k < upTo; k++ {
 		for _, seg := range m.segs[k] {
-			if len(seg.layout.Derived) == 0 {
-				continue
-			}
-			for i := 0; i < c.Rows; i++ {
-				phys = phys[:0]
-				for p := range seg.layout.Phys {
-					phys = append(phys, c.Vecs[seg.physStart+p].Value(i))
+			for d, der := range seg.layout.Derived {
+				sum, cnt, out := &c.Vecs[seg.physStart+der.SumIdx], &c.Vecs[seg.physStart+der.CntIdx], &c.Vecs[seg.derStart+d]
+				sumsq := sum // AVG reads no sum of squares
+				if der.SumSqIdx >= 0 {
+					sumsq = &c.Vecs[seg.physStart+der.SumSqIdx]
 				}
-				der = seg.layout.AppendDerived(der[:0], phys)
-				for d, val := range der {
-					c.Vecs[seg.derStart+d].Set(i, c.Rows, val)
+				cells := sum.Boxed || sumsq.Boxed || cnt.Boxed || out.Boxed
+				for i := 0; i < n; i++ {
+					switch {
+					case cells:
+						out.Set(i, n, der.Of(sum.Value(i), sumsq.Value(i), cnt.Value(i)))
+					case sum.Null(i) || sumsq.Null(i) || cnt.Null(i) || cnt.Ints[i] == 0:
+						out.SetNull(i, n)
+					default:
+						out.Floats[i] = der.Finish(floatAt(sum, i), floatAt(sumsq, i), cnt.Ints[i])
+						if out.Nulls != nil {
+							out.Nulls[i>>6] &^= 1 << (uint(i) & 63)
+						}
+					}
 				}
 			}
 		}
 	}
+}
+
+// floatAt is row i of a typed, non-NULL INT or FLOAT vector as a float.
+func floatAt(v *relation.Vector, i int) float64 {
+	if v.Kind == relation.KindInt {
+		return float64(v.Ints[i])
+	}
+	return v.Floats[i]
 }
 
 // Finalize projects X onto the logical output columns, sharing a columnar

@@ -799,8 +799,39 @@ func (t *pairTable) fold(g, ids []uint32) {
 
 // linkPatterns sorts the nx X rows into patterns — only the ones X holds
 // exist — leaving out the rows that can match nothing, and groups each
-// pattern's rows on the links it is matched on.
+// pattern's rows on the links it is matched on. Without a rollup link every
+// row is matched on every link, so the rows that can match form one pattern.
 func linkPatterns(stages []linkStage, nx int) []linkPattern {
+	rollup := false
+	for s := range stages {
+		rollup = rollup || stages[s].rollup
+	}
+	if !rollup {
+		xrows := make([]int32, 0, nx)
+	live:
+		for bi := 0; bi < nx; bi++ {
+			for s := range stages {
+				if stages[s].xids[bi] == noID {
+					continue live
+				}
+			}
+			xrows = append(xrows, int32(bi))
+		}
+		if len(xrows) == 0 {
+			return nil
+		}
+		on := make([]int, len(stages))
+		for s := range on {
+			on[s] = s
+		}
+		return []linkPattern{linkGroups(stages, on, xrows)}
+	}
+	return maskPatterns(stages, nx)
+}
+
+// maskPatterns is linkPatterns under rollup links: each row's pattern is the
+// set of rollup links it holds NULL in, its mask.
+func maskPatterns(stages []linkStage, nx int) []linkPattern {
 	// Bit r of a row's mask is its NULL in the r-th rollup link.
 	masks := newIntTable(8)
 	var members [][]int32 // per pattern, its X rows

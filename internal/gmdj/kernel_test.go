@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -940,6 +941,34 @@ func TestKernelQuick(t *testing.T) {
 	if compiled != 2*runs {
 		t.Errorf("%d of %d generated evaluations compiled; the property only means something when they do", compiled, 2*runs)
 	}
+}
+
+// TestRollupFreeLinksFormOnePattern: without a rollup link, linkPatterns
+// makes exactly what the mask path makes — one pattern over the X rows every
+// link can match, grouped alike, leaving out a row holding a NULL or a value
+// no detail row holds — and the operator's results equal the scalar path's.
+func TestRollupFreeLinksFormOnePattern(t *testing.T) {
+	detail := kernelDetail(51, 70)
+	x := baseOf(t, detail, "S", "I")
+	x = withRows(x, x.Rows()[0], relation.Tuple{relation.NewString("absent"), relation.NewInt(1)},
+		relation.Tuple{relation.Null, relation.NewInt(2)})
+	cols, err := relation.BuildColumns(detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stages []linkStage
+	for _, k := range []string{"S", "I"} {
+		st, reason := compileLink(x, x.Schema.MustIndex(k), &cols.Vecs[detail.Schema.MustIndex(k)], false)
+		if reason != reasonOK {
+			t.Fatalf("link on %s: %s", k, reason)
+		}
+		stages = append(stages, st)
+	}
+	got, want := linkPatterns(stages, x.Len()), maskPatterns(stages, x.Len())
+	if len(got) != 1 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("rollup-free patterns %+v, the mask path's %+v", got, want)
+	}
+	checkOperator(t, x, oneVar("B.S = R.S && B.I = R.I", allAggs...), detail, reasonOK)
 }
 
 // TestMixedKindLinks pins the hash path to the condition's equality: an INT 1

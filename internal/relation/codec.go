@@ -73,7 +73,9 @@ type ByteScanner interface {
 
 // Encoder writes relations in the Skalla wire format. The schema is emitted
 // inline on the first frame and whenever it changes; in between, frames carry
-// only row data. The zero-allocation steady state reuses one scratch buffer.
+// only row data. The zero-allocation steady state reuses one scratch body,
+// kept across frames and across streams (Reset) up to trustedBody of it, so
+// a connection that once sent a huge block does not hold its buffer.
 type Encoder struct {
 	w         io.Writer
 	schema    Schema
@@ -85,6 +87,13 @@ type Encoder struct {
 
 // NewEncoder creates an encoder writing to w.
 func NewEncoder(w io.Writer) *Encoder { return &Encoder{w: w} }
+
+// Reset starts a new stream on the encoder's writer: the next frame carries
+// its schema inline again and Bytes counts from zero, so the stream's frames
+// are the bytes a fresh Encoder writes. The body buffer is kept.
+func (e *Encoder) Reset() {
+	e.schema, e.hasSchema, e.bytes = nil, false, 0
+}
 
 // Bytes returns the total bytes this encoder has written (frame headers
 // included) — the per-stream counterpart of the process-wide
@@ -106,7 +115,7 @@ func (e *Encoder) Encode(r *Relation) error {
 		e.hasSchema = true
 	}
 	body = appendVectors(body, r.cols)
-	e.body = body[:0] // retain capacity
+	e.body = keepBody(body)
 	n := binary.PutUvarint(e.lenBuf[:], uint64(len(body)))
 	if _, err := e.w.Write(e.lenBuf[:n]); err != nil {
 		return err
@@ -279,6 +288,13 @@ type Decoder struct {
 // NewDecoder creates a decoder reading from r.
 func NewDecoder(r ByteScanner) *Decoder { return &Decoder{frames: FrameReader{r: r}} }
 
+// Reset starts a new stream on the decoder's reader: a frame that reuses a
+// schema before one was sent inline is refused again, as a fresh Decoder
+// refuses it. The body buffer is kept.
+func (d *Decoder) Reset() {
+	d.schema, d.hasSchema = nil, false
+}
+
 // Decode reads one relation frame. It returns io.EOF (possibly wrapped as
 // io.ErrUnexpectedEOF mid-frame) when the stream ends.
 func (d *Decoder) Decode() (*Relation, error) {
@@ -290,8 +306,9 @@ func (d *Decoder) Decode() (*Relation, error) {
 }
 
 // FrameReader reads length-prefixed frames — a uvarint body length, then the
-// body — into one reused buffer. The relation codec's frames and the site
-// protocol's messages are both read through it, under one bound.
+// body — into one reused buffer, kept up to trustedBody of it. The relation
+// codec's frames and the site protocol's messages are both read through it,
+// under one bound.
 type FrameReader struct {
 	r    ByteScanner
 	body []byte
@@ -378,8 +395,18 @@ func (f *FrameReader) readBody(n int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	f.body = body
+	f.body = keepBody(body)
 	return body, nil
+}
+
+// keepBody is what a reused frame buffer keeps of body for the next frame:
+// its capacity, up to trustedBody of it. A larger one is dropped, so one huge
+// frame does not pin its buffer for the rest of the stream or connection.
+func keepBody(body []byte) []byte {
+	if cap(body) > trustedBody {
+		return nil
+	}
+	return body[:0]
 }
 
 // uvarintLen is the encoded size of v as a uvarint.

@@ -11,6 +11,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // codecCases enumerates the representative shapes the wire format must
@@ -294,6 +295,126 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 		if !relIdentical(want, got[i]) {
 			t.Errorf("block %d changed in round trip", i)
 		}
+	}
+}
+
+// streamBlocks is an H_i-like stream: two blocks of n rows each of one
+// schema.
+func streamBlocks(n int) []*Relation {
+	var out []*Relation
+	for b := 0; b < 2; b++ {
+		r := New(MustSchema(Column{"ord", KindInt}, Column{"sum", KindFloat}, Column{"name", KindString}))
+		for i := 0; i < n; i++ {
+			r.MustAppend(Tuple{NewInt(int64(b*n + i)), NewFloat(float64(i) / 7), NewString(fmt.Sprintf("clerk-%d", i))})
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// encodeStream writes blocks through enc after a Reset and returns the bytes.
+func encodeStream(t *testing.T, enc *Encoder, buf *bytes.Buffer, blocks []*Relation) []byte {
+	t.Helper()
+	buf.Reset()
+	enc.Reset()
+	for _, b := range blocks {
+		if err := enc.Encode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return bytes.Clone(buf.Bytes())
+}
+
+// TestEncoderResetStartsAFreshStream: a second and a third stream on one
+// encoder write the bytes a fresh encoder writes — the schema inline again,
+// Bytes counted from zero — into the body buffer the first stream grew.
+// After a frame larger than trustedBody the encoder keeps no buffer.
+func TestEncoderResetStartsAFreshStream(t *testing.T) {
+	blocks := streamBlocks(500)
+	var want bytes.Buffer
+	wantEnc := NewEncoder(&want)
+	for _, b := range blocks {
+		if err := wantEnc.Encode(b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	var body *byte
+	for stream := 1; stream <= 3; stream++ {
+		if got := encodeStream(t, enc, &buf, blocks); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("stream %d: %d bytes differ from a fresh encoder's %d", stream, len(got), want.Len())
+		}
+		if enc.Bytes() != int64(want.Len()) {
+			t.Errorf("stream %d: Bytes() = %d, want %d", stream, enc.Bytes(), want.Len())
+		}
+		if stream > 1 && unsafe.SliceData(enc.body) != body {
+			t.Errorf("stream %d allocated a new body", stream)
+		}
+		body = unsafe.SliceData(enc.body)
+	}
+	if allocs := testing.AllocsPerRun(10, func() { encodeStream(t, enc, &buf, blocks) }); allocs > 2 {
+		// The inline schema's copy and the returned clone.
+		t.Errorf("a warm stream allocates %.0f times", allocs)
+	}
+
+	huge := New(MustSchema(Column{"s", KindString}))
+	huge.MustAppend(Tuple{NewString(string(make([]byte, trustedBody+1)))})
+	encodeStream(t, enc, &buf, []*Relation{huge})
+	if cap(enc.body) > trustedBody {
+		t.Errorf("after a %d-byte frame the encoder keeps %d bytes", trustedBody+1, cap(enc.body))
+	}
+	if got := encodeStream(t, enc, &buf, blocks); !bytes.Equal(got, want.Bytes()) {
+		t.Error("the stream after a huge frame differs from a fresh encoder's")
+	}
+}
+
+// TestDecoderResetStartsAFreshStream: a decoder reset between streams
+// decodes each as a fresh decoder does — refusing a cached-schema frame
+// before an inline one — into the body buffer its first stream grew, and
+// keeps no buffer after a frame larger than trustedBody.
+func TestDecoderResetStartsAFreshStream(t *testing.T) {
+	blocks := streamBlocks(500)
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	stream := encodeStream(t, enc, &buf, blocks)
+	var src bytes.Buffer
+	dec := NewDecoder(&src)
+	var body *byte
+	for n := 1; n <= 3; n++ {
+		src.Write(stream)
+		dec.Reset()
+		for i, want := range blocks {
+			got, err := dec.Decode()
+			if err != nil || !relIdentical(want, got) {
+				t.Fatalf("stream %d block %d: %v", n, i, err)
+			}
+		}
+		if n > 1 && unsafe.SliceData(dec.frames.body) != body {
+			t.Errorf("stream %d allocated a new body", n)
+		}
+		body = unsafe.SliceData(dec.frames.body)
+	}
+
+	// The second frame alone reuses a schema this stream never sent.
+	_, first := binary.Uvarint(stream)
+	ln, _ := binary.Uvarint(stream)
+	src.Write(stream[first+int(ln):])
+	dec.Reset()
+	if _, err := dec.Decode(); err == nil {
+		t.Error("a reset decoder accepted a cached-schema frame before any schema")
+	}
+
+	huge := New(MustSchema(Column{"s", KindString}))
+	huge.MustAppend(Tuple{NewString(string(make([]byte, trustedBody+1)))})
+	src.Reset()
+	src.Write(encodeStream(t, enc, &buf, []*Relation{huge}))
+	dec.Reset()
+	if got, err := dec.Decode(); err != nil || !relIdentical(huge, got) {
+		t.Fatalf("huge frame: %v", err)
+	}
+	if cap(dec.frames.body) > trustedBody {
+		t.Errorf("after a %d-byte frame the decoder keeps %d bytes", trustedBody+1, cap(dec.frames.body))
 	}
 }
 

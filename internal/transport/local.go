@@ -26,10 +26,13 @@ type LocalSite struct {
 
 	mu sync.Mutex
 	// downBuf and upBuf emulate the two directions of one connection, each
-	// read through a frame reader as the connection's ends read it.
+	// read through a frame reader as the connection's ends read it; enc and
+	// dec are the connection's block encoder and decoder, as on TCP.
 	downBuf, upBuf bytes.Buffer
 	down, up       *relation.FrameReader
 	w              *bufio.Writer // the site's end of upBuf
+	enc            *relation.Encoder
+	dec            *relation.Decoder
 }
 
 // NewLocalSite wraps a backend (a site engine, or a wrapper of one).
@@ -39,6 +42,7 @@ func NewLocalSite(site Backend) *LocalSite {
 	l.down = relation.NewFrameReader(&l.downBuf)
 	l.up = relation.NewFrameReader(&l.upBuf)
 	l.w = bufio.NewWriter(&l.upBuf)
+	l.enc, l.dec = relation.NewEncoder(l.w), relation.NewDecoder(&l.upBuf)
 	return l
 }
 
@@ -59,7 +63,7 @@ func (l *LocalSite) sendLocked(ctx context.Context, req *Request, sent func() er
 	if err != nil {
 		return down, fmt.Errorf("transport: decode request: %w", err)
 	}
-	return down, serve(ctx, l.site, l.w, decReq, sent)
+	return down, serve(ctx, l.site, l.w, l.enc, decReq, sent)
 }
 
 // roundTrip serializes the request, decodes it into a fresh value (as the
@@ -103,12 +107,12 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	defer l.mu.Unlock()
 	wireReq := &Request{Kind: KindOperator, Operator: &req}
 	call := stats.Call{Site: l.site.ID(), RowsDown: baseRows(&req), Start: time.Now(), Attempt: stampTraceContext(ctx, wireReq)}
-	dec := relation.NewDecoder(&l.upBuf)
+	l.dec.Reset()
 	down, err := l.sendLocked(ctx, wireReq, func() error {
 		// upBuf holds the block's marker and frame.
 		call.BytesUp += l.upBuf.Len()
 		_, _ = l.upBuf.ReadByte()
-		block, err := dec.Decode()
+		block, err := l.dec.Decode()
 		if err != nil {
 			return err
 		}

@@ -152,7 +152,9 @@ func (s *Server) handle(rawConn net.Conn) {
 		log.Debug("peer does not open with a hello")
 		return
 	}
-	frames := relation.NewFrameReader(br)
+	// One frame reader and one block encoder per connection: every request
+	// and every operator stream on it reuses their buffers.
+	frames, enc := relation.NewFrameReader(br), relation.NewEncoder(bw)
 	for {
 		r0, w0 := conn.read, conn.written
 		req, err := readRequest(frames)
@@ -171,7 +173,7 @@ func (s *Server) handle(rawConn net.Conn) {
 			}
 		default:
 			// An unknown kind's frame was read whole: it gets an error reply.
-			err = serve(ctx, s.site, bw, req, nil)
+			err = serve(ctx, s.site, bw, enc, req, nil)
 		}
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
@@ -184,12 +186,14 @@ func (s *Server) handle(rawConn net.Conn) {
 
 // serve answers one request on w: a reply, or for an operator request a
 // marker plus a codec frame per H_i block, then the end marker and the
-// operator reply carrying the profile and any evaluation error. Each block is
-// flushed as it is made, then handed to sent (nil on a connection: LocalSite
-// reads each block off its buffer there). A failed block write or sent ends
-// the stream where it is: the end marker and reply are skipped, and serve
-// returns that error instead of failing (and logging) twice.
-func serve(ctx context.Context, site Backend, w *bufio.Writer, req *Request, sent func() error) error {
+// operator reply carrying the profile and any evaluation error. The blocks go
+// through enc, the connection's encoder writing to w, reset for the stream so
+// its frames are a fresh encoder's while its body buffer is reused. Each
+// block is flushed as it is made, then handed to sent (nil on a connection:
+// LocalSite reads each block off its buffer there). A failed block write or
+// sent ends the stream where it is: the end marker and reply are skipped, and
+// serve returns that error instead of failing (and logging) twice.
+func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Encoder, req *Request, sent func() error) error {
 	if req.Kind != KindOperator {
 		if err := writeReply(w, req.Kind, dispatch(ctx, site, req)); err != nil {
 			return err
@@ -199,11 +203,12 @@ func serve(ctx context.Context, site Backend, w *bufio.Writer, req *Request, sen
 	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	var streamErr error
 	profile, evalErr := measure(ctx, func(ctx context.Context) error {
-		rec, blockEnc := obs.RecorderFrom(ctx), relation.NewEncoder(w)
+		rec := obs.RecorderFrom(ctx)
+		enc.Reset()
 		err := site.EvalOperatorBlocks(ctx, *req.Operator, func(block *relation.Relation) error {
 			streamErr = w.WriteByte(opStreamBlock)
 			if streamErr == nil {
-				streamErr = blockEnc.Encode(block)
+				streamErr = enc.Encode(block)
 			}
 			if streamErr == nil {
 				streamErr = w.Flush()
@@ -215,7 +220,7 @@ func serve(ctx context.Context, site Backend, w *bufio.Writer, req *Request, sen
 			}
 			return streamErr
 		})
-		rec.AddCodecBytes(blockEnc.Bytes())
+		rec.AddCodecBytes(enc.Bytes())
 		return err
 	})
 	if streamErr != nil {
@@ -268,7 +273,8 @@ const defaultDialTimeout = 10 * time.Second
 //
 // The client owns one buffered reader over the connection, shared between
 // the envelope's frame reader, the stream markers and the relation codec
-// decoder, none of which reads past the end of its frame.
+// decoder, none of which reads past the end of its frame. The decoder is the
+// connection's, reset for every operator stream, so its body buffer is reused.
 //
 // Any transport error poisons the connection: after a failed exchange the
 // position in the stream is unknown — a reply half read, a block half
@@ -284,6 +290,7 @@ type Client struct {
 	br     *bufio.Reader
 	bw     *bufio.Writer
 	frames *relation.FrameReader
+	dec    *relation.Decoder
 	id     int
 	hasID  bool
 	broken bool
@@ -350,7 +357,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	}
 	c.id, c.hasID = resp.SiteID, true
 	recordCall(callFromSizes(c.id, resp, int(conn.written), int(conn.read)), KindHello, "")
-	c.conn, c.br, c.bw, c.frames = conn, br, bw, frames
+	c.conn, c.br, c.bw, c.frames, c.dec = conn, br, bw, frames, relation.NewDecoder(br)
 	c.broken = false
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(0)
 	return nil
@@ -456,7 +463,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 	var sinkErr error
 	_, call, err := c.call(ctx, &Request{Kind: KindOperator, Operator: &req}, func(call *stats.Call) (*Response, error) {
 		call.RowsDown = baseRows(&req)
-		blockDec := relation.NewDecoder(c.br)
+		c.dec.Reset()
 		for {
 			marker, err := c.br.ReadByte()
 			if err != nil {
@@ -464,7 +471,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 			}
 			switch marker {
 			case opStreamBlock:
-				block, err := blockDec.Decode()
+				block, err := c.dec.Decode()
 				if err != nil {
 					return nil, fmt.Errorf("block: %w", err)
 				}
