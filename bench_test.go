@@ -325,8 +325,10 @@ func BenchmarkSyncMerge(b *testing.B) {
 
 // BenchmarkPlanCompile measures the planner alone: plan.Compile of the
 // dependent two-operator chain on the non-aligned Clerk attribute against the
-// four-site catalog, under no rules, every rule (sync-skip and both group
-// reductions apply), and auto (48 of the 2^6 rule subsets compiled and priced).
+// four-site catalog, under no rules, every rule (sync-skip and
+// group-reduce-site apply; Clerk partitions no site, so group-reduce-coord
+// derives no reducer, and MD2's conditions do not contain MD1's), and auto
+// (one candidate per subset of the three structure rules, 8 in all).
 func BenchmarkPlanCompile(b *testing.B) {
 	cat, err := dataset(b).Catalog(4)
 	if err != nil {

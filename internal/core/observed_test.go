@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
+	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -163,6 +165,38 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 				t.Errorf("MD2 made %d call(s), want one per site but the %d with no row", len(calls), tc.idle)
 			}
 		})
+	}
+}
+
+// skalla_plan_rule_applied_total counts a rule only when it changed the plan.
+// Without a catalog group-reduce-coord derives no Thm. 4 reducer for
+// Example 1, so planning it under all moves every applied rule's series by
+// one and leaves group-reduce-coord's where it was.
+func TestPlanCountsOnlyRulesThatChangedThePlan(t *testing.T) {
+	sites, _ := buildCluster(t, observedGlobal([3]int64{0, 1, 10}, [3]int64{4, 2, 20}), "T", 3, 4, true)
+	coord, err := New(sites, nil, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := make(map[string]int64)
+	for _, name := range plan.RuleNames() {
+		before[name] = obs.PlanRulesApplied.With(name).Value()
+	}
+	pl, err := coord.PlanWith(context.Background(), observedQuery("h"), plan.SelectAll())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Join(pl.Rules, ","); got != "group-reduce-site,group-reduce-observed" {
+		t.Errorf("rules = %s", got)
+	}
+	for _, name := range plan.RuleNames() {
+		want := int64(0)
+		if slices.Contains(pl.Rules, name) {
+			want = 1
+		}
+		if got := obs.PlanRulesApplied.With(name).Value() - before[name]; got != want {
+			t.Errorf("skalla_plan_rule_applied_total{rule=%q} moved by %d, want %d", name, got, want)
+		}
 	}
 }
 

@@ -10,8 +10,8 @@ import (
 
 // planCache is the coordinator's prepared-plan cache. Lookup is keyed by the
 // statement source text plus the rule selection (so a cache hit skips parse
-// and optimize entirely — in auto mode that is the whole candidate
-// enumeration); validity is keyed by (Plan.Fingerprint, catalog generation)
+// and optimize entirely — in auto mode that is every candidate's
+// compilation); validity is keyed by (Plan.Fingerprint, catalog generation)
 // as genLRU describes (the fingerprint itself hashes the generation, so the
 // recompiled plan also gets a new identity). Compiled plans are immutable
 // during execution, so one cached *plan.Plan may be executed by many
@@ -40,9 +40,11 @@ func (c *Coordinator) SetPlanCache(capacity int) { c.plans = newPlanCache(capaci
 func (c *Coordinator) PlanCacheLen() int { return c.plans.len() }
 
 // ExecuteCached evaluates the statement identified by text under sel, reusing
-// the prepared plan cached for (text, sel) when the catalog generation still
-// matches; on a miss, parse produces the query, the plan is compiled (auto
-// mode enumerates its candidates exactly once per cached plan) and stored.
+// the prepared plan cached for (text, sel.String()) when the catalog
+// generation still matches. The selection's text is canonical, so rule lists
+// that differ only in order, or list every rule against all, share an entry.
+// On a miss, parse produces the query, the plan is compiled (auto mode
+// compiles its candidates once per cached plan) and stored.
 // The returned flag reports whether the plan came from the cache. With
 // caching disabled this is parse + ExecuteWith.
 func (c *Coordinator) ExecuteCached(ctx context.Context, text string, sel plan.Selection, parse func() (gmdj.Query, error)) (*Result, bool, error) {

@@ -1,10 +1,14 @@
 package core
 
 import (
+	"context"
+	"math/rand"
 	"testing"
 
+	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/plan"
+	"skalla/internal/stats"
 )
 
 func TestPlanCacheHitMissGeneration(t *testing.T) {
@@ -89,5 +93,38 @@ func TestPlanCacheNilAndSelectionKeying(t *testing.T) {
 	got, ok := real.get(planKey{text: "Q", sel: "none"}, 1)
 	if !ok || got != pNone {
 		t.Fatal("selection is not part of the cache key")
+	}
+}
+
+// The cache keys on the selection's canonical text: a reordered rule list,
+// and a list of every rule against all, compile the same plan, so the second
+// of each pair is a hit.
+func TestPlanCacheKeysOnCanonicalSelection(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	sites, cat := buildCluster(t, randomGlobal(rng, 60, 8), "T", 3, 3, true)
+	coord, err := New(sites, cat, stats.NetModel{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord.SetPlanCache(8)
+	q := chainQuery()
+	parse := func() (gmdj.Query, error) { return q, nil }
+	ctx := context.Background()
+	for _, pair := range [][2]plan.Selection{
+		{plan.SelectRules("sync-skip", "coalesce"), plan.SelectRules("coalesce", "sync-skip")},
+		{plan.SelectAll(), plan.SelectRules(plan.RuleNames()...)},
+	} {
+		for i, sel := range pair {
+			_, hit, err := coord.ExecuteCached(ctx, q.String(), sel, parse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := i == 1; hit != want {
+				t.Errorf("%#v: cache hit %v, want %v", sel, hit, want)
+			}
+		}
+	}
+	if n := coord.PlanCacheLen(); n != 2 {
+		t.Errorf("%d cached plans, want 2", n)
 	}
 }

@@ -2,7 +2,7 @@ package plan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"skalla/internal/distrib"
@@ -19,7 +19,8 @@ const (
 	ModeNone
 	// ModeAll applies every registered rule that is applicable.
 	ModeAll
-	// ModeAuto enumerates rule subsets and picks the cheapest plan under the
+	// ModeAuto compiles one candidate per subset of the structure rules,
+	// each with every annotation rule, and picks the cheapest plan under the
 	// cost model by estimated (rounds, bytes down/up).
 	ModeAuto
 )
@@ -37,7 +38,7 @@ func SelectNone() Selection { return Selection{Mode: ModeNone} }
 // SelectAll applies every applicable rule.
 func SelectAll() Selection { return Selection{Mode: ModeAll} }
 
-// SelectAuto lets the cost model choose the rule subset per query.
+// SelectAuto lets the cost model choose the structure rules per query.
 func SelectAuto() Selection { return Selection{Mode: ModeAuto} }
 
 // SelectRules applies exactly the named rules.
@@ -63,37 +64,44 @@ func ParseSelection(s string) (Selection, error) {
 		}
 		var names []string
 		for _, n := range strings.Split(list, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
+			if n = strings.TrimSpace(n); n != "" {
+				names = append(names, n)
 			}
-			if ruleIndex(n) < 0 {
-				return Selection{}, fmt.Errorf("plan: unknown rule %q (known: %s)",
-					n, strings.Join(RuleNames(), ", "))
-			}
-			names = append(names, n)
 		}
 		if len(names) == 0 {
 			return Selection{}, fmt.Errorf("plan: empty selection %q (want auto|none|all|rules=...)", s)
 		}
-		return SelectRules(names...), nil
+		sel := SelectRules(names...)
+		if _, err := sel.resolve(); err != nil {
+			return Selection{}, err
+		}
+		return sel, nil
 	}
 }
 
-// String renders the selection in the same syntax ParseSelection accepts.
+// String renders the selection canonically, in the syntax ParseSelection
+// accepts: a rule list in registry order without duplicates, the full
+// registry as "all" and the empty set as "none", so two selections that
+// compile the same plans render the same text. A list naming an unknown rule
+// renders as given.
 func (s Selection) String() string {
-	switch s.Mode {
-	case ModeNone:
-		return "none"
-	case ModeAll:
-		return "all"
-	case ModeAuto:
+	if s.Mode == ModeAuto {
 		return "auto"
 	}
-	if len(s.Rules) == 0 {
+	rules, err := s.resolve()
+	switch {
+	case err != nil:
+		return "rules=" + strings.Join(s.Rules, ",")
+	case len(rules) == 0:
 		return "none"
+	case len(rules) == len(registry):
+		return "all"
 	}
-	return "rules=" + strings.Join(s.Rules, ",")
+	names := make([]string, len(rules))
+	for i, r := range rules {
+		names[i] = r.Name()
+	}
+	return "rules=" + strings.Join(names, ",")
 }
 
 // resolve maps the selection to registry rules in canonical order,
@@ -105,48 +113,18 @@ func (s Selection) resolve() ([]Rule, error) {
 	case ModeAll, ModeAuto:
 		return registry, nil
 	}
-	idx := make([]int, 0, len(s.Rules))
-	seen := make(map[int]bool, len(s.Rules))
 	for _, n := range s.Rules {
-		i := ruleIndex(n)
-		if i < 0 {
+		if ruleIndex(n) < 0 {
 			return nil, fmt.Errorf("plan: unknown rule %q (known: %s)", n, strings.Join(RuleNames(), ", "))
 		}
-		if !seen[i] {
-			seen[i] = true
-			idx = append(idx, i)
+	}
+	var rules []Rule
+	for _, r := range registry {
+		if slices.Contains(s.Rules, r.Name()) {
+			rules = append(rules, r)
 		}
 	}
-	sort.Ints(idx)
-	rules := make([]Rule, len(idx))
-	for i, j := range idx {
-		rules[i] = registry[j]
-	}
 	return rules, nil
-}
-
-// label canonicalizes the mode string recorded on compiled plans: a rule
-// list equal to the full registry reads "all", an empty one "none".
-func label(sel Selection, rules []Rule) string {
-	switch sel.Mode {
-	case ModeAuto:
-		return "auto"
-	case ModeAll:
-		return "all"
-	case ModeNone:
-		return "none"
-	}
-	if len(rules) == 0 {
-		return "none"
-	}
-	if len(rules) == len(registry) {
-		return "all"
-	}
-	names := make([]string, len(rules))
-	for i, r := range rules {
-		names[i] = r.Name()
-	}
-	return "rules=" + strings.Join(names, ",")
 }
 
 // RuleTrace records one rule's outcome during compilation: whether it
@@ -191,103 +169,67 @@ func Compile(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites
 	if err != nil {
 		return nil, err
 	}
-	return compileRules(sq, src, cat, numSites, rules, model, label(sel, rules))
+	return compileRules(sq, src, cat, numSites, rules, model, sel.String())
 }
 
-// compileRules runs the deterministic multi-pass driver: each pass tries the
-// not-yet-applied rules in canonical order and re-checks applicability
-// against the rewritten draft; a pass that applies nothing ends the loop, so
-// the driver reaches a fixpoint in at most len(rules) passes.
+// compileRules applies the rules once each, in canonical order. It prices
+// the draft before the first rule and again after each rule that changed it,
+// so an applied rule's Δcost is measured from the previous applied rule's
+// estimate, and the last estimate is the plan's.
 func compileRules(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, rules []Rule, model CostModel, mode string) (*Plan, error) {
 	p := &Plan{Query: q, NumSites: numSites, Steps: baselineSteps(len(q.Ops)), Mode: mode}
 	c := &Context{Src: src, Catalog: cat, NumSites: numSites, Model: model, plan: p}
-
-	traces := make([]RuleTrace, len(rules))
-	for i, r := range rules {
-		traces[i] = RuleTrace{Rule: r.Name()}
-	}
-	for pass := 0; pass <= len(rules); pass++ {
-		progressed := false
-		for i, r := range rules {
-			if traces[i].Applied {
-				continue
-			}
-			ok, why, err := r.Applies(c)
-			if err != nil {
-				return nil, err
-			}
-			if !ok {
-				traces[i].Detail = why
-				continue
-			}
-			before, err := c.estimate()
-			if err != nil {
-				return nil, err
-			}
-			detail, err := r.Apply(c)
-			if err != nil {
-				return nil, err
-			}
-			after, err := c.estimate()
-			if err != nil {
-				return nil, err
-			}
-			traces[i] = RuleTrace{
-				Rule:        r.Name(),
-				Applied:     true,
-				Detail:      detail,
-				DeltaRounds: after.Rounds - before.Rounds,
-				DeltaBytes:  after.TotalBytes() - before.TotalBytes(),
-			}
-			progressed = true
-		}
-		if !progressed {
-			break
-		}
-	}
-
-	p.Trace = traces
-	for _, t := range traces {
-		if t.Applied {
-			p.Rules = append(p.Rules, t.Rule)
-		}
-	}
-	xs, err := c.XSchemas()
+	est, err := c.estimate()
 	if err != nil {
 		return nil, err
 	}
-	p.XSchemas = xs
-	p.Estimate = model.estimate(p, xs, cat)
+	p.Trace = make([]RuleTrace, len(rules))
+	for i, r := range rules {
+		applied, detail, err := r.Apply(c)
+		if err != nil {
+			return nil, err
+		}
+		p.Trace[i] = RuleTrace{Rule: r.Name(), Applied: applied, Detail: detail}
+		if !applied {
+			continue
+		}
+		after, err := c.estimate()
+		if err != nil {
+			return nil, err
+		}
+		p.Trace[i].DeltaRounds = after.Rounds - est.Rounds
+		p.Trace[i].DeltaBytes = after.TotalBytes() - est.TotalBytes()
+		p.Rules = append(p.Rules, r.Name())
+		est = after
+	}
+	p.XSchemas = c.xschemas
+	p.Estimate = est
 	p.Fingerprint = fingerprint(p, cat)
 	p.CatalogGen = cat.Gen()
 	return p, nil
 }
 
-// compileAuto enumerates the subsets of the registry, compiles each, and
-// keeps the cheapest under the cost model. A subset with
-// group-reduce-observed but not group-reduce-site is skipped: the rule reads
-// the guard group-reduce-site sets, so the plan is the one the subset
-// without it compiles (2^6 − 2^4 = 48 candidates). Enumeration order is
-// deterministic (bitmask over canonical rule order) and ties break toward
-// fewer rules, then the lexicographically smaller rule list — so the winner,
-// and therefore its fingerprint, is stable across runs.
+// compileAuto compiles one candidate per subset of the structure rules, each
+// followed by every annotation rule, and keeps the cheapest under the cost
+// model. No annotation raises an estimate (Reducers cap the rows down at |Q|,
+// Guard halves the rows up, Observed halves the rows down), so for a given
+// structure the plan with every applicable annotation is the cheapest, and
+// these 2^3 candidates reach the minimum over all 2^6 rule subsets.
+// Enumeration is a bitmask over canonical rule order and ties break toward
+// fewer rules, then the lexicographically smaller rule list, so the winner,
+// and therefore its fingerprint, is stable across runs. The winner's trace
+// keeps only the rules it applied.
 func compileAuto(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numSites int, model CostModel) (*Plan, error) {
-	n := len(registry)
-	guard, observed := 1<<ruleIndex("group-reduce-site"), 1<<ruleIndex("group-reduce-observed")
 	var best *Plan
-	candidates := 0
-	for mask := 0; mask < 1<<n; mask++ {
-		if mask&observed != 0 && mask&guard == 0 {
-			continue
-		}
-		candidates++
-		subset := make([]Rule, 0, n)
-		for i, r := range registry {
+	candidates := 1 << len(structureRules)
+	for mask := 0; mask < candidates; mask++ {
+		rules := make([]Rule, 0, len(registry))
+		for i, r := range structureRules {
 			if mask&(1<<i) != 0 {
-				subset = append(subset, r)
+				rules = append(rules, r)
 			}
 		}
-		cand, err := compileRules(q, src, cat, numSites, subset, model, "auto")
+		cand, err := compileRules(q, src, cat, numSites, append(rules, annotationRules...), model, "auto")
 		if err != nil {
 			return nil, err
 		}
@@ -295,6 +237,7 @@ func compileAuto(q gmdj.Query, src gmdj.SchemaSource, cat *distrib.Catalog, numS
 			best = cand
 		}
 	}
+	best.Trace = slices.DeleteFunc(best.Trace, func(t RuleTrace) bool { return !t.Applied })
 	best.Candidates = candidates
 	return best, nil
 }

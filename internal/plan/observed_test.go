@@ -73,7 +73,9 @@ func TestObservedReductionPlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(p.Rules, ","); got != "group-reduce-coord,group-reduce-site,group-reduce-observed" {
+	// With no catalog group-reduce-coord derives no reducer, so it is
+	// skipped, not listed as applied.
+	if got := strings.Join(p.Rules, ","); got != "group-reduce-site,group-reduce-observed" {
 		t.Errorf("rules = %s", got)
 	}
 	if len(p.Steps) != 3 || p.Steps[1].Observed != 0 || p.Steps[2].Observed != 1 {
@@ -83,6 +85,7 @@ func TestObservedReductionPlan(t *testing.T) {
 	for _, frag := range []string{
 		"MD1: coordinator-side group reduction: false, site-side guard: true, observed reduction: none",
 		"MD2: coordinator-side group reduction: false, site-side guard: true, observed reduction: from MD1",
+		"rule group-reduce-coord skipped: no operator round has a Thm. 4 reduction",
 		"rule group-reduce-observed applied: observed reduction for 1 of 2 operator round(s)",
 	} {
 		if !strings.Contains(d, frag) {
@@ -128,18 +131,19 @@ func TestObservedReductionPlan(t *testing.T) {
 	}
 }
 
-// Auto mode does not compile the subsets that select group-reduce-observed
-// without group-reduce-site: their plans are those of the subsets without it.
-func TestAutoSkipsObservedWithoutGuard(t *testing.T) {
+// Auto mode compiles one candidate per subset of the three structure rules,
+// each followed by every annotation rule, and Example 1's plan still has MD2
+// observe MD1.
+func TestAutoCompilesEightCandidates(t *testing.T) {
 	p, err := compileFlow(example1Flow(), nil, 4, SelectAuto())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Candidates != 48 {
-		t.Errorf("auto compiled %d candidates, want 48", p.Candidates)
+	if p.Candidates != 8 {
+		t.Errorf("auto compiled %d candidates, want 8", p.Candidates)
 	}
-	if p.Steps[len(p.Steps)-1].Observed == 0 {
-		t.Errorf("auto did not pick the observed reduction:\n%s", p.Describe())
+	if p.Steps[len(p.Steps)-1].Observed != 1 {
+		t.Errorf("auto did not pick the observed reduction from MD1:\n%s", p.Describe())
 	}
 }
 

@@ -4,10 +4,13 @@
 // (internal/core).
 //
 // Since Egil v2, planning is a rule pipeline: each paper optimization is an
-// independent Rule (rules.go) driven to a fixpoint by a deterministic
-// multi-pass driver (driver.go), with per-rule Δcost accounting under a
-// communication CostModel (cost.go) and a canonical plan fingerprint
-// (fingerprint.go). The registered rules, in canonical order:
+// independent Rule (rules.go) with one Apply method, and the driver
+// (driver.go) applies each selected rule once, in canonical order, with
+// per-rule Δcost accounting under a communication CostModel (cost.go) and a
+// canonical plan fingerprint (fingerprint.go). A rule is listed in
+// Plan.Rules only when it changed the query or a Round. The registered rules,
+// in canonical order — three structure rules that decide which rounds exist,
+// then three annotation rules that mark the operator rounds left:
 //
 //   - coalesce: merge adjacent independent MD operators (Sect. 4.3);
 //   - local-prefix: evaluate a partition-aligned operator prefix locally
@@ -24,9 +27,12 @@
 //     reported in that round (Thm. 4 with the guard's answers as φ_i).
 //
 // Callers choose rules with a Selection passed to Compile: none, all, an
-// explicit rule list, or ModeAuto, which picks the rule subset per query by
-// estimated (rounds, bytes down/up). The paper's Sect. 5 switches map onto
-// rule lists (sync reduction is local-prefix plus sync-skip).
+// explicit rule list, or ModeAuto, which compiles each of the 2^3 subsets of
+// the structure rules followed by every annotation rule, and keeps the
+// cheapest by estimated (rounds, bytes down/up). No annotation raises an
+// estimate, so this reaches the minimum over all 2^6 rule subsets. The
+// paper's Sect. 5 switches map onto rule lists (sync reduction is
+// local-prefix plus sync-skip).
 package plan
 
 import (
@@ -73,7 +79,8 @@ type Plan struct {
 	// re-check validity — e.g. before committing a shared result — without
 	// recomputing the hash).
 	CatalogGen uint64
-	// Candidates is the number of plans enumerated (1 except in auto mode).
+	// Candidates is the number of plans auto mode compiled (0 in the other
+	// modes).
 	Candidates int
 }
 

@@ -320,3 +320,37 @@ func TestOperatorRoundEstimateIsTheExchange(t *testing.T) {
 		}
 	}
 }
+
+// A selection renders in one canonical form: its rules in registry order
+// without duplicates, the full registry as all and the empty set as none.
+// The text parses back to a selection that renders the same, and a compiled
+// plan's Mode is that text.
+func TestSelectionStringIsCanonical(t *testing.T) {
+	for _, tc := range []struct {
+		sel  Selection
+		want string
+	}{
+		{SelectRules("sync-skip", "coalesce"), "rules=coalesce,sync-skip"},
+		{SelectRules("coalesce", "sync-skip", "coalesce"), "rules=coalesce,sync-skip"},
+		{SelectRules(RuleNames()...), "all"},
+		{SelectRules(), "none"},
+		{SelectAll(), "all"},
+		{SelectNone(), "none"},
+		{SelectAuto(), "auto"},
+	} {
+		if got := tc.sel.String(); got != tc.want {
+			t.Errorf("%#v renders %q, want %q", tc.sel, got, tc.want)
+		}
+		back, err := ParseSelection(tc.sel.String())
+		if err != nil || back.String() != tc.want {
+			t.Errorf("ParseSelection(%q) = %v, %v", tc.want, back, err)
+		}
+		p, err := compileFlow(chainQuery(), nil, 4, tc.sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.Mode != tc.want {
+			t.Errorf("%#v compiles a plan of mode %q, want %q", tc.sel, p.Mode, tc.want)
+		}
+	}
+}

@@ -19,12 +19,11 @@ type Rule interface {
 	// by -plan-mode rules=...; the skallavet rulename analyzer enforces the
 	// naming contract.
 	Name() string
-	// Applies reports whether the rule can rewrite the current draft, with a
-	// human-readable reason when it cannot (surfaced in the explain trace).
-	Applies(c *Context) (bool, string, error)
-	// Apply performs the rewrite on the draft plan and returns a one-line
-	// description of what changed.
-	Apply(c *Context) (string, error)
+	// Apply rewrites the draft and reports whether it changed the query or a
+	// Round, with a one-line description of what changed. When it changed
+	// nothing, detail is the reason (surfaced in the explain trace) and the
+	// draft is untouched.
+	Apply(c *Context) (applied bool, detail string, err error)
 }
 
 // Context is the analysis state a rule sees: the draft plan (whose Query may
@@ -76,18 +75,19 @@ func (c *Context) estimate() (CostEstimate, error) {
 	return c.Model.estimate(c.plan, xs, c.Catalog), nil
 }
 
-// registry holds every rule in canonical application order. Query rewrites
-// (coalesce) come first so the structural analyses see the final operator
-// chain; the sync reductions precede group reduction because a local prefix
-// removes rounds the reducers would otherwise be derived for.
-var registry = []Rule{
-	coalesceRule{},
-	localPrefixRule{},
-	syncSkipRule{},
-	groupReduceCoordRule{},
-	groupReduceSiteRule{},
-	groupReduceObservedRule{},
-}
+// The registry holds every rule in canonical application order, and the
+// driver applies each once in that order. Each rule reads only what earlier
+// rules write, so one pass is the fixpoint. The structure rules decide which
+// rounds exist: coalesce rewrites the query, so it runs first; local-prefix
+// and sync-skip then fold rounds of the final operator chain. The annotation
+// rules mark the operator rounds that remain: group-reduce-coord sets
+// Reducers, group-reduce-site sets Guard, and group-reduce-observed reads
+// Guard to set Observed.
+var (
+	structureRules  = []Rule{coalesceRule{}, localPrefixRule{}, syncSkipRule{}}
+	annotationRules = []Rule{groupReduceCoordRule{}, groupReduceSiteRule{}, groupReduceObservedRule{}}
+	registry        = append(append([]Rule(nil), structureRules...), annotationRules...)
+)
 
 // RuleNames returns the registered rule names in canonical order.
 func RuleNames() []string {
@@ -113,25 +113,17 @@ type coalesceRule struct{}
 
 func (coalesceRule) Name() string { return "coalesce" }
 
-func (coalesceRule) Applies(c *Context) (bool, string, error) {
-	_, merges, err := gmdj.Coalesce(c.Query(), c.Src)
+func (coalesceRule) Apply(c *Context) (bool, string, error) {
+	cq, merges, err := gmdj.Coalesce(c.Query(), c.Src)
 	if err != nil {
 		return false, "", err
 	}
 	if merges == 0 {
 		return false, "no adjacent independent operators", nil
 	}
-	return true, "", nil
-}
-
-func (coalesceRule) Apply(c *Context) (string, error) {
-	cq, merges, err := gmdj.Coalesce(c.Query(), c.Src)
-	if err != nil {
-		return "", err
-	}
 	c.SetQuery(cq)
 	c.plan.Merges += merges
-	return fmt.Sprintf("merged %d operator pair(s), %d round(s) saved", merges, merges), nil
+	return true, fmt.Sprintf("merged %d operator pair(s), %d round(s) saved", merges, merges), nil
 }
 
 // localPrefixRule evaluates a partition-aligned operator prefix entirely at
@@ -141,22 +133,18 @@ type localPrefixRule struct{}
 
 func (localPrefixRule) Name() string { return "local-prefix" }
 
-func (localPrefixRule) Applies(c *Context) (bool, string, error) {
-	if distrib.LocalPrefixLen(c.Query(), c.Catalog) == 0 {
-		return false, "no partition-aligned operator prefix", nil
-	}
-	return true, "", nil
-}
-
-func (localPrefixRule) Apply(c *Context) (string, error) {
+func (localPrefixRule) Apply(c *Context) (bool, string, error) {
 	p := c.plan
-	k := distrib.LocalPrefixLen(p.Query, c.Catalog)
-	if k == len(p.Query.Ops) {
+	switch k := distrib.LocalPrefixLen(p.Query, c.Catalog); k {
+	case 0:
+		return false, "no partition-aligned operator prefix", nil
+	case len(p.Query.Ops):
 		p.foldPrefix(RoundLocalPrefix, k, "local-all")
-		return "full local evaluation (Cor. 1), single round", nil
+		return true, "full local evaluation (Cor. 1), single round", nil
+	default:
+		p.foldPrefix(RoundLocalPrefix, k, fmt.Sprintf("local-MD1..MD%d", k))
+		return true, fmt.Sprintf("MD1..MD%d evaluated locally (Thm. 5 prefix)", k), nil
 	}
-	p.foldPrefix(RoundLocalPrefix, k, fmt.Sprintf("local-MD1..MD%d", k))
-	return fmt.Sprintf("MD1..MD%d evaluated locally (Thm. 5 prefix)", k), nil
 }
 
 // syncSkipRule folds the base-values synchronization into the first operator
@@ -167,15 +155,14 @@ type syncSkipRule struct{}
 
 func (syncSkipRule) Name() string { return "sync-skip" }
 
-func (syncSkipRule) Applies(c *Context) (bool, string, error) {
+func (syncSkipRule) Apply(c *Context) (bool, string, error) {
 	q := c.Query()
-	if c.plan.Steps[0].Kind == RoundLocalPrefix {
-		return false, "local prefix already folds the base sync", nil
-	}
-	if distrib.CanSkipBaseSync(q) {
-		return true, "", nil
-	}
 	switch {
+	case c.plan.Steps[0].Kind == RoundLocalPrefix:
+		return false, "local prefix already folds the base sync", nil
+	case distrib.CanSkipBaseSync(q):
+		c.plan.foldPrefix(RoundBaseMD1, 1, "base+MD1")
+		return true, "base sync folded into MD1 (Prop. 2)", nil
 	case len(q.Ops) == 0:
 		return false, "no operators", nil
 	case q.Base.Where != nil:
@@ -185,11 +172,6 @@ func (syncSkipRule) Applies(c *Context) (bool, string, error) {
 	}
 }
 
-func (syncSkipRule) Apply(c *Context) (string, error) {
-	c.plan.foldPrefix(RoundBaseMD1, 1, "base+MD1")
-	return "base sync folded into MD1 (Prop. 2)", nil
-}
-
 // groupReduceCoordRule derives the Thm. 4 coordinator-side reduction
 // predicates ¬ψ_i: the coordinator ships each site only the base tuples the
 // site can contribute to.
@@ -197,24 +179,19 @@ type groupReduceCoordRule struct{}
 
 func (groupReduceCoordRule) Name() string { return "group-reduce-coord" }
 
-func (groupReduceCoordRule) Applies(c *Context) (bool, string, error) {
-	if c.plan.fullLocal() {
+func (groupReduceCoordRule) Apply(c *Context) (bool, string, error) {
+	p := c.plan
+	switch {
+	case p.fullLocal():
 		return false, "fully local plan ships no base fragments", nil
-	}
-	if len(c.Query().Ops) == 0 {
+	case len(p.Query.Ops) == 0:
 		return false, "no operators", nil
-	}
-	if !c.plan.operatorRounds() {
+	case !p.operatorRounds():
 		return false, "no coordinator-driven operator rounds to reduce", nil
 	}
-	return true, "", nil
-}
-
-func (groupReduceCoordRule) Apply(c *Context) (string, error) {
-	p := c.plan
 	xs, err := c.XSchemas()
 	if err != nil {
-		return "", err
+		return false, "", err
 	}
 	dist := c.Catalog.Distribution(p.Query.Base.Detail)
 	derived := 0
@@ -228,20 +205,23 @@ func (groupReduceCoordRule) Apply(c *Context) (string, error) {
 		if op.Detail != p.Query.Base.Detail {
 			opDist = c.Catalog.Distribution(op.Detail)
 			if opDist != nil && opDist.NumSites != c.NumSites {
-				return "", fmt.Errorf("plan: catalog describes %d sites for %q, executing on %d",
+				return false, "", fmt.Errorf("plan: catalog describes %d sites for %q, executing on %d",
 					opDist.NumSites, op.Detail, c.NumSites)
 			}
 		}
 		preds, ok, err := distrib.GroupReducers(op, xs[r.UpTo-1], opDist)
 		if err != nil {
-			return "", err
+			return false, "", err
 		}
 		if ok {
 			r.Reducers = preds
 			derived++
 		}
 	}
-	return fmt.Sprintf("reduction predicates for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
+	if derived == 0 {
+		return false, "no operator round has a Thm. 4 reduction", nil
+	}
+	return true, fmt.Sprintf("reduction predicates for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
 }
 
 // groupReduceSiteRule sets the distribution-independent Prop. 1 guard: sites
@@ -250,18 +230,14 @@ type groupReduceSiteRule struct{}
 
 func (groupReduceSiteRule) Name() string { return "group-reduce-site" }
 
-func (groupReduceSiteRule) Applies(c *Context) (bool, string, error) {
+func (groupReduceSiteRule) Apply(c *Context) (bool, string, error) {
 	if !c.plan.operatorRounds() {
 		return false, "no coordinator-driven operator rounds to guard", nil
 	}
-	return true, "", nil
-}
-
-func (groupReduceSiteRule) Apply(c *Context) (string, error) {
 	for i := range c.plan.Steps {
 		c.plan.Steps[i].Guard = c.plan.Steps[i].Kind == RoundOperator
 	}
-	return "sites return only groups with |RNG| > 0 (Prop. 1)", nil
+	return true, "sites return only groups with |RNG| > 0 (Prop. 1)", nil
 }
 
 // groupReduceObservedRule bounds an operator round's fragments by an earlier
@@ -277,58 +253,44 @@ type groupReduceObservedRule struct{}
 
 func (groupReduceObservedRule) Name() string { return "group-reduce-observed" }
 
-func (groupReduceObservedRule) Applies(c *Context) (bool, string, error) {
-	if !c.plan.operatorRounds() {
+func (groupReduceObservedRule) Apply(c *Context) (bool, string, error) {
+	p := c.plan
+	if !p.operatorRounds() {
 		return false, "no coordinator-driven operator rounds to reduce", nil
 	}
-	if observedSources(c.plan) != nil {
-		return true, "", nil
-	}
-	for _, r := range c.plan.Steps {
-		if r.Guard {
-			return false, "no operator round's conditions contain an earlier guarded round's", nil
-		}
-	}
-	return false, "no guarded operator round to observe", nil
-}
-
-func (groupReduceObservedRule) Apply(c *Context) (string, error) {
-	p := c.plan
-	src := observedSources(p)
-	derived := 0
-	for i, k := range src {
-		if k > 0 {
+	derived, guarded := 0, false
+	for i, r := range p.Steps {
+		guarded = guarded || r.Guard
+		if k := observedSource(p, i); k > 0 {
 			p.Steps[i].Observed = k
 			derived++
 		}
 	}
-	return fmt.Sprintf("observed reduction for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
+	switch {
+	case derived > 0:
+		return true, fmt.Sprintf("observed reduction for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
+	case guarded:
+		return false, "no operator round's conditions contain an earlier guarded round's", nil
+	default:
+		return false, "no guarded operator round to observe", nil
+	}
 }
 
-// observedSources returns, per round of p, the UpTo of the latest earlier
-// guarded operator round whose answers bound it (0 for none), or nil when no
-// round has one. The latest source is the tightest: its own fragments were
+// observedSource returns the UpTo of the latest guarded operator round before
+// round i of p whose answers bound it, or 0 for none (or when round i is no
+// operator round). The latest source is the tightest: its own fragments were
 // already bounded by any earlier source that contains it.
-func observedSources(p *Plan) []int {
-	var src []int
-	for i, r := range p.Steps {
-		if r.Kind != RoundOperator {
-			continue
-		}
-		op := p.Query.Ops[r.UpTo-1]
-		for j := i - 1; j >= 0; j-- {
-			e := p.Steps[j]
-			if e.Kind != RoundOperator || !e.Guard || !containsConditions(op, p.Query.Ops[e.UpTo-1]) {
-				continue
-			}
-			if src == nil {
-				src = make([]int, len(p.Steps))
-			}
-			src[i] = e.UpTo
-			break
+func observedSource(p *Plan, i int) int {
+	if p.Steps[i].Kind != RoundOperator {
+		return 0
+	}
+	op := p.Query.Ops[p.Steps[i].UpTo-1]
+	for j := i - 1; j >= 0; j-- {
+		if e := p.Steps[j]; e.Kind == RoundOperator && e.Guard && containsConditions(op, p.Query.Ops[e.UpTo-1]) {
+			return e.UpTo
 		}
 	}
-	return src
+	return 0
 }
 
 // containsConditions reports whether a row matching some grouping variable

@@ -116,8 +116,8 @@ var (
 	// 50 ms initial backoff capped at 2 s, 30 s per attempt.
 	DefaultRetryPolicy = core.DefaultRetryPolicy
 
-	// Planner rule selections (Egil v2). SelectAuto picks the rule subset per
-	// query from the communication cost model.
+	// Planner rule selections (Egil v2). SelectAuto picks the structure rules
+	// per query from the communication cost model.
 	SelectNone = plan.SelectNone
 	SelectAll  = plan.SelectAll
 	SelectAuto = plan.SelectAuto

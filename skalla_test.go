@@ -9,6 +9,8 @@ import (
 	"skalla/internal/flow"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
+	"skalla/internal/plan"
+	"skalla/internal/stats"
 	"skalla/internal/tpc"
 	"skalla/internal/transport"
 
@@ -452,6 +454,57 @@ func checkServedTemplatesCompiled(t *testing.T, cl *Cluster, d *tpc.Dataset) {
 					t.Errorf("%s: round %s, site %d: breakdown %+v does not report the kernel", stmt, round.Name, call.Site, call.Breakdown)
 				}
 			}
+		}
+	}
+}
+
+// Auto's estimate on every served statement, over the four-site TPC
+// catalog, is the minimum over all 2^6 rule subsets: compiling the structure
+// rule subsets with every annotation reaches what the exhaustive search does.
+func TestAutoMatchesSubsetOracleOnServedTemplates(t *testing.T) {
+	d, err := tpc.Generate(tpc.Config{Rows: 3000, Customers: 400, Nations: 25, CitiesPerNation: 4, Clerks: 40, Seed: 6}, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cat, err := d.Catalog(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := gmdj.Schemas{tpc.RelationName: tpc.Schema()}
+	model := plan.DefaultCostModel(stats.DefaultLAN())
+	names := plan.RuleNames()
+	for _, stmt := range servedStatements() {
+		parse := ParseQueryText
+		if strings.HasPrefix(stmt, "SELECT") {
+			parse = TranslateSQL
+		}
+		q, err := parse(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		auto, err := plan.Compile(q, src, cat, 4, plan.SelectAuto(), model)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		var best *plan.Plan
+		for mask := 0; mask < 1<<len(names); mask++ {
+			var rules []string
+			for i, n := range names {
+				if mask&(1<<i) != 0 {
+					rules = append(rules, n)
+				}
+			}
+			p, err := plan.Compile(q, src, cat, 4, plan.SelectRules(rules...), model)
+			if err != nil {
+				t.Fatalf("%s under %v: %v", stmt, rules, err)
+			}
+			if best == nil || p.Estimate.Compare(best.Estimate) < 0 {
+				best = p
+			}
+		}
+		if auto.Estimate.Compare(best.Estimate) != 0 {
+			t.Errorf("%s: auto estimates %s (rules %v), the best subset %s (rules %v)",
+				stmt, auto.Estimate, auto.Rules, best.Estimate, best.Rules)
 		}
 	}
 }
