@@ -228,7 +228,7 @@ func benchSiteExample1(b *testing.B, key string) {
 	}
 	// MD2's base fragment carries MD1's finalized avgp, as the coordinator
 	// would ship it.
-	x1, err := s.EvalLocal(ctx, engine.LocalRequest{Query: q, UpTo: 1})
+	x1, err := gmdj.EvalPrefixX(ctx, q, gmdj.Data{tpc.RelationName: d.Parts[0]}, 1, true)
 	if err != nil {
 		b.Fatal(err)
 	}

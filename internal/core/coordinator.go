@@ -306,27 +306,25 @@ func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, 
 
 // localRound ships the query prefix MD1..MD(r.UpTo) to every site for local
 // evaluation and merges the returned X fragments (synchronization-reduced
-// rounds of Prop. 2 / Thm. 5 / Cor. 1).
+// rounds of Prop. 2 / Thm. 5 / Cor. 1). Under a witness (Prop. 2 over a
+// filtered base) the sites evaluate their unfiltered bases and count the
+// base filter's rows per group, and the merge keeps the groups whose counts
+// sum to a positive total.
 func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
 	rs := span.StartRound(r.Name, 0)
 	ctx = obs.WithRound(ctx, r.Name)
-	req := engine.LocalRequest{Query: pl.Query, UpTo: r.UpTo}
+	req := engine.LocalRequest{Query: pl.Query, UpTo: r.UpTo, Witness: r.Witness}
 	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
 		return s.EvalLocal(ctx, req)
 	})
 	coordStart := time.Now()
 	if err == nil {
-		mg.InitLocal(r.UpTo)
-		for _, res := range results {
-			t0 := time.Now()
-			if err = mg.MergeLocal(res.rel); err != nil {
-				break
-			}
-			rs.ObserveMerge(time.Since(t0))
+		parts := make([]*relation.Relation, len(results))
+		for i, res := range results {
+			parts[i] = res.rel
 		}
-	}
-	if err == nil {
-		mg.RecomputeDerived(0, r.UpTo)
+		err = mg.MergeLocal(pl.Query.Ops[:r.UpTo], r.Witness, parts)
+		rs.ObserveMerge(time.Since(coordStart))
 	}
 	rs.End(time.Since(coordStart))
 	return err

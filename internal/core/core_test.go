@@ -229,24 +229,55 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 	}
 }
 
-// Theorem 2: rows transferred never exceed Σ(2·s_i·|Q|) + s_0·|Q|.
+// Theorem 2: rows transferred never exceed Σ(2·s_i·|Q|) + s_0·|Q|, with a
+// witnessed round's |Q| the base's before its filter. The selective case is
+// the witness's worst: σ admits 2 of the 99 groups on v, yet the local round
+// reports every group each site holds.
 func TestTheorem2Bound(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	global := randomGlobal(rng, 200, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
-	coord, _ := New(sites, cat, stats.NetModel{})
-	for _, q := range []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()} {
-		for _, sel := range switchCombos() {
-			res, err := coord.ExecuteWith(context.Background(), q, sel)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bound := res.Plan.TrafficBound(res.Rel.Len())
-			if got := res.Metrics.TotalRows(); got > bound {
-				t.Errorf("sel [%s]: %d rows transferred exceeds Theorem 2 bound %d", sel, got, bound)
+	selective := observedQuery("v")
+	selective.Base.Where = expr.MustParse("R.v >= 98")
+	for _, tc := range []struct {
+		global     *relation.Relation
+		sites, per int
+		queries    []gmdj.Query
+	}{
+		{randomGlobal(rand.New(rand.NewSource(11)), 200, 12), 3, 4, []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()}},
+		{randomGlobal(rand.New(rand.NewSource(3)), 400, 40), 4, 10, []gmdj.Query{selective}},
+	} {
+		sites, cat := buildCluster(t, tc.global, "T", tc.sites, int64(tc.per), true)
+		coord, _ := New(sites, cat, stats.NetModel{})
+		for _, q := range tc.queries {
+			unfiltered := unfilteredGroups(t, q, tc.global)
+			for _, sel := range append(switchCombos(), plan.SelectAll(), plan.SelectAuto()) {
+				res, err := coord.ExecuteWith(context.Background(), q, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				bound := res.Plan.TrafficBound(res.Rel.Len(), unfiltered)
+				if got := res.Metrics.TotalRows(); got > bound {
+					t.Errorf("sel [%s]: %d rows transferred exceeds Theorem 2 bound %d\n%s", sel, got, bound, res.Plan.Describe())
+				}
 			}
 		}
 	}
+}
+
+// unfilteredGroups is the size of q's base-values relation over global
+// without its filter: the groups a witnessed round's sites report at most,
+// each (Plan.TrafficBound).
+func unfilteredGroups(t *testing.T, q gmdj.Query, global *relation.Relation) int {
+	t.Helper()
+	bq := q.Base
+	bq.Where = nil
+	detail, err := gmdj.Data{"T": global}.DetailSource(bq.Detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := gmdj.EvalBase(context.Background(), bq, detail)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b.Len()
 }
 
 // Optimizations must strictly reduce traffic on the aligned chain query.
@@ -523,28 +554,34 @@ func TestMergerUnit(t *testing.T) {
 }
 
 // TestTrafficBoundFormula: the Thm. 2 bound sums n·|Q| for each base or
-// local round and 2·n·|Q| for each operator round the plan runs.
+// local round and 2·n·|Q| for each operator round the plan runs, and n times
+// the unfiltered base's size for a witnessed round.
 func TestTrafficBoundFormula(t *testing.T) {
 	src := gmdj.Schemas{"T": tSchema}
 	cat := distrib.NewCatalog(&distrib.Distribution{
 		Relation: "T", NumSites: 4,
 		Attrs: []distrib.AttrInfo{{Attr: "g", Filters: distrib.HashPartition(4), Disjoint: true}},
 	})
+	filtered := chainQuery()
+	filtered.Base.Where = expr.MustParse("R.v >= 5")
 	for _, tc := range []struct {
 		name  string
+		q     gmdj.Query
 		cat   *distrib.Catalog
 		sel   plan.Selection
 		steps string
 		want  int
 	}{
 		// m=2 operators, n=4 sites, |Q|=10: (2*2+1)*4*10 = 200.
-		{"baseline", nil, plan.SelectNone(), "base,MD1,MD2", 200},
+		{"baseline", chainQuery(), nil, plan.SelectNone(), "base,MD1,MD2", 200},
 		// One fully local round: n·|Q| = 40.
-		{"full local", cat, plan.SelectAll(), "local-all", 40},
+		{"full local", chainQuery(), cat, plan.SelectAll(), "local-all", 40},
 		// base+MD1, then MD2: (1 + 2(m-1))·n·|Q| = 3*4*10 = 120.
-		{"base+MD1", nil, plan.SelectRules("sync-skip"), "base+MD1,MD2", 120},
+		{"base+MD1", chainQuery(), nil, plan.SelectRules("sync-skip"), "base+MD1,MD2", 120},
+		// The same under a witness, 25 groups before σ: 4*25 + 2*4*10 = 180.
+		{"witnessed base+MD1", filtered, nil, plan.SelectRules("sync-skip"), "base+MD1,MD2", 180},
 	} {
-		pl, err := plan.Compile(chainQuery(), src, tc.cat, 4, tc.sel, plan.DefaultCostModel(stats.NetModel{}))
+		pl, err := plan.Compile(tc.q, src, tc.cat, 4, tc.sel, plan.DefaultCostModel(stats.NetModel{}))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -555,7 +592,7 @@ func TestTrafficBoundFormula(t *testing.T) {
 		if got := strings.Join(names, ","); got != tc.steps {
 			t.Errorf("%s: rounds %s, want %s", tc.name, got, tc.steps)
 		}
-		if got := pl.TrafficBound(10); got != tc.want {
+		if got := pl.TrafficBound(10, 25); got != tc.want {
 			t.Errorf("%s: TrafficBound = %d, want %d", tc.name, got, tc.want)
 		}
 	}

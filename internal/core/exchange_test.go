@@ -845,12 +845,15 @@ func TestExtendWritesInPlace(t *testing.T) {
 
 	budget = newMemBudget(1 << 20)
 	m = mustMerger(t, q.Keys(), xs, segs, budget)
-	m.InitLocal(1)
-	local := relation.New(xs[1])
-	lrow := relation.Tuple{relation.NewInt(1), relation.NewInt(0)}
-	lrow = append(lrow, m.identityFor(0)...)
+	xrow := relation.Tuple{relation.NewInt(1), relation.NewInt(0)}
+	xrow = append(xrow, m.identityFor(0)...)
+	local := relation.New(gmdj.LocalReplySchema(xs[1], q.Ops[:1], false))
+	var lrow relation.Tuple
+	for _, c := range local.Schema {
+		lrow = append(lrow, xrow[xs[1].Index(c.Name)])
+	}
 	local.MustAppend(lrow)
-	if err := m.MergeLocal(local); err != nil {
+	if err := m.MergeLocal(q.Ops[:1], false, []*relation.Relation{local}); err != nil {
 		t.Fatal(err)
 	}
 	extendAll(m, budget, 1)

@@ -18,8 +18,8 @@ import (
 )
 
 // observedQuery is Example 1 grouped on keys: MD2's condition holds MD1's
-// key links, so MD1's guarded answers bound MD2's fragments. The base filter
-// keeps the base round, so MD1 runs as a guarded operator round.
+// key links, so MD1's answers bound MD2's fragments — a guarded MD1 round's,
+// or under sync-skip the witnessed base+MD1 round's.
 func observedQuery(keys ...string) gmdj.Query {
 	links := make([]expr.Expr, len(keys))
 	for i, k := range keys {
@@ -186,7 +186,7 @@ func TestPlanCountsOnlyRulesThatChangedThePlan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := strings.Join(pl.Rules, ","); got != "group-reduce-site,group-reduce-observed" {
+	if got := strings.Join(pl.Rules, ","); got != "sync-skip,group-reduce-site,group-reduce-observed" {
 		t.Errorf("rules = %s", got)
 	}
 	for _, name := range plan.RuleNames() {
@@ -234,7 +234,10 @@ func TestObservedReductionIgnoresDiscardedAttempts(t *testing.T) {
 	}
 	coord.SetRowBlocking(1)
 	coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
-	res, err := coord.ExecuteWith(context.Background(), q, plan.SelectAll())
+	// Without sync-skip MD1 runs as a guarded operator round, whose stream
+	// the fault cuts.
+	res, err := coord.ExecuteWith(context.Background(), q, plan.SelectRules("coalesce", "local-prefix",
+		"group-reduce-coord", "group-reduce-site", "group-reduce-observed"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -54,6 +54,7 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 	}
 	nRules := len(plan.RuleNames())
 	for qname, q := range queries {
+		unfiltered := unfilteredGroups(t, q, global)
 		run := func(sel plan.Selection) string {
 			t.Helper()
 			sites, cat := buildCluster(t, global, "T", 3, 3, true)
@@ -78,7 +79,7 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 						qname, sel, i, ran[i].Name, r.Name, pl.Estimate.PerRound[i].Name)
 				}
 			}
-			if got, bound := res.Metrics.TotalRows(), pl.TrafficBound(res.Rel.Len()); got > bound {
+			if got, bound := res.Metrics.TotalRows(), pl.TrafficBound(res.Rel.Len(), unfiltered); got > bound {
 				t.Errorf("%s under %s: %d rows transferred exceeds the Thm. 2 bound %d", qname, sel, got, bound)
 			}
 			return sortedText(res.Rel)

@@ -54,7 +54,7 @@ func buildSegments(q gmdj.Query, src gmdj.SchemaSource, numBaseCols int) ([][]va
 // operator round's H rows name their X row by ordinal in the fragment that
 // was shipped (see Fragment), so that merge is an array index; the base and
 // local rounds, whose fragments carry keys the coordinator has not seen yet,
-// find X's rows by key in a relation.KeyTable.
+// find X's rows by key in a relation.KeyTable (installKeys).
 //
 // X is columnar: the merger writes its vectors in place, and each operator
 // round widens it by appending vectors. A cell no typed vector holds — a
@@ -67,9 +67,8 @@ type merger struct {
 	hschemas []relation.Schema // per operator, the schema of its H_i
 
 	x        *relation.Relation
-	keyIdx   []int              // key column positions within x
-	table    *relation.KeyTable // X's rows by key; nil unless InitLocal built it
-	extended int                // number of operators whose columns exist in x
+	keyIdx   []int // key column positions within x
+	extended int   // number of operators whose columns exist in x
 
 	// touched[k][i] lists, ascending, the X rows site i's committed
 	// operator-k stage reported. Only the operators a later round's observed
@@ -220,40 +219,62 @@ func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int)
 
 // InitBase installs the synchronized base-values relation: the multiset
 // union of the sites' B_i fragments, de-duplicated on the key attributes —
-// the first occurrence of a key, in site then row order, is kept. Keys are
-// hashed and compared on the fragments' vectors (keyHashes, sameKey), and the
-// kept rows are gathered column by column straight into X's vectors. X's
-// bytes are charged before any of it is allocated; a charge over budget
-// leaves X uninstalled.
+// the first occurrence of a key, in site then row order, is kept.
 func (m *merger) InitBase(parts ...*relation.Relation) error {
+	cols := make([]*relation.Columns, len(parts))
+	for p, b := range parts {
+		if !b.Schema.Equal(m.xschemas[0]) {
+			return fmt.Errorf("core: base schema %s, want %s", b.Schema, m.xschemas[0])
+		}
+		cols[p] = b.Columns()
+	}
+	_, err := m.installKeys(cols, false)
+	return err
+}
+
+// installKeys installs as X, with no operator's columns, the distinct keys of
+// the fragments' leading key columns, each at its first occurrence in
+// fragment then row order, and with named set returns, per fragment, the X
+// row each of its rows names. Keys are hashed and compared on the fragments'
+// vectors (keyHashes, sameKey), and the kept rows are gathered column by
+// column straight into X's vectors. X's bytes are charged before any of it
+// is allocated; a charge over budget leaves X uninstalled.
+func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int64, error) {
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment, and at most as
 	// many as all of them.
 	largest, total := 0, 0
-	cols := make([]*relation.Columns, len(parts))
-	for p, b := range parts {
-		if !b.Schema.Equal(schema) {
-			return fmt.Errorf("core: base schema %s, want %s", b.Schema, schema)
-		}
-		largest, total = max(largest, b.Len()), total+b.Len()
-		cols[p] = b.Columns()
+	for _, c := range cols {
+		largest, total = max(largest, c.Rows), total+c.Rows
 	}
 	type rowAt struct{ part, row int32 }
 	kept := make([]rowAt, 0, total)
 	table := relation.NewKeyTable(largest)
 	hashes := make([]uint64, 0, largest)
+	var at [][]int64
+	if named {
+		at = make([][]int64, len(cols))
+	}
 	var (
 		c *relation.Columns
 		i int
 	)
 	same := func(n int) bool { return m.sameKey(cols[kept[n].part], int(kept[n].row), c, i) }
-	for p := range parts {
+	for p := range cols {
 		c = cols[p]
 		hashes = m.keyHashes(c, hashes)
+		if named {
+			at[p] = make([]int64, c.Rows)
+		}
 		for i = 0; i < c.Rows; i++ {
-			if table.Find(hashes[i], same) < 0 {
-				table.Insert(hashes[i], len(kept))
+			row := table.Find(hashes[i], same)
+			if row < 0 {
+				row = len(kept)
+				table.Insert(hashes[i], row)
 				kept = append(kept, rowAt{int32(p), int32(i)})
+			}
+			if named {
+				at[p][i] = int64(row)
 			}
 		}
 	}
@@ -287,7 +308,7 @@ func (m *merger) InitBase(parts ...*relation.Relation) error {
 		bytes += vectorBytes(col.Kind, n, nonNull[j], boxed[j])
 	}
 	if err := m.budget.charge(bytes); err != nil {
-		return err
+		return nil, err
 	}
 
 	x := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
@@ -316,8 +337,8 @@ func (m *merger) InitBase(parts ...*relation.Relation) error {
 			}
 		}
 	}
-	m.x, m.table, m.extended = relation.FromColumns(schema, x), nil, 0
-	return nil
+	m.x, m.extended = relation.FromColumns(schema, x), 0
+	return at, nil
 }
 
 // vectorBytes is the MemBytes share of an n-row vector of kind with nonNull
@@ -336,13 +357,6 @@ func vectorBytes(kind relation.Kind, n, nonNull int, boxed bool) int64 {
 		b += 8 * int64((n+63)/64)
 	}
 	return b
-}
-
-// InitLocal prepares an empty X at the schema reached after upTo operators,
-// with an empty key table; local evaluation results are then merged with
-// MergeLocal.
-func (m *merger) InitLocal(upTo int) {
-	m.x, m.extended, m.table = relation.New(m.xschemas[upTo]), upTo, relation.NewKeyTable(0)
 }
 
 // X returns the current base-result structure (read-only between rounds;
@@ -675,49 +689,130 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) er
 	return nil
 }
 
-// MergeLocal synchronizes one site's locally evaluated X fragment (schema =
-// current X schema): new keys are appended to X, existing
-// keys have every operator segment's physical columns merged. Used by the
-// synchronization-reduced plans (Prop. 2 / Cor. 1).
-func (m *merger) MergeLocal(xl *relation.Relation) error {
-	if !xl.Schema.Equal(m.x.Schema) {
-		return fmt.Errorf("core: local X schema %s, want %s", xl.Schema, m.x.Schema)
-	}
-	if m.table == nil {
-		return fmt.Errorf("core: sync: local merge into an X that InitLocal did not prepare")
-	}
-	before := m.x.MemBytes()
-	xc, lc := m.x.Columns(), xl.Columns()
-	hashes := m.keyHashes(lc, nil)
-	var i int
-	same := func(row int) bool { return m.sameKey(xc, row, lc, i) }
-	// to[i] is the X row local row i folds into: -1 for a new key, whose row
-	// is appended as it is.
-	to := make([]int64, xl.Len())
-	for i = range to {
-		row := m.table.Find(hashes[i], same)
-		if row < 0 {
-			for j := range xc.Vecs {
-				xc.Vecs[j].Append(xc.Rows, lc.Vecs[j].Value(i))
-			}
-			m.table.Insert(hashes[i], xc.Rows)
-			xc.Rows++
+// MergeLocal synchronizes a local round's replies, one per site in site
+// order, into X after ops, the query's first operators (Prop. 2 / Thm. 5 /
+// Cor. 1). A reply comes in gmdj.LocalReplySchema: X's key and physical
+// columns, then, under a witness, the gmdj.WitnessColumn. X's keys are
+// installed as a base round's are, its operators' columns start at their
+// identities (Extend), and every reply's physical columns fold in, site by
+// site: the O(|H|) merge of Theorem 1, addressed by key. Under a witness
+// each site's counts are summed per group into a side slab, never into X,
+// and the groups whose total is 0 are dropped in one gather: no detail row of
+// theirs passes the base filter at any site, so they are not in the
+// base-values relation. A group can count 0 at one site and more at another;
+// only the sum decides. When a later round's observed reduction reads them
+// (KeepTouched), the X rows each site's reply named are kept, ascending, for
+// Touched. Last, the derived columns are recomputed.
+func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation.Relation) error {
+	upTo := len(ops)
+	want := gmdj.LocalReplySchema(m.xschemas[upTo], ops, witness)
+	cols := make([]*relation.Columns, len(parts))
+	for p, xl := range parts {
+		if !xl.Schema.Equal(want) {
+			return fmt.Errorf("core: local X schema %s, want %s", xl.Schema, want)
 		}
-		to[i] = int64(row)
+		cols[p] = xl.Columns()
+		if v := &cols[p].Vecs[len(want)-1]; witness && (v.Boxed || hasNull(v)) {
+			return fmt.Errorf("%w: a witness count that is not an INT", ErrMalformedH)
+		}
 	}
-	if err := m.budget.charge(m.x.MemBytes() - before); err != nil {
+	at, err := m.installKeys(cols, true)
+	if err != nil {
 		return err
 	}
-	for k := 0; k < m.extended; k++ {
-		for _, seg := range m.segs[k] {
-			for p, pc := range seg.layout.Phys {
-				j := seg.physStart + p
-				if err := m.fold(pc.Op, &xc.Vecs[j], &lc.Vecs[j], to); err != nil {
-					return err
+	for m.extended < upTo {
+		if err := m.Extend(); err != nil {
+			return err
+		}
+	}
+	// Each physical column of X folds the reply's column of its name.
+	xc := m.x.Columns()
+	for _, segs := range m.segs[:upTo] {
+		for _, seg := range segs {
+			for q, pc := range seg.layout.Phys {
+				j := seg.physStart + q
+				r := want.Index(m.xschemas[upTo][j].Name)
+				for p, c := range cols {
+					if err := m.fold(pc.Op, &xc.Vecs[j], &c.Vecs[r], at[p]); err != nil {
+						return err
+					}
 				}
 			}
 		}
 	}
+	if witness {
+		if err := m.dropUnwitnessed(cols, at); err != nil {
+			return err
+		}
+	}
+	if k := upTo - 1; k >= 0 && m.touched[k] != nil {
+		// A walk over X lists each site's rows in ascending order, without a
+		// sort.
+		marked := make([]bool, m.x.Len())
+		for p, rows := range at {
+			n := 0
+			for _, r := range rows {
+				if r >= 0 {
+					marked[r] = true
+					n++
+				}
+			}
+			if err := m.budget.charge(4 * int64(n)); err != nil {
+				return err
+			}
+			named := make([]int32, 0, n)
+			for r, ok := range marked {
+				if ok {
+					named = append(named, int32(r))
+					marked[r] = false
+				}
+			}
+			m.touched[k][p] = named
+		}
+	}
+	m.RecomputeDerived(0, upTo)
+	return nil
+}
+
+// dropUnwitnessed sums the replies' trailing witness counts per X row and
+// drops, in one gather, the rows whose total is 0, rewriting at to the
+// compacted rows (-1 for a dropped one).
+func (m *merger) dropUnwitnessed(cols []*relation.Columns, at [][]int64) error {
+	n := m.x.Len()
+	if err := m.budget.charge(8 * int64(n)); err != nil {
+		return err
+	}
+	defer m.budget.release(8 * int64(n))
+	sum := make([]int64, n)
+	for p, c := range cols {
+		for i, w := range c.Vecs[len(c.Vecs)-1].Ints {
+			sum[at[p][i]] += w
+		}
+	}
+	kept := make([]int32, 0, n)
+	for i, w := range sum {
+		if w > 0 {
+			kept = append(kept, int32(i))
+		}
+	}
+	if len(kept) == n {
+		return nil
+	}
+	rename := sum // old X row → compacted row, -1 for a dropped one
+	for i := range rename {
+		rename[i] = -1
+	}
+	for to, from := range kept {
+		rename[from] = int64(to)
+	}
+	for _, rows := range at {
+		for i, r := range rows {
+			rows[i] = rename[r]
+		}
+	}
+	before := m.x.MemBytes()
+	m.x = relation.FromColumns(m.x.Schema, m.x.Columns().Select(kept, nil))
+	m.budget.release(before - m.x.MemBytes())
 	return nil
 }
 

@@ -181,27 +181,31 @@ func relaxConjunct(c expr.Expr, baseSchema relation.Schema, dist *Distribution, 
 // relation, and every condition of the first operator carries conjuncts
 // "B.k = R.k" for every base key attribute k (so θ_j entails θ_K and any
 // detail row matching a group at a site implies that group is in the site's
-// local base). The base-values synchronization round can then be folded into
-// the first operator's round.
+// unfiltered local base). The base-values synchronization round can then be
+// folded into the first operator's round.
+//
+// A base selection σ breaks the entailment for a filtered local base: a
+// detail row at one site can match a group whose σ-rows all live at other
+// sites, so the group is absent from this site's filtered base and the row's
+// contribution is silently lost. Prop. 2 makes no placement assumption, so a
+// filtered base folds only with a witness: each site evaluates its base
+// unfiltered and counts, per group, the rows σ admits, and the coordinator
+// keeps the groups whose counts sum to a positive total over the sites
+// (gmdj.EvalLocalReply). The witness pass does not cover grouping
+// sets, so a filtered base with grouping sets is refused.
 func CanSkipBaseSync(q gmdj.Query) bool {
-	if len(q.Ops) == 0 {
+	if len(q.Ops) == 0 || q.Base.Where != nil && len(q.Base.GroupingSets) > 0 {
 		return false
 	}
-	// A base selection breaks the entailment: a detail row at one site can
-	// match a group (θ_j holds on the keys) whose selection-passing witnesses
-	// all live at other sites, so the group is absent from this site's local
-	// base and the row's contribution is silently lost. Unlike the Thm. 5
-	// local-prefix reduction — where partition alignment co-locates a group's
-	// witnesses with every row that can match it — Prop. 2 makes no placement
-	// assumption, so only unfiltered bases fold soundly.
-	if q.Base.Where != nil {
-		return false
-	}
-	op := q.Ops[0]
-	if op.Detail != q.Base.Detail {
-		return false
-	}
-	return allVarsSelfLinkKeys(op, q.Keys())
+	return SelfLinksBase(q, q.Ops[0])
+}
+
+// SelfLinksBase reports whether op reads the base's detail relation and each
+// of its variables links every base key k to the detail column k: a detail
+// row op matches to a group is then one of that group's rows in the base's
+// detail relation.
+func SelfLinksBase(q gmdj.Query, op gmdj.Operator) bool {
+	return op.Detail == q.Base.Detail && allVarsSelfLinkKeys(op, q.Keys())
 }
 
 // LocalPrefixLen returns the longest operator prefix that can be evaluated

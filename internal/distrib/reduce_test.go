@@ -217,12 +217,16 @@ func TestCanSkipBaseSync(t *testing.T) {
 	if CanSkipBaseSync(gmdj.Query{Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SourceAS"}}}) {
 		t.Error("no ops must prevent skip")
 	}
-	// Filtered base: no skip — a group's filter-passing witnesses may all
-	// live at other sites, so local bases can miss groups that rows match.
+	// Filtered base: skip, with a witness counting the filter's rows at the
+	// sites — unless grouping sets ask for more than the witness pass covers.
 	q = queryWithConds("B.SourceAS = R.SourceAS && B.DestAS = R.DestAS")
 	q.Base.Where = expr.MustParse("R.NB > 10")
+	if !CanSkipBaseSync(q) {
+		t.Error("a base WHERE counted by a witness must allow skip")
+	}
+	q.Base.GroupingSets = [][]string{{"SourceAS", "DestAS"}, {"SourceAS"}}
 	if CanSkipBaseSync(q) {
-		t.Error("base WHERE must prevent skip")
+		t.Error("a base WHERE with grouping sets must prevent skip")
 	}
 }
 

@@ -357,12 +357,19 @@ func hBlock(schema relation.Schema, acc *gmdj.OperatorAccum, sel []int32) *relat
 type LocalRequest struct {
 	Query gmdj.Query
 	UpTo  int
+	// Witness evaluates the base unfiltered and counts, per group, the
+	// detail rows Query.Base.Where admits, in the reply's trailing
+	// gmdj.WitnessColumn: the coordinator keeps the groups whose counts sum
+	// to a positive total over the sites.
+	Witness bool
 }
 
-// EvalLocal evaluates a query prefix over the local partition. No guard
-// filtering is applied: under synchronization reduction the returned rows
-// are the sole carriers of group membership, so dropping untouched groups
-// would lose them.
+// EvalLocal evaluates a query prefix over the local partition and replies
+// with the key and physical sub-aggregate columns of X_UpTo, then the
+// gmdj.WitnessColumn when asked for (gmdj.EvalLocalReply); the coordinator
+// recomputes the derived columns. No guard filtering is applied:
+// under synchronization reduction the returned rows are the sole carriers of
+// group membership, so dropping untouched groups would lose them.
 func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relation, error) {
 	ctx, rec, err := begin(ctx, "local")
 	if err != nil {
@@ -376,5 +383,5 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 	if err := req.Query.Validate(snap); err != nil {
 		return nil, err
 	}
-	return gmdj.EvalPrefixX(ctx, req.Query, snap, req.UpTo, snap.useHash)
+	return gmdj.EvalLocalReply(ctx, req.Query, snap, req.UpTo, snap.useHash, req.Witness)
 }

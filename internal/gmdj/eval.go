@@ -146,29 +146,138 @@ func EvalCentralX(q Query, src DataSource, useHash bool) (*relation.Relation, er
 // ctx, returning the intermediate base-result structure X_upTo. The query
 // must already be validated.
 func EvalPrefixX(ctx context.Context, q Query, src DataSource, upTo int, useHash bool) (*relation.Relation, error) {
+	x, _, err := evalPrefix(ctx, q, src, upTo, useHash, false)
+	return x, err
+}
+
+// WitnessColumn is the trailing INT column of a witnessed local reply
+// (EvalLocalReply). It cannot be written as an identifier, so no query column
+// collides with it.
+const WitnessColumn = "#witness"
+
+// EvalLocalReply evaluates the base query and the first upTo operators under
+// ctx, as EvalPrefixX does, and returns what a local round's reply carries:
+// X_upTo's columns in LocalReplySchema. The last operator's derived columns
+// are never computed. With witness set the base pass is unfiltered, so
+// X_upTo holds a row for every group with a detail row in src, whatever
+// q.Base.Where says, and the trailing WitnessColumn counts per row the detail
+// rows of its group that q.Base.Where admits (all of them when it is nil). A
+// group belongs to the base-values relation exactly when its counts summed
+// over every site are positive — Prop. 1's |RNG| > 0 test, applied to σ — so
+// a coordinator that sums the counts can fold a filtered base into the first
+// operator's round (Prop. 2) without any placement assumption. The query
+// must already be validated.
+func EvalLocalReply(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness bool) (*relation.Relation, error) {
 	if upTo < 0 || upTo > len(q.Ops) {
 		return nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
 	}
-	baseRel, err := src.DetailSource(q.Base.Detail)
+	x, counts, err := evalPrefix(ctx, q, src, max(upTo-1, 0), useHash, witness)
 	if err != nil {
 		return nil, err
 	}
-	x, err := EvalBase(ctx, q.Base, baseRel)
+	// have and vecs are X_upTo's columns less the last operator's derived
+	// ones; ext is X_upTo's schema.
+	have, vecs, ext := x.Schema, x.Columns().Vecs, x.Schema
+	if upTo > 0 {
+		op := q.Ops[upTo-1]
+		detail, err := src.DetailSource(op.Detail)
+		if err != nil {
+			return nil, err
+		}
+		acc, err := AccumulateOperator(ctx, x, op, detail, useHash)
+		if err != nil {
+			return nil, fmt.Errorf("gmdj: MD%d: %w", upTo, err)
+		}
+		phys, err := acc.PhysSchema()
+		if err != nil {
+			return nil, err
+		}
+		if ext, err = acc.ExtendedSchema(x.Schema); err != nil {
+			return nil, err
+		}
+		all := make([]int32, x.Len())
+		for i := range all {
+			all[i] = int32(i)
+		}
+		have, vecs = append(slices.Clip(have), phys...), acc.AppendPhysVectors(slices.Clip(vecs), all)
+	}
+	schema := LocalReplySchema(ext, q.Ops[:upTo], witness)
+	out := &relation.Columns{Rows: x.Len(), Vecs: make([]relation.Vector, len(schema))}
+	for r, c := range schema {
+		switch j := have.Index(c.Name); {
+		case j >= 0:
+			out.Vecs[r] = vecs[j]
+		case witness && r == len(schema)-1:
+			out.Vecs[r] = relation.Vector{Kind: relation.KindInt, Ints: counts}
+		default:
+			return nil, fmt.Errorf("gmdj: local reply column %s was not evaluated", c.Name)
+		}
+	}
+	return relation.FromColumns(schema, out), nil
+}
+
+// LocalReplySchema is the schema of a local round's reply (EvalLocalReply),
+// given x, X's schema after ops: x's columns in x's order — the keys, then
+// each grouping variable's physical sub-aggregate columns — less the derived
+// AVG, VARIANCE and STDEV ones (DerivedColumns), which whoever merges the
+// reply recomputes from the physical ones, then under a witness a trailing
+// INT WitnessColumn. The site builds its reply on it, the coordinator checks
+// and folds replies by it, and the cost model prices it.
+func LocalReplySchema(x relation.Schema, ops []Operator, witness bool) relation.Schema {
+	derived := DerivedColumns(ops)
+	out := make(relation.Schema, 0, len(x)+1)
+	for _, c := range x {
+		if !slices.Contains(derived, c.Name) {
+			out = append(out, c)
+		}
+	}
+	if witness {
+		out = append(out, relation.Column{Name: WitnessColumn, Kind: relation.KindInt})
+	}
+	return out
+}
+
+// DerivedColumns names the derived columns the operators add to X: one per
+// AVG, VARIANCE and STDEV aggregate, under its output name.
+func DerivedColumns(ops []Operator) []string {
+	var names []string
+	for _, op := range ops {
+		for _, v := range op.Vars {
+			for _, s := range v.Aggs {
+				switch s.Func {
+				case agg.Avg, agg.Variance, agg.StdDev:
+					names = append(names, s.As)
+				}
+			}
+		}
+	}
+	return names
+}
+
+func evalPrefix(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness bool) (*relation.Relation, []int64, error) {
+	if upTo < 0 || upTo > len(q.Ops) {
+		return nil, nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
+	}
+	baseRel, err := src.DetailSource(q.Base.Detail)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
+	}
+	x, counts, err := evalBase(ctx, q.Base, baseRel, witness)
+	if err != nil {
+		return nil, nil, err
 	}
 	for i := 0; i < upTo; i++ {
 		op := q.Ops[i]
 		detail, err := src.DetailSource(op.Detail)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		x, err = ApplyOperator(ctx, x, op, detail, useHash)
 		if err != nil {
-			return nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
+			return nil, nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
 		}
 	}
-	return x, nil
+	return x, counts, nil
 }
 
 // EvalBase computes the base-values relation B_0 from a detail source: an
@@ -180,37 +289,47 @@ func EvalPrefixX(ctx context.Context, q Query, src DataSource, upTo int, useHash
 // base query the kernel compiler covers (kernel.go) runs compiled instead,
 // with identical results, and the pass is charged to ctx's recorder.
 func EvalBase(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
-	p, err := compileBase(bq, detail)
+	out, _, err := evalBase(ctx, bq, detail, false)
+	return out, err
+}
+
+// evalBase is EvalBase, or with witness set the witnessed base pass: the
+// filter selects no rows but is counted, and counts[i] is how many detail
+// rows of base row i's projection it admits.
+func evalBase(ctx context.Context, bq BaseQuery, detail RowSource, witness bool) (*relation.Relation, []int64, error) {
+	p, err := compileBase(bq, detail, witness)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	cs, ok := detail.(ColumnSource)
 	if !ok {
 		return p.scan(ctx, detail)
 	}
-	out, reason, err := p.runKernel(ctx, cs)
+	out, counts, reason, err := p.runKernel(ctx, cs)
 	if err == nil && out == nil {
-		out, err = p.scan(ctx, detail)
+		out, counts, err = p.scan(ctx, detail)
 	}
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	chargeScan(ctx, cs, reason, 1)
-	return out, nil
+	return out, counts, nil
 }
 
 // baseProg is a compiled base query: the bound filter, projection indexes and
-// grouping-set masks.
+// grouping-set masks. Under witness the filter counts rows instead of
+// selecting them.
 type baseProg struct {
-	where  expr.Expr
-	idx    []int
-	masks  [][]bool
-	schema relation.Schema
+	where   expr.Expr
+	idx     []int
+	masks   [][]bool
+	schema  relation.Schema
+	witness bool
 }
 
-func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
+func compileBase(bq BaseQuery, detail RowSource, witness bool) (*baseProg, error) {
 	schema := detail.Schema()
-	p := &baseProg{}
+	p := &baseProg{witness: witness}
 	if bq.Where != nil {
 		var err error
 		p.where, err = expr.Bind(bq.Where, nil, schema)
@@ -247,17 +366,22 @@ func compileBase(bq BaseQuery, detail RowSource) (*baseProg, error) {
 }
 
 // scan streams the detail source, keeping each surviving projection at its
-// first occurrence.
-func (p *baseProg) scan(ctx context.Context, src RowSource) (*relation.Relation, error) {
-	d := newDistinctRows(p.schema)
+// first occurrence; under witness every projection survives, and the rows the
+// filter admits are counted.
+func (p *baseProg) scan(ctx context.Context, src RowSource) (*relation.Relation, []int64, error) {
+	d := newDistinctRows(p.schema, p.witness)
 	err := src.Scan(ctx, func(t relation.Tuple) error {
+		admitted := int64(1)
 		if p.where != nil {
 			ok, err := expr.EvalCond(p.where, nil, t)
 			if err != nil {
 				return err
 			}
-			if !ok {
+			if !ok && !p.witness {
 				return nil
+			}
+			if !ok {
+				admitted = 0
 			}
 		}
 		for _, mask := range p.masks {
@@ -268,28 +392,33 @@ func (p *baseProg) scan(ctx context.Context, src RowSource) (*relation.Relation,
 					d.row[i] = relation.Null
 				}
 			}
-			d.add()
+			d.add(admitted)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return d.out, nil
+	return d.out, d.counts, nil
 }
 
-// distinctRows collects rows in the order they are first offered, each once.
+// distinctRows collects rows in the order they are first offered, each once,
+// and, when counted, sums per row the weights it was offered with.
 type distinctRows struct {
-	out  *relation.Relation
-	seen *relation.KeyTable
-	row  relation.Tuple // the row add offers
-	all  []int
+	out    *relation.Relation
+	seen   *relation.KeyTable
+	row    relation.Tuple // the row add offers
+	all    []int
+	counts []int64 // per out row; nil unless counted
 }
 
-func newDistinctRows(schema relation.Schema) *distinctRows {
+func newDistinctRows(schema relation.Schema, counted bool) *distinctRows {
 	d := &distinctRows{out: relation.New(schema), seen: relation.NewKeyTable(64), row: make(relation.Tuple, len(schema)), all: make([]int, len(schema))}
 	for i := range d.all {
 		d.all[i] = i
+	}
+	if counted {
+		d.counts = []int64{}
 	}
 	return d
 }
@@ -304,20 +433,34 @@ func (d *distinctRows) same(i int) bool {
 	return true
 }
 
-// add appends row to out unless out holds it already. A duplicate costs one
-// hash probe and no allocation.
-func (d *distinctRows) add() {
-	if h := d.row.KeyHash(d.all); d.seen.Find(h, d.same) < 0 {
-		d.seen.Insert(h, d.out.Len())
+// add appends row to out unless out holds it already, and adds w to its
+// count. A duplicate costs one hash probe and no allocation.
+func (d *distinctRows) add(w int64) {
+	h := d.row.KeyHash(d.all)
+	i := d.seen.Find(h, d.same)
+	if i < 0 {
+		i = d.out.Len()
+		d.seen.Insert(h, i)
 		d.out.MustAppend(d.row)
+		if d.counts != nil {
+			d.counts = append(d.counts, 0)
+		}
+	}
+	if d.counts != nil {
+		d.counts[i] += w
 	}
 }
 
-// addAll offers every row of r in order.
-func (d *distinctRows) addAll(r *relation.Relation) {
+// addAll offers every row of r in order, row i with weight counts[i] (nil
+// when r is not counted).
+func (d *distinctRows) addAll(r *relation.Relation, counts []int64) {
 	for i := 0; i < r.Len(); i++ {
 		d.row = r.AppendRow(d.row[:0], i)
-		d.add()
+		var w int64
+		if counts != nil {
+			w = counts[i]
+		}
+		d.add(w)
 	}
 }
 

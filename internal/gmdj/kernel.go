@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"skalla/internal/agg"
@@ -88,12 +89,15 @@ type scratch struct {
 	groups    []uint32   // group ids: a pattern's on several links, or the base dedup's
 
 	// The base dedup's: its dense tables, the cells of the projections a
-	// block offers, the positions of the new ones, and the (row, grouping
-	// set) elements under several sets.
+	// block offers, the positions of the new ones, the (row, grouping set)
+	// elements under several sets, the new projections in scan order and,
+	// under a witness, the per-projection counts.
 	tables        [][]uint32
 	cells         []uint32
 	pos           []int32
 	setRows, sets []int32
+	fresh         []baseCell
+	counts        []int64
 }
 
 var scratchPool = sync.Pool{New: func() any {
@@ -1167,6 +1171,8 @@ type baseKernel struct {
 	masks  [][]bool
 	schema relation.Schema
 	where  []keepFn
+	// witness counts the rows where admits instead of dropping the others.
+	witness bool
 	// firstWidth is the entries of the dense table the first projected
 	// column's cells key — its dictionary or its value span, one more for
 	// NULL — or 0 when the span is too wide and a hash table keys them;
@@ -1177,12 +1183,12 @@ type baseKernel struct {
 
 // compileBaseKernel covers the distinct projection, plain or per grouping
 // set, over INT and STRING columns, filtered by a conjunction of
-// column-vs-literal comparisons.
+// column-vs-literal comparisons; under a witness, the plain projection only.
 func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string) {
 	if len(p.idx) == 0 {
 		return nil, reasonShape
 	}
-	k := &baseKernel{cols: cols, idx: p.idx, masks: make([][]bool, len(p.masks)), schema: p.schema}
+	k := &baseKernel{cols: cols, idx: p.idx, masks: make([][]bool, len(p.masks)), schema: p.schema, witness: p.witness}
 	for set, mask := range p.masks {
 		for _, keep := range mask {
 			if !keep {
@@ -1190,6 +1196,9 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 				break
 			}
 		}
+	}
+	if p.witness && (len(k.masks) > 1 || k.masks[0] != nil) {
+		return nil, reasonShape
 	}
 	for _, j := range p.idx {
 		if vec := &cols.Vecs[j]; vec.Boxed || (vec.Kind != relation.KindInt && vec.Kind != relation.KindString) {
@@ -1246,6 +1255,7 @@ type baseDedup struct {
 	cells  []*intTable // per INT column that has no dense span: value → cell-1
 	pairs  []*intTable // pairs[c] pairs group and column c's cell
 	fresh  []baseCell  // the new projections, in scan order
+	counts []int64     // under a witness, per projection the rows where admits
 }
 
 // newDedup starts a dedup whose dense first table, if any, is scratch table t.
@@ -1345,13 +1355,16 @@ func grow[T any](buf *[]T, n int) []T {
 // under every grouping set in turn — the scalar order — listing the new
 // projections. Under several sets the rows go through a dedup of their own
 // first: a row that repeats an earlier one repeats its projection under every
-// set, so only new rows are offered set by set.
+// set, so only new rows are offered set by set. Under a witness every row is
+// offered and the ones the filter admits are counted against their
+// projection: a projection's group id is its position in fresh.
 func (d *baseDedup) scan(sc *scratch) {
 	masks := d.k.masks
 	var whole *baseDedup
 	if len(masks) > 1 {
 		whole = d.k.newDedup(sc, 1)
 	}
+	d.fresh, d.counts = sc.fresh[:0], sc.counts[:0]
 	total := d.k.cols.Rows
 	for lo := 0; lo < total; lo += blockRows {
 		// The filters hold literals only, which never read the X rows.
@@ -1359,14 +1372,9 @@ func (d *baseDedup) scan(sc *scratch) {
 		for m := range rows {
 			rows[m] = int32(lo + m)
 		}
-		n := len(rows)
-		for _, keep := range d.k.where {
-			if n == 0 {
-				break
-			}
-			n = keep(rows[:n], unused[:n])
+		if !d.k.witness {
+			rows = rows[:d.filter(rows, unused)]
 		}
-		rows = rows[:n]
 		if whole != nil {
 			sc.pos = whole.offer(rows, nil, sc, sc.pos[:0])
 			for k, m := range sc.pos {
@@ -1392,52 +1400,82 @@ func (d *baseDedup) scan(sc *scratch) {
 				cell.set = sets[m]
 			}
 			d.fresh = append(d.fresh, cell)
+			if d.k.witness {
+				d.counts = append(d.counts, 0)
+			}
+		}
+		if d.k.witness {
+			// Every row of the block was offered, in place, so sc.groups
+			// holds row lo+m's projection at m; the filter keeps the rows it
+			// admits, and each counts against its projection.
+			g := sc.groups
+			for _, i := range rows[:d.filter(rows, unused)] {
+				d.counts[g[int(i)-lo]]++
+			}
 		}
 	}
+	sc.fresh, sc.counts = d.fresh, d.counts
+}
+
+// filter moves the rows of a block the filters admit to its front, in order,
+// and returns how many it kept.
+func (d *baseDedup) filter(rows, unused []int32) int {
+	n := len(rows)
+	for _, keep := range d.k.where {
+		if n == 0 {
+			break
+		}
+		n = keep(rows[:n], unused[:n])
+	}
+	return n
 }
 
 // runKernel evaluates the base query over each image of src in turn, or
 // reports why it stays on the scalar path as runOperatorKernel does. Under
 // several images their results are merged keeping each base row's first
-// occurrence, so the rows come in the scalar path's order.
-func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.Relation, string, error) {
+// occurrence, so the rows come in the scalar path's order, and summing a
+// witness's counts.
+func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.Relation, []int64, string, error) {
 	var out *relation.Relation
+	var counts []int64
 	var merged *distinctRows // once a second image needs merging
 	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
 		k, why := compileBaseKernel(p, cols)
 		if k == nil {
 			return why
 		}
-		part := k.run()
+		part, partCounts := k.run()
 		switch {
 		case out == nil:
-			out = part
+			out, counts = part, partCounts
 			return reasonOK
 		case merged == nil:
-			merged = newDistinctRows(p.schema)
-			merged.addAll(out)
+			merged = newDistinctRows(p.schema, p.witness)
+			merged.addAll(out, counts)
 		}
-		merged.addAll(part)
-		out = merged.out
+		merged.addAll(part, partCounts)
+		out, counts = merged.out, merged.counts
 		return reasonOK
 	})
 	switch {
 	case reason != reasonOK || err != nil:
-		return nil, reason, err
+		return nil, nil, reason, err
 	case out == nil: // no image at all
 		out = relation.New(p.schema)
 	}
-	return out, reasonOK, nil
+	return out, counts, reasonOK, nil
 }
 
 // run evaluates the base query over the image in one pass, keeping the first
 // occurrences in scan order — the order the scalar path produces — as a
-// columnar relation gathered from the image's vectors.
-func (k *baseKernel) run() *relation.Relation {
+// columnar relation gathered from the image's vectors, and under a witness
+// each row's count. The scan's buffers stay in the pooled scratch; only the
+// result is allocated.
+func (k *baseKernel) run() (*relation.Relation, []int64) {
 	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	d := k.newDedup(sc, 0)
 	d.scan(sc)
-	scratchPool.Put(sc)
 	n := len(d.fresh)
 	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.idx))}
 	for c, j := range k.idx {
@@ -1461,5 +1499,9 @@ func (k *baseKernel) run() *relation.Relation {
 			}
 		}
 	}
-	return relation.FromColumns(k.schema, out)
+	var counts []int64
+	if k.witness {
+		counts = slices.Clone(d.counts)
+	}
+	return relation.FromColumns(k.schema, out), counts
 }

@@ -2,8 +2,8 @@ package plan
 
 import (
 	"fmt"
+	"slices"
 
-	"skalla/internal/agg"
 	"skalla/internal/distrib"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
@@ -102,12 +102,12 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 		down, up := n*m.MsgOverhead, int64(0)
 		switch r.Kind {
 		case RoundBase, RoundBaseMD1:
-			up = n * ceilI(perSite) * rowBytes(xs[r.UpTo])
+			up = n * ceilI(perSite) * localRowBytes(p, r, xs)
 		case RoundLocalPrefix:
 			// Each site returns its locally finished share of X; alignment
 			// is what made the prefix legal, so the shares partition the
 			// groups.
-			up = groups * rowBytes(xs[r.UpTo])
+			up = groups * localRowBytes(p, r, xs)
 		case RoundOperator:
 			down, up = m.operatorRound(p, r, xs, n, groups, perSite)
 		}
@@ -132,12 +132,15 @@ func (m CostModel) operatorRound(p *Plan, r Round, xs []relation.Schema, n, grou
 		downB = rowBytes(xs[k].Project(cols))
 	}
 	upB := 8 + rowBytes(physColumns(op, xs[k], xs[k+1]))
+	// Thm. 4 reducers cap the rows down at |Q|, and an observed reduction
+	// ships each site a subset of its own fragment, so its share applies to
+	// what the reducers left.
 	shipped := n * groups
-	if r.Observed > 0 {
-		shipped = ceilI(m.GuardSelectivity * float64(shipped))
-	}
 	if r.Reducers != nil {
 		shipped = min(shipped, groups)
+	}
+	if r.Observed > 0 {
+		shipped = ceilI(m.GuardSelectivity * float64(shipped))
 	}
 	rows := float64(n) * perSite
 	if r.Guard {
@@ -185,22 +188,20 @@ func (m CostModel) baseGroups(q gmdj.Query, cat *distrib.Catalog) (int64, bool) 
 	return groups, aligned
 }
 
+// localRowBytes is the modeled width of one row of a base or local round's
+// reply: gmdj.LocalReplySchema after the operators the round evaluates.
+func localRowBytes(p *Plan, r Round, xs []relation.Schema) int64 {
+	return rowBytes(gmdj.LocalReplySchema(xs[r.UpTo], p.Query.Ops[:r.UpTo], r.Witness))
+}
+
 // physColumns returns the columns op appends to X that its H_i carries: the
 // ones after has and not before, less the derived columns, which the
 // coordinator recomputes from them.
 func physColumns(op gmdj.Operator, before, after relation.Schema) relation.Schema {
-	derived := make(map[string]struct{})
-	for _, v := range op.Vars {
-		for _, sp := range v.Aggs {
-			switch sp.Func {
-			case agg.Avg, agg.Variance, agg.StdDev:
-				derived[sp.As] = struct{}{}
-			}
-		}
-	}
+	derived := gmdj.DerivedColumns([]gmdj.Operator{op})
 	var out relation.Schema
 	for _, c := range after[len(before):] {
-		if _, ok := derived[c.Name]; !ok {
+		if !slices.Contains(derived, c.Name) {
 			out = append(out, c)
 		}
 	}

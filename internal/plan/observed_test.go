@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -11,8 +12,9 @@ import (
 )
 
 // example1Flow is the paper's Example 1 on DAS, which no catalog partitions:
-// MD2's condition holds MD1's, so MD1's guarded answers bound MD2. The base
-// filter keeps the base round (Prop. 2 refuses filtered bases).
+// MD2's condition holds MD1's, so MD1's guarded answers bound MD2. Under
+// sync-skip the base round folds into MD1 with a witness counting the base
+// filter, and MD2 observes that local round instead.
 func example1Flow() gmdj.Query {
 	return gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"DAS"}, Where: expr.MustParse("R.NB >= 0")},
@@ -66,10 +68,12 @@ func TestContainsConditions(t *testing.T) {
 
 // The rule marks MD2 of Example 1 as bounded by MD1's guarded answers; the
 // cost model prices its X rows down at GuardSelectivity × n·|X|, and
-// Describe names the source.
+// Describe names the source. Without sync-skip MD1 runs as a guarded
+// operator round.
 func TestObservedReductionPlan(t *testing.T) {
 	model := DefaultCostModel(stats.NetModel{})
-	p, err := Compile(example1Flow(), flowSchemas, nil, 4, SelectAll(), model)
+	p, err := Compile(example1Flow(), flowSchemas, nil, 4, SelectRules("coalesce", "local-prefix",
+		"group-reduce-coord", "group-reduce-site", "group-reduce-observed"), model)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,5 +175,101 @@ func TestGroupReduceCoordSkipsWithoutOperatorRounds(t *testing.T) {
 		if !strings.Contains(d, frag) {
 			t.Errorf("Describe missing %q:\n%s", frag, d)
 		}
+	}
+}
+
+// reducedObservedQuery groups Flow on DAS, which the catalog does not
+// partition, under a base filter. Every θ bounds B.DAS by the partitioned
+// SAS, so each operator round has Thm. 4 reducers, and MD2 links the key, so
+// it observes the witnessed base+MD1 round as well.
+func reducedObservedQuery() gmdj.Query {
+	return gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"DAS"}, Where: expr.MustParse("R.NB >= 0")},
+		Ops: []gmdj.Operator{
+			opWith("c1", "B.DAS = R.DAS && B.DAS <= R.SAS"),
+			opWith("c2", "B.DAS = R.DAS && B.DAS <= R.SAS && R.NB >= B.c1"),
+		},
+	}
+}
+
+// A round with both Thm. 4 reducers and an observed reduction is priced
+// below either alone: the observed share applies to the rows the reducers
+// left. So auto keeps group-reduce-observed next to group-reduce-coord, and
+// dropping it raises the estimate.
+func TestAutoKeepsObservedNextToReducers(t *testing.T) {
+	p, err := compileFlow(reducedObservedQuery(), flowCatalog(4), 4, SelectAuto())
+	if err != nil {
+		t.Fatal(err)
+	}
+	md2 := p.Steps[len(p.Steps)-1]
+	if md2.Reducers == nil || md2.Observed == 0 || !slices.Contains(p.Rules, "group-reduce-observed") {
+		t.Fatalf("auto's MD2 has reducers %v and observes MD%d:\n%s", md2.Reducers != nil, md2.Observed, p.Describe())
+	}
+	without := slices.DeleteFunc(slices.Clone(p.Rules), func(r string) bool { return r == "group-reduce-observed" })
+	q, err := compileFlow(reducedObservedQuery(), flowCatalog(4), 4, SelectRules(without...))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Estimate.Compare(q.Estimate) >= 0 {
+		t.Errorf("with the observed reduction %s, without it %s: want strictly cheaper", p.Estimate, q.Estimate)
+	}
+}
+
+// Under sync-skip a filtered base folds into MD1 with a witness: the local
+// round's reply carries the keys, MD1's physical columns and an 8 B count,
+// and MD2 observes the local round when it links every key, but not when a
+// key is left unlinked.
+func TestSyncSkipWitnessPlan(t *testing.T) {
+	model := DefaultCostModel(stats.NetModel{})
+	p, err := Compile(example1Flow(), flowSchemas, nil, 4, SelectAll(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepNames(p) != "base+MD1,MD2" || !p.Steps[0].Witness || p.Steps[1].Observed != 1 {
+		t.Fatalf("steps %+v", p.Steps)
+	}
+	d := p.Describe()
+	for _, frag := range []string{
+		"sync reduction: base sync folded into MD1 (Prop. 2), σ counted by a witness",
+		"rule sync-skip          applied: base sync folded into MD1 (Prop. 2), σ counted by a witness",
+		"MD2: coordinator-side group reduction: false, site-side guard: true, observed reduction: from MD1",
+	} {
+		if !strings.Contains(d, frag) {
+			t.Errorf("Describe missing %q:\n%s", frag, d)
+		}
+	}
+	// DAS, then cnt and avg's sum and count — avg itself is derived — then
+	// the witness count: 1 + 8 + 3×8 + 8 B per row from each site.
+	sites := int64(4)
+	if got, want := p.Estimate.PerRound[0].BytesUp, sites*model.DefaultGroups*(1+8+3*8+8); got != want {
+		t.Errorf("base+MD1 est %d B up, want %d", got, want)
+	}
+
+	q := gmdj.Query{
+		Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS", "DAS"}, Where: expr.MustParse("R.NB >= 0")},
+		Ops: []gmdj.Operator{
+			opWith("c1", "B.SAS = R.SAS && B.DAS = R.DAS"),
+			opWith("c2", "B.DAS = R.DAS && R.NB >= B.c1"),
+		},
+	}
+	p, err = Compile(q, flowSchemas, nil, 4, SelectAll(), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := p.Trace[len(p.Trace)-1]
+	if stepNames(p) != "base+MD1,MD2" || p.Steps[1].Observed != 0 ||
+		last.Applied || last.Detail != "no operator round links every base key after the local round" {
+		t.Errorf("MD2 links DAS alone: steps %+v, trace %+v", p.Steps, last)
+	}
+
+	// A filtered base with grouping sets keeps its base round.
+	q.Base.GroupingSets = [][]string{{"SAS", "DAS"}, {"SAS"}}
+	q.Ops = q.Ops[:1]
+	p, err = Compile(q, flowSchemas, nil, 4, SelectRules("sync-skip"), model)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stepNames(p) != "base,MD1" || p.Trace[0].Detail != "filtered base with grouping sets: the witness pass does not cover it" {
+		t.Errorf("grouping sets under a filter: steps %s, trace %+v", stepNames(p), p.Trace[0])
 	}
 }

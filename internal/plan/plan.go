@@ -16,15 +16,18 @@
 //   - local-prefix: evaluate a partition-aligned operator prefix locally
 //     with one synchronization (Thm. 5 / Cor. 1);
 //   - sync-skip: fold the base-values sync into the first operator round
-//     (Prop. 2; unsound on filtered bases, guarded);
+//     (Prop. 2); over a filtered base the sites count, per group, the rows
+//     the filter admits, and the coordinator keeps the groups whose counts
+//     sum to a positive total (a witness);
 //   - group-reduce-coord: distribution-aware group reduction — per-operator,
 //     per-site coordinator-side predicates selecting the base fragment each
 //     site needs (Thm. 4);
 //   - group-reduce-site: the distribution-independent guard flag (Prop. 1),
 //     applied by the sites at execution time;
 //   - group-reduce-observed: an operator round whose conditions contain an
-//     earlier guarded round's ships each site only the X rows that site
-//     reported in that round (Thm. 4 with the guard's answers as φ_i).
+//     earlier guarded round's, or that links every base key over the base's
+//     detail relation after a local round, ships each site only the X rows
+//     that site reported in that round (Thm. 4 with the answers as φ_i).
 //
 // Callers choose rules with a Selection passed to Compile: none, all, an
 // explicit rule list, or ModeAuto, which compiles each of the 2^3 subsets of
@@ -115,10 +118,14 @@ type Round struct {
 	// Reducers[site] is the Thm. 4 base-fragment predicate for the round's
 	// operator at that site; nil means no reduction (operator rounds).
 	Reducers []distrib.ReductionPred
-	// Observed names an earlier guarded operator round by its UpTo (MD
-	// number) when this round ships each site only the X rows that site
-	// reported there; 0 means none.
+	// Observed names an earlier guarded operator round, or an earlier local
+	// round, by its UpTo (MD number) when this round ships each site only the
+	// X rows that site reported there; 0 means none.
 	Observed int
+	// Witness marks a RoundBaseMD1 over a filtered base: the sites evaluate
+	// the base unfiltered and count, per group, the detail rows the filter
+	// admits, and the coordinator drops the groups whose counts sum to 0.
+	Witness bool
 }
 
 // baselineSteps is the unreduced algorithm: a base round, then one round per
@@ -164,9 +171,18 @@ func (p *Plan) Rounds() int { return len(p.Steps) }
 // TrafficBound is the Theorem 2 bound on the base-structure rows the plan
 // transfers, for a result of groups groups: every site ships at most |Q| rows
 // in a base or local round, and at most |Q| each way in an operator round.
-func (p *Plan) TrafficBound(groups int) int {
+// A witnessed round is the exception: its sites report their groups before
+// the base filter, so it ships at most unfiltered rows per site, the size of
+// the base-values relation without its filter. Every later round ships only
+// the groups the witness kept, so |Q| bounds it as before. unfiltered is
+// read only by a plan with a witnessed round.
+func (p *Plan) TrafficBound(groups, unfiltered int) int {
 	bound := 0
 	for _, r := range p.Steps {
+		if r.Witness {
+			bound += p.NumSites * unfiltered
+			continue
+		}
 		bound += p.NumSites * groups
 		if r.Kind == RoundOperator {
 			bound += p.NumSites * groups // X_k down as well
@@ -191,6 +207,8 @@ func (p *Plan) Describe() string {
 		b.WriteString("  sync reduction: full local evaluation (Cor. 1)\n")
 	case first.Kind == RoundLocalPrefix:
 		fmt.Fprintf(&b, "  sync reduction: MD1..MD%d evaluated locally (Thm. 5 prefix)\n", first.UpTo)
+	case first.Kind == RoundBaseMD1 && first.Witness:
+		b.WriteString("  sync reduction: base sync folded into MD1 (Prop. 2), σ counted by a witness\n")
 	case first.Kind == RoundBaseMD1:
 		b.WriteString("  sync reduction: base sync folded into MD1 (Prop. 2)\n")
 	}

@@ -148,9 +148,14 @@ func (localPrefixRule) Apply(c *Context) (bool, string, error) {
 }
 
 // syncSkipRule folds the base-values synchronization into the first operator
-// round (Prop. 2). Soundness guard: filtered bases never qualify — a detail
-// row can match a group whose selection-passing witnesses all live at other
-// sites (see distrib.CanSkipBaseSync).
+// round (Prop. 2) when MD1 reads the base's detail relation and each of its
+// variables links every key to itself (distrib.CanSkipBaseSync). A filtered
+// base folds too, with a witness: a detail row can match a group whose
+// σ-rows all live at other sites, so no site may filter its local base.
+// Each site evaluates its unfiltered base and MD1 and counts, per group, the
+// rows σ admits; the coordinator sums the counts and drops the groups whose
+// total is 0 — Prop. 1's |RNG| > 0 test applied to σ. The query is not
+// rewritten, so WHERE keeps its base-only meaning.
 type syncSkipRule struct{}
 
 func (syncSkipRule) Name() string { return "sync-skip" }
@@ -162,11 +167,15 @@ func (syncSkipRule) Apply(c *Context) (bool, string, error) {
 		return false, "local prefix already folds the base sync", nil
 	case distrib.CanSkipBaseSync(q):
 		c.plan.foldPrefix(RoundBaseMD1, 1, "base+MD1")
-		return true, "base sync folded into MD1 (Prop. 2)", nil
+		if q.Base.Where == nil {
+			return true, "base sync folded into MD1 (Prop. 2)", nil
+		}
+		c.plan.Steps[0].Witness = true
+		return true, "base sync folded into MD1 (Prop. 2), σ counted by a witness", nil
 	case len(q.Ops) == 0:
 		return false, "no operators", nil
-	case q.Base.Where != nil:
-		return false, "filtered base: Prop. 2 entailment is unsound", nil
+	case q.Base.Where != nil && len(q.Base.GroupingSets) > 0:
+		return false, "filtered base with grouping sets: the witness pass does not cover it", nil
 	default:
 		return false, "first operator does not entail the base key linkage", nil
 	}
@@ -241,14 +250,18 @@ func (groupReduceSiteRule) Apply(c *Context) (bool, string, error) {
 }
 
 // groupReduceObservedRule bounds an operator round's fragments by an earlier
-// guarded round's answers. Under the Prop. 1 guard, site i reports exactly
-// the X rows some θ of operator k matched there. If every grouping variable
-// of a later operator k′ over the same detail relation has all the conjuncts
-// of some θ of operator k among its own top-level conjuncts, a row site i
-// did not report in round k matches nothing there in round k′ either: the
-// conjuncts read only detail rows and X columns that existed at round k,
-// which X never rewrites. So round k′ ships site i only the rows it reported
-// (Thm. 4 with the observed answers as φ_i).
+// round's answers. Under the Prop. 1 guard, site i reports exactly the X rows
+// some θ of operator k matched there. If every grouping variable of a later
+// operator k′ over the same detail relation has all the conjuncts of some θ
+// of operator k among its own top-level conjuncts, a row site i did not
+// report in round k matches nothing there in round k′ either: the conjuncts
+// read only detail rows and X columns that existed at round k, which X never
+// rewrites. A local round (base+MD1 or a Thm. 5 prefix) is a source too, for
+// a later operator over the base's detail relation whose every θ links every
+// key to itself: site i's local reply holds every group with a detail row at
+// site i that X keeps, and a row of site i matching such a θ is one of those
+// groups' rows. So round k′ ships site i only the rows it reported (Thm. 4
+// with the observed answers as φ_i).
 type groupReduceObservedRule struct{}
 
 func (groupReduceObservedRule) Name() string { return "group-reduce-observed" }
@@ -258,9 +271,10 @@ func (groupReduceObservedRule) Apply(c *Context) (bool, string, error) {
 	if !p.operatorRounds() {
 		return false, "no coordinator-driven operator rounds to reduce", nil
 	}
-	derived, guarded := 0, false
+	derived, guarded, local := 0, false, false
 	for i, r := range p.Steps {
 		guarded = guarded || r.Guard
+		local = local || r.Kind == RoundBaseMD1 || r.Kind == RoundLocalPrefix
 		if k := observedSource(p, i); k > 0 {
 			p.Steps[i].Observed = k
 			derived++
@@ -269,6 +283,8 @@ func (groupReduceObservedRule) Apply(c *Context) (bool, string, error) {
 	switch {
 	case derived > 0:
 		return true, fmt.Sprintf("observed reduction for %d of %d operator round(s)", derived, len(p.Query.Ops)), nil
+	case local:
+		return false, "no operator round links every base key after the local round", nil
 	case guarded:
 		return false, "no operator round's conditions contain an earlier guarded round's", nil
 	default:
@@ -276,8 +292,10 @@ func (groupReduceObservedRule) Apply(c *Context) (bool, string, error) {
 	}
 }
 
-// observedSource returns the UpTo of the latest guarded operator round before
-// round i of p whose answers bound it, or 0 for none (or when round i is no
+// observedSource returns the UpTo of the latest round before round i of p
+// whose answers bound it — a guarded operator round whose conditions round
+// i's contain, or a local round when round i's operator links every base key
+// over the base's detail relation — or 0 for none (or when round i is no
 // operator round). The latest source is the tightest: its own fragments were
 // already bounded by any earlier source that contains it.
 func observedSource(p *Plan, i int) int {
@@ -286,8 +304,15 @@ func observedSource(p *Plan, i int) int {
 	}
 	op := p.Query.Ops[p.Steps[i].UpTo-1]
 	for j := i - 1; j >= 0; j-- {
-		if e := p.Steps[j]; e.Kind == RoundOperator && e.Guard && containsConditions(op, p.Query.Ops[e.UpTo-1]) {
-			return e.UpTo
+		switch e := p.Steps[j]; e.Kind {
+		case RoundOperator:
+			if e.Guard && containsConditions(op, p.Query.Ops[e.UpTo-1]) {
+				return e.UpTo
+			}
+		case RoundBaseMD1, RoundLocalPrefix:
+			if distrib.SelfLinksBase(p.Query, op) {
+				return e.UpTo
+			}
 		}
 	}
 	return 0

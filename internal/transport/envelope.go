@@ -24,7 +24,7 @@ import (
 //	message   = uvarint(len(body)) body
 //	request   = kind(hello) uvarint(version)
 //	          | kind str(queryID) str(round) varint(attempt) payload
-//	payload   = base: baseQuery | local: baseQuery uvarint(#ops) operator… varint(upTo)
+//	payload   = base: baseQuery | local: baseQuery uvarint(#ops) operator… varint(upTo) bool(witness)
 //	          | operator: operator bool(guard) varint(blockRows) rel
 //	          | schema: str(name) | load: str(name) rel | tables: —
 //	reply     = kind(hello) uvarint(version) varint(siteID)
@@ -39,16 +39,20 @@ import (
 //	          | 0x03 byte(op) expr expr | 0x04 byte(op) expr
 //	rel       = frame | 0x00 (none: no frame has length 0)
 //
-// A reply's kind is its request's. The hello layout is the one no version
-// may change: it is how two versions find out they differ. The trailer is
-// fixed-width, so the bytes a call ships do not depend on how long it took.
+// A local request carries only the operators it evaluates, Ops[:upTo]
+// (clamped to the chain, so an out-of-range upTo still reaches the site and
+// fails there). A reply's kind is its request's. The hello layout is the one
+// no version may change: it is how two versions find out they differ. The
+// trailer is fixed-width, so the bytes a call ships do not depend on how long
+// it took.
 // Decoding accepts exactly what encoding writes, so a message that decodes
 // re-encodes to its own bytes.
 
 // ProtocolVersion is the envelope's layout version. Hello carries it both
 // ways, and a mismatch fails Dial naming both. The gob envelope before it had
-// no version.
-const ProtocolVersion = 2
+// no version. Version 3 added the local request's witness byte and cut its
+// operators to the prefix it evaluates.
+const ProtocolVersion = 3
 
 // ErrProtocol marks a message that does not decode, or a peer that speaks
 // another protocol version.
@@ -122,12 +126,14 @@ func writeRequest(w io.Writer, req *Request) (err error) {
 		b = binary.AppendVarint(b, int64(req.Operator.BlockRows))
 		return writeMessage(w, b, relFrame(req.Operator.Base))
 	case KindLocal:
+		ops := req.Local.Query.Ops[:min(max(req.Local.UpTo, 0), len(req.Local.Query.Ops))]
 		b = appendBaseQuery(b, &req.Local.Query.Base)
-		b = binary.AppendUvarint(b, uint64(len(req.Local.Query.Ops)))
-		for i := range req.Local.Query.Ops {
-			b = appendOperator(b, &req.Local.Query.Ops[i])
+		b = binary.AppendUvarint(b, uint64(len(ops)))
+		for i := range ops {
+			b = appendOperator(b, &ops[i])
 		}
 		b = binary.AppendVarint(b, int64(req.Local.UpTo))
+		b = append(b, boolByte(req.Local.Witness))
 	case KindSchema:
 		b = relation.AppendString(b, req.Name)
 	case KindLoad:
@@ -275,7 +281,7 @@ func readRequest(f *relation.FrameReader) (req *Request, err error) {
 		for n := readCount(c); len(req.Local.Query.Ops) < n; {
 			req.Local.Query.Ops = append(req.Local.Query.Ops, readOperator(c))
 		}
-		req.Local.UpTo = readInt(c)
+		req.Local.UpTo, req.Local.Witness = readInt(c), readBool(c)
 	case KindSchema:
 		req.Name = must(c.Str())
 	case KindLoad:

@@ -14,6 +14,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -101,7 +102,7 @@ func goldenMessages() []goldenMessage {
 		{name: "base", req: trace(Request{Kind: KindBase, Base: &base})},
 		{name: "operator", req: trace(Request{Kind: KindOperator, Operator: &engine.OperatorRequest{Base: rel, Op: op, Guard: true, BlockRows: 100}})},
 		{name: "operator-no-base", req: trace(Request{Kind: KindOperator, Operator: &engine.OperatorRequest{Op: op, BlockRows: -1}})},
-		{name: "local", req: trace(Request{Kind: KindLocal, Local: &engine.LocalRequest{Query: gmdj.Query{Base: base, Ops: []gmdj.Operator{op, op}}, UpTo: 2}})},
+		{name: "local", req: trace(Request{Kind: KindLocal, Local: &engine.LocalRequest{Query: gmdj.Query{Base: base, Ops: []gmdj.Operator{op, op, op}}, UpTo: 2, Witness: true}})},
 		{name: "schema", req: trace(Request{Kind: KindSchema, Name: "TPCR"})},
 		{name: "load", req: trace(Request{Kind: KindLoad, Name: "T", LoadRel: rel})},
 		{name: "tables", req: trace(Request{Kind: KindTables})},
@@ -220,6 +221,17 @@ func FuzzEnvelope(f *testing.F) {
 	}
 	// A 9-byte length prefix claiming a body of 2^62 bytes.
 	f.Add(binary.AppendUvarint(nil, 1<<62))
+	// Version 3 local requests: an upTo past the operators carried, which
+	// re-encodes as read, and a witness byte that is no bool.
+	local := append([]byte{byte(KindLocal)}, relation.AppendString(relation.AppendString(nil, "q"), "base+MD1")...)
+	local = binary.AppendVarint(local, 1)
+	local = appendBaseQuery(local, &gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}, Where: expr.MustParse("R.v > 1")})
+	local = binary.AppendUvarint(local, 0)
+	local = binary.AppendVarint(local, 5)
+	for _, witness := range []byte{1, 2} {
+		body := append(slices.Clip(local), witness)
+		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := envelopeAllocPerByte*uint64(len(data)) + envelopeAllocConst
 		kind := ReqKind(0)
