@@ -8,6 +8,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"sync"
@@ -339,6 +340,13 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // coordinator synchronizes the H_i into X. A site whose fragment holds no row
 // gets no call: its H_i is empty, and its empty stage commits as any other.
 //
+// When the rows are bounded by the local round's replies, each site's
+// fragment follows its own reply's order, and where the plan lets the sites
+// derive the keys (plan.Plan.DerivedFrom) it ships no keys: an
+// engine.Derive names the reply's rows it keeps, and the site rebuilds their
+// keys from its partition. A site whose partition changed since the local
+// round refuses (engine.ErrStalePartition), and the query fails unretried.
+//
 // Synchronization is streaming (Sect. 3.2) and fault-tolerant: each site's
 // H_i blocks — as they arrive, while slower sites are still computing — are
 // validated and staged in a per-site buffer, and a completed stream is
@@ -353,9 +361,14 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // run to run, however the streams' completion order falls.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
 	k, reducers := r.UpTo-1, r.Reducers
-	var observed [][]int32
-	if r.Observed > 0 {
+	var (
+		observed [][]int32
+		replies  [][]int64
+	)
+	if src, ok := pl.ObservedSource(r); ok && src.Kind == plan.RoundOperator {
 		observed = mg.Touched(r.Observed - 1)
+	} else if ok {
+		replies = mg.Replies()
 	}
 	op := pl.Query.Ops[k]
 	x := mg.X()
@@ -364,6 +377,17 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	cols, err := op.ShippedColumns(x.Schema, pl.Keys())
 	if err != nil {
 		return err
+	}
+	// values are the shipped columns other than the keys, which lead X; a
+	// derived request's template names the keys and the filter the local
+	// round's base pass applied, none when it was witnessed.
+	values := cols[len(pl.Keys()):]
+	var derive *engine.Derive
+	if local, ok := pl.DerivedFrom(r); ok {
+		derive = &engine.Derive{Keys: pl.Keys()}
+		if !local.Witness {
+			derive.Where = pl.Query.Base.Where
+		}
 	}
 
 	// Extend X with the operator's identity columns before any stage lands,
@@ -374,7 +398,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 		return err
 	}
 	var whole *relation.Relation
-	if reducers == nil {
+	if reducers == nil && replies == nil {
 		whole = mg.Fragment(cols, nil)
 	}
 	coordTime += time.Since(t0)
@@ -397,9 +421,29 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 			// does not hold — and runs once: every retry ships the same
 			// fragment and maps ordinals through the same kept. An observed
 			// reduction narrows the rows it tests to those the site reported;
-			// a site that reported every row gets the shared fragment.
+			// a site that reported every row of a guarded round gets the
+			// shared fragment.
 			frag, kept := whole, []int32(nil)
+			var siteDerive *engine.Derive
 			switch {
+			case replies != nil:
+				var keep distrib.ReductionPred
+				if reducers != nil {
+					keep = reducers[i]
+				}
+				var bitmap []byte
+				if kept, bitmap, errs[i] = replyRows(x, keep, replies[i]); errs[i] != nil {
+					return
+				}
+				// A frame without columns holds at most relation.MaxEmptyRows
+				// rows; past that the keys ship.
+				if derive != nil && (len(values) > 0 || len(kept) <= relation.MaxEmptyRows) {
+					d := *derive
+					d.Rows, d.Kept = len(replies[i]), bitmap
+					frag, siteDerive = mg.Fragment(values, kept), &d
+				} else {
+					frag = mg.Fragment(cols, kept)
+				}
 			case reducers != nil:
 				var from []int32
 				if observed != nil {
@@ -426,6 +470,7 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				Op:        op,
 				Guard:     r.Guard,
 				BlockRows: c.blockRows,
+				Derive:    siteDerive,
 			}
 			var done *hStage
 			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
@@ -444,6 +489,9 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 				calls[i] = call
 				if err != nil {
 					st.Discard()
+					if errors.Is(err, engine.ErrStalePartition) {
+						err = &permanentError{err}
+					}
 					return call, err
 				}
 				done = st
@@ -501,6 +549,33 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	rs.End(coordTime)
 	return err
+}
+
+// replyRows returns, in reply order, the X rows of a site's local reply rows
+// (at, -1 for a row X dropped) that keep admits (all of them when keep is
+// nil), and marks those reply rows in a bitmap, bit i of byte i/8 for row i.
+func replyRows(x *relation.Relation, keep distrib.ReductionPred, at []int64) ([]int32, []byte, error) {
+	kept := make([]int32, 0, len(at))
+	bitmap := make([]byte, (len(at)+7)/8)
+	var row relation.Tuple
+	for i, xi := range at {
+		if xi < 0 {
+			continue
+		}
+		if keep != nil {
+			row = x.AppendRow(row[:0], int(xi))
+			ok, err := keep(row)
+			if err != nil {
+				return nil, nil, err
+			}
+			if !ok {
+				continue
+			}
+		}
+		kept = append(kept, int32(xi))
+		bitmap[i>>3] |= 1 << (i & 7)
+	}
+	return kept, bitmap, nil
 }
 
 // reduceRows returns the X rows keep admits, among those listed (ascending),

@@ -73,7 +73,10 @@ type merger struct {
 	// touched[k][i] lists, ascending, the X rows site i's committed
 	// operator-k stage reported. Only the operators a later round's observed
 	// reduction reads (plan.Round.Observed) keep theirs; see KeepTouched.
+	// When that round is the local round, replies[i] is instead the X row
+	// of each row of site i's reply, in reply order, -1 for a row X dropped.
 	touched [][][]int32
+	replies [][]int64
 
 	// budget is the query's coordinator-side memory budget (nil = unbounded).
 	// X growth is charged here; staged H blocks are charged by their stages.
@@ -103,7 +106,8 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 
 // KeepTouched makes the commits of operator k's stages record, per site, the
 // X rows the site reported (RecordTouched), for a later round to read
-// (Touched).
+// (Touched) — or, when the local round evaluates operator k, its merge keep
+// the replies' rows (Replies).
 func (m *merger) KeepTouched(k, sites int) {
 	if m.touched[k] == nil {
 		m.touched[k] = make([][]int32, sites)
@@ -128,6 +132,11 @@ func (m *merger) RecordTouched(k, site int, st *hStage) error {
 // Touched returns, per site, the X rows its committed operator-k stage
 // reported (nil unless KeepTouched asked for them). Read-only.
 func (m *merger) Touched(k int) [][]int32 { return m.touched[k] }
+
+// Replies returns, per site, the X row each row of its local reply is, in
+// reply order, -1 for a row X dropped (nil unless KeepTouched asked for the
+// local round's operators). Read-only.
+func (m *merger) Replies() [][]int64 { return m.replies }
 
 // keySeed seeds the hash of STRING key cells.
 var keySeed = maphash.MakeSeed()
@@ -547,7 +556,7 @@ type hStage struct {
 }
 
 // xRows lists, ascending, the X rows of the ordinals the stream reported.
-// The fragment's row list is ascending, so mapping keeps the order.
+// A fragment's row list is ascending unless it follows a local reply's order.
 func (st *hStage) xRows() []int32 {
 	n := 0
 	for _, word := range st.seen.bits {
@@ -563,6 +572,7 @@ func (st *hStage) xRows() []int32 {
 			rows = append(rows, ord)
 		}
 	}
+	slices.Sort(rows) // linear on a list that is sorted already
 	return rows
 }
 
@@ -701,8 +711,8 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) er
 // theirs passes the base filter at any site, so they are not in the
 // base-values relation. A group can count 0 at one site and more at another;
 // only the sum decides. When a later round's observed reduction reads them
-// (KeepTouched), the X rows each site's reply named are kept, ascending, for
-// Touched. Last, the derived columns are recomputed.
+// (KeepTouched), the X row of each reply row is kept, in reply order, for
+// Replies. Last, the derived columns are recomputed.
 func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation.Relation) error {
 	upTo := len(ops)
 	want := gmdj.LocalReplySchema(m.xschemas[upTo], ops, witness)
@@ -746,29 +756,12 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 		}
 	}
 	if k := upTo - 1; k >= 0 && m.touched[k] != nil {
-		// A walk over X lists each site's rows in ascending order, without a
-		// sort.
-		marked := make([]bool, m.x.Len())
-		for p, rows := range at {
-			n := 0
-			for _, r := range rows {
-				if r >= 0 {
-					marked[r] = true
-					n++
-				}
-			}
-			if err := m.budget.charge(4 * int64(n)); err != nil {
+		for _, rows := range at {
+			if err := m.budget.charge(8 * int64(len(rows))); err != nil {
 				return err
 			}
-			named := make([]int32, 0, n)
-			for r, ok := range marked {
-				if ok {
-					named = append(named, int32(r))
-					marked[r] = false
-				}
-			}
-			m.touched[k][p] = named
 		}
+		m.replies = at
 	}
 	m.RecomputeDerived(0, upTo)
 	return nil

@@ -52,20 +52,17 @@ func partialLinkQuery() gmdj.Query {
 	return q
 }
 
-// TestWitnessPlacementsMatchCentral is Thm. 3 for Prop. 2 over a filtered
-// base (σ: R.v >= 5) under adversarial placements of σ's rows: sync-skip
-// folds the base round into MD1 with a witness, every site reports every
-// group it holds a row of, and the coordinator keeps the groups whose counts
-// sum to a positive total. On one to four sites and over the by-reference,
-// serialized and TCP transports, the result equals EvalCentral's in two
-// rounds, for a query whose MD2 observes the local round and one whose MD2
-// may not.
-func TestWitnessPlacementsMatchCentral(t *testing.T) {
-	placements := []struct {
-		name  string
-		rows  []placed
-		retry bool // the last site's first call, a local one, fails and is retried
-	}{
+// witnessPlacement is one adversarial placement of T's rows for a query
+// whose base filter is σ: R.v >= 5.
+type witnessPlacement struct {
+	name  string
+	rows  []placed
+	retry bool // the last site's first call, a local one, fails and is retried
+}
+
+// witnessPlacements are the placements a witnessed local round must survive.
+func witnessPlacements() []witnessPlacement {
+	return []witnessPlacement{
 		{name: "a group's only σ-row on one site, its other rows on the others", rows: []placed{
 			{0, 0, 1, 10}, {1, 4, 1, 2}, {1, 5, 1, 3}, {2, 8, 1, 1}, {3, 12, 1, 4},
 			{1, 4, 2, 20}, {3, 13, 2, 30}, {0, 1, 2, 1},
@@ -86,8 +83,12 @@ func TestWitnessPlacementsMatchCentral(t *testing.T) {
 			{1, 4, 2, 20}, {3, 13, 2, 30}, {0, 1, 2, 1},
 		}},
 	}
-	queries := map[string]gmdj.Query{"observed": observedQuery("h"), "partial link": partialLinkQuery()}
-	transports := map[string]func(*testing.T, *engine.Site) transport.Site{
+}
+
+// testTransports connects a site by reference, serialized in process, and
+// over TCP on loopback.
+func testTransports() map[string]func(*testing.T, *engine.Site) transport.Site {
+	return map[string]func(*testing.T, *engine.Site) transport.Site{
 		"fast":  func(_ *testing.T, es *engine.Site) transport.Site { return transport.NewFastLocalSite(es) },
 		"local": func(_ *testing.T, es *engine.Site) transport.Site { return transport.NewLocalSite(es) },
 		"tcp": func(t *testing.T, es *engine.Site) transport.Site {
@@ -104,6 +105,19 @@ func TestWitnessPlacementsMatchCentral(t *testing.T) {
 			return cli
 		},
 	}
+}
+
+// TestWitnessPlacementsMatchCentral is Thm. 3 for Prop. 2 over a filtered
+// base (σ: R.v >= 5) under adversarial placements of σ's rows: sync-skip
+// folds the base round into MD1 with a witness, every site reports every
+// group it holds a row of, and the coordinator keeps the groups whose counts
+// sum to a positive total. On one to four sites and over the by-reference,
+// serialized and TCP transports, the result equals EvalCentral's in two
+// rounds, for a query whose MD2 observes the local round and one whose MD2
+// may not.
+func TestWitnessPlacementsMatchCentral(t *testing.T) {
+	placements, transports := witnessPlacements(), testTransports()
+	queries := map[string]gmdj.Query{"observed": observedQuery("h"), "partial link": partialLinkQuery()}
 	for _, pc := range placements {
 		for n := 1; n <= 4; n++ {
 			parts := placeOn(pc.rows, n)

@@ -12,10 +12,12 @@ package engine
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
 
+	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
@@ -221,6 +223,69 @@ type OperatorRequest struct {
 	// the coordinator can synchronize early blocks while later ones are
 	// still in flight. Zero or negative returns H_i as a single block.
 	BlockRows int
+	// Derive, when set, says Base carries no keys: the site rebuilds them
+	// from its local reply, which Derive describes, and Base holds the other
+	// shipped columns of the reply rows Derive keeps, in reply order.
+	Derive *Derive
+}
+
+// Derive describes the keys an operator round ships no more: those of the
+// site's reply to the query's local round (Prop. 2 or Thm. 5), whose groups
+// bound the round (plan.Round.Observed). The site keeps nothing between the
+// rounds; it runs the local round's base pass again (gmdj.DeriveKeys), which
+// yields the same rows in the same order as long as its partition has not
+// changed, and refuses with ErrStalePartition when their count says it has.
+type Derive struct {
+	// Keys are the base key columns, over the operator's detail relation.
+	Keys []string
+	// Where is the base filter the local round's pass applied: nil when it
+	// was witnessed, which filters nothing.
+	Where expr.Expr
+	// Rows is the row count of the site's local reply.
+	Rows int
+	// Kept marks, bit i of byte i/8, the reply rows the fragment keeps; the
+	// bits past Rows are 0.
+	Kept []byte
+}
+
+// ErrStalePartition marks an operator request whose keys the site cannot
+// rebuild: its partition is not the one its local reply came from. Retrying
+// cannot help, and nothing of the site's answer is merged.
+var ErrStalePartition = errors.New("engine: partition changed since the local round")
+
+// derivedBase rebuilds the X fragment of a request with a Derive over
+// detail: the derived keys of the reply rows d keeps, followed by the
+// columns values ships for them.
+func derivedBase(ctx context.Context, d *Derive, values *relation.Relation, detail gmdj.RowSource) (*relation.Relation, error) {
+	if len(d.Keys) == 0 || d.Rows < 0 || len(d.Kept) != (d.Rows+7)/8 {
+		return nil, fmt.Errorf("engine: malformed derive spec (%d keys, %d rows, %d bitmap bytes)", len(d.Keys), d.Rows, len(d.Kept))
+	}
+	keys, err := gmdj.DeriveKeys(ctx, gmdj.BaseQuery{Cols: d.Keys, Where: d.Where}, detail)
+	if err != nil {
+		return nil, err
+	}
+	if keys.Len() != d.Rows {
+		return nil, fmt.Errorf("%w: %d groups now, %d in the local reply", ErrStalePartition, keys.Len(), d.Rows)
+	}
+	sel := make([]int32, 0, values.Len())
+	for i := 0; i < d.Rows; i++ {
+		if d.Kept[i>>3]>>(i&7)&1 != 0 {
+			sel = append(sel, int32(i))
+		}
+	}
+	if len(sel) != values.Len() {
+		return nil, fmt.Errorf("engine: derive spec keeps %d rows, the fragment holds %d", len(sel), values.Len())
+	}
+	schema, err := keys.Schema.Concat(values.Schema)
+	if err != nil {
+		return nil, err
+	}
+	kc := keys.Columns()
+	if len(sel) < kc.Rows {
+		kc = kc.Select(sel, nil)
+	}
+	vecs := append(append(make([]relation.Vector, 0, len(schema)), kc.Vecs...), values.Columns().Vecs...)
+	return relation.FromColumns(schema, &relation.Columns{Rows: len(sel), Vecs: vecs}), nil
 }
 
 // OrdinalColumn is the leading column of every H_i: the INT position, in the
@@ -273,8 +338,14 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if err != nil {
 		return err
 	}
+	base := req.Base
+	if req.Derive != nil {
+		if base, err = derivedBase(ctx, req.Derive, base, detail); err != nil {
+			return err
+		}
+	}
 
-	acc, err := gmdj.AccumulateOperator(ctx, req.Base, req.Op, detail, snap.useHash)
+	acc, err := gmdj.AccumulateOperator(ctx, base, req.Op, detail, snap.useHash)
 	if err != nil {
 		return err
 	}
@@ -291,7 +362,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if err != nil {
 		return err
 	}
-	n := req.Base.Len()
+	n := base.Len()
 	remaining := n
 	if req.Guard {
 		remaining = 0

@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -291,6 +292,57 @@ func evalPrefix(ctx context.Context, q Query, src DataSource, upTo int, useHash,
 func EvalBase(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
 	out, _, err := evalBase(ctx, bq, detail, false)
 	return out, err
+}
+
+// DeriveKeys rebuilds the rows of a local reply's base pass (EvalLocalReply)
+// over detail — the keys the site sent up, in the order it sent them — by
+// running that pass again with the same evaluator, kernel or scalar: bq is
+// the base query less its filter when the pass was witnessed, which filters
+// nothing. A single NULL-free STRING key over a source of one image needs no
+// pass at all: the image's dictionary lists its values once each in
+// first-occurrence order, which is the order the pass keeps.
+func DeriveKeys(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
+	if bq.Where == nil && len(bq.Cols) == 1 && len(bq.GroupingSets) == 0 {
+		if cs, ok := detail.(ColumnSource); ok {
+			keys, err := dictKeys(ctx, cs, bq.Cols[0])
+			if keys != nil || err != nil {
+				return keys, err
+			}
+		}
+	}
+	return EvalBase(ctx, bq, detail)
+}
+
+// errOneImage stops dictKeys' walk after the first image.
+var errOneImage = errors.New("gmdj: first image read")
+
+// dictKeys returns column col's distinct values in first-occurrence order,
+// read off the dictionary of src's first image when that image holds every
+// row and col there is an indexed STRING vector (relation.Vector.Indexed)
+// with no NULL; nil otherwise. The keys index the dictionary itself, as the
+// base kernel's output does.
+func dictKeys(ctx context.Context, src ColumnSource, col string) (*relation.Relation, error) {
+	schema := src.Schema()
+	j := schema.Index(col)
+	if j < 0 || schema[j].Kind != relation.KindString {
+		return nil, nil
+	}
+	var keys *relation.Relation
+	err := src.Images(ctx, func(c *relation.Columns) error {
+		if v := &c.Vecs[j]; c.Rows == src.Len() && !v.Boxed && v.Indexed() && !slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 }) {
+			codes := make([]uint32, len(v.Dict))
+			for i := range codes {
+				codes[i] = uint32(i)
+			}
+			vec := relation.Vector{Kind: relation.KindString, Codes: codes, Dict: slices.Clip(v.Dict)}
+			keys = relation.FromColumns(schema.Project([]int{j}), &relation.Columns{Rows: len(codes), Vecs: []relation.Vector{vec}})
+		}
+		return errOneImage
+	})
+	if err != nil && !errors.Is(err, errOneImage) {
+		return nil, err
+	}
+	return keys, nil
 }
 
 // evalBase is EvalBase, or with witness set the witnessed base pass: the

@@ -86,13 +86,20 @@ const blockRows = 1024
 type scratch struct {
 	ids       [][]uint32 // per link stage, the block's ids
 	rows, bis []int32    // candidate (detail row, X row) pairs
-	groups    []uint32   // group ids: a pattern's on several links, or the base dedup's
+	groups    []uint32   // a pattern's group ids on several links
 
-	// The base dedup's: its dense tables, the cells of the projections a
-	// block offers, the positions of the new ones, the (row, grouping set)
+	// The link stages of the image being compiled, in compile order: each
+	// one's X ids and code map, reused by the next image and evaluation.
+	xids, byCode [][]uint32
+	links        int
+
+	// The base dedup's: its dense tables, the projection each offered row
+	// has, the cells of the projections a block offers, the positions of the
+	// new ones, the (row, grouping set)
 	// elements under several sets, the new projections in scan order and,
 	// under a witness, the per-projection counts.
 	tables        [][]uint32
+	projs         []int32
 	cells         []uint32
 	pos           []int32
 	setRows, sets []int32
@@ -110,6 +117,23 @@ func (sc *scratch) stageIDs(n int) [][]uint32 {
 		sc.ids = append(sc.ids, make([]uint32, blockRows))
 	}
 	return sc.ids[:n]
+}
+
+// linkBufs returns the next link stage's buffers for the image being
+// compiled: nx X ids, and a code map of codes zeroed entries (nil when codes
+// is 0).
+func (sc *scratch) linkBufs(nx, codes int) (xids, byCode []uint32) {
+	i := sc.links
+	sc.links++
+	if len(sc.xids) <= i {
+		sc.xids, sc.byCode = append(sc.xids, nil), append(sc.byCode, nil)
+	}
+	xids = grow(&sc.xids[i], nx)
+	if codes > 0 {
+		byCode = grow(&sc.byCode[i], codes)
+		clear(byCode)
+	}
+	return xids, byCode
 }
 
 // table returns the t-th dense table, n zeroed entries long.
@@ -389,14 +413,17 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 		case !numeric:
 			// Codes in the detail column's dictionary; noID for a string no
 			// detail row holds.
-			codes := make([]uint32, x.Len())
-			for bi := range codes {
-				if !bv.Null(bi) {
-					code, found := vec.Code(bv.Dict[bv.Codes[bi]])
-					if !found {
-						code = noID
+			codes := bv.Codes
+			if !sharesDict(bv, vec) {
+				codes = make([]uint32, x.Len())
+				for bi := range codes {
+					if !bv.Null(bi) {
+						code, found := vec.Code(bv.Dict[bv.Codes[bi]])
+						if !found {
+							code = noID
+						}
+						codes[bi] = code
 					}
-					codes[bi] = code
 				}
 			}
 			return cmpKeeps[uint32, uint32, uint32](op, vec.Codes, vec.Nulls, codes, bv.Nulls, -1), reasonOK
@@ -449,12 +476,14 @@ const anyID = noID - 1
 // path's 2^n-probe scan does.
 const maxRollupLinks = 16
 
-// compileLink resolves one link. The probe stands in for evaluating the
-// equality, so it must agree with expr's: same declared kinds on both sides
-// and every X value NULL or of that kind (cross-kind numerics compare equal
-// in expr, which a typed lookup would miss), and a detail NULL matches no
-// value.
-func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool) (linkStage, string) {
+// compileLink resolves one link, into buffers from sc. The probe stands in
+// for evaluating the equality, so it must agree with expr's: same declared
+// kinds on both sides and every X value NULL or of that kind (cross-kind
+// numerics compare equal in expr, which a typed lookup would miss), and a
+// detail NULL matches no value. A STRING X column that indexes the detail
+// column's own dictionary (sharesDict) needs no probe: its code is the
+// detail code.
+func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool, sc *scratch) (linkStage, string) {
 	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind || vec.Kind != relation.KindString && vec.Kind != relation.KindInt {
 		return linkStage{}, reasonKind
 	}
@@ -462,7 +491,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	if bv.Boxed {
 		return linkStage{}, reasonKind
 	}
-	st := linkStage{xids: make([]uint32, x.Len()), rollup: rollup, nulls: vec.Nulls}
+	st := linkStage{rollup: rollup, nulls: vec.Nulls}
 	null := noID
 	if rollup {
 		null = anyID
@@ -471,14 +500,19 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	case relation.KindString:
 		// code → id+1, 0 for codes no X row holds. One entry more than the
 		// dictionary, for the code 0 a NULL holds when the dictionary is empty.
-		st.codes, st.byCode = vec.Codes, make([]uint32, len(vec.Dict)+1)
+		st.codes = vec.Codes
+		st.xids, st.byCode = sc.linkBufs(x.Len(), len(vec.Dict)+1)
+		same := sharesDict(bv, vec)
 		for bi := range st.xids {
 			if bv.Null(bi) {
 				st.xids[bi] = null
 				continue
 			}
 			st.xids[bi] = noID
-			code, ok := vec.Code(bv.Dict[bv.Codes[bi]])
+			code, ok := bv.Codes[bi], true
+			if !same {
+				code, ok = vec.Code(bv.Dict[code])
+			}
 			if !ok {
 				continue
 			}
@@ -490,6 +524,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 		}
 	default:
 		st.ints = vec.Ints
+		st.xids, _ = sc.linkBufs(x.Len(), 0)
 		lo, hi, found := int64(0), int64(0), false
 		for bi, k := range bv.Ints {
 			if !bv.Null(bi) {
@@ -528,6 +563,14 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 		st.n = st.tbl.n
 	}
 	return st, reasonOK
+}
+
+// sharesDict reports whether X's STRING vector bv indexes the detail vector
+// vec's dictionary itself — the same entries, not equal ones — as the base
+// kernel's output over vec's image does: a code of bv's is then vec's code
+// for the same string.
+func sharesDict(bv, vec *relation.Vector) bool {
+	return len(bv.Dict) > 0 && len(bv.Dict) == len(vec.Dict) && &bv.Dict[0] == &vec.Dict[0]
 }
 
 // resolve writes the ids of detail rows lo, lo+1, … into ids: noID for a
@@ -698,10 +741,11 @@ type varKernel struct {
 // compileOperator compiles every grouping variable of an operator against
 // one image, or returns the reason the operator stays on the scalar path.
 // states carry the layouts and the bound conditions.
-func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns) ([]*varKernel, string) {
+func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns, sc *scratch) ([]*varKernel, string) {
+	sc.links = 0 // the previous image's link stages are done
 	vars := make([]*varKernel, len(states))
 	for vi, st := range states {
-		vk, reason := compileVar(x, st, cols)
+		vk, reason := compileVar(x, st, cols, sc)
 		if vk == nil {
 			return nil, reason
 		}
@@ -710,7 +754,7 @@ func compileOperator(x *relation.Relation, states []*varState, cols *relation.Co
 	return vars, reasonOK
 }
 
-func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*varKernel, string) {
+func compileVar(x *relation.Relation, st *varState, cols *relation.Columns, sc *scratch) (*varKernel, string) {
 	vk := &varKernel{layout: st.layout, args: make([]*relation.Vector, len(st.layout.Phys))}
 	for p, pc := range st.layout.Phys {
 		if pc.ArgIdx < 0 {
@@ -735,7 +779,7 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns) (*va
 					return nil, reasonShape
 				}
 			}
-			stage, reason := compileLink(x, bIdx, &cols.Vecs[dIdx], rollup)
+			stage, reason := compileLink(x, bIdx, &cols.Vecs[dIdx], rollup, sc)
 			if reason != reasonOK {
 				return nil, reason
 			}
@@ -1145,7 +1189,7 @@ func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varS
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
-		vars, why := compileOperator(x, states, cols)
+		vars, why := compileOperator(x, states, cols, sc)
 		if vars == nil {
 			return why
 		}
@@ -1276,10 +1320,11 @@ func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
 
 // offer offers the projections of detail rows rows[m] under grouping sets
 // sets[m] (all columns kept when sets is nil), in order, a column at a time,
-// and appends to fresh the positions m of the ones that are new.
+// and appends to fresh the positions m of the ones that are new. It leaves
+// row m's projection, its position in d.fresh, in sc.projs[m].
 func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int32 {
 	n := len(rows)
-	g, cell := grow(&sc.groups, n), grow(&sc.cells, n)
+	g, cell := grow(&sc.projs, n), grow(&sc.cells, n)
 	clear(g)
 	last := len(d.k.idx) - 1
 	for c, j := range d.k.idx {
@@ -1295,13 +1340,13 @@ func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int3
 						fresh = append(fresh, int32(m))
 					}
 				}
-				g[m] = id - 1
+				g[m] = int32(id - 1)
 			}
 			continue
 		}
 		for m, x := range cell {
-			var isNew bool
-			g[m], isNew = d.pairs[c].insert(int64(g[m])<<32 | int64(x))
+			id, isNew := d.pairs[c].insert(int64(g[m])<<32 | int64(x))
+			g[m] = int32(id)
 			if isNew && c == last {
 				fresh = append(fresh, int32(m))
 			}
@@ -1405,12 +1450,14 @@ func (d *baseDedup) scan(sc *scratch) {
 			}
 		}
 		if d.k.witness {
-			// Every row of the block was offered, in place, so sc.groups
-			// holds row lo+m's projection at m; the filter keeps the rows it
-			// admits, and each counts against its projection.
-			g := sc.groups
-			for _, i := range rows[:d.filter(rows, unused)] {
-				d.counts[g[int(i)-lo]]++
+			// Every row of the block was offered, in place, so sc.projs
+			// holds row lo+m's projection at m. The filters carry each row's
+			// projection beside it, as they carry an X row beside a detail
+			// row, so the projections of the rows they admit come out in
+			// front, to be counted.
+			projs := sc.projs[:len(rows)]
+			for _, g := range projs[:d.filter(rows, projs)] {
+				d.counts[g]++
 			}
 		}
 	}
@@ -1418,14 +1465,15 @@ func (d *baseDedup) scan(sc *scratch) {
 }
 
 // filter moves the rows of a block the filters admit to its front, in order,
-// and returns how many it kept.
-func (d *baseDedup) filter(rows, unused []int32) int {
+// with the entry of beside at the same position, and returns how many it
+// kept. The filters read literals only, never beside.
+func (d *baseDedup) filter(rows, beside []int32) int {
 	n := len(rows)
 	for _, keep := range d.k.where {
 		if n == 0 {
 			break
 		}
-		n = keep(rows[:n], unused[:n])
+		n = keep(rows[:n], beside[:n])
 	}
 	return n
 }
@@ -1469,8 +1517,10 @@ func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.R
 // run evaluates the base query over the image in one pass, keeping the first
 // occurrences in scan order — the order the scalar path produces — as a
 // columnar relation gathered from the image's vectors, and under a witness
-// each row's count. The scan's buffers stay in the pooled scratch; only the
-// result is allocated.
+// each row's count. A STRING column indexes the image's own dictionary
+// (clipped, so a later append copies it), which lets an operator over the
+// same image link it without a probe (compileLink). The scan's buffers stay
+// in the pooled scratch; only the result is allocated.
 func (k *baseKernel) run() (*relation.Relation, []int64) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
@@ -1484,7 +1534,7 @@ func (k *baseKernel) run() (*relation.Relation, []int64) {
 		if v.Kind == relation.KindInt {
 			v.Ints = make([]int64, n)
 		} else {
-			v.Codes, v.Dict = make([]uint32, n), make([]string, 0, n)
+			v.Codes, v.Dict = make([]uint32, n), slices.Clip(in.Dict)
 		}
 		for i, bc := range d.fresh {
 			row := int(bc.row)
@@ -1494,8 +1544,7 @@ func (k *baseKernel) run() (*relation.Relation, []int64) {
 			case v.Kind == relation.KindInt:
 				v.Ints[i] = in.Ints[row]
 			default:
-				v.Codes[i] = uint32(len(v.Dict))
-				v.Dict = append(v.Dict, in.Dict[in.Codes[row]])
+				v.Codes[i] = in.Codes[row]
 			}
 		}
 	}

@@ -559,7 +559,7 @@ func TestKernelTablesTakeBothSides(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			vars, reason := compileOperator(c.x, states, src.cols)
+			vars, reason := compileOperator(c.x, states, src.cols, &scratch{})
 			if vars == nil {
 				t.Fatalf("did not compile: %s", reason)
 			}
@@ -957,8 +957,9 @@ func TestRollupFreeLinksFormOnePattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	var stages []linkStage
+	sc := &scratch{}
 	for _, k := range []string{"S", "I"} {
-		st, reason := compileLink(x, x.Schema.MustIndex(k), &cols.Vecs[detail.Schema.MustIndex(k)], false)
+		st, reason := compileLink(x, x.Schema.MustIndex(k), &cols.Vecs[detail.Schema.MustIndex(k)], false, sc)
 		if reason != reasonOK {
 			t.Fatalf("link on %s: %s", k, reason)
 		}

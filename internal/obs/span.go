@@ -49,7 +49,9 @@ type TraceWriter struct {
 // NewTraceWriter wraps a writer.
 func NewTraceWriter(w io.Writer) *TraceWriter { return &TraceWriter{w: w} }
 
-// printf writes one formatted line; a nil writer traces nothing.
+// printf writes one formatted line; a nil writer traces nothing. Callers
+// test for nil first where the line is per call or per round: the arguments
+// are boxed before printf can decline them.
 func (t *TraceWriter) printf(format string, args ...any) {
 	if t == nil {
 		return
@@ -96,7 +98,9 @@ func (q *QuerySpan) StartRound(name string, xRows int) *RoundSpan {
 	q.p.Rounds = append(q.p.Rounds, RoundProfile{Name: name, Start: time.Now(), XRows: xRows})
 	idx := len(q.p.Rounds) - 1
 	q.mu.Unlock()
-	q.trace.printf("round %s: start (X holds %d rows)\n", name, xRows)
+	if q.trace != nil {
+		q.trace.printf("round %s: start (X holds %d rows)\n", name, xRows)
+	}
 	return &RoundSpan{q: q, name: name, idx: idx}
 }
 
@@ -141,9 +145,11 @@ func (r *RoundSpan) Call(c SiteCall) {
 	rp.RowsDown += c.RowsDown
 	rp.RowsUp += c.RowsUp
 	r.q.mu.Unlock()
-	r.q.trace.printf("round %s: site %d  down %dB/%d rows  up %dB/%d rows  compute %s\n",
-		r.name, c.Site, c.BytesDown, c.RowsDown, c.BytesUp, c.RowsUp,
-		c.Compute.Round(10*time.Microsecond))
+	if r.q.trace != nil {
+		r.q.trace.printf("round %s: site %d  down %dB/%d rows  up %dB/%d rows  compute %s\n",
+			r.name, c.Site, c.BytesDown, c.RowsDown, c.BytesUp, c.RowsUp,
+			c.Compute.Round(10*time.Microsecond))
+	}
 }
 
 // Fail records one failed site-call attempt as a Failed call whose traffic
@@ -184,6 +190,8 @@ func (r *RoundSpan) End(coordTime time.Duration) {
 	Logger().Debug("round end", "query", r.q.p.QueryID, "round", r.name,
 		"calls", calls, "bytes_down", down, "bytes_up", up,
 		"coord", coordTime, "elapsed", elapsed)
-	r.q.trace.printf("round %s: done  %dB down, %dB up, coordinator %s\n",
-		r.name, down, up, coordTime.Round(10*time.Microsecond))
+	if r.q.trace != nil {
+		r.q.trace.printf("round %s: done  %dB down, %dB up, coordinator %s\n",
+			r.name, down, up, coordTime.Round(10*time.Microsecond))
+	}
 }

@@ -121,14 +121,18 @@ func (m CostModel) estimate(p *Plan, xs []relation.Schema, cat *distrib.Catalog)
 // operatorRound prices what the exchange ships (internal/core operatorRound):
 // down, X_k projected onto the keys and the columns the operator's conditions
 // read, to every site — or, under an observed reduction, the share of those
-// rows the guard let through, and under Thm. 4 reducers each site only its
-// own fragment; up, the row ordinal and the operator's physical columns for
-// the groups each site saw, fewer under the Prop. 1 guard.
+// rows the guard let through, without the keys when the sites derive them
+// (DerivedFrom), and under Thm. 4 reducers each site only its own fragment;
+// up, the row ordinal and the operator's physical columns for the groups
+// each site saw, fewer under the Prop. 1 guard.
 func (m CostModel) operatorRound(p *Plan, r Round, xs []relation.Schema, n, groups int64, perSite float64) (down, up int64) {
 	k := r.UpTo - 1
 	op := p.Query.Ops[k]
 	downB := rowBytes(xs[k])
 	if cols, err := op.ShippedColumns(xs[k], p.Query.Keys()); err == nil {
+		if _, ok := p.DerivedFrom(r); ok {
+			cols = cols[len(p.Query.Keys()):] // the keys lead X
+		}
 		downB = rowBytes(xs[k].Project(cols))
 	}
 	upB := 8 + rowBytes(physColumns(op, xs[k], xs[k+1]))

@@ -232,7 +232,7 @@ func TestSyncSkipWitnessPlan(t *testing.T) {
 	for _, frag := range []string{
 		"sync reduction: base sync folded into MD1 (Prop. 2), σ counted by a witness",
 		"rule sync-skip          applied: base sync folded into MD1 (Prop. 2), σ counted by a witness",
-		"MD2: coordinator-side group reduction: false, site-side guard: true, observed reduction: from MD1",
+		"MD2: coordinator-side group reduction: false, site-side guard: true, observed reduction: from MD1, keys derived at the site",
 	} {
 		if !strings.Contains(d, frag) {
 			t.Errorf("Describe missing %q:\n%s", frag, d)
@@ -243,6 +243,14 @@ func TestSyncSkipWitnessPlan(t *testing.T) {
 	sites := int64(4)
 	if got, want := p.Estimate.PerRound[0].BytesUp, sites*model.DefaultGroups*(1+8+3*8+8); got != want {
 		t.Errorf("base+MD1 est %d B up, want %d", got, want)
+	}
+	// MD2 derives its keys at the sites, so each row down is avg alone,
+	// 1 + 8 B, for the observed share of every site's groups.
+	if _, ok := p.DerivedFrom(p.Steps[1]); !ok {
+		t.Error("MD2 does not derive its keys from the local round")
+	}
+	if got, want := p.Estimate.PerRound[1].BytesDown, sites*model.MsgOverhead+int64(model.GuardSelectivity*float64(sites*model.DefaultGroups))*(1+8); got != want {
+		t.Errorf("MD2 est %d B down, want %d", got, want)
 	}
 
 	q := gmdj.Query{

@@ -191,6 +191,30 @@ func (p *Plan) TrafficBound(groups, unfiltered int) int {
 	return bound
 }
 
+// ObservedSource returns the round whose answers bound round r (Observed),
+// and whether there is one.
+func (p *Plan) ObservedSource(r Round) (Round, bool) {
+	for _, s := range p.Steps {
+		if r.Observed > 0 && s.UpTo == r.Observed {
+			return s, true
+		}
+	}
+	return Round{}, false
+}
+
+// DerivedFrom returns the local round (Prop. 2 or Thm. 5) whose replies
+// bound operator round r (ObservedSource), when r ships no keys: each site
+// rebuilds the keys of its own reply from its partition (engine.Derive), and
+// the round ships only the other columns. A base with grouping sets keeps
+// shipping its keys.
+func (p *Plan) DerivedFrom(r Round) (Round, bool) {
+	src, ok := p.ObservedSource(r)
+	if !ok || src.Kind == RoundOperator || r.Kind != RoundOperator || len(p.Query.Base.GroupingSets) > 0 {
+		return Round{}, false
+	}
+	return src, true
+}
+
 // Keys returns the base key attributes K.
 func (p *Plan) Keys() []string { return p.Query.Keys() }
 
@@ -219,6 +243,9 @@ func (p *Plan) Describe() string {
 		observed := "none"
 		if r.Observed > 0 {
 			observed = fmt.Sprintf("from MD%d", r.Observed)
+		}
+		if _, ok := p.DerivedFrom(r); ok {
+			observed += ", keys derived at the site"
 		}
 		for ; done < r.UpTo; done++ {
 			fmt.Fprintf(&b, "  MD%d: coordinator-side group reduction: %v, site-side guard: %v, observed reduction: %s\n",

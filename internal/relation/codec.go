@@ -48,11 +48,11 @@ const (
 	// allocates before the bytes arrive; past it the buffer grows with the
 	// data, so a length prefix alone cannot allocate up to maxFrameBody.
 	trustedBody = 1 << 20
-
-	// maxEmptyRows bounds the row count of a frame without columns, whose
-	// rows occupy no bytes the decoder could check the count against.
-	maxEmptyRows = 1 << 16
 )
+
+// MaxEmptyRows bounds the row count of a frame without columns, whose rows
+// occupy no bytes the decoder could check the count against.
+const MaxEmptyRows = 1 << 16
 
 // ErrFrameLength reports a frame length prefix that is past maxFrameBody or
 // not minimally encoded.
@@ -593,7 +593,7 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if cols == 0 && nrows > maxEmptyRows || cols > 0 && ((nrows+7)/8+1)*cols > len(cur.b)-cur.pos {
+	if cols == 0 && nrows > MaxEmptyRows || cols > 0 && ((nrows+7)/8+1)*cols > len(cur.b)-cur.pos {
 		return 0, fmt.Errorf("relation: codec frame of %d bytes cannot hold %d rows of %d columns", len(cur.b), nrows, cols)
 	}
 	return nrows, nil

@@ -457,11 +457,11 @@ func TestCodecRefusesRowsTheFrameCannotHold(t *testing.T) {
 	if _, err := Unmarshal(frame(oneInt, 1<<29)); err == nil {
 		t.Error("2^29 rows in an empty column body must be rejected")
 	}
-	if _, err := Unmarshal(frame(nil, maxEmptyRows+1)); err == nil {
-		t.Errorf("%d rows without columns must be rejected", maxEmptyRows+1)
+	if _, err := Unmarshal(frame(nil, MaxEmptyRows+1)); err == nil {
+		t.Errorf("%d rows without columns must be rejected", MaxEmptyRows+1)
 	}
-	if r, err := Unmarshal(frame(nil, maxEmptyRows)); err != nil || r.Len() != maxEmptyRows {
-		t.Errorf("%d rows without columns: %v", maxEmptyRows, err)
+	if r, err := Unmarshal(frame(nil, MaxEmptyRows)); err != nil || r.Len() != MaxEmptyRows {
+		t.Errorf("%d rows without columns: %v", MaxEmptyRows, err)
 	}
 	// A column count is checked the same way: every column spends at least
 	// two schema bytes. Three bytes claiming 794 043 columns were allocated
@@ -745,7 +745,7 @@ func allocatedBy(fn func()) uint64 {
 // Decoding allocates at most decodeAllocPerByte bytes per input byte plus
 // decodeAllocConst: the bound a site relies on when it decodes what arrived.
 // A row of a zero-column frame occupies no bytes, so the constant covers
-// maxEmptyRows of them.
+// MaxEmptyRows of them.
 const (
 	decodeAllocPerByte = 1024
 	decodeAllocConst   = 2 << 20

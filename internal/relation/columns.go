@@ -278,6 +278,11 @@ func (v *Vector) Code(s string) (uint32, bool) {
 	return code, ok
 }
 
+// Indexed reports whether v is a BuildColumns image's STRING vector: its
+// Dict lists each value its rows hold once, in first-occurrence order, and
+// Code answers for it.
+func (v *Vector) Indexed() bool { return v.codeOf != nil }
+
 // Value returns row i's cell: a boxed vector's as it was written, a typed
 // vector's rebuilt from its payload.
 func (v *Vector) Value(i int) Value {

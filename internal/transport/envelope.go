@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"skalla/internal/agg"
 	"skalla/internal/engine"
@@ -25,7 +26,7 @@ import (
 //	request   = kind(hello) uvarint(version)
 //	          | kind str(queryID) str(round) varint(attempt) payload
 //	payload   = base: baseQuery | local: baseQuery uvarint(#ops) operator… varint(upTo) bool(witness)
-//	          | operator: operator bool(guard) varint(blockRows) rel
+//	          | operator: operator bool(guard) varint(blockRows) rel [derive]
 //	          | schema: str(name) | load: str(name) rel | tables: —
 //	reply     = kind(hello) uvarint(version) varint(siteID)
 //	          | kind str(err) result trailer
@@ -38,10 +39,14 @@ import (
 //	expr      = 0x00 (none) | 0x01 byte(side) str(name) | 0x02 value
 //	          | 0x03 byte(op) expr expr | 0x04 byte(op) expr
 //	rel       = frame | 0x00 (none: no frame has length 0)
+//	derive    = strs(keys) expr(where) uvarint(rows) bitmap
+//	bitmap    = ⌈rows/8⌉ bytes, bit i of byte i/8 for reply row i; the bits past rows are 0
 //
-// A local request carries only the operators it evaluates, Ops[:upTo]
-// (clamped to the chain, so an out-of-range upTo still reaches the site and
-// fails there). A reply's kind is its request's. The hello layout is the one
+// An operator request carries a derive exactly when it has one
+// (engine.Derive): whatever follows its rel is one, so a request without it
+// is the one version 3 wrote. A local request carries only the operators it
+// evaluates, Ops[:upTo] (clamped to the chain, so an out-of-range upTo still
+// reaches the site and fails there). A reply's kind is its request's. The hello layout is the one
 // no version may change: it is how two versions find out they differ. The
 // trailer is fixed-width, so the bytes a call ships do not depend on how long
 // it took.
@@ -51,8 +56,9 @@ import (
 // ProtocolVersion is the envelope's layout version. Hello carries it both
 // ways, and a mismatch fails Dial naming both. The gob envelope before it had
 // no version. Version 3 added the local request's witness byte and cut its
-// operators to the prefix it evaluates.
-const ProtocolVersion = 3
+// operators to the prefix it evaluates. Version 4 added the operator
+// request's derive.
+const ProtocolVersion = 4
 
 // ErrProtocol marks a message that does not decode, or a peer that speaks
 // another protocol version.
@@ -124,7 +130,14 @@ func writeRequest(w io.Writer, req *Request) (err error) {
 		b = appendOperator(b, &req.Operator.Op)
 		b = append(b, boolByte(req.Operator.Guard))
 		b = binary.AppendVarint(b, int64(req.Operator.BlockRows))
-		return writeMessage(w, b, relFrame(req.Operator.Base))
+		// The derive follows the frame on the wire; it is laid out after b
+		// in the same buffer.
+		n := len(b)
+		if d := req.Operator.Derive; d != nil {
+			b = appendExpr(appendStrs(b, d.Keys), d.Where)
+			b = append(binary.AppendUvarint(b, uint64(d.Rows)), d.Kept...)
+		}
+		return writeMessage(w, b[:n], relFrame(req.Operator.Base), b[n:])
 	case KindLocal:
 		ops := req.Local.Query.Ops[:min(max(req.Local.UpTo, 0), len(req.Local.Query.Ops))]
 		b = appendBaseQuery(b, &req.Local.Query.Base)
@@ -276,6 +289,9 @@ func readRequest(f *relation.FrameReader) (req *Request, err error) {
 	case KindOperator:
 		req.Operator = &engine.OperatorRequest{Op: readOperator(c), Guard: readBool(c), BlockRows: readInt(c)}
 		req.Operator.Base = must(c.Relation())
+		if c.Len() > 0 {
+			req.Operator.Derive = readDerive(c)
+		}
 	case KindLocal:
 		req.Local = &engine.LocalRequest{Query: gmdj.Query{Base: *readBaseQuery(c)}}
 		for n := readCount(c); len(req.Local.Query.Ops) < n; {
@@ -379,6 +395,18 @@ func readBaseQuery(c *relation.Cursor) *gmdj.BaseQuery {
 		bq.GroupingSets = append(bq.GroupingSets, readStrs(c))
 	}
 	return bq
+}
+
+// readDerive reads a derive: its bitmap is as long as its row count says,
+// bounded by the bytes left, and sets no bit past the rows.
+func readDerive(c *relation.Cursor) *engine.Derive {
+	d := &engine.Derive{Keys: readStrs(c), Where: readExpr(c, 0)}
+	d.Rows = must(c.Count(8*c.Len(), "derived row"))
+	d.Kept = slices.Clone(must(c.Bytes((d.Rows + 7) / 8)))
+	if r := d.Rows % 8; r != 0 && d.Kept[len(d.Kept)-1]>>r != 0 {
+		check(fmt.Errorf("derive bitmap sets bits past its %d rows", d.Rows))
+	}
+	return d
 }
 
 func readOperator(c *relation.Cursor) gmdj.Operator {

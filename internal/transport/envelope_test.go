@@ -102,6 +102,8 @@ func goldenMessages() []goldenMessage {
 		{name: "base", req: trace(Request{Kind: KindBase, Base: &base})},
 		{name: "operator", req: trace(Request{Kind: KindOperator, Operator: &engine.OperatorRequest{Base: rel, Op: op, Guard: true, BlockRows: 100}})},
 		{name: "operator-no-base", req: trace(Request{Kind: KindOperator, Operator: &engine.OperatorRequest{Op: op, BlockRows: -1}})},
+		{name: "operator-derived", req: trace(Request{Kind: KindOperator, Operator: &engine.OperatorRequest{Base: rel, Op: op, Guard: true,
+			Derive: &engine.Derive{Keys: base.Cols, Where: base.Where, Rows: 11, Kept: []byte{0b101, 0}}}})},
 		{name: "local", req: trace(Request{Kind: KindLocal, Local: &engine.LocalRequest{Query: gmdj.Query{Base: base, Ops: []gmdj.Operator{op, op, op}}, UpTo: 2, Witness: true}})},
 		{name: "schema", req: trace(Request{Kind: KindSchema, Name: "TPCR"})},
 		{name: "load", req: trace(Request{Kind: KindLoad, Name: "T", LoadRel: rel})},
@@ -231,6 +233,18 @@ func FuzzEnvelope(f *testing.F) {
 	for _, witness := range []byte{1, 2} {
 		body := append(slices.Clip(local), witness)
 		f.Add(append(binary.AppendUvarint(nil, uint64(len(body))), body...))
+	}
+	// Version 4 derived operator requests: a bitmap a byte longer than its
+	// rows need, no rows at all, and a bit set past the rows.
+	for _, d := range []engine.Derive{{Rows: 3, Kept: []byte{1, 0}}, {Rows: 0}, {Rows: 3, Kept: []byte{0x09}}} {
+		d.Keys = []string{"g"}
+		m := goldenMessage{name: "derived", req: &Request{Kind: KindOperator, Operator: &engine.OperatorRequest{
+			Base: relation.New(relation.MustSchema(relation.Column{Name: "v", Kind: relation.KindInt})), Derive: &d}}}
+		b, err := m.encode()
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		limit := envelopeAllocPerByte*uint64(len(data)) + envelopeAllocConst

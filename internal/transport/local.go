@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -89,7 +88,7 @@ func (l *LocalSite) roundTrip(ctx context.Context, req *Request) (*Response, sta
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
-		return nil, call, errors.New(resp.Err)
+		return nil, call, siteError(resp.Err)
 	}
 	return resp, call, nil
 }
@@ -134,7 +133,7 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 	call.Compute, call.Breakdown = time.Duration(term.Profile.EvalNS), &term.Profile
 	recordCall(call, KindOperator, wireReq.QueryID)
 	if term.Err != "" {
-		return call, errors.New(term.Err)
+		return call, siteError(term.Err)
 	}
 	return call, nil
 }
@@ -175,7 +174,7 @@ func (f *FastLocalSite) call(ctx context.Context, req *Request) (*Response, stat
 	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
 	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
-		return nil, call, errors.New(resp.Err)
+		return nil, call, siteError(resp.Err)
 	}
 	return resp, call, nil
 }

@@ -450,7 +450,7 @@ func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) 
 	}
 	recordCall(call, req.Kind, req.QueryID)
 	if resp.Err != "" {
-		return nil, call, errors.New(resp.Err)
+		return nil, call, siteError(resp.Err)
 	}
 	return resp, call, nil
 }

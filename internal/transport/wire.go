@@ -2,8 +2,10 @@ package transport
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strconv"
+	"strings"
 	"time"
 
 	"skalla/internal/engine"
@@ -221,4 +223,14 @@ func recordCall(call stats.Call, kind ReqKind, queryID string) {
 	obs.TransportRows.With(site, "down", q).Add(int64(call.RowsDown))
 	obs.TransportRows.With(site, "up", q).Add(int64(call.RowsUp))
 	obs.SiteCompute.With(site).ObserveDuration(call.Compute)
+}
+
+// siteError is the error a site's reply names. ErrStalePartition stays typed
+// across the envelope, whose replies carry errors as text: the coordinator
+// must tell it from a failure worth retrying.
+func siteError(msg string) error {
+	if rest, ok := strings.CutPrefix(msg, engine.ErrStalePartition.Error()); ok {
+		return fmt.Errorf("%w%s", engine.ErrStalePartition, rest)
+	}
+	return errors.New(msg)
 }
