@@ -8,9 +8,9 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -199,27 +199,14 @@ func (c *Coordinator) executeSpanned(ctx context.Context, pl *plan.Plan, src gmd
 }
 
 func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.SchemaSource, span *obs.QuerySpan) (*Result, error) {
-	segs, err := buildSegments(pl.Query, src, len(pl.Keys()))
-	if err != nil {
-		return nil, err
-	}
-	mg, err := newMerger(pl.Keys(), pl.XSchemas, segs, newMemBudget(c.memBudget))
+	mg, err := planMerger(pl, src, len(c.sites), newMemBudget(c.memBudget))
 	if err != nil {
 		return nil, err
 	}
 	for _, r := range pl.Steps {
-		if r.Observed > 0 {
-			mg.KeepTouched(r.Observed-1, len(c.sites))
-		}
-	}
-
-	for _, r := range pl.Steps {
-		switch r.Kind {
-		case plan.RoundBase:
-			err = c.baseRound(ctx, pl, mg, span, r)
-		case plan.RoundOperator:
+		if r.Kind == plan.RoundOperator {
 			err = c.operatorRound(ctx, pl, mg, span, r)
-		default:
+		} else {
 			err = c.localRound(ctx, pl, mg, span, r)
 		}
 		if err != nil {
@@ -227,107 +214,108 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 		}
 	}
 
-	final, err := mg.Finalize(gmdj.FinalColumns(pl.Query))
+	// The result shares X's vectors.
+	final, err := mg.X().Project(gmdj.FinalColumns(pl.Query))
 	if err != nil {
 		return nil, err
 	}
 	return &Result{Rel: final, Plan: pl}, nil
 }
 
-// siteResult is one site's response within a round.
-type siteResult struct {
-	rel  *relation.Relation
-	call stats.Call
-	err  error
-}
-
-// broadcast runs f against every site in parallel — each site call under the
-// coordinator's retry policy — gathers the results in site order and records
-// the successful calls on the round span in that order, even when the
-// broadcast fails: the traffic did happen. Cancellation wins: a cancelled
-// context is reported as ctx.Err() once all calls have returned, ahead of any
-// per-site error.
-func (c *Coordinator) broadcast(ctx context.Context, rs *obs.RoundSpan, f func(ctx context.Context, i int, s transport.Site) (*relation.Relation, stats.Call, error)) ([]siteResult, error) {
-	results := make([]siteResult, len(c.sites))
+// fanOut runs one round at every site, each site in its own goroutine:
+// prepare(i) (nil: every site calls) readies site i's part and reports
+// whether the site is called at all, and attempt is one try of site i's call,
+// made under the coordinator's retry policy. commit(i) (nil: none) takes site
+// i's part — a site that was not called included — on the caller's
+// goroutine, in site order: site i's as soon as sites 0..i-1 have committed,
+// while later sites still run; after a failure or a cancellation nothing more
+// commits. The successful calls are recorded on the round span in site order
+// as the sites return, even when the round fails: the traffic did happen. A
+// cancelled context is reported as ctx.Err() once every site has returned,
+// ahead of the first site error in site order, ahead of the first commit
+// error.
+func (c *Coordinator) fanOut(ctx context.Context, rs *obs.RoundSpan,
+	prepare func(i int) (call bool, err error),
+	attempt func(ctx context.Context, i int, s transport.Site) (stats.Call, error),
+	commit func(i int) error) error {
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return err
 	}
-	var wg sync.WaitGroup
+	done := make([]chan struct{}, len(c.sites))
+	calls := make([]stats.Call, len(c.sites))
+	called := make([]bool, len(c.sites))
+	errs := make([]error, len(c.sites))
 	for i, s := range c.sites {
-		wg.Add(1)
-		go func(i int, s transport.Site) {
-			defer wg.Done()
-			err := c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
-				rel, call, err := f(actx, i, s)
-				results[i] = siteResult{rel: rel, call: call, err: err}
-				return call, err
+		done[i] = make(chan struct{})
+		go func() {
+			defer close(done[i])
+			if prepare != nil {
+				if call, err := prepare(i); err != nil || !call {
+					errs[i] = err
+					return
+				}
+			}
+			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
+				var err error
+				calls[i], err = attempt(actx, i, s)
+				return calls[i], err
 			})
-			results[i].err = err
-		}(i, s)
+			called[i] = errs[i] == nil
+		}()
 	}
-	wg.Wait()
-	for _, r := range results {
-		if r.err == nil {
-			rs.Call(r.call)
+	var commitErr error
+	committing := commit != nil
+	for i, ch := range done {
+		<-ch
+		if called[i] {
+			rs.Call(calls[i])
+		}
+		committing = committing && errs[i] == nil && commitErr == nil && ctx.Err() == nil
+		if committing {
+			commitErr = commit(i)
 		}
 	}
 	if err := ctx.Err(); err != nil {
-		return results, err
+		return err
 	}
-	for _, r := range results {
-		if r.err != nil {
-			return results, r.err
+	for _, err := range errs {
+		if err != nil {
+			return err
 		}
 	}
-	return results, nil
+	return commitErr
 }
 
-// baseRound is round 0 of the unreduced algorithm: every site computes its
-// base-values fragment B_i; the coordinator de-duplicates their union into
-// X_0.
-func (c *Coordinator) baseRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
-	rs := span.StartRound(r.Name, 0)
-	ctx = obs.WithRound(ctx, r.Name)
-	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
-		return s.EvalBase(ctx, pl.Query.Base)
-	})
-	coordStart := time.Now()
-	if err == nil {
-		parts := make([]*relation.Relation, len(results))
-		for i, r := range results {
-			parts[i] = r.rel
-		}
-		err = mg.InitBase(parts...)
-	}
-	coordTime := time.Since(coordStart)
-	rs.ObserveMerge(coordTime)
-	rs.End(coordTime)
-	return err
-}
-
-// localRound ships the query prefix MD1..MD(r.UpTo) to every site for local
-// evaluation and merges the returned X fragments (synchronization-reduced
-// rounds of Prop. 2 / Thm. 5 / Cor. 1). Under a witness (Prop. 2 over a
-// filtered base) the sites evaluate their unfiltered bases and count the
+// localRound is a round the sites evaluate alone: the base round (round 0 of
+// the unreduced algorithm), in which every site computes its base-values
+// fragment B_i, or a local round, which ships the query prefix MD1..MD(r.UpTo)
+// to every site (synchronization-reduced rounds of Prop. 2 / Thm. 5 /
+// Cor. 1). The coordinator merges the returned fragments into X, the base
+// round's as a local round's over no operator. Under a witness (Prop. 2 over
+// a filtered base) the sites evaluate their unfiltered bases and count the
 // base filter's rows per group, and the merge keeps the groups whose counts
 // sum to a positive total.
 func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
 	rs := span.StartRound(r.Name, 0)
 	ctx = obs.WithRound(ctx, r.Name)
 	req := engine.LocalRequest{Query: pl.Query, UpTo: r.UpTo, Witness: r.Witness}
-	results, err := c.broadcast(ctx, rs, func(ctx context.Context, _ int, s transport.Site) (*relation.Relation, stats.Call, error) {
-		return s.EvalLocal(ctx, req)
-	})
-	coordStart := time.Now()
-	if err == nil {
-		parts := make([]*relation.Relation, len(results))
-		for i, res := range results {
-			parts[i] = res.rel
+	parts := make([]*relation.Relation, len(c.sites))
+	err := c.fanOut(ctx, rs, nil, func(ctx context.Context, i int, s transport.Site) (call stats.Call, err error) {
+		if r.Kind == plan.RoundBase {
+			parts[i], call, err = s.EvalBase(ctx, pl.Query.Base)
+		} else {
+			parts[i], call, err = s.EvalLocal(ctx, req)
 		}
+		return call, err
+	}, nil)
+	var coordTime time.Duration
+	if err == nil {
+		t0 := time.Now()
 		err = mg.MergeLocal(pl.Query.Ops[:r.UpTo], r.Witness, parts)
-		rs.ObserveMerge(time.Since(coordStart))
+		coordTime = time.Since(t0)
+		rs.ObserveMerge(coordTime)
 	}
-	rs.End(time.Since(coordStart))
+	rs.End(coordTime)
 	return err
 }
 
@@ -340,12 +328,13 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // coordinator synchronizes the H_i into X. A site whose fragment holds no row
 // gets no call: its H_i is empty, and its empty stage commits as any other.
 //
-// When the rows are bounded by the local round's replies, each site's
-// fragment follows its own reply's order, and where the plan lets the sites
-// derive the keys (plan.Plan.DerivedFrom) it ships no keys: an
-// engine.Derive names the reply's rows it keeps, and the site rebuilds their
-// keys from its partition. A site whose partition changed since the local
-// round refuses (engine.ErrStalePartition), and the query fails unretried.
+// When the rows are bounded by an earlier round's answers, each site's
+// fragment follows the order the site reported them in, and where the plan
+// lets the sites derive the keys (plan.Plan.DerivedFrom) it ships no keys:
+// an engine.Derive names the local reply's rows it keeps, and the site
+// rebuilds their keys from its partition. A site whose partition changed
+// since the local round refuses (engine.ErrStalePartition), and the query
+// fails unretried.
 //
 // Synchronization is streaming (Sect. 3.2) and fault-tolerant: each site's
 // H_i blocks — as they arrive, while slower sites are still computing — are
@@ -353,23 +342,12 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 // committed into X with one O(|H_i|) merge addressed by the rows' ordinals in
 // the shipped fragment. Staging is what makes the per-site retry policy
 // sound: a stream that dies after partial blocks is discarded whole and
-// re-run without double-counting into X.
-//
-// Stages commit in site order: site i's as soon as sites 0..i-1 have
-// committed, while later sites still stream. Every X row thus folds its
-// sites in index order, so FLOAT super-aggregates come out bit-identical
-// run to run, however the streams' completion order falls.
+// re-run without double-counting into X. Stages commit in site order
+// (fanOut), so every X row folds its sites in index order, and FLOAT
+// super-aggregates come out bit-identical run to run, however the streams'
+// completion order falls.
 func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merger, span *obs.QuerySpan, r plan.Round) error {
-	k, reducers := r.UpTo-1, r.Reducers
-	var (
-		observed [][]int32
-		replies  [][]int64
-	)
-	if src, ok := pl.ObservedSource(r); ok && src.Kind == plan.RoundOperator {
-		observed = mg.Touched(r.Observed - 1)
-	} else if ok {
-		replies = mg.Replies()
-	}
+	k, observed := r.UpTo-1, mg.observed[r.Observed]
 	op := pl.Query.Ops[k]
 	x := mg.X()
 	rs := span.StartRound(r.Name, x.Len())
@@ -378,187 +356,139 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	if err != nil {
 		return err
 	}
-	// values are the shipped columns other than the keys, which lead X; a
-	// derived request's template names the keys and the filter the local
-	// round's base pass applied, none when it was witnessed.
+	// values are the shipped columns other than the keys, which lead X.
 	values := cols[len(pl.Keys()):]
-	var derive *engine.Derive
-	if local, ok := pl.DerivedFrom(r); ok {
-		derive = &engine.Derive{Keys: pl.Keys()}
-		if !local.Witness {
-			derive.Where = pl.Query.Base.Where
-		}
-	}
+	local, derived := pl.DerivedFrom(r)
 
 	// Extend X with the operator's identity columns before any stage lands,
-	// and, when every site gets all of X, build the one fragment they share.
-	var coordTime time.Duration
+	// and, when some site gets all of X, build the one fragment they share.
 	t0 := time.Now()
 	if err := mg.Extend(); err != nil {
 		return err
 	}
 	var whole *relation.Relation
-	if reducers == nil && replies == nil {
+	allOfX := func(rows []int32) bool { return rows == nil }
+	if r.Reducers == nil && (observed == nil || slices.ContainsFunc(observed, allOfX)) {
 		whole = mg.Fragment(cols, nil)
 	}
-	coordTime += time.Since(t0)
+	coordTime := time.Since(t0)
 
-	// ready[i] carries site i's completed stage, or closes empty if the site
-	// failed; errs[i] and calls[i] are written before either.
-	ready := make([]chan *hStage, len(c.sites))
-	calls := make([]stats.Call, len(c.sites))
-	errs := make([]error, len(c.sites))
-	skipped := make([]bool, len(c.sites))
-	for i, s := range c.sites {
-		ready[i] = make(chan *hStage, 1)
-		go func(i int, s transport.Site) {
-			defer close(ready[i])
-			// Thm. 4 fragment reduction runs here, in each site's own
-			// goroutine, so the O(sites × |X|) predicate evaluation
-			// parallelizes instead of serializing the round's start. It reads
-			// X as it was before Extend, through one scratch row — the merges
-			// running meanwhile write only operator k's cells, which that X
-			// does not hold — and runs once: every retry ships the same
-			// fragment and maps ordinals through the same kept. An observed
-			// reduction narrows the rows it tests to those the site reported;
-			// a site that reported every row of a guarded round gets the
-			// shared fragment.
-			frag, kept := whole, []int32(nil)
-			var siteDerive *engine.Derive
-			switch {
-			case replies != nil:
-				var keep distrib.ReductionPred
-				if reducers != nil {
-					keep = reducers[i]
-				}
-				var bitmap []byte
-				if kept, bitmap, errs[i] = replyRows(x, keep, replies[i]); errs[i] != nil {
-					return
-				}
-				// A frame without columns holds at most relation.MaxEmptyRows
-				// rows; past that the keys ship.
-				if derive != nil && (len(values) > 0 || len(kept) <= relation.MaxEmptyRows) {
-					d := *derive
-					d.Rows, d.Kept = len(replies[i]), bitmap
-					frag, siteDerive = mg.Fragment(values, kept), &d
-				} else {
-					frag = mg.Fragment(cols, kept)
-				}
-			case reducers != nil:
-				var from []int32
-				if observed != nil {
-					from = observed[i]
-				}
-				if kept, errs[i] = reduceRows(x, reducers[i], from); errs[i] != nil {
-					return
-				}
-				frag = mg.Fragment(cols, kept)
-			case observed != nil && len(observed[i]) < x.Len():
-				kept = observed[i]
-				frag = mg.Fragment(cols, kept)
-			}
-			if frag.Len() == 0 {
-				// No X row for the site to match: its H_i is empty without
-				// asking, and its empty stage commits as any other, so a later
-				// observed reduction ships it nothing either.
-				skipped[i] = true
-				ready[i] <- mg.NewStage(k, 0, kept)
-				return
-			}
-			req := engine.OperatorRequest{
-				Base:      frag,
-				Op:        op,
-				Guard:     r.Guard,
-				BlockRows: c.blockRows,
-				Derive:    siteDerive,
-			}
-			var done *hStage
-			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
-				st := mg.NewStage(k, frag.Len(), kept)
-				call, err := s.EvalOperatorStream(actx, req, func(block *relation.Relation) error {
-					// End a cancelled query's streams promptly instead of
-					// computing and staging the rest for nothing.
-					if err := ctx.Err(); err != nil {
-						return err
-					}
-					if err := st.Add(block); err != nil {
-						return &permanentError{err}
-					}
-					return nil
-				})
-				calls[i] = call
-				if err != nil {
-					st.Discard()
-					if errors.Is(err, engine.ErrStalePartition) {
-						err = &permanentError{err}
-					}
-					return call, err
-				}
-				done = st
-				return call, nil
-			})
-			if errs[i] == nil {
-				ready[i] <- done
-			}
-		}(i, s)
-	}
-
-	// Commit in site order. Every site's channel closes, so the loop ends;
-	// after a failure or cancellation it only drains and discards.
-	var mergeErr error
-	for i, ch := range ready {
-		for st := range ch {
-			if mergeErr != nil || ctx.Err() != nil {
-				st.Discard()
-				continue
-			}
-			t0 := time.Now()
-			if mergeErr = mg.CommitStage(st, k); mergeErr == nil {
-				mergeErr = mg.RecordTouched(k, i, st)
-			}
-			d := time.Since(t0)
-			coordTime += d
-			rs.ObserveMerge(d)
+	// stages[i] is site i's stage: until its call succeeds, an empty one over
+	// the rows of its fragment.
+	reqs := make([]engine.OperatorRequest, len(c.sites))
+	stages := make([]*hStage, len(c.sites))
+	err = c.fanOut(ctx, rs, func(i int) (bool, error) {
+		// Thm. 4 fragment reduction runs here, in each site's own goroutine,
+		// so the O(sites × |X|) predicate evaluation parallelizes instead of
+		// serializing the round's start. It reads X as it was before Extend,
+		// through one scratch row — the merges running meanwhile write only
+		// operator k's cells, which that X does not hold — and runs once:
+		// every retry ships the same fragment and maps ordinals through the
+		// same rows. An observed reduction narrows the rows it tests to those
+		// the site reported; a site that reported every row of a guarded
+		// round gets the shared fragment.
+		var from []int32
+		if observed != nil {
+			from = observed[i]
 		}
-	}
-
-	t0 = time.Now()
-	err = ctx.Err()
-	if err == nil {
-		for _, e := range errs {
-			if e != nil {
-				err = e
-				break
+		var keep distrib.ReductionPred
+		if r.Reducers != nil {
+			keep = r.Reducers[i]
+		}
+		rows, bitmap, err := keptRows(x, keep, from, derived)
+		if err != nil {
+			return false, err
+		}
+		req := engine.OperatorRequest{Op: op, Guard: r.Guard, BlockRows: c.blockRows}
+		switch {
+		// A frame without columns holds at most relation.MaxEmptyRows rows;
+		// past that the keys ship. A derived request names the filter the
+		// local round's base pass applied, none when it was witnessed.
+		case derived && (len(values) > 0 || len(rows) <= relation.MaxEmptyRows):
+			req.Base = mg.Fragment(values, rows)
+			req.Derive = &engine.Derive{Keys: pl.Keys(), Rows: len(from), Kept: bitmap}
+			if !local.Witness {
+				req.Derive.Where = pl.Query.Base.Where
 			}
+		case rows == nil:
+			req.Base = whole
+		default:
+			req.Base = mg.Fragment(cols, rows)
+		}
+		// A site with no X row to match is not called: its H_i is empty, and
+		// its empty stage commits as any other, so a later observed reduction
+		// ships it nothing either.
+		reqs[i], stages[i] = req, mg.NewStage(k, req.Base.Len(), rows)
+		return req.Base.Len() > 0, nil
+	}, func(actx context.Context, i int, s transport.Site) (stats.Call, error) {
+		st := mg.NewStage(k, stages[i].seen.n, stages[i].rows)
+		call, err := s.EvalOperatorStream(actx, reqs[i], func(block *relation.Relation) error {
+			// End a cancelled query's streams promptly instead of computing
+			// and staging the rest for nothing.
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			if err := st.Add(block); err != nil {
+				return &permanentError{err}
+			}
+			return nil
+		})
+		if err != nil {
+			st.Discard()
+			return call, err
+		}
+		stages[i] = st
+		return call, nil
+	}, func(i int) error {
+		t0 := time.Now()
+		err := mg.CommitStage(stages[i], k)
+		if err == nil {
+			err = mg.observe(k, i, stages[i])
+		}
+		d := time.Since(t0)
+		coordTime += d
+		rs.ObserveMerge(d)
+		return err
+	})
+	// A stage that completed but was not committed releases its blocks.
+	for _, st := range stages {
+		if st != nil {
+			st.Discard()
 		}
 	}
 	if err == nil {
-		err = mergeErr
-	}
-	if err == nil {
+		t0 := time.Now()
 		mg.RecomputeDerived(k, k+1)
-	}
-	coordTime += time.Since(t0)
-	// A site whose errs entry is set made no successful call: its failed
-	// attempts are already on the span (withRetry), or it failed before
-	// calling (a reducer error). A skipped site made none at all.
-	for i, call := range calls {
-		if errs[i] == nil && !skipped[i] {
-			rs.Call(call)
-		}
+		coordTime += time.Since(t0)
 	}
 	rs.End(coordTime)
 	return err
 }
 
-// replyRows returns, in reply order, the X rows of a site's local reply rows
-// (at, -1 for a row X dropped) that keep admits (all of them when keep is
-// nil), and marks those reply rows in a bitmap, bit i of byte i/8 for row i.
-func replyRows(x *relation.Relation, keep distrib.ReductionPred, at []int64) ([]int32, []byte, error) {
-	kept := make([]int32, 0, len(at))
-	bitmap := make([]byte, (len(at)+7)/8)
+// keptRows returns the X rows a site's operator fragment holds: those keep
+// admits (all of them when keep is nil) among the site's observed list from,
+// in its order, skipping a -1, or among all of X when from is nil. With mark
+// set it also marks the kept positions of from in a bitmap, bit i of byte
+// i/8 for position i. A list kept whole comes back as is: nil for all of X.
+func keptRows(x *relation.Relation, keep distrib.ReductionPred, from []int32, mark bool) ([]int32, []byte, error) {
+	if keep == nil && !mark && !slices.Contains(from, -1) {
+		return from, nil, nil
+	}
+	n := x.Len()
+	if from != nil {
+		n = len(from)
+	}
+	kept := make([]int32, 0, n)
+	var bitmap []byte
+	if mark {
+		bitmap = make([]byte, (n+7)/8)
+	}
 	var row relation.Tuple
-	for i, xi := range at {
+	for i := 0; i < n; i++ {
+		xi := int32(i)
+		if from != nil {
+			xi = from[i]
+		}
 		if xi < 0 {
 			continue
 		}
@@ -572,34 +502,10 @@ func replyRows(x *relation.Relation, keep distrib.ReductionPred, at []int64) ([]
 				continue
 			}
 		}
-		kept = append(kept, int32(xi))
-		bitmap[i>>3] |= 1 << (i & 7)
+		kept = append(kept, xi)
+		if mark {
+			bitmap[i>>3] |= 1 << (i & 7)
+		}
 	}
 	return kept, bitmap, nil
-}
-
-// reduceRows returns the X rows keep admits, among those listed (ascending),
-// or among all of X when rows is nil.
-func reduceRows(x *relation.Relation, keep distrib.ReductionPred, rows []int32) ([]int32, error) {
-	n := x.Len()
-	if rows != nil {
-		n = len(rows)
-	}
-	kept := make([]int32, 0, n/2+1)
-	var row relation.Tuple
-	for j := 0; j < n; j++ {
-		xi := int32(j)
-		if rows != nil {
-			xi = rows[j]
-		}
-		row = x.AppendRow(row[:0], int(xi))
-		ok, err := keep(row)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			kept = append(kept, xi)
-		}
-	}
-	return kept, nil
 }

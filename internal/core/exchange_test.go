@@ -262,7 +262,7 @@ func stageMerger(t testing.TB) *merger {
 	for h := int64(0); h < 4; h++ {
 		base.MustAppend(relation.Tuple{relation.NewInt(h)})
 	}
-	if err := m.InitBase(base); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Extend(); err != nil {
@@ -838,7 +838,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 	base := relation.New(xs[0])
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)})
 	base.MustAppend(relation.Tuple{relation.NewInt(2), relation.NewInt(1)})
-	if err := m.InitBase(base); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
 		t.Fatal(err)
 	}
 	extendAll(m, budget, 0)

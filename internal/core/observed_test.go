@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"skalla/internal/agg"
+	"skalla/internal/engine"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/plan"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
+	"skalla/internal/transport"
 	"skalla/internal/transport/faultinject"
 )
 
@@ -255,6 +258,121 @@ func TestObservedReductionIgnoresDiscardedAttempts(t *testing.T) {
 	for _, call := range md2.Calls {
 		if call.Site == 1 && call.RowsDown != 2 {
 			t.Errorf("MD2 shipped site 1 %d row(s), want the 2 groups its committed attempt reported", call.RowsDown)
+		}
+	}
+}
+
+// keyRecorder records, per site, the h cell of every X row each operator
+// round ships the site, by round name.
+type keyRecorder struct {
+	transport.Site
+	mu      sync.Mutex
+	shipped map[string][]int64
+}
+
+func (k *keyRecorder) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
+	if j := req.Base.Schema.Index("h"); j >= 0 {
+		k.mu.Lock()
+		round := obs.RoundFrom(ctx)
+		k.shipped[round] = k.shipped[round][:0]
+		for i := 0; i < req.Base.Len(); i++ {
+			k.shipped[round] = append(k.shipped[round], req.Base.Value(i, j).Int)
+		}
+		k.mu.Unlock()
+	}
+	return k.Site.EvalOperatorStream(ctx, req, sink)
+}
+
+// TestObservedChainAfterLocalRound is Thm. 3 for an operator round observing
+// an operator round that itself observed the local round: the witnessed
+// base+MD1 round, a guarded MD2 whose keys the sites derive from their local
+// replies, and an MD3 whose θ holds MD2's conjuncts and one more, so it
+// observes MD2. On one to four sites, every witness placement and every
+// transport, the result equals EvalCentral's, and MD3 ships each site exactly
+// the groups its MD2 stream reported — those with a row there that MD2's θ
+// matches — not the groups MD2 shipped it.
+func TestObservedChainAfterLocalRound(t *testing.T) {
+	q := observedQuery("h")
+	md2 := q.Ops[1].Vars[0].Cond
+	q.Ops = append(q.Ops, gmdj.Operator{Detail: "T", Vars: []gmdj.GroupVar{{
+		Aggs: []agg.Spec{{Func: agg.Count, As: "cnt3"}, {Func: agg.Sum, Arg: "v", As: "sum3"}},
+		Cond: expr.And(append(expr.Conjuncts(md2), expr.MustParse("R.v < B.max2"))...),
+	}}})
+	for _, pc := range witnessPlacements() {
+		for n := 1; n <= 4; n++ {
+			parts := placeOn(pc.rows, n)
+			global := relation.New(tSchema)
+			for _, p := range parts {
+				if err := global.Union(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// Site i's MD2 stream reports the groups of X with a row at site
+			// i whose v reaches the group's avg1.
+			avg1 := make(map[int64]float64)
+			for _, row := range want.Rows() {
+				if h, a := row[want.Schema.MustIndex("h")], row[want.Schema.MustIndex("avg1")]; !h.IsNull() {
+					avg1[h.Int] = a.Float
+				}
+			}
+			reported := make([][]int64, n)
+			for i, p := range parts {
+				for _, row := range p.Rows() {
+					if a, ok := avg1[row[1].Int]; ok && !row[1].IsNull() && float64(row[2].Int) >= a && !slices.Contains(reported[i], row[1].Int) {
+						reported[i] = append(reported[i], row[1].Int)
+					}
+				}
+				slices.Sort(reported[i])
+			}
+			for tname, connect := range testTransports() {
+				t.Run(fmt.Sprintf("%s/%d sites/%s", pc.name, n, tname), func(t *testing.T) {
+					sites := make([]transport.Site, n)
+					recorders := make([]*keyRecorder, n)
+					for i, p := range parts {
+						es := engine.NewSite(i)
+						if err := es.Load(context.Background(), "T", p); err != nil {
+							t.Fatal(err)
+						}
+						site := connect(t, es)
+						if pc.retry && i == n-1 {
+							site = faultinject.Wrap(site, faultinject.Config{FailFirst: 1})
+						}
+						recorders[i] = &keyRecorder{Site: site, shipped: make(map[string][]int64)}
+						sites[i] = recorders[i]
+					}
+					coord, err := New(sites, nil, stats.NetModel{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					coord.SetRetryPolicy(RetryPolicy{MaxAttempts: 2})
+					res, err := coord.ExecuteWith(context.Background(), q, plan.SelectAll())
+					if err != nil {
+						t.Fatal(err)
+					}
+					if got, exp := sortedText(res.Rel), sortedText(want); got != exp {
+						t.Fatalf("distributed diverges from EvalCentral\nplan:\n%s\ngot:\n%s\nwant:\n%s", res.Plan.Describe(), got, exp)
+					}
+					steps := res.Plan.Steps
+					_, md2Derived := res.Plan.DerivedFrom(steps[1])
+					_, md3Derived := res.Plan.DerivedFrom(steps[len(steps)-1])
+					if len(steps) != 3 || steps[0].Kind != plan.RoundBaseMD1 || !steps[0].Witness ||
+						steps[1].Name != "MD2" || !steps[1].Guard || steps[1].Observed != 1 || !md2Derived ||
+						steps[2].Name != "MD3" || !steps[2].Guard || steps[2].Observed != 2 || md3Derived {
+						t.Fatalf("want a witnessed base+MD1, a guarded MD2 deriving its keys from it, and a guarded MD3 observing MD2:\n%s", res.Plan.Describe())
+					}
+					for i, r := range recorders {
+						got := slices.Clone(r.shipped["MD3"])
+						slices.Sort(got)
+						if !slices.Equal(got, reported[i]) {
+							t.Errorf("MD3 shipped site %d the groups %v, want the %v its MD2 stream reported", i, got, reported[i])
+						}
+					}
+				})
+			}
 		}
 	}
 }

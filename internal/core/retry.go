@@ -6,6 +6,7 @@ import (
 	"math/rand/v2"
 	"time"
 
+	"skalla/internal/engine"
 	"skalla/internal/obs"
 	"skalla/internal/stats"
 )
@@ -82,14 +83,16 @@ func (e *permanentError) Error() string { return e.err.Error() }
 func (e *permanentError) Unwrap() error { return e.err }
 
 // retryable reports whether an attempt failure is worth retrying under the
-// still-live parent context: cancellations and permanent (data-shaped)
-// errors are not, transport and per-attempt deadline errors are.
+// still-live parent context: cancellations, permanent (data-shaped) errors
+// and a site's refusal of a partition that changed since the local round
+// (engine.ErrStalePartition, the same on every attempt) are not, transport
+// and per-attempt deadline errors are.
 func retryable(ctx context.Context, err error) bool {
 	if ctx.Err() != nil {
 		return false
 	}
 	var perm *permanentError
-	if errors.As(err, &perm) {
+	if errors.As(err, &perm) || errors.Is(err, engine.ErrStalePartition) {
 		return false
 	}
 	// A cancellation that is not the parent's must be the attempt deadline

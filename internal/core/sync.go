@@ -11,6 +11,7 @@ import (
 	"skalla/internal/agg"
 	"skalla/internal/engine"
 	"skalla/internal/gmdj"
+	"skalla/internal/plan"
 	"skalla/internal/relation"
 )
 
@@ -70,13 +71,12 @@ type merger struct {
 	keyIdx   []int // key column positions within x
 	extended int   // number of operators whose columns exist in x
 
-	// touched[k][i] lists, ascending, the X rows site i's committed
-	// operator-k stage reported. Only the operators a later round's observed
-	// reduction reads (plan.Round.Observed) keep theirs; see KeepTouched.
-	// When that round is the local round, replies[i] is instead the X row
-	// of each row of site i's reply, in reply order, -1 for a row X dropped.
-	touched [][][]int32
-	replies [][]int64
+	// observed[u][i] lists the X rows site i reported in the round with
+	// plan.Round.UpTo u, in the order it reported them, when a later round's
+	// observed reduction reads them (plan.Round.Observed; see planMerger): a
+	// local round's reply rows, -1 for one the merge dropped, or the rows of
+	// an operator round's committed stage (observe). nil is all of X.
+	observed [][][]int32
 
 	// budget is the query's coordinator-side memory budget (nil = unbounded).
 	// X growth is charged here; staged H blocks are charged by their stages.
@@ -101,42 +101,28 @@ func newMerger(keys []string, xschemas []relation.Schema, segs [][]varSegment, b
 		return nil, err
 	}
 	return &merger{keys: keys, xschemas: xschemas, segs: segs, hschemas: hschemas, keyIdx: keyIdx,
-		touched: make([][][]int32, len(segs)), budget: budget}, nil
+		observed: make([][][]int32, len(segs)+1), budget: budget}, nil
 }
 
-// KeepTouched makes the commits of operator k's stages record, per site, the
-// X rows the site reported (RecordTouched), for a later round to read
-// (Touched) — or, when the local round evaluates operator k, its merge keep
-// the replies' rows (Replies).
-func (m *merger) KeepTouched(k, sites int) {
-	if m.touched[k] == nil {
-		m.touched[k] = make([][]int32, sites)
+// planMerger is the merger of pl's evaluation on sites sites: it keeps, per
+// site, the rows reported in every round a later round's observed reduction
+// reads.
+func planMerger(pl *plan.Plan, src gmdj.SchemaSource, sites int, budget *memBudget) (*merger, error) {
+	segs, err := buildSegments(pl.Query, src, len(pl.Keys()))
+	if err != nil {
+		return nil, err
 	}
+	m, err := newMerger(pl.Keys(), pl.XSchemas, segs, budget)
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range pl.Steps {
+		if r.Observed > 0 {
+			m.observed[r.Observed] = make([][]int32, sites)
+		}
+	}
+	return m, nil
 }
-
-// RecordTouched records the X rows site's committed operator-k stage
-// reported, when KeepTouched asked for them. Only a committed stage may be
-// recorded: a discarded attempt's ordinals say nothing about the site.
-func (m *merger) RecordTouched(k, site int, st *hStage) error {
-	if m.touched[k] == nil {
-		return nil
-	}
-	rows := st.xRows()
-	if err := m.budget.charge(4 * int64(len(rows))); err != nil {
-		return err
-	}
-	m.touched[k][site] = rows
-	return nil
-}
-
-// Touched returns, per site, the X rows its committed operator-k stage
-// reported (nil unless KeepTouched asked for them). Read-only.
-func (m *merger) Touched(k int) [][]int32 { return m.touched[k] }
-
-// Replies returns, per site, the X row each row of its local reply is, in
-// reply order, -1 for a row X dropped (nil unless KeepTouched asked for the
-// local round's operators). Read-only.
-func (m *merger) Replies() [][]int64 { return m.replies }
 
 // keySeed seeds the hash of STRING key cells.
 var keySeed = maphash.MakeSeed()
@@ -226,21 +212,6 @@ func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int)
 	return true
 }
 
-// InitBase installs the synchronized base-values relation: the multiset
-// union of the sites' B_i fragments, de-duplicated on the key attributes —
-// the first occurrence of a key, in site then row order, is kept.
-func (m *merger) InitBase(parts ...*relation.Relation) error {
-	cols := make([]*relation.Columns, len(parts))
-	for p, b := range parts {
-		if !b.Schema.Equal(m.xschemas[0]) {
-			return fmt.Errorf("core: base schema %s, want %s", b.Schema, m.xschemas[0])
-		}
-		cols[p] = b.Columns()
-	}
-	_, err := m.installKeys(cols, false)
-	return err
-}
-
 // installKeys installs as X, with no operator's columns, the distinct keys of
 // the fragments' leading key columns, each at its first occurrence in
 // fragment then row order, and with named set returns, per fragment, the X
@@ -248,7 +219,7 @@ func (m *merger) InitBase(parts ...*relation.Relation) error {
 // vectors (keyHashes, sameKey), and the kept rows are gathered column by
 // column straight into X's vectors. X's bytes are charged before any of it
 // is allocated; a charge over budget leaves X uninstalled.
-func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int64, error) {
+func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int32, error) {
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment, and at most as
 	// many as all of them.
@@ -260,9 +231,9 @@ func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int64, e
 	kept := make([]rowAt, 0, total)
 	table := relation.NewKeyTable(largest)
 	hashes := make([]uint64, 0, largest)
-	var at [][]int64
+	var at [][]int32
 	if named {
-		at = make([][]int64, len(cols))
+		at = make([][]int32, len(cols))
 	}
 	var (
 		c *relation.Columns
@@ -273,7 +244,7 @@ func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int64, e
 		c = cols[p]
 		hashes = m.keyHashes(c, hashes)
 		if named {
-			at[p] = make([]int64, c.Rows)
+			at[p] = make([]int32, c.Rows)
 		}
 		for i = 0; i < c.Rows; i++ {
 			row := table.Find(hashes[i], same)
@@ -283,7 +254,7 @@ func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int64, e
 				kept = append(kept, rowAt{int32(p), int32(i)})
 			}
 			if named {
-				at[p][i] = int64(row)
+				at[p][i] = int32(row)
 			}
 		}
 	}
@@ -510,8 +481,9 @@ func hasNull(v *relation.Vector) bool {
 
 // ordinalSet is the set of fragment ordinals one H stream has reported.
 type ordinalSet struct {
-	bits []uint64
-	n    int
+	bits    []uint64
+	n       int
+	claimed int // ordinals in the set
 }
 
 func newOrdinalSet(n int) ordinalSet {
@@ -530,6 +502,7 @@ func (s *ordinalSet) claim(ord int64) error {
 		return fmt.Errorf("%w: ordinal %d reported twice in one stream", ErrMalformedH, ord)
 	}
 	*word |= bit
+	s.claimed++
 	return nil
 }
 
@@ -553,27 +526,6 @@ type hStage struct {
 	blocks []*relation.Relation // the staged blocks as they arrived, columnar
 	budget *memBudget           // query memory budget the staged bytes are charged to
 	bytes  int64                // bytes currently charged to budget for this stage
-}
-
-// xRows lists, ascending, the X rows of the ordinals the stream reported.
-// A fragment's row list is ascending unless it follows a local reply's order.
-func (st *hStage) xRows() []int32 {
-	n := 0
-	for _, word := range st.seen.bits {
-		n += bits.OnesCount64(word)
-	}
-	rows := make([]int32, 0, n)
-	for w, word := range st.seen.bits {
-		for ; word != 0; word &= word - 1 {
-			ord := int32(w*64 + bits.TrailingZeros64(word))
-			if st.rows != nil {
-				ord = st.rows[ord]
-			}
-			rows = append(rows, ord)
-		}
-	}
-	slices.Sort(rows) // linear on a list that is sorted already
-	return rows
 }
 
 // NewStage opens a staging buffer for one site's operator-k stream over a
@@ -618,6 +570,35 @@ func (st *hStage) Discard() {
 	st.blocks = nil
 }
 
+// observe records, when a later round reads them, the X rows site's
+// committed operator-k stage reported: its ordinals in fragment order, each
+// through the stage's row list, or nil when they are every row of X. Only a
+// committed stage may be recorded: a discarded attempt's ordinals say nothing
+// about the site.
+func (m *merger) observe(k, site int, st *hStage) error {
+	if m.observed[k+1] == nil {
+		return nil
+	}
+	var rows []int32
+	if n := st.seen.claimed; n < m.x.Len() {
+		if err := m.budget.charge(4 * int64(n)); err != nil {
+			return err
+		}
+		rows = make([]int32, 0, n)
+		for w, word := range st.seen.bits {
+			for ; word != 0; word &= word - 1 {
+				ord := int32(w*64 + bits.TrailingZeros64(word))
+				if st.rows != nil {
+					ord = st.rows[ord]
+				}
+				rows = append(rows, ord)
+			}
+		}
+	}
+	m.observed[k+1][site] = rows
+	return nil
+}
+
 // CommitStage folds one completed stream's staged H blocks into X and
 // releases the stage: each row's ordinal is an X row — itself, or through the
 // stage's row list — and its physical columns merge into that row's
@@ -632,16 +613,15 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 		return fmt.Errorf("core: merging operator %d into X extended to %d", k+1, m.extended)
 	}
 	xc := m.x.Columns()
-	var mapped []int64
+	var to []int32
 	for _, b := range st.blocks {
 		hc := b.Columns()
-		to := hc.Vecs[0].Ints
-		if st.rows != nil {
-			mapped = slices.Grow(mapped[:0], len(to))
-			for _, ord := range to {
-				mapped = append(mapped, int64(st.rows[ord]))
+		to = slices.Grow(to[:0], hc.Rows)
+		for _, ord := range hc.Vecs[0].Ints {
+			if st.rows != nil {
+				ord = int64(st.rows[ord])
 			}
-			to = mapped
+			to = append(to, int32(ord))
 		}
 		cursor := 1
 		for _, seg := range m.segs[k] {
@@ -662,7 +642,7 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 // and MAX, a boxed vector on either side — folds cell by cell through
 // agg.MergeCell, as agg.Layout.MergePhys does, and a result no typed vector
 // holds boxes into, whose Values are charged to the budget.
-func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) error {
+func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) error {
 	n := m.x.Len()
 	add := op == agg.PhysCount || op == agg.PhysSum || op == agg.PhysSumSq
 	if add && !into.Boxed && !from.Boxed && (into.Kind == relation.KindInt || into.Kind == relation.KindFloat) {
@@ -701,18 +681,20 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int64) er
 
 // MergeLocal synchronizes a local round's replies, one per site in site
 // order, into X after ops, the query's first operators (Prop. 2 / Thm. 5 /
-// Cor. 1). A reply comes in gmdj.LocalReplySchema: X's key and physical
-// columns, then, under a witness, the gmdj.WitnessColumn. X's keys are
-// installed as a base round's are, its operators' columns start at their
-// identities (Extend), and every reply's physical columns fold in, site by
-// site: the O(|H|) merge of Theorem 1, addressed by key. Under a witness
+// Cor. 1); over no operator it installs the base round's B_i fragments. A
+// reply comes in gmdj.LocalReplySchema: X's key and physical columns, then,
+// under a witness, the gmdj.WitnessColumn. X's keys are the replies' distinct
+// keys, each at its first occurrence in site then row order (installKeys);
+// its operators' columns start at their identities (Extend), and every
+// reply's physical columns fold in, site by site: the O(|H|) merge of
+// Theorem 1, addressed by key. Under a witness
 // each site's counts are summed per group into a side slab, never into X,
 // and the groups whose total is 0 are dropped in one gather: no detail row of
 // theirs passes the base filter at any site, so they are not in the
 // base-values relation. A group can count 0 at one site and more at another;
-// only the sum decides. When a later round's observed reduction reads them
-// (KeepTouched), the X row of each reply row is kept, in reply order, for
-// Replies. Last, the derived columns are recomputed.
+// only the sum decides. When a later round's observed reduction reads them,
+// the X row of each reply row is kept, in reply order, as the site's observed
+// list. Last, the derived columns are recomputed.
 func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation.Relation) error {
 	upTo := len(ops)
 	want := gmdj.LocalReplySchema(m.xschemas[upTo], ops, witness)
@@ -726,7 +708,7 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			return fmt.Errorf("%w: a witness count that is not an INT", ErrMalformedH)
 		}
 	}
-	at, err := m.installKeys(cols, true)
+	at, err := m.installKeys(cols, upTo > 0)
 	if err != nil {
 		return err
 	}
@@ -755,13 +737,13 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			return err
 		}
 	}
-	if k := upTo - 1; k >= 0 && m.touched[k] != nil {
+	if m.observed[upTo] != nil {
 		for _, rows := range at {
-			if err := m.budget.charge(8 * int64(len(rows))); err != nil {
+			if err := m.budget.charge(4 * int64(len(rows))); err != nil {
 				return err
 			}
 		}
-		m.replies = at
+		m.observed[upTo] = at
 	}
 	m.RecomputeDerived(0, upTo)
 	return nil
@@ -770,7 +752,7 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 // dropUnwitnessed sums the replies' trailing witness counts per X row and
 // drops, in one gather, the rows whose total is 0, rewriting at to the
 // compacted rows (-1 for a dropped one).
-func (m *merger) dropUnwitnessed(cols []*relation.Columns, at [][]int64) error {
+func (m *merger) dropUnwitnessed(cols []*relation.Columns, at [][]int32) error {
 	n := m.x.Len()
 	if err := m.budget.charge(8 * int64(n)); err != nil {
 		return err
@@ -800,7 +782,7 @@ func (m *merger) dropUnwitnessed(cols []*relation.Columns, at [][]int64) error {
 	}
 	for _, rows := range at {
 		for i, r := range rows {
-			rows[i] = rename[r]
+			rows[i] = int32(rename[r])
 		}
 	}
 	before := m.x.MemBytes()
@@ -851,10 +833,4 @@ func floatAt(v *relation.Vector, i int) float64 {
 		return float64(v.Ints[i])
 	}
 	return v.Floats[i]
-}
-
-// Finalize projects X onto the logical output columns, sharing a columnar
-// X's vectors.
-func (m *merger) Finalize(cols []string) (*relation.Relation, error) {
-	return m.x.Project(cols)
 }

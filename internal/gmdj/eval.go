@@ -223,9 +223,13 @@ func EvalLocalReply(ctx context.Context, q Query, src DataSource, upTo int, useH
 // AVG, VARIANCE and STDEV ones (DerivedColumns), which whoever merges the
 // reply recomputes from the physical ones, then under a witness a trailing
 // INT WitnessColumn. The site builds its reply on it, the coordinator checks
-// and folds replies by it, and the cost model prices it.
+// and folds replies by it, and the cost model prices it. With nothing to drop
+// or add it is x itself.
 func LocalReplySchema(x relation.Schema, ops []Operator, witness bool) relation.Schema {
 	derived := DerivedColumns(ops)
+	if len(derived) == 0 && !witness {
+		return x
+	}
 	out := make(relation.Schema, 0, len(x)+1)
 	for _, c := range x {
 		if !slices.Contains(derived, c.Name) {

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"log/slog"
@@ -20,6 +21,14 @@ func init() {
 
 // Logger returns the process-wide structured logger.
 func Logger() *slog.Logger { return defaultLogger.Load() }
+
+// logs reports whether the package logger writes lines of level. A line's
+// key/value arguments are boxed before slog weighs its level, so a path run
+// per query or per round asks first and builds no line the logger drops.
+func logs(level slog.Level) bool {
+	//skallavet:allow ctxcall -- a level test: slog passes the context only to the handler, which reads none of it
+	return Logger().Enabled(context.Background(), level)
+}
 
 // SetLogger replaces the process-wide logger (nil restores the quiet default).
 func SetLogger(l *slog.Logger) {

@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"io"
+	"log/slog"
 	"strconv"
 	"sync"
 	"time"
@@ -87,7 +88,9 @@ func StartQuery(id string, trace *TraceWriter) *QuerySpan {
 		mergeHist:    CoordSyncMerge.With(QueryLabel(id)),
 	}
 	CoordActiveQueries.Add(1)
-	Logger().Debug("query start", "query", id)
+	if logs(slog.LevelDebug) {
+		Logger().Debug("query start", "query", id)
+	}
 	return q
 }
 
@@ -120,7 +123,7 @@ func (q *QuerySpan) End(err error) *QueryProfile {
 	CoordActiveQueries.Add(-1)
 	if err != nil {
 		Logger().Warn("query end", "query", q.p.QueryID, "rounds", rounds, "elapsed", elapsed, "err", err.Error())
-	} else {
+	} else if logs(slog.LevelInfo) {
 		Logger().Info("query end", "query", q.p.QueryID, "rounds", rounds, "elapsed", elapsed)
 	}
 	return &q.p
@@ -187,9 +190,11 @@ func (r *RoundSpan) End(coordTime time.Duration) {
 	rp.CoordTime = coordTime
 	down, up, calls, elapsed := rp.BytesDown, rp.BytesUp, len(rp.Calls), rp.Elapsed
 	r.q.mu.Unlock()
-	Logger().Debug("round end", "query", r.q.p.QueryID, "round", r.name,
-		"calls", calls, "bytes_down", down, "bytes_up", up,
-		"coord", coordTime, "elapsed", elapsed)
+	if logs(slog.LevelDebug) {
+		Logger().Debug("round end", "query", r.q.p.QueryID, "round", r.name,
+			"calls", calls, "bytes_down", down, "bytes_up", up,
+			"coord", coordTime, "elapsed", elapsed)
+	}
 	if r.q.trace != nil {
 		r.q.trace.printf("round %s: done  %dB down, %dB up, coordinator %s\n",
 			r.name, down, up, coordTime.Round(10*time.Microsecond))

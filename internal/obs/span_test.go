@@ -167,3 +167,15 @@ func TestQueryLabel(t *testing.T) {
 		t.Error("QueryLabel mangled a real ID")
 	}
 }
+
+// With tracing off and the logger at its default warn level, closing a round
+// builds no log line: RoundSpan.End allocates nothing.
+func TestRoundSpanEndAllocatesNothing(t *testing.T) {
+	SetLogger(nil)
+	span := StartQuery(NewQueryID(), nil)
+	defer span.End(nil)
+	rs := span.StartRound("MD1", 0)
+	if n := testing.AllocsPerRun(100, func() { rs.End(time.Millisecond) }); n != 0 {
+		t.Errorf("RoundSpan.End allocated %v objects per call, want 0", n)
+	}
+}

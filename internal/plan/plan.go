@@ -191,28 +191,20 @@ func (p *Plan) TrafficBound(groups, unfiltered int) int {
 	return bound
 }
 
-// ObservedSource returns the round whose answers bound round r (Observed),
-// and whether there is one.
-func (p *Plan) ObservedSource(r Round) (Round, bool) {
-	for _, s := range p.Steps {
-		if r.Observed > 0 && s.UpTo == r.Observed {
-			return s, true
-		}
-	}
-	return Round{}, false
-}
-
 // DerivedFrom returns the local round (Prop. 2 or Thm. 5) whose replies
-// bound operator round r (ObservedSource), when r ships no keys: each site
+// bound operator round r (Observed), when r ships no keys: each site
 // rebuilds the keys of its own reply from its partition (engine.Derive), and
 // the round ships only the other columns. A base with grouping sets keeps
 // shipping its keys.
 func (p *Plan) DerivedFrom(r Round) (Round, bool) {
-	src, ok := p.ObservedSource(r)
-	if !ok || src.Kind == RoundOperator || r.Kind != RoundOperator || len(p.Query.Base.GroupingSets) > 0 {
-		return Round{}, false
+	if r.Kind == RoundOperator && len(p.Query.Base.GroupingSets) == 0 {
+		for _, s := range p.Steps {
+			if r.Observed > 0 && s.UpTo == r.Observed && s.Kind != RoundOperator {
+				return s, true
+			}
+		}
 	}
-	return src, true
+	return Round{}, false
 }
 
 // Keys returns the base key attributes K.

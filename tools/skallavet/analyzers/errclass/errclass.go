@@ -10,7 +10,7 @@
 //
 //   - a function literal passed to (*Coordinator).withRetry;
 //   - a literal or named function passed in a func-typed argument to a
-//     *retry forwarder* — a function (like broadcast) that invokes one of
+//     *retry forwarder* — a function (like fanOut) that invokes one of
 //     its func parameters inside retry-scoped code; forwarder-ness crosses
 //     package boundaries via the exported fact;
 //   - any literal defined inside retry-scoped code (stream callbacks whose
