@@ -143,7 +143,9 @@ func SitePath(dir string, site int, relName string) string {
 
 // ReadPartition reads a partition file. A dataset written before partition
 // files were codec frames has <relation>.gob files instead, which are not
-// read: the error names the file and says to regenerate the dataset.
+// read, and a frame an older build wrote in a form this codec refuses (a
+// uniform column it would pack, say) does not decode: either error names the
+// file and says to regenerate the dataset.
 func ReadPartition(path string) (*relation.Relation, error) {
 	data, err := os.ReadFile(path)
 	if errors.Is(err, fs.ErrNotExist) {
@@ -157,7 +159,7 @@ func ReadPartition(path string) (*relation.Relation, error) {
 	}
 	rel, err := relation.Unmarshal(data)
 	if err != nil {
-		return nil, fmt.Errorf("manifest: partition %s: %w (a partition file from an older tpcgen is not a codec frame; rerun tpcgen)", path, err)
+		return nil, fmt.Errorf("manifest: partition %s: %w (a partition file an older tpcgen wrote does not decode; rerun tpcgen to regenerate the dataset)", path, err)
 	}
 	return rel, nil
 }

@@ -1,6 +1,7 @@
 package manifest
 
 import (
+	"encoding/binary"
 	"os"
 	"path/filepath"
 	"strings"
@@ -159,5 +160,48 @@ func TestLegacyGobPartitionRejected(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.named) || !strings.Contains(err.Error(), "rerun tpcgen") {
 			t.Errorf("ReadPartition(%s) = %v, want an error naming %s and saying to rerun tpcgen", tc.read, err, tc.named)
 		}
+	}
+}
+
+// olderFrame is the frame an older build wrote for an INT column k holding
+// 1 to 16: a uniform column, one varint a value, which this codec packs and
+// so refuses uniform.
+func olderFrame() []byte {
+	body := relation.AppendSchema([]byte{0x01}, relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}))
+	body = append(binary.AppendUvarint(body, 16), 0, 0, 0) // rows, a bitmap with no NULL, uniform
+	for k := int64(1); k <= 16; k++ {
+		body = binary.AppendVarint(body, k)
+	}
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
+// TestOlderPartitionFileRejected: a partition file an older tpcgen wrote with
+// a column this codec packs fails with an error naming the file and saying
+// to rerun tpcgen, while the same rows as this build writes them read back.
+func TestOlderPartitionFileRejected(t *testing.T) {
+	path := SitePath(t.TempDir(), 0, "R")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, olderFrame(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := ReadPartition(path)
+	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "rerun tpcgen") {
+		t.Fatalf("ReadPartition of an older frame = %v, want an error naming %s and saying to rerun tpcgen", err, path)
+	}
+	rel := relation.New(relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}))
+	for k := int64(1); k <= 16; k++ {
+		rel.MustAppend(relation.Tuple{relation.NewInt(k)})
+	}
+	frame, err := relation.Marshal(rel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, frame, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := ReadPartition(path); err != nil || !got.EqualMultiset(rel) {
+		t.Errorf("the regenerated partition: %v", err)
 	}
 }

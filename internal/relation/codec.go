@@ -8,6 +8,7 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"strings"
 	"sync"
 
 	"skalla/internal/obs"
@@ -29,12 +30,32 @@ import (
 //
 // An Encoder sends the schema once and switches to frameCached while the
 // schema is unchanged, so a stream of H_i blocks pays for its schema exactly
-// once. Rows are encoded column-major: per column a NULL bitmap (bit set =
-// NULL), then an encoding byte (uniform/mixed), then the non-NULL values —
-// zigzag varints for INT, raw little-endian bits for FLOAT, length-prefixed
-// bytes for STRING, and packed bits for BOOL. The mixed fallback tags each
-// value with its kind, preserving exact round-trips for columns whose dynamic
-// value kinds disagree with the declared column kind.
+// once. Rows are encoded column-major: a uvarint row count, then per column a
+// NULL bitmap (bit set = NULL), an encoding byte and the non-NULL values:
+//
+//	uniform  — zigzag varints for INT, raw little-endian bits for FLOAT,
+//	           length-prefixed bytes for STRING, packed bits for BOOL
+//	mixed    — each value tagged with its kind, preserving exact round-trips
+//	           for columns whose dynamic value kinds disagree with the
+//	           declared column kind
+//	packed   — INT: varint(min), one byte w = bits.Len64(max−min) computed in
+//	           uint64, then each value's x−min in w bits, least significant
+//	           bit first, the last byte's padding bits zero
+//	prefix   — STRING: the values' longest common prefix, length-prefixed
+//	           and capped at maxPrefix bytes, then uvarint(width) and each
+//	           value's suffix: width bytes when every suffix has that width
+//	           (width > 0), else length-prefixed (width 0)
+//
+// The encoder picks packed or prefix for a column only when it is strictly
+// smaller than uniform (colShape), and the decoder holds every INT and
+// STRING column to that choice: a min that no value attains, a w wider than
+// the values need, set padding bits, a prefix shorter than the common one
+// (and not at the cap), length prefixes over suffixes of one nonzero width, a
+// new encoding no smaller than uniform, and a uniform column a new encoding
+// would have beaten are all refused. So a frame that decodes re-encodes to
+// its own bytes. Both new encodings keep the per-column bitmap: it is what
+// bounds a frame's row count by its size (frameRows), and so what bounds the
+// decoder's allocation per byte read.
 
 const (
 	frameInline = 0x01
@@ -61,7 +82,14 @@ var ErrFrameLength = errors.New("relation: bad codec frame length")
 const (
 	encUniform = 0x00
 	encMixed   = 0x01
+	encPacked  = 0x02
+	encPrefix  = 0x03
 )
+
+// maxPrefix caps a prefix column's shared prefix. Every value it prefixes
+// costs at least one byte of the frame, so the cap bounds how many bytes a
+// decode builds per byte it reads.
+const maxPrefix = 255
 
 // ByteScanner is the reader a Decoder consumes: bytes.Buffer, bytes.Reader
 // and bufio.Reader all satisfy it, which lets a Decoder share a buffered
@@ -81,6 +109,7 @@ type Encoder struct {
 	schema    Schema
 	hasSchema bool
 	body      []byte
+	shapes    []colShape
 	bytes     int64
 	lenBuf    [binary.MaxVarintLen64]byte
 }
@@ -114,8 +143,10 @@ func (e *Encoder) Encode(r *Relation) error {
 		e.schema = r.Schema.Clone() // callers may mutate their schema later
 		e.hasSchema = true
 	}
-	body = appendVectors(body, r.cols)
-	e.body = keepBody(body)
+	e.shapes = shapesOf(e.shapes[:0], r.cols)
+	body = appendVectors(body, r.cols, e.shapes)
+	clear(e.shapes) // they point into r
+	e.body = KeepBody(body)
 	n := binary.PutUvarint(e.lenBuf[:], uint64(len(body)))
 	if _, err := e.w.Write(e.lenBuf[:n]); err != nil {
 		return err
@@ -164,56 +195,37 @@ func appendZeros(body []byte, n int) []byte {
 	return append(body, zeroBytes[:n]...)
 }
 
-// appendBoxed appends a boxed column of cells, declared kind: its NULL
-// bitmap, then its values uniform when every one is of that kind (packed bits
-// for BOOL), else mixed, each tagged with its kind.
-func appendBoxed(body []byte, vals []Value, kind Kind) []byte {
+// appendBoxed appends a mixed, BOOL, FLOAT or NULL-kind boxed column of
+// cells, declared kind, encoded enc: its NULL bitmap, then its values, mixed
+// each tagged with its kind, uniform BOOL as packed bits, uniform FLOAT as
+// raw bits. A uniform NULL-kind column has no values: a non-NULL value always
+// has a non-NULL kind.
+func appendBoxed(body []byte, vals []Value, kind Kind, enc byte) []byte {
 	bitmap := len(body)
 	body = appendZeros(body, (len(vals)+7)/8)
 	nonNull := 0
-	uniform := true
 	for i, v := range vals {
 		if v.IsNull() {
 			body[bitmap+i/8] |= 1 << (i % 8)
 		} else {
 			nonNull++
-			if v.Kind != kind {
-				uniform = false
-			}
 		}
 	}
-	if !uniform {
-		body = append(body, encMixed)
+	body = append(body, enc)
+	switch {
+	case enc == encMixed:
 		for _, v := range vals {
 			if !v.IsNull() {
 				body = AppendValue(body, v)
 			}
 		}
-		return body
-	}
-	body = append(body, encUniform)
-	switch kind {
-	case KindNull:
-		// All values are NULL (a non-NULL value always has a non-NULL kind).
-	case KindInt:
-		for _, v := range vals {
-			if !v.IsNull() {
-				body = binary.AppendVarint(body, v.Int)
-			}
-		}
-	case KindFloat:
+	case kind == KindFloat:
 		for _, v := range vals {
 			if !v.IsNull() {
 				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float))
 			}
 		}
-	case KindString:
-		for _, v := range vals {
-			if !v.IsNull() {
-				body = AppendString(body, v.Str)
-			}
-		}
-	case KindBool:
+	case kind == KindBool:
 		packed := len(body)
 		body = appendZeros(body, (nonNull+7)/8)
 		k := 0
@@ -229,16 +241,21 @@ func appendBoxed(body []byte, vals []Value, kind Kind) []byte {
 	return body
 }
 
-// appendVectors appends a frame's rows, column-major: a typed vector is a
-// uniform column, and a boxed one is written cell by cell (appendBoxed).
-func appendVectors(body []byte, c *Columns) []byte {
+// appendVectors appends a frame's rows, column-major, each column as its
+// shape says: a typed vector, or a boxed INT or STRING one whose cells are
+// all of its kind, is written from typed storage, and any other boxed one
+// cell by cell (appendBoxed).
+func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 	n := c.Rows
 	body = binary.AppendUvarint(body, uint64(n))
 	nb := (n + 7) / 8
 	for j := range c.Vecs {
-		v := &c.Vecs[j]
+		v, s := &c.Vecs[j], &shapes[j]
+		if s.typed != nil {
+			v = s.typed
+		}
 		if v.Boxed {
-			body = appendBoxed(body, v.Vals, v.Kind)
+			body = appendBoxed(body, v.Vals, v.Kind, s.enc)
 			continue
 		}
 		if v.Nulls == nil {
@@ -248,32 +265,254 @@ func appendVectors(body []byte, c *Columns) []byte {
 				body = append(body, byte(v.Nulls[k>>3]>>(8*(k&7))))
 			}
 		}
-		body = append(body, encUniform)
-		switch v.Kind {
-		case KindInt:
+		body = append(body, s.enc)
+		switch {
+		case s.enc == encPacked:
+			body = appendPacked(body, v, s.min, s.width)
+		case s.enc == encPrefix:
+			body = appendPrefixed(body, v, s.prefix, s.width)
+		case v.Kind == KindInt:
 			for i, x := range v.Ints {
 				if !v.Null(i) {
 					body = binary.AppendVarint(body, x)
 				}
 			}
-		case KindFloat:
+		case v.Kind == KindFloat:
 			for i, x := range v.Floats {
 				if !v.Null(i) {
 					body = binary.LittleEndian.AppendUint64(body, math.Float64bits(x))
 				}
 			}
-		case KindString:
+		case v.Kind == KindString:
 			for i, code := range v.Codes {
 				if !v.Null(i) {
-					s := v.Dict[code]
-					body = binary.AppendUvarint(body, uint64(len(s)))
-					body = append(body, s...)
+					body = AppendString(body, v.Dict[code])
 				}
 			}
 		}
 	}
 	return body
 }
+
+// appendPacked appends the non-NULL values of the INT vector v packed: lo,
+// w, then each value as x−lo in w bits, least significant bit first; the
+// last byte's padding bits are zero.
+func appendPacked(body []byte, v *Vector, lo int64, w int) []byte {
+	body = append(binary.AppendVarint(body, lo), byte(w))
+	var acc uint64 // the bits not yet appended, k of them
+	k := 0
+	for i, x := range v.Ints {
+		if v.Null(i) {
+			continue
+		}
+		d := uint64(x) - uint64(lo)
+		acc |= d << k
+		if k+w < 64 {
+			k += w
+			continue
+		}
+		body = binary.LittleEndian.AppendUint64(body, acc)
+		acc = d >> (64 - k) // 0 when k is 0
+		k += w - 64
+	}
+	for ; k > 0; k -= 8 {
+		body = append(body, byte(acc))
+		acc >>= 8
+	}
+	return body
+}
+
+// appendPrefixed appends the non-NULL values of the STRING vector v as their
+// shared prefix, then each value's suffix: width bytes each, or each
+// length-prefixed when width is 0.
+func appendPrefixed(body []byte, v *Vector, prefix string, width int) []byte {
+	body = binary.AppendUvarint(AppendString(body, prefix), uint64(width))
+	for i, code := range v.Codes {
+		if v.Null(i) {
+			continue
+		}
+		suffix := v.Dict[code][len(prefix):]
+		if width == 0 {
+			body = binary.AppendUvarint(body, uint64(len(suffix)))
+		}
+		body = append(body, suffix...)
+	}
+	return body
+}
+
+// colShape is how a frame writes one column: its encoding, what that
+// encoding needs, and the column's bytes past its NULL bitmap. shapesOf
+// chooses it from the column's values once per frame, and the frame's exact
+// size and its bytes both read it; a decoder recomputes it for an INT or
+// STRING column to check that the column is written as the encoder writes it.
+type colShape struct {
+	enc    byte
+	size   int    // the bytes past the bitmap, the encoding byte included
+	min    int64  // packed: the frame of reference
+	width  int    // packed: the bits a value; prefix: the bytes a suffix, 0 when they vary
+	prefix string // prefix: the longest common prefix, capped at maxPrefix
+	// typed is a boxed INT or STRING vector's cells as a typed vector, when
+	// they are all NULL or of its kind: the encoding of those kinds depends on
+	// their values, so one writer serves both.
+	typed *Vector
+}
+
+// shapesOf appends the shape of each of c's vectors to dst.
+func shapesOf(dst []colShape, c *Columns) []colShape {
+	for j := range c.Vecs {
+		dst = append(dst, shapeOf(&c.Vecs[j]))
+	}
+	return dst
+}
+
+// shapeOf is how a frame writes v. A boxed vector is written mixed when some
+// cell is of another kind than its declared one.
+func shapeOf(v *Vector) colShape {
+	if !v.Boxed {
+		return typedShape(v)
+	}
+	nonNull, payload, uniform := 0, 0, true
+	for i := range v.Vals {
+		c := &v.Vals[i]
+		switch c.Kind {
+		case KindNull:
+			continue
+		case KindInt, KindBool:
+			payload += varintLen(c.Int)
+		case KindFloat:
+			payload += 8
+		case KindString:
+			payload += uvarintLen(uint64(len(c.Str))) + len(c.Str)
+		}
+		nonNull++
+		uniform = uniform && c.Kind == v.Kind
+	}
+	switch {
+	case !uniform:
+		return colShape{enc: encMixed, size: 1 + nonNull + payload} // a kind byte a value
+	case v.Kind == KindBool:
+		return colShape{enc: encUniform, size: 1 + (nonNull+7)/8}
+	case v.Kind == KindNull, v.Kind == KindFloat:
+		return colShape{enc: encUniform, size: 1 + payload}
+	}
+	t := NewVector(v.Kind, len(v.Vals))
+	for i, c := range v.Vals {
+		switch {
+		case c.Kind == KindNull:
+			t.SetNull(i, len(v.Vals))
+		case c.Kind == KindString:
+			t.Set(i, len(v.Vals), NewString(c.Str))
+		default:
+			t.Ints[i] = c.Int
+		}
+	}
+	s := typedShape(&t)
+	s.typed = &t
+	return s
+}
+
+// typedShape is how a frame writes the typed vector v.
+func typedShape(v *Vector) colShape {
+	switch v.Kind {
+	case KindInt:
+		return intShape(v)
+	case KindString:
+		return stringShape(v)
+	case KindFloat:
+		nonNull := 0
+		for i := range v.Floats {
+			if !v.Null(i) {
+				nonNull++
+			}
+		}
+		return colShape{enc: encUniform, size: 1 + 8*nonNull}
+	}
+	return colShape{enc: encUniform, size: 1} // NULL-kind: no values
+}
+
+// intShape writes the INT vector v packed when that is smaller than uniform.
+func intShape(v *Vector) colShape {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	n, uniform := 0, 0
+	for i, x := range v.Ints {
+		if v.Null(i) {
+			continue
+		}
+		lo, hi = min(lo, x), max(hi, x)
+		n++
+		uniform += varintLen(x)
+	}
+	s := colShape{enc: encUniform, size: 1 + uniform}
+	w := bits.Len64(uint64(hi) - uint64(lo))
+	if packed := 1 + varintLen(lo) + 1 + (n*w+7)/8; n > 0 && packed < s.size {
+		s = colShape{enc: encPacked, size: packed, min: lo, width: w}
+	}
+	return s
+}
+
+// stringShape writes the STRING vector v as a prefix column when that is
+// smaller than uniform.
+func stringShape(v *Vector) colShape {
+	var prefix string
+	n, total, uniform := 0, 0, 0
+	length := -1 // every value's length, -1 once two differ
+	for i, code := range v.Codes {
+		if v.Null(i) {
+			continue
+		}
+		s := v.Dict[code]
+		if n == 0 {
+			prefix, length = s[:min(len(s), maxPrefix)], len(s)
+		} else {
+			if !strings.HasPrefix(s, prefix) {
+				prefix = prefix[:commonPrefix(prefix, s)]
+			}
+			if len(s) != length {
+				length = -1
+			}
+		}
+		n++
+		total += len(s)
+		uniform += uvarintLen(uint64(len(s))) + len(s)
+	}
+	s := colShape{enc: encUniform, size: 1 + uniform}
+	p := len(prefix)
+	size, width := 1+uvarintLen(uint64(p))+p, 0
+	switch {
+	case n == 0:
+		return s
+	case length > p:
+		width = length - p
+		size += uvarintLen(uint64(width)) + n*width
+	case p == 0:
+		return s // length-prefixed suffixes are the uniform values, and more
+	default:
+		size += 1 + total - n*p
+		for i, code := range v.Codes {
+			if !v.Null(i) {
+				size += uvarintLen(uint64(len(v.Dict[code]) - p))
+			}
+		}
+	}
+	if size < s.size {
+		s = colShape{enc: encPrefix, size: size, width: width, prefix: prefix}
+	}
+	return s
+}
+
+// commonPrefix is the length of a and b's longest common prefix.
+func commonPrefix(a, b string) int {
+	n := min(len(a), len(b))
+	for i := 0; i < n; i++ {
+		if a[i] != b[i] {
+			return i
+		}
+	}
+	return n
+}
+
+// varintLen is the encoded size of x as a zigzag varint.
+func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Decoder reads relations written by an Encoder, caching the stream schema
 // across frames and reading every frame body into one reused buffer. Frames
@@ -395,14 +634,15 @@ func (f *FrameReader) readBody(n int) ([]byte, error) {
 			return nil, err
 		}
 	}
-	f.body = keepBody(body)
+	f.body = KeepBody(body)
 	return body, nil
 }
 
-// keepBody is what a reused frame buffer keeps of body for the next frame:
-// its capacity, up to trustedBody of it. A larger one is dropped, so one huge
-// frame does not pin its buffer for the rest of the stream or connection.
-func keepBody(body []byte) []byte {
+// KeepBody is what a reused buffer keeps of body for its next frame or
+// message: its capacity, up to trustedBody of it. A larger one is dropped, so
+// one huge frame does not pin its buffer for the rest of the stream or
+// connection.
+func KeepBody(body []byte) []byte {
 	if cap(body) > trustedBody {
 		return nil
 	}
@@ -600,9 +840,10 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 }
 
 // readVectors decodes a frame's rows into vectors, reading every value in
-// place from the frame: a uniform INT, FLOAT, STRING or NULL column into a
-// typed vector, whose STRING bytes become one string its values are
-// substrings of, and a BOOL or mixed column into a boxed one.
+// place from the frame: a uniform or packed INT, uniform FLOAT, uniform or
+// prefix STRING, or NULL column into a typed vector, whose STRING bytes
+// become one string its values are substrings of, and a BOOL or mixed column
+// into a boxed one.
 func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
@@ -619,20 +860,25 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 		if err != nil {
 			return nil, err
 		}
-		if enc != encUniform && enc != encMixed {
-			return nil, fmt.Errorf("relation: unknown codec column encoding 0x%02x", enc)
+		switch {
+		case enc == encUniform, enc == encMixed:
+		case enc == encPacked && col.Kind == KindInt, enc == encPrefix && col.Kind == KindString:
+		default:
+			return nil, fmt.Errorf("relation: codec column encoding 0x%02x is not one for %s", enc, col.Kind)
 		}
 		v := &c.Vecs[j]
 		v.Kind = col.Kind
-		if err := readVector(cur, v, nrows, bitmap, enc == encMixed); err != nil {
+		if err := readVector(cur, v, nrows, bitmap, enc); err != nil {
 			return nil, err
 		}
 	}
 	return c, nil
 }
 
-// readVector decodes one column of n rows into v, whose Kind is set.
-func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, mixed bool) error {
+// readVector decodes one column of n rows, encoded enc, into v, whose Kind
+// is set. An INT or STRING column is refused unless enc and its parameters
+// are the shape the encoder gives the values decoded (checkShape).
+func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 	nonNull := n
 	for k, b := range bitmap {
 		if b == 0 {
@@ -644,27 +890,31 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, mixed bool) error 
 		v.Nulls[k>>3] |= uint64(b) << (8 * (k & 7))
 		nonNull -= bits.OnesCount8(b)
 	}
-	if mixed || v.Kind == KindBool {
-		return readBoxed(cur, v, n, nonNull, mixed)
+	if enc == encMixed || v.Kind == KindBool {
+		return readBoxed(cur, v, n, nonNull, enc == encMixed)
 	}
-	switch v.Kind {
-	case KindNull:
+	got := colShape{enc: enc}
+	var err error
+	switch {
+	case v.Kind == KindNull:
 		if nonNull != 0 {
 			return errNullColumnValue
 		}
-	case KindInt:
+	case enc == encPacked:
+		got.min, got.width, err = readPacked(cur, v, n, nonNull)
+	case enc == encPrefix:
+		got.prefix, got.width, err = readPrefixed(cur, v, n, nonNull)
+	case v.Kind == KindInt:
 		v.Ints = make([]int64, n)
 		for i := range v.Ints {
 			if v.Null(i) {
 				continue
 			}
-			x, err := cur.Varint()
-			if err != nil {
+			if v.Ints[i], err = cur.Varint(); err != nil {
 				return err
 			}
-			v.Ints[i] = x
 		}
-	case KindFloat:
+	case v.Kind == KindFloat:
 		raw, err := cur.Bytes(8 * nonNull)
 		if err != nil {
 			return err
@@ -676,7 +926,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, mixed bool) error 
 				raw = raw[8:]
 			}
 		}
-	case KindString:
+	case v.Kind == KindString:
 		next, err := readStrings(cur, nonNull)
 		if err != nil {
 			return err
@@ -691,7 +941,157 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, mixed bool) error 
 			}
 		}
 	}
+	if err != nil || v.Kind != KindInt && v.Kind != KindString {
+		return err
+	}
+	return checkShape(v, got)
+}
+
+// checkShape refuses the decoded INT or STRING vector v unless got — its
+// encoding, a packed column's min and width, a prefix column's prefix and
+// suffix width — is the shape the encoder gives its values.
+func checkShape(v *Vector, got colShape) error {
+	want := typedShape(v)
+	switch {
+	case got.enc == encUniform && want.enc != encUniform:
+		return fmt.Errorf("relation: codec uniform %s column that encoding 0x%02x writes smaller", v.Kind, want.enc)
+	case got.enc != want.enc:
+		return fmt.Errorf("relation: codec column encoding 0x%02x that is not smaller than uniform", got.enc)
+	case got.min != want.min:
+		return fmt.Errorf("relation: codec packed column's minimum %d is not attained", got.min)
+	case got.enc == encPacked && got.width != want.width:
+		return fmt.Errorf("relation: codec packed column is %d bits wide, its values need %d", got.width, want.width)
+	case got.prefix != want.prefix:
+		return fmt.Errorf("relation: codec prefix column's %d-byte prefix is not its values' longest common one", len(got.prefix))
+	case got.width != want.width:
+		return fmt.Errorf("relation: codec prefix column's suffixes have width %d, their values %d", got.width, want.width)
+	}
 	return nil
+}
+
+// readPacked decodes the nonNull values of a packed INT column of n rows
+// into v and returns its min and width. A width above 64 and set padding
+// bits are refused here, the rest of its shape by checkShape.
+func readPacked(cur *Cursor, v *Vector, n, nonNull int) (lo int64, w int, err error) {
+	if lo, err = cur.Varint(); err != nil {
+		return 0, 0, err
+	}
+	wb, err := cur.Byte()
+	if err != nil {
+		return 0, 0, err
+	}
+	if w = int(wb); w > 64 {
+		return 0, 0, fmt.Errorf("relation: codec packed column is %d bits wide", w)
+	}
+	nbits := nonNull * w
+	raw, err := cur.Bytes((nbits + 7) / 8)
+	if err != nil {
+		return 0, 0, err
+	}
+	if nbits%8 != 0 && raw[len(raw)-1]>>(nbits%8) != 0 {
+		return 0, 0, errPaddingBits
+	}
+	v.Ints = make([]int64, n)
+	mask, off := uint64(1)<<w-1, 0 // 1<<64 is 0: all 64 bits
+	for i := range v.Ints {
+		switch {
+		case v.Null(i):
+		case w == 0:
+			v.Ints[i] = lo
+		default:
+			v.Ints[i] = int64(uint64(lo) + bitsAt(raw, off, w)&mask)
+			off += w
+		}
+	}
+	return lo, w, nil
+}
+
+// bitsAt returns at least the w ≤ 64 bits of b starting at bit off, least
+// significant first, in its low bits; bits above them are garbage.
+func bitsAt(b []byte, off, w int) uint64 {
+	i, s := off>>3, off&7
+	var x uint64
+	if i+8 <= len(b) {
+		x = binary.LittleEndian.Uint64(b[i:])
+	} else {
+		var tail [8]byte
+		copy(tail[:], b[i:])
+		x = binary.LittleEndian.Uint64(tail[:])
+	}
+	x >>= s
+	if s+w > 64 {
+		x |= uint64(b[i+8]) << (64 - s)
+	}
+	return x
+}
+
+// readPrefixed decodes the nonNull values of a prefix STRING column of n
+// rows into v and returns its prefix and suffix width, which checkShape holds
+// to the values' shape. The prefix and then each value are built into one
+// string, which the prefix and the values are substrings of.
+func readPrefixed(cur *Cursor, v *Vector, n, nonNull int) (prefix string, width int, err error) {
+	p, err := cur.Count(maxPrefix, "prefix length")
+	if err != nil {
+		return "", 0, err
+	}
+	head, err := cur.Bytes(p)
+	if err != nil {
+		return "", 0, err
+	}
+	if width, err = cur.Count(cur.Len(), "suffix width"); err != nil {
+		return "", 0, err
+	}
+	start, size := cur.pos, 0
+	if width > 0 {
+		if nonNull > cur.Len()/width {
+			return "", 0, errShortFrame
+		}
+		size = nonNull * width
+		cur.pos += size
+	} else {
+		for k := 0; k < nonNull; k++ {
+			ln, err := cur.Count(cur.Len(), "suffix length")
+			if err != nil {
+				return "", 0, err
+			}
+			if _, err := cur.Bytes(ln); err != nil {
+				return "", 0, err
+			}
+			size += ln
+		}
+	}
+	raw := cur.b[start:cur.pos]
+	var b strings.Builder
+	b.Grow(p + nonNull*p + size)
+	b.Write(head)
+	for k, rest := 0, raw; k < nonNull; k++ {
+		ln := width
+		if width == 0 {
+			u, w := binary.Uvarint(rest)
+			ln, rest = int(u), rest[w:]
+		}
+		b.Write(head)
+		b.Write(rest[:ln])
+		rest = rest[ln:]
+	}
+	col, off := b.String(), p
+	v.Dict = make([]string, nonNull)
+	v.Codes = make([]uint32, n)
+	k := 0
+	for i := range v.Codes {
+		if v.Null(i) {
+			continue
+		}
+		ln := p + width
+		if width == 0 {
+			u, w := binary.Uvarint(raw)
+			ln, raw = p+int(u), raw[w+int(u):]
+		}
+		v.Dict[k], v.Codes[i] = col[off:off+ln], uint32(k)
+		off += ln
+		k++
+	}
+	return col[:p], width, nil
 }
 
 // readBoxed decodes the nonNull values of a packed BOOL or a mixed column
@@ -774,25 +1174,34 @@ func readBitmap(cur *Cursor, n, nb int) ([]byte, error) {
 }
 
 // Marshal encodes a relation as one self-contained frame (schema inline): the
-// bytes a fresh Encoder writes, appended into one slice sized for them
-// beforehand.
-func Marshal(r *Relation) ([]byte, error) {
+// bytes a fresh Encoder writes, in one slice sized for them beforehand.
+func Marshal(r *Relation) ([]byte, error) { return AppendFrame(nil, r) }
+
+// AppendFrame appends the bytes Marshal(r) returns to dst, grown once to hold
+// them; a nil dst becomes a slice of exactly the frame's size. Each column's
+// shape is chosen once and read for both the size and the bytes.
+func AppendFrame(dst []byte, r *Relation) ([]byte, error) {
 	if err := checkArity(r); err != nil {
-		return nil, err
+		return dst, err
 	}
-	// The length prefix is written last, right-aligned in the room kept for
-	// it in front of the body.
-	const room = binary.MaxVarintLen64
-	buf := make([]byte, room, room+1+schemaSize(r.Schema)+vectorsSize(r.cols))
-	buf = append(buf, frameInline)
-	buf = AppendSchema(buf, r.Schema)
-	buf = appendVectors(buf, r.cols)
-	body := uint64(len(buf) - room)
-	start := room - uvarintLen(body)
-	binary.PutUvarint(buf[start:], body)
-	obs.CodecEncodeBytes.Add(int64(len(buf) - start))
+	var room [8]colShape
+	shapes := shapesOf(room[:0], r.cols)
+	body := 1 + schemaSize(r.Schema) + uvarintLen(uint64(r.cols.Rows))
+	for _, s := range shapes {
+		body += (r.cols.Rows+7)/8 + s.size
+	}
+	size := uvarintLen(uint64(body)) + body
+	if dst == nil {
+		dst = make([]byte, 0, size)
+	} else {
+		dst = slices.Grow(dst, size)
+	}
+	dst = binary.AppendUvarint(dst, uint64(body))
+	dst = AppendSchema(append(dst, frameInline), r.Schema)
+	dst = appendVectors(dst, r.cols, shapes)
+	obs.CodecEncodeBytes.Add(int64(size))
 	obs.CodecFrames.With("encode").Inc()
-	return buf[start:], nil
+	return dst, nil
 }
 
 // schemaSize is the number of bytes appendSchema appends.
@@ -802,65 +1211,6 @@ func schemaSize(s Schema) int {
 		n += uvarintLen(uint64(len(c.Name))) + len(c.Name) + 1
 	}
 	return n
-}
-
-// boxedSize is the number of bytes appendBoxed appends.
-func boxedSize(vals []Value, kind Kind) int {
-	size := (len(vals)+7)/8 + 1
-	nonNull, payload, uniform := 0, 0, true
-	for i := range vals {
-		v := &vals[i]
-		switch v.Kind {
-		case KindNull:
-			continue
-		case KindInt, KindBool:
-			payload += uvarintLen(uint64(v.Int)<<1 ^ uint64(v.Int>>63))
-		case KindFloat:
-			payload += 8
-		case KindString:
-			payload += uvarintLen(uint64(len(v.Str))) + len(v.Str)
-		}
-		nonNull++
-		if v.Kind != kind {
-			uniform = false
-		}
-	}
-	switch {
-	case !uniform:
-		return size + nonNull + payload // a kind byte per value
-	case kind == KindBool:
-		return size + (nonNull+7)/8
-	}
-	return size + payload
-}
-
-// vectorsSize is the number of bytes appendVectors appends.
-func vectorsSize(c *Columns) int {
-	size := uvarintLen(uint64(c.Rows))
-	for j := range c.Vecs {
-		v := &c.Vecs[j]
-		if v.Boxed {
-			size += boxedSize(v.Vals, v.Kind)
-			continue
-		}
-		size += (c.Rows+7)/8 + 1
-		for i := 0; i < c.Rows; i++ {
-			if v.Null(i) {
-				continue
-			}
-			switch v.Kind {
-			case KindInt:
-				x := v.Ints[i]
-				size += uvarintLen(uint64(x)<<1 ^ uint64(x>>63))
-			case KindFloat:
-				size += 8
-			case KindString:
-				n := len(v.Dict[v.Codes[i]])
-				size += uvarintLen(uint64(n)) + n
-			}
-		}
-	}
-	return size
 }
 
 // Unmarshal decodes a relation from a single self-contained frame, reading it
@@ -892,11 +1242,22 @@ func Unmarshal(b []byte) (*Relation, error) {
 // it that still holds exactly its rows, returns one frame marshalled by the
 // first caller; the bytes are shared and must not be modified.
 func (r *Relation) Frame() ([]byte, error) {
-	if f := r.frame; f != nil && f.describes(r) {
-		f.once.Do(func() { f.b, f.err = Marshal(r) })
-		return f.b, f.err
+	if b, ok, err := r.SharedFrame(); ok {
+		return b, err
 	}
 	return Marshal(r)
+}
+
+// SharedFrame returns r's shared frame, marshalled by its first caller, and
+// true when r has one (ShareFrame); a writer ships those bytes as they are
+// rather than encode or copy them again.
+func (r *Relation) SharedFrame() ([]byte, bool, error) {
+	f := r.frame
+	if f == nil || !f.describes(r) {
+		return nil, false, nil
+	}
+	f.once.Do(func() { f.b, f.err = Marshal(r) })
+	return f.b, true, f.err
 }
 
 // sharedFrame is a finished relation's wire frame, marshalled by whichever

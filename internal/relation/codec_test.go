@@ -10,6 +10,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 )
@@ -66,7 +67,7 @@ func codecCases() map[string]*Relation {
 	singleString := New(MustSchema(Column{"s", KindString}))
 	singleString.MustAppend(Tuple{NewString("only")})
 
-	return map[string]*Relation{
+	cases := map[string]*Relation{
 		"uniform":         uniform,
 		"all-null-string": allNullString,
 		"all-kinds":       full,
@@ -78,6 +79,10 @@ func codecCases() map[string]*Relation {
 		"no-cols-rows":    noColsRows,
 		"single-string":   singleString,
 	}
+	for name, r := range packCases() {
+		cases[name] = r
+	}
+	return cases
 }
 
 // relIdentical compares relations by exact value identity (float bits, so NaN
@@ -157,6 +162,31 @@ func TestShareFrame(t *testing.T) {
 	}
 	if back, err := Unmarshal(a); err != nil || !relIdentical(r, back) {
 		t.Errorf("shared frame does not decode back: %v", err)
+	}
+}
+
+// TestAppendFrame: AppendFrame appends exactly Marshal's bytes after what dst
+// holds, for every case, and SharedFrame reports a frame only for a relation
+// declared finished.
+func TestAppendFrame(t *testing.T) {
+	head := []byte("head")
+	for name, r := range codecCases() {
+		want, err := Marshal(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendFrame(slices.Clip(head), r)
+		if err != nil || !bytes.Equal(got, append(slices.Clip(head), want...)) {
+			t.Errorf("%s: AppendFrame = %x, %v; want head then %x", name, got, err, want)
+		}
+		if _, ok, _ := r.SharedFrame(); ok {
+			t.Errorf("%s: an unfinished relation has a shared frame", name)
+		}
+		r.ShareFrame()
+		shared, ok, err := r.SharedFrame()
+		if framed, _ := r.Frame(); !ok || err != nil || &shared[0] != &framed[0] {
+			t.Errorf("%s: SharedFrame is not the finished relation's one frame (ok %v, err %v)", name, ok, err)
+		}
 	}
 }
 
@@ -636,6 +666,10 @@ func rowDecode(data []byte) (Schema, []Tuple, error) {
 			err = readUniformRows(cur, rows, j, col.Kind, bitmap)
 		case enc == encMixed:
 			err = readMixedRows(cur, rows, j, col.Kind, bitmap)
+		case enc == encPacked && col.Kind == KindInt:
+			err = readPackedRows(cur, rows, j, bitmap)
+		case enc == encPrefix && col.Kind == KindString:
+			err = readPrefixRows(cur, rows, j, bitmap)
 		default:
 			err = fmt.Errorf("unknown column encoding 0x%02x", enc)
 		}
@@ -651,8 +685,26 @@ func rowDecode(data []byte) (Schema, []Tuple, error) {
 
 func isNullAt(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
-// readUniformRows reads column j of rows, written uniform of kind.
+// readUniformRows reads column j of rows, written uniform of kind, which
+// Marshal does for an INT or STRING column only when neither packing nor a
+// prefix writes it smaller.
 func readUniformRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
+	start := cur.Len()
+	if err := readUniformCells(cur, rows, j, kind, bitmap); err != nil {
+		return err
+	}
+	size := start - cur.Len()
+	switch {
+	case kind == KindInt && refPackedSize(rows, j) < size:
+		return fmt.Errorf("uniform INT column %d that packing writes smaller", j)
+	case kind == KindString && refPrefixSize(rows, j) < size:
+		return fmt.Errorf("uniform STRING column %d that a prefix writes smaller", j)
+	}
+	return nil
+}
+
+// readUniformCells reads the cells of column j of rows, written uniform.
+func readUniformCells(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
 	nonNull := 0
 	for i := range rows {
 		if !isNullAt(bitmap, i) {

@@ -188,7 +188,9 @@ func (t *Table) Images(ctx context.Context, fn func(*relation.Columns) error) er
 
 // loadSegment returns segment ord's image: from the cache, or decoded from
 // its file, checked against the table's schema and the manifest's row count,
-// and imaged through relation.BuildColumns. The read is charged to the
+// and imaged through relation.BuildColumns. A segment that does not decode —
+// one an older build wrote in a form this codec refuses, say — fails naming
+// its file and the table directory to delete. The read is charged to the
 // request recorder ctx carries.
 func (t *Table) loadSegment(ctx context.Context, ord int, seg segmentMeta) (*relation.Columns, error) {
 	rec := obs.RecorderFrom(ctx)
@@ -203,7 +205,8 @@ func (t *Table) loadSegment(ctx context.Context, ord int, seg segmentMeta) (*rel
 	defer f.Close()
 	rel, err := relation.NewDecoder(bufio.NewReader(f)).Decode()
 	if err != nil {
-		return nil, fmt.Errorf("store: segment %s: %w", seg.File, err)
+		return nil, fmt.Errorf("store: segment %s: %w (a segment an older build wrote does not decode; delete %s to regenerate the table)",
+			filepath.Join(t.dir, seg.File), err, t.dir)
 	}
 	if !rel.Schema.Equal(t.schema) {
 		return nil, fmt.Errorf("store: segment %s schema %s does not match table schema %s",

@@ -2,6 +2,7 @@ package store
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/gob"
 	"encoding/json"
 	"errors"
@@ -227,6 +228,42 @@ func TestGobSegmentRejected(t *testing.T) {
 		t.Fatalf("scan over a gob segment: err = %v, want an error naming seg00000.gob", err)
 	}
 	if n := len(reopened.cache.data); n != 0 {
+		t.Errorf("failed segment left %d cache entries", n)
+	}
+}
+
+// TestOlderSegmentRejected: a segment an older build wrote with a column this
+// codec packs fails the scan with an error naming the segment file and the
+// table directory to delete, and nothing from it is cached.
+func TestOlderSegmentRejected(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "T.store")
+	if _, err := CreateFrom(dir, "T", rowsRel(8, "v"), 8); err != nil {
+		t.Fatal(err)
+	}
+	// The older build wrote k as one varint a value and v as length-prefixed
+	// strings, uniform: k is a column this codec packs.
+	body := relation.AppendSchema([]byte{0x01}, storeSchema())
+	body = append(binary.AppendUvarint(body, 8), 0, 0) // rows; k: no NULL, uniform
+	for k := int64(0); k < 8; k++ {
+		body = binary.AppendVarint(body, k)
+	}
+	body = append(body, 0, 0) // v: no NULL, uniform
+	for k := 0; k < 8; k++ {
+		body = relation.AppendString(body, "v")
+	}
+	segment := filepath.Join(dir, "seg00000.seg")
+	if err := os.WriteFile(segment, append(binary.AppendUvarint(nil, uint64(len(body))), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = materialize(tbl)
+	if err == nil || !strings.Contains(err.Error(), segment) || !strings.Contains(err.Error(), "delete "+dir) {
+		t.Fatalf("scan over an older segment: err = %v, want an error naming %s and saying to delete %s", err, segment, dir)
+	}
+	if n := len(tbl.cache.data); n != 0 {
 		t.Errorf("failed segment left %d cache entries", n)
 	}
 }

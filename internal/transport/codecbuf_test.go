@@ -188,3 +188,40 @@ func TestWarmOperatorStreamAllocatesNoCodecBody(t *testing.T) {
 		})
 	}
 }
+
+// TestSharedFrameIsWrittenNotCopied: a request carrying a shared frame larger
+// than the buffer a connection keeps writes the frame's own bytes, so sending
+// it again allocates far less than the frame, and the message reads back with
+// exactly that frame.
+func TestSharedFrameIsWrittenNotCopied(t *testing.T) {
+	base := hBlock(100_000)
+	base.ShareFrame()
+	frame, err := base.Frame()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(frame) <= 1<<20 {
+		t.Fatalf("a %d-byte frame is within the kept buffer's cap", len(frame))
+	}
+	req := &Request{Kind: KindOperator, QueryID: "q", Round: "MD1",
+		Operator: &engine.OperatorRequest{Base: base, Op: gmdj.Operator{Detail: "T"}}}
+	var out msgBuf
+	var sink bytes.Buffer
+	send := func() {
+		sink.Reset()
+		if err := out.writeRequest(&sink, req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	send()
+	if got := allocatedBy(send); got > uint64(len(frame))/4 {
+		t.Errorf("sending a %d-byte shared frame again allocates %d bytes", len(frame), got)
+	}
+	got, err := readRequest(relation.NewFrameReader(&sink))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again, err := relation.Marshal(got.Operator.Base); err != nil || !bytes.Equal(again, frame) {
+		t.Errorf("the request's base does not re-encode to the shared frame (err %v)", err)
+	}
+}

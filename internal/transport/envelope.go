@@ -18,9 +18,10 @@ import (
 
 // This file is the site protocol's envelope: the one layout every message
 // between a coordinator and a site has (DESIGN.md §7), written by
-// writeRequest / writeReply and read by readRequest / readReply. Integers are
-// varints, strings are length-prefixed, and relations travel as the codec
-// frames Frame returns, written out as they are:
+// msgBuf.writeRequest / writeReply and read by readRequest / readReply.
+// Integers are varints, strings are length-prefixed, and relations travel as
+// the codec frames Frame returns, encoded in place in the message
+// (relation.AppendFrame) or, for a shared frame, written as they are:
 //
 //	message   = uvarint(len(body)) body
 //	request   = kind(hello) uvarint(version)
@@ -57,8 +58,9 @@ import (
 // ways, and a mismatch fails Dial naming both. The gob envelope before it had
 // no version. Version 3 added the local request's witness byte and cut its
 // operators to the prefix it evaluates. Version 4 added the operator
-// request's derive.
-const ProtocolVersion = 4
+// request's derive. Version 5 added the codec's packed INT and prefix STRING
+// column encodings, which a version 4 peer cannot read.
+const ProtocolVersion = 5
 
 // ErrProtocol marks a message that does not decode, or a peer that speaks
 // another protocol version.
@@ -113,12 +115,67 @@ func recoverError(err *error, wrap bool) {
 	}
 }
 
+// msgBuf is the buffer one end of a connection lays out each message it
+// writes in, kept across messages (relation.KeepBody). A relation the message
+// carries is encoded in place (relation.AppendFrame), unless it shares a
+// frame already encoded (relation.ShareFrame): those bytes are written as
+// they are, between the body's parts before and after them, so a broadcast
+// costs no copy per site. The length prefix goes into room kept in front of
+// the body.
+type msgBuf struct {
+	body   []byte
+	shared []byte // the shared frame the message carries, if any
+	at     int    // where in body it goes
+}
+
+// room is the space kept in front of a message's body for its length prefix.
+const room = binary.MaxVarintLen64
+
+// start begins a message of kind in the kept buffer.
+func (m *msgBuf) start(kind ReqKind) []byte {
+	m.shared = nil
+	return append(append(m.body[:0], make([]byte, room)...), byte(kind))
+}
+
+// appendRel appends what a message carries for rel: its frame, or a zero
+// length, which no frame has, for none.
+func (m *msgBuf) appendRel(b []byte, rel *relation.Relation) []byte {
+	if rel == nil {
+		return append(b, 0)
+	}
+	if f, ok, err := rel.SharedFrame(); ok {
+		m.shared, m.at = must(f, err), len(b)
+		return b
+	}
+	return must(relation.AppendFrame(b, rel))
+}
+
+// write writes the message b, begun by start, with its length prefix, and
+// keeps b's buffer for the next message.
+func (m *msgBuf) write(w io.Writer, b []byte) error {
+	shared := m.shared
+	m.body, m.shared = relation.KeepBody(b), nil // the frame stays its relation's
+	var head [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(head[:], uint64(len(b)-room+len(shared)))
+	copy(b[room-n:], head[:n])
+	if shared == nil {
+		_, err := w.Write(b[room-n:])
+		return err
+	}
+	for _, part := range [...][]byte{b[room-n : m.at], shared, b[m.at:]} {
+		if _, err := w.Write(part); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // writeRequest writes req as one message.
-func writeRequest(w io.Writer, req *Request) (err error) {
+func (m *msgBuf) writeRequest(w io.Writer, req *Request) (err error) {
 	defer recoverError(&err, false)
-	b := []byte{byte(req.Kind)}
+	b := m.start(req.Kind)
 	if req.Kind == KindHello {
-		return writeMessage(w, binary.AppendUvarint(b, uint64(req.Version)))
+		return m.write(w, binary.AppendUvarint(b, uint64(req.Version)))
 	}
 	b = relation.AppendString(b, req.QueryID)
 	b = relation.AppendString(b, req.Round)
@@ -130,14 +187,11 @@ func writeRequest(w io.Writer, req *Request) (err error) {
 		b = appendOperator(b, &req.Operator.Op)
 		b = append(b, boolByte(req.Operator.Guard))
 		b = binary.AppendVarint(b, int64(req.Operator.BlockRows))
-		// The derive follows the frame on the wire; it is laid out after b
-		// in the same buffer.
-		n := len(b)
+		b = m.appendRel(b, req.Operator.Base)
 		if d := req.Operator.Derive; d != nil {
 			b = appendExpr(appendStrs(b, d.Keys), d.Where)
 			b = append(binary.AppendUvarint(b, uint64(d.Rows)), d.Kept...)
 		}
-		return writeMessage(w, b[:n], relFrame(req.Operator.Base), b[n:])
 	case KindLocal:
 		ops := req.Local.Query.Ops[:min(max(req.Local.UpTo, 0), len(req.Local.Query.Ops))]
 		b = appendBaseQuery(b, &req.Local.Query.Base)
@@ -150,25 +204,24 @@ func writeRequest(w io.Writer, req *Request) (err error) {
 	case KindSchema:
 		b = relation.AppendString(b, req.Name)
 	case KindLoad:
-		return writeMessage(w, relation.AppendString(b, req.Name), relFrame(req.LoadRel))
+		b = m.appendRel(relation.AppendString(b, req.Name), req.LoadRel)
 	}
-	return writeMessage(w, b)
+	return m.write(w, b)
 }
 
 // writeReply writes resp as the reply to a request of kind.
-func writeReply(w io.Writer, kind ReqKind, resp *Response) (err error) {
+func (m *msgBuf) writeReply(w io.Writer, kind ReqKind, resp *Response) (err error) {
 	defer recoverError(&err, false)
-	b := []byte{byte(kind)}
+	b := m.start(kind)
 	if kind == KindHello {
 		b = binary.AppendUvarint(b, uint64(resp.Version))
-		return writeMessage(w, binary.AppendVarint(b, int64(resp.SiteID)))
+		return m.write(w, binary.AppendVarint(b, int64(resp.SiteID)))
 	}
 	b = relation.AppendString(b, resp.Err)
-	var frame []byte
 	switch {
 	case resp.Err != "":
 	case kind == KindBase || kind == KindLocal:
-		frame = relFrame(resp.Rel)
+		b = m.appendRel(b, resp.Rel)
 	case kind == KindSchema:
 		b = relation.AppendSchema(b, resp.Schema)
 	case kind == KindTables:
@@ -180,39 +233,10 @@ func writeReply(w io.Writer, kind ReqKind, resp *Response) (err error) {
 		}
 	}
 	p := &resp.Profile
-	var tail [trailerSize]byte
-	for i, v := range [...]int64{p.EvalNS, p.RowsScanned, p.SegCacheReads, p.SegDiskReads, p.SegRowsLoaded, p.CodecBytes, p.Blocks} {
-		binary.LittleEndian.PutUint64(tail[8*i:], uint64(v))
+	for _, v := range [...]int64{p.EvalNS, p.RowsScanned, p.SegCacheReads, p.SegDiskReads, p.SegRowsLoaded, p.CodecBytes, p.Blocks} {
+		b = binary.LittleEndian.AppendUint64(b, uint64(v))
 	}
-	tail[trailerSize-1] = boolByte(p.Kernel)
-	return writeMessage(w, b, frame, tail[:])
-}
-
-// writeMessage writes one message whose body is the concatenation of parts,
-// each written as it is.
-func writeMessage(w io.Writer, parts ...[]byte) error {
-	n := 0
-	for _, p := range parts {
-		n += len(p)
-	}
-	if _, err := w.Write(binary.AppendUvarint(nil, uint64(n))); err != nil {
-		return err
-	}
-	for _, p := range parts {
-		if _, err := w.Write(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// relFrame is what a message carries for rel: its frame, or a zero length,
-// which no frame has, for none.
-func relFrame(rel *relation.Relation) []byte {
-	if rel == nil {
-		return []byte{0}
-	}
-	return must(rel.Frame())
+	return m.write(w, append(b, boolByte(p.Kernel)))
 }
 
 func boolByte(v bool) byte {

@@ -67,7 +67,8 @@ func (m goldenMessage) decode(data []byte) (goldenMessage, []byte, error) {
 }
 
 // goldenMessages covers every request and reply kind, every expression node,
-// every literal kind and a relation of every column kind.
+// every literal kind, a relation of every column kind, and a reply whose
+// columns are packed INT and prefix STRING.
 func goldenMessages() []goldenMessage {
 	rel := relation.New(relation.MustSchema(
 		relation.Column{Name: "k", Kind: relation.KindInt},
@@ -77,6 +78,17 @@ func goldenMessages() []goldenMessage {
 	))
 	rel.MustAppend(relation.Tuple{relation.NewInt(-3), relation.NewString("x"), relation.NewFloat(2.5), relation.NewBool(true)})
 	rel.MustAppend(relation.Tuple{relation.Null, relation.NewString(""), relation.Null, relation.NewBool(false)})
+	packed := relation.New(relation.MustSchema(
+		relation.Column{Name: "Clerk", Kind: relation.KindString},
+		relation.Column{Name: "cnt", Kind: relation.KindInt},
+	))
+	for i, cnt := range []int64{3, 1, 5, 2, 1, 4} {
+		clerk := relation.NewString(fmt.Sprintf("Clerk#%09d", 101+i))
+		if i == 2 {
+			clerk = relation.Null
+		}
+		packed.MustAppend(relation.Tuple{clerk, relation.NewInt(cnt)})
+	}
 	base := gmdj.BaseQuery{
 		Detail:       "TPCR",
 		Cols:         []string{"CustName", "NationKey"},
@@ -113,6 +125,7 @@ func goldenMessages() []goldenMessage {
 		{name: "operator-reply", kind: KindOperator, resp: &Response{Profile: profile}},
 		{name: "operator-error-reply", kind: KindOperator, resp: &Response{Err: "engine: boom", Profile: profile}},
 		{name: "local-reply", kind: KindLocal, resp: &Response{Rel: rel}},
+		{name: "local-reply-packed", kind: KindLocal, resp: &Response{Rel: packed}},
 		{name: "schema-reply", kind: KindSchema, resp: &Response{Schema: rel.Schema}},
 		{name: "load-reply", kind: KindLoad, resp: &Response{}},
 		{name: "tables-reply", kind: KindTables, resp: &Response{Tables: []engine.TableInfo{{Name: "Flow", Rows: 20000, Columns: 9}, {Name: "TPCR", Rows: 0, Columns: 12}}}},
@@ -637,4 +650,14 @@ func TestRetiredAndUnknownKindsAnswered(t *testing.T) {
 	if resp.Err != "" || len(resp.Tables) != 1 || resp.Tables[0].Name != "T" {
 		t.Errorf("KindTables after rejected kinds = %+v", resp)
 	}
+}
+
+// writeRequest writes req as one message from a fresh buffer, as the first
+// message a connection's end writes is.
+func writeRequest(w io.Writer, req *Request) error { return new(msgBuf).writeRequest(w, req) }
+
+// writeReply writes resp as the reply to a request of kind from a fresh
+// buffer.
+func writeReply(w io.Writer, kind ReqKind, resp *Response) error {
+	return new(msgBuf).writeReply(w, kind, resp)
 }

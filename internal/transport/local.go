@@ -25,13 +25,15 @@ type LocalSite struct {
 
 	mu sync.Mutex
 	// downBuf and upBuf emulate the two directions of one connection, each
-	// read through a frame reader as the connection's ends read it; enc and
-	// dec are the connection's block encoder and decoder, as on TCP.
-	downBuf, upBuf bytes.Buffer
-	down, up       *relation.FrameReader
-	w              *bufio.Writer // the site's end of upBuf
-	enc            *relation.Encoder
-	dec            *relation.Decoder
+	// written from its end's message buffer and read through a frame reader
+	// as the connection's ends do; enc and dec are the connection's block
+	// encoder and decoder, as on TCP.
+	downBuf, upBuf   bytes.Buffer
+	reqOut, replyOut msgBuf
+	down, up         *relation.FrameReader
+	w                *bufio.Writer // the site's end of upBuf
+	enc              *relation.Encoder
+	dec              *relation.Decoder
 }
 
 // NewLocalSite wraps a backend (a site engine, or a wrapper of one).
@@ -54,7 +56,7 @@ func (l *LocalSite) ID() int { return l.site.ID() }
 func (l *LocalSite) sendLocked(ctx context.Context, req *Request, sent func() error) (int, error) {
 	l.downBuf.Reset()
 	l.upBuf.Reset()
-	if err := writeRequest(&l.downBuf, req); err != nil {
+	if err := l.reqOut.writeRequest(&l.downBuf, req); err != nil {
 		return 0, fmt.Errorf("transport: encode request: %w", err)
 	}
 	down := l.downBuf.Len()
@@ -62,7 +64,7 @@ func (l *LocalSite) sendLocked(ctx context.Context, req *Request, sent func() er
 	if err != nil {
 		return down, fmt.Errorf("transport: decode request: %w", err)
 	}
-	return down, serve(ctx, l.site, l.w, l.enc, decReq, sent)
+	return down, serve(ctx, l.site, l.w, l.enc, &l.replyOut, decReq, sent)
 }
 
 // roundTrip serializes the request, decodes it into a fresh value (as the

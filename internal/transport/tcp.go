@@ -152,9 +152,11 @@ func (s *Server) handle(rawConn net.Conn) {
 		log.Debug("peer does not open with a hello")
 		return
 	}
-	// One frame reader and one block encoder per connection: every request
-	// and every operator stream on it reuses their buffers.
+	// One frame reader, one message buffer and one block encoder per
+	// connection: every request, reply and operator stream on it reuses
+	// their buffers.
 	frames, enc := relation.NewFrameReader(br), relation.NewEncoder(bw)
+	var out msgBuf
 	for {
 		r0, w0 := conn.read, conn.written
 		req, err := readRequest(frames)
@@ -165,7 +167,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		case req.Kind == KindHello:
 			// Answer with this site's version, then hang up on another one.
 			obs.ServerRequests.With(kindName(KindHello)).Inc()
-			if err = writeReply(bw, KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()}); err == nil {
+			if err = out.writeReply(bw, KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()}); err == nil {
 				err = bw.Flush()
 			}
 			if err == nil && req.Version != ProtocolVersion {
@@ -173,7 +175,7 @@ func (s *Server) handle(rawConn net.Conn) {
 			}
 		default:
 			// An unknown kind's frame was read whole: it gets an error reply.
-			err = serve(ctx, s.site, bw, enc, req, nil)
+			err = serve(ctx, s.site, bw, enc, &out, req, nil)
 		}
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
@@ -184,18 +186,19 @@ func (s *Server) handle(rawConn net.Conn) {
 	}
 }
 
-// serve answers one request on w: a reply, or for an operator request a
-// marker plus a codec frame per H_i block, then the end marker and the
-// operator reply carrying the profile and any evaluation error. The blocks go
-// through enc, the connection's encoder writing to w, reset for the stream so
-// its frames are a fresh encoder's while its body buffer is reused. Each
-// block is flushed as it is made, then handed to sent (nil on a connection:
-// LocalSite reads each block off its buffer there). A failed block write or
-// sent ends the stream where it is: the end marker and reply are skipped, and
-// serve returns that error instead of failing (and logging) twice.
-func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Encoder, req *Request, sent func() error) error {
+// serve answers one request on w: a reply, laid out in out, or for an
+// operator request a marker plus a codec frame per H_i block, then the end
+// marker and the operator reply carrying the profile and any evaluation
+// error. The blocks go through enc, the connection's encoder writing to w,
+// reset for the stream so its frames are a fresh encoder's while its body
+// buffer is reused. Each block is flushed as it is made, then handed to sent
+// (nil on a connection: LocalSite reads each block off its buffer there). A
+// failed block write or sent ends the stream where it is: the end marker and
+// reply are skipped, and serve returns that error instead of failing (and
+// logging) twice.
+func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Encoder, out *msgBuf, req *Request, sent func() error) error {
 	if req.Kind != KindOperator {
-		if err := writeReply(w, req.Kind, dispatch(ctx, site, req)); err != nil {
+		if err := out.writeReply(w, req.Kind, dispatch(ctx, site, req)); err != nil {
 			return err
 		}
 		return w.Flush()
@@ -234,7 +237,7 @@ func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Enc
 	if err := w.WriteByte(opStreamEnd); err != nil {
 		return err
 	}
-	if err := writeReply(w, KindOperator, term); err != nil {
+	if err := out.writeReply(w, KindOperator, term); err != nil {
 		return err
 	}
 	return w.Flush()
@@ -291,6 +294,7 @@ type Client struct {
 	bw     *bufio.Writer
 	frames *relation.FrameReader
 	dec    *relation.Decoder
+	out    msgBuf
 	id     int
 	hasID  bool
 	broken bool
@@ -338,7 +342,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 		_ = conn.SetDeadline(dl)
 	}
 	req := &Request{Kind: KindHello, Version: ProtocolVersion}
-	err = writeRequest(bw, req)
+	err = c.out.writeRequest(bw, req)
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -391,7 +395,7 @@ func (c *Client) poisonLocked() {
 
 // sendLocked writes one request; c.mu held.
 func (c *Client) sendLocked(req *Request) error {
-	if err := writeRequest(c.bw, req); err != nil {
+	if err := c.out.writeRequest(c.bw, req); err != nil {
 		return err
 	}
 	return c.bw.Flush()
