@@ -1,7 +1,6 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: row
-// blocking granularity, the serializing vs. direct in-process transport, the
-// hash-grouping vs. nested-loop local evaluation path, and the grouping-set
-// (cube) workload.
+// blocking granularity, the serializing in-process transport, the compiled
+// local evaluation path, and the grouping-set (cube) workload.
 package skalla_test
 
 import (
@@ -49,51 +48,42 @@ func BenchmarkRowBlocking(b *testing.B) {
 	}
 }
 
-// BenchmarkTransportOverhead compares the serializing in-process transport
-// (wire-faithful byte accounting) against the direct dispatch transport:
-// the difference is the envelope encode/decode cost a real network would pay.
+// BenchmarkTransportOverhead runs the unoptimized two-phase query over four
+// serializing in-process sites: every message pays the envelope's encode and
+// decode, as over a network.
 func BenchmarkTransportOverhead(b *testing.B) {
 	d := dataset(b)
 	q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
-	for _, serialized := range []bool{false, true} {
-		name := "direct"
-		if serialized {
-			name = "serialized"
+	b.Run("serialized", func(b *testing.B) {
+		sites := make([]transport.Site, 4)
+		for i := 0; i < 4; i++ {
+			es := engine.NewSite(i)
+			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
+				b.Fatal(err)
+			}
+			sites[i] = transport.NewLocalSite(es)
 		}
-		b.Run(name, func(b *testing.B) {
-			sites := make([]transport.Site, 4)
-			for i := 0; i < 4; i++ {
-				es := engine.NewSite(i)
-				if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
-					b.Fatal(err)
-				}
-				if serialized {
-					sites[i] = transport.NewLocalSite(es)
-				} else {
-					sites[i] = transport.NewFastLocalSite(es)
-				}
-			}
-			cat, err := d.Catalog(4)
-			if err != nil {
+		cat, err := d.Catalog(4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		coord, err := core.New(sites, cat, stats.NetModel{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
 				b.Fatal(err)
 			}
-			coord, err := core.New(sites, cat, stats.NetModel{})
-			if err != nil {
-				b.Fatal(err)
-			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
-// BenchmarkLocalEvalPath compares the hash-grouping fast path against the
-// literal nested-loop evaluation of Definition 1 at the sites.
+// BenchmarkLocalEvalPath runs the unoptimized two-phase query on two sites'
+// compiled evaluation path; Definition 1's literal nested loop is the oracle
+// behind gmdj.EvalCentral(q, data, false), at no site.
 func BenchmarkLocalEvalPath(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Rows = 3000
@@ -103,34 +93,27 @@ func BenchmarkLocalEvalPath(b *testing.B) {
 		b.Fatal(err)
 	}
 	q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
-	for _, useHash := range []bool{true, false} {
-		name := "hash"
-		if !useHash {
-			name = "nested-loop"
-		}
-		b.Run(name, func(b *testing.B) {
-			sites := make([]transport.Site, 2)
-			for i := 0; i < 2; i++ {
-				es := engine.NewSite(i)
-				es.SetUseHash(useHash)
-				if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
-					b.Fatal(err)
-				}
-				sites[i] = transport.NewFastLocalSite(es)
-			}
-			coord, err := core.New(sites, nil, stats.NetModel{})
-			if err != nil {
+	b.Run("hash", func(b *testing.B) {
+		sites := make([]transport.Site, 2)
+		for i := 0; i < 2; i++ {
+			es := engine.NewSite(i)
+			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 				b.Fatal(err)
 			}
-			ctx := context.Background()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
-					b.Fatal(err)
-				}
+			sites[i] = transport.NewLocalSite(es)
+		}
+		coord, err := core.New(sites, nil, stats.NetModel{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ctx := context.Background()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkDistributedCube measures the grouping-set workload: a full cube
@@ -350,7 +333,7 @@ func BenchmarkDiskVsMemoryScan(b *testing.B) {
 				} else if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 					b.Fatal(err)
 				}
-				sites[i] = transport.NewFastLocalSite(es)
+				sites[i] = transport.NewLocalSite(es)
 			}
 			coord, err := core.New(sites, nil, stats.NetModel{})
 			if err != nil {

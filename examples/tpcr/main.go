@@ -30,7 +30,6 @@ func main() {
 	}
 	cluster, err := skalla.NewLocalCluster(4,
 		skalla.WithCatalog(catalog),
-		skalla.WithSerializedTransport(), // wire-faithful byte metrics
 		skalla.WithNetModel(stats.DefaultLAN()),
 	)
 	if err != nil {

@@ -83,7 +83,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 func TestQueuedQueryReleasedOnSessionDisconnect(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	global := randomGlobal(rng, 60, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 
 	gate := make(chan struct{})
 	var siteCalls atomic.Int64
@@ -188,7 +188,7 @@ func TestQueuedQueryReleasedOnSessionDisconnect(t *testing.T) {
 func TestQueuedQueryClientCancel(t *testing.T) {
 	rng := rand.New(rand.NewSource(98))
 	global := randomGlobal(rng, 60, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 
 	gate := make(chan struct{})
 	var siteCalls atomic.Int64

@@ -15,7 +15,7 @@ import (
 func TestRowBlockingPreservesResults(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	global := randomGlobal(rng, 150, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	for _, q := range []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()} {
 		want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
 		if err != nil {
@@ -45,7 +45,7 @@ func TestRowBlockingTrafficAccounting(t *testing.T) {
 	run := func(blockRows int) *stats.Metrics {
 		// Fresh cluster per run. The envelope keeps no state across
 		// messages, so the first execution's traffic is the steady state.
-		sites, cat := buildCluster(t, global, "T", 3, 4, false)
+		sites, cat := buildCluster(t, global, "T", 3, 4)
 		coord, _ := New(sites, cat, stats.NetModel{})
 		coord.SetRowBlocking(blockRows)
 		res, err := coord.ExecuteWith(context.Background(), chainQuery(), plan.SelectNone())

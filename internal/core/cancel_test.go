@@ -36,7 +36,7 @@ func (c *cancelSite) EvalOperatorStream(ctx context.Context, req engine.Operator
 func TestCancelBeforeExecute(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	global := randomGlobal(rng, 60, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -55,7 +55,7 @@ func TestCancelMidStream(t *testing.T) {
 	for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectRules("group-reduce-coord", "group-reduce-site")} {
 		rng := rand.New(rand.NewSource(92))
 		global := randomGlobal(rng, 200, 12)
-		sites, cat := buildCluster(t, global, "T", 3, 4, true)
+		sites, cat := buildCluster(t, global, "T", 3, 4)
 		ctx, cancel := context.WithCancel(context.Background())
 		defer cancel()
 		// Wrap every site so whichever streams first trips the cancel; small

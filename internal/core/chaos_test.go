@@ -99,7 +99,7 @@ func TestChaosMatrix(t *testing.T) {
 func TestRetryAfterPartialStream(t *testing.T) {
 	build := func(cfg faultinject.Config) (*Coordinator, *faultinject.Site) {
 		global := randomGlobal(rand.New(rand.NewSource(99)), 120, 16)
-		sites, cat := buildCluster(t, global, "T", 4, 4, true)
+		sites, cat := buildCluster(t, global, "T", 4, 4)
 		faulty := faultinject.Wrap(sites[2], cfg)
 		sites[2] = faulty
 		coord, err := New(sites, cat, stats.NetModel{})

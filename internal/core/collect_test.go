@@ -63,19 +63,14 @@ func dialSite(t *testing.T, b transport.Backend) *transport.Client {
 	return cli
 }
 
-// TestCollectOperator: the one helper over every Site there is — the three
+// TestCollectOperator: the one helper over every Site there is — the two
 // transports and a fault-injection wrapper — must return the H_i that
 // engine.Site.EvalOperator computes over the same rows, whether the stream
 // carries one block, many, or a single empty one.
 func TestCollectOperator(t *testing.T) {
-	sites := []struct {
-		name string
-		site transport.Site
-	}{
-		{"local", transport.NewLocalSite(collectSite(t))},
-		{"fast", transport.NewFastLocalSite(collectSite(t))},
-		{"tcp", dialSite(t, collectSite(t))},
-		{"faultinject", faultinject.Wrap(transport.NewLocalSite(collectSite(t)), faultinject.Config{})},
+	sites := map[string]transport.Site{"faultinject": faultinject.Wrap(transport.NewLocalSite(collectSite(t)), faultinject.Config{})}
+	for name, connect := range testTransports() {
+		sites[name] = connect(t, collectSite(t))
 	}
 	oracle := collectSite(t)
 	for _, shape := range []struct {
@@ -91,10 +86,10 @@ func TestCollectOperator(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range sites {
-			t.Run(shape.name+"/"+s.name, func(t *testing.T) {
+		for name, site := range sites {
+			t.Run(shape.name+"/"+name, func(t *testing.T) {
 				blocks := 0
-				if _, err := s.site.EvalOperatorStream(context.Background(), req, func(*relation.Relation) error {
+				if _, err := site.EvalOperatorStream(context.Background(), req, func(*relation.Relation) error {
 					blocks++
 					return nil
 				}); err != nil {
@@ -103,15 +98,15 @@ func TestCollectOperator(t *testing.T) {
 				if blocks != shape.blocks {
 					t.Errorf("stream carried %d blocks, want %d", blocks, shape.blocks)
 				}
-				h, call, err := transport.CollectOperator(context.Background(), s.site, req)
+				h, call, err := transport.CollectOperator(context.Background(), site, req)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !h.Schema.Equal(want.Schema) || !h.EqualMultiset(want) {
 					t.Errorf("collected H differs from engine.Site.EvalOperator\ngot:\n%s\nwant:\n%s", h, want)
 				}
-				if call.RowsUp != want.Len() || call.RowsDown != shape.groups || call.Site != s.site.ID() {
-					t.Errorf("call = %+v, want %d rows up, %d down, site %d", call, want.Len(), shape.groups, s.site.ID())
+				if call.RowsUp != want.Len() || call.RowsDown != shape.groups || call.Site != site.ID() {
+					t.Errorf("call = %+v, want %d rows up, %d down, site %d", call, want.Len(), shape.groups, site.ID())
 				}
 			})
 		}

@@ -231,7 +231,7 @@ func TestDerivedRecomputedPerRound(t *testing.T) {
 // ErrQueryMemBudget and leaves X uninstalled.
 func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(43)), 200, 40)
-	sites, cat := buildCluster(t, global, "T", 4, 10, true)
+	sites, cat := buildCluster(t, global, "T", 4, 10)
 	q := chainQuery()
 	src := gmdj.Schemas{"T": tSchema}
 	xs, err := gmdj.XSchemas(q, src)

@@ -17,7 +17,7 @@ import (
 func TestConcurrentCoordinators(t *testing.T) {
 	rng := rand.New(rand.NewSource(55))
 	global := randomGlobal(rng, 200, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	queries := []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()}
 	expected := make([]int, len(queries))

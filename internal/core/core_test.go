@@ -28,13 +28,10 @@ var tSchema = relation.MustSchema(
 )
 
 // buildClusterImpl partitions global on column "g" into n range partitions
-// of width per, loads them into n engine sites, and returns the transports
+// of width per, loads them into n engine sites, and returns their LocalSites
 // plus the matching distribution catalog.
-func buildClusterImpl(global *relation.Relation, name string, n int, per int64, fast bool) ([]transport.Site, *distrib.Catalog, error) {
+func buildClusterImpl(global *relation.Relation, name string, n int, per int64) ([]transport.Site, *distrib.Catalog, error) {
 	return buildClusterWith(global, name, n, per, func(es *engine.Site) (transport.Site, error) {
-		if fast {
-			return transport.NewFastLocalSite(es), nil
-		}
 		return transport.NewLocalSite(es), nil
 	})
 }
@@ -76,9 +73,9 @@ func buildClusterWith(global *relation.Relation, name string, n int, per int64, 
 }
 
 // buildCluster is buildClusterImpl with *testing.T error plumbing.
-func buildCluster(t *testing.T, global *relation.Relation, name string, n int, per int64, fast bool) ([]transport.Site, *distrib.Catalog) {
+func buildCluster(t *testing.T, global *relation.Relation, name string, n int, per int64) ([]transport.Site, *distrib.Catalog) {
 	t.Helper()
-	sites, cat, err := buildClusterImpl(global, name, n, per, fast)
+	sites, cat, err := buildClusterImpl(global, name, n, per)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +195,7 @@ func TestDistributedMatchesCentralized(t *testing.T) {
 	}
 	for trial := 0; trial < 6; trial++ {
 		global := randomGlobal(rng, 30+trial*40, 12)
-		sites, cat := buildCluster(t, global, "T", 3, 4, true)
+		sites, cat := buildCluster(t, global, "T", 3, 4)
 		coord, err := New(sites, cat, stats.NetModel{})
 		if err != nil {
 			t.Fatal(err)
@@ -244,7 +241,7 @@ func TestTheorem2Bound(t *testing.T) {
 		{randomGlobal(rand.New(rand.NewSource(11)), 200, 12), 3, 4, []gmdj.Query{chainQuery(), independentQuery(), nonAlignedQuery()}},
 		{randomGlobal(rand.New(rand.NewSource(3)), 400, 40), 4, 10, []gmdj.Query{selective}},
 	} {
-		sites, cat := buildCluster(t, tc.global, "T", tc.sites, int64(tc.per), true)
+		sites, cat := buildCluster(t, tc.global, "T", tc.sites, int64(tc.per))
 		coord, _ := New(sites, cat, stats.NetModel{})
 		for _, q := range tc.queries {
 			unfiltered := unfilteredGroups(t, q, tc.global)
@@ -284,7 +281,7 @@ func unfilteredGroups(t *testing.T, q gmdj.Query, global *relation.Relation) int
 func TestOptimizationsReduceTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	global := randomGlobal(rng, 400, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, false) // serialized transport: real bytes
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	ctx := context.Background()
 
@@ -345,7 +342,7 @@ func TestMultiRelationQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sites[i] = transport.NewFastLocalSite(es)
+		sites[i] = transport.NewLocalSite(es)
 	}
 	q := gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "T1", Cols: []string{"h"}},
@@ -379,7 +376,7 @@ func TestMultiRelationQuery(t *testing.T) {
 func TestBaseFilterPropagates(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	global := randomGlobal(rng, 100, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	q := chainQuery()
 	q.Base.Where = expr.MustParse("R.v > 20")
@@ -403,7 +400,7 @@ func TestCoordinatorErrors(t *testing.T) {
 		t.Error("no sites must error")
 	}
 	global := randomGlobal(rand.New(rand.NewSource(1)), 10, 12)
-	sites, cat := buildCluster(t, global, "T", 2, 6, true)
+	sites, cat := buildCluster(t, global, "T", 2, 6)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	// Invalid query surfaces a planning error.
 	bad := chainQuery()
@@ -435,7 +432,7 @@ func TestEmptyGroupsKeepIdentity(t *testing.T) {
 	for _, x := range rows {
 		global.MustAppend(relation.Tuple{relation.NewInt(x[0]), relation.NewInt(x[1]), relation.NewInt(x[2])})
 	}
-	sites, cat := buildCluster(t, global, "T", 2, 4, true)
+	sites, cat := buildCluster(t, global, "T", 2, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	// The second operator's residual predicate matches nothing for (0,0).
 	q := gmdj.Query{
@@ -615,7 +612,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 		if err := es.Load(context.Background(), "T", part); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = transport.NewFastLocalSite(es)
+		sites[i] = transport.NewLocalSite(es)
 	}
 	dist := &distrib.Distribution{
 		Relation: "T", NumSites: n,
@@ -661,7 +658,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 func TestLineObserverTrace(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	global := randomGlobal(rng, 60, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	var buf bytes.Buffer
 	coord.SetTrace(&buf)

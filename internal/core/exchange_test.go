@@ -307,7 +307,7 @@ func TestOffKindCellsMergeAsCentral(t *testing.T) {
 	for i := 0; i < global.Len(); i += 17 {
 		global.Columns().Vecs[vi].Set(i, global.Len(), relation.NewFloat(float64(i)+0.5))
 	}
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -368,10 +368,9 @@ func (b bodyLoggingSite) EvalOperatorBlocks(ctx context.Context, req engine.Oper
 }
 
 // TestOffKindAndNullKeysAcrossTransports runs TestOffKindCellsMergeAsCentral's
-// data, with NULL keys in X besides, under every plan over each transport: by
-// reference in process (FastLocalSite), serialized in process (LocalSite) and
-// over TCP. Every result equals EvalCentral and prints identically on all
-// three. MD2 ships min1, an INT column the off-kind cells turn FLOAT in some
+// data, with NULL keys in X besides, under every plan over each of
+// testTransports. Every result equals EvalCentral and prints identically on
+// both. MD2 ships min1, an INT column the off-kind cells turn FLOAT in some
 // rows: such a fragment reaches its site with that column boxed, every other
 // one as typed vectors.
 func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
@@ -389,32 +388,11 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connect := map[string]func(*engine.Site, *bodyLog) (transport.Site, error){
-		"fast": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
-			return transport.NewFastLocalSite(bodyLoggingSite{es, log}), nil
-		},
-		"local": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
-			return transport.NewLocalSite(bodyLoggingSite{es, log}), nil
-		},
-		"tcp": func(es *engine.Site, log *bodyLog) (transport.Site, error) {
-			srv, err := transport.Serve(bodyLoggingSite{es, log}, "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { srv.Close() })
-			cli, err := transport.Dial(srv.Addr())
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { cli.Close() })
-			return cli, nil
-		},
-	}
 	printed := map[string]string{} // per selection, the first transport's result
-	for _, name := range []string{"fast", "local", "tcp"} {
+	for name, connect := range testTransports() {
 		log := &bodyLog{}
 		sites, cat, err := buildClusterWith(global, "T", 3, 4, func(es *engine.Site) (transport.Site, error) {
-			return connect[name](es, log)
+			return connect(t, bodyLoggingSite{es, log}), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -486,9 +464,8 @@ func boolQuery() gmdj.Query {
 // TestBoolColumnsThroughTheMerger runs boolQuery — a BOOL key, BOOL MIN and
 // MAX, BOOL cells in X, in H and in a shipped fragment — under the rule sets
 // none and all, so that the base, a local and the operator rounds all merge
-// BOOL vectors, over each transport: by reference in process
-// (FastLocalSite), serialized in process (LocalSite) and over TCP. Every
-// result equals EvalCentral.
+// BOOL vectors, over each of testTransports. Every result equals
+// EvalCentral.
 func TestBoolColumnsThroughTheMerger(t *testing.T) {
 	rng := rand.New(rand.NewSource(45))
 	global := relation.New(boolSchema)
@@ -504,25 +481,10 @@ func TestBoolColumnsThroughTheMerger(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	connect := map[string]func(*engine.Site) (transport.Site, error){
-		"fast":  func(es *engine.Site) (transport.Site, error) { return transport.NewFastLocalSite(es), nil },
-		"local": func(es *engine.Site) (transport.Site, error) { return transport.NewLocalSite(es), nil },
-		"tcp": func(es *engine.Site) (transport.Site, error) {
-			srv, err := transport.Serve(es, "127.0.0.1:0")
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { srv.Close() })
-			cli, err := transport.Dial(srv.Addr())
-			if err != nil {
-				return nil, err
-			}
-			t.Cleanup(func() { cli.Close() })
-			return cli, nil
-		},
-	}
-	for _, name := range []string{"fast", "local", "tcp"} {
-		sites, cat, err := buildClusterWith(global, "T", 3, 4, connect[name])
+	for name, connect := range testTransports() {
+		sites, cat, err := buildClusterWith(global, "T", 3, 4, func(es *engine.Site) (transport.Site, error) {
+			return connect(t, es), nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -675,7 +637,7 @@ func TestKeyedHFromOlderPeerFailsClosed(t *testing.T) {
 		return old
 	}
 	global := randomGlobal(rand.New(rand.NewSource(5)), 80, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	faulty := faultinject.Wrap(sites[1], faultinject.Config{MutateBlock: keyed})
 	sites[1] = faulty
 	coord, err := New(sites, cat, stats.NetModel{})
@@ -699,7 +661,7 @@ func TestKeyedHFromOlderPeerFailsClosed(t *testing.T) {
 // result is the centralized evaluation's.
 func TestReducedRoundRetriesShipTheSameFragment(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(41)), 200, 16)
-	sites, cat := buildCluster(t, global, "T", 4, 4, false)
+	sites, cat := buildCluster(t, global, "T", 4, 4)
 	log := &exchangeLog{}
 	for i := range sites {
 		var s transport.Site = sites[i]

@@ -18,7 +18,7 @@ import (
 func TestProfileMatchesMetrics(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	global := randomGlobal(rng, 200, 16)
-	sites, cat := buildCluster(t, global, "T", 3, 6, false) // serialized transport
+	sites, cat := buildCluster(t, global, "T", 3, 6)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +90,7 @@ func TestProfileMatchesMetrics(t *testing.T) {
 func TestProfileEstimatesJoined(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	global := randomGlobal(rng, 100, 8)
-	sites, cat := buildCluster(t, global, "T", 2, 4, true)
+	sites, cat := buildCluster(t, global, "T", 2, 4)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -171,7 +171,7 @@ func TestProfileRetriedAttempts(t *testing.T) {
 func TestSlowQueryThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	global := randomGlobal(rng, 50, 8)
-	sites, cat := buildCluster(t, global, "T", 2, 4, true)
+	sites, cat := buildCluster(t, global, "T", 2, 4)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)

@@ -25,7 +25,7 @@ func faultCluster(t *testing.T, cfg faultinject.Config) *Coordinator {
 	t.Helper()
 	rng := rand.New(rand.NewSource(77))
 	global := randomGlobal(rng, 80, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	sites[1] = faultinject.Wrap(sites[1], cfg)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
@@ -153,7 +153,7 @@ func TestRoundStatsRecordedOnMergeError(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(77))
 			global := randomGlobal(rng, 80, 12)
-			sites, cat := buildCluster(t, global, "T", 3, 4, true)
+			sites, cat := buildCluster(t, global, "T", 3, 4)
 			sites[1] = corruptResultSite{sites[1]}
 			coord, err := New(sites, cat, stats.NetModel{})
 			if err != nil {

@@ -136,7 +136,7 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			global := observedGlobal(tc.rows...)
 			q := observedQuery(tc.keys...)
-			sites, cat := buildCluster(t, global, "T", 3, 4, true)
+			sites, cat := buildCluster(t, global, "T", 3, 4)
 			coord, err := New(sites, cat, stats.NetModel{})
 			if err != nil {
 				t.Fatal(err)
@@ -176,7 +176,7 @@ func TestObservedReductionMatchesCentral(t *testing.T) {
 // Example 1, so planning it under all moves every applied rule's series by
 // one and leaves group-reduce-coord's where it was.
 func TestPlanCountsOnlyRulesThatChangedThePlan(t *testing.T) {
-	sites, _ := buildCluster(t, observedGlobal([3]int64{0, 1, 10}, [3]int64{4, 2, 20}), "T", 3, 4, true)
+	sites, _ := buildCluster(t, observedGlobal([3]int64{0, 1, 10}, [3]int64{4, 2, 20}), "T", 3, 4)
 	coord, err := New(sites, nil, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestObservedReductionIgnoresDiscardedAttempts(t *testing.T) {
 	)
 	q := observedQuery("h")
 	const groups = 3 // h = 1, 2, 3
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	mutated := false
 	claimAll := func(b *relation.Relation) *relation.Relation {
 		if mutated {

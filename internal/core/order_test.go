@@ -79,24 +79,16 @@ func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
 		}}}},
 	}
 	engines := floatEngines(t)
-	transports := []struct {
-		name string
-		wrap func(*engine.Site) transport.Site
-	}{
-		{"fast-local", func(es *engine.Site) transport.Site { return transport.NewFastLocalSite(es) }},
-		{"local", func(es *engine.Site) transport.Site { return transport.NewLocalSite(es) }},
-		{"tcp", func(es *engine.Site) transport.Site { return dialSite(t, es) }},
-	}
 	rng := rand.New(rand.NewSource(36))
 	var want string
 	var first *relation.Relation
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 4} {
 		runtime.GOMAXPROCS(procs)
-		for _, tr := range transports {
+		for name, connect := range testTransports() {
 			inner := make([]transport.Site, len(engines))
 			for i, es := range engines {
-				inner[i] = tr.wrap(es)
+				inner[i] = connect(t, es)
 			}
 			for run := 0; run < 50; run++ {
 				sites := make([]transport.Site, len(inner))
@@ -110,13 +102,13 @@ func TestSiteOrderedFoldIsDeterministic(t *testing.T) {
 				}
 				res, err := coord.ExecuteWith(context.Background(), q, plan.SelectNone())
 				if err != nil {
-					t.Fatalf("GOMAXPROCS=%d %s run %d: %v", procs, tr.name, run, err)
+					t.Fatalf("GOMAXPROCS=%d %s run %d: %v", procs, name, run, err)
 				}
 				got := res.Rel.Format(-1)
 				if first == nil {
 					want, first = got, res.Rel
 				} else if got != want {
-					t.Fatalf("GOMAXPROCS=%d %s run %d differs\ngot:\n%s\nwant:\n%s", procs, tr.name, run, got, want)
+					t.Fatalf("GOMAXPROCS=%d %s run %d differs\ngot:\n%s\nwant:\n%s", procs, name, run, got, want)
 				}
 			}
 		}

@@ -101,7 +101,7 @@ func TestPlanCacheNilAndSelectionKeying(t *testing.T) {
 // of each pair is a hit.
 func TestPlanCacheKeysOnCanonicalSelection(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	sites, cat := buildCluster(t, randomGlobal(rng, 60, 8), "T", 3, 3, true)
+	sites, cat := buildCluster(t, randomGlobal(rng, 60, 8), "T", 3, 3)
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)

@@ -38,7 +38,7 @@ func prefixQuery() gmdj.Query {
 func TestLocalPrefixPlanShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	global := randomGlobal(rng, 60, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, true)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	pl, err := coord.PlanWith(context.Background(), prefixQuery(), plan.SelectRules("local-prefix", "sync-skip"))
 	if err != nil {
@@ -56,7 +56,7 @@ func TestLocalPrefixMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 4; trial++ {
 		global := randomGlobal(rng, 40+40*trial, 12)
-		sites, cat := buildCluster(t, global, "T", 3, 4, true)
+		sites, cat := buildCluster(t, global, "T", 3, 4)
 		coord, _ := New(sites, cat, stats.NetModel{})
 		q := prefixQuery()
 		want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
@@ -83,7 +83,7 @@ func TestLocalPrefixMatchesOracle(t *testing.T) {
 func TestLocalPrefixReducesTraffic(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	global := randomGlobal(rng, 300, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 4, false)
+	sites, cat := buildCluster(t, global, "T", 3, 4)
 	coord, _ := New(sites, cat, stats.NetModel{})
 	q := prefixQuery()
 	base, err := coord.ExecuteWith(context.Background(), q, plan.SelectNone())

@@ -57,7 +57,7 @@ func TestRuleSubsetsByteIdentical(t *testing.T) {
 		unfiltered := unfilteredGroups(t, q, global)
 		run := func(sel plan.Selection) string {
 			t.Helper()
-			sites, cat := buildCluster(t, global, "T", 3, 3, true)
+			sites, cat := buildCluster(t, global, "T", 3, 3)
 			coord, err := New(sites, cat, stats.NetModel{})
 			if err != nil {
 				t.Fatal(err)
@@ -114,7 +114,7 @@ func TestAutoEstimateNeverWorse(t *testing.T) {
 		global := randomGlobal(rng, 20+rng.Intn(80), 1+int64(rng.Intn(12)))
 		nSites := 2 + rng.Intn(3)
 		per := int64(12/nSites + 1)
-		sites, cat, err := buildClusterImpl(global, "T", nSites, per, true)
+		sites, cat, err := buildClusterImpl(global, "T", nSites, per)
 		if err != nil {
 			t.Logf("seed %d: cluster: %v", seed, err)
 			return false

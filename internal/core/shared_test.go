@@ -24,7 +24,7 @@ import (
 func TestSingleFlightStorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(101))
 	global := randomGlobal(rng, 200, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	plain, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
@@ -100,7 +100,7 @@ func TestSingleFlightStorm(t *testing.T) {
 func TestSingleFlightResultsArePrivate(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	global := randomGlobal(rng, 120, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	gate := make(chan struct{})
 	var siteCalls atomic.Int64
@@ -153,7 +153,7 @@ func TestSingleFlightResultsArePrivate(t *testing.T) {
 func TestSingleFlightLeaderCancelDoesNotFailFollowers(t *testing.T) {
 	rng := rand.New(rand.NewSource(107))
 	global := randomGlobal(rng, 120, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	plain, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
@@ -216,7 +216,7 @@ func TestSingleFlightLeaderCancelDoesNotFailFollowers(t *testing.T) {
 func TestSingleFlightAbandonedCancelsExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(109))
 	global := randomGlobal(rng, 120, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	gate := make(chan struct{})
 	defer close(gate)
@@ -253,7 +253,7 @@ func TestSingleFlightAbandonedCancelsExecution(t *testing.T) {
 func TestSingleFlightJoinAfterAbandonStartsFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	global := randomGlobal(rng, 120, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	plain, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
@@ -333,7 +333,7 @@ func TestSingleFlightJoinAfterAbandonStartsFresh(t *testing.T) {
 func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 	rng := rand.New(rand.NewSource(113))
 	global := randomGlobal(rng, 150, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	gate := make(chan struct{})
 	close(gate) // never parked; the counter is what matters
@@ -395,7 +395,7 @@ func TestResultCacheServesWithZeroSiteRounds(t *testing.T) {
 func TestResultCacheGenerationBumpMidExecution(t *testing.T) {
 	rng := rand.New(rand.NewSource(127))
 	global := randomGlobal(rng, 150, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	gate := make(chan struct{})
 	var siteCalls atomic.Int64
@@ -445,7 +445,7 @@ func TestResultCacheGenerationBumpMidExecution(t *testing.T) {
 func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	global := randomGlobal(rng, 150, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 	plain, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
 		t.Fatal(err)
@@ -519,7 +519,7 @@ func TestResultCacheConcurrentGenerationBumps(t *testing.T) {
 func TestSharedResultsChargeMemBudget(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
 	global := randomGlobal(rng, 150, 12)
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 
 	t.Run("cache-hit", func(t *testing.T) {
 		coord, err := New(sites, cat, stats.NetModel{})

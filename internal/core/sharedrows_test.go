@@ -17,12 +17,12 @@ import (
 	"skalla/internal/transport"
 )
 
-// sharedCoordinator builds a gated coordinator over fast in-process sites with
+// sharedCoordinator builds a gated coordinator over in-process sites with
 // the result cache and single-flight on, so a test can park a leader inside
 // its rounds until its followers have joined.
 func sharedCoordinator(t *testing.T, global *relation.Relation) (*Coordinator, chan struct{}) {
 	t.Helper()
-	sites, cat := buildCluster(t, global, "T", 3, 5, true)
+	sites, cat := buildCluster(t, global, "T", 3, 5)
 	gate := make(chan struct{})
 	var calls atomic.Int64
 	gated := make([]transport.Site, len(sites))
@@ -187,7 +187,7 @@ func TestCacheHitAllocationIsFlatInRows(t *testing.T) {
 		for i := 0; i < groups; i++ {
 			global.MustAppend(relation.Tuple{relation.NewInt(int64(i)), relation.NewInt(0), relation.NewInt(int64(i % 100))})
 		}
-		sites, cat := buildCluster(t, global, "T", 3, int64(groups/3+1), true)
+		sites, cat := buildCluster(t, global, "T", 3, int64(groups/3+1))
 		coord, err := New(sites, cat, stats.NetModel{})
 		if err != nil {
 			t.Fatal(err)

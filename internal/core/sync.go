@@ -397,12 +397,11 @@ func (m *merger) Extend() error {
 // Fragment builds what an operator round ships: the cols cells of X's rows —
 // of the rows listed, in that order, or of every row when rows is nil. A
 // whole-X fragment shares X's vectors and a reduced one gathers its own,
-// boxed columns included, as a serialized transport decodes them. A row's
-// position in the fragment is the ordinal the sites
-// address it by; NewStage takes the same rows to map it back. The fragment is
-// marked finished (relation.ShareFrame), so however many envelopes carry it —
-// one per site, one per retry — it is encoded once, and the in-process sites
-// that read it directly only read.
+// boxed columns included, as a site decodes them. A row's position in the
+// fragment is the ordinal the sites address it by; NewStage takes the same
+// rows to map it back. The fragment is marked finished (relation.ShareFrame),
+// so however many envelopes carry it — one per site, one per retry — it is
+// encoded once.
 func (m *merger) Fragment(cols []int, rows []int32) *relation.Relation {
 	f := relation.FromColumns(m.x.Schema.Project(cols), m.x.Columns().Select(rows, cols))
 	f.ShareFrame()

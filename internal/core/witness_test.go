@@ -85,25 +85,12 @@ func witnessPlacements() []witnessPlacement {
 	}
 }
 
-// testTransports connects a site by reference, serialized in process, and
-// over TCP on loopback.
-func testTransports() map[string]func(*testing.T, *engine.Site) transport.Site {
-	return map[string]func(*testing.T, *engine.Site) transport.Site{
-		"fast":  func(_ *testing.T, es *engine.Site) transport.Site { return transport.NewFastLocalSite(es) },
-		"local": func(_ *testing.T, es *engine.Site) transport.Site { return transport.NewLocalSite(es) },
-		"tcp": func(t *testing.T, es *engine.Site) transport.Site {
-			srv, err := transport.Serve(es, "127.0.0.1:0")
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { srv.Close() })
-			cli, err := transport.Dial(srv.Addr())
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { cli.Close() })
-			return cli
-		},
+// testTransports connects a site in process (serialized, as every in-process
+// cluster is) and over TCP on loopback: the core tests' one transport list.
+func testTransports() map[string]func(*testing.T, transport.Backend) transport.Site {
+	return map[string]func(*testing.T, transport.Backend) transport.Site{
+		"local": func(_ *testing.T, b transport.Backend) transport.Site { return transport.NewLocalSite(b) },
+		"tcp":   func(t *testing.T, b transport.Backend) transport.Site { return dialSite(t, b) },
 	}
 }
 
@@ -111,8 +98,8 @@ func testTransports() map[string]func(*testing.T, *engine.Site) transport.Site {
 // base (σ: R.v >= 5) under adversarial placements of σ's rows: sync-skip
 // folds the base round into MD1 with a witness, every site reports every
 // group it holds a row of, and the coordinator keeps the groups whose counts
-// sum to a positive total. On one to four sites and over the by-reference,
-// serialized and TCP transports, the result equals EvalCentral's in two
+// sum to a positive total. On one to four sites and over the in-process and
+// TCP transports, the result equals EvalCentral's in two
 // rounds, for a query whose MD2 observes the local round and one whose MD2
 // may not.
 func TestWitnessPlacementsMatchCentral(t *testing.T) {

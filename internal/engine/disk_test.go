@@ -100,7 +100,7 @@ func checkDiskEval(t *testing.T, mem, disk *Site, e siteEval, path, reason strin
 // disk-backed store answers every base, operator and local request exactly as
 // a site serving the same rows from memory — byte for byte, whether each
 // segment holds one row, a few or all of them — and every one of its detail
-// passes runs the compiled kernel, unless the site is set to the nested loop.
+// passes runs the compiled kernel, unless a condition's shape refuses it.
 func TestDiskBackedSiteEquivalence(t *testing.T) {
 	ctx := context.Background()
 	rel := diskRel(300)
@@ -152,13 +152,24 @@ func TestDiskBackedSiteEquivalence(t *testing.T) {
 		}}},
 		{"rollup links", x(cube, relation.Tuple{relation.NewString("none"), relation.Null}), one("(B.S IS NULL || B.S = R.S) && (B.K IS NULL || B.K = R.K)")},
 	}
-	var opEvals []siteEval
+	// Each operator again with an OR residual the kernel compiler refuses: the
+	// site reads the same segments as rows.
+	orResidual := expr.MustParse("R.P >= 0.001 || R.D < 0.05")
+	opEval := func(name string, req OperatorRequest) siteEval {
+		return siteEval{name, func(ctx context.Context, s *Site) (*relation.Relation, error) {
+			return s.EvalOperator(ctx, req)
+		}, int64(len(req.Op.Vars))}
+	}
+	var opEvals, refusedEvals []siteEval
 	for _, o := range ops {
+		refused := gmdj.Operator{Detail: o.op.Detail}
+		for _, v := range o.op.Vars {
+			refused.Vars = append(refused.Vars, gmdj.GroupVar{Cond: &expr.Bin{Op: expr.OpAnd, L: v.Cond, R: orResidual}, Aggs: v.Aggs})
+		}
 		for _, guard := range []bool{false, true} {
-			req := OperatorRequest{Base: o.x, Op: o.op, Guard: guard, BlockRows: 5}
-			opEvals = append(opEvals, siteEval{fmt.Sprintf("%s, guard %v", o.name, guard), func(ctx context.Context, s *Site) (*relation.Relation, error) {
-				return s.EvalOperator(ctx, req)
-			}, int64(len(o.op.Vars))})
+			name := fmt.Sprintf("%s, guard %v", o.name, guard)
+			opEvals = append(opEvals, opEval(name, OperatorRequest{Base: o.x, Op: o.op, Guard: guard, BlockRows: 5}))
+			refusedEvals = append(refusedEvals, opEval(name, OperatorRequest{Base: o.x, Op: refused, Guard: guard, BlockRows: 5}))
 		}
 	}
 	evals = append(evals, opEvals...)
@@ -177,9 +188,7 @@ func TestDiskBackedSiteEquivalence(t *testing.T) {
 			for _, e := range evals {
 				checkDiskEval(t, mem, disk, e, "kernel", "ok")
 			}
-			// Set to the nested loop, the site reads the same segments as rows.
-			disk.SetUseHash(false)
-			for _, e := range opEvals {
+			for _, e := range refusedEvals {
 				checkDiskEval(t, mem, disk, e, "scalar", "shape")
 			}
 		})

@@ -32,26 +32,17 @@ type Site struct {
 
 	mu sync.RWMutex
 	//skallavet:allow stringkey -- table catalog keyed by relation name: one lookup per evaluation, not per tuple
-	tables  map[string]gmdj.ColumnSource
-	useHash bool
+	tables map[string]gmdj.ColumnSource
 }
 
 // NewSite creates an empty site.
 func NewSite(id int) *Site {
 	//skallavet:allow stringkey -- table catalog keyed by relation name: one lookup per evaluation, not per tuple
-	return &Site{id: id, tables: make(map[string]gmdj.ColumnSource), useHash: true}
+	return &Site{id: id, tables: make(map[string]gmdj.ColumnSource)}
 }
 
 // ID returns the site identifier.
 func (s *Site) ID() int { return s.id }
-
-// SetUseHash toggles the hash-grouping fast path for local GMDJ evaluation
-// (on by default); the nested-loop fallback is kept for cross-checking.
-func (s *Site) SetUseHash(v bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.useHash = v
-}
 
 // Load installs (or replaces) the local partition of a detail relation as an
 // in-memory source: one columnar image of its rows as they are now
@@ -121,16 +112,14 @@ func (s *Site) Tables(_ context.Context) []TableInfo {
 }
 
 // snapshot is an immutable view of the site taken under one RLock: the
-// catalog (map copied, sources shared) plus the hash-path setting. Evaluations
-// resolve every detail relation against the snapshot, so a concurrent
-// LoadSource can neither swap a source out from under an in-flight scan
-// nor let two resolutions of the same name observe different sources
-// mid-query.
+// catalog (map copied, sources shared). Evaluations resolve every detail
+// relation against the snapshot, so a concurrent LoadSource can neither swap
+// a source out from under an in-flight scan nor let two resolutions of the
+// same name observe different sources mid-query.
 type snapshot struct {
 	siteID int
 	//skallavet:allow stringkey -- catalog snapshot keyed by relation name: one lookup per evaluation, not per tuple
-	tables  map[string]gmdj.ColumnSource
-	useHash bool
+	tables map[string]gmdj.ColumnSource
 }
 
 func (s *Site) snapshot() snapshot {
@@ -141,7 +130,7 @@ func (s *Site) snapshot() snapshot {
 	for n, src := range s.tables {
 		tables[n] = src
 	}
-	return snapshot{siteID: s.id, tables: tables, useHash: s.useHash}
+	return snapshot{siteID: s.id, tables: tables}
 }
 
 // source returns the named partition.
@@ -345,7 +334,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		}
 	}
 
-	acc, err := gmdj.AccumulateOperator(ctx, base, req.Op, detail, snap.useHash)
+	acc, err := gmdj.AccumulateOperator(ctx, base, req.Op, detail, true)
 	if err != nil {
 		return err
 	}
@@ -454,5 +443,5 @@ func (s *Site) EvalLocal(ctx context.Context, req LocalRequest) (*relation.Relat
 	if err := req.Query.Validate(snap); err != nil {
 		return nil, err
 	}
-	return gmdj.EvalLocalReply(ctx, req.Query, snap, req.UpTo, snap.useHash, req.Witness)
+	return gmdj.EvalLocalReply(ctx, req.Query, snap, req.UpTo, true, req.Witness)
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -244,32 +245,33 @@ func TestEvalLocalPrefix(t *testing.T) {
 	}
 }
 
-func TestSetUseHashEquivalence(t *testing.T) {
+// TestOperatorMatchesDefinition1: a site's H_i for a COUNT and a SUM, which
+// are their own partials, holds for each X row it names the aggregates Def.
+// 1's literal loop computes for that row over the same rows.
+func TestOperatorMatchesDefinition1(t *testing.T) {
 	rows := [][3]int64{{1, 1, 5}, {1, 2, 7}, {2, 1, 11}, {2, 2, 13}, {3, 1, 17}}
-	s1 := NewSite(0)
-	s2 := NewSite(0)
-	_ = s1.Load(context.Background(), "Flow", flowRel(rows...))
-	_ = s2.Load(context.Background(), "Flow", flowRel(rows...))
-	s2.SetUseHash(false)
 	req := OperatorRequest{
 		Base: baseFragment(1, 2, 3, 4),
 		Op:   countOp("B.SAS = R.SAS && R.NB > 6"),
 	}
-	h1, err := s1.EvalOperator(context.Background(), req)
+	h, err := siteWithFlows(t, rows...).EvalOperator(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := s2.EvalOperator(context.Background(), req)
+	x, err := gmdj.ApplyOperator(context.Background(), req.Base, req.Op, gmdj.SourceOf(flowRel(rows...)), false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !h1.EqualMultiset(h2) {
-		t.Errorf("hash vs nested-loop engine mismatch:\n%s\nvs\n%s", h1, h2)
+	for _, row := range h.Rows() {
+		if got, want := fmt.Sprint(row[1:]), fmt.Sprint(x.Rows()[row[0].Int][1:]); got != want || h.Len() != x.Len() {
+			t.Errorf("site vs Def. 1 mismatch:\n%s\nvs\n%s", h, x)
+		}
 	}
 }
 
 // TestHBlocksGatheredFromSlabs: a compiled kernel's H blocks leave the site as
-// vectors gathered from its slabs, the scalar path's as vectors set from its
+// vectors gathered from its slabs, the scalar path's (under an OR residual the
+// kernel compiler refuses, admitting every row) as vectors set from its
 // partials, and both encode to the same frames, block for block — whether X
 // was built through Append or decoded, guarded or not.
 func TestHBlocksGatheredFromSlabs(t *testing.T) {
@@ -282,8 +284,8 @@ func TestHBlocksGatheredFromSlabs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := func(useHash bool, req OperatorRequest) [][]byte {
-		s.SetUseHash(useHash)
+	blocks := func(req OperatorRequest, cond string) [][]byte {
+		req.Op = countOp(cond)
 		var out [][]byte
 		err := s.EvalOperatorBlocks(context.Background(), req, func(b *relation.Relation) error {
 			f, err := relation.Marshal(b)
@@ -297,8 +299,8 @@ func TestHBlocksGatheredFromSlabs(t *testing.T) {
 	}
 	for _, base := range []*relation.Relation{baseFragment(1, 2, 3, 4, 5), decoded} {
 		for _, guard := range []bool{false, true} {
-			req := OperatorRequest{Base: base, Op: countOp("B.SAS = R.SAS"), Guard: guard, BlockRows: 2}
-			kernel, scalar := blocks(true, req), blocks(false, req)
+			req := OperatorRequest{Base: base, Guard: guard, BlockRows: 2}
+			kernel, scalar := blocks(req, "B.SAS = R.SAS"), blocks(req, "B.SAS = R.SAS && (R.NB >= 0 || R.NB < 0)")
 			if len(kernel) != len(scalar) {
 				t.Fatalf("guard=%v: %d kernel blocks, %d scalar", guard, len(kernel), len(scalar))
 			}

@@ -18,9 +18,10 @@ import (
 
 // TestKernelAndScalarSitesAgree serves one partition three ways — Load (the
 // columnar image), a disk-backed store.Table (one image per segment; both run
-// the kernel) and Load on a site set to the nested loop (the scalar path for
-// every operator pass) — and demands the same replies from all three, the
-// same rows charged to the request recorder and to
+// the kernel) and Load under an OR residual the kernel compiler refuses (the
+// scalar path for every operator pass) — and demands the same replies from
+// all three, and from Def. 1's literal loop for the local request, the same
+// rows charged to the request recorder and to
 // skalla_engine_rows_scanned_total on both paths, and a profile that says
 // which path ran.
 func TestKernelAndScalarSitesAgree(t *testing.T) {
@@ -29,27 +30,28 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sites := map[string]*Site{"load": NewSite(0), "disk": NewSite(1), "nested loop": NewSite(2)}
+	sites := map[string]*Site{"load": NewSite(0), "disk": NewSite(1)}
 	if err := sites["load"].Load(context.Background(), "Flow", rel); err != nil {
 		t.Fatal(err)
 	}
 	if err := sites["disk"].LoadSource("Flow", tbl); err != nil {
 		t.Fatal(err)
 	}
-	if err := sites["nested loop"].Load(context.Background(), "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
-	sites["nested loop"].SetUseHash(false)
+	sites["shape"] = sites["load"]
+	op := countOp("B.SAS = R.SAS && R.NB >= 100") // on "shape", the same rows under an OR the kernel refuses
+	ops := map[string]gmdj.Operator{"load": op, "disk": op, "shape": countOp("B.SAS = R.SAS && (R.NB >= 100 || R.NB < 0)")}
 
 	bq := gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS", "DAS"}}
-	op := countOp("B.SAS = R.SAS && R.NB >= 100")
-	requests := map[string]func(context.Context, *Site) (*relation.Relation, error){
-		"base": func(ctx context.Context, s *Site) (*relation.Relation, error) { return s.EvalBase(ctx, bq) },
-		"operator": func(ctx context.Context, s *Site) (*relation.Relation, error) {
+	local := func(op gmdj.Operator) gmdj.Query { return gmdj.Query{Base: bq, Ops: []gmdj.Operator{op}} }
+	requests := map[string]func(context.Context, *Site, gmdj.Operator) (*relation.Relation, error){
+		"base": func(ctx context.Context, s *Site, _ gmdj.Operator) (*relation.Relation, error) {
+			return s.EvalBase(ctx, bq)
+		},
+		"operator": func(ctx context.Context, s *Site, op gmdj.Operator) (*relation.Relation, error) {
 			return s.EvalOperator(ctx, OperatorRequest{Base: baseFragment(0, 1, 2, 3, 9), Op: op})
 		},
-		"local": func(ctx context.Context, s *Site) (*relation.Relation, error) {
-			return s.EvalLocal(ctx, LocalRequest{Query: gmdj.Query{Base: bq, Ops: []gmdj.Operator{op}}, UpTo: 1})
+		"local": func(ctx context.Context, s *Site, op gmdj.Operator) (*relation.Relation, error) {
+			return s.EvalLocal(ctx, LocalRequest{Query: local(op), UpTo: 1})
 		},
 	}
 
@@ -63,7 +65,7 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 		for how, s := range sites {
 			rec := obs.NewSiteRecorder()
 			before := obs.EngineRowsScanned.Value()
-			out, err := run(obs.WithRecorder(context.Background(), rec), s)
+			out, err := run(obs.WithRecorder(context.Background(), rec), s, ops[how])
 			if err != nil {
 				t.Fatalf("%s on %s: %v", name, how, err)
 			}
@@ -73,9 +75,15 @@ func TestKernelAndScalarSitesAgree(t *testing.T) {
 		if !kernel.profile.Kernel {
 			t.Errorf("%s: Load-ed partition did not run the kernel", name)
 		}
-		for _, how := range []string{"disk", "nested loop"} {
+		if name == "local" {
+			oracle, err := gmdj.EvalLocalReply(context.Background(), local(op), gmdj.Data{"Flow": rel}, 1, false, false)
+			if err != nil || oracle.Format(-1) != kernel.text {
+				t.Errorf("local: Def. 1's literal loop replies %v\n%.1500s\nvs the Load-ed site's\n%.1500s", err, oracle.Format(-1), kernel.text)
+			}
+		}
+		for _, how := range []string{"disk", "shape"} {
 			other := replies[how]
-			// A base query has no nested loop: it compiles on every site.
+			// A base query has no operator condition: it compiles on every site.
 			if want := how == "disk" || name == "base"; other.profile.Kernel != want {
 				t.Errorf("%s on %s: profile says kernel %v, want %v", name, how, other.profile.Kernel, want)
 			}
@@ -100,16 +108,15 @@ func TestLoadSnapshots(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel.MustAppend(relation.Tuple{relation.NewInt(3), relation.NewInt(1), relation.NewInt(9)})
-	for _, useHash := range []bool{true, false} { // kernel, then the scalar nested loop
-		s.SetUseHash(useHash)
+	for _, cond := range []string{"B.SAS = R.SAS", "B.SAS = R.SAS && (R.NB >= 0 || R.NB < 0)"} { // kernel, then scalar
 		h, err := s.EvalOperator(context.Background(), OperatorRequest{
-			Base: baseFragment(1, 2, 3), Op: countOp("B.SAS = R.SAS"),
+			Base: baseFragment(1, 2, 3), Op: countOp(cond),
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got := h.Rows()[2][1].Int; got != 0 {
-			t.Errorf("useHash=%v: the appended row was counted %d times", useHash, got)
+			t.Errorf("%s: the appended row was counted %d times", cond, got)
 		}
 	}
 	if src, _ := s.snapshot().DetailSource("Flow"); src.Len() != 2 {
@@ -143,11 +150,6 @@ func TestScanPathCountedAtSite(t *testing.T) {
 			return err
 		}
 	}
-	nestedLoop := NewSite(2)
-	nestedLoop.SetUseHash(false)
-	if err := nestedLoop.Load(context.Background(), "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
 	cases := []struct {
 		name         string
 		run          func() error
@@ -160,9 +162,9 @@ func TestScanPathCountedAtSite(t *testing.T) {
 				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS || B.SAS = 1")})
 			return err
 		}, "scalar", "shape", 1},
-		{"nested-loop site", func() error {
-			_, err := nestedLoop.EvalOperator(context.Background(), OperatorRequest{
-				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS")})
+		{"OR residual", func() error {
+			_, err := loaded.EvalOperator(context.Background(), OperatorRequest{
+				Base: baseFragment(1, 2), Op: countOp("B.SAS = R.SAS && (R.NB > 5 || R.DAS = 1)")})
 			return err
 		}, "scalar", "shape", 1},
 		{"centralized oracle", func() error {

@@ -11,10 +11,10 @@ import (
 
 // TestWitnessBasePassParity: a witnessed local request evaluates the base
 // unfiltered and counts per group the rows the base filter admits. The
-// compiled base pass of a Load-ed site, the same site on the nested loop,
-// the scalar pass over a relation with no image (gmdj.EvalLocalReply over
-// gmdj.Data), and a disk site of small segments, whose per-image counts are
-// summed in the merge of the images, all reply with the same relation,
+// compiled base pass of a Load-ed site, Def. 1's literal loop over a
+// relation with no image (gmdj.EvalLocalReply over gmdj.Data), and a disk
+// site of small segments, whose per-image counts are summed in the merge of
+// the images, all reply with the same relation,
 // witness column included, in the same row order. The counts sum to the rows
 // the filter admits, every group of the unfiltered base is there — NULL-key
 // groups too — and no derived column is shipped.
@@ -25,11 +25,6 @@ func TestWitnessBasePassParity(t *testing.T) {
 	if err := mem.Load(ctx, "Flow", rel); err != nil {
 		t.Fatal(err)
 	}
-	nested := NewSite(0)
-	if err := nested.Load(ctx, "Flow", rel); err != nil {
-		t.Fatal(err)
-	}
-	nested.SetUseHash(false)
 	admitted := int64(0)
 	for i := 0; i < rel.Len(); i++ {
 		if d, _ := rel.Value(i, rel.Schema.MustIndex("D")).AsFloat(); d >= 0.03 {
@@ -68,9 +63,6 @@ func TestWitnessBasePassParity(t *testing.T) {
 				t.Fatal(err)
 			}
 			replies := map[string]*relation.Relation{"scalar": scalar}
-			if replies["nested loop"], err = nested.EvalLocal(ctx, req); err != nil {
-				t.Fatal(err)
-			}
 			for _, size := range []int{1, 7, 64} {
 				if replies[fmt.Sprintf("disk, segments of %d rows", size)], err = diskSite(t, rel, size).EvalLocal(ctx, req); err != nil {
 					t.Fatal(err)

@@ -59,7 +59,7 @@ type ColumnSource interface {
 // skalla_engine_scan_path_total. The kernel runs under reasonOK alone.
 const (
 	reasonOK    = "ok"    // compiled
-	reasonShape = "shape" // a condition or filter shape the compiler does not cover, or useHash=false
+	reasonShape = "shape" // a condition or filter shape the compiler does not cover (or the oracle's useHash=false)
 	reasonKind  = "kind"  // a column or value kind the typed code cannot reproduce exactly
 )
 

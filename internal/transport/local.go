@@ -9,16 +9,16 @@ import (
 	"time"
 
 	"skalla/internal/engine"
-	"skalla/internal/obs"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
 )
 
 // LocalSite is the in-process transport: it wraps an engine.Site and pushes
 // every request and reply through the envelope a networked deployment uses,
-// so byte and row accounting is what TCP counts while tests and benchmarks
-// run single-process and deterministic. Operator blocks stream through the
-// relation wire codec, decoded as the TCP client decodes them.
+// so byte and row accounting is what TCP counts while a library cluster,
+// tests and benchmarks run single-process and deterministic. Operator blocks
+// stream through the relation wire codec, decoded as the TCP client decodes
+// them. Calls are served one at a time, as over one TCP connection.
 type LocalSite struct {
 	exchange
 	site Backend
@@ -143,63 +143,4 @@ func (l *LocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorR
 // Load implements Loader, installing a partition directly.
 func (l *LocalSite) Load(ctx context.Context, name string, rel *relation.Relation) error {
 	return l.site.Load(ctx, name, rel)
-}
-
-// FastLocalSite is a zero-serialization variant of LocalSite (and the
-// in-process default of skalla.NewLocalCluster): requests are dispatched
-// directly and relations pass by reference. Row counts are exact, but byte
-// counts are zero — nothing is encoded, so there is nothing to count. Use
-// LocalSite where bytes matter.
-type FastLocalSite struct {
-	exchange
-	site Backend
-}
-
-// NewFastLocalSite wraps a backend without serialization.
-func NewFastLocalSite(site Backend) *FastLocalSite {
-	f := &FastLocalSite{site: site}
-	f.exchange = f.call
-	return f
-}
-
-// ID implements Site.
-func (f *FastLocalSite) ID() int { return f.site.ID() }
-
-func (f *FastLocalSite) call(ctx context.Context, req *Request) (*Response, stats.Call, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, stats.Call{}, err
-	}
-	attempt := stampTraceContext(ctx, req)
-	start := time.Now()
-	resp := dispatch(ctx, f.site, req)
-	call := callFromSizes(f.site.ID(), resp, 0, 0)
-	call.Start, call.Elapsed, call.Attempt = start, time.Since(start), attempt
-	recordCall(call, req.Kind, req.QueryID)
-	if resp.Err != "" {
-		return nil, call, siteError(resp.Err)
-	}
-	return resp, call, nil
-}
-
-// EvalOperatorStream implements Site without serialization.
-func (f *FastLocalSite) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
-	if err := ctx.Err(); err != nil {
-		return stats.Call{}, err
-	}
-	call := stats.Call{Site: f.site.ID(), RowsDown: baseRows(&req), Start: time.Now(), Attempt: obs.AttemptFrom(ctx)}
-	profile, err := measure(ctx, func(ctx context.Context) error {
-		return f.site.EvalOperatorBlocks(ctx, req, func(block *relation.Relation) error {
-			call.RowsUp += block.Len()
-			return sink(block)
-		})
-	})
-	call.Elapsed = time.Since(call.Start)
-	call.Compute, call.Breakdown = time.Duration(profile.EvalNS), &profile
-	recordCall(call, KindOperator, obs.QueryIDFrom(ctx))
-	return call, err
-}
-
-// Load implements Loader.
-func (f *FastLocalSite) Load(ctx context.Context, name string, rel *relation.Relation) error {
-	return f.site.Load(ctx, name, rel)
 }

@@ -1,8 +1,9 @@
 // Package transport connects the Skalla coordinator to its sites. It defines
 // the Site interface the coordinator programs against, the site protocol's
-// envelope (envelope.go), an in-process implementation that still encodes
-// every message in it so that byte counts are the ones a network deployment
-// ships, and a TCP implementation for true multi-process operation.
+// envelope (envelope.go) and the interface's two implementations: LocalSite,
+// in process, which encodes every message in that envelope so that byte
+// counts are the ones a network deployment ships, and Client, over TCP, for
+// true multi-process operation. No site is called without the envelope.
 //
 // Every call returns a stats.Call describing exactly what crossed the wire
 // (bytes and rows in each direction) and how long the site computed; the

@@ -43,7 +43,7 @@ func opRequest() engine.OperatorRequest {
 }
 
 // exerciseSite runs the full Site surface against any implementation.
-func exerciseSite(t *testing.T, site Site, wantID int, wantBytes bool) {
+func exerciseSite(t *testing.T, site Site, wantID int) {
 	t.Helper()
 	ctx := context.Background()
 	if site.ID() != wantID {
@@ -68,7 +68,7 @@ func exerciseSite(t *testing.T, site Site, wantID int, wantBytes bool) {
 	if call.RowsUp != 3 || call.RowsDown != 0 {
 		t.Errorf("base call rows = %+v", call)
 	}
-	if wantBytes && (call.BytesDown <= 0 || call.BytesUp <= 0) {
+	if call.BytesDown <= 0 || call.BytesUp <= 0 {
 		t.Errorf("base call bytes = %+v", call)
 	}
 
@@ -127,11 +127,7 @@ func exerciseSite(t *testing.T, site Site, wantID int, wantBytes bool) {
 }
 
 func TestLocalSite(t *testing.T) {
-	exerciseSite(t, NewLocalSite(testSite(t, 4)), 4, true)
-}
-
-func TestFastLocalSite(t *testing.T) {
-	exerciseSite(t, NewFastLocalSite(testSite(t, 2)), 2, false)
+	exerciseSite(t, NewLocalSite(testSite(t, 4)), 4)
 }
 
 func TestTCPSite(t *testing.T) {
@@ -145,7 +141,7 @@ func TestTCPSite(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer cli.Close()
-	exerciseSite(t, cli, 7, true)
+	exerciseSite(t, cli, 7)
 }
 
 func TestTCPLoad(t *testing.T) {

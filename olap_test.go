@@ -120,8 +120,7 @@ func TestFacadeTranslateSQL(t *testing.T) {
 func TestFacadeRowBlocking(t *testing.T) {
 	plain, d := loadedFlowCluster(t)
 	defer plain.Close()
-	blocked, err := NewLocalCluster(3,
-		WithCatalog(d.Catalog()), WithRowBlocking(4), WithSerializedTransport())
+	blocked, err := NewLocalCluster(3, WithCatalog(d.Catalog()), WithRowBlocking(4))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -225,8 +225,7 @@ func TestServeMemBudgetIsolation(t *testing.T) {
 // execution's communication byte totals must equal the serial run's, and
 // plan-cache hits must return results identical to the cold compile.
 func TestFacadeConcurrentQueries(t *testing.T) {
-	cl, d := loadedFlowCluster(t, WithSerializedTransport(),
-		WithPlanCache(16), WithMaxConcurrent(4))
+	cl, d := loadedFlowCluster(t, WithPlanCache(16), WithMaxConcurrent(4))
 	defer cl.Close()
 	q := flowQuery(t)
 

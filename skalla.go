@@ -254,8 +254,7 @@ func (b *QueryBuilder) MustBuild() Query {
 // Cluster is a Skalla deployment handle: the coordinator plus its sites.
 type Cluster struct {
 	coord   *core.Coordinator
-	sites   []transport.Site
-	loaders []transport.Loader
+	sites   []transport.Site // each also a transport.Loader
 	closers []interface{ Close() error }
 	sel     plan.Selection
 }
@@ -266,7 +265,6 @@ type ClusterOption func(*clusterConfig)
 type clusterConfig struct {
 	catalog       *distrib.Catalog
 	net           stats.NetModel
-	serialized    bool
 	blockRows     int
 	traceTo       io.Writer
 	retry         core.RetryPolicy
@@ -316,14 +314,6 @@ func WithCatalog(cat *Catalog) ClusterOption {
 // communication component of the reported response time.
 func WithNetModel(m NetModel) ClusterOption {
 	return func(c *clusterConfig) { c.net = m }
-}
-
-// WithSerializedTransport makes in-process sites encode and decode every
-// message as a networked deployment does, so byte metrics match one. Without
-// it NewLocalCluster reports zero bytes (row counts are exact either way);
-// use it when measuring traffic.
-func WithSerializedTransport() ClusterOption {
-	return func(c *clusterConfig) { c.serialized = true }
 }
 
 // WithRowBlocking makes sites return sub-aggregate relations in blocks of at
@@ -423,9 +413,9 @@ func WithPlanMode(mode string) ClusterOption {
 }
 
 // NewLocalCluster creates an in-process cluster of n empty sites. Load data
-// with Load or LoadPartitions. Sites are called directly, without
-// serialization: metrics count rows exactly but report zero bytes unless
-// WithSerializedTransport is given.
+// with Load or LoadPartitions. Every call crosses the envelope a TCP site
+// reads and writes, so metrics count the real wire bytes and rows, and each
+// site serves one call at a time, as one TCP connection does.
 func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("skalla: cluster size %d", n)
@@ -435,23 +425,15 @@ func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 		return nil, cfg.selErr
 	}
 	sites := make([]transport.Site, n)
-	loaders := make([]transport.Loader, n)
-	for i := 0; i < n; i++ {
-		es := engine.NewSite(i)
-		if cfg.serialized {
-			ls := transport.NewLocalSite(es)
-			sites[i], loaders[i] = ls, ls
-		} else {
-			fs := transport.NewFastLocalSite(es)
-			sites[i], loaders[i] = fs, fs
-		}
+	for i := range sites {
+		sites[i] = transport.NewLocalSite(engine.NewSite(i))
 	}
 	coord, err := core.New(sites, cfg.catalog, cfg.net)
 	if err != nil {
 		return nil, err
 	}
 	cfg.configure(coord)
-	return &Cluster{coord: coord, sites: sites, loaders: loaders, sel: cfg.sel}, nil
+	return &Cluster{coord: coord, sites: sites, sel: cfg.sel}, nil
 }
 
 // Connect dials remote Skalla site servers (started with skalla-site or
@@ -472,7 +454,6 @@ func Connect(addrs []string, opts ...ClusterOption) (*Cluster, error) {
 			return nil, fmt.Errorf("skalla: connect %s: %w", a, err)
 		}
 		cl.sites = append(cl.sites, c)
-		cl.loaders = append(cl.loaders, c)
 		cl.closers = append(cl.closers, c)
 	}
 	coord, err := core.New(cl.sites, cfg.catalog, cfg.net)
@@ -499,17 +480,17 @@ func (c *Cluster) NumSites() int { return len(c.sites) }
 // Load installs a relation partition at one site. The context bounds the
 // transfer (for TCP-connected sites the partition crosses the wire).
 func (c *Cluster) Load(ctx context.Context, site int, name string, rel *Relation) error {
-	if site < 0 || site >= len(c.loaders) {
-		return fmt.Errorf("skalla: site %d of %d", site, len(c.loaders))
+	if site < 0 || site >= len(c.sites) {
+		return fmt.Errorf("skalla: site %d of %d", site, len(c.sites))
 	}
-	return c.loaders[site].Load(ctx, name, rel)
+	return c.sites[site].(transport.Loader).Load(ctx, name, rel)
 }
 
 // LoadPartitions installs parts[i] at site i; len(parts) must match the
 // cluster size.
 func (c *Cluster) LoadPartitions(ctx context.Context, name string, parts []*Relation) error {
-	if len(parts) != len(c.loaders) {
-		return fmt.Errorf("skalla: %d partitions for %d sites", len(parts), len(c.loaders))
+	if len(parts) != len(c.sites) {
+		return fmt.Errorf("skalla: %d partitions for %d sites", len(parts), len(c.sites))
 	}
 	for i, p := range parts {
 		if err := c.Load(ctx, i, name, p); err != nil {

@@ -227,97 +227,157 @@ func TestConnectTCP(t *testing.T) {
 	}
 }
 
-// The default in-process transport passes relations by reference, so it
-// counts rows but zero bytes; WithSerializedTransport counts the wire bytes.
-func TestSerializedTransportOption(t *testing.T) {
-	d, _ := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
-	for _, serialized := range []bool{false, true} {
-		opts := []ClusterOption{WithCatalog(d.Catalog())}
-		if serialized {
-			opts = append(opts, WithSerializedTransport())
+// TestLocalClusterCountsTheWire: NewLocalCluster's bytes, down and up, are
+// round for round those of a Connect cluster over loopback sites holding the
+// same partitions, for the quickstart statement (the paper's Example 1 over
+// the flow trace) and for every served statement over TPCR, under none, all,
+// auto and each planner rule alone, so every kind of round is counted.
+func TestLocalClusterCountsTheWire(t *testing.T) {
+	fd, err := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	td, err := tpc.Generate(tpc.Config{Rows: 1500, Customers: 400, Nations: 25, CitiesPerNation: 4, Clerks: 40, Seed: 6}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tcat, err := td.Catalog(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var served []Query
+	for _, stmt := range servedStatements() {
+		parse := ParseQueryText
+		if strings.HasPrefix(stmt, "SELECT") {
+			parse = TranslateSQL
 		}
-		cl, err := NewLocalCluster(2, opts...)
+		q, err := parse(stmt)
+		if err != nil {
+			t.Fatalf("%s: %v", stmt, err)
+		}
+		served = append(served, q)
+	}
+	sels := []Selection{SelectNone(), SelectAll(), SelectAuto()}
+	for _, r := range PlannerRules() {
+		sels = append(sels, SelectRules(r))
+	}
+	for _, c := range []struct {
+		name, rel string
+		parts     []*Relation
+		cat       *Catalog
+		qs        []Query
+	}{
+		{"quickstart", "Flow", fd.Parts, fd.Catalog(), []Query{flowQuery(t)}},
+		{"served", tpc.RelationName, td.Parts, tcat, served},
+	} {
+		var addrs []string
+		for i := range c.parts {
+			srv, err := transport.Serve(engine.NewSite(i), "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			addrs = append(addrs, srv.Addr())
+		}
+		remote, err := Connect(addrs, WithCatalog(c.cat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cl.Close()
-		if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
-			t.Fatal(err)
-		}
-		res, err := cl.Execute(context.Background(), flowQuery(t), SelectNone())
+		defer remote.Close()
+		local, err := NewLocalCluster(len(c.parts), WithCatalog(c.cat))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bytes := res.Metrics.TotalBytes(); (bytes > 0) != serialized || res.Metrics.TotalRows() == 0 {
-			t.Errorf("serialized=%v: %d bytes, %d rows", serialized, bytes, res.Metrics.TotalRows())
+		defer local.Close()
+		for _, cl := range []*Cluster{remote, local} {
+			if err := cl.LoadPartitions(context.Background(), c.rel, c.parts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// One query ID for every run keeps the metric families below their
+		// series cap, which later tests read per site.
+		ctx := obs.WithQueryID(context.Background(), "local-cluster-wire")
+		for qi, q := range c.qs {
+			t.Run(fmt.Sprintf("%s %d", c.name, qi), func(t *testing.T) {
+				for _, sel := range sels {
+					t.Run(sel.String(), func(t *testing.T) {
+						want, err := remote.Execute(ctx, q, sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := local.Execute(ctx, q, sel)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(got.Metrics.Rounds) != len(want.Metrics.Rounds) || got.Metrics.TotalBytesUp() == 0 {
+							t.Fatalf("local rounds\n%s\nTCP rounds\n%s", got.Metrics, want.Metrics)
+						}
+						for i, w := range want.Metrics.Rounds {
+							if g := got.Metrics.Rounds[i]; g.BytesDown() != w.BytesDown() || g.BytesUp() != w.BytesUp() {
+								t.Errorf("round %s: %d B down, %d B up in process; %d and %d over TCP",
+									w.Name, g.BytesDown(), g.BytesUp(), w.BytesDown(), w.BytesUp())
+							}
+						}
+					})
+				}
+			})
 		}
 	}
 }
 
 // TestLocalClusterCallsReachTransportMetrics: every site call of a
-// NewLocalCluster query reaches the transport families, by reference as
-// serialized: one call and its rows for each call the profile lists, bytes
-// only when serialized, and a compute time for every call, the catalog's
-// schema lookups too.
+// NewLocalCluster query reaches the transport families: one call and its rows
+// for each call the profile lists, bytes, and a compute time for every call,
+// the catalog's schema lookups too.
 func TestLocalClusterCallsReachTransportMetrics(t *testing.T) {
 	d, err := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, serialized := range []bool{false, true} {
-		opts := []ClusterOption{WithCatalog(d.Catalog())}
-		if serialized {
-			opts = append(opts, WithSerializedTransport())
+	cl, err := NewLocalCluster(2, WithCatalog(d.Catalog()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
+		t.Fatal(err)
+	}
+	// The query runs under a fixed ID and every family is read as a delta:
+	// past a family's series cap, the ID's series is the shared overflow one.
+	q := "local-cluster-calls"
+	type reading struct{ calls, schemaCalls, computes, rowsUp, bytesUp int64 }
+	read := func(site string) reading {
+		r := reading{schemaCalls: obs.TransportCalls.With(site, "schema").Value(),
+			computes: obs.SiteCompute.With(site).Count(),
+			rowsUp:   obs.TransportRows.With(site, "up", q).Value(), bytesUp: obs.TransportBytes.With(site, "up", q).Value()}
+		for _, kind := range []string{"base", "operator", "local"} {
+			r.calls += obs.TransportCalls.With(site, kind).Value()
 		}
-		cl, err := NewLocalCluster(2, opts...)
-		if err != nil {
-			t.Fatal(err)
+		return r
+	}
+	sites := []string{"0", "1"}
+	before := []reading{read(sites[0]), read(sites[1])}
+	res, err := cl.Execute(obs.WithQueryID(context.Background(), q), flowQuery(t), SelectNone())
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := make([]reading, len(sites))
+	for _, round := range res.Profile.Rounds {
+		for _, call := range round.Calls {
+			want[call.Site].calls++
+			want[call.Site].rowsUp += int64(call.RowsUp)
 		}
-		defer cl.Close()
-		if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
-			t.Fatal(err)
+	}
+	for i, site := range sites {
+		after := read(site)
+		calls, rowsUp, bytesUp := after.calls-before[i].calls, after.rowsUp-before[i].rowsUp, after.bytesUp-before[i].bytesUp
+		if calls != want[i].calls || rowsUp != want[i].rowsUp || calls == 0 || bytesUp == 0 {
+			t.Errorf("site %s: %d calls, %d rows and %d bytes up counted, the profile lists %d calls and %d rows",
+				site, calls, rowsUp, bytesUp, want[i].calls, want[i].rowsUp)
 		}
-		// The query runs under a fixed ID and every family is read as a
-		// delta: past a family's series cap, the ID's series is the shared
-		// overflow one.
-		q := fmt.Sprintf("local-cluster-serialized-%v", serialized)
-		type reading struct{ calls, schemaCalls, computes, rowsUp, bytesUp int64 }
-		read := func(site string) reading {
-			r := reading{schemaCalls: obs.TransportCalls.With(site, "schema").Value(),
-				computes: obs.SiteCompute.With(site).Count(),
-				rowsUp:   obs.TransportRows.With(site, "up", q).Value(), bytesUp: obs.TransportBytes.With(site, "up", q).Value()}
-			for _, kind := range []string{"base", "operator", "local"} {
-				r.calls += obs.TransportCalls.With(site, kind).Value()
-			}
-			return r
-		}
-		sites := []string{"0", "1"}
-		before := []reading{read(sites[0]), read(sites[1])}
-		res, err := cl.Execute(obs.WithQueryID(context.Background(), q), flowQuery(t), SelectNone())
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := make([]reading, len(sites))
-		for _, round := range res.Profile.Rounds {
-			for _, call := range round.Calls {
-				want[call.Site].calls++
-				want[call.Site].rowsUp += int64(call.RowsUp)
-			}
-		}
-		for i, site := range sites {
-			after := read(site)
-			calls, rowsUp := after.calls-before[i].calls, after.rowsUp-before[i].rowsUp
-			if calls != want[i].calls || rowsUp != want[i].rowsUp || calls == 0 {
-				t.Errorf("serialized=%v, site %s: %d calls and %d rows up counted, the profile lists %d and %d",
-					serialized, site, calls, rowsUp, want[i].calls, want[i].rowsUp)
-			}
-			if bytesUp := after.bytesUp - before[i].bytesUp; (bytesUp > 0) != serialized {
-				t.Errorf("serialized=%v, site %s: %d bytes up counted", serialized, site, bytesUp)
-			}
-			all := calls + after.schemaCalls - before[i].schemaCalls
-			if n := after.computes - before[i].computes; n != all {
-				t.Errorf("serialized=%v, site %s: %d compute observations for %d calls", serialized, site, n, all)
-			}
+		all := calls + after.schemaCalls - before[i].schemaCalls
+		if n := after.computes - before[i].computes; n != all {
+			t.Errorf("site %s: %d compute observations for %d calls", site, n, all)
 		}
 	}
 }
@@ -387,9 +447,8 @@ func servedStatements() []string {
 // links beside comparisons against literals and earlier aggregates, rollup
 // links, string and integer keys — under the rule selection a server session
 // plans with, and still equal the centralized evaluation. A shape that falls
-// back to the scalar scan costs the round its slowest site. It holds both
-// where a site is handed the coordinator's X fragment by reference and where
-// it decodes the fragment from its frame, as a networked site does.
+// back to the scalar scan costs the round its slowest site. Each site decodes
+// the coordinator's X fragment from its frame, as a networked site does.
 func TestServedTemplatesStayCompiled(t *testing.T) {
 	d, err := tpc.Generate(tpc.Config{Rows: 3000, Customers: 400, Nations: 25, CitiesPerNation: 4, Clerks: 40, Seed: 6}, 4)
 	if err != nil {
@@ -399,28 +458,14 @@ func TestServedTemplatesStayCompiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, tr := range []struct {
-		name string
-		opts []ClusterOption
-	}{
-		{"by-reference", []ClusterOption{WithCatalog(cat)}},
-		{"serialized", []ClusterOption{WithCatalog(cat), WithSerializedTransport()}},
-	} {
-		t.Run(tr.name, func(t *testing.T) {
-			cl, err := NewLocalCluster(4, tr.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cl.Close()
-			if err := cl.LoadPartitions(context.Background(), tpc.RelationName, d.Parts); err != nil {
-				t.Fatal(err)
-			}
-			checkServedTemplatesCompiled(t, cl, d)
-		})
+	cl, err := NewLocalCluster(4, WithCatalog(cat))
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func checkServedTemplatesCompiled(t *testing.T, cl *Cluster, d *tpc.Dataset) {
+	defer cl.Close()
+	if err := cl.LoadPartitions(context.Background(), tpc.RelationName, d.Parts); err != nil {
+		t.Fatal(err)
+	}
 	for _, stmt := range servedStatements() {
 		parse := ParseQueryText
 		if strings.HasPrefix(stmt, "SELECT") {
