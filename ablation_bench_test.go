@@ -1,5 +1,5 @@
 // Ablation benchmarks for the design choices DESIGN.md calls out: row
-// blocking granularity, the serializing in-process transport, the compiled
+// blocking granularity, the in-process transport, the compiled
 // local evaluation path, and the grouping-set (cube) workload.
 package skalla_test
 
@@ -36,6 +36,7 @@ func BenchmarkRowBlocking(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer c.Close()
 			c.Coord.SetRowBlocking(blockRows)
 			ctx := context.Background()
 			b.ResetTimer()
@@ -49,8 +50,8 @@ func BenchmarkRowBlocking(b *testing.B) {
 }
 
 // BenchmarkTransportOverhead runs the unoptimized two-phase query over four
-// serializing in-process sites: every message pays the envelope's encode and
-// decode, as over a network.
+// in-process sites: every message pays the envelope's encode and decode and
+// crosses a pipe to the site's connection loop, as over a network.
 func BenchmarkTransportOverhead(b *testing.B) {
 	d := dataset(b)
 	q := bench.TwoPhaseQuery(bench.HighCardAttr, true)
@@ -61,7 +62,7 @@ func BenchmarkTransportOverhead(b *testing.B) {
 			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 				b.Fatal(err)
 			}
-			sites[i] = transport.NewLocalSite(es)
+			sites[i] = localSite(b, es)
 		}
 		cat, err := d.Catalog(4)
 		if err != nil {
@@ -100,7 +101,7 @@ func BenchmarkLocalEvalPath(b *testing.B) {
 			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 				b.Fatal(err)
 			}
-			sites[i] = transport.NewLocalSite(es)
+			sites[i] = localSite(b, es)
 		}
 		coord, err := core.New(sites, nil, stats.NetModel{})
 		if err != nil {
@@ -130,6 +131,7 @@ func BenchmarkDistributedCube(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer c.Close()
 	ctx := context.Background()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -333,7 +335,7 @@ func BenchmarkDiskVsMemoryScan(b *testing.B) {
 				} else if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 					b.Fatal(err)
 				}
-				sites[i] = transport.NewLocalSite(es)
+				sites[i] = localSite(b, es)
 			}
 			coord, err := core.New(sites, nil, stats.NetModel{})
 			if err != nil {
@@ -410,4 +412,11 @@ func BenchmarkOperatorRound(b *testing.B) {
 		wire = res.Metrics.TotalBytes()
 	}
 	b.ReportMetric(float64(wire), "wire-B/op")
+}
+
+// localSite connects to es in process, closed when the benchmark ends.
+func localSite(tb testing.TB, es transport.Backend) transport.Site {
+	l := transport.NewLocalSite(es)
+	tb.Cleanup(func() { l.Close() })
+	return l
 }

@@ -55,6 +55,7 @@ func runQuery(b *testing.B, d *tpc.Dataset, n int, q gmdj.Query, sel plan.Select
 	if err != nil {
 		b.Fatal(err)
 	}
+	defer c.Close()
 	ctx := context.Background()
 	var last *stats.Metrics
 	b.ResetTimer()
@@ -311,6 +312,7 @@ func BenchmarkSyncMerge(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			defer c.Close()
 			// A single-operator query keeps the measurement dominated by the
 			// operator round's synchronization.
 			q := bench.TwoPhaseQuery(bench.HighCardAttr, true)

@@ -10,6 +10,7 @@ package bench
 import (
 	"context"
 	"fmt"
+	"io"
 	"time"
 
 	"skalla/internal/agg"
@@ -33,29 +34,39 @@ type Cluster struct {
 }
 
 // NewTPCCluster builds a cluster over the first n partitions of a TPCR
-// dataset, using the serializing in-process transport so byte counts are
-// wire-faithful.
+// dataset, its sites connected in process (transport.NewLocalSite) so byte
+// counts are wire-faithful. Close it to end its sites.
 func NewTPCCluster(ctx context.Context, d *tpc.Dataset, n int, net stats.NetModel) (*Cluster, error) {
 	if n <= 0 || n > d.NumSites {
 		return nil, fmt.Errorf("bench: cluster over %d of %d sites", n, d.NumSites)
-	}
-	sites := make([]transport.Site, n)
-	for i := 0; i < n; i++ {
-		es := engine.NewSite(i)
-		if err := es.Load(ctx, tpc.RelationName, d.Parts[i]); err != nil {
-			return nil, err
-		}
-		sites[i] = transport.NewLocalSite(es)
 	}
 	cat, err := d.Catalog(n)
 	if err != nil {
 		return nil, err
 	}
-	coord, err := core.New(sites, cat, net)
-	if err != nil {
+	c := &Cluster{Catalog: cat}
+	for i := 0; i < n; i++ {
+		es := engine.NewSite(i)
+		if err := es.Load(ctx, tpc.RelationName, d.Parts[i]); err != nil {
+			c.Close()
+			return nil, err
+		}
+		c.Sites = append(c.Sites, transport.NewLocalSite(es))
+	}
+	if c.Coord, err = core.New(c.Sites, cat, net); err != nil {
+		c.Close()
 		return nil, err
 	}
-	return &Cluster{Coord: coord, Sites: sites, Catalog: cat}, nil
+	return c, nil
+}
+
+// Close ends the cluster's sites.
+func (c *Cluster) Close() {
+	for _, s := range c.Sites {
+		if cl, ok := s.(io.Closer); ok {
+			cl.Close()
+		}
+	}
 }
 
 // TwoPhaseQuery builds the experiments' workload query: two GMDJ operators,
@@ -278,6 +289,7 @@ func SpeedUp(ctx context.Context, d *tpc.Dataset, q gmdj.Query, sel plan.Selecti
 			return nil, err
 		}
 		r, err := measure(ctx, c, q, sel, series, n)
+		c.Close()
 		if err != nil {
 			return nil, fmt.Errorf("bench: %s at %d sites: %w", series, n, err)
 		}
@@ -420,9 +432,11 @@ func Fig5(ctx context.Context, base tpc.Config, numSites, maxScale int, constant
 		}
 		unopt, err := measure(ctx, c, q, plan.SelectNone(), "unoptimized", s)
 		if err != nil {
+			c.Close()
 			return nil, err
 		}
 		opt, err := measure(ctx, c, q, plan.SelectAll(), "optimized", s)
+		c.Close()
 		if err != nil {
 			return nil, err
 		}
@@ -464,6 +478,7 @@ func Fig2Formula(ctx context.Context, d *tpc.Dataset, n int, net stats.NetModel)
 	if err != nil {
 		return FormulaCheck{}, err
 	}
+	defer c.Close()
 	base, err := measure(ctx, c, q, plan.SelectNone(), "none", n)
 	if err != nil {
 		return FormulaCheck{}, err

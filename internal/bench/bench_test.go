@@ -31,6 +31,7 @@ func TestNewTPCCluster(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	if c.Coord.NumSites() != 3 || len(c.Sites) != 3 {
 		t.Errorf("cluster size = %d/%d", c.Coord.NumSites(), len(c.Sites))
 	}
@@ -71,6 +72,7 @@ func TestWorkloadsMatchOracle(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	oracleData := gmdj.Data{tpc.RelationName: d.Global()}
 	for _, q := range []gmdj.Query{
 		TwoPhaseQuery(HighCardAttr, true),
@@ -325,6 +327,7 @@ func TestPlanModesExample1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer c.Close()
 	auto, err := c.Coord.PlanWith(ctx, q, plan.SelectAuto())
 	if err != nil {
 		t.Fatal(err)

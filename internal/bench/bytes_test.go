@@ -19,7 +19,7 @@ import (
 )
 
 // TestCallBytesArePureFunctionOfQuery: Example 1, a rollup and a
-// Clerk-grouped query run twice on fresh LocalSite clusters and twice on
+// Clerk-grouped query run twice on fresh in-process clusters and twice on
 // fresh TCP clusters, under fixed query IDs; every site call ships the same
 // bytes down and up in all four runs. Nothing a call measures (its timings)
 // changes what it ships.
@@ -41,20 +41,23 @@ func TestCallBytesArePureFunctionOfQuery(t *testing.T) {
 			if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 				t.Fatal(err)
 			}
-			sites[i] = transport.NewLocalSite(es)
-			if tcp {
-				srv, err := transport.Serve(es, "127.0.0.1:0")
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { srv.Close() })
-				cli, err := transport.Dial(srv.Addr())
-				if err != nil {
-					t.Fatal(err)
-				}
-				t.Cleanup(func() { cli.Close() })
-				sites[i] = cli
+			if !tcp {
+				l := transport.NewLocalSite(es)
+				t.Cleanup(func() { l.Close() })
+				sites[i] = l
+				continue
 			}
+			srv, err := transport.Serve(es, "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { srv.Close() })
+			cli, err := transport.Dial(srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { cli.Close() })
+			sites[i] = cli
 		}
 		cat, err := d.Catalog(d.NumSites)
 		if err != nil {
@@ -85,7 +88,7 @@ func TestCallBytesArePureFunctionOfQuery(t *testing.T) {
 	want := callBytes(false)
 	for run, tcp := range []bool{false, true, true} {
 		if got := callBytes(tcp); !slices.Equal(got, want) {
-			t.Errorf("run %d (tcp %v) shipped other bytes than the first LocalSite run:\n%v\nwant\n%v", run+2, tcp, got, want)
+			t.Errorf("run %d (tcp %v) shipped other bytes than the first in-process run:\n%v\nwant\n%v", run+2, tcp, got, want)
 		}
 	}
 }

@@ -63,12 +63,12 @@ func dialSite(t *testing.T, b transport.Backend) *transport.Client {
 	return cli
 }
 
-// TestCollectOperator: the one helper over every Site there is — the two
-// transports and a fault-injection wrapper — must return the H_i that
+// TestCollectOperator: the one helper over every Site there is — a Client
+// on each dialer and a fault-injection wrapper — must return the H_i that
 // engine.Site.EvalOperator computes over the same rows, whether the stream
 // carries one block, many, or a single empty one.
 func TestCollectOperator(t *testing.T) {
-	sites := map[string]transport.Site{"faultinject": faultinject.Wrap(transport.NewLocalSite(collectSite(t)), faultinject.Config{})}
+	sites := map[string]transport.Site{"faultinject": faultinject.Wrap(localSite(t, collectSite(t)), faultinject.Config{})}
 	for name, connect := range testTransports() {
 		sites[name] = connect(t, collectSite(t))
 	}

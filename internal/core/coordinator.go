@@ -108,10 +108,12 @@ func (s *schemaSource) DetailSchema(name string) (relation.Schema, error) {
 	return sch, nil
 }
 
-// SchemaSource returns a caching schema source backed by the first site.
+// SchemaSource returns a caching schema source backed by the first site. Its
+// calls are planning metadata, in no round of a profile, so they carry no
+// query ID: their bytes are labelled query="none", as the hello's are.
 func (c *Coordinator) SchemaSource(ctx context.Context) gmdj.SchemaSource {
 	//skallavet:allow stringkey -- catalog cache keyed by relation name: one lookup per plan, not per tuple
-	return &schemaSource{ctx: ctx, site: c.sites[0], cache: make(map[string]relation.Schema)}
+	return &schemaSource{ctx: obs.WithQueryID(ctx, ""), site: c.sites[0], cache: make(map[string]relation.Schema)}
 }
 
 // PlanWith compiles the distributed plan for a query under a rule selection

@@ -27,12 +27,20 @@ var tSchema = relation.MustSchema(
 	relation.Column{Name: "v", Kind: relation.KindInt},
 )
 
+// localSite connects to b in process, closed when the test ends.
+func localSite(t testing.TB, b transport.Backend) transport.Site {
+	l := transport.NewLocalSite(b)
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 // buildClusterImpl partitions global on column "g" into n range partitions
-// of width per, loads them into n engine sites, and returns their LocalSites
-// plus the matching distribution catalog.
-func buildClusterImpl(global *relation.Relation, name string, n int, per int64) ([]transport.Site, *distrib.Catalog, error) {
+// of width per, loads them into n engine sites, and returns them connected
+// in process, closed when the test ends, plus the matching distribution
+// catalog.
+func buildClusterImpl(t testing.TB, global *relation.Relation, name string, n int, per int64) ([]transport.Site, *distrib.Catalog, error) {
 	return buildClusterWith(global, name, n, per, func(es *engine.Site) (transport.Site, error) {
-		return transport.NewLocalSite(es), nil
+		return localSite(t, es), nil
 	})
 }
 
@@ -75,7 +83,7 @@ func buildClusterWith(global *relation.Relation, name string, n int, per int64, 
 // buildCluster is buildClusterImpl with *testing.T error plumbing.
 func buildCluster(t *testing.T, global *relation.Relation, name string, n int, per int64) ([]transport.Site, *distrib.Catalog) {
 	t.Helper()
-	sites, cat, err := buildClusterImpl(global, name, n, per)
+	sites, cat, err := buildClusterImpl(t, global, name, n, per)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -342,7 +350,7 @@ func TestMultiRelationQuery(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		sites[i] = transport.NewLocalSite(es)
+		sites[i] = localSite(t, es)
 	}
 	q := gmdj.Query{
 		Base: gmdj.BaseQuery{Detail: "T1", Cols: []string{"h"}},
@@ -612,7 +620,7 @@ func TestHashPartitionedCluster(t *testing.T) {
 		if err := es.Load(context.Background(), "T", part); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = transport.NewLocalSite(es)
+		sites[i] = localSite(t, es)
 	}
 	dist := &distrib.Distribution{
 		Relation: "T", NumSites: n,

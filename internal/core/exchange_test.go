@@ -64,8 +64,8 @@ func (r recordingSite) EvalOperatorStream(ctx context.Context, req engine.Operat
 	return r.Site.EvalOperatorStream(ctx, req, sink)
 }
 
-// tpcCluster loads a small TPCR instance into four serializing in-process
-// sites, each behind a recordingSite.
+// tpcCluster loads a small TPCR instance into four in-process sites, each
+// behind a recordingSite.
 func tpcCluster(t *testing.T) (*Coordinator, *exchangeLog, gmdj.Data) {
 	t.Helper()
 	cfg := tpc.DefaultConfig()
@@ -85,7 +85,7 @@ func tpcCluster(t *testing.T) (*Coordinator, *exchangeLog, gmdj.Data) {
 		if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = recordingSite{transport.NewLocalSite(es), log}
+		sites[i] = recordingSite{localSite(t, es), log}
 	}
 	coord, err := New(sites, cat, stats.NetModel{})
 	if err != nil {
@@ -738,7 +738,7 @@ func TestEightSitesBlockedMatchCentral(t *testing.T) {
 		if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = transport.NewLocalSite(es)
+		sites[i] = localSite(t, es)
 	}
 	coord, err := New(sites, nil, stats.NetModel{})
 	if err != nil {

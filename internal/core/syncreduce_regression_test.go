@@ -22,7 +22,7 @@ func TestSyncReduceFilteredBaseRegression(t *testing.T) {
 		global := randomGlobal(rng, 20+rng.Intn(80), 1+int64(rng.Intn(12)))
 		nSites := 2 + rng.Intn(3)
 		per := int64(12/nSites + 1)
-		sites, cat, err := buildClusterImpl(global, "T", nSites, per)
+		sites, cat, err := buildClusterImpl(t, global, "T", nSites, per)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -85,11 +85,12 @@ func witnessPlacements() []witnessPlacement {
 	}
 }
 
-// testTransports connects a site in process (serialized, as every in-process
-// cluster is) and over TCP on loopback: the core tests' one transport list.
+// testTransports connects a site in process (over a pipe, as every in-process
+// cluster is) and over TCP on loopback, each closed when the test ends: the
+// core tests' one transport list.
 func testTransports() map[string]func(*testing.T, transport.Backend) transport.Site {
 	return map[string]func(*testing.T, transport.Backend) transport.Site{
-		"local": func(_ *testing.T, b transport.Backend) transport.Site { return transport.NewLocalSite(b) },
+		"local": func(t *testing.T, b transport.Backend) transport.Site { return localSite(t, b) },
 		"tcp":   func(t *testing.T, b transport.Backend) transport.Site { return dialSite(t, b) },
 	}
 }
@@ -180,7 +181,7 @@ func TestClerkTemplateRunsTwoRounds(t *testing.T) {
 		if err := es.Load(context.Background(), tpc.RelationName, d.Parts[i]); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = transport.NewLocalSite(es)
+		sites[i] = localSite(t, es)
 	}
 	cat, err := d.Catalog(4)
 	if err != nil {

@@ -136,7 +136,9 @@ func TestCubeDistributed(t *testing.T) {
 		if err := es.Load(context.Background(), "Sales", part); err != nil {
 			t.Fatal(err)
 		}
-		sites[i] = transport.NewLocalSite(es)
+		l := transport.NewLocalSite(es)
+		t.Cleanup(func() { l.Close() })
+		sites[i] = l
 	}
 	coord, err := core.New(sites, nil, stats.NetModel{})
 	if err != nil {

@@ -64,7 +64,7 @@ func accountingRel(n int, offKind bool) *relation.Relation {
 // and local requests are served over a Load-ed partition, a disk table of
 // several segments, the Load-ed rows under an OR residual the kernel compiler
 // refuses (scalar, shape) and a partition with an off-kind cell (scalar,
-// kind), through LocalSite and TCP.
+// kind), in process and over TCP.
 // The centralized oracle over the same rows moves none of them.
 func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 	ctx := context.Background()
@@ -135,7 +135,7 @@ func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer cli.Close()
-		for transport, s := range map[string]Site{"local": NewLocalSite(site), "tcp": cli} {
+		for transport, s := range map[string]Site{"local": localSite(t, site), "tcp": cli} {
 			for _, req := range requests {
 				before := readSiteCounters()
 				call, err := req.run(s, opOver(name))

@@ -63,40 +63,13 @@ func freshStream(t *testing.T, site Backend, req engine.OperatorRequest) []byte 
 }
 
 // TestOperatorStreamsShareTheConnectionsCodec: the second and third operator
-// streams on one TCP connection and on one LocalSite write the blocks a fresh
-// encoder writes, byte for byte, though the connection's encoder and decoder
-// serve every stream.
+// streams on one connection write the blocks a fresh encoder writes, byte for
+// byte, though the connection's encoder serves every stream. The loop under
+// test, serveConn, is the one an in-process site's pipe runs too.
 func TestOperatorStreamsShareTheConnectionsCodec(t *testing.T) {
-	ctx := context.Background()
 	req := opRequest()
 	req.BlockRows = 1 // three blocks: one inline schema, two cached
 	want := freshStream(t, testSite(t, 0), req)
-
-	t.Run("local", func(t *testing.T) {
-		l := NewLocalSite(testSite(t, 0))
-		enc, dec := l.enc, l.dec
-		for stream := 1; stream <= 3; stream++ {
-			var got []byte
-			_, err := l.sendLocked(ctx, &Request{Kind: KindOperator, Operator: &req}, func() error {
-				got = append(got, l.upBuf.Bytes()...)
-				l.upBuf.Reset()
-				return nil
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !bytes.Equal(got, want) {
-				t.Fatalf("stream %d: blocks differ from a fresh encoder's\n got %x\nwant %x", stream, got, want)
-			}
-			call, err := l.EvalOperatorStream(ctx, req, func(*relation.Relation) error { return nil })
-			if err != nil || call.RowsUp != 3 {
-				t.Fatalf("stream %d: decoded %d rows: %v", stream, call.RowsUp, err)
-			}
-		}
-		if l.enc != enc || l.dec != dec {
-			t.Error("the LocalSite replaced its codec")
-		}
-	})
 
 	t.Run("tcp", func(t *testing.T) {
 		srv, err := Serve(testSite(t, 0), "127.0.0.1:0")
@@ -149,7 +122,7 @@ func TestOperatorStreamsShareTheConnectionsCodec(t *testing.T) {
 // TestWarmOperatorStreamAllocatesNoCodecBody: once a connection has carried
 // a stream, another allocates as often for a 20 000-row block as for a
 // 10-row one — the encoder's and decoder's bodies are the connection's, not
-// regrown per stream — on LocalSite and over TCP.
+// regrown per stream — in process and over TCP.
 func TestWarmOperatorStreamAllocatesNoCodecBody(t *testing.T) {
 	ctx := context.Background()
 	req := engine.OperatorRequest{Base: relation.New(relation.MustSchema(relation.Column{Name: "g", Kind: relation.KindInt})),
@@ -165,7 +138,7 @@ func TestWarmOperatorStreamAllocatesNoCodecBody(t *testing.T) {
 		return testing.AllocsPerRun(20, stream)
 	}
 	for name, dial := range map[string]func(Backend) Site{
-		"local": func(b Backend) Site { return NewLocalSite(b) },
+		"local": func(b Backend) Site { return localSite(t, b) },
 		"tcp": func(b Backend) Site {
 			srv, err := Serve(b, "127.0.0.1:0")
 			if err != nil {

@@ -46,10 +46,10 @@ func TestQueryIDPropagatesOverTCP(t *testing.T) {
 	}
 }
 
-// TestQueryIDPropagatesThroughLocalSite exercises the serializing in-process
-// transport the benchmarks use.
+// TestQueryIDPropagatesThroughLocalSite exercises an in-process site, the
+// one the benchmarks use.
 func TestQueryIDPropagatesThroughLocalSite(t *testing.T) {
-	l := NewLocalSite(testSite(t, 3))
+	l := localSite(t, testSite(t, 3))
 	qid := obs.NewQueryID()
 	ctx := obs.WithQueryID(context.Background(), qid)
 	base, _, err := l.EvalBase(ctx, gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}})
@@ -67,7 +67,7 @@ func TestQueryIDPropagatesThroughLocalSite(t *testing.T) {
 // TestUntaggedContextUsesNoneLabel: calls outside a query span land on the
 // "none" query label rather than minting unbounded series.
 func TestUntaggedContextUsesNoneLabel(t *testing.T) {
-	l := NewLocalSite(testSite(t, 3))
+	l := localSite(t, testSite(t, 3))
 	before := obs.TransportBytes.With("3", "up", "none").Value()
 	if _, _, err := l.EvalBase(context.Background(), gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}); err != nil {
 		t.Fatal(err)

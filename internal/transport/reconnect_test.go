@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"skalla/internal/engine"
 	"skalla/internal/gmdj"
 	"skalla/internal/relation"
 )
@@ -177,5 +178,134 @@ func TestReconnectRejectsIdentityChange(t *testing.T) {
 	defer cancel()
 	if _, _, err := cli.EvalBase(ctx, bq); err == nil || !errors.Is(err, ErrBrokenConn) {
 		t.Fatalf("identity change: err = %v, want ErrBrokenConn", err)
+	}
+}
+
+// hangingSite is a site whose EvalLocal blocks until its context is done,
+// then reports that context's error on seen; closing release ends it too, so
+// a test that fails does not hang on it.
+type hangingSite struct {
+	*engine.Site
+	started, release chan struct{}
+	seen             chan error
+}
+
+func (h hangingSite) EvalLocal(ctx context.Context, _ engine.LocalRequest) (*relation.Relation, error) {
+	h.started <- struct{}{}
+	select {
+	case <-ctx.Done():
+	case <-h.release:
+	}
+	h.seen <- ctx.Err()
+	return nil, errors.New("released")
+}
+
+// TestCallCancelReturnsPromptly: cancelling a context without a deadline
+// ends a call blocked on the site within a second, with an error matching
+// context.Canceled, in process and over TCP; in process the site's own
+// context is cancelled too. The next call on the same client redials and
+// succeeds.
+func TestCallCancelReturnsPromptly(t *testing.T) {
+	for _, name := range []string{"local", "tcp"} {
+		t.Run(name, func(t *testing.T) {
+			site := hangingSite{Site: testSite(t, 2), started: make(chan struct{}, 1), release: make(chan struct{}), seen: make(chan error, 1)}
+			var cli *Client
+			if name == "local" {
+				cli = localSite(t, site)
+			} else {
+				srv, err := Serve(site, "127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { srv.Close() })
+				if cli, err = Dial(srv.Addr()); err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(func() { cli.Close() })
+			}
+			// Cleanups run last first: a call still blocked on the site holds
+			// the client until the site is released.
+			t.Cleanup(func() { close(site.release) })
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := cli.EvalLocal(ctx, engine.LocalRequest{Query: gmdj.Query{Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}}})
+				done <- err
+			}()
+			<-site.started
+			cancel()
+			select {
+			case err := <-done:
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("cancelled call: err = %v, want context.Canceled", err)
+				}
+			case <-time.After(time.Second):
+				t.Fatal("a cancelled call still waits on the site after 1s")
+			}
+			if name == "local" {
+				select {
+				case err := <-site.seen:
+					if !errors.Is(err, context.Canceled) {
+						t.Errorf("the site's context ended with %v, want context.Canceled", err)
+					}
+				case <-time.After(time.Second):
+					t.Error("the site's context is not cancelled 1s after its caller's")
+				}
+			}
+			got, _, err := cli.EvalBase(context.Background(), gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}})
+			if err != nil || got.Len() != 3 {
+				t.Fatalf("the call after a cancel: %v", err)
+			}
+		})
+	}
+}
+
+// TestReconnectHonoursCancel: the redial of a poisoned client is bounded by
+// the call's context, a cancel without a deadline too: a listener that
+// accepts but never answers the hello does not hold the call past the
+// cancel.
+func TestReconnectHonoursCancel(t *testing.T) {
+	srv, err := Serve(testSite(t, 1), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := srv.Addr()
+	cli, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	srv.Close()
+	bq := gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}
+	if _, _, err := cli.EvalBase(context.Background(), bq); err == nil {
+		t.Fatal("call against a closed server must fail")
+	}
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		t.Skipf("cannot listen on %s again: %v", addr, err)
+	}
+	defer ln.Close()
+	mute := make(chan struct{})
+	defer close(mute)
+	go func() {
+		if conn, err := ln.Accept(); err == nil {
+			// Accept and say nothing, until the test ends or long past the
+			// cancel, so a redial that ignores it fails rather than hangs.
+			select {
+			case <-mute:
+			case <-time.After(5 * time.Second):
+			}
+			conn.Close()
+		}
+	}()
+	ctx, cancel := context.WithCancel(context.Background())
+	time.AfterFunc(50*time.Millisecond, cancel)
+	start := time.Now()
+	if _, _, err := cli.EvalBase(ctx, bq); !errors.Is(err, ErrBrokenConn) {
+		t.Errorf("redial to a mute listener: err = %v, want ErrBrokenConn", err)
+	}
+	if elapsed := time.Since(start); elapsed > time.Second {
+		t.Errorf("a cancelled redial returned after %v", elapsed)
 	}
 }

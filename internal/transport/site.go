@@ -1,9 +1,9 @@
 // Package transport connects the Skalla coordinator to its sites. It defines
 // the Site interface the coordinator programs against, the site protocol's
-// envelope (envelope.go) and the interface's two implementations: LocalSite,
-// in process, which encodes every message in that envelope so that byte
-// counts are the ones a network deployment ships, and Client, over TCP, for
-// true multi-process operation. No site is called without the envelope.
+// envelope (envelope.go) and the interface's one implementation, Client,
+// with two dialers: Dial reaches a Server over TCP, NewLocalSite a backend in
+// process over a net.Pipe. Both ends run the same code either way, so an
+// in-process site ships the bytes a network deployment ships.
 //
 // Every call returns a stats.Call describing exactly what crossed the wire
 // (bytes and rows in each direction) and how long the site computed; the
@@ -62,10 +62,4 @@ func CollectOperator(ctx context.Context, s Site, req engine.OperatorRequest) (*
 		return nil, call, err
 	}
 	return h, call, nil
-}
-
-// Loader is implemented by transports that can install data at the site
-// (used by tests, examples and the data-generation tools).
-type Loader interface {
-	Load(ctx context.Context, name string, rel *relation.Relation) error
 }

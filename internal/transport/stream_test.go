@@ -12,7 +12,7 @@ import (
 // streamSites builds both transports over identical site data.
 func streamSites(t *testing.T) map[string]Site {
 	t.Helper()
-	out := map[string]Site{"local": NewLocalSite(testSite(t, 0))}
+	out := map[string]Site{"local": localSite(t, testSite(t, 0))}
 	srv, err := Serve(testSite(t, 0), "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package transport
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"skalla/internal/engine"
+	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
 	"skalla/internal/stats"
@@ -37,7 +39,6 @@ const maxHelloBody = 1 + binary.MaxVarintLen32
 type Server struct {
 	site Backend
 	ln   net.Listener
-	log  *slog.Logger
 
 	// baseCtx parents every connection's serving context; cancel fires on
 	// Close so in-flight evaluations observe shutdown instead of running to
@@ -53,26 +54,18 @@ type Server struct {
 
 // Serve starts serving a backend (a site engine, or a wrapper of one) on the
 // given address ("host:port"; use ":0" for an ephemeral port) and returns
-// immediately. It is the convenience lifecycle root; use ServeContext to tie
-// the server's evaluations to an existing context tree.
+// immediately. Every request dispatched to the backend carries a context
+// canceled on Close, so shutdown propagates into running evaluations.
 func Serve(site Backend, addr string) (*Server, error) {
-	//skallavet:allow ctxcall -- lifecycle root: ServeContext is the context-threading variant
-	return ServeContext(context.Background(), site, addr)
-}
-
-// ServeContext is Serve under a parent context: every request dispatched to
-// the backend carries a context derived from it (and canceled on Close), so
-// daemon shutdown propagates into running evaluations.
-func ServeContext(ctx context.Context, site Backend, addr string) (*Server, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	baseCtx, cancel := context.WithCancel(ctx)
+	//skallavet:allow ctxcall -- lifecycle root: the server's evaluations live until Close
+	baseCtx, cancel := context.WithCancel(context.Background())
 	s := &Server{
 		site:    site,
 		ln:      ln,
-		log:     obs.Logger().With("site", site.ID()),
 		baseCtx: baseCtx,
 		cancel:  cancel,
 		conns:   make(map[net.Conn]struct{}),
@@ -129,7 +122,7 @@ func (s *Server) handle(rawConn net.Conn) {
 	// closes, so backend evaluations stop with their connection.
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
-	log := s.log.With("remote", rawConn.RemoteAddr().String())
+	log := obs.Logger().With("site", s.site.ID(), "remote", rawConn.RemoteAddr().String())
 	obs.ServerActiveConns.Add(1)
 	log.Debug("connection open")
 	defer func() {
@@ -140,6 +133,15 @@ func (s *Server) handle(rawConn net.Conn) {
 		obs.ServerActiveConns.Add(-1)
 		log.Debug("connection closed")
 	}()
+	serveConn(ctx, s.site, rawConn, log)
+}
+
+// serveConn serves one connection to site until the peer hangs up or a
+// request fails: the hello check, then the envelope's requests in order, each
+// answered before the next is read. It is the one loop a site runs per
+// connection, a TCP one (Server) or an in-process one (NewLocalSite); the
+// caller closes rawConn.
+func serveConn(ctx context.Context, site Backend, rawConn net.Conn, log *slog.Logger) {
 	// Count connection bytes in both directions; deltas per request feed the
 	// server-side byte counters.
 	conn := &countingConn{Conn: rawConn}
@@ -167,7 +169,7 @@ func (s *Server) handle(rawConn net.Conn) {
 		case req.Kind == KindHello:
 			// Answer with this site's version, then hang up on another one.
 			obs.ServerRequests.With(kindName(KindHello)).Inc()
-			if err = out.writeReply(bw, KindHello, &Response{Version: ProtocolVersion, SiteID: s.site.ID()}); err == nil {
+			if err = out.writeReply(bw, KindHello, &Response{Version: ProtocolVersion, SiteID: site.ID()}); err == nil {
 				err = bw.Flush()
 			}
 			if err == nil && req.Version != ProtocolVersion {
@@ -175,7 +177,7 @@ func (s *Server) handle(rawConn net.Conn) {
 			}
 		default:
 			// An unknown kind's frame was read whole: it gets an error reply.
-			err = serve(ctx, s.site, bw, enc, &out, req, nil)
+			err = serve(ctx, site, bw, enc, &out, req)
 		}
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
@@ -191,19 +193,17 @@ func (s *Server) handle(rawConn net.Conn) {
 // marker and the operator reply carrying the profile and any evaluation
 // error. The blocks go through enc, the connection's encoder writing to w,
 // reset for the stream so its frames are a fresh encoder's while its body
-// buffer is reused. Each block is flushed as it is made, then handed to sent
-// (nil on a connection: LocalSite reads each block off its buffer there). A
-// failed block write or sent ends the stream where it is: the end marker and
-// reply are skipped, and serve returns that error instead of failing (and
-// logging) twice.
-func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Encoder, out *msgBuf, req *Request, sent func() error) error {
+// buffer is reused. Each block is flushed as it is made. A failed block write
+// ends the stream where it is: the end marker and reply are skipped, and
+// serve returns that error instead of failing (and logging) twice.
+func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Encoder, out *msgBuf, req *Request) error {
+	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	if req.Kind != KindOperator {
 		if err := out.writeReply(w, req.Kind, dispatch(ctx, site, req)); err != nil {
 			return err
 		}
 		return w.Flush()
 	}
-	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	var streamErr error
 	profile, evalErr := measure(ctx, func(ctx context.Context) error {
 		rec := obs.RecorderFrom(ctx)
@@ -218,9 +218,6 @@ func serve(ctx context.Context, site Backend, w *bufio.Writer, enc *relation.Enc
 			}
 			// The marker byte travels with every block frame.
 			rec.AddCodecBytes(1)
-			if streamErr == nil && sent != nil {
-				streamErr = sent()
-			}
 			return streamErr
 		})
 		rec.AddCodecBytes(enc.Bytes())
@@ -267,12 +264,10 @@ func (c *countingConn) Write(p []byte) (int, error) {
 // with errors.Is and treat the site as down.
 var ErrBrokenConn = errors.New("transport: connection broken")
 
-// defaultDialTimeout bounds Dial (including the hello round-trip) when the
-// caller supplies no context: a black-holed address must not hang forever.
-const defaultDialTimeout = 10 * time.Second
-
-// Client is a TCP Site: it connects to a Server and implements the Site
-// interface with per-call byte accounting from the connection itself.
+// Client is the Site implementation: it reaches a site's connection loop
+// (serveConn) over a connection its dial makes, TCP for a Server (Dial) or a
+// net.Pipe for an in-process site (NewLocalSite), with per-call byte
+// accounting from the connection itself.
 //
 // The client owns one buffered reader over the connection, shared between
 // the envelope's frame reader, the stream markers and the relation codec
@@ -282,11 +277,12 @@ const defaultDialTimeout = 10 * time.Second
 // Any transport error poisons the connection: after a failed exchange the
 // position in the stream is unknown — a reply half read, a block half
 // written — and reading on would decode the middle of a frame as its start.
-// The next call transparently redials and re-handshakes; if that fails, it
-// returns an error matching ErrBrokenConn.
+// A call whose context ends while it waits on the site fails the same way,
+// with the context's error. The next call transparently redials and
+// re-handshakes; if that fails, it returns an error matching ErrBrokenConn.
 type Client struct {
-	exchange
-	addr string
+	addr string // what dial reaches, for errors
+	dial func(context.Context) (net.Conn, error)
 
 	mu     sync.Mutex
 	conn   *countingConn
@@ -301,11 +297,11 @@ type Client struct {
 }
 
 // Dial connects to a site server and performs the hello handshake to learn
-// its identity, bounded by defaultDialTimeout. Use DialContext to control
-// the deadline.
+// its identity, bounded by 10 s, so a black-holed address cannot hang it. Use
+// DialContext to control the deadline.
 func Dial(addr string) (*Client, error) {
 	//skallavet:allow ctxcall -- lifecycle root mirroring net.DialTimeout; DialContext is the context-threading variant
-	ctx, cancel := context.WithTimeout(context.Background(), defaultDialTimeout)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	return DialContext(ctx, addr)
 }
@@ -314,8 +310,7 @@ func Dial(addr string) (*Client, error) {
 // deadline covers the TCP connect and the hello round-trip, so a listener
 // that accepts but never responds cannot hang the coordinator.
 func DialContext(ctx context.Context, addr string) (*Client, error) {
-	c := &Client{addr: addr}
-	c.exchange = c.roundTrip
+	c := &Client{addr: addr, dial: func(ctx context.Context) (net.Conn, error) { return new(net.Dialer).DialContext(ctx, "tcp", addr) }}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := c.connectLocked(ctx); err != nil {
@@ -328,21 +323,17 @@ func DialContext(ctx context.Context, addr string) (*Client, error) {
 // The hello exchanges protocol versions, and a site speaking another one
 // fails the dial with ErrProtocol. On a reconnect, the hello must report the
 // same site identity — an address now serving a different site would
-// silently corrupt results.
+// silently corrupt results. The context bounds the hello as it bounds a call.
 func (c *Client) connectLocked(ctx context.Context) error {
-	var d net.Dialer
-	raw, err := d.DialContext(ctx, "tcp", c.addr)
+	raw, err := c.dial(ctx)
 	if err != nil {
 		return err
 	}
+	stop := context.AfterFunc(ctx, func() { _ = raw.SetDeadline(time.Unix(1, 0)) })
 	conn := &countingConn{Conn: raw}
 	br, bw := bufio.NewReader(conn), bufio.NewWriter(conn)
 	frames := relation.NewFrameReader(br)
-	if dl, ok := ctx.Deadline(); ok {
-		_ = conn.SetDeadline(dl)
-	}
-	req := &Request{Kind: KindHello, Version: ProtocolVersion}
-	err = c.out.writeRequest(bw, req)
+	err = c.out.writeRequest(bw, &Request{Kind: KindHello, Version: ProtocolVersion})
 	if err == nil {
 		err = bw.Flush()
 	}
@@ -350,17 +341,20 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	if err == nil {
 		resp, err = readReply(frames, KindHello)
 	}
+	// A context that ended during the hello may have spent the deadline.
+	if stop(); err == nil {
+		err = ctx.Err()
+	}
 	if err != nil {
 		raw.Close()
-		return fmt.Errorf("transport: hello %s: %w", c.addr, err)
+		return fmt.Errorf("transport: hello %s: %w", c.addr, cmp.Or(ctx.Err(), err))
 	}
-	_ = conn.SetDeadline(time.Time{})
 	if c.hasID && resp.SiteID != c.id {
 		raw.Close()
 		return fmt.Errorf("transport: reconnect %s: site identity changed (%d -> %d)", c.addr, c.id, resp.SiteID)
 	}
 	c.id, c.hasID = resp.SiteID, true
-	recordCall(callFromSizes(c.id, resp, int(conn.written), int(conn.read)), KindHello, "")
+	recordCall(stats.Call{Site: c.id, BytesDown: int(conn.written), BytesUp: int(conn.read)}, KindHello, "")
 	c.conn, c.br, c.bw, c.frames, c.dec = conn, br, bw, frames, relation.NewDecoder(br)
 	c.broken = false
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(0)
@@ -386,43 +380,38 @@ func (c *Client) ensureLocked(ctx context.Context) error {
 // poisonLocked marks the connection unusable after a transport error and
 // closes it (waking any server-side handler blocked on it); c.mu held.
 func (c *Client) poisonLocked() {
-	if c.conn != nil {
-		c.conn.Close()
-	}
+	c.conn.Close()
 	c.broken = true
 	obs.SiteBroken.With(strconv.Itoa(c.id)).Set(1)
-}
-
-// sendLocked writes one request; c.mu held.
-func (c *Client) sendLocked(req *Request) error {
-	if err := c.out.writeRequest(c.bw, req); err != nil {
-		return err
-	}
-	return c.bw.Flush()
 }
 
 // ID implements Site.
 func (c *Client) ID() int { return c.id }
 
-// Close closes the connection.
+// Close closes the connection (a poisoned one is closed already).
 func (c *Client) Close() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.broken = true
-	if c.conn == nil {
+	if c.conn == nil || c.broken {
 		return nil
 	}
+	c.broken = true
 	return c.conn.Close()
 }
 
+// roundTrip sends req and reads its one reply.
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
 	return c.call(ctx, req, func(*stats.Call) (*Response, error) { return readReply(c.frames, req.Kind) })
 }
 
-// call sends req, reads what answers it with recv, and records the call.
-// Any transport failure poisons the connection: the next call redials.
+// call sends req, stamped with the context's trace fields (query ID, round,
+// attempt), reads what answers it with recv and records the call. Any
+// transport failure poisons the connection: the next call redials. A context
+// that ends mid-exchange expires the connection's deadline, so the call
+// returns at once with the context's error; if it ends as the call
+// completes, the connection is poisoned all the same, its deadline spent.
 func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) (*Response, error)) (*Response, stats.Call, error) {
-	attempt := stampTraceContext(ctx, req)
+	req.QueryID, req.Round, req.Attempt = obs.QueryIDFrom(ctx), obs.RoundFrom(ctx), obs.AttemptFrom(ctx)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -431,21 +420,31 @@ func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) 
 	if err := c.ensureLocked(ctx); err != nil {
 		return nil, stats.Call{}, err
 	}
-	if dl, ok := ctx.Deadline(); ok {
-		_ = c.conn.SetDeadline(dl)
-		defer c.conn.SetDeadline(time.Time{})
+	if ctx.Done() != nil {
+		conn := c.conn
+		// A deadline long past fails the blocked read or write at once.
+		stop := context.AfterFunc(ctx, func() { _ = conn.SetDeadline(time.Unix(1, 0)) })
+		defer func() {
+			if !stop() {
+				c.poisonLocked()
+			}
+		}()
 	}
-	call := stats.Call{Site: c.id, Start: time.Now(), Attempt: attempt}
+	call := stats.Call{Site: c.id, Start: time.Now(), Attempt: req.Attempt}
 	r0, w0 := c.conn.read, c.conn.written
-	if err := c.sendLocked(req); err != nil {
+	err := c.out.writeRequest(c.bw, req)
+	if err == nil {
+		err = c.bw.Flush()
+	}
+	if err != nil {
 		c.poisonLocked()
-		return nil, call, fmt.Errorf("transport: send: %w", err)
+		return nil, call, fmt.Errorf("transport: send: %w", cmp.Or(ctx.Err(), err))
 	}
 	resp, err := recv(&call)
 	call.Elapsed = time.Since(call.Start)
 	if err != nil {
 		c.poisonLocked()
-		return nil, call, fmt.Errorf("transport: receive: %w", err)
+		return nil, call, fmt.Errorf("transport: receive: %w", cmp.Or(ctx.Err(), err))
 	}
 	call.BytesDown, call.BytesUp = int(c.conn.written-w0), int(c.conn.read-r0)
 	call.Compute, call.Breakdown = time.Duration(resp.Profile.EvalNS), &resp.Profile
@@ -459,6 +458,48 @@ func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) 
 	return resp, call, nil
 }
 
+// EvalBase implements Site.
+func (c *Client) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
+	resp, call, err := c.roundTrip(ctx, &Request{Kind: KindBase, Base: &bq})
+	if err != nil {
+		return nil, call, err
+	}
+	return resp.Rel, call, nil
+}
+
+// EvalLocal implements Site.
+func (c *Client) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
+	resp, call, err := c.roundTrip(ctx, &Request{Kind: KindLocal, Local: &req})
+	if err != nil {
+		return nil, call, err
+	}
+	return resp.Rel, call, nil
+}
+
+// DetailSchema implements Site.
+func (c *Client) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
+	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindSchema, Name: name})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Schema, nil
+}
+
+// Tables implements Site.
+func (c *Client) Tables(ctx context.Context) ([]engine.TableInfo, error) {
+	resp, _, err := c.roundTrip(ctx, &Request{Kind: KindTables})
+	if err != nil {
+		return nil, err
+	}
+	return resp.Tables, nil
+}
+
+// Load ships a relation partition to the site.
+func (c *Client) Load(ctx context.Context, name string, rel *relation.Relation) error {
+	_, _, err := c.roundTrip(ctx, &Request{Kind: KindLoad, Name: name, LoadRel: rel})
+	return err
+}
+
 // EvalOperatorStream implements Site. The connection stays consistent even
 // when sink fails: remaining blocks are drained to the operator reply. A
 // transport failure mid-stream, by contrast, leaves the stream position
@@ -466,7 +507,9 @@ func (c *Client) call(ctx context.Context, req *Request, recv func(*stats.Call) 
 func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	var sinkErr error
 	_, call, err := c.call(ctx, &Request{Kind: KindOperator, Operator: &req}, func(call *stats.Call) (*Response, error) {
-		call.RowsDown = baseRows(&req)
+		if req.Base != nil {
+			call.RowsDown = req.Base.Len()
+		}
 		c.dec.Reset()
 		for {
 			marker, err := c.br.ReadByte()

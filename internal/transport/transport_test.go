@@ -28,6 +28,13 @@ func testSite(t *testing.T, id int) *engine.Site {
 	return s
 }
 
+// localSite connects to b in process, closed when the test ends.
+func localSite(t testing.TB, b Backend) *Client {
+	l := NewLocalSite(b)
+	t.Cleanup(func() { l.Close() })
+	return l
+}
+
 func opRequest() engine.OperatorRequest {
 	base := relation.New(relation.MustSchema(relation.Column{Name: "g", Kind: relation.KindInt}))
 	for g := int64(0); g < 3; g++ {
@@ -127,7 +134,7 @@ func exerciseSite(t *testing.T, site Site, wantID int) {
 }
 
 func TestLocalSite(t *testing.T) {
-	exerciseSite(t, NewLocalSite(testSite(t, 4)), 4)
+	exerciseSite(t, localSite(t, testSite(t, 4)), 4)
 }
 
 func TestTCPSite(t *testing.T) {
@@ -173,7 +180,7 @@ func TestTCPLoad(t *testing.T) {
 }
 
 func TestLocalSiteLoad(t *testing.T) {
-	ls := NewLocalSite(engine.NewSite(0))
+	ls := localSite(t, engine.NewSite(0))
 	rel := relation.New(relation.MustSchema(relation.Column{Name: "x", Kind: relation.KindInt}))
 	if err := ls.Load(context.Background(), "T", rel); err != nil {
 		t.Fatal(err)
@@ -252,7 +259,7 @@ func TestServerCloseIdempotent(t *testing.T) {
 // Serialized sizes must grow with payload: a faithful byte accounting is what
 // the Fig. 2 bytes-transferred experiment measures.
 func TestLocalSiteByteAccountingScales(t *testing.T) {
-	ls := NewLocalSite(testSite(t, 0))
+	ls := localSite(t, testSite(t, 0))
 	small := opRequest()
 	big := opRequest()
 	for g := int64(3); g < 1000; g++ {

@@ -66,13 +66,13 @@ type Response struct {
 	Profile obs.SiteBreakdown
 }
 
-// Backend is what a transport endpoint serves: the evaluation surface of a
-// local warehouse. *engine.Site implements it directly; Serve and LocalSite
-// take any Backend, so a wrapper around a site (a tracer) is served exactly
-// like the site. Every evaluation method takes the serving context so
-// cancellation (a dropped coordinator connection, a per-attempt
-// fault-tolerance timeout) reaches the scan instead of stranding work at the
-// site.
+// Backend is what a site's connection loop (serveConn) serves: the
+// evaluation surface of a local warehouse. *engine.Site implements it
+// directly; Serve and NewLocalSite take any Backend, so a wrapper around a
+// site (a tracer) is served exactly like the site. Every evaluation method
+// takes the serving context so cancellation (a closing server, a dropped
+// coordinator connection, an in-process client that closes or poisons its
+// end) reaches the scan instead of stranding work at the site.
 type Backend interface {
 	ID() int
 	EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, error)
@@ -98,7 +98,6 @@ func measure(ctx context.Context, eval func(context.Context) error) (obs.SiteBre
 // dispatch executes a request against a backend, measuring compute time and
 // collecting the site-side breakdown into the response's Profile.
 func dispatch(ctx context.Context, site Backend, req *Request) *Response {
-	obs.ServerRequests.With(kindName(req.Kind)).Inc()
 	resp := &Response{}
 	profile, err := measure(ctx, func(ctx context.Context) (err error) {
 		switch req.Kind {
@@ -122,82 +121,6 @@ func dispatch(ctx context.Context, site Backend, req *Request) *Response {
 		resp.Err = err.Error()
 	}
 	return resp
-}
-
-// baseRows counts the base-structure rows an operator request ships to the
-// site; no other request ships any.
-func baseRows(req *engine.OperatorRequest) int {
-	if req.Base == nil {
-		return 0
-	}
-	return req.Base.Len()
-}
-
-// callFromSizes assembles a stats.Call for a request that is not an operator
-// from measured message sizes, carrying over the site-side breakdown from
-// the response.
-func callFromSizes(site int, resp *Response, down, up int) stats.Call {
-	call := stats.Call{Site: site, BytesDown: down, BytesUp: up, Compute: time.Duration(resp.Profile.EvalNS), Breakdown: &resp.Profile}
-	if resp.Rel != nil {
-		call.RowsUp = resp.Rel.Len()
-	}
-	return call
-}
-
-// exchange is a transport's one-request, one-reply call. Embedded in each
-// Site, it implements the calls that are exactly that.
-type exchange func(ctx context.Context, req *Request) (*Response, stats.Call, error)
-
-// EvalBase implements Site.
-func (x exchange) EvalBase(ctx context.Context, bq gmdj.BaseQuery) (*relation.Relation, stats.Call, error) {
-	resp, call, err := x(ctx, &Request{Kind: KindBase, Base: &bq})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
-}
-
-// EvalLocal implements Site.
-func (x exchange) EvalLocal(ctx context.Context, req engine.LocalRequest) (*relation.Relation, stats.Call, error) {
-	resp, call, err := x(ctx, &Request{Kind: KindLocal, Local: &req})
-	if err != nil {
-		return nil, call, err
-	}
-	return resp.Rel, call, nil
-}
-
-// DetailSchema implements Site.
-func (x exchange) DetailSchema(ctx context.Context, name string) (relation.Schema, error) {
-	resp, _, err := x(ctx, &Request{Kind: KindSchema, Name: name})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Schema, nil
-}
-
-// Tables implements Site.
-func (x exchange) Tables(ctx context.Context) ([]engine.TableInfo, error) {
-	resp, _, err := x(ctx, &Request{Kind: KindTables})
-	if err != nil {
-		return nil, err
-	}
-	return resp.Tables, nil
-}
-
-// Load implements Loader: it ships a relation partition to the site.
-func (x exchange) Load(ctx context.Context, name string, rel *relation.Relation) error {
-	_, _, err := x(ctx, &Request{Kind: KindLoad, Name: name, LoadRel: rel})
-	return err
-}
-
-// stampTraceContext copies the context's trace fields (query ID, round,
-// attempt) into the wire request, and returns the attempt for the client's
-// own call record.
-func stampTraceContext(ctx context.Context, req *Request) int {
-	req.QueryID = obs.QueryIDFrom(ctx)
-	req.Round = obs.RoundFrom(ctx)
-	req.Attempt = obs.AttemptFrom(ctx)
-	return req.Attempt
 }
 
 var kindNames = [...]string{KindHello: "hello", KindBase: "base", KindOperator: "operator",

@@ -253,10 +253,9 @@ func (b *QueryBuilder) MustBuild() Query {
 
 // Cluster is a Skalla deployment handle: the coordinator plus its sites.
 type Cluster struct {
-	coord   *core.Coordinator
-	sites   []transport.Site // each also a transport.Loader
-	closers []interface{ Close() error }
-	sel     plan.Selection
+	coord *core.Coordinator
+	sites []*transport.Client
+	sel   plan.Selection
 }
 
 // ClusterOption configures cluster construction.
@@ -413,27 +412,17 @@ func WithPlanMode(mode string) ClusterOption {
 }
 
 // NewLocalCluster creates an in-process cluster of n empty sites. Load data
-// with Load or LoadPartitions. Every call crosses the envelope a TCP site
-// reads and writes, so metrics count the real wire bytes and rows, and each
-// site serves one call at a time, as one TCP connection does.
+// with Load or LoadPartitions. Each site is served by the connection loop a
+// TCP site runs, over an in-process pipe (transport.NewLocalSite), so metrics
+// count the real wire bytes and rows, and each site serves one call at a
+// time, as one TCP connection does. Close the cluster to end its sites.
 func NewLocalCluster(n int, opts ...ClusterOption) (*Cluster, error) {
 	if n <= 0 {
 		return nil, fmt.Errorf("skalla: cluster size %d", n)
 	}
-	cfg := applyOptions(opts)
-	if cfg.selErr != nil {
-		return nil, cfg.selErr
-	}
-	sites := make([]transport.Site, n)
-	for i := range sites {
-		sites[i] = transport.NewLocalSite(engine.NewSite(i))
-	}
-	coord, err := core.New(sites, cfg.catalog, cfg.net)
-	if err != nil {
-		return nil, err
-	}
-	cfg.configure(coord)
-	return &Cluster{coord: coord, sites: sites, sel: cfg.sel}, nil
+	return newCluster(opts, n, func(i int) (*transport.Client, error) {
+		return transport.NewLocalSite(engine.NewSite(i)), nil
+	})
 }
 
 // Connect dials remote Skalla site servers (started with skalla-site or
@@ -442,21 +431,34 @@ func Connect(addrs []string, opts ...ClusterOption) (*Cluster, error) {
 	if len(addrs) == 0 {
 		return nil, errors.New("skalla: no site addresses")
 	}
+	return newCluster(opts, len(addrs), func(i int) (*transport.Client, error) {
+		c, err := transport.Dial(addrs[i])
+		if err != nil {
+			return nil, fmt.Errorf("skalla: connect %s: %w", addrs[i], err)
+		}
+		return c, nil
+	})
+}
+
+// newCluster connects sites 0..n-1 with connect and builds the coordinator
+// over them; on failure it closes the sites it connected.
+func newCluster(opts []ClusterOption, n int, connect func(int) (*transport.Client, error)) (*Cluster, error) {
 	cfg := applyOptions(opts)
 	if cfg.selErr != nil {
 		return nil, cfg.selErr
 	}
 	cl := &Cluster{sel: cfg.sel}
-	for _, a := range addrs {
-		c, err := transport.Dial(a)
+	sites := make([]transport.Site, n)
+	for i := range sites {
+		s, err := connect(i)
 		if err != nil {
 			cl.Close()
-			return nil, fmt.Errorf("skalla: connect %s: %w", a, err)
+			return nil, err
 		}
-		cl.sites = append(cl.sites, c)
-		cl.closers = append(cl.closers, c)
+		cl.sites = append(cl.sites, s)
+		sites[i] = s
 	}
-	coord, err := core.New(cl.sites, cfg.catalog, cfg.net)
+	coord, err := core.New(sites, cfg.catalog, cfg.net)
 	if err != nil {
 		cl.Close()
 		return nil, err
@@ -483,7 +485,7 @@ func (c *Cluster) Load(ctx context.Context, site int, name string, rel *Relation
 	if site < 0 || site >= len(c.sites) {
 		return fmt.Errorf("skalla: site %d of %d", site, len(c.sites))
 	}
-	return c.sites[site].(transport.Loader).Load(ctx, name, rel)
+	return c.sites[site].Load(ctx, name, rel)
 }
 
 // LoadPartitions installs parts[i] at site i; len(parts) must match the
@@ -549,14 +551,14 @@ func (c *Cluster) PlanWith(ctx context.Context, q Query, sel Selection) (*Plan, 
 	return c.coord.PlanWith(ctx, q, sel)
 }
 
-// Close releases any network connections held by the cluster.
+// Close releases the cluster's site connections, ending an in-process
+// cluster's sites. Closing a closed cluster does nothing.
 func (c *Cluster) Close() error {
 	var first error
-	for _, cl := range c.closers {
-		if err := cl.Close(); err != nil && first == nil {
+	for _, s := range c.sites {
+		if err := s.Close(); err != nil && first == nil {
 			first = err
 		}
 	}
-	c.closers = nil
 	return first
 }

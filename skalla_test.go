@@ -41,6 +41,7 @@ func loadedFlowCluster(t *testing.T, opts ...ClusterOption) (*Cluster, *flow.Dat
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { cl.Close() })
 	if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
 		t.Fatal(err)
 	}
@@ -327,8 +328,10 @@ func TestLocalClusterCountsTheWire(t *testing.T) {
 
 // TestLocalClusterCallsReachTransportMetrics: every site call of a
 // NewLocalCluster query reaches the transport families: one call and its rows
-// for each call the profile lists, bytes, and a compute time for every call,
-// the catalog's schema lookups too.
+// for each call the profile lists, its bytes down and up under the query's
+// label, and a compute time for every call, the catalog's schema lookups too.
+// The schema lookups are planning metadata, in no round of the profile, so
+// their bytes are not the query's.
 func TestLocalClusterCallsReachTransportMetrics(t *testing.T) {
 	d, err := flow.Generate(flow.Config{Rows: 300, Routers: 2, SourceAS: 10, DestAS: 5, Seed: 9})
 	if err != nil {
@@ -342,14 +345,18 @@ func TestLocalClusterCallsReachTransportMetrics(t *testing.T) {
 	if err := cl.LoadPartitions(context.Background(), "Flow", d.Parts); err != nil {
 		t.Fatal(err)
 	}
-	// The query runs under a fixed ID and every family is read as a delta:
-	// past a family's series cap, the ID's series is the shared overflow one.
+	// The query runs under a fixed ID and every family is read as a delta,
+	// which holds only below a family's series cap (maxSeriesPerFamily, 1 024
+	// label sets): past it, every new label set shares the one overflow
+	// series, which other tests' counts also reach. A test running many
+	// queries must reuse one query ID, as TestLocalClusterCountsTheWire does.
 	q := "local-cluster-calls"
-	type reading struct{ calls, schemaCalls, computes, rowsUp, bytesUp int64 }
+	type reading struct{ calls, schemaCalls, computes, rowsUp, bytesDown, bytesUp int64 }
 	read := func(site string) reading {
 		r := reading{schemaCalls: obs.TransportCalls.With(site, "schema").Value(),
-			computes: obs.SiteCompute.With(site).Count(),
-			rowsUp:   obs.TransportRows.With(site, "up", q).Value(), bytesUp: obs.TransportBytes.With(site, "up", q).Value()}
+			computes:  obs.SiteCompute.With(site).Count(),
+			rowsUp:    obs.TransportRows.With(site, "up", q).Value(),
+			bytesDown: obs.TransportBytes.With(site, "down", q).Value(), bytesUp: obs.TransportBytes.With(site, "up", q).Value()}
 		for _, kind := range []string{"base", "operator", "local"} {
 			r.calls += obs.TransportCalls.With(site, kind).Value()
 		}
@@ -364,16 +371,24 @@ func TestLocalClusterCallsReachTransportMetrics(t *testing.T) {
 	want := make([]reading, len(sites))
 	for _, round := range res.Profile.Rounds {
 		for _, call := range round.Calls {
-			want[call.Site].calls++
-			want[call.Site].rowsUp += int64(call.RowsUp)
+			w := &want[call.Site]
+			w.calls++
+			w.rowsUp += int64(call.RowsUp)
+			w.bytesDown += int64(call.BytesDown)
+			w.bytesUp += int64(call.BytesUp)
 		}
 	}
 	for i, site := range sites {
 		after := read(site)
-		calls, rowsUp, bytesUp := after.calls-before[i].calls, after.rowsUp-before[i].rowsUp, after.bytesUp-before[i].bytesUp
-		if calls != want[i].calls || rowsUp != want[i].rowsUp || calls == 0 || bytesUp == 0 {
-			t.Errorf("site %s: %d calls, %d rows and %d bytes up counted, the profile lists %d calls and %d rows",
-				site, calls, rowsUp, bytesUp, want[i].calls, want[i].rowsUp)
+		calls, rowsUp := after.calls-before[i].calls, after.rowsUp-before[i].rowsUp
+		if calls != want[i].calls || rowsUp != want[i].rowsUp || calls == 0 {
+			t.Errorf("site %s: %d calls and %d rows up counted, the profile lists %d calls and %d rows",
+				site, calls, rowsUp, want[i].calls, want[i].rowsUp)
+		}
+		down, up := after.bytesDown-before[i].bytesDown, after.bytesUp-before[i].bytesUp
+		if down != want[i].bytesDown || up != want[i].bytesUp || up == 0 {
+			t.Errorf("site %s: %d B down and %d B up counted, the profile's calls sum to %d and %d",
+				site, down, up, want[i].bytesDown, want[i].bytesUp)
 		}
 		all := calls + after.schemaCalls - before[i].schemaCalls
 		if n := after.computes - before[i].computes; n != all {
