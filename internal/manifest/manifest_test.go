@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"encoding/binary"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -163,45 +164,69 @@ func TestLegacyGobPartitionRejected(t *testing.T) {
 	}
 }
 
-// olderFrame is the frame an older build wrote for an INT column k holding
-// 1 to 16: a uniform column, one varint a value, which this codec packs and
-// so refuses uniform.
-func olderFrame() []byte {
-	body := relation.AppendSchema([]byte{0x01}, relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}))
-	body = append(binary.AppendUvarint(body, 16), 0, 0, 0) // rows, a bitmap with no NULL, uniform
-	for k := int64(1); k <= 16; k++ {
-		body = binary.AppendVarint(body, k)
+// olderFrames are frames older builds wrote, each with the rows they hold:
+// an INT column k holding 1 to 16 and a FLOAT column p holding 100 to 103.75
+// in steps of 0.25, both uniform, one varint or eight bytes a value. This
+// codec packs both, and so refuses them uniform.
+func olderFrames() map[string]struct {
+	frame []byte
+	rows  *relation.Relation
+} {
+	frames := map[string]struct {
+		frame []byte
+		rows  *relation.Relation
+	}{}
+	for _, kind := range []relation.Kind{relation.KindInt, relation.KindFloat} {
+		schema := relation.MustSchema(relation.Column{Name: "k", Kind: kind})
+		rows := relation.New(schema)
+		body := relation.AppendSchema([]byte{0x01}, schema)
+		body = append(binary.AppendUvarint(body, 16), 0, 0, 0) // rows, a bitmap with no NULL, uniform
+		for k := int64(1); k <= 16; k++ {
+			if kind == relation.KindInt {
+				body = binary.AppendVarint(body, k)
+				rows.MustAppend(relation.Tuple{relation.NewInt(k)})
+			} else {
+				p := 100 + float64(k-1)/4
+				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(p))
+				rows.MustAppend(relation.Tuple{relation.NewFloat(p)})
+			}
+		}
+		frames[kind.String()] = struct {
+			frame []byte
+			rows  *relation.Relation
+		}{append(binary.AppendUvarint(nil, uint64(len(body))), body...), rows}
 	}
-	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+	return frames
 }
 
 // TestOlderPartitionFileRejected: a partition file an older tpcgen wrote with
-// a column this codec packs fails with an error naming the file and saying
-// to rerun tpcgen, while the same rows as this build writes them read back.
+// a column this codec packs, INT or FLOAT, fails with an error naming the
+// file and saying to rerun tpcgen, while the same rows as this build writes
+// them read back.
 func TestOlderPartitionFileRejected(t *testing.T) {
-	path := SitePath(t.TempDir(), 0, "R")
-	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, olderFrame(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := ReadPartition(path)
-	if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "rerun tpcgen") {
-		t.Fatalf("ReadPartition of an older frame = %v, want an error naming %s and saying to rerun tpcgen", err, path)
-	}
-	rel := relation.New(relation.MustSchema(relation.Column{Name: "k", Kind: relation.KindInt}))
-	for k := int64(1); k <= 16; k++ {
-		rel.MustAppend(relation.Tuple{relation.NewInt(k)})
-	}
-	frame, err := relation.Marshal(rel)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(path, frame, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := ReadPartition(path); err != nil || !got.EqualMultiset(rel) {
-		t.Errorf("the regenerated partition: %v", err)
+	for name, older := range olderFrames() {
+		t.Run(name, func(t *testing.T) {
+			path := SitePath(t.TempDir(), 0, "R")
+			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, older.frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err := ReadPartition(path)
+			if err == nil || !strings.Contains(err.Error(), path) || !strings.Contains(err.Error(), "rerun tpcgen") {
+				t.Fatalf("ReadPartition of an older frame = %v, want an error naming %s and saying to rerun tpcgen", err, path)
+			}
+			frame, err := relation.Marshal(older.rows)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(path, frame, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if got, err := ReadPartition(path); err != nil || !got.EqualMultiset(older.rows) {
+				t.Errorf("the regenerated partition: %v", err)
+			}
+		})
 	}
 }

@@ -38,24 +38,32 @@ import (
 //	mixed    — each value tagged with its kind, preserving exact round-trips
 //	           for columns whose dynamic value kinds disagree with the
 //	           declared column kind
-//	packed   — INT: varint(min), one byte w = bits.Len64(max−min) computed in
-//	           uint64, then each value's x−min in w bits, least significant
-//	           bit first, the last byte's padding bits zero
+//	packed   — INT or FLOAT: varint(min), one byte w = bits.Len64(max−min)
+//	           computed in uint64, then each value's x−min in w bits, least
+//	           significant bit first, the last byte's padding bits zero; a
+//	           FLOAT is packed as the int64 of its IEEE 754 bits, so NaN
+//	           payloads, ±0, ±Inf and subnormals round-trip bit for bit
 //	prefix   — STRING: the values' longest common prefix, length-prefixed
 //	           and capped at maxPrefix bytes, then uvarint(width) and each
 //	           value's suffix: width bytes when every suffix has that width
 //	           (width > 0), else length-prefixed (width 0)
+//	digits   — STRING: a prefix column of at most maxDigitPrefix prefix
+//	           bytes whose suffixes are all width decimal digits, 1 ≤ width
+//	           ≤ maxDigits: the prefix and uvarint(width) as prefix writes
+//	           them, then the suffixes' values packed; a value decodes to
+//	           the prefix and its width zero-padded digits
 //
-// The encoder picks packed or prefix for a column only when it is strictly
-// smaller than uniform (colShape), and the decoder holds every INT and
-// STRING column to that choice: a min that no value attains, a w wider than
-// the values need, set padding bits, a prefix shorter than the common one
-// (and not at the cap), length prefixes over suffixes of one nonzero width, a
-// new encoding no smaller than uniform, and a uniform column a new encoding
-// would have beaten are all refused. So a frame that decodes re-encodes to
-// its own bytes. Both new encodings keep the per-column bitmap: it is what
-// bounds a frame's row count by its size (frameRows), and so what bounds the
-// decoder's allocation per byte read.
+// The encoder picks packed, prefix or digits for a column only when it is
+// strictly smaller than every form it would write otherwise (colShape), and
+// the decoder holds every INT, FLOAT and STRING column to that choice: a min
+// that no value attains, a w wider than the values need, set padding bits, a
+// prefix shorter than the common one (and not at the cap), length prefixes
+// over suffixes of one nonzero width, a digit value wider than its width, a
+// form no smaller than the one the values would otherwise get, and a uniform
+// or prefix column a smaller form would have beaten are all refused. So a
+// frame that decodes re-encodes to its own bytes. Every encoding keeps the
+// per-column bitmap: it is what bounds a frame's row count by its size
+// (frameRows), and so what bounds the decoder's allocation per byte read.
 
 const (
 	frameInline = 0x01
@@ -84,12 +92,24 @@ const (
 	encMixed   = 0x01
 	encPacked  = 0x02
 	encPrefix  = 0x03
+	encDigits  = 0x04
 )
 
 // maxPrefix caps a prefix column's shared prefix. Every value it prefixes
 // costs at least one byte of the frame, so the cap bounds how many bytes a
 // decode builds per byte it reads.
 const maxPrefix = 255
+
+// A digits column's suffixes are at most maxDigits decimal digits, whose
+// values fit an int64, and its prefix at most maxDigitPrefix bytes. A value
+// costs the frame as little as two bits, its bitmap bit and one packed bit,
+// so the prefix cap is what bounds the bytes a decode builds per byte read.
+// Below maxPrefix the prefix is the values' whole common one, so their
+// suffixes differ and are never packed in zero bits.
+const (
+	maxDigits      = 18
+	maxDigitPrefix = 32
+)
 
 // ByteScanner is the reader a Decoder consumes: bytes.Buffer, bytes.Reader
 // and bufio.Reader all satisfy it, which lets a Decoder share a buffered
@@ -195,11 +215,10 @@ func appendZeros(body []byte, n int) []byte {
 	return append(body, zeroBytes[:n]...)
 }
 
-// appendBoxed appends a mixed, BOOL, FLOAT or NULL-kind boxed column of
-// cells, declared kind, encoded enc: its NULL bitmap, then its values, mixed
-// each tagged with its kind, uniform BOOL as packed bits, uniform FLOAT as
-// raw bits. A uniform NULL-kind column has no values: a non-NULL value always
-// has a non-NULL kind.
+// appendBoxed appends a mixed, BOOL or NULL-kind boxed column of cells,
+// declared kind, encoded enc: its NULL bitmap, then its values, mixed each
+// tagged with its kind, uniform BOOL as packed bits. A uniform NULL-kind
+// column has no values: a non-NULL value always has a non-NULL kind.
 func appendBoxed(body []byte, vals []Value, kind Kind, enc byte) []byte {
 	bitmap := len(body)
 	body = appendZeros(body, (len(vals)+7)/8)
@@ -219,12 +238,6 @@ func appendBoxed(body []byte, vals []Value, kind Kind, enc byte) []byte {
 				body = AppendValue(body, v)
 			}
 		}
-	case kind == KindFloat:
-		for _, v := range vals {
-			if !v.IsNull() {
-				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(v.Float))
-			}
-		}
 	case kind == KindBool:
 		packed := len(body)
 		body = appendZeros(body, (nonNull+7)/8)
@@ -242,8 +255,8 @@ func appendBoxed(body []byte, vals []Value, kind Kind, enc byte) []byte {
 }
 
 // appendVectors appends a frame's rows, column-major, each column as its
-// shape says: a typed vector, or a boxed INT or STRING one whose cells are
-// all of its kind, is written from typed storage, and any other boxed one
+// shape says: a typed vector, or a boxed INT, FLOAT or STRING one whose cells
+// are all of its kind, is written from typed storage, and any other boxed one
 // cell by cell (appendBoxed).
 func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 	n := c.Rows
@@ -268,9 +281,12 @@ func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 		body = append(body, s.enc)
 		switch {
 		case s.enc == encPacked:
-			body = appendPacked(body, v, s.min, s.width)
+			body = appendPacked(body, v, s)
 		case s.enc == encPrefix:
 			body = appendPrefixed(body, v, s.prefix, s.width)
+		case s.enc == encDigits:
+			body = binary.AppendUvarint(AppendString(body, s.prefix), uint64(s.width))
+			body = appendPacked(body, v, s)
 		case v.Kind == KindInt:
 			for i, x := range v.Ints {
 				if !v.Null(i) {
@@ -294,26 +310,58 @@ func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 	return body
 }
 
-// appendPacked appends the non-NULL values of the INT vector v packed: lo,
-// w, then each value as x−lo in w bits, least significant bit first; the
-// last byte's padding bits are zero.
-func appendPacked(body []byte, v *Vector, lo int64, w int) []byte {
-	body = append(binary.AppendVarint(body, lo), byte(w))
+// appendPacked appends the non-NULL values of v packed as its shape s says:
+// s.min, s.bits, then each value's code x−min in s.bits bits, least
+// significant bit first; the last byte's padding bits are zero. The code of
+// an INT is the INT, of a FLOAT the int64 of its bits, and of a digits
+// column's STRING the decimal value of its suffix. Each kind has its own
+// loop, so the pending bits stay in registers.
+func appendPacked(body []byte, v *Vector, s *colShape) []byte {
+	body = append(binary.AppendVarint(body, s.min), byte(s.bits))
+	lo, w := uint64(s.min), s.bits
 	var acc uint64 // the bits not yet appended, k of them
 	k := 0
-	for i, x := range v.Ints {
-		if v.Null(i) {
-			continue
+	switch v.Kind {
+	case KindInt:
+		for i, x := range v.Ints {
+			if v.Null(i) {
+				continue
+			}
+			d := uint64(x) - lo
+			if acc |= d << k; k+w < 64 {
+				k += w
+				continue
+			}
+			body = binary.LittleEndian.AppendUint64(body, acc)
+			acc, k = d>>(64-k), k+w-64 // d>>64 is 0
 		}
-		d := uint64(x) - uint64(lo)
-		acc |= d << k
-		if k+w < 64 {
-			k += w
-			continue
+	case KindFloat:
+		for i, x := range v.Floats {
+			if v.Null(i) {
+				continue
+			}
+			d := math.Float64bits(x) - lo
+			if acc |= d << k; k+w < 64 {
+				k += w
+				continue
+			}
+			body = binary.LittleEndian.AppendUint64(body, acc)
+			acc, k = d>>(64-k), k+w-64
 		}
-		body = binary.LittleEndian.AppendUint64(body, acc)
-		acc = d >> (64 - k) // 0 when k is 0
-		k += w - 64
+	case KindString:
+		for i, code := range v.Codes {
+			if v.Null(i) {
+				continue
+			}
+			d, _ := suffixValue(v.Dict[code], s.width)
+			d -= lo
+			if acc |= d << k; k+w < 64 {
+				k += w
+				continue
+			}
+			body = binary.LittleEndian.AppendUint64(body, acc)
+			acc, k = d>>(64-k), k+w-64
+		}
 	}
 	for ; k > 0; k -= 8 {
 		body = append(body, byte(acc))
@@ -343,17 +391,19 @@ func appendPrefixed(body []byte, v *Vector, prefix string, width int) []byte {
 // colShape is how a frame writes one column: its encoding, what that
 // encoding needs, and the column's bytes past its NULL bitmap. shapesOf
 // chooses it from the column's values once per frame, and the frame's exact
-// size and its bytes both read it; a decoder recomputes it for an INT or
-// STRING column to check that the column is written as the encoder writes it.
+// size and its bytes both read it; a decoder recomputes it for an INT, FLOAT
+// or STRING column to check that the column is written as the encoder writes
+// it.
 type colShape struct {
 	enc    byte
 	size   int    // the bytes past the bitmap, the encoding byte included
-	min    int64  // packed: the frame of reference
-	width  int    // packed: the bits a value; prefix: the bytes a suffix, 0 when they vary
-	prefix string // prefix: the longest common prefix, capped at maxPrefix
-	// typed is a boxed INT or STRING vector's cells as a typed vector, when
-	// they are all NULL or of its kind: the encoding of those kinds depends on
-	// their values, so one writer serves both.
+	min    int64  // packed, digits: the least code, the frame of reference
+	bits   int    // packed, digits: the bits a code
+	width  int    // prefix, digits: the bytes a suffix, 0 when they vary
+	prefix string // prefix, digits: the longest common prefix, capped at maxPrefix
+	// typed is a boxed INT, FLOAT or STRING vector's cells as a typed
+	// vector, when they are all NULL or of its kind: the encoding of those
+	// kinds depends on their values, so one writer serves both.
 	typed *Vector
 }
 
@@ -392,8 +442,8 @@ func shapeOf(v *Vector) colShape {
 		return colShape{enc: encMixed, size: 1 + nonNull + payload} // a kind byte a value
 	case v.Kind == KindBool:
 		return colShape{enc: encUniform, size: 1 + (nonNull+7)/8}
-	case v.Kind == KindNull, v.Kind == KindFloat:
-		return colShape{enc: encUniform, size: 1 + payload}
+	case v.Kind == KindNull:
+		return colShape{enc: encUniform, size: 1}
 	}
 	t := NewVector(v.Kind, len(v.Vals))
 	for i, c := range v.Vals {
@@ -402,6 +452,8 @@ func shapeOf(v *Vector) colShape {
 			t.SetNull(i, len(v.Vals))
 		case c.Kind == KindString:
 			t.Set(i, len(v.Vals), NewString(c.Str))
+		case c.Kind == KindFloat:
+			t.Floats[i] = c.Float
 		default:
 			t.Ints[i] = c.Int
 		}
@@ -416,16 +468,10 @@ func typedShape(v *Vector) colShape {
 	switch v.Kind {
 	case KindInt:
 		return intShape(v)
+	case KindFloat:
+		return floatShape(v)
 	case KindString:
 		return stringShape(v)
-	case KindFloat:
-		nonNull := 0
-		for i := range v.Floats {
-			if !v.Null(i) {
-				nonNull++
-			}
-		}
-		return colShape{enc: encUniform, size: 1 + 8*nonNull}
 	}
 	return colShape{enc: encUniform, size: 1} // NULL-kind: no values
 }
@@ -442,20 +488,57 @@ func intShape(v *Vector) colShape {
 		n++
 		uniform += varintLen(x)
 	}
-	s := colShape{enc: encUniform, size: 1 + uniform}
+	return packIfSmaller(colShape{enc: encUniform, size: 1 + uniform}, lo, hi, n)
+}
+
+// floatShape writes the FLOAT vector v packed, as the int64s of its values'
+// bits, when that is smaller than uniform. A negative value's code is its
+// magnitude's bits minus 2^63, so a column of both signs spans at least 2^63
+// codes, w = 64, and stays uniform, unless every positive value is smaller
+// in magnitude than every negative one.
+func floatShape(v *Vector) colShape {
+	lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+	n := 0
+	for i, x := range v.Floats {
+		if v.Null(i) {
+			continue
+		}
+		code := int64(math.Float64bits(x))
+		lo, hi = min(lo, code), max(hi, code)
+		n++
+	}
+	return floatCodesShape(lo, hi, n)
+}
+
+// floatCodesShape is how a frame writes n FLOATs whose codes run from lo to
+// hi.
+func floatCodesShape(lo, hi int64, n int) colShape {
+	return packIfSmaller(colShape{enc: encUniform, size: 1 + 8*n}, lo, hi, n)
+}
+
+// packIfSmaller is the packed shape of n > 0 codes from lo to hi when it is
+// smaller than s, else s.
+func packIfSmaller(s colShape, lo, hi int64, n int) colShape {
 	w := bits.Len64(uint64(hi) - uint64(lo))
-	if packed := 1 + varintLen(lo) + 1 + (n*w+7)/8; n > 0 && packed < s.size {
-		s = colShape{enc: encPacked, size: packed, min: lo, width: w}
+	if packed := 1 + packedSize(lo, w, n); n > 0 && packed < s.size {
+		return colShape{enc: encPacked, size: packed, min: lo, bits: w}
 	}
 	return s
 }
 
-// stringShape writes the STRING vector v as a prefix column when that is
-// smaller than uniform.
+// packedSize is the bytes of n codes packed above lo in w bits each.
+func packedSize(lo int64, w, n int) int { return varintLen(lo) + 1 + (n*w+7)/8 }
+
+// stringShape writes the STRING vector v as a prefix or digits column when
+// that is smaller than uniform. One pass finds the values' longest common
+// prefix and, while their suffixes past it are decimal digits of one width,
+// the least and greatest suffix value: when the prefix shortens, every
+// earlier suffix gains the same leading digits, so both move by one amount.
 func stringShape(v *Vector) colShape {
 	var prefix string
 	n, total, uniform := 0, 0, 0
 	length := -1 // every value's length, -1 once two differ
+	digits, lo, hi := true, uint64(math.MaxUint64), uint64(0)
 	for i, code := range v.Codes {
 		if v.Null(i) {
 			continue
@@ -465,11 +548,21 @@ func stringShape(v *Vector) colShape {
 			prefix, length = s[:min(len(s), maxPrefix)], len(s)
 		} else {
 			if !strings.HasPrefix(s, prefix) {
-				prefix = prefix[:commonPrefix(prefix, s)]
+				cut := commonPrefix(prefix, s)
+				if digits {
+					lead, ok := suffixValue(prefix[cut:], len(prefix)-cut)
+					shift := lead * pow10[length-len(prefix)]
+					lo, hi, digits = lo+shift, hi+shift, ok && length-cut <= maxDigits
+				}
+				prefix = prefix[:cut]
 			}
 			if len(s) != length {
-				length = -1
+				length, digits = -1, false
 			}
+		}
+		if digits = digits && length-len(prefix) <= maxDigits; digits {
+			x, ok := suffixValue(s, length-len(prefix))
+			lo, hi, digits = min(lo, x), max(hi, x), ok
 		}
 		n++
 		total += len(s)
@@ -496,6 +589,33 @@ func stringShape(v *Vector) colShape {
 	}
 	if size < s.size {
 		s = colShape{enc: encPrefix, size: size, width: width, prefix: prefix}
+	}
+	if digits && width > 0 && p <= maxDigitPrefix {
+		s = digitsIfSmaller(s, prefix, width, n, lo, hi)
+	}
+	return s
+}
+
+// suffixValue is the decimal value of the last width bytes of s, and false
+// when one of them is not an ASCII digit.
+func suffixValue(s string, width int) (uint64, bool) {
+	var x uint64
+	for _, c := range []byte(s[len(s)-width:]) {
+		if c-'0' > 9 {
+			return 0, false
+		}
+		x = 10*x + uint64(c-'0')
+	}
+	return x, true
+}
+
+// digitsIfSmaller is the digits shape of n values that share prefix and
+// whose suffixes, width decimal digits each, have values from lo to hi, when
+// it is smaller than s, else s.
+func digitsIfSmaller(s colShape, prefix string, width, n int, lo, hi uint64) colShape {
+	p, w := len(prefix), bits.Len64(hi-lo)
+	if size := 1 + uvarintLen(uint64(p)) + p + uvarintLen(uint64(width)) + packedSize(int64(lo), w, n); size < s.size {
+		return colShape{enc: encDigits, size: size, min: int64(lo), bits: w, width: width, prefix: prefix}
 	}
 	return s
 }
@@ -840,8 +960,8 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 }
 
 // readVectors decodes a frame's rows into vectors, reading every value in
-// place from the frame: a uniform or packed INT, uniform FLOAT, uniform or
-// prefix STRING, or NULL column into a typed vector, whose STRING bytes
+// place from the frame: a uniform or packed INT or FLOAT, uniform, prefix or
+// digits STRING, or NULL column into a typed vector, whose STRING bytes
 // become one string its values are substrings of, and a BOOL or mixed column
 // into a boxed one.
 func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
@@ -862,7 +982,8 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 		}
 		switch {
 		case enc == encUniform, enc == encMixed:
-		case enc == encPacked && col.Kind == KindInt, enc == encPrefix && col.Kind == KindString:
+		case enc == encPacked && (col.Kind == KindInt || col.Kind == KindFloat),
+			(enc == encPrefix || enc == encDigits) && col.Kind == KindString:
 		default:
 			return nil, fmt.Errorf("relation: codec column encoding 0x%02x is not one for %s", enc, col.Kind)
 		}
@@ -876,8 +997,8 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 }
 
 // readVector decodes one column of n rows, encoded enc, into v, whose Kind
-// is set. An INT or STRING column is refused unless enc and its parameters
-// are the shape the encoder gives the values decoded (checkShape).
+// is set. An INT, FLOAT or STRING column is refused unless enc and its
+// parameters are the shape the encoder gives the values decoded (checkShape).
 func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 	nonNull := n
 	for k, b := range bitmap {
@@ -894,16 +1015,60 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 		return readBoxed(cur, v, n, nonNull, enc == encMixed)
 	}
 	got := colShape{enc: enc}
+	// want is the encoder's shape for the values, when the decode measured
+	// what it needs; else it is recomputed from them.
+	var want colShape
+	measured := false
 	var err error
 	switch {
 	case v.Kind == KindNull:
 		if nonNull != 0 {
 			return errNullColumnValue
 		}
+	case v.Kind == KindFloat:
+		// A uniform FLOAT column is its codes packed above 0 in 64 bits.
+		codes := packedCodes{w: 64, mask: math.MaxUint64}
+		if enc == encPacked {
+			codes, err = readPacked(cur, nonNull)
+			got.min, got.bits = int64(codes.lo), codes.w
+		} else {
+			codes.raw, err = cur.Bytes(8 * nonNull)
+		}
+		if err != nil {
+			return err
+		}
+		v.Floats = make([]float64, n)
+		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
+		off := 0
+		for i := range v.Floats {
+			if !v.Null(i) {
+				x := codes.lo + bitsAt(codes.raw, off)&codes.mask
+				off += codes.w
+				v.Floats[i] = math.Float64frombits(x)
+				lo, hi = min(lo, int64(x)), max(hi, int64(x))
+			}
+		}
+		want, measured = floatCodesShape(lo, hi, nonNull), true
 	case enc == encPacked:
-		got.min, got.width, err = readPacked(cur, v, n, nonNull)
-	case enc == encPrefix:
-		got.prefix, got.width, err = readPrefixed(cur, v, n, nonNull)
+		var codes packedCodes
+		if codes, err = readPacked(cur, nonNull); err != nil {
+			return err
+		}
+		got.min, got.bits = int64(codes.lo), codes.w
+		v.Ints = make([]int64, n)
+		off := 0
+		for i := range v.Ints {
+			if !v.Null(i) {
+				v.Ints[i] = int64(codes.lo + bitsAt(codes.raw, off)&codes.mask)
+				off += codes.w
+			}
+		}
+	case enc == encPrefix, enc == encDigits:
+		var lo, hi uint64
+		if got, lo, hi, err = readPrefixed(cur, v, n, nonNull, enc); err == nil && enc == encDigits {
+			want, err = digitsShape(got, nonNull, lo, hi)
+			measured = true
+		}
 	case v.Kind == KindInt:
 		v.Ints = make([]int64, n)
 		for i := range v.Ints {
@@ -912,18 +1077,6 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 			}
 			if v.Ints[i], err = cur.Varint(); err != nil {
 				return err
-			}
-		}
-	case v.Kind == KindFloat:
-		raw, err := cur.Bytes(8 * nonNull)
-		if err != nil {
-			return err
-		}
-		v.Floats = make([]float64, n)
-		for i := range v.Floats {
-			if !v.Null(i) {
-				v.Floats[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw))
-				raw = raw[8:]
 			}
 		}
 	case v.Kind == KindString:
@@ -941,26 +1094,48 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 			}
 		}
 	}
-	if err != nil || v.Kind != KindInt && v.Kind != KindString {
+	if err != nil || v.Kind == KindNull {
 		return err
 	}
-	return checkShape(v, got)
+	if !measured {
+		want = typedShape(v)
+	}
+	return checkShape(v.Kind, got, want)
 }
 
-// checkShape refuses the decoded INT or STRING vector v unless got — its
-// encoding, a packed column's min and width, a prefix column's prefix and
-// suffix width — is the shape the encoder gives its values.
-func checkShape(v *Vector, got colShape) error {
-	want := typedShape(v)
+// digitsShape is stringShape for the n values decoded from the digits column
+// got: each is got's prefix and a value from lo to hi in got's width of
+// zero-padded digits. Such values are ordered as their numbers are, so their
+// longest common prefix is got's and what lo and hi share, and every size
+// follows from n and the widths: the shape needs no value read again. Values
+// whose common prefix is longer than got's, all of them when lo and hi share
+// a first digit, are refused.
+func digitsShape(got colShape, n int, lo, hi uint64) (colShape, error) {
+	p, width := len(got.prefix), got.width
+	if n == 0 || lo/pow10[width-1] == hi/pow10[width-1] {
+		return colShape{}, fmt.Errorf("relation: codec digits column's %d-byte prefix is not its values' longest common one", p)
+	}
+	s := colShape{enc: encUniform, size: 1 + n*(uvarintLen(uint64(p+width))+p+width)}
+	if size := 1 + uvarintLen(uint64(p)) + p + uvarintLen(uint64(width)) + n*width; size < s.size {
+		s = colShape{enc: encPrefix, size: size, width: width, prefix: got.prefix}
+	}
+	return digitsIfSmaller(s, got.prefix, width, n, lo, hi), nil
+}
+
+// checkShape refuses a decoded INT, FLOAT or STRING column of kind unless
+// got — its encoding, a packed or digits column's min and width in bits, a
+// prefix or digits column's prefix and suffix width — is want, the shape the
+// encoder gives its values.
+func checkShape(kind Kind, got, want colShape) error {
 	switch {
-	case got.enc == encUniform && want.enc != encUniform:
-		return fmt.Errorf("relation: codec uniform %s column that encoding 0x%02x writes smaller", v.Kind, want.enc)
+	case got.enc != want.enc && want.enc != encUniform:
+		return fmt.Errorf("relation: codec %s column encoded 0x%02x that encoding 0x%02x writes smaller", kind, got.enc, want.enc)
 	case got.enc != want.enc:
 		return fmt.Errorf("relation: codec column encoding 0x%02x that is not smaller than uniform", got.enc)
 	case got.min != want.min:
 		return fmt.Errorf("relation: codec packed column's minimum %d is not attained", got.min)
-	case got.enc == encPacked && got.width != want.width:
-		return fmt.Errorf("relation: codec packed column is %d bits wide, its values need %d", got.width, want.width)
+	case got.bits != want.bits:
+		return fmt.Errorf("relation: codec packed column is %d bits wide, its values need %d", got.bits, want.bits)
 	case got.prefix != want.prefix:
 		return fmt.Errorf("relation: codec prefix column's %d-byte prefix is not its values' longest common one", len(got.prefix))
 	case got.width != want.width:
@@ -969,93 +1144,118 @@ func checkShape(v *Vector, got colShape) error {
 	return nil
 }
 
-// readPacked decodes the nonNull values of a packed INT column of n rows
-// into v and returns its min and width. A width above 64 and set padding
-// bits are refused here, the rest of its shape by checkShape.
-func readPacked(cur *Cursor, v *Vector, n, nonNull int) (lo int64, w int, err error) {
-	if lo, err = cur.Varint(); err != nil {
-		return 0, 0, err
+// packedCodes is a packed payload: code k is lo plus the w bits of raw at
+// bit k·w, masked by mask.
+type packedCodes struct {
+	lo   uint64
+	w    int
+	mask uint64
+	raw  []byte
+}
+
+// readPacked reads the payload of nonNull codes packed as appendPacked packs
+// them. A width above 64 and set padding bits are refused here, the rest of
+// its shape by checkShape.
+func readPacked(cur *Cursor, nonNull int) (packedCodes, error) {
+	lo, err := cur.Varint()
+	if err != nil {
+		return packedCodes{}, err
 	}
 	wb, err := cur.Byte()
 	if err != nil {
-		return 0, 0, err
+		return packedCodes{}, err
 	}
-	if w = int(wb); w > 64 {
-		return 0, 0, fmt.Errorf("relation: codec packed column is %d bits wide", w)
+	w := int(wb)
+	if w > 64 {
+		return packedCodes{}, fmt.Errorf("relation: codec packed column is %d bits wide", w)
 	}
 	nbits := nonNull * w
 	raw, err := cur.Bytes((nbits + 7) / 8)
 	if err != nil {
-		return 0, 0, err
+		return packedCodes{}, err
 	}
 	if nbits%8 != 0 && raw[len(raw)-1]>>(nbits%8) != 0 {
-		return 0, 0, errPaddingBits
+		return packedCodes{}, errPaddingBits
 	}
-	v.Ints = make([]int64, n)
-	mask, off := uint64(1)<<w-1, 0 // 1<<64 is 0: all 64 bits
-	for i := range v.Ints {
-		switch {
-		case v.Null(i):
-		case w == 0:
-			v.Ints[i] = lo
-		default:
-			v.Ints[i] = int64(uint64(lo) + bitsAt(raw, off, w)&mask)
-			off += w
-		}
-	}
-	return lo, w, nil
+	return packedCodes{lo: uint64(lo), w: w, mask: uint64(1)<<w - 1, raw: raw}, nil // 1<<64 is 0: all 64 bits
 }
 
-// bitsAt returns at least the w ≤ 64 bits of b starting at bit off, least
-// significant first, in its low bits; bits above them are garbage.
-func bitsAt(b []byte, off, w int) uint64 {
+// bitsAt returns the 64 bits of b starting at bit off, least significant
+// first, those past the end of b zero.
+func bitsAt(b []byte, off int) uint64 {
 	i, s := off>>3, off&7
-	var x uint64
-	if i+8 <= len(b) {
-		x = binary.LittleEndian.Uint64(b[i:])
-	} else {
-		var tail [8]byte
-		copy(tail[:], b[i:])
-		x = binary.LittleEndian.Uint64(tail[:])
+	if i+9 > len(b) {
+		return bitsNearEnd(b, i, s)
 	}
-	x >>= s
-	if s+w > 64 {
-		x |= uint64(b[i+8]) << (64 - s)
-	}
-	return x
+	return binary.LittleEndian.Uint64(b[i:])>>s | uint64(b[i+8])<<(64-s) // 0 when s is 0
 }
 
-// readPrefixed decodes the nonNull values of a prefix STRING column of n
-// rows into v and returns its prefix and suffix width, which checkShape holds
-// to the values' shape. The prefix and then each value are built into one
-// string, which the prefix and the values are substrings of.
-func readPrefixed(cur *Cursor, v *Vector, n, nonNull int) (prefix string, width int, err error) {
-	p, err := cur.Count(maxPrefix, "prefix length")
+// bitsNearEnd is bitsAt for the last 9 bytes of b: bit s of byte i on.
+func bitsNearEnd(b []byte, i, s int) uint64 {
+	var tail [9]byte
+	copy(tail[:], b[i:])
+	return binary.LittleEndian.Uint64(tail[:])>>s | uint64(tail[8])<<(64-s)
+}
+
+// readPrefixed decodes the nonNull values of a prefix or digits STRING
+// column of n rows, encoded enc, into v and returns its shape, which
+// checkShape holds to the values' shape, and a digits column's least and
+// greatest suffix value. The prefix and then each value are built into one
+// string, which the prefix and the values are substrings of. A digits column
+// whose width or prefix is out of range or whose codes are all equal is
+// refused before its values are built, one holding a value wider than its
+// width as it is built.
+func readPrefixed(cur *Cursor, v *Vector, n, nonNull int, enc byte) (got colShape, lo, hi uint64, err error) {
+	limit := maxPrefix
+	if enc == encDigits {
+		limit = maxDigitPrefix
+	}
+	p, err := cur.Count(limit, "prefix length")
 	if err != nil {
-		return "", 0, err
+		return colShape{}, 0, 0, err
 	}
 	head, err := cur.Bytes(p)
 	if err != nil {
-		return "", 0, err
+		return colShape{}, 0, 0, err
 	}
-	if width, err = cur.Count(cur.Len(), "suffix width"); err != nil {
-		return "", 0, err
+	limit = cur.Len()
+	if enc == encDigits {
+		limit = maxDigits
 	}
+	width, err := cur.Count(limit, "suffix width")
+	if err != nil {
+		return colShape{}, 0, 0, err
+	}
+	got = colShape{enc: enc, width: width}
+	lo = math.MaxUint64
+	var codes packedCodes
 	start, size := cur.pos, 0
-	if width > 0 {
+	switch {
+	case enc == encDigits:
+		if width == 0 {
+			return colShape{}, 0, 0, fmt.Errorf("relation: codec digits column of width 0")
+		}
+		if codes, err = readPacked(cur, nonNull); err != nil {
+			return colShape{}, 0, 0, err
+		}
+		if codes.w == 0 {
+			return colShape{}, 0, 0, fmt.Errorf("relation: codec digits column of equal values")
+		}
+		got.min, got.bits, size = int64(codes.lo), codes.w, nonNull*width
+	case width > 0:
 		if nonNull > cur.Len()/width {
-			return "", 0, errShortFrame
+			return colShape{}, 0, 0, errShortFrame
 		}
 		size = nonNull * width
 		cur.pos += size
-	} else {
+	default:
 		for k := 0; k < nonNull; k++ {
 			ln, err := cur.Count(cur.Len(), "suffix length")
 			if err != nil {
-				return "", 0, err
+				return colShape{}, 0, 0, err
 			}
 			if _, err := cur.Bytes(ln); err != nil {
-				return "", 0, err
+				return colShape{}, 0, 0, err
 			}
 			size += ln
 		}
@@ -1064,15 +1264,31 @@ func readPrefixed(cur *Cursor, v *Vector, n, nonNull int) (prefix string, width 
 	var b strings.Builder
 	b.Grow(p + nonNull*p + size)
 	b.Write(head)
+	// A digits value is built in value, the prefix copied in once.
+	var value [maxDigitPrefix + maxDigits]byte
+	copy(value[:], head)
 	for k, rest := 0, raw; k < nonNull; k++ {
-		ln := width
-		if width == 0 {
+		switch {
+		case enc == encDigits:
+			x := codes.lo + bitsAt(codes.raw, k*codes.w)&codes.mask
+			if x >= pow10[width] {
+				return colShape{}, 0, 0, fmt.Errorf("relation: codec digits column has a value wider than %d digits", width)
+			}
+			lo, hi = min(lo, x), max(hi, x)
+			for i := p + width - 1; i >= p; i-- {
+				value[i], x = byte('0'+x%10), x/10
+			}
+			b.Write(value[:p+width])
+		case width > 0:
+			b.Write(head)
+			b.Write(rest[:width])
+			rest = rest[width:]
+		default:
 			u, w := binary.Uvarint(rest)
-			ln, rest = int(u), rest[w:]
+			b.Write(head)
+			b.Write(rest[w : w+int(u)])
+			rest = rest[w+int(u):]
 		}
-		b.Write(head)
-		b.Write(rest[:ln])
-		rest = rest[ln:]
 	}
 	col, off := b.String(), p
 	v.Dict = make([]string, nonNull)
@@ -1091,8 +1307,18 @@ func readPrefixed(cur *Cursor, v *Vector, n, nonNull int) (prefix string, width 
 		off += ln
 		k++
 	}
-	return col[:p], width, nil
+	got.prefix = col[:p]
+	return got, lo, hi, nil
 }
+
+// pow10[w] is 10^w, for w up to maxDigits.
+var pow10 = func() (t [maxDigits + 1]uint64) {
+	t[0] = 1
+	for i := 1; i < len(t); i++ {
+		t[i] = 10 * t[i-1]
+	}
+	return t
+}()
 
 // readBoxed decodes the nonNull values of a packed BOOL or a mixed column
 // into v's cells. Marshal writes a column mixed only when it holds a value of

@@ -666,10 +666,12 @@ func rowDecode(data []byte) (Schema, []Tuple, error) {
 			err = readUniformRows(cur, rows, j, col.Kind, bitmap)
 		case enc == encMixed:
 			err = readMixedRows(cur, rows, j, col.Kind, bitmap)
-		case enc == encPacked && col.Kind == KindInt:
-			err = readPackedRows(cur, rows, j, bitmap)
+		case enc == encPacked && (col.Kind == KindInt || col.Kind == KindFloat):
+			err = readPackedRows(cur, rows, j, col.Kind, bitmap)
 		case enc == encPrefix && col.Kind == KindString:
 			err = readPrefixRows(cur, rows, j, bitmap)
+		case enc == encDigits && col.Kind == KindString:
+			err = readDigitsRows(cur, rows, j, bitmap)
 		default:
 			err = fmt.Errorf("unknown column encoding 0x%02x", enc)
 		}
@@ -686,8 +688,8 @@ func rowDecode(data []byte) (Schema, []Tuple, error) {
 func isNullAt(bitmap []byte, i int) bool { return bitmap[i/8]&(1<<(i%8)) != 0 }
 
 // readUniformRows reads column j of rows, written uniform of kind, which
-// Marshal does for an INT or STRING column only when neither packing nor a
-// prefix writes it smaller.
+// Marshal does for an INT, FLOAT or STRING column only when neither packing,
+// a prefix nor digits write it smaller.
 func readUniformRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
 	start := cur.Len()
 	if err := readUniformCells(cur, rows, j, kind, bitmap); err != nil {
@@ -695,10 +697,10 @@ func readUniformRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte)
 	}
 	size := start - cur.Len()
 	switch {
-	case kind == KindInt && refPackedSize(rows, j) < size:
-		return fmt.Errorf("uniform INT column %d that packing writes smaller", j)
-	case kind == KindString && refPrefixSize(rows, j) < size:
-		return fmt.Errorf("uniform STRING column %d that a prefix writes smaller", j)
+	case (kind == KindInt || kind == KindFloat) && refPackedSize(rows, j) < size:
+		return fmt.Errorf("uniform %s column %d that packing writes smaller", kind, j)
+	case kind == KindString && min(refPrefixSize(rows, j), refDigitsSize(rows, j)) < size:
+		return fmt.Errorf("uniform STRING column %d that a prefix or digits write smaller", j)
 	}
 	return nil
 }

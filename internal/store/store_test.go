@@ -6,6 +6,7 @@ import (
 	"encoding/gob"
 	"encoding/json"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -233,38 +234,66 @@ func TestGobSegmentRejected(t *testing.T) {
 }
 
 // TestOlderSegmentRejected: a segment an older build wrote with a column this
-// codec packs fails the scan with an error naming the segment file and the
-// table directory to delete, and nothing from it is cached.
+// codec packs, INT or FLOAT, fails the scan with an error naming the segment
+// file and the table directory to delete, and nothing from it is cached.
 func TestOlderSegmentRejected(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "T.store")
-	if _, err := CreateFrom(dir, "T", rowsRel(8, "v"), 8); err != nil {
-		t.Fatal(err)
-	}
-	// The older build wrote k as one varint a value and v as length-prefixed
-	// strings, uniform: k is a column this codec packs.
-	body := relation.AppendSchema([]byte{0x01}, storeSchema())
-	body = append(binary.AppendUvarint(body, 8), 0, 0) // rows; k: no NULL, uniform
-	for k := int64(0); k < 8; k++ {
-		body = binary.AppendVarint(body, k)
-	}
-	body = append(body, 0, 0) // v: no NULL, uniform
+	prices := relation.New(relation.MustSchema(relation.Column{Name: "p", Kind: relation.KindFloat}))
 	for k := 0; k < 8; k++ {
-		body = relation.AppendString(body, "v")
+		prices.MustAppend(relation.Tuple{relation.NewFloat(100 + float64(k)/4)})
 	}
-	segment := filepath.Join(dir, "seg00000.seg")
-	if err := os.WriteFile(segment, append(binary.AppendUvarint(nil, uint64(len(body))), body...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tbl, err := Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = materialize(tbl)
-	if err == nil || !strings.Contains(err.Error(), segment) || !strings.Contains(err.Error(), "delete "+dir) {
-		t.Fatalf("scan over an older segment: err = %v, want an error naming %s and saying to delete %s", err, segment, dir)
-	}
-	if n := len(tbl.cache.data); n != 0 {
-		t.Errorf("failed segment left %d cache entries", n)
+	for _, tc := range []struct {
+		name string
+		rows *relation.Relation
+		// older is the segment's body as the older build wrote it: every
+		// column uniform, one varint, eight bytes or a length-prefixed string
+		// a value.
+		older func() []byte
+	}{
+		{"INT", rowsRel(8, "v"), func() []byte {
+			// k is a column this codec packs.
+			body := relation.AppendSchema([]byte{0x01}, storeSchema())
+			body = append(binary.AppendUvarint(body, 8), 0, 0) // rows; k: no NULL, uniform
+			for k := int64(0); k < 8; k++ {
+				body = binary.AppendVarint(body, k)
+			}
+			body = append(body, 0, 0) // v: no NULL, uniform
+			for k := 0; k < 8; k++ {
+				body = relation.AppendString(body, "v")
+			}
+			return body
+		}},
+		{"FLOAT", prices, func() []byte {
+			// p, 100 to 101.75 in steps of 0.25, is a column this codec packs.
+			body := relation.AppendSchema([]byte{0x01}, prices.Schema)
+			body = append(binary.AppendUvarint(body, 8), 0, 0) // rows; p: no NULL, uniform
+			for k := 0; k < 8; k++ {
+				body = binary.LittleEndian.AppendUint64(body, math.Float64bits(100+float64(k)/4))
+			}
+			return body
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := filepath.Join(t.TempDir(), "T.store")
+			if _, err := CreateFrom(dir, "T", tc.rows, 8); err != nil {
+				t.Fatal(err)
+			}
+			body := tc.older()
+			segment := filepath.Join(dir, "seg00000.seg")
+			if err := os.WriteFile(segment, append(binary.AppendUvarint(nil, uint64(len(body))), body...), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tbl, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, err = materialize(tbl)
+			if err == nil || !strings.Contains(err.Error(), segment) || !strings.Contains(err.Error(), "delete "+dir) {
+				t.Fatalf("scan over an older segment: err = %v, want an error naming %s and saying to delete %s", err, segment, dir)
+			}
+			if n := len(tbl.cache.data); n != 0 {
+				t.Errorf("failed segment left %d cache entries", n)
+			}
+		})
 	}
 }
 

@@ -59,8 +59,10 @@ import (
 // no version. Version 3 added the local request's witness byte and cut its
 // operators to the prefix it evaluates. Version 4 added the operator
 // request's derive. Version 5 added the codec's packed INT and prefix STRING
-// column encodings, which a version 4 peer cannot read.
-const ProtocolVersion = 5
+// column encodings, which a version 4 peer cannot read. Version 6 packs FLOAT
+// columns and writes fixed-width digit suffixes as packed integers, and
+// refuses the uniform columns a version 5 peer writes for them.
+const ProtocolVersion = 6
 
 // ErrProtocol marks a message that does not decode, or a peer that speaks
 // another protocol version.

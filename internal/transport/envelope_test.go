@@ -67,8 +67,9 @@ func (m goldenMessage) decode(data []byte) (goldenMessage, []byte, error) {
 }
 
 // goldenMessages covers every request and reply kind, every expression node,
-// every literal kind, a relation of every column kind, and a reply whose
-// columns are packed INT and prefix STRING.
+// every literal kind, a relation of every column kind, a reply whose columns
+// are packed INT and digits STRING, and one whose columns are digits STRING
+// and packed FLOAT.
 func goldenMessages() []goldenMessage {
 	rel := relation.New(relation.MustSchema(
 		relation.Column{Name: "k", Kind: relation.KindInt},
@@ -88,6 +89,13 @@ func goldenMessages() []goldenMessage {
 			clerk = relation.Null
 		}
 		packed.MustAppend(relation.Tuple{clerk, relation.NewInt(cnt)})
+	}
+	priced := relation.New(relation.MustSchema(
+		relation.Column{Name: "Clerk", Kind: relation.KindString},
+		relation.Column{Name: "avgp", Kind: relation.KindFloat},
+	))
+	for i, avgp := range []float64{1021.5, 1024.25, 1019.75, 1022, 1023.125, 1020.5, 1024, 1021.25} {
+		priced.MustAppend(relation.Tuple{relation.NewString(fmt.Sprintf("Clerk#%09d", 4711+37*i)), relation.NewFloat(avgp)})
 	}
 	base := gmdj.BaseQuery{
 		Detail:       "TPCR",
@@ -126,6 +134,7 @@ func goldenMessages() []goldenMessage {
 		{name: "operator-error-reply", kind: KindOperator, resp: &Response{Err: "engine: boom", Profile: profile}},
 		{name: "local-reply", kind: KindLocal, resp: &Response{Rel: rel}},
 		{name: "local-reply-packed", kind: KindLocal, resp: &Response{Rel: packed}},
+		{name: "local-reply-floats", kind: KindLocal, resp: &Response{Rel: priced}},
 		{name: "schema-reply", kind: KindSchema, resp: &Response{Schema: rel.Schema}},
 		{name: "load-reply", kind: KindLoad, resp: &Response{}},
 		{name: "tables-reply", kind: KindTables, resp: &Response{Tables: []engine.TableInfo{{Name: "Flow", Rows: 20000, Columns: 9}, {Name: "TPCR", Rows: 0, Columns: 12}}}},

@@ -2,9 +2,13 @@ package transport
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"errors"
+	"log/slog"
 	"net"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -308,4 +312,128 @@ func TestReconnectHonoursCancel(t *testing.T) {
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Errorf("a cancelled redial returned after %v", elapsed)
 	}
+}
+
+// TestServeConnLogsHangupAtDebug: a call the coordinator cancels ends its
+// connection while the site still works on it, so the reply cannot be
+// written; the site logs that at DEBUG as a hang-up, not at WARN, in process
+// and over TCP. A hello of another protocol version still logs at WARN.
+func TestServeConnLogsHangupAtDebug(t *testing.T) {
+	for _, network := range []string{"pipe", "tcp"} {
+		t.Run(network+"/cancelled call", func(t *testing.T) {
+			site := hangingSite{Site: testSite(t, 2), started: make(chan struct{}, 1), release: make(chan struct{}), seen: make(chan error, 1)}
+			defer close(site.release)
+			logs, cli, shutdown := serveLogged(t, network, site)
+			ctx, cancel := context.WithCancel(context.Background())
+			done := make(chan error, 1)
+			go func() {
+				_, _, err := cli.EvalLocal(ctx, engine.LocalRequest{Query: gmdj.Query{Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}}})
+				done <- err
+			}()
+			<-site.started
+			cancel()
+			if err := <-done; !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled call: err = %v, want context.Canceled", err)
+			}
+			// Over TCP the site shuts down as Server.Close does; in process the
+			// client's end closing has already ended the serving context.
+			shutdown()
+			if strings.Contains(logs.String(), "level=WARN") || !strings.Contains(logs.String(), "peer hung up") {
+				t.Errorf("site log after a cancelled call:\n%s\nwant a DEBUG hang-up and no WARN record", logs)
+			}
+		})
+		t.Run(network+"/version mismatch", func(t *testing.T) {
+			logs, cli, shutdown := serveLogged(t, network, testSite(t, 2))
+			conn, err := cli.dial(context.Background())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var out msgBuf
+			bw := bufio.NewWriter(conn)
+			if err := out.writeRequest(bw, &Request{Kind: KindHello, Version: ProtocolVersion + 1}); err != nil || bw.Flush() != nil {
+				t.Fatalf("hello: %v", err)
+			}
+			if resp, err := readReply(relation.NewFrameReader(bufio.NewReader(conn)), KindHello); err != nil || resp.Version != ProtocolVersion {
+				t.Fatalf("hello reply %+v, %v", resp, err)
+			}
+			conn.Close()
+			shutdown()
+			if !strings.Contains(logs.String(), "level=WARN") {
+				t.Errorf("site log after a hello of version %d:\n%s\nwant a WARN record", ProtocolVersion+1, logs)
+			}
+		})
+	}
+}
+
+// serveLogged serves site on network ("pipe" or "tcp") through serveConn
+// with a logger writing into the returned buffer, and returns a client of it
+// and a shutdown that closes the site's connections, cancels their serving
+// context and waits for every serveConn to return, after which the buffer
+// may be read.
+func serveLogged(t *testing.T, network string, site Backend) (*bytes.Buffer, *Client, func()) {
+	t.Helper()
+	var logs bytes.Buffer
+	log := slog.New(slog.NewTextHandler(&logs, &slog.HandlerOptions{Level: slog.LevelDebug}))
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	var mu sync.Mutex
+	var conns []net.Conn
+	serve := func(conn net.Conn) {
+		mu.Lock()
+		conns = append(conns, conn)
+		mu.Unlock()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer conn.Close()
+			serveConn(ctx, site, conn, log)
+		}()
+	}
+	var dial func(context.Context) (net.Conn, error)
+	var ln net.Listener
+	if network == "pipe" {
+		dial = func(context.Context) (net.Conn, error) {
+			near, far := net.Pipe()
+			serve(far)
+			return near, nil
+		}
+	} else {
+		var err error
+		if ln, err = net.Listen("tcp", "127.0.0.1:0"); err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				conn, err := ln.Accept()
+				if err != nil {
+					return
+				}
+				serve(conn)
+			}
+		}()
+		dial = func(ctx context.Context) (net.Conn, error) {
+			return new(net.Dialer).DialContext(ctx, "tcp", ln.Addr().String())
+		}
+	}
+	cli := &Client{addr: network, dial: dial}
+	var once sync.Once
+	shutdown := func() {
+		once.Do(func() {
+			cli.Close()
+			if ln != nil {
+				ln.Close()
+			}
+			mu.Lock()
+			for _, c := range conns {
+				c.Close()
+			}
+			mu.Unlock()
+			cancel()
+			wg.Wait()
+		})
+	}
+	t.Cleanup(shutdown)
+	return &logs, cli, shutdown
 }

@@ -7,10 +7,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"strconv"
 	"sync"
+	"syscall"
 	"time"
 
 	"skalla/internal/engine"
@@ -181,11 +183,28 @@ func serveConn(ctx context.Context, site Backend, rawConn net.Conn, log *slog.Lo
 		}
 		bytesDown.Add(conn.read - r0)
 		bytesUp.Add(conn.written - w0)
-		if err != nil {
+		switch {
+		case err == nil:
+			continue
+		case hungUp(ctx, err):
+			log.Debug("peer hung up", "kind", kindName(req.Kind), "query", req.QueryID, "err", err)
+		default:
 			log.Warn("request failed", "kind", kindName(req.Kind), "query", req.QueryID, "err", err)
-			return
 		}
+		return
 	}
+}
+
+// hungUp reports whether a request's reply failed because the peer closed
+// or reset the connection or the serving context ended, as it does for every
+// call a coordinator cancels: nothing is wrong with the site. A protocol
+// mismatch is never a hang-up.
+func hungUp(ctx context.Context, err error) bool {
+	if errors.Is(err, ErrProtocol) {
+		return false
+	}
+	return ctx.Err() != nil || errors.Is(err, net.ErrClosed) || errors.Is(err, io.ErrClosedPipe) ||
+		errors.Is(err, syscall.EPIPE) || errors.Is(err, syscall.ECONNRESET)
 }
 
 // serve answers one request on w: a reply, laid out in out, or for an
