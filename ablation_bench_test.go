@@ -355,10 +355,11 @@ func BenchmarkDiskVsMemoryScan(b *testing.B) {
 // BenchmarkOperatorRound measures one whole statement of the served
 // group_heavy workload — Example 1 over the unaligned Clerk, at that
 // workload's instance sizes — through a coordinator and four TCP sites on
-// loopback under the server's default rule selection: a base round and two
-// operator rounds in which X goes down to every site and H_i comes back. What
-// an operator round ships and allocates is what this benchmark is made of;
-// wire-B/op is the statement's bytes in both directions, exact.
+// loopback under the server's default rule selection: a witnessed base+MD1
+// local round, whose replies build X, then the MD2 operator round, in which
+// X goes down to every site and H_2 comes back. What those two rounds ship
+// and allocate is what this benchmark is made of; wire-B/op is the
+// statement's bytes in both directions, exact.
 func BenchmarkOperatorRound(b *testing.B) {
 	cfg := tpc.DefaultConfig()
 	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 16_000, 16_000, 8000, 1

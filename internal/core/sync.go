@@ -217,9 +217,11 @@ func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int)
 // fragment then row order, and with named set returns, per fragment, the X
 // row each of its rows names. Keys are hashed and compared on the fragments'
 // vectors (keyHashes, sameKey), and the kept rows are gathered column by
-// column straight into X's vectors. X's bytes are charged before any of it
-// is allocated; a charge over budget leaves X uninstalled.
-func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int32, error) {
+// column straight into X's vectors. Under a witness (the fragments' last
+// column; named must be set) a key whose counts sum to 0 is dropped before
+// anything is gathered, its rows naming X row -1. X's bytes are charged
+// before any of it is allocated; a charge over budget leaves X uninstalled.
+func (m *merger) installKeys(cols []*relation.Columns, named, witness bool) ([][]int32, error) {
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment, and at most as
 	// many as all of them.
@@ -257,6 +259,27 @@ func (m *merger) installKeys(cols []*relation.Columns, named bool) ([][]int32, e
 				at[p][i] = int32(row)
 			}
 		}
+	}
+	if witness {
+		sum := make([]int64, len(kept))
+		for p, c := range cols {
+			for i, w := range c.Vecs[len(c.Vecs)-1].Ints {
+				sum[at[p][i]] += w
+			}
+		}
+		n := 0
+		for key, w := range sum { // sum becomes key → X row, -1 for a dropped one
+			if sum[key] = -1; w > 0 {
+				kept[n], sum[key] = kept[key], int64(n)
+				n++
+			}
+		}
+		for _, rows := range at {
+			for i, key := range rows {
+				rows[i] = int32(sum[key])
+			}
+		}
+		kept = kept[:n]
 	}
 
 	// A column boxes when Set would box it: it is a BOOL, or a kept cell is
@@ -687,10 +710,10 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) er
 // its operators' columns start at their identities (Extend), and every
 // reply's physical columns fold in, site by site: the O(|H|) merge of
 // Theorem 1, addressed by key. Under a witness
-// each site's counts are summed per group into a side slab, never into X,
-// and the groups whose total is 0 are dropped in one gather: no detail row of
-// theirs passes the base filter at any site, so they are not in the
-// base-values relation. A group can count 0 at one site and more at another;
+// each site's counts are summed per key into a side slab, never into X, and
+// the keys whose total is 0 are dropped before X is built (installKeys): no
+// detail row of theirs passes the base filter at any site, so they are not in
+// the base-values relation. A group can count 0 at one site and more at another;
 // only the sum decides. When a later round's observed reduction reads them,
 // the X row of each reply row is kept, in reply order, as the site's observed
 // list. Last, the derived columns are recomputed.
@@ -707,7 +730,7 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			return fmt.Errorf("%w: a witness count that is not an INT", ErrMalformedH)
 		}
 	}
-	at, err := m.installKeys(cols, upTo > 0)
+	at, err := m.installKeys(cols, upTo > 0 || witness, witness)
 	if err != nil {
 		return err
 	}
@@ -731,11 +754,6 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			}
 		}
 	}
-	if witness {
-		if err := m.dropUnwitnessed(cols, at); err != nil {
-			return err
-		}
-	}
 	if m.observed[upTo] != nil {
 		for _, rows := range at {
 			if err := m.budget.charge(4 * int64(len(rows))); err != nil {
@@ -745,48 +763,6 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 		m.observed[upTo] = at
 	}
 	m.RecomputeDerived(0, upTo)
-	return nil
-}
-
-// dropUnwitnessed sums the replies' trailing witness counts per X row and
-// drops, in one gather, the rows whose total is 0, rewriting at to the
-// compacted rows (-1 for a dropped one).
-func (m *merger) dropUnwitnessed(cols []*relation.Columns, at [][]int32) error {
-	n := m.x.Len()
-	if err := m.budget.charge(8 * int64(n)); err != nil {
-		return err
-	}
-	defer m.budget.release(8 * int64(n))
-	sum := make([]int64, n)
-	for p, c := range cols {
-		for i, w := range c.Vecs[len(c.Vecs)-1].Ints {
-			sum[at[p][i]] += w
-		}
-	}
-	kept := make([]int32, 0, n)
-	for i, w := range sum {
-		if w > 0 {
-			kept = append(kept, int32(i))
-		}
-	}
-	if len(kept) == n {
-		return nil
-	}
-	rename := sum // old X row → compacted row, -1 for a dropped one
-	for i := range rename {
-		rename[i] = -1
-	}
-	for to, from := range kept {
-		rename[from] = int64(to)
-	}
-	for _, rows := range at {
-		for i, r := range rows {
-			rows[i] = int32(rename[r])
-		}
-	}
-	before := m.x.MemBytes()
-	m.x = relation.FromColumns(m.x.Schema, m.x.Columns().Select(kept, nil))
-	m.budget.release(before - m.x.MemBytes())
 	return nil
 }
 

@@ -1,8 +1,12 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"reflect"
+	"strings"
 	"testing"
 
 	"skalla/internal/agg"
@@ -215,5 +219,137 @@ func TestClerkTemplateRunsTwoRounds(t *testing.T) {
 	}
 	if !res.Rel.EqualMultisetApprox(want, 1e-9) {
 		t.Error("result differs from EvalCentral")
+	}
+}
+
+// TestWitnessMergeBuildsXOnce: a witnessed MergeLocal drops the groups whose
+// counts sum to 0 before it builds X, and builds the X a merge that installs
+// every reply key and then gathers the kept rows builds: the same rows in the
+// same order, the same cells, the same observed lists (-1 for a reply row of
+// a dropped group). X is charged once, for the rows it keeps: a budget of
+// exactly the final X's bytes and the observed lists' is enough, and one byte
+// less is not.
+func TestWitnessMergeBuildsXOnce(t *testing.T) {
+	q := observedQuery("h") // σ: R.v >= 5
+	src := gmdj.Schemas{"T": tSchema}
+	xs, err := gmdj.XSchemas(q, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs, err := buildSegments(q, src, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name string
+		rows []placed // {site, g, h, v}
+	}{
+		{"groups that count 0 at every site", []placed{
+			{0, 0, 1, 1}, {1, 0, 1, 2}, {2, 0, 1, 3}, {0, 0, 2, 9}, {1, 0, 3, 1}, {2, 0, 3, 7}, {2, 0, 4, 4}, {0, 0, -1, 2},
+		}},
+		{"groups that count 0 at all but one site", []placed{
+			{0, 0, 5, 1}, {1, 0, 5, 2}, {2, 0, 5, 8}, {0, 0, 6, 6}, {1, 0, 6, 1}, {2, 0, 6, 0}, {1, 0, 7, 4}, {0, 0, -1, 1}, {2, 0, -1, 5},
+		}},
+		{"nothing dropped", []placed{
+			{0, 0, 1, 5}, {1, 0, 1, 6}, {2, 0, 2, 7}, {1, 0, 3, 9}, {0, 0, -1, 9},
+		}},
+		{"everything dropped", []placed{
+			{0, 0, 1, 1}, {1, 0, 2, 2}, {2, 0, 3, 3}, {2, 0, 1, 4},
+		}},
+	}
+	ctx := context.Background()
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			var replies, plain []*relation.Relation
+			for i, part := range placeOn(c.rows, 3) {
+				es := engine.NewSite(i)
+				if err := es.Load(ctx, "T", part); err != nil {
+					t.Fatal(err)
+				}
+				r, err := es.EvalLocal(ctx, engine.LocalRequest{Query: q, UpTo: 1, Witness: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				r = decoded(t, r)
+				replies = append(replies, r)
+				// The same reply less its witness column.
+				rc := r.Columns()
+				plain = append(plain, relation.FromColumns(r.Schema[:len(r.Schema)-1],
+					&relation.Columns{Rows: rc.Rows, Vecs: rc.Vecs[:len(rc.Vecs)-1]}))
+			}
+			merge := func(budget *memBudget, witness bool, parts []*relation.Relation) (*merger, error) {
+				m := mustMerger(t, q.Keys(), xs, segs, budget)
+				m.observed[1] = make([][]int32, len(parts))
+				return m, m.MergeLocal(q.Ops[:1], witness, parts)
+			}
+
+			// The reference: every key installed and merged, then the
+			// groups with a positive total gathered.
+			all, err := merge(nil, false, plain)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := make([]int64, all.X().Len())
+			for p, r := range replies {
+				for i, w := range r.Columns().Vecs[len(r.Schema)-1].Ints {
+					sum[all.observed[1][p][i]] += w
+				}
+			}
+			kept := []int32{} // not nil, which Select reads as every row
+			rename := make([]int32, len(sum))
+			for i, w := range sum {
+				rename[i] = -1
+				if w > 0 {
+					rename[i] = int32(len(kept))
+					kept = append(kept, int32(i))
+				}
+			}
+			wantX := relation.FromColumns(all.X().Schema, all.X().Columns().Select(kept, nil))
+			wantObserved := make([][]int32, len(replies))
+			for p, rows := range all.observed[1] {
+				for _, r := range rows {
+					wantObserved[p] = append(wantObserved[p], rename[r])
+				}
+			}
+			switch dropped := len(sum) - len(kept); {
+			case c.name == "nothing dropped" && dropped != 0,
+				c.name == "everything dropped" && len(kept) != 0,
+				strings.HasPrefix(c.name, "groups") && (dropped == 0 || len(kept) == 0):
+				t.Fatalf("the placement keeps %d of %d groups", len(kept), len(sum))
+			}
+
+			m, err := merge(nil, true, replies)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := m.X().Format(-1), wantX.Format(-1); got != want {
+				t.Errorf("X:\n%s\nwant, installed whole and then gathered:\n%s", got, want)
+			}
+			got, err := relation.Marshal(m.X())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want, err := relation.Marshal(wantX); err != nil || !bytes.Equal(got, want) {
+				t.Errorf("X encodes to other bytes than the reference (%v)", err)
+			}
+			if !reflect.DeepEqual(m.observed[1], wantObserved) {
+				t.Errorf("observed %v, want %v", m.observed[1], wantObserved)
+			}
+
+			held := m.X().MemBytes()
+			for _, rows := range m.observed[1] {
+				held += 4 * int64(len(rows))
+			}
+			exact := newMemBudget(held)
+			if _, err := merge(exact, true, replies); err != nil {
+				t.Fatalf("under a budget of X's and the observed lists' %d bytes: %v", held, err)
+			}
+			if used := exact.used.Load(); used != held {
+				t.Errorf("charged %d bytes, X and the observed lists hold %d", used, held)
+			}
+			if _, err := merge(newMemBudget(held-1), true, replies); !errors.Is(err, ErrQueryMemBudget) {
+				t.Errorf("one byte under X's bytes = %v, want ErrQueryMemBudget", err)
+			}
+		})
 	}
 }

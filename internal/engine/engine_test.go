@@ -273,7 +273,10 @@ func TestOperatorMatchesDefinition1(t *testing.T) {
 // vectors gathered from its slabs, the scalar path's (under an OR residual the
 // kernel compiler refuses, admitting every row) as vectors set from its
 // partials, and both encode to the same frames, block for block — whether X
-// was built through Append or decoded, guarded or not.
+// was built through Append or decoded, guarded or not. A local reply takes
+// the kernel's slabs as its vectors instead: they hold what gathering every
+// row from them holds, a SUM, MIN or MAX cell no detail row reached NULL,
+// and encode to the scalar path's reply.
 func TestHBlocksGatheredFromSlabs(t *testing.T) {
 	s := siteWithFlows(t, [3]int64{1, 1, 5}, [3]int64{1, 2, 7}, [3]int64{2, 1, 11}, [3]int64{4, 1, 2}, [3]int64{4, 3, 6})
 	frame, err := relation.Marshal(baseFragment(1, 2, 3, 4, 5))
@@ -310,5 +313,64 @@ func TestHBlocksGatheredFromSlabs(t *testing.T) {
 				}
 			}
 		}
+	}
+
+	ctx := context.Background()
+	aggs := []agg.Spec{{Func: agg.Count, As: "c"}, {Func: agg.Sum, Arg: "NB", As: "s"},
+		{Func: agg.Min, Arg: "NB", As: "lo"}, {Func: agg.Max, Arg: "NB", As: "hi"}, {Func: agg.Avg, Arg: "NB", As: "a"}}
+	query := func(cond string) gmdj.Query {
+		return gmdj.Query{Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SAS"}},
+			Ops: []gmdj.Operator{{Detail: "Flow", Vars: []gmdj.GroupVar{{Aggs: aggs, Cond: expr.MustParse(cond)}}}}}
+	}
+	encode := func(schema relation.Schema, rows int, vecs []relation.Vector) []byte {
+		f, err := relation.Marshal(relation.FromColumns(schema, &relation.Columns{Rows: rows, Vecs: vecs}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return f
+	}
+	var replies [2]*relation.Relation
+	for i, cond := range []string{"B.SAS = R.SAS && R.NB >= 8", "B.SAS = R.SAS && R.NB >= 8 && (R.NB >= 0 || R.NB < 0)"} {
+		if replies[i], err = s.EvalLocal(ctx, LocalRequest{Query: query(cond), UpTo: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	kernel, scalar := replies[0], replies[1]
+	if !bytes.Equal(encode(kernel.Schema, kernel.Len(), kernel.Columns().Vecs), encode(scalar.Schema, scalar.Len(), scalar.Columns().Vecs)) {
+		t.Errorf("kernel and scalar local replies differ:\n%s\nvs\n%s", kernel, scalar)
+	}
+	q := query("B.SAS = R.SAS && R.NB >= 8")
+	x, err := gmdj.EvalPrefixX(ctx, q, s.snapshot(), 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	detail, err := s.snapshot().DetailSource("Flow")
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc, err := gmdj.AccumulateOperator(ctx, x, q.Ops[0], detail, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	all := make([]int32, x.Len())
+	for i := range all {
+		all[i] = int32(i)
+	}
+	phys := kernel.Schema[len(x.Schema):]
+	handed := kernel.Columns().Vecs[len(x.Schema):]
+	if gathered := acc.AppendPhysVectors(nil, all); !bytes.Equal(encode(phys, x.Len(), handed), encode(phys, x.Len(), gathered)) {
+		t.Errorf("the local reply's vectors are not the slabs' gathered cells:\n%s", kernel)
+	}
+	nulls := 0
+	for _, col := range []string{"s", "lo", "hi"} {
+		v := &kernel.Columns().Vecs[kernel.Schema.MustIndex(col)]
+		for i := 0; i < kernel.Len(); i++ {
+			if v.Null(i) {
+				nulls++
+			}
+		}
+	}
+	if nulls == 0 {
+		t.Errorf("no SUM, MIN or MAX cell of the local reply is NULL; the case checks nothing:\n%s", kernel)
 	}
 }

@@ -196,11 +196,8 @@ func EvalLocalReply(ctx context.Context, q Query, src DataSource, upTo int, useH
 		if ext, err = acc.ExtendedSchema(x.Schema); err != nil {
 			return nil, err
 		}
-		all := make([]int32, x.Len())
-		for i := range all {
-			all[i] = int32(i)
-		}
-		have, vecs = append(slices.Clip(have), phys...), acc.AppendPhysVectors(slices.Clip(vecs), all)
+		// Nothing reads acc again: its slabs become the reply's vectors.
+		have, vecs = append(slices.Clip(have), phys...), acc.AppendPhysVectors(slices.Clip(vecs), nil)
 	}
 	schema := LocalReplySchema(ext, q.Ops[:upTo], witness)
 	out := &relation.Columns{Rows: x.Len(), Vecs: make([]relation.Vector, len(schema))}
@@ -562,7 +559,9 @@ func AccumulateOperator(ctx context.Context, x *relation.Relation, op Operator, 
 	reason := reasonShape
 	var acc *OperatorAccum
 	if useHash {
-		acc, reason, err = runOperatorKernel(ctx, x, states, cs)
+		sc := scratchPool.Get().(*scratch)
+		acc, reason, err = runOperatorKernel(ctx, x, states, cs, sc)
+		scratchPool.Put(sc)
 	}
 	if err == nil && acc == nil {
 		acc, err = accumulateScalar(ctx, x, states, detail, useHash)
@@ -791,7 +790,9 @@ func (a *OperatorAccum) ExtendedSchema(base relation.Schema) (relation.Schema, e
 
 // AppendPhysVectors appends to dst the physical aggregate cells of the base
 // rows listed, variable by variable in layout order, one vector per column:
-// the H_i payload.
+// the H_i payload. Rows nil lists every base row and hands a compiled
+// kernel's slabs over as the vectors (physSlab.gather), so it is for an
+// accumulator read this once.
 func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) []relation.Vector {
 	for vi := range a.Layouts {
 		dst = a.appendVarPhys(dst, vi, rows)
@@ -800,10 +801,14 @@ func (a *OperatorAccum) AppendPhysVectors(dst []relation.Vector, rows []int32) [
 }
 
 // AppendExtendedVectors appends to dst the aggregate cells ApplyOperator
-// adds to X for the base rows listed, in ExtendedSchema order: per variable,
+// adds to X for the base rows listed (every one, handed over, when rows is
+// nil, as AppendPhysVectors does), in ExtendedSchema order: per variable,
 // its physical vectors, then its derived ones, computed row by row.
 func (a *OperatorAccum) AppendExtendedVectors(dst []relation.Vector, rows []int32) []relation.Vector {
 	n := len(rows)
+	if rows == nil {
+		n = len(a.Touched)
+	}
 	var phys, der relation.Tuple
 	for vi, l := range a.Layouts {
 		start := len(dst)
@@ -826,17 +831,26 @@ func (a *OperatorAccum) AppendExtendedVectors(dst []relation.Vector, rows []int3
 }
 
 // appendVarPhys appends variable vi's physical vectors for the base rows
-// listed: gathered from a compiled kernel's slabs, or set from the scalar
-// paths' partials, boxed where a cell needs it.
+// listed, every one when rows is nil: gathered from — or, for every row,
+// taken as — a compiled kernel's slabs, or set from the scalar paths'
+// partials, boxed where a cell needs it.
 func (a *OperatorAccum) appendVarPhys(dst []relation.Vector, vi int, rows []int32) []relation.Vector {
+	n := len(rows)
+	if rows == nil {
+		n = len(a.Touched)
+	}
 	for p, pc := range a.Layouts[vi].Phys {
 		if a.slabs != nil {
 			dst = append(dst, a.slabs[vi][p].gather(rows))
 			continue
 		}
-		v := relation.NewVector(pc.Kind, len(rows))
-		for k, i := range rows {
-			v.Set(k, len(rows), a.accs[vi][i][p])
+		v := relation.NewVector(pc.Kind, n)
+		for k := 0; k < n; k++ {
+			i := k
+			if rows != nil {
+				i = int(rows[k])
+			}
+			v.Set(k, n, a.accs[vi][i][p])
 		}
 		dst = append(dst, v)
 	}
@@ -869,10 +883,6 @@ func ApplyOperator(ctx context.Context, x *relation.Relation, op Operator, detai
 	if err != nil {
 		return nil, err
 	}
-	all := make([]int32, x.Len())
-	for i := range all {
-		all[i] = int32(i)
-	}
-	vecs := acc.AppendExtendedVectors(slices.Clone(x.Columns().Vecs), all)
+	vecs := acc.AppendExtendedVectors(slices.Clone(x.Columns().Vecs), nil)
 	return relation.FromColumns(outSchema, &relation.Columns{Rows: x.Len(), Vecs: vecs}), nil
 }

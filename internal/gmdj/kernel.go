@@ -92,6 +92,11 @@ type scratch struct {
 	// one's X ids and code map, reused by the next image and evaluation.
 	xids, byCode [][]uint32
 	links        int
+	// Its link patterns likewise, each one's only or starts and grouped rows;
+	// and what building one takes: its X rows, their groups, a cursor.
+	pstarts, prows [][]int32
+	patterns       int
+	xrows, next    []int32
 
 	// The base dedup's: its dense tables, the projection each offered row
 	// has, the cells of the projections a block offers, the positions of the
@@ -125,28 +130,21 @@ func (sc *scratch) stageIDs(n int) [][]uint32 {
 func (sc *scratch) linkBufs(nx, codes int) (xids, byCode []uint32) {
 	i := sc.links
 	sc.links++
-	if len(sc.xids) <= i {
-		sc.xids, sc.byCode = append(sc.xids, nil), append(sc.byCode, nil)
-	}
-	xids = grow(&sc.xids[i], nx)
+	xids = slot(&sc.xids, i, nx)
 	if codes > 0 {
-		byCode = grow(&sc.byCode[i], codes)
+		byCode = slot(&sc.byCode, i, codes)
 		clear(byCode)
 	}
 	return xids, byCode
 }
 
-// table returns the t-th dense table, n zeroed entries long.
-func (sc *scratch) table(t, n int) []uint32 {
-	for len(sc.tables) <= t {
-		sc.tables = append(sc.tables, nil)
+// slot returns the i-th of bufs, n long, adding buffers and reallocating
+// one as needed; it holds what its last user left.
+func slot[T any](bufs *[][]T, i, n int) []T {
+	for len(*bufs) <= i {
+		*bufs = append(*bufs, nil)
 	}
-	if cap(sc.tables[t]) < n {
-		sc.tables[t] = make([]uint32, n)
-	}
-	tbl := sc.tables[t][:n]
-	clear(tbl)
-	return tbl
+	return grow(&(*bufs)[i], n)
 }
 
 // denseLimit bounds the entries of a table indexed by value instead of hashed,
@@ -629,17 +627,31 @@ func (s *physSlab) value(bi int) relation.Value {
 }
 
 // gather images the cells of the base rows listed as a vector: ints or
-// floats as the slab holds them, and the rows never seen as its NULLs.
+// floats as the slab holds them, and the rows never seen as its NULLs. With
+// rows nil it images every base row, and the vector takes the slab's ints or
+// floats as they are: a slab nothing folds into again is handed over, not
+// copied.
 func (s *physSlab) gather(rows []int32) relation.Vector {
+	v := relation.Vector{Kind: relation.KindInt, Ints: s.ints}
+	if s.ints == nil {
+		v = relation.Vector{Kind: relation.KindFloat, Floats: s.floats}
+	}
+	if rows == nil {
+		for bi, seen := range s.seen {
+			if !seen {
+				v.SetNull(bi, len(s.seen))
+			}
+		}
+		return v
+	}
 	n := len(rows)
-	var v relation.Vector
 	if s.ints != nil {
-		v.Kind, v.Ints = relation.KindInt, make([]int64, n)
+		v.Ints = make([]int64, n)
 		for i, bi := range rows {
 			v.Ints[i] = s.ints[bi]
 		}
 	} else {
-		v.Kind, v.Floats = relation.KindFloat, make([]float64, n)
+		v.Floats = make([]float64, n)
 		for i, bi := range rows {
 			v.Floats[i] = s.floats[bi]
 		}
@@ -742,7 +754,7 @@ type varKernel struct {
 // one image, or returns the reason the operator stays on the scalar path.
 // states carry the layouts and the bound conditions.
 func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns, sc *scratch) ([]*varKernel, string) {
-	sc.links = 0 // the previous image's link stages are done
+	sc.links, sc.patterns = 0, 0 // the previous image's link stages and patterns are done
 	vars := make([]*varKernel, len(states))
 	for vi, st := range states {
 		vk, reason := compileVar(x, st, cols, sc)
@@ -798,7 +810,7 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns, sc *
 		return nil, reasonShape
 	}
 
-	vk.patterns = linkPatterns(vk.stages, x.Len())
+	vk.patterns = linkPatterns(vk.stages, x.Len(), sc)
 	return vk, reasonOK
 }
 
@@ -849,13 +861,14 @@ func (t *pairTable) fold(g, ids []uint32) {
 // exist — leaving out the rows that can match nothing, and groups each
 // pattern's rows on the links it is matched on. Without a rollup link every
 // row is matched on every link, so the rows that can match form one pattern.
-func linkPatterns(stages []linkStage, nx int) []linkPattern {
+// Each pattern's buffers come from sc.
+func linkPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
 	rollup := false
 	for s := range stages {
 		rollup = rollup || stages[s].rollup
 	}
 	if !rollup {
-		xrows := make([]int32, 0, nx)
+		xrows := sc.xrows[:0]
 	live:
 		for bi := 0; bi < nx; bi++ {
 			for s := range stages {
@@ -865,21 +878,21 @@ func linkPatterns(stages []linkStage, nx int) []linkPattern {
 			}
 			xrows = append(xrows, int32(bi))
 		}
-		if len(xrows) == 0 {
+		if sc.xrows = xrows; len(xrows) == 0 {
 			return nil
 		}
 		on := make([]int, len(stages))
 		for s := range on {
 			on[s] = s
 		}
-		return []linkPattern{linkGroups(stages, on, xrows)}
+		return []linkPattern{linkGroups(stages, on, xrows, sc)}
 	}
-	return maskPatterns(stages, nx)
+	return maskPatterns(stages, nx, sc)
 }
 
 // maskPatterns is linkPatterns under rollup links: each row's pattern is the
 // set of rollup links it holds NULL in, its mask.
-func maskPatterns(stages []linkStage, nx int) []linkPattern {
+func maskPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
 	// Bit r of a row's mask is its NULL in the r-th rollup link.
 	masks := newIntTable(8)
 	var members [][]int32 // per pattern, its X rows
@@ -913,7 +926,7 @@ func maskPatterns(stages []linkStage, nx int) []linkPattern {
 				on = append(on, s)
 			}
 		}
-		patterns[pi] = linkGroups(stages, on, xrows)
+		patterns[pi] = linkGroups(stages, on, xrows, sc)
 	}
 	return patterns
 }
@@ -922,12 +935,12 @@ func maskPatterns(stages []linkStage, nx int) []linkPattern {
 // xrows. A second and later link pairs the running group with its own id
 // through a table built from the X rows, so only combinations one of them
 // holds get a group. Without a link — xrows hold NULL in every rollup link —
-// there is one group, which every detail row is in.
-func linkGroups(stages []linkStage, on []int, xrows []int32) linkPattern {
+// there is one group, which every detail row is in. The pattern's groups
+// are laid out in the next pattern buffers of sc.
+func linkGroups(stages []linkStage, on []int, xrows []int32, sc *scratch) linkPattern {
 	p := linkPattern{on: on}
-	groups := make([]uint32, len(xrows))
-	n := uint32(1)
-	if len(on) > 0 {
+	groups, n := grow(&sc.groups, len(xrows)), uint32(1)
+	if clear(groups); len(on) > 0 {
 		for m, bi := range xrows {
 			groups[m] = stages[on[0]].xids[bi]
 		}
@@ -957,7 +970,10 @@ func linkGroups(stages []linkStage, on []int, xrows []int32) linkPattern {
 		p.pairs, n = append(p.pairs, t), next
 	}
 
-	count := make([]int32, n+1)
+	i := sc.patterns
+	sc.patterns++
+	count := slot(&sc.pstarts, i, int(n)+1)
+	clear(count)
 	shared := false
 	for _, g := range groups {
 		count[g+1]++
@@ -977,8 +993,9 @@ func linkGroups(stages []linkStage, on []int, xrows []int32) linkPattern {
 	for g := uint32(0); g < n; g++ {
 		p.starts[g+1] += p.starts[g]
 	}
-	p.rows = make([]int32, len(xrows))
-	next := append([]int32(nil), p.starts[:n]...)
+	p.rows = slot(&sc.prows, i, len(xrows))
+	next := append(sc.next[:0], p.starts[:n]...)
+	sc.next = next
 	for m, g := range groups {
 		p.rows[next[g]] = xrows[m]
 		next[g]++
@@ -1176,8 +1193,8 @@ func eachImage(ctx context.Context, src ColumnSource, run func(*relation.Columns
 // them to the OperatorAccum as they are. Images in scan order, and rows in
 // order within each, keep every cell's inputs in detail-row order. An image
 // that does not compile stops the walk: the accumulator is nil and the
-// reason says why.
-func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varState, src ColumnSource) (*OperatorAccum, string, error) {
+// reason says why. Its buffers come from sc.
+func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varState, src ColumnSource, sc *scratch) (*OperatorAccum, string, error) {
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(states)),
 		Touched: make([]bool, x.Len()),
@@ -1186,8 +1203,6 @@ func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varS
 	for vi, st := range states {
 		out.Layouts[vi], out.slabs[vi] = st.layout, newSlabs(st.layout, x.Len())
 	}
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
 	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
 		vars, why := compileOperator(x, states, cols, sc)
 		if vars == nil {
@@ -1302,12 +1317,14 @@ type baseDedup struct {
 	counts []int64     // under a witness, per projection the rows where admits
 }
 
-// newDedup starts a dedup whose dense first table, if any, is scratch table t.
+// newDedup starts a dedup whose dense first table, if any, is scratch table t,
+// zeroed.
 func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
 	d := &baseDedup{k: k, cells: make([]*intTable, len(k.idx)), pairs: make([]*intTable, len(k.idx))}
 	for c, j := range k.idx {
 		if c == 0 && k.firstWidth > 0 {
-			d.first = sc.table(t, k.firstWidth)
+			d.first = slot(&sc.tables, t, k.firstWidth)
+			clear(d.first)
 			continue
 		}
 		d.pairs[c] = newIntTable(64)

@@ -651,6 +651,85 @@ func TestKernelVectorsGatheredFromSlabs(t *testing.T) {
 	if err := sameAccum(scalar, kernel); err != nil {
 		t.Error(err)
 	}
+	// Every row, unlisted, is the slabs themselves, handed over.
+	vecs, p := kernel.AppendPhysVectors(nil, nil), 0
+	for vi, slabs := range kernel.slabs {
+		for _, slab := range slabs {
+			if v := &vecs[p]; len(v.Ints)+len(v.Floats) != x.Len() || slab.ints != nil && &v.Ints[0] != &slab.ints[0] || slab.floats != nil && &v.Floats[0] != &slab.floats[0] {
+				t.Errorf("variable %d column %s: every row's vector is not its slab", vi, phys[p].Name)
+			}
+			p++
+		}
+	}
+}
+
+// TestKernelScratchReuse: one scratch serves evaluation after evaluation, as
+// the pool lends it — a large X, a small one, the large one again — and,
+// within one, image after image and variable after variable. Rollup links
+// sort X into several link patterns, and links over part of X's columns make
+// groups of several X rows, so patterns of every form are laid out in the
+// scratch's buffers over what an earlier pattern left there, poisoned
+// between evaluations. Every evaluation equals the scalar path's.
+func TestKernelScratchReuse(t *testing.T) {
+	detail := kernelDetail(61, 3000)
+	cube := setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...)
+	few := keepRows(cube, func(r relation.Tuple) bool { return r[0].IsNull() || r[0].Str == "a" })
+	// The grand total first: a pattern on no link is laid out first, over
+	// the group ids the previous image's scan left.
+	totalFirst := withRows(keepRows(cube, func(r relation.Tuple) bool { return r[0].IsNull() && r[1].IsNull() && r[2].IsNull() }),
+		keepRows(cube, func(r relation.Tuple) bool { return !r[0].IsNull() || !r[1].IsNull() || !r[2].IsNull() }).Rows()...)
+	pairs := baseOf(t, detail, "S", "I")
+	rollup := Operator{Detail: "D", Vars: []GroupVar{
+		{Cond: expr.MustParse(rollupCond("S", "I", "T")), Aggs: allAggs},
+		{Cond: expr.MustParse(rollupCond("S", "I", "T") + " && R.V >= 0"), Aggs: allAggs[:3]},
+	}}
+	shared := Operator{Detail: "D", Vars: []GroupVar{
+		{Cond: expr.MustParse("B.S = R.S && R.V <= B.I"), Aggs: allAggs},
+		{Cond: expr.MustParse("B.I = R.I"), Aggs: allAggs[:4]},
+	}}
+	sc := scratchPool.New().(*scratch)
+	// poison overwrites whatever the pattern buffers hold, to their
+	// capacity, with an id in range of most patterns: a buffer that is read
+	// before it is written yields wrong groups.
+	poison := func() {
+		bufs := append([][]int32{sc.xrows, sc.next}, append(sc.pstarts, sc.prows...)...)
+		for _, buf := range bufs {
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = 7
+			}
+		}
+		for i := range sc.groups[:cap(sc.groups)] {
+			sc.groups[:cap(sc.groups)][i] = 7
+		}
+	}
+	for i, run := range []struct {
+		x        *relation.Relation
+		op       Operator
+		patterns int // at least, over the last image
+	}{
+		{cube, rollup, 8}, {few, rollup, 4}, {cube, rollup, 8}, {pairs, shared, 2}, {few, rollup, 4}, {pairs, shared, 2},
+		{totalFirst, rollup, 8}, {cube, rollup, 8},
+	} {
+		states, err := bindVarStates(run.x, run.op, detail.Schema)
+		if err != nil {
+			t.Fatal(err)
+		}
+		poison()
+		kernel, reason, err := runOperatorKernel(context.Background(), run.x, states, segmentedSource(detail, 1300), sc)
+		if err != nil || reason != reasonOK {
+			t.Fatalf("run %d: %s, %v", i, reason, err)
+		}
+		if sc.patterns < run.patterns {
+			t.Errorf("run %d laid out %d link patterns, want at least %d", i, sc.patterns, run.patterns)
+		}
+		scalar, err := AccumulateOperator(context.Background(), run.x, run.op, SourceOf(detail), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sameAccum(scalar, kernel); err != nil {
+			t.Errorf("run %d over %d X rows: %v", i, run.x.Len(), err)
+		}
+	}
 }
 
 func TestKernelOperatorFallsBack(t *testing.T) {
@@ -965,7 +1044,7 @@ func TestRollupFreeLinksFormOnePattern(t *testing.T) {
 		}
 		stages = append(stages, st)
 	}
-	got, want := linkPatterns(stages, x.Len()), maskPatterns(stages, x.Len())
+	got, want := linkPatterns(stages, x.Len(), &scratch{}), maskPatterns(stages, x.Len(), &scratch{})
 	if len(got) != 1 || !reflect.DeepEqual(got, want) {
 		t.Fatalf("rollup-free patterns %+v, the mask path's %+v", got, want)
 	}

@@ -122,14 +122,16 @@ type ByteScanner interface {
 // Encoder writes relations in the Skalla wire format. The schema is emitted
 // inline on the first frame and whenever it changes; in between, frames carry
 // only row data. The zero-allocation steady state reuses one scratch body,
-// kept across frames and across streams (Reset) up to trustedBody of it, so
-// a connection that once sent a huge block does not hold its buffer.
+// and one buffer of the digits columns' codes, kept across frames and across
+// streams (Reset) up to trustedBody of each, so a connection that once sent
+// a huge block does not hold its buffers.
 type Encoder struct {
 	w         io.Writer
 	schema    Schema
 	hasSchema bool
 	body      []byte
 	shapes    []colShape
+	codes     []uint64
 	bytes     int64
 	lenBuf    [binary.MaxVarintLen64]byte
 }
@@ -163,10 +165,12 @@ func (e *Encoder) Encode(r *Relation) error {
 		e.schema = r.Schema.Clone() // callers may mutate their schema later
 		e.hasSchema = true
 	}
-	e.shapes = shapesOf(e.shapes[:0], r.cols)
+	e.shapes = shapesOf(e.shapes[:0], r.cols, &e.codes)
 	body = appendVectors(body, r.cols, e.shapes)
 	clear(e.shapes) // they point into r
-	e.body = KeepBody(body)
+	if e.body = KeepBody(body); 8*cap(e.codes) > trustedBody {
+		e.codes = nil
+	}
 	n := binary.PutUvarint(e.lenBuf[:], uint64(len(body)))
 	if _, err := e.w.Write(e.lenBuf[:n]); err != nil {
 		return err
@@ -314,8 +318,9 @@ func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 // s.min, s.bits, then each value's code x−min in s.bits bits, least
 // significant bit first; the last byte's padding bits are zero. The code of
 // an INT is the INT, of a FLOAT the int64 of its bits, and of a digits
-// column's STRING the decimal value of its suffix. Each kind has its own
-// loop, so the pending bits stay in registers.
+// column's STRING the decimal value of its suffix, which stringShape parsed
+// into s.codes. Each kind has its own loop, so the pending bits stay in
+// registers.
 func appendPacked(body []byte, v *Vector, s *colShape) []byte {
 	body = append(binary.AppendVarint(body, s.min), byte(s.bits))
 	lo, w := uint64(s.min), s.bits
@@ -349,11 +354,7 @@ func appendPacked(body []byte, v *Vector, s *colShape) []byte {
 			acc, k = d>>(64-k), k+w-64
 		}
 	case KindString:
-		for i, code := range v.Codes {
-			if v.Null(i) {
-				continue
-			}
-			d, _ := suffixValue(v.Dict[code], s.width)
+		for _, d := range s.codes {
 			d -= lo
 			if acc |= d << k; k+w < 64 {
 				k += w
@@ -396,30 +397,37 @@ func appendPrefixed(body []byte, v *Vector, prefix string, width int) []byte {
 // it.
 type colShape struct {
 	enc    byte
-	size   int    // the bytes past the bitmap, the encoding byte included
-	min    int64  // packed, digits: the least code, the frame of reference
-	bits   int    // packed, digits: the bits a code
-	width  int    // prefix, digits: the bytes a suffix, 0 when they vary
-	prefix string // prefix, digits: the longest common prefix, capped at maxPrefix
+	size   int      // the bytes past the bitmap, the encoding byte included
+	min    int64    // packed, digits: the least code, the frame of reference
+	bits   int      // packed, digits: the bits a code
+	width  int      // prefix, digits: the bytes a suffix, 0 when they vary
+	prefix string   // prefix, digits: the longest common prefix, capped at maxPrefix
+	codes  []uint64 // digits: each non-NULL value's code, in row order
 	// typed is a boxed INT, FLOAT or STRING vector's cells as a typed
 	// vector, when they are all NULL or of its kind: the encoding of those
 	// kinds depends on their values, so one writer serves both.
 	typed *Vector
 }
 
-// shapesOf appends the shape of each of c's vectors to dst.
-func shapesOf(dst []colShape, c *Columns) []colShape {
+// shapesOf appends the shape of each of c's vectors to dst, keeping the
+// digits columns' codes in *codes, emptied first (stringShape).
+func shapesOf(dst []colShape, c *Columns, codes *[]uint64) []colShape {
+	*codes = (*codes)[:0]
 	for j := range c.Vecs {
-		dst = append(dst, shapeOf(&c.Vecs[j]))
+		dst = append(dst, shapeOf(&c.Vecs[j], codes))
 	}
 	return dst
 }
 
+// codesPool lends Marshal and AppendFrame a codes buffer, taking back one
+// of up to trustedBody bytes.
+var codesPool = sync.Pool{New: func() any { return new([]uint64) }}
+
 // shapeOf is how a frame writes v. A boxed vector is written mixed when some
 // cell is of another kind than its declared one.
-func shapeOf(v *Vector) colShape {
+func shapeOf(v *Vector, codes *[]uint64) colShape {
 	if !v.Boxed {
-		return typedShape(v)
+		return typedShape(v, codes)
 	}
 	nonNull, payload, uniform := 0, 0, true
 	for i := range v.Vals {
@@ -458,20 +466,21 @@ func shapeOf(v *Vector) colShape {
 			t.Ints[i] = c.Int
 		}
 	}
-	s := typedShape(&t)
+	s := typedShape(&t, codes)
 	s.typed = &t
 	return s
 }
 
-// typedShape is how a frame writes the typed vector v.
-func typedShape(v *Vector) colShape {
+// typedShape is how a frame writes the typed vector v, keeping a digits
+// column's codes in *codes unless codes is nil.
+func typedShape(v *Vector, codes *[]uint64) colShape {
 	switch v.Kind {
 	case KindInt:
 		return intShape(v)
 	case KindFloat:
 		return floatShape(v)
 	case KindString:
-		return stringShape(v)
+		return stringShape(v, codes)
 	}
 	return colShape{enc: encUniform, size: 1} // NULL-kind: no values
 }
@@ -534,11 +543,19 @@ func packedSize(lo int64, w, n int) int { return varintLen(lo) + 1 + (n*w+7)/8 }
 // prefix and, while their suffixes past it are decimal digits of one width,
 // the least and greatest suffix value: when the prefix shortens, every
 // earlier suffix gains the same leading digits, so both move by one amount.
-func stringShape(v *Vector) colShape {
+// Unless codes is nil, the suffix values are kept as they are parsed, each
+// less the shift so far, and a digits shape's codes, appended to *codes, are
+// them with the final shift added.
+func stringShape(v *Vector, codes *[]uint64) colShape {
 	var prefix string
 	n, total, uniform := 0, 0, 0
 	length := -1 // every value's length, -1 once two differ
 	digits, lo, hi := true, uint64(math.MaxUint64), uint64(0)
+	shifted := uint64(0) // what the prefix's shortenings added to lo and hi
+	var kept []uint64    // *codes, then the suffix values
+	if codes != nil {
+		kept = *codes
+	}
 	for i, code := range v.Codes {
 		if v.Null(i) {
 			continue
@@ -553,6 +570,7 @@ func stringShape(v *Vector) colShape {
 					lead, ok := suffixValue(prefix[cut:], len(prefix)-cut)
 					shift := lead * pow10[length-len(prefix)]
 					lo, hi, digits = lo+shift, hi+shift, ok && length-cut <= maxDigits
+					shifted += shift
 				}
 				prefix = prefix[:cut]
 			}
@@ -563,10 +581,16 @@ func stringShape(v *Vector) colShape {
 		if digits = digits && length-len(prefix) <= maxDigits; digits {
 			x, ok := suffixValue(s, length-len(prefix))
 			lo, hi, digits = min(lo, x), max(hi, x), ok
+			if codes != nil {
+				kept = append(kept, x-shifted)
+			}
 		}
 		n++
 		total += len(s)
 		uniform += uvarintLen(uint64(len(s))) + len(s)
+	}
+	if codes != nil {
+		*codes = kept[:len(*codes)] // grown, without this column's values
 	}
 	s := colShape{enc: encUniform, size: 1 + uniform}
 	p := len(prefix)
@@ -592,6 +616,12 @@ func stringShape(v *Vector) colShape {
 	}
 	if digits && width > 0 && p <= maxDigitPrefix {
 		s = digitsIfSmaller(s, prefix, width, n, lo, hi)
+	}
+	if s.enc == encDigits && codes != nil {
+		*codes, s.codes = kept, kept[len(kept)-n:]
+		for i := range s.codes {
+			s.codes[i] += shifted
+		}
 	}
 	return s
 }
@@ -1098,7 +1128,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 		return err
 	}
 	if !measured {
-		want = typedShape(v)
+		want = typedShape(v, nil)
 	}
 	return checkShape(v.Kind, got, want)
 }
@@ -1411,7 +1441,8 @@ func AppendFrame(dst []byte, r *Relation) ([]byte, error) {
 		return dst, err
 	}
 	var room [8]colShape
-	shapes := shapesOf(room[:0], r.cols)
+	codes := codesPool.Get().(*[]uint64)
+	shapes := shapesOf(room[:0], r.cols, codes)
 	body := 1 + schemaSize(r.Schema) + uvarintLen(uint64(r.cols.Rows))
 	for _, s := range shapes {
 		body += (r.cols.Rows+7)/8 + s.size
@@ -1425,6 +1456,9 @@ func AppendFrame(dst []byte, r *Relation) ([]byte, error) {
 	dst = binary.AppendUvarint(dst, uint64(body))
 	dst = AppendSchema(append(dst, frameInline), r.Schema)
 	dst = appendVectors(dst, r.cols, shapes)
+	if 8*cap(*codes) <= trustedBody {
+		codesPool.Put(codes)
+	}
 	obs.CodecEncodeBytes.Add(int64(size))
 	obs.CodecFrames.With("encode").Inc()
 	return dst, nil

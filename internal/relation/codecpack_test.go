@@ -812,3 +812,93 @@ func TestDecodeAllocationAtTheWorstCase(t *testing.T) {
 			float64(n)/float64(len(data)), float64(rows)/float64(len(data)))
 	}
 }
+
+// TestCodecKeepsDigitsCodesPerColumn: the digits codes stringShape parses are
+// the ones appendPacked writes. In one frame of several STRING columns — a
+// digits column whose prefix shortens as its values come, one that reads as
+// digits for a while and then does not, a boxed digits column and one with
+// NULLs — each digits column's codes are its suffixes' values in row order,
+// and the frame decodes to the relation, whether Marshal writes it or an
+// Encoder that has written another frame before. The Encoder keeps its codes
+// buffer for the next frame, as it keeps its body, up to trustedBody bytes.
+func TestCodecKeepsDigitsCodesPerColumn(t *testing.T) {
+	build := func(n, step int) *Relation {
+		r := New(MustSchema(Column{"shrinking", KindString}, Column{"stops", KindString}, Column{"n", KindInt},
+			Column{"boxed", KindString}, Column{"nulls", KindString}))
+		for i := 0; i < n; i++ {
+			stops, nulls := NewString(fmt.Sprintf("K%03d", i)), NewString(fmt.Sprintf("%06d", i*i*step))
+			if i == n-3 {
+				stops = NewString("K12x")
+			}
+			if i%3 == 1 {
+				nulls = Null
+			}
+			r.MustAppend(Tuple{NewString(fmt.Sprintf("C#%04d", i*step)), stops, NewInt(int64(i)),
+				NewString(fmt.Sprintf("Z%05d", 99999-i*step)), nulls})
+		}
+		c := r.Columns()
+		boxed := Vector{Kind: KindString, Boxed: true, Vals: make([]Value, c.Rows)}
+		for i := range boxed.Vals {
+			boxed.Vals[i] = c.Vecs[3].Value(i)
+		}
+		c.Vecs[3] = boxed
+		return FromColumns(r.Schema, c)
+	}
+	r := build(40, 37)
+	var codes []uint64
+	for j, s := range shapesOf(nil, r.Columns(), &codes) {
+		if want := j != 1 && j != 2; (s.enc == encDigits) != want {
+			t.Fatalf("column %s: encoding %#x, digits %v", r.Schema[j].Name, s.enc, want)
+		}
+		if s.enc != encDigits {
+			continue
+		}
+		var want []uint64
+		for _, row := range r.Rows() {
+			if v := row[j]; !v.IsNull() {
+				x, err := strconv.ParseUint(v.Str[len(s.prefix):], 10, 64)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want = append(want, x)
+			}
+		}
+		if !slices.Equal(s.codes, want) {
+			t.Errorf("column %s: codes %v, want %v", r.Schema[j].Name, s.codes, want)
+		}
+	}
+	data, err := Marshal(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := Unmarshal(data); err != nil || !relIdentical(got, r) {
+		t.Fatalf("decoded %v (%v)", got, err)
+	}
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	if err := enc.Encode(build(70, 3)); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	enc.Reset()
+	if err := enc.Encode(r); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), data) {
+		t.Error("an Encoder that wrote a frame before writes other bytes than Marshal")
+	}
+	if cap(enc.codes) == 0 {
+		t.Error("the Encoder keeps no codes buffer")
+	}
+	// The codes of more than trustedBody bytes are not kept.
+	huge := New(MustSchema(Column{"d", KindString}))
+	for i := 0; i <= trustedBody/8; i++ {
+		huge.MustAppend(Tuple{NewString(fmt.Sprintf("D%07d", i))})
+	}
+	if err := enc.Encode(huge); err != nil {
+		t.Fatal(err)
+	}
+	if cap(enc.codes) != 0 {
+		t.Errorf("after %d digits values the Encoder keeps %d codes", huge.Len(), cap(enc.codes))
+	}
+}
