@@ -150,6 +150,9 @@ func ParseStatement(input string) (*Statement, error) {
 // single-flighted result) is never permuted or written.
 func (st *Statement) Postprocess(rel *relation.Relation) error {
 	n := rel.Len()
+	if st.OrderBy == "" && (st.Limit <= 0 || n <= st.Limit) {
+		return nil
+	}
 	order := make([]int32, n)
 	for i := range order {
 		order[i] = int32(i)
@@ -184,9 +187,7 @@ func (st *Statement) Postprocess(rel *relation.Relation) error {
 	if st.Limit > 0 && n > st.Limit {
 		order = order[:st.Limit]
 	}
-	if st.OrderBy != "" || len(order) < n {
-		rel.KeepRows(order)
-	}
+	rel.KeepRows(order)
 	return nil
 }
 

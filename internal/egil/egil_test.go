@@ -332,6 +332,33 @@ func TestPostprocessDecodedMatchesAppended(t *testing.T) {
 	}
 }
 
+// TestPostprocessWithoutClausesAllocatesNothing: a statement with neither
+// ORDER BY nor a LIMIT below the result's rows leaves the result as it is,
+// without building a row order nothing reads.
+func TestPostprocessWithoutClausesAllocatesNothing(t *testing.T) {
+	res, err := gmdj.EvalCentral(gmdj.Query{Base: gmdj.BaseQuery{Detail: "Flow", Cols: []string{"SourceAS"}}}, flowData(), true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := res.Format(-1)
+	for _, clauses := range []string{"", "LIMIT 50"} {
+		st, err := ParseStatement("SELECT SourceAS, COUNT(*) AS n FROM Flow GROUP BY SourceAS " + clauses)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if allocs := testing.AllocsPerRun(20, func() {
+			if err := st.Postprocess(res); err != nil {
+				t.Fatal(err)
+			}
+		}); allocs != 0 {
+			t.Errorf("%q: %v allocations per Postprocess, want 0", clauses, allocs)
+		}
+		if got := res.Format(-1); got != want {
+			t.Errorf("%q: result changed\n%s\nwant\n%s", clauses, got, want)
+		}
+	}
+}
+
 func TestOrderByErrors(t *testing.T) {
 	bad := []string{
 		"SELECT a, COUNT(*) AS c FROM Flow GROUP BY a ORDER BY",       // empty

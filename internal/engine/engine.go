@@ -221,9 +221,10 @@ type OperatorRequest struct {
 // Derive describes the keys an operator round ships no more: those of the
 // site's reply to the query's local round (Prop. 2 or Thm. 5), whose groups
 // bound the round (plan.Round.Observed). The site keeps nothing between the
-// rounds; it runs the local round's base pass again (gmdj.DeriveKeys), which
-// yields the same rows in the same order as long as its partition has not
-// changed, and refuses with ErrStalePartition when their count says it has.
+// rounds; it runs the local round's base pass again
+// (gmdj.DeriveKeptKeys), which yields the same rows in the same order as
+// long as its partition has not changed, and refuses with ErrStalePartition
+// when their count says it has.
 type Derive struct {
 	// Keys are the base key columns, over the operator's detail relation.
 	Keys []string
@@ -249,13 +250,6 @@ func derivedBase(ctx context.Context, d *Derive, values *relation.Relation, deta
 	if len(d.Keys) == 0 || d.Rows < 0 || len(d.Kept) != (d.Rows+7)/8 {
 		return nil, fmt.Errorf("engine: malformed derive spec (%d keys, %d rows, %d bitmap bytes)", len(d.Keys), d.Rows, len(d.Kept))
 	}
-	keys, err := gmdj.DeriveKeys(ctx, gmdj.BaseQuery{Cols: d.Keys, Where: d.Where}, detail)
-	if err != nil {
-		return nil, err
-	}
-	if keys.Len() != d.Rows {
-		return nil, fmt.Errorf("%w: %d groups now, %d in the local reply", ErrStalePartition, keys.Len(), d.Rows)
-	}
 	sel := make([]int32, 0, values.Len())
 	for i := 0; i < d.Rows; i++ {
 		if d.Kept[i>>3]>>(i&7)&1 != 0 {
@@ -265,15 +259,18 @@ func derivedBase(ctx context.Context, d *Derive, values *relation.Relation, deta
 	if len(sel) != values.Len() {
 		return nil, fmt.Errorf("engine: derive spec keeps %d rows, the fragment holds %d", len(sel), values.Len())
 	}
+	keys, groups, err := gmdj.DeriveKeptKeys(ctx, gmdj.BaseQuery{Cols: d.Keys, Where: d.Where}, detail, sel)
+	if err != nil {
+		return nil, err
+	}
+	if groups != d.Rows {
+		return nil, fmt.Errorf("%w: %d groups now, %d in the local reply", ErrStalePartition, groups, d.Rows)
+	}
 	schema, err := keys.Schema.Concat(values.Schema)
 	if err != nil {
 		return nil, err
 	}
-	kc := keys.Columns()
-	if len(sel) < kc.Rows {
-		kc = kc.Select(sel, nil)
-	}
-	vecs := append(append(make([]relation.Vector, 0, len(schema)), kc.Vecs...), values.Columns().Vecs...)
+	vecs := append(append(make([]relation.Vector, 0, len(schema)), keys.Columns().Vecs...), values.Columns().Vecs...)
 	return relation.FromColumns(schema, &relation.Columns{Rows: len(sel), Vecs: vecs}), nil
 }
 
@@ -334,15 +331,27 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 		}
 	}
 
-	acc, err := gmdj.AccumulateOperator(ctx, base, req.Op, detail, true)
-	if err != nil {
-		return err
-	}
+	// The accumulator lives only inside the callback: H blocks gather what
+	// they ship from it, so its slabs go back to the kernel's pool.
+	return gmdj.WithOperatorAccum(ctx, base, req.Op, detail, func(acc *gmdj.OperatorAccum) error {
+		return emitBlocks(req, acc, func(block *relation.Relation) error {
+			// Block boundaries are the cancellation points of a streamed
+			// evaluation: a canceled coordinator stops the stream here instead
+			// of computing every remaining block.
+			if err := ctx.Err(); err != nil {
+				return err
+			}
+			rec.AddBlocks(1)
+			return emit(block)
+		})
+	})
+}
 
-	// Stream the accumulated evaluation as H_i blocks: guard filtering and row
-	// blocking per the request. The rows to emit are counted first, so every
-	// block is sized exactly, and only the rows the guard lets through are
-	// ever imaged.
+// emitBlocks streams the accumulated evaluation as H_i blocks to flush:
+// guard filtering and row blocking per the request. The rows to emit are
+// counted first, so every block is sized exactly, and only the rows the
+// guard lets through are ever imaged.
+func emitBlocks(req OperatorRequest, acc *gmdj.OperatorAccum, flush func(*relation.Relation) error) error {
 	physSchema, err := acc.PhysSchema()
 	if err != nil {
 		return err
@@ -351,7 +360,7 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 	if err != nil {
 		return err
 	}
-	n := base.Len()
+	n := len(acc.Touched)
 	remaining := n
 	if req.Guard {
 		remaining = 0
@@ -360,16 +369,6 @@ func (s *Site) EvalOperatorBlocks(ctx context.Context, req OperatorRequest, emit
 				remaining++
 			}
 		}
-	}
-	flush := func(block *relation.Relation) error {
-		// Block boundaries are the cancellation points of a streamed
-		// evaluation: a canceled coordinator stops the stream here instead of
-		// computing every remaining block.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		rec.AddBlocks(1)
-		return emit(block)
 	}
 	if remaining == 0 {
 		return flush(relation.New(hSchema))

@@ -5,15 +5,18 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
 
 	"skalla/internal/agg"
+	"skalla/internal/egil"
 	"skalla/internal/expr"
 	"skalla/internal/gmdj"
 	"skalla/internal/obs"
 	"skalla/internal/relation"
 	"skalla/internal/store"
+	"skalla/internal/tpc"
 )
 
 // TestKernelAndScalarSitesAgree serves one partition three ways — Load (the
@@ -277,6 +280,104 @@ func TestKernelScratchIsFlat(t *testing.T) {
 	if math.Abs(large-small) > tolerance {
 		t.Errorf("allocations per evaluation: %v over 3000 rows, %v over 30000", small, large)
 	}
+}
+
+// TestWarmKernelAllocatesOnlyResults: a site that has served a statement
+// once serves it again allocating its result vectors and a small fixed
+// amount besides, whatever the groups: the compiled passes build their hash
+// and dense tables, link patterns and operator slabs in the pooled scratch,
+// grown into buffers the first run left. The statements are the served
+// rollup_geo and cube_3d (the grouping-set base pass and MD1) and Example 1's
+// MD2 streamed in blocks, over one site's partition. The garbage collector
+// is held off while the runs are measured, since a collection empties the
+// pool, and they run on one P, since what one P puts back another cannot
+// always take.
+func TestWarmKernelAllocatesOnlyResults(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of what is put back under the race detector")
+	}
+	ctx := context.Background()
+	cfg := tpc.DefaultConfig()
+	cfg.Rows, cfg.Customers, cfg.Clerks, cfg.Seed = 8000, 2000, 1000, 1
+	d, err := tpc.Generate(cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := NewSite(0)
+	if err := s.Load(ctx, tpc.RelationName, d.Parts[0]); err != nil {
+		t.Fatal(err)
+	}
+	var groupings []gmdj.Query
+	for _, stmt := range []string{
+		"SELECT RegionKey, NationKey, CityKey, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR WHERE Discount >= 0.005 ROLLUP BY RegionKey, NationKey, CityKey",
+		"SELECT MktSegment, ShipMode, OrderPriority, COUNT(*) AS cnt, SUM(ExtendedPrice) AS total FROM TPCR WHERE Discount >= 0.005 CUBE BY MktSegment, ShipMode, OrderPriority",
+	} {
+		q, err := egil.Translate(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		groupings = append(groupings, q)
+	}
+	ex1, err := egil.Translate("SELECT Clerk, COUNT(*) AS cnt, AVG(ExtendedPrice) AS avgp FROM TPCR WHERE Discount >= 0.005 GROUP BY Clerk HAVING EACH ExtendedPrice >= avgp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	x1, err := gmdj.EvalPrefixX(ctx, ex1, s.snapshot(), 1, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// serve runs every statement once and returns the bytes of the result
+	// vectors the site handed back, and of the list of base rows an H block
+	// is gathered through, 4 B a row.
+	serve := func() int {
+		results := 0
+		for _, q := range groupings {
+			b0, err := s.EvalBase(ctx, q.Base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h, err := s.EvalOperator(ctx, OperatorRequest{Base: b0, Op: q.Ops[0]})
+			if err != nil {
+				t.Fatal(err)
+			}
+			results += vectorBytes(b0) + vectorBytes(h) + 4*h.Len()
+		}
+		err := s.EvalOperatorBlocks(ctx, OperatorRequest{Base: x1, Op: ex1.Ops[1], Guard: true, BlockRows: 64}, func(block *relation.Relation) error {
+			results += vectorBytes(block)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return results
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	serve()
+	const runs = 10
+	var before, after runtime.MemStats
+	results := 0
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		results += serve()
+	}
+	runtime.ReadMemStats(&after)
+	// The fixed part: per request, the bound conditions and layouts, the
+	// compiled filters and folds, schemas and relation headers.
+	const fixed = 40 << 10
+	if got, want := float64(after.TotalAlloc-before.TotalAlloc)/runs, float64(results)/runs; got > want+fixed {
+		t.Errorf("a warm run allocates %.0f bytes, its result vectors %.0f: %.0f beyond them, want at most %d", got, want, got-want, fixed)
+	}
+}
+
+// vectorBytes is what r's vectors hold: their payloads and NULL bitmaps.
+// A dictionary is the image's own, shared, not copied.
+func vectorBytes(r *relation.Relation) int {
+	n := 0
+	for _, v := range r.Columns().Vecs {
+		n += 8*(cap(v.Ints)+cap(v.Floats)+cap(v.Nulls)) + 4*cap(v.Codes)
+	}
+	return n
 }
 
 // TestSourceOfScanIsFlat: a SourceOf scan — the scalar evaluator's over a

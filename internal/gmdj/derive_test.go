@@ -2,6 +2,7 @@ package gmdj
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"testing"
 
@@ -58,6 +59,47 @@ func TestSharedDictionaryLinkMatchesProbe(t *testing.T) {
 		probed, probedRows := ids(other)
 		if !slices.Equal(shared, probed) || !slices.Equal(sharedRows, probedRows) {
 			t.Errorf("%s: the shared dictionary's ids\n%v / %v\nthe probe's\n%v / %v", name, shared, sharedRows, probed, probedRows)
+		}
+	}
+}
+
+// TestDeriveKeptKeysSelectsRows: the kept keys are the rows of DeriveKeys
+// that sel lists, with the pass's row count, whether the dictionary answers
+// (a NULL-free STRING key, whose kept codes are built for the kept rows
+// alone) or the base pass runs; a list past the pass's rows yields no keys
+// and the count.
+func TestDeriveKeptKeysSelectsRows(t *testing.T) {
+	ctx := context.Background()
+	detail := withColumn(kernelDetail(62, 400), relation.Column{Name: "K", Kind: relation.KindString}, func(i int) relation.Value {
+		return relation.NewString(fmt.Sprintf("k%d", i*7%13))
+	})
+	src := newColSource(detail)
+	for _, bq := range []BaseQuery{{Cols: []string{"K"}}, {Cols: []string{"S", "I"}}} {
+		all, err := DeriveKeys(ctx, bq, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sel []int32
+		for i := 1; i < all.Len(); i += 2 {
+			sel = append(sel, int32(i))
+		}
+		scanned := src.rec.Snapshot().RowsScanned
+		kept, n, err := DeriveKeptKeys(src.ctx(), bq, src, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if dict := len(bq.Cols) == 1; dict != (src.rec.Snapshot().RowsScanned == scanned) {
+			t.Errorf("%v: the dictionary answered %v, want %v", bq.Cols, !dict, dict)
+		}
+		want := relation.FromColumns(all.Schema, all.Columns().Select(sel, nil))
+		if n != all.Len() || kept.Format(-1) != want.Format(-1) {
+			t.Errorf("%v: kept keys (of %d)\n%s\nwant (of %d)\n%s", bq.Cols, n, kept.Format(-1), all.Len(), want.Format(-1))
+		}
+		if codes := kept.Columns().Vecs[0].Codes; len(bq.Cols) == 1 && cap(codes) != len(sel) {
+			t.Errorf("%v: %d codes built for %d kept keys", bq.Cols, cap(codes), len(sel))
+		}
+		if kept, n, err := DeriveKeptKeys(ctx, bq, src, append(sel, int32(all.Len()))); kept != nil || n != all.Len() || err != nil {
+			t.Errorf("%v: a list past the %d rows gave %v keys, %d rows, %v", bq.Cols, all.Len(), kept, n, err)
 		}
 	}
 }

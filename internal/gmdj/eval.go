@@ -303,47 +303,92 @@ func EvalBase(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Re
 // pass at all: the image's dictionary lists its values once each in
 // first-occurrence order, which is the order the pass keeps.
 func DeriveKeys(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
+	keys, _, err := DeriveKeptKeys(ctx, bq, detail, nil)
+	return keys, err
+}
+
+// DeriveKeptKeys is DeriveKeys for the rows sel lists, strictly ascending
+// (every row when sel is nil): it returns their keys and how many rows the
+// pass gave, and no keys when sel lists a row past those.
+func DeriveKeptKeys(ctx context.Context, bq BaseQuery, detail RowSource, sel []int32) (*relation.Relation, int, error) {
 	if bq.Where == nil && len(bq.Cols) == 1 && len(bq.GroupingSets) == 0 {
 		if cs, ok := detail.(ColumnSource); ok {
-			keys, err := dictKeys(ctx, cs, bq.Cols[0])
-			if keys != nil || err != nil {
-				return keys, err
+			j, dict, err := keyDict(ctx, cs, bq.Cols[0])
+			switch {
+			case err != nil:
+				return nil, 0, err
+			case dict != nil:
+				return dictKeys(cs.Schema().Project([]int{j}), dict, sel), len(dict), nil
 			}
 		}
 	}
-	return EvalBase(ctx, bq, detail)
+	keys, err := EvalBase(ctx, bq, detail)
+	if err != nil {
+		return nil, 0, err
+	}
+	switch n := keys.Len(); {
+	case sel == nil || len(sel) == n:
+		return keys, n, nil
+	case listsPast(sel, n):
+		return nil, n, nil
+	default:
+		return relation.FromColumns(keys.Schema, keys.Columns().Select(sel, nil)), n, nil
+	}
 }
 
-// errOneImage stops dictKeys' walk after the first image.
+// listsPast reports whether the ascending rows sel list one past the first n.
+func listsPast(sel []int32, n int) bool { return len(sel) > 0 && int(sel[len(sel)-1]) >= n }
+
+// errOneImage stops keyDict's walk after the first image.
 var errOneImage = errors.New("gmdj: first image read")
 
-// dictKeys returns column col's distinct values in first-occurrence order,
-// read off the dictionary of src's first image when that image holds every
-// row and col there is an indexed STRING vector (relation.Vector.Indexed)
-// with no NULL; nil otherwise. The keys index the dictionary itself, as the
-// base kernel's output does.
-func dictKeys(ctx context.Context, src ColumnSource, col string) (*relation.Relation, error) {
+// keyDict returns column col's position and, when src's first image holds
+// every row and col there is an indexed STRING vector
+// (relation.Vector.Indexed) with no NULL, that vector's dictionary, which
+// lists the column's distinct values once each in first-occurrence order; a
+// nil dictionary otherwise.
+func keyDict(ctx context.Context, src ColumnSource, col string) (int, []string, error) {
 	schema := src.Schema()
 	j := schema.Index(col)
 	if j < 0 || schema[j].Kind != relation.KindString {
-		return nil, nil
+		return j, nil, nil
 	}
-	var keys *relation.Relation
+	var dict []string
 	err := src.Images(ctx, func(c *relation.Columns) error {
 		if v := &c.Vecs[j]; c.Rows == src.Len() && !v.Boxed && v.Indexed() && !slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 }) {
-			codes := make([]uint32, len(v.Dict))
-			for i := range codes {
-				codes[i] = uint32(i)
-			}
-			vec := relation.Vector{Kind: relation.KindString, Codes: codes, Dict: slices.Clip(v.Dict)}
-			keys = relation.FromColumns(schema.Project([]int{j}), &relation.Columns{Rows: len(codes), Vecs: []relation.Vector{vec}})
+			dict = slices.Clip(v.Dict)
 		}
 		return errOneImage
 	})
 	if err != nil && !errors.Is(err, errOneImage) {
-		return nil, err
+		return j, nil, err
 	}
-	return keys, nil
+	return j, dict, nil
+}
+
+// dictKeys returns the keys at the positions sel lists (every one when sel
+// is nil) of a single STRING key whose distinct values dict lists in
+// first-occurrence order, or nil when sel lists a position past them. A
+// position is a code, so the keys index dict itself, as the base kernel's
+// output does.
+func dictKeys(schema relation.Schema, dict []string, sel []int32) *relation.Relation {
+	if listsPast(sel, len(dict)) {
+		return nil
+	}
+	var codes []uint32
+	if sel == nil {
+		codes = make([]uint32, len(dict))
+		for i := range codes {
+			codes[i] = uint32(i)
+		}
+	} else {
+		codes = make([]uint32, len(sel))
+		for k, i := range sel {
+			codes[k] = uint32(i)
+		}
+	}
+	vec := relation.Vector{Kind: relation.KindString, Codes: codes, Dict: dict}
+	return relation.FromColumns(schema, &relation.Columns{Rows: len(codes), Vecs: []relation.Vector{vec}})
 }
 
 // evalBase is EvalBase, or with witness set the witnessed base pass: the
@@ -546,6 +591,29 @@ type OperatorAccum struct {
 // (kernel.go) runs compiled instead, with identical results, and the passes
 // are charged to ctx's recorder.
 func AccumulateOperator(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	return accumulate(ctx, x, op, detail, useHash, sc, false)
+}
+
+// WithOperatorAccum evaluates op as AccumulateOperator does, on the hash
+// paths, and hands fn the accumulator, which is valid only until fn returns:
+// a compiled kernel's slabs and Touched flags are lent from the pooled
+// scratch, and the next evaluation overwrites them. It is for a caller that
+// copies out what it keeps, as a site's H blocks gather the rows they ship.
+func WithOperatorAccum(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, fn func(*OperatorAccum) error) error {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	acc, err := accumulate(ctx, x, op, detail, true, sc, true)
+	if err != nil {
+		return err
+	}
+	return fn(acc)
+}
+
+// accumulate is AccumulateOperator with the kernel's buffers from sc, and its
+// slabs too when lend is set.
+func accumulate(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool, sc *scratch, lend bool) (*OperatorAccum, error) {
 	states, err := bindVarStates(x, op, detail.Schema())
 	if err != nil {
 		return nil, err
@@ -559,9 +627,7 @@ func AccumulateOperator(ctx context.Context, x *relation.Relation, op Operator, 
 	reason := reasonShape
 	var acc *OperatorAccum
 	if useHash {
-		sc := scratchPool.Get().(*scratch)
-		acc, reason, err = runOperatorKernel(ctx, x, states, cs, sc)
-		scratchPool.Put(sc)
+		acc, reason, err = runOperatorKernel(ctx, x, states, cs, sc, lend)
 	}
 	if err == nil && acc == nil {
 		acc, err = accumulateScalar(ctx, x, states, detail, useHash)

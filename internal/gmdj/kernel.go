@@ -80,30 +80,52 @@ var errDeclined = errors.New("gmdj: image declined")
 // the L1/L2 cache.
 const blockRows = 1024
 
-// scratch is the block buffers of one kernel evaluation. They are reused
-// across the evaluation's patterns and variables and pooled across
-// evaluations, so a scan allocates nothing per block or per row.
+// scratch is the working state of one kernel evaluation: its block buffers,
+// its link stages and patterns, its hash and dense tables and, for a caller
+// that only reads them, its operator slabs. It is reused across the
+// evaluation's images, patterns and variables and pooled across evaluations,
+// so a scan allocates nothing per block or per row, and a warm evaluation
+// builds its tables in buffers an earlier one left.
 type scratch struct {
 	ids       [][]uint32 // per link stage, the block's ids
 	rows, bis []int32    // candidate (detail row, X row) pairs
 	groups    []uint32   // a pattern's group ids on several links
 
 	// The link stages of the image being compiled, in compile order: each
-	// one's X ids and code map, reused by the next image and evaluation.
-	xids, byCode [][]uint32
-	links        int
-	// Its link patterns likewise, each one's only or starts and grouped rows;
-	// and what building one takes: its X rows, their groups, a cursor.
+	// one's X ids, reused by the next image and evaluation.
+	xids  [][]uint32
+	links int
+	// Its link patterns likewise, each one's links, pair tables, only or
+	// starts and grouped rows; and what building one takes: its X rows, the
+	// rows of each rollup mask, their groups, a cursor.
+	pons           [][]int
+	ppairs         [][]pairTable
 	pstarts, prows [][]int32
 	patterns       int
 	xrows, next    []int32
+	members        [][]int32
 
-	// The base dedup's: its dense tables, the projection each offered row
-	// has, the cells of the projections a block offers, the positions of the
-	// new ones, the (row, grouping set)
-	// elements under several sets, the new projections in scan order and,
-	// under a witness, the per-projection counts.
-	tables        [][]uint32
+	// The hash and dense tables of the image being compiled (or the base
+	// pass being run), handed out in the order it asks for them.
+	hashes        []*intTable
+	dense         [][]uint32
+	nhash, ndense int
+
+	// An operator round's slabs and Touched flags, when the caller only
+	// reads them (WithOperatorAccum): by kind, in the order the round asks
+	// for them.
+	ints                   [][]int64
+	floats                 [][]float64
+	flags                  [][]bool
+	nints, nfloats, nflags int
+
+	// The base dedup's: the dedups themselves (the projection's, and under
+	// several grouping sets the whole row's), the projection each offered
+	// row has, the cells of the projections a block offers, the positions
+	// of the new ones, the (row, grouping set) elements under several sets,
+	// the new projections in scan order and, under a witness, the
+	// per-projection counts.
+	dedups        [2]baseDedup
 	projs         []int32
 	cells         []uint32
 	pos           []int32
@@ -124,18 +146,41 @@ func (sc *scratch) stageIDs(n int) [][]uint32 {
 	return sc.ids[:n]
 }
 
-// linkBufs returns the next link stage's buffers for the image being
-// compiled: nx X ids, and a code map of codes zeroed entries (nil when codes
-// is 0).
-func (sc *scratch) linkBufs(nx, codes int) (xids, byCode []uint32) {
-	i := sc.links
+// linkXIDs returns the next link stage's X ids, nx of them, for the image
+// being compiled.
+func (sc *scratch) linkXIDs(nx int) []uint32 {
 	sc.links++
-	xids = slot(&sc.xids, i, nx)
-	if codes > 0 {
-		byCode = slot(&sc.byCode, i, codes)
-		clear(byCode)
+	return slot(&sc.xids, sc.links-1, nx)
+}
+
+// resetTables hands the hash and dense tables out from the first again: the
+// image or pass that used them is done.
+func (sc *scratch) resetTables() { sc.nhash, sc.ndense = 0, 0 }
+
+// hashTable returns the next hash table, empty and sized for hint keys.
+func (sc *scratch) hashTable(hint int) *intTable {
+	if sc.nhash == len(sc.hashes) {
+		sc.hashes = append(sc.hashes, new(intTable))
 	}
-	return xids, byCode
+	t := sc.hashes[sc.nhash]
+	sc.nhash++
+	t.reset(hint)
+	return t
+}
+
+// denseTable returns the next dense table, n zeroed entries.
+func (sc *scratch) denseTable(n int) []uint32 { return take(true, &sc.dense, &sc.ndense, n) }
+
+// take returns n zeroed elements: the next of bufs, counted by used, when
+// lend is set, and freshly allocated ones otherwise.
+func take[T any](lend bool, bufs *[][]T, used *int, n int) []T {
+	if !lend {
+		return make([]T, n)
+	}
+	b := slot(bufs, *used, n)
+	*used++
+	clear(b)
+	return b
 }
 
 // slot returns the i-th of bufs, n long, adding buffers and reallocating
@@ -156,24 +201,32 @@ func denseLimit(n int) uint64 { return 4*uint64(n) + 1024 }
 const noID = ^uint32(0)
 
 // intTable is an open-addressed int64 → dense id table (ids count up from 0
-// in insertion order), with one optional slot for NULL. The operator kernel
+// in insertion order). The operator kernel
 // fills it from X once per request and only reads it during the scan; the
-// base kernel inserts while scanning.
+// base kernel inserts while scanning. It lives in the pooled scratch: reset
+// empties it into the buffers it has, clearing only the slots it will use,
+// and a grow rehashes the keys it lists in id order, so a warm table
+// allocates nothing.
 type intTable struct {
-	keys   []int64
-	ids    []uint32 // id+1; 0 marks an empty slot
-	shift  uint
-	n      uint32
-	nullID uint32 // id+1 of the NULL key; 0 while unseen
+	keys  []int64
+	ids   []uint32 // id+1; 0 marks an empty slot
+	added []int64  // the keys by id
+	shift uint
 }
 
-func newIntTable(hint int) *intTable {
+// reset empties the table, sized for hint keys before it grows.
+func (t *intTable) reset(hint int) {
 	bits := uint(3)
 	for 1<<bits < 2*hint {
 		bits++
 	}
-	return &intTable{keys: make([]int64, 1<<bits), ids: make([]uint32, 1<<bits), shift: 64 - bits}
+	t.keys, t.ids = grow(&t.keys, 1<<bits), grow(&t.ids, 1<<bits)
+	clear(t.ids)
+	t.added, t.shift = t.added[:0], 64-bits
 }
+
+// len is how many keys the table holds.
+func (t *intTable) len() uint32 { return uint32(len(t.added)) }
 
 func (t *intTable) slot(k int64) uint64 {
 	return uint64(k) * 0x9E3779B97F4A7C15 >> t.shift
@@ -199,13 +252,13 @@ func (t *intTable) insert(k int64) (uint32, bool) {
 	for s := t.slot(k); ; s = (s + 1) & mask {
 		id := t.ids[s]
 		if id == 0 {
-			if 2*int(t.n+1) > len(t.ids) {
+			if 2*(len(t.added)+1) > len(t.ids) {
 				t.grow()
 				return t.insert(k)
 			}
-			t.n++
-			t.keys[s], t.ids[s] = k, t.n
-			return t.n - 1, true
+			t.added = append(t.added, k)
+			t.keys[s], t.ids[s] = k, t.len()
+			return t.len() - 1, true
 		}
 		if t.keys[s] == k {
 			return id - 1, false
@@ -213,32 +266,20 @@ func (t *intTable) insert(k int64) (uint32, bool) {
 	}
 }
 
-// insertNull is insert for the NULL key.
-func (t *intTable) insertNull() (uint32, bool) {
-	if t.nullID != 0 {
-		return t.nullID - 1, false
-	}
-	t.n++
-	t.nullID = t.n
-	return t.n - 1, true
-}
-
+// grow doubles the slots, in place when their buffers have room, and puts
+// every key back.
 func (t *intTable) grow() {
-	old := *t
-	t.keys = make([]int64, 2*len(old.keys))
-	t.ids = make([]uint32, 2*len(old.ids))
+	n := 2 * len(t.ids)
+	t.keys, t.ids = grow(&t.keys, n), grow(&t.ids, n)
+	clear(t.ids)
 	t.shift--
-	mask := uint64(len(t.ids) - 1)
-	for s, id := range old.ids {
-		if id == 0 {
-			continue
+	mask := uint64(n - 1)
+	for id, k := range t.added {
+		s := t.slot(k)
+		for t.ids[s] != 0 {
+			s = (s + 1) & mask
 		}
-		k := old.keys[s]
-		d := t.slot(k)
-		for t.ids[d] != 0 {
-			d = (d + 1) & mask
-		}
-		t.keys[d], t.ids[d] = k, id
+		t.keys[s], t.ids[s] = k, uint32(id)+1
 	}
 }
 
@@ -474,11 +515,11 @@ const anyID = noID - 1
 // path's 2^n-probe scan does.
 const maxRollupLinks = 16
 
-// compileLink resolves one link, into buffers from sc. The probe stands in
-// for evaluating the equality, so it must agree with expr's: same declared
-// kinds on both sides and every X value NULL or of that kind (cross-kind
-// numerics compare equal in expr, which a typed lookup would miss), and a
-// detail NULL matches no value. A STRING X column that indexes the detail
+// compileLink resolves one link, into buffers and tables from sc. The probe
+// stands in for evaluating the equality, so it must agree with expr's: same
+// declared kinds on both sides and every X value NULL or of that kind
+// (cross-kind numerics compare equal in expr, which a typed lookup would
+// miss), and a detail NULL matches no value. A STRING X column that indexes the detail
 // column's own dictionary (sharesDict) needs no probe: its code is the
 // detail code.
 func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool, sc *scratch) (linkStage, string) {
@@ -498,8 +539,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 	case relation.KindString:
 		// code → id+1, 0 for codes no X row holds. One entry more than the
 		// dictionary, for the code 0 a NULL holds when the dictionary is empty.
-		st.codes = vec.Codes
-		st.xids, st.byCode = sc.linkBufs(x.Len(), len(vec.Dict)+1)
+		st.codes, st.xids, st.byCode = vec.Codes, sc.linkXIDs(x.Len()), sc.denseTable(len(vec.Dict)+1)
 		same := sharesDict(bv, vec)
 		for bi := range st.xids {
 			if bv.Null(bi) {
@@ -521,8 +561,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			st.xids[bi] = st.byCode[code] - 1
 		}
 	default:
-		st.ints = vec.Ints
-		st.xids, _ = sc.linkBufs(x.Len(), 0)
+		st.ints, st.xids = vec.Ints, sc.linkXIDs(x.Len())
 		lo, hi, found := int64(0), int64(0), false
 		for bi, k := range bv.Ints {
 			if !bv.Null(bi) {
@@ -535,7 +574,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 		// hi-lo as a uint64 is exact even where int64 overflows; adding one
 		// is not, when the keys run from MinInt64 to MaxInt64.
 		if found && uint64(hi-lo) < denseLimit(len(st.xids))-1 {
-			st.lo, st.dense = lo, make([]uint32, uint64(hi-lo)+2)
+			st.lo, st.dense = lo, sc.denseTable(int(hi-lo)+2)
 			for bi, k := range bv.Ints {
 				if bv.Null(bi) {
 					st.xids[bi] = null
@@ -550,7 +589,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			}
 			break
 		}
-		st.tbl = newIntTable(len(st.xids))
+		st.tbl = sc.hashTable(len(st.xids))
 		for bi, k := range bv.Ints {
 			if bv.Null(bi) {
 				st.xids[bi] = null
@@ -558,7 +597,7 @@ func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bo
 			}
 			st.xids[bi], _ = st.tbl.insert(k)
 		}
-		st.n = st.tbl.n
+		st.n = st.tbl.len()
 	}
 	return st, reasonOK
 }
@@ -754,7 +793,9 @@ type varKernel struct {
 // one image, or returns the reason the operator stays on the scalar path.
 // states carry the layouts and the bound conditions.
 func compileOperator(x *relation.Relation, states []*varState, cols *relation.Columns, sc *scratch) ([]*varKernel, string) {
-	sc.links, sc.patterns = 0, 0 // the previous image's link stages and patterns are done
+	// The previous image's link stages, patterns and tables are done.
+	sc.links, sc.patterns = 0, 0
+	sc.resetTables()
 	vars := make([]*varKernel, len(states))
 	for vi, st := range states {
 		vk, reason := compileVar(x, st, cols, sc)
@@ -831,14 +872,56 @@ type linkPattern struct {
 	starts, rows []int32
 }
 
-// pairTable maps a (group, id) pair some X row holds to a group of the next
-// link. When the pairs are few it is a flat array of group+1 indexed
-// (g+1)·width + id+1, whose row and column 0 — where noID+1 wraps to — are
-// empty, so a fold is one load per detail row; a hash table otherwise.
+// pairTable maps a (group, id) pair to a group of the next column or link,
+// numbered from 0 in the order the pairs are added. When the pairs can be
+// few it is a flat array of group+1 indexed (g+1)·width + id+1, whose row
+// and column 0 — where noID+1 wraps to — are empty, so a lookup is one load
+// per row; a hash table otherwise. Both come from the scratch.
 type pairTable struct {
 	dense []uint32
 	width uint64
+	n     uint32 // the groups the flat array has given
 	tbl   *intTable
+}
+
+// newPairTable returns an empty table for pairs of groups below groups and
+// ids below ids, over a side of n rows: the flat array when its entries stay
+// within denseLimit(n), a hash table sized for hint pairs otherwise. The
+// operator's links and the base pass's columns pair by this one rule.
+func newPairTable(groups, ids uint64, n, hint int, sc *scratch) pairTable {
+	width, limit := ids+1, denseLimit(n)
+	if width <= limit && groups+1 <= limit/width {
+		return pairTable{dense: sc.denseTable(int((groups + 1) * width)), width: width}
+	}
+	return pairTable{tbl: sc.hashTable(hint)}
+}
+
+// insert returns the group of the pair (g, id) and whether this call added
+// it.
+func (t *pairTable) insert(g, id uint32) (uint32, bool) {
+	if t.dense == nil {
+		return t.tbl.insert(int64(g)<<32 | int64(id))
+	}
+	return t.claim(&t.dense[uint64(g+1)*t.width+uint64(id+1)])
+}
+
+// claim returns the group in the flat array's entry e and whether this call
+// gave it, as the next group, because e held none.
+func (t *pairTable) claim(e *uint32) (uint32, bool) {
+	if *e == 0 {
+		t.n++
+		*e = t.n
+		return t.n - 1, true
+	}
+	return *e - 1, false
+}
+
+// groups is how many groups the table has given.
+func (t *pairTable) groups() uint32 {
+	if t.dense == nil {
+		return t.tbl.len()
+	}
+	return t.n
 }
 
 // fold replaces each group g[m] by the group of the pair (g[m], ids[m]),
@@ -881,11 +964,7 @@ func linkPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
 		if sc.xrows = xrows; len(xrows) == 0 {
 			return nil
 		}
-		on := make([]int, len(stages))
-		for s := range on {
-			on[s] = s
-		}
-		return []linkPattern{linkGroups(stages, on, xrows, sc)}
+		return []linkPattern{linkGroups(stages, xrows, sc)}
 	}
 	return maskPatterns(stages, nx, sc)
 }
@@ -893,9 +972,9 @@ func linkPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
 // maskPatterns is linkPatterns under rollup links: each row's pattern is the
 // set of rollup links it holds NULL in, its mask.
 func maskPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
-	// Bit r of a row's mask is its NULL in the r-th rollup link.
-	masks := newIntTable(8)
-	var members [][]int32 // per pattern, its X rows
+	// Bit r of a row's mask is its NULL in the r-th rollup link; per
+	// pattern, sc.members lists its X rows.
+	masks := sc.hashTable(8)
 	for bi := 0; bi < nx; bi++ {
 		mask, bit, dead := int64(0), uint(0), false
 		for s := range stages {
@@ -914,64 +993,52 @@ func maskPatterns(stages []linkStage, nx int, sc *scratch) []linkPattern {
 		}
 		pi, fresh := masks.insert(mask)
 		if fresh {
-			members = append(members, nil)
+			rows := slot(&sc.members, int(pi), 0)
+			sc.members[pi] = rows
 		}
-		members[pi] = append(members[pi], int32(bi))
+		sc.members[pi] = append(sc.members[pi], int32(bi))
 	}
-	patterns := make([]linkPattern, len(members))
-	for pi, xrows := range members {
-		var on []int
-		for s := range stages {
-			if stages[s].xids[xrows[0]] != anyID {
-				on = append(on, s)
-			}
-		}
-		patterns[pi] = linkGroups(stages, on, xrows, sc)
+	patterns := make([]linkPattern, masks.len())
+	for pi := range patterns {
+		patterns[pi] = linkGroups(stages, sc.members[pi], sc)
 	}
 	return patterns
 }
 
-// linkGroups folds the ids of the stages on into one group id per X row of
-// xrows. A second and later link pairs the running group with its own id
-// through a table built from the X rows, so only combinations one of them
-// holds get a group. Without a link — xrows hold NULL in every rollup link —
-// there is one group, which every detail row is in. The pattern's groups
-// are laid out in the next pattern buffers of sc.
-func linkGroups(stages []linkStage, on []int, xrows []int32, sc *scratch) linkPattern {
-	p := linkPattern{on: on}
-	groups, n := grow(&sc.groups, len(xrows)), uint32(1)
-	if clear(groups); len(on) > 0 {
-		for m, bi := range xrows {
-			groups[m] = stages[on[0]].xids[bi]
-		}
-		n = stages[on[0]].n
-	}
-	for _, s := range on[min(1, len(on)):] {
-		st := &stages[s]
-		var t pairTable
-		next := uint32(0)
-		if width := uint64(st.n) + 1; (uint64(n)+1)*width <= denseLimit(len(xrows)) {
-			t.dense, t.width = make([]uint32, (uint64(n)+1)*width), width
-			for m, bi := range xrows {
-				d := &t.dense[uint64(groups[m]+1)*width+uint64(st.xids[bi]+1)]
-				if *d == 0 {
-					next++
-					*d = next
-				}
-				groups[m] = *d - 1
-			}
-		} else {
-			t.tbl = newIntTable(len(xrows))
-			for m, bi := range xrows {
-				groups[m], _ = t.tbl.insert(int64(groups[m])<<32 | int64(st.xids[bi]))
-			}
-			next = t.tbl.n
-		}
-		p.pairs, n = append(p.pairs, t), next
-	}
-
+// linkGroups makes the pattern of xrows, which hold NULL in the same rollup
+// links: it is matched on the others, and it folds their ids into one group
+// id per X row. A second and later link pairs the running group with its own
+// id through a table built from the X rows, so only combinations one of
+// them holds get a group. Without a link — xrows hold NULL in every rollup
+// link — there is one group, which every detail row is in. The pattern's
+// links, tables and groups are laid out in the next pattern buffers of sc.
+func linkGroups(stages []linkStage, xrows []int32, sc *scratch) linkPattern {
 	i := sc.patterns
 	sc.patterns++
+	p := linkPattern{on: slot(&sc.pons, i, 0)}
+	for s := range stages {
+		if stages[s].xids[xrows[0]] != anyID {
+			p.on = append(p.on, s)
+		}
+	}
+	sc.pons[i] = p.on
+	groups, n := grow(&sc.groups, len(xrows)), uint32(1)
+	if clear(groups); len(p.on) > 0 {
+		for m, bi := range xrows {
+			groups[m] = stages[p.on[0]].xids[bi]
+		}
+		n = stages[p.on[0]].n
+	}
+	p.pairs = slot(&sc.ppairs, i, max(len(p.on)-1, 0))
+	for k, s := range p.on[min(1, len(p.on)):] {
+		st := &stages[s]
+		t := newPairTable(uint64(n), uint64(st.n), len(xrows), len(xrows), sc)
+		for m, bi := range xrows {
+			groups[m], _ = t.insert(groups[m], st.xids[bi])
+		}
+		p.pairs[k], n = t, t.groups()
+	}
+
 	count := slot(&sc.pstarts, i, int(n)+1)
 	clear(count)
 	shared := false
@@ -1036,18 +1103,20 @@ func boundLink(c expr.Expr) (bIdx, dIdx int, rollup, ok bool) {
 	}
 }
 
-// newSlabs allocates the accumulators of a variable of layout l.
-func newSlabs(l *agg.Layout, nx int) []physSlab {
+// newSlabs returns the zeroed accumulators of a variable of layout l over nx
+// base rows: lent from sc's slab buffers when lend is set, allocated
+// otherwise.
+func newSlabs(l *agg.Layout, nx int, sc *scratch, lend bool) []physSlab {
 	slabs := make([]physSlab, len(l.Phys))
 	for p, pc := range l.Phys {
 		s := &slabs[p]
 		if pc.Kind == relation.KindFloat {
-			s.floats = make([]float64, nx)
+			s.floats = take(lend, &sc.floats, &sc.nfloats, nx)
 		} else {
-			s.ints = make([]int64, nx)
+			s.ints = take(lend, &sc.ints, &sc.nints, nx)
 		}
 		if pc.Op != agg.PhysCount {
-			s.seen = make([]bool, nx)
+			s.seen = take(lend, &sc.flags, &sc.nflags, nx)
 		}
 	}
 	return slabs
@@ -1193,15 +1262,17 @@ func eachImage(ctx context.Context, src ColumnSource, run func(*relation.Columns
 // them to the OperatorAccum as they are. Images in scan order, and rows in
 // order within each, keep every cell's inputs in detail-row order. An image
 // that does not compile stops the walk: the accumulator is nil and the
-// reason says why. Its buffers come from sc.
-func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varState, src ColumnSource, sc *scratch) (*OperatorAccum, string, error) {
+// reason says why. Its buffers come from sc, and so do the slabs and Touched
+// when lend is set: the accumulator is then valid until sc is used again.
+func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varState, src ColumnSource, sc *scratch, lend bool) (*OperatorAccum, string, error) {
+	sc.nints, sc.nfloats, sc.nflags = 0, 0, 0
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(states)),
-		Touched: make([]bool, x.Len()),
+		Touched: take(lend, &sc.flags, &sc.nflags, x.Len()),
 		slabs:   make([][]physSlab, len(states)),
 	}
 	for vi, st := range states {
-		out.Layouts[vi], out.slabs[vi] = st.layout, newSlabs(st.layout, x.Len())
+		out.Layouts[vi], out.slabs[vi] = st.layout, newSlabs(st.layout, x.Len(), sc, lend)
 	}
 	reason, err := eachImage(ctx, src, func(cols *relation.Columns) string {
 		vars, why := compileOperator(x, states, cols, sc)
@@ -1223,8 +1294,8 @@ func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varS
 // filter as block filters, the projection as typed columns whose cells are
 // deduplicated on ids instead of hashed Values.
 type baseKernel struct {
-	cols *relation.Columns
-	idx  []int
+	rows int
+	cols []baseCol
 	// masks holds, per grouping set, the projected columns it keeps; nil for
 	// a set that keeps them all.
 	masks  [][]bool
@@ -1232,12 +1303,17 @@ type baseKernel struct {
 	where  []keepFn
 	// witness counts the rows where admits instead of dropping the others.
 	witness bool
-	// firstWidth is the entries of the dense table the first projected
-	// column's cells key — its dictionary or its value span, one more for
-	// NULL — or 0 when the span is too wide and a hash table keys them;
-	// firstLo is the least value of an INT column.
-	firstWidth int
-	firstLo    int64
+}
+
+// baseCol is one projected column of a baseKernel. Its cells are ids below
+// width: 0 for NULL, else a STRING's dictionary code, an INT's value minus
+// lo when the column's values span narrowly, or its id in a table of values
+// when they do not (hashed), each plus one.
+type baseCol struct {
+	vec    *relation.Vector
+	lo     int64
+	hashed bool
+	width  uint64
 }
 
 // compileBaseKernel covers the distinct projection, plain or per grouping
@@ -1247,7 +1323,7 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 	if len(p.idx) == 0 {
 		return nil, reasonShape
 	}
-	k := &baseKernel{cols: cols, idx: p.idx, masks: make([][]bool, len(p.masks)), schema: p.schema, witness: p.witness}
+	k := &baseKernel{rows: cols.Rows, cols: make([]baseCol, len(p.idx)), masks: make([][]bool, len(p.masks)), schema: p.schema, witness: p.witness}
 	for set, mask := range p.masks {
 		for _, keep := range mask {
 			if !keep {
@@ -1259,10 +1335,12 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 	if p.witness && (len(k.masks) > 1 || k.masks[0] != nil) {
 		return nil, reasonShape
 	}
-	for _, j := range p.idx {
-		if vec := &cols.Vecs[j]; vec.Boxed || (vec.Kind != relation.KindInt && vec.Kind != relation.KindString) {
+	for c, j := range p.idx {
+		vec := &cols.Vecs[j]
+		if vec.Boxed || (vec.Kind != relation.KindInt && vec.Kind != relation.KindString) {
 			return nil, reasonKind
 		}
+		k.cols[c] = baseColOf(vec, cols.Rows)
 	}
 	if p.where != nil {
 		for _, c := range expr.Conjuncts(p.where) {
@@ -1276,60 +1354,68 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 			k.where = append(k.where, keeps...)
 		}
 	}
-	first := &cols.Vecs[p.idx[0]]
-	if first.Kind == relation.KindString {
-		k.firstWidth = len(first.Dict) + 1
-	} else if len(first.Ints) > 0 {
-		lo, hi := first.Ints[0], first.Ints[0]
-		for _, v := range first.Ints {
+	return k, reasonOK
+}
+
+// baseColOf lays out the cells of a projected column of an image of rows
+// rows: an INT column is indexed by value when its span is narrow, as
+// compileLink's dense maps are, and hashed otherwise.
+func baseColOf(vec *relation.Vector, rows int) baseCol {
+	if vec.Kind == relation.KindString {
+		return baseCol{vec: vec, width: uint64(len(vec.Dict)) + 1}
+	}
+	if len(vec.Ints) > 0 {
+		lo, hi := vec.Ints[0], vec.Ints[0]
+		for _, v := range vec.Ints {
 			lo, hi = min(lo, v), max(hi, v)
 		}
 		// As in compileLink: hi-lo is exact, hi-lo+1 may wrap.
-		if span := uint64(hi - lo); span < denseLimit(cols.Rows)-1 {
-			k.firstWidth, k.firstLo = int(span)+2, lo
+		if span := uint64(hi - lo); span < denseLimit(rows)-1 {
+			return baseCol{vec: vec, lo: lo, width: span + 2}
 		}
 	}
-	return k, reasonOK
+	return baseCol{vec: vec, hashed: true, width: uint64(rows) + 1}
 }
 
 // baseCell names one base row: detail row row projected under grouping set
 // set.
 type baseCell struct{ row, set int32 }
 
-// baseDedup is one scan's distinct-projection state. Each projected column's
-// cells are ids: a STRING column's dictionary code, an INT column's value
-// minus its least (first column, when the values span narrowly) or its id in
-// a table of values (otherwise), each plus one, and 0 for NULL. A narrow
-// first column's cells index a dense first table; otherwise, and for every
-// further column, a table pairs the running group id with the column's cell.
-// A projection is a first occurrence exactly when the last table had to add
-// its key. A column its grouping set leaves out is offered as NULL, the cell
-// a NULL in the data has, so every set goes through the same tables and the
-// two NULLs collapse into one base row, as they do in the scalar path's one
-// relation.KeyTable.
+// baseDedup is one scan's distinct-projection state. The columns' cells
+// (baseCol) are folded into a group id a column at a time: pairs[c] pairs
+// the running group — 0 before the first column — with column c's cell, so a
+// projection is a first occurrence exactly when the last table had to add
+// its pair. A table is a flat array when the groups its column can meet
+// times the column's cells are few, which the widths bound, and a hash
+// table otherwise (newPairTable). A column its grouping set leaves out is
+// offered as NULL, the cell a NULL in the data has, so every set goes
+// through the same tables and the two NULLs collapse into one base row, as
+// they do in the scalar path's one relation.KeyTable.
 type baseDedup struct {
 	k      *baseKernel
-	first  []uint32    // dense first table: cell → id+1; nil when pairs[0] keys the first column
-	nFirst uint32      // ids the dense first table has given
-	cells  []*intTable // per INT column that has no dense span: value → cell-1
-	pairs  []*intTable // pairs[c] pairs group and column c's cell
+	cells  []*intTable // per hashed column, value → cell-1; nil for the others
+	pairs  []pairTable // pairs[c] pairs group and column c's cell
 	fresh  []baseCell  // the new projections, in scan order
 	counts []int64     // under a witness, per projection the rows where admits
 }
 
-// newDedup starts a dedup whose dense first table, if any, is scratch table t,
-// zeroed.
+// newDedup starts dedup t of sc, its tables from sc, empty.
 func (k *baseKernel) newDedup(sc *scratch, t int) *baseDedup {
-	d := &baseDedup{k: k, cells: make([]*intTable, len(k.idx)), pairs: make([]*intTable, len(k.idx))}
-	for c, j := range k.idx {
-		if c == 0 && k.firstWidth > 0 {
-			d.first = slot(&sc.tables, t, k.firstWidth)
-			clear(d.first)
-			continue
+	d := &sc.dedups[t]
+	d.k, d.cells, d.pairs = k, grow(&d.cells, len(k.cols)), grow(&d.pairs, len(k.cols))
+	groups, limit := uint64(1), denseLimit(k.rows)
+	for c, col := range k.cols {
+		// The pairs may grow large; start their tables small.
+		d.pairs[c] = newPairTable(groups, col.width, k.rows, 32, sc)
+		d.cells[c] = nil
+		if col.hashed {
+			d.cells[c] = sc.hashTable(32)
 		}
-		d.pairs[c] = newIntTable(64)
-		if k.cols.Vecs[j].Kind == relation.KindInt {
-			d.cells[c] = newIntTable(64)
+		// The groups the next column meets: at most one per pair.
+		if col.width > limit/groups {
+			groups = limit
+		} else {
+			groups *= col.width
 		}
 	}
 	return d
@@ -1343,29 +1429,37 @@ func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int3
 	n := len(rows)
 	g, cell := grow(&sc.projs, n), grow(&sc.cells, n)
 	clear(g)
-	last := len(d.k.idx) - 1
-	for c, j := range d.k.idx {
-		d.cellsOf(c, &d.k.cols.Vecs[j], rows, sets, cell)
-		if c == 0 && d.first != nil {
+	last := len(d.k.cols) - 1
+	for c := range d.k.cols {
+		d.cellsOf(c, rows, sets, cell)
+		t := &d.pairs[c]
+		switch {
+		case t.dense == nil:
 			for m, x := range cell {
-				id := d.first[x]
-				if id == 0 {
-					d.nFirst++
-					id = d.nFirst
-					d.first[x] = id
-					if last == 0 {
-						fresh = append(fresh, int32(m))
-					}
+				id, isNew := t.tbl.insert(int64(g[m])<<32 | int64(x))
+				g[m] = int32(id)
+				if isNew && c == last {
+					fresh = append(fresh, int32(m))
 				}
-				g[m] = int32(id - 1)
 			}
-			continue
-		}
-		for m, x := range cell {
-			id, isNew := d.pairs[c].insert(int64(g[m])<<32 | int64(x))
-			g[m] = int32(id)
-			if isNew && c == last {
-				fresh = append(fresh, int32(m))
+		case c == 0:
+			// Every group is 0 before the first column, so its cells index
+			// group 0's row of the array alone.
+			row := t.dense[t.width+1:]
+			for m, x := range cell {
+				id, isNew := t.claim(&row[x])
+				g[m] = int32(id)
+				if isNew && c == last {
+					fresh = append(fresh, int32(m))
+				}
+			}
+		default:
+			for m, x := range cell {
+				id, isNew := t.claim(&t.dense[uint64(g[m]+1)*t.width+uint64(x+1)])
+				g[m] = int32(id)
+				if isNew && c == last {
+					fresh = append(fresh, int32(m))
+				}
 			}
 		}
 	}
@@ -1375,15 +1469,17 @@ func (d *baseDedup) offer(rows, sets []int32, sc *scratch, fresh []int32) []int3
 // cellsOf writes column c's cells of rows into cell: typed loops, then a
 // pass zeroing the NULLs if the column has any, then one zeroing the cells
 // the grouping sets leave out.
-func (d *baseDedup) cellsOf(c int, vec *relation.Vector, rows, sets []int32, cell []uint32) {
+func (d *baseDedup) cellsOf(c int, rows, sets []int32, cell []uint32) {
+	col := &d.k.cols[c]
+	vec := col.vec
 	switch {
 	case vec.Kind == relation.KindString:
 		for m, i := range rows {
 			cell[m] = vec.Codes[i] + 1
 		}
-	case d.cells[c] == nil:
+	case !col.hashed:
 		for m, i := range rows {
-			cell[m] = uint32(vec.Ints[i]-d.k.firstLo) + 1
+			cell[m] = uint32(vec.Ints[i]-col.lo) + 1
 		}
 	default:
 		for m, i := range rows {
@@ -1427,7 +1523,7 @@ func (d *baseDedup) scan(sc *scratch) {
 		whole = d.k.newDedup(sc, 1)
 	}
 	d.fresh, d.counts = sc.fresh[:0], sc.counts[:0]
-	total := d.k.cols.Rows
+	total := d.k.rows
 	for lo := 0; lo < total; lo += blockRows {
 		// The filters hold literals only, which never read the X rows.
 		rows, unused := sc.rows[:min(blockRows, total-lo)], sc.bis
@@ -1501,6 +1597,8 @@ func (d *baseDedup) filter(rows, beside []int32) int {
 // occurrence, so the rows come in the scalar path's order, and summing a
 // witness's counts.
 func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.Relation, []int64, string, error) {
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
 	var out *relation.Relation
 	var counts []int64
 	var merged *distinctRows // once a second image needs merging
@@ -1509,7 +1607,7 @@ func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.R
 		if k == nil {
 			return why
 		}
-		part, partCounts := k.run()
+		part, partCounts := k.run(sc)
 		switch {
 		case out == nil:
 			out, counts = part, partCounts
@@ -1536,17 +1634,17 @@ func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.R
 // columnar relation gathered from the image's vectors, and under a witness
 // each row's count. A STRING column indexes the image's own dictionary
 // (clipped, so a later append copies it), which lets an operator over the
-// same image link it without a probe (compileLink). The scan's buffers stay
-// in the pooled scratch; only the result is allocated.
-func (k *baseKernel) run() (*relation.Relation, []int64) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+// same image link it without a probe (compileLink). The scan's buffers, its
+// dedups and their tables come from sc, grown into what an earlier pass left
+// there; only the result is allocated.
+func (k *baseKernel) run(sc *scratch) (*relation.Relation, []int64) {
+	sc.resetTables()
 	d := k.newDedup(sc, 0)
 	d.scan(sc)
 	n := len(d.fresh)
-	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.idx))}
-	for c, j := range k.idx {
-		in, v := &k.cols.Vecs[j], &out.Vecs[c]
+	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.cols))}
+	for c := range k.cols {
+		in, v := k.cols[c].vec, &out.Vecs[c]
 		v.Kind = in.Kind
 		if v.Kind == relation.KindInt {
 			v.Ints = make([]int64, n)
@@ -1569,5 +1667,7 @@ func (k *baseKernel) run() (*relation.Relation, []int64) {
 	if k.witness {
 		counts = slices.Clone(d.counts)
 	}
+	// The pool keeps the dedups' tables, not the image they read.
+	sc.dedups[0].k, sc.dedups[1].k = nil, nil
 	return relation.FromColumns(k.schema, out), counts
 }

@@ -664,14 +664,20 @@ func TestKernelVectorsGatheredFromSlabs(t *testing.T) {
 }
 
 // TestKernelScratchReuse: one scratch serves evaluation after evaluation, as
-// the pool lends it — a large X, a small one, the large one again — and,
-// within one, image after image and variable after variable. Rollup links
-// sort X into several link patterns, and links over part of X's columns make
-// groups of several X rows, so patterns of every form are laid out in the
-// scratch's buffers over what an earlier pattern left there, poisoned
-// between evaluations. Every evaluation equals the scalar path's.
+// the pool lends it — a large request, a small one, the large one again —
+// and, within one, image after image and variable after variable. Rollup
+// links sort X into several link patterns, and links over part of X's
+// columns make groups of several X rows, so patterns of every form are laid
+// out in the scratch's buffers over what an earlier pattern left there. The
+// rollup links run over STRING columns and over INT columns whose values
+// span narrowly, widely and hold NULLs; a plain link over a wide INT column
+// takes the hash table, and so do the pairs of two links of many values;
+// base passes under grouping sets pair their columns
+// through flat arrays and hash tables alike. Every buffer, table and lent
+// slab is poisoned between evaluations. Every evaluation equals the scalar
+// path's.
 func TestKernelScratchReuse(t *testing.T) {
-	detail := kernelDetail(61, 3000)
+	detail := withSpreadKeys(withWideInts(kernelDetail(61, 3000)))
 	cube := setsOf(t, detail, []string{"S", "I", "T"}, cubeSets("S", "I", "T")...)
 	few := keepRows(cube, func(r relation.Tuple) bool { return r[0].IsNull() || r[0].Str == "a" })
 	// The grand total first: a pattern on no link is laid out first, over
@@ -679,43 +685,119 @@ func TestKernelScratchReuse(t *testing.T) {
 	totalFirst := withRows(keepRows(cube, func(r relation.Tuple) bool { return r[0].IsNull() && r[1].IsNull() && r[2].IsNull() }),
 		keepRows(cube, func(r relation.Tuple) bool { return !r[0].IsNull() || !r[1].IsNull() || !r[2].IsNull() }).Rows()...)
 	pairs := baseOf(t, detail, "S", "I")
+	// I spans five values, V forty and W a million apart; all hold NULLs.
+	intSets := [][]string{{"I", "V", "W"}, {"I", "V"}, {"I"}, {}}
+	ints := setsOf(t, detail, []string{"I", "V", "W"}, intSets...)
+	fewInts := keepRows(ints, func(r relation.Tuple) bool { return r[0].IsNull() || r[0].Int == 1 })
+	wide := baseOf(t, detail, "W", "S")
+	// U and N hold a hundred values each, so their pairs take a hash table.
+	spread := baseOf(t, detail, "U", "N")
 	rollup := Operator{Detail: "D", Vars: []GroupVar{
 		{Cond: expr.MustParse(rollupCond("S", "I", "T")), Aggs: allAggs},
 		{Cond: expr.MustParse(rollupCond("S", "I", "T") + " && R.V >= 0"), Aggs: allAggs[:3]},
+	}}
+	intRollup := Operator{Detail: "D", Vars: []GroupVar{
+		{Cond: expr.MustParse(rollupCond("I", "V", "W")), Aggs: allAggs},
 	}}
 	shared := Operator{Detail: "D", Vars: []GroupVar{
 		{Cond: expr.MustParse("B.S = R.S && R.V <= B.I"), Aggs: allAggs},
 		{Cond: expr.MustParse("B.I = R.I"), Aggs: allAggs[:4]},
 	}}
+	wideLink := Operator{Detail: "D", Vars: []GroupVar{
+		{Cond: expr.MustParse("B.W = R.W && B.S = R.S"), Aggs: allAggs},
+		{Cond: expr.MustParse("B.W = R.W"), Aggs: allAggs[5:]},
+	}}
+	manyPairs := oneVar("B.U = R.U && B.N = R.N", allAggs...)
 	sc := scratchPool.New().(*scratch)
-	// poison overwrites whatever the pattern buffers hold, to their
-	// capacity, with an id in range of most patterns: a buffer that is read
-	// before it is written yields wrong groups.
+	// poison overwrites whatever the scratch holds, to each buffer's
+	// capacity, with an id in range of most patterns and tables: a buffer
+	// that is read before it is written yields wrong groups, and a table or
+	// slab not emptied yields wrong cells.
 	poison := func() {
-		bufs := append([][]int32{sc.xrows, sc.next}, append(sc.pstarts, sc.prows...)...)
-		for _, buf := range bufs {
+		fill := func(bufs ...[]int32) {
+			for _, buf := range bufs {
+				for i := range buf[:cap(buf)] {
+					buf[:cap(buf)][i] = 7
+				}
+			}
+		}
+		fill(append([][]int32{sc.xrows, sc.next, sc.projs}, append(append(sc.pstarts, sc.prows...), sc.members...)...)...)
+		for _, bufs := range append(append([][]uint32{sc.groups, sc.cells}, sc.dense...), sc.xids...) {
+			for i := range bufs[:cap(bufs)] {
+				bufs[:cap(bufs)][i] = 7
+			}
+		}
+		for _, tbl := range sc.hashes {
+			for i := range tbl.ids[:cap(tbl.ids)] {
+				tbl.ids[:cap(tbl.ids)][i], tbl.keys[:cap(tbl.keys)][i] = 7, 7
+			}
+		}
+		for _, buf := range sc.ints {
 			for i := range buf[:cap(buf)] {
 				buf[:cap(buf)][i] = 7
 			}
 		}
-		for i := range sc.groups[:cap(sc.groups)] {
-			sc.groups[:cap(sc.groups)][i] = 7
+		for _, buf := range sc.floats {
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = 7
+			}
 		}
+		for _, buf := range sc.flags {
+			for i := range buf[:cap(buf)] {
+				buf[:cap(buf)][i] = true
+			}
+		}
+	}
+	// image is the first rows rows of detail as one image.
+	image := func(rows int) *relation.Columns {
+		return segmentedSource(detail, rows).images[0]
 	}
 	for i, run := range []struct {
 		x        *relation.Relation
 		op       Operator
 		patterns int // at least, over the last image
+		base     BaseQuery
+		rows     int // of the base pass's one image
 	}{
-		{cube, rollup, 8}, {few, rollup, 4}, {cube, rollup, 8}, {pairs, shared, 2}, {few, rollup, 4}, {pairs, shared, 2},
-		{totalFirst, rollup, 8}, {cube, rollup, 8},
+		{x: cube, op: rollup, patterns: 8}, {x: few, op: rollup, patterns: 4}, {x: cube, op: rollup, patterns: 8},
+		{base: BaseQuery{Cols: []string{"I", "V", "W"}, GroupingSets: intSets}, rows: 3000},
+		{x: ints, op: intRollup, patterns: 4},
+		{base: BaseQuery{Cols: []string{"I", "V", "W"}, GroupingSets: intSets}, rows: 90},
+		{x: fewInts, op: intRollup, patterns: 4},
+		{x: pairs, op: shared, patterns: 2}, {x: spread, op: manyPairs, patterns: 1}, {x: few, op: rollup, patterns: 4},
+		{x: wide, op: wideLink, patterns: 2},
+		{base: BaseQuery{Cols: []string{"S", "I", "T", "V"}, GroupingSets: cubeSets("S", "I", "T", "V")}, rows: 3000},
+		{x: pairs, op: shared, patterns: 2}, {x: totalFirst, op: rollup, patterns: 8}, {x: ints, op: intRollup, patterns: 4},
+		{base: BaseQuery{Cols: []string{"S", "I", "T", "V"}, GroupingSets: cubeSets("S", "I", "T", "V")}, rows: 40},
+		{x: cube, op: rollup, patterns: 8},
 	} {
+		poison()
+		if run.x == nil {
+			cols := image(run.rows)
+			rel := relation.FromColumns(detail.Schema, cols)
+			p, err := compileBase(run.base, SourceOf(rel), false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			k, reason := compileBaseKernel(p, cols)
+			if k == nil {
+				t.Fatalf("run %d: base pass did not compile: %s", i, reason)
+			}
+			got, _ := k.run(sc)
+			want, err := EvalBase(context.Background(), run.base, SourceOf(rel))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sameRows(want.Rows(), got.Rows()); err != nil {
+				t.Errorf("run %d, a base pass over %d rows: %v", i, run.rows, err)
+			}
+			continue
+		}
 		states, err := bindVarStates(run.x, run.op, detail.Schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		poison()
-		kernel, reason, err := runOperatorKernel(context.Background(), run.x, states, segmentedSource(detail, 1300), sc)
+		kernel, reason, err := runOperatorKernel(context.Background(), run.x, states, segmentedSource(detail, 1300), sc, true)
 		if err != nil || reason != reasonOK {
 			t.Fatalf("run %d: %s, %v", i, reason, err)
 		}
