@@ -209,9 +209,13 @@ func BenchmarkFig5ConstantGroups(b *testing.B) {
 // prefix with its digit suffixes' values bit-packed, its counts bit-packed
 // above their minimum and its sums above their least IEEE 754 bits (44 066 B
 // before the FLOAT and digit forms, 75 987 B before the INT and prefix ones).
-// decode is the receiving side of one frame: Unmarshal, as a site decodes X.
-// decode-boxed decodes the same shape plus a BOOL column and a mixed one (an
-// INT column holding some FLOAT cells), which decode to boxed vectors.
+// decode is the receiving side of one frame, on the heap, as Unmarshal
+// decodes it. decode-warm decodes it into one set of slabs reset between decodes, as a
+// round decodes a site's replies into the slabs it borrows: what it allocates
+// is the STRING bytes, which a decode always builds on the heap, and the
+// relation's headers. decode-boxed decodes the same shape plus a BOOL column
+// and a mixed one (an INT column holding some FLOAT cells), which decode to
+// boxed vectors.
 func BenchmarkWireCodec(b *testing.B) {
 	// gobShadow is what gob alone would ship for the relation: its schema and
 	// rows.
@@ -260,10 +264,12 @@ func BenchmarkWireCodec(b *testing.B) {
 		}
 		boxed.MustAppend(append(row, relation.NewBool(i%3 == 0), mix))
 	}
+	var slabs relation.Slabs
 	for _, c := range []struct {
-		name string
-		rel  *relation.Relation
-	}{{"decode", h}, {"decode-boxed", boxed}} {
+		name  string
+		rel   *relation.Relation
+		slabs *relation.Slabs
+	}{{"decode", h, nil}, {"decode-warm", h, &slabs}, {"decode-boxed", boxed, nil}} {
 		b.Run(c.name, func(b *testing.B) {
 			data, err := relation.Marshal(c.rel)
 			if err != nil {
@@ -272,7 +278,8 @@ func BenchmarkWireCodec(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := relation.Unmarshal(data); err != nil {
+				c.slabs.Reset()
+				if _, err := relation.NewCursor(data).Relation(c.slabs); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -118,7 +118,7 @@ func foldScenario(t *testing.T, after func(k int, m *merger, want []relation.Tup
 		parts = append(parts, decoded(t, b))
 	}
 	m := mustMerger(t, q.Keys(), xs, segs, nil)
-	if err := m.MergeLocal(nil, false, parts); err != nil {
+	if err := m.MergeLocal(nil, false, parts, nil); err != nil {
 		t.Fatal(err)
 	}
 	want := m.X().Rows()
@@ -259,7 +259,7 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 		"boxed": append([]*relation.Relation{offKind}, parts[1:]...),
 	} {
 		free := mustMerger(t, q.Keys(), xs, segs, nil)
-		if err := free.MergeLocal(nil, false, parts); err != nil {
+		if err := free.MergeLocal(nil, false, parts, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := free.X().MemBytes()
@@ -269,7 +269,7 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 
 		exact := newMemBudget(want)
 		m := mustMerger(t, q.Keys(), xs, segs, exact)
-		if err := m.MergeLocal(nil, false, parts); err != nil {
+		if err := m.MergeLocal(nil, false, parts, nil); err != nil {
 			t.Fatalf("%s: InitBase under a budget of X's %d bytes: %v", name, want, err)
 		}
 		if got := exact.used.Load(); got != want {
@@ -277,7 +277,7 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 		}
 
 		short := mustMerger(t, q.Keys(), xs, segs, newMemBudget(want-1))
-		if err := short.MergeLocal(nil, false, parts); !errors.Is(err, ErrQueryMemBudget) {
+		if err := short.MergeLocal(nil, false, parts, nil); !errors.Is(err, ErrQueryMemBudget) {
 			t.Errorf("%s: InitBase one byte under X's bytes = %v, want ErrQueryMemBudget", name, err)
 		}
 		if short.X() != nil {
@@ -291,7 +291,7 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 		t.Fatal(err)
 	}
 	free := mustMerger(t, q.Keys(), xs, segs, nil)
-	if err := free.MergeLocal(nil, false, parts); err != nil {
+	if err := free.MergeLocal(nil, false, parts, nil); err != nil {
 		t.Fatal(err)
 	}
 	coord.SetQueryMemBudget(free.X().MemBytes() - 1)

@@ -39,6 +39,9 @@ type Coordinator struct {
 	plans     *planCache   // nil = plan caching off
 	results   *resultCache // nil = result caching off
 	flights   *flightGroup // nil = single-flight collapsing off
+
+	// lends keeps the round lends given back for a later round (giveBack).
+	lends relation.FreeList[roundLend]
 }
 
 // New creates a coordinator. cat may be nil (no distribution knowledge); net
@@ -47,7 +50,9 @@ func New(sites []transport.Site, cat *distrib.Catalog, net stats.NetModel) (*Coo
 	if len(sites) == 0 {
 		return nil, fmt.Errorf("core: coordinator needs at least one site")
 	}
-	return &Coordinator{sites: sites, cat: cat, net: net}, nil
+	c := &Coordinator{sites: sites, cat: cat, net: net}
+	c.lends.New = func() *roundLend { return &roundLend{sites: make([]relation.Slabs, len(sites))} }
+	return c, nil
 }
 
 // SetRowBlocking makes the sites return H_i in blocks of at most rows rows
@@ -227,7 +232,9 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 // fanOut runs one round at every site, each site in its own goroutine:
 // prepare(i) (nil: every site calls) readies site i's part and reports
 // whether the site is called at all, and attempt is one try of site i's call,
-// made under the coordinator's retry policy. commit(i) (nil: none) takes site
+// made under the coordinator's retry policy, its replies decoded into site
+// i's slabs of lend, reset before every try: a failed attempt's replies are
+// dropped with it. commit(i) (nil: none) takes site
 // i's part — a site that was not called included — on the caller's
 // goroutine, in site order: site i's as soon as sites 0..i-1 have committed,
 // while later sites still run; after a failure or a cancellation nothing more
@@ -236,7 +243,7 @@ func (c *Coordinator) executePlan(ctx context.Context, pl *plan.Plan, src gmdj.S
 // cancelled context is reported as ctx.Err() once every site has returned,
 // ahead of the first site error in site order, ahead of the first commit
 // error.
-func (c *Coordinator) fanOut(ctx context.Context, rs *obs.RoundSpan,
+func (c *Coordinator) fanOut(ctx context.Context, rs *obs.RoundSpan, lend *roundLend,
 	prepare func(i int) (call bool, err error),
 	attempt func(ctx context.Context, i int, s transport.Site) (stats.Call, error),
 	commit func(i int) error) error {
@@ -257,9 +264,11 @@ func (c *Coordinator) fanOut(ctx context.Context, rs *obs.RoundSpan,
 					return
 				}
 			}
+			slabs := &lend.sites[i]
 			errs[i] = c.withRetry(ctx, rs, i, func(actx context.Context) (stats.Call, error) {
+				slabs.Reset()
 				var err error
-				calls[i], err = attempt(actx, i, s)
+				calls[i], err = attempt(transport.WithSlabs(actx, slabs), i, s)
 				return calls[i], err
 			})
 			called[i] = errs[i] == nil
@@ -301,8 +310,11 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 	rs := span.StartRound(r.Name, 0)
 	ctx = obs.WithRound(ctx, r.Name)
 	req := engine.LocalRequest{Query: pl.Query, UpTo: r.UpTo, Witness: r.Witness}
+	// The replies live in the round's lend until MergeLocal has built X.
+	lend := c.lends.Get()
+	defer c.giveBack(lend)
 	parts := make([]*relation.Relation, len(c.sites))
-	err := c.fanOut(ctx, rs, nil, func(ctx context.Context, i int, s transport.Site) (call stats.Call, err error) {
+	err := c.fanOut(ctx, rs, lend, nil, func(ctx context.Context, i int, s transport.Site) (call stats.Call, err error) {
 		if r.Kind == plan.RoundBase {
 			parts[i], call, err = s.EvalBase(ctx, pl.Query.Base)
 		} else {
@@ -313,7 +325,7 @@ func (c *Coordinator) localRound(ctx context.Context, pl *plan.Plan, mg *merger,
 	var coordTime time.Duration
 	if err == nil {
 		t0 := time.Now()
-		err = mg.MergeLocal(pl.Query.Ops[:r.UpTo], r.Witness, parts)
+		err = mg.MergeLocal(pl.Query.Ops[:r.UpTo], r.Witness, parts, lend)
 		coordTime = time.Since(t0)
 		rs.ObserveMerge(coordTime)
 	}
@@ -376,10 +388,13 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	coordTime := time.Since(t0)
 
 	// stages[i] is site i's stage: until its call succeeds, an empty one over
-	// the rows of its fragment.
+	// the rows of its fragment. Its blocks live in the round's lend until
+	// the last CommitStage has folded them into X.
+	lend := c.lends.Get()
+	defer c.giveBack(lend)
 	reqs := make([]engine.OperatorRequest, len(c.sites))
 	stages := make([]*hStage, len(c.sites))
-	err = c.fanOut(ctx, rs, func(i int) (bool, error) {
+	err = c.fanOut(ctx, rs, lend, func(i int) (bool, error) {
 		// Thm. 4 fragment reduction runs here, in each site's own goroutine,
 		// so the O(sites × |X|) predicate evaluation parallelizes instead of
 		// serializing the round's start. It reads X as it was before Extend,
@@ -465,6 +480,38 @@ func (c *Coordinator) operatorRound(ctx context.Context, pl *plan.Plan, mg *merg
 	}
 	rs.End(coordTime)
 	return err
+}
+
+// roundLend is the memory one round borrows and gives back when it ends: a
+// set of decode slabs per site, which the site's replies or H blocks are
+// decoded into (transport.WithSlabs), and the key table and lists the merge
+// of a local round works in (installKeys). X keeps nothing of it: the merges
+// copy what they keep, STRING values aside, which are substrings of strings
+// the heap holds. So the round gives the lend back in one place, once its
+// last merge is done and every site call has returned (fanOut), and no
+// reply, block or merge list is released on its own.
+type roundLend struct {
+	sites  []relation.Slabs
+	table  relation.KeyTable
+	hashes []uint64
+	kept   []rowAt
+	sums   []int64
+}
+
+// maxLend is the most bytes of merge lists a lend keeps for the next round:
+// one a huge merge grew past it is dropped, as its slabs drop their buffers
+// past their own cap (relation.Slabs.Reset).
+const maxLend = 4 << 20
+
+// giveBack takes back everything a round decoded into l and keeps l for a
+// later round.
+func (c *Coordinator) giveBack(l *roundLend) {
+	for i := range l.sites {
+		l.sites[i].Reset()
+	}
+	if 8*(cap(l.hashes)+cap(l.kept)+cap(l.sums)) <= maxLend {
+		c.lends.Put(l)
+	}
 }
 
 // keptRows returns the X rows a site's operator fragment holds: those keep

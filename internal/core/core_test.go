@@ -494,7 +494,7 @@ func TestMergerUnit(t *testing.T) {
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)})
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)}) // dup: must dedup
 	base.MustAppend(relation.Tuple{relation.NewInt(2), relation.NewInt(1)})
-	if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if m.X().Len() != 2 {

@@ -262,7 +262,7 @@ func stageMerger(t testing.TB) *merger {
 	for h := int64(0); h < 4; h++ {
 		base.MustAppend(relation.Tuple{relation.NewInt(h)})
 	}
-	if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Extend(); err != nil {
@@ -557,7 +557,7 @@ func FuzzStageAdd(f *testing.F) {
 		var streamErr error
 		limit := stageAllocPerByte*uint64(len(data)) + stageAllocConst
 		if n := allocatedBy(func() {
-			if block, err = relation.NewDecoder(bytes.NewReader(data)).Decode(); err == nil {
+			if block, err = relation.NewDecoder(bytes.NewReader(data)).Decode(nil); err == nil {
 				streamErr = st.Add(block)
 			}
 		}); n > limit {
@@ -800,7 +800,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 	base := relation.New(xs[0])
 	base.MustAppend(relation.Tuple{relation.NewInt(1), relation.NewInt(0)})
 	base.MustAppend(relation.Tuple{relation.NewInt(2), relation.NewInt(1)})
-	if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
 		t.Fatal(err)
 	}
 	extendAll(m, budget, 0)
@@ -815,7 +815,7 @@ func TestExtendWritesInPlace(t *testing.T) {
 		lrow = append(lrow, xrow[xs[1].Index(c.Name)])
 	}
 	local.MustAppend(lrow)
-	if err := m.MergeLocal(q.Ops[:1], false, []*relation.Relation{local}); err != nil {
+	if err := m.MergeLocal(q.Ops[:1], false, []*relation.Relation{local}, nil); err != nil {
 		t.Fatal(err)
 	}
 	extendAll(m, budget, 1)

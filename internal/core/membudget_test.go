@@ -89,14 +89,14 @@ func TestMergerBudget(t *testing.T) {
 
 	// Budget smaller than the base: InitBase itself fails typed.
 	tiny := mustMerger(t, []string{"g", "h"}, xs, segs, newMemBudget(1))
-	if err := tiny.MergeLocal(nil, false, []*relation.Relation{newBase()}); !errors.Is(err, ErrQueryMemBudget) {
+	if err := tiny.MergeLocal(nil, false, []*relation.Relation{newBase()}, nil); !errors.Is(err, ErrQueryMemBudget) {
 		t.Fatalf("InitBase under 1-byte budget = %v, want ErrQueryMemBudget", err)
 	}
 
 	// Budget that fits base + extension but not a staged H block.
 	budget := newMemBudget(newBase().MemBytes() + 1024)
 	m := mustMerger(t, []string{"g", "h"}, xs, segs, budget)
-	if err := m.MergeLocal(nil, false, []*relation.Relation{newBase()}); err != nil {
+	if err := m.MergeLocal(nil, false, []*relation.Relation{newBase()}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Extend(); err != nil {

@@ -212,6 +212,9 @@ func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int)
 	return true
 }
 
+// rowAt is a row of one of the fragments a merge installs keys from.
+type rowAt struct{ part, row int32 }
+
 // installKeys installs as X, with no operator's columns, the distinct keys of
 // the fragments' leading key columns, each at its first occurrence in
 // fragment then row order, and with named set returns, per fragment, the X
@@ -219,9 +222,14 @@ func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int)
 // vectors (keyHashes, sameKey), and the kept rows are gathered column by
 // column straight into X's vectors. Under a witness (the fragments' last
 // column; named must be set) a key whose counts sum to 0 is dropped before
-// anything is gathered, its rows naming X row -1. X's bytes are charged
-// before any of it is allocated; a charge over budget leaves X uninstalled.
-func (m *merger) installKeys(cols []*relation.Columns, named, witness bool) ([][]int32, error) {
+// anything is gathered, its rows naming X row -1. The key table, the hashes,
+// the kept rows and the witness sums are worked in lend's (nil: fresh ones),
+// which X does not keep. X's bytes are charged before any of it is
+// allocated; a charge over budget leaves X uninstalled.
+func (m *merger) installKeys(cols []*relation.Columns, named, witness bool, lend *roundLend) ([][]int32, error) {
+	if lend == nil {
+		lend = new(roundLend)
+	}
 	schema := m.xschemas[0]
 	// X holds at least as many keys as the largest fragment, and at most as
 	// many as all of them.
@@ -229,10 +237,9 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool) ([][
 	for _, c := range cols {
 		largest, total = max(largest, c.Rows), total+c.Rows
 	}
-	type rowAt struct{ part, row int32 }
-	kept := make([]rowAt, 0, total)
-	table := relation.NewKeyTable(largest)
-	hashes := make([]uint64, 0, largest)
+	kept, hashes := slices.Grow(lend.kept[:0], total), lend.hashes
+	table := &lend.table
+	table.Reset(largest)
 	var at [][]int32
 	if named {
 		at = make([][]int32, len(cols))
@@ -261,7 +268,9 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool) ([][
 		}
 	}
 	if witness {
-		sum := make([]int64, len(kept))
+		sum := slices.Grow(lend.sums[:0], len(kept))[:len(kept)]
+		clear(sum)
+		lend.sums = sum[:0]
 		for p, c := range cols {
 			for i, w := range c.Vecs[len(c.Vecs)-1].Ints {
 				sum[at[p][i]] += w
@@ -281,6 +290,8 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool) ([][
 		}
 		kept = kept[:n]
 	}
+	// The lend keeps the lists as they grew; kept is read until X is built.
+	lend.kept, lend.hashes = kept[:0], hashes[:0]
 
 	// A column boxes when Set would box it: it is a BOOL, or a kept cell is
 	// not the canonical Value of its kind.
@@ -716,8 +727,10 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) er
 // the base-values relation. A group can count 0 at one site and more at another;
 // only the sum decides. When a later round's observed reduction reads them,
 // the X row of each reply row is kept, in reply order, as the site's observed
-// list. Last, the derived columns are recomputed.
-func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation.Relation) error {
+// list. Last, the derived columns are recomputed. The key table and lists
+// are worked in lend's (nil: fresh ones), and so may the replies be: X keeps
+// nothing of either.
+func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation.Relation, lend *roundLend) error {
 	upTo := len(ops)
 	want := gmdj.LocalReplySchema(m.xschemas[upTo], ops, witness)
 	cols := make([]*relation.Columns, len(parts))
@@ -730,7 +743,7 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			return fmt.Errorf("%w: a witness count that is not an INT", ErrMalformedH)
 		}
 	}
-	at, err := m.installKeys(cols, upTo > 0 || witness, witness)
+	at, err := m.installKeys(cols, upTo > 0 || witness, witness, lend)
 	if err != nil {
 		return err
 	}

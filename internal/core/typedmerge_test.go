@@ -110,7 +110,7 @@ func TestInitBaseMatchesBoxedReference(t *testing.T) {
 			parts = append(parts, r)
 		}
 		m := mustMerger(t, keys, []relation.Schema{baseSchema}, nil, nil)
-		if err := m.MergeLocal(nil, false, parts); err != nil {
+		if err := m.MergeLocal(nil, false, parts, nil); err != nil {
 			t.Fatal(err)
 		}
 		want := relation.New(baseSchema)
@@ -172,7 +172,7 @@ func TestRecomputeDerivedMatchesAppendDerived(t *testing.T) {
 	}
 	for _, offKind := range []bool{false, true} {
 		m := mustMerger(t, q.Keys(), xs, segs, nil)
-		if err := m.MergeLocal(nil, false, []*relation.Relation{base}); err != nil {
+		if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
 			t.Fatal(err)
 		}
 		if err := m.Extend(); err != nil {
@@ -266,7 +266,7 @@ func BenchmarkInitBase(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := m.MergeLocal(nil, false, parts); err != nil {
+		if err := m.MergeLocal(nil, false, parts, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -280,7 +280,7 @@ func TestWitnessMergeBuildsXOnce(t *testing.T) {
 			merge := func(budget *memBudget, witness bool, parts []*relation.Relation) (*merger, error) {
 				m := mustMerger(t, q.Keys(), xs, segs, budget)
 				m.observed[1] = make([][]int32, len(parts))
-				return m, m.MergeLocal(q.Ops[:1], witness, parts)
+				return m, m.MergeLocal(q.Ops[:1], witness, parts, nil)
 			}
 
 			// The reference: every key installed and merged, then the

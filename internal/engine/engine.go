@@ -377,7 +377,7 @@ func emitBlocks(req OperatorRequest, acc *gmdj.OperatorAccum, flush func(*relati
 	if req.BlockRows > 0 && blockRows > req.BlockRows {
 		blockRows = req.BlockRows
 	}
-	sel := make([]int32, 0, blockRows)
+	sel := acc.RowList(blockRows)
 	for i := 0; i < n && remaining > 0; i++ {
 		if req.Guard && !acc.Touched[i] {
 			continue

@@ -577,6 +577,9 @@ type OperatorAccum struct {
 	// column from a compiled kernel.
 	accs  [][]relation.Tuple
 	slabs [][]physSlab
+	// lent is the scratch the accumulator is lent from (WithOperatorAccum),
+	// nil when it owns its memory.
+	lent *scratch
 }
 
 // AccumulateOperator evaluates one MD operator's grouping variables over the
@@ -591,24 +594,36 @@ type OperatorAccum struct {
 // (kernel.go) runs compiled instead, with identical results, and the passes
 // are charged to ctx's recorder.
 func AccumulateOperator(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool) (*OperatorAccum, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := scratches.Get()
+	defer scratches.Put(sc)
 	return accumulate(ctx, x, op, detail, useHash, sc, false)
 }
 
 // WithOperatorAccum evaluates op as AccumulateOperator does, on the hash
 // paths, and hands fn the accumulator, which is valid only until fn returns:
-// a compiled kernel's slabs and Touched flags are lent from the pooled
-// scratch, and the next evaluation overwrites them. It is for a caller that
-// copies out what it keeps, as a site's H blocks gather the rows they ship.
+// a compiled kernel's slabs and Touched flags, and its RowList, are lent
+// from a kept scratch, and the next evaluation overwrites them. It is for a
+// caller that copies out what it keeps, as a site's H blocks gather the rows
+// they ship.
 func WithOperatorAccum(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, fn func(*OperatorAccum) error) error {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := scratches.Get()
+	defer scratches.Put(sc)
 	acc, err := accumulate(ctx, x, op, detail, true, sc, true)
 	if err != nil {
 		return err
 	}
+	acc.lent = sc
 	return fn(acc)
+}
+
+// RowList returns an empty list of base rows with room for n, for the
+// caller to gather by: lent with the accumulator when it is lent
+// (WithOperatorAccum), else fresh.
+func (a *OperatorAccum) RowList(n int) []int32 {
+	if a.lent == nil {
+		return make([]int32, 0, n)
+	}
+	return grow(&a.lent.sel, n)[:0]
 }
 
 // accumulate is AccumulateOperator with the kernel's buffers from sc, and its

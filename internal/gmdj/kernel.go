@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math/bits"
 	"slices"
-	"sync"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
@@ -83,7 +82,7 @@ const blockRows = 1024
 // scratch is the working state of one kernel evaluation: its block buffers,
 // its link stages and patterns, its hash and dense tables and, for a caller
 // that only reads them, its operator slabs. It is reused across the
-// evaluation's images, patterns and variables and pooled across evaluations,
+// evaluation's images, patterns and variables and kept across evaluations,
 // so a scan allocates nothing per block or per row, and a warm evaluation
 // builds its tables in buffers an earlier one left.
 type scratch struct {
@@ -132,9 +131,14 @@ type scratch struct {
 	setRows, sets []int32
 	fresh         []baseCell
 	counts        []int64
+
+	// The row list a lent accumulator's reader gathers by (RowList).
+	sel []int32
 }
 
-var scratchPool = sync.Pool{New: func() any {
+// scratches keeps the idle scratches for the next evaluation, whichever
+// goroutine or P runs it.
+var scratches = relation.FreeList[scratch]{New: func() *scratch {
 	return &scratch{rows: make([]int32, blockRows), bis: make([]int32, blockRows)}
 }}
 
@@ -203,7 +207,7 @@ const noID = ^uint32(0)
 // intTable is an open-addressed int64 → dense id table (ids count up from 0
 // in insertion order). The operator kernel
 // fills it from X once per request and only reads it during the scan; the
-// base kernel inserts while scanning. It lives in the pooled scratch: reset
+// base kernel inserts while scanning. It lives in the kept scratch: reset
 // empties it into the buffers it has, clearing only the slots it will use,
 // and a grow rehashes the keys it lists in id order, so a warm table
 // allocates nothing.
@@ -1597,8 +1601,8 @@ func (d *baseDedup) filter(rows, beside []int32) int {
 // occurrence, so the rows come in the scalar path's order, and summing a
 // witness's counts.
 func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.Relation, []int64, string, error) {
-	sc := scratchPool.Get().(*scratch)
-	defer scratchPool.Put(sc)
+	sc := scratches.Get()
+	defer scratches.Put(sc)
 	var out *relation.Relation
 	var counts []int64
 	var merged *distinctRows // once a second image needs merging
@@ -1667,7 +1671,7 @@ func (k *baseKernel) run(sc *scratch) (*relation.Relation, []int64) {
 	if k.witness {
 		counts = slices.Clone(d.counts)
 	}
-	// The pool keeps the dedups' tables, not the image they read.
+	// The free list keeps the dedups' tables, not the image they read.
 	sc.dedups[0].k, sc.dedups[1].k = nil, nil
 	return relation.FromColumns(k.schema, out), counts
 }

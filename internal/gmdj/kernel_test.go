@@ -708,7 +708,7 @@ func TestKernelScratchReuse(t *testing.T) {
 		{Cond: expr.MustParse("B.W = R.W"), Aggs: allAggs[5:]},
 	}}
 	manyPairs := oneVar("B.U = R.U && B.N = R.N", allAggs...)
-	sc := scratchPool.New().(*scratch)
+	sc := scratches.New()
 	// poison overwrites whatever the scratch holds, to each buffer's
 	// capacity, with an id in range of most patterns and tables: a buffer
 	// that is read before it is written yields wrong groups, and a table or

@@ -666,8 +666,8 @@ func varintLen(x int64) int { return uvarintLen(uint64(x)<<1 ^ uint64(x>>63)) }
 
 // Decoder reads relations written by an Encoder, caching the stream schema
 // across frames and reading every frame body into one reused buffer. Frames
-// decode as Unmarshal decodes them, into vectors. Nothing decoded points into
-// the buffer.
+// decode as Unmarshal decodes them, into vectors built on the heap or in the
+// Slabs Decode is lent. Nothing decoded points into the buffer.
 type Decoder struct {
 	frames    FrameReader
 	schema    Schema
@@ -684,14 +684,15 @@ func (d *Decoder) Reset() {
 	d.schema, d.hasSchema = nil, false
 }
 
-// Decode reads one relation frame. It returns io.EOF (possibly wrapped as
-// io.ErrUnexpectedEOF mid-frame) when the stream ends.
-func (d *Decoder) Decode() (*Relation, error) {
+// Decode reads one relation frame, its vectors built in s (nil: the heap).
+// It returns io.EOF (possibly wrapped as io.ErrUnexpectedEOF mid-frame) when
+// the stream ends.
+func (d *Decoder) Decode(s *Slabs) (*Relation, error) {
 	body, err := d.frames.Next()
 	if err != nil {
 		return nil, err
 	}
-	return d.decodeFrame(body)
+	return d.decodeFrame(body, s)
 }
 
 // FrameReader reads length-prefixed frames — a uvarint body length, then the
@@ -729,8 +730,9 @@ func (f *FrameReader) Next() ([]byte, error) {
 	}
 }
 
-// decodeFrame decodes one frame body into vectors, read in place from body.
-func (d *Decoder) decodeFrame(body []byte) (*Relation, error) {
+// decodeFrame decodes one frame body into vectors built in s, read in place
+// from body.
+func (d *Decoder) decodeFrame(body []byte, s *Slabs) (*Relation, error) {
 	cur := &Cursor{b: body}
 	kind, err := cur.Byte()
 	if err != nil {
@@ -753,7 +755,7 @@ func (d *Decoder) decodeFrame(body []byte) (*Relation, error) {
 	default:
 		return nil, fmt.Errorf("relation: unknown codec frame kind 0x%02x", kind)
 	}
-	c, err := readVectors(cur, d.schema)
+	c, err := readVectors(cur, d.schema, s)
 	if err != nil {
 		return nil, err
 	}
@@ -935,9 +937,10 @@ func (c *Cursor) Value() (Value, error) {
 	return Null, fmt.Errorf("relation: codec value with invalid kind %d", kind)
 }
 
-// Relation reads one self-contained relation frame, as Unmarshal does. A
-// zero length, which no frame has, reads as no relation.
-func (c *Cursor) Relation() (*Relation, error) {
+// Relation reads one self-contained relation frame, as Unmarshal does, its
+// vectors built in s (nil: the heap). A zero length, which no frame has,
+// reads as no relation.
+func (c *Cursor) Relation(s *Slabs) (*Relation, error) {
 	start := c.pos
 	n, err := c.Count(min(maxFrameBody, c.Len()), "frame length")
 	if err != nil || n == 0 {
@@ -946,7 +949,7 @@ func (c *Cursor) Relation() (*Relation, error) {
 	if _, err := c.Bytes(n); err != nil {
 		return nil, err
 	}
-	return Unmarshal(c.b[start:c.pos])
+	return unmarshal(c.b[start:c.pos], s)
 }
 
 // Schema reads a schema written by AppendSchema.
@@ -989,17 +992,17 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 	return nrows, nil
 }
 
-// readVectors decodes a frame's rows into vectors, reading every value in
-// place from the frame: a uniform or packed INT or FLOAT, uniform, prefix or
-// digits STRING, or NULL column into a typed vector, whose STRING bytes
-// become one string its values are substrings of, and a BOOL or mixed column
-// into a boxed one.
-func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
+// readVectors decodes a frame's rows into vectors built in s, reading every
+// value in place from the frame: a uniform or packed INT or FLOAT, uniform,
+// prefix or digits STRING, or NULL column into a typed vector, whose STRING
+// bytes become one string its values are substrings of, and a BOOL or mixed
+// column into a boxed one.
+func readVectors(cur *Cursor, schema Schema, s *Slabs) (*Columns, error) {
 	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
 		return nil, err
 	}
-	c := &Columns{Rows: nrows, Vecs: make([]Vector, len(schema))}
+	c := &Columns{Rows: nrows, Vecs: s.vectors(len(schema))}
 	nb := (nrows + 7) / 8
 	for j, col := range schema {
 		bitmap, err := readBitmap(cur, nrows, nb)
@@ -1019,7 +1022,7 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 		}
 		v := &c.Vecs[j]
 		v.Kind = col.Kind
-		if err := readVector(cur, v, nrows, bitmap, enc); err != nil {
+		if err := readVector(cur, v, nrows, bitmap, enc, s); err != nil {
 			return nil, err
 		}
 	}
@@ -1027,16 +1030,17 @@ func readVectors(cur *Cursor, schema Schema) (*Columns, error) {
 }
 
 // readVector decodes one column of n rows, encoded enc, into v, whose Kind
-// is set. An INT, FLOAT or STRING column is refused unless enc and its
-// parameters are the shape the encoder gives the values decoded (checkShape).
-func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
+// is set, its slices built in s. An INT, FLOAT or STRING column is refused
+// unless enc and its parameters are the shape the encoder gives the values
+// decoded (checkShape).
+func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte, s *Slabs) error {
 	nonNull := n
 	for k, b := range bitmap {
 		if b == 0 {
 			continue
 		}
 		if v.Nulls == nil {
-			v.Nulls = make([]uint64, (n+63)/64)
+			v.Nulls = s.bitmap((n + 63) / 64)
 		}
 		v.Nulls[k>>3] |= uint64(b) << (8 * (k & 7))
 		nonNull -= bits.OnesCount8(b)
@@ -1067,7 +1071,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 		if err != nil {
 			return err
 		}
-		v.Floats = make([]float64, n)
+		v.Floats = s.float64s(n)
 		lo, hi := int64(math.MaxInt64), int64(math.MinInt64)
 		off := 0
 		for i := range v.Floats {
@@ -1085,7 +1089,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 			return err
 		}
 		got.min, got.bits = int64(codes.lo), codes.w
-		v.Ints = make([]int64, n)
+		v.Ints = s.int64s(n)
 		off := 0
 		for i := range v.Ints {
 			if !v.Null(i) {
@@ -1095,12 +1099,12 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 		}
 	case enc == encPrefix, enc == encDigits:
 		var lo, hi uint64
-		if got, lo, hi, err = readPrefixed(cur, v, n, nonNull, enc); err == nil && enc == encDigits {
+		if got, lo, hi, err = readPrefixed(cur, v, n, nonNull, enc, s); err == nil && enc == encDigits {
 			want, err = digitsShape(got, nonNull, lo, hi)
 			measured = true
 		}
 	case v.Kind == KindInt:
-		v.Ints = make([]int64, n)
+		v.Ints = s.int64s(n)
 		for i := range v.Ints {
 			if v.Null(i) {
 				continue
@@ -1114,8 +1118,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte) error {
 		if err != nil {
 			return err
 		}
-		v.Dict = make([]string, nonNull)
-		v.Codes = make([]uint32, n)
+		v.Dict, v.Codes = s.strings(nonNull), s.uint32s(n)
 		k := 0
 		for i := range v.Codes {
 			if !v.Null(i) {
@@ -1228,14 +1231,14 @@ func bitsNearEnd(b []byte, i, s int) uint64 {
 }
 
 // readPrefixed decodes the nonNull values of a prefix or digits STRING
-// column of n rows, encoded enc, into v and returns its shape, which
-// checkShape holds to the values' shape, and a digits column's least and
-// greatest suffix value. The prefix and then each value are built into one
+// column of n rows, encoded enc, into v, its slices built in s, and returns
+// its shape, which checkShape holds to the values' shape, and a digits
+// column's least and greatest suffix value. The prefix and then each value are built into one
 // string, which the prefix and the values are substrings of. A digits column
 // whose width or prefix is out of range or whose codes are all equal is
 // refused before its values are built, one holding a value wider than its
 // width as it is built.
-func readPrefixed(cur *Cursor, v *Vector, n, nonNull int, enc byte) (got colShape, lo, hi uint64, err error) {
+func readPrefixed(cur *Cursor, v *Vector, n, nonNull int, enc byte, s *Slabs) (got colShape, lo, hi uint64, err error) {
 	limit := maxPrefix
 	if enc == encDigits {
 		limit = maxDigitPrefix
@@ -1321,8 +1324,7 @@ func readPrefixed(cur *Cursor, v *Vector, n, nonNull int, enc byte) (got colShap
 		}
 	}
 	col, off := b.String(), p
-	v.Dict = make([]string, nonNull)
-	v.Codes = make([]uint32, n)
+	v.Dict, v.Codes = s.strings(nonNull), s.uint32s(n)
 	k := 0
 	for i := range v.Codes {
 		if v.Null(i) {
@@ -1477,7 +1479,10 @@ func schemaSize(s Schema) int {
 // in place from b: nothing of b is copied but the bytes of STRING values, and
 // b may be reused once Unmarshal returns. A uniform INT, FLOAT, STRING or
 // NULL column decodes to a typed vector, a mixed or BOOL one to a boxed one.
-func Unmarshal(b []byte) (*Relation, error) {
+func Unmarshal(b []byte) (*Relation, error) { return unmarshal(b, nil) }
+
+// unmarshal is Unmarshal with the vectors built in s.
+func unmarshal(b []byte, s *Slabs) (*Relation, error) {
 	ln, n := binary.Uvarint(b)
 	switch {
 	case n == 0 && len(b) == 0:
@@ -1486,6 +1491,8 @@ func Unmarshal(b []byte) (*Relation, error) {
 		return nil, io.ErrUnexpectedEOF
 	case n < 0:
 		return nil, fmt.Errorf("relation: codec frame length overflows 64 bits")
+	case n > 1 && b[n-1] == 0:
+		return nil, fmt.Errorf("%w: not minimally encoded", ErrFrameLength)
 	case ln > maxFrameBody:
 		return nil, fmt.Errorf("%w: %d bytes exceeds the limit", ErrFrameLength, ln)
 	case uint64(len(b)-n) < ln:
@@ -1494,7 +1501,7 @@ func Unmarshal(b []byte) (*Relation, error) {
 		return nil, fmt.Errorf("relation: %d trailing bytes after codec frame", uint64(len(b)-n)-ln)
 	}
 	var d Decoder
-	return d.decodeFrame(b[n:])
+	return d.decodeFrame(b[n:], s)
 }
 
 // Frame returns r's wire frame: the bytes a fresh Encoder writes for r, that

@@ -274,7 +274,7 @@ func TestCodecStream(t *testing.T) {
 
 	dec := NewDecoder(&buf)
 	for i, want := range blocks {
-		got, err := dec.Decode()
+		got, err := dec.Decode(nil)
 		if err != nil {
 			t.Fatalf("block %d: %v", i, err)
 		}
@@ -282,7 +282,7 @@ func TestCodecStream(t *testing.T) {
 			t.Errorf("block %d changed in stream round trip", i)
 		}
 	}
-	if _, err := dec.Decode(); err != io.EOF {
+	if _, err := dec.Decode(nil); err != io.EOF {
 		t.Errorf("decode past end: err = %v, want io.EOF", err)
 	}
 }
@@ -312,7 +312,7 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 	dec := NewDecoder(&buf)
 	var got []*Relation
 	for range blocks {
-		rel, err := dec.Decode()
+		rel, err := dec.Decode(nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -415,7 +415,7 @@ func TestDecoderResetStartsAFreshStream(t *testing.T) {
 		src.Write(stream)
 		dec.Reset()
 		for i, want := range blocks {
-			got, err := dec.Decode()
+			got, err := dec.Decode(nil)
 			if err != nil || !relIdentical(want, got) {
 				t.Fatalf("stream %d block %d: %v", n, i, err)
 			}
@@ -431,7 +431,7 @@ func TestDecoderResetStartsAFreshStream(t *testing.T) {
 	ln, _ := binary.Uvarint(stream)
 	src.Write(stream[first+int(ln):])
 	dec.Reset()
-	if _, err := dec.Decode(); err == nil {
+	if _, err := dec.Decode(nil); err == nil {
 		t.Error("a reset decoder accepted a cached-schema frame before any schema")
 	}
 
@@ -440,7 +440,7 @@ func TestDecoderResetStartsAFreshStream(t *testing.T) {
 	src.Reset()
 	src.Write(encodeStream(t, enc, &buf, []*Relation{huge}))
 	dec.Reset()
-	if got, err := dec.Decode(); err != nil || !relIdentical(huge, got) {
+	if got, err := dec.Decode(nil); err != nil || !relIdentical(huge, got) {
 		t.Fatalf("huge frame: %v", err)
 	}
 	if cap(dec.frames.body) > trustedBody {
@@ -615,10 +615,10 @@ func randomRelation(rng *rand.Rand) *Relation {
 }
 
 // streamDecode decodes a self-contained frame the way a stream Decoder does,
-// refusing trailing bytes as Unmarshal does.
-func streamDecode(data []byte) (*Relation, error) {
+// into s, refusing trailing bytes as Unmarshal does.
+func streamDecode(data []byte, s *Slabs) (*Relation, error) {
 	rd := bytes.NewReader(data)
-	rel, err := NewDecoder(rd).Decode()
+	rel, err := NewDecoder(rd).Decode(s)
 	if err == nil && rd.Len() != 0 {
 		err = errors.New("trailing bytes")
 	}
@@ -805,11 +805,18 @@ const (
 	decodeAllocConst   = 2 << 20
 )
 
-// FuzzCodecRoundTrip fuzzes five properties: arbitrary bytes never panic the
+// fuzzSlabs is the one set of slabs FuzzCodecRoundTrip decodes every input
+// into, poisoned first, so each decode finds them grown by the inputs before
+// and full of garbage.
+var fuzzSlabs Slabs
+
+// FuzzCodecRoundTrip fuzzes six properties: arbitrary bytes never panic the
 // decoder; whatever decodes, Unmarshal, a stream Decoder and the reference
 // row decode agree on it, and it re-encodes to its own bytes, as does the
-// image of its rows built through Append, boxed columns and all; every
-// decode allocates within a bound linear in the input; and randomized
+// image of its rows built through Append, boxed columns and all; a decode
+// into reused, poisoned slabs refuses what Unmarshal refuses and builds
+// exactly Unmarshal's vectors otherwise; every decode, into slabs of any
+// size too, allocates within a bound linear in the input; and randomized
 // relations (derived from the fuzz input as a PRNG seed) survive
 // encode/decode unchanged.
 func FuzzCodecRoundTrip(f *testing.F) {
@@ -837,11 +844,21 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 		var streamed *Relation
 		var streamErr error
-		if n := allocatedBy(func() { streamed, streamErr = streamDecode(data) }); n > limit {
+		if n := allocatedBy(func() { streamed, streamErr = streamDecode(data, nil) }); n > limit {
 			t.Fatalf("stream decode of %d bytes allocated %d bytes", len(data), n)
 		}
-		if (err == nil) != (rowErr == nil) || (err == nil) != (streamErr == nil) {
-			t.Fatalf("Unmarshal err %v, row decode err %v, stream decode err %v", err, rowErr, streamErr)
+		fuzzSlabs.Reset()
+		fuzzSlabs.poison()
+		var lent *Relation
+		var lentErr error
+		if n := allocatedBy(func() { lent, lentErr = streamDecode(data, &fuzzSlabs) }); n > limit {
+			t.Fatalf("decode into slabs of %d bytes allocated %d bytes", len(data), n)
+		}
+		if (err == nil) != (rowErr == nil) || (err == nil) != (streamErr == nil) || (err == nil) != (lentErr == nil) {
+			t.Fatalf("Unmarshal err %v, row decode err %v, stream decode err %v, decode into slabs err %v", err, rowErr, streamErr, lentErr)
+		}
+		if err == nil && !sameVectors(lent, rel) {
+			t.Fatal("the decode into slabs and Unmarshal built different vectors")
 		}
 		if err == nil {
 			// Property 2: every decode holds the same rows, in the same
@@ -899,6 +916,34 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			t.Fatalf("random relation changed in round trip:\n%s\nvs\n%s", r, got)
 		}
 	})
+}
+
+// TestEveryDecodeRefusesAnOverlongLength: a frame whose length prefix is not
+// minimally encoded is refused by Unmarshal as by a stream Decoder and a
+// Cursor, since no encoder writes it; a fuzzed frame that spells 127 in two
+// bytes once decoded through Unmarshal alone.
+func TestEveryDecodeRefusesAnOverlongLength(t *testing.T) {
+	frame, err := Marshal(codecCases()["prefix-varying"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	body := frameBody(frame)
+	overlong := append([]byte{byte(len(body)) | 0x80, 0x00}, body...)
+	if len(body) >= 0x80 {
+		t.Fatalf("the frame's body is %d bytes, want one a single length byte spells", len(body))
+	}
+	_, errU := Unmarshal(overlong)
+	_, errS := streamDecode(overlong, nil)
+	_, errC := NewCursor(overlong).Relation(nil)
+	for _, err := range []error{errU, errS, errC} {
+		if err == nil {
+			t.Errorf("Unmarshal %v, stream %v, cursor %v: want all refused", errU, errS, errC)
+			break
+		}
+	}
+	if !errors.Is(errU, ErrFrameLength) {
+		t.Errorf("Unmarshal: %v, want %v", errU, ErrFrameLength)
+	}
 }
 
 // TestDecodeAllocatesPerColumnNotPerRow: a uniform STRING column decodes into

@@ -699,7 +699,7 @@ func TestCodecRefusesNonCanonicalColumns(t *testing.T) {
 	for name, data := range refused {
 		_, err := Unmarshal(data)
 		_, _, rowErr := rowDecode(data)
-		_, streamErr := streamDecode(data)
+		_, streamErr := streamDecode(data, nil)
 		if err == nil || rowErr == nil || streamErr == nil {
 			t.Errorf("%s: Unmarshal err %v, row decode err %v, stream err %v: want all refused", name, err, rowErr, streamErr)
 		}
@@ -791,7 +791,8 @@ func worstCaseFrames() map[string][]byte {
 
 // TestDecodeAllocationAtTheWorstCase: the frames that decode to the most
 // bytes per byte read stay within the bound the fuzz target holds every
-// decode to.
+// decode to, on the heap and into slabs of any size: empty ones, ones grown
+// to the frame, and grown ones too full to hold it.
 func TestDecodeAllocationAtTheWorstCase(t *testing.T) {
 	for name, data := range worstCaseFrames() {
 		limit := decodeAllocPerByte*uint64(len(data)) + decodeAllocConst
@@ -807,6 +808,15 @@ func TestDecodeAllocationAtTheWorstCase(t *testing.T) {
 		}
 		if n > limit || rows > limit {
 			t.Errorf("%s: %d bytes decoded with %d bytes, rows with %d: above %d", name, len(data), n, rows, limit)
+		}
+		var s Slabs
+		for _, step := range []string{"empty", "grown", "full"} {
+			if step == "grown" {
+				s.Reset()
+			}
+			if n := allocatedBy(func() { _, err = NewCursor(data).Relation(&s) }); err != nil || n > limit {
+				t.Errorf("%s: decoded into %s slabs with %d bytes, above %d (%v)", name, step, n, limit, err)
+			}
 		}
 		t.Logf("%s: %d rows from %d bytes: Unmarshal %.0f, row decode %.0f bytes per byte", name, rel.Len(), len(data),
 			float64(n)/float64(len(data)), float64(rows)/float64(len(data)))

@@ -201,7 +201,7 @@ func TestDecodedBodyReadsLikeRows(t *testing.T) {
 func TestMixedAndBoolFramesDecodeToBoxedVectors(t *testing.T) {
 	for name, r := range codecCases() {
 		frame := mustMarshal(t, r)
-		streamed, err := NewDecoder(bytes.NewReader(frame)).Decode()
+		streamed, err := NewDecoder(bytes.NewReader(frame)).Decode(nil)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

@@ -67,11 +67,25 @@ type keySlot struct {
 
 // NewKeyTable returns a table sized for about hint rows.
 func NewKeyTable(hint int) *KeyTable {
+	t := new(KeyTable)
+	t.Reset(hint)
+	return t
+}
+
+// Reset empties t and sizes it for about hint rows. It keeps its slots when
+// they are enough and not many times more than enough, so a table reused
+// across merges stops allocating once it has grown to their size.
+func (t *KeyTable) Reset(hint int) {
 	size := 16
 	for size < 2*hint {
 		size <<= 1
 	}
-	return &KeyTable{slots: make([]keySlot, size)}
+	if len(t.slots) < size || len(t.slots) > 8*size {
+		t.slots = make([]keySlot, size)
+	} else {
+		clear(t.slots)
+	}
+	t.n = 0
 }
 
 // Find returns the row under hash that same accepts, or -1.

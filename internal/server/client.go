@@ -98,7 +98,7 @@ func (c *Client) Query(ctx context.Context, stmt string) (*relation.Relation, *R
 		if err := json.Unmarshal(payload, &info); err != nil {
 			return nil, nil, fmt.Errorf("server: malformed result frame: %w", err)
 		}
-		rel, err := c.dec.Decode()
+		rel, err := c.dec.Decode(nil)
 		if err != nil {
 			return nil, nil, fmt.Errorf("server: receive rows: %w", err)
 		}

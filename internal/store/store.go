@@ -203,7 +203,7 @@ func (t *Table) loadSegment(ctx context.Context, ord int, seg segmentMeta) (*rel
 		return nil, err
 	}
 	defer f.Close()
-	rel, err := relation.NewDecoder(bufio.NewReader(f)).Decode()
+	rel, err := relation.NewDecoder(bufio.NewReader(f)).Decode(nil)
 	if err != nil {
 		return nil, fmt.Errorf("store: segment %s: %w (a segment an older build wrote does not decode; delete %s to regenerate the table)",
 			filepath.Join(t.dir, seg.File), err, t.dir)

@@ -89,7 +89,7 @@ func TestOperatorStreamsShareTheConnectionsCodec(t *testing.T) {
 			}
 		}
 		send(&Request{Kind: KindHello, Version: ProtocolVersion})
-		if _, err := readReply(frames, KindHello); err != nil {
+		if _, err := readReply(frames, KindHello, nil); err != nil {
 			t.Fatal(err)
 		}
 		for stream := 1; stream <= 3; stream++ {
@@ -109,7 +109,7 @@ func TestOperatorStreamsShareTheConnectionsCodec(t *testing.T) {
 				}
 				got = append(binary.AppendUvarint(append(got, marker), uint64(len(body))), body...)
 			}
-			if _, err := readReply(frames, KindOperator); err != nil {
+			if _, err := readReply(frames, KindOperator, nil); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(got, want) {
@@ -190,7 +190,7 @@ func TestSharedFrameIsWrittenNotCopied(t *testing.T) {
 	if got := allocatedBy(send); got > uint64(len(frame))/4 {
 		t.Errorf("sending a %d-byte shared frame again allocates %d bytes", len(frame), got)
 	}
-	got, err := readRequest(relation.NewFrameReader(&sink))
+	got, err := readRequest(relation.NewFrameReader(&sink), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

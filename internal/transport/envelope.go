@@ -294,13 +294,17 @@ func appendExpr(b []byte, e expr.Expr) []byte {
 	panic(envelopeError{fmt.Errorf("transport: cannot encode expression node %T", e)})
 }
 
-// readRequest reads one request. A request of a kind this version does not
-// serve returns its kind and an error matching errUnknownKind.
-func readRequest(f *relation.FrameReader) (req *Request, err error) {
+// readRequest reads one request. An operator request's X is decoded into
+// slabs, reset first: the site reads it only while it serves the request. A
+// Load relation, which the site keeps, is decoded on the heap. A request of
+// a kind this version does not serve returns its kind and an error matching
+// errUnknownKind.
+func readRequest(f *relation.FrameReader, slabs *relation.Slabs) (req *Request, err error) {
 	body, err := f.Next()
 	if err != nil {
 		return nil, err
 	}
+	slabs.Reset()
 	defer recoverError(&err, true)
 	c := relation.NewCursor(body)
 	req = &Request{Kind: ReqKind(must(c.Byte()))}
@@ -314,7 +318,7 @@ func readRequest(f *relation.FrameReader) (req *Request, err error) {
 		req.Base = readBaseQuery(c)
 	case KindOperator:
 		req.Operator = &engine.OperatorRequest{Op: readOperator(c), Guard: readBool(c), BlockRows: readInt(c)}
-		req.Operator.Base = must(c.Relation())
+		req.Operator.Base = must(c.Relation(slabs))
 		if c.Len() > 0 {
 			req.Operator.Derive = readDerive(c)
 		}
@@ -327,7 +331,7 @@ func readRequest(f *relation.FrameReader) (req *Request, err error) {
 	case KindSchema:
 		req.Name = must(c.Str())
 	case KindLoad:
-		req.Name, req.LoadRel = must(c.Str()), must(c.Relation())
+		req.Name, req.LoadRel = must(c.Str()), must(c.Relation(nil))
 	case KindTables:
 	default:
 		return req, fmt.Errorf("transport: %w %d", errUnknownKind, req.Kind)
@@ -335,8 +339,9 @@ func readRequest(f *relation.FrameReader) (req *Request, err error) {
 	return req, done(c)
 }
 
-// readReply reads the reply to a request of kind.
-func readReply(f *relation.FrameReader, kind ReqKind) (resp *Response, err error) {
+// readReply reads the reply to a request of kind, a relation it carries
+// decoded into slabs (nil: the heap).
+func readReply(f *relation.FrameReader, kind ReqKind, slabs *relation.Slabs) (resp *Response, err error) {
 	body, err := f.Next()
 	if err != nil {
 		return nil, err
@@ -357,7 +362,7 @@ func readReply(f *relation.FrameReader, kind ReqKind) (resp *Response, err error
 	if resp.Err = must(c.Str()); resp.Err == "" {
 		switch kind {
 		case KindBase, KindLocal:
-			resp.Rel = must(c.Relation())
+			resp.Rel = must(c.Relation(slabs))
 		case KindSchema:
 			resp.Schema = must(c.Schema())
 		case KindTables:

@@ -59,9 +59,9 @@ func (m goldenMessage) decode(data []byte) (goldenMessage, []byte, error) {
 	got := goldenMessage{kind: m.kind}
 	var err error
 	if m.req != nil {
-		got.req, err = readRequest(frames)
+		got.req, err = readRequest(frames, nil)
 	} else {
-		got.resp, err = readReply(frames, m.kind)
+		got.resp, err = readReply(frames, m.kind, nil)
 	}
 	return got, data[:len(data)-rd.Len()], err
 }
@@ -370,13 +370,13 @@ func helloThenRefused(t *testing.T, addr string, version int) {
 		t.Fatal(err)
 	}
 	frames := relation.NewFrameReader(bufio.NewReader(conn))
-	resp, err := readReply(frames, KindHello)
+	resp, err := readReply(frames, KindHello, nil)
 	if err != nil || resp.Version != ProtocolVersion {
 		t.Fatalf("hello reply %+v, %v: want this site's version, for the peer to refuse", resp, err)
 	}
 	// The site serves nothing on the connection: it closed it.
 	if err := writeRequest(conn, &Request{Kind: KindTables, QueryID: "q-other-version"}); err == nil {
-		if resp, err := readReply(frames, KindTables); !isClosed(err) {
+		if resp, err := readReply(frames, KindTables, nil); !isClosed(err) {
 			t.Fatalf("a request after a mismatched hello got %+v, %v, want the connection closed", resp, err)
 		}
 	}
@@ -390,7 +390,7 @@ func dialSiteOfVersion(t *testing.T, version int) []ReqKind {
 	addr, done := fakeSite(t, func(conn net.Conn) {
 		frames := relation.NewFrameReader(bufio.NewReader(conn))
 		for {
-			req, err := readRequest(frames)
+			req, err := readRequest(frames, nil)
 			if err != nil {
 				return
 			}
@@ -496,7 +496,7 @@ func TestProfileFieldOldPeerCompat(t *testing.T) {
 	reframe := func(body []byte) *relation.FrameReader {
 		return relation.NewFrameReader(bytes.NewReader(append(binary.AppendUvarint(nil, uint64(len(body))), body...)))
 	}
-	resp, err := readReply(reframe(body), KindOperator)
+	resp, err := readReply(reframe(body), KindOperator, nil)
 	if err != nil || resp.Profile != profile {
 		t.Fatalf("the fixed-width trailer read as %+v, %v; want %+v", resp, err, profile)
 	}
@@ -505,7 +505,7 @@ func TestProfileFieldOldPeerCompat(t *testing.T) {
 		"per-worker trailer": append(append([]byte(nil), body...), make([]byte, 16)...),
 		"one byte short":     body[:len(body)-1],
 	} {
-		if resp, err := readReply(reframe(other), KindOperator); !errors.Is(err, ErrProtocol) {
+		if resp, err := readReply(reframe(other), KindOperator, nil); !errors.Is(err, ErrProtocol) {
 			t.Errorf("%s: read as %+v, %v; want ErrProtocol", name, resp, err)
 		}
 	}
@@ -634,14 +634,14 @@ func TestRetiredAndUnknownKindsAnswered(t *testing.T) {
 	if err := writeRequest(conn, &Request{Kind: KindHello, Version: ProtocolVersion}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := readReply(frames, KindHello); err != nil {
+	if _, err := readReply(frames, KindHello, nil); err != nil {
 		t.Fatal(err)
 	}
 	for _, kind := range []ReqKind{7, 200} {
 		if err := writeRequest(conn, &Request{Kind: kind, QueryID: "q-old"}); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := readReply(frames, kind)
+		resp, err := readReply(frames, kind, nil)
 		if err != nil {
 			t.Fatalf("kind %d: no reply: %v", kind, err)
 		}
@@ -652,7 +652,7 @@ func TestRetiredAndUnknownKindsAnswered(t *testing.T) {
 	if err := writeRequest(conn, &Request{Kind: KindTables}); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := readReply(frames, KindTables)
+	resp, err := readReply(frames, KindTables, nil)
 	if err != nil {
 		t.Fatalf("connection dead after rejected kinds: %v", err)
 	}

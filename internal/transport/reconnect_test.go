@@ -62,11 +62,11 @@ func TestBrokenStreamPoisonsClient(t *testing.T) {
 			return
 		}
 		frames := relation.NewFrameReader(bufio.NewReader(conn))
-		if _, err := readRequest(frames); err != nil { // hello
+		if _, err := readRequest(frames, nil); err != nil { // hello
 			return
 		}
 		writeReply(conn, KindHello, &Response{Version: ProtocolVersion, SiteID: 5})
-		if _, err := readRequest(frames); err != nil { // operator request
+		if _, err := readRequest(frames, nil); err != nil { // operator request
 			return
 		}
 		conn.Write([]byte{opStreamBlock}) // announce a block...
@@ -353,7 +353,7 @@ func TestServeConnLogsHangupAtDebug(t *testing.T) {
 			if err := out.writeRequest(bw, &Request{Kind: KindHello, Version: ProtocolVersion + 1}); err != nil || bw.Flush() != nil {
 				t.Fatalf("hello: %v", err)
 			}
-			if resp, err := readReply(relation.NewFrameReader(bufio.NewReader(conn)), KindHello); err != nil || resp.Version != ProtocolVersion {
+			if resp, err := readReply(relation.NewFrameReader(bufio.NewReader(conn)), KindHello, nil); err != nil || resp.Version != ProtocolVersion {
 				t.Fatalf("hello reply %+v, %v", resp, err)
 			}
 			conn.Close()

@@ -159,11 +159,14 @@ func serveConn(ctx context.Context, site Backend, rawConn net.Conn, log *slog.Lo
 	// One frame reader, one message buffer and one block encoder per
 	// connection: every request, reply and operator stream on it reuses
 	// their buffers.
+	// One set of slabs too, which each request's X is decoded into: the
+	// requests are served one at a time.
 	frames, enc := relation.NewFrameReader(br), relation.NewEncoder(bw)
 	var out msgBuf
+	var slabs relation.Slabs
 	for {
 		r0, w0 := conn.read, conn.written
-		req, err := readRequest(frames)
+		req, err := readRequest(frames, &slabs)
 		switch {
 		case err != nil && !errors.Is(err, errUnknownKind):
 			log.Debug("read request failed", "err", err)
@@ -292,6 +295,8 @@ var ErrBrokenConn = errors.New("transport: connection broken")
 // the envelope's frame reader, the stream markers and the relation codec
 // decoder, none of which reads past the end of its frame. The decoder is the
 // connection's, reset for every operator stream, so its body buffer is reused.
+// The relations a call receives are built in the slabs its context lends
+// (WithSlabs), or on the heap.
 //
 // Any transport error poisons the connection: after a failed exchange the
 // position in the stream is unknown — a reply half read, a block half
@@ -358,7 +363,7 @@ func (c *Client) connectLocked(ctx context.Context) error {
 	}
 	var resp *Response
 	if err == nil {
-		resp, err = readReply(frames, KindHello)
+		resp, err = readReply(frames, KindHello, nil)
 	}
 	// A context that ended during the hello may have spent the deadline.
 	if stop(); err == nil {
@@ -418,9 +423,26 @@ func (c *Client) Close() error {
 	return c.conn.Close()
 }
 
-// roundTrip sends req and reads its one reply.
+// roundTrip sends req and reads its one reply, a relation it carries decoded
+// into the slabs ctx lends (WithSlabs).
 func (c *Client) roundTrip(ctx context.Context, req *Request) (*Response, stats.Call, error) {
-	return c.call(ctx, req, func(*stats.Call) (*Response, error) { return readReply(c.frames, req.Kind) })
+	return c.call(ctx, req, func(*stats.Call) (*Response, error) { return readReply(c.frames, req.Kind, SlabsFrom(ctx)) })
+}
+
+type slabsKey struct{}
+
+// WithSlabs lends s to the calls made under ctx: the relations their replies
+// carry — an EvalBase or EvalLocal reply, each block of an operator stream —
+// are decoded into s, and are valid until its owner resets it. Without a
+// lend they are decoded on the heap.
+func WithSlabs(ctx context.Context, s *relation.Slabs) context.Context {
+	return context.WithValue(ctx, slabsKey{}, s)
+}
+
+// SlabsFrom returns the slabs ctx lends, nil when it lends none.
+func SlabsFrom(ctx context.Context) *relation.Slabs {
+	s, _ := ctx.Value(slabsKey{}).(*relation.Slabs)
+	return s
 }
 
 // call sends req, stamped with the context's trace fields (query ID, round,
@@ -519,12 +541,14 @@ func (c *Client) Load(ctx context.Context, name string, rel *relation.Relation) 
 	return err
 }
 
-// EvalOperatorStream implements Site. The connection stays consistent even
-// when sink fails: remaining blocks are drained to the operator reply. A
+// EvalOperatorStream implements Site. The blocks are decoded into the slabs
+// ctx lends (WithSlabs). The connection stays consistent even when sink
+// fails: remaining blocks are drained to the operator reply. A
 // transport failure mid-stream, by contrast, leaves the stream position
 // unknown, so it poisons the connection — the next call redials.
 func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequest, sink func(*relation.Relation) error) (stats.Call, error) {
 	var sinkErr error
+	slabs := SlabsFrom(ctx)
 	_, call, err := c.call(ctx, &Request{Kind: KindOperator, Operator: &req}, func(call *stats.Call) (*Response, error) {
 		if req.Base != nil {
 			call.RowsDown = req.Base.Len()
@@ -537,7 +561,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 			}
 			switch marker {
 			case opStreamBlock:
-				block, err := c.dec.Decode()
+				block, err := c.dec.Decode(slabs)
 				if err != nil {
 					return nil, fmt.Errorf("block: %w", err)
 				}
@@ -546,7 +570,7 @@ func (c *Client) EvalOperatorStream(ctx context.Context, req engine.OperatorRequ
 					sinkErr = sink(block)
 				}
 			case opStreamEnd:
-				return readReply(c.frames, KindOperator)
+				return readReply(c.frames, KindOperator, nil)
 			default:
 				return nil, fmt.Errorf("unknown stream marker 0x%02x", marker)
 			}
