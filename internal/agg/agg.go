@@ -371,18 +371,6 @@ func MergeCell(op PhysOp, into, from relation.Value) (relation.Value, error) {
 	return addValues(into, from)
 }
 
-// CheckCell reports an incoming cell of p that MergeCell cannot fold: a COUNT
-// that is not INT, a SUM or SUMSQ neither numeric nor NULL. MIN and MAX fold
-// any kind, and a SUM over an INT column holding a FLOAT cell is FLOAT, so a
-// cell's kind is not held to its column's.
-func (p PhysCol) CheckCell(v relation.Value) error {
-	sum := p.Op == PhysSum || p.Op == PhysSumSq
-	if p.Op == PhysCount && v.Kind != relation.KindInt || sum && !v.IsNull() && !v.IsNumeric() {
-		return fmt.Errorf("agg: %s is a %s", p.Name, v.Kind)
-	}
-	return nil
-}
-
 // AppendDerived appends the derived column values for a physical slice to
 // dst, which may share phys's backing array past phys's end.
 func (l *Layout) AppendDerived(dst, phys relation.Tuple) relation.Tuple {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"math"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"skalla/internal/agg"
@@ -27,9 +26,7 @@ var foldSchema = relation.MustSchema(
 )
 
 // foldQuery has three operators, each with every physical op over every
-// typed kind, an INT SUM foldCellValue gives off-kind cells, and two derived
-// columns; the last also has a BOOL MIN, so its H frames never decode to
-// vectors.
+// kind and two derived columns; the last also has a BOOL MIN.
 func foldQuery() gmdj.Query {
 	op := func(n string) gmdj.Operator {
 		aggs := []agg.Spec{
@@ -55,17 +52,13 @@ func foldQuery() gmdj.Query {
 }
 
 // foldCellValue draws one H cell of a physical column: NULLs, NaN, −0 and
-// repeated strings included, COUNT never NULL, and with offKind a FLOAT in
-// the sumi columns, as a site computes over an INT column holding FLOATs.
-func foldCellValue(rng *rand.Rand, p agg.PhysCol, offKind bool) relation.Value {
+// repeated strings included, COUNT never NULL.
+func foldCellValue(rng *rand.Rand, p agg.PhysCol) relation.Value {
 	if p.Op == agg.PhysCount {
 		return relation.NewInt(rng.Int63n(5))
 	}
 	if rng.Intn(5) == 0 {
 		return relation.Null
-	}
-	if offKind && strings.HasPrefix(p.Name, "sumi") && rng.Intn(3) == 0 {
-		return relation.NewFloat(float64(rng.Intn(100)) + 0.5)
 	}
 	switch p.Kind {
 	case relation.KindInt:
@@ -87,8 +80,7 @@ func foldCellValue(rng *rand.Rand, p agg.PhysCol, offKind bool) relation.Value {
 
 // foldScenario drives a merger for foldQuery through a base round over three
 // sites and three operator rounds of random H streams, each staged as its
-// frame decodes: vectors, or rows where the off-kind cells of site 1's
-// streams or a BOOL column make the frame mixed. Beside it, want is the
+// frame decodes. Beside it, want is the
 // reference: X's rows boxed after InitBase, every H row folded into its X row
 // by agg.Layout.MergePhys, and AppendDerived. after runs once per round, after
 // every stream has committed.
@@ -140,7 +132,7 @@ func foldScenario(t *testing.T, after func(k int, m *merger, want []relation.Tup
 			for _, ord := range rng.Perm(n)[:rng.Intn(n)] {
 				row := relation.Tuple{relation.NewInt(int64(ord))}
 				for _, p := range phys {
-					row = append(row, foldCellValue(rng, p, site == 1))
+					row = append(row, foldCellValue(rng, p))
 				}
 				h.MustAppend(row)
 			}
@@ -189,24 +181,15 @@ func decoded(t *testing.T, r *relation.Relation) *relation.Relation {
 // TestColumnarFoldMatchesRowFold: folding H into the columnar X gives, cell
 // for cell, what agg.Layout.MergePhys gives over boxed rows — COUNT, SUM and
 // SUMSQ under NULLs, MIN and MAX over INT, FLOAT (NaN and −0 included),
-// STRING and BOOL, a SUM turned FLOAT by off-kind cells, the derived columns.
-// Every round folds both typed and boxed H into X, and X boxes the columns
-// that need it: the off-kind SUM, the BOOL MIN, and nothing else.
+// STRING and BOOL, the derived columns.
 func TestColumnarFoldMatchesRowFold(t *testing.T) {
 	foldScenario(t, func(k int, m *merger, want []relation.Tuple) {
-		c := m.X().Columns()
 		got := m.X().Rows()
 		for i := range want {
 			for j := range want[i] {
 				if !got[i][j].Identical(want[i][j]) {
 					t.Fatalf("MD%d: X row %d column %s: columnar fold %v, row fold %v", k+1, i, m.X().Schema[j].Name, got[i][j], want[i][j])
 				}
-			}
-		}
-		for j, col := range m.X().Schema {
-			boxed := strings.HasPrefix(col.Name, "sumi") || col.Kind == relation.KindBool
-			if c.Vecs[j].Boxed != boxed {
-				t.Errorf("MD%d: column %s boxed = %v", k+1, col.Name, c.Vecs[j].Boxed)
 			}
 		}
 	})
@@ -226,9 +209,8 @@ func TestDerivedRecomputedPerRound(t *testing.T) {
 }
 
 // TestInitBaseChargesBeforeAllocating: InitBase charges X's exact bytes — its
-// MemBytes — before it allocates X, for typed vectors and for a column an
-// off-kind key boxes. One byte under that budget fails the query with
-// ErrQueryMemBudget and leaves X uninstalled.
+// MemBytes — before it allocates X. One byte under that budget fails the
+// query with ErrQueryMemBudget and leaves X uninstalled.
 func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(43)), 200, 40)
 	sites, cat := buildCluster(t, global, "T", 4, 10)
@@ -251,38 +233,25 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 		}
 		parts = append(parts, decoded(t, b))
 	}
-	offKind := parts[0].Clone()
-	offKind.Columns().Vecs[1].Set(0, offKind.Len(), relation.NewFloat(0.5))
-
-	for name, parts := range map[string][]*relation.Relation{
-		"typed": parts,
-		"boxed": append([]*relation.Relation{offKind}, parts[1:]...),
-	} {
-		free := mustMerger(t, q.Keys(), xs, segs, nil)
-		if err := free.MergeLocal(nil, false, parts, nil); err != nil {
-			t.Fatal(err)
-		}
-		want := free.X().MemBytes()
-		if c := free.X().Columns(); c.Vecs[0].Boxed || c.Vecs[1].Boxed != (name == "boxed") {
-			t.Fatalf("%s: X boxed the wrong columns", name)
-		}
-
-		exact := newMemBudget(want)
-		m := mustMerger(t, q.Keys(), xs, segs, exact)
-		if err := m.MergeLocal(nil, false, parts, nil); err != nil {
-			t.Fatalf("%s: InitBase under a budget of X's %d bytes: %v", name, want, err)
-		}
-		if got := exact.used.Load(); got != want {
-			t.Errorf("%s: InitBase charged %d bytes, X holds %d", name, got, want)
-		}
-
-		short := mustMerger(t, q.Keys(), xs, segs, newMemBudget(want-1))
-		if err := short.MergeLocal(nil, false, parts, nil); !errors.Is(err, ErrQueryMemBudget) {
-			t.Errorf("%s: InitBase one byte under X's bytes = %v, want ErrQueryMemBudget", name, err)
-		}
-		if short.X() != nil {
-			t.Errorf("%s: an over-budget InitBase installed X", name)
-		}
+	free := mustMerger(t, q.Keys(), xs, segs, nil)
+	if err := free.MergeLocal(nil, false, parts, nil); err != nil {
+		t.Fatal(err)
+	}
+	want := free.X().MemBytes()
+	exact := newMemBudget(want)
+	m := mustMerger(t, q.Keys(), xs, segs, exact)
+	if err := m.MergeLocal(nil, false, parts, nil); err != nil {
+		t.Fatalf("InitBase under a budget of X's %d bytes: %v", want, err)
+	}
+	if got := exact.used.Load(); got != want {
+		t.Errorf("InitBase charged %d bytes, X holds %d", got, want)
+	}
+	short := mustMerger(t, q.Keys(), xs, segs, newMemBudget(want-1))
+	if err := short.MergeLocal(nil, false, parts, nil); !errors.Is(err, ErrQueryMemBudget) {
+		t.Errorf("InitBase one byte under X's bytes = %v, want ErrQueryMemBudget", err)
+	}
+	if short.X() != nil {
+		t.Error("an over-budget InitBase installed X")
 	}
 
 	// The same bound holds for a query: its base round fails typed.
@@ -290,11 +259,7 @@ func TestInitBaseChargesBeforeAllocating(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	free := mustMerger(t, q.Keys(), xs, segs, nil)
-	if err := free.MergeLocal(nil, false, parts, nil); err != nil {
-		t.Fatal(err)
-	}
-	coord.SetQueryMemBudget(free.X().MemBytes() - 1)
+	coord.SetQueryMemBudget(want - 1)
 	if _, err := coord.ExecuteWith(ctx, q, plan.SelectNone()); !errors.Is(err, ErrQueryMemBudget) {
 		t.Fatalf("query one byte under X's bytes = %v, want ErrQueryMemBudget", err)
 	}

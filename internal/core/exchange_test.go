@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -221,16 +222,12 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 	misRow := row(relation.NewInt(0))
 	misRow[cntAt], misRow[minAt] = relation.NewFloat(3.5), relation.NewString("zzz")
 	misKinded.MustAppend(misRow)
-	// The right schema with cells no merge can fold, which the codec's mixed
-	// column encoding carries: a FLOAT count, a STRING sum.
+	// The right schema with a cell no merge can fold: a NULL count.
 	countCell := block(hSchema, relation.NewInt(0), relation.NewInt(1))
-	countCell.Columns().Vecs[cntAt].Set(1, countCell.Len(), relation.NewFloat(2.5))
-	sumCell := block(hSchema, relation.NewInt(2))
-	sumCell.Columns().Vecs[hSchema.MustIndex("sum1")].Set(0, sumCell.Len(), relation.NewString("30"))
+	countCell.Columns().Vecs[cntAt].Set(1, countCell.Len(), relation.Null)
 	return map[string][]*relation.Relation{
 		"phys-column-mis-kinded": {misKinded},
-		"count-cell-not-int":     {countCell},
-		"sum-cell-not-numeric":   {sumCell},
+		"count-cell-null":        {countCell},
 		"ordinal-out-of-range":   {block(hSchema, relation.NewInt(0), relation.NewInt(4))},
 		"ordinal-negative":       {block(hSchema, relation.NewInt(-1))},
 		"duplicate-across-blocks": {
@@ -239,7 +236,7 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 		},
 		"duplicate-within-block":   {block(hSchema, relation.NewInt(3), relation.NewInt(3))},
 		"keyed-h-of-an-older-peer": {block(keyed, relation.NewInt(0), relation.NewInt(1))},
-		"ordinal-not-an-int":       {block(hSchema, relation.NewString("0"))},
+		"ordinal-null":             {block(hSchema, relation.Null)},
 	}
 }
 
@@ -297,88 +294,13 @@ func TestStageRejectsMalformedH(t *testing.T) {
 	}
 }
 
-// TestOffKindCellsMergeAsCentral: an INT column may hold FLOAT cells, and a
-// site's SUM, AVG or MIN over one answers with a FLOAT cell in an INT column of
-// H_i. That H is well formed — the coordinator merges it under every plan and
-// ends up with the centralized evaluation.
-func TestOffKindCellsMergeAsCentral(t *testing.T) {
+// TestNullKeysAcrossTransports runs a query whose X holds NULL keys, and
+// whose MD2 compares detail rows with MD1's MIN, under every plan over each
+// of testTransports. Every result equals EvalCentral and prints identically
+// on both.
+func TestNullKeysAcrossTransports(t *testing.T) {
 	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
-	vi := tSchema.MustIndex("v")
-	for i := 0; i < global.Len(); i += 17 {
-		global.Columns().Vecs[vi].Set(i, global.Len(), relation.NewFloat(float64(i)+0.5))
-	}
-	sites, cat := buildCluster(t, global, "T", 3, 4)
-	coord, err := New(sites, cat, stats.NetModel{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	q := nonAlignedQuery()
-	want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sel := range switchCombos() {
-		res, err := coord.ExecuteWith(context.Background(), q, sel)
-		if err != nil {
-			t.Fatalf("sel [%s]: %v", sel, err)
-		}
-		if !res.Rel.EqualMultisetApprox(want, 1e-9) {
-			t.Fatalf("sel [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", sel, res.Rel.Format(20), want.Format(20))
-		}
-	}
-}
-
-// bodyLog counts the X fragments the sites of one cluster received, by body
-// and by whether a shipped column held an off-kind cell.
-type bodyLog struct {
-	mu                                              sync.Mutex
-	typed, boxedOffKind, typedOffKind, boxedUniform int
-}
-
-// bodyLoggingSite is a site engine that notes every fragment it is sent.
-type bodyLoggingSite struct {
-	*engine.Site
-	log *bodyLog
-}
-
-func (b bodyLoggingSite) EvalOperatorBlocks(ctx context.Context, req engine.OperatorRequest, emit func(*relation.Relation) error) error {
-	offKind := false
-	for _, row := range req.Base.Rows() {
-		for j, v := range row {
-			offKind = offKind || !v.IsNull() && v.Kind != req.Base.Schema[j].Kind
-		}
-	}
-	boxed := false
-	for _, v := range req.Base.Columns().Vecs {
-		boxed = boxed || v.Boxed
-	}
-	b.log.mu.Lock()
-	switch {
-	case offKind && boxed:
-		b.log.boxedOffKind++
-	case offKind:
-		b.log.typedOffKind++
-	case boxed:
-		b.log.boxedUniform++
-	default:
-		b.log.typed++
-	}
-	b.log.mu.Unlock()
-	return b.Site.EvalOperatorBlocks(ctx, req, emit)
-}
-
-// TestOffKindAndNullKeysAcrossTransports runs TestOffKindCellsMergeAsCentral's
-// data, with NULL keys in X besides, under every plan over each of
-// testTransports. Every result equals EvalCentral and prints identically on
-// both. MD2 ships min1, an INT column the off-kind cells turn FLOAT in some
-// rows: such a fragment reaches its site with that column boxed, every other
-// one as typed vectors.
-func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
-	global := randomGlobal(rand.New(rand.NewSource(5)), 120, 12)
-	vi, hi := tSchema.MustIndex("v"), tSchema.MustIndex("h")
-	for i := 0; i < global.Len(); i += 17 {
-		global.Columns().Vecs[vi].Set(i, global.Len(), relation.NewFloat(float64(i)+0.5))
-	}
+	hi := tSchema.MustIndex("h")
 	for i := 5; i < global.Len(); i += 13 {
 		global.Columns().Vecs[hi].Set(i, global.Len(), relation.Null)
 	}
@@ -390,9 +312,8 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 	}
 	printed := map[string]string{} // per selection, the first transport's result
 	for name, connect := range testTransports() {
-		log := &bodyLog{}
 		sites, cat, err := buildClusterWith(global, "T", 3, 4, func(es *engine.Site) (transport.Site, error) {
-			return connect(t, bodyLoggingSite{es, log}), nil
+			return connect(t, es), nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -414,12 +335,6 @@ func TestOffKindAndNullKeysAcrossTransports(t *testing.T) {
 				t.Errorf("%s [%s]: result prints differently from the first transport's", name, sel)
 			}
 			printed[sel.String()] = got
-		}
-		if log.boxedOffKind == 0 || log.typed == 0 {
-			t.Errorf("%s: %d off-kind and %d typed fragments: the data no longer exercises both", name, log.boxedOffKind, log.typed)
-		}
-		if log.typedOffKind != 0 || log.boxedUniform != 0 {
-			t.Errorf("%s: %d off-kind fragments arrived typed, %d uniform ones boxed", name, log.typedOffKind, log.boxedUniform)
 		}
 	}
 }
@@ -513,6 +428,69 @@ func TestBoolColumnsThroughTheMerger(t *testing.T) {
 	}
 }
 
+// TestFloatAggregatesOverNaNZerosAndInfinities: MIN, MAX, SUM and AVG over a
+// FLOAT column holding NaN, ±0 and ±Inf give, bit for bit, what
+// gmdj.EvalCentral gives, whether the sites' compiled kernels fold the
+// column or their scalar path does (an OR residual the compiler declines),
+// over both dialers and under the plans none and all. MIN and MAX keep the
+// first operand when Value.Compare ties, so a leading NaN stays and a later
+// one is passed over; SUM takes its first input as it is, so a lone −0
+// survives. Each group's rows are on one site.
+func TestFloatAggregatesOverNaNZerosAndInfinities(t *testing.T) {
+	f, nan, inf, negZero := relation.NewFloat, math.NaN(), math.Inf(1), math.Copysign(0, -1)
+	groups := [][]relation.Value{
+		{f(nan), f(1), f(-1)}, {f(1), f(nan), f(-1)}, {f(0), f(negZero)}, {f(negZero), f(0)}, {f(negZero), relation.Null},
+		{f(inf), f(-inf)}, {f(inf), f(1)}, {f(-inf), f(nan), f(2)}, {relation.Null, f(nan), f(0)},
+	}
+	global := relation.New(relation.MustSchema(relation.Column{Name: "g", Kind: relation.KindInt},
+		relation.Column{Name: "h", Kind: relation.KindInt}, relation.Column{Name: "f", Kind: relation.KindFloat}))
+	for g, vals := range groups {
+		for h, v := range vals {
+			global.MustAppend(relation.Tuple{relation.NewInt(int64(g)), relation.NewInt(int64(h)), v})
+		}
+	}
+	for _, fn := range []agg.Func{agg.Min, agg.Max, agg.Sum, agg.Avg} {
+		for _, residual := range []string{"", " && (R.h < 9 || R.h >= 9)"} {
+			q := gmdj.Query{Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}, Ops: []gmdj.Operator{{Detail: "T", Vars: []gmdj.GroupVar{{
+				Cond: expr.MustParse("B.g = R.g" + residual), Aggs: []agg.Spec{{Func: fn, Arg: "f", As: "a"}}}}}}}
+			want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, connect := range testTransports() {
+				sites, cat, err := buildClusterWith(global, "T", 3, 3, func(es *engine.Site) (transport.Site, error) {
+					return connect(t, es), nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				coord, err := New(sites, cat, stats.NetModel{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+					res, err := coord.ExecuteWith(context.Background(), q, sel)
+					if err != nil {
+						t.Fatalf("%s %s [%s]: %v", fn, name, sel, err)
+					}
+					if !res.Rel.EqualMultiset(want) {
+						t.Fatalf("%s %q %s [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", fn, residual, name, sel, res.Rel, want)
+					}
+					kernel := true
+					for _, r := range res.Metrics.Rounds {
+						for _, c := range r.Calls {
+							kernel = kernel && c.Breakdown.Kernel
+						}
+					}
+					if kernel != (residual == "") {
+						t.Errorf("%s %q %s [%s]: every pass compiled = %v", fn, residual, name, sel, kernel)
+					}
+				}
+			}
+		}
+	}
+}
+
 // FuzzStageAdd decodes arbitrary bytes as one H block twice — through a
 // stream Decoder, as a TCP client reads a site's stream, and through
 // Unmarshal — and stages each over its own stageMerger X, as the coordinator
@@ -521,9 +499,7 @@ func TestBoolColumnsThroughTheMerger(t *testing.T) {
 // ErrMalformedH and leaves X as it was, or each commits it, to X's that print
 // identically and hold aggregates the next merge can fold. Decoding and
 // staging a block allocates at most stageAllocPerByte bytes per input byte
-// plus stageAllocConst. An accepted cell may still change a cell's kind: a
-// FLOAT sum in an INT column is what a site computes over an INT column
-// holding a FLOAT.
+// plus stageAllocConst.
 func FuzzStageAdd(f *testing.F) {
 	phys := stageMerger(f).segs[0][0].layout.PhysSchema()
 	hSchema, err := engine.HSchema(phys)
@@ -587,8 +563,8 @@ func FuzzStageAdd(f *testing.F) {
 			seg := m.segs[0][0]
 			for _, row := range m.X().Rows() {
 				for p, pc := range seg.layout.Phys {
-					if err := pc.CheckCell(row[seg.physStart+p]); err != nil {
-						t.Fatalf("an accepted block left X unmergeable: %v", err)
+					if cell := row[seg.physStart+p]; pc.Op == agg.PhysCount && cell.Kind != relation.KindInt {
+						t.Fatalf("an accepted block left a %s COUNT in X", cell.Kind)
 					}
 				}
 			}

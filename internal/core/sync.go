@@ -58,9 +58,7 @@ func buildSegments(q gmdj.Query, src gmdj.SchemaSource, numBaseCols int) ([][]va
 // find X's rows by key in a relation.KeyTable (installKeys).
 //
 // X is columnar: the merger writes its vectors in place, and each operator
-// round widens it by appending vectors. A cell no typed vector holds — a
-// BOOL, an off-kind cell such as a FLOAT sum in an INT column — boxes its
-// vector (relation.Vector.Set), and that column folds cell by cell (fold).
+// round widens it by appending vectors.
 type merger struct {
 	keys     []string
 	xschemas []relation.Schema
@@ -133,28 +131,13 @@ func hashCell(h, c uint64) uint64 {
 	return h ^ h>>29
 }
 
-// cellHash is the hash of a key cell. Identical cells hash alike however
-// their vectors hold them: keyHashes' typed loops give a canonical cell the
-// hash this gives it boxed.
-func cellHash(v relation.Value) uint64 {
-	switch v.Kind {
-	case relation.KindNull:
-		return 0
-	case relation.KindFloat:
-		return intHash(relation.KindFloat, int64(math.Float64bits(v.Float)))
-	case relation.KindString:
-		return maphash.String(keySeed, v.Str)
-	}
-	return intHash(v.Kind, v.Int)
-}
-
 func intHash(kind relation.Kind, x int64) uint64 {
 	return uint64(x)*0xBF58476D1CE4E5B9 + uint64(kind)
 }
 
 // keyHashes returns, in h (grown as needed), the hash of each row's key cells
 // of c, whose schema starts like X's: a column at a time, each in a loop over
-// its slab, or over its cells when it is boxed.
+// its slab; a NULL cell's hash is 0.
 func (m *merger) keyHashes(c *relation.Columns, h []uint64) []uint64 {
 	h = slices.Grow(h[:0], c.Rows)[:c.Rows]
 	clear(h)
@@ -163,11 +146,9 @@ func (m *merger) keyHashes(c *relation.Columns, h []uint64) []uint64 {
 		for i := range h {
 			var cell uint64
 			switch {
-			case v.Boxed:
-				cell = cellHash(v.Vals[i])
 			case v.Null(i):
-			case v.Kind == relation.KindInt:
-				cell = intHash(relation.KindInt, v.Ints[i])
+			case v.Kind == relation.KindInt, v.Kind == relation.KindBool:
+				cell = intHash(v.Kind, v.Ints[i])
 			case v.Kind == relation.KindFloat:
 				cell = intHash(relation.KindFloat, int64(math.Float64bits(v.Floats[i])))
 			case v.Kind == relation.KindString:
@@ -180,22 +161,18 @@ func (m *merger) keyHashes(c *relation.Columns, h []uint64) []uint64 {
 }
 
 // sameKey reports whether row i of a and row j of b, both of X's key
-// columns, hold identical key cells: compared on the slabs where both vectors
-// are typed, and cell by cell (relation.Value.Identical) where either is
-// boxed, so NULL, −0 and NaN keys group as Identical groups them.
+// columns, hold identical key cells, compared on the slabs as
+// relation.Value.Identical compares them: NULL, −0 and NaN keys group as it
+// groups them.
 func (m *merger) sameKey(a *relation.Columns, i int, b *relation.Columns, j int) bool {
 	for _, k := range m.keyIdx {
 		u, v := &a.Vecs[k], &b.Vecs[k]
 		switch {
-		case u.Boxed || v.Boxed:
-			if !u.Value(i).Identical(v.Value(j)) {
-				return false
-			}
 		case u.Null(i) || v.Null(j):
 			if u.Null(i) != v.Null(j) {
 				return false
 			}
-		case u.Kind == relation.KindInt:
+		case u.Kind == relation.KindInt, u.Kind == relation.KindBool:
 			if u.Ints[i] != v.Ints[j] {
 				return false
 			}
@@ -293,24 +270,13 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool, lend
 	// The lend keeps the lists as they grew; kept is read until X is built.
 	lend.kept, lend.hashes = kept[:0], hashes[:0]
 
-	// A column boxes when Set would box it: it is a BOOL, or a kept cell is
-	// not the canonical Value of its kind.
 	n, w := len(kept), len(schema)
 	bytes := int64(relation.TupleMemBytes * w)
 	nonNull := make([]int, w)
-	boxed := make([]bool, w)
 	for j, col := range schema {
-		boxed[j] = col.Kind == relation.KindBool
 		for _, at := range kept {
 			src, row := &cols[at.part].Vecs[j], int(at.row)
 			switch {
-			case src.Boxed:
-				cell := src.Vals[row]
-				if !cell.IsNull() {
-					nonNull[j]++
-				}
-				bytes += int64(len(cell.Str))
-				boxed[j] = boxed[j] || !relation.Typed(cell, col.Kind)
 			case src.Null(row):
 			case col.Kind == relation.KindString:
 				nonNull[j]++
@@ -319,7 +285,7 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool, lend
 				nonNull[j]++
 			}
 		}
-		bytes += vectorBytes(col.Kind, n, nonNull[j], boxed[j])
+		bytes += vectorBytes(col.Kind, n, nonNull[j])
 	}
 	if err := m.budget.charge(bytes); err != nil {
 		return nil, err
@@ -328,20 +294,15 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool, lend
 	x := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, w)}
 	for j, col := range schema {
 		v := &x.Vecs[j]
-		switch *v = relation.NewVector(col.Kind, n); {
-		case boxed[j] && !v.Boxed:
-			*v = relation.Vector{Kind: col.Kind, Boxed: true, Vals: make([]relation.Value, n)}
-		case col.Kind == relation.KindString:
+		if *v = relation.NewVector(col.Kind, n); col.Kind == relation.KindString {
 			v.Dict = make([]string, 0, nonNull[j])
 		}
 		for r, at := range kept {
 			src, row := &cols[at.part].Vecs[j], int(at.row)
 			switch {
-			case v.Boxed || src.Boxed:
-				v.Set(r, n, src.Value(row))
 			case src.Null(row):
 				v.SetNull(r, n)
-			case col.Kind == relation.KindInt:
+			case col.Kind == relation.KindInt, col.Kind == relation.KindBool:
 				v.Ints[r] = src.Ints[row]
 			case col.Kind == relation.KindFloat:
 				v.Floats[r] = src.Floats[row]
@@ -356,13 +317,11 @@ func (m *merger) installKeys(cols []*relation.Columns, named, witness bool, lend
 }
 
 // vectorBytes is the MemBytes share of an n-row vector of kind with nonNull
-// non-NULL rows, typed or boxed, their STRING bytes aside.
-func vectorBytes(kind relation.Kind, n, nonNull int, boxed bool) int64 {
+// non-NULL rows, their STRING bytes aside.
+func vectorBytes(kind relation.Kind, n, nonNull int) int64 {
 	var b int64
 	switch {
-	case boxed:
-		b = relation.ValueMemBytes * int64(n)
-	case kind == relation.KindInt, kind == relation.KindFloat:
+	case kind == relation.KindInt, kind == relation.KindFloat, kind == relation.KindBool:
 		b = 8 * int64(n)
 	case kind == relation.KindString:
 		b = 4*int64(n) + 16*int64(nonNull)
@@ -401,7 +360,7 @@ func (m *merger) Extend() error {
 		if !val.IsNull() {
 			nonNull = n
 		}
-		grow += vectorBytes(kind, n, nonNull, kind == relation.KindBool)
+		grow += vectorBytes(kind, n, nonNull)
 	}
 	if err := m.budget.charge(grow); err != nil {
 		return err
@@ -430,10 +389,9 @@ func (m *merger) Extend() error {
 
 // Fragment builds what an operator round ships: the cols cells of X's rows —
 // of the rows listed, in that order, or of every row when rows is nil. A
-// whole-X fragment shares X's vectors and a reduced one gathers its own,
-// boxed columns included, as a site decodes them. A row's position in the
-// fragment is the ordinal the sites address it by; NewStage takes the same
-// rows to map it back. The fragment is marked finished (relation.ShareFrame),
+// whole-X fragment shares X's vectors and a reduced one gathers its own, as
+// a site decodes them. A row's position in the fragment is the ordinal the
+// sites address it by; NewStage takes the same rows to map it back. The fragment is marked finished (relation.ShareFrame),
 // so however many envelopes carry it — one per site, one per retry — it is
 // encoded once.
 func (m *merger) Fragment(cols []int, rows []int32) *relation.Relation {
@@ -462,12 +420,11 @@ var ErrMalformedH = errors.New("core: sync: malformed H")
 
 // validateH checks one incoming columnar H block of an operator against want,
 // the schema of its H_i (the row ordinal, then the physical columns of segs,
-// each by name and kind): one vector of its column's kind per column, a typed
-// ordinal with no NULL, and aggregate cells the merge can fold. A typed
-// vector holds nothing the merge cannot fold but a NULL COUNT; a boxed one —
-// the codec carries cells whose kind differs from their column's — has every
-// cell checked (agg.PhysCol.CheckCell), since a block that failed the merge
-// halfway through would leave X half-merged.
+// each by name and kind): one vector of its column's kind per column, an
+// ordinal with no NULL, and aggregate cells the merge can fold. A vector
+// holds only cells of its kind, and the merge folds all of them but a NULL
+// COUNT, refused here: a block that failed the merge halfway through would
+// leave X half-merged.
 func validateH(h *relation.Relation, want relation.Schema, segs []varSegment) error {
 	if !h.Schema.Equal(want) {
 		return fmt.Errorf("%w: schema %s, want %s", ErrMalformedH, h.Schema, want)
@@ -481,20 +438,14 @@ func validateH(h *relation.Relation, want relation.Schema, segs []varSegment) er
 			return fmt.Errorf("%w: column %s is not a %s vector", ErrMalformedH, want[j].Name, want[j].Kind)
 		}
 	}
-	if v := &c.Vecs[0]; v.Boxed || hasNull(v) {
-		return fmt.Errorf("%w: an ordinal that is not an INT", ErrMalformedH)
+	if hasNull(&c.Vecs[0]) {
+		return fmt.Errorf("%w: a NULL ordinal", ErrMalformedH)
 	}
 	cursor := 1
 	for _, seg := range segs {
 		for p, pc := range seg.layout.Phys {
-			v := &c.Vecs[cursor+p]
-			if !v.Boxed && pc.Op == agg.PhysCount && hasNull(v) {
+			if pc.Op == agg.PhysCount && hasNull(&c.Vecs[cursor+p]) {
 				return fmt.Errorf("%w: %s is NULL", ErrMalformedH, pc.Name)
-			}
-			for i := 0; v.Boxed && i < c.Rows; i++ {
-				if err := pc.CheckCell(v.Value(i)); err != nil {
-					return fmt.Errorf("%w: row %d: %v", ErrMalformedH, i, err)
-				}
 			}
 		}
 		cursor += len(seg.layout.Phys)
@@ -670,15 +621,13 @@ func (m *merger) CommitStage(st *hStage, k int) error {
 }
 
 // fold folds row i of from into row to[i] of X's vector into, for every row
-// i with to[i] ≥ 0; both vectors are of one kind. COUNT, SUM and SUMSQ between
-// typed vectors add on the slabs under the NULL bitmaps; anything else — MIN
-// and MAX, a boxed vector on either side — folds cell by cell through
-// agg.MergeCell, as agg.Layout.MergePhys does, and a result no typed vector
-// holds boxes into, whose Values are charged to the budget.
+// i with to[i] ≥ 0; both vectors are of one kind. COUNT, SUM and SUMSQ add on
+// the slabs under the NULL bitmaps; MIN and MAX fold cell by cell through
+// agg.MergeCell, as agg.Layout.MergePhys does.
 func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) error {
 	n := m.x.Len()
 	add := op == agg.PhysCount || op == agg.PhysSum || op == agg.PhysSumSq
-	if add && !into.Boxed && !from.Boxed && (into.Kind == relation.KindInt || into.Kind == relation.KindFloat) {
+	if add && (into.Kind == relation.KindInt || into.Kind == relation.KindFloat) {
 		for i, xi := range to {
 			switch {
 			case xi < 0 || from.Null(i):
@@ -692,7 +641,6 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) er
 		}
 		return nil
 	}
-	boxed := into.Boxed
 	for i, xi := range to {
 		if xi < 0 || from.Null(i) {
 			continue
@@ -705,9 +653,6 @@ func (m *merger) fold(op agg.PhysOp, into, from *relation.Vector, to []int32) er
 		if v != cur {
 			into.Set(int(xi), n, v)
 		}
-	}
-	if into.Boxed && !boxed {
-		return m.budget.charge(relation.ValueMemBytes * int64(n))
 	}
 	return nil
 }
@@ -739,8 +684,8 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 			return fmt.Errorf("core: local X schema %s, want %s", xl.Schema, want)
 		}
 		cols[p] = xl.Columns()
-		if v := &cols[p].Vecs[len(want)-1]; witness && (v.Boxed || hasNull(v)) {
-			return fmt.Errorf("%w: a witness count that is not an INT", ErrMalformedH)
+		if witness && hasNull(&cols[p].Vecs[len(want)-1]) {
+			return fmt.Errorf("%w: a NULL witness count", ErrMalformedH)
 		}
 	}
 	at, err := m.installKeys(cols, upTo > 0 || witness, witness, lend)
@@ -783,8 +728,7 @@ func (m *merger) MergeLocal(ops []gmdj.Operator, witness bool, parts []*relation
 // operators [from, upTo) for every row; called after each synchronization,
 // for the operators whose physical cells it changed, so subsequent conditions
 // and the final output see correct averages. A derived column is computed
-// from its operands' slabs through agg.Derived.Finish, and cell by cell
-// (agg.Derived.Of) where a vector it reads or writes is boxed.
+// from its operands' slabs through agg.Derived.Finish.
 func (m *merger) RecomputeDerived(from, upTo int) {
 	c := m.x.Columns()
 	n := c.Rows
@@ -796,11 +740,8 @@ func (m *merger) RecomputeDerived(from, upTo int) {
 				if der.SumSqIdx >= 0 {
 					sumsq = &c.Vecs[seg.physStart+der.SumSqIdx]
 				}
-				cells := sum.Boxed || sumsq.Boxed || cnt.Boxed || out.Boxed
 				for i := 0; i < n; i++ {
 					switch {
-					case cells:
-						out.Set(i, n, der.Of(sum.Value(i), sumsq.Value(i), cnt.Value(i)))
 					case sum.Null(i) || sumsq.Null(i) || cnt.Null(i) || cnt.Ints[i] == 0:
 						out.SetNull(i, n)
 					default:

@@ -31,19 +31,14 @@ var baseSchema = relation.MustSchema(
 )
 
 // baseCell draws a cell of column j: few distinct values, so keys repeat
-// within and across fragments; NULLs; −0 beside +0 and two NaNs of
-// different bits in the FLOAT column; and, with offKind, a cell of another
-// kind than the column's, some of which equal a typed cell numerically (INT
-// 1 in the FLOAT column, FLOAT 1 in the INT one) but not by identity.
-func baseCell(rng *rand.Rand, j int, offKind bool) relation.Value {
+// within and across fragments; NULLs; and −0 beside +0 and two NaNs of
+// different bits in the FLOAT column.
+func baseCell(rng *rand.Rand, j int) relation.Value {
 	if j == 5 {
 		return relation.NewInt(rng.Int63n(1000))
 	}
 	if rng.Intn(6) == 0 {
 		return relation.Null
-	}
-	if offKind && rng.Intn(4) == 0 {
-		return []relation.Value{relation.NewFloat(1), relation.NewInt(1), relation.NewString("1"), relation.NewBool(true)}[rng.Intn(4)]
 	}
 	switch j {
 	case 0:
@@ -83,11 +78,9 @@ func refInitBase(parts []*relation.Relation, keyIdx []int) []relation.Tuple {
 
 // TestInitBaseMatchesBoxedReference: InitBase keeps, cell for cell and
 // payload for payload, the rows the boxed reference keeps, in its order, over
-// INT, FLOAT (±0 and NaN), STRING, NULL and BOOL keys, off-kind cells, and
-// keys of one to five columns. Fragments arrive decoded, as a site's reply
-// does, or built by Append, so one column may be typed in one fragment and
-// boxed in the next. X's vectors box exactly where appending the reference
-// rows boxes them.
+// INT, FLOAT (±0 and NaN), STRING, NULL and BOOL keys, and keys of one to
+// five columns. Fragments arrive decoded, as a site's reply does, or built by
+// Append.
 func TestInitBaseMatchesBoxedReference(t *testing.T) {
 	keySets := [][]string{{"i"}, {"f"}, {"s"}, {"n"}, {"b"}, {"s", "i"}, {"f", "s"}, {"i", "f", "s", "n", "b"}}
 	for seed := int64(0); seed < 160; seed++ {
@@ -96,11 +89,10 @@ func TestInitBaseMatchesBoxedReference(t *testing.T) {
 		var parts []*relation.Relation
 		for p := rng.Intn(4) + 1; p > 0; p-- {
 			r := relation.New(baseSchema)
-			offKind := rng.Intn(3) == 0
 			for n := rng.Intn(40); n > 0; n-- {
 				row := make(relation.Tuple, len(baseSchema))
 				for j := range row {
-					row[j] = baseCell(rng, j, offKind)
+					row[j] = baseCell(rng, j)
 				}
 				r.MustAppend(row)
 			}
@@ -128,19 +120,13 @@ func TestInitBaseMatchesBoxedReference(t *testing.T) {
 				}
 			}
 		}
-		for j := range baseSchema {
-			if g, w := got.Columns().Vecs[j].Boxed, want.Columns().Vecs[j].Boxed; g != w {
-				t.Fatalf("seed %d, keys %v: column %s boxed %v, appending the reference rows boxes it %v", seed, keys, baseSchema[j].Name, g, w)
-			}
-		}
 	}
 }
 
 // TestRecomputeDerivedMatchesAppendDerived: the derived columns computed on
 // X's slabs are, bit for bit, what agg.Layout.AppendDerived computes on the
 // boxed physical cells — AVG over an INT and a FLOAT sum, VARIANCE whose
-// cancellation the clamp catches, STDEV — under NULL sums, zero counts and,
-// in a second pass, a sum column boxed by an off-kind cell.
+// cancellation the clamp catches, STDEV — under NULL sums and zero counts.
 func TestRecomputeDerivedMatchesAppendDerived(t *testing.T) {
 	detail := relation.MustSchema(
 		relation.Column{Name: "k", Kind: relation.KindInt},
@@ -170,60 +156,52 @@ func TestRecomputeDerivedMatchesAppendDerived(t *testing.T) {
 	for i := 0; i < rows; i++ {
 		base.MustAppend(relation.Tuple{relation.NewInt(int64(i))})
 	}
-	for _, offKind := range []bool{false, true} {
-		m := mustMerger(t, q.Keys(), xs, segs, nil)
-		if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
-			t.Fatal(err)
+	m := mustMerger(t, q.Keys(), xs, segs, nil)
+	if err := m.MergeLocal(nil, false, []*relation.Relation{base}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Extend(); err != nil {
+		t.Fatal(err)
+	}
+	seg := segs[0][0]
+	c := m.X().Columns()
+	rng := rand.New(rand.NewSource(51))
+	for i := 0; i < rows; i++ {
+		for p, pc := range seg.layout.Phys {
+			var v relation.Value
+			switch {
+			case pc.Op == agg.PhysCount:
+				v = relation.NewInt(rng.Int63n(4)) // zero counts included
+			case rng.Intn(6) == 0:
+				v = relation.Null
+			case pc.Op == agg.PhysSumSq && rng.Intn(3) == 0:
+				// Far under sum²/cnt: sumsq/cnt − mean² is negative, and
+				// the variance clamps at 0.
+				v = relation.NewFloat(0.5)
+			case pc.Kind == relation.KindInt:
+				v = relation.NewInt(rng.Int63n(2000) - 1000)
+			default:
+				v = relation.NewFloat(rng.NormFloat64() * 1e3)
+			}
+			c.Vecs[seg.physStart+p].Set(i, rows, v)
 		}
-		if err := m.Extend(); err != nil {
-			t.Fatal(err)
-		}
-		seg := segs[0][0]
-		c := m.X().Columns()
-		rng := rand.New(rand.NewSource(51))
-		for i := 0; i < rows; i++ {
-			for p, pc := range seg.layout.Phys {
-				var v relation.Value
-				switch {
-				case pc.Op == agg.PhysCount:
-					v = relation.NewInt(rng.Int63n(4)) // zero counts included
-				case rng.Intn(6) == 0:
-					v = relation.Null
-				case pc.Op == agg.PhysSumSq && rng.Intn(3) == 0:
-					// Far under sum²/cnt: sumsq/cnt − mean² is negative, and
-					// the variance clamps at 0.
-					v = relation.NewFloat(0.5)
-				case pc.Kind == relation.KindInt:
-					v = relation.NewInt(rng.Int63n(2000) - 1000)
-				default:
-					v = relation.NewFloat(rng.NormFloat64() * 1e3)
-				}
-				if offKind && pc.Name == "avgi_sum" && i%7 == 0 {
-					v = relation.NewFloat(float64(i) + 0.25)
-				}
-				c.Vecs[seg.physStart+p].Set(i, rows, v)
+	}
+	m.RecomputeDerived(0, 1)
+	np, clamped := len(seg.layout.Phys), 0
+	for i, row := range m.X().Rows() {
+		want := seg.layout.AppendDerived(nil, row[seg.physStart:seg.physStart+np])
+		for d, w := range want {
+			g := row[seg.derStart+d]
+			if !identicalCells(g, w) {
+				t.Fatalf("row %d %s = %#v, AppendDerived %#v", i, seg.layout.Derived[d].Name, g, w)
+			}
+			if seg.layout.Derived[d].Kind != agg.DerivedAvg && w.Kind == relation.KindFloat && w.Float == 0 {
+				clamped++
 			}
 		}
-		if got := c.Vecs[seg.physStart].Boxed; got != offKind {
-			t.Fatalf("offKind %v: avgi_sum boxed %v", offKind, got)
-		}
-		m.RecomputeDerived(0, 1)
-		np, clamped := len(seg.layout.Phys), 0
-		for i, row := range m.X().Rows() {
-			want := seg.layout.AppendDerived(nil, row[seg.physStart:seg.physStart+np])
-			for d, w := range want {
-				g := row[seg.derStart+d]
-				if !identicalCells(g, w) {
-					t.Fatalf("offKind %v: row %d %s = %#v, AppendDerived %#v", offKind, i, seg.layout.Derived[d].Name, g, w)
-				}
-				if seg.layout.Derived[d].Kind != agg.DerivedAvg && w.Kind == relation.KindFloat && w.Float == 0 {
-					clamped++
-				}
-			}
-		}
-		if clamped == 0 {
-			t.Errorf("offKind %v: no variance was clamped; the case is not exercised", offKind)
-		}
+	}
+	if clamped == 0 {
+		t.Error("no variance was clamped; the case is not exercised")
 	}
 }
 

@@ -2,8 +2,13 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"skalla/internal/agg"
@@ -195,34 +200,45 @@ func TestDiskBackedSiteEquivalence(t *testing.T) {
 	}
 }
 
-// TestDiskOffKindSegmentRunsScalar: when one segment of a disk table holds a
-// cell off its column's declared kind, an evaluation that reads the column
-// cannot compile that segment, so the whole evaluation runs on the scalar
-// path under kind — after the segments before it compiled — and still
-// answers as the Load-ed site does.
-func TestDiskOffKindSegmentRunsScalar(t *testing.T) {
+// TestOffKindInputIsRefusedAtLoad: a partition holding a cell off its
+// column's kind does not reach a scan. Load refuses a hand-built BOOL vector
+// holding 2 with an *relation.ErrOffKind naming the column and the row, and
+// a disk table loaded with LoadSource whose segment an older build wrote
+// with a mixed column fails its first evaluation naming the segment file.
+func TestOffKindInputIsRefusedAtLoad(t *testing.T) {
 	ctx := context.Background()
-	rel := diskRel(300)
-	rel.Columns().Vecs[rel.Schema.MustIndex("P")].Set(151, rel.Len(), relation.NewInt(7))
-	mem := NewSite(0)
-	if err := mem.Load(ctx, "Flow", rel); err != nil {
+	schema := relation.MustSchema(relation.Column{Name: "K", Kind: relation.KindInt}, relation.Column{Name: "ok", Kind: relation.KindBool})
+	raw := relation.FromColumns(schema, &relation.Columns{Rows: 2, Vecs: []relation.Vector{
+		{Kind: relation.KindInt, Ints: []int64{1, 2}}, {Kind: relation.KindBool, Ints: []int64{1, 2}}}})
+	var off *relation.ErrOffKind
+	if err := NewSite(0).Load(ctx, "Flow", raw); !errors.As(err, &off) || off.Column != "ok" || off.Row != 1 {
+		t.Errorf("Load = %v, want an *relation.ErrOffKind naming column ok row 1", err)
+	}
+
+	dir := t.TempDir()
+	if _, err := store.CreateFrom(dir, "Flow", diskRel(2), 0); err != nil {
 		t.Fatal(err)
 	}
-	disk := diskSite(t, rel, 3)
-	x, err := mem.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S"}})
+	// The segment's first columns as versions before 7 wrote a K holding a
+	// FLOAT: an inline frame of 2 rows, S uniform, K mixed.
+	body := append(relation.AppendSchema([]byte{0x01}, diskRel(0).Schema), 2, 0x00, 0x00)
+	body = append(relation.AppendString(relation.AppendString(body, "a"), "b"), 0x00, 0x01)
+	body = relation.AppendValue(relation.AppendValue(body, relation.NewInt(2)), relation.NewFloat(1.5))
+	if err := os.WriteFile(filepath.Join(dir, "seg00000.seg"), append(binary.AppendUvarint(nil, uint64(len(body))), body...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tbl, err := store.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	op := gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse("B.S = R.S"), Aggs: []agg.Spec{
-		{Func: agg.Count, As: "cnt"}, {Func: agg.Sum, Arg: "P", As: "sp"},
-	}}}}
-	checkDiskEval(t, mem, disk, siteEval{"SUM over the off-kind column", func(ctx context.Context, s *Site) (*relation.Relation, error) {
-		return s.EvalOperator(ctx, OperatorRequest{Base: x, Op: op})
-	}, 1}, "scalar", "kind")
-	// A pass that never reads the column still compiles every segment.
-	checkDiskEval(t, mem, disk, siteEval{"base", func(ctx context.Context, s *Site) (*relation.Relation, error) {
-		return s.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S", "K"}})
-	}, 1}, "kernel", "ok")
+	disk := NewSite(1)
+	if err := disk.LoadSource("Flow", tbl); err != nil {
+		t.Fatal(err)
+	}
+	_, err = disk.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S"}})
+	if err == nil || !strings.Contains(err.Error(), "seg00000.seg") || !strings.Contains(err.Error(), "encoding 0x01") {
+		t.Errorf("an evaluation over a mixed segment = %v, want it refused naming the file", err)
+	}
 }
 
 func TestLoadSourceValidation(t *testing.T) {

@@ -355,7 +355,7 @@ func keyDict(ctx context.Context, src ColumnSource, col string) (int, []string, 
 	}
 	var dict []string
 	err := src.Images(ctx, func(c *relation.Columns) error {
-		if v := &c.Vecs[j]; c.Rows == src.Len() && !v.Boxed && v.Indexed() && !slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 }) {
+		if v := &c.Vecs[j]; c.Rows == src.Len() && v.Indexed() && !slices.ContainsFunc(v.Nulls, func(w uint64) bool { return w != 0 }) {
 			dict = slices.Clip(v.Dict)
 		}
 		return errOneImage
@@ -914,7 +914,7 @@ func (a *OperatorAccum) AppendExtendedVectors(dst []relation.Vector, rows []int3
 // appendVarPhys appends variable vi's physical vectors for the base rows
 // listed, every one when rows is nil: gathered from — or, for every row,
 // taken as — a compiled kernel's slabs, or set from the scalar paths'
-// partials, boxed where a cell needs it.
+// partials.
 func (a *OperatorAccum) appendVarPhys(dst []relation.Vector, vi int, rows []int32) []relation.Vector {
 	n := len(rows)
 	if rows == nil {

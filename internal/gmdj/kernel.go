@@ -59,7 +59,7 @@ type ColumnSource interface {
 const (
 	reasonOK    = "ok"    // compiled
 	reasonShape = "shape" // a condition or filter shape the compiler does not cover (or the oracle's useHash=false)
-	reasonKind  = "kind"  // a column or value kind the typed code cannot reproduce exactly
+	reasonKind  = "kind"  // a column kind the kernel does not cover: a BOOL or FLOAT dimension, a STRING or BOOL MIN or MAX
 )
 
 // chargeScan charges the recorder ctx carries with one evaluation's passes
@@ -411,7 +411,7 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 		return nil, reasonShape
 	}
 	vec := &cols.Vecs[dc.Idx]
-	if vec.Boxed {
+	if vec.Kind == relation.KindBool {
 		return nil, reasonKind
 	}
 	numeric := vec.Kind == relation.KindInt || vec.Kind == relation.KindFloat
@@ -443,7 +443,6 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 		if r.Side != expr.SideBase || x == nil {
 			return nil, reasonShape
 		}
-		// Every value must be NULL or of the column's declared kind.
 		declared := x.Schema[r.Idx].Kind
 		if numeric != (declared == relation.KindInt || declared == relation.KindFloat) ||
 			!numeric && declared != relation.KindString {
@@ -451,8 +450,6 @@ func compilePred(c expr.Expr, x *relation.Relation, cols *relation.Columns) ([]k
 		}
 		bv := &x.Columns().Vecs[r.Idx]
 		switch {
-		case bv.Boxed:
-			return nil, reasonKind
 		case !numeric:
 			// Codes in the detail column's dictionary; noID for a string no
 			// detail row holds.
@@ -521,19 +518,15 @@ const maxRollupLinks = 16
 
 // compileLink resolves one link, into buffers and tables from sc. The probe
 // stands in for evaluating the equality, so it must agree with expr's: same
-// declared kinds on both sides and every X value NULL or of that kind
-// (cross-kind numerics compare equal in expr, which a typed lookup would
-// miss), and a detail NULL matches no value. A STRING X column that indexes the detail
-// column's own dictionary (sharesDict) needs no probe: its code is the
-// detail code.
+// declared kinds on both sides (cross-kind numerics compare equal in expr,
+// which a typed lookup would miss), and a detail NULL matches no value. A
+// STRING X column that indexes the detail column's own dictionary
+// (sharesDict) needs no probe: its code is the detail code.
 func compileLink(x *relation.Relation, bIdx int, vec *relation.Vector, rollup bool, sc *scratch) (linkStage, string) {
-	if vec.Boxed || x.Schema[bIdx].Kind != vec.Kind || vec.Kind != relation.KindString && vec.Kind != relation.KindInt {
+	if x.Schema[bIdx].Kind != vec.Kind || vec.Kind != relation.KindString && vec.Kind != relation.KindInt {
 		return linkStage{}, reasonKind
 	}
 	bv := &x.Columns().Vecs[bIdx]
-	if bv.Boxed {
-		return linkStage{}, reasonKind
-	}
 	st := linkStage{rollup: rollup, nulls: vec.Nulls}
 	null := noID
 	if rollup {
@@ -819,7 +812,7 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns, sc *
 		}
 		vec := &cols.Vecs[pc.ArgIdx]
 		// COUNT(col) only reads the NULL bitmap; the others fold payloads.
-		if vec.Boxed || (pc.Op != agg.PhysCount && vec.Kind != relation.KindInt && vec.Kind != relation.KindFloat) {
+		if pc.Op != agg.PhysCount && vec.Kind != relation.KindInt && vec.Kind != relation.KindFloat {
 			return nil, reasonKind
 		}
 		vk.args[p] = vec
@@ -1341,7 +1334,7 @@ func compileBaseKernel(p *baseProg, cols *relation.Columns) (*baseKernel, string
 	}
 	for c, j := range p.idx {
 		vec := &cols.Vecs[j]
-		if vec.Boxed || (vec.Kind != relation.KindInt && vec.Kind != relation.KindString) {
+		if vec.Kind != relation.KindInt && vec.Kind != relation.KindString {
 			return nil, reasonKind
 		}
 		k.cols[c] = baseColOf(vec, cols.Rows)

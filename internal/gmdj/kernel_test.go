@@ -601,8 +601,8 @@ func TestKernelFloatSumOrder(t *testing.T) {
 }
 
 // TestKernelVectorsGatheredFromSlabs pins how a site reads a compiled
-// evaluation: the accumulator keeps the kernel's typed slabs — nothing is
-// boxed — and AppendPhysVectors over any rows, as engine.Site's H blocks take
+// evaluation: the accumulator keeps the kernel's typed slabs, and
+// AppendPhysVectors over any rows, as engine.Site's H blocks take
 // them, holds the scalar path's cells bit for bit in typed vectors and
 // encodes to the scalar path's bytes: COUNT 0 and NULL for untouched rows,
 // INT and FLOAT sums, minima and order-dependent FLOAT sums alike, across two
@@ -636,11 +636,6 @@ func TestKernelVectorsGatheredFromSlabs(t *testing.T) {
 	var frames [2][]byte
 	for side, acc := range []*OperatorAccum{scalar, kernel} {
 		vecs := acc.AppendPhysVectors(nil, sel)
-		for p := range vecs {
-			if vecs[p].Boxed {
-				t.Errorf("side %d column %s: boxed", side, phys[p].Name)
-			}
-		}
 		if frames[side], err = relation.Marshal(relation.FromColumns(phys, &relation.Columns{Rows: len(sel), Vecs: vecs})); err != nil {
 			t.Fatal(err)
 		}
@@ -818,17 +813,11 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 	detail := kernelDetail(2, 200)
 	count := agg.Spec{Func: agg.Count, As: "n"}
 
-	// A column holding a value of the wrong kind stays boxed.
-	boxed := kernelDetail(2, 200)
-	boxed.Columns().Vecs[3].Set(17, boxed.Len(), relation.NewFloat(2.5))
 	// A FLOAT-declared key against the INT detail column.
 	floatKeys := relation.New(relation.MustSchema(relation.Column{Name: "I", Kind: relation.KindFloat}))
 	for _, f := range []float64{0, 1, 2.5} {
 		floatKeys.MustAppend(relation.Tuple{relation.NewFloat(f)})
 	}
-	// An INT-declared key column that holds a FLOAT.
-	strayKeys := baseOf(t, detail, "I")
-	strayKeys.Columns().Vecs[0].Set(0, strayKeys.Len(), relation.NewFloat(1))
 	// One dimension more than a rollup condition may link.
 	var wideCols []string
 	var wideSchema relation.Schema
@@ -863,9 +852,6 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 		{"string ordering", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.T > 'x'", count), detail, reasonShape},
 		{"float link", baseOf(t, detail, "F"), oneVar("B.F = R.F", count), detail, reasonKind},
 		{"link kinds differ", floatKeys, oneVar("B.I = R.I", count), detail, reasonKind},
-		{"key value off its declared kind", strayKeys, oneVar("B.I = R.I", count), detail, reasonKind},
-		{"boxed aggregate argument", baseOf(t, boxed, "S"), oneVar("B.S = R.S", agg.Spec{Func: agg.Sum, Arg: "V", As: "s"}), boxed, reasonKind},
-		{"boxed residual column", baseOf(t, boxed, "S"), oneVar("B.S = R.S && R.V > 3", count), boxed, reasonKind},
 		{"string vs number", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.T = 3", count), detail, reasonKind},
 		{"string MIN", baseOf(t, detail, "S"), oneVar("B.S = R.S", agg.Spec{Func: agg.Min, Arg: "T", As: "m"}), detail, reasonKind},
 	}

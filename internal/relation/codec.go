@@ -34,10 +34,8 @@ import (
 // NULL bitmap (bit set = NULL), an encoding byte and the non-NULL values:
 //
 //	uniform  — zigzag varints for INT, raw little-endian bits for FLOAT,
-//	           length-prefixed bytes for STRING, packed bits for BOOL
-//	mixed    — each value tagged with its kind, preserving exact round-trips
-//	           for columns whose dynamic value kinds disagree with the
-//	           declared column kind
+//	           length-prefixed bytes for STRING, packed bits for BOOL, no
+//	           values for NULL
 //	packed   — INT or FLOAT: varint(min), one byte w = bits.Len64(max−min)
 //	           computed in uint64, then each value's x−min in w bits, least
 //	           significant bit first, the last byte's padding bits zero; a
@@ -53,7 +51,9 @@ import (
 //	           them, then the suffixes' values packed; a value decodes to
 //	           the prefix and its width zero-padded digits
 //
-// The encoder picks packed, prefix or digits for a column only when it is
+// Every value is of its column's kind: a frame carries no other form (the
+// tagged "mixed" form of protocol versions before 7 is refused). The encoder
+// picks packed, prefix or digits for a column only when it is
 // strictly smaller than every form it would write otherwise (colShape), and
 // the decoder holds every INT, FLOAT and STRING column to that choice: a min
 // that no value attains, a w wider than the values need, set padding bits, a
@@ -89,7 +89,6 @@ var ErrFrameLength = errors.New("relation: bad codec frame length")
 
 const (
 	encUniform = 0x00
-	encMixed   = 0x01
 	encPacked  = 0x02
 	encPrefix  = 0x03
 	encDigits  = 0x04
@@ -185,15 +184,23 @@ func (e *Encoder) Encode(r *Relation) error {
 }
 
 // checkArity refuses a relation whose vectors disagree with its schema, which
-// the column-major encoding would index out of range on.
+// the column-major encoding would index out of range on, and a BOOL vector
+// holding a payload other than 0 or 1 (*ErrOffKind), which it would not
+// round-trip.
 func checkArity(r *Relation) error {
 	c := r.cols
 	if len(c.Vecs) != len(r.Schema) {
 		return fmt.Errorf("relation: vector arity %d does not match schema %s", len(c.Vecs), r.Schema)
 	}
 	for j, col := range r.Schema {
-		if c.Vecs[j].Kind != col.Kind {
+		v := &c.Vecs[j]
+		if v.Kind != col.Kind {
 			return fmt.Errorf("relation: vector %d is not a %s vector", j, col.Kind)
+		}
+		for i := 0; col.Kind == KindBool && i < len(v.Ints); i++ {
+			if v.Ints[i]>>1 != 0 && !v.Null(i) {
+				return &ErrOffKind{Column: col.Name, Row: i, Kind: KindBool, Cell: Value{Kind: KindBool, Int: v.Ints[i]}}
+			}
 		}
 	}
 	return nil
@@ -219,62 +226,28 @@ func appendZeros(body []byte, n int) []byte {
 	return append(body, zeroBytes[:n]...)
 }
 
-// appendBoxed appends a mixed, BOOL or NULL-kind boxed column of cells,
-// declared kind, encoded enc: its NULL bitmap, then its values, mixed each
-// tagged with its kind, uniform BOOL as packed bits. A uniform NULL-kind
-// column has no values: a non-NULL value always has a non-NULL kind.
-func appendBoxed(body []byte, vals []Value, kind Kind, enc byte) []byte {
-	bitmap := len(body)
-	body = appendZeros(body, (len(vals)+7)/8)
-	nonNull := 0
-	for i, v := range vals {
-		if v.IsNull() {
-			body[bitmap+i/8] |= 1 << (i % 8)
-		} else {
-			nonNull++
-		}
-	}
-	body = append(body, enc)
-	switch {
-	case enc == encMixed:
-		for _, v := range vals {
-			if !v.IsNull() {
-				body = AppendValue(body, v)
-			}
-		}
-	case kind == KindBool:
-		packed := len(body)
-		body = appendZeros(body, (nonNull+7)/8)
-		k := 0
-		for _, v := range vals {
-			if !v.IsNull() {
-				if v.Int != 0 {
-					body[packed+k/8] |= 1 << (k % 8)
-				}
-				k++
-			}
+// appendBools appends the non-NULL values of the BOOL vector v as packed
+// bits, least significant bit first, in the nb bytes they take.
+func appendBools(body []byte, v *Vector, nb int) []byte {
+	packed, k := len(body), 0
+	body = appendZeros(body, nb)
+	for i, x := range v.Ints {
+		if !v.Null(i) {
+			body[packed+k/8] |= byte(x) << (k % 8)
+			k++
 		}
 	}
 	return body
 }
 
 // appendVectors appends a frame's rows, column-major, each column as its
-// shape says: a typed vector, or a boxed INT, FLOAT or STRING one whose cells
-// are all of its kind, is written from typed storage, and any other boxed one
-// cell by cell (appendBoxed).
+// shape says.
 func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 	n := c.Rows
 	body = binary.AppendUvarint(body, uint64(n))
 	nb := (n + 7) / 8
 	for j := range c.Vecs {
 		v, s := &c.Vecs[j], &shapes[j]
-		if s.typed != nil {
-			v = s.typed
-		}
-		if v.Boxed {
-			body = appendBoxed(body, v.Vals, v.Kind, s.enc)
-			continue
-		}
 		if v.Nulls == nil {
 			body = appendZeros(body, nb)
 		} else {
@@ -309,6 +282,8 @@ func appendVectors(body []byte, c *Columns, shapes []colShape) []byte {
 					body = AppendString(body, v.Dict[code])
 				}
 			}
+		case v.Kind == KindBool:
+			body = appendBools(body, v, s.size-1)
 		}
 	}
 	return body
@@ -403,10 +378,6 @@ type colShape struct {
 	width  int      // prefix, digits: the bytes a suffix, 0 when they vary
 	prefix string   // prefix, digits: the longest common prefix, capped at maxPrefix
 	codes  []uint64 // digits: each non-NULL value's code, in row order
-	// typed is a boxed INT, FLOAT or STRING vector's cells as a typed
-	// vector, when they are all NULL or of its kind: the encoding of those
-	// kinds depends on their values, so one writer serves both.
-	typed *Vector
 }
 
 // shapesOf appends the shape of each of c's vectors to dst, keeping the
@@ -421,59 +392,11 @@ func shapesOf(dst []colShape, c *Columns, codes *[]uint64) []colShape {
 
 // codesPool lends Marshal and AppendFrame a codes buffer, taking back one
 // of up to trustedBody bytes.
-var codesPool = sync.Pool{New: func() any { return new([]uint64) }}
+var codesPool FreeList[[]uint64]
 
-// shapeOf is how a frame writes v. A boxed vector is written mixed when some
-// cell is of another kind than its declared one.
-func shapeOf(v *Vector, codes *[]uint64) colShape {
-	if !v.Boxed {
-		return typedShape(v, codes)
-	}
-	nonNull, payload, uniform := 0, 0, true
-	for i := range v.Vals {
-		c := &v.Vals[i]
-		switch c.Kind {
-		case KindNull:
-			continue
-		case KindInt, KindBool:
-			payload += varintLen(c.Int)
-		case KindFloat:
-			payload += 8
-		case KindString:
-			payload += uvarintLen(uint64(len(c.Str))) + len(c.Str)
-		}
-		nonNull++
-		uniform = uniform && c.Kind == v.Kind
-	}
-	switch {
-	case !uniform:
-		return colShape{enc: encMixed, size: 1 + nonNull + payload} // a kind byte a value
-	case v.Kind == KindBool:
-		return colShape{enc: encUniform, size: 1 + (nonNull+7)/8}
-	case v.Kind == KindNull:
-		return colShape{enc: encUniform, size: 1}
-	}
-	t := NewVector(v.Kind, len(v.Vals))
-	for i, c := range v.Vals {
-		switch {
-		case c.Kind == KindNull:
-			t.SetNull(i, len(v.Vals))
-		case c.Kind == KindString:
-			t.Set(i, len(v.Vals), NewString(c.Str))
-		case c.Kind == KindFloat:
-			t.Floats[i] = c.Float
-		default:
-			t.Ints[i] = c.Int
-		}
-	}
-	s := typedShape(&t, codes)
-	s.typed = &t
-	return s
-}
-
-// typedShape is how a frame writes the typed vector v, keeping a digits
+// shapeOf is how a frame writes the vector v, keeping a digits
 // column's codes in *codes unless codes is nil.
-func typedShape(v *Vector, codes *[]uint64) colShape {
+func shapeOf(v *Vector, codes *[]uint64) colShape {
 	switch v.Kind {
 	case KindInt:
 		return intShape(v)
@@ -481,6 +404,12 @@ func typedShape(v *Vector, codes *[]uint64) colShape {
 		return floatShape(v)
 	case KindString:
 		return stringShape(v, codes)
+	case KindBool:
+		n := len(v.Ints)
+		for _, w := range v.Nulls {
+			n -= bits.OnesCount64(w)
+		}
+		return colShape{enc: encUniform, size: 1 + (n+7)/8}
 	}
 	return colShape{enc: encUniform, size: 1} // NULL-kind: no values
 }
@@ -897,8 +826,8 @@ func (c *Cursor) Str() (string, error) {
 	return string(raw), err
 }
 
-// AppendValue appends v tagged with its kind, as a mixed column writes each
-// value; a NULL is its tag alone.
+// AppendValue appends v tagged with its kind, as the site protocol writes a
+// scalar; a NULL is its tag alone.
 func AppendValue(dst []byte, v Value) []byte {
 	dst = append(dst, byte(v.Kind))
 	switch v.Kind {
@@ -994,9 +923,8 @@ func frameRows(cur *Cursor, cols int) (int, error) {
 
 // readVectors decodes a frame's rows into vectors built in s, reading every
 // value in place from the frame: a uniform or packed INT or FLOAT, uniform,
-// prefix or digits STRING, or NULL column into a typed vector, whose STRING
-// bytes become one string its values are substrings of, and a BOOL or mixed
-// column into a boxed one.
+// prefix or digits STRING, uniform BOOL or NULL column into a vector of its
+// kind, whose STRING bytes become one string its values are substrings of.
 func readVectors(cur *Cursor, schema Schema, s *Slabs) (*Columns, error) {
 	nrows, err := frameRows(cur, len(schema))
 	if err != nil {
@@ -1014,7 +942,7 @@ func readVectors(cur *Cursor, schema Schema, s *Slabs) (*Columns, error) {
 			return nil, err
 		}
 		switch {
-		case enc == encUniform, enc == encMixed:
+		case enc == encUniform:
 		case enc == encPacked && (col.Kind == KindInt || col.Kind == KindFloat),
 			(enc == encPrefix || enc == encDigits) && col.Kind == KindString:
 		default:
@@ -1045,8 +973,8 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte, s *Slabs
 		v.Nulls[k>>3] |= uint64(b) << (8 * (k & 7))
 		nonNull -= bits.OnesCount8(b)
 	}
-	if enc == encMixed || v.Kind == KindBool {
-		return readBoxed(cur, v, n, nonNull, enc == encMixed)
+	if v.Kind == KindBool {
+		return readBools(cur, v, n, nonNull, s)
 	}
 	got := colShape{enc: enc}
 	// want is the encoder's shape for the values, when the decode measured
@@ -1131,7 +1059,7 @@ func readVector(cur *Cursor, v *Vector, n int, bitmap []byte, enc byte, s *Slabs
 		return err
 	}
 	if !measured {
-		want = typedShape(v, nil)
+		want = shapeOf(v, nil)
 	}
 	return checkShape(v.Kind, got, want)
 }
@@ -1352,41 +1280,20 @@ var pow10 = func() (t [maxDigits + 1]uint64) {
 	return t
 }()
 
-// readBoxed decodes the nonNull values of a packed BOOL or a mixed column
-// into v's cells. Marshal writes a column mixed only when it holds a value of
-// another kind than its declared one, so a mixed column that does not is
-// refused, as is a NULL tag among its values.
-func readBoxed(cur *Cursor, v *Vector, n, nonNull int, mixed bool) error {
-	var packed []byte
-	if !mixed {
-		var err error
-		if packed, err = readBitmap(cur, nonNull, (nonNull+7)/8); err != nil {
-			return err
-		}
+// readBools decodes the nonNull values of a BOOL column of n rows, packed
+// bits, into v's Ints as 0 and 1, built in s.
+func readBools(cur *Cursor, v *Vector, n, nonNull int, s *Slabs) error {
+	packed, err := readBitmap(cur, nonNull, (nonNull+7)/8)
+	if err != nil {
+		return err
 	}
-	v.Boxed, v.Vals = true, make([]Value, n)
-	offKind, k := false, 0
-	for i := range v.Vals {
-		switch {
-		case v.Null(i):
-			continue
-		case !mixed:
-			v.Vals[i] = NewBool(packed[k/8]&(1<<(k%8)) != 0)
+	v.Ints = s.int64s(n)
+	k := 0
+	for i := range v.Ints {
+		if !v.Null(i) {
+			v.Ints[i] = int64(packed[k/8] >> (k % 8) & 1)
 			k++
-			continue
 		}
-		val, err := cur.Value()
-		if err != nil {
-			return err
-		}
-		if val.IsNull() {
-			return fmt.Errorf("relation: codec mixed value with invalid kind %d", KindNull)
-		}
-		v.Vals[i] = val
-		offKind = offKind || val.Kind != v.Kind
-	}
-	if mixed && !offKind {
-		return fmt.Errorf("relation: codec mixed column holds only %s values", v.Kind)
 	}
 	return nil
 }
@@ -1443,7 +1350,7 @@ func AppendFrame(dst []byte, r *Relation) ([]byte, error) {
 		return dst, err
 	}
 	var room [8]colShape
-	codes := codesPool.Get().(*[]uint64)
+	codes := codesPool.Get()
 	shapes := shapesOf(room[:0], r.cols, codes)
 	body := 1 + schemaSize(r.Schema) + uvarintLen(uint64(r.cols.Rows))
 	for _, s := range shapes {
@@ -1477,8 +1384,7 @@ func schemaSize(s Schema) int {
 
 // Unmarshal decodes a relation from a single self-contained frame, reading it
 // in place from b: nothing of b is copied but the bytes of STRING values, and
-// b may be reused once Unmarshal returns. A uniform INT, FLOAT, STRING or
-// NULL column decodes to a typed vector, a mixed or BOOL one to a boxed one.
+// b may be reused once Unmarshal returns.
 func Unmarshal(b []byte) (*Relation, error) { return unmarshal(b, nil) }
 
 // unmarshal is Unmarshal with the vectors built in s.

@@ -17,7 +17,7 @@ import (
 
 // codecCases enumerates the representative shapes the wire format must
 // round-trip exactly: every kind, NULLs in every position, empty relations,
-// empty schemas, and columns whose dynamic kinds disagree with the schema.
+// empty schemas and packed BOOLs.
 func codecCases() map[string]*Relation {
 	full := New(MustSchema(
 		Column{"i", KindInt},
@@ -31,12 +31,6 @@ func codecCases() map[string]*Relation {
 	full.MustAppend(Tuple{NewInt(math.MaxInt64), NewFloat(math.NaN()), NewString("x"), Null, Null})
 	full.MustAppend(Tuple{NewInt(math.MinInt64), NewFloat(math.Copysign(0, -1)), Null, NewBool(true), Null})
 	full.MustAppend(Tuple{Null, Null, Null, Null, Null})
-
-	mixed := New(MustSchema(Column{"m", KindInt}, Column{"k", KindString}))
-	mixed.MustAppend(Tuple{NewFloat(1.5), NewString("a")})
-	mixed.MustAppend(Tuple{NewInt(2), NewInt(7)})
-	mixed.MustAppend(Tuple{NewString("three"), Null})
-	mixed.MustAppend(Tuple{NewBool(true), NewFloat(-0.25)})
 
 	allNullInt := New(MustSchema(Column{"v", KindInt}))
 	allNullInt.MustAppend(Tuple{Null})
@@ -71,7 +65,6 @@ func codecCases() map[string]*Relation {
 		"uniform":         uniform,
 		"all-null-string": allNullString,
 		"all-kinds":       full,
-		"mixed-kinds":     mixed,
 		"all-null-col":    allNullInt,
 		"bool-packing":    wide,
 		"empty":           New(MustSchema(Column{"a", KindInt}, Column{"b", KindString})),
@@ -233,7 +226,7 @@ func TestViewSharesFrameOnlyOverItsRows(t *testing.T) {
 		t.Error("editing views changed the finished relation or its frame")
 	}
 	// A relation never declared finished marshals on every call.
-	plain := codecCases()["mixed-kinds"]
+	plain := codecCases()["uniform"]
 	a, _ := plain.View().Frame()
 	b, _ := plain.Frame()
 	if !bytes.Equal(a, b) || &a[0] == &b[0] {
@@ -288,8 +281,7 @@ func TestCodecStream(t *testing.T) {
 }
 
 // TestCodecStreamDecodesVectors: a stream Decoder reads every frame into one
-// reused buffer and decodes a uniform column to a typed vector, a mixed one
-// to a boxed vector; a block stays intact after later frames overwrote the
+// reused buffer; a block stays intact after later frames overwrote the
 // buffer.
 func TestCodecStreamDecodesVectors(t *testing.T) {
 	var buf bytes.Buffer
@@ -298,11 +290,7 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 	for b := range blocks {
 		r := New(MustSchema(Column{"g", KindInt}, Column{"name", KindString}))
 		for i := 0; i < 10+b; i++ {
-			name := NewString(fmt.Sprintf("row-%d-%d", b, i))
-			if b == 3 && i == 4 {
-				name = NewInt(7) // an off-kind cell: this block's names box
-			}
-			r.MustAppend(Tuple{NewInt(int64(b*100 + i)), name})
+			r.MustAppend(Tuple{NewInt(int64(b*100 + i)), NewString(fmt.Sprintf("row-%d-%d", b, i))})
 		}
 		blocks[b] = r
 		if err := enc.Encode(r); err != nil {
@@ -319,9 +307,6 @@ func TestCodecStreamDecodesVectors(t *testing.T) {
 		got = append(got, rel)
 	}
 	for i, want := range blocks {
-		if boxed := got[i].Columns().Vecs[1].Boxed; boxed != (i == 3) || got[i].Columns().Vecs[0].Boxed {
-			t.Errorf("block %d: names boxed %v", i, boxed)
-		}
 		if !relIdentical(want, got[i]) {
 			t.Errorf("block %d changed in round trip", i)
 		}
@@ -575,13 +560,9 @@ func randomRelation(rng *rand.Rand) *Relation {
 	for i := 0; i < nrows; i++ {
 		t := make(Tuple, ncols)
 		for j := range t {
-			// 1-in-4 cells get a random dynamic kind instead of the column
-			// kind, exercising the mixed encoding; 1-in-4 are NULL.
+			// 1-in-4 cells are NULL.
 			kind := schema[j].Kind
-			switch rng.Intn(4) {
-			case 0:
-				kind = kinds[rng.Intn(len(kinds))]
-			case 1:
+			if rng.Intn(4) == 0 {
 				kind = KindNull
 			}
 			switch kind {
@@ -664,8 +645,6 @@ func rowDecode(data []byte) (Schema, []Tuple, error) {
 		case err != nil:
 		case enc == encUniform:
 			err = readUniformRows(cur, rows, j, col.Kind, bitmap)
-		case enc == encMixed:
-			err = readMixedRows(cur, rows, j, col.Kind, bitmap)
 		case enc == encPacked && (col.Kind == KindInt || col.Kind == KindFloat):
 			err = readPackedRows(cur, rows, j, col.Kind, bitmap)
 		case enc == encPrefix && col.Kind == KindString:
@@ -756,31 +735,6 @@ func readUniformCells(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte
 	return nil
 }
 
-// readMixedRows reads column j of rows, written mixed, which Marshal does
-// only for a column holding a value of another kind than its declared one.
-func readMixedRows(cur *Cursor, rows []Tuple, j int, kind Kind, bitmap []byte) error {
-	offKind := false
-	for i, t := range rows {
-		if isNullAt(bitmap, i) {
-			t[j] = Null
-			continue
-		}
-		v, err := cur.Value()
-		if err != nil {
-			return err
-		}
-		if v.IsNull() {
-			return errors.New("a NULL tag among mixed values")
-		}
-		t[j] = v
-		offKind = offKind || v.Kind != kind
-	}
-	if !offKind {
-		return fmt.Errorf("mixed column %d holds only %s values", j, kind)
-	}
-	return nil
-}
-
 // frameBody is a frame without its length prefix.
 func frameBody(frame []byte) []byte {
 	_, n := binary.Uvarint(frame)
@@ -813,7 +767,7 @@ var fuzzSlabs Slabs
 // FuzzCodecRoundTrip fuzzes six properties: arbitrary bytes never panic the
 // decoder; whatever decodes, Unmarshal, a stream Decoder and the reference
 // row decode agree on it, and it re-encodes to its own bytes, as does the
-// image of its rows built through Append, boxed columns and all; a decode
+// image of its rows built through Append; a decode
 // into reused, poisoned slabs refuses what Unmarshal refuses and builds
 // exactly Unmarshal's vectors otherwise; every decode, into slabs of any
 // size too, allocates within a bound linear in the input; and randomized
@@ -829,6 +783,7 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x02, frameCached, 0x00})
+	f.Add(mixedFrame()) // refused: protocol version 7 dropped the mixed form
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: hostile bytes error out, never panic or hang.
 		var rel *Relation
@@ -865,11 +820,6 @@ func FuzzCodecRoundTrip(f *testing.F) {
 			// vectors, and they are the frame's own bytes.
 			if !relIdentical(rel, streamed) || !rel.Schema.Equal(schema) || !rowsIdentical(rel.Rows(), rows) {
 				t.Fatal("Unmarshal, the stream and the row decode hold different rows")
-			}
-			for j, v := range rel.Columns().Vecs {
-				if v.Boxed != streamed.Columns().Vecs[j].Boxed {
-					t.Fatalf("column %d: Unmarshal boxed %v, the stream not", j, v.Boxed)
-				}
 			}
 			a, errA := Marshal(rel)
 			if errA != nil || !bytes.Equal(frameBody(a), frameBody(data)) {

@@ -40,24 +40,6 @@ func packCases() map[string]*Relation {
 		}
 		clerks.MustAppend(Tuple{clerk, NewInt(int64(1 + i%5)), NewInt(int64(i % 2))})
 	}
-	// A boxed vector whose cells are all of its kind is written as the typed
-	// vector of those cells is.
-	boxedInts, boxedStrs := NewVector(KindInt, 6), NewVector(KindString, 6)
-	boxedInts.Set(0, 6, NewFloat(1.5))
-	boxedStrs.Set(0, 6, NewInt(1))
-	for i := 0; i < 6; i++ {
-		boxedInts.Set(i, 6, NewInt(int64(500+i)))
-		boxedStrs.Set(i, 6, NewString(fmt.Sprintf("row-%03d", i)))
-	}
-	boxedInts.SetNull(3, 6)
-	boxedFloats := NewVector(KindFloat, 6)
-	boxedFloats.Set(0, 6, NewString("x"))
-	for i := 0; i < 6; i++ {
-		boxedFloats.Set(i, 6, NewFloat(1.5+float64(i)/64))
-	}
-	boxed := FromColumns(MustSchema(Column{"i", KindInt}, Column{"s", KindString}, Column{"f", KindFloat}),
-		&Columns{Rows: 6, Vecs: []Vector{boxedInts, boxedStrs, boxedFloats}})
-
 	floats := func(xs ...float64) []Value {
 		var vals []Value
 		for _, x := range xs {
@@ -105,7 +87,6 @@ func packCases() map[string]*Relation {
 		"prefix-identical":  column(KindString, identical...),
 		"prefix-empty-head": column(KindString, NewString("ab"), NewString("cd"), NewString("ef"), NewString("gh")),
 		"clerk-reply":       clerks,
-		"boxed-typed-cells": boxed,
 
 		"float-nan-payloads": column(KindFloat, nans...),
 		"float-signed-zeros": column(KindFloat, signedZeros...),
@@ -826,15 +807,15 @@ func TestDecodeAllocationAtTheWorstCase(t *testing.T) {
 // TestCodecKeepsDigitsCodesPerColumn: the digits codes stringShape parses are
 // the ones appendPacked writes. In one frame of several STRING columns — a
 // digits column whose prefix shortens as its values come, one that reads as
-// digits for a while and then does not, a boxed digits column and one with
-// NULLs — each digits column's codes are its suffixes' values in row order,
+// digits for a while and then does not, a falling digits column and one
+// with NULLs — each digits column's codes are its suffixes' values in row order,
 // and the frame decodes to the relation, whether Marshal writes it or an
 // Encoder that has written another frame before. The Encoder keeps its codes
 // buffer for the next frame, as it keeps its body, up to trustedBody bytes.
 func TestCodecKeepsDigitsCodesPerColumn(t *testing.T) {
 	build := func(n, step int) *Relation {
 		r := New(MustSchema(Column{"shrinking", KindString}, Column{"stops", KindString}, Column{"n", KindInt},
-			Column{"boxed", KindString}, Column{"nulls", KindString}))
+			Column{"falling", KindString}, Column{"nulls", KindString}))
 		for i := 0; i < n; i++ {
 			stops, nulls := NewString(fmt.Sprintf("K%03d", i)), NewString(fmt.Sprintf("%06d", i*i*step))
 			if i == n-3 {
@@ -846,13 +827,7 @@ func TestCodecKeepsDigitsCodesPerColumn(t *testing.T) {
 			r.MustAppend(Tuple{NewString(fmt.Sprintf("C#%04d", i*step)), stops, NewInt(int64(i)),
 				NewString(fmt.Sprintf("Z%05d", 99999-i*step)), nulls})
 		}
-		c := r.Columns()
-		boxed := Vector{Kind: KindString, Boxed: true, Vals: make([]Value, c.Rows)}
-		for i := range boxed.Vals {
-			boxed.Vals[i] = c.Vecs[3].Value(i)
-		}
-		c.Vecs[3] = boxed
-		return FromColumns(r.Schema, c)
+		return r
 	}
 	r := build(40, 37)
 	var codes []uint64

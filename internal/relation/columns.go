@@ -1,6 +1,9 @@
 package relation
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Columns is a columnar image of rows: one Vector per column, row i at
 // position i of every vector. It is the body of every Relation — a decoded
@@ -13,21 +16,14 @@ type Columns struct {
 	Vecs []Vector
 }
 
-// Vector is one column of a Columns image. A typed vector holds its declared
-// kind's payload in exactly one of Ints (INT), Floats (FLOAT) or Codes
-// (STRING, indexes into Dict); NULL rows hold the zero payload and have their
-// bit set in Nulls. A NULL-kind vector has every row's bit set and no payload.
-// A boxed vector holds every row's exact cell in Vals instead.
+// Vector is one column of a Columns image. It holds its declared kind's
+// payload in exactly one of Ints (INT, and BOOL as 0 or 1), Floats (FLOAT) or
+// Codes (STRING, indexes into Dict); NULL rows hold the zero payload and have
+// their bit set in Nulls. A NULL-kind vector has every row's bit set and no
+// payload.
 type Vector struct {
 	// Kind is the column's declared kind.
-	Kind Kind
-	// Boxed marks a vector whose cells live in Vals: it is declared BOOL, or
-	// some cell is neither NULL nor the canonical Value of the declared kind
-	// (in a BuildColumns image, also a NaN or a NULL with a payload). Nulls
-	// still marks its NULL rows. The typed code — the scan kernels, the
-	// merge's additions — declines a boxed vector and reads cells instead.
-	Boxed  bool
-	Vals   []Value
+	Kind   Kind
 	Ints   []int64
 	Floats []float64
 	Codes  []uint32
@@ -44,11 +40,9 @@ type Vector struct {
 	codeOf map[string]uint32
 }
 
-// BuildColumns images r for the scan kernels, column by column: a typed
-// slab is copied, and a STRING vector's dictionary lists each value once. A
-// column of another kind than INT, FLOAT or STRING, or holding a cell a typed
-// vector cannot reproduce exactly — NaN included, which equals nothing — is
-// boxed. It refuses vectors that disagree with r's schema.
+// BuildColumns images r for the scan kernels, column by column: a slab is
+// copied, and a STRING vector's dictionary lists each value once. It refuses
+// vectors that disagree with r's schema (checkArity).
 func BuildColumns(r *Relation) (*Columns, error) {
 	if err := checkArity(r); err != nil {
 		return nil, err
@@ -63,23 +57,9 @@ func BuildColumns(r *Relation) (*Columns, error) {
 // imageOf is BuildColumns' image of the n-row vector src.
 func imageOf(src *Vector, n int) Vector {
 	kind := src.Kind
-	if kind != KindInt && kind != KindFloat && kind != KindString {
-		return boxedCopy(src, n)
-	}
-	if src.Boxed {
-		// A boxed vector whose cells all fit a typed one images typed.
-		typed := NewVector(kind, n)
-		for i, val := range src.Vals[:n] {
-			if !Typed(val, kind) {
-				return boxedCopy(src, n)
-			}
-			typed.Set(i, n, val)
-		}
-		src = &typed
-	}
 	v := Vector{Kind: kind, Nulls: cloneSlice(src.Nulls)}
 	switch kind {
-	case KindInt:
+	case KindInt, KindBool:
 		v.Ints = append(make([]int64, 0, n), src.Ints[:n]...)
 	case KindFloat:
 		v.Floats = append(make([]float64, 0, n), src.Floats[:n]...)
@@ -105,25 +85,11 @@ func imageOf(src *Vector, n int) Vector {
 	for i := 0; v.Nulls != nil && i < n; i++ {
 		switch {
 		case !v.Null(i):
-		case kind == KindInt:
+		case kind == KindInt, kind == KindBool:
 			v.Ints[i] = 0
 		case kind == KindFloat:
 			v.Floats[i] = 0
 		}
-	}
-	for _, f := range v.Floats {
-		if math.IsNaN(f) {
-			return boxedCopy(src, n)
-		}
-	}
-	return v
-}
-
-// boxedCopy returns a boxed copy of the n-row vector src's cells.
-func boxedCopy(src *Vector, n int) Vector {
-	v := Vector{Kind: src.Kind, Boxed: true, Vals: make([]Value, n), Nulls: cloneSlice(src.Nulls)}
-	for i := range v.Vals {
-		v.Vals[i] = src.Value(i)
 	}
 	return v
 }
@@ -148,20 +114,14 @@ func (c *Columns) Select(sel []int32, cols []int) *Columns {
 			continue
 		}
 		v := &out.Vecs[j]
-		if src.Boxed {
-			*v = Vector{Kind: src.Kind, Boxed: true, Vals: make([]Value, n)}
-		} else if *v = NewVector(src.Kind, n); v.Kind == KindString {
+		if *v = NewVector(src.Kind, n); v.Kind == KindString {
 			v.Dict = src.Dict[:len(src.Dict):len(src.Dict)]
 		}
 		for i, s := range sel {
-			if src.Null(int(s)) {
-				v.SetNull(i, n)
-			}
 			switch {
-			case v.Boxed:
-				v.Vals[i] = src.Value(int(s))
 			case src.Null(int(s)):
-			case v.Kind == KindInt:
+				v.SetNull(i, n)
+			case v.Kind == KindInt, v.Kind == KindBool:
 				v.Ints[i] = src.Ints[s]
 			case v.Kind == KindFloat:
 				v.Floats[i] = src.Floats[s]
@@ -174,54 +134,56 @@ func (c *Columns) Select(sel []int32, cols []int) *Columns {
 }
 
 // NewVector returns an n-row vector of kind with zeroed storage, the storage
-// Set writes rows into: typed for INT, FLOAT and STRING, boxed for BOOL, none
-// for NULL.
+// Set writes rows into: none for NULL.
 func NewVector(kind Kind, n int) Vector {
 	v := Vector{Kind: kind}
 	switch kind {
-	case KindInt:
+	case KindInt, KindBool:
 		v.Ints = make([]int64, n)
 	case KindFloat:
 		v.Floats = make([]float64, n)
 	case KindString:
 		v.Codes = make([]uint32, n)
-	case KindBool:
-		v.Boxed, v.Vals = true, make([]Value, n)
 	}
 	return v
 }
 
-// Typed reports whether a typed vector of kind holds val, so that Set writes
-// it without boxing: val is the canonical NULL, or the canonical Value of
-// kind — INT, FLOAT or STRING, with nothing in the other fields.
-func Typed(val Value, kind Kind) bool {
-	return val == Null || val.Kind == kind && (kind == KindInt || kind == KindFloat || kind == KindString) &&
-		(val.Int == 0 || kind == KindInt) && (math.Float64bits(val.Float) == 0 || kind == KindFloat) && (val.Str == "" || kind == KindString)
+// fits reports whether a vector of kind holds val as it is: val is the
+// canonical NULL, or the canonical Value of kind — its payload in the field
+// kind uses, a BOOL's 0 or 1, nothing in the other fields.
+func fits(val Value, kind Kind) bool {
+	switch {
+	case val == Null:
+		return true
+	case val.Kind != kind || val.Str != "" && kind != KindString || math.Float64bits(val.Float) != 0 && kind != KindFloat:
+		return false
+	case kind == KindBool:
+		return val.Int>>1 == 0
+	}
+	return val.Int == 0 || kind == KindInt
 }
 
-// Set writes val to row i of the n-row vector v. A typed vector that cannot
-// hold val — a BOOL, an off-kind cell, a stray payload — is boxed first, its
-// n rows and all. A STRING value is appended to Dict, never written over an
-// entry, so the Dict must be v's own.
+// Set writes val, which fits v's kind, to row i of the n-row vector v. A
+// STRING value is appended to Dict, never written over an entry, so the Dict
+// must be v's own. A cell that does not fit panics: cells from outside come
+// in through Relation.Append, which refuses them.
 func (v *Vector) Set(i, n int, val Value) {
-	if !v.Boxed && !Typed(val, v.Kind) {
-		v.box(n)
+	if !fits(val, v.Kind) {
+		panic(fmt.Sprintf("relation: %s cell %v written to a vector of kind %s", val.Kind, val, v.Kind))
 	}
-	null := val.IsNull()
-	if null {
+	if val.IsNull() {
 		v.SetNull(i, n)
-	} else if v.Nulls != nil {
+		return
+	}
+	if v.Nulls != nil {
 		v.Nulls[i>>6] &^= 1 << (uint(i) & 63)
 	}
-	switch {
-	case v.Boxed:
-		v.Vals[i] = val
-	case null:
-	case v.Kind == KindInt:
+	switch v.Kind {
+	case KindInt, KindBool:
 		v.Ints[i] = val.Int
-	case v.Kind == KindFloat:
+	case KindFloat:
 		v.Floats[i] = val.Float
-	case v.Kind == KindString:
+	case KindString:
 		v.Codes[i] = uint32(len(v.Dict))
 		v.Dict = append(v.Dict, val.Str)
 	}
@@ -229,32 +191,18 @@ func (v *Vector) Set(i, n int, val Value) {
 
 // Append adds val as row n of the n-row vector v, under Set's rules.
 func (v *Vector) Append(n int, val Value) {
-	switch {
-	case v.Boxed:
-		v.Vals = append(v.Vals, Null)
-	case v.Kind == KindInt:
+	switch v.Kind {
+	case KindInt, KindBool:
 		v.Ints = append(v.Ints, 0)
-	case v.Kind == KindFloat:
+	case KindFloat:
 		v.Floats = append(v.Floats, 0)
-	case v.Kind == KindString:
+	case KindString:
 		v.Codes = append(v.Codes, 0)
 	}
 	if v.Nulls != nil && len(v.Nulls) <= n>>6 {
 		v.Nulls = append(v.Nulls, 0)
 	}
 	v.Set(n, n+1, val)
-}
-
-// box moves the n rows of a typed vector into Vals. A row Set has not
-// written yet boxes as its zero payload, or NULL, until Set writes it.
-func (v *Vector) box(n int) {
-	vals := make([]Value, n)
-	for i := range vals {
-		if v.Kind != KindString || int(v.Codes[i]) < len(v.Dict) {
-			vals[i] = v.Value(i)
-		}
-	}
-	*v = Vector{Kind: v.Kind, Boxed: true, Vals: vals, Nulls: v.Nulls}
 }
 
 // SetNull marks row i of an n-row vector NULL, allocating the bitmap on first
@@ -283,12 +231,9 @@ func (v *Vector) Code(s string) (uint32, bool) {
 // Code answers for it.
 func (v *Vector) Indexed() bool { return v.codeOf != nil }
 
-// Value returns row i's cell: a boxed vector's as it was written, a typed
-// vector's rebuilt from its payload.
+// Value returns row i's cell, rebuilt from its payload.
 func (v *Vector) Value(i int) Value {
 	switch {
-	case v.Boxed:
-		return v.Vals[i]
 	case v.Null(i):
 		return Null
 	case v.Kind == KindInt:
@@ -297,22 +242,21 @@ func (v *Vector) Value(i int) Value {
 		return NewFloat(v.Floats[i])
 	case v.Kind == KindString:
 		return NewString(v.Dict[v.Codes[i]])
+	case v.Kind == KindBool:
+		return NewBool(v.Ints[i] != 0)
 	}
 	return Null
 }
 
 // memBytes is the image's exact payload size: every slab at its length, and
-// the bytes of the strings its dictionaries and boxed cells hold.
+// the bytes of the strings its dictionaries hold.
 func (c *Columns) memBytes() int64 {
 	var n int64
 	for j := range c.Vecs {
 		v := &c.Vecs[j]
-		n += 8*int64(len(v.Ints)+len(v.Floats)+len(v.Nulls)) + 4*int64(len(v.Codes)) + 16*int64(len(v.Dict)) + ValueMemBytes*int64(len(v.Vals))
+		n += 8*int64(len(v.Ints)+len(v.Floats)+len(v.Nulls)) + 4*int64(len(v.Codes)) + 16*int64(len(v.Dict))
 		for _, s := range v.Dict {
 			n += int64(len(s))
-		}
-		for i := range v.Vals {
-			n += int64(len(v.Vals[i].Str))
 		}
 	}
 	return n
@@ -323,7 +267,6 @@ func (c *Columns) memBytes() int64 {
 func (c *Columns) clone() *Columns {
 	out := &Columns{Rows: c.Rows, Vecs: make([]Vector, len(c.Vecs))}
 	for j, v := range c.Vecs {
-		v.Vals = cloneSlice(v.Vals)
 		v.Ints = cloneSlice(v.Ints)
 		v.Floats = cloneSlice(v.Floats)
 		v.Codes = cloneSlice(v.Codes)

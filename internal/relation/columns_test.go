@@ -2,9 +2,11 @@ package relation
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math"
 	"reflect"
-	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -33,8 +35,8 @@ func TestBuildColumns(t *testing.T) {
 	if c.Rows != len(rows) || len(c.Vecs) != 5 {
 		t.Fatalf("image is %d rows × %d columns", c.Rows, len(c.Vecs))
 	}
-	// Typed columns rebuild every value to the bit, -0.0 included.
-	for j := range []int{0, 1, 2} {
+	// Every column rebuilds every value to the bit, -0.0 included.
+	for j := 0; j < 4; j++ {
 		for i, row := range rows {
 			got := c.Vecs[j].Value(i)
 			if got != row[j] || math.Signbit(got.Float) != math.Signbit(row[j].Float) {
@@ -55,63 +57,71 @@ func TestBuildColumns(t *testing.T) {
 	if _, ok := s.Code("zz"); ok {
 		t.Error(`Code("zz") found a string no row holds`)
 	}
-	if !c.Vecs[3].Boxed {
-		t.Error("BOOL column must stay boxed")
+	if !reflect.DeepEqual(c.Vecs[3].Ints, []int64{1, 0, 0, 1}) {
+		t.Errorf("BOOL column images as %v, want 0s and 1s", c.Vecs[3].Ints)
 	}
 	if c.Vecs[4].Nulls != nil {
 		t.Error("a column without NULLs must not carry a bitmap")
 	}
 }
 
-// TestBuildColumnsBoxes: a column holding a cell a typed vector cannot
-// reproduce exactly — an off-kind cell, NaN, a stray payload, a NULL with a
-// payload — is boxed, as a BOOL column always is, and a boxed column returns
-// every cell as it was loaded.
-func TestBuildColumnsBoxes(t *testing.T) {
-	schema := MustSchema(Column{Name: "I", Kind: KindInt}, Column{Name: "F", Kind: KindFloat}, Column{Name: "S", Kind: KindString}, Column{Name: "B", Kind: KindBool})
-	clean := Tuple{NewInt(1), NewFloat(2), NewString("x"), NewBool(true)}
-	cases := []struct {
+// TestAppendRefusesOffKindCells: Append is where a cell is held to its
+// column's kind. An exact INT in a FLOAT column is stored as that FLOAT; any
+// other off-kind cell, or a Value that is not its kind's canonical one, is
+// refused with an *ErrOffKind naming the column and the row, the relation
+// left as it was. ReadCSV refuses a cell that does not parse as its column's
+// kind the same way, and BuildColumns and the encoder a BOOL vector holding
+// neither 0 nor 1, which only a hand-built vector can.
+func TestAppendRefusesOffKindCells(t *testing.T) {
+	schema := MustSchema(Column{"I", KindInt}, Column{"F", KindFloat}, Column{"S", KindString}, Column{"B", KindBool}, Column{"N", KindNull})
+	clean := Tuple{NewInt(1), NewFloat(2), NewString("x"), NewBool(true), Null}
+	for _, c := range []struct {
 		name string
 		col  int
 		val  Value
 	}{
 		{"float in an INT column", 0, NewFloat(1)},
+		{"inexact int in a FLOAT column", 1, NewInt(1<<53 + 1)},
+		{"int that rounds to 2^63", 1, NewInt(math.MaxInt64)},
 		{"string in a FLOAT column", 1, NewString("2")},
 		{"int in a STRING column", 2, NewInt(3)},
-		{"NaN", 1, NewFloat(math.NaN())},
+		{"int in a BOOL column", 3, NewInt(1)},
+		{"BOOL of 2", 3, Value{Kind: KindBool, Int: 2}},
 		{"stray payload", 0, Value{Kind: KindInt, Int: 1, Str: "junk"}},
 		{"NULL with a payload", 2, Value{Kind: KindNull, Int: 9}},
-		{"int in a BOOL column", 3, NewInt(1)},
-	}
-	for _, c := range cases {
+		{"int in a NULL column", 4, NewInt(0)},
+	} {
 		r := New(schema)
-		r.MustAppend(clean.Clone())
+		r.MustAppend(clean)
+		before := mustMarshal(t, r)
 		bad := clean.Clone()
 		bad[c.col] = c.val
-		r.MustAppend(bad)
-		r.MustAppend(Tuple{Null, Null, Null, Null})
-		r.MustAppend(clean.Clone())
-		cols, err := BuildColumns(r)
-		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+		var off *ErrOffKind
+		if err := r.Append(bad); !errors.As(err, &off) || *off != (ErrOffKind{Column: schema[c.col].Name, Row: 1, Kind: schema[c.col].Kind, Cell: c.val}) {
+			t.Errorf("%s: Append = %v, want an *ErrOffKind naming column %s row 1", c.name, err, schema[c.col].Name)
 		}
-		for j := range cols.Vecs {
-			v := &cols.Vecs[j]
-			if got := v.Boxed; got != (j == c.col || j == 3) {
-				t.Errorf("%s: column %d boxed = %v", c.name, j, got)
-			}
-			for i, row := range r.Rows() {
-				got := v.Value(i)
-				if !got.Identical(row[j]) || v.Boxed && got != row[j] && !(got.Float != got.Float && row[j].Float != row[j].Float) {
-					t.Errorf("%s: column %d row %d reads %#v, want %#v", c.name, j, i, got, row[j])
-				}
-				if v.Null(i) != row[j].IsNull() {
-					t.Errorf("%s: column %d row %d: Null = %v", c.name, j, i, v.Null(i))
-				}
-			}
+		if !bytes.Equal(mustMarshal(t, r), before) {
+			t.Errorf("%s: the refused tuple changed the relation", c.name)
 		}
-		if got := FromColumns(schema, cols); !bytes.Equal(mustMarshal(t, got), mustMarshal(t, r)) {
-			t.Errorf("%s: the image encodes to other bytes than its rows", c.name)
+	}
+
+	r := New(schema)
+	r.MustAppend(Tuple{Null, NewInt(math.MinInt64), Null, Null, Null})
+	if got := r.Value(0, 1); got != NewFloat(-1<<63) {
+		t.Errorf("an exact INT in a FLOAT column reads %#v", got)
+	}
+
+	var off *ErrOffKind
+	_, err := ReadCSV(strings.NewReader("a:INT,b:FLOAT\n1,2\n3,x\n"))
+	if !errors.As(err, &off) || off.Column != "b" || off.Row != 1 || off.Cell != NewString("x") {
+		t.Errorf("ReadCSV = %v, want an *ErrOffKind naming column b row 1", err)
+	}
+	raw := FromColumns(MustSchema(Column{"B", KindBool}), &Columns{Rows: 2, Vecs: []Vector{{Kind: KindBool, Ints: []int64{1, 2}}}})
+	_, errBuild := BuildColumns(raw)
+	_, errMarshal := Marshal(raw)
+	for _, err := range []error{errBuild, errMarshal} {
+		if !errors.As(err, &off) || off.Column != "B" || off.Row != 1 {
+			t.Errorf("a BOOL vector holding 2: %v, want an *ErrOffKind naming column B row 1", err)
 		}
 	}
 
@@ -144,11 +154,6 @@ func TestDecodedBodyReadsLikeRows(t *testing.T) {
 	col, err := Unmarshal(frame)
 	if err != nil {
 		t.Fatal(err)
-	}
-	for j, v := range col.Columns().Vecs {
-		if v.Boxed {
-			t.Fatalf("uniform column %d decoded boxed", j)
-		}
 	}
 	if col.Len() != rows.Len() || !relIdentical(col, rows) || col.Format(-1) != rows.Format(-1) {
 		t.Fatalf("decoded body reads\n%s\nwant\n%s", col, rows)
@@ -194,65 +199,34 @@ func TestDecodedBodyReadsLikeRows(t *testing.T) {
 	}
 }
 
-// TestMixedAndBoolFramesDecodeToBoxedVectors: a frame's mixed or BOOL column
-// decodes, through Unmarshal and the stream Decoder alike, to a boxed vector
-// holding every cell as it was encoded, a uniform INT, FLOAT, STRING or NULL
-// column to a typed one; either re-encodes to the frame byte for byte.
-func TestMixedAndBoolFramesDecodeToBoxedVectors(t *testing.T) {
-	for name, r := range codecCases() {
-		frame := mustMarshal(t, r)
-		streamed, err := NewDecoder(bytes.NewReader(frame)).Decode(nil)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		unmarshalled, err := Unmarshal(frame)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		rows := r.Rows()
-		for _, rel := range []*Relation{unmarshalled, streamed} {
-			for j, col := range r.Schema {
-				offKind := false
-				for _, row := range rows {
-					offKind = offKind || !row[j].IsNull() && row[j].Kind != col.Kind
-				}
-				if boxed := rel.Columns().Vecs[j].Boxed; boxed != (offKind || col.Kind == KindBool) {
-					t.Errorf("%s: column %s (off-kind %v) decoded boxed %v", name, col.Name, offKind, boxed)
-				}
-			}
-			if !relIdentical(rel, r) || !bytes.Equal(mustMarshal(t, rel), frame) {
-				t.Errorf("%s: the decoded relation does not hold and re-encode its frame", name)
-			}
-		}
-	}
+// mixedFrame is a frame as protocol versions before 7 wrote an INT column
+// holding a FLOAT: the column's encoding mixed (0x01), each value tagged with
+// its kind.
+func mixedFrame() []byte {
+	body := AppendSchema([]byte{frameInline}, MustSchema(Column{"m", KindInt}))
+	body = append(body, 2, 0x00, 0x01) // two rows, no NULL, mixed
+	body = AppendValue(AppendValue(body, NewInt(2)), NewFloat(1.5))
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
 }
 
-// TestAppendBoxesOnlyTheColumnThatNeedsIt: rows appended encode to the frame
-// of the rows, and a cell no typed vector holds — off-kind, a stray payload,
-// a BOOL — boxes its own column only, every cell kept as it is.
-func TestAppendBoxesOnlyTheColumnThatNeedsIt(t *testing.T) {
-	rows := codecCases()["uniform"]
-	for name, bad := range map[string]Value{
-		"off-kind":      NewFloat(1),
-		"stray payload": {Kind: KindInt, Int: 1, Str: "junk"},
-		"bool":          NewBool(true),
-	} {
-		want := rows.Rows()
-		want[1][0] = bad
-		r := New(rows.Schema)
-		for _, row := range want {
-			r.MustAppend(row)
+// TestMixedFramesAreRefused: a frame holding a mixed column is refused by
+// Unmarshal, the stream Decoder and Cursor.Relation alike, and a BOOL column
+// decodes to Ints of 0 and 1 that re-encode to its frame.
+func TestMixedFramesAreRefused(t *testing.T) {
+	frame := mixedFrame()
+	_, errU := Unmarshal(frame)
+	_, errD := NewDecoder(bytes.NewReader(frame)).Decode(nil)
+	_, errC := NewCursor(frame).Relation(nil)
+	for name, err := range map[string]error{"Unmarshal": errU, "Decoder": errD, "Cursor.Relation": errC} {
+		if err == nil || !strings.Contains(err.Error(), "encoding 0x01") {
+			t.Errorf("%s = %v, want the mixed column refused", name, err)
 		}
-		c := r.Columns()
-		if !c.Vecs[0].Boxed || c.Vecs[1].Boxed || c.Vecs[2].Boxed || c.Vecs[0].Value(1) != bad {
-			t.Errorf("%s: column 0 boxed %v, column 1 boxed %v, cell %#v", name, c.Vecs[0].Boxed, c.Vecs[1].Boxed, c.Vecs[0].Value(1))
-		}
-		if !rowsIdentical(r.Rows(), want) {
-			t.Errorf("%s: the appended rows read differently", name)
-		}
-		if back, err := Unmarshal(mustMarshal(t, r)); err != nil || !rowsIdentical(back.Rows(), want) {
-			t.Errorf("%s: the boxed column does not round-trip (%v)", name, err)
-		}
+	}
+	bools := codecCases()["bool-packing"]
+	frame = mustMarshal(t, bools)
+	got, err := Unmarshal(frame)
+	if err != nil || !reflect.DeepEqual(got.Columns().Vecs[0].Ints, bools.Columns().Vecs[0].Ints) || !bytes.Equal(mustMarshal(t, got), frame) {
+		t.Errorf("a BOOL frame decodes to %v (%v)", got, err)
 	}
 }
 
@@ -269,9 +243,6 @@ func TestSelectSetAppend(t *testing.T) {
 	for i, row := range rows.Rows() {
 		for j := range c.Vecs {
 			c.Vecs[j].Append(i, row[j])
-			if c.Vecs[j].Boxed {
-				t.Fatalf("row %d column %d: a canonical cell boxed the vector", i, j)
-			}
 		}
 		c.Rows++
 	}
@@ -290,22 +261,15 @@ func TestSelectSetAppend(t *testing.T) {
 	if !relIdentical(built, want) {
 		t.Fatalf("Set wrote\n%s\nwant\n%s", built.Format(-1), want.Format(-1))
 	}
-	// A cell an INT vector cannot hold boxes a copy of it in place: the rows
-	// it held read as before, the new cells exactly as written.
-	for name, bad := range map[string]Value{"off-kind": NewFloat(1), "bool": NewBool(false), "stray payload": {Kind: KindInt, Str: "junk"}} {
-		v := c.Vecs[0]
-		v.Nulls = slices.Clone(v.Nulls)
-		v.Set(2, c.Rows, bad)
-		v.Append(c.Rows, bad)
-		if !v.Boxed || v.Value(2) != bad || v.Value(c.Rows) != bad || v.Null(2) || v.Null(c.Rows) {
-			t.Errorf("%s: boxed %v, rows 2 and %d read %#v and %#v", name, v.Boxed, c.Rows, v.Value(2), v.Value(c.Rows))
-		}
-		for _, i := range []int{0, 1, 3} {
-			if !v.Value(i).Identical(want.Value(i, 0)) || v.Null(i) != want.Value(i, 0).IsNull() {
-				t.Errorf("%s: boxing moved row %d to %v", name, i, v.Value(i))
+	// A cell an INT vector cannot hold panics.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Set wrote a FLOAT to an INT vector")
 			}
-		}
-	}
+		}()
+		c.Vecs[0].Set(2, c.Rows, NewFloat(1))
+	}()
 
 	sel, cols := []int32{3, 0, 0}, []int{2, 0, 3}
 	got := FromColumns(rows.Schema.Project(cols), c.Select(sel, cols))
@@ -343,31 +307,20 @@ func TestSelectSetAppend(t *testing.T) {
 func TestUnmarshalReadsItsArgumentInPlace(t *testing.T) {
 	const n = 1 << 16
 	columnar := New(MustSchema(Column{"i", KindInt}))
-	mixed := New(MustSchema(Column{"i", KindFloat}))
 	for i := 0; i < n; i++ {
 		columnar.MustAppend(Tuple{NewInt(math.MinInt64 + int64(i))})
-		mixed.MustAppend(Tuple{NewInt(math.MinInt64 + int64(i))})
 	}
-	for _, c := range []struct {
-		name    string
-		rel     *Relation
-		decoded uint64 // the body's own slabs
-	}{
-		{"columnar", columnar, 8 * n},
-		{"boxed", mixed, ValueMemBytes * n},
-	} {
-		frame, err := Marshal(c.rel)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got *Relation
-		grew := allocatedBy(func() { got, err = Unmarshal(frame) })
-		if err != nil || got.Len() != n {
-			t.Fatalf("%s: %v", c.name, err)
-		}
-		if limit := c.decoded + uint64(len(frame))/2; grew > limit {
-			t.Errorf("%s: Unmarshal of a %d-byte frame allocated %d bytes, want ≤ %d", c.name, len(frame), grew, limit)
-		}
+	frame, err := Marshal(columnar)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got *Relation
+	grew := allocatedBy(func() { got, err = Unmarshal(frame) })
+	if err != nil || got.Len() != n {
+		t.Fatal(err)
+	}
+	if limit := 8*n + uint64(len(frame))/2; grew > limit { // the body's own slab, and no copy
+		t.Errorf("Unmarshal of a %d-byte frame allocated %d bytes, want ≤ %d", len(frame), grew, limit)
 	}
 }
 

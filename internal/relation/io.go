@@ -36,7 +36,8 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 }
 
 // ReadCSV parses a relation written by WriteCSV, using the typed header to
-// convert cells back to values.
+// convert cells back to values. A cell that does not parse as its column's
+// kind is refused as the off-kind STRING it is (*ErrOffKind).
 func ReadCSV(rd io.Reader) (*Relation, error) {
 	cr := csv.NewReader(rd)
 	header, err := cr.Read()
@@ -61,17 +62,17 @@ func ReadCSV(rd io.Reader) (*Relation, error) {
 		if err == io.EOF {
 			break
 		}
+		for i := 0; err == nil && i < len(rec); i++ {
+			if t[i], err = parseCell(rec[i], schema[i].Kind); err != nil {
+				err = &ErrOffKind{Column: schema[i].Name, Row: out.Len(), Kind: schema[i].Kind, Cell: NewString(rec[i])}
+			}
+		}
+		if err == nil {
+			err = out.Append(t)
+		}
 		if err != nil {
 			return nil, fmt.Errorf("relation: csv line %d: %w", line, err)
 		}
-		for i, cell := range rec {
-			v, err := parseCell(cell, schema[i].Kind)
-			if err != nil {
-				return nil, fmt.Errorf("relation: csv line %d column %s: %w", line, schema[i].Name, err)
-			}
-			t[i] = v
-		}
-		out.MustAppend(t)
 	}
 	return out, nil
 }

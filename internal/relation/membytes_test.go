@@ -30,9 +30,9 @@ func TestMemBytes(t *testing.T) {
 		t.Fatalf("2-row MemBytes = %d, want %d", got, want)
 	}
 
-	// A boxed cell costs a Value, and a NULL a bitmap word.
-	r.MustAppend(Tuple{NewBool(true), Null})
-	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+3*ValueMemBytes+3*4+2*16+4+8; got != want {
+	// A NULL costs a bitmap word.
+	r.MustAppend(Tuple{NewInt(3), Null})
+	if got, want := r.MemBytes(), int64(2*TupleMemBytes)+3*8+3*4+2*16+4+8; got != want {
 		t.Fatalf("3-row MemBytes = %d, want %d", got, want)
 	}
 }

@@ -60,8 +60,8 @@ func keyColsEqual(a Tuple, aIdx []int, b Tuple, bIdx []int) bool {
 // vector per column (Columns), row i at position i of every vector. A decoded
 // frame, an X fragment, an H block, the coordinator's X and every relation
 // built with Append are the same body. Rows, AppendRow and Value are its boxed
-// view; the methods that add rows (Append, Union) write its vectors, boxing a
-// column only when a cell needs it (Vector.Set).
+// view; the methods that add rows (Append, Union) write its vectors, and
+// Append is where a cell is held to its column's kind.
 type Relation struct {
 	Schema Schema
 
@@ -133,17 +133,8 @@ func (r *Relation) KeepRows(sel []int32) {
 	r.cols = r.cols.Select(sel, nil)
 }
 
-// Approximate in-memory cost of one boxed Value (Kind + Int + Float + string
-// header, padded) and of one slice header. Used by MemBytes and by the
-// coordinator's memory budgeting; the numbers track the 64-bit layout of the
-// structs, not exact allocator accounting.
-const (
-	// ValueMemBytes estimates one boxed Value's in-memory size.
-	ValueMemBytes = 48
-	// TupleMemBytes estimates one slice header: MemBytes charges one per
-	// column.
-	TupleMemBytes = 24
-)
+// TupleMemBytes estimates one slice header: MemBytes charges one per column.
+const TupleMemBytes = 24
 
 // MemBytes estimates the relation's in-memory footprint in bytes: a slice
 // header per column plus the exact sizes of its slabs and strings.
@@ -155,21 +146,55 @@ func (r *Relation) MemBytes() int64 {
 	return int64(TupleMemBytes)*int64(len(r.Schema)) + r.cols.memBytes()
 }
 
-// Append adds a tuple after checking arity. It writes r's vectors, so r must
-// not share them (View, Project).
+// ErrOffKind is Append's refusal of a cell its column's kind does not hold:
+// a value of another kind, or a Value that is not its kind's canonical one (a
+// payload in a field its kind does not use, a BOOL other than 0 or 1). An
+// INT cell in a FLOAT column is no such cell when its FLOAT is exact.
+type ErrOffKind struct {
+	Column string
+	Row    int
+	Kind   Kind // the column's
+	Cell   Value
+}
+
+func (e *ErrOffKind) Error() string {
+	return fmt.Sprintf("relation: column %s row %d: %s cell %v is not of the column's kind %s", e.Column, e.Row, e.Cell.Kind, e.Cell, e.Kind)
+}
+
+// Append adds a tuple as r's next row: each cell fits its column's kind
+// (fits), or is an INT in a FLOAT column whose FLOAT is exact and is stored
+// as that FLOAT. Any other cell, or a tuple of the wrong arity, is refused,
+// an off-kind cell with an *ErrOffKind, and r is left unchanged. Append
+// writes r's vectors, so r must not share them (View, Project).
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != len(r.Schema) {
 		return fmt.Errorf("relation: tuple arity %d does not match schema %s", len(t), r.Schema)
 	}
+	for j, col := range r.Schema {
+		if _, ok := fit(t[j], col.Kind); !ok {
+			return &ErrOffKind{Column: col.Name, Row: r.Len(), Kind: col.Kind, Cell: t[j]}
+		}
+	}
 	c := r.cols
 	for j := range c.Vecs {
-		c.Vecs[j].Append(c.Rows, t[j])
+		val, _ := fit(t[j], c.Vecs[j].Kind)
+		c.Vecs[j].Append(c.Rows, val)
 	}
 	c.Rows++
 	return nil
 }
 
-// MustAppend is Append but panics on arity mismatch.
+// fit is val as a vector of kind holds it, and whether it can: val itself
+// when it fits, an exact INT as the FLOAT a FLOAT column holds.
+func fit(val Value, kind Kind) (Value, bool) {
+	if kind == KindFloat && val.Kind == KindInt && fits(val, KindInt) {
+		f := float64(val.Int)
+		return NewFloat(f), f < 1<<63 && int64(f) == val.Int
+	}
+	return val, fits(val, kind)
+}
+
+// MustAppend is Append but panics on a refused tuple.
 func (r *Relation) MustAppend(t Tuple) {
 	if err := r.Append(t); err != nil {
 		panic(err)

@@ -13,9 +13,6 @@ import (
 // once nothing decoded is read any more. A nil *Slabs is the heap. STRING
 // bytes always are the heap's: the values are substrings of one immutable
 // string, which may outlive the slabs, as a merged X's dictionary does.
-//
-// A boxed vector's cells are the heap's too: BOOL and mixed columns are rare
-// on the wire.
 type Slabs struct {
 	vecs   slab[Vector]
 	ints   slab[int64]

@@ -11,7 +11,7 @@ import (
 // garbage, as a round that decoded into the slabs before leaves them at
 // worst.
 func (s *Slabs) poison() {
-	fill(&s.vecs, Vector{Kind: KindBool, Boxed: true, Ints: []int64{-1}, Dict: []string{"poison"}, Nulls: []uint64{^uint64(0)}})
+	fill(&s.vecs, Vector{Kind: KindBool, Ints: []int64{-1}, Dict: []string{"poison"}, Nulls: []uint64{^uint64(0)}})
 	fill(&s.ints, -0x5555555555555556)
 	fill(&s.floats, math.Float64frombits(0x7ff8dead0000beef))
 	fill(&s.codes, math.MaxUint32)
@@ -26,9 +26,9 @@ func fill[T any](sl *slab[T], v T) {
 }
 
 // sameVectors reports whether a and b hold the same schema and exactly the
-// same vectors: kinds, boxing, every slice's contents, length, capacity and
+// same vectors: kinds, every slice's contents, length, capacity and
 // nil-ness, the slots under NULLs, the bitmap's padding bits and FLOAT bits
-// included. A cell of a boxed vector compares by Identical.
+// included.
 func sameVectors(a, b *Relation) bool {
 	if !a.Schema.Equal(b.Schema) || a.Len() != b.Len() || len(a.cols.Vecs) != len(b.cols.Vecs) {
 		return false
@@ -39,13 +39,9 @@ func sameVectors(a, b *Relation) bool {
 		for i := 0; floats && i < len(u.Floats); i++ {
 			floats = math.Float64bits(u.Floats[i]) == math.Float64bits(v.Floats[i])
 		}
-		vals := len(u.Vals) == len(v.Vals)
-		for i := 0; vals && i < len(u.Vals); i++ {
-			vals = u.Vals[i].Kind == v.Vals[i].Kind && u.Vals[i].Identical(v.Vals[i])
-		}
-		if u.Kind != v.Kind || u.Boxed != v.Boxed || !floats || !vals || u.codeOf != nil || v.codeOf != nil ||
+		if u.Kind != v.Kind || !floats || u.codeOf != nil || v.codeOf != nil ||
 			!sameElems(u.Ints, v.Ints) || !sameElems(u.Codes, v.Codes) || !sameElems(u.Dict, v.Dict) ||
-			!sameElems(u.Nulls, v.Nulls) || !sameShape(u.Floats, v.Floats) || !sameShape(u.Vals, v.Vals) {
+			!sameElems(u.Nulls, v.Nulls) || !sameShape(u.Floats, v.Floats) {
 			return false
 		}
 	}

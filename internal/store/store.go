@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -87,6 +88,10 @@ func CreateFrom(dir, name string, rel *relation.Relation, segmentRows int) (*Tab
 			sel[i] = int32(lo + i)
 		}
 		if err := t.writeSegment(relation.FromColumns(t.schema, rel.Columns().Select(sel, nil))); err != nil {
+			var off *relation.ErrOffKind
+			if errors.As(err, &off) {
+				off.Row += lo // the segment's row, as rel's
+			}
 			return nil, err
 		}
 	}

@@ -76,9 +76,6 @@ func TestCreateFromSegments(t *testing.T) {
 	var dicts [][]string
 	if err := tbl.Images(context.Background(), func(c *relation.Columns) error {
 		sizes, dicts = append(sizes, c.Rows), append(dicts, c.Vecs[1].Dict)
-		if c.Vecs[0].Boxed || c.Vecs[1].Boxed {
-			t.Errorf("segment %d image is boxed", len(sizes)-1)
-		}
 		return nil
 	}); err != nil {
 		t.Fatal(err)
@@ -88,6 +85,13 @@ func TestCreateFromSegments(t *testing.T) {
 	}
 	if want := [][]string{{"a"}, {"b"}, {"c"}, {"d"}}; !reflect.DeepEqual(dicts, want) {
 		t.Errorf("image dictionaries %v, want %v", dicts, want)
+	}
+	// A hand-built BOOL vector holding 2 is refused as its segment is written.
+	raw := relation.FromColumns(relation.MustSchema(relation.Column{Name: "b", Kind: relation.KindBool}),
+		&relation.Columns{Rows: 5, Vecs: []relation.Vector{{Kind: relation.KindBool, Ints: []int64{0, 1, 1, 0, 2}}}})
+	var off *relation.ErrOffKind
+	if _, err := CreateFrom(t.TempDir(), "B", raw, 3); !errors.As(err, &off) || off.Column != "b" || off.Row != 4 {
+		t.Errorf("CreateFrom = %v, want an *relation.ErrOffKind naming column b row 4", err)
 	}
 }
 

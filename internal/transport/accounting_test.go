@@ -39,9 +39,8 @@ func (c siteCounters) minus(o siteCounters) siteCounters {
 		c.blocks - o.blocks, c.cacheReads - o.cacheReads, c.diskReads - o.diskReads, c.segRows - o.segRows}
 }
 
-// accountingRel is n rows over a STRING key S, an INT K and a FLOAT P; with
-// offKind, one P cell is an INT, which no kernel may fold.
-func accountingRel(n int, offKind bool) *relation.Relation {
+// accountingRel is n rows over a STRING key S, an INT K and a FLOAT P.
+func accountingRel(n int) *relation.Relation {
 	r := relation.New(relation.MustSchema(
 		relation.Column{Name: "S", Kind: relation.KindString},
 		relation.Column{Name: "K", Kind: relation.KindInt},
@@ -50,9 +49,6 @@ func accountingRel(n int, offKind bool) *relation.Relation {
 	for i := 0; i < n; i++ {
 		r.MustAppend(relation.Tuple{relation.NewString(fmt.Sprintf("s%d", i%9)), relation.NewInt(int64(i % 4)),
 			relation.NewFloat(float64(i%13) / 4)})
-	}
-	if offKind {
-		r.Columns().Vecs[2].Set(n/2, n, relation.NewInt(7))
 	}
 	return r
 }
@@ -63,12 +59,12 @@ func accountingRel(n int, offKind bool) *relation.Relation {
 // request's detail passes under the path its breakdown reports. Base, operator
 // and local requests are served over a Load-ed partition, a disk table of
 // several segments, the Load-ed rows under an OR residual the kernel compiler
-// refuses (scalar, shape) and a partition with an off-kind cell (scalar,
+// refuses (scalar, shape) and the Load-ed rows under a STRING MIN (scalar,
 // kind), in process and over TCP.
 // The centralized oracle over the same rows moves none of them.
 func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 	ctx := context.Background()
-	rel := accountingRel(600, false)
+	rel := accountingRel(600)
 	tbl, err := store.CreateFrom(t.TempDir(), "T", rel, 150)
 	if err != nil {
 		t.Fatal(err)
@@ -79,8 +75,6 @@ func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 		switch name {
 		case "disk":
 			err = s.LoadSource("T", tbl)
-		case "kind":
-			err = s.Load(ctx, "T", accountingRel(600, true))
 		default:
 			err = s.Load(ctx, "T", rel)
 		}
@@ -96,9 +90,11 @@ func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 		if partition == "shape" {
 			cond += " && (R.P < 1 || R.P >= 1)"
 		}
-		return gmdj.Operator{Detail: "T", Vars: []gmdj.GroupVar{{Cond: expr.MustParse(cond), Aggs: []agg.Spec{
-			{Func: agg.Count, As: "cnt"}, {Func: agg.Sum, Arg: "P", As: "sp"},
-		}}}}
+		aggs := []agg.Spec{{Func: agg.Count, As: "cnt"}, {Func: agg.Sum, Arg: "P", As: "sp"}}
+		if partition == "kind" {
+			aggs = append(aggs, agg.Spec{Func: agg.Min, Arg: "S", As: "ms"})
+		}
+		return gmdj.Operator{Detail: "T", Vars: []gmdj.GroupVar{{Cond: expr.MustParse(cond), Aggs: aggs}}}
 	}
 	x, err := partitions["load"].EvalBase(ctx, bq)
 	if err != nil {

@@ -61,8 +61,10 @@ import (
 // request's derive. Version 5 added the codec's packed INT and prefix STRING
 // column encodings, which a version 4 peer cannot read. Version 6 packs FLOAT
 // columns and writes fixed-width digit suffixes as packed integers, and
-// refuses the uniform columns a version 5 peer writes for them.
-const ProtocolVersion = 6
+// refuses the uniform columns a version 5 peer writes for them. Version 7
+// drops the codec's mixed column form: every value is of its column's kind,
+// and a frame holding a mixed column is refused.
+const ProtocolVersion = 7
 
 // ErrProtocol marks a message that does not decode, or a peer that speaks
 // another protocol version.
