@@ -222,12 +222,16 @@ func malformedHCases(physSchema relation.Schema) map[string][]*relation.Relation
 	misRow := row(relation.NewInt(0))
 	misRow[cntAt], misRow[minAt] = relation.NewFloat(3.5), relation.NewString("zzz")
 	misKinded.MustAppend(misRow)
-	// The right schema with a cell no merge can fold: a NULL count.
+	// The right schema with a cell no merge can fold: a NULL count, of a
+	// COUNT or of an AVG.
 	countCell := block(hSchema, relation.NewInt(0), relation.NewInt(1))
 	countCell.Columns().Vecs[cntAt].Set(1, countCell.Len(), relation.Null)
+	avgCountCell := block(hSchema, relation.NewInt(2))
+	avgCountCell.Columns().Vecs[hSchema.MustIndex("avg1_cnt")].Set(0, avgCountCell.Len(), relation.Null)
 	return map[string][]*relation.Relation{
 		"phys-column-mis-kinded": {misKinded},
 		"count-cell-null":        {countCell},
+		"avg-count-cell-null":    {avgCountCell},
 		"ordinal-out-of-range":   {block(hSchema, relation.NewInt(0), relation.NewInt(4))},
 		"ordinal-negative":       {block(hSchema, relation.NewInt(-1))},
 		"duplicate-across-blocks": {
@@ -435,7 +439,8 @@ func TestBoolColumnsThroughTheMerger(t *testing.T) {
 // over both dialers and under the plans none and all. MIN and MAX keep the
 // first operand when Value.Compare ties, so a leading NaN stays and a later
 // one is passed over; SUM takes its first input as it is, so a lone −0
-// survives. Each group's rows are on one site.
+// survives. Each group's rows are on one site; each aggregate is a
+// subtest of its own.
 func TestFloatAggregatesOverNaNZerosAndInfinities(t *testing.T) {
 	f, nan, inf, negZero := relation.NewFloat, math.NaN(), math.Inf(1), math.Copysign(0, -1)
 	groups := [][]relation.Value{
@@ -450,44 +455,46 @@ func TestFloatAggregatesOverNaNZerosAndInfinities(t *testing.T) {
 		}
 	}
 	for _, fn := range []agg.Func{agg.Min, agg.Max, agg.Sum, agg.Avg} {
-		for _, residual := range []string{"", " && (R.h < 9 || R.h >= 9)"} {
-			q := gmdj.Query{Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}, Ops: []gmdj.Operator{{Detail: "T", Vars: []gmdj.GroupVar{{
-				Cond: expr.MustParse("B.g = R.g" + residual), Aggs: []agg.Spec{{Func: fn, Arg: "f", As: "a"}}}}}}}
-			want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for name, connect := range testTransports() {
-				sites, cat, err := buildClusterWith(global, "T", 3, 3, func(es *engine.Site) (transport.Site, error) {
-					return connect(t, es), nil
-				})
+		t.Run(fn.String(), func(t *testing.T) {
+			for _, residual := range []string{"", " && (R.h < 9 || R.h >= 9)"} {
+				q := gmdj.Query{Base: gmdj.BaseQuery{Detail: "T", Cols: []string{"g"}}, Ops: []gmdj.Operator{{Detail: "T", Vars: []gmdj.GroupVar{{
+					Cond: expr.MustParse("B.g = R.g" + residual), Aggs: []agg.Spec{{Func: fn, Arg: "f", As: "a"}}}}}}}
+				want, err := gmdj.EvalCentral(q, gmdj.Data{"T": global}, true)
 				if err != nil {
 					t.Fatal(err)
 				}
-				coord, err := New(sites, cat, stats.NetModel{})
-				if err != nil {
-					t.Fatal(err)
-				}
-				for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
-					res, err := coord.ExecuteWith(context.Background(), q, sel)
+				for name, connect := range testTransports() {
+					sites, cat, err := buildClusterWith(global, "T", 3, 3, func(es *engine.Site) (transport.Site, error) {
+						return connect(t, es), nil
+					})
 					if err != nil {
-						t.Fatalf("%s %s [%s]: %v", fn, name, sel, err)
+						t.Fatal(err)
 					}
-					if !res.Rel.EqualMultiset(want) {
-						t.Fatalf("%s %q %s [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", fn, residual, name, sel, res.Rel, want)
+					coord, err := New(sites, cat, stats.NetModel{})
+					if err != nil {
+						t.Fatal(err)
 					}
-					kernel := true
-					for _, r := range res.Metrics.Rounds {
-						for _, c := range r.Calls {
-							kernel = kernel && c.Breakdown.Kernel
+					for _, sel := range []plan.Selection{plan.SelectNone(), plan.SelectAll()} {
+						res, err := coord.ExecuteWith(context.Background(), q, sel)
+						if err != nil {
+							t.Fatalf("%s %s [%s]: %v", fn, name, sel, err)
+						}
+						if !res.Rel.EqualMultiset(want) {
+							t.Fatalf("%s %q %s [%s]: result differs from EvalCentral\ngot:\n%s\nwant:\n%s", fn, residual, name, sel, res.Rel, want)
+						}
+						kernel := true
+						for _, r := range res.Metrics.Rounds {
+							for _, c := range r.Calls {
+								kernel = kernel && c.Breakdown.Kernel
+							}
+						}
+						if kernel != (residual == "") {
+							t.Errorf("%s %q %s [%s]: every pass compiled = %v", fn, residual, name, sel, kernel)
 						}
 					}
-					if kernel != (residual == "") {
-						t.Errorf("%s %q %s [%s]: every pass compiled = %v", fn, residual, name, sel, kernel)
-					}
 				}
 			}
-		}
+		})
 	}
 }
 

@@ -200,6 +200,33 @@ func TestDiskBackedSiteEquivalence(t *testing.T) {
 	}
 }
 
+// TestDiskNaNSegmentRunsCompiled: a disk table whose segments hold NaN, ±0
+// and ±Inf in the FLOAT column an evaluation folds compiles every segment,
+// and answers as the Load-ed site does.
+func TestDiskNaNSegmentRunsCompiled(t *testing.T) {
+	ctx := context.Background()
+	rel := diskRel(300)
+	pi := rel.Schema.MustIndex("P")
+	for i, f := range map[int]float64{151: math.NaN(), 152: math.Inf(1), 200: math.Inf(-1), 201: math.Copysign(0, -1), 260: math.NaN()} {
+		rel.Columns().Vecs[pi].Set(i, rel.Len(), relation.NewFloat(f))
+	}
+	mem := NewSite(0)
+	if err := mem.Load(ctx, "Flow", rel); err != nil {
+		t.Fatal(err)
+	}
+	disk := diskSite(t, rel, 3)
+	x, err := mem.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"S"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	op := gmdj.Operator{Detail: "Flow", Vars: []gmdj.GroupVar{{Cond: expr.MustParse("B.S = R.S"), Aggs: []agg.Spec{
+		{Func: agg.Sum, Arg: "P", As: "sp"}, {Func: agg.Min, Arg: "P", As: "lo"}, {Func: agg.Max, Arg: "P", As: "hi"}, {Func: agg.Avg, Arg: "P", As: "ap"},
+	}}}}
+	checkDiskEval(t, mem, disk, siteEval{"aggregates over NaN and infinities", func(ctx context.Context, s *Site) (*relation.Relation, error) {
+		return s.EvalOperator(ctx, OperatorRequest{Base: x, Op: op})
+	}, 1}, "kernel", "ok")
+}
+
 // TestOffKindInputIsRefusedAtLoad: a partition holding a cell off its
 // column's kind does not reach a scan. Load refuses a hand-built BOOL vector
 // holding 2 with an *relation.ErrOffKind naming the column and the row, and

@@ -818,6 +818,11 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 	for _, f := range []float64{0, 1, 2.5} {
 		floatKeys.MustAppend(relation.Tuple{relation.NewFloat(f)})
 	}
+	// A BOOL detail column and its X.
+	flags := relation.New(relation.MustSchema(relation.Column{Name: "ok", Kind: relation.KindBool}))
+	for i := 0; i < 10; i++ {
+		flags.MustAppend(relation.Tuple{relation.NewBool(i%3 == 0)})
+	}
 	// One dimension more than a rollup condition may link.
 	var wideCols []string
 	var wideSchema relation.Schema
@@ -852,6 +857,7 @@ func TestKernelOperatorFallsBack(t *testing.T) {
 		{"string ordering", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.T > 'x'", count), detail, reasonShape},
 		{"float link", baseOf(t, detail, "F"), oneVar("B.F = R.F", count), detail, reasonKind},
 		{"link kinds differ", floatKeys, oneVar("B.I = R.I", count), detail, reasonKind},
+		{"bool link", baseOf(t, flags, "ok"), oneVar("B.ok = R.ok", count), flags, reasonKind},
 		{"string vs number", baseOf(t, detail, "S"), oneVar("B.S = R.S && R.T = 3", count), detail, reasonKind},
 		{"string MIN", baseOf(t, detail, "S"), oneVar("B.S = R.S", agg.Spec{Func: agg.Min, Arg: "T", As: "m"}), detail, reasonKind},
 	}

@@ -764,6 +764,22 @@ const (
 // and full of garbage.
 var fuzzSlabs Slabs
 
+// mixedKindsFrame is the frame protocol versions before 7 wrote for an INT
+// column m holding a FLOAT, a STRING and a BOOL beside an INT, and a STRING
+// column k holding an INT and a FLOAT beside a STRING and a NULL.
+func mixedKindsFrame() []byte {
+	body := AppendSchema([]byte{frameInline}, MustSchema(Column{"m", KindInt}, Column{"k", KindString}))
+	body = append(body, 4, 0x00, 0x01) // four rows; m: no NULL, mixed
+	for _, v := range []Value{NewFloat(1.5), NewInt(2), NewString("three"), NewBool(true)} {
+		body = AppendValue(body, v)
+	}
+	body = append(body, 0x04, 0x01) // k: row 2 NULL, mixed
+	for _, v := range []Value{NewString("a"), NewInt(7), NewFloat(-0.25)} {
+		body = AppendValue(body, v)
+	}
+	return append(binary.AppendUvarint(nil, uint64(len(body))), body...)
+}
+
 // FuzzCodecRoundTrip fuzzes six properties: arbitrary bytes never panic the
 // decoder; whatever decodes, Unmarshal, a stream Decoder and the reference
 // row decode agree on it, and it re-encodes to its own bytes, as does the
@@ -783,7 +799,9 @@ func FuzzCodecRoundTrip(f *testing.F) {
 	}
 	f.Add([]byte{0x00})
 	f.Add([]byte{0x02, frameCached, 0x00})
-	f.Add(mixedFrame()) // refused: protocol version 7 dropped the mixed form
+	// Refused: protocol version 7 dropped the mixed form.
+	f.Add(mixedFrame())
+	f.Add(mixedKindsFrame())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Property 1: hostile bytes error out, never panic or hang.
 		var rel *Relation

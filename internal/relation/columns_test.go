@@ -65,6 +65,33 @@ func TestBuildColumns(t *testing.T) {
 	}
 }
 
+// TestBuildColumnsKeepsNaNTyped: a FLOAT column holding NaNs of two
+// payloads, ±0 and ±Inf images to its typed Floats, each cell bit for bit,
+// and the image encodes to its rows' bytes.
+func TestBuildColumnsKeepsNaNTyped(t *testing.T) {
+	r := New(MustSchema(Column{Name: "F", Kind: KindFloat}))
+	for _, f := range []float64{math.NaN(), math.Float64frombits(0x7ff8_0000_0000_0001), math.Copysign(0, -1), 0, math.Inf(1), math.Inf(-1)} {
+		r.MustAppend(Tuple{NewFloat(f)})
+	}
+	r.MustAppend(Tuple{Null})
+	c, err := BuildColumns(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &c.Vecs[0]
+	if len(v.Floats) != r.Len() {
+		t.Fatalf("the column images to %d floats, want %d", len(v.Floats), r.Len())
+	}
+	for i, row := range r.Rows() {
+		if got := v.Value(i); !got.Identical(row[0]) || v.Null(i) != row[0].IsNull() {
+			t.Errorf("row %d reads %#v, want %#v", i, got, row[0])
+		}
+	}
+	if !bytes.Equal(mustMarshal(t, FromColumns(r.Schema, c)), mustMarshal(t, r)) {
+		t.Error("the image encodes to other bytes than its rows")
+	}
+}
+
 // TestAppendRefusesOffKindCells: Append is where a cell is held to its
 // column's kind. An exact INT in a FLOAT column is stored as that FLOAT; any
 // other off-kind cell, or a Value that is not its kind's canonical one, is
@@ -213,17 +240,18 @@ func mixedFrame() []byte {
 // Unmarshal, the stream Decoder and Cursor.Relation alike, and a BOOL column
 // decodes to Ints of 0 and 1 that re-encode to its frame.
 func TestMixedFramesAreRefused(t *testing.T) {
-	frame := mixedFrame()
-	_, errU := Unmarshal(frame)
-	_, errD := NewDecoder(bytes.NewReader(frame)).Decode(nil)
-	_, errC := NewCursor(frame).Relation(nil)
-	for name, err := range map[string]error{"Unmarshal": errU, "Decoder": errD, "Cursor.Relation": errC} {
-		if err == nil || !strings.Contains(err.Error(), "encoding 0x01") {
-			t.Errorf("%s = %v, want the mixed column refused", name, err)
+	for _, frame := range [][]byte{mixedFrame(), mixedKindsFrame()} {
+		_, errU := Unmarshal(frame)
+		_, errD := NewDecoder(bytes.NewReader(frame)).Decode(nil)
+		_, errC := NewCursor(frame).Relation(nil)
+		for name, err := range map[string]error{"Unmarshal": errU, "Decoder": errD, "Cursor.Relation": errC} {
+			if err == nil || !strings.Contains(err.Error(), "encoding 0x01") {
+				t.Errorf("%s = %v, want the mixed column refused", name, err)
+			}
 		}
 	}
 	bools := codecCases()["bool-packing"]
-	frame = mustMarshal(t, bools)
+	frame := mustMarshal(t, bools)
 	got, err := Unmarshal(frame)
 	if err != nil || !reflect.DeepEqual(got.Columns().Vecs[0].Ints, bools.Columns().Vecs[0].Ints) || !bytes.Equal(mustMarshal(t, got), frame) {
 		t.Errorf("a BOOL frame decodes to %v (%v)", got, err)
