@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"skalla/internal/expr"
@@ -132,5 +133,138 @@ func TestDerivedKeysMatchLocalReply(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestDerivedIntKeyReadsKeptList: a single INT key derived with no filter —
+// what a witnessed local round derives — is read off the image's key list,
+// which holds the unfiltered base pass's rows: the first derivation over an
+// image builds it with one kernel pass, and later ones scan nothing. The list
+// equals the pass for keys with NULLs, negative keys and keys spread too wide
+// to index by value; a reply count the list does not have is refused; a
+// reload brings a new list; requests deriving at once build it once between
+// them; and a disk table of several segments, which keeps no list, runs the
+// pass every time.
+func TestDerivedIntKeyReadsKeptList(t *testing.T) {
+	ctx := context.Background()
+	intRel := func(key func(i int) relation.Value) *relation.Relation {
+		r := relation.New(kernelRel(0).Schema)
+		for i := 0; i < 2500; i++ {
+			r.MustAppend(relation.Tuple{relation.NewString("s"), key(i), relation.NewFloat(float64(i)), relation.NewFloat(0)})
+		}
+		return r
+	}
+	rels := map[string]*relation.Relation{
+		"NULLs": diskRel(2500),
+		"negative and wide": intRel(func(i int) relation.Value {
+			if i%29 == 3 {
+				return relation.Null
+			}
+			return relation.NewInt(int64(i*7919%97-48) * (1 << 50))
+		}),
+	}
+	// deriveAll derives s's keys, every reply row kept, and returns them and
+	// the rows the derivation scanned.
+	deriveAll := func(s *Site, rows int) (*relation.Relation, int64, error) {
+		src, err := s.snapshot().source("Flow")
+		if err != nil {
+			return nil, 0, err
+		}
+		d := &Derive{Keys: []string{"K"}, Rows: rows, Kept: make([]byte, (rows+7)/8)}
+		for i := 0; i < rows; i++ {
+			d.Kept[i>>3] |= 1 << (i & 7)
+		}
+		rec := obs.NewSiteRecorder()
+		values := relation.FromColumns(relation.Schema{}, &relation.Columns{Rows: rows})
+		x, err := derivedBase(obs.WithRecorder(ctx, rec), d, values, src)
+		return x, rec.Snapshot().RowsScanned, err
+	}
+	derive := func(t *testing.T, s *Site, rows int) (*relation.Relation, int64) {
+		t.Helper()
+		x, scanned, err := deriveAll(s, rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, scanned
+	}
+	pass := func(t *testing.T, s *Site) *relation.Relation {
+		t.Helper()
+		b, err := s.EvalBase(ctx, gmdj.BaseQuery{Detail: "Flow", Cols: []string{"K"}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	for name, rel := range rels {
+		t.Run(name, func(t *testing.T) {
+			s := NewSite(0)
+			if err := s.Load(ctx, "Flow", rel); err != nil {
+				t.Fatal(err)
+			}
+			want := pass(t, s)
+			for i, scanned := range []int64{int64(rel.Len()), 0} {
+				got, n := derive(t, s, want.Len())
+				if n != scanned {
+					t.Errorf("derivation %d scanned %d rows, want %d", i+1, n, scanned)
+				}
+				if got.Format(-1) != want.Format(-1) {
+					t.Errorf("derivation %d: the list\n%s\nis not the base pass\n%s", i+1, got.Format(-1), want.Format(-1))
+				}
+			}
+			src, err := s.snapshot().source("Flow")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := &Derive{Keys: []string{"K"}, Rows: want.Len() + 1, Kept: make([]byte, (want.Len()+8)/8)}
+			empty := relation.FromColumns(relation.Schema{}, &relation.Columns{})
+			if _, err := derivedBase(ctx, stale, empty, src); !errors.Is(err, ErrStalePartition) {
+				t.Errorf("a reply of %d rows over %d groups: got %v, want %v", stale.Rows, want.Len(), err, ErrStalePartition)
+			}
+
+			// Reloaded with the rows reversed, the site lists the keys anew.
+			reversed := relation.New(rel.Schema)
+			for i := rel.Len() - 1; i >= 0; i-- {
+				reversed.MustAppend(rel.Rows()[i])
+			}
+			if err := s.Load(ctx, "Flow", reversed); err != nil {
+				t.Fatal(err)
+			}
+			want = pass(t, s)
+			got, n := derive(t, s, want.Len())
+			if n != int64(rel.Len()) || got.Format(-1) != want.Format(-1) {
+				t.Errorf("after a reload: scanned %d rows, keys\n%s\nwant\n%s", n, got.Format(-1), want.Format(-1))
+			}
+
+			// Four requests deriving at once over a fresh image build one list.
+			fresh := NewSite(0)
+			if err := fresh.Load(ctx, "Flow", rel); err != nil {
+				t.Fatal(err)
+			}
+			var wg sync.WaitGroup
+			scanned := make([]int64, 4)
+			for g := range scanned {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					var err error
+					if _, scanned[g], err = deriveAll(fresh, want.Len()); err != nil {
+						t.Error(err)
+					}
+				}()
+			}
+			wg.Wait()
+			if total := scanned[0] + scanned[1] + scanned[2] + scanned[3]; total != int64(rel.Len()) {
+				t.Errorf("four derivations at once scanned %d rows between them, want %d", total, rel.Len())
+			}
+
+			disk := diskSite(t, rel, 700)
+			want = pass(t, disk)
+			for i := 0; i < 2; i++ {
+				got, n := derive(t, disk, want.Len())
+				if n != int64(rel.Len()) || got.Format(-1) != want.Format(-1) {
+					t.Errorf("segmented, derivation %d: scanned %d rows, keys\n%s\nwant\n%s", i+1, n, got.Format(-1), want.Format(-1))
+				}
+			}
+		})
 	}
 }

@@ -9,9 +9,10 @@ import (
 
 // memPartition is an in-memory partition as Load imaged it: one columnar
 // image, which the compiled kernels scan and the scalar evaluator reads as
-// rows boxed from it a block at a time.
+// rows boxed from it a block at a time, and the image's key lists.
 type memPartition struct {
-	rel *relation.Relation // FromColumns over the image
+	rel  *relation.Relation // FromColumns over the image
+	keys *gmdj.KeyLists
 }
 
 func newMemPartition(rel *relation.Relation) (memPartition, error) {
@@ -19,8 +20,11 @@ func newMemPartition(rel *relation.Relation) (memPartition, error) {
 	if err != nil {
 		return memPartition{}, err
 	}
-	return memPartition{rel: relation.FromColumns(rel.Schema, cols)}, nil
+	return memPartition{rel: relation.FromColumns(rel.Schema, cols), keys: new(gmdj.KeyLists)}, nil
 }
+
+// KeyLists implements gmdj.KeyListSource: the one image's.
+func (p memPartition) KeyLists() *gmdj.KeyLists { return p.keys }
 
 // Schema implements gmdj.RowSource.
 func (p memPartition) Schema() relation.Schema { return p.rel.Schema }

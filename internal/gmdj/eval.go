@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"skalla/internal/agg"
 	"skalla/internal/expr"
@@ -169,26 +170,20 @@ const WitnessColumn = "#witness"
 // operator's round (Prop. 2) without any placement assumption. The query
 // must already be validated.
 func EvalLocalReply(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness bool) (*relation.Relation, error) {
-	if upTo < 0 || upTo > len(q.Ops) {
-		return nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
-	}
-	x, counts, err := evalPrefix(ctx, q, src, max(upTo-1, 0), useHash, witness)
+	return localReply(ctx, q, src, upTo, useHash, witness, true)
+}
+
+// localReply is EvalLocalReply, running the base pass and MD1 as one where
+// fuseLocal covers them only when fuse is set.
+func localReply(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness, fuse bool) (*relation.Relation, error) {
+	x, counts, acc, err := localRounds(ctx, q, src, upTo, useHash, witness, fuse)
 	if err != nil {
 		return nil, err
 	}
 	// have and vecs are X_upTo's columns less the last operator's derived
 	// ones; ext is X_upTo's schema.
 	have, vecs, ext := x.Schema, x.Columns().Vecs, x.Schema
-	if upTo > 0 {
-		op := q.Ops[upTo-1]
-		detail, err := src.DetailSource(op.Detail)
-		if err != nil {
-			return nil, err
-		}
-		acc, err := AccumulateOperator(ctx, x, op, detail, useHash)
-		if err != nil {
-			return nil, fmt.Errorf("gmdj: MD%d: %w", upTo, err)
-		}
+	if acc != nil {
 		phys, err := acc.PhysSchema()
 		if err != nil {
 			return nil, err
@@ -257,29 +252,58 @@ func DerivedColumns(ops []Operator) []string {
 }
 
 func evalPrefix(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness bool) (*relation.Relation, []int64, error) {
+	x, counts, acc, err := localRounds(ctx, q, src, upTo, useHash, witness, true)
+	if err == nil && acc != nil {
+		x, err = acc.apply(x)
+	}
+	return x, counts, err
+}
+
+// localRounds evaluates the base query and the first upTo-1 operators, and
+// accumulates operator upTo over their result (none when upTo is 0). With
+// fuse set, over a partition fuseLocal covers, the base pass and MD1 are one
+// kernel pass.
+func localRounds(ctx context.Context, q Query, src DataSource, upTo int, useHash, witness, fuse bool) (*relation.Relation, []int64, *OperatorAccum, error) {
 	if upTo < 0 || upTo > len(q.Ops) {
-		return nil, nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
+		return nil, nil, nil, fmt.Errorf("gmdj: prefix %d out of range (query has %d operators)", upTo, len(q.Ops))
 	}
-	baseRel, err := src.DetailSource(q.Base.Detail)
-	if err != nil {
-		return nil, nil, err
+	var x *relation.Relation
+	var counts []int64
+	var acc *OperatorAccum
+	var err error
+	if upTo > 0 && useHash && fuse {
+		if x, counts, acc, err = fuseLocal(ctx, q, src, witness); err != nil {
+			return nil, nil, nil, err
+		}
 	}
-	x, counts, err := evalBase(ctx, q.Base, baseRel, witness)
-	if err != nil {
-		return nil, nil, err
+	if x == nil {
+		baseRel, err := src.DetailSource(q.Base.Detail)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		if x, counts, err = evalBase(ctx, q.Base, baseRel, witness); err != nil {
+			return nil, nil, nil, err
+		}
 	}
 	for i := 0; i < upTo; i++ {
-		op := q.Ops[i]
-		detail, err := src.DetailSource(op.Detail)
-		if err != nil {
-			return nil, nil, err
+		if acc == nil {
+			detail, err := src.DetailSource(q.Ops[i].Detail)
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			if acc, err = AccumulateOperator(ctx, x, q.Ops[i], detail, useHash); err != nil {
+				return nil, nil, nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
+			}
 		}
-		x, err = ApplyOperator(ctx, x, op, detail, useHash)
-		if err != nil {
-			return nil, nil, fmt.Errorf("gmdj: MD%d: %w", i+1, err)
+		if i == upTo-1 {
+			break
 		}
+		if x, err = acc.apply(x); err != nil {
+			return nil, nil, nil, err
+		}
+		acc = nil
 	}
-	return x, counts, nil
+	return x, counts, acc, nil
 }
 
 // EvalBase computes the base-values relation B_0 from a detail source: an
@@ -301,7 +325,9 @@ func EvalBase(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Re
 // the base query less its filter when the pass was witnessed, which filters
 // nothing. A single NULL-free STRING key over a source of one image needs no
 // pass at all: the image's dictionary lists its values once each in
-// first-occurrence order, which is the order the pass keeps.
+// first-occurrence order, which is the order the pass keeps. Nor does a
+// single INT key over a source that keeps its key lists (KeyListSource):
+// the list is that pass's rows, run once.
 func DeriveKeys(ctx context.Context, bq BaseQuery, detail RowSource) (*relation.Relation, error) {
 	keys, _, err := DeriveKeptKeys(ctx, bq, detail, nil)
 	return keys, err
@@ -321,6 +347,15 @@ func DeriveKeptKeys(ctx context.Context, bq BaseQuery, detail RowSource, sel []i
 				return dictKeys(cs.Schema().Project([]int{j}), dict, sel), len(dict), nil
 			}
 		}
+		if ks, ok := detail.(KeyListSource); ok {
+			list, err := ks.KeyLists().intKeys(ctx, ks, bq.Cols[0])
+			if err != nil {
+				return nil, 0, err
+			}
+			if list != nil {
+				return selectKeys(list, sel), list.Len(), nil
+			}
+		}
 	}
 	keys, err := EvalBase(ctx, bq, detail)
 	if err != nil {
@@ -334,6 +369,58 @@ func DeriveKeptKeys(ctx context.Context, bq BaseQuery, detail RowSource, sel []i
 	default:
 		return relation.FromColumns(keys.Schema, keys.Columns().Select(sel, nil)), n, nil
 	}
+}
+
+// KeyListSource is a ColumnSource of one image that keeps the image's key
+// lists with it, so that a new image comes with new ones.
+type KeyListSource interface {
+	ColumnSource
+	KeyLists() *KeyLists
+}
+
+// KeyLists holds, per INT column of one image, the rows the base pass over
+// that column alone gives — its distinct values, NULL included, in
+// first-occurrence order — each list built on first use by that pass, which
+// the request that builds it is charged for.
+type KeyLists struct {
+	mu    sync.Mutex
+	lists map[int]*relation.Relation
+}
+
+// intKeys returns the list of column col of src, the image l is kept with,
+// or nil when col is no INT column.
+func (l *KeyLists) intKeys(ctx context.Context, src ColumnSource, col string) (*relation.Relation, error) {
+	schema := src.Schema()
+	j := schema.Index(col)
+	if j < 0 || schema[j].Kind != relation.KindInt {
+		return nil, nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if list, ok := l.lists[j]; ok {
+		return list, nil
+	}
+	list, err := EvalBase(ctx, BaseQuery{Cols: []string{col}}, src)
+	if err != nil {
+		return nil, err
+	}
+	if l.lists == nil {
+		l.lists = map[int]*relation.Relation{}
+	}
+	l.lists[j] = list
+	return list, nil
+}
+
+// selectKeys returns a copy of the keys at the positions sel lists (every
+// one when sel is nil), or nil when sel lists a position past them.
+func selectKeys(keys *relation.Relation, sel []int32) *relation.Relation {
+	switch {
+	case listsPast(sel, keys.Len()):
+		return nil
+	case sel == nil:
+		return keys.Clone()
+	}
+	return relation.FromColumns(keys.Schema, keys.Columns().Select(sel, nil))
 }
 
 // listsPast reports whether the ascending rows sel list one past the first n.
@@ -629,7 +716,7 @@ func (a *OperatorAccum) RowList(n int) []int32 {
 // accumulate is AccumulateOperator with the kernel's buffers from sc, and its
 // slabs too when lend is set.
 func accumulate(ctx context.Context, x *relation.Relation, op Operator, detail RowSource, useHash bool, sc *scratch, lend bool) (*OperatorAccum, error) {
-	states, err := bindVarStates(x, op, detail.Schema())
+	states, err := bindVarStates(x.Schema, op, detail.Schema())
 	if err != nil {
 		return nil, err
 	}
@@ -717,14 +804,14 @@ type varState struct {
 // bindVarStates compiles an operator's layouts and binds its conditions; the
 // hash indexes are added by indexVarStates only when the scalar hash path is
 // the one that runs.
-func bindVarStates(x *relation.Relation, op Operator, detailSchema relation.Schema) ([]*varState, error) {
+func bindVarStates(xschema relation.Schema, op Operator, detailSchema relation.Schema) ([]*varState, error) {
 	states := make([]*varState, len(op.Vars))
 	for vi, v := range op.Vars {
 		layout, err := agg.NewLayout(v.Aggs, detailSchema)
 		if err != nil {
 			return nil, err
 		}
-		cond, err := expr.Bind(v.Cond, x.Schema, detailSchema)
+		cond, err := expr.Bind(v.Cond, xschema, detailSchema)
 		if err != nil {
 			return nil, err
 		}
@@ -960,10 +1047,16 @@ func ApplyOperator(ctx context.Context, x *relation.Relation, op Operator, detai
 	if err != nil {
 		return nil, err
 	}
-	outSchema, err := acc.ExtendedSchema(x.Schema)
+	return acc.apply(x)
+}
+
+// apply returns x extended with the accumulator's cells for every row, its
+// slabs handed over (AppendExtendedVectors).
+func (a *OperatorAccum) apply(x *relation.Relation) (*relation.Relation, error) {
+	outSchema, err := a.ExtendedSchema(x.Schema)
 	if err != nil {
 		return nil, err
 	}
-	vecs := acc.AppendExtendedVectors(slices.Clone(x.Columns().Vecs), nil)
+	vecs := a.AppendExtendedVectors(slices.Clone(x.Columns().Vecs), nil)
 	return relation.FromColumns(outSchema, &relation.Columns{Rows: x.Len(), Vecs: vecs}), nil
 }

@@ -123,7 +123,8 @@ type scratch struct {
 	// row has, the cells of the projections a block offers, the positions
 	// of the new ones, the (row, grouping set) elements under several sets,
 	// the new projections in scan order and, under a witness, the
-	// per-projection counts.
+	// per-projection counts and the projections in the order the filter
+	// first admits a row of each.
 	dedups        [2]baseDedup
 	projs         []int32
 	cells         []uint32
@@ -131,6 +132,11 @@ type scratch struct {
 	setRows, sets []int32
 	fresh         []baseCell
 	counts        []int64
+	admitted      []int32
+
+	// A fused operator's pair list: a block's rows and their projections
+	// (fusedOp.fold).
+	pairRows, pairProjs []int32
 
 	// The row list a lent accumulator's reader gathers by (RowList).
 	sel []int32
@@ -173,18 +179,28 @@ func (sc *scratch) hashTable(hint int) *intTable {
 }
 
 // denseTable returns the next dense table, n zeroed entries.
-func (sc *scratch) denseTable(n int) []uint32 { return take(true, &sc.dense, &sc.ndense, n) }
+func (sc *scratch) denseTable(n int) []uint32 { return take(true, &sc.dense, &sc.ndense, 0, n) }
 
-// take returns n zeroed elements: the next of bufs, counted by used, when
-// lend is set, and freshly allocated ones otherwise.
-func take[T any](lend bool, bufs *[][]T, used *int, n int) []T {
+// take returns n elements: the next of bufs, counted by used, when lend is
+// set, its first have elements as its last user left them and the rest
+// zeroed; n freshly allocated zeroed ones otherwise, when have must be 0.
+func take[T any](lend bool, bufs *[][]T, used *int, have, n int) []T {
 	if !lend {
 		return make([]T, n)
 	}
-	b := slot(bufs, *used, n)
+	for len(*bufs) <= *used {
+		*bufs = append(*bufs, nil)
+	}
+	b := &(*bufs)[*used]
 	*used++
-	clear(b)
-	return b
+	if cap(*b) < n {
+		grown := make([]T, n)
+		copy(grown, (*b)[:have])
+		*b = grown
+	}
+	*b = (*b)[:n]
+	clear((*b)[have:])
+	return *b
 }
 
 // slot returns the i-th of bufs, n long, adding buffers and reallocating
@@ -805,19 +821,10 @@ func compileOperator(x *relation.Relation, states []*varState, cols *relation.Co
 }
 
 func compileVar(x *relation.Relation, st *varState, cols *relation.Columns, sc *scratch) (*varKernel, string) {
-	vk := &varKernel{layout: st.layout, args: make([]*relation.Vector, len(st.layout.Phys))}
-	for p, pc := range st.layout.Phys {
-		if pc.ArgIdx < 0 {
-			continue
-		}
-		vec := &cols.Vecs[pc.ArgIdx]
-		// COUNT(col) only reads the NULL bitmap; the others fold payloads.
-		if pc.Op != agg.PhysCount && vec.Kind != relation.KindInt && vec.Kind != relation.KindFloat {
-			return nil, reasonKind
-		}
-		vk.args[p] = vec
+	vk := newVarKernel(st, cols)
+	if vk == nil {
+		return nil, reasonKind
 	}
-
 	rollups := 0
 	for _, c := range expr.Conjuncts(st.cond) {
 		if isTrueLit(c) {
@@ -850,6 +857,25 @@ func compileVar(x *relation.Relation, st *varState, cols *relation.Columns, sc *
 
 	vk.patterns = linkPatterns(vk.stages, x.Len(), sc)
 	return vk, reasonOK
+}
+
+// newVarKernel starts the kernel of the variable st over the image cols with
+// its aggregate arguments, or returns nil when one is of a kind the folds do
+// not cover.
+func newVarKernel(st *varState, cols *relation.Columns) *varKernel {
+	vk := &varKernel{layout: st.layout, args: make([]*relation.Vector, len(st.layout.Phys))}
+	for p, pc := range st.layout.Phys {
+		if pc.ArgIdx < 0 {
+			continue
+		}
+		vec := &cols.Vecs[pc.ArgIdx]
+		// COUNT(col) only reads the NULL bitmap; the others fold payloads.
+		if pc.Op != agg.PhysCount && vec.Kind != relation.KindInt && vec.Kind != relation.KindFloat {
+			return nil
+		}
+		vk.args[p] = vec
+	}
+	return vk
 }
 
 // linkPattern is the X rows that hold NULL in the same rollup links, grouped
@@ -1105,18 +1131,25 @@ func boundLink(c expr.Expr) (bIdx, dIdx int, rollup, ok bool) {
 // otherwise.
 func newSlabs(l *agg.Layout, nx int, sc *scratch, lend bool) []physSlab {
 	slabs := make([]physSlab, len(l.Phys))
+	sizeSlabs(l, slabs, 0, nx, sc, lend)
+	return slabs
+}
+
+// sizeSlabs sets slabs, the accumulators of a variable of layout l, to n
+// cells each: lent from sc's slab buffers, their first have cells kept, when
+// lend is set (take), and allocated zeroed otherwise.
+func sizeSlabs(l *agg.Layout, slabs []physSlab, have, n int, sc *scratch, lend bool) {
 	for p, pc := range l.Phys {
 		s := &slabs[p]
 		if pc.Kind == relation.KindFloat {
-			s.floats = take(lend, &sc.floats, &sc.nfloats, nx)
+			s.floats = take(lend, &sc.floats, &sc.nfloats, have, n)
 		} else {
-			s.ints = take(lend, &sc.ints, &sc.nints, nx)
+			s.ints = take(lend, &sc.ints, &sc.nints, have, n)
 		}
 		if pc.Op != agg.PhysCount {
-			s.seen = take(lend, &sc.flags, &sc.nflags, nx)
+			s.seen = take(lend, &sc.flags, &sc.nflags, have, n)
 		}
 	}
-	return slabs
 }
 
 // folds binds the variable's aggregate steps to its slabs.
@@ -1265,7 +1298,7 @@ func runOperatorKernel(ctx context.Context, x *relation.Relation, states []*varS
 	sc.nints, sc.nfloats, sc.nflags = 0, 0, 0
 	out := &OperatorAccum{
 		Layouts: make([]*agg.Layout, len(states)),
-		Touched: take(lend, &sc.flags, &sc.nflags, x.Len()),
+		Touched: take(lend, &sc.flags, &sc.nflags, 0, x.Len()),
 		slabs:   make([][]physSlab, len(states)),
 	}
 	for vi, st := range states {
@@ -1394,6 +1427,12 @@ type baseDedup struct {
 	pairs  []pairTable // pairs[c] pairs group and column c's cell
 	fresh  []baseCell  // the new projections, in scan order
 	counts []int64     // under a witness, per projection the rows where admits
+	// admitted lists, under a witness, the projections where admits a row
+	// of, in the order of the first row it admits.
+	admitted []int32
+	// op, when set, folds every block's rows into the projections the pass
+	// gives them (fuseLocal).
+	op *fusedOp
 }
 
 // newDedup starts dedup t of sc, its tables from sc, empty.
@@ -1512,14 +1551,16 @@ func grow[T any](buf *[]T, n int) []T {
 // first: a row that repeats an earlier one repeats its projection under every
 // set, so only new rows are offered set by set. Under a witness every row is
 // offered and the ones the filter admits are counted against their
-// projection: a projection's group id is its position in fresh.
+// projection: a projection's group id is its position in fresh. A fused
+// operator folds each block's offered rows, all of them, before the filter
+// counts them.
 func (d *baseDedup) scan(sc *scratch) {
 	masks := d.k.masks
 	var whole *baseDedup
 	if len(masks) > 1 {
 		whole = d.k.newDedup(sc, 1)
 	}
-	d.fresh, d.counts = sc.fresh[:0], sc.counts[:0]
+	d.fresh, d.counts, d.admitted = sc.fresh[:0], sc.counts[:0], sc.admitted[:0]
 	total := d.k.rows
 	for lo := 0; lo < total; lo += blockRows {
 		// The filters hold literals only, which never read the X rows.
@@ -1559,19 +1600,25 @@ func (d *baseDedup) scan(sc *scratch) {
 				d.counts = append(d.counts, 0)
 			}
 		}
+		if d.op != nil {
+			d.op.fold(rows, sc.projs[:len(rows)], len(d.fresh), sc)
+		}
 		if d.k.witness {
 			// Every row of the block was offered, in place, so sc.projs
 			// holds row lo+m's projection at m. The filters carry each row's
 			// projection beside it, as they carry an X row beside a detail
 			// row, so the projections of the rows they admit come out in
-			// front, to be counted.
+			// front, in order, to be counted.
 			projs := sc.projs[:len(rows)]
 			for _, g := range projs[:d.filter(rows, projs)] {
+				if d.counts[g] == 0 {
+					d.admitted = append(d.admitted, g)
+				}
 				d.counts[g]++
 			}
 		}
 	}
-	sc.fresh, sc.counts = d.fresh, d.counts
+	sc.fresh, sc.counts, sc.admitted = d.fresh, d.counts, d.admitted
 }
 
 // filter moves the rows of a block the filters admit to its front, in order,
@@ -1635,10 +1682,38 @@ func (p *baseProg) runKernel(ctx context.Context, src ColumnSource) (*relation.R
 // dedups and their tables come from sc, grown into what an earlier pass left
 // there; only the result is allocated.
 func (k *baseKernel) run(sc *scratch) (*relation.Relation, []int64) {
+	d := k.dedup(sc, nil)
+	out := k.rowsOf(d.fresh, nil, len(d.fresh))
+	var counts []int64
+	if k.witness {
+		counts = slices.Clone(d.counts)
+	}
+	k.release(sc)
+	return out, counts
+}
+
+// dedup runs the pass over the image with op, when set, folded in, and
+// returns its dedup.
+func (k *baseKernel) dedup(sc *scratch, op *fusedOp) *baseDedup {
 	sc.resetTables()
 	d := k.newDedup(sc, 0)
+	d.op = op
 	d.scan(sc)
-	n := len(d.fresh)
+	return d
+}
+
+// release drops what the dedups hold of the image: the free list keeps
+// their tables, not the image they read.
+func (k *baseKernel) release(sc *scratch) {
+	for t := range sc.dedups {
+		sc.dedups[t].k, sc.dedups[t].op = nil, nil
+	}
+}
+
+// rowsOf gathers the base rows of the projections kept lists, as positions
+// in fresh (the first n of fresh when kept is nil), from the image's
+// vectors.
+func (k *baseKernel) rowsOf(fresh []baseCell, kept []int32, n int) *relation.Relation {
 	out := &relation.Columns{Rows: n, Vecs: make([]relation.Vector, len(k.cols))}
 	for c := range k.cols {
 		in, v := k.cols[c].vec, &out.Vecs[c]
@@ -1648,7 +1723,11 @@ func (k *baseKernel) run(sc *scratch) (*relation.Relation, []int64) {
 		} else {
 			v.Codes, v.Dict = make([]uint32, n), slices.Clip(in.Dict)
 		}
-		for i, bc := range d.fresh {
+		for i := 0; i < n; i++ {
+			bc := fresh[i]
+			if kept != nil {
+				bc = fresh[kept[i]]
+			}
 			row := int(bc.row)
 			switch mask := k.masks[bc.set]; {
 			case mask != nil && !mask[c], in.Null(row):
@@ -1660,11 +1739,5 @@ func (k *baseKernel) run(sc *scratch) (*relation.Relation, []int64) {
 			}
 		}
 	}
-	var counts []int64
-	if k.witness {
-		counts = slices.Clone(d.counts)
-	}
-	// The free list keeps the dedups' tables, not the image they read.
-	sc.dedups[0].k, sc.dedups[1].k = nil, nil
-	return relation.FromColumns(k.schema, out), counts
+	return relation.FromColumns(k.schema, out)
 }

@@ -555,7 +555,7 @@ func TestKernelTablesTakeBothSides(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			op := oneVar(c.cond, allAggs...)
-			states, err := bindVarStates(c.x, op, detail.Schema)
+			states, err := bindVarStates(c.x.Schema, op, detail.Schema)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -788,7 +788,7 @@ func TestKernelScratchReuse(t *testing.T) {
 			}
 			continue
 		}
-		states, err := bindVarStates(run.x, run.op, detail.Schema)
+		states, err := bindVarStates(run.x.Schema, run.op, detail.Schema)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -84,7 +84,7 @@ var (
 	EngineRowsScanned = Default.Counter("skalla_engine_rows_scanned_total",
 		"Detail-relation rows scanned by this process's sites (base and operator passes; the centralized oracle and the coordinator count nowhere).")
 	EngineScanPath = Default.CounterVec("skalla_engine_scan_path_total",
-		"Detail passes run by this process's sites (one per base query or grouping variable, never per row) by the path that ran them (kernel = compiled over the partition's columnar images, scalar = row at a time) and why (ok = compiled; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column kind the kernel does not cover, such as a BOOL or FLOAT dimension).",
+		"Detail passes run by this process's sites (one per base query or grouping variable, never per row; a local round whose base pass folds MD1 counts one pass for both) by the path that ran them (kernel = compiled over the partition's columnar images, scalar = row at a time) and why (ok = compiled; shape = a condition, filter or grouping shape the compiler does not cover, or a site set to the nested loop; kind = a column kind the kernel does not cover, such as a BOOL or FLOAT dimension).",
 		"path", "reason")
 
 	// Multi-tenant query server (internal/server sessions; admission control

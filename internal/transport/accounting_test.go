@@ -145,9 +145,13 @@ func TestSiteCountersEqualRequestBreakdowns(t *testing.T) {
 				if d != want {
 					t.Errorf("%s over %s by %s: the families moved %+v, the breakdown says %+v", req.name, name, transport, d, *b)
 				}
-				if passes := d.kernel + d.shape + d.kind; passes != req.passes || b.Kernel != (d.kernel == passes) {
+				wantPasses := req.passes
+				if req.name == "local" && name == "load" {
+					wantPasses = 1 // one image, and MD1 folds into the base pass
+				}
+				if passes := d.kernel + d.shape + d.kind; passes != wantPasses || b.Kernel != (d.kernel == passes) {
 					t.Errorf("%s over %s by %s: %d passes counted (%d kernel), want %d; breakdown says kernel %v",
-						req.name, name, transport, passes, d.kernel, req.passes, b.Kernel)
+						req.name, name, transport, passes, d.kernel, wantPasses, b.Kernel)
 				}
 				moved = siteCounters{moved.rows + d.rows, moved.kernel + d.kernel, moved.shape + d.shape, moved.kind + d.kind,
 					moved.blocks + d.blocks, moved.cacheReads + d.cacheReads, moved.diskReads + d.diskReads, moved.segRows + d.segRows}

@@ -3,6 +3,7 @@ package skalla
 import (
 	"context"
 	"fmt"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -509,13 +510,44 @@ func TestServedTemplatesStayCompiled(t *testing.T) {
 			t.Errorf("%s: %d passes fell back to the scalar path", stmt, got)
 		}
 		for _, round := range res.Profile.Rounds {
+			passes := localPasses(q, round.Name)
 			for _, call := range round.Calls {
 				if call.Breakdown == nil || !call.Breakdown.Kernel {
 					t.Errorf("%s: round %s, site %d: breakdown %+v does not report the kernel", stmt, round.Name, call.Site, call.Breakdown)
+					continue
+				}
+				if want := passes * int64(d.Parts[call.Site].Len()); passes > 0 && call.Breakdown.RowsScanned != want {
+					t.Errorf("%s: round %s, site %d: scanned %d rows, want %d (%d passes)", stmt, round.Name, call.Site, call.Breakdown.RowsScanned, want, passes)
 				}
 			}
 		}
 	}
+}
+
+// localPasses is how many detail passes a site makes in the local round
+// named round of q, 0 for a round of another kind: one for the base and MD1,
+// which fold into one pass unless the base has grouping sets, and one per
+// grouping variable of every later operator the round evaluates.
+func localPasses(q gmdj.Query, round string) int64 {
+	upTo := 0
+	switch {
+	case round == "base+MD1":
+		upTo = 1
+	case round == "local-all":
+		upTo = len(q.Ops)
+	case strings.HasPrefix(round, "local-MD1..MD"):
+		upTo, _ = strconv.Atoi(strings.TrimPrefix(round, "local-MD1..MD"))
+	default:
+		return 0
+	}
+	passes := int64(1)
+	if len(q.Base.GroupingSets) > 0 {
+		passes += int64(len(q.Ops[0].Vars))
+	}
+	for _, op := range q.Ops[1:upTo] {
+		passes += int64(len(op.Vars))
+	}
+	return passes
 }
 
 // Auto's estimate on every served statement, over the four-site TPC
